@@ -4,8 +4,9 @@
 # test suite (unit, integration, chaos and property tests), the guardlint
 # static-analysis pass (repo-specific safety/determinism/telemetry
 # invariants; exemptions live in Lint.toml), clippy with warnings promoted
-# to errors, a telemetry-export smoke check, and rustdoc with warnings
-# denied.
+# to errors, the telemetry-export smoke checks (which also `cmp` every
+# deterministic export against the committed BENCH_* file), and rustdoc
+# with warnings denied.
 #
 # All dependencies are vendored (vendor/*), so the build never touches a
 # registry; --offline makes that a hard guarantee rather than an accident.
@@ -14,12 +15,27 @@
 #   stage ∈ {build, test, lint, guardcheck, clippy, telemetry, journeys,
 #   ha, fleet, fleetobs, analytics, poison, docs}; no argument runs all.
 #   `tsan` (nightly-only ThreadSanitizer pass) runs only when requested
-#   explicitly and skips gracefully without a nightly toolchain.
+#   explicitly and skips gracefully without a nightly toolchain; `perf`
+#   (the benchmark package's own tests, clippy and a smoke run) is
+#   explicit-only too: it builds the workspace a second time into
+#   perf/target, over a minute from cold.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 stage="${1:-all}"
 want() { [ "$stage" = all ] || [ "$stage" = "$1" ]; }
+
+# The simulator is seeded, so a fresh export must equal the committed file
+# byte for byte; a difference is a behaviour change (or a stale artifact)
+# and has to be committed deliberately.
+same_as_committed() {
+  local dir="$1" f
+  shift
+  for f in "$@"; do
+    cmp "$dir/$f" "$f" ||
+      { echo "drift: $dir/$f differs from the committed $f" >&2; exit 1; }
+  done
+}
 
 if want build; then
   echo "==> cargo build --release"
@@ -81,6 +97,7 @@ if want telemetry; then
     --obs-only --obs-out target/obs-smoke
   cargo run --release --offline -p bench --bin telemetry_check -- \
     target/obs-smoke/BENCH_obs.json target/obs-smoke/BENCH_obs_trace.jsonl
+  same_as_committed target/obs-smoke BENCH_obs.json
 fi
 
 if want journeys; then
@@ -119,6 +136,7 @@ if want fleetobs; then
   cargo run --release --offline -p bench --bin telemetry_check -- \
     --fleetobs target/fleetobs-smoke/BENCH_fleetobs.json \
     target/fleetobs-smoke/BENCH_fleetobs_trace.jsonl
+  same_as_committed target/fleetobs-smoke BENCH_fleetobs.json BENCH_fleetobs_trace.jsonl
 fi
 
 if want analytics; then
@@ -130,6 +148,7 @@ if want analytics; then
     --bin all_experiments -- --analytics-only --obs-out target/analytics-smoke
   cargo run --release --offline -p bench --bin telemetry_check -- \
     --analytics target/analytics-smoke/BENCH_analytics.json
+  same_as_committed target/analytics-smoke BENCH_analytics.json
 fi
 
 if want poison; then
@@ -139,6 +158,14 @@ if want poison; then
     --poison-only --obs-out target/poison-smoke
   cargo run --release --offline -p bench --bin telemetry_check -- \
     --poison target/poison-smoke/BENCH_poison.json
+  same_as_committed target/poison-smoke BENCH_poison.json
+fi
+
+if [ "$stage" = perf ]; then
+  echo "==> perf (benchmark harness tests, clippy, smoke run of all six workloads)"
+  cargo test --offline --manifest-path perf/Cargo.toml
+  cargo clippy --offline --all-targets --manifest-path perf/Cargo.toml -- -D warnings
+  cargo run --release --offline --manifest-path perf/Cargo.toml -- --smoke
 fi
 
 if want docs; then

@@ -1712,7 +1712,7 @@ impl RemoteGuard {
             // to a sibling server; TCP relays are simply not forwarded (the
             // proxy connection is reaped by the lifetime cap).
             if !matches!(rewrite, Rewrite::TcpRelay { .. }) {
-                let mut resp = query.response();
+                let mut resp = query.into_response();
                 resp.header.rcode = dnswire::types::Rcode::ServFail;
                 let pkt = Packet::udp(reply_from, requester, resp.encode());
                 self.tx(ctx, pkt);
@@ -1838,6 +1838,27 @@ impl RemoteGuard {
 
     // ---- pipeline --------------------------------------------------------
 
+    /// The decision event of every cookie check, valid or not.
+    fn trace_verify(
+        &self,
+        ctx: &Context<'_>,
+        scheme: &'static str,
+        verdict: &'static str,
+        src: Ipv4Addr,
+        qid: u64,
+    ) {
+        self.metrics.trace.event(
+            ctx.now().as_nanos(),
+            "verify",
+            &[
+                ("scheme", Value::Str(scheme)),
+                ("verdict", Value::Str(verdict)),
+                ("src", Value::Ip(src)),
+                ("qid", Value::U64(qid)),
+            ],
+        );
+    }
+
     fn handle_udp(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         // Replication traffic is control-plane, not DNS: it is dispatched
         // before the datagram counter so the pipeline conservation
@@ -1907,7 +1928,7 @@ impl RemoteGuard {
                 }
                 self.charge_cookie(ctx);
                 let cookie = self.cookies.generate(pkt.src.ip);
-                let mut grant = msg.response();
+                let mut grant = msg.into_response();
                 cookie_ext::attach_cookie(&mut grant, cookie.0, self.config.cookie_ttl);
                 self.metrics.grants_sent.inc();
                 let qid = self.alloc_qid();
@@ -1927,16 +1948,7 @@ impl RemoteGuard {
             self.stageprof.lap(crate::stageprof::STAGE_VERIFY);
             if valid {
                 self.metrics.ext_valid.inc();
-                self.metrics.trace.event(
-                    ctx.now().as_nanos(),
-                    "verify",
-                    &[
-                        ("scheme", Value::Str("ext")),
-                        ("verdict", Value::Str("valid")),
-                        ("src", Value::Ip(pkt.src.ip)),
-                        ("qid", Value::U64(qid)),
-                    ],
-                );
+                self.trace_verify(ctx, "ext", "valid", pkt.src.ip, qid);
                 let admitted = self.rl2.admit(ctx.now(), pkt.src.ip);
                 self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
                 if !admitted {
@@ -1957,16 +1969,7 @@ impl RemoteGuard {
                 self.forward_to_ans(ctx, inner, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
             } else {
                 self.metrics.ext_invalid.inc();
-                self.metrics.trace.event(
-                    ctx.now().as_nanos(),
-                    "verify",
-                    &[
-                        ("scheme", Value::Str("ext")),
-                        ("verdict", Value::Str("invalid")),
-                        ("src", Value::Ip(pkt.src.ip)),
-                        ("qid", Value::U64(qid)),
-                    ],
-                );
+                self.trace_verify(ctx, "ext", "invalid", pkt.src.ip, qid);
             }
             return;
         }
@@ -1979,29 +1982,11 @@ impl RemoteGuard {
             self.stageprof.lap(crate::stageprof::STAGE_VERIFY);
             if !cookie2_ok {
                 self.metrics.cookie2_invalid.inc();
-                self.metrics.trace.event(
-                    ctx.now().as_nanos(),
-                    "verify",
-                    &[
-                        ("scheme", Value::Str("cookie2")),
-                        ("verdict", Value::Str("invalid")),
-                        ("src", Value::Ip(pkt.src.ip)),
-                        ("qid", Value::U64(qid)),
-                    ],
-                );
+                self.trace_verify(ctx, "cookie2", "invalid", pkt.src.ip, qid);
                 return;
             }
             self.metrics.cookie2_valid.inc();
-            self.metrics.trace.event(
-                ctx.now().as_nanos(),
-                "verify",
-                &[
-                    ("scheme", Value::Str("cookie2")),
-                    ("verdict", Value::Str("valid")),
-                    ("src", Value::Ip(pkt.src.ip)),
-                    ("qid", Value::U64(qid)),
-                ],
-            );
+            self.trace_verify(ctx, "cookie2", "valid", pkt.src.ip, qid);
             let admitted = self.rl2.admit(ctx.now(), pkt.src.ip);
             self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
             if !admitted {
@@ -2017,7 +2002,7 @@ impl RemoteGuard {
                 );
                 return;
             }
-            let Some(question) = msg.question().cloned() else {
+            let Some(question) = msg.question() else {
                 return;
             };
             // One-shot stash from the first exchange (messages 4/5).
@@ -2028,7 +2013,7 @@ impl RemoteGuard {
                     "stash_hit",
                     &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
                 );
-                let mut resp = msg.response();
+                let mut resp = msg.into_response();
                 resp.header.authoritative = true;
                 resp.answers = entry.answers;
                 let (wire, _) = resp
@@ -2044,12 +2029,10 @@ impl RemoteGuard {
 
         // 3. Cookie-embedded NS-name query (message 3 of the DNS-based
         // scheme)?
-        let first_label = msg.question().and_then(|q| q.name.first_label().map(|l| l.to_vec()));
-        if let Some(label) = first_label.as_deref() {
-            if let Some((hex, original_first)) = Self::parse_cookie_label(label) {
-                self.handle_cookie_name_query(ctx, pkt, msg, hex.to_string(), original_first.to_vec());
-                return;
-            }
+        let first_label = msg.question().and_then(|q| q.name.first_label());
+        if let Some((hex, original_first)) = first_label.and_then(Self::parse_cookie_label) {
+            self.handle_cookie_name_query(ctx, pkt, &msg, hex, original_first);
+            return;
         }
 
         // 4. Plain cookie-less query: dispatch per configured scheme.
@@ -2060,73 +2043,30 @@ impl RemoteGuard {
         &mut self,
         ctx: &mut Context<'_>,
         pkt: Packet,
-        msg: Message,
-        hex: String,
-        original_first: Vec<u8>,
+        msg: &Message,
+        hex: &str,
+        original_first: &[u8],
     ) {
         self.charge_cookie(ctx);
         let qid = self.alloc_qid();
-        let suffix_ok = self.cookies.verify_ns_suffix(pkt.src.ip, &hex);
+        let suffix_ok = self.cookies.verify_ns_suffix(pkt.src.ip, hex);
         self.stageprof.lap(crate::stageprof::STAGE_VERIFY);
-        if !suffix_ok {
-            self.metrics.ns_cookie_invalid.inc();
-            self.metrics.trace.event(
-                ctx.now().as_nanos(),
-                "verify",
-                &[
-                    ("scheme", Value::Str("ns_label")),
-                    ("verdict", Value::Str("invalid")),
-                    ("src", Value::Ip(pkt.src.ip)),
-                    ("qid", Value::U64(qid)),
-                ],
-            );
-            return;
-        }
-        // The caller only routes here after reading the question's first
-        // label, but stay panic-free on this wire-input path: a questionless
-        // message lands in the invalid-cookie bucket like any other drop.
-        let Some(cookie_question) = msg.question().cloned() else {
-            self.metrics.ns_cookie_invalid.inc();
-            self.metrics.trace.event(
-                ctx.now().as_nanos(),
-                "verify",
-                &[
-                    ("scheme", Value::Str("ns_label")),
-                    ("verdict", Value::Str("invalid")),
-                    ("src", Value::Ip(pkt.src.ip)),
-                    ("qid", Value::U64(qid)),
-                ],
-            );
-            return;
-        };
         // Restore the original name BEFORE declaring the query valid: a
         // cookie that verifies but encodes an unrestorable name is still a
-        // drop, and must land in exactly one disposition bucket.
-        let Ok(original) = cookie_question.name.with_first_label(&original_first) else {
+        // drop, and must land in exactly one disposition bucket — as does a
+        // questionless message (the caller read the question's first label,
+        // but this wire-input path stays panic-free).
+        let restored = msg.question().filter(|_| suffix_ok).and_then(|q| {
+            let original = q.name.with_first_label(original_first).ok()?;
+            Some((q.clone(), original))
+        });
+        let Some((cookie_question, original)) = restored else {
             self.metrics.ns_cookie_invalid.inc();
-            self.metrics.trace.event(
-                ctx.now().as_nanos(),
-                "verify",
-                &[
-                    ("scheme", Value::Str("ns_label")),
-                    ("verdict", Value::Str("invalid")),
-                    ("src", Value::Ip(pkt.src.ip)),
-                    ("qid", Value::U64(qid)),
-                ],
-            );
+            self.trace_verify(ctx, "ns_label", "invalid", pkt.src.ip, qid);
             return;
         };
         self.metrics.ns_cookie_valid.inc();
-        self.metrics.trace.event(
-            ctx.now().as_nanos(),
-            "verify",
-            &[
-                ("scheme", Value::Str("ns_label")),
-                ("verdict", Value::Str("valid")),
-                ("src", Value::Ip(pkt.src.ip)),
-                ("qid", Value::U64(qid)),
-            ],
-        );
+        self.trace_verify(ctx, "ns_label", "valid", pkt.src.ip, qid);
         if !self.rl2.admit(ctx.now(), pkt.src.ip) {
             self.metrics.rl2_dropped.inc();
             self.metrics.trace.event(
@@ -2140,36 +2080,21 @@ impl RemoteGuard {
             );
             return;
         }
-        let restored = Message::iterative_query(msg.header.id, original.clone(), dnswire::types::RrType::A);
-        match self.classifier.classify(&original) {
+        let rewrite = match self.classifier.classify(&original) {
             Classification::Referral { .. } | Classification::Unknown => {
-                self.forward_to_ans(
-                    ctx,
-                    restored,
-                    pkt.src,
-                    pkt.dst,
-                    Rewrite::ReferralCookie { cookie_question },
-                    qid,
-                );
+                Rewrite::ReferralCookie { cookie_question }
             }
-            Classification::NonReferral => {
-                self.forward_to_ans(
-                    ctx,
-                    restored,
-                    pkt.src,
-                    pkt.dst,
-                    Rewrite::Fabricated {
-                        cookie_question,
-                        original,
-                    },
-                    qid,
-                );
-            }
-        }
+            Classification::NonReferral => Rewrite::Fabricated {
+                cookie_question,
+                original: original.clone(),
+            },
+        };
+        let restored = Message::iterative_query(msg.header.id, original, dnswire::types::RrType::A);
+        self.forward_to_ans(ctx, restored, pkt.src, pkt.dst, rewrite, qid);
     }
 
     fn handle_plain_query(&mut self, ctx: &mut Context<'_>, pkt: Packet, msg: Message) {
-        let Some(question) = msg.question().cloned() else {
+        let Some(question) = msg.question() else {
             self.metrics.unparseable.inc();
             return;
         };
@@ -2198,7 +2123,8 @@ impl RemoteGuard {
         };
         match mode {
             SchemeMode::TcpBased => {
-                let tc = msg.truncated_response();
+                let mut tc = msg.into_response();
+                tc.header.truncated = true;
                 self.metrics.tc_sent.inc();
                 let qid = self.alloc_qid();
                 self.metrics.trace.event(
@@ -2214,7 +2140,7 @@ impl RemoteGuard {
                 // a cookie-capable LRS can proceed (message 3).
                 self.charge_cookie(ctx);
                 let cookie = self.cookies.generate(pkt.src.ip);
-                let mut grant = msg.response();
+                let mut grant = msg.into_response();
                 cookie_ext::attach_cookie(&mut grant, cookie.0, self.config.cookie_ttl);
                 self.metrics.grants_sent.inc();
                 let qid = self.alloc_qid();
@@ -2228,33 +2154,27 @@ impl RemoteGuard {
             }
             SchemeMode::DnsBased => {
                 let target = match self.classifier.classify(&question.name) {
-                    Classification::Referral { child_zone } => child_zone,
-                    Classification::NonReferral => question.name.clone(),
-                    Classification::Unknown => {
-                        // Not ours: let the ANS answer (it will refuse).
-                        self.metrics.plain_forwarded.inc();
-                        let qid = self.alloc_qid();
-                        self.forward_to_ans(ctx, msg, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
-                        return;
-                    }
+                    Classification::Referral { child_zone } => Some(child_zone),
+                    Classification::NonReferral => Some(question.name.clone()),
+                    Classification::Unknown => None,
                 };
-                let Some(first) = target.first_label().map(|l| l.to_vec()) else {
-                    // Query for the root itself: fall back to forwarding.
+                let fabricated = target.and_then(|target| {
+                    let first = target.first_label()?;
+                    self.charge_cookie(ctx);
+                    let label = self.fabricate_label(pkt.src.ip, first);
+                    let fab_name = target.with_first_label(&label).ok()?;
+                    Some((target, fab_name))
+                });
+                let Some((target, fab_name)) = fabricated else {
+                    // Not ours (the ANS will refuse), the root itself, or a
+                    // name too deep to carry the cookie label: forward
+                    // unprotected.
                     self.metrics.plain_forwarded.inc();
                     let qid = self.alloc_qid();
                     self.forward_to_ans(ctx, msg, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
                     return;
                 };
-                self.charge_cookie(ctx);
-                let label = self.fabricate_label(pkt.src.ip, &first);
-                let Ok(fab_name) = target.with_first_label(&label) else {
-                    // Label too long (very deep name): forward unprotected.
-                    self.metrics.plain_forwarded.inc();
-                    let qid = self.alloc_qid();
-                    self.forward_to_ans(ctx, msg, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
-                    return;
-                };
-                let mut reply = msg.response();
+                let mut reply = msg.into_response();
                 reply
                     .authorities
                     .push(Record::ns(target, fab_name, self.config.fabricated_ns_ttl));
@@ -2326,12 +2246,12 @@ impl RemoteGuard {
                 // ("one name can be mapped to multiple IP addresses").
                 let glue: Vec<Record> = msg
                     .additionals
-                    .iter()
-                    .chain(msg.answers.iter())
+                    .into_iter()
+                    .chain(msg.answers)
                     .filter(|r| r.rtype == dnswire::types::RrType::A)
                     .map(|r| Record {
                         name: cookie_question.name.clone(),
-                        ..r.clone()
+                        ..r
                     })
                     .collect();
                 let mut reply = Message {
@@ -2364,7 +2284,7 @@ impl RemoteGuard {
                 self.insert_stash(
                     (fwd.requester.ip, original),
                     StashEntry {
-                        answers: msg.answers.clone(),
+                        answers: msg.answers,
                         created: ctx.now(),
                     },
                 );
@@ -2376,12 +2296,12 @@ impl RemoteGuard {
                         authoritative: true,
                         ..dnswire::header::Header::default()
                     },
-                    questions: vec![cookie_question.clone()],
                     answers: vec![Record::a(
                         cookie_question.name.clone(),
                         cookie2,
                         self.config.fabricated_ns_ttl,
                     )],
+                    questions: vec![cookie_question],
                     ..Message::default()
                 };
                 let reply_pkt = Packet::udp(fwd.reply_from, fwd.requester, reply.encode());

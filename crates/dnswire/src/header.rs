@@ -79,9 +79,8 @@ impl Header {
         }
     }
 
-    /// Encodes the header plus explicit section counts.
-    pub fn encode(&self, counts: SectionCounts, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.id.to_be_bytes());
+    /// The twelve wire bytes of the header plus explicit section counts.
+    pub fn to_bytes(&self, counts: SectionCounts) -> [u8; HEADER_LEN] {
         let mut flags: u16 = 0;
         if self.response {
             flags |= 0x8000;
@@ -100,11 +99,13 @@ impl Header {
             flags |= 0x0080;
         }
         flags |= self.rcode.code() as u16;
-        buf.extend_from_slice(&flags.to_be_bytes());
-        buf.extend_from_slice(&counts.questions.to_be_bytes());
-        buf.extend_from_slice(&counts.answers.to_be_bytes());
-        buf.extend_from_slice(&counts.authorities.to_be_bytes());
-        buf.extend_from_slice(&counts.additionals.to_be_bytes());
+        let [i0, i1] = self.id.to_be_bytes();
+        let [f0, f1] = flags.to_be_bytes();
+        let [q0, q1] = counts.questions.to_be_bytes();
+        let [a0, a1] = counts.answers.to_be_bytes();
+        let [n0, n1] = counts.authorities.to_be_bytes();
+        let [r0, r1] = counts.additionals.to_be_bytes();
+        [i0, i1, f0, f1, q0, q1, a0, a1, n0, n1, r0, r1]
     }
 
     /// Decodes a header and its section counts from the front of `msg`.
@@ -160,9 +161,7 @@ mod tests {
             authorities: 3,
             additionals: 4,
         };
-        let mut buf = Vec::new();
-        header.encode(counts, &mut buf);
-        assert_eq!(buf.len(), HEADER_LEN);
+        let buf = header.to_bytes(counts);
         let (decoded, decoded_counts) = Header::decode(&buf).unwrap();
         assert_eq!(decoded, header);
         assert_eq!(decoded_counts, counts);
@@ -179,8 +178,7 @@ mod tests {
                 3 => h.recursion_desired = false,
                 _ => h.recursion_available = true,
             }
-            let mut buf = Vec::new();
-            h.encode(SectionCounts::default(), &mut buf);
+            let buf = h.to_bytes(SectionCounts::default());
             let (d, _) = Header::decode(&buf).unwrap();
             assert_eq!(d, h, "bit {bit}");
         }
@@ -209,8 +207,7 @@ mod tests {
         // The TC bit position matters for interop; pin it explicitly.
         let mut h = Header::query(0);
         h.truncated = true;
-        let mut buf = Vec::new();
-        h.encode(SectionCounts::default(), &mut buf);
+        let buf = h.to_bytes(SectionCounts::default());
         assert_eq!(buf[2] & 0x02, 0x02);
     }
 }

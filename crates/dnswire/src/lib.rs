@@ -130,7 +130,88 @@ mod proptests {
             })
     }
 
+    /// Labels over an alphabet picked to collide: letters in both cases,
+    /// and bytes a flat buffer could mistake for length octets (1, 2, `?` =
+    /// 63) — so random pairs are often equal, often differ only in case,
+    /// and often differ only in where the label boundaries fall.
+    fn arb_confusable_labels() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        let byte = (0usize..8).prop_map(|i| b"aAbB\x01\x02?z"[i]);
+        proptest::collection::vec(proptest::collection::vec(byte, 1..4), 0..4)
+    }
+
+    fn folded(labels: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        labels.iter().map(|l| l.to_ascii_lowercase()).collect()
+    }
+
+    fn hash_of(name: &Name) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        name.hash(&mut h);
+        h.finish()
+    }
+
+    /// Messages built to stress the compressor: names over three labels in
+    /// mixed case (shared suffixes, case-only twins), enough records to fill
+    /// the inline offset array several times over, and TXT padding that
+    /// pushes later names across the 0x4000 pointer limit.
+    fn arb_dense_message() -> impl Strategy<Value = Message> {
+        let label = (0usize..6).prop_map(|i| [&b"a"[..], b"A", b"b", b"foo", b"Foo", b"com"][i].to_vec());
+        let name = proptest::collection::vec(label, 0..6)
+            .prop_map(|labels| Name::from_labels(labels).unwrap_or_else(|_| Name::root()));
+        let record = (name, 0usize..100).prop_map(|(name, roll)| match roll {
+            0..=3 => Record::new(name, 60, RData::Txt(vec![vec![b'x'; 255]; 40])),
+            _ => Record::ns(name.clone(), name, 60),
+        });
+        (arb_name(), proptest::collection::vec(record, 0..90)).prop_map(|(qname, mut records)| {
+            let mut m = Message::query(1, qname, RrType::A).response();
+            m.additionals = records.split_off(records.len() * 2 / 3);
+            m.authorities = records.split_off(records.len() / 2);
+            m.answers = records;
+            m
+        })
+    }
+
     proptest! {
+        /// The allocation-free compressor emits exactly the bytes the
+        /// `HashMap` one did.
+        #[test]
+        fn encode_matches_reference(msg in arb_message()) {
+            prop_assert_eq!(msg.encode(), crate::message::reference::encode(&msg));
+        }
+
+        /// … including with more distinct suffixes than the inline array
+        /// holds, case-only twins, and names on both sides of offset 0x4000;
+        /// and truncation cuts where pop-and-re-encode did.
+        #[test]
+        fn dense_encode_matches_reference(msg in arb_dense_message(), limit in 12usize..40_000) {
+            let wire = msg.encode();
+            // (`prop_assert!`, not `_eq!`: a failure would print megabytes.)
+            prop_assert!(wire == crate::message::reference::encode(&msg));
+            prop_assert!(Message::decode(&wire).ok().as_ref() == Some(&msg));
+            prop_assert!(
+                msg.encode_with_limit(limit) == crate::message::reference::encode_with_limit(&msg, limit)
+            );
+        }
+
+        /// `Eq`, `Hash` and `Ord` over the flat buffer agree with the
+        /// label-by-label definition under case folding.
+        #[test]
+        fn eq_hash_ord_fold_case_per_label(a in arb_confusable_labels(), b in arb_confusable_labels()) {
+            let (na, nb) = (Name::from_labels(&a).unwrap(), Name::from_labels(&b).unwrap());
+            let (fa, fb) = (folded(&a), folded(&b));
+            prop_assert_eq!(na == nb, fa == fb);
+            prop_assert_eq!(na.cmp(&nb), fa.iter().rev().cmp(fb.iter().rev()));
+            prop_assert_eq!(na.eq_case_sensitive(&nb), a == b);
+            if na == nb {
+                prop_assert_eq!(hash_of(&na), hash_of(&nb));
+            }
+            let upper = Name::from_labels(a.iter().map(|l| l.to_ascii_uppercase())).unwrap();
+            prop_assert_eq!(&upper, &na);
+            prop_assert_eq!(hash_of(&upper), hash_of(&na));
+            prop_assert_eq!(upper.cmp(&na), std::cmp::Ordering::Equal);
+            prop_assert_eq!(na.labels().map(<[u8]>::to_vec).collect::<Vec<_>>(), a);
+        }
+
         /// Encode→decode round-trips arbitrary well-formed messages,
         /// including the compression pass.
         #[test]

@@ -2,12 +2,11 @@
 //! the 512-byte UDP truncation rule that the TCP-based guard scheme exploits.
 
 use crate::error::{WireError, WireResult};
-use crate::header::{Header, SectionCounts};
-use crate::name::Name;
+use crate::header::{Header, SectionCounts, HEADER_LEN};
+use crate::name::{split_label, Name};
 use crate::question::Question;
 use crate::record::Record;
 use crate::types::{RrType, Rcode};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Classic maximum UDP DNS payload (RFC 1035); larger answers set TC.
@@ -70,6 +69,16 @@ impl Message {
         }
     }
 
+    /// [`Message::response`] for a query the caller is done with: the
+    /// question section moves into the response instead of being copied.
+    pub fn into_response(self) -> Self {
+        Message {
+            header: self.header.response_to(),
+            questions: self.questions,
+            ..Message::default()
+        }
+    }
+
     /// Starts an error response with the given rcode.
     pub fn error_response(&self, rcode: Rcode) -> Self {
         let mut r = self.response();
@@ -104,9 +113,7 @@ impl Message {
 
     /// Encodes with name compression, no size limit.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with_limit(usize::MAX)
-            .expect("unlimited encode cannot fail")
-            .0
+        self.encode_records(usize::MAX).0
     }
 
     /// Encodes with name compression, truncating at `limit` bytes.
@@ -119,58 +126,32 @@ impl Message {
     ///
     /// [`WireError::TooLarge`] if even header + questions exceed `limit`.
     pub fn encode_with_limit(&self, limit: usize) -> WireResult<(Vec<u8>, bool)> {
-        let full = self.encode_all();
-        if full.len() <= limit {
-            return Ok((full, false));
-        }
-        // Drop whole records until the message fits.
-        let mut m = self.clone();
-        m.header.truncated = true;
-        while !(m.additionals.is_empty() && m.authorities.is_empty() && m.answers.is_empty()) {
-            if !m.additionals.is_empty() {
-                m.additionals.pop();
-            } else if !m.authorities.is_empty() {
-                m.authorities.pop();
-            } else {
-                m.answers.pop();
-            }
-            let enc = m.encode_all();
-            if enc.len() <= limit {
-                return Ok((enc, true));
-            }
-        }
-        let enc = m.encode_all();
-        if enc.len() <= limit {
-            Ok((enc, true))
-        } else {
-            Err(WireError::TooLarge {
-                needed: enc.len(),
+        match self.encode_records(limit) {
+            (wire, _) if wire.len() > limit => Err(WireError::TooLarge {
+                needed: wire.len(),
                 limit,
-            })
+            }),
+            fits => Ok(fits),
         }
     }
 
-    /// The wire size of the fully-encoded message (with compression).
-    pub fn wire_len(&self) -> usize {
-        self.encode().len()
-    }
-
-    fn encode_all(&self) -> Vec<u8> {
+    /// One pass: header and questions always, then records in section order
+    /// until one would end past `limit`. A record's encoding depends only on
+    /// what precedes it, so stopping there yields byte for byte what
+    /// encoding the message without the dropped records would; the header
+    /// goes in last, once the kept counts and TC are known.
+    fn encode_records(&self, limit: usize) -> (Vec<u8>, bool) {
         let mut buf = Vec::with_capacity(128);
-        let counts = SectionCounts {
-            questions: self.questions.len() as u16,
-            answers: self.answers.len() as u16,
-            authorities: self.authorities.len() as u16,
-            additionals: self.additionals.len() as u16,
-        };
-        self.header.encode(counts, &mut buf);
+        buf.extend_from_slice(&[0; HEADER_LEN]);
         let mut compressor = Compressor::default();
         for q in &self.questions {
             compressor.encode_name(&q.name, &mut buf);
             buf.extend_from_slice(&q.qtype.code().to_be_bytes());
             buf.extend_from_slice(&q.qclass.code().to_be_bytes());
         }
+        let mut kept = 0usize;
         for r in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
+            let start = buf.len();
             compressor.encode_name(&r.name, &mut buf);
             buf.extend_from_slice(&r.rtype.code().to_be_bytes());
             buf.extend_from_slice(&r.class.code().to_be_bytes());
@@ -179,11 +160,30 @@ impl Message {
             buf.extend_from_slice(&[0, 0]);
             r.rdata.encode(&mut buf);
             let rdlen = (buf.len() - rdlen_at - 2) as u16;
-            // lint: index-ok — encode path patching a placeholder we pushed
-            // into our own buffer two statements above; rdlen_at+2 <= buf.len().
-            buf[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+            if let Some(slot) = buf.get_mut(rdlen_at..rdlen_at + 2) {
+                slot.copy_from_slice(&rdlen.to_be_bytes());
+            }
+            if buf.len() > limit {
+                buf.truncate(start);
+                break;
+            }
+            kept += 1;
         }
-        buf
+        let truncated = kept < self.answers.len() + self.authorities.len() + self.additionals.len();
+        let mut header = self.header;
+        header.truncated |= truncated;
+        let answers = kept.min(self.answers.len());
+        let authorities = (kept - answers).min(self.authorities.len());
+        let counts = SectionCounts {
+            questions: self.questions.len() as u16,
+            answers: answers as u16,
+            authorities: authorities as u16,
+            additionals: (kept - answers - authorities) as u16,
+        };
+        if let Some(slot) = buf.get_mut(..HEADER_LEN) {
+            slot.copy_from_slice(&header.to_bytes(counts));
+        }
+        (buf, truncated)
     }
 
     /// Decodes a full message.
@@ -194,7 +194,7 @@ impl Message {
     /// records.
     pub fn decode(msg: &[u8]) -> WireResult<Message> {
         let (header, counts) = Header::decode(msg)?;
-        let mut pos = crate::header::HEADER_LEN;
+        let mut pos = HEADER_LEN;
         let mut questions = Vec::with_capacity(counts.questions as usize);
         for _ in 0..counts.questions {
             let (q, next) = Question::decode(msg, pos)?;
@@ -253,48 +253,201 @@ impl fmt::Display for Message {
     }
 }
 
-/// Suffix-sharing name compressor. Remembers the offset of every name suffix
-/// written so far and emits a pointer to the longest known suffix.
+/// Suffixes the compressor remembers without touching the heap; a referral
+/// with glue registers about a dozen.
+const INLINE_SUFFIXES: usize = 32;
+
+/// Suffix-sharing name compressor with no map and, for ordinary messages, no
+/// allocation: it remembers *where* each suffix was first written literally
+/// and matches candidates against the output bytes themselves, emitting a
+/// pointer to the longest suffix already there.
 #[derive(Default)]
 struct Compressor {
-    offsets: HashMap<Vec<Vec<u8>>, u16>,
+    /// Output offsets (all below 0x4000) of literally written suffixes,
+    /// oldest first; each spells a different suffix.
+    inline: [u16; INLINE_SUFFIXES],
+    used: usize,
+    /// Offsets past the inline array: only a message with more than
+    /// `INLINE_SUFFIXES` distinct suffixes allocates.
+    spill: Vec<u16>,
 }
 
 impl Compressor {
     fn encode_name(&mut self, name: &Name, buf: &mut Vec<u8>) {
-        let labels: Vec<Vec<u8>> = name.labels().map(|l| l.to_vec()).collect();
-        // Find the longest suffix already in the map.
-        let mut emit_until = labels.len(); // labels[..emit_until] written literally
-        let mut pointer: Option<u16> = None;
-        for start in 0..labels.len() {
-            // lint: index-ok — encode path over our own label vector;
-            // `start` ranges over 0..labels.len() so the slice is in bounds.
-            if let Some(&off) = self.offsets.get(&labels[start..]) {
-                emit_until = start;
-                pointer = Some(off);
+        let wire = name.as_wire();
+        // Longest suffix first: drop labels from the left until what is left
+        // is already in the output (or nothing is left).
+        let mut rest = wire;
+        let mut pointer = None;
+        while let Some((_, tail)) = split_label(rest) {
+            pointer = self.find(buf, rest);
+            if pointer.is_some() {
                 break;
             }
+            rest = tail;
         }
-        // Register the new suffixes that will be written literally.
-        for start in 0..emit_until {
-            // lint: index-ok — same owned vector; emit_until <= labels.len().
-            let here = buf.len() + labels[..start].iter().map(|l| l.len() + 1).sum::<usize>();
-            if here < 0x4000 {
-                // lint: index-ok — same owned vector, start < emit_until.
-                self.offsets.entry(labels[start..].to_vec()).or_insert(here as u16);
-            }
-        }
-        // lint: index-ok — emit_until <= labels.len() by construction above.
-        for label in &labels[..emit_until] {
-            buf.push(label.len() as u8);
-            buf.extend_from_slice(label);
+        // The labels dropped on the way go out literally, and each starts a
+        // suffix the output did not have yet.
+        let (mut literal, _) = wire.split_at(wire.len() - rest.len());
+        buf.extend_from_slice(literal);
+        while let Some((_, tail)) = split_label(literal) {
+            self.remember(buf.len() - literal.len());
+            literal = tail;
         }
         match pointer {
-            Some(off) => {
-                buf.push(0xC0 | (off >> 8) as u8);
-                buf.push((off & 0xFF) as u8);
-            }
+            Some(at) => buf.extend_from_slice(&(0xC000 | at).to_be_bytes()),
             None => buf.push(0),
+        }
+    }
+
+    /// The remembered offset whose name spells exactly `suffix`.
+    fn find(&self, out: &[u8], suffix: &[u8]) -> Option<u16> {
+        let inline = self.inline.iter().take(self.used);
+        inline.chain(&self.spill).copied().find(|&at| spells(out, at as usize, suffix))
+    }
+
+    fn remember(&mut self, at: usize) {
+        if at >= 0x4000 {
+            return; // out of a pointer's 14-bit reach
+        }
+        match self.inline.get_mut(self.used) {
+            Some(slot) => {
+                *slot = at as u16;
+                self.used += 1;
+            }
+            None => self.spill.push(at as u16),
+        }
+    }
+}
+
+/// Whether the name written at `at` in `out` — literal labels, then a root
+/// octet or a pointer to follow — spells exactly `suffix` (wire form, no
+/// root octet). Bytes compare exactly: pointing a mixed-case name at a
+/// differently-cased twin would lose the case a 0x20 resolver checks.
+fn spells(out: &[u8], mut at: usize, mut suffix: &[u8]) -> bool {
+    while let Some(&len) = out.get(at) {
+        match len {
+            0 => return suffix.is_empty(),
+            0xC0.. => match out.get(at + 1) {
+                Some(&low) => at = ((len & 0x3F) as usize) << 8 | low as usize,
+                None => return false,
+            },
+            // Length octet and label bytes compare as one piece against
+            // the suffix's own wire form.
+            _ => match out.get(at..at + 1 + len as usize).and_then(|l| suffix.strip_prefix(l)) {
+                Some(tail) => {
+                    at += suffix.len() - tail.len();
+                    suffix = tail;
+                }
+                None => return false,
+            },
+        }
+    }
+    false
+}
+
+/// The encoder this one replaced, kept as the oracle the new one must match
+/// byte for byte: a `HashMap` from owned label sequences to offsets, and
+/// truncation by popping a record and encoding again.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use std::collections::HashMap;
+
+    #[derive(Default)]
+    struct Compressor {
+        offsets: HashMap<Vec<Vec<u8>>, u16>,
+    }
+
+    impl Compressor {
+        fn encode_name(&mut self, name: &Name, buf: &mut Vec<u8>) {
+            let labels: Vec<Vec<u8>> = name.labels().map(|l| l.to_vec()).collect();
+            let mut emit_until = labels.len();
+            let mut pointer: Option<u16> = None;
+            for start in 0..labels.len() {
+                if let Some(&off) = self.offsets.get(&labels[start..]) {
+                    emit_until = start;
+                    pointer = Some(off);
+                    break;
+                }
+            }
+            for start in 0..emit_until {
+                let here = buf.len() + labels[..start].iter().map(|l| l.len() + 1).sum::<usize>();
+                if here < 0x4000 {
+                    self.offsets.entry(labels[start..].to_vec()).or_insert(here as u16);
+                }
+            }
+            for label in &labels[..emit_until] {
+                buf.push(label.len() as u8);
+                buf.extend_from_slice(label);
+            }
+            match pointer {
+                Some(off) => {
+                    buf.push(0xC0 | (off >> 8) as u8);
+                    buf.push((off & 0xFF) as u8);
+                }
+                None => buf.push(0),
+            }
+        }
+    }
+
+    pub(crate) fn encode(m: &Message) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(128);
+        let counts = SectionCounts {
+            questions: m.questions.len() as u16,
+            answers: m.answers.len() as u16,
+            authorities: m.authorities.len() as u16,
+            additionals: m.additionals.len() as u16,
+        };
+        buf.extend_from_slice(&m.header.to_bytes(counts));
+        let mut compressor = Compressor::default();
+        for q in &m.questions {
+            compressor.encode_name(&q.name, &mut buf);
+            buf.extend_from_slice(&q.qtype.code().to_be_bytes());
+            buf.extend_from_slice(&q.qclass.code().to_be_bytes());
+        }
+        for r in m.answers.iter().chain(&m.authorities).chain(&m.additionals) {
+            compressor.encode_name(&r.name, &mut buf);
+            buf.extend_from_slice(&r.rtype.code().to_be_bytes());
+            buf.extend_from_slice(&r.class.code().to_be_bytes());
+            buf.extend_from_slice(&r.ttl.to_be_bytes());
+            let rdlen_at = buf.len();
+            buf.extend_from_slice(&[0, 0]);
+            r.rdata.encode(&mut buf);
+            let rdlen = (buf.len() - rdlen_at - 2) as u16;
+            buf[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+        }
+        buf
+    }
+
+    pub(crate) fn encode_with_limit(m: &Message, limit: usize) -> WireResult<(Vec<u8>, bool)> {
+        let full = encode(m);
+        if full.len() <= limit {
+            return Ok((full, false));
+        }
+        let mut m = m.clone();
+        m.header.truncated = true;
+        while !(m.additionals.is_empty() && m.authorities.is_empty() && m.answers.is_empty()) {
+            if !m.additionals.is_empty() {
+                m.additionals.pop();
+            } else if !m.authorities.is_empty() {
+                m.authorities.pop();
+            } else {
+                m.answers.pop();
+            }
+            let enc = encode(&m);
+            if enc.len() <= limit {
+                return Ok((enc, true));
+            }
+        }
+        let enc = encode(&m);
+        if enc.len() <= limit {
+            Ok((enc, true))
+        } else {
+            Err(WireError::TooLarge {
+                needed: enc.len(),
+                limit,
+            })
         }
     }
 }
@@ -341,9 +494,7 @@ mod tests {
         // Rough uncompressed size: encode each record standalone.
         let mut uncompressed = 12usize;
         for q in &resp.questions {
-            let mut b = Vec::new();
-            q.encode(&mut b);
-            uncompressed += b.len();
+            uncompressed += q.name.wire_len() + 4;
         }
         for r in resp.answers.iter().chain(&resp.authorities).chain(&resp.additionals) {
             let mut b = Vec::new();
@@ -369,10 +520,10 @@ mod tests {
         assert_eq!(decoded.additionals[1].name, n("ns2.foo.com"));
     }
 
-    #[test]
-    fn truncation_drops_records_and_sets_tc() {
+    /// `sample_response` inflated with 60 answers so it cannot fit in 512
+    /// bytes (and registers more suffixes than the compressor keeps inline).
+    fn oversized_response() -> Message {
         let mut resp = sample_response();
-        // Inflate with many answers so it cannot fit in 512 bytes.
         for i in 0..60u8 {
             resp.answers.push(Record::a(
                 n(&format!("host{i}.foo.com")),
@@ -380,6 +531,48 @@ mod tests {
                 60,
             ));
         }
+        resp
+    }
+
+    #[test]
+    fn truncation_matches_pop_and_reencode_at_every_limit() {
+        let resp = oversized_response();
+        let full = resp.encode();
+        assert_eq!(full, reference::encode(&resp));
+        for limit in HEADER_LEN..=full.len() {
+            assert_eq!(
+                resp.encode_with_limit(limit),
+                reference::encode_with_limit(&resp, limit),
+                "limit {limit}"
+            );
+        }
+    }
+
+    #[test]
+    fn compression_is_case_exact() {
+        // 0x20: a twin in another case shares only the suffix that matches
+        // byte for byte, so every name decodes in the case it was given.
+        let mut resp = Message::query(1, n("wWw.fOo.com"), RrType::A).response();
+        resp.answers.push(Record::a(n("www.foo.com"), Ipv4Addr::new(1, 2, 3, 4), 60));
+        resp.answers.push(Record::a(n("wWw.fOo.com"), Ipv4Addr::new(1, 2, 3, 4), 60));
+        let wire = resp.encode();
+        assert_eq!(wire, reference::encode(&resp));
+        let back = Message::decode(&wire).unwrap();
+        for (got, want) in back.answers.iter().zip(&resp.answers) {
+            assert!(got.name.eq_case_sensitive(&want.name));
+        }
+    }
+
+    #[test]
+    fn into_response_is_response_without_the_copy() {
+        let query = Message::query(7, n("www.foo.com"), RrType::A);
+        assert_eq!(query.clone().into_response(), query.response());
+        assert_eq!(sample_response().into_response(), sample_response().response());
+    }
+
+    #[test]
+    fn truncation_drops_records_and_sets_tc() {
+        let resp = oversized_response();
         let full = resp.encode();
         assert!(full.len() > MAX_UDP_PAYLOAD);
         let (wire, truncated) = resp.encode_with_limit(MAX_UDP_PAYLOAD).unwrap();
@@ -444,15 +637,11 @@ mod tests {
         assert!(Message::decode(&[]).is_err());
         assert!(Message::decode(&[0u8; 5]).is_err());
         // Header claiming one question but no question bytes.
-        let mut buf = Vec::new();
-        Header::query(1).encode(
-            SectionCounts {
-                questions: 1,
-                ..SectionCounts::default()
-            },
-            &mut buf,
-        );
-        assert!(Message::decode(&buf).is_err());
+        let counts = SectionCounts {
+            questions: 1,
+            ..SectionCounts::default()
+        };
+        assert!(Message::decode(&Header::query(1).to_bytes(counts)).is_err());
     }
 
     #[test]

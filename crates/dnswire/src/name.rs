@@ -16,8 +16,16 @@ pub const MAX_NAME_LEN: usize = 255;
 /// pointer chains.
 const MAX_POINTER_JUMPS: usize = 64;
 
-/// A fully-qualified domain name, stored as a sequence of labels (without the
-/// trailing root label, which is implicit).
+/// Splits the leading length-prefixed label off `wire`, returning the label
+/// bytes (without the length octet) and what follows.
+pub(crate) fn split_label(wire: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (&len, rest) = wire.split_first()?;
+    rest.split_at_checked(len as usize)
+}
+
+/// A fully-qualified domain name, stored as one buffer holding its
+/// uncompressed wire form (length-prefixed labels) without the trailing root
+/// octet, which is implicit.
 ///
 /// Comparison and hashing are ASCII case-insensitive, per RFC 1035 /
 /// RFC 4343, but the original label bytes are preserved: a resolver doing
@@ -39,15 +47,23 @@ const MAX_POINTER_JUMPS: usize = 64;
 /// ```
 #[derive(Clone, Default)]
 pub struct Name {
-    /// Labels in query order (leftmost first), case preserved. All
-    /// comparisons fold ASCII case except [`Name::eq_case_sensitive`].
-    labels: Vec<Vec<u8>>,
+    /// `len label len label …` in query order (leftmost first), case
+    /// preserved, at most `MAX_NAME_LEN - 1` bytes. A length octet is at most
+    /// 63 and an ASCII letter at least 0x41, so folding the case of the whole
+    /// buffer never touches the structure. All comparisons fold ASCII case
+    /// except [`Name::eq_case_sensitive`].
+    wire: Vec<u8>,
 }
+
+// The guard's byte-bounded forward and stash tables charge `size_of::<Name>()`
+// per stored name; a fatter `Name` shifts their evictions and with them the
+// committed `BENCH_*.json`.
+const _: () = assert!(std::mem::size_of::<Name>() == 24);
 
 impl Name {
     /// The root name (zero labels).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name { wire: Vec::new() }
     }
 
     /// Builds a name from label byte-slices.
@@ -62,43 +78,81 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
+        let mut name = Name::root();
         for l in labels {
-            let l = l.as_ref();
-            if l.is_empty() {
-                return Err(WireError::InvalidText("empty label".into()));
-            }
-            if l.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(l.len()));
-            }
-            out.push(l.to_vec());
+            name.push_label(l.as_ref())?;
         }
-        let name = Name { labels: out };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
+        name.checked()
+    }
+
+    /// Appends one label, enforcing the per-label limits.
+    fn push_label(&mut self, label: &[u8]) -> WireResult<()> {
+        if label.is_empty() {
+            return Err(WireError::InvalidText("empty label".into()));
         }
-        Ok(name)
+        if label.len() > MAX_LABEL_LEN {
+            return Err(WireError::LabelTooLong(label.len()));
+        }
+        self.wire.push(label.len() as u8);
+        self.wire.extend_from_slice(label);
+        Ok(())
+    }
+
+    /// Enforces the whole-name limit once every label is in.
+    fn checked(self) -> WireResult<Name> {
+        match self.wire_len() {
+            wire if wire > MAX_NAME_LEN => Err(WireError::NameTooLong(wire)),
+            _ => Ok(self),
+        }
+    }
+
+    /// `label` followed by the already-valid wire form `rest`.
+    fn prepend(label: &[u8], rest: &[u8]) -> WireResult<Name> {
+        let mut name = Name {
+            wire: Vec::with_capacity(1 + label.len() + rest.len()),
+        };
+        name.push_label(label)?;
+        name.wire.extend_from_slice(rest);
+        name.checked()
+    }
+
+    /// The wire form after the first `skip` labels (empty past the end).
+    fn tail(&self, skip: usize) -> &[u8] {
+        let mut rest = self.wire.as_slice();
+        for _ in 0..skip {
+            rest = split_label(rest).map_or(&[], |(_, tail)| tail);
+        }
+        rest
+    }
+
+    /// The uncompressed wire form without the root octet.
+    pub(crate) fn as_wire(&self) -> &[u8] {
+        &self.wire
     }
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Number of labels (the root name has zero).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// Iterates over the labels, leftmost (most specific) first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_slice())
+        let mut rest = self.wire.as_slice();
+        std::iter::from_fn(move || {
+            let (label, tail) = split_label(rest)?;
+            rest = tail;
+            Some(label)
+        })
     }
 
     /// The leftmost label, if any.
     pub fn first_label(&self) -> Option<&[u8]> {
-        self.labels.first().map(|l| l.as_slice())
+        split_label(&self.wire).map(|(label, _)| label)
     }
 
     /// The leftmost label as UTF-8 text, if it is valid UTF-8.
@@ -108,14 +162,14 @@ impl Name {
 
     /// Length of this name on the wire (length octets + labels + root octet).
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| l.len() + 1).sum::<usize>()
+        self.wire.len() + 1
     }
 
     /// The parent name (this name minus its leftmost label). The parent of
     /// the root is the root.
     pub fn parent(&self) -> Name {
         Name {
-            labels: self.labels.get(1..).unwrap_or_default().to_vec(),
+            wire: self.tail(1).to_vec(),
         }
     }
 
@@ -123,58 +177,47 @@ impl Name {
     /// `www.foo.com`, `suffix(2)` is `foo.com`). `count` larger than the
     /// label count returns the whole name.
     pub fn suffix(&self, count: usize) -> Name {
-        let skip = self.labels.len().saturating_sub(count);
         Name {
-            labels: self.labels.iter().skip(skip).cloned().collect(),
+            wire: self.tail(self.label_count().saturating_sub(count)).to_vec(),
         }
     }
 
     /// True when `self` is `other` or a descendant of `other`, comparing
     /// labels case-insensitively. Every name is a subdomain of the root.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
+        // Walk to the label boundary where a suffix of `other`'s length
+        // would start; overshooting it means there is no such boundary.
+        let mut rest = self.wire.as_slice();
+        while rest.len() > other.wire.len() {
+            match split_label(rest) {
+                Some((_, tail)) => rest = tail,
+                None => return false,
+            }
         }
-        // lint: index-ok — the early return above guarantees
-        // other.labels.len() <= self.labels.len(), so the start bound
-        // never underflows and never exceeds the slice length.
-        let tail = &self.labels[self.labels.len() - other.labels.len()..];
-        tail.iter()
-            .zip(other.labels.iter())
-            .all(|(a, b)| a.eq_ignore_ascii_case(b))
+        rest.eq_ignore_ascii_case(&other.wire)
     }
 
     /// Byte-exact equality, including ASCII case — the check a 0x20
     /// resolver runs on the echoed question name. Regular `==` stays
     /// case-insensitive per RFC 1035.
     pub fn eq_case_sensitive(&self, other: &Name) -> bool {
-        self.labels == other.labels
+        self.wire == other.wire
     }
 
     /// Returns a copy with each ASCII letter's case chosen by `coin`
     /// (`true` = uppercase), called once per letter in wire order — the
     /// 0x20 query-name encoding. Non-letter bytes pass through.
     pub fn with_case<F: FnMut() -> bool>(&self, mut coin: F) -> Name {
-        let labels = self
-            .labels
+        let wire = self
+            .wire
             .iter()
-            .map(|l| {
-                l.iter()
-                    .map(|&b| {
-                        if b.is_ascii_alphabetic() {
-                            if coin() {
-                                b.to_ascii_uppercase()
-                            } else {
-                                b.to_ascii_lowercase()
-                            }
-                        } else {
-                            b
-                        }
-                    })
-                    .collect()
+            .map(|&b| match b.is_ascii_alphabetic() {
+                true if coin() => b.to_ascii_uppercase(),
+                true => b.to_ascii_lowercase(),
+                false => b,
             })
             .collect();
-        Name { labels }
+        Name { wire }
     }
 
     /// Creates a child name by prepending `label`.
@@ -183,10 +226,7 @@ impl Name {
     ///
     /// Fails when the label or the resulting name exceeds RFC limits.
     pub fn child<L: AsRef<[u8]>>(&self, label: L) -> WireResult<Name> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.as_ref().to_vec());
-        labels.extend(self.labels.iter().cloned());
-        Name::from_labels(labels)
+        Name::prepend(label.as_ref(), &self.wire)
     }
 
     /// Concatenates `self` with `suffix` (self's labels first).
@@ -195,7 +235,10 @@ impl Name {
     ///
     /// Fails when the combined name exceeds the 255-byte wire limit.
     pub fn concat(&self, suffix: &Name) -> WireResult<Name> {
-        Name::from_labels(self.labels.iter().chain(suffix.labels.iter()))
+        Name {
+            wire: [self.wire.as_slice(), &suffix.wire].concat(),
+        }
+        .checked()
     }
 
     /// Replaces the leftmost label with `label` (used by the guard to swap a
@@ -206,22 +249,12 @@ impl Name {
     /// Fails on RFC limit violations; on the root name this is equivalent to
     /// [`Name::child`].
     pub fn with_first_label<L: AsRef<[u8]>>(&self, label: L) -> WireResult<Name> {
-        if self.labels.is_empty() {
-            return self.child(label);
-        }
-        let mut labels = self.labels.clone();
-        if let Some(first) = labels.first_mut() {
-            *first = label.as_ref().to_vec();
-        }
-        Name::from_labels(labels)
+        Name::prepend(label.as_ref(), self.tail(1))
     }
 
     /// Encodes the name without compression, appending to `buf`.
     pub fn encode_uncompressed(&self, buf: &mut Vec<u8>) {
-        for l in &self.labels {
-            buf.push(l.len() as u8);
-            buf.extend_from_slice(l);
-        }
+        buf.extend_from_slice(&self.wire);
         buf.push(0);
     }
 
@@ -234,18 +267,22 @@ impl Name {
     /// Rejects forward-pointing or looping pointers, reserved label types,
     /// over-long labels/names and truncated input.
     pub fn decode(msg: &[u8], offset: usize) -> WireResult<(Name, usize)> {
-        let mut labels = Vec::new();
+        // Labels gather on the stack so the name costs one exact-size
+        // allocation; running out of room here is the 255-byte limit.
+        let mut wire = [0u8; MAX_NAME_LEN - 1];
+        let mut len = 0usize;
         let mut pos = offset;
         let mut end_after: Option<usize> = None;
         let mut jumps = 0usize;
-        let mut wire_len = 1usize; // trailing root octet
 
         loop {
             let len_octet = *msg.get(pos).ok_or(WireError::UnexpectedEnd { offset: pos })?;
             match len_octet {
                 0 => {
                     let end = end_after.unwrap_or(pos + 1);
-                    let name = Name { labels };
+                    let name = Name {
+                        wire: wire.get(..len).unwrap_or_default().to_vec(),
+                    };
                     return Ok((name, end));
                 }
                 l if l & 0xC0 == 0xC0 => {
@@ -267,17 +304,17 @@ impl Name {
                 }
                 l if l & 0xC0 != 0 => return Err(WireError::BadLabelType(l)),
                 l => {
-                    let len = l as usize;
-                    let start = pos + 1;
-                    let end = start + len;
+                    // Length octet and label bytes are copied as one piece:
+                    // the wire image is the representation.
+                    let end = pos + 1 + l as usize;
                     let label = msg
-                        .get(start..end)
+                        .get(pos..end)
                         .ok_or(WireError::UnexpectedEnd { offset: end })?;
-                    wire_len += len + 1;
-                    if wire_len > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(wire_len));
-                    }
-                    labels.push(label.to_vec());
+                    let grown = len + label.len();
+                    wire.get_mut(len..grown)
+                        .ok_or(WireError::NameTooLong(grown + 1))?
+                        .copy_from_slice(label);
+                    len = grown;
                     pos = end;
                 }
             }
@@ -287,28 +324,22 @@ impl Name {
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(other.labels.iter())
-                .all(|(a, b)| a.eq_ignore_ascii_case(b))
+        self.wire.eq_ignore_ascii_case(&other.wire)
     }
 }
 
 impl Eq for Name {}
 
 impl std::hash::Hash for Name {
-    /// Hashes the case-folded labels so `Hash` stays consistent with the
-    /// case-insensitive `Eq` (folds per byte, no allocation).
+    /// Hashes the case-folded wire form, root octet included (so the hashed
+    /// bytes are prefix-free), keeping `Hash` consistent with the
+    /// case-insensitive `Eq`. Folds on the stack and writes once.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            state.write_usize(l.len());
-            for &b in l {
-                state.write_u8(b.to_ascii_lowercase());
-            }
+        let mut folded = [0u8; MAX_NAME_LEN];
+        for (f, b) in folded.iter_mut().zip(&self.wire) {
+            *f = b.to_ascii_lowercase();
         }
-        state.write_usize(self.labels.len());
+        state.write(folded.get(..self.wire_len()).unwrap_or(&folded));
     }
 }
 
@@ -322,41 +353,24 @@ impl Ord for Name {
     /// Canonical DNS ordering: compare label sequences right-to-left
     /// (hierarchical order) with ASCII case folded, so a zone sorts before
     /// its children and ordering agrees with the case-insensitive `Eq`.
+    /// Only zone building orders names, so this takes the plain route and
+    /// allocates its keys.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let a = self.labels.iter().rev().map(|l| Fold(l));
-        let b = other.labels.iter().rev().map(|l| Fold(l));
-        a.cmp(b)
-    }
-}
-
-/// A label viewed through ASCII case folding, for ordering.
-struct Fold<'a>(&'a [u8]);
-
-impl PartialEq for Fold<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.eq_ignore_ascii_case(other.0)
-    }
-}
-impl Eq for Fold<'_> {}
-impl PartialOrd for Fold<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Fold<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let a = self.0.iter().map(u8::to_ascii_lowercase);
-        let b = other.0.iter().map(u8::to_ascii_lowercase);
-        a.cmp(b)
+        let key = |name: &Name| {
+            let mut labels: Vec<_> = name.labels().map(<[u8]>::to_ascii_lowercase).collect();
+            labels.reverse();
+            labels
+        };
+        key(self).cmp(&key(other))
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return f.write_str(".");
         }
-        for l in &self.labels {
+        for l in self.labels() {
             for &b in l {
                 // Escape dots and non-printables inside labels per RFC 4343.
                 match b {
@@ -388,9 +402,9 @@ impl FromStr for Name {
             return Ok(Name::root());
         }
         let s = s.strip_suffix('.').unwrap_or(s);
-        let mut labels: Vec<Vec<u8>> = Vec::new();
+        let mut name = Name::root();
         let mut current: Vec<u8> = Vec::new();
-        let mut chars = s.bytes().peekable();
+        let mut chars = s.bytes();
         while let Some(b) = chars.next() {
             match b {
                 b'\\' => match chars.next() {
@@ -412,16 +426,16 @@ impl FromStr for Name {
                     Some(escaped) => current.push(escaped),
                     None => return Err(WireError::InvalidText(s.into())),
                 },
+                // Empty labels (consecutive dots) are rejected by push_label.
                 b'.' => {
-                    labels.push(std::mem::take(&mut current));
-                    // Empty labels (consecutive dots) are invalid; caught by
-                    // from_labels below.
+                    name.push_label(&current)?;
+                    current.clear();
                 }
                 other => current.push(other),
             }
         }
-        labels.push(current);
-        Name::from_labels(labels)
+        name.push_label(&current)?;
+        name.checked()
     }
 }
 
@@ -481,6 +495,23 @@ mod tests {
         assert_eq!(h(&n("WWW.Foo.Com")), h(&n("www.foo.com")));
         assert_eq!(n("A.COM").cmp(&n("a.com")), std::cmp::Ordering::Equal);
         assert!(n("A.com") < n("b.COM"));
+    }
+
+    #[test]
+    fn length_octets_are_never_letters() {
+        // Whole-buffer case folding is sound only because no length octet
+        // is an ASCII letter: 0x41–0x5A would need a label over the limit.
+        const { assert!(MAX_LABEL_LEN < b'A' as usize) };
+        for len in b'A'..=b'Z' {
+            assert!(Name::from_labels([vec![b'x'; len as usize]]).is_err());
+            assert!(matches!(Name::decode(&[len, 0], 0), Err(WireError::BadLabelType(_))));
+        }
+        // Same bytes, different label boundaries: "\x01a" vs "a" under "a".
+        let one = Name::from_labels([&b"\x01a"[..], b"a"]).unwrap();
+        let two = Name::from_labels([&b"a"[..], b"a", b"a"]).unwrap();
+        assert_ne!(one, two);
+        assert!(!one.is_subdomain_of(&n("a.a")), "suffix must start on a label boundary");
+        assert!(two.is_subdomain_of(&n("A.a")));
     }
 
     #[test]

@@ -36,15 +36,6 @@ impl Question {
         }
     }
 
-    /// Encodes into `buf` without name compression (questions come first, so
-    /// there is rarely anything to point at; the message encoder still adds
-    /// this name to its compression map for later sections).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        self.name.encode_uncompressed(buf);
-        buf.extend_from_slice(&self.qtype.code().to_be_bytes());
-        buf.extend_from_slice(&self.qclass.code().to_be_bytes());
-    }
-
     /// Decodes a question at `offset`, returning it and the next offset.
     pub fn decode(msg: &[u8], offset: usize) -> WireResult<(Question, usize)> {
         let (name, mut pos) = Name::decode(msg, offset)?;
@@ -86,12 +77,20 @@ pub(crate) fn read_u32(msg: &[u8], offset: usize) -> WireResult<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::HEADER_LEN;
+    use crate::message::Message;
+
+    /// The question section of a one-question message, as the message
+    /// encoder writes it.
+    fn wire(q: &Question) -> Vec<u8> {
+        let msg = Message::query(0, q.name.clone(), q.qtype);
+        msg.encode().split_off(HEADER_LEN)
+    }
 
     #[test]
     fn round_trip() {
         let q = Question::new("example.org".parse().unwrap(), RrType::Mx);
-        let mut buf = Vec::new();
-        q.encode(&mut buf);
+        let buf = wire(&q);
         let (decoded, used) = Question::decode(&buf, 0).unwrap();
         assert_eq!(decoded, q);
         assert_eq!(used, buf.len());
@@ -99,9 +98,7 @@ mod tests {
 
     #[test]
     fn truncated_input_rejected() {
-        let q = Question::new("a.b".parse().unwrap(), RrType::A);
-        let mut buf = Vec::new();
-        q.encode(&mut buf);
+        let buf = wire(&Question::new("a.b".parse().unwrap(), RrType::A));
         for len in 0..buf.len() {
             assert!(Question::decode(&buf[..len], 0).is_err(), "len {len}");
         }

@@ -70,16 +70,16 @@ impl Authority {
             response.header.rcode = Rcode::FormErr;
             return (response, AnswerKind::NotAuth);
         };
-        let qname = question.name.clone();
+        let qname = &question.name;
         let qtype = question.qtype;
 
-        let Some(zone) = self.best_zone(&qname) else {
+        let Some(zone) = self.best_zone(qname) else {
             response.header.rcode = Rcode::Refused;
             return (response, AnswerKind::NotAuth);
         };
 
         // Delegation below a zone cut → referral (not authoritative).
-        if let Some((_cut, ns_records)) = zone.delegation_for(&qname) {
+        if let Some((_cut, ns_records)) = zone.delegation_for(qname) {
             for ns in ns_records {
                 response.authorities.push(ns.clone());
                 if let RData::Ns(ns_name) = &ns.rdata {
@@ -92,26 +92,26 @@ impl Authority {
         response.header.authoritative = true;
 
         // Exact-type match.
-        if let Some(records) = zone.lookup(&qname, qtype) {
+        if let Some(records) = zone.lookup(qname, qtype) {
             response.answers.extend_from_slice(records);
             return (response, AnswerKind::Authoritative);
         }
 
         // CNAME chain within the zone (bounded).
         if qtype != RrType::Cname {
-            let mut current = qname.clone();
+            let mut current = qname;
             let mut followed = 0;
-            while let Some(cnames) = zone.lookup(&current, RrType::Cname) {
+            while let Some(cnames) = zone.lookup(current, RrType::Cname) {
                 response.answers.extend_from_slice(cnames);
                 let RData::Cname(target) = &cnames[0].rdata else {
                     break;
                 };
-                current = target.clone();
+                current = target;
                 followed += 1;
                 if followed > 8 {
                     break;
                 }
-                if let Some(records) = zone.lookup(&current, qtype) {
+                if let Some(records) = zone.lookup(current, qtype) {
                     response.answers.extend_from_slice(records);
                     return (response, AnswerKind::Authoritative);
                 }
@@ -125,7 +125,7 @@ impl Authority {
         // Name exists (possibly only as an empty non-terminal) → NODATA,
         // else NXDOMAIN. Both carry the SOA for negative caching.
         response.authorities.push(zone.soa().clone());
-        if zone.name_exists(&qname) || qname == *zone.apex() {
+        if zone.name_exists(qname) || qname == zone.apex() {
             (response, AnswerKind::NoData)
         } else {
             response.header.rcode = Rcode::NxDomain;
