@@ -16,9 +16,10 @@
 #   ha, fleet, fleetobs, analytics, poison, docs}; no argument runs all.
 #   `tsan` (nightly-only ThreadSanitizer pass) runs only when requested
 #   explicitly and skips gracefully without a nightly toolchain; `perf`
-#   (the benchmark package's own tests, clippy and a smoke run) is
-#   explicit-only too: it builds the workspace a second time into
-#   perf/target, over a minute from cold.
+#   (the benchmark package's own tests, clippy, a smoke run and the
+#   allocation gate on the guard's drop paths) is explicit-only too: it
+#   builds the workspace a second time into perf/target, over a minute
+#   from cold.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -166,6 +167,30 @@ if [ "$stage" = perf ]; then
   cargo test --offline --manifest-path perf/Cargo.toml
   cargo clippy --offline --all-targets --manifest-path perf/Cargo.toml -- -D warnings
   cargo run --release --offline --manifest-path perf/Cargo.toml -- --smoke
+  echo "==> perf: allocation gate (guard-side allocations per dropped datagram)"
+  # `_allocs` are exact counts from the harness's counting allocator and
+  # repeat for a seed, so this gate cannot flake. What is left per dropped
+  # datagram is netsim's per-packet clone on delivery; Rate-Limiter1 admits
+  # its 10 K/s whatever is offered, and those 1.2 % are answered, hence the
+  # fractional bound.
+  cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+    --workload cookie_flood --seed 1 --seconds 2 --trace 1 | tail -n 1 |
+    awk -v bounds="ext_invalid=1 ns_label_invalid=1 cookie2_invalid=1 rl1_drop=1.2" '
+      BEGIN { n = split(bounds, pairs, " ") }
+      {
+        for (i = 1; i <= n; i++) {
+          split(pairs[i], kv, "=")
+          name = "dnsguard." kv[1] "_allocs"
+          if (!match($0, "\"" name "\": *[{]\"value\": *[0-9.eE+-]+")) {
+            print "perf: no " name " in the report"; bad = 1; continue
+          }
+          value = substr($0, RSTART, RLENGTH); sub(/.*: */, "", value)
+          verdict = (value + 0 <= kv[2] + 0) ? "ok" : "OVER"
+          printf "  %-36s %5.2f  (bound %s) %s\n", name, value, kv[2], verdict
+          if (verdict != "ok") bad = 1
+        }
+      }
+      END { if (NR == 0 || bad) { print "perf: allocation gate failed"; exit 1 } }'
 fi
 
 if want docs; then

@@ -38,6 +38,7 @@ use dnswire::message::{Message, MAX_UDP_PAYLOAD};
 use dnswire::name::Name;
 use dnswire::question::Question;
 use dnswire::record::Record;
+use dnswire::view::MessageView;
 use guardhash::cookie::{CookieFactory, SecretKey};
 use netsim::engine::{Context, Node};
 use netsim::metrics::TrafficMeter;
@@ -477,6 +478,51 @@ impl Forwarded {
             } => cookie_question.name.wire_len() + original.wire_len(),
         };
         std::mem::size_of::<Self>() + heap
+    }
+}
+
+/// A query on its way to the ANS.
+enum Outgoing<'a> {
+    /// An owned query, encoded under the upstream transaction id.
+    Owned(Message),
+    /// A verified extension query still in its receive buffer: what goes
+    /// upstream is its header and question bytes ([`MessageView::without_cookie`])
+    /// when it has that shape, and the owned query without its cookie
+    /// otherwise.
+    CookieQuery(&'a MessageView<'a>),
+}
+
+impl Outgoing<'_> {
+    /// The requester's transaction id.
+    fn id(&self) -> u16 {
+        match self {
+            Outgoing::Owned(msg) => msg.header.id,
+            Outgoing::CookieQuery(view) => view.header.id,
+        }
+    }
+
+    /// The owned query, cookie stripped.
+    fn into_message(self) -> Message {
+        match self {
+            Outgoing::Owned(msg) => msg,
+            Outgoing::CookieQuery(view) => {
+                let mut msg = view.to_message();
+                cookie_ext::strip_cookie(&mut msg);
+                msg
+            }
+        }
+    }
+
+    /// The datagram for the ANS, under transaction id `txid`.
+    fn into_wire(self, txid: u16) -> Vec<u8> {
+        if let Outgoing::CookieQuery(view) = self {
+            if let Some(wire) = view.without_cookie(txid) {
+                return wire;
+            }
+        }
+        let mut msg = self.into_message();
+        msg.header.id = txid;
+        msg.encode()
     }
 }
 
@@ -1594,7 +1640,7 @@ impl RemoteGuard {
             Message::iterative_query(0, Name::root(), dnswire::types::RrType::Ns);
         let me = Endpoint::new(self.config.public_addr, DNS_PORT);
         let qid = self.alloc_qid();
-        self.forward_to_ans(ctx, probe, me, me, Rewrite::Probe, qid);
+        self.forward_to_ans(ctx, Outgoing::Owned(probe), me, me, Rewrite::Probe, qid);
     }
 
     /// Allocates the next upstream transaction id in O(1). If the id is
@@ -1692,7 +1738,7 @@ impl RemoteGuard {
     fn forward_to_ans(
         &mut self,
         ctx: &mut Context<'_>,
-        mut query: Message,
+        query: Outgoing<'_>,
         requester: Endpoint,
         reply_from: Endpoint,
         rewrite: Rewrite,
@@ -1712,16 +1758,15 @@ impl RemoteGuard {
             // to a sibling server; TCP relays are simply not forwarded (the
             // proxy connection is reaped by the lifetime cap).
             if !matches!(rewrite, Rewrite::TcpRelay { .. }) {
-                let mut resp = query.into_response();
+                let mut resp = query.into_message().into_response();
                 resp.header.rcode = dnswire::types::Rcode::ServFail;
                 let pkt = Packet::udp(reply_from, requester, resp.encode());
                 self.tx(ctx, pkt);
             }
             return;
         }
-        let orig_txid = query.header.id;
+        let orig_txid = query.id();
         let txid = self.alloc_txid();
-        query.header.id = txid;
         let probe = matches!(rewrite, Rewrite::Probe);
         self.insert_fwd(
             txid,
@@ -1759,7 +1804,7 @@ impl RemoteGuard {
         let pkt = Packet::udp(
             Endpoint::new(self.config.public_addr, DNS_PORT),
             Endpoint::new(self.config.ans_addr, DNS_PORT),
-            query.encode(),
+            query.into_wire(txid),
         );
         self.tx(ctx, pkt);
     }
@@ -1770,7 +1815,7 @@ impl RemoteGuard {
         let cookie = self.cookies.generate(src);
         let mut label = Vec::with_capacity(10 + target_first_label.len());
         label.extend_from_slice(b"PR");
-        label.extend_from_slice(cookie.ns_label_suffix().as_bytes());
+        label.extend_from_slice(&cookie.ns_label_hex());
         label.extend_from_slice(target_first_label);
         label
     }
@@ -1876,18 +1921,26 @@ impl RemoteGuard {
     fn handle_udp_inner(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         self.metrics.udp_datagrams.inc();
         self.analytics.observe(ctx.now().as_nanos(), pkt.src.ip);
-        let Ok(msg) = Message::decode(&pkt.payload) else {
+        // The verdict is taken on a borrowed view of the datagram; an owned
+        // `Message` is built only for what the guard answers or rewrites.
+        let Ok(view) = MessageView::parse(&pkt.payload) else {
             self.metrics.unparseable.inc();
             return;
         };
         self.stageprof.lap(crate::stageprof::STAGE_DECODE);
-        if msg.header.response {
-            if pkt.src.ip == self.config.ans_addr {
-                self.handle_ans_response(ctx, msg);
-            } else {
+        if view.header.response {
+            if pkt.src.ip != self.config.ans_addr {
                 // A response-flagged datagram not from the ANS: spoofed or
                 // misrouted; dropped without further processing.
                 self.metrics.resp_foreign.inc();
+            } else if let Some(fwd) = self.handle_ans_response(ctx, &view, pkt.payload.len()) {
+                // A pass-through answer that fits a UDP payload goes out in
+                // the buffer it came in, under the requester's id.
+                let mut wire = pkt.payload;
+                if let Some(id) = wire.first_chunk_mut() {
+                    *id = fwd.orig_txid.to_be_bytes();
+                }
+                self.tx(ctx, Packet::udp(fwd.reply_from, fwd.requester, wire));
             }
             return;
         }
@@ -1902,12 +1955,13 @@ impl RemoteGuard {
                 "passthrough",
                 &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
             );
-            self.forward_to_ans(ctx, msg, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
+            let query = Outgoing::Owned(view.to_message());
+            self.forward_to_ans(ctx, query, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
             return;
         }
 
         // 1. Cookie extension (modified-DNS scheme) takes precedence.
-        if let Some(ext) = cookie_ext::find_cookie(&msg) {
+        if let Some(ext) = view.cookie() {
             if ext.is_request() {
                 // Unverified work: sheddable under overload, before it can
                 // cost an RL1 decision or a cookie computation.
@@ -1928,7 +1982,7 @@ impl RemoteGuard {
                 }
                 self.charge_cookie(ctx);
                 let cookie = self.cookies.generate(pkt.src.ip);
-                let mut grant = msg.into_response();
+                let mut grant = view.to_message().into_response();
                 cookie_ext::attach_cookie(&mut grant, cookie.0, self.config.cookie_ttl);
                 self.metrics.grants_sent.inc();
                 let qid = self.alloc_qid();
@@ -1964,9 +2018,8 @@ impl RemoteGuard {
                     );
                     return;
                 }
-                let mut inner = msg;
-                cookie_ext::strip_cookie(&mut inner);
-                self.forward_to_ans(ctx, inner, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
+                let query = Outgoing::CookieQuery(&view);
+                self.forward_to_ans(ctx, query, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
             } else {
                 self.metrics.ext_invalid.inc();
                 self.trace_verify(ctx, "ext", "invalid", pkt.src.ip, qid);
@@ -2002,6 +2055,7 @@ impl RemoteGuard {
                 );
                 return;
             }
+            let msg = view.to_message();
             let Some(question) = msg.question() else {
                 return;
             };
@@ -2023,27 +2077,27 @@ impl RemoteGuard {
                 self.tx(ctx, reply);
                 return;
             }
-            self.forward_to_ans(ctx, msg, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
+            let query = Outgoing::Owned(msg);
+            self.forward_to_ans(ctx, query, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
             return;
         }
 
         // 3. Cookie-embedded NS-name query (message 3 of the DNS-based
         // scheme)?
-        let first_label = msg.question().and_then(|q| q.name.first_label());
-        if let Some((hex, original_first)) = first_label.and_then(Self::parse_cookie_label) {
-            self.handle_cookie_name_query(ctx, pkt, &msg, hex, original_first);
+        if let Some((hex, original_first)) = view.first_label().and_then(Self::parse_cookie_label) {
+            self.handle_cookie_name_query(ctx, &pkt, &view, hex, original_first);
             return;
         }
 
         // 4. Plain cookie-less query: dispatch per configured scheme.
-        self.handle_plain_query(ctx, pkt, msg);
+        self.handle_plain_query(ctx, &pkt, &view);
     }
 
     fn handle_cookie_name_query(
         &mut self,
         ctx: &mut Context<'_>,
-        pkt: Packet,
-        msg: &Message,
+        pkt: &Packet,
+        view: &MessageView<'_>,
         hex: &str,
         original_first: &[u8],
     ) {
@@ -2055,10 +2109,12 @@ impl RemoteGuard {
         // cookie that verifies but encodes an unrestorable name is still a
         // drop, and must land in exactly one disposition bucket — as does a
         // questionless message (the caller read the question's first label,
-        // but this wire-input path stays panic-free).
-        let restored = msg.question().filter(|_| suffix_ok).and_then(|q| {
+        // but this wire-input path stays panic-free). A cookie that does not
+        // verify builds nothing.
+        let question = suffix_ok.then(|| view.to_message().questions.into_iter().next());
+        let restored = question.flatten().and_then(|q| {
             let original = q.name.with_first_label(original_first).ok()?;
-            Some((q.clone(), original))
+            Some((q, original))
         });
         let Some((cookie_question, original)) = restored else {
             self.metrics.ns_cookie_invalid.inc();
@@ -2089,15 +2145,15 @@ impl RemoteGuard {
                 original: original.clone(),
             },
         };
-        let restored = Message::iterative_query(msg.header.id, original, dnswire::types::RrType::A);
-        self.forward_to_ans(ctx, restored, pkt.src, pkt.dst, rewrite, qid);
+        let restored = Message::iterative_query(view.header.id, original, dnswire::types::RrType::A);
+        self.forward_to_ans(ctx, Outgoing::Owned(restored), pkt.src, pkt.dst, rewrite, qid);
     }
 
-    fn handle_plain_query(&mut self, ctx: &mut Context<'_>, pkt: Packet, msg: Message) {
-        let Some(question) = msg.question() else {
+    fn handle_plain_query(&mut self, ctx: &mut Context<'_>, pkt: &Packet, view: &MessageView<'_>) {
+        if !view.has_question() {
             self.metrics.unparseable.inc();
             return;
-        };
+        }
         // Plain queries are unverified by definition: sheddable under
         // overload before they reach Rate-Limiter1.
         if self.shed_unverified_now(ctx.now(), pkt.src.ip) {
@@ -2116,6 +2172,11 @@ impl RemoteGuard {
             return;
         }
         self.traffic_unverified.rx(pkt.wire_size());
+        // Admitted, so it will be answered: now the message is worth building.
+        let msg = view.to_message();
+        let Some(question) = msg.question() else {
+            return;
+        };
         let mode = if self.config.tcp_redirect_sources.contains(&pkt.src.ip) {
             SchemeMode::TcpBased
         } else {
@@ -2171,7 +2232,8 @@ impl RemoteGuard {
                     // unprotected.
                     self.metrics.plain_forwarded.inc();
                     let qid = self.alloc_qid();
-                    self.forward_to_ans(ctx, msg, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
+                    let query = Outgoing::Owned(msg);
+                    self.forward_to_ans(ctx, query, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
                     return;
                 };
                 let mut reply = msg.into_response();
@@ -2191,7 +2253,16 @@ impl RemoteGuard {
         }
     }
 
-    fn handle_ans_response(&mut self, ctx: &mut Context<'_>, mut msg: Message) {
+    /// Matches an ANS response to its forward and relays it. A pass-through
+    /// answer that fits one UDP payload is handed back instead — the caller
+    /// owns the receive buffer and relays it in place; every other rewrite
+    /// builds the owned message here.
+    fn handle_ans_response(
+        &mut self,
+        ctx: &mut Context<'_>,
+        view: &MessageView<'_>,
+        wire_len: usize,
+    ) -> Option<Forwarded> {
         // Any response from the ANS proves it alive, matched or not.
         self.health.consecutive_timeouts = 0;
         self.health.last_response = ctx.now();
@@ -2201,11 +2272,11 @@ impl RemoteGuard {
             self.metrics.ans_recoveries.inc();
             self.metrics.trace.event(ctx.now().as_nanos(), "ans_recovered", &[]);
         }
-        let Some(fwd) = self.remove_fwd(msg.header.id) else {
+        let Some(fwd) = self.remove_fwd(view.header.id) else {
             // A late response to an evicted/expired forward (or a txid the
             // guard never issued).
             self.metrics.resp_unmatched.inc();
-            return;
+            return None;
         };
         self.metrics.relayed_responses.inc();
         let rtt_ns = ctx.now().saturating_sub(fwd.created).as_nanos();
@@ -2231,6 +2302,11 @@ impl RemoteGuard {
                 ],
             );
         }
+        let mut msg = match fwd.rewrite {
+            Rewrite::Probe => return None,
+            Rewrite::Passthrough if wire_len <= MAX_UDP_PAYLOAD => return Some(fwd),
+            _ => view.to_message(),
+        };
         match fwd.rewrite {
             Rewrite::Probe => {}
             Rewrite::Passthrough => {
@@ -2313,6 +2389,7 @@ impl RemoteGuard {
                 }
             }
         }
+        None
     }
 
     fn handle_tcp(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
@@ -2363,7 +2440,7 @@ impl RemoteGuard {
                     }
                     self.forward_to_ans(
                         ctx,
-                        query,
+                        Outgoing::Owned(query),
                         pkt.src,
                         Endpoint::new(self.config.public_addr, DNS_PORT),
                         Rewrite::TcpRelay { token },

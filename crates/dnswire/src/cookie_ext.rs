@@ -65,6 +65,15 @@ pub fn has_cookie(msg: &Message) -> bool {
     find_cookie(msg).is_some()
 }
 
+/// [`find_cookie`]'s test on a record still in its datagram: `rdata` is the
+/// validated RDATA of a root-owned TXT record, and holds a cookie when it is
+/// one character-string of 16 bytes.
+pub(crate) fn cookie_in_txt(rdata: &[u8], ttl: u32) -> Option<CookieExt> {
+    let (&len, string) = rdata.split_first()?;
+    let cookie: [u8; EXT_COOKIE_LEN] = string.try_into().ok()?;
+    (len as usize == EXT_COOKIE_LEN).then_some(CookieExt { cookie, ttl })
+}
+
 fn as_cookie_record(r: &Record) -> Option<CookieExt> {
     if r.rtype != RrType::Txt || !r.name.is_root() {
         return None;

@@ -1,7 +1,6 @@
 //! The 12-byte DNS message header.
 
 use crate::error::{WireError, WireResult};
-use crate::question::read_u16;
 use crate::types::{Opcode, Rcode};
 
 /// Wire length of a DNS header.
@@ -114,13 +113,12 @@ impl Header {
     ///
     /// Returns [`WireError::UnexpectedEnd`] when fewer than 12 bytes remain.
     pub fn decode(msg: &[u8]) -> WireResult<(Header, SectionCounts)> {
-        if msg.len() < HEADER_LEN {
+        let Some(&[i0, i1, f0, f1, q0, q1, a0, a1, n0, n1, r0, r1]) = msg.first_chunk() else {
             return Err(WireError::UnexpectedEnd { offset: msg.len() });
-        }
-        let id = read_u16(msg, 0)?;
-        let flags = read_u16(msg, 2)?;
+        };
+        let flags = u16::from_be_bytes([f0, f1]);
         let header = Header {
-            id,
+            id: u16::from_be_bytes([i0, i1]),
             response: flags & 0x8000 != 0,
             opcode: Opcode::from(((flags >> 11) & 0x0F) as u8),
             authoritative: flags & 0x0400 != 0,
@@ -130,10 +128,10 @@ impl Header {
             rcode: Rcode::from((flags & 0x0F) as u8),
         };
         let counts = SectionCounts {
-            questions: read_u16(msg, 4)?,
-            answers: read_u16(msg, 6)?,
-            authorities: read_u16(msg, 8)?,
-            additionals: read_u16(msg, 10)?,
+            questions: u16::from_be_bytes([q0, q1]),
+            answers: u16::from_be_bytes([a0, a1]),
+            authorities: u16::from_be_bytes([n0, n1]),
+            additionals: u16::from_be_bytes([r0, r1]),
         };
         Ok((header, counts))
     }

@@ -12,7 +12,10 @@
 //!   TCP-based guard scheme exploits;
 //! * [`cookie_ext`] — the modified-DNS cookie extension of Figure 3(b): a
 //!   root-owned TXT record in the additional section carrying a 16-byte
-//!   cookie.
+//!   cookie;
+//! * [`view`] — the same strict decode without building anything: a
+//!   borrowed, heap-free view of a datagram for verdicts taken before (or
+//!   instead of) materialising a message.
 //!
 //! # Examples
 //!
@@ -44,6 +47,7 @@ pub mod question;
 pub mod rdata;
 pub mod record;
 pub mod types;
+pub mod view;
 
 pub use error::{WireError, WireResult};
 pub use message::Message;
@@ -61,6 +65,7 @@ mod proptests {
     use crate::rdata::{RData, Soa};
     use crate::record::Record;
     use crate::types::{Rcode, RrType};
+    use crate::view::tests::assert_agrees;
     use proptest::prelude::*;
     use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -219,12 +224,16 @@ mod proptests {
             let wire = msg.encode();
             let decoded = Message::decode(&wire);
             prop_assert_eq!(decoded.as_ref().ok(), Some(&msg));
+            assert_agrees(&wire);
         }
 
-        /// The decoder never panics on arbitrary bytes.
+        /// The decoder never panics on arbitrary bytes — and in this and the
+        /// three tests below, the borrowed view is as total and reaches the
+        /// same verdict: the same error, or the same header, cookie,
+        /// question, first label, owned message and in-place forward.
         #[test]
         fn decoder_total(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-            let _ = Message::decode(&bytes);
+            assert_agrees(&bytes);
         }
 
         /// The decoder never panics on *corrupted* encodings of valid
@@ -242,7 +251,39 @@ mod proptests {
                 let i = pos as usize % wire.len();
                 wire[i] ^= 1 << bit;
             }
-            let _ = Message::decode(&wire);
+            assert_agrees(&wire);
+        }
+
+        /// Cookie-bearing queries, where the view has most to get right: the
+        /// cookie anywhere among the additionals, one question or two, and
+        /// up to three flipped bits on top.
+        #[test]
+        fn view_agrees_on_cookie_queries(
+            msg in arb_message(),
+            cookie in any::<u128>(),
+            at in any::<u8>(),
+            second_question in any::<bool>(),
+            bare in any::<bool>(),
+            flips in proptest::collection::vec((any::<u16>(), 0u32..8), 0..4),
+        ) {
+            let mut msg = msg;
+            msg.header.response = false;
+            if bare {
+                (msg.answers, msg.authorities, msg.additionals) = Default::default();
+            }
+            if second_question {
+                msg.questions.push(msg.questions[0].clone());
+            }
+            let at = at as usize % (msg.additionals.len() + 1);
+            let record = Record::txt(Name::root(), cookie.to_be_bytes().to_vec(), 60);
+            msg.additionals.insert(at, record);
+            let mut wire = msg.encode();
+            assert_agrees(&wire);
+            for (pos, bit) in flips {
+                let i = pos as usize % wire.len();
+                wire[i] ^= 1 << bit;
+            }
+            assert_agrees(&wire);
         }
 
         /// Fragment-substitution splices never panic the decode path: a
@@ -260,7 +301,7 @@ mod proptests {
             let cut = cut as usize % (wire.len() + 1);
             let mut spliced = wire[..cut].to_vec();
             spliced.extend_from_slice(&tail);
-            let _ = Message::decode(&spliced);
+            assert_agrees(&spliced);
         }
 
         /// A second fragment copied from the *same* response but at the
@@ -277,7 +318,7 @@ mod proptests {
             let shift = shift as usize % (wire.len() + 1);
             let mut spliced = wire[..cut].to_vec();
             spliced.extend_from_slice(&wire[shift..]);
-            let _ = Message::decode(&spliced);
+            assert_agrees(&spliced);
         }
 
         /// Truncated encodes stay within the limit, keep the question intact

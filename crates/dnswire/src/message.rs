@@ -193,36 +193,9 @@ impl Message {
     /// Any structural error, including trailing bytes after the counted
     /// records.
     pub fn decode(msg: &[u8]) -> WireResult<Message> {
-        let (header, counts) = Header::decode(msg)?;
-        let mut pos = HEADER_LEN;
-        let mut questions = Vec::with_capacity(counts.questions as usize);
-        for _ in 0..counts.questions {
-            let (q, next) = Question::decode(msg, pos)?;
-            questions.push(q);
-            pos = next;
-        }
-        let decode_section = |count: u16, pos: &mut usize| -> WireResult<Vec<Record>> {
-            let mut records = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let (r, next) = Record::decode(msg, *pos)?;
-                records.push(r);
-                *pos = next;
-            }
-            Ok(records)
-        };
-        let answers = decode_section(counts.answers, &mut pos)?;
-        let authorities = decode_section(counts.authorities, &mut pos)?;
-        let additionals = decode_section(counts.additionals, &mut pos)?;
-        if pos != msg.len() {
-            return Err(WireError::TrailingBytes(msg.len() - pos));
-        }
-        Ok(Message {
-            header,
-            questions,
-            answers,
-            authorities,
-            additionals,
-        })
+        let mut built = Message::default();
+        crate::view::walk::<true>(msg, Some(&mut built))?;
+        Ok(built)
     }
 }
 
@@ -651,7 +624,8 @@ mod tests {
             for bit in 0..8 {
                 let mut mutated = wire.clone();
                 mutated[i] ^= 1 << bit;
-                let _ = Message::decode(&mutated); // must not panic
+                // Must not panic, and the view must rule as the decoder does.
+                crate::view::tests::assert_agrees(&mutated);
             }
         }
     }

@@ -267,23 +267,41 @@ impl Name {
     /// Rejects forward-pointing or looping pointers, reserved label types,
     /// over-long labels/names and truncated input.
     pub fn decode(msg: &[u8], offset: usize) -> WireResult<(Name, usize)> {
+        let (name, seen) = Name::read::<true>(msg, offset)?;
+        Ok((name.unwrap_or_default(), seen.end))
+    }
+
+    /// The one walk over an encoded name — every rule a name must pass is
+    /// here. With `KEEP` the labels are gathered into a [`Name`]; without,
+    /// the same checks run and only [`Walked`] comes back.
+    #[inline]
+    pub(crate) fn read<const KEEP: bool>(
+        msg: &[u8],
+        offset: usize,
+    ) -> WireResult<(Option<Name>, Walked)> {
         // Labels gather on the stack so the name costs one exact-size
         // allocation; running out of room here is the 255-byte limit.
         let mut wire = [0u8; MAX_NAME_LEN - 1];
-        let mut len = 0usize;
+        let mut seen = Walked {
+            end: offset,
+            len: 0,
+            first_label: offset,
+            literal: true,
+        };
         let mut pos = offset;
-        let mut end_after: Option<usize> = None;
         let mut jumps = 0usize;
 
         loop {
             let len_octet = *msg.get(pos).ok_or(WireError::UnexpectedEnd { offset: pos })?;
             match len_octet {
                 0 => {
-                    let end = end_after.unwrap_or(pos + 1);
-                    let name = Name {
-                        wire: wire.get(..len).unwrap_or_default().to_vec(),
-                    };
-                    return Ok((name, end));
+                    if seen.literal {
+                        seen.end = pos + 1;
+                    }
+                    let name = KEEP.then(|| Name {
+                        wire: wire.get(..seen.len).unwrap_or_default().to_vec(),
+                    });
+                    return Ok((name, seen));
                 }
                 l if l & 0xC0 == 0xC0 => {
                     let next = *msg
@@ -297,8 +315,9 @@ impl Name {
                     if jumps > MAX_POINTER_JUMPS {
                         return Err(WireError::PointerLoop);
                     }
-                    if end_after.is_none() {
-                        end_after = Some(pos + 2);
+                    if seen.literal {
+                        seen.literal = false;
+                        seen.end = pos + 2;
                     }
                     pos = target;
                 }
@@ -310,16 +329,37 @@ impl Name {
                     let label = msg
                         .get(pos..end)
                         .ok_or(WireError::UnexpectedEnd { offset: end })?;
-                    let grown = len + label.len();
-                    wire.get_mut(len..grown)
-                        .ok_or(WireError::NameTooLong(grown + 1))?
-                        .copy_from_slice(label);
-                    len = grown;
+                    let grown = seen.len + label.len();
+                    if grown >= MAX_NAME_LEN {
+                        return Err(WireError::NameTooLong(grown + 1));
+                    }
+                    if KEEP {
+                        if let Some(slot) = wire.get_mut(seen.len..grown) {
+                            slot.copy_from_slice(label);
+                        }
+                    }
+                    if seen.len == 0 {
+                        seen.first_label = pos;
+                    }
+                    seen.len = grown;
                     pos = end;
                 }
             }
         }
     }
+}
+
+/// What [`Name::read`] learns about a name besides its labels.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walked {
+    /// Offset just past the name's in-place encoding.
+    pub end: usize,
+    /// Length of the labels with their length octets, root octet excluded.
+    pub len: usize,
+    /// Offset of the first label's length octet (when `len > 0`).
+    pub first_label: usize,
+    /// No compression pointer: the name is spelled out where it stands.
+    pub literal: bool,
 }
 
 impl PartialEq for Name {

@@ -35,23 +35,6 @@ impl Question {
             qclass: RrClass::In,
         }
     }
-
-    /// Decodes a question at `offset`, returning it and the next offset.
-    pub fn decode(msg: &[u8], offset: usize) -> WireResult<(Question, usize)> {
-        let (name, mut pos) = Name::decode(msg, offset)?;
-        let qtype = read_u16(msg, pos)?;
-        pos += 2;
-        let qclass = read_u16(msg, pos)?;
-        pos += 2;
-        Ok((
-            Question {
-                name,
-                qtype: RrType::from(qtype),
-                qclass: RrClass::from(qclass),
-            },
-            pos,
-        ))
-    }
 }
 
 impl fmt::Display for Question {
@@ -77,30 +60,20 @@ pub(crate) fn read_u32(msg: &[u8], offset: usize) -> WireResult<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::HEADER_LEN;
     use crate::message::Message;
-
-    /// The question section of a one-question message, as the message
-    /// encoder writes it.
-    fn wire(q: &Question) -> Vec<u8> {
-        let msg = Message::query(0, q.name.clone(), q.qtype);
-        msg.encode().split_off(HEADER_LEN)
-    }
 
     #[test]
     fn round_trip() {
         let q = Question::new("example.org".parse().unwrap(), RrType::Mx);
-        let buf = wire(&q);
-        let (decoded, used) = Question::decode(&buf, 0).unwrap();
-        assert_eq!(decoded, q);
-        assert_eq!(used, buf.len());
+        let wire = Message::query(0, q.name.clone(), q.qtype).encode();
+        assert_eq!(Message::decode(&wire).unwrap().questions, [q]);
     }
 
     #[test]
     fn truncated_input_rejected() {
-        let buf = wire(&Question::new("a.b".parse().unwrap(), RrType::A));
-        for len in 0..buf.len() {
-            assert!(Question::decode(&buf[..len], 0).is_err(), "len {len}");
+        let wire = Message::query(0, "a.b".parse().unwrap(), RrType::A).encode();
+        for len in 0..wire.len() {
+            assert!(Message::decode(&wire[..len]).is_err(), "len {len}");
         }
     }
 

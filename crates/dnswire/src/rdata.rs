@@ -111,112 +111,96 @@ impl RData {
         }
     }
 
-    /// Decodes RDATA of `rtype` occupying `msg[offset..offset+rdlen]`.
+    /// Reads RDATA of `rtype` occupying `msg[offset..offset+rdlen]`: every
+    /// rule an RDATA must pass is here. With `KEEP` the payload is built;
+    /// without, the same checks run and nothing is allocated.
     ///
     /// # Errors
     ///
     /// Fails when the payload is malformed or does not fill `rdlen` exactly.
-    pub fn decode(msg: &[u8], offset: usize, rdlen: usize, rtype: RrType) -> WireResult<RData> {
+    pub(crate) fn read<const KEEP: bool>(
+        msg: &[u8],
+        offset: usize,
+        rdlen: usize,
+        rtype: RrType,
+    ) -> WireResult<Option<RData>> {
         let end = offset + rdlen;
-        if msg.len() < end {
-            return Err(WireError::UnexpectedEnd { offset: end });
-        }
+        let bytes = msg
+            .get(offset..end)
+            .ok_or(WireError::UnexpectedEnd { offset: end })?;
+        let mismatch = |consumed: usize| WireError::RdataLengthMismatch {
+            declared: rdlen,
+            consumed,
+        };
         let exact = |consumed: usize| -> WireResult<()> {
             if consumed == end {
                 Ok(())
             } else {
-                Err(WireError::RdataLengthMismatch {
-                    declared: rdlen,
-                    consumed: consumed - offset,
-                })
+                Err(mismatch(consumed - offset))
             }
         };
-        match rtype {
+        Ok(match rtype {
             RrType::A => {
-                if rdlen != 4 {
-                    return Err(WireError::RdataLengthMismatch {
-                        declared: rdlen,
-                        consumed: 4,
-                    });
-                }
-                match msg.get(offset..end) {
-                    Some(&[a, b, c, d]) => Ok(RData::A(Ipv4Addr::new(a, b, c, d))),
-                    _ => Err(WireError::UnexpectedEnd { offset }),
-                }
+                let octets: [u8; 4] = bytes.try_into().map_err(|_| mismatch(4))?;
+                KEEP.then(|| RData::A(Ipv4Addr::from(octets)))
             }
             RrType::Aaaa => {
-                if rdlen != 16 {
-                    return Err(WireError::RdataLengthMismatch {
-                        declared: rdlen,
-                        consumed: 16,
-                    });
-                }
-                let bytes = msg
-                    .get(offset..end)
-                    .ok_or(WireError::UnexpectedEnd { offset })?;
-                let octets: [u8; 16] =
-                    bytes.try_into().map_err(|_| WireError::UnexpectedEnd { offset })?;
-                Ok(RData::Aaaa(Ipv6Addr::from(octets)))
+                let octets: [u8; 16] = bytes.try_into().map_err(|_| mismatch(16))?;
+                KEEP.then(|| RData::Aaaa(Ipv6Addr::from(octets)))
             }
             RrType::Ns | RrType::Cname | RrType::Ptr => {
-                let (name, used) = Name::decode(msg, offset)?;
-                exact(used)?;
-                Ok(match rtype {
+                let (name, seen) = Name::read::<KEEP>(msg, offset)?;
+                exact(seen.end)?;
+                name.map(|name| match rtype {
                     RrType::Ns => RData::Ns(name),
                     RrType::Cname => RData::Cname(name),
                     _ => RData::Ptr(name),
                 })
             }
             RrType::Soa => {
-                let (mname, pos) = Name::decode(msg, offset)?;
-                let (rname, pos) = Name::decode(msg, pos)?;
+                let (mname, seen) = Name::read::<KEEP>(msg, offset)?;
+                let (rname, seen) = Name::read::<KEEP>(msg, seen.end)?;
+                let pos = seen.end;
                 let serial = read_u32(msg, pos)?;
                 let refresh = read_u32(msg, pos + 4)?;
                 let retry = read_u32(msg, pos + 8)?;
                 let expire = read_u32(msg, pos + 12)?;
                 let minimum = read_u32(msg, pos + 16)?;
                 exact(pos + 20)?;
-                Ok(RData::Soa(Soa {
-                    mname,
-                    rname,
-                    serial,
-                    refresh,
-                    retry,
-                    expire,
-                    minimum,
-                }))
+                mname.zip(rname).map(|(mname, rname)| {
+                    RData::Soa(Soa {
+                        mname,
+                        rname,
+                        serial,
+                        refresh,
+                        retry,
+                        expire,
+                        minimum,
+                    })
+                })
             }
             RrType::Mx => {
                 let preference = read_u16(msg, offset)?;
-                let (exchange, used) = Name::decode(msg, offset + 2)?;
-                exact(used)?;
-                Ok(RData::Mx { preference, exchange })
+                let (exchange, seen) = Name::read::<KEEP>(msg, offset + 2)?;
+                exact(seen.end)?;
+                exchange.map(|exchange| RData::Mx { preference, exchange })
             }
             RrType::Txt => {
                 let mut strings = Vec::new();
-                let mut pos = offset;
-                while pos < end {
-                    let len = *msg.get(pos).ok_or(WireError::UnexpectedEnd { offset: pos })?
-                        as usize;
-                    pos += 1;
-                    if pos + len > end {
-                        return Err(WireError::BadCharacterString);
+                let mut rest = bytes;
+                while let Some((&len, tail)) = rest.split_first() {
+                    let (s, tail) = tail
+                        .split_at_checked(len as usize)
+                        .ok_or(WireError::BadCharacterString)?;
+                    if KEEP {
+                        strings.push(s.to_vec());
                     }
-                    let s = msg
-                        .get(pos..pos + len)
-                        .ok_or(WireError::UnexpectedEnd { offset: pos })?;
-                    strings.push(s.to_vec());
-                    pos += len;
+                    rest = tail;
                 }
-                Ok(RData::Txt(strings))
+                KEEP.then_some(RData::Txt(strings))
             }
-            RrType::Opt | RrType::Other(_) => {
-                let bytes = msg
-                    .get(offset..end)
-                    .ok_or(WireError::UnexpectedEnd { offset })?;
-                Ok(RData::Unknown(bytes.to_vec()))
-            }
-        }
+            RrType::Opt | RrType::Other(_) => KEEP.then(|| RData::Unknown(bytes.to_vec())),
+        })
     }
 }
 
@@ -252,10 +236,14 @@ impl fmt::Display for RData {
 mod tests {
     use super::*;
 
+    fn decode(msg: &[u8], rtype: RrType) -> WireResult<RData> {
+        RData::read::<true>(msg, 0, msg.len(), rtype).map(Option::unwrap)
+    }
+
     fn round_trip(rdata: RData, rtype: RrType) {
         let mut buf = Vec::new();
         rdata.encode(&mut buf);
-        let decoded = RData::decode(&buf, 0, buf.len(), rtype).unwrap();
+        let decoded = decode(&buf, rtype).unwrap();
         assert_eq!(decoded, rdata);
     }
 
@@ -316,7 +304,7 @@ mod tests {
         let mut buf = Vec::new();
         RData::Txt(vec![]).encode(&mut buf);
         assert_eq!(buf, vec![0u8]);
-        let decoded = RData::decode(&buf, 0, 1, RrType::Txt).unwrap();
+        let decoded = decode(&buf, RrType::Txt).unwrap();
         assert_eq!(decoded, RData::Txt(vec![vec![]]));
     }
 
@@ -328,7 +316,7 @@ mod tests {
     #[test]
     fn a_wrong_length_rejected() {
         assert!(matches!(
-            RData::decode(&[1, 2, 3], 0, 3, RrType::A),
+            decode(&[1, 2, 3], RrType::A),
             Err(WireError::RdataLengthMismatch { .. })
         ));
     }
@@ -338,7 +326,7 @@ mod tests {
         // Declares a 10-byte string but only 2 bytes remain.
         let buf = [10u8, b'a', b'b'];
         assert!(matches!(
-            RData::decode(&buf, 0, 3, RrType::Txt),
+            decode(&buf, RrType::Txt),
             Err(WireError::BadCharacterString)
         ));
     }
@@ -349,7 +337,7 @@ mod tests {
         RData::Ns("a.b".parse().unwrap()).encode(&mut buf);
         buf.push(0xFF);
         assert!(matches!(
-            RData::decode(&buf, 0, buf.len(), RrType::Ns),
+            decode(&buf, RrType::Ns),
             Err(WireError::RdataLengthMismatch { .. })
         ));
     }

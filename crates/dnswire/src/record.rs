@@ -1,8 +1,6 @@
 //! Resource records: owner name, type, class, TTL and RDATA.
 
-use crate::error::WireResult;
 use crate::name::Name;
-use crate::question::{read_u16, read_u32};
 use crate::rdata::RData;
 use crate::types::{RrClass, RrType};
 use std::fmt;
@@ -79,27 +77,6 @@ impl Record {
     /// Convenience: a single-string TXT record.
     pub fn txt(name: Name, data: Vec<u8>, ttl: u32) -> Self {
         Record::new(name, ttl, RData::Txt(vec![data]))
-    }
-
-    /// Decodes one record at `offset`, returning it and the next offset.
-    pub fn decode(msg: &[u8], offset: usize) -> WireResult<(Record, usize)> {
-        let (name, pos) = Name::decode(msg, offset)?;
-        let rtype = RrType::from(read_u16(msg, pos)?);
-        let class = RrClass::from(read_u16(msg, pos + 2)?);
-        let ttl = read_u32(msg, pos + 4)?;
-        let rdlen = read_u16(msg, pos + 8)? as usize;
-        let rdata_at = pos + 10;
-        let rdata = RData::decode(msg, rdata_at, rdlen, rtype)?;
-        Ok((
-            Record {
-                name,
-                rtype,
-                class,
-                ttl,
-                rdata,
-            },
-            rdata_at + rdlen,
-        ))
     }
 }
 

@@ -1,0 +1,285 @@
+//! A borrowed view of a received datagram: what a verdict needs, and no heap.
+//!
+//! [`MessageView::parse`] and [`Message::decode`] are one walk over the
+//! bytes, run without and with building the owned sections, so they accept
+//! the same datagrams and fail with the same [`WireError`]. The rules live
+//! once: a name's in `Name::read`, an RDATA's in `RData::read`, the message's
+//! in `walk` below. A guard that drops a datagram on what the view shows has
+//! allocated nothing for it.
+
+use crate::cookie_ext::{self, CookieExt};
+use crate::error::{WireError, WireResult};
+use crate::header::{Header, SectionCounts, HEADER_LEN};
+use crate::message::Message;
+use crate::name::{split_label, Name};
+use crate::question::{read_u16, read_u32, Question};
+use crate::rdata::RData;
+use crate::record::Record;
+use crate::types::{RrClass, RrType};
+
+/// A validated datagram, still in its receive buffer.
+///
+/// # Examples
+///
+/// ```
+/// use dnswire::message::Message;
+/// use dnswire::types::RrType;
+/// use dnswire::view::MessageView;
+///
+/// let wire = Message::query(7, "www.foo.com".parse()?, RrType::A).encode();
+/// let view = MessageView::parse(&wire)?;
+/// assert_eq!(view.header.id, 7);
+/// assert_eq!(view.first_label(), Some(&b"www"[..]));
+/// assert_eq!(view.to_message(), Message::decode(&wire)?);
+/// # Ok::<(), dnswire::error::WireError>(())
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct MessageView<'a> {
+    wire: &'a [u8],
+    /// The header.
+    pub header: Header,
+    /// The four section counts, each satisfied by the bytes.
+    pub counts: SectionCounts,
+    /// The first label of the first question's name; empty when there is
+    /// no question or its name is the root.
+    first_label: &'a [u8],
+    /// Whether the first question's name is spelled out in place.
+    literal_question: bool,
+    /// Offset just past the question section.
+    questions_end: usize,
+    /// What [`cookie_ext::find_cookie`] finds in the decoded message.
+    cookie: Option<CookieExt>,
+}
+
+impl<'a> MessageView<'a> {
+    /// Validates `wire` as [`Message::decode`] does, without building it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the error `Message::decode` returns for the same bytes.
+    pub fn parse(wire: &'a [u8]) -> WireResult<Self> {
+        walk::<false>(wire, None)
+    }
+
+    /// Whether `Message::question()` would be `Some`.
+    pub fn has_question(&self) -> bool {
+        self.counts.questions > 0
+    }
+
+    /// The first label of the first question's name.
+    pub fn first_label(&self) -> Option<&'a [u8]> {
+        Some(self.first_label).filter(|label| !label.is_empty())
+    }
+
+    /// The cookie extension, as [`cookie_ext::find_cookie`] finds it: the
+    /// first root-owned TXT record of the additional section holding one
+    /// 16-byte string.
+    pub fn cookie(&self) -> Option<CookieExt> {
+        self.cookie
+    }
+
+    /// The owned message: the same walk again, building this time. It cannot
+    /// fail on bytes `parse` accepted, and costs what a decode costs — which
+    /// is why only datagrams that are answered or rewritten come here.
+    pub fn to_message(&self) -> Message {
+        Message::decode(self.wire).unwrap_or_default()
+    }
+
+    /// This query under transaction id `id` and without its cookie, when
+    /// that is the received question bytes behind a fresh header: a single
+    /// question whose name is *literal* (spelled out in place, no
+    /// compression pointer) and no record but the cookie. That is byte for
+    /// byte what decode → `strip_cookie` → encode emits: the encoder writes
+    /// the header from the decoded fields, has nothing to point a first name
+    /// at, and type and class codes round-trip. Every other shape is `None`.
+    pub fn without_cookie(&self, id: u16) -> Option<Vec<u8>> {
+        let counts = |additionals| SectionCounts {
+            questions: 1,
+            additionals,
+            ..SectionCounts::default()
+        };
+        let bare = self.cookie.is_some()
+            && self.counts == counts(1)
+            && self.literal_question;
+        let question = self.wire.get(HEADER_LEN..self.questions_end).filter(|_| bare)?;
+        let mut out = Vec::with_capacity(HEADER_LEN + question.len());
+        out.extend_from_slice(&Header { id, ..self.header }.to_bytes(counts(0)));
+        out.extend_from_slice(question);
+        Some(out)
+    }
+}
+
+/// The one strict walk over a datagram. `KEEP` says whether names and RDATA
+/// are built on the way and `built` is where they then go (`Some` exactly
+/// when `KEEP`); without, nothing is allocated. The view is filled either
+/// way.
+pub(crate) fn walk<'a, const KEEP: bool>(
+    wire: &'a [u8],
+    mut built: Option<&mut Message>,
+) -> WireResult<MessageView<'a>> {
+    let (header, counts) = Header::decode(wire)?;
+    let mut view = MessageView {
+        wire,
+        header,
+        counts,
+        first_label: &[],
+        literal_question: false,
+        questions_end: HEADER_LEN,
+        cookie: None,
+    };
+    let mut pos = HEADER_LEN;
+    if let Some(built) = built.as_deref_mut() {
+        built.header = header;
+        built.questions.reserve_exact(counts.questions as usize);
+    }
+    for i in 0..counts.questions {
+        let (name, seen) = Name::read::<KEEP>(wire, pos)?;
+        let qtype = RrType::from(read_u16(wire, seen.end)?);
+        let qclass = RrClass::from(read_u16(wire, seen.end + 2)?);
+        pos = seen.end + 4;
+        if i == 0 {
+            view.literal_question = seen.literal;
+            let labels = wire.get(seen.first_label..).filter(|_| seen.len > 0);
+            view.first_label = labels.and_then(split_label).map_or(&[], |(label, _)| label);
+        }
+        if let Some((name, built)) = name.zip(built.as_deref_mut()) {
+            built.questions.push(Question { name, qtype, qclass });
+        }
+    }
+    view.questions_end = pos;
+    let [answers, authorities, additionals] = match built {
+        Some(built) => [&mut built.answers, &mut built.authorities, &mut built.additionals].map(Some),
+        None => [None, None, None],
+    };
+    let sections = [
+        (counts.answers, answers),
+        (counts.authorities, authorities),
+        (counts.additionals, additionals),
+    ];
+    for (section, (count, mut records)) in sections.into_iter().enumerate() {
+        if let Some(records) = records.as_deref_mut() {
+            records.reserve_exact(count as usize);
+        }
+        for _ in 0..count {
+            let (name, owner) = Name::read::<KEEP>(wire, pos)?;
+            let at = owner.end;
+            let rtype = RrType::from(read_u16(wire, at)?);
+            let class = RrClass::from(read_u16(wire, at + 2)?);
+            let ttl = read_u32(wire, at + 4)?;
+            let rdlen = read_u16(wire, at + 8)? as usize;
+            let rdata = RData::read::<KEEP>(wire, at + 10, rdlen, rtype)?;
+            pos = at + 10 + rdlen;
+            let additional = section == 2;
+            if additional && view.cookie.is_none() && owner.len == 0 && rtype == RrType::Txt {
+                let rdata = wire.get(at + 10..pos).unwrap_or_default();
+                view.cookie = cookie_ext::cookie_in_txt(rdata, ttl);
+            }
+            if let Some(((name, rdata), records)) = name.zip(rdata).zip(records.as_deref_mut()) {
+                records.push(Record {
+                    name,
+                    rtype,
+                    class,
+                    ttl,
+                    rdata,
+                });
+            }
+        }
+    }
+    if pos != wire.len() {
+        return Err(WireError::TrailingBytes(wire.len() - pos));
+    }
+    Ok(view)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::cookie_ext::{attach_cookie, find_cookie, strip_cookie};
+
+    /// The forward the in-place one replaced, kept as its oracle: decode,
+    /// strip the cookie, renumber, encode.
+    pub(crate) fn reference_without_cookie(wire: &[u8], id: u16) -> Vec<u8> {
+        let mut msg = Message::decode(wire).unwrap();
+        strip_cookie(&mut msg);
+        msg.header.id = id;
+        msg.encode()
+    }
+
+    /// The view and the owned decode agree on `wire`: both reject it with
+    /// the same error, or both accept it and the view shows what the owned
+    /// message holds.
+    pub(crate) fn assert_agrees(wire: &[u8]) {
+        let (view, msg) = match (MessageView::parse(wire), Message::decode(wire)) {
+            (Ok(view), Ok(msg)) => (view, msg),
+            (Err(view), Err(owned)) => return assert_eq!(view, owned),
+            (view, owned) => panic!("view {view:?}, decode {owned:?}"),
+        };
+        assert_eq!(view.header, msg.header);
+        assert_eq!(view.cookie(), find_cookie(&msg));
+        assert_eq!(view.has_question(), msg.question().is_some());
+        assert_eq!(view.first_label(), msg.question().and_then(|q| q.name.first_label()));
+        assert_eq!(view.to_message(), msg);
+        if let Some(bare) = view.without_cookie(0xBEEF) {
+            assert_eq!(bare, reference_without_cookie(wire, 0xBEEF));
+        }
+    }
+
+    fn cookie_query() -> Message {
+        let mut q = Message::query(7, "wWw.foo.com".parse().unwrap(), RrType::Aaaa);
+        attach_cookie(&mut q, [0xAB; 16], 300);
+        q
+    }
+
+    #[test]
+    fn bare_cookie_query_is_forwarded_in_place() {
+        let wire = cookie_query().encode();
+        let view = MessageView::parse(&wire).unwrap();
+        let bare = view.without_cookie(0x1234).expect("one literal question, one cookie");
+        assert_eq!(bare, reference_without_cookie(&wire, 0x1234));
+        assert_agrees(&wire);
+    }
+
+    #[test]
+    fn other_shapes_decline_the_in_place_forward() {
+        let declines = |msg: &Message| {
+            let wire = msg.encode();
+            assert_agrees(&wire);
+            MessageView::parse(&wire).unwrap().without_cookie(1).is_none()
+        };
+        let plain = Message::query(7, "www.foo.com".parse().unwrap(), RrType::A);
+        assert!(declines(&plain), "no cookie");
+
+        let mut two_questions = cookie_query();
+        two_questions.questions.push(Question::new("foo.com".parse().unwrap(), RrType::A));
+        assert!(declines(&two_questions));
+
+        let mut extra_record = cookie_query();
+        extra_record.answers.push(Record::txt(Name::root(), vec![1], 0));
+        assert!(declines(&extra_record));
+
+        let mut cookie_not_last = cookie_query();
+        cookie_not_last.additionals.push(Record::txt(Name::root(), vec![1; 15], 0));
+        assert!(declines(&cookie_not_last));
+
+        // A question name that is a pointer: header bytes 0..3 spell "x."
+        // (id 0x0178, flags 0), and the question points at them.
+        let mut compressed = vec![1, b'x', 0, 0, 0, 1, 0, 0, 0, 0, 0, 1];
+        compressed.extend_from_slice(&[0xC0, 0x00, 0, 1, 0, 1]);
+        compressed.extend_from_slice(&cookie_query().encode()[HEADER_LEN + 17..]);
+        let msg = Message::decode(&compressed).unwrap();
+        assert_eq!(msg.question().unwrap().name, "x".parse().unwrap());
+        assert!(find_cookie(&msg).is_some());
+        assert_agrees(&compressed);
+        assert!(MessageView::parse(&compressed).unwrap().without_cookie(1).is_none());
+    }
+
+    #[test]
+    fn first_cookie_shaped_record_wins() {
+        let mut msg = cookie_query();
+        msg.additionals.insert(0, Record::txt(Name::root(), vec![1; 15], 9));
+        attach_cookie(&mut msg, [0xCD; 16], 600);
+        let wire = msg.encode();
+        assert_eq!(MessageView::parse(&wire).unwrap().cookie().unwrap().cookie, [0xAB; 16]);
+        assert_agrees(&wire);
+    }
+}

@@ -135,10 +135,20 @@ impl Cookie {
         u32::from_be_bytes([self.0[0], self.0[1], self.0[2], self.0[3]])
     }
 
-    /// Hex-encodes the first [`NS_COOKIE_BYTES`] bytes — the variable part of
-    /// a fabricated NS label (`a1b2c3d4` in `PRa1b2c3d4`).
+    /// The first [`NS_COOKIE_BYTES`] bytes as lowercase hex digits — the
+    /// variable part of a fabricated NS label (`a1b2c3d4` in `PRa1b2c3d4`),
+    /// without touching the heap.
+    pub fn ns_label_hex(&self) -> [u8; 2 * NS_COOKIE_BYTES] {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        std::array::from_fn(|i| {
+            let byte = self.0[i / 2];
+            HEX[(if i % 2 == 0 { byte >> 4 } else { byte & 0x0f }) as usize]
+        })
+    }
+
+    /// [`Cookie::ns_label_hex`] as a `String`.
     pub fn ns_label_suffix(&self) -> String {
-        to_hex(&self.0[..NS_COOKIE_BYTES])
+        self.ns_label_hex().iter().map(|&b| b as char).collect()
     }
 
     /// Full fabricated NS label, prefix included: e.g. `PRa1b2c3d4`.
@@ -147,10 +157,11 @@ impl Cookie {
     }
 
     /// Checks a hex suffix (as extracted from an incoming NS-name label)
-    /// against this cookie. Comparison is over the encoded prefix only,
-    /// mirroring the truncated 2^32 cookie range of the NS-name scheme.
+    /// against this cookie, ignoring the case of the digits. Comparison is
+    /// over the encoded prefix only, mirroring the truncated 2^32 cookie
+    /// range of the NS-name scheme.
     pub fn matches_prefix(&self, hex_suffix: &str) -> bool {
-        hex_suffix.eq_ignore_ascii_case(&self.ns_label_suffix())
+        hex_suffix.as_bytes().eq_ignore_ascii_case(&self.ns_label_hex())
     }
 
     /// Subnet-IP encoding: `y = head mod range`, returned as the host offset
@@ -507,6 +518,18 @@ mod tests {
         assert_eq!(label.len(), 10, "paper: COOKIE is encoded in 10 bytes");
         assert!(label.starts_with("PR"));
         assert!(label[2..].bytes().all(|b| b.is_ascii_hexdigit()));
+    }
+
+    #[test]
+    fn ns_label_hex_is_the_lowercase_hex_of_the_head_and_matches_any_case() {
+        for seed in 0..64 {
+            let c = Cookie::compute(&SecretKey::from_seed(seed), ip(8, 8, 4, 4));
+            let hex = to_hex(&c.0[..NS_COOKIE_BYTES]);
+            assert_eq!(c.ns_label_suffix(), hex);
+            assert_eq!(c.ns_label_hex(), hex.as_bytes());
+            assert!(c.matches_prefix(&hex) && c.matches_prefix(&hex.to_ascii_uppercase()));
+            assert!(!c.matches_prefix(&hex[1..]) && !c.matches_prefix(&format!("{hex}0")));
+        }
     }
 
     #[test]

@@ -414,7 +414,7 @@ pub struct Context<'a> {
     node: NodeId,
     rng: &'a mut SmallRng,
     charged: SimTime,
-    actions: Vec<Action>,
+    actions: &'a mut Vec<Action>,
 }
 
 impl Context<'_> {
@@ -547,6 +547,10 @@ pub struct Simulator {
     /// Optional alert-engine tick: evaluated on a sim-time cadence from the
     /// run loops, so alerts fire at deterministic simulated instants.
     alert: Option<AlertHook>,
+    /// The action buffer every handler fills through its [`Context`], empty
+    /// between dispatches: a dispatch that sends or arms a timer does not
+    /// allocate one.
+    actions: Vec<Action>,
 }
 
 /// A periodic alert evaluation driven by simulated time.
@@ -579,6 +583,7 @@ impl Simulator {
             frag_subs: HashMap::new(),
             fault_metrics: FaultMetrics::default(),
             alert: None,
+            actions: Vec::new(),
         }
     }
 
@@ -967,17 +972,17 @@ impl Simulator {
         F: FnOnce(&mut dyn Node, &mut Context<'_>),
     {
         let service_start = self.nodes[id].next_free.max(arrival);
+        // Split borrow: take the node out to satisfy the borrow checker.
+        let mut node = std::mem::replace(&mut self.nodes[id].node, Box::new(NullNode));
         let mut ctx = Context {
             now: service_start,
             node: id,
             rng: &mut self.rng,
             charged: SimTime::ZERO,
-            actions: Vec::new(),
+            actions: &mut self.actions,
         };
-        // Split borrow: take the node out to satisfy the borrow checker.
-        let mut node = std::mem::replace(&mut self.nodes[id].node, Box::new(NullNode));
         f(&mut *node, &mut ctx);
-        let Context { charged, actions, .. } = ctx;
+        let charged = ctx.charged;
         self.nodes[id].node = node;
 
         let completion = service_start + charged;
@@ -985,7 +990,13 @@ impl Simulator {
         slot.next_free = completion;
         slot.stats.busy += charged;
 
-        for action in actions {
+        if self.actions.is_empty() {
+            return;
+        }
+        // Applying an action needs the whole simulator, so the buffer steps
+        // out for the loop and comes back drained, capacity kept.
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
             match action {
                 Action::Send(pkt) => match self.gateways.get(&id) {
                     Some(&gw) => {
@@ -1017,6 +1028,7 @@ impl Simulator {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Points `base/prefix` at `node`, replacing an existing entry for the

@@ -25,6 +25,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// How long the guard waits for the ANS to answer a forwarded query.
+const UPSTREAM_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Read time-out of the upstream socket: how far past [`UPSTREAM_TIMEOUT`] a
+/// wait can run when datagrams that are not the answer keep arriving.
+const UPSTREAM_POLL: Duration = Duration::from_millis(50);
+
 /// Counters shared with the guard thread (detached registry handles;
 /// adopted into a registry by [`GuardServer::spawn_with_obs`]).
 #[derive(Debug, Default)]
@@ -81,7 +88,7 @@ impl GuardServer {
         sock.set_read_timeout(Some(Duration::from_millis(50)))?;
         let addr = sock.local_addr()?;
         let upstream = UdpSocket::bind("127.0.0.1:0")?;
-        upstream.set_read_timeout(Some(Duration::from_millis(500)))?;
+        upstream.set_read_timeout(Some(UPSTREAM_POLL))?;
 
         let stop = StopFlag::new();
         let counters = Arc::new(GuardCounters::default());
@@ -218,27 +225,50 @@ impl GuardServer {
                         ("orig_txid", Value::U64(orig_txid as u64)),
                     ],
                 );
+                // Only the ANS's answer to *this* query is relayed. Anything
+                // else on the upstream socket — an answer that outlived an
+                // earlier query's time-out, a datagram from someone who
+                // found the port — is skipped, and the wait goes on until
+                // the deadline.
+                let deadline = Instant::now() + UPSTREAM_TIMEOUT;
                 let mut rbuf = [0u8; 2048];
-                if let Ok((rlen, _)) = upstream.recv_from(&mut rbuf) {
-                    if let Ok(resp) = Message::decode(&rbuf[..rlen]) {
-                        if let Ok((wire, _)) = resp.encode_with_limit(MAX_UDP_PAYLOAD) {
-                            let _ = sock.send_to(&wire, peer);
-                            let done = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
-                            trace.event(
-                                done.as_nanos(),
-                                "relay",
-                                &[
-                                    ("src", Value::Ip(peer_ip)),
-                                    ("qid", Value::U64(qid)),
-                                    ("via", Value::Str("passthrough")),
-                                    (
-                                        "rtt_ns",
-                                        Value::U64(done.saturating_sub(now).as_nanos()),
-                                    ),
-                                ],
-                            );
+                let answer = loop {
+                    match upstream.recv_from(&mut rbuf) {
+                        Ok((rlen, from)) if from == ans => {
+                            let resp = Message::decode(&rbuf[..rlen]).ok().filter(|resp| {
+                                resp.header.response
+                                    && resp.header.id == msg.header.id
+                                    && resp.questions == msg.questions
+                            });
+                            if resp.is_some() {
+                                break resp;
+                            }
                         }
+                        Ok(_) => {}
+                        Err(e)
+                            if e.kind() == io::ErrorKind::WouldBlock
+                                || e.kind() == io::ErrorKind::TimedOut => {}
+                        Err(_) => break None,
                     }
+                    if Instant::now() >= deadline {
+                        break None;
+                    }
+                };
+                if let Some(Ok((wire, _))) =
+                    answer.map(|resp| resp.encode_with_limit(MAX_UDP_PAYLOAD))
+                {
+                    let _ = sock.send_to(&wire, peer);
+                    let done = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
+                    trace.event(
+                        done.as_nanos(),
+                        "relay",
+                        &[
+                            ("src", Value::Ip(peer_ip)),
+                            ("qid", Value::U64(qid)),
+                            ("via", Value::Str("passthrough")),
+                            ("rtt_ns", Value::U64(done.saturating_sub(now).as_nanos())),
+                        ],
+                    );
                 }
             }
         });
@@ -357,6 +387,76 @@ mod tests {
 
         guard.shutdown();
         ans.shutdown();
+    }
+
+    /// The upstream leg relays only the ANS's answer to the query in flight.
+    /// The stand-in ANS leaves the first query unanswered until the guard has
+    /// given up on it; when the second arrives it sends, in this order, a
+    /// forged answer to the second query from a socket that is not the ANS,
+    /// the late answer to the first, and the real answer to the second.
+    #[test]
+    fn late_and_foreign_upstream_datagrams_never_reach_the_next_client() {
+        use dnswire::record::Record;
+        use std::net::Ipv4Addr;
+
+        let answer = |query: &[u8], addr: Ipv4Addr| {
+            let query = Message::decode(query).unwrap();
+            let mut resp = query.response();
+            resp.answers.push(Record::a(query.questions[0].name.clone(), addr, 60));
+            resp.encode()
+        };
+        let (late, forged, real) = (
+            Ipv4Addr::new(1, 1, 1, 1),
+            Ipv4Addr::new(6, 6, 6, 6),
+            Ipv4Addr::new(2, 2, 2, 2),
+        );
+        let ans_sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        ans_sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let ans_addr = ans_sock.local_addr().unwrap();
+        let ans = std::thread::spawn(move || {
+            let (mut first, mut second) = ([0u8; 512], [0u8; 512]);
+            let (n1, _) = ans_sock.recv_from(&mut first).unwrap();
+            let (n2, upstream) = ans_sock.recv_from(&mut second).unwrap();
+            let intruder = UdpSocket::bind("127.0.0.1:0").unwrap();
+            intruder.send_to(&answer(&second[..n2], forged), upstream).unwrap();
+            ans_sock.send_to(&answer(&first[..n1], late), upstream).unwrap();
+            ans_sock.send_to(&answer(&second[..n2], real), upstream).unwrap();
+        });
+        let guard = GuardServer::spawn(ans_addr, 45).unwrap();
+
+        let client = |wait_ms| {
+            let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+            sock.set_read_timeout(Some(Duration::from_millis(wait_ms))).unwrap();
+            sock
+        };
+        let mut buf = [0u8; 512];
+        // Every loopback client shares 127.0.0.1, hence the cookie.
+        let (first, second) = (client(100), client(3000));
+        let mut probe = Message::query(1, "one.foo.com".parse().unwrap(), RrType::A);
+        cookie_ext::attach_cookie(&mut probe, cookie_ext::ZERO_COOKIE, 0);
+        first.send_to(&probe.encode(), guard.addr()).unwrap();
+        let (n, _) = first.recv_from(&mut buf).unwrap();
+        let cookie = cookie_ext::find_cookie(&Message::decode(&buf[..n]).unwrap()).unwrap().cookie;
+
+        let send = |sock: &UdpSocket, id, name: &str| {
+            let mut q = Message::query(id, name.parse().unwrap(), RrType::A);
+            cookie_ext::attach_cookie(&mut q, cookie, 0);
+            sock.send_to(&q.encode(), guard.addr()).unwrap();
+        };
+        send(&first, 0x1111, "one.foo.com");
+        send(&second, 0x2222, "two.foo.com");
+
+        let (n, _) = second.recv_from(&mut buf).expect("the second query is answered");
+        let resp = Message::decode(&buf[..n]).unwrap();
+        assert_eq!(resp.header.id, 0x2222);
+        assert_eq!(resp.questions[0].name, "two.foo.com".parse().unwrap());
+        assert_eq!(resp.answers[0].rdata, RData::A(real));
+        second.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+        assert!(second.recv_from(&mut buf).is_err(), "and only once");
+        assert!(first.recv_from(&mut buf).is_err(), "the late answer went nowhere");
+
+        ans.join().unwrap();
+        guard.shutdown();
     }
 
     #[test]
