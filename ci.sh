@@ -17,9 +17,9 @@
 #   `tsan` (nightly-only ThreadSanitizer pass) runs only when requested
 #   explicitly and skips gracefully without a nightly toolchain; `perf`
 #   (the benchmark package's own tests, clippy, a smoke run and the
-#   allocation gate on the guard's drop paths) is explicit-only too: it
-#   builds the workspace a second time into perf/target, over a minute
-#   from cold.
+#   allocation gate on the guard's drop and first-contact paths) is
+#   explicit-only too: it builds the workspace a second time into
+#   perf/target, over a minute from cold.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -167,15 +167,18 @@ if [ "$stage" = perf ]; then
   cargo test --offline --manifest-path perf/Cargo.toml
   cargo clippy --offline --all-targets --manifest-path perf/Cargo.toml -- -D warnings
   cargo run --release --offline --manifest-path perf/Cargo.toml -- --smoke
-  echo "==> perf: allocation gate (guard-side allocations per dropped datagram)"
+  echo "==> perf: allocation gate (allocations per dropped and per answered datagram)"
   # `_allocs` are exact counts from the harness's counting allocator and
   # repeat for a seed, so this gate cannot flake. What is left per dropped
   # datagram is netsim's per-packet clone on delivery; Rate-Limiter1 admits
   # its 10 K/s whatever is offered, and those 1.2 % are answered, hence the
-  # fractional bound.
+  # fractional bound. An answered datagram is cloned twice (in, and its
+  # reply out); on top of that TC allocates nothing, a grant grows the
+  # received buffer once, and a fabricated referral also builds the three
+  # names (question, zone cut, cookie name).
   cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
     --workload cookie_flood --seed 1 --seconds 2 --trace 1 | tail -n 1 |
-    awk -v bounds="ext_invalid=1 ns_label_invalid=1 cookie2_invalid=1 rl1_drop=1.2" '
+    awk -v bounds="ext_invalid=1 ns_label_invalid=1 cookie2_invalid=1 rl1_drop=1.2 tc=2 grant=3 fabricated_ns=6" '
       BEGIN { n = split(bounds, pairs, " ") }
       {
         for (i = 1; i <= n; i++) {

@@ -35,11 +35,12 @@ use crate::ratelimit::SourceRateLimiter;
 use crate::tcp_proxy::{ProxyAction, TcpProxy};
 use dnswire::cookie_ext;
 use dnswire::message::{Message, MAX_UDP_PAYLOAD};
-use dnswire::name::Name;
+use dnswire::name::{Name, MAX_LABEL_LEN};
 use dnswire::question::Question;
 use dnswire::record::Record;
 use dnswire::view::MessageView;
-use guardhash::cookie::{CookieFactory, SecretKey};
+use dnswire::writer::{ReplyStart, Section, Writer};
+use guardhash::cookie::{Cookie, CookieFactory, SecretKey};
 use netsim::engine::{Context, Node};
 use netsim::metrics::TrafficMeter;
 use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT};
@@ -524,6 +525,18 @@ impl Outgoing<'_> {
         msg.header.id = txid;
         msg.encode()
     }
+}
+
+/// What the guard tells a source it has not verified, instead of serving it:
+/// the question back, plus at most one record.
+enum FirstContact {
+    /// TC set: come back over TCP.
+    Truncated,
+    /// The source's cookie, in the modified-DNS extension.
+    Grant(Cookie),
+    /// A fabricated referral: the NS record whose target's first label
+    /// carries the cookie.
+    Referral(Record),
 }
 
 #[derive(Debug)]
@@ -1809,15 +1822,47 @@ impl RemoteGuard {
         self.tx(ctx, pkt);
     }
 
-    /// Builds the fabricated NS label: `PR` + 8 hex cookie chars + the
-    /// first label of the target (child zone or query name).
-    fn fabricate_label(&self, src: Ipv4Addr, target_first_label: &[u8]) -> Vec<u8> {
+    /// Builds the fabricated NS label on the stack: `PR`, 8 hex cookie chars,
+    /// then the first label of the target (child zone or query name). Returns
+    /// the buffer and the label's length, which can exceed what a label may
+    /// be.
+    fn fabricate_label(
+        &self,
+        src: Ipv4Addr,
+        target_first_label: &[u8],
+    ) -> ([u8; 10 + MAX_LABEL_LEN], usize) {
         let cookie = self.cookies.generate(src);
-        let mut label = Vec::with_capacity(10 + target_first_label.len());
-        label.extend_from_slice(b"PR");
-        label.extend_from_slice(&cookie.ns_label_hex());
-        label.extend_from_slice(target_first_label);
-        label
+        let mut label = [0u8; 10 + MAX_LABEL_LEN];
+        let mut len = 0;
+        for part in [&b"PR"[..], &cookie.ns_label_hex(), target_first_label] {
+            if let Some(slot) = label.get_mut(len..len + part.len()) {
+                slot.copy_from_slice(part);
+                len += part.len();
+            }
+        }
+        (label, len)
+    }
+
+    /// Writes a first-contact answer over the datagram it answers (`start`
+    /// is its view's) and sends it back where that came from.
+    fn answer_unverified(
+        &mut self,
+        ctx: &mut Context<'_>,
+        pkt: Packet,
+        start: ReplyStart,
+        answer: FirstContact,
+    ) {
+        let mut reply = Writer::over(pkt.payload, start);
+        match answer {
+            FirstContact::Truncated => reply.header.truncated = true,
+            FirstContact::Grant(cookie) => {
+                cookie_ext::write_cookie(&mut reply, cookie.0, self.config.cookie_ttl);
+            }
+            FirstContact::Referral(ns) => {
+                reply.push(Section::Authority, &ns);
+            }
+        }
+        self.tx_unverified(ctx, Packet::udp(pkt.dst, pkt.src, reply.finish()));
     }
 
     /// Parses a fabricated label back into `(hex_cookie, original_first_label)`.
@@ -1982,8 +2027,6 @@ impl RemoteGuard {
                 }
                 self.charge_cookie(ctx);
                 let cookie = self.cookies.generate(pkt.src.ip);
-                let mut grant = view.to_message().into_response();
-                cookie_ext::attach_cookie(&mut grant, cookie.0, self.config.cookie_ttl);
                 self.metrics.grants_sent.inc();
                 let qid = self.alloc_qid();
                 self.metrics.trace.event(
@@ -1992,8 +2035,8 @@ impl RemoteGuard {
                     &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
                 );
                 self.traffic_unverified.rx(pkt.wire_size());
-                let reply = Packet::udp(pkt.dst, pkt.src, grant.encode());
-                self.tx_unverified(ctx, reply);
+                let start = view.reply_start();
+                self.answer_unverified(ctx, pkt, start, FirstContact::Grant(cookie));
                 return;
             }
             self.charge_cookie(ctx);
@@ -2089,8 +2132,12 @@ impl RemoteGuard {
             return;
         }
 
-        // 4. Plain cookie-less query: dispatch per configured scheme.
-        self.handle_plain_query(ctx, &pkt, &view);
+        // 4. Plain cookie-less query: dispatch per configured scheme. What it
+        // is told goes out in the buffer it came in.
+        if let Some(answer) = self.handle_plain_query(ctx, &pkt, &view) {
+            let start = view.reply_start();
+            self.answer_unverified(ctx, pkt, start, answer);
+        }
     }
 
     fn handle_cookie_name_query(
@@ -2149,15 +2196,22 @@ impl RemoteGuard {
         self.forward_to_ans(ctx, Outgoing::Owned(restored), pkt.src, pkt.dst, rewrite, qid);
     }
 
-    fn handle_plain_query(&mut self, ctx: &mut Context<'_>, pkt: &Packet, view: &MessageView<'_>) {
+    /// Admits and counts a plain query and decides what the source is told;
+    /// `None` when it is told nothing (dropped, or forwarded unprotected).
+    fn handle_plain_query(
+        &mut self,
+        ctx: &mut Context<'_>,
+        pkt: &Packet,
+        view: &MessageView<'_>,
+    ) -> Option<FirstContact> {
         if !view.has_question() {
             self.metrics.unparseable.inc();
-            return;
+            return None;
         }
         // Plain queries are unverified by definition: sheddable under
         // overload before they reach Rate-Limiter1.
         if self.shed_unverified_now(ctx.now(), pkt.src.ip) {
-            return;
+            return None;
         }
         // Every response to an unverified source passes Rate-Limiter1.
         let admitted = self.rl1.admit(ctx.now(), pkt.src.ip);
@@ -2169,14 +2223,9 @@ impl RemoteGuard {
                 "rl_drop",
                 &[("limiter", Value::Str("rl1")), ("src", Value::Ip(pkt.src.ip))],
             );
-            return;
+            return None;
         }
         self.traffic_unverified.rx(pkt.wire_size());
-        // Admitted, so it will be answered: now the message is worth building.
-        let msg = view.to_message();
-        let Some(question) = msg.question() else {
-            return;
-        };
         let mode = if self.config.tcp_redirect_sources.contains(&pkt.src.ip) {
             SchemeMode::TcpBased
         } else {
@@ -2184,8 +2233,6 @@ impl RemoteGuard {
         };
         match mode {
             SchemeMode::TcpBased => {
-                let mut tc = msg.into_response();
-                tc.header.truncated = true;
                 self.metrics.tc_sent.inc();
                 let qid = self.alloc_qid();
                 self.metrics.trace.event(
@@ -2193,16 +2240,13 @@ impl RemoteGuard {
                     "tc_sent",
                     &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
                 );
-                let reply = Packet::udp(pkt.dst, pkt.src, tc.encode());
-                self.tx_unverified(ctx, reply);
+                Some(FirstContact::Truncated)
             }
             SchemeMode::ModifiedOnly => {
                 // Treat like a grant request: hand the requester a cookie so
                 // a cookie-capable LRS can proceed (message 3).
                 self.charge_cookie(ctx);
                 let cookie = self.cookies.generate(pkt.src.ip);
-                let mut grant = msg.into_response();
-                cookie_ext::attach_cookie(&mut grant, cookie.0, self.config.cookie_ttl);
                 self.metrics.grants_sent.inc();
                 let qid = self.alloc_qid();
                 self.metrics.trace.event(
@@ -2210,36 +2254,34 @@ impl RemoteGuard {
                     "grant",
                     &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
                 );
-                let reply = Packet::udp(pkt.dst, pkt.src, grant.encode());
-                self.tx_unverified(ctx, reply);
+                Some(FirstContact::Grant(cookie))
             }
             SchemeMode::DnsBased => {
-                let target = match self.classifier.classify(&question.name) {
+                // Admitted, so it will be answered: the classifier needs the
+                // question's name, and only that is built.
+                let qname = view.question_name()?;
+                let target = match self.classifier.classify(&qname) {
                     Classification::Referral { child_zone } => Some(child_zone),
-                    Classification::NonReferral => Some(question.name.clone()),
+                    Classification::NonReferral => Some(qname),
                     Classification::Unknown => None,
                 };
                 let fabricated = target.and_then(|target| {
                     let first = target.first_label()?;
                     self.charge_cookie(ctx);
-                    let label = self.fabricate_label(pkt.src.ip, first);
-                    let fab_name = target.with_first_label(&label).ok()?;
-                    Some((target, fab_name))
+                    let (label, len) = self.fabricate_label(pkt.src.ip, first);
+                    let fab_name = target.with_first_label(label.get(..len)?).ok()?;
+                    Some(Record::ns(target, fab_name, self.config.fabricated_ns_ttl))
                 });
-                let Some((target, fab_name)) = fabricated else {
+                let Some(ns) = fabricated else {
                     // Not ours (the ANS will refuse), the root itself, or a
                     // name too deep to carry the cookie label: forward
                     // unprotected.
                     self.metrics.plain_forwarded.inc();
                     let qid = self.alloc_qid();
-                    let query = Outgoing::Owned(msg);
+                    let query = Outgoing::Owned(view.to_message());
                     self.forward_to_ans(ctx, query, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
-                    return;
+                    return None;
                 };
-                let mut reply = msg.into_response();
-                reply
-                    .authorities
-                    .push(Record::ns(target, fab_name, self.config.fabricated_ns_ttl));
                 self.metrics.fabricated_ns_sent.inc();
                 let qid = self.alloc_qid();
                 self.metrics.trace.event(
@@ -2247,8 +2289,7 @@ impl RemoteGuard {
                     "fabricated_ns",
                     &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
                 );
-                let out = Packet::udp(pkt.dst, pkt.src, reply.encode());
-                self.tx_unverified(ctx, out);
+                Some(FirstContact::Referral(ns))
             }
         }
     }

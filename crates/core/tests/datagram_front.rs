@@ -1,14 +1,15 @@
 //! The guard's datagram front decides on a borrowed view and builds an owned
-//! message only for what it answers or rewrites. Two things must hold: the
-//! two in-place paths (the forward of a verified extension query, the relay
-//! of a pass-through answer) emit byte for byte what decode → mutate → encode
-//! emitted before them, and the drop dispositions count and trace exactly as
-//! they did.
+//! message only for what it rewrites. Two things must hold: the in-place
+//! paths (the forward of a verified extension query, the relay of a
+//! pass-through answer, the three first-contact answers written over the
+//! query) emit byte for byte what decode → mutate → encode emitted before
+//! them, and the drop dispositions count and trace exactly as they did.
 
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{AnsHealthPolicy, GuardConfig, SchemeMode};
-use dnsguard::guard::RemoteGuard;
+use dnsguard::guard::{GuardStats, RemoteGuard};
 use dnswire::cookie_ext;
+use dnswire::edns::Edns;
 use dnswire::message::{Message, MAX_UDP_PAYLOAD};
 use dnswire::name::Name;
 use dnswire::question::Question;
@@ -44,6 +45,32 @@ fn reference_relay(received: &[u8], orig_txid: u16) -> Vec<u8> {
     let mut msg = Message::decode(received).unwrap();
     msg.header.id = orig_txid;
     msg.encode_with_limit(MAX_UDP_PAYLOAD).unwrap().0
+}
+
+/// A first-contact answer as the owned route built it: decode, start the
+/// response, `change` it, encode.
+fn reference_reply(received: &[u8], change: impl FnOnce(&mut Message)) -> Vec<u8> {
+    let mut reply = Message::decode(received).unwrap().into_response();
+    change(&mut reply);
+    reply.encode()
+}
+
+fn reference_tc(received: &[u8]) -> Vec<u8> {
+    reference_reply(received, |tc| tc.header.truncated = true)
+}
+
+fn reference_grant(received: &[u8], cookie: [u8; 16], ttl: u32) -> Vec<u8> {
+    reference_reply(received, |grant| cookie_ext::attach_cookie(grant, cookie, ttl))
+}
+
+/// The fabricated referral for `target` (the zone cut, or the query name of
+/// a non-referral): its NS is `target` with `PR` + the first four cookie
+/// bytes in hex put in front of its first label.
+fn reference_fabricated(received: &[u8], target: &Name, cookie: [u8; 16], ttl: u32) -> Vec<u8> {
+    let hex = guardhash::md5::to_hex(&cookie[..4]);
+    let label = [b"PR", hex.as_bytes(), target.first_label().unwrap()].concat();
+    let ns = Record::ns(target.clone(), target.with_first_label(label).unwrap(), ttl);
+    reference_reply(received, |referral| referral.authorities.push(ns))
 }
 
 /// Sends its datagrams one per millisecond and keeps what comes back.
@@ -262,6 +289,135 @@ fn shapes_the_fast_paths_decline_still_match_the_references() {
     assert_eq!(relayed, 6);
 }
 
+/// Plain queries in the shapes the reply writer tells apart, few enough for
+/// one source's Rate-Limiter1 burst: the received question section stands
+/// (mixed case, records behind it, a name at the 255-byte limit) or does not
+/// (two questions, a question name that is a pointer).
+fn first_contact_queries() -> Vec<Vec<u8>> {
+    let query = |id, qname: &str| Message::iterative_query(id, name(qname), RrType::A);
+    let mut with_opt = query(3, "www.foo.com");
+    with_opt.additionals.push(Edns::default().to_record());
+    let mut with_records = Message::query(4, name("www.Foo.com"), RrType::Mx);
+    with_records.answers.push(Record::a(name("foo.com"), Ipv4Addr::LOCALHOST, 5));
+    with_records.additionals.push(Record::ns(name("com"), name("ns.Foo.com"), 5));
+    let mut two_questions = query(5, "www.foo.com");
+    two_questions.questions.push(Question::new(name("foo.com"), RrType::Ns));
+    let long = format!("{0}.{0}.{0}.{1}.com", "x".repeat(63), "y".repeat(57));
+    assert_eq!(name(&long).wire_len(), 255);
+    // Id 0x0178 and a zero flags byte spell "x." at offset 0; the question
+    // name points there.
+    let mut compressed = vec![1, b'x', 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+    compressed.extend_from_slice(&[0xC0, 0x00, 0, 1, 0, 1]);
+    vec![
+        query(1, "www.foo.com").encode(),
+        query(2, "wWw.fOo.COM").encode(),
+        with_opt.encode(),
+        with_records.encode(),
+        two_questions.encode(),
+        query(6, &long).encode(),
+        compressed,
+    ]
+}
+
+/// Runs `queries` from the one client through a guard in `mode` and returns
+/// the replies, the guard's counters and the client's cookie.
+fn first_contact(mode: SchemeMode, queries: &[Vec<u8>]) -> (Vec<Vec<u8>>, GuardStats, [u8; 16]) {
+    let mut granted = [0; 16];
+    let mut w = world(mode, Vec::new(), |cookie| {
+        granted = cookie;
+        queries.iter().map(|q| to_guard(PUBLIC, q.clone())).collect()
+    });
+    w.sim.run_until(SimTime::from_millis(queries.len() as u64 + 50));
+    let replies = w.sim.node_ref::<Client>(w.client).unwrap().replies.clone();
+    let stats = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap().stats();
+    assert_eq!(stats.disposition_total(), stats.udp_datagrams);
+    assert_eq!(stats.udp_datagrams, queries.len() as u64);
+    (replies, stats, granted)
+}
+
+#[test]
+fn tc_written_over_the_query_matches_the_owned_encode() {
+    let queries = first_contact_queries();
+    let (replies, stats, _) = first_contact(SchemeMode::TcpBased, &queries);
+    assert_eq!(stats.tc_sent, queries.len() as u64);
+    let expected: Vec<_> = queries.iter().map(|q| reference_tc(q)).collect();
+    assert_eq!(replies, expected);
+    // No amplification: a literal single question comes back at its own size.
+    assert_eq!(replies[0].len(), queries[0].len());
+}
+
+#[test]
+fn grants_written_over_the_query_match_the_owned_encode() {
+    // The plain queries, and the same asking for a cookie: the request
+    // record is cut off and the grant appended where it stood.
+    let ttl = GuardConfig::new(PUBLIC, ANS).cookie_ttl;
+    let mut queries = first_contact_queries();
+    let asking = |q: &Vec<u8>| with_cookie(Message::decode(q).unwrap(), cookie_ext::ZERO_COOKIE);
+    let requests: Vec<_> = queries.iter().take(2).map(asking).collect();
+    queries.extend(requests);
+    let (replies, stats, cookie) = first_contact(SchemeMode::ModifiedOnly, &queries);
+    assert_eq!(stats.grants_sent, queries.len() as u64);
+    let expected: Vec<_> = queries.iter().map(|q| reference_grant(q, cookie, ttl)).collect();
+    assert_eq!(replies, expected);
+    assert_eq!(replies[7].len(), queries[7].len(), "request and grant are one size");
+}
+
+#[test]
+fn fabricated_referrals_written_over_the_query_match_the_owned_encode() {
+    let ttl = GuardConfig::new(PUBLIC, ANS).fabricated_ns_ttl;
+    let mut queries = first_contact_queries();
+    // Outside every delegation of the root zone: the query name itself is
+    // the target, and its owner is a pointer to the question.
+    queries.push(Message::iterative_query(8, name("Ns.Example.ORG"), RrType::A).encode());
+    let (replies, stats, cookie) = first_contact(SchemeMode::DnsBased, &queries);
+    assert_eq!(stats.fabricated_ns_sent, queries.len() as u64);
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|q| {
+            // The zone's own `com`, whatever case the query spelled it in —
+            // so under `COM` the owner goes out literally.
+            let qname = Message::decode(q).unwrap().questions[0].name.clone();
+            let target = if qname.is_subdomain_of(&name("com")) { name("com") } else { qname };
+            reference_fabricated(q, &target, cookie, ttl)
+        })
+        .collect();
+    assert_eq!(replies, expected);
+    let literal_owner = Message::decode(&replies[1]).unwrap();
+    assert!(literal_owner.authorities[0].name.eq_case_sensitive(&name("com")));
+    assert!(literal_owner.questions[0].name.eq_case_sensitive(&name("wWw.fOo.COM")));
+}
+
+#[test]
+fn a_name_too_long_for_the_cookie_label_is_forwarded_unprotected() {
+    // `PR` + 8 hex digits in front of a 54-byte first label make 64 bytes,
+    // and they make a name of 246 bytes one of 256. Neither is allowed, so no
+    // referral is fabricated: the query goes to the ANS as it came.
+    let label_too_long = format!("{}.org", "l".repeat(54));
+    let name_too_long = format!("{1}.{0}.{0}.{0}.org", "x".repeat(63), "y".repeat(48));
+    assert_eq!(name(&name_too_long).wire_len(), 246);
+    let queries: Vec<_> = [label_too_long, name_too_long]
+        .iter()
+        .zip(1..)
+        .map(|(qname, id)| Message::iterative_query(id, name(qname), RrType::A).encode())
+        .collect();
+    let mut w = world(SchemeMode::DnsBased, Vec::new(), |_| {
+        queries.iter().map(|q| to_guard(PUBLIC, q.clone())).collect()
+    });
+    w.sim.run_until(SimTime::from_millis(50));
+    let stats = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap().stats();
+    assert_eq!((stats.plain_forwarded, stats.forwarded), (2, 2));
+    assert_eq!(stats.fabricated_ns_sent, 0);
+    assert_eq!(stats.disposition_total(), stats.udp_datagrams, "one bucket each");
+    let forwarded = &w.sim.node_ref::<ScriptedAns>(w.ans).unwrap().received;
+    let renumbered: Vec<_> = queries
+        .iter()
+        .zip(forwarded)
+        .map(|(q, f)| [&f[..2], &q[2..]].concat())
+        .collect();
+    assert_eq!(forwarded, &renumbered);
+    assert!(w.sim.node_ref::<Client>(w.client).unwrap().replies.is_empty());
+}
+
 fn arb_name() -> impl Strategy<Value = Name> {
     let label = (0usize..6).prop_map(|i| [&b"a"[..], b"B", b"foo", b"Foo", b"com", b"www"][i]);
     proptest::collection::vec(label, 0..5).prop_map(|labels| Name::from_labels(labels).unwrap())
@@ -321,7 +477,7 @@ proptest! {
 struct Drop {
     mode: SchemeMode,
     outbox: fn([u8; 16]) -> Vec<Packet>,
-    counted: fn(&dnsguard::guard::GuardStats) -> u64,
+    counted: fn(&GuardStats) -> u64,
     /// How many of the datagrams are *not* dropped, when that is known
     /// beforehand.
     dropped: Option<u64>,

@@ -10,7 +10,8 @@ use crate::message::Message;
 use crate::name::Name;
 use crate::rdata::RData;
 use crate::record::Record;
-use crate::types::RrType;
+use crate::types::{RrClass, RrType};
+use crate::writer::{Section, Writer};
 
 /// Size of the cookie carried by the extension.
 pub const EXT_COOKIE_LEN: usize = 16;
@@ -42,6 +43,15 @@ impl CookieExt {
 pub fn attach_cookie(msg: &mut Message, cookie: [u8; EXT_COOKIE_LEN], ttl: u32) {
     msg.additionals
         .push(Record::new(Name::root(), ttl, RData::Txt(vec![cookie.to_vec()])));
+}
+
+/// [`attach_cookie`] for a message being written: appends the same 28 bytes
+/// to `out`'s additional section, without building the record.
+pub fn write_cookie(out: &mut Writer, cookie: [u8; EXT_COOKIE_LEN], ttl: u32) {
+    out.push_raw(Section::Additional, &Name::root(), RrType::Txt, RrClass::In, ttl, |rdata| {
+        rdata.push(EXT_COOKIE_LEN as u8);
+        rdata.extend_from_slice(&cookie);
+    });
 }
 
 /// Finds the cookie extension in `msg`, if present and well-formed.

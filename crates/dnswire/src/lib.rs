@@ -15,7 +15,10 @@
 //!   cookie;
 //! * [`view`] — the same strict decode without building anything: a
 //!   borrowed, heap-free view of a datagram for verdicts taken before (or
-//!   instead of) materialising a message.
+//!   instead of) materialising a message;
+//! * [`writer`] — a reply written over the query it answers: the received
+//!   question bytes kept, the header patched, records appended through the
+//!   encoder's compressor.
 //!
 //! # Examples
 //!
@@ -48,6 +51,7 @@ pub mod rdata;
 pub mod record;
 pub mod types;
 pub mod view;
+pub mod writer;
 
 pub use error::{WireError, WireResult};
 pub use message::Message;
@@ -60,12 +64,17 @@ pub use types::{Opcode, Rcode, RrClass, RrType};
 
 #[cfg(test)]
 mod proptests {
+    use crate::cookie_ext::{attach_cookie, write_cookie, ZERO_COOKIE};
+    use crate::edns::Edns;
     use crate::message::Message;
     use crate::name::Name;
+    use crate::question::Question;
     use crate::rdata::{RData, Soa};
     use crate::record::Record;
     use crate::types::{Rcode, RrType};
     use crate::view::tests::assert_agrees;
+    use crate::view::MessageView;
+    use crate::writer::{Section, Writer};
     use proptest::prelude::*;
     use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -176,7 +185,108 @@ mod proptests {
         })
     }
 
+    /// Question names a guard sees: anything, 0x20-style mixed case over a
+    /// few shared labels, and names within a label's reach of the 255-byte
+    /// limit.
+    fn arb_qname() -> impl Strategy<Value = Name> {
+        let mixed = (0usize..8).prop_map(|i| [&b"www"[..], b"wWw", b"foo", b"Foo", b"FOO", b"com", b"cOm", b"a"][i]);
+        prop_oneof![
+            arb_name(),
+            proptest::collection::vec(mixed, 0..5).prop_map(|labels| Name::from_labels(labels).unwrap()),
+            (52usize..=61, any::<u8>()).prop_map(|(last, fill)| {
+                let byte = b'a' + fill % 26;
+                Name::from_labels([vec![byte; 63], vec![b'B'; 63], vec![byte; 63], vec![b'c'; last]]).unwrap()
+            }),
+        ]
+    }
+
+    /// A query datagram in every shape the view has to tell apart: `shape`
+    /// picks one literal question, none, two, or a question name that is a
+    /// pointer into the header (to the root, or to a label); `tail` picks what follows the question — an
+    /// OPT record, a cookie request, arbitrary records, or nothing.
+    fn arb_query_wire() -> impl Strategy<Value = Vec<u8>> {
+        (arb_message(), arb_qname(), 0u8..6, 0u8..4).prop_map(|(mut msg, qname, shape, tail)| {
+            msg.header.response = false;
+            msg.questions = vec![Question::new(qname, RrType::Aaaa)];
+            match tail {
+                0 => (msg.answers, msg.authorities, msg.additionals) = Default::default(),
+                1 => msg.additionals.push(Edns::default().to_record()),
+                2 => attach_cookie(&mut msg, ZERO_COOKIE, 0),
+                _ => {}
+            }
+            match shape {
+                0 => msg.questions.clear(),
+                1 => msg.questions.push(Question::new("Foo.com".parse().unwrap(), RrType::Ns)),
+                2 | 3 => {
+                    // Rewritten below; records that may point into the
+                    // question cannot stay.
+                    msg.questions[0].name = Name::root();
+                    if tail == 3 {
+                        (msg.answers, msg.authorities, msg.additionals) = Default::default();
+                    }
+                }
+                _ => {}
+            }
+            let mut wire = msg.encode();
+            match shape {
+                // The root question name (one zero octet) as a pointer to
+                // another zero octet: the high byte of QDCOUNT.
+                2 => drop(wire.splice(12..13, [0xC0, 0x04])),
+                // … or to the label "x" that id 0x0178 and a zero flags byte
+                // spell at offset 0.
+                3 => {
+                    wire[..3].copy_from_slice(&[1, b'x', 0]);
+                    wire.splice(12..13, [0xC0, 0x00]);
+                }
+                _ => {}
+            }
+            wire
+        })
+    }
+
     proptest! {
+        /// A reply written over the received datagram equals the owned route
+        /// — decode, `into_response()`, push, `encode()` — byte for byte,
+        /// whichever way the writer came by its question section, and
+        /// whatever is appended: TC, the cookie grant, or records whose
+        /// owners share (or nearly share) the question name's suffixes.
+        #[test]
+        fn reply_over_the_query_matches_the_owned_encode(
+            wire in arb_query_wire(),
+            truncated in any::<bool>(),
+            drop_labels in 0usize..4,
+            flip_case in any::<bool>(),
+            ns_target in arb_qname(),
+            more in proptest::collection::vec(arb_record(), 0..3),
+            grant in any::<bool>(),
+            cookie in any::<u128>(),
+        ) {
+            assert_agrees(&wire);
+            let view = MessageView::parse(&wire).unwrap();
+            let mut owned = view.to_message().into_response();
+            let mut reply = Writer::over(wire.clone(), view.reply_start());
+            owned.header.truncated = truncated;
+            reply.header.truncated = truncated;
+
+            // A zone cut above the question name, as the classifier hands it
+            // over: the query's own case, or another.
+            let qname = owned.question().map_or_else(Name::root, |q| q.name.clone());
+            let cut = qname.suffix(qname.label_count().saturating_sub(drop_labels));
+            let cut = if flip_case { cut.with_case(|| true) } else { cut };
+            let ns = Record::ns(cut, ns_target, 86_400);
+            reply.push(Section::Authority, &ns);
+            owned.authorities.push(ns);
+            for record in more {
+                reply.push(Section::Additional, &record);
+                owned.additionals.push(record);
+            }
+            if grant {
+                write_cookie(&mut reply, cookie.to_be_bytes(), 604_800);
+                attach_cookie(&mut owned, cookie.to_be_bytes(), 604_800);
+            }
+            prop_assert_eq!(reply.finish(), owned.encode());
+        }
+
         /// The allocation-free compressor emits exactly the bytes the
         /// `HashMap` one did.
         #[test]

@@ -6,7 +6,7 @@ use crate::header::{Header, SectionCounts, HEADER_LEN};
 use crate::name::{split_label, Name};
 use crate::question::Question;
 use crate::record::Record;
-use crate::types::{RrType, Rcode};
+use crate::types::{RrClass, RrType, Rcode};
 use std::fmt;
 
 /// Classic maximum UDP DNS payload (RFC 1035); larger answers set TC.
@@ -145,24 +145,12 @@ impl Message {
         buf.extend_from_slice(&[0; HEADER_LEN]);
         let mut compressor = Compressor::default();
         for q in &self.questions {
-            compressor.encode_name(&q.name, &mut buf);
-            buf.extend_from_slice(&q.qtype.code().to_be_bytes());
-            buf.extend_from_slice(&q.qclass.code().to_be_bytes());
+            compressor.question(&mut buf, q);
         }
         let mut kept = 0usize;
         for r in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
             let start = buf.len();
-            compressor.encode_name(&r.name, &mut buf);
-            buf.extend_from_slice(&r.rtype.code().to_be_bytes());
-            buf.extend_from_slice(&r.class.code().to_be_bytes());
-            buf.extend_from_slice(&r.ttl.to_be_bytes());
-            let rdlen_at = buf.len();
-            buf.extend_from_slice(&[0, 0]);
-            r.rdata.encode(&mut buf);
-            let rdlen = (buf.len() - rdlen_at - 2) as u16;
-            if let Some(slot) = buf.get_mut(rdlen_at..rdlen_at + 2) {
-                slot.copy_from_slice(&rdlen.to_be_bytes());
-            }
+            compressor.record(&mut buf, &r.name, r.rtype, r.class, r.ttl, |buf| r.rdata.encode(buf));
             if buf.len() > limit {
                 buf.truncate(start);
                 break;
@@ -235,7 +223,7 @@ const INLINE_SUFFIXES: usize = 32;
 /// and matches candidates against the output bytes themselves, emitting a
 /// pointer to the longest suffix already there.
 #[derive(Default)]
-struct Compressor {
+pub(crate) struct Compressor {
     /// Output offsets (all below 0x4000) of literally written suffixes,
     /// oldest first; each spells a different suffix.
     inline: [u16; INLINE_SUFFIXES],
@@ -246,6 +234,41 @@ struct Compressor {
 }
 
 impl Compressor {
+    /// Appends one question to `buf`.
+    #[inline]
+    pub(crate) fn question(&mut self, buf: &mut Vec<u8>, q: &Question) {
+        self.encode_name(&q.name, buf);
+        buf.extend_from_slice(&q.qtype.code().to_be_bytes());
+        buf.extend_from_slice(&q.qclass.code().to_be_bytes());
+    }
+
+    /// Appends one record to `buf`: the owner name compressed against what
+    /// `buf` already holds, the fixed fields, and whatever `rdata` writes,
+    /// with its length filled in. Every record of every message goes through
+    /// here, whoever wrote what precedes it.
+    #[inline]
+    pub(crate) fn record(
+        &mut self,
+        buf: &mut Vec<u8>,
+        owner: &Name,
+        rtype: RrType,
+        class: RrClass,
+        ttl: u32,
+        rdata: impl FnOnce(&mut Vec<u8>),
+    ) {
+        self.encode_name(owner, buf);
+        buf.extend_from_slice(&rtype.code().to_be_bytes());
+        buf.extend_from_slice(&class.code().to_be_bytes());
+        buf.extend_from_slice(&ttl.to_be_bytes());
+        let rdlen_at = buf.len();
+        buf.extend_from_slice(&[0, 0]);
+        rdata(buf);
+        let rdlen = (buf.len() - rdlen_at - 2) as u16;
+        if let Some(slot) = buf.get_mut(rdlen_at..rdlen_at + 2) {
+            slot.copy_from_slice(&rdlen.to_be_bytes());
+        }
+    }
+
     fn encode_name(&mut self, name: &Name, buf: &mut Vec<u8>) {
         let wire = name.as_wire();
         // Longest suffix first: drop labels from the left until what is left
@@ -279,7 +302,7 @@ impl Compressor {
         inline.chain(&self.spill).copied().find(|&at| spells(out, at as usize, suffix))
     }
 
-    fn remember(&mut self, at: usize) {
+    pub(crate) fn remember(&mut self, at: usize) {
         if at >= 0x4000 {
             return; // out of a pointer's 14-bit reach
         }

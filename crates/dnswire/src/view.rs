@@ -16,6 +16,7 @@ use crate::question::{read_u16, read_u32, Question};
 use crate::rdata::RData;
 use crate::record::Record;
 use crate::types::{RrClass, RrType};
+use crate::writer::ReplyStart;
 
 /// A validated datagram, still in its receive buffer.
 ///
@@ -71,6 +72,14 @@ impl<'a> MessageView<'a> {
         Some(self.first_label).filter(|label| !label.is_empty())
     }
 
+    /// The first question's name, read by the walk every decoded name comes
+    /// from — the one piece of a query a guard may need owned (to classify
+    /// it) without needing the message.
+    pub fn question_name(&self) -> Option<Name> {
+        let read = Name::read::<true>(self.wire, HEADER_LEN).ok();
+        read.filter(|_| self.has_question()).and_then(|(name, _)| name)
+    }
+
     /// The cookie extension, as [`cookie_ext::find_cookie`] finds it: the
     /// first root-owned TXT record of the additional section holding one
     /// 16-byte string.
@@ -83,6 +92,22 @@ impl<'a> MessageView<'a> {
     /// is why only datagrams that are answered or rewritten come here.
     pub fn to_message(&self) -> Message {
         Message::decode(self.wire).unwrap_or_default()
+    }
+
+    /// How a reply to this query starts, for [`Writer::over`] with the buffer
+    /// this view borrows: under `header.response_to()`, and keeping the
+    /// received question section when that is byte for byte what decode →
+    /// `into_response()` → encode writes — one question, its name *literal*
+    /// (the encoder has nothing to point a first name at, and type and class
+    /// codes round-trip).
+    ///
+    /// [`Writer::over`]: crate::writer::Writer::over
+    pub fn reply_start(&self) -> ReplyStart {
+        let stands = self.counts.questions == 1 && self.literal_question;
+        ReplyStart {
+            header: self.header.response_to(),
+            questions_end: stands.then_some(self.questions_end),
+        }
     }
 
     /// This query under transaction id `id` and without its cookie, when
@@ -219,6 +244,10 @@ pub(crate) mod tests {
         assert_eq!(view.has_question(), msg.question().is_some());
         assert_eq!(view.first_label(), msg.question().and_then(|q| q.name.first_label()));
         assert_eq!(view.to_message(), msg);
+        match (view.question_name(), msg.question()) {
+            (Some(name), Some(q)) => assert!(name.eq_case_sensitive(&q.name)),
+            (name, q) => assert!(name.is_none() && q.is_none(), "{name:?} / {q:?}"),
+        }
         if let Some(bare) = view.without_cookie(0xBEEF) {
             assert_eq!(bare, reference_without_cookie(wire, 0xBEEF));
         }

@@ -37,12 +37,52 @@ pub use siphash::siphash24;
 
 #[cfg(test)]
 mod proptests {
-    use crate::cookie::{parse_ns_label, CookieAlg, CookieFactory};
+    use crate::cookie::{parse_ns_label, Cookie, CookieAlg, CookieFactory, SecretKey, KEY_LEN};
     use crate::md5::{from_hex, md5, to_hex, Md5};
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
+    /// The paper's formula, spelled out: `MD5(ip ‖ key)` over 80 bytes.
+    fn md5_of_ip_and_key(ip: Ipv4Addr, key: &[u8; KEY_LEN]) -> [u8; 16] {
+        md5(&[&ip.octets()[..], key].concat())
+    }
+
+    fn arb_key() -> impl Strategy<Value = [u8; KEY_LEN]> {
+        proptest::collection::vec(any::<u8>(), KEY_LEN)
+            .prop_map(|bytes| bytes.try_into().expect("KEY_LEN bytes"))
+    }
+
     proptest! {
+        /// The per-key schedule is a layout of the same 80 bytes, not another
+        /// hash: any key, any address.
+        #[test]
+        fn cookie_is_md5_of_ip_and_key(bytes in arb_key(), ip_bits in any::<u32>()) {
+            let (key, ip) = (SecretKey::from_bytes(bytes), Ipv4Addr::from(ip_bits));
+            prop_assert_eq!(Cookie::compute(&key, ip).0, md5_of_ip_and_key(ip, &bytes));
+            prop_assert!(SecretKey::from_bytes(*key.as_bytes()) == key);
+        }
+
+        /// The same through the factory: the current key's cookie under the
+        /// generation bit, across two rotations and a `from_parts` rebuild.
+        #[test]
+        fn factory_cookies_are_md5_of_ip_and_key(seed in any::<u64>(), ip_bits in any::<u32>()) {
+            let ip = Ipv4Addr::from(ip_bits);
+            let mut f = CookieFactory::from_seed(seed);
+            for _ in 0..3 {
+                let raw = Cookie(md5_of_ip_and_key(ip, f.current_key().as_bytes()));
+                prop_assert_eq!(f.generate(ip), raw.with_generation_bit(f.generation()));
+                let restored = CookieFactory::from_parts(
+                    f.current_key().clone(),
+                    f.previous_key().cloned(),
+                    f.generation(),
+                    f.rotation_seed(),
+                );
+                prop_assert_eq!(restored.generate(ip), f.generate(ip));
+                prop_assert!(restored.verify(ip, &f.generate(ip)));
+                f.rotate();
+            }
+        }
+
         /// Streaming and one-shot MD5 agree for arbitrary data and splits.
         #[test]
         fn md5_streaming_equals_oneshot(data in proptest::collection::vec(any::<u8>(), 0..512),

@@ -22,13 +22,9 @@ pub const BLOCK_LEN: usize = 64;
 /// A 16-byte MD5 digest.
 pub type Digest = [u8; DIGEST_LEN];
 
-/// Per-round left-rotation amounts (RFC 1321 section 3.4).
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
+/// Left-rotation amounts of the four steps each round repeats (RFC 1321
+/// section 3.4), one row per round.
+const S: [[u32; 4]; 4] = [[7, 12, 17, 22], [5, 9, 14, 20], [4, 11, 16, 23], [6, 10, 15, 21]];
 
 /// Sine-derived additive constants: `K[i] = floor(2^32 * |sin(i + 1)|)`.
 const K: [u32; 64] = [
@@ -78,7 +74,7 @@ impl Md5 {
     /// Creates a digest initialised with the RFC 1321 chaining values.
     pub fn new() -> Self {
         Md5 {
-            state: [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476],
+            state: INIT,
             len: 0,
             buf: [0u8; BLOCK_LEN],
             buf_len: 0,
@@ -94,79 +90,110 @@ impl Md5 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, &words(&self.buf));
+            self.buf_len = 0;
         }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        // Whole blocks are hashed where they lie.
+        while let Some((block, tail)) = rest.split_first_chunk() {
+            compress(&mut self.state, &words(block));
             rest = tail;
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Applies RFC 1321 padding and returns the final digest, consuming the
     /// state.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.len.wrapping_mul(8);
         // Padding: a single 0x80 byte, then zeros until 8 bytes short of a
         // block boundary, then the 64-bit little-endian message bit length.
-        self.update(&[0x80]);
-        while self.buf_len != BLOCK_LEN - 8 {
-            self.update(&[0x00]);
+        // `buf_len` is at most 63, so the 0x80 always fits; the length may
+        // not, and then goes into a block of its own.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= LEN_AT {
+            compress(&mut self.state, &words(&self.buf));
+            self.buf = [0; BLOCK_LEN];
         }
-        // Splice the length in directly: update() would double-count it.
-        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_le_bytes());
-        let block = self.buf;
-        self.compress(&block);
-
-        let mut out = [0u8; DIGEST_LEN];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state.iter()) {
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
-        out
+        self.buf[LEN_AT..].copy_from_slice(&self.len.wrapping_mul(8).to_le_bytes());
+        compress(&mut self.state, &words(&self.buf));
+        digest_of(&self.state)
     }
+}
 
-    /// One 64-byte block of the MD5 compression function.
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
+/// Offset of the 64-bit message length in the last block.
+const LEN_AT: usize = BLOCK_LEN - 8;
 
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
+/// The RFC 1321 chaining values a digest starts from.
+pub(crate) const INIT: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+/// A block as the sixteen little-endian words the compression function reads.
+pub(crate) fn words(block: &[u8; BLOCK_LEN]) -> [u32; 16] {
+    let mut m = [0u32; 16];
+    for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
+    m
+}
+
+/// The digest a final state spells.
+pub(crate) fn digest_of(state: &[u32; 4]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+    out
+}
+
+/// One step: `b + ((a + F(b, c, d) + m + k) <<< s)`, with `F` already applied.
+#[inline(always)]
+fn step(a: u32, b: u32, f: u32, m: u32, k: u32, s: u32) -> u32 {
+    b.wrapping_add(a.wrapping_add(f).wrapping_add(k).wrapping_add(m).rotate_left(s))
+}
+
+/// The MD5 compression function over one block given as message words: the
+/// streaming digest and the cookie's per-key schedule both end here. The 64
+/// steps are written out, four to a line, so every message index, additive
+/// constant and rotation is a literal.
+pub(crate) fn compress(state: &mut [u32; 4], m: &[u32; 16]) {
+    let f = |b: u32, c: u32, d: u32| (b & c) | (!b & d);
+    let g = |b: u32, c: u32, d: u32| (d & b) | (!d & c);
+    let h = |b: u32, c: u32, d: u32| b ^ c ^ d;
+    let i = |b: u32, c: u32, d: u32| c ^ (b | !d);
+    let [mut a, mut b, mut c, mut d] = *state;
+    // Four steps: each of a, d, c, b takes its turn as the updated word.
+    // `$k` is the step number of the first, `$g` the four message indices.
+    macro_rules! steps {
+        ($f:ident, $round:expr, $k:expr, [$g0:expr, $g1:expr, $g2:expr, $g3:expr]) => {
+            a = step(a, b, $f(b, c, d), m[$g0], K[$k], S[$round][0]);
+            d = step(d, a, $f(a, b, c), m[$g1], K[$k + 1], S[$round][1]);
+            c = step(c, d, $f(d, a, b), m[$g2], K[$k + 2], S[$round][2]);
+            b = step(b, c, $f(c, d, a), m[$g3], K[$k + 3], S[$round][3]);
+        };
+    }
+    steps!(f, 0, 0, [0, 1, 2, 3]);
+    steps!(f, 0, 4, [4, 5, 6, 7]);
+    steps!(f, 0, 8, [8, 9, 10, 11]);
+    steps!(f, 0, 12, [12, 13, 14, 15]);
+    steps!(g, 1, 16, [1, 6, 11, 0]);
+    steps!(g, 1, 20, [5, 10, 15, 4]);
+    steps!(g, 1, 24, [9, 14, 3, 8]);
+    steps!(g, 1, 28, [13, 2, 7, 12]);
+    steps!(h, 2, 32, [5, 8, 11, 14]);
+    steps!(h, 2, 36, [1, 4, 7, 10]);
+    steps!(h, 2, 40, [13, 0, 3, 6]);
+    steps!(h, 2, 44, [9, 12, 15, 2]);
+    steps!(i, 3, 48, [0, 7, 14, 5]);
+    steps!(i, 3, 52, [12, 3, 10, 1]);
+    steps!(i, 3, 56, [8, 15, 6, 13]);
+    steps!(i, 3, 60, [4, 11, 2, 9]);
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
 }
 
 /// Computes the MD5 digest of `data` in one shot.
@@ -232,6 +259,12 @@ mod tests {
         }
     }
 
+    /// The classic long vector: 15 625 whole blocks through one `update`.
+    #[test]
+    fn a_million_a() {
+        assert_eq!(to_hex(&md5(&vec![b'a'; 1_000_000])), "7707d6ae4e027c70eea2a935c2296f21");
+    }
+
     #[test]
     fn streaming_matches_one_shot_at_every_split() {
         let data = b"The quick brown fox jumps over the lazy dog, repeatedly, \
@@ -254,6 +287,21 @@ mod tests {
             h.update(std::slice::from_ref(b));
         }
         assert_eq!(h.finalize(), want);
+    }
+
+    /// Every padding shape — the length fitting the last block or spilling
+    /// into one of its own, zero to three whole blocks before it — against
+    /// byte-at-a-time streaming, which never takes the whole-block route.
+    #[test]
+    fn streaming_matches_one_shot_at_every_length() {
+        let data: Vec<u8> = (0..200u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=data.len() {
+            let mut h = Md5::new();
+            for b in &data[..len] {
+                h.update(std::slice::from_ref(b));
+            }
+            assert_eq!(h.finalize(), md5(&data[..len]), "len {len}");
+        }
     }
 
     #[test]

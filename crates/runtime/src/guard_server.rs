@@ -12,6 +12,8 @@ use crate::ans::ToyAns;
 use dnsguard::ratelimit::SourceRateLimiter;
 use dnswire::cookie_ext;
 use dnswire::message::{Message, MAX_UDP_PAYLOAD};
+use dnswire::view::MessageView;
+use dnswire::writer::Writer;
 use guardhash::cookie::CookieFactory;
 use guardhash::Cookie;
 use netsim::time::SimTime;
@@ -31,6 +33,10 @@ const UPSTREAM_TIMEOUT: Duration = Duration::from_millis(500);
 /// Read time-out of the upstream socket: how far past [`UPSTREAM_TIMEOUT`] a
 /// wait can run when datagrams that are not the answer keep arriving.
 const UPSTREAM_POLL: Duration = Duration::from_millis(50);
+
+/// How long a granted cookie may be cached: one week, the key rotation
+/// period.
+const COOKIE_TTL: u32 = 604_800;
 
 /// Counters shared with the guard thread (detached registry handles;
 /// adopted into a registry by [`GuardServer::spawn_with_obs`]).
@@ -115,10 +121,13 @@ impl GuardServer {
                     }
                     Err(_) => break,
                 };
-                let Ok(mut msg) = Message::decode(&buf[..len]) else {
+                let Some(received) = buf.get(..len) else {
                     continue;
                 };
-                if msg.header.response {
+                let Ok(view) = MessageView::parse(received) else {
+                    continue;
+                };
+                if view.header.response {
                     continue;
                 }
                 let IpAddr::V4(peer_ip) = peer.ip() else {
@@ -128,8 +137,9 @@ impl GuardServer {
                 let qid = next_qid;
                 next_qid += 1;
 
-                let Some(ext) = cookie_ext::find_cookie(&msg) else {
-                    // Cookie-less request: grant a cookie (rate limited).
+                // A cookie-less request and one asking for a cookie get the
+                // same answer: the question back with a cookie (rate limited).
+                let Some(ext) = view.cookie().filter(|ext| !ext.is_request()) else {
                     if !rl1.lock().admit(now, peer_ip) {
                         t_counters.dropped_rl1.inc();
                         trace.event(
@@ -144,9 +154,9 @@ impl GuardServer {
                         continue;
                     }
                     let cookie = factory.lock().generate(peer_ip);
-                    let mut grant = msg.response();
-                    cookie_ext::attach_cookie(&mut grant, cookie.0, 604_800);
-                    let _ = sock.send_to(&grant.encode(), peer);
+                    let mut grant = Writer::over(received.to_vec(), view.reply_start());
+                    cookie_ext::write_cookie(&mut grant, cookie.0, COOKIE_TTL);
+                    let _ = sock.send_to(&grant.finish(), peer);
                     t_counters.grants.inc();
                     trace.event(
                         now.as_nanos(),
@@ -155,34 +165,6 @@ impl GuardServer {
                     );
                     continue;
                 };
-
-                if ext.is_request() {
-                    if !rl1.lock().admit(now, peer_ip) {
-                        t_counters.dropped_rl1.inc();
-                        trace.event(
-                            now.as_nanos(),
-                            "rl_drop",
-                            &[
-                                ("limiter", Value::Str("rl1")),
-                                ("src", Value::Ip(peer_ip)),
-                                ("qid", Value::U64(qid)),
-                            ],
-                        );
-                        continue;
-                    }
-                    let cookie = factory.lock().generate(peer_ip);
-                    let mut grant = msg.response();
-                    cookie_ext::strip_cookie(&mut grant);
-                    cookie_ext::attach_cookie(&mut grant, cookie.0, 604_800);
-                    let _ = sock.send_to(&grant.encode(), peer);
-                    t_counters.grants.inc();
-                    trace.event(
-                        now.as_nanos(),
-                        "grant",
-                        &[("src", Value::Ip(peer_ip)), ("qid", Value::U64(qid))],
-                    );
-                    continue;
-                }
 
                 if !factory.lock().verify(peer_ip, &Cookie(ext.cookie)) {
                     t_counters.dropped_spoofed.inc();
@@ -208,10 +190,13 @@ impl GuardServer {
                         ("qid", Value::U64(qid)),
                     ],
                 );
-                // Verified: strip the extension, proxy to the ANS.
+                // Verified: strip the extension, proxy to the ANS. The owned
+                // query stays for the check on what comes back.
+                let mut msg = view.to_message();
                 let orig_txid = msg.header.id;
                 cookie_ext::strip_cookie(&mut msg);
-                if upstream.send_to(&msg.encode(), ans).is_err() {
+                let forward = view.without_cookie(orig_txid).unwrap_or_else(|| msg.encode());
+                if upstream.send_to(&forward, ans).is_err() {
                     continue;
                 }
                 t_counters.forwarded.inc();
