@@ -4,16 +4,17 @@
 # test suite (unit, integration, chaos and property tests), the guardlint
 # static-analysis pass (repo-specific safety/determinism/telemetry
 # invariants; exemptions live in Lint.toml), clippy with warnings promoted
-# to errors, the telemetry-export smoke checks (which also `cmp` every
-# deterministic export against the committed BENCH_* file), and rustdoc
-# with warnings denied.
+# to errors, the experiment smoke run (every non-paper entry of the
+# experiment registry: acceptance bars, export validation, and a `cmp` of
+# every export against the committed BENCH_* file of the same name), and
+# rustdoc with warnings denied.
 #
 # All dependencies are vendored (vendor/*), so the build never touches a
 # registry; --offline makes that a hard guarantee rather than an accident.
 #
 # Usage: ./ci.sh [stage]
-#   stage ∈ {build, test, lint, guardcheck, clippy, telemetry, journeys,
-#   ha, fleet, fleetobs, analytics, poison, docs}; no argument runs all.
+#   stage ∈ {build, test, lint, guardcheck, clippy, experiments, docs};
+#   no argument runs all.
 #   `tsan` (nightly-only ThreadSanitizer pass) runs only when requested
 #   explicitly and skips gracefully without a nightly toolchain; `perf`
 #   (the benchmark package's own tests, clippy, a smoke run and the
@@ -25,18 +26,6 @@ cd "$(dirname "$0")"
 
 stage="${1:-all}"
 want() { [ "$stage" = all ] || [ "$stage" = "$1" ]; }
-
-# The simulator is seeded, so a fresh export must equal the committed file
-# byte for byte; a difference is a behaviour change (or a stale artifact)
-# and has to be committed deliberately.
-same_as_committed() {
-  local dir="$1" f
-  shift
-  for f in "$@"; do
-    cmp "$dir/$f" "$f" ||
-      { echo "drift: $dir/$f differs from the committed $f" >&2; exit 1; }
-  done
-}
 
 if want build; then
   echo "==> cargo build --release"
@@ -91,75 +80,30 @@ if want clippy; then
   cargo clippy --workspace --all-targets --offline -- -D warnings
 fi
 
-if want telemetry; then
-  echo "==> telemetry smoke (BENCH_obs export + validation)"
-  mkdir -p target/obs-smoke
+if want experiments; then
+  echo "==> experiments (every non-paper registry entry: bars, export validation, drift)"
+  # The runner exits non-zero if any entry missed an acceptance bar or wrote
+  # an export that fails its format or required keys. The paper's own tables
+  # and figures have shapes, not bars; `cargo test` smoke-tests those.
+  smoke=target/experiments-smoke
+  rm -rf "$smoke"
   cargo run --release --offline -p bench --bin all_experiments -- \
-    --obs-only --obs-out target/obs-smoke
-  cargo run --release --offline -p bench --bin telemetry_check -- \
-    target/obs-smoke/BENCH_obs.json target/obs-smoke/BENCH_obs_trace.jsonl
-  same_as_committed target/obs-smoke BENCH_obs.json
-fi
-
-if want journeys; then
-  echo "==> journey smoke (BENCH_journeys export + validation)"
-  mkdir -p target/journeys-smoke
-  cargo run --release --offline -p bench --bin all_experiments -- \
-    --journeys-only --obs-out target/journeys-smoke
-  cargo run --release --offline -p bench --bin telemetry_check -- \
-    --journeys target/journeys-smoke/BENCH_journeys.json \
-    target/journeys-smoke/BENCH_journeys_trace.json
-fi
-
-if want ha; then
-  echo "==> high-availability smoke (BENCH_failover export + validation)"
-  mkdir -p target/ha-smoke
-  cargo run --release --offline -p bench --bin all_experiments -- \
-    --ha-only --obs-out target/ha-smoke
-  cargo run --release --offline -p bench --bin telemetry_check -- \
-    --ha target/ha-smoke/BENCH_failover.json
-fi
-
-if want fleet; then
-  echo "==> anycast-fleet smoke (BENCH_fleet export + validation)"
-  mkdir -p target/fleet-smoke
-  cargo run --release --offline -p bench --bin all_experiments -- \
-    --fleet-only --obs-out target/fleet-smoke
-  cargo run --release --offline -p bench --bin telemetry_check -- \
-    --fleet target/fleet-smoke/BENCH_fleet.json
-fi
-
-if want fleetobs; then
-  echo "==> fleet-observability smoke (BENCH_fleetobs export + validation)"
-  mkdir -p target/fleetobs-smoke
-  cargo run --release --offline -p bench --bin all_experiments -- \
-    --fleetobs-only --obs-out target/fleetobs-smoke
-  cargo run --release --offline -p bench --bin telemetry_check -- \
-    --fleetobs target/fleetobs-smoke/BENCH_fleetobs.json \
-    target/fleetobs-smoke/BENCH_fleetobs_trace.jsonl
-  same_as_committed target/fleetobs-smoke BENCH_fleetobs.json BENCH_fleetobs_trace.jsonl
-fi
-
-if want analytics; then
-  echo "==> traffic-analytics smoke (feature tests + BENCH_analytics export + validation)"
+    --out "$smoke" ablations obs journeys ha fleet fleetobs poison
+  # The analytics entry exists only with the guard's sketches compiled in.
   cargo test -q --offline -p dnsguard --features traffic-analytics
   cargo test -q --offline -p bench --features traffic-analytics analytics
-  mkdir -p target/analytics-smoke
   cargo run --release --offline -p bench --features traffic-analytics \
-    --bin all_experiments -- --analytics-only --obs-out target/analytics-smoke
-  cargo run --release --offline -p bench --bin telemetry_check -- \
-    --analytics target/analytics-smoke/BENCH_analytics.json
-  same_as_committed target/analytics-smoke BENCH_analytics.json
-fi
-
-if want poison; then
-  echo "==> cache-poisoning smoke (BENCH_poison export + validation)"
-  mkdir -p target/poison-smoke
-  cargo run --release --offline -p bench --bin all_experiments -- \
-    --poison-only --obs-out target/poison-smoke
-  cargo run --release --offline -p bench --bin telemetry_check -- \
-    --poison target/poison-smoke/BENCH_poison.json
-  same_as_committed target/poison-smoke BENCH_poison.json
+    --bin all_experiments -- --out "$smoke" analytics
+  # The simulator is seeded, so a fresh export must equal the committed
+  # file of the same name byte for byte; a difference is a behaviour change
+  # (or a stale artifact) and has to be committed deliberately.
+  for f in "$smoke"/*; do
+    name="$(basename "$f")"
+    if git ls-files --error-unmatch "$name" >/dev/null 2>&1; then
+      cmp "$f" "$name" ||
+        { echo "drift: $f differs from the committed $name" >&2; exit 1; }
+    fi
+  done
 fi
 
 if [ "$stage" = perf ]; then

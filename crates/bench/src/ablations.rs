@@ -2,11 +2,12 @@
 //! out): the `COOKIE2` range R_y, Rate-Limiter1's reflection budget, SYN
 //! cookies at the TCP proxy, and the activation threshold.
 //!
-//! Run: `cargo run --release -p bench --bin ablations`
+//! Run: `cargo run --release -p bench --bin all_experiments -- ablations`
 
+use crate::registry::Outcome;
+use crate::report::render_table;
+use crate::worlds::{attach_flood, attach_lrs, guarded_world, LrsParams, WorldParams, ZoneSel, PUB, SUBNET};
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
-use bench::report::render_table;
-use bench::worlds::{attach_flood, attach_lrs, guarded_world, LrsParams, WorldParams, ZoneSel, PUB, SUBNET};
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
 use netsim::engine::CpuConfig;
@@ -17,8 +18,7 @@ use std::net::Ipv4Addr;
 
 /// Ablation 1 — `COOKIE2` range: the worst-case false-negative rate is
 /// 1/R_y (section III.G); sweep R_y and measure the spray's hit rate.
-fn ablate_cookie2_range() {
-    println!("Ablation 1 — COOKIE2 subnet range R_y vs false-negative rate");
+fn ablate_cookie2_range() -> String {
     let mut rows = Vec::new();
     for range in [16u32, 64, 254, 1024, 4096] {
         let mut p = WorldParams::new(21);
@@ -58,16 +58,15 @@ fn ablate_cookie2_range() {
             format!("{:.5}", 1.0 / range as f64),
         ]);
     }
-    println!(
-        "{}",
+    format!(
+        "Ablation 1 — COOKIE2 subnet range R_y vs false-negative rate\n{}\n",
         render_table("", &["R_y", "measured hit rate", "predicted 1/R_y"], &rows)
-    );
+    )
 }
 
 /// Ablation 2 — Rate-Limiter1's global budget: reflected bytes under a
 /// fixed 100K req/s spoofed flood.
-fn ablate_rl1() {
-    println!("Ablation 2 — Rate-Limiter1 budget vs reflected traffic (100K spoofed req/s)");
+fn ablate_rl1() -> String {
     let mut rows = Vec::new();
     for (label, budget) in [("off", 1e12), ("100K/s", 1e5), ("10K/s (default)", 1e4), ("1K/s", 1e3)] {
         let mut p = WorldParams::new(22);
@@ -104,20 +103,19 @@ fn ablate_rl1() {
             format!("{:.2}x", g.traffic_unverified.amplification()),
         ]);
     }
-    println!(
-        "{}",
+    format!(
+        "Ablation 2 — Rate-Limiter1 budget vs reflected traffic (100K spoofed req/s)\n{}\n",
         render_table(
             "",
             &["RL1 budget", "cookie responses", "bytes reflected", "amplification"],
             &rows,
         )
-    );
+    )
 }
 
 /// Ablation 3 — SYN cookies: listener state under a 10K-SYN flood, with
 /// the stateless SYN-cookie handshake vs a classic stateful accept.
-fn ablate_syn_cookies() {
-    println!("Ablation 3 — SYN cookies vs stateful accept under a 10K-SYN flood");
+fn ablate_syn_cookies() -> String {
     let mut rows = Vec::new();
     for (label, cookies) in [("SYN cookies", true), ("stateful accept", false)] {
         let mut host = TcpHost::new(23);
@@ -148,16 +146,15 @@ fn ablate_syn_cookies() {
         }
         rows.push(vec![label.to_string(), host.conn_count().to_string()]);
     }
-    println!(
-        "{}",
+    format!(
+        "Ablation 3 — SYN cookies vs stateful accept under a 10K-SYN flood\n{}\n",
         render_table("", &["handshake", "half-open state held"], &rows)
-    );
+    )
 }
 
 /// Ablation 4 — activation threshold: CPU spent on spoof detection when
 /// there is no attack, for always-on vs threshold-gated guards.
-fn ablate_activation() {
-    println!("Ablation 4 — activation threshold (no attack, 2K req/s legitimate load)");
+fn ablate_activation() -> String {
     let mut rows = Vec::new();
     for (label, threshold) in [("always on", 0.0), ("threshold 14K", 14_000.0)] {
         let mut p = WorldParams::new(24);
@@ -201,20 +198,18 @@ fn ablate_activation() {
             format!("{:.2}%", cpu * 100.0),
         ]);
     }
-    println!(
-        "{}",
-        render_table("", &["guard", "legit rps", "guard CPU"], &rows)
-    );
-    println!(
-        "The threshold-gated guard forwards without cookie work in peacetime,\n\
+    format!(
+        "Ablation 4 — activation threshold (no attack, 2K req/s legitimate load)\n{}\n\
+         The threshold-gated guard forwards without cookie work in peacetime,\n\
          which is the paper's 'enable spoof detection only when the input rate\n\
-         exceeds a threshold' recommendation."
-    );
+         exceeds a threshold' recommendation.\n",
+        render_table("", &["guard", "legit rps", "guard CPU"], &rows)
+    )
 }
 
-fn main() {
-    ablate_cookie2_range();
-    ablate_rl1();
-    ablate_syn_cookies();
-    ablate_activation();
+/// The registry entry: all four ablations, in order.
+pub fn experiment() -> Outcome {
+    Outcome::report_only(
+        [ablate_cookie2_range(), ablate_rl1(), ablate_syn_cookies(), ablate_activation()].concat(),
+    )
 }

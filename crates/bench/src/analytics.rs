@@ -30,11 +30,13 @@
 //!
 //! Only built with the `traffic-analytics` feature (the sketches compile
 //! out of the guard otherwise). Run via `cargo run --release -p bench
-//! --features traffic-analytics --bin all_experiments -- --analytics-only`;
-//! the document lands in `BENCH_analytics.json`.
+//! --features traffic-analytics --bin all_experiments -- analytics`; the
+//! document lands in `BENCH_analytics.json`.
 //!
 //! [`FleetAggregator::merged_sketch`]: obs::fleet::FleetAggregator::merged_sketch
 
+use crate::registry::{Export, Format, Outcome};
+use crate::report::json_strings;
 use crate::worlds::{guarded_world, GuardedWorld, WorldParams, PUB};
 use attack::botnet::{BotnetConfig, BotnetLowRate};
 use attack::flashcrowd::{FlashCrowd, FlashCrowdConfig};
@@ -47,7 +49,30 @@ use obs::fleet::{FleetAggregator, FleetAlertConfig};
 use obs::trace::Level;
 use obs::Obs;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+
+/// The summary document's file name.
+pub const SUMMARY_FILE: &str = "BENCH_analytics.json";
+
+/// Substrings the traffic-analytics summary must contain: the global
+/// discriminator verdict, all four scenarios with their sketch readings
+/// and rule outcomes, and the fleet-merge accuracy fields.
+const SUMMARY_KEYS: &[&str] = &[
+    "\"experiment\":\"analytics\"",
+    "\"discriminator_ok\":",
+    "\"baseline\":",
+    "\"spoof_flood\":",
+    "\"flash_crowd\":",
+    "\"botnet\":",
+    "\"fleet_merge\":",
+    "\"spoof_flood_fired\":",
+    "\"flash_crowd_fired\":",
+    "\"entropy_norm\":",
+    "\"top_share\":",
+    "\"top_sources\":",
+    "\"distinct_err_pct\":",
+    "\"top_bounds_ok\":",
+    "\"merged_total\":",
+];
 
 /// Alert-evaluation cadence: wide enough to smooth generator tick bursts,
 /// narrow enough to catch the botnet's onset window.
@@ -369,10 +394,11 @@ pub struct AnalyticsRun {
 }
 
 fn scenario_json(o: &ScenarioOutcome) -> String {
-    let mut out = format!(
+    format!(
         "{{\"name\":\"{}\",\"datagrams\":{},\"distinct\":{:.1},\
          \"entropy_norm\":{:.4},\"top_share\":{:.4},\
-         \"spoof_flood_fired\":{},\"flash_crowd_fired\":{},\"fired_rules\":[",
+         \"spoof_flood_fired\":{},\"flash_crowd_fired\":{},\"fired_rules\":{},\
+         \"analytics\":{},\"alerts\":{}}}",
         o.name,
         o.datagrams,
         o.distinct,
@@ -380,18 +406,10 @@ fn scenario_json(o: &ScenarioOutcome) -> String {
         o.top_share,
         o.spoof_flood_fired,
         o.flash_crowd_fired,
-    );
-    for (i, r) in o.fired_rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{r}\""));
-    }
-    out.push_str(&format!(
-        "],\"analytics\":{},\"alerts\":{}}}",
-        o.analytics_json, o.alerts_json
-    ));
-    out
+        json_strings(&o.fired_rules),
+        o.analytics_json,
+        o.alerts_json,
+    )
 }
 
 fn merge_json(m: &MergeOutcome) -> String {
@@ -451,14 +469,70 @@ pub fn run_all(seed: u64) -> AnalyticsRun {
     }
 }
 
-/// Runs the experiment with the default seed and writes
-/// `BENCH_analytics.json` under `dir`.
-pub fn export_to(dir: &Path) -> std::io::Result<(AnalyticsRun, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
+/// The acceptance bars: every scenario got its designed verdict, and the
+/// merged sketches conserve the stream exactly, estimate cardinality
+/// within the HLL's documented ±20 %, and hold every true top talker
+/// inside its error bracket.
+pub fn failures(run: &AnalyticsRun) -> Vec<String> {
+    let m = &run.merge;
+    let mut failures = Vec::new();
+    if !run.discriminator_ok {
+        failures.push("a scenario got the wrong verdict".to_string());
+    }
+    if m.merged_total != m.sent {
+        failures.push(format!("merged total {} != {} emitted", m.merged_total, m.sent));
+    }
+    if m.distinct_err_pct > 20.0 {
+        failures.push(format!(
+            "merged cardinality {:.1} is {:.2}% off the true {} (bound 20%)",
+            m.merged_distinct, m.distinct_err_pct, m.distinct_truth
+        ));
+    }
+    if m.top_found != m.top_expected || !m.top_bounds_ok {
+        failures.push(format!(
+            "merged top-K holds {}/{} true top talkers, bounds ok: {}",
+            m.top_found, m.top_expected, m.top_bounds_ok
+        ));
+    }
+    failures
+}
+
+/// The registry entry: the four scenarios and the merge leg at the
+/// committed seed.
+pub fn experiment() -> Outcome {
     let run = run_all(2006);
-    let summary = dir.join("BENCH_analytics.json");
-    std::fs::write(&summary, &run.summary_json)?;
-    Ok((run, summary))
+    let mut report = String::new();
+    for o in [&run.baseline, &run.flood, &run.crowd, &run.botnet] {
+        report.push_str(&format!(
+            "   {:>12}: {:>6} datagrams, distinct ~{:.0}, entropy_norm {:.3}, \
+             top_share {:.3}, spoof_flood={}, flash_crowd={}\n",
+            o.name,
+            o.datagrams,
+            o.distinct,
+            o.entropy_norm,
+            o.top_share,
+            o.spoof_flood_fired,
+            o.flash_crowd_fired,
+        ));
+    }
+    let m = &run.merge;
+    report.push_str(&format!(
+        "   fleet merge: total {}/{} conserved, distinct {:.0} vs {} ({:.2}% err), \
+         top talkers {}/{} found, bounds ok: {}\n",
+        m.merged_total,
+        m.sent,
+        m.merged_distinct,
+        m.distinct_truth,
+        m.distinct_err_pct,
+        m.top_found,
+        m.top_expected,
+        m.top_bounds_ok,
+    ));
+    Outcome {
+        report,
+        failures: failures(&run),
+        exports: vec![Export::new(SUMMARY_FILE, Format::Json, run.summary_json, SUMMARY_KEYS)],
+    }
 }
 
 #[cfg(test)]
@@ -494,32 +568,13 @@ mod tests {
             "the botnet's population surge must read as spoofing: {:?}",
             run.botnet.fired_rules
         );
-        assert!(run.discriminator_ok);
-
-        // The merge leg: exactness where the design promises it, the
-        // documented estimator bounds where it doesn't.
-        assert_eq!(
-            run.merge.merged_total, run.merge.sent,
-            "merged total must conserve the stream exactly"
-        );
-        assert!(
-            run.merge.distinct_err_pct <= 20.0,
-            "merged cardinality outside the documented ±20% bound: \
-             {:.1} vs {} ({:.2}%)",
-            run.merge.merged_distinct,
-            run.merge.distinct_truth,
-            run.merge.distinct_err_pct
-        );
-        assert_eq!(
-            run.merge.top_found, run.merge.top_expected,
-            "every true top talker must appear in the merged top-K"
-        );
-        assert!(run.merge.top_bounds_ok, "guaranteed ≤ truth ≤ count must hold");
+        // The same verdicts as one flag, plus the merge leg: exactness
+        // where the design promises it, the documented estimator bounds
+        // where it doesn't.
+        assert_eq!(failures(&run), Vec::<String>::new());
 
         validate_json(&run.summary_json)
             .unwrap_or_else(|off| panic!("BENCH_analytics.json invalid at byte {off}"));
         assert!(run.summary_json.contains("\"experiment\":\"analytics\""));
-        assert!(run.summary_json.contains("\"discriminator_ok\":true"));
-        assert!(run.summary_json.contains("\"top_bounds_ok\":true"));
     }
 }

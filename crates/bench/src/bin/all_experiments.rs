@@ -1,704 +1,26 @@
-//! Runs every table and figure of the paper's evaluation in sequence.
-//! This is the command behind `EXPERIMENTS.md`.
+//! The one experiment runner: `all_experiments [--out DIR] [NAME…]`.
 //!
-//! Flags:
-//!
-//! * `--obs` — additionally run the instrumented telemetry scenario and
-//!   write `BENCH_obs.json` + `BENCH_obs_trace.jsonl`;
-//! * `--obs-only` — run only the telemetry scenario;
-//! * `--journeys` — additionally run the query-journey experiment and
-//!   write `BENCH_journeys.json` + `BENCH_journeys_trace.json`;
-//! * `--journeys-only` — run only the journey experiment;
-//! * `--ha` — additionally run the high-availability experiment
-//!   (crash failover, checkpoint-age sweep, shed-tier sweep) and write
-//!   `BENCH_failover.json`;
-//! * `--ha-only` — run only the high-availability experiment;
-//! * `--fleet` — additionally run the anycast-fleet experiment
-//!   (catchment shift under per-site MD5 vs shared SipHash cookies,
-//!   rotation mid-shift) and write `BENCH_fleet.json`;
-//! * `--fleet-only` — run only the anycast-fleet experiment;
-//! * `--fleetobs` — additionally run the fleet-observability experiment
-//!   (cross-node journey stitching through a catchment shift with clock
-//!   skew, fleet alert rules through a site crash) and write
-//!   `BENCH_fleetobs.json` + `BENCH_fleetobs_trace.jsonl`;
-//! * `--fleetobs-only` — run only the fleet-observability experiment;
-//! * `--analytics` — additionally run the traffic-analytics experiment
-//!   (spoof-vs-flash-crowd discriminator over the guard's streaming
-//!   sketches, two-site sketch merge vs ground truth) and write
-//!   `BENCH_analytics.json`; requires building with
-//!   `--features traffic-analytics`;
-//! * `--analytics-only` — run only the traffic-analytics experiment;
-//! * `--poison` — additionally run the cache-poisoning experiment
-//!   (Kaminsky defense × bandwidth success table vs the analytic
-//!   birthday model, port derandomization, fragment substitution,
-//!   clean-baseline alert silence) and write `BENCH_poison.json`;
-//! * `--poison-only` — run only the cache-poisoning experiment;
-//! * `--obs-out <dir>` — output directory for the exported files
-//!   (default `.`).
+//! With no names it runs the paper's own evaluation (Tables I–III,
+//! Figures 5–7); with names it runs those entries of
+//! [`bench::registry::EXPERIMENTS`] in the order given. Exit status: 0 when
+//! every acceptance bar and export check held, 1 when any failed (after
+//! running everything asked for), 2 for a command line it does not
+//! understand.
 
-use bench::experiments::*;
-use bench::report::{kreq, ms, pct, render_table};
-use std::path::PathBuf;
+use bench::registry::{parse_args, run};
 use std::process::exit;
-
-fn run_obs_export(out_dir: &std::path::Path) {
-    println!("== Telemetry export (obs) ==");
-    let (run, snapshot, trace) = match bench::obs_export::export_to(out_dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("obs export failed: {e}");
-            exit(1);
-        }
-    };
-    println!(
-        "wrote {} ({} bytes) and {} ({} events, {} dropped)",
-        snapshot.display(),
-        run.snapshot_json.len(),
-        trace.display(),
-        run.events,
-        run.dropped,
-    );
-    println!("event kinds: {:?}", run.kind_counts);
-    let missing = run.missing_kinds();
-    if !missing.is_empty() {
-        eprintln!("missing required event kinds: {missing:?}");
-        exit(1);
-    }
-}
-
-fn run_journeys_export(out_dir: &std::path::Path) {
-    println!("== Query journeys & alerting ==");
-    let (run, summary, trace) = match bench::journeys::export_to(out_dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("journeys export failed: {e}");
-            exit(1);
-        }
-    };
-    println!(
-        "wrote {} ({} bytes) and {} ({} bytes)",
-        summary.display(),
-        run.summary_json.len(),
-        trace.display(),
-        run.chrome_trace_json.len(),
-    );
-    let mut failed = false;
-    for s in &run.schemes {
-        let (total, hs, guard, ans) = s.mean_attribution_ns();
-        println!(
-            "{:>8}: {} journeys / {} client tx (coverage {:.3}), extra RTT {}, \
-             mean total {:.1}us (handshake {:.1}us, guard {:.1}us, ans {:.1}us)",
-            s.scheme,
-            s.report.complete.len(),
-            s.client_completed,
-            s.reconstruction(),
-            s.extra_rtt_mode(),
-            total as f64 / 1e3,
-            hs as f64 / 1e3,
-            guard as f64 / 1e3,
-            ans as f64 / 1e3,
-        );
-        if s.reconstruction() < 0.99 || s.report.orphan_stages > 0 {
-            eprintln!("{}: reconstruction below the acceptance bar", s.scheme);
-            failed = true;
-        }
-    }
-    println!(
-        "   chaos: {} journeys / {} client tx (coverage {:.3}), alerts fired: {:?}, \
-         clean baseline silent: {}",
-        run.chaos.report.complete.len(),
-        run.chaos.client_completed,
-        run.chaos.reconstruction(),
-        run.chaos.fired_rules,
-        run.baseline_silent,
-    );
-    if run.chaos.reconstruction() < 0.99 || run.chaos.report.orphan_stages > 0 {
-        eprintln!("chaos: reconstruction below the acceptance bar");
-        failed = true;
-    }
-    if !run.chaos.fired_rules.contains(&"spoof_surge")
-        || !run.chaos.fired_rules.contains(&"ans_down")
-        || !run.baseline_silent
-    {
-        eprintln!("alerting acceptance failed: {:?}", run.chaos.fired_rules);
-        failed = true;
-    }
-    if failed {
-        exit(1);
-    }
-}
-
-fn run_ha_export(out_dir: &std::path::Path) {
-    println!("== High availability: failover, checkpoints, admission ==");
-    let (run, summary) = match bench::failover::export_to(out_dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("failover export failed: {e}");
-            exit(1);
-        }
-    };
-    println!("wrote {} ({} bytes)", summary.display(), run.summary_json.len());
-    println!(
-        "   crash: took_over={}, {}/{} clients continued, takeover after {} us, \
-         spoofed_to_ans={}, shed={}, alerts fired: {:?}",
-        run.crash.took_over,
-        run.crash.continued,
-        run.crash.clients,
-        run.crash
-            .takeover_after_crash_nanos
-            .map(|n| (n / 1_000).to_string())
-            .unwrap_or_else(|| "?".to_string()),
-        run.crash.spoofed_to_ans,
-        run.crash.standby_shed,
-        run.crash.fired_rules,
-    );
-    for p in &run.sweep {
-        println!(
-            "   checkpoint interval {:>9}: age at restore {:>9}, restores {}, \
-             stale fwd/stash {}/{}, post-restore completed {}",
-            p.interval_nanos
-                .map(|n| format!("{} ms", n / 1_000_000))
-                .unwrap_or_else(|| "none".to_string()),
-            p.age_at_restore_nanos
-                .map(|n| format!("{} ms", n / 1_000_000))
-                .unwrap_or_else(|| "cold".to_string()),
-            p.restores,
-            p.stale_fwd,
-            p.stale_stash,
-            p.post_restore_completed,
-        );
-    }
-    for p in &run.shed {
-        println!(
-            "   flood {:>7.0} req/s: peak tier {:>6}, shed {:>6}, verified completed {:>4}, \
-             amplification {:.3}",
-            p.attack_rate,
-            p.peak_tier,
-            p.shed,
-            p.verified_completed,
-            p.amplification_milli as f64 / 1000.0,
-        );
-    }
-    println!("   clean HA baseline silent: {}", run.baseline_silent);
-
-    let mut failed = false;
-    if !run.crash.took_over {
-        eprintln!("failover acceptance failed: standby never took over");
-        failed = true;
-    }
-    if (run.crash.continued as f64) < run.crash.clients as f64 * 0.99 {
-        eprintln!(
-            "failover acceptance failed: only {}/{} verified clients continued",
-            run.crash.continued, run.crash.clients
-        );
-        failed = true;
-    }
-    if run.crash.spoofed_to_ans != 0 {
-        eprintln!(
-            "failover acceptance failed: {} spoofed queries reached the ANS",
-            run.crash.spoofed_to_ans
-        );
-        failed = true;
-    }
-    for rule in ["failover_triggered", "checkpoint_lag", "admission_shedding"] {
-        if !run.crash.fired_rules.contains(&rule) {
-            eprintln!("failover acceptance failed: {rule} never fired");
-            failed = true;
-        }
-    }
-    if !run.baseline_silent {
-        eprintln!("failover acceptance failed: clean HA baseline raised alerts");
-        failed = true;
-    }
-    if failed {
-        exit(1);
-    }
-}
-
-fn run_fleet_export(out_dir: &std::path::Path) {
-    println!("== Anycast fleet: catchment shift, cookie interop ==");
-    let (run, summary) = match bench::fleet::export_to(out_dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fleet export failed: {e}");
-            exit(1);
-        }
-    };
-    println!("wrote {} ({} bytes)", summary.display(), run.summary_json.len());
-    for (label, o) in [
-        ("md5 per site", &run.md5_per_site),
-        ("shared siphash", &run.shared_siphash),
-        ("rotation mid-shift", &run.rotation_mid_shift),
-    ] {
-        println!(
-            "   {label:>18}: {}/{} shifted clients continued, re-handshakes {}, \
-             cookie2 invalid {}, rl1 dropped {}, spoofed_to_ans {}, alerts fired: {:?}",
-            o.continued,
-            o.shifted,
-            o.re_handshakes,
-            o.cookie2_invalid,
-            o.rl1_dropped,
-            o.spoofed_to_ans,
-            o.fired_rules,
-        );
-    }
-    println!("   clean fleet baseline silent: {}", run.baseline_silent);
-
-    let mut failed = false;
-    let shared = &run.shared_siphash;
-    if (shared.continued as f64) < shared.shifted as f64 * 0.95 {
-        eprintln!(
-            "fleet acceptance failed: only {}/{} shifted clients continued under shared cookies",
-            shared.continued, shared.shifted
-        );
-        failed = true;
-    }
-    if shared.re_handshakes != 0 {
-        eprintln!(
-            "fleet acceptance failed: {} re-handshakes despite interoperable cookies",
-            shared.re_handshakes
-        );
-        failed = true;
-    }
-    if shared.amplification_milli > 1_600 {
-        eprintln!(
-            "fleet acceptance failed: amplification {} breaks the paper bound",
-            shared.amplification_milli
-        );
-        failed = true;
-    }
-    if run.md5_per_site.re_handshakes == 0
-        || !run.md5_per_site.fired_rules.contains(&"handshake_storm")
-    {
-        eprintln!("fleet acceptance failed: the MD5 baseline must show the storm");
-        failed = true;
-    }
-    let rot = &run.rotation_mid_shift;
-    if rot.re_handshakes != 0 || (rot.continued as f64) < rot.shifted as f64 * 0.95 {
-        eprintln!("fleet acceptance failed: rotation mid-shift dropped verified clients");
-        failed = true;
-    }
-    for o in [&run.md5_per_site, shared, rot] {
-        if o.spoofed_to_ans != 0 {
-            eprintln!(
-                "fleet acceptance failed: {} spoofed queries reached an ANS",
-                o.spoofed_to_ans
-            );
-            failed = true;
-        }
-    }
-    if !run.baseline_silent {
-        eprintln!("fleet acceptance failed: clean fleet baseline raised alerts");
-        failed = true;
-    }
-    if failed {
-        exit(1);
-    }
-}
-
-fn run_fleetobs_export(out_dir: &std::path::Path) {
-    println!("== Fleet observability: cross-node stitching, fleet rules ==");
-    let (run, summary, trace) = match bench::fleetobs::export_to(out_dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fleetobs export failed: {e}");
-            exit(1);
-        }
-    };
-    println!("wrote {} ({} bytes)", summary.display(), run.summary_json.len());
-    println!("wrote {} ({} bytes)", trace.display(), run.trace_jsonl.len());
-    let o = &run.chaos;
-    println!(
-        "   {}/{} straddling joiners stitched across both sites, \
-         {} journeys complete, max inter-site hop {:.1} ms",
-        o.spanning_stitched,
-        o.spanning_expected,
-        o.journeys_complete,
-        o.max_inter_site_ns as f64 / 1e6,
-    );
-    println!(
-        "   attribution exact: {}, site B held silent after crash: {}, \
-         fleet rules fired: {:?}",
-        o.attribution_exact, o.node_b_silent, o.fired_rules,
-    );
-    println!("   clean two-site baseline silent: {}", run.baseline_silent);
-
-    let mut failed = false;
-    if o.spanning_expected < o.joiners {
-        eprintln!(
-            "fleetobs acceptance failed: only {}/{} joiners were challenged by site A",
-            o.spanning_expected, o.joiners
-        );
-        failed = true;
-    }
-    if o.spanning_stitched != o.spanning_expected {
-        eprintln!(
-            "fleetobs acceptance failed: {}/{} straddling joiners stitched",
-            o.spanning_stitched, o.spanning_expected
-        );
-        failed = true;
-    }
-    if !o.attribution_exact || !o.inter_site_positive {
-        eprintln!(
-            "fleetobs acceptance failed: stage attribution must sum exactly \
-             and cross-node hops must carry time"
-        );
-        failed = true;
-    }
-    for rule in ["fleet_spoof_surge", "site_rate_skew", "node_silent"] {
-        if !o.fired_rules.contains(&rule) {
-            eprintln!("fleetobs acceptance failed: rule {rule} never fired");
-            failed = true;
-        }
-    }
-    if !o.node_b_silent {
-        eprintln!("fleetobs acceptance failed: crashed site B not held silent");
-        failed = true;
-    }
-    if !run.baseline_silent {
-        eprintln!("fleetobs acceptance failed: clean two-site baseline raised alerts");
-        failed = true;
-    }
-    if failed {
-        exit(1);
-    }
-}
-
-#[cfg(feature = "traffic-analytics")]
-fn run_analytics_export(out_dir: &std::path::Path) {
-    println!("== Traffic analytics: spoof vs flash crowd, sketch merge ==");
-    let (run, summary) = match bench::analytics::export_to(out_dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analytics export failed: {e}");
-            exit(1);
-        }
-    };
-    println!("wrote {} ({} bytes)", summary.display(), run.summary_json.len());
-    for o in [&run.baseline, &run.flood, &run.crowd, &run.botnet] {
-        println!(
-            "   {:>12}: {:>6} datagrams, distinct ~{:.0}, entropy_norm {:.3}, \
-             top_share {:.3}, spoof_flood={}, flash_crowd={}",
-            o.name,
-            o.datagrams,
-            o.distinct,
-            o.entropy_norm,
-            o.top_share,
-            o.spoof_flood_fired,
-            o.flash_crowd_fired,
-        );
-    }
-    let m = &run.merge;
-    println!(
-        "   fleet merge: total {}/{} conserved, distinct {:.0} vs {} ({:.2}% err), \
-         top talkers {}/{} found, bounds ok: {}",
-        m.merged_total,
-        m.sent,
-        m.merged_distinct,
-        m.distinct_truth,
-        m.distinct_err_pct,
-        m.top_found,
-        m.top_expected,
-        m.top_bounds_ok,
-    );
-
-    let mut failed = false;
-    if !run.discriminator_ok {
-        eprintln!("analytics acceptance failed: a scenario got the wrong verdict");
-        failed = true;
-    }
-    if m.merged_total != m.sent {
-        eprintln!(
-            "analytics acceptance failed: merged total {} != {} emitted",
-            m.merged_total, m.sent
-        );
-        failed = true;
-    }
-    if m.distinct_err_pct > 20.0 {
-        eprintln!(
-            "analytics acceptance failed: merged cardinality {:.2}% off truth (bound 20%)",
-            m.distinct_err_pct
-        );
-        failed = true;
-    }
-    if m.top_found != m.top_expected || !m.top_bounds_ok {
-        eprintln!("analytics acceptance failed: merged top-K misses a true top talker");
-        failed = true;
-    }
-    if failed {
-        exit(1);
-    }
-}
-
-#[cfg(not(feature = "traffic-analytics"))]
-fn run_analytics_export(_out_dir: &std::path::Path) {
-    eprintln!(
-        "the analytics experiment needs the sketches compiled in: \
-         rebuild with --features traffic-analytics"
-    );
-    exit(1);
-}
-
-fn run_poison_export(out_dir: &std::path::Path) {
-    println!("== Cache poisoning: adversary suite vs unilateral hardening ==");
-    let (run, summary) = match bench::poison::export_to(out_dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("poison export failed: {e}");
-            exit(1);
-        }
-    };
-    println!(
-        "{:<13} {:>9} {:>6} {:>5} {:>11} {:>12} {:>9} {:>9}",
-        "defense", "rate/s", "races", "wins", "measured_p", "predicted_p", "forged", "attempts"
-    );
-    for c in &run.cells {
-        println!(
-            "{:<13} {:>9.0} {:>6} {:>5} {:>11.4} {:>12.3e} {:>9} {:>9}",
-            c.defense, c.rate, c.races, c.wins, c.measured_p, c.predicted_p, c.forged,
-            c.poison_attempts,
-        );
-    }
-    println!(
-        "derand: sequential ports {}/{} races poisoned, keyed-random {}/{} \
-         ({} probes answered)",
-        run.derand.sequential_wins,
-        run.derand.races,
-        run.derand.randomized_wins,
-        run.derand.races,
-        run.derand.probes_answered,
-    );
-    println!(
-        "frag: undefended poisoned = {}, reject_fragmented poisoned = {} \
-         ({} spliced, {} rejected, {} TCP fallbacks)",
-        run.frag.undefended_poisoned,
-        run.frag.hardened_poisoned,
-        run.frag.substituted,
-        run.frag.frag_rejected,
-        run.frag.tcp_fallbacks,
-    );
-    println!("baseline fired rules: {:?}", run.baseline_fired);
-    println!("wrote {} ({} bytes)", summary.display(), run.summary_json.len());
-    if !run.table_ok {
-        eprintln!(
-            "poison acceptance failed: the success table is off the analytic \
-             model or a hardened cell was poisoned"
-        );
-        exit(1);
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let obs_only = args.iter().any(|a| a == "--obs-only");
-    let obs = obs_only || args.iter().any(|a| a == "--obs");
-    let journeys_only = args.iter().any(|a| a == "--journeys-only");
-    let journeys = journeys_only || args.iter().any(|a| a == "--journeys");
-    let ha_only = args.iter().any(|a| a == "--ha-only");
-    let ha = ha_only || args.iter().any(|a| a == "--ha");
-    let fleet_only = args.iter().any(|a| a == "--fleet-only");
-    let fleet = fleet_only || args.iter().any(|a| a == "--fleet");
-    let fleetobs_only = args.iter().any(|a| a == "--fleetobs-only");
-    let fleetobs = fleetobs_only || args.iter().any(|a| a == "--fleetobs");
-    let analytics_only = args.iter().any(|a| a == "--analytics-only");
-    let analytics = analytics_only || args.iter().any(|a| a == "--analytics");
-    let poison_only = args.iter().any(|a| a == "--poison-only");
-    let poison = poison_only || args.iter().any(|a| a == "--poison");
-    let out_dir: PathBuf = args
-        .iter()
-        .position(|a| a == "--obs-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-
-    if obs_only
-        || journeys_only
-        || ha_only
-        || fleet_only
-        || fleetobs_only
-        || analytics_only
-        || poison_only
-    {
-        if obs_only {
-            run_obs_export(&out_dir);
-        }
-        if journeys_only {
-            run_journeys_export(&out_dir);
-        }
-        if ha_only {
-            run_ha_export(&out_dir);
-        }
-        if fleet_only {
-            run_fleet_export(&out_dir);
-        }
-        if fleetobs_only {
-            run_fleetobs_export(&out_dir);
-        }
-        if analytics_only {
-            run_analytics_export(&out_dir);
-        }
-        if poison_only {
-            run_poison_export(&out_dir);
-        }
-        return;
+    let plan = parse_args(&args).unwrap_or_else(|problem| {
+        eprint!("{problem}");
+        exit(2);
+    });
+    let failures = run(&plan);
+    for failure in &failures {
+        eprintln!("FAILED {failure}");
     }
-    println!("== DNS Guard reproduction: full evaluation ==\n");
-
-    // Table I.
-    let t1 = table1_comparison();
-    let rows: Vec<Vec<String>> = t1
-        .iter()
-        .map(|r| {
-            vec![
-                r.scheme.to_string(),
-                format!("{:.1}", r.worst_latency_rtt),
-                format!("{:.1}", r.best_latency_rtt),
-                r.cookie_range.to_string(),
-                format!("{:.0}%", (r.amplification - 1.0) * 100.0),
-                r.deployment.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Table I — scheme comparison (measured)",
-            &["Scheme", "Worst RTTs", "Best RTTs", "Range", "Amp", "Deployment"],
-            &rows,
-        )
-    );
-
-    // Table II.
-    let t2 = table2_latency();
-    let rows: Vec<Vec<String>> = t2
-        .iter()
-        .map(|r| vec![r.scheme.label().to_string(), ms(r.miss_ms), ms(r.hit_ms)])
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Table II — request latency (ms), RTT 10.9 ms",
-            &["Scheme", "Cache miss", "Cache hit"],
-            &rows,
-        )
-    );
-
-    // Table III.
-    let t3 = table3_throughput();
-    let rows: Vec<Vec<String>> = t3
-        .iter()
-        .map(|r| vec![r.scheme.label().to_string(), kreq(r.miss), kreq(r.hit)])
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Table III — guard throughput (req/s)",
-            &["Scheme", "Cache miss", "Cache hit"],
-            &rows,
-        )
-    );
-
-    // Figure 5.
-    let rates5: Vec<f64> = (0..=8).map(|i| i as f64 * 2_000.0).collect();
-    let f5_on = fig5_bind_attack(true, &rates5);
-    let f5_off = fig5_bind_attack(false, &rates5);
-    let rows: Vec<Vec<String>> = f5_on
-        .iter()
-        .zip(f5_off.iter())
-        .map(|(e, d)| {
-            vec![
-                format!("{:.0}K", e.attack_rate / 1_000.0),
-                format!("{:.0}", e.legit_throughput),
-                format!("{:.0}", d.legit_throughput),
-                pct(e.ans_cpu),
-                pct(d.ans_cpu),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Figure 5 — BIND under attack (legit rps / ANS CPU; on vs off)",
-            &["Attack", "Legit on", "Legit off", "CPU on", "CPU off"],
-            &rows,
-        )
-    );
-
-    // Figure 6.
-    let rates6: Vec<f64> = (0..=10).map(|i| i as f64 * 25_000.0).collect();
-    let f6_on = fig6_guard_attack(true, &rates6);
-    let f6_off = fig6_guard_attack(false, &rates6);
-    let rows: Vec<Vec<String>> = f6_on
-        .iter()
-        .zip(f6_off.iter())
-        .map(|(e, d)| {
-            vec![
-                format!("{:.0}K", e.attack_rate / 1_000.0),
-                kreq(e.legit_throughput),
-                kreq(d.legit_throughput),
-                pct(e.guard_cpu),
-                pct(d.guard_cpu),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Figure 6 — guard under attack (legit req/s / guard CPU; on vs off)",
-            &["Attack", "Legit on", "Legit off", "CPU on", "CPU off"],
-            &rows,
-        )
-    );
-
-    // Figure 7.
-    let concs = [1u32, 10, 20, 50, 100, 500, 1_000, 3_000, 6_000];
-    let f7a = fig7a_tcp_concurrency(&concs);
-    let rows: Vec<Vec<String>> = f7a
-        .iter()
-        .map(|p| vec![p.concurrency.to_string(), kreq(p.throughput)])
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Figure 7(a) — TCP proxy throughput vs concurrency",
-            &["Concurrent", "Throughput"],
-            &rows,
-        )
-    );
-    let rates7: Vec<f64> = (0..=5).map(|i| i as f64 * 50_000.0).collect();
-    let f7b = fig7b_tcp_under_attack(&rates7);
-    let rows: Vec<Vec<String>> = f7b
-        .iter()
-        .map(|p| vec![format!("{:.0}K", p.attack_rate / 1_000.0), kreq(p.throughput)])
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Figure 7(b) — TCP proxy under UDP attack (50 concurrent)",
-            &["Attack", "Throughput"],
-            &rows,
-        )
-    );
-
-    if obs {
-        run_obs_export(&out_dir);
-    }
-    if journeys {
-        run_journeys_export(&out_dir);
-    }
-    if ha {
-        run_ha_export(&out_dir);
-    }
-    if fleet {
-        run_fleet_export(&out_dir);
-    }
-    if fleetobs {
-        run_fleetobs_export(&out_dir);
-    }
-    if analytics {
-        run_analytics_export(&out_dir);
-    }
-    if poison {
-        run_poison_export(&out_dir);
+    if !failures.is_empty() {
+        exit(1);
     }
 }

@@ -1,6 +1,6 @@
 //! The paper's evaluation, experiment by experiment. Each function rebuilds
 //! its world from scratch, runs it, and returns the same rows/series the
-//! paper reports. The binaries in `src/bin/` print them.
+//! paper reports. [`crate::paper`] renders them.
 
 use crate::worlds::{
     attach_flood, attach_lrs, guarded_world, measure_throughput, GuardedWorld, LrsParams,
@@ -10,13 +10,12 @@ use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
 use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
-use serde::Serialize;
 use server::nodes::ServerCosts;
 use server::simclient::{CookieMode, LrsSimulator};
 use std::net::Ipv4Addr;
 
 /// The four scheme columns of Tables II and III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
     /// DNS-based, NS-name variant (guard on a referral zone).
     NsName,
@@ -78,7 +77,7 @@ impl Scheme {
 // ---------------------------------------------------------------------------
 
 /// One row of Table II.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyRow {
     /// Scheme column.
     pub scheme: Scheme,
@@ -134,7 +133,7 @@ pub fn table2_latency() -> Vec<LatencyRow> {
 // ---------------------------------------------------------------------------
 
 /// One row of Table III.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputRow {
     /// Scheme column.
     pub scheme: Scheme,
@@ -190,7 +189,7 @@ pub fn table3_throughput() -> Vec<ThroughputRow> {
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 5.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Point {
     /// Attack rate, req/s.
     pub attack_rate: f64,
@@ -283,7 +282,7 @@ pub fn fig5_bind_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig5Point>
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 6.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Point {
     /// Attack rate, req/s.
     pub attack_rate: f64,
@@ -355,7 +354,7 @@ pub fn fig6_guard_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig6Point
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 7(a).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7aPoint {
     /// Concurrent requests maintained.
     pub concurrency: u32,
@@ -404,7 +403,7 @@ pub fn fig7a_tcp_concurrency(concurrencies: &[u32]) -> Vec<Fig7aPoint> {
 }
 
 /// One point of Figure 7(b).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7bPoint {
     /// UDP attack rate, req/s.
     pub attack_rate: f64,
@@ -459,7 +458,7 @@ pub fn fig7b_tcp_under_attack(attack_rates: &[f64]) -> Vec<Fig7bPoint> {
 // ---------------------------------------------------------------------------
 
 /// One row of Table I, with the measurable columns measured.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonRow {
     /// Scheme label.
     pub scheme: &'static str,

@@ -3,8 +3,8 @@
 //! sweep over crash-restart recovery, and a shed-tier sweep of the
 //! admission controller under increasing flood pressure.
 //!
-//! Run via `cargo run --release -p bench --bin all_experiments -- --ha`
-//! (or `--ha-only`); the composed document lands in `BENCH_failover.json`.
+//! Run via `cargo run --release -p bench --bin all_experiments -- ha`; the
+//! composed document lands in `BENCH_failover.json`.
 //!
 //! Three scenarios:
 //!
@@ -25,7 +25,12 @@
 //!   completions, and the unverified amplification ratio (paper bound:
 //!   ≤ 1.5, asserted at ≤ 1.6).
 
-use crate::worlds::{attach_flood, attach_lrs, LrsParams, PRIV, PUB, SUBNET};
+use crate::registry::{Export, Format, Outcome};
+use crate::report::{json_array, json_strings};
+use crate::worlds::{
+    attach_cookie_guess_flood, attach_flood, attach_lrs, completions, traced_obs,
+    verified_clients, LrsParams, PRIV, PUB, SUBNET,
+};
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::checkpoint::shared_store;
 use dnsguard::classify::AuthorityClassifier;
@@ -35,14 +40,30 @@ use dnsguard::{AdmissionConfig, HaConfig, PressureTier};
 use netsim::engine::{CpuConfig, NodeId, Simulator};
 use netsim::time::SimTime;
 use obs::alert::{AlertConfig, AlertEngine};
-use obs::trace::Level;
-use obs::Obs;
 use server::authoritative::Authority;
 use server::nodes::{AuthNode, ServerCosts};
-use server::simclient::{CookieMode, LrsSimulator};
+use server::simclient::CookieMode;
 use server::zone::paper_hierarchy;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+
+/// The summary document's file name.
+pub const SUMMARY_FILE: &str = "BENCH_failover.json";
+
+/// Substrings the failover summary must contain: the crash outcome, both
+/// sweeps, and the clean-baseline verdict.
+const SUMMARY_KEYS: &[&str] = &[
+    "\"experiment\":\"failover\"",
+    "\"crash\":",
+    "\"took_over\":",
+    "\"spoofed_to_ans\":",
+    "\"fired_rules\":",
+    "\"checkpoint_sweep\":",
+    "\"age_at_restore_nanos\":",
+    "\"shed_sweep\":",
+    "\"peak_tier\":",
+    "\"amplification_milli\":",
+    "\"baseline_silent\":",
+];
 
 /// The primary guard's replication address.
 pub const REPL_PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
@@ -113,35 +134,6 @@ pub fn ha_world(seed: u64) -> HaWorld {
     }
 }
 
-fn ha_clients(sim: &mut Simulator, n: u8) -> Vec<NodeId> {
-    // Concurrency 1 so a crashed primary costs each client at most one
-    // consecutive timeout — two would invalidate the cached cookie and
-    // force the fresh handshake the failover is supposed to avoid.
-    (1..=n)
-        .map(|c| {
-            attach_lrs(
-                sim,
-                LrsParams {
-                    ip: Ipv4Addr::new(10, 0, c, 1),
-                    mode: CookieMode::Plain,
-                    cookie_cache: true,
-                    concurrency: 1,
-                    wait: SimTime::from_millis(150),
-                    pace: SimTime::from_millis(5),
-                    per_packet_cost: SimTime::ZERO,
-                },
-            )
-        })
-        .collect()
-}
-
-fn completions(sim: &Simulator, clients: &[NodeId]) -> Vec<u64> {
-    clients
-        .iter()
-        .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs node").stats.completed)
-        .collect()
-}
-
 /// The crash-mid-attack outcome.
 pub struct CrashFailover {
     /// Verified clients in the world.
@@ -176,9 +168,7 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
     // Observe the *standby*: it owns the interesting half of the story
     // (heartbeat age, takeover, post-takeover shedding). The primary is
     // read via its stats snapshot instead of the registry.
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    obs.tracer.adopt_into(&obs.registry);
+    let obs = traced_obs();
     w.sim.attach_obs(&obs);
     w.sim
         .node_mut::<RemoteGuard>(w.standby)
@@ -190,24 +180,11 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
     w.sim
         .attach_alert_engine(engine.clone(), obs.registry.clone(), SimTime::from_millis(10));
 
-    let clients = ha_clients(&mut w.sim, 10);
+    let clients = verified_clients(&mut w.sim, 10);
     w.sim.run_until(SimTime::from_millis(300));
 
     // The 2⁻³² cookie-label guess flood (invalid verifies) ...
-    w.sim.add_node(
-        Ipv4Addr::new(66, 0, 0, 66),
-        CpuConfig::unbounded(),
-        SpoofedFlood::new(FloodConfig {
-            target: PUB,
-            rate: 4_000.0,
-            sources: SourceStrategy::Random,
-            payload: AttackPayload::CookieLabelGuess {
-                zone_suffix: "com".to_string(),
-                parent: ".".parse().expect("root name"),
-            },
-            duration: Some(SimTime::from_millis(900)),
-        }),
-    );
+    attach_cookie_guess_flood(&mut w.sim, 4_000.0, SimTime::from_millis(900));
     // ... plus a plain-query flood far past RL1 capacity, so the admission
     // controller escalates and sheds.
     w.sim.add_node(
@@ -479,9 +456,7 @@ pub fn run_shed_sweep(seed: u64) -> Vec<ShedPoint> {
 /// returns whether the alert engine stayed silent.
 pub fn ha_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let mut w = ha_world(seed);
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    obs.tracer.adopt_into(&obs.registry);
+    let obs = traced_obs();
     w.sim
         .node_mut::<RemoteGuard>(w.standby)
         .unwrap()
@@ -489,7 +464,7 @@ pub fn ha_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
     w.sim
         .attach_alert_engine(engine.clone(), obs.registry.clone(), SimTime::from_millis(10));
-    ha_clients(&mut w.sim, 3);
+    verified_clients(&mut w.sim, 3);
     w.sim.run_until(duration);
     let silent = engine.lock().is_silent();
     silent
@@ -517,59 +492,52 @@ pub fn run_all(seed: u64) -> FailoverRun {
     let shed = run_shed_sweep(seed + 200);
     let baseline_silent = ha_baseline_is_silent(seed + 300, SimTime::from_millis(600));
 
-    let mut out = format!(
+    let or_null = |n: Option<u64>| n.map_or("null".to_string(), |n| n.to_string());
+    let sweep_json: Vec<String> = sweep
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"interval_nanos\":{},\"age_at_restore_nanos\":{},\
+                 \"restores\":{},\"stale_fwd\":{},\"stale_stash\":{},\
+                 \"post_restore_completed\":{}}}",
+                or_null(p.interval_nanos),
+                or_null(p.age_at_restore_nanos),
+                p.restores,
+                p.stale_fwd,
+                p.stale_stash,
+                p.post_restore_completed,
+            )
+        })
+        .collect();
+    let shed_json: Vec<String> = shed
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"attack_rate\":{},\"peak_tier\":\"{}\",\"shed\":{},\
+                 \"verified_completed\":{},\"amplification_milli\":{}}}",
+                p.attack_rate, p.peak_tier, p.shed, p.verified_completed, p.amplification_milli,
+            )
+        })
+        .collect();
+    let out = format!(
         "{{\"experiment\":\"failover\",\"seed\":{seed},\"crash\":{{\
          \"clients\":{},\"continued\":{},\"took_over\":{},\
          \"takeover_after_crash_nanos\":{},\"post_crash_completed\":{},\
-         \"spoofed_to_ans\":{},\"standby_shed\":{},\"fired_rules\":[",
+         \"spoofed_to_ans\":{},\"standby_shed\":{},\"fired_rules\":{},\
+         \"alerts\":{}}},\"checkpoint_sweep\":{},\"shed_sweep\":{},\
+         \"baseline_silent\":{baseline_silent}}}",
         crash.clients,
         crash.continued,
         crash.took_over,
-        crash
-            .takeover_after_crash_nanos
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "null".to_string()),
+        or_null(crash.takeover_after_crash_nanos),
         crash.post_crash_completed,
         crash.spoofed_to_ans,
         crash.standby_shed,
+        json_strings(&crash.fired_rules),
+        crash.alerts_json,
+        json_array(&sweep_json),
+        json_array(&shed_json),
     );
-    for (i, r) in crash.fired_rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{r}\""));
-    }
-    out.push_str(&format!("],\"alerts\":{}}},\"checkpoint_sweep\":[", crash.alerts_json));
-    for (i, p) in sweep.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"interval_nanos\":{},\"age_at_restore_nanos\":{},\
-             \"restores\":{},\"stale_fwd\":{},\"stale_stash\":{},\
-             \"post_restore_completed\":{}}}",
-            p.interval_nanos.map(|n| n.to_string()).unwrap_or_else(|| "null".to_string()),
-            p.age_at_restore_nanos
-                .map(|n| n.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            p.restores,
-            p.stale_fwd,
-            p.stale_stash,
-            p.post_restore_completed,
-        ));
-    }
-    out.push_str("],\"shed_sweep\":[");
-    for (i, p) in shed.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"attack_rate\":{},\"peak_tier\":\"{}\",\"shed\":{},\
-             \"verified_completed\":{},\"amplification_milli\":{}}}",
-            p.attack_rate, p.peak_tier, p.shed, p.verified_completed, p.amplification_milli,
-        ));
-    }
-    out.push_str(&format!("],\"baseline_silent\":{baseline_silent}}}"));
 
     FailoverRun {
         summary_json: out,
@@ -580,14 +548,89 @@ pub fn run_all(seed: u64) -> FailoverRun {
     }
 }
 
-/// Runs the experiment with the default seed and writes
-/// `BENCH_failover.json` under `dir`.
-pub fn export_to(dir: &Path) -> std::io::Result<(FailoverRun, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
+/// The crash-mid-attack bars: the standby takes over, at least 99 % of the
+/// verified clients continue on their cached cookies, nothing spoofed
+/// reaches the ANS across the transition, and the three HA rules fire.
+pub fn crash_failures(crash: &CrashFailover) -> Vec<String> {
+    let mut failures = Vec::new();
+    if !crash.took_over {
+        failures.push("standby never took over".to_string());
+    }
+    if (crash.continued as f64) < crash.clients as f64 * 0.99 {
+        failures.push(format!(
+            "only {}/{} verified clients continued",
+            crash.continued, crash.clients
+        ));
+    }
+    if crash.spoofed_to_ans != 0 {
+        failures.push(format!("{} spoofed queries reached the ANS", crash.spoofed_to_ans));
+    }
+    for rule in ["failover_triggered", "checkpoint_lag", "admission_shedding"] {
+        if !crash.fired_rules.contains(&rule) {
+            failures.push(format!("{rule} never fired"));
+        }
+    }
+    failures
+}
+
+/// The acceptance bars of the whole experiment.
+pub fn failures(run: &FailoverRun) -> Vec<String> {
+    let mut failures = crash_failures(&run.crash);
+    if !run.baseline_silent {
+        failures.push("clean HA baseline raised alerts".to_string());
+    }
+    failures
+}
+
+/// The registry entry: all three scenarios and the baseline at the
+/// committed seed.
+pub fn experiment() -> Outcome {
     let run = run_all(2006);
-    let summary = dir.join("BENCH_failover.json");
-    std::fs::write(&summary, &run.summary_json)?;
-    Ok((run, summary))
+    let ms_or = |n: Option<u64>, none: &str| {
+        n.map_or(none.to_string(), |n| format!("{} ms", n / 1_000_000))
+    };
+    let mut report = format!(
+        "   crash: took_over={}, {}/{} clients continued, takeover after {} us, \
+         spoofed_to_ans={}, shed={}, alerts fired: {:?}\n",
+        run.crash.took_over,
+        run.crash.continued,
+        run.crash.clients,
+        run.crash
+            .takeover_after_crash_nanos
+            .map_or("?".to_string(), |n| (n / 1_000).to_string()),
+        run.crash.spoofed_to_ans,
+        run.crash.standby_shed,
+        run.crash.fired_rules,
+    );
+    for p in &run.sweep {
+        report.push_str(&format!(
+            "   checkpoint interval {:>9}: age at restore {:>9}, restores {}, \
+             stale fwd/stash {}/{}, post-restore completed {}\n",
+            ms_or(p.interval_nanos, "none"),
+            ms_or(p.age_at_restore_nanos, "cold"),
+            p.restores,
+            p.stale_fwd,
+            p.stale_stash,
+            p.post_restore_completed,
+        ));
+    }
+    for p in &run.shed {
+        report.push_str(&format!(
+            "   flood {:>7.0} req/s: peak tier {:>6}, shed {:>6}, verified completed {:>4}, \
+             amplification {:.3}\n",
+            p.attack_rate,
+            p.peak_tier,
+            p.shed,
+            p.verified_completed,
+            p.amplification_milli as f64 / 1000.0,
+        ));
+    }
+    report.push_str(&format!("   clean HA baseline silent: {}\n", run.baseline_silent));
+    Outcome {
+        report,
+        failures: failures(&run),
+        exports: vec![Export::new(SUMMARY_FILE, Format::Json, run.summary_json, SUMMARY_KEYS)],
+    }
 }
 
 #[cfg(test)]
@@ -598,24 +641,12 @@ mod tests {
     #[test]
     fn crash_failover_keeps_verified_clients_alive() {
         let c = run_crash_failover(41);
-        assert!(c.took_over, "standby must claim the guarded address");
+        assert_eq!(crash_failures(&c), Vec::<String>::new());
         assert!(
-            c.continued as f64 / c.clients as f64 >= 0.99,
-            "only {}/{} verified clients continued through the takeover",
-            c.continued,
-            c.clients
+            c.fired_rules.contains(&"spoof_surge"),
+            "the cookie-guess flood must be alertable too: {:?}",
+            c.fired_rules
         );
-        assert_eq!(
-            c.spoofed_to_ans, 0,
-            "no spoofed query may reach the ANS across the transition"
-        );
-        for rule in ["failover_triggered", "checkpoint_lag", "admission_shedding", "spoof_surge"] {
-            assert!(
-                c.fired_rules.contains(&rule),
-                "{rule} must fire; fired: {:?}",
-                c.fired_rules
-            );
-        }
         let takeover = c.takeover_after_crash_nanos.expect("takeover alert fired");
         // Detection bound: miss threshold (3) × interval (20 ms), plus one
         // interval of phase slack and the 10 ms alert cadence.
@@ -683,12 +714,28 @@ mod tests {
     }
 
     #[test]
-    fn export_is_valid_json() {
-        let run = run_all(11);
+    fn full_run_exports_valid_json_and_each_missed_bar_is_reported() {
+        let mut run = run_all(11);
         validate_json(&run.summary_json)
             .unwrap_or_else(|off| panic!("BENCH_failover.json invalid at byte {off}"));
         assert!(run.summary_json.contains("\"checkpoint_sweep\""));
         assert!(run.summary_json.contains("\"shed_sweep\""));
-        assert!(run.baseline_silent);
+        assert_eq!(failures(&run), Vec::<String>::new());
+
+        run.crash.took_over = false;
+        run.crash.continued = 9;
+        run.crash.spoofed_to_ans = 3;
+        run.crash.fired_rules.retain(|r| *r != "admission_shedding");
+        run.baseline_silent = false;
+        assert_eq!(
+            failures(&run),
+            [
+                "standby never took over",
+                "only 9/10 verified clients continued",
+                "3 spoofed queries reached the ANS",
+                "admission_shedding never fired",
+                "clean HA baseline raised alerts",
+            ]
+        );
     }
 }

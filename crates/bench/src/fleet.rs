@@ -18,11 +18,14 @@
 //! key state carries the previous epoch, so the grace window is
 //! fleet-wide and no verified client is dropped.
 //!
-//! Run via `cargo run --release -p bench --bin all_experiments -- --fleet`
-//! (or `--fleet-only`); the document lands in `BENCH_fleet.json`.
+//! Run via `cargo run --release -p bench --bin all_experiments -- fleet`;
+//! the document lands in `BENCH_fleet.json`.
 
-use crate::worlds::{attach_lrs, LrsParams, PUB, SUBNET};
-use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
+use crate::registry::{Export, Format, Outcome};
+use crate::report::json_strings;
+use crate::worlds::{
+    attach_cookie_guess_flood, completions, traced_obs, verified_clients, PUB, SUBNET,
+};
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
@@ -31,14 +34,33 @@ use guardhash::cookie::CookieAlg;
 use netsim::engine::{CpuConfig, FaultPlan, NodeId, Simulator};
 use netsim::time::SimTime;
 use obs::alert::{AlertConfig, AlertEngine, SharedAlertEngine};
-use obs::trace::Level;
 use obs::Obs;
 use server::authoritative::Authority;
 use server::nodes::{AuthNode, ServerCosts};
-use server::simclient::{CookieMode, LrsSimulator};
 use server::zone::paper_hierarchy;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+
+/// The summary document's file name.
+pub const SUMMARY_FILE: &str = "BENCH_fleet.json";
+
+/// Substrings the fleet summary must contain: both cookie regimes and the
+/// rotation run, the shift/storm outcome fields, the `catchment_shift`
+/// rule in some transcript, and the clean-baseline verdict.
+const SUMMARY_KEYS: &[&str] = &[
+    "\"experiment\":\"fleet\"",
+    "\"md5_per_site\":",
+    "\"shared_siphash\":",
+    "\"rotation_mid_shift\":",
+    "\"re_handshakes\":",
+    "\"cookie2_invalid\":",
+    "\"rl1_dropped\":",
+    "\"amplification_milli\":",
+    "\"spoofed_to_ans\":",
+    "\"fleet_keys_applied\":",
+    "\"fired_rules\":",
+    "\"catchment_shift\"",
+    "\"baseline_silent\":",
+];
 
 /// Site A's (the key master's) replication address.
 pub const SITE_A: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
@@ -147,32 +169,6 @@ pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
     }
 }
 
-fn fleet_clients(sim: &mut Simulator, n: u8) -> Vec<NodeId> {
-    (1..=n)
-        .map(|c| {
-            attach_lrs(
-                sim,
-                LrsParams {
-                    ip: Ipv4Addr::new(10, 0, c, 1),
-                    mode: CookieMode::Plain,
-                    cookie_cache: true,
-                    concurrency: 1,
-                    wait: SimTime::from_millis(150),
-                    pace: SimTime::from_millis(5),
-                    per_packet_cost: SimTime::ZERO,
-                },
-            )
-        })
-        .collect()
-}
-
-fn completions(sim: &Simulator, clients: &[NodeId]) -> Vec<u64> {
-    clients
-        .iter()
-        .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs node").stats.completed)
-        .collect()
-}
-
 /// Alert thresholds for the fleet runs: with a warmed fleet of verified
 /// clients the steady-state handshake rate is ~0, so a *sustained* 50/s
 /// of first-contact responses is already a storm.
@@ -186,9 +182,7 @@ fn fleet_alert_config() -> AlertConfig {
 fn attach_alerting(w: &mut FleetWorld) -> (Obs, SharedAlertEngine) {
     // Observe site B: it is where shifted clients land, so it owns the
     // whole storm story (re-handshakes, RL1 pressure, cookie verdicts).
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    obs.tracer.adopt_into(&obs.registry);
+    let obs = traced_obs();
     w.sim.attach_obs(&obs);
     w.sim
         .node_mut::<RemoteGuard>(w.site_b)
@@ -240,7 +234,7 @@ pub struct ShiftOutcome {
 pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcome {
     let mut w = fleet_world(seed, shared);
     let (_obs, engine) = attach_alerting(&mut w);
-    let clients = fleet_clients(&mut w.sim, CLIENTS);
+    let clients = verified_clients(&mut w.sim, CLIENTS);
 
     // Warm-up: every client handshakes at site A and caches its cookie.
     // Long enough that the whole cohort clears RL1's tight budget — the
@@ -250,20 +244,7 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
 
     // The 2⁻³² cookie-guess flood: eats RL-relevant budget and shows up as
     // invalid verifies, without itself inflating the handshake counters.
-    let attacker = w.sim.add_node(
-        Ipv4Addr::new(66, 0, 0, 66),
-        CpuConfig::unbounded(),
-        SpoofedFlood::new(FloodConfig {
-            target: PUB,
-            rate: 6_000.0,
-            sources: SourceStrategy::Random,
-            payload: AttackPayload::CookieLabelGuess {
-                zone_suffix: "com".to_string(),
-                parent: ".".parse().expect("root name"),
-            },
-            duration: Some(SimTime::from_millis(1_000)),
-        }),
-    );
+    let attacker = attach_cookie_guess_flood(&mut w.sim, 6_000.0, SimTime::from_millis(1_000));
 
     // BGP reconverges at 700 ms: a deterministic 55% of source addresses —
     // verified clients and flood sources alike — now land at site B.
@@ -336,7 +317,7 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
 pub fn fleet_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let mut w = fleet_world(seed, true);
     let (_obs, engine) = attach_alerting(&mut w);
-    fleet_clients(&mut w.sim, 5);
+    verified_clients(&mut w.sim, 5);
     w.sim.run_until(duration);
     let silent = engine.lock().is_silent();
     silent
@@ -358,11 +339,11 @@ pub struct FleetRun {
 }
 
 fn outcome_json(o: &ShiftOutcome) -> String {
-    let mut out = format!(
+    format!(
         "{{\"clients\":{},\"shifted\":{},\"continued\":{},\
          \"re_handshakes\":{},\"cookie2_invalid\":{},\"rl1_dropped\":{},\
          \"amplification_milli\":{},\"spoofed_to_ans\":{},\
-         \"fleet_keys_applied\":{},\"fired_rules\":[",
+         \"fleet_keys_applied\":{},\"fired_rules\":{},\"alerts\":{}}}",
         o.clients,
         o.shifted,
         o.continued,
@@ -372,15 +353,9 @@ fn outcome_json(o: &ShiftOutcome) -> String {
         o.amplification_milli,
         o.spoofed_to_ans,
         o.fleet_keys_applied,
-    );
-    for (i, r) in o.fired_rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{r}\""));
-    }
-    out.push_str(&format!("],\"alerts\":{}}}", o.alerts_json));
-    out
+        json_strings(&o.fired_rules),
+        o.alerts_json,
+    )
 }
 
 /// Runs everything and composes the export document.
@@ -407,14 +382,92 @@ pub fn run_all(seed: u64) -> FleetRun {
     }
 }
 
-/// Runs the experiment with the default seed and writes `BENCH_fleet.json`
-/// under `dir`.
-pub fn export_to(dir: &Path) -> std::io::Result<(FleetRun, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
+/// The bar every scenario shares: nothing spoofed reaches either ANS.
+fn spoofed_failure(regime: &str, o: &ShiftOutcome) -> Option<String> {
+    (o.spoofed_to_ans != 0)
+        .then(|| format!("{regime}: {} spoofed queries reached an ANS", o.spoofed_to_ans))
+}
+
+/// The paper's reflector bound (≤ 1.5, asserted at ≤ 1.6) on site B's
+/// unverified traffic.
+fn amplification_failure(regime: &str, o: &ShiftOutcome) -> Option<String> {
+    (o.amplification_milli > 1_600).then(|| {
+        format!("{regime}: amplification {} breaks the paper bound", o.amplification_milli)
+    })
+}
+
+/// The bars of a shift under interoperable cookies (shared SipHash, with
+/// or without a rotation mid-shift): at least 95 % of the shifted clients
+/// continue at site B, and none of them re-handshakes.
+pub fn interop_failures(regime: &str, o: &ShiftOutcome) -> Vec<String> {
+    let mut failures = Vec::new();
+    if (o.continued as f64) < o.shifted as f64 * 0.95 {
+        failures.push(format!(
+            "{regime}: only {}/{} shifted clients continued",
+            o.continued, o.shifted
+        ));
+    }
+    if o.re_handshakes != 0 {
+        failures.push(format!(
+            "{regime}: {} re-handshakes despite interoperable cookies",
+            o.re_handshakes
+        ));
+    }
+    failures.extend(spoofed_failure(regime, o));
+    failures
+}
+
+/// The bars of the MD5-per-site baseline: it must show the storm the
+/// shared secret removes.
+pub fn storm_failures(o: &ShiftOutcome) -> Vec<String> {
+    let mut failures = Vec::new();
+    if o.re_handshakes == 0 || !o.fired_rules.contains(&"handshake_storm") {
+        failures.push("md5 per site: no handshake storm".to_string());
+    }
+    failures.extend(spoofed_failure("md5 per site", o));
+    failures
+}
+
+/// The acceptance bars of the whole experiment.
+pub fn failures(run: &FleetRun) -> Vec<String> {
+    let mut failures = interop_failures("shared siphash", &run.shared_siphash);
+    failures.extend(amplification_failure("shared siphash", &run.shared_siphash));
+    failures.extend(storm_failures(&run.md5_per_site));
+    failures.extend(interop_failures("rotation mid-shift", &run.rotation_mid_shift));
+    if !run.baseline_silent {
+        failures.push("clean fleet baseline raised alerts".to_string());
+    }
+    failures
+}
+
+/// The registry entry: the three shifts and the baseline at the committed
+/// seed.
+pub fn experiment() -> Outcome {
     let run = run_all(2006);
-    let summary = dir.join("BENCH_fleet.json");
-    std::fs::write(&summary, &run.summary_json)?;
-    Ok((run, summary))
+    let mut report = String::new();
+    for (label, o) in [
+        ("md5 per site", &run.md5_per_site),
+        ("shared siphash", &run.shared_siphash),
+        ("rotation mid-shift", &run.rotation_mid_shift),
+    ] {
+        report.push_str(&format!(
+            "   {label:>18}: {}/{} shifted clients continued, re-handshakes {}, \
+             cookie2 invalid {}, rl1 dropped {}, spoofed_to_ans {}, alerts fired: {:?}\n",
+            o.continued,
+            o.shifted,
+            o.re_handshakes,
+            o.cookie2_invalid,
+            o.rl1_dropped,
+            o.spoofed_to_ans,
+            o.fired_rules,
+        ));
+    }
+    report.push_str(&format!("   clean fleet baseline silent: {}\n", run.baseline_silent));
+    Outcome {
+        report,
+        failures: failures(&run),
+        exports: vec![Export::new(SUMMARY_FILE, Format::Json, run.summary_json, SUMMARY_KEYS)],
+    }
 }
 
 #[cfg(test)]
@@ -426,18 +479,9 @@ mod tests {
     fn shared_siphash_shift_causes_no_handshake_storm() {
         let o = run_shift(41, true, false);
         assert!(o.shifted >= 10, "the shift must move a real cohort: {}", o.shifted);
-        assert!(
-            o.continued as f64 / o.shifted as f64 >= 0.95,
-            "only {}/{} shifted clients continued at site B",
-            o.continued,
-            o.shifted
-        );
-        assert_eq!(
-            o.re_handshakes, 0,
-            "interoperable cookies must verify at the new site without a handshake"
-        );
+        // Interoperable cookies verify at the new site without a handshake.
+        assert_eq!(interop_failures("shared siphash", &o), Vec::<String>::new());
         assert_eq!(o.cookie2_invalid, 0, "no shifted cookie may be rejected");
-        assert_eq!(o.spoofed_to_ans, 0, "no spoofed query may reach an ANS");
         assert!(o.fleet_keys_applied >= 1, "site B must have synced the key");
         assert!(
             o.fired_rules.contains(&"catchment_shift"),
@@ -449,11 +493,7 @@ mod tests {
             "no storm under shared cookies: {:?}",
             o.fired_rules
         );
-        assert!(
-            o.amplification_milli <= 1_600,
-            "amplification {} breaks the paper bound",
-            o.amplification_milli
-        );
+        assert_eq!(amplification_failure("shared siphash", &o), None);
         validate_json(&o.alerts_json).unwrap();
     }
 
@@ -465,34 +505,21 @@ mod tests {
             o.cookie2_invalid > 0,
             "per-site secrets must reject the shifted cookies"
         );
-        assert!(
-            o.re_handshakes > 0,
-            "shifted clients must be forced into fresh handshakes"
-        );
-        assert!(
-            o.fired_rules.contains(&"handshake_storm"),
-            "the storm must be alertable: {:?}",
-            o.fired_rules
-        );
-        assert_eq!(o.spoofed_to_ans, 0, "even mid-storm nothing spoofed passes");
+        // Shifted clients are forced into fresh handshakes, the storm is
+        // alertable, and even mid-storm nothing spoofed passes.
+        assert_eq!(storm_failures(&o), Vec::<String>::new());
     }
 
     #[test]
     fn rotation_mid_shift_drops_no_verified_client() {
         let o = run_shift(43, true, true);
-        assert!(
-            o.continued as f64 / o.shifted as f64 >= 0.95,
-            "rotation mid-shift stalled shifted clients: {}/{}",
-            o.continued,
-            o.shifted
-        );
-        assert_eq!(o.re_handshakes, 0, "grace must cover the rotation");
+        // Grace must cover the rotation: no stall, no re-handshake.
+        assert_eq!(interop_failures("rotation mid-shift", &o), Vec::<String>::new());
         assert!(
             o.fleet_keys_applied >= 2,
             "site B must apply both the initial and the rotated epoch: {}",
             o.fleet_keys_applied
         );
-        assert_eq!(o.spoofed_to_ans, 0);
     }
 
     #[test]
@@ -501,13 +528,34 @@ mod tests {
     }
 
     #[test]
-    fn export_is_valid_json() {
-        let run = run_all(11);
+    fn full_run_exports_valid_json_and_each_missed_bar_is_reported() {
+        let mut run = run_all(11);
         validate_json(&run.summary_json)
             .unwrap_or_else(|off| panic!("BENCH_fleet.json invalid at byte {off}"));
         assert!(run.summary_json.contains("\"md5_per_site\""));
         assert!(run.summary_json.contains("\"shared_siphash\""));
         assert!(run.summary_json.contains("\"rotation_mid_shift\""));
-        assert!(run.baseline_silent);
+        assert_eq!(failures(&run), Vec::<String>::new());
+
+        run.shared_siphash.re_handshakes = 1;
+        run.shared_siphash.amplification_milli = 1_601;
+        run.md5_per_site.fired_rules.clear();
+        run.rotation_mid_shift.continued = 0;
+        run.rotation_mid_shift.spoofed_to_ans = 2;
+        run.baseline_silent = false;
+        assert_eq!(
+            failures(&run),
+            [
+                "shared siphash: 1 re-handshakes despite interoperable cookies".to_string(),
+                "shared siphash: amplification 1601 breaks the paper bound".to_string(),
+                "md5 per site: no handshake storm".to_string(),
+                format!(
+                    "rotation mid-shift: only 0/{} shifted clients continued",
+                    run.rotation_mid_shift.shifted
+                ),
+                "rotation mid-shift: 2 spoofed queries reached an ANS".to_string(),
+                "clean fleet baseline raised alerts".to_string(),
+            ]
+        );
     }
 }

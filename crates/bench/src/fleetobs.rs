@@ -25,22 +25,49 @@
 //! fleet rules silent.
 //!
 //! Run via `cargo run --release -p bench --bin all_experiments --
-//! --fleetobs` (or `--fleetobs-only`); the documents land in
-//! `BENCH_fleetobs.json` and `BENCH_fleetobs_trace.jsonl`.
+//! fleetobs`; the documents land in `BENCH_fleetobs.json` and
+//! `BENCH_fleetobs_trace.jsonl`.
 
 use crate::fleet::{fleet_world, FleetWorld};
-use crate::worlds::{attach_lrs, LrsParams, PUB};
-use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
-use netsim::engine::{CpuConfig, FaultPlan, NodeId};
+use crate::registry::{Export, Format, Outcome};
+use crate::report::json_strings;
+use crate::worlds::{attach_cookie_guess_flood, attach_lrs, traced_obs, LrsParams};
+use netsim::engine::{FaultPlan, NodeId};
 use netsim::time::SimTime;
 use obs::export::event_json;
-use obs::fleet::{FleetAggregator, FleetAlertConfig};
-use obs::trace::{Event, Level, Value};
+use obs::fleet::{FleetAggregator, FleetAlertConfig, STITCH_KINDS};
+use obs::trace::{Event, Value};
 use obs::Obs;
 use server::simclient::CookieMode;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+
+/// The summary document's file name.
+pub const SUMMARY_FILE: &str = "BENCH_fleetobs.json";
+/// The collector trace's file name.
+pub const TRACE_FILE: &str = "BENCH_fleetobs_trace.jsonl";
+
+/// Substrings the fleet-observability summary must contain: the stitching
+/// and attribution fields, the merged fleet snapshot, the collector's own
+/// metrics, and the clean-baseline verdict. guardlint L4 checks that every
+/// metric and component named here has a registry definition site.
+const SUMMARY_KEYS: &[&str] = &[
+    "\"experiment\":\"fleetobs\"",
+    "\"spanning_expected\":",
+    "\"spanning_stitched\":",
+    "\"stitch_ratio_pct\":",
+    "\"attribution_exact\":",
+    "\"inter_site_positive\":",
+    "\"node_silent\":",
+    "\"merged\":",
+    "\"collector\":",
+    "\"component\":\"fleet\"",
+    "\"name\":\"stitched_journeys\"",
+    "\"name\":\"nodes_reporting\"",
+    "\"fired_rules\":",
+    "\"alerts\":",
+    "\"baseline_silent\":",
+];
 
 /// Verified workload clients warmed up at site A before the chaos.
 const WARM_CLIENTS: u8 = 16;
@@ -65,14 +92,6 @@ fn fleetobs_alert_config() -> FleetAlertConfig {
         silent_after_nanos: 120_000_000,
         ..FleetAlertConfig::default()
     }
-}
-
-/// A per-site observability bundle, as each node would own in production.
-fn site_obs() -> Obs {
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    obs.tracer.adopt_into(&obs.registry);
-    obs
 }
 
 fn warm_ip(i: u8) -> Ipv4Addr {
@@ -250,9 +269,9 @@ pub struct FleetObsOutcome {
 /// 700 ms, site B crash at 1400 ms, end at 1600 ms.
 pub fn run_chaos(seed: u64) -> FleetObsOutcome {
     let mut w = fleet_world(seed, true);
-    let obs_a = site_obs();
-    let obs_b = site_obs();
-    let obs_fleet = site_obs();
+    let obs_a = traced_obs();
+    let obs_b = traced_obs();
+    let obs_fleet = traced_obs();
     w.sim
         .node_mut::<dnsguard::guard::RemoteGuard>(w.site_a)
         .unwrap()
@@ -276,20 +295,7 @@ pub fn run_chaos(seed: u64) -> FleetObsOutcome {
     run_polled(&mut w, &mut agg, &obs_a, &obs_b, node_a, node_b, &mut challenged, 0, 600);
 
     // The cookie-guessing flood concentrates on site A's catchment.
-    let attacker = w.sim.add_node(
-        Ipv4Addr::new(66, 0, 0, 66),
-        CpuConfig::unbounded(),
-        SpoofedFlood::new(FloodConfig {
-            target: PUB,
-            rate: 6_000.0,
-            sources: SourceStrategy::Random,
-            payload: AttackPayload::CookieLabelGuess {
-                zone_suffix: "com".to_string(),
-                parent: ".".parse().expect("root name"),
-            },
-            duration: Some(SimTime::from_millis(1_000)),
-        }),
-    );
+    let attacker = attach_cookie_guess_flood(&mut w.sim, 6_000.0, SimTime::from_millis(1_000));
     run_polled(&mut w, &mut agg, &obs_a, &obs_b, node_a, node_b, &mut challenged, 600, 665);
 
     // Joiners: first query reaches site A ≈685 ms (challenge issued
@@ -373,8 +379,8 @@ pub fn run_chaos(seed: u64) -> FleetObsOutcome {
 /// every fleet rule stayed silent.
 pub fn fleetobs_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let mut w = fleet_world(seed, true);
-    let obs_a = site_obs();
-    let obs_b = site_obs();
+    let obs_a = traced_obs();
+    let obs_b = traced_obs();
     w.sim
         .node_mut::<dnsguard::guard::RemoteGuard>(w.site_a)
         .unwrap()
@@ -420,14 +426,15 @@ pub struct FleetObsRun {
 fn outcome_json(o: &FleetObsOutcome) -> String {
     let stitch_ratio_pct =
         (100 * o.spanning_stitched).checked_div(o.spanning_expected).unwrap_or(0);
-    let mut out = format!(
+    format!(
         "{{\"nodes\":2,\"clients\":{},\"joiners\":{},\
          \"spanning_expected\":{},\"spanning_stitched\":{},\
          \"stitch_ratio_pct\":{stitch_ratio_pct},\
          \"journeys_complete\":{},\"attribution_exact\":{},\
          \"inter_site_positive\":{},\"max_inter_site_ns\":{},\
          \"rejected_verifies\":{},\"orphan_stages\":{},\
-         \"trace_events\":{},\"node_silent\":{},\"fired_rules\":[",
+         \"trace_events\":{},\"node_silent\":{},\"fired_rules\":{},\
+         \"alerts\":{},\"merged\":{},\"collector\":{}}}",
         o.clients,
         o.joiners,
         o.spanning_expected,
@@ -440,18 +447,11 @@ fn outcome_json(o: &FleetObsOutcome) -> String {
         o.orphan_stages,
         o.trace_events,
         o.node_b_silent,
-    );
-    for (i, r) in o.fired_rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{r}\""));
-    }
-    out.push_str(&format!(
-        "],\"alerts\":{},\"merged\":{},\"collector\":{}}}",
-        o.alerts_json, o.merged_json, o.collector_json
-    ));
-    out
+        json_strings(&o.fired_rules),
+        o.alerts_json,
+        o.merged_json,
+        o.collector_json,
+    )
 }
 
 /// Runs everything and composes the export documents.
@@ -472,16 +472,77 @@ pub fn run_all(seed: u64) -> FleetObsRun {
     }
 }
 
-/// Runs the experiment with the default seed and writes
-/// `BENCH_fleetobs.json` and `BENCH_fleetobs_trace.jsonl` under `dir`.
-pub fn export_to(dir: &Path) -> std::io::Result<(FleetObsRun, PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
+/// The chaos run's bars. The stitching bar is total: site A challenged
+/// every joiner before the shift, and every one of them came back as a
+/// complete cross-node journey with exact, positive attribution.
+pub fn chaos_failures(o: &FleetObsOutcome) -> Vec<String> {
+    let mut failures = Vec::new();
+    if o.spanning_expected < o.joiners {
+        failures.push(format!(
+            "only {}/{} joiners were challenged by site A",
+            o.spanning_expected, o.joiners
+        ));
+    }
+    if o.spanning_stitched != o.spanning_expected {
+        failures.push(format!(
+            "{}/{} straddling joiners stitched",
+            o.spanning_stitched, o.spanning_expected
+        ));
+    }
+    if !o.attribution_exact || !o.inter_site_positive {
+        failures.push(
+            "stage attribution must sum exactly and cross-node hops must carry time".to_string(),
+        );
+    }
+    for rule in ["fleet_spoof_surge", "site_rate_skew", "node_silent"] {
+        if !o.fired_rules.contains(&rule) {
+            failures.push(format!("rule {rule} never fired"));
+        }
+    }
+    if !o.node_b_silent {
+        failures.push("crashed site B not held silent".to_string());
+    }
+    failures
+}
+
+/// The acceptance bars of the whole experiment.
+pub fn failures(run: &FleetObsRun) -> Vec<String> {
+    let mut failures = chaos_failures(&run.chaos);
+    if !run.baseline_silent {
+        failures.push("clean two-site baseline raised alerts".to_string());
+    }
+    failures
+}
+
+/// The registry entry: the chaos run and the baseline at the committed
+/// seed.
+pub fn experiment() -> Outcome {
     let run = run_all(2006);
-    let summary = dir.join("BENCH_fleetobs.json");
-    std::fs::write(&summary, &run.summary_json)?;
-    let trace = dir.join("BENCH_fleetobs_trace.jsonl");
-    std::fs::write(&trace, &run.trace_jsonl)?;
-    Ok((run, summary, trace))
+    let o = &run.chaos;
+    let report = format!(
+        "   {}/{} straddling joiners stitched across both sites, \
+         {} journeys complete, max inter-site hop {:.1} ms\n\
+         \x20  attribution exact: {}, site B held silent after crash: {}, \
+         fleet rules fired: {:?}\n\
+         \x20  clean two-site baseline silent: {}\n",
+        o.spanning_stitched,
+        o.spanning_expected,
+        o.journeys_complete,
+        o.max_inter_site_ns as f64 / 1e6,
+        o.attribution_exact,
+        o.node_b_silent,
+        o.fired_rules,
+        run.baseline_silent,
+    );
+    Outcome {
+        report,
+        failures: failures(&run),
+        exports: vec![
+            Export::new(SUMMARY_FILE, Format::Json, run.summary_json, SUMMARY_KEYS),
+            Export::new(TRACE_FILE, Format::Jsonl, run.trace_jsonl, &[])
+                .also_require(STITCH_KINDS.iter().map(|k| format!("\"kind\":\"{k}\""))),
+        ],
+    }
 }
 
 #[cfg(test)]
@@ -492,25 +553,9 @@ mod tests {
     #[test]
     fn chaos_stitches_every_straddling_joiner() {
         let o = run_chaos(2006);
-        assert_eq!(
-            o.spanning_expected, JOINERS as usize,
-            "every joiner must be challenged by site A before the shift"
-        );
-        assert_eq!(
-            o.spanning_stitched, o.spanning_expected,
-            "100% of straddling joiners must stitch across both sites"
-        );
-        assert!(o.attribution_exact, "stage attribution must sum exactly");
-        assert!(o.inter_site_positive, "cross-node hops must carry time");
+        assert_eq!(chaos_failures(&o), Vec::<String>::new());
+        assert_eq!(o.joiners, JOINERS as usize);
         assert!(o.max_inter_site_ns > 0);
-        assert!(o.node_b_silent, "crashed site B must be held silent");
-        for rule in ["fleet_spoof_surge", "site_rate_skew", "node_silent"] {
-            assert!(
-                o.fired_rules.contains(&rule),
-                "rule {rule} must fire: {:?}",
-                o.fired_rules
-            );
-        }
         assert!(o.rejected_verifies > 1_000, "the flood must be visible");
         validate_json(&o.alerts_json).unwrap();
         validate_json(&o.merged_json).unwrap();
@@ -526,12 +571,30 @@ mod tests {
     }
 
     #[test]
-    fn export_is_valid_json() {
-        let run = run_all(2006);
+    fn full_run_exports_valid_json_and_each_missed_bar_is_reported() {
+        let mut run = run_all(2006);
         validate_json(&run.summary_json)
             .unwrap_or_else(|off| panic!("BENCH_fleetobs.json invalid at byte {off}"));
         assert!(run.summary_json.contains("\"experiment\":\"fleetobs\""));
-        assert!(run.summary_json.contains("\"stitch_ratio_pct\":100"));
-        assert!(run.summary_json.contains("\"baseline_silent\":true"));
+        assert_eq!(failures(&run), Vec::<String>::new());
+
+        run.chaos.spanning_stitched -= 1;
+        assert_eq!(failures(&run), ["7/8 straddling joiners stitched"]);
+
+        run.chaos.spanning_expected -= 1;
+        run.chaos.attribution_exact = false;
+        run.chaos.fired_rules.retain(|r| *r != "node_silent");
+        run.chaos.node_b_silent = false;
+        run.baseline_silent = false;
+        assert_eq!(
+            failures(&run),
+            [
+                "only 7/8 joiners were challenged by site A",
+                "stage attribution must sum exactly and cross-node hops must carry time",
+                "rule node_silent never fired",
+                "crashed site B not held silent",
+                "clean two-site baseline raised alerts",
+            ]
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! timelines ([`obs::journey`]), plus one chaos world exercising the
 //! alerting engine ([`obs::alert`]) from the simulator tick.
 //!
-//! Run via `cargo run --release -p bench --bin all_experiments -- --journeys`
-//! (or `--journeys-only`). Two files are written:
+//! Run via `cargo run --release -p bench --bin all_experiments -- journeys`.
+//! Two files are written:
 //!
 //! * `BENCH_journeys.json` — per-scheme reconstruction coverage, extra-RTT
 //!   attribution (the paper's handshake-cost expectation: ≈1 extra round
@@ -15,24 +15,59 @@
 //! * `BENCH_journeys_trace.json` — a chrome `trace_event` document of the
 //!   COOKIE2 run's journeys, loadable in Perfetto.
 
-use crate::worlds::{attach_lrs, guarded_world, LrsParams, WorldParams, ZoneSel, PUB};
-use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
+use crate::registry::{Export, Format, Outcome};
+use crate::report::json_strings;
+use crate::worlds::{
+    attach_cookie_guess_flood, attach_lrs, guarded_world, traced_obs, LrsParams, WorldParams, ZoneSel,
+};
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
-use netsim::engine::{CpuConfig, FaultPlan};
+use netsim::engine::FaultPlan;
 use netsim::time::SimTime;
 use obs::alert::{AlertConfig, AlertEngine};
 use obs::export::metrics_json;
 use obs::journey::JourneyReport;
-use obs::trace::Level;
-use obs::Obs;
 use server::nodes::AuthNode;
 use server::simclient::{CookieMode, LrsSimulator};
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+
+/// The summary document's file name.
+pub const SUMMARY_FILE: &str = "BENCH_journeys.json";
+/// The chrome `trace_event` document's file name.
+pub const CHROME_TRACE_FILE: &str = "BENCH_journeys_trace.json";
 
 /// The four guard schemes, as journey-scheme label → world shape.
 pub const SCHEMES: [&str; 4] = ["ns_label", "cookie2", "tcp", "ext"];
+
+/// Substrings the journey summary must contain, beside one object per
+/// [`SCHEMES`] entry: per-journey attribution fields, histogram quantiles,
+/// and the alert schema (rule + since in the active set, fired-rule list,
+/// clean-baseline verdict).
+const SUMMARY_KEYS: &[&str] = &[
+    "\"experiment\":\"journeys\"",
+    "\"reconstruction\":",
+    "\"extra_rtt\":",
+    "\"mean_handshake_ns\":",
+    "\"mean_guard_ns\":",
+    "\"mean_ans_ns\":",
+    "\"p50\":",
+    "\"p95\":",
+    "\"p99\":",
+    "\"chaos\":",
+    "\"fired_rules\":",
+    "\"alerts\":",
+    "\"history\":",
+    "\"baseline_silent\":",
+];
+
+/// Substrings a chrome `trace_event` document must contain.
+const CHROME_KEYS: &[&str] = &[
+    "\"traceEvents\":",
+    "\"ph\":\"X\"",
+    "\"pid\":",
+    "\"tid\":",
+    "\"displayTimeUnit\"",
+];
 
 /// One scheme's assembled journeys plus the client's ground truth.
 pub struct SchemeJourneys {
@@ -103,9 +138,7 @@ pub fn run_scheme(scheme: &'static str, seed: u64, duration: SimTime) -> SchemeJ
     p.mode = mode;
     let mut world = guarded_world(p);
 
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    obs.tracer.adopt_into(&obs.registry);
+    let obs = traced_obs();
     world
         .sim
         .node_mut::<RemoteGuard>(world.guard)
@@ -189,9 +222,7 @@ pub fn run_chaos(seed: u64, duration: SimTime) -> ChaosJourneys {
         c.ans_probe_interval = SimTime::from_millis(50);
     }
 
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    obs.tracer.adopt_into(&obs.registry);
+    let obs = traced_obs();
     world.sim.attach_obs(&obs);
     world
         .sim
@@ -237,20 +268,7 @@ pub fn run_chaos(seed: u64, duration: SimTime) -> ChaosJourneys {
         clients.push(node);
     }
     // The cookie-guessing flood: every guess is an invalid ns_label verify.
-    world.sim.add_node(
-        Ipv4Addr::new(66, 0, 0, 66),
-        CpuConfig::unbounded(),
-        SpoofedFlood::new(FloodConfig {
-            target: PUB,
-            rate: 5_000.0,
-            sources: SourceStrategy::Random,
-            payload: AttackPayload::CookieLabelGuess {
-                zone_suffix: "com".to_string(),
-                parent: ".".parse().expect("root name"),
-            },
-            duration: Some(SimTime::from_millis(300)),
-        }),
-    );
+    attach_cookie_guess_flood(&mut world.sim, 5_000.0, SimTime::from_millis(300));
     world.sim.partition(
         world.guard,
         world.ans,
@@ -284,9 +302,7 @@ pub fn clean_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     p.open_limiters = false;
     let mut world = guarded_world(p);
 
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    obs.tracer.adopt_into(&obs.registry);
+    let obs = traced_obs();
     world
         .sim
         .node_mut::<RemoteGuard>(world.guard)
@@ -340,55 +356,48 @@ pub fn run_all(seed: u64) -> JourneysRun {
     let chaos = run_chaos(seed + 100, SimTime::from_millis(1_000));
     let baseline_silent = clean_baseline_is_silent(seed + 200, SimTime::from_millis(600));
 
-    let mut out = format!(
+    let scheme_entries: Vec<String> = schemes
+        .iter()
+        .map(|s| {
+            let (total, hs, guard, ans) = s.mean_attribution_ns();
+            format!(
+                "\"{}\":{{\"client_completed\":{},\"assembled\":{},\
+                 \"incomplete\":{},\"orphan_stages\":{},\"rejected_verifies\":{},\
+                 \"reconstruction\":{:.4},\"extra_rtt\":{},\
+                 \"mean_total_ns\":{total},\"mean_handshake_ns\":{hs},\
+                 \"mean_guard_ns\":{guard},\"mean_ans_ns\":{ans},\
+                 \"metrics\":{}}}",
+                s.scheme,
+                s.client_completed,
+                s.report.complete.len(),
+                s.report.incomplete.len(),
+                s.report.orphan_stages,
+                s.report.rejected_verifies,
+                s.reconstruction(),
+                s.extra_rtt_mode(),
+                s.metrics_json,
+            )
+        })
+        .collect();
+    let out = format!(
         "{{\"experiment\":\"journeys\",\"seed\":{seed},\
-         \"scheme_duration_nanos\":{},\"schemes\":{{",
-        scheme_duration.as_nanos()
-    );
-    for (i, s) in schemes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (total, hs, guard, ans) = s.mean_attribution_ns();
-        out.push_str(&format!(
-            "\"{}\":{{\"client_completed\":{},\"assembled\":{},\
-             \"incomplete\":{},\"orphan_stages\":{},\"rejected_verifies\":{},\
-             \"reconstruction\":{:.4},\"extra_rtt\":{},\
-             \"mean_total_ns\":{total},\"mean_handshake_ns\":{hs},\
-             \"mean_guard_ns\":{guard},\"mean_ans_ns\":{ans},\
-             \"metrics\":{}}}",
-            s.scheme,
-            s.client_completed,
-            s.report.complete.len(),
-            s.report.incomplete.len(),
-            s.report.orphan_stages,
-            s.report.rejected_verifies,
-            s.reconstruction(),
-            s.extra_rtt_mode(),
-            s.metrics_json,
-        ));
-    }
-    out.push_str(&format!(
-        "}},\"chaos\":{{\"client_completed\":{},\"assembled\":{},\
+         \"scheme_duration_nanos\":{},\"schemes\":{{{}}},\
+         \"chaos\":{{\"client_completed\":{},\"assembled\":{},\
          \"incomplete\":{},\"orphan_stages\":{},\"rejected_verifies\":{},\
-         \"reconstruction\":{:.4},\"fired_rules\":[",
+         \"reconstruction\":{:.4},\"fired_rules\":{},\
+         \"alerts\":{}}},\"baseline_silent\":{}}}",
+        scheme_duration.as_nanos(),
+        scheme_entries.join(","),
         chaos.client_completed,
         chaos.report.complete.len(),
         chaos.report.incomplete.len(),
         chaos.report.orphan_stages,
         chaos.report.rejected_verifies,
         chaos.reconstruction(),
-    ));
-    for (i, r) in chaos.fired_rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{r}\""));
-    }
-    out.push_str(&format!(
-        "],\"alerts\":{}}},\"baseline_silent\":{}}}",
-        chaos.alerts_json, baseline_silent
-    ));
+        json_strings(&chaos.fired_rules),
+        chaos.alerts_json,
+        baseline_silent,
+    );
 
     // The COOKIE2 run has the richest stage structure (six stages across
     // three correlation ids) — the representative chrome trace.
@@ -407,16 +416,84 @@ pub fn run_all(seed: u64) -> JourneysRun {
     }
 }
 
-/// Runs the experiment with the default seed and writes
-/// `BENCH_journeys.json` and `BENCH_journeys_trace.json` under `dir`.
-pub fn export_to(dir: &Path) -> std::io::Result<(JourneysRun, PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
+/// The reconstruction bar shared by every journey world: at least 99 % of
+/// the client's transactions come back as complete journeys, with no
+/// orphan stage.
+pub fn reconstruction_failure(world: &str, reconstruction: f64, report: &JourneyReport) -> Option<String> {
+    (reconstruction < 0.99 || report.orphan_stages > 0).then(|| {
+        format!(
+            "{world}: reconstruction {reconstruction:.3} with {} orphan stages is below the bar",
+            report.orphan_stages
+        )
+    })
+}
+
+/// The chaos world's bars: reconstruction under faults, and the two rules
+/// its flood and partition must trip.
+pub fn chaos_failures(chaos: &ChaosJourneys) -> Vec<String> {
+    let mut failures: Vec<String> =
+        reconstruction_failure("chaos", chaos.reconstruction(), &chaos.report).into_iter().collect();
+    for rule in ["spoof_surge", "ans_down"] {
+        if !chaos.fired_rules.contains(&rule) {
+            failures.push(format!("chaos: {rule} never fired"));
+        }
+    }
+    failures
+}
+
+/// The acceptance bars of the whole experiment.
+pub fn failures(run: &JourneysRun) -> Vec<String> {
+    let mut failures: Vec<String> = run
+        .schemes
+        .iter()
+        .filter_map(|s| reconstruction_failure(s.scheme, s.reconstruction(), &s.report))
+        .collect();
+    failures.extend(chaos_failures(&run.chaos));
+    if !run.baseline_silent {
+        failures.push("clean baseline raised alerts".to_string());
+    }
+    failures
+}
+
+/// The registry entry: every scheme, chaos and baseline at the committed
+/// seed.
+pub fn experiment() -> Outcome {
     let run = run_all(2006);
-    let summary = dir.join("BENCH_journeys.json");
-    let trace = dir.join("BENCH_journeys_trace.json");
-    std::fs::write(&summary, &run.summary_json)?;
-    std::fs::write(&trace, &run.chrome_trace_json)?;
-    Ok((run, summary, trace))
+    let mut report = String::new();
+    for s in &run.schemes {
+        let (total, hs, guard, ans) = s.mean_attribution_ns();
+        report.push_str(&format!(
+            "{:>8}: {} journeys / {} client tx (coverage {:.3}), extra RTT {}, \
+             mean total {:.1}us (handshake {:.1}us, guard {:.1}us, ans {:.1}us)\n",
+            s.scheme,
+            s.report.complete.len(),
+            s.client_completed,
+            s.reconstruction(),
+            s.extra_rtt_mode(),
+            total as f64 / 1e3,
+            hs as f64 / 1e3,
+            guard as f64 / 1e3,
+            ans as f64 / 1e3,
+        ));
+    }
+    report.push_str(&format!(
+        "   chaos: {} journeys / {} client tx (coverage {:.3}), alerts fired: {:?}, \
+         clean baseline silent: {}\n",
+        run.chaos.report.complete.len(),
+        run.chaos.client_completed,
+        run.chaos.reconstruction(),
+        run.chaos.fired_rules,
+        run.baseline_silent,
+    ));
+    Outcome {
+        report,
+        failures: failures(&run),
+        exports: vec![
+            Export::new(SUMMARY_FILE, Format::Json, run.summary_json, SUMMARY_KEYS)
+                .also_require(SCHEMES.iter().map(|scheme| format!("\"{scheme}\":{{"))),
+            Export::new(CHROME_TRACE_FILE, Format::Json, run.chrome_trace_json, CHROME_KEYS),
+        ],
+    }
 }
 
 #[cfg(test)]
@@ -433,12 +510,7 @@ mod tests {
                 "{scheme}: only {} completed",
                 r.client_completed
             );
-            assert!(
-                r.reconstruction() >= 0.99,
-                "{scheme}: reconstruction {:.3}",
-                r.reconstruction()
-            );
-            assert_eq!(r.report.orphan_stages, 0, "{scheme}: orphan stages");
+            assert_eq!(reconstruction_failure(scheme, r.reconstruction(), &r.report), None);
             assert_eq!(
                 r.extra_rtt_mode(),
                 expect_rtt,
@@ -462,23 +534,9 @@ mod tests {
     fn chaos_reconstructs_and_fires_expected_alerts() {
         let c = run_chaos(57, SimTime::from_millis(1_000));
         assert!(c.client_completed > 50, "only {} completed", c.client_completed);
-        assert!(
-            c.reconstruction() >= 0.99,
-            "reconstruction {:.3} of {} transactions",
-            c.reconstruction(),
-            c.client_completed
-        );
-        assert_eq!(c.report.orphan_stages, 0, "no orphan stages");
-        assert!(
-            c.fired_rules.contains(&"spoof_surge"),
-            "cookie guessing must trip spoof_surge: {:?}",
-            c.fired_rules
-        );
-        assert!(
-            c.fired_rules.contains(&"ans_down"),
-            "the partition must trip ans_down: {:?}",
-            c.fired_rules
-        );
+        // Cookie guessing must trip spoof_surge and the partition ans_down,
+        // with reconstruction holding through the faults.
+        assert_eq!(chaos_failures(&c), Vec::<String>::new());
         validate_json(&c.alerts_json).unwrap();
     }
 
@@ -497,6 +555,6 @@ mod tests {
         assert!(run.chrome_trace_json.contains("\"traceEvents\""));
         assert!(run.chrome_trace_json.contains("\"ph\":\"X\""));
         assert!(run.summary_json.contains("\"fired_rules\""));
-        assert!(run.baseline_silent);
+        assert_eq!(failures(&run), Vec::<String>::new());
     }
 }

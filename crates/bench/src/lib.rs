@@ -1,47 +1,51 @@
 //! The benchmark harness: rebuilds every table and figure of the paper's
-//! evaluation section from the simulated testbed.
+//! evaluation section from the simulated testbed, plus the experiments
+//! later rounds added beside them.
+//!
+//! One runner, `cargo run --release -p bench --bin all_experiments --
+//! [--out DIR] [NAME…]`, over one table, [`registry::EXPERIMENTS`]; with no
+//! names it runs the paper's own evaluation. Each experiment is a module
+//! that owns its worlds, the documents it exports and its acceptance bars:
 //!
 //! * [`worlds`] — the guard + ANS + LRS + attacker topologies;
-//! * [`experiments`] — one function per paper artefact (Table I–III,
-//!   Figures 5–7), each returning the rows/series the paper reports;
-//! * [`obs_export`] — the instrumented telemetry run behind
-//!   `BENCH_obs.json` (`all_experiments -- --obs`);
-//! * [`journeys`] — per-scheme query-journey reconstruction and the chaos
-//!   alerting run behind `BENCH_journeys.json`
-//!   (`all_experiments -- --journeys`);
-//! * [`failover`] — the high-availability experiment behind
+//! * [`experiments`] — one measuring function per paper artefact (Table
+//!   I–III, Figures 5–7), each returning the rows/series the paper reports;
+//! * [`paper`] — `table1` … `fig7`: those rows rendered beside the paper's;
+//! * [`ablations`] — `ablations`: the design knobs DESIGN.md calls out;
+//! * [`obs_export`] — `obs`: the instrumented telemetry run behind
+//!   `BENCH_obs.json`;
+//! * [`journeys`] — `journeys`: per-scheme query-journey reconstruction and
+//!   the chaos alerting run behind `BENCH_journeys.json`;
+//! * [`failover`] — `ha`: the high-availability experiment behind
 //!   `BENCH_failover.json`: primary–standby crash failover, checkpoint-age
-//!   sweep, and admission shed-tier sweep (`all_experiments -- --ha`);
-//! * [`fleet`] — the anycast-fleet experiment behind `BENCH_fleet.json`:
-//!   a mid-flood catchment shift between two guard sites, measured with
-//!   per-site MD5 cookies vs a shared SipHash-2-4 secret
-//!   (`all_experiments -- --fleet`);
-//! * [`fleetobs`] — the fleet-observability experiment behind
+//!   sweep, and admission shed-tier sweep;
+//! * [`fleet`] — `fleet`: the anycast-fleet experiment behind
+//!   `BENCH_fleet.json`: a mid-flood catchment shift between two guard
+//!   sites, measured with per-site MD5 cookies vs a shared SipHash-2-4
+//!   secret;
+//! * [`fleetobs`] — `fleetobs`: the fleet-observability experiment behind
 //!   `BENCH_fleetobs.json`: both sites polled into a [`FleetAggregator`],
 //!   cross-node journey stitching through a mid-flood catchment shift
-//!   with clock skew, and the fleet alert rules through a site crash
-//!   (`all_experiments -- --fleetobs`);
-//! * `analytics` — (feature `traffic-analytics`, so no doc link from the
-//!   default build) the spoof-vs-flash-crowd
-//!   discriminator experiment behind `BENCH_analytics.json`: a random-spoof
-//!   flood, a bounded Zipf flash crowd, and a low-and-slow botnet driven
-//!   through the guard's streaming sketches, plus a two-site sketch-merge
-//!   leg checked against exact generator ground truth
-//!   (`all_experiments -- --analytics`);
-//! * [`report`] — plain-text table rendering.
+//!   with clock skew, and the fleet alert rules through a site crash;
+//! * `analytics` — `analytics`: (feature `traffic-analytics`, so no doc
+//!   link from the default build) the spoof-vs-flash-crowd discriminator
+//!   experiment behind `BENCH_analytics.json`: a random-spoof flood, a
+//!   bounded Zipf flash crowd, and a low-and-slow botnet driven through
+//!   the guard's streaming sketches, plus a two-site sketch-merge leg
+//!   checked against exact generator ground truth;
+//! * [`poison`] — `poison`: the cache-poisoning success table behind
+//!   `BENCH_poison.json`;
+//! * [`registry`] — the table, the runner and the export validator;
+//! * [`report`] — plain-text table rendering and JSON list joining.
 //!
 //! [`FleetAggregator`]: obs::fleet::FleetAggregator
-//!
-//! Run everything: `cargo run --release -p bench --bin all_experiments`.
-//! Individual binaries: `table1_comparison`, `table2_latency`,
-//! `table3_throughput`, `fig5_bind_attack`, `fig6_guard_attack`,
-//! `fig7_tcp_proxy`.
 //!
 //! Criterion micro-benchmarks (cookie computation, wire codec, rate
 //! limiters): `cargo bench -p bench`.
 
 #![forbid(unsafe_code)]
 
+pub mod ablations;
 #[cfg(feature = "traffic-analytics")]
 pub mod analytics;
 pub mod experiments;
@@ -50,14 +54,16 @@ pub mod fleet;
 pub mod fleetobs;
 pub mod journeys;
 pub mod obs_export;
+pub mod paper;
 pub mod poison;
+pub mod registry;
 pub mod report;
 pub mod worlds;
 
 #[cfg(test)]
 mod smoke {
     //! Smoke tests: each experiment runs (with reduced sweeps) and lands in
-    //! the paper's qualitative bands. The full sweeps run in the binaries.
+    //! the paper's qualitative bands. The full sweeps run in `all_experiments`.
 
     use crate::experiments::*;
 

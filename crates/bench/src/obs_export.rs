@@ -3,14 +3,15 @@
 //! class (grant, verify, RL drop, TC redirect, fabricated NS, eviction,
 //! ANS health transitions), sampled on a 10 ms sim-time cadence.
 //!
-//! Run via `cargo run --release -p bench --bin all_experiments -- --obs`
-//! (or `--obs-only` to skip the paper tables). Two files are written:
+//! Run via `cargo run --release -p bench --bin all_experiments -- obs`.
+//! Two files are written:
 //!
 //! * `BENCH_obs.json` — experiment header, full metrics snapshot, and the
 //!   per-metric `[t_nanos, value]` time series.
 //! * `BENCH_obs_trace.jsonl` — the structured event trace, one JSON object
 //!   per line in sim-time order.
 
+use crate::registry::{Export, Format, Outcome};
 use crate::worlds::{attach_lrs, guarded_world, LrsParams, WorldParams, ZoneSel, PUB};
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::guard::RemoteGuard;
@@ -23,7 +24,28 @@ use server::nodes::AuthNode;
 use server::simclient::CookieMode;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+
+/// The snapshot document's file name.
+pub const SNAPSHOT_FILE: &str = "BENCH_obs.json";
+/// The event trace's file name.
+pub const TRACE_FILE: &str = "BENCH_obs_trace.jsonl";
+
+/// Substrings the snapshot document must contain: the experiment header,
+/// one metric per instrumented component, the labelled guard families,
+/// and the time-series block. guardlint L4 checks that every metric and
+/// component named here has a registry definition site.
+const SNAPSHOT_KEYS: &[&str] = &[
+    "\"experiment\":\"obs_export\"",
+    "\"component\":\"guard\"",
+    "\"component\":\"netsim\"",
+    "\"component\":\"authoritative\"",
+    "\"name\":\"verify\"",
+    "\"name\":\"rl_dropped\"",
+    "\"name\":\"evicted\"",
+    "\"name\":\"queries\"",
+    "\"kind\":\"histogram\"",
+    "\"timeseries\"",
+];
 
 /// Event kinds the scenario must exercise for the trace to count as a
 /// full decision-coverage run (the acceptance list from the issue).
@@ -52,15 +74,13 @@ pub struct ObsRun {
     pub kind_counts: BTreeMap<&'static str, usize>,
 }
 
-impl ObsRun {
-    /// Required event kinds absent from the trace (empty on a good run).
-    pub fn missing_kinds(&self) -> Vec<&'static str> {
-        REQUIRED_KINDS
-            .iter()
-            .copied()
-            .filter(|k| !self.kind_counts.contains_key(k))
-            .collect()
-    }
+/// The acceptance bar: every [`REQUIRED_KINDS`] kind was traced.
+pub fn failures(run: &ObsRun) -> Vec<String> {
+    REQUIRED_KINDS
+        .iter()
+        .filter(|k| !run.kind_counts.contains_key(*k))
+        .map(|k| format!("required event kind {k:?} was never traced"))
+        .collect()
 }
 
 /// Drives the instrumented scenario and composes the export documents.
@@ -178,17 +198,22 @@ pub fn run_scenario(seed: u64, duration: SimTime) -> ObsRun {
     }
 }
 
-/// Runs the scenario with the default seed/duration and writes
-/// `BENCH_obs.json` and `BENCH_obs_trace.jsonl` under `dir`. Returns the
-/// run plus the two paths.
-pub fn export_to(dir: &Path) -> std::io::Result<(ObsRun, PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
+/// The registry entry: the scenario at the committed seed and duration.
+pub fn experiment() -> Outcome {
     let run = run_scenario(2006, SimTime::from_millis(1_400));
-    let snapshot = dir.join("BENCH_obs.json");
-    let trace = dir.join("BENCH_obs_trace.jsonl");
-    std::fs::write(&snapshot, &run.snapshot_json)?;
-    std::fs::write(&trace, &run.trace_jsonl)?;
-    Ok((run, snapshot, trace))
+    let report = format!(
+        "trace: {} events, {} dropped\nevent kinds: {:?}\n",
+        run.events, run.dropped, run.kind_counts
+    );
+    Outcome {
+        report,
+        failures: failures(&run),
+        exports: vec![
+            Export::new(SNAPSHOT_FILE, Format::Json, run.snapshot_json, SNAPSHOT_KEYS),
+            Export::new(TRACE_FILE, Format::Jsonl, run.trace_jsonl, &[])
+                .also_require(REQUIRED_KINDS.iter().map(|k| format!("\"kind\":\"{k}\""))),
+        ],
+    }
 }
 
 #[cfg(test)]
@@ -198,25 +223,17 @@ mod tests {
 
     #[test]
     fn scenario_covers_every_decision_kind_and_exports_valid_json() {
-        let run = run_scenario(2006, SimTime::from_millis(1_400));
-        assert_eq!(
-            run.missing_kinds(),
-            Vec::<&str>::new(),
-            "kinds seen: {:?}",
-            run.kind_counts
-        );
+        let mut run = run_scenario(2006, SimTime::from_millis(1_400));
+        assert_eq!(failures(&run), Vec::<String>::new(), "kinds seen: {:?}", run.kind_counts);
         validate_json(&run.snapshot_json)
             .unwrap_or_else(|off| panic!("BENCH_obs.json invalid at byte {off}"));
         validate_jsonl(&run.trace_jsonl)
             .unwrap_or_else(|(ln, off)| panic!("trace invalid at line {ln}, byte {off}"));
-        for key in [
-            "\"component\":\"guard\"",
-            "\"component\":\"netsim\"",
-            "\"component\":\"authoritative\"",
-            "\"timeseries\"",
-        ] {
+        for key in SNAPSHOT_KEYS {
             assert!(run.snapshot_json.contains(key), "missing {key}");
         }
+        run.kind_counts.remove("evict");
+        assert_eq!(failures(&run), ["required event kind \"evict\" was never traced"]);
     }
 
     #[test]

@@ -1,0 +1,468 @@
+//! The experiment registry: every experiment this crate can run is one row
+//! of [`EXPERIMENTS`], and `all_experiments [--out DIR] [NAME…]` is the one
+//! runner over it.
+//!
+//! A row is plain data plus a `fn() -> Outcome`. The experiment's module
+//! owns everything about it — worlds, the JSON it composes, the keys a
+//! reader of that JSON may rely on, and its acceptance bars (a
+//! `failures(&Run)` function beside the run code) — and the runner treats
+//! every row alike: print the report, write the exports, read them back
+//! from disk, validate format and required keys, collect the failures.
+
+use crate::{ablations, failover, fleet, fleetobs, journeys, obs_export, paper, poison};
+use obs::export::{validate_json, validate_jsonl};
+use std::path::PathBuf;
+
+/// How an exported file must parse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// One JSON value.
+    Json,
+    /// One JSON value per non-empty line.
+    Jsonl,
+}
+
+/// One file an experiment writes under the output directory.
+pub struct Export {
+    /// File name, e.g. `BENCH_obs.json`.
+    pub file: &'static str,
+    /// The format the file is validated against after it is read back.
+    pub format: Format,
+    /// The document.
+    pub contents: String,
+    /// Substrings the document must contain: the keys (and table rows,
+    /// event kinds) a reader of the committed file may rely on.
+    pub required: Vec<String>,
+}
+
+impl Export {
+    /// An export that must contain every one of `keys`.
+    pub fn new(file: &'static str, format: Format, contents: String, keys: &[&str]) -> Export {
+        Export {
+            file,
+            format,
+            contents,
+            required: keys.iter().map(|k| k.to_string()).collect(),
+        }
+    }
+
+    /// Adds required substrings computed from a table (event kinds, scheme
+    /// labels, table rows).
+    pub fn also_require(mut self, more: impl IntoIterator<Item = String>) -> Export {
+        self.required.extend(more);
+        self
+    }
+}
+
+/// What one experiment run produced.
+pub struct Outcome {
+    /// The human-readable report, printed as is.
+    pub report: String,
+    /// Files to write, in the order of [`Experiment::files`].
+    pub exports: Vec<Export>,
+    /// Acceptance bars the run missed (empty on a good run).
+    pub failures: Vec<String>,
+}
+
+impl Outcome {
+    /// An outcome that only prints: the paper artefacts and the ablations
+    /// have shapes to compare by eye, not bars.
+    pub fn report_only(report: String) -> Outcome {
+        Outcome {
+            report,
+            exports: Vec::new(),
+            failures: Vec::new(),
+        }
+    }
+}
+
+/// One row of the registry.
+pub struct Experiment {
+    /// The name given on the command line.
+    pub name: &'static str,
+    /// Heading printed before the report.
+    pub title: &'static str,
+    /// Whether this is one of the paper's own tables or figures — the set
+    /// a bare `all_experiments` runs.
+    pub paper: bool,
+    /// The files [`Experiment::run`] exports.
+    pub files: &'static [&'static str],
+    /// Runs the experiment with its committed seed.
+    pub run: fn() -> Outcome,
+}
+
+/// Every experiment, in the order `all_experiments` lists and runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table1",
+        title: "Table I: comparison among spoof detection schemes",
+        paper: true,
+        files: &[],
+        run: paper::table1,
+    },
+    Experiment {
+        name: "table2",
+        title: "Table II: request latency per scheme",
+        paper: true,
+        files: &[],
+        run: paper::table2,
+    },
+    Experiment {
+        name: "table3",
+        title: "Table III: guard throughput per scheme",
+        paper: true,
+        files: &[],
+        run: paper::table3,
+    },
+    Experiment {
+        name: "fig5",
+        title: "Figure 5: BIND ANS under attack, guard on and off",
+        paper: true,
+        files: &[],
+        run: paper::fig5,
+    },
+    Experiment {
+        name: "fig6",
+        title: "Figure 6: guard under attack, spoof detection on and off",
+        paper: true,
+        files: &[],
+        run: paper::fig6,
+    },
+    Experiment {
+        name: "fig7",
+        title: "Figure 7: TCP proxy throughput",
+        paper: true,
+        files: &[],
+        run: paper::fig7,
+    },
+    Experiment {
+        name: "ablations",
+        title: "Ablations of the guard's design choices",
+        paper: false,
+        files: &[],
+        run: ablations::experiment,
+    },
+    Experiment {
+        name: "obs",
+        title: "Telemetry export (obs)",
+        paper: false,
+        files: &[obs_export::SNAPSHOT_FILE, obs_export::TRACE_FILE],
+        run: obs_export::experiment,
+    },
+    Experiment {
+        name: "journeys",
+        title: "Query journeys & alerting",
+        paper: false,
+        files: &[journeys::SUMMARY_FILE, journeys::CHROME_TRACE_FILE],
+        run: journeys::experiment,
+    },
+    Experiment {
+        name: "ha",
+        title: "High availability: failover, checkpoints, admission",
+        paper: false,
+        files: &[failover::SUMMARY_FILE],
+        run: failover::experiment,
+    },
+    Experiment {
+        name: "fleet",
+        title: "Anycast fleet: catchment shift, cookie interop",
+        paper: false,
+        files: &[fleet::SUMMARY_FILE],
+        run: fleet::experiment,
+    },
+    Experiment {
+        name: "fleetobs",
+        title: "Fleet observability: cross-node stitching, fleet rules",
+        paper: false,
+        files: &[fleetobs::SUMMARY_FILE, fleetobs::TRACE_FILE],
+        run: fleetobs::experiment,
+    },
+    #[cfg(feature = "traffic-analytics")]
+    Experiment {
+        name: "analytics",
+        title: "Traffic analytics: spoof vs flash crowd, sketch merge",
+        paper: false,
+        files: &[crate::analytics::SUMMARY_FILE],
+        run: crate::analytics::experiment,
+    },
+    Experiment {
+        name: "poison",
+        title: "Cache poisoning: adversary suite vs unilateral hardening",
+        paper: false,
+        files: &[poison::SUMMARY_FILE],
+        run: poison::experiment,
+    },
+];
+
+/// What the command line asked for.
+pub struct Plan {
+    /// Directory the exports are written under.
+    pub out: PathBuf,
+    /// The experiments to run, in the order named.
+    pub experiments: Vec<&'static Experiment>,
+}
+
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: all_experiments [--out DIR] [NAME...]\n\
+         \x20 --out DIR  directory for the exported files (default .)\n\
+         \x20 no NAME runs the paper's own evaluation (*)\n\
+         experiments:\n",
+    );
+    for e in EXPERIMENTS {
+        let mark = if e.paper { '*' } else { ' ' };
+        text.push_str(&format!(" {mark} {:<10} {}\n", e.name, e.title));
+    }
+    if cfg!(not(feature = "traffic-analytics")) {
+        text.push_str("   analytics  (only in a build with --features traffic-analytics)\n");
+    }
+    text
+}
+
+fn lookup(name: &str) -> Result<&'static Experiment, String> {
+    EXPERIMENTS.iter().find(|e| e.name == name).ok_or_else(|| {
+        if name == "analytics" {
+            "the analytics experiment needs the sketches compiled in: \
+             rebuild with --features traffic-analytics"
+                .to_string()
+        } else {
+            format!("unknown experiment {name:?}")
+        }
+    })
+}
+
+/// Parses the arguments after the program name. Anything that is not
+/// `--out DIR` or a registered name is an error carrying the usage text:
+/// a typo must not fall through to a different run.
+pub fn parse_args(args: &[String]) -> Result<Plan, String> {
+    let mut out = PathBuf::from(".");
+    let mut experiments = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let problem = if arg == "--out" {
+            match args.next() {
+                Some(dir) => {
+                    out = PathBuf::from(dir);
+                    continue;
+                }
+                None => "--out needs a directory".to_string(),
+            }
+        } else if arg.starts_with('-') {
+            format!("unknown flag {arg:?}")
+        } else {
+            match lookup(arg) {
+                Ok(e) => {
+                    experiments.push(e);
+                    continue;
+                }
+                Err(problem) => problem,
+            }
+        };
+        return Err(format!("{problem}\n{}", usage()));
+    }
+    if experiments.is_empty() {
+        experiments.extend(EXPERIMENTS.iter().filter(|e| e.paper));
+    }
+    Ok(Plan { out, experiments })
+}
+
+/// Checks one export as read back from disk: it parses as its format and
+/// contains every required substring. Returns every problem found.
+pub fn validate(export: &Export, on_disk: &str) -> Vec<String> {
+    let file = export.file;
+    let mut problems = Vec::new();
+    match export.format {
+        Format::Json => {
+            if let Err(off) = validate_json(on_disk) {
+                problems.push(format!("{file} is not valid JSON (byte {off})"));
+            }
+        }
+        Format::Jsonl => {
+            if let Err((line, off)) = validate_jsonl(on_disk) {
+                problems.push(format!("{file} line {line} is not valid JSON (byte {off})"));
+            }
+        }
+    }
+    for key in &export.required {
+        if !on_disk.contains(key.as_str()) {
+            problems.push(format!("{file} is missing {key}"));
+        }
+    }
+    problems
+}
+
+/// Runs the plan. For each experiment: prints its title and report, writes
+/// its exports under `plan.out` and validates each as read back from disk.
+/// Returns every failure (acceptance bars, then export problems), prefixed
+/// with the experiment's name; one failing experiment does not stop the
+/// others.
+pub fn run(plan: &Plan) -> Vec<String> {
+    if let Err(e) = std::fs::create_dir_all(&plan.out) {
+        return vec![format!("{}: {e}", plan.out.display())];
+    }
+    let mut failures = Vec::new();
+    for exp in &plan.experiments {
+        println!("== {} ==", exp.title);
+        let outcome = (exp.run)();
+        print!("{}", outcome.report);
+        let mut failed = outcome.failures;
+        let written: Vec<&str> = outcome.exports.iter().map(|e| e.file).collect();
+        if written != exp.files {
+            failed.push(format!("exported {written:?}, registered {:?}", exp.files));
+        }
+        for export in &outcome.exports {
+            let path = plan.out.join(export.file);
+            let on_disk = std::fs::write(&path, &export.contents)
+                .and_then(|()| std::fs::read_to_string(&path));
+            match on_disk {
+                Ok(on_disk) => {
+                    println!("wrote {} ({} bytes)", path.display(), on_disk.len());
+                    failed.extend(validate(export, &on_disk));
+                }
+                Err(e) => failed.push(format!("{}: {e}", path.display())),
+            }
+        }
+        failures.extend(failed.iter().map(|f| format!("{}: {f}", exp.name)));
+    }
+    failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    const PAPER: [&str; 6] = ["table1", "table2", "table3", "fig5", "fig6", "fig7"];
+
+    fn parse(args: &[&str]) -> Result<Plan, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn names(plan: &Plan) -> Vec<&'static str> {
+        plan.experiments.iter().map(|e| e.name).collect()
+    }
+
+    #[test]
+    fn names_and_export_files_are_unique_and_the_paper_set_is_the_papers() {
+        let mut seen = BTreeSet::new();
+        for e in EXPERIMENTS {
+            assert!(
+                seen.insert(e.name),
+                "experiment {} registered twice",
+                e.name
+            );
+        }
+        for file in EXPERIMENTS.iter().flat_map(|e| e.files) {
+            assert!(seen.insert(file), "two experiments export {file}");
+        }
+        let paper: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.paper)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(paper, PAPER);
+    }
+
+    #[test]
+    fn no_names_means_the_paper_set_and_names_run_in_the_order_given() {
+        let plan = parse(&[]).unwrap();
+        assert_eq!(
+            (names(&plan), plan.out),
+            (PAPER.to_vec(), PathBuf::from("."))
+        );
+        let plan = parse(&["poison", "--out", "target/x", "ha"]).unwrap();
+        assert_eq!(
+            (names(&plan), plan.out),
+            (vec!["poison", "ha"], PathBuf::from("target/x"))
+        );
+    }
+
+    #[test]
+    fn a_typo_or_a_dangling_out_is_an_error_that_lists_the_registered_names() {
+        for (bad, problem) in [
+            (&["--posion"][..], "unknown flag \"--posion\""),
+            (&["posion"], "unknown experiment \"posion\""),
+            (&["obs", "--outdir", "x"], "unknown flag \"--outdir\""),
+            (&["obs", "--out"], "--out needs a directory"),
+            #[cfg(not(feature = "traffic-analytics"))]
+            (
+                &["analytics"],
+                "the analytics experiment needs the sketches compiled in: \
+                 rebuild with --features traffic-analytics",
+            ),
+        ] {
+            let err = parse(bad).err().expect("must be rejected");
+            assert_eq!(err.lines().next(), Some(problem));
+            for e in EXPERIMENTS {
+                assert!(err.contains(e.name), "usage must list {}: {err}", e.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_export_fails_naming_the_key_the_byte_or_the_line() {
+        let json = Export::new("x.json", Format::Json, String::new(), &["\"took_over\":"]);
+        assert_eq!(
+            validate(&json, "{\"took_over\":true}"),
+            Vec::<String>::new()
+        );
+        assert_eq!(validate(&json, "{}"), ["x.json is missing \"took_over\":"]);
+        assert_eq!(
+            validate(&json, "{\"took_over\":1,}"),
+            ["x.json is not valid JSON (byte 15)"]
+        );
+        let jsonl = Export::new(
+            "x.jsonl",
+            Format::Jsonl,
+            String::new(),
+            &["\"kind\":\"evict\""],
+        );
+        assert_eq!(
+            validate(&jsonl, "{\"kind\":\"grant\"}\n{\"kind\":}\n"),
+            [
+                "x.jsonl line 1 is not valid JSON (byte 8)",
+                "x.jsonl is missing \"kind\":\"evict\"",
+            ]
+        );
+    }
+
+    fn broken() -> Outcome {
+        Outcome {
+            report: "report\n".to_string(),
+            exports: vec![Export::new(
+                "BENCH_broken.json",
+                Format::Json,
+                "{\"ok\":false}".to_string(),
+                &["\"ok\":true"],
+            )],
+            failures: vec!["the bar was missed".to_string()],
+        }
+    }
+
+    #[test]
+    fn the_runner_reads_exports_back_and_collects_every_failure() {
+        static BROKEN: Experiment = Experiment {
+            name: "broken",
+            title: "A run that misses a bar and exports a bad document",
+            paper: false,
+            files: &["BENCH_elsewhere.json"],
+            run: broken,
+        };
+        let out = std::env::temp_dir().join(format!("bench-registry-{}", std::process::id()));
+        let failures = run(&Plan {
+            out: out.clone(),
+            experiments: vec![&BROKEN],
+        });
+        let on_disk = std::fs::read_to_string(out.join("BENCH_broken.json")).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
+        assert_eq!(on_disk, "{\"ok\":false}");
+        assert_eq!(
+            failures,
+            [
+                "broken: the bar was missed",
+                "broken: exported [\"BENCH_broken.json\"], registered [\"BENCH_elsewhere.json\"]",
+                "broken: BENCH_broken.json is missing \"ok\":true",
+            ]
+        );
+    }
+}

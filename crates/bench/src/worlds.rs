@@ -7,6 +7,8 @@ use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
 use netsim::engine::{CpuConfig, NodeId, Simulator};
 use netsim::time::SimTime;
+use obs::trace::Level;
+use obs::Obs;
 use server::authoritative::Authority;
 use server::nodes::{AuthNode, ServerCosts};
 use server::simclient::{CookieMode, LrsSimConfig, LrsSimulator};
@@ -201,6 +203,28 @@ pub fn attach_flood(sim: &mut Simulator, ip: Ipv4Addr, rate: f64) -> NodeId {
     )
 }
 
+/// Attaches the 2⁻³² cookie-label guess flood at `66.0.0.66`: `rate`
+/// spoofed queries per second for `duration`, each carrying a random
+/// NS-label cookie under `com` — an invalid verify at the guard, never a
+/// handshake.
+pub fn attach_cookie_guess_flood(sim: &mut Simulator, rate: f64, duration: SimTime) -> NodeId {
+    use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
+    sim.add_node(
+        Ipv4Addr::new(66, 0, 0, 66),
+        CpuConfig::unbounded(),
+        SpoofedFlood::new(FloodConfig {
+            target: PUB,
+            rate,
+            sources: SourceStrategy::Random,
+            payload: AttackPayload::CookieLabelGuess {
+                zone_suffix: "com".to_string(),
+                parent: ".".parse().expect("root name"),
+            },
+            duration: Some(duration),
+        }),
+    )
+}
+
 /// Measures a client's completed-request delta over a window, returning
 /// requests/second.
 pub fn measure_throughput(
@@ -220,4 +244,45 @@ pub fn measure_throughput(
         .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs node").stats.completed)
         .sum();
     (after - before) as f64 / window.as_secs_f64()
+}
+
+/// Attaches `n` cookie-caching clients at `10.0.<i>.1` (the HA and fleet
+/// worlds). Concurrency 1 so a crashed guard, or a site the catchment moved
+/// away from, costs each client at most one consecutive timeout — two would
+/// invalidate the cached cookie and force the fresh handshake a takeover is
+/// supposed to avoid.
+pub fn verified_clients(sim: &mut Simulator, n: u8) -> Vec<NodeId> {
+    (1..=n)
+        .map(|c| {
+            attach_lrs(
+                sim,
+                LrsParams {
+                    ip: Ipv4Addr::new(10, 0, c, 1),
+                    mode: CookieMode::Plain,
+                    cookie_cache: true,
+                    concurrency: 1,
+                    wait: SimTime::from_millis(150),
+                    pace: SimTime::from_millis(5),
+                    per_packet_cost: SimTime::ZERO,
+                },
+            )
+        })
+        .collect()
+}
+
+/// Transactions each client has completed so far.
+pub fn completions(sim: &Simulator, clients: &[NodeId]) -> Vec<u64> {
+    clients
+        .iter()
+        .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs node").stats.completed)
+        .collect()
+}
+
+/// A telemetry bundle for an instrumented world: info-level tracing, with
+/// the tracer's own counters adopted into the registry.
+pub fn traced_obs() -> Obs {
+    let obs = Obs::new();
+    obs.tracer.set_default_level(Level::Info);
+    obs.tracer.adopt_into(&obs.registry);
+    obs
 }

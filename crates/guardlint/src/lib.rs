@@ -12,8 +12,9 @@
 //!   crates (`core`, `netsim`, `server`, `attack`, `obs`);
 //! * **L3** — `Ordering::Relaxed` outside the obs record path requires an
 //!   inline `// lint: relaxed-ok — <why>` justification;
-//! * **L4** — metric/alert names referenced by `telemetry_check` and the
-//!   alert rules must exist at a registry definition site;
+//! * **L4** — metric/alert names referenced by the snapshot contracts
+//!   (the required export keys of `bench::obs_export` / `bench::fleetobs`)
+//!   and the alert rules must exist at a registry definition site;
 //! * **L5** — trace coverage: the export contract's kinds have emit
 //!   sites, and guard-emitted kinds are observed somewhere;
 //! * **L6** — shared-state escape: a variable captured by a spawned

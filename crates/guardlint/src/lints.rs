@@ -5,8 +5,8 @@
 //! | L1 | no panic on wire input: `unwrap`/`expect`/`panic!`-family macros and slice indexing are forbidden in `dnswire` and the guard rx modules |
 //! | L2 | determinism: wall clocks and ambient RNG are forbidden in the sim-domain crates (`core`, `netsim`, `server`, `attack`, `obs`) |
 //! | L3 | atomic-ordering discipline: `Ordering::Relaxed` outside the obs record path needs a `// lint: relaxed-ok — ...` justification |
-//! | L4 | metric/alert names referenced by `telemetry_check` and the alert rules (per-node `RULES`, fleet `FLEET_RULES`) must exist at a registry definition site |
-//! | L5 | trace coverage: contract kinds (`REQUIRED_KINDS`, `STITCH_KINDS`, `ANALYTICS_KINDS`) must have emit sites, and guard/analytics-emitted kinds must be observed somewhere |
+//! | L4 | metric/alert names referenced by the snapshot contracts (the required keys of `bench::obs_export` and `bench::fleetobs`) and the alert rules (per-node `RULES`, fleet `FLEET_RULES`) must exist at a registry definition site |
+//! | L5 | trace coverage: contract kinds (`REQUIRED_KINDS`, `STITCH_KINDS`, `ANALYTICS_KINDS`, `POISON_KINDS`) must have emit sites, and guard/analytics-emitted kinds must be observed somewhere |
 //! | L6 | shared-state escape: a variable captured by a spawned closure and mutated inside it must go through an atomic/lock (`guardcheck::sync`) or carry `// lint: shared-ok — <why>` |
 //! | L7 | lock ordering: the per-function lock-acquisition graph must be acyclic — an A→B hold-while-acquiring edge with a B→A edge elsewhere is a deadlock recipe |
 //!
@@ -812,7 +812,10 @@ fn nontest_strings(file: &SourceFile) -> Vec<ArgStr> {
 
 // -------------------------------------------------------------------- L4
 
-const TELEMETRY_CHECK: &str = "crates/bench/src/bin/telemetry_check.rs";
+/// The snapshot contracts checked by L4 leg A: the bench experiments whose
+/// required export keys name metrics (`"name":"…"`) and components
+/// (`"component":"…"`) of a metrics snapshot.
+const SNAPSHOT_CONTRACTS: &[&str] = &[OBS_EXPORT, FLEETOBS_RS];
 const ALERT_RS: &str = "crates/obs/src/alert.rs";
 const FLEET_RS: &str = "crates/obs/src/fleet.rs";
 
@@ -926,9 +929,9 @@ pub fn l4(files: &[SourceFile]) -> Vec<Finding> {
     let defs = metric_definitions(files);
     let components: BTreeSet<&String> = defs.values().flatten().collect();
 
-    // Leg A — telemetry_check's snapshot keys name real metrics.
-    if let Some(tc) = files.iter().find(|f| f.rel == TELEMETRY_CHECK) {
-        for s in nontest_strings(tc) {
+    // Leg A — the snapshot contracts' required keys name real metrics.
+    for contract in files.iter().filter(|f| SNAPSHOT_CONTRACTS.contains(&f.rel.as_str())) {
+        for s in nontest_strings(contract) {
             for (key, is_name) in [("\"name\":\"", true), ("\"component\":\"", false)] {
                 let mut from = 0usize;
                 while let Some(p) = s.content[from..].find(key) {
@@ -942,12 +945,12 @@ pub fn l4(files: &[SourceFile]) -> Vec<Finding> {
                     };
                     if !ok {
                         out.push(Finding {
-                            file: tc.rel.clone(),
+                            file: contract.rel.clone(),
                             line: s.line,
                             lint: "L4",
                             severity: Severity::Error,
                             message: format!(
-                                "telemetry_check expects {} {token:?}, but no registry \
+                                "the snapshot contract expects {} {token:?}, but no registry \
                                  definition site registers it",
                                 if is_name { "metric" } else { "component" }
                             ),
@@ -1033,6 +1036,7 @@ pub fn l4(files: &[SourceFile]) -> Vec<Finding> {
 // -------------------------------------------------------------------- L5
 
 const OBS_EXPORT: &str = "crates/bench/src/obs_export.rs";
+const FLEETOBS_RS: &str = "crates/bench/src/fleetobs.rs";
 const GUARD_RS: &str = "crates/core/src/guard.rs";
 const ANALYTICS_RS: &str = "crates/core/src/analytics.rs";
 const POISON_RS: &str = "crates/bench/src/poison.rs";
@@ -1239,11 +1243,11 @@ mod tests {
             "crates/core/src/guard.rs",
             "fn a(r: &Registry) { r.adopt_counter(\"guard\", \"verify\", &[], &c); }\n",
         );
-        let tc = file(
-            TELEMETRY_CHECK,
+        let contract = file(
+            OBS_EXPORT,
             "const K: &[&str] = &[\"\\\"name\\\":\\\"verify\\\"\", \"\\\"name\\\":\\\"no_such\\\"\"];\n",
         );
-        let findings = l4(&[defs, tc]);
+        let findings = l4(&[defs, contract]);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("no_such"));
     }

@@ -29,17 +29,7 @@ use std::net::Ipv4Addr;
 #[test]
 fn primary_crash_mid_flood_fails_over_cleanly() {
     let c = bench::failover::run_crash_failover(2006);
-    assert!(c.took_over, "standby must claim the guarded address");
-    assert!(
-        c.continued as f64 >= c.clients as f64 * 0.99,
-        "only {}/{} verified sources continued across the takeover",
-        c.continued,
-        c.clients
-    );
-    assert_eq!(
-        c.spoofed_to_ans, 0,
-        "spoofed packets reached the ANS across the transition"
-    );
+    assert_eq!(bench::failover::crash_failures(&c), Vec::<String>::new());
     // Heartbeat budget: miss threshold (3) × replication interval (20 ms),
     // one interval of phase slack, plus the 10 ms alert-sampling cadence.
     let takeover = c
@@ -49,16 +39,6 @@ fn primary_crash_mid_flood_fails_over_cleanly() {
         takeover <= SimTime::from_millis(100).as_nanos(),
         "takeover detected after {} ms — outside the heartbeat budget",
         takeover / 1_000_000
-    );
-    assert!(
-        c.fired_rules.contains(&"failover_triggered"),
-        "failover_triggered must fire: {:?}",
-        c.fired_rules
-    );
-    assert!(
-        c.fired_rules.contains(&"checkpoint_lag"),
-        "the standby's growing heartbeat age must trip checkpoint_lag: {:?}",
-        c.fired_rules
     );
 }
 

@@ -5,7 +5,9 @@
 //! one extra round trip for the NS-label and modified-DNS schemes, two for
 //! the COOKIE2 redirect and the TC→TCP fallback.
 
-use bench::journeys::{clean_baseline_is_silent, run_chaos, run_scheme};
+use bench::journeys::{
+    chaos_failures, clean_baseline_is_silent, reconstruction_failure, run_chaos, run_scheme,
+};
 use netsim::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -25,12 +27,7 @@ fn schemes_produce_expected_stage_sequences() {
     for (scheme, expect_rtt) in [("ns_label", 1), ("cookie2", 2), ("tcp", 2), ("ext", 1)] {
         let r = run_scheme(scheme, 2_021, SimTime::from_millis(400));
         assert!(r.client_completed > 20, "{scheme}: only {} tx", r.client_completed);
-        assert!(
-            r.reconstruction() >= 0.99,
-            "{scheme}: reconstruction {:.3}",
-            r.reconstruction()
-        );
-        assert_eq!(r.report.orphan_stages, 0, "{scheme}: orphan stages");
+        assert_eq!(reconstruction_failure(scheme, r.reconstruction(), &r.report), None);
 
         // Every cold-start transaction follows the scheme's canonical path.
         let mut sequences: BTreeMap<Vec<&'static str>, u64> = BTreeMap::new();
@@ -81,13 +78,6 @@ fn stage_latencies_sum_to_end_to_end() {
 fn chaos_run_meets_coverage_and_alerting_bars() {
     let c = run_chaos(2_023, SimTime::from_millis(1_000));
     assert!(c.client_completed > 50, "only {} tx", c.client_completed);
-    assert!(
-        c.reconstruction() >= 0.99,
-        "chaos reconstruction {:.3}",
-        c.reconstruction()
-    );
-    assert_eq!(c.report.orphan_stages, 0, "chaos orphan stages");
-    assert!(c.fired_rules.contains(&"spoof_surge"), "{:?}", c.fired_rules);
-    assert!(c.fired_rules.contains(&"ans_down"), "{:?}", c.fired_rules);
+    assert_eq!(chaos_failures(&c), Vec::<String>::new());
     assert!(clean_baseline_is_silent(2_024, SimTime::from_millis(600)));
 }
