@@ -3,7 +3,8 @@
 # workflow (.github/workflows/ci.yml): release build, the full workspace
 # test suite (unit, integration, chaos and property tests), the guardlint
 # static-analysis pass (repo-specific safety/determinism/telemetry
-# invariants; exemptions live in Lint.toml), clippy with warnings promoted
+# invariants; exemptions live in Lint.toml) with the check that the guard's
+# sans-IO core names no simulator engine, clippy with warnings promoted
 # to errors, the experiment smoke run (every non-paper entry of the
 # experiment registry: acceptance bars, export validation, and a `cmp` of
 # every export against the committed BENCH_* file of the same name), and
@@ -42,6 +43,14 @@ if want lint; then
   # Inside GitHub Actions, emit ::error annotations so findings land on
   # the PR diff lines; locally, the plain file:line form.
   cargo run -q --offline -p guardlint -- --deny ${GITHUB_ACTIONS:+--github}
+  echo "==> seam: the guard core names no simulator engine"
+  # GuardCore is driven by netsim and by real sockets alike. It may use
+  # netsim's packet, time and cost types; the event engine belongs to its
+  # simulator driver (crates/core/src/guard/sim.rs).
+  if grep -nE 'netsim::(engine|Context|Node|Simulator)' crates/core/src/guard/core.rs; then
+    echo "seam: crates/core/src/guard/core.rs names netsim's event engine" >&2
+    exit 1
+  fi
 fi
 
 if want guardcheck; then

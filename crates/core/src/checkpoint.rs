@@ -42,7 +42,7 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"GCKP";
 
 /// Current encoding version. Decoders reject anything else — a stale
 /// standby must resync rather than misparse.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// How long a stashed one-shot answer stays servable (mirrors the guard's
 /// housekeeping sweep).
@@ -105,17 +105,25 @@ pub struct LimiterState {
     pub per_source: Vec<(Ipv4Addr, TokenBucketState)>,
 }
 
-/// The serializable subset of a forward-table rewrite. TCP relays and
-/// probes are deliberately unrepresentable: they must not survive a
-/// restart.
+/// The serializable subset of a forward-table rewrite, as the guard itself
+/// keeps it. TCP relays and probes are deliberately unrepresentable: they
+/// must not survive a restart. `question` is the digest of the forwarded
+/// question ([`dnswire::question::digest`]), so a restored guard or a
+/// standby relays only the answer the primary would; `Fabricated` keeps the
+/// forwarded name itself.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RewriteState {
-    /// Relay the ANS response as-is.
-    Passthrough,
+    /// Relay the ANS response as-is (txid restored).
+    Passthrough {
+        /// Digest of the forwarded question.
+        question: u64,
+    },
     /// DNS-based referral: re-answer the cookie-name question with glue.
     ReferralCookie {
         /// The cookie-label question the requester asked.
         cookie_question: Question,
+        /// Digest of the forwarded question.
+        question: u64,
     },
     /// DNS-based non-referral: stash the answer, reply `COOKIE2`.
     Fabricated {
@@ -433,10 +441,17 @@ pub(crate) fn put_fwd(buf: &mut Vec<u8>, f: &FwdState) {
     put_u64(buf, f.created_nanos);
     put_u64(buf, f.qid);
     match &f.rewrite {
-        RewriteState::Passthrough => buf.push(0),
-        RewriteState::ReferralCookie { cookie_question } => {
+        RewriteState::Passthrough { question } => {
+            buf.push(0);
+            put_u64(buf, *question);
+        }
+        RewriteState::ReferralCookie {
+            cookie_question,
+            question,
+        } => {
             buf.push(1);
             put_question(buf, cookie_question);
+            put_u64(buf, *question);
         }
         RewriteState::Fabricated {
             cookie_question,
@@ -582,9 +597,10 @@ pub(crate) fn get_fwd(r: &mut Reader<'_>) -> Result<FwdState, DecodeError> {
     let created_nanos = r.u64()?;
     let qid = r.u64()?;
     let rewrite = match r.u8()? {
-        0 => RewriteState::Passthrough,
+        0 => RewriteState::Passthrough { question: r.u64()? },
         1 => RewriteState::ReferralCookie {
             cookie_question: get_question(r)?,
+            question: r.u64()?,
         },
         2 => RewriteState::Fabricated {
             cookie_question: get_question(r)?,
@@ -657,7 +673,9 @@ mod tests {
                     requester: (Ipv4Addr::new(10, 0, 0, 7), 999),
                     reply_from: (Ipv4Addr::new(198, 41, 0, 4), 53),
                     orig_txid: 31_337,
-                    rewrite: RewriteState::Passthrough,
+                    rewrite: RewriteState::Passthrough {
+                        question: 0xFEED_FACE_CAFE_BEEF,
+                    },
                     created_nanos: 1_000_000,
                     qid: 12,
                 },
@@ -678,7 +696,10 @@ mod tests {
                     requester: (Ipv4Addr::new(10, 0, 0, 9), 1_002),
                     reply_from: (Ipv4Addr::new(198, 41, 0, 4), 53),
                     orig_txid: 6,
-                    rewrite: RewriteState::ReferralCookie { cookie_question: q },
+                    rewrite: RewriteState::ReferralCookie {
+                        cookie_question: q,
+                        question: u64::MAX,
+                    },
                     created_nanos: 1_200_000,
                     qid: 14,
                 },

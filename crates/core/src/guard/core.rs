@@ -1,25 +1,7 @@
-//! The remote DNS guard: the composite pipeline of Figure 4.
-//!
-//! One node owns the protected ANS's public address (and the surrounding
-//! subnet for `COOKIE2` addresses) and dispatches every packet through the
-//! cookie checker, the rate limiters and the scheme handlers:
-//!
-//! ```text
-//!                  UDP req                     UDP req
-//!  Internet ──► Cookie Checker ──► Rate-Limiter2 ──► ANS
-//!                  │    ▲ UDP resp                  │ UDP resp
-//!        TCP req   ▼    │                           ▼
-//!           ──► TCP proxy ──► Rate-Limiter2     (relayed back)
-//!                  │
-//!                  └── cookie/TC/NS responses ──► Rate-Limiter1 ──► Internet
-//! ```
-//!
-//! CPU is accounted with the calibrated constants of [`netsim::cost`]: one
-//! `packet_cost` per packet in or out, one `cookie_cost` per cookie
-//! computation, `tcp_conn_cost` per proxied connection — nothing else. The
-//! throughput and utilisation figures of the paper emerge from these charges
-//! plus the packet counts of each scheme.
+//! The guard's decisions, with no I/O: [`GuardCore`] is handed the time and
+//! each datagram and appends what must happen to the driver's [`Outputs`].
 
+use super::stats::{GuardMetrics, GuardStats};
 use crate::admission::{AdmissionController, PressureTier};
 use crate::checkpoint::{
     FwdState, GuardCheckpoint, KeyState, RewriteState, SharedCheckpointStore, StashState,
@@ -36,422 +18,90 @@ use crate::tcp_proxy::{ProxyAction, TcpProxy};
 use dnswire::cookie_ext;
 use dnswire::message::{Message, MAX_UDP_PAYLOAD};
 use dnswire::name::{Name, MAX_LABEL_LEN};
-use dnswire::question::Question;
+use dnswire::question::{self, Question, NO_QUESTION};
 use dnswire::record::Record;
+use dnswire::types::{RrClass, RrType};
 use dnswire::view::MessageView;
 use dnswire::writer::{ReplyStart, Section, Writer};
 use guardhash::cookie::{Cookie, CookieFactory, SecretKey};
-use netsim::engine::{Context, Node};
 use netsim::metrics::TrafficMeter;
-use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT};
+use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT, UDP_HEADER_BYTES};
 use netsim::time::SimTime;
-use obs::metrics::{Counter, Gauge, Histogram};
-use obs::trace::{ComponentTracer, Value};
+use obs::trace::Value;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-/// Timer tag for the guard's housekeeping window (rate estimation, proxy
-/// reaping, forward-table sweeping).
-const TAG_WINDOW: u64 = u64::MAX;
+/// Housekeeping period: how often a driver calls [`GuardCore::on_window`].
+pub const WINDOW: SimTime = SimTime::from_millis(100);
 
-/// Timer tag for the high-availability tick (replication deltas on the
-/// primary, heartbeat watching on the standby).
-const TAG_HA: u64 = u64::MAX - 1;
-
-/// Timer tag for the fleet key-sync tick (epoch pushes on the master,
-/// catch-up requests on an unsynced member).
-const TAG_FLEET: u64 = u64::MAX - 2;
-
-/// Housekeeping period.
-const WINDOW: SimTime = SimTime::from_millis(100);
-
-/// Observable guard counters, by pipeline decision — a snapshot of the
-/// live registry-backed counters, from [`RemoteGuard::stats`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GuardStats {
-    /// Queries forwarded to the ANS (verified or pass-through).
-    pub forwarded: u64,
-    /// Queries relayed while spoof detection was inactive.
-    pub passthrough: u64,
-    /// Fabricated NS responses sent (DNS-based scheme, message 2).
-    pub fabricated_ns_sent: u64,
-    /// Truncation responses sent (TCP-based scheme).
-    pub tc_sent: u64,
-    /// Cookie grants sent (modified-DNS scheme, message 3).
-    pub grants_sent: u64,
-    /// Requests accepted with a valid extension cookie.
-    pub ext_valid: u64,
-    /// Requests dropped with an invalid extension cookie.
-    pub ext_invalid: u64,
-    /// Cookie-label queries accepted (message 3 of the DNS-based scheme).
-    pub ns_cookie_valid: u64,
-    /// Cookie-label queries dropped as spoofed.
-    pub ns_cookie_invalid: u64,
-    /// `COOKIE2` queries accepted (message 7).
-    pub cookie2_valid: u64,
-    /// `COOKIE2` queries dropped as spoofed.
-    pub cookie2_invalid: u64,
-    /// Plain queries dropped by Rate-Limiter1.
-    pub rl1_dropped: u64,
-    /// Verified queries dropped by Rate-Limiter2.
-    pub rl2_dropped: u64,
-    /// Responses relayed back from the ANS.
-    pub relayed_responses: u64,
-    /// Answers served from the guard's one-shot stash (message 10 fast
-    /// path).
-    pub stash_hits: u64,
-    /// Packets that were not parseable DNS and were dropped.
-    pub unparseable: u64,
-    /// Forwarded requests the ANS never answered within the timeout.
-    pub ans_timeouts: u64,
-    /// Times the health monitor declared the ANS down.
-    pub ans_down_events: u64,
-    /// Liveness probes sent while the ANS was down.
-    pub ans_probes: u64,
-    /// Times the ANS came back after being declared down.
-    pub ans_recoveries: u64,
-    /// Queries refused (SERVFAIL or dropped) by the fail-closed policy
-    /// while the ANS was down.
-    pub failed_closed: u64,
-    /// Forward-table entries evicted by the byte bound (oldest first).
-    pub fwd_evicted: u64,
-    /// Stash entries evicted by the byte bound (oldest first).
-    pub stash_evicted: u64,
-    /// Every UDP datagram that entered the pipeline (the conservation
-    /// total: equals [`GuardStats::disposition_total`]).
-    pub udp_datagrams: u64,
-    /// ANS responses whose transaction id matched no forward-table entry
-    /// (late responses to evicted/expired forwards).
-    pub resp_unmatched: u64,
-    /// Response-flagged datagrams from sources other than the ANS
-    /// (spoofed or misrouted; dropped).
-    pub resp_foreign: u64,
-    /// Plain queries forwarded unprotected (out-of-bailiwick names, root
-    /// queries, or names too deep to fabricate a cookie label for).
-    pub plain_forwarded: u64,
-    /// Unverified requests shed by the admission controller before any
-    /// rate-limiter decision (Surge/Shed pressure tiers).
-    pub admission_shed: u64,
-    /// State checkpoints written to the attached store.
-    pub checkpoints_taken: u64,
-    /// Times guard state was rebuilt from a checkpoint or replication
-    /// snapshot.
-    pub restores: u64,
-    /// Checkpointed forward-table entries dropped on restore because they
-    /// were already past the ANS-timeout deadline.
-    pub restore_stale_fwd: u64,
-    /// Checkpointed stash entries dropped on restore as expired.
-    pub restore_stale_stash: u64,
-    /// Replication deltas (including heartbeats and full snapshots) sent
-    /// to the standby.
-    pub repl_deltas_sent: u64,
-    /// Replication deltas/snapshots applied by the standby.
-    pub repl_deltas_applied: u64,
-    /// Sequence gaps that forced a full-resync request.
-    pub repl_resyncs: u64,
-    /// Replication-port packets rejected (wrong peer, failed
-    /// authentication, or malformed).
-    pub repl_rejected: u64,
-    /// Authenticated peer messages seen (every one refreshes the
-    /// heartbeat).
-    pub heartbeats_seen: u64,
-    /// Times the standby declared the primary dead.
-    pub peer_down_events: u64,
-    /// Times this guard took over the guarded address from a dead peer.
-    pub failover_takeovers: u64,
-    /// Fleet key epochs pushed to member sites (master only).
-    pub fleet_keys_sent: u64,
-    /// Fleet key epochs applied from the master (members only).
-    pub fleet_keys_applied: u64,
-    /// Catch-up key requests sent while unsynced (members only).
-    pub fleet_key_reqs: u64,
+/// Where a datagram entered the guard. The driver vouches for it: the
+/// core relays an answer only off the upstream leg.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Leg {
+    /// From the Internet, addressed to the guarded address or subnet.
+    Client,
+    /// From the protected ANS.
+    Upstream,
 }
 
-impl GuardStats {
-    /// Total requests classified as spoofed and dropped.
-    pub fn spoofed_dropped(&self) -> u64 {
-        self.ext_invalid + self.ns_cookie_invalid + self.cookie2_invalid
-    }
-
-    /// Sum of the mutually-exclusive terminal disposition buckets: every
-    /// UDP datagram entering the pipeline lands in exactly one, so this
-    /// always equals [`GuardStats::udp_datagrams`]. (Counters like
-    /// `forwarded`, `rl2_dropped`, `failed_closed`, `stash_hits`,
-    /// `fwd_evicted` describe *later* stages of an already-dispositioned
-    /// datagram and are deliberately excluded.)
-    pub fn disposition_total(&self) -> u64 {
-        self.unparseable
-            + self.resp_foreign
-            + self.resp_unmatched
-            + self.relayed_responses
-            + self.passthrough
-            + self.rl1_dropped
-            + self.grants_sent
-            + self.ext_valid
-            + self.ext_invalid
-            + self.cookie2_valid
-            + self.cookie2_invalid
-            + self.ns_cookie_valid
-            + self.ns_cookie_invalid
-            + self.tc_sent
-            + self.fabricated_ns_sent
-            + self.plain_forwarded
-            + self.admission_shed
-    }
-}
-
-/// Live guard counters: detached registry handles created at construction
-/// (recording always works) and adopted into a registry when
-/// [`RemoteGuard::attach_obs`] runs.
+/// One thing the core asks its driver to do.
 #[derive(Debug)]
-struct GuardMetrics {
-    forwarded: Counter,
-    passthrough: Counter,
-    fabricated_ns_sent: Counter,
-    tc_sent: Counter,
-    grants_sent: Counter,
-    ext_valid: Counter,
-    ext_invalid: Counter,
-    ns_cookie_valid: Counter,
-    ns_cookie_invalid: Counter,
-    cookie2_valid: Counter,
-    cookie2_invalid: Counter,
-    rl1_dropped: Counter,
-    rl2_dropped: Counter,
-    relayed_responses: Counter,
-    stash_hits: Counter,
-    unparseable: Counter,
-    ans_timeouts: Counter,
-    ans_down_events: Counter,
-    ans_probes: Counter,
-    ans_recoveries: Counter,
-    failed_closed: Counter,
-    fwd_evicted: Counter,
-    stash_evicted: Counter,
-    udp_datagrams: Counter,
-    resp_unmatched: Counter,
-    resp_foreign: Counter,
-    plain_forwarded: Counter,
-    admission_shed: Counter,
-    checkpoints_taken: Counter,
-    restores: Counter,
-    restore_stale_fwd: Counter,
-    restore_stale_stash: Counter,
-    repl_deltas_sent: Counter,
-    repl_deltas_applied: Counter,
-    repl_resyncs: Counter,
-    repl_rejected: Counter,
-    heartbeats_seen: Counter,
-    peer_down_events: Counter,
-    failover_takeovers: Counter,
-    fleet_keys_sent: Counter,
-    fleet_keys_applied: Counter,
-    fleet_key_reqs: Counter,
-    /// Current pressure tier (0 normal / 1 surge / 2 shed), refreshed each
-    /// housekeeping window.
-    admission_tier: Gauge,
-    /// Staleness of this guard's recoverable state, in nanoseconds: time
-    /// since the last checkpoint (acting primary) or since the last
-    /// applied replication message (standby). The `checkpoint_lag` alert
-    /// thresholds this.
-    checkpoint_age_nanos: Gauge,
-    /// Encoded size of the most recent checkpoint.
-    checkpoint_bytes: Gauge,
-    /// Current `fwd_bytes + stash_bytes` (refreshed each housekeeping
-    /// window).
-    table_bytes: Gauge,
-    /// Unverified-traffic amplification ratio × 1000 (refreshed each
-    /// housekeeping window) — the paper's ≤ 1.5× reflector bound, as a
-    /// gauge the alerting engine can threshold.
-    amplification_milli: Gauge,
-    /// Forward→response round-trip to the ANS, in nanoseconds.
-    ans_rtt_ns: Histogram,
-    trace: ComponentTracer,
+pub enum Output {
+    /// Send this packet: an answer to a client, a TCP segment of the proxy,
+    /// or a replication message to a peer guard.
+    Packet(Packet),
+    /// Send this datagram to the protected ANS.
+    ToAns(Vec<u8>),
+    /// Take over this address (failover).
+    ClaimAddress(Ipv4Addr),
+    /// Take over this `base/prefix` subnet (failover).
+    ClaimSubnet(Ipv4Addr, u8),
 }
 
-impl Default for GuardMetrics {
-    fn default() -> Self {
-        GuardMetrics {
-            forwarded: Counter::new(),
-            passthrough: Counter::new(),
-            fabricated_ns_sent: Counter::new(),
-            tc_sent: Counter::new(),
-            grants_sent: Counter::new(),
-            ext_valid: Counter::new(),
-            ext_invalid: Counter::new(),
-            ns_cookie_valid: Counter::new(),
-            ns_cookie_invalid: Counter::new(),
-            cookie2_valid: Counter::new(),
-            cookie2_invalid: Counter::new(),
-            rl1_dropped: Counter::new(),
-            rl2_dropped: Counter::new(),
-            relayed_responses: Counter::new(),
-            stash_hits: Counter::new(),
-            unparseable: Counter::new(),
-            ans_timeouts: Counter::new(),
-            ans_down_events: Counter::new(),
-            ans_probes: Counter::new(),
-            ans_recoveries: Counter::new(),
-            failed_closed: Counter::new(),
-            fwd_evicted: Counter::new(),
-            stash_evicted: Counter::new(),
-            udp_datagrams: Counter::new(),
-            resp_unmatched: Counter::new(),
-            resp_foreign: Counter::new(),
-            plain_forwarded: Counter::new(),
-            admission_shed: Counter::new(),
-            checkpoints_taken: Counter::new(),
-            restores: Counter::new(),
-            restore_stale_fwd: Counter::new(),
-            restore_stale_stash: Counter::new(),
-            repl_deltas_sent: Counter::new(),
-            repl_deltas_applied: Counter::new(),
-            repl_resyncs: Counter::new(),
-            repl_rejected: Counter::new(),
-            heartbeats_seen: Counter::new(),
-            peer_down_events: Counter::new(),
-            failover_takeovers: Counter::new(),
-            fleet_keys_sent: Counter::new(),
-            fleet_keys_applied: Counter::new(),
-            fleet_key_reqs: Counter::new(),
-            admission_tier: Gauge::new(),
-            checkpoint_age_nanos: Gauge::new(),
-            checkpoint_bytes: Gauge::new(),
-            table_bytes: Gauge::new(),
-            amplification_milli: Gauge::new(),
-            ans_rtt_ns: Histogram::new(),
-            trace: ComponentTracer::disabled(),
-        }
-    }
+/// The out-buffer of a driver: what one or more core calls asked for, in
+/// order, and the CPU cost they charged. The driver owns it, executes and
+/// drains it after each call, and hands the same buffer to the next.
+#[derive(Debug, Default)]
+pub struct Outputs {
+    cost: SimTime,
+    queue: Vec<Output>,
 }
 
-impl GuardMetrics {
-    fn snapshot(&self) -> GuardStats {
-        GuardStats {
-            forwarded: self.forwarded.get(),
-            passthrough: self.passthrough.get(),
-            fabricated_ns_sent: self.fabricated_ns_sent.get(),
-            tc_sent: self.tc_sent.get(),
-            grants_sent: self.grants_sent.get(),
-            ext_valid: self.ext_valid.get(),
-            ext_invalid: self.ext_invalid.get(),
-            ns_cookie_valid: self.ns_cookie_valid.get(),
-            ns_cookie_invalid: self.ns_cookie_invalid.get(),
-            cookie2_valid: self.cookie2_valid.get(),
-            cookie2_invalid: self.cookie2_invalid.get(),
-            rl1_dropped: self.rl1_dropped.get(),
-            rl2_dropped: self.rl2_dropped.get(),
-            relayed_responses: self.relayed_responses.get(),
-            stash_hits: self.stash_hits.get(),
-            unparseable: self.unparseable.get(),
-            ans_timeouts: self.ans_timeouts.get(),
-            ans_down_events: self.ans_down_events.get(),
-            ans_probes: self.ans_probes.get(),
-            ans_recoveries: self.ans_recoveries.get(),
-            failed_closed: self.failed_closed.get(),
-            fwd_evicted: self.fwd_evicted.get(),
-            stash_evicted: self.stash_evicted.get(),
-            udp_datagrams: self.udp_datagrams.get(),
-            resp_unmatched: self.resp_unmatched.get(),
-            resp_foreign: self.resp_foreign.get(),
-            plain_forwarded: self.plain_forwarded.get(),
-            admission_shed: self.admission_shed.get(),
-            checkpoints_taken: self.checkpoints_taken.get(),
-            restores: self.restores.get(),
-            restore_stale_fwd: self.restore_stale_fwd.get(),
-            restore_stale_stash: self.restore_stale_stash.get(),
-            repl_deltas_sent: self.repl_deltas_sent.get(),
-            repl_deltas_applied: self.repl_deltas_applied.get(),
-            repl_resyncs: self.repl_resyncs.get(),
-            repl_rejected: self.repl_rejected.get(),
-            heartbeats_seen: self.heartbeats_seen.get(),
-            peer_down_events: self.peer_down_events.get(),
-            failover_takeovers: self.failover_takeovers.get(),
-            fleet_keys_sent: self.fleet_keys_sent.get(),
-            fleet_keys_applied: self.fleet_keys_applied.get(),
-            fleet_key_reqs: self.fleet_key_reqs.get(),
-        }
+impl Outputs {
+    fn charge(&mut self, cost: SimTime) {
+        self.cost += cost;
     }
 
-    fn adopt_into(&self, r: &obs::metrics::Registry) {
-        r.adopt_counter("guard", "forwarded", &[], &self.forwarded);
-        r.adopt_counter("guard", "passthrough", &[], &self.passthrough);
-        r.adopt_counter("guard", "fabricated_ns_sent", &[], &self.fabricated_ns_sent);
-        r.adopt_counter("guard", "tc_sent", &[], &self.tc_sent);
-        r.adopt_counter("guard", "grants_sent", &[], &self.grants_sent);
-        let verify = [
-            ("ext", "valid", &self.ext_valid),
-            ("ext", "invalid", &self.ext_invalid),
-            ("ns_label", "valid", &self.ns_cookie_valid),
-            ("ns_label", "invalid", &self.ns_cookie_invalid),
-            ("cookie2", "valid", &self.cookie2_valid),
-            ("cookie2", "invalid", &self.cookie2_invalid),
-        ];
-        for (scheme, verdict, counter) in verify {
-            r.adopt_counter(
-                "guard",
-                "verify",
-                &[("scheme", scheme), ("verdict", verdict)],
-                counter,
-            );
-        }
-        r.adopt_counter("guard", "rl_dropped", &[("limiter", "rl1")], &self.rl1_dropped);
-        r.adopt_counter("guard", "rl_dropped", &[("limiter", "rl2")], &self.rl2_dropped);
-        r.adopt_counter("guard", "relayed_responses", &[], &self.relayed_responses);
-        r.adopt_counter("guard", "stash_hits", &[], &self.stash_hits);
-        r.adopt_counter("guard", "unparseable", &[], &self.unparseable);
-        r.adopt_counter("guard", "ans_timeouts", &[], &self.ans_timeouts);
-        r.adopt_counter("guard", "ans_down_events", &[], &self.ans_down_events);
-        r.adopt_counter("guard", "ans_probes", &[], &self.ans_probes);
-        r.adopt_counter("guard", "ans_recoveries", &[], &self.ans_recoveries);
-        r.adopt_counter("guard", "failed_closed", &[], &self.failed_closed);
-        r.adopt_counter("guard", "evicted", &[("table", "fwd")], &self.fwd_evicted);
-        r.adopt_counter("guard", "evicted", &[("table", "stash")], &self.stash_evicted);
-        r.adopt_counter("guard", "udp_datagrams", &[], &self.udp_datagrams);
-        r.adopt_counter("guard", "resp_unmatched", &[], &self.resp_unmatched);
-        r.adopt_counter("guard", "resp_foreign", &[], &self.resp_foreign);
-        r.adopt_counter("guard", "plain_forwarded", &[], &self.plain_forwarded);
-        r.adopt_counter("guard", "admission_shed", &[], &self.admission_shed);
-        r.adopt_counter("guard", "checkpoints_taken", &[], &self.checkpoints_taken);
-        r.adopt_counter("guard", "restores", &[], &self.restores);
-        r.adopt_counter("guard", "restore_stale", &[("table", "fwd")], &self.restore_stale_fwd);
-        r.adopt_counter("guard", "restore_stale", &[("table", "stash")], &self.restore_stale_stash);
-        r.adopt_counter("guard", "repl_deltas", &[("dir", "sent")], &self.repl_deltas_sent);
-        r.adopt_counter("guard", "repl_deltas", &[("dir", "applied")], &self.repl_deltas_applied);
-        r.adopt_counter("guard", "repl_resyncs", &[], &self.repl_resyncs);
-        r.adopt_counter("guard", "repl_rejected", &[], &self.repl_rejected);
-        r.adopt_counter("guard", "heartbeats_seen", &[], &self.heartbeats_seen);
-        r.adopt_counter("guard", "peer_down_events", &[], &self.peer_down_events);
-        r.adopt_counter("guard", "failover_takeovers", &[], &self.failover_takeovers);
-        r.adopt_counter("guard", "fleet_keys", &[("dir", "sent")], &self.fleet_keys_sent);
-        r.adopt_counter("guard", "fleet_keys", &[("dir", "applied")], &self.fleet_keys_applied);
-        r.adopt_counter("guard", "fleet_key_reqs", &[], &self.fleet_key_reqs);
-        r.adopt_gauge("guard", "admission_tier", &[], &self.admission_tier);
-        r.adopt_gauge("guard", "checkpoint_age_nanos", &[], &self.checkpoint_age_nanos);
-        r.adopt_gauge("guard", "checkpoint_bytes", &[], &self.checkpoint_bytes);
-        r.adopt_gauge("guard", "table_bytes", &[], &self.table_bytes);
-        r.adopt_gauge("guard", "amplification_milli", &[], &self.amplification_milli);
-        r.adopt_histogram("guard", "ans_rtt_ns", &[], &self.ans_rtt_ns);
+    fn push(&mut self, output: Output) {
+        self.queue.push(output);
+    }
+
+    /// The calibrated CPU cost ([`netsim::cost`]) charged since the last
+    /// drain. It means something only to the simulator: a driver that
+    /// spends real CPU never asks.
+    pub fn cost(&self) -> SimTime {
+        self.cost
+    }
+
+    /// Removes the queued outputs, oldest first, and forgets the cost; the
+    /// buffer keeps its room.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Output> {
+        self.cost = SimTime::ZERO;
+        self.queue.drain(..)
     }
 }
 
 #[derive(Debug)]
 enum Rewrite {
-    /// Relay the ANS response as-is (txid restored).
-    Passthrough,
+    /// One of the rewrites that outlive a restart and are replicated to a
+    /// standby, kept as their serializable image.
+    Durable(RewriteState),
     /// A health probe: the response only proves liveness, nothing is
     /// relayed.
-    Probe,
-    /// DNS-based referral: answer the cookie-name question with the glue
-    /// addresses from the ANS's referral.
-    ReferralCookie { cookie_question: Question },
-    /// DNS-based non-referral: stash the real answer, reply `COOKIE2`.
-    Fabricated {
-        cookie_question: Question,
-        original: Name,
-    },
+    Probe { question: u64 },
     /// TCP proxy relay (token routes back to the connection).
-    TcpRelay { token: u64 },
+    TcpRelay { token: u64, question: u64 },
 }
 
 #[derive(Debug)]
@@ -467,19 +117,66 @@ struct Forwarded {
     qid: u64,
 }
 
+// The byte-bounded forward table charges `size_of::<Forwarded>()` per entry,
+// so a fatter entry shifts its evictions and the `guard.table_bytes` of the
+// committed `BENCH_obs.json`. The `question` digests ride in the room the
+// smaller `Rewrite` variants leave under `Fabricated`.
+const _: () = assert!(std::mem::size_of::<Forwarded>() == 88);
+
 impl Forwarded {
+    /// The entry for `query`, which `requester` sent to `reply_from`.
+    fn of(
+        query: &Outgoing<'_>,
+        now: SimTime,
+        requester: Endpoint,
+        reply_from: Endpoint,
+        rewrite: Rewrite,
+        qid: u64,
+    ) -> Forwarded {
+        Forwarded {
+            requester,
+            reply_from,
+            orig_txid: query.id(),
+            rewrite,
+            created: now,
+            qid,
+        }
+    }
+
     /// Approximate heap footprint, for the forward-table byte bound.
     fn approx_bytes(&self) -> usize {
         let heap = match &self.rewrite {
-            Rewrite::Passthrough | Rewrite::Probe | Rewrite::TcpRelay { .. } => 0,
-            Rewrite::ReferralCookie { cookie_question } => cookie_question.name.wire_len(),
-            Rewrite::Fabricated {
+            Rewrite::Durable(RewriteState::ReferralCookie { cookie_question, .. }) => {
+                cookie_question.name.wire_len()
+            }
+            Rewrite::Durable(RewriteState::Fabricated {
                 cookie_question,
                 original,
-            } => cookie_question.name.wire_len() + original.wire_len(),
+            }) => cookie_question.name.wire_len() + original.wire_len(),
+            _ => 0,
         };
         std::mem::size_of::<Self>() + heap
     }
+
+    /// The [`question::digest`] of what was forwarded: an ANS response is
+    /// this entry's answer only if it asks the same.
+    fn question(&self) -> u64 {
+        match &self.rewrite {
+            Rewrite::Durable(RewriteState::Passthrough { question })
+            | Rewrite::Durable(RewriteState::ReferralCookie { question, .. })
+            | Rewrite::Probe { question }
+            | Rewrite::TcpRelay { question, .. } => *question,
+            Rewrite::Durable(RewriteState::Fabricated { original, .. }) => {
+                restored_question(original)
+            }
+        }
+    }
+}
+
+/// The digest of the question the DNS-based scheme forwards for a restored
+/// name: its address.
+fn restored_question(original: &Name) -> u64 {
+    question::digest(original, RrType::A, RrClass::In)
 }
 
 /// A query on its way to the ANS.
@@ -499,6 +196,14 @@ impl Outgoing<'_> {
         match self {
             Outgoing::Owned(msg) => msg.header.id,
             Outgoing::CookieQuery(view) => view.header.id,
+        }
+    }
+
+    /// The digest of the question the ANS will be asked.
+    fn question(&self) -> u64 {
+        match self {
+            Outgoing::Owned(msg) => msg.question().map_or(NO_QUESTION, Question::digest),
+            Outgoing::CookieQuery(view) => view.question_digest(),
         }
     }
 
@@ -539,6 +244,38 @@ enum FirstContact {
     Referral(Record),
 }
 
+/// The answer to the cookie-name question a DNS-based exchange is waiting
+/// on, to query `id`: `answers`, or SERVFAIL when the ANS gave none to pass
+/// on.
+fn cookie_name_reply(id: u16, cookie_question: Question, answers: Vec<Record>) -> Vec<u8> {
+    let mut reply = Message {
+        header: dnswire::header::Header {
+            id,
+            response: true,
+            authoritative: true,
+            ..dnswire::header::Header::default()
+        },
+        questions: vec![cookie_question],
+        answers,
+        ..Message::default()
+    };
+    if reply.answers.is_empty() {
+        reply.header.rcode = dnswire::types::Rcode::ServFail;
+    }
+    reply.encode()
+}
+
+/// A cookie encoding, as the `verify` counters and events name it.
+#[derive(Clone, Copy)]
+enum Scheme {
+    /// The modified-DNS extension.
+    Ext,
+    /// The `COOKIE2` destination address (message 7).
+    Cookie2,
+    /// The fabricated NS label (message 3).
+    NsLabel,
+}
+
 #[derive(Debug)]
 struct StashEntry {
     answers: Vec<Record>,
@@ -561,29 +298,37 @@ impl StashEntry {
 /// The serializable image of a forward-table entry, or `None` for probes
 /// and TCP relays (those must not survive a restart or be replicated).
 fn fwd_state_of(txid: u16, f: &Forwarded) -> Option<FwdState> {
-    let rewrite = match &f.rewrite {
-        Rewrite::Passthrough => RewriteState::Passthrough,
-        Rewrite::ReferralCookie { cookie_question } => RewriteState::ReferralCookie {
-            cookie_question: cookie_question.clone(),
-        },
-        Rewrite::Fabricated {
-            cookie_question,
-            original,
-        } => RewriteState::Fabricated {
-            cookie_question: cookie_question.clone(),
-            original: original.clone(),
-        },
-        Rewrite::Probe | Rewrite::TcpRelay { .. } => return None,
+    let Rewrite::Durable(rewrite) = &f.rewrite else {
+        return None;
     };
     Some(FwdState {
         txid,
         requester: (f.requester.ip, f.requester.port),
         reply_from: (f.reply_from.ip, f.reply_from.port),
         orig_txid: f.orig_txid,
-        rewrite,
+        rewrite: rewrite.clone(),
         created_nanos: f.created.as_nanos(),
         qid: f.qid,
     })
+}
+
+/// The serializable image of a stash entry.
+fn stash_state_of(key: &(Ipv4Addr, Name), e: &StashEntry) -> StashState {
+    StashState {
+        src: key.0,
+        name: key.1.clone(),
+        answers: e.answers.clone(),
+        created_nanos: e.created.as_nanos(),
+    }
+}
+
+/// Table keys a primary inserted and removed since its last delta.
+#[derive(Debug, Default)]
+struct Pending {
+    fwd_add: Vec<u16>,
+    fwd_del: Vec<u16>,
+    stash_add: Vec<(Ipv4Addr, Name)>,
+    stash_del: Vec<(Ipv4Addr, Name)>,
 }
 
 /// Timeout-based liveness tracking for the protected ANS.
@@ -622,14 +367,8 @@ struct HaRuntime {
     sent_generation: u64,
     /// Ship a full snapshot on the next tick (startup, or peer resync).
     need_full: bool,
-    /// Forward-table keys inserted since the last delta.
-    pending_fwd_add: Vec<u16>,
-    /// Forward-table keys removed since the last delta.
-    pending_fwd_del: Vec<u16>,
-    /// Stash keys inserted since the last delta.
-    pending_stash_add: Vec<(Ipv4Addr, Name)>,
-    /// Stash keys removed since the last delta.
-    pending_stash_del: Vec<(Ipv4Addr, Name)>,
+    /// Table changes since the last delta.
+    pending: Pending,
     // -- standby side --
     /// Highest sequence number applied.
     applied_seq: u64,
@@ -665,10 +404,7 @@ impl HaRuntime {
             repl_seq: 0,
             sent_generation: u64::MAX,
             need_full: true,
-            pending_fwd_add: Vec::new(),
-            pending_fwd_del: Vec::new(),
-            pending_stash_add: Vec::new(),
-            pending_stash_del: Vec::new(),
+            pending: Pending::default(),
             applied_seq: 0,
             synced: false,
             next_resync: SimTime::ZERO,
@@ -718,17 +454,17 @@ impl FleetRuntime {
     }
 }
 
-/// The remote DNS guard node.
+/// The remote DNS guard, sans I/O: every scheme, both rate limiters, the
+/// forward table and stash, ANS health, admission, replication,
+/// checkpointing and the TCP proxy hand-off, behind entry points that take
+/// the time and append to an [`Outputs`].
 ///
-/// Deploy it by routing the ANS's public address *and* the guard subnet to
-/// this node, and giving the real ANS a private address:
-///
-/// ```text
-/// sim.add_node(guard_public_ip, cpu, RemoteGuard::new(config, classifier));
-/// sim.add_subnet(subnet_base, 24, guard_node);
-/// sim.add_node(ans_private_ip, cpu, AuthNode::new(...));
-/// ```
-pub struct RemoteGuard {
+/// A driver owes it three things: [`GuardCore::handle_packet`] for every
+/// packet, with the [`Leg`] told truthfully and a clock that never runs
+/// backwards; [`GuardCore::on_window`] every [`WINDOW`] (and the HA and
+/// fleet ticks at their intervals, when configured); and the execution of
+/// every [`Output`], in order.
+pub struct GuardCore {
     config: GuardConfig,
     cookies: CookieFactory,
     classifier: AuthorityClassifier,
@@ -750,9 +486,9 @@ pub struct RemoteGuard {
     stash_bytes: usize,
     health: AnsHealth,
     window_count: u64,
-    active: bool,
+    pub(super) active: bool,
     last_rotation: SimTime,
-    /// Live counters (snapshot through [`RemoteGuard::stats`]).
+    /// Live counters (snapshot through [`GuardCore::stats`]).
     metrics: GuardMetrics,
     /// All bytes through the guard.
     pub traffic: TrafficMeter,
@@ -781,7 +517,7 @@ pub struct RemoteGuard {
     analytics: crate::analytics::TrafficAnalytics,
 }
 
-impl RemoteGuard {
+impl GuardCore {
     /// Creates a guard from its configuration and the classifier that knows
     /// the protected ANS's delegations.
     pub fn new(config: GuardConfig, classifier: AuthorityClassifier) -> Self {
@@ -790,7 +526,7 @@ impl RemoteGuard {
             config.tcp_conn_rate,
             config.tcp_conn_lifetime,
         );
-        RemoteGuard {
+        GuardCore {
             cookies: CookieFactory::from_seed(config.key_seed).with_alg(config.cookie_alg),
             rl1: SourceRateLimiter::new(config.rl1_global_rate, config.rl1_per_source_rate),
             rl2: SourceRateLimiter::per_source_only(config.rl2_per_source_rate),
@@ -830,20 +566,6 @@ impl RemoteGuard {
             stageprof: crate::stageprof::StageProf::new(),
             analytics: crate::analytics::TrafficAnalytics::new(),
         }
-    }
-
-    /// Creates a guard and immediately applies a previously taken
-    /// checkpoint — the crash-restart path. Entries whose deadlines passed
-    /// while the guard was down are dropped, never replayed.
-    pub fn restore_from_checkpoint(
-        config: GuardConfig,
-        classifier: AuthorityClassifier,
-        cp: &GuardCheckpoint,
-        now: SimTime,
-    ) -> Self {
-        let mut guard = RemoteGuard::new(config, classifier);
-        guard.apply_checkpoint(cp, now);
-        guard
     }
 
     /// A snapshot of the guard counters.
@@ -923,6 +645,11 @@ impl RemoteGuard {
         self.fwd_bytes + self.stash_bytes
     }
 
+    /// The configuration.
+    pub fn config(&self) -> &GuardConfig {
+        &self.config
+    }
+
     /// Mutable access to the configuration. Note that the rate limiters and
     /// TCP proxy are built at construction; changing their rates here does
     /// not rebuild them — but routing-level fields (`tcp_redirect_sources`,
@@ -968,6 +695,18 @@ impl RemoteGuard {
             .map_or(PressureTier::Normal, |a| a.tier())
     }
 
+    /// How often a driver must call [`GuardCore::on_ha_tick`]; `None` for
+    /// a standalone guard.
+    pub fn ha_interval(&self) -> Option<SimTime> {
+        self.ha.as_ref().map(|ha| ha.cfg.replication_interval)
+    }
+
+    /// How often a driver must call [`GuardCore::on_fleet_tick`]; `None`
+    /// outside a fleet.
+    pub fn fleet_interval(&self) -> Option<SimTime> {
+        self.fleet.as_ref().map(|f| f.cfg.sync_interval)
+    }
+
     /// The guard's HA role, if paired.
     pub fn ha_role(&self) -> Option<HaRole> {
         self.ha.as_ref().map(|h| h.role)
@@ -993,12 +732,7 @@ impl RemoteGuard {
         let mut stash: Vec<StashState> = self
             .stash
             .iter()
-            .map(|((src, name), e)| StashState {
-                src: *src,
-                name: name.clone(),
-                answers: e.answers.clone(),
-                created_nanos: e.created.as_nanos(),
-            })
+            .map(|(key, e)| stash_state_of(key, e))
             .collect();
         stash.sort_by_key(|s| (u32::from(s.src), format!("{:?}", s.name)));
         GuardCheckpoint {
@@ -1087,26 +821,13 @@ impl RemoteGuard {
             self.metrics.restore_stale_fwd.inc();
             return;
         }
-        let rewrite = match &f.rewrite {
-            RewriteState::Passthrough => Rewrite::Passthrough,
-            RewriteState::ReferralCookie { cookie_question } => Rewrite::ReferralCookie {
-                cookie_question: cookie_question.clone(),
-            },
-            RewriteState::Fabricated {
-                cookie_question,
-                original,
-            } => Rewrite::Fabricated {
-                cookie_question: cookie_question.clone(),
-                original: original.clone(),
-            },
-        };
         self.insert_fwd(
             f.txid,
             Forwarded {
                 requester: Endpoint::new(f.requester.0, f.requester.1),
                 reply_from: Endpoint::new(f.reply_from.0, f.reply_from.1),
                 orig_txid: f.orig_txid,
-                rewrite,
+                rewrite: Rewrite::Durable(f.rewrite.clone()),
                 created,
                 qid: f.qid,
             },
@@ -1131,44 +852,15 @@ impl RemoteGuard {
 
     // ---- primary–standby replication -------------------------------------
 
-    /// Records a replicable forward-table insertion for the next delta.
-    fn ha_note_fwd_add(&mut self, txid: u16, rewrite: &Rewrite) {
-        if matches!(rewrite, Rewrite::Probe | Rewrite::TcpRelay { .. }) {
-            return;
-        }
-        if let Some(ha) = self.ha.as_mut() {
-            if ha.role == HaRole::Primary && !ha.took_over {
-                ha.pending_fwd_add.push(txid);
-            }
-        }
-    }
-
-    fn ha_note_fwd_del(&mut self, txid: u16) {
-        if let Some(ha) = self.ha.as_mut() {
-            if ha.role == HaRole::Primary && !ha.took_over {
-                ha.pending_fwd_del.push(txid);
-            }
-        }
-    }
-
-    fn ha_note_stash_add(&mut self, key: &(Ipv4Addr, Name)) {
-        if let Some(ha) = self.ha.as_mut() {
-            if ha.role == HaRole::Primary && !ha.took_over {
-                ha.pending_stash_add.push(key.clone());
-            }
-        }
-    }
-
-    fn ha_note_stash_del(&mut self, key: &(Ipv4Addr, Name)) {
-        if let Some(ha) = self.ha.as_mut() {
-            if ha.role == HaRole::Primary && !ha.took_over {
-                ha.pending_stash_del.push(key.clone());
-            }
-        }
+    /// The pairing state of a primary that still feeds its standby, for
+    /// recording a table change in the next delta; `None` otherwise.
+    fn replicating(&mut self) -> Option<&mut HaRuntime> {
+        let ha = self.ha.as_mut()?;
+        (ha.role == HaRole::Primary && !ha.took_over).then_some(ha)
     }
 
     /// Sends one authenticated replication message to the peer.
-    fn send_repl(&mut self, ctx: &mut Context<'_>, payload: ReplPayload) {
+    fn send_repl(&mut self, out: &mut Outputs, payload: ReplPayload) {
         let Some(ha) = self.ha.as_ref() else {
             return;
         };
@@ -1178,15 +870,14 @@ impl RemoteGuard {
             Endpoint::new(ha.cfg.peer_addr, REPL_PORT),
             wire,
         );
-        self.tx(ctx, pkt);
+        self.tx(out, pkt);
     }
 
     /// Handles an inbound replication-channel datagram — HA pair traffic
     /// and fleet key-sync share the port and the authenticated framing.
     /// Every authenticated message from the HA peer doubles as a
     /// heartbeat; fleet messages carry no liveness meaning.
-    fn handle_repl(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        let now = ctx.now();
+    fn handle_repl(&mut self, now: SimTime, out: &mut Outputs, pkt: Packet) {
         let from_ha_peer = self
             .ha
             .as_ref()
@@ -1231,12 +922,10 @@ impl RemoteGuard {
                 }
             }
         }
+        let to_standby =
+            from_ha_peer && self.ha.as_ref().is_some_and(|ha| ha.role == HaRole::Standby);
         match payload {
-            ReplPayload::Full(cp) => {
-                if !from_ha_peer || self.ha.as_ref().is_none_or(|ha| ha.role != HaRole::Standby)
-                {
-                    return;
-                }
+            ReplPayload::Full(cp) if to_standby => {
                 self.apply_checkpoint(&cp, now);
                 if let Some(ha) = self.ha.as_mut() {
                     ha.applied_seq = cp.seq;
@@ -1248,11 +937,7 @@ impl RemoteGuard {
                 self.metrics.repl_deltas_applied.inc();
                 self.metrics.checkpoint_age_nanos.set(0);
             }
-            ReplPayload::Delta(d) => {
-                if !from_ha_peer || self.ha.as_ref().is_none_or(|ha| ha.role != HaRole::Standby)
-                {
-                    return;
-                }
+            ReplPayload::Delta(d) if to_standby => {
                 let Some((synced, applied_seq)) =
                     self.ha.as_ref().map(|ha| (ha.synced, ha.applied_seq))
                 else {
@@ -1278,39 +963,32 @@ impl RemoteGuard {
                     });
                     if send {
                         self.metrics.repl_resyncs.inc();
-                        self.send_repl(ctx, ReplPayload::ResyncReq { have_seq: applied_seq });
+                        self.send_repl(out, ReplPayload::ResyncReq { have_seq: applied_seq });
                     }
                     return;
                 }
-                self.apply_delta(ctx, d);
+                self.apply_delta(now, d);
             }
-            ReplPayload::ResyncReq { .. } => {
-                if !from_ha_peer {
-                    return;
-                }
+            ReplPayload::ResyncReq { .. } if from_ha_peer => {
                 if let Some(ha) = self.ha.as_mut() {
                     if ha.role == HaRole::Primary {
                         ha.need_full = true;
                     }
                 }
             }
-            ReplPayload::FleetKey { epoch, key } => {
-                if !from_fleet_master {
-                    return;
-                }
+            ReplPayload::FleetKey { epoch, key } if from_fleet_master => {
                 self.apply_fleet_key(now, epoch, &key);
             }
-            ReplPayload::FleetKeyReq { have_epoch } => {
-                if !from_fleet_member {
-                    return;
-                }
-                if have_epoch != self.cookies.generation() {
-                    let key = KeyState::capture(&self.cookies);
-                    let epoch = self.cookies.generation();
-                    self.metrics.fleet_keys_sent.inc();
-                    self.send_fleet(ctx, pkt.src.ip, ReplPayload::FleetKey { epoch, key });
-                }
+            ReplPayload::FleetKeyReq { have_epoch }
+                if from_fleet_member && have_epoch != self.cookies.generation() =>
+            {
+                let key = KeyState::capture(&self.cookies);
+                let epoch = self.cookies.generation();
+                self.metrics.fleet_keys_sent.inc();
+                self.send_fleet(out, pkt.src.ip, ReplPayload::FleetKey { epoch, key });
             }
+            // Authentic, but not this sender's to send or this role's to take.
+            _ => {}
         }
     }
 
@@ -1340,7 +1018,7 @@ impl RemoteGuard {
     }
 
     /// Sends one authenticated fleet message to a specific site.
-    fn send_fleet(&mut self, ctx: &mut Context<'_>, to: Ipv4Addr, payload: ReplPayload) {
+    fn send_fleet(&mut self, out: &mut Outputs, to: Ipv4Addr, payload: ReplPayload) {
         let Some(f) = self.fleet.as_ref() else {
             return;
         };
@@ -1350,18 +1028,16 @@ impl RemoteGuard {
             Endpoint::new(to, REPL_PORT),
             wire,
         );
-        self.tx(ctx, pkt);
+        self.tx(out, pkt);
     }
 
     /// One fleet-sync tick: the master announces a new key epoch to every
     /// member when its generation moved; an unsynced member requests a
     /// catch-up with exponential backoff.
-    fn on_fleet_tick(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+    pub fn on_fleet_tick(&mut self, now: SimTime, out: &mut Outputs) {
         let Some(f) = self.fleet.as_ref() else {
             return;
         };
-        ctx.set_daemon_timer(f.cfg.sync_interval, TAG_FLEET);
         if f.cfg.master {
             let generation = self.cookies.generation();
             if self.fleet.as_ref().is_some_and(|f| f.sent_generation == generation) {
@@ -1375,7 +1051,7 @@ impl RemoteGuard {
             for peer in peers {
                 self.metrics.fleet_keys_sent.inc();
                 self.send_fleet(
-                    ctx,
+                    out,
                     peer,
                     ReplPayload::FleetKey {
                         epoch: generation,
@@ -1400,13 +1076,12 @@ impl RemoteGuard {
                 f.req_interval = (f.req_interval * 2).min(f.cfg.req_backoff_max);
             }
             self.metrics.fleet_key_reqs.inc();
-            self.send_fleet(ctx, master, ReplPayload::FleetKeyReq { have_epoch: u64::MAX });
+            self.send_fleet(out, master, ReplPayload::FleetKeyReq { have_epoch: u64::MAX });
         }
     }
 
     /// Applies one in-sequence replication delta (standby side).
-    fn apply_delta(&mut self, ctx: &mut Context<'_>, d: ReplDelta) {
-        let now = ctx.now();
+    fn apply_delta(&mut self, now: SimTime, d: ReplDelta) {
         if let Some(k) = &d.key {
             self.cookies = k.to_factory().with_alg(self.config.cookie_alg);
         }
@@ -1414,7 +1089,7 @@ impl RemoteGuard {
             self.install_fwd_state(f, now);
         }
         for txid in &d.fwd_del {
-            self.remove_fwd(*txid);
+            self.remove_fwd(*txid, None);
         }
         for s in &d.stash_add {
             self.install_stash_state(s, now);
@@ -1436,19 +1111,17 @@ impl RemoteGuard {
 
     /// One replication-interval tick: the primary ships state, the standby
     /// watches heartbeats and takes over past the miss threshold.
-    fn on_ha_tick(&mut self, ctx: &mut Context<'_>) {
+    pub fn on_ha_tick(&mut self, now: SimTime, out: &mut Outputs) {
         let Some(ha) = self.ha.as_ref() else {
             return;
         };
-        ctx.set_daemon_timer(ha.cfg.replication_interval, TAG_HA);
         match ha.role {
-            HaRole::Primary => self.ha_primary_tick(ctx),
-            HaRole::Standby => self.ha_standby_tick(ctx),
+            HaRole::Primary => self.ha_primary_tick(now, out),
+            HaRole::Standby => self.ha_standby_tick(now, out),
         }
     }
 
-    fn ha_primary_tick(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+    fn ha_primary_tick(&mut self, now: SimTime, out: &mut Outputs) {
         if self.ha.as_ref().is_none_or(|ha| ha.took_over) {
             // A promoted standby serves traffic but has no peer to feed.
             return;
@@ -1466,10 +1139,7 @@ impl RemoteGuard {
             cp.seq = ha.repl_seq;
             ha.need_full = false;
             ha.sent_generation = generation;
-            ha.pending_fwd_add.clear();
-            ha.pending_fwd_del.clear();
-            ha.pending_stash_add.clear();
-            ha.pending_stash_del.clear();
+            ha.pending = Pending::default();
             ReplPayload::Full(cp)
         } else {
             let key = if self.ha.as_ref().is_some_and(|ha| ha.sent_generation != generation) {
@@ -1477,34 +1147,22 @@ impl RemoteGuard {
             } else {
                 None
             };
-            let (mut add_txids, fwd_del, stash_add_keys, stash_del) = {
-                let Some(ha) = self.ha.as_mut() else {
-                    return;
-                };
-                ha.sent_generation = generation;
-                (
-                    std::mem::take(&mut ha.pending_fwd_add),
-                    std::mem::take(&mut ha.pending_fwd_del),
-                    std::mem::take(&mut ha.pending_stash_add),
-                    std::mem::take(&mut ha.pending_stash_del),
-                )
+            let Some(ha) = self.ha.as_mut() else {
+                return;
             };
-            add_txids.sort_unstable();
-            add_txids.dedup();
-            let fwd_add: Vec<FwdState> = add_txids
+            ha.sent_generation = generation;
+            let mut pending = std::mem::take(&mut ha.pending);
+            pending.fwd_add.sort_unstable();
+            pending.fwd_add.dedup();
+            let fwd_add: Vec<FwdState> = pending
+                .fwd_add
                 .iter()
                 .filter_map(|txid| self.fwd.get(txid).and_then(|f| fwd_state_of(*txid, f)))
                 .collect();
-            let stash_add: Vec<StashState> = stash_add_keys
+            let stash_add: Vec<StashState> = pending
+                .stash_add
                 .iter()
-                .filter_map(|key| {
-                    self.stash.get(key).map(|e| StashState {
-                        src: key.0,
-                        name: key.1.clone(),
-                        answers: e.answers.clone(),
-                        created_nanos: e.created.as_nanos(),
-                    })
-                })
+                .filter_map(|key| self.stash.get(key).map(|e| stash_state_of(key, e)))
                 .collect();
             let Some(ha) = self.ha.as_mut() else {
                 return;
@@ -1514,20 +1172,19 @@ impl RemoteGuard {
                 seq: ha.repl_seq,
                 key,
                 fwd_add,
-                fwd_del,
+                fwd_del: pending.fwd_del,
                 stash_add,
-                stash_del,
+                stash_del: pending.stash_del,
                 next_txid: self.next_txid,
                 next_qid: self.next_qid,
                 active: self.active,
             })
         };
         self.metrics.repl_deltas_sent.inc();
-        self.send_repl(ctx, payload);
+        self.send_repl(out, payload);
     }
 
-    fn ha_standby_tick(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+    fn ha_standby_tick(&mut self, now: SimTime, out: &mut Outputs) {
         let (age, became_down, do_takeover, probe_seq) = {
             let Some(ha) = self.ha.as_mut() else {
                 return;
@@ -1573,9 +1230,9 @@ impl RemoteGuard {
                 .event(now.as_nanos(), "peer_down", &[]);
         }
         if do_takeover {
-            self.ha_take_over(ctx);
+            self.ha_take_over(now, out);
         } else if let Some(have_seq) = probe_seq {
-            self.send_repl(ctx, ReplPayload::ResyncReq { have_seq });
+            self.send_repl(out, ReplPayload::ResyncReq { have_seq });
         }
     }
 
@@ -1583,8 +1240,7 @@ impl RemoteGuard {
     /// COOKIE2 subnet so in-flight verified sources keep working without a
     /// fresh cookie round-trip (their cookies verify against the
     /// replicated key, COOKIE2 destinations hash identically).
-    fn ha_take_over(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+    fn ha_take_over(&mut self, now: SimTime, out: &mut Outputs) {
         {
             let Some(ha) = self.ha.as_mut() else {
                 return;
@@ -1593,9 +1249,9 @@ impl RemoteGuard {
             ha.role = HaRole::Primary;
             ha.need_full = true;
         }
-        ctx.claim_address(self.config.public_addr);
+        out.push(Output::ClaimAddress(self.config.public_addr));
         let host_bits = 32 - (self.config.subnet_range + 1).leading_zeros();
-        ctx.claim_subnet(self.config.subnet_base, (32 - host_bits) as u8);
+        out.push(Output::ClaimSubnet(self.config.subnet_base, (32 - host_bits) as u8));
         self.last_checkpoint = now;
         self.metrics.failover_takeovers.inc();
         self.metrics.checkpoint_age_nanos.set(0);
@@ -1629,31 +1285,38 @@ impl RemoteGuard {
 
     // ---- helpers ---------------------------------------------------------
 
-    fn tx(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        ctx.charge(netsim::cost::packet_cost());
+    fn tx(&mut self, out: &mut Outputs, pkt: Packet) {
+        out.charge(netsim::cost::packet_cost());
         self.traffic.tx(pkt.wire_size());
-        ctx.send(pkt);
+        out.push(Output::Packet(pkt));
     }
 
-    fn tx_unverified(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+    fn tx_ans(&mut self, out: &mut Outputs, wire: Vec<u8>) {
+        out.charge(netsim::cost::packet_cost());
+        self.traffic.tx(UDP_HEADER_BYTES + wire.len());
+        out.push(Output::ToAns(wire));
+    }
+
+    fn tx_unverified(&mut self, out: &mut Outputs, pkt: Packet) {
         self.traffic_unverified.tx(pkt.wire_size());
-        self.tx(ctx, pkt);
-    }
-
-    fn charge_cookie(&self, ctx: &mut Context<'_>) {
-        ctx.charge(netsim::cost::cookie_cost());
+        self.tx(out, pkt);
     }
 
     /// Sends a minimal liveness probe toward the ANS. Any response —
     /// whatever its rcode — marks the ANS alive again.
-    fn send_probe(&mut self, ctx: &mut Context<'_>) {
+    fn send_probe(&mut self, now: SimTime, out: &mut Outputs) {
         self.metrics.ans_probes.inc();
-        self.metrics.trace.debug(ctx.now().as_nanos(), "ans_probe", &[]);
+        self.metrics.trace.debug(now.as_nanos(), "ans_probe", &[]);
         let probe =
             Message::iterative_query(0, Name::root(), dnswire::types::RrType::Ns);
         let me = Endpoint::new(self.config.public_addr, DNS_PORT);
         let qid = self.alloc_qid();
-        self.forward_to_ans(ctx, Outgoing::Owned(probe), me, me, Rewrite::Probe, qid);
+        let query = Outgoing::Owned(probe);
+        let rewrite = Rewrite::Probe {
+            question: query.question(),
+        };
+        let entry = Forwarded::of(&query, now, me, me, rewrite, qid);
+        self.forward_to_ans(out, query, entry);
     }
 
     /// Allocates the next upstream transaction id in O(1). If the id is
@@ -1664,7 +1327,7 @@ impl RemoteGuard {
     fn alloc_txid(&mut self) -> u16 {
         let id = self.next_txid;
         self.next_txid = self.next_txid.wrapping_add(1).max(1);
-        self.remove_fwd(id);
+        self.remove_fwd(id, None);
         id
     }
 
@@ -1679,7 +1342,11 @@ impl RemoteGuard {
     /// byte bound.
     fn insert_fwd(&mut self, txid: u16, entry: Forwarded) {
         let now = entry.created;
-        self.ha_note_fwd_add(txid, &entry.rewrite);
+        if matches!(entry.rewrite, Rewrite::Durable(_)) {
+            if let Some(ha) = self.replicating() {
+                ha.pending.fwd_add.push(txid);
+            }
+        }
         self.fwd_bytes += entry.approx_bytes();
         self.fwd_order.push_back((txid, entry.created));
         if let Some(old) = self.fwd.insert(txid, entry) {
@@ -1692,7 +1359,7 @@ impl RemoteGuard {
             // Skip stale queue fronts: answered entries, or txids re-used
             // since (their live entry has a newer creation stamp).
             if self.fwd.get(&old_txid).is_some_and(|f| f.created == created) {
-                self.remove_fwd(old_txid);
+                self.remove_fwd(old_txid, None);
                 self.metrics.fwd_evicted.inc();
                 self.metrics.trace.event(
                     now.as_nanos(),
@@ -1703,11 +1370,23 @@ impl RemoteGuard {
         }
     }
 
-    fn remove_fwd(&mut self, txid: u16) -> Option<Forwarded> {
-        let entry = self.fwd.remove(&txid)?;
+    /// Removes the forward under `txid` — when `asking` is given, only if
+    /// that is the digest of the question it forwarded: the table looks,
+    /// compares and only then removes, so an answer to another question
+    /// cannot use the entry up.
+    fn remove_fwd(&mut self, txid: u16, asking: Option<u64>) -> Option<Forwarded> {
+        let Entry::Occupied(slot) = self.fwd.entry(txid) else {
+            return None;
+        };
+        if asking.is_some_and(|asking| slot.get().question() != asking) {
+            return None;
+        }
+        let entry = slot.remove();
         self.fwd_bytes -= entry.approx_bytes();
-        if !matches!(entry.rewrite, Rewrite::Probe | Rewrite::TcpRelay { .. }) {
-            self.ha_note_fwd_del(txid);
+        if matches!(entry.rewrite, Rewrite::Durable(_)) {
+            if let Some(ha) = self.replicating() {
+                ha.pending.fwd_del.push(txid);
+            }
         }
         Some(entry)
     }
@@ -1715,7 +1394,9 @@ impl RemoteGuard {
     /// Inserts a stash entry, evicting oldest entries past the byte bound.
     fn insert_stash(&mut self, key: (Ipv4Addr, Name), entry: StashEntry) {
         let now = entry.created;
-        self.ha_note_stash_add(&key);
+        if let Some(ha) = self.replicating() {
+            ha.pending.stash_add.push(key.clone());
+        }
         self.stash_bytes += entry.approx_bytes(&key.1);
         self.stash_order.push_back((key.clone(), entry.created));
         if let Some(old) = self.stash.insert(key.clone(), entry) {
@@ -1744,67 +1425,51 @@ impl RemoteGuard {
     fn remove_stash(&mut self, key: &(Ipv4Addr, Name)) -> Option<StashEntry> {
         let entry = self.stash.remove(key)?;
         self.stash_bytes -= entry.approx_bytes(&key.1);
-        self.ha_note_stash_del(key);
+        if let Some(ha) = self.replicating() {
+            ha.pending.stash_del.push(key.clone());
+        }
         Some(entry)
     }
 
-    fn forward_to_ans(
-        &mut self,
-        ctx: &mut Context<'_>,
-        query: Outgoing<'_>,
-        requester: Endpoint,
-        reply_from: Endpoint,
-        rewrite: Rewrite,
-        qid: u64,
-    ) {
-        if self.health.down
-            && self.config.health_policy == AnsHealthPolicy::FailClosed
-            && !matches!(rewrite, Rewrite::Probe)
-        {
+    /// Sends `query` to the ANS under a fresh transaction id and files
+    /// `entry`, what its answer will be matched against and relayed by.
+    fn forward_to_ans(&mut self, out: &mut Outputs, query: Outgoing<'_>, entry: Forwarded) {
+        let (now, requester, qid) = (entry.created, entry.requester, entry.qid);
+        let probe = matches!(entry.rewrite, Rewrite::Probe { .. });
+        if self.health.down && self.config.health_policy == AnsHealthPolicy::FailClosed && !probe {
             self.metrics.failed_closed.inc();
             self.metrics.trace.event(
-                ctx.now().as_nanos(),
+                now.as_nanos(),
                 "fail_closed",
                 &[("src", Value::Ip(requester.ip))],
             );
             // UDP requesters get an immediate SERVFAIL so resolvers move on
             // to a sibling server; TCP relays are simply not forwarded (the
             // proxy connection is reaped by the lifetime cap).
-            if !matches!(rewrite, Rewrite::TcpRelay { .. }) {
+            if !matches!(entry.rewrite, Rewrite::TcpRelay { .. }) {
                 let mut resp = query.into_message().into_response();
                 resp.header.rcode = dnswire::types::Rcode::ServFail;
-                let pkt = Packet::udp(reply_from, requester, resp.encode());
-                self.tx(ctx, pkt);
+                let pkt = Packet::udp(entry.reply_from, requester, resp.encode());
+                self.tx(out, pkt);
             }
             return;
         }
-        let orig_txid = query.id();
+        let orig_txid = entry.orig_txid;
         let txid = self.alloc_txid();
-        let probe = matches!(rewrite, Rewrite::Probe);
-        self.insert_fwd(
-            txid,
-            Forwarded {
-                requester,
-                reply_from,
-                orig_txid,
-                rewrite,
-                created: ctx.now(),
-                qid,
-            },
-        );
+        self.insert_fwd(txid, entry);
         self.metrics.forwarded.inc();
         // Info-level with both sides of the txid rewrite: the journey
         // assembler's bridge from client-facing to ANS-facing identity.
         // Probes stay at debug — they are not client transactions.
         if probe {
             self.metrics.trace.debug(
-                ctx.now().as_nanos(),
+                now.as_nanos(),
                 "forward",
                 &[("src", Value::Ip(requester.ip)), ("qid", Value::U64(qid))],
             );
         } else {
             self.metrics.trace.event(
-                ctx.now().as_nanos(),
+                now.as_nanos(),
                 "forward",
                 &[
                     ("src", Value::Ip(requester.ip)),
@@ -1814,12 +1479,7 @@ impl RemoteGuard {
                 ],
             );
         }
-        let pkt = Packet::udp(
-            Endpoint::new(self.config.public_addr, DNS_PORT),
-            Endpoint::new(self.config.ans_addr, DNS_PORT),
-            query.into_wire(txid),
-        );
-        self.tx(ctx, pkt);
+        self.tx_ans(out, query.into_wire(txid));
     }
 
     /// Builds the fabricated NS label on the stack: `PR`, 8 hex cookie chars,
@@ -1847,7 +1507,7 @@ impl RemoteGuard {
     /// is its view's) and sends it back where that came from.
     fn answer_unverified(
         &mut self,
-        ctx: &mut Context<'_>,
+        out: &mut Outputs,
         pkt: Packet,
         start: ReplyStart,
         answer: FirstContact,
@@ -1862,7 +1522,7 @@ impl RemoteGuard {
                 reply.push(Section::Authority, &ns);
             }
         }
-        self.tx_unverified(ctx, Packet::udp(pkt.dst, pkt.src, reply.finish()));
+        self.tx_unverified(out, Packet::udp(pkt.dst, pkt.src, reply.finish()));
     }
 
     /// Parses a fabricated label back into `(hex_cookie, original_first_label)`.
@@ -1928,44 +1588,114 @@ impl RemoteGuard {
 
     // ---- pipeline --------------------------------------------------------
 
-    /// The decision event of every cookie check, valid or not.
-    fn trace_verify(
-        &self,
-        ctx: &Context<'_>,
-        scheme: &'static str,
-        verdict: &'static str,
+    /// Takes one packet off `leg` at `now`: the guard's only data-path
+    /// entry. What it answers, forwards or relays is appended to `out`.
+    #[inline]
+    pub fn handle_packet(&mut self, now: SimTime, leg: Leg, pkt: Packet, out: &mut Outputs) {
+        out.charge(netsim::cost::packet_cost());
+        self.traffic.rx(pkt.wire_size());
+        match pkt.proto {
+            // Replication traffic is control-plane, not DNS: it is
+            // dispatched before the datagram counter so the pipeline
+            // conservation invariant keeps covering exactly the DNS data
+            // path. It is also outside the profiled DNS pipeline.
+            Proto::Udp
+                if (self.ha.is_some() || self.fleet.is_some()) && pkt.dst.port == REPL_PORT =>
+            {
+                self.handle_repl(now, out, pkt);
+            }
+            Proto::Udp => {
+                self.stageprof.begin();
+                self.handle_udp(now, leg, out, pkt);
+                self.stageprof.finish();
+            }
+            Proto::Tcp => self.handle_tcp(now, out, pkt),
+        }
+    }
+
+    /// The Rate-Limiter1 stage, in front of everything an unverified source
+    /// is told: admits `src`, or counts and traces the drop.
+    fn admit_unverified(&mut self, now: SimTime, src: Ipv4Addr) -> bool {
+        let admitted = self.rl1.admit(now, src);
+        self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
+        if !admitted {
+            self.metrics.rl1_dropped.inc();
+            let fields = [("limiter", Value::Str("rl1")), ("src", Value::Ip(src))];
+            self.metrics.trace.event(now.as_nanos(), "rl_drop", &fields);
+        }
+        admitted
+    }
+
+    /// The Rate-Limiter2 stage, in front of the ANS: admits the request of
+    /// the source verified in decision `qid`, or counts and traces the drop.
+    fn admit_verified(&mut self, now: SimTime, src: Ipv4Addr, qid: u64) -> bool {
+        let admitted = self.rl2.admit(now, src);
+        self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
+        if !admitted {
+            self.metrics.rl2_dropped.inc();
+            let fields = [
+                ("limiter", Value::Str("rl2")),
+                ("src", Value::Ip(src)),
+                ("qid", Value::U64(qid)),
+            ];
+            self.metrics.trace.event(now.as_nanos(), "rl_drop", &fields);
+        }
+        admitted
+    }
+
+    /// The stages every cookie scheme shares once its check has run: count
+    /// and trace the verdict, then pass a valid request through
+    /// Rate-Limiter2. `true` when the request goes on to the ANS.
+    fn verified(
+        &mut self,
+        now: SimTime,
+        scheme: Scheme,
+        valid: bool,
         src: Ipv4Addr,
         qid: u64,
-    ) {
-        self.metrics.trace.event(
-            ctx.now().as_nanos(),
+    ) -> bool {
+        self.stageprof.lap(crate::stageprof::STAGE_VERIFY);
+        let m = &self.metrics;
+        let (name, cell) = match (scheme, valid) {
+            (Scheme::Ext, true) => ("ext", &m.ext_valid),
+            (Scheme::Ext, false) => ("ext", &m.ext_invalid),
+            (Scheme::Cookie2, true) => ("cookie2", &m.cookie2_valid),
+            (Scheme::Cookie2, false) => ("cookie2", &m.cookie2_invalid),
+            (Scheme::NsLabel, true) => ("ns_label", &m.ns_cookie_valid),
+            (Scheme::NsLabel, false) => ("ns_label", &m.ns_cookie_invalid),
+        };
+        cell.inc();
+        m.trace.event(
+            now.as_nanos(),
             "verify",
             &[
-                ("scheme", Value::Str(scheme)),
-                ("verdict", Value::Str(verdict)),
+                ("scheme", Value::Str(name)),
+                ("verdict", Value::Str(if valid { "valid" } else { "invalid" })),
                 ("src", Value::Ip(src)),
                 ("qid", Value::U64(qid)),
             ],
         );
+        valid && self.admit_verified(now, src, qid)
     }
 
-    fn handle_udp(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        // Replication traffic is control-plane, not DNS: it is dispatched
-        // before the datagram counter so the pipeline conservation
-        // invariant keeps covering exactly the DNS data path. It is also
-        // outside the profiled DNS pipeline.
-        if (self.ha.is_some() || self.fleet.is_some()) && pkt.dst.port == REPL_PORT {
-            self.handle_repl(ctx, pkt);
-            return;
-        }
-        self.stageprof.begin();
-        self.handle_udp_inner(ctx, pkt);
-        self.stageprof.finish();
+    /// Counts a cookie grant and returns it: what an unverified source is
+    /// told under the modified-DNS scheme (message 3).
+    fn grant(&mut self, now: SimTime, out: &mut Outputs, src: Ipv4Addr) -> FirstContact {
+        out.charge(netsim::cost::cookie_cost());
+        let cookie = self.cookies.generate(src);
+        self.metrics.grants_sent.inc();
+        let qid = self.alloc_qid();
+        self.metrics.trace.event(
+            now.as_nanos(),
+            "grant",
+            &[("src", Value::Ip(src)), ("qid", Value::U64(qid))],
+        );
+        FirstContact::Grant(cookie)
     }
 
-    fn handle_udp_inner(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+    fn handle_udp(&mut self, now: SimTime, leg: Leg, out: &mut Outputs, pkt: Packet) {
         self.metrics.udp_datagrams.inc();
-        self.analytics.observe(ctx.now().as_nanos(), pkt.src.ip);
+        self.analytics.observe(now.as_nanos(), pkt.src.ip);
         // The verdict is taken on a borrowed view of the datagram; an owned
         // `Message` is built only for what the guard answers or rewrites.
         let Ok(view) = MessageView::parse(&pkt.payload) else {
@@ -1974,34 +1704,35 @@ impl RemoteGuard {
         };
         self.stageprof.lap(crate::stageprof::STAGE_DECODE);
         if view.header.response {
-            if pkt.src.ip != self.config.ans_addr {
+            if leg != Leg::Upstream {
                 // A response-flagged datagram not from the ANS: spoofed or
                 // misrouted; dropped without further processing.
                 self.metrics.resp_foreign.inc();
-            } else if let Some(fwd) = self.handle_ans_response(ctx, &view, pkt.payload.len()) {
+            } else if let Some(fwd) = self.handle_ans_response(now, out, &view, pkt.payload.len()) {
                 // A pass-through answer that fits a UDP payload goes out in
                 // the buffer it came in, under the requester's id.
                 let mut wire = pkt.payload;
                 if let Some(id) = wire.first_chunk_mut() {
                     *id = fwd.orig_txid.to_be_bytes();
                 }
-                self.tx(ctx, Packet::udp(fwd.reply_from, fwd.requester, wire));
+                self.tx(out, Packet::udp(fwd.reply_from, fwd.requester, wire));
             }
             return;
         }
         self.window_count += 1;
+        let src = pkt.src.ip;
 
         if !self.active {
             // Protection disengaged: transparent forwarding.
             self.metrics.passthrough.inc();
             let qid = self.alloc_qid();
             self.metrics.trace.debug(
-                ctx.now().as_nanos(),
+                now.as_nanos(),
                 "passthrough",
-                &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
+                &[("src", Value::Ip(src)), ("qid", Value::U64(qid))],
             );
             let query = Outgoing::Owned(view.to_message());
-            self.forward_to_ans(ctx, query, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
+            self.forward_passthrough(now, out, query, &pkt, qid);
             return;
         }
 
@@ -2009,93 +1740,32 @@ impl RemoteGuard {
         if let Some(ext) = view.cookie() {
             if ext.is_request() {
                 // Unverified work: sheddable under overload, before it can
-                // cost an RL1 decision or a cookie computation.
-                if self.shed_unverified_now(ctx.now(), pkt.src.ip) {
+                // cost an RL1 decision or a cookie computation. The grant
+                // goes through Rate-Limiter1 (reflection bound).
+                if self.shed_unverified_now(now, src) || !self.admit_unverified(now, src) {
                     return;
                 }
-                // Grant a cookie — through Rate-Limiter1 (reflection bound).
-                let admitted = self.rl1.admit(ctx.now(), pkt.src.ip);
-                self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
-                if !admitted {
-                    self.metrics.rl1_dropped.inc();
-                    self.metrics.trace.event(
-                        ctx.now().as_nanos(),
-                        "rl_drop",
-                        &[("limiter", Value::Str("rl1")), ("src", Value::Ip(pkt.src.ip))],
-                    );
-                    return;
-                }
-                self.charge_cookie(ctx);
-                let cookie = self.cookies.generate(pkt.src.ip);
-                self.metrics.grants_sent.inc();
-                let qid = self.alloc_qid();
-                self.metrics.trace.event(
-                    ctx.now().as_nanos(),
-                    "grant",
-                    &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
-                );
+                let grant = self.grant(now, out, src);
                 self.traffic_unverified.rx(pkt.wire_size());
                 let start = view.reply_start();
-                self.answer_unverified(ctx, pkt, start, FirstContact::Grant(cookie));
+                self.answer_unverified(out, pkt, start, grant);
                 return;
             }
-            self.charge_cookie(ctx);
+            out.charge(netsim::cost::cookie_cost());
             let qid = self.alloc_qid();
-            let valid = self.cookies.verify(pkt.src.ip, &guardhash::Cookie(ext.cookie));
-            self.stageprof.lap(crate::stageprof::STAGE_VERIFY);
-            if valid {
-                self.metrics.ext_valid.inc();
-                self.trace_verify(ctx, "ext", "valid", pkt.src.ip, qid);
-                let admitted = self.rl2.admit(ctx.now(), pkt.src.ip);
-                self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
-                if !admitted {
-                    self.metrics.rl2_dropped.inc();
-                    self.metrics.trace.event(
-                        ctx.now().as_nanos(),
-                        "rl_drop",
-                        &[
-                            ("limiter", Value::Str("rl2")),
-                            ("src", Value::Ip(pkt.src.ip)),
-                            ("qid", Value::U64(qid)),
-                        ],
-                    );
-                    return;
-                }
-                let query = Outgoing::CookieQuery(&view);
-                self.forward_to_ans(ctx, query, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
-            } else {
-                self.metrics.ext_invalid.inc();
-                self.trace_verify(ctx, "ext", "invalid", pkt.src.ip, qid);
+            let valid = self.cookies.verify(src, &guardhash::Cookie(ext.cookie));
+            if self.verified(now, Scheme::Ext, valid, src, qid) {
+                self.forward_passthrough(now, out, Outgoing::CookieQuery(&view), &pkt, qid);
             }
             return;
         }
 
         // 2. COOKIE2 destination (message 7 of the fabricated NS/IP flow)?
         if pkt.dst.ip != self.config.public_addr {
-            self.charge_cookie(ctx);
+            out.charge(netsim::cost::cookie_cost());
             let qid = self.alloc_qid();
-            let cookie2_ok = self.cookie2_matches(pkt.src.ip, pkt.dst.ip);
-            self.stageprof.lap(crate::stageprof::STAGE_VERIFY);
-            if !cookie2_ok {
-                self.metrics.cookie2_invalid.inc();
-                self.trace_verify(ctx, "cookie2", "invalid", pkt.src.ip, qid);
-                return;
-            }
-            self.metrics.cookie2_valid.inc();
-            self.trace_verify(ctx, "cookie2", "valid", pkt.src.ip, qid);
-            let admitted = self.rl2.admit(ctx.now(), pkt.src.ip);
-            self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
-            if !admitted {
-                self.metrics.rl2_dropped.inc();
-                self.metrics.trace.event(
-                    ctx.now().as_nanos(),
-                    "rl_drop",
-                    &[
-                        ("limiter", Value::Str("rl2")),
-                        ("src", Value::Ip(pkt.src.ip)),
-                        ("qid", Value::U64(qid)),
-                    ],
-                );
+            let valid = self.cookie2_matches(src, pkt.dst.ip);
+            if !self.verified(now, Scheme::Cookie2, valid, src, qid) {
                 return;
             }
             let msg = view.to_message();
@@ -2103,12 +1773,12 @@ impl RemoteGuard {
                 return;
             };
             // One-shot stash from the first exchange (messages 4/5).
-            if let Some(entry) = self.remove_stash(&(pkt.src.ip, question.name.clone())) {
+            if let Some(entry) = self.remove_stash(&(src, question.name.clone())) {
                 self.metrics.stash_hits.inc();
                 self.metrics.trace.event(
-                    ctx.now().as_nanos(),
+                    now.as_nanos(),
                     "stash_hit",
-                    &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
+                    &[("src", Value::Ip(src)), ("qid", Value::U64(qid))],
                 );
                 let mut resp = msg.into_response();
                 resp.header.authoritative = true;
@@ -2117,41 +1787,57 @@ impl RemoteGuard {
                     .encode_with_limit(MAX_UDP_PAYLOAD)
                     .unwrap_or_else(|_| (resp.encode(), false));
                 let reply = Packet::udp(pkt.dst, pkt.src, wire);
-                self.tx(ctx, reply);
+                self.tx(out, reply);
                 return;
             }
-            let query = Outgoing::Owned(msg);
-            self.forward_to_ans(ctx, query, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
+            self.forward_passthrough(now, out, Outgoing::Owned(msg), &pkt, qid);
             return;
         }
 
         // 3. Cookie-embedded NS-name query (message 3 of the DNS-based
         // scheme)?
         if let Some((hex, original_first)) = view.first_label().and_then(Self::parse_cookie_label) {
-            self.handle_cookie_name_query(ctx, &pkt, &view, hex, original_first);
+            self.handle_cookie_name_query(now, out, &pkt, &view, hex, original_first);
             return;
         }
 
         // 4. Plain cookie-less query: dispatch per configured scheme. What it
         // is told goes out in the buffer it came in.
-        if let Some(answer) = self.handle_plain_query(ctx, &pkt, &view) {
+        if let Some(answer) = self.handle_plain_query(now, out, &pkt, &view) {
             let start = view.reply_start();
-            self.answer_unverified(ctx, pkt, start, answer);
+            self.answer_unverified(out, pkt, start, answer);
         }
+    }
+
+    /// Forwards `query`, received as `pkt`, for an answer that is relayed
+    /// as it comes.
+    fn forward_passthrough(
+        &mut self,
+        now: SimTime,
+        out: &mut Outputs,
+        query: Outgoing<'_>,
+        pkt: &Packet,
+        qid: u64,
+    ) {
+        let rewrite = Rewrite::Durable(RewriteState::Passthrough {
+            question: query.question(),
+        });
+        let entry = Forwarded::of(&query, now, pkt.src, pkt.dst, rewrite, qid);
+        self.forward_to_ans(out, query, entry);
     }
 
     fn handle_cookie_name_query(
         &mut self,
-        ctx: &mut Context<'_>,
+        now: SimTime,
+        out: &mut Outputs,
         pkt: &Packet,
         view: &MessageView<'_>,
         hex: &str,
         original_first: &[u8],
     ) {
-        self.charge_cookie(ctx);
+        out.charge(netsim::cost::cookie_cost());
         let qid = self.alloc_qid();
         let suffix_ok = self.cookies.verify_ns_suffix(pkt.src.ip, hex);
-        self.stageprof.lap(crate::stageprof::STAGE_VERIFY);
         // Restore the original name BEFORE declaring the query valid: a
         // cookie that verifies but encodes an unrestorable name is still a
         // drop, and must land in exactly one disposition bucket — as does a
@@ -2163,44 +1849,33 @@ impl RemoteGuard {
             let original = q.name.with_first_label(original_first).ok()?;
             Some((q, original))
         });
-        let Some((cookie_question, original)) = restored else {
-            self.metrics.ns_cookie_invalid.inc();
-            self.trace_verify(ctx, "ns_label", "invalid", pkt.src.ip, qid);
+        let admitted = self.verified(now, Scheme::NsLabel, restored.is_some(), pkt.src.ip, qid);
+        let Some((cookie_question, original)) = restored.filter(|_| admitted) else {
             return;
         };
-        self.metrics.ns_cookie_valid.inc();
-        self.trace_verify(ctx, "ns_label", "valid", pkt.src.ip, qid);
-        if !self.rl2.admit(ctx.now(), pkt.src.ip) {
-            self.metrics.rl2_dropped.inc();
-            self.metrics.trace.event(
-                ctx.now().as_nanos(),
-                "rl_drop",
-                &[
-                    ("limiter", Value::Str("rl2")),
-                    ("src", Value::Ip(pkt.src.ip)),
-                    ("qid", Value::U64(qid)),
-                ],
-            );
-            return;
-        }
         let rewrite = match self.classifier.classify(&original) {
-            Classification::Referral { .. } | Classification::Unknown => {
-                Rewrite::ReferralCookie { cookie_question }
-            }
-            Classification::NonReferral => Rewrite::Fabricated {
+            Classification::Referral { .. } | Classification::Unknown => RewriteState::ReferralCookie {
+                cookie_question,
+                question: restored_question(&original),
+            },
+            Classification::NonReferral => RewriteState::Fabricated {
                 cookie_question,
                 original: original.clone(),
             },
         };
-        let restored = Message::iterative_query(view.header.id, original, dnswire::types::RrType::A);
-        self.forward_to_ans(ctx, Outgoing::Owned(restored), pkt.src, pkt.dst, rewrite, qid);
+        let rewrite = Rewrite::Durable(rewrite);
+        let restored = Message::iterative_query(view.header.id, original, RrType::A);
+        let query = Outgoing::Owned(restored);
+        let entry = Forwarded::of(&query, now, pkt.src, pkt.dst, rewrite, qid);
+        self.forward_to_ans(out, query, entry);
     }
 
     /// Admits and counts a plain query and decides what the source is told;
     /// `None` when it is told nothing (dropped, or forwarded unprotected).
     fn handle_plain_query(
         &mut self,
-        ctx: &mut Context<'_>,
+        now: SimTime,
+        out: &mut Outputs,
         pkt: &Packet,
         view: &MessageView<'_>,
     ) -> Option<FirstContact> {
@@ -2210,19 +1885,11 @@ impl RemoteGuard {
         }
         // Plain queries are unverified by definition: sheddable under
         // overload before they reach Rate-Limiter1.
-        if self.shed_unverified_now(ctx.now(), pkt.src.ip) {
+        if self.shed_unverified_now(now, pkt.src.ip) {
             return None;
         }
         // Every response to an unverified source passes Rate-Limiter1.
-        let admitted = self.rl1.admit(ctx.now(), pkt.src.ip);
-        self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
-        if !admitted {
-            self.metrics.rl1_dropped.inc();
-            self.metrics.trace.event(
-                ctx.now().as_nanos(),
-                "rl_drop",
-                &[("limiter", Value::Str("rl1")), ("src", Value::Ip(pkt.src.ip))],
-            );
+        if !self.admit_unverified(now, pkt.src.ip) {
             return None;
         }
         self.traffic_unverified.rx(pkt.wire_size());
@@ -2236,7 +1903,7 @@ impl RemoteGuard {
                 self.metrics.tc_sent.inc();
                 let qid = self.alloc_qid();
                 self.metrics.trace.event(
-                    ctx.now().as_nanos(),
+                    now.as_nanos(),
                     "tc_sent",
                     &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
                 );
@@ -2245,16 +1912,7 @@ impl RemoteGuard {
             SchemeMode::ModifiedOnly => {
                 // Treat like a grant request: hand the requester a cookie so
                 // a cookie-capable LRS can proceed (message 3).
-                self.charge_cookie(ctx);
-                let cookie = self.cookies.generate(pkt.src.ip);
-                self.metrics.grants_sent.inc();
-                let qid = self.alloc_qid();
-                self.metrics.trace.event(
-                    ctx.now().as_nanos(),
-                    "grant",
-                    &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
-                );
-                Some(FirstContact::Grant(cookie))
+                Some(self.grant(now, out, pkt.src.ip))
             }
             SchemeMode::DnsBased => {
                 // Admitted, so it will be answered: the classifier needs the
@@ -2267,7 +1925,7 @@ impl RemoteGuard {
                 };
                 let fabricated = target.and_then(|target| {
                     let first = target.first_label()?;
-                    self.charge_cookie(ctx);
+                    out.charge(netsim::cost::cookie_cost());
                     let (label, len) = self.fabricate_label(pkt.src.ip, first);
                     let fab_name = target.with_first_label(label.get(..len)?).ok()?;
                     Some(Record::ns(target, fab_name, self.config.fabricated_ns_ttl))
@@ -2279,13 +1937,13 @@ impl RemoteGuard {
                     self.metrics.plain_forwarded.inc();
                     let qid = self.alloc_qid();
                     let query = Outgoing::Owned(view.to_message());
-                    self.forward_to_ans(ctx, query, pkt.src, pkt.dst, Rewrite::Passthrough, qid);
+                    self.forward_passthrough(now, out, query, pkt, qid);
                     return None;
                 };
                 self.metrics.fabricated_ns_sent.inc();
                 let qid = self.alloc_qid();
                 self.metrics.trace.event(
-                    ctx.now().as_nanos(),
+                    now.as_nanos(),
                     "fabricated_ns",
                     &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
                 );
@@ -2300,40 +1958,42 @@ impl RemoteGuard {
     /// builds the owned message here.
     fn handle_ans_response(
         &mut self,
-        ctx: &mut Context<'_>,
+        now: SimTime,
+        out: &mut Outputs,
         view: &MessageView<'_>,
         wire_len: usize,
     ) -> Option<Forwarded> {
         // Any response from the ANS proves it alive, matched or not.
         self.health.consecutive_timeouts = 0;
-        self.health.last_response = ctx.now();
+        self.health.last_response = now;
         if self.health.down {
             self.health.down = false;
             self.health.probe_interval = self.config.ans_probe_interval;
             self.metrics.ans_recoveries.inc();
-            self.metrics.trace.event(ctx.now().as_nanos(), "ans_recovered", &[]);
+            self.metrics.trace.event(now.as_nanos(), "ans_recovered", &[]);
         }
-        let Some(fwd) = self.remove_fwd(view.header.id) else {
-            // A late response to an evicted/expired forward (or a txid the
-            // guard never issued).
+        // The response must carry the id and the question of a live forward.
+        let Some(fwd) = self.remove_fwd(view.header.id, Some(view.question_digest())) else {
+            // A late response to an evicted/expired forward, a txid the
+            // guard never issued, or an answer to another question.
             self.metrics.resp_unmatched.inc();
             return None;
         };
         self.metrics.relayed_responses.inc();
-        let rtt_ns = ctx.now().saturating_sub(fwd.created).as_nanos();
+        let rtt_ns = now.saturating_sub(fwd.created).as_nanos();
         self.metrics.ans_rtt_ns.record(rtt_ns);
         // The relay event closes the journey stage opened by "forward": via
         // names the rewrite applied on the way back to the requester.
         let via = match &fwd.rewrite {
-            Rewrite::Probe => None,
-            Rewrite::Passthrough => Some("passthrough"),
-            Rewrite::ReferralCookie { .. } => Some("referral"),
-            Rewrite::Fabricated { .. } => Some("cookie2_redirect"),
+            Rewrite::Probe { .. } => None,
+            Rewrite::Durable(RewriteState::Passthrough { .. }) => Some("passthrough"),
+            Rewrite::Durable(RewriteState::ReferralCookie { .. }) => Some("referral"),
+            Rewrite::Durable(RewriteState::Fabricated { .. }) => Some("cookie2_redirect"),
             Rewrite::TcpRelay { .. } => Some("tcp"),
         };
         if let Some(via) = via {
             self.metrics.trace.event(
-                ctx.now().as_nanos(),
+                now.as_nanos(),
                 "relay",
                 &[
                     ("src", Value::Ip(fwd.requester.ip)),
@@ -2344,21 +2004,23 @@ impl RemoteGuard {
             );
         }
         let mut msg = match fwd.rewrite {
-            Rewrite::Probe => return None,
-            Rewrite::Passthrough if wire_len <= MAX_UDP_PAYLOAD => return Some(fwd),
+            Rewrite::Probe { .. } => return None,
+            Rewrite::Durable(RewriteState::Passthrough { .. }) if wire_len <= MAX_UDP_PAYLOAD => {
+                return Some(fwd)
+            }
             _ => view.to_message(),
         };
         match fwd.rewrite {
-            Rewrite::Probe => {}
-            Rewrite::Passthrough => {
+            Rewrite::Probe { .. } => {}
+            Rewrite::Durable(RewriteState::Passthrough { .. }) => {
                 msg.header.id = fwd.orig_txid;
                 let (wire, _) = msg
                     .encode_with_limit(MAX_UDP_PAYLOAD)
                     .unwrap_or_else(|_| (msg.encode(), false));
                 let reply = Packet::udp(fwd.reply_from, fwd.requester, wire);
-                self.tx(ctx, reply);
+                self.tx(out, reply);
             }
-            Rewrite::ReferralCookie { cookie_question } => {
+            Rewrite::Durable(RewriteState::ReferralCookie { cookie_question, .. }) => {
                 // Map the referral's glue addresses onto the cookie name
                 // ("one name can be mapped to multiple IP addresses").
                 let glue: Vec<Record> = msg
@@ -2371,27 +2033,13 @@ impl RemoteGuard {
                         ..r
                     })
                     .collect();
-                let mut reply = Message {
-                    header: dnswire::header::Header {
-                        id: fwd.orig_txid,
-                        response: true,
-                        authoritative: true,
-                        ..dnswire::header::Header::default()
-                    },
-                    questions: vec![cookie_question],
-                    answers: glue,
-                    ..Message::default()
-                };
-                if reply.answers.is_empty() {
-                    reply.header.rcode = dnswire::types::Rcode::ServFail;
-                }
-                let reply_pkt = Packet::udp(fwd.reply_from, fwd.requester, reply.encode());
-                self.tx(ctx, reply_pkt);
+                let reply = cookie_name_reply(fwd.orig_txid, cookie_question, glue);
+                self.tx(out, Packet::udp(fwd.reply_from, fwd.requester, reply));
             }
-            Rewrite::Fabricated {
+            Rewrite::Durable(RewriteState::Fabricated {
                 cookie_question,
                 original,
-            } => {
+            }) => {
                 // Stash the real answer for the imminent COOKIE2 query and
                 // answer the cookie-name question with the COOKIE2 address.
                 // The COOKIE2 offset derives from the digest already
@@ -2402,63 +2050,53 @@ impl RemoteGuard {
                     (fwd.requester.ip, original),
                     StashEntry {
                         answers: msg.answers,
-                        created: ctx.now(),
+                        created: now,
                     },
                 );
                 let cookie2 = self.cookie2_addr(fwd.requester.ip);
-                let reply = Message {
-                    header: dnswire::header::Header {
-                        id: fwd.orig_txid,
-                        response: true,
-                        authoritative: true,
-                        ..dnswire::header::Header::default()
-                    },
-                    answers: vec![Record::a(
-                        cookie_question.name.clone(),
-                        cookie2,
-                        self.config.fabricated_ns_ttl,
-                    )],
-                    questions: vec![cookie_question],
-                    ..Message::default()
-                };
-                let reply_pkt = Packet::udp(fwd.reply_from, fwd.requester, reply.encode());
-                self.tx(ctx, reply_pkt);
+                let redirect = Record::a(
+                    cookie_question.name.clone(),
+                    cookie2,
+                    self.config.fabricated_ns_ttl,
+                );
+                let reply = cookie_name_reply(fwd.orig_txid, cookie_question, vec![redirect]);
+                self.tx(out, Packet::udp(fwd.reply_from, fwd.requester, reply));
             }
-            Rewrite::TcpRelay { token } => {
+            Rewrite::TcpRelay { token, .. } => {
                 if let Some(pkt) = self.proxy.on_ans_response(token, &msg) {
-                    self.tx(ctx, pkt);
+                    self.tx(out, pkt);
                 }
             }
         }
         None
     }
 
-    fn handle_tcp(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+    fn handle_tcp(&mut self, now: SimTime, out: &mut Outputs, pkt: Packet) {
         // Charge the connection cost when a handshake completes; detect via
         // accepted-count delta.
         let accepted_before = self.proxy.stats().accepted;
-        let actions = self.proxy.on_segment(ctx.now(), &pkt);
+        let actions = self.proxy.on_segment(now, &pkt);
         if self.proxy.stats().accepted > accepted_before {
-            ctx.charge(netsim::cost::tcp_conn_cost());
-            self.charge_cookie(ctx); // SYN-cookie computation
+            out.charge(netsim::cost::tcp_conn_cost());
+            out.charge(netsim::cost::cookie_cost()); // SYN-cookie computation
             let qid = self.alloc_qid();
             self.metrics.trace.event(
-                ctx.now().as_nanos(),
+                now.as_nanos(),
                 "proxy_accept",
                 &[("src", Value::Ip(pkt.src.ip)), ("qid", Value::U64(qid))],
             );
         }
         for action in actions {
             match action {
-                ProxyAction::Send(p) => self.tx(ctx, p),
+                ProxyAction::Send(p) => self.tx(out, p),
                 ProxyAction::ForwardQuery { token, query } => {
                     // Connection-table bookkeeping scales with the number of
                     // open proxied connections (Figure 7(a)); charged once
                     // per relayed request.
-                    ctx.charge(netsim::cost::tcp_conn_table_cost(self.proxy.open_connections()));
+                    out.charge(netsim::cost::tcp_conn_table_cost(self.proxy.open_connections()));
                     let qid = self.alloc_qid();
                     self.metrics.trace.debug(
-                        ctx.now().as_nanos(),
+                        now.as_nanos(),
                         "proxy_relay",
                         &[
                             ("src", Value::Ip(pkt.src.ip)),
@@ -2466,68 +2104,25 @@ impl RemoteGuard {
                             ("token", Value::U64(token)),
                         ],
                     );
-                    if !self.rl2.admit(ctx.now(), pkt.src.ip) {
-                        self.metrics.rl2_dropped.inc();
-                        self.metrics.trace.event(
-                            ctx.now().as_nanos(),
-                            "rl_drop",
-                            &[
-                                ("limiter", Value::Str("rl2")),
-                                ("src", Value::Ip(pkt.src.ip)),
-                                ("qid", Value::U64(qid)),
-                            ],
-                        );
+                    if !self.admit_verified(now, pkt.src.ip, qid) {
                         continue;
                     }
-                    self.forward_to_ans(
-                        ctx,
-                        Outgoing::Owned(query),
-                        pkt.src,
-                        Endpoint::new(self.config.public_addr, DNS_PORT),
-                        Rewrite::TcpRelay { token },
-                        qid,
-                    );
+                    let query = Outgoing::Owned(query);
+                    let rewrite = Rewrite::TcpRelay {
+                        token,
+                        question: query.question(),
+                    };
+                    let me = Endpoint::new(self.config.public_addr, DNS_PORT);
+                    let entry = Forwarded::of(&query, now, pkt.src, me, rewrite, qid);
+                    self.forward_to_ans(out, query, entry);
                 }
             }
         }
     }
-}
 
-impl Node for RemoteGuard {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_daemon_timer(WINDOW, TAG_WINDOW);
-        if let Some(ha) = &self.ha {
-            ctx.set_daemon_timer(ha.cfg.replication_interval, TAG_HA);
-        }
-        if let Some(f) = &self.fleet {
-            ctx.set_daemon_timer(f.cfg.sync_interval, TAG_FLEET);
-        }
-    }
-
-    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        ctx.charge(netsim::cost::packet_cost());
-        self.traffic.rx(pkt.wire_size());
-        match pkt.proto {
-            Proto::Udp => self.handle_udp(ctx, pkt),
-            Proto::Tcp => self.handle_tcp(ctx, pkt),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        match tag {
-            TAG_WINDOW => self.on_window(ctx),
-            TAG_HA => self.on_ha_tick(ctx),
-            TAG_FLEET => self.on_fleet_tick(ctx),
-            _ => {}
-        }
-    }
-}
-
-impl RemoteGuard {
     /// The periodic housekeeping window (activation, rotation, expiries,
     /// checkpoint cadence, admission-pressure sampling).
-    fn on_window(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_daemon_timer(WINDOW, TAG_WINDOW);
+    pub fn on_window(&mut self, now: SimTime, out: &mut Outputs) {
         // Activation decision from the inbound request rate.
         if self.config.activation_threshold > 0.0 {
             let rate = self.window_count as f64 / WINDOW.as_secs_f64();
@@ -2538,14 +2133,13 @@ impl RemoteGuard {
         // epochs only originate at the master, or the fleet keys diverge.
         let fleet_member = self.fleet.as_ref().is_some_and(|f| !f.cfg.master);
         if let Some(interval) = self.config.key_rotation_interval {
-            if !fleet_member && ctx.now().saturating_sub(self.last_rotation) >= interval {
-                self.last_rotation = ctx.now();
+            if !fleet_member && now.saturating_sub(self.last_rotation) >= interval {
+                self.last_rotation = now;
                 self.cookies.rotate();
             }
         }
         // Housekeeping.
-        self.proxy.reap(ctx.now());
-        let now = ctx.now();
+        self.proxy.reap(now);
         // Expire unanswered forwards: each one is an ANS timeout feeding
         // the health monitor.
         let horizon = self.config.ans_timeout;
@@ -2556,7 +2150,7 @@ impl RemoteGuard {
             .map(|(&txid, _)| txid)
             .collect();
         for txid in expired {
-            let entry = self.remove_fwd(txid);
+            let entry = self.remove_fwd(txid, None);
             if entry.is_some_and(|f| f.created >= self.health.last_response) {
                 self.metrics.ans_timeouts.inc();
                 self.health.consecutive_timeouts += 1;
@@ -2576,7 +2170,7 @@ impl RemoteGuard {
             );
         }
         if self.health.down && now >= self.health.next_probe {
-            self.send_probe(ctx);
+            self.send_probe(now, out);
             self.health.next_probe = now + self.health.probe_interval;
             self.health.probe_interval =
                 (self.health.probe_interval * 2).min(self.config.ans_probe_max);
@@ -2651,426 +2245,5 @@ impl RemoteGuard {
                 );
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dnswire::rdata::RData;
-    use dnswire::types::{Rcode, RrType};
-    use netsim::engine::{CpuConfig, Simulator};
-    use server::authoritative::Authority;
-    use server::nodes::AuthNode;
-    use server::simclient::{CookieMode, LrsSimConfig, LrsSimulator};
-    use server::zone::{paper_hierarchy, ROOT_SERVER};
-
-    const ANS_PRIVATE: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 1);
-    const GUARD_SUBNET: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 0);
-
-    /// Builds guard + ANS world. `which_zone`: 0 = root (referral answers),
-    /// 2 = foo.com (non-referral answers). Returns (sim, guard_id, ans_id).
-    fn guarded_world(
-        seed: u64,
-        which_zone: usize,
-        mode: SchemeMode,
-    ) -> (Simulator, netsim::NodeId, netsim::NodeId) {
-        let (root, com, foo) = paper_hierarchy();
-        let zones = [root, com, foo];
-        let zone = zones[which_zone].clone();
-        let authority = Authority::new(vec![zone]);
-
-        let mut sim = Simulator::new(seed);
-        let config = GuardConfig {
-            subnet_base: GUARD_SUBNET,
-            ..GuardConfig::new(ROOT_SERVER, ANS_PRIVATE)
-        }
-        .with_mode(mode);
-        let guard = sim.add_node(
-            ROOT_SERVER,
-            CpuConfig::unbounded(),
-            RemoteGuard::new(config, AuthorityClassifier::new(authority.clone())),
-        );
-        sim.add_subnet(GUARD_SUBNET, 24, guard);
-        let ans = sim.add_node(ANS_PRIVATE, CpuConfig::unbounded(), AuthNode::new(ANS_PRIVATE, authority));
-        (sim, guard, ans)
-    }
-
-    fn add_lrs(sim: &mut Simulator, last: u8, mode: CookieMode, cache: bool) -> netsim::NodeId {
-        let ip = Ipv4Addr::new(10, 0, 0, last);
-        let mut config = LrsSimConfig::new(ip, ROOT_SERVER, "www.foo.com".parse().unwrap());
-        config.mode = mode;
-        config.cookie_cache = cache;
-        sim.add_node(ip, CpuConfig::unbounded(), LrsSimulator::new(config))
-    }
-
-    #[test]
-    fn ns_name_scheme_end_to_end_referral() {
-        let (mut sim, guard, _ans) = guarded_world(1, 0, SchemeMode::DnsBased);
-        let lrs = add_lrs(&mut sim, 2, CookieMode::Plain, true);
-        sim.run_until(SimTime::from_millis(200));
-        let lrs_state = sim.node_ref::<LrsSimulator>(lrs).unwrap();
-        assert!(lrs_state.stats.completed > 10, "completed {}", lrs_state.stats.completed);
-        assert_eq!(lrs_state.stats.timeouts, 0);
-        let guard_state = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert!(guard_state.stats().fabricated_ns_sent >= 1);
-        assert!(guard_state.stats().ns_cookie_valid > 10);
-        assert_eq!(guard_state.stats().ns_cookie_invalid, 0, "no false positives");
-    }
-
-    #[test]
-    fn fabricated_ns_ip_scheme_end_to_end() {
-        let (mut sim, guard, _ans) = guarded_world(2, 2, SchemeMode::DnsBased);
-        let lrs = add_lrs(&mut sim, 3, CookieMode::Plain, true);
-        sim.run_until(SimTime::from_millis(200));
-        let lrs_state = sim.node_ref::<LrsSimulator>(lrs).unwrap();
-        assert!(lrs_state.stats.completed > 10, "completed {}", lrs_state.stats.completed);
-        let guard_state = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert!(guard_state.stats().cookie2_valid > 10, "COOKIE2 path exercised");
-        assert_eq!(guard_state.stats().cookie2_invalid, 0);
-        assert!(guard_state.stats().stash_hits >= 1, "first exchange uses the stash");
-    }
-
-    #[test]
-    fn modified_scheme_end_to_end() {
-        let (mut sim, guard, _ans) = guarded_world(3, 2, SchemeMode::ModifiedOnly);
-        let lrs = add_lrs(&mut sim, 4, CookieMode::Extension, true);
-        sim.run_until(SimTime::from_millis(200));
-        let lrs_state = sim.node_ref::<LrsSimulator>(lrs).unwrap();
-        assert!(lrs_state.stats.completed > 10, "completed {}", lrs_state.stats.completed);
-        let guard_state = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert_eq!(guard_state.stats().grants_sent, 1, "one grant, then cached cookie");
-        assert!(guard_state.stats().ext_valid > 10);
-        assert_eq!(guard_state.stats().ext_invalid, 0);
-    }
-
-    #[test]
-    fn tcp_scheme_end_to_end() {
-        let (mut sim, guard, _ans) = guarded_world(4, 2, SchemeMode::TcpBased);
-        let lrs = add_lrs(&mut sim, 5, CookieMode::Plain, false);
-        sim.run_until(SimTime::from_millis(200));
-        let lrs_state = sim.node_ref::<LrsSimulator>(lrs).unwrap();
-        assert!(lrs_state.stats.completed > 5, "completed {}", lrs_state.stats.completed);
-        assert!(lrs_state.stats.tcp_fallbacks > 5);
-        let guard_state = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert!(guard_state.stats().tc_sent > 5);
-        assert!(guard_state.proxy_stats().accepted > 5);
-        assert!(guard_state.proxy_stats().requests_relayed > 5);
-    }
-
-    #[test]
-    fn spoofed_cookie_labels_dropped() {
-        let (mut sim, guard, ans) = guarded_world(5, 0, SchemeMode::DnsBased);
-        // Forge message-3-style queries with random cookie hex from a
-        // spoofed source.
-        struct Forger;
-        impl Node for Forger {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                for i in 0..100u32 {
-                    let name: Name = format!("PR{:08x}com", i).parse().unwrap();
-                    let q = Message::iterative_query(i as u16, name, RrType::A);
-                    ctx.send(Packet::udp(
-                        Endpoint::new(Ipv4Addr::new(66, 1, (i >> 8) as u8, i as u8), 999),
-                        Endpoint::new(ROOT_SERVER, DNS_PORT),
-                        q.encode(),
-                    ));
-                }
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
-        }
-        sim.add_node(Ipv4Addr::new(66, 1, 0, 0), CpuConfig::unbounded(), Forger);
-        sim.run_until(SimTime::from_millis(50));
-        let guard_state = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert_eq!(guard_state.stats().ns_cookie_invalid, 100);
-        assert_eq!(guard_state.stats().forwarded, 0, "nothing reached the ANS");
-        assert_eq!(sim.node_ref::<AuthNode>(ans).unwrap().total_queries(), 0);
-    }
-
-    #[test]
-    fn invalid_ext_cookie_dropped() {
-        let (mut sim, guard, ans) = guarded_world(6, 2, SchemeMode::ModifiedOnly);
-        struct ExtForger;
-        impl Node for ExtForger {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                for i in 0..50u16 {
-                    let mut q = Message::iterative_query(i, "www.foo.com".parse().unwrap(), RrType::A);
-                    cookie_ext::attach_cookie(&mut q, [0xBA; 16], 0);
-                    ctx.send(Packet::udp(
-                        Endpoint::new(Ipv4Addr::new(77, 1, 1, (i % 250) as u8), 999),
-                        Endpoint::new(ROOT_SERVER, DNS_PORT),
-                        q.encode(),
-                    ));
-                }
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
-        }
-        sim.add_node(Ipv4Addr::new(77, 1, 1, 1), CpuConfig::unbounded(), ExtForger);
-        sim.run_until(SimTime::from_millis(50));
-        let guard_state = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert_eq!(guard_state.stats().ext_invalid, 50);
-        assert_eq!(sim.node_ref::<AuthNode>(ans).unwrap().total_queries(), 0);
-    }
-
-    #[test]
-    fn amplification_bounded_for_dns_based() {
-        let (mut sim, guard, _ans) = guarded_world(7, 0, SchemeMode::DnsBased);
-        let _lrs = add_lrs(&mut sim, 6, CookieMode::Plain, false); // every request cold
-        sim.run_until(SimTime::from_millis(100));
-        let guard_state = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        let amp = guard_state.traffic_unverified.amplification();
-        assert!(amp > 1.0, "NS record adds bytes: {amp}");
-        assert!(amp < 1.5, "paper: DNS-based amplification < 50%, got {amp}");
-    }
-
-    #[test]
-    fn no_amplification_for_tc_and_grants() {
-        for (seed, mode, lrs_mode) in [
-            (8, SchemeMode::TcpBased, CookieMode::Plain),
-            (9, SchemeMode::ModifiedOnly, CookieMode::Extension),
-        ] {
-            let (mut sim, guard, _ans) = guarded_world(seed, 2, mode);
-            let _lrs = add_lrs(&mut sim, 7, lrs_mode, false);
-            sim.run_until(SimTime::from_millis(100));
-            let guard_state = sim.node_ref::<RemoteGuard>(guard).unwrap();
-            let amp = guard_state.traffic_unverified.amplification();
-            assert!(amp <= 1.02, "mode {mode:?}: amplification {amp}");
-        }
-    }
-
-    #[test]
-    fn activation_threshold_gates_detection() {
-        let (mut sim, guard, _ans) = guarded_world(10, 0, SchemeMode::DnsBased);
-        sim.node_mut::<RemoteGuard>(guard).unwrap().config.activation_threshold = 1_000.0;
-        sim.node_mut::<RemoteGuard>(guard).unwrap().active = false;
-        let lrs = add_lrs(&mut sim, 8, CookieMode::Plain, true);
-        sim.run_until(SimTime::from_millis(300));
-        // A single closed-loop client (~1 req/RTT ≈ 2.5K/s on LAN · but each
-        // takes ~0.4ms → ~2.5K/s) ... the client rate is above 1K/s so the
-        // guard should engage; before engagement requests pass through.
-        let guard_state = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert!(guard_state.stats().passthrough > 0, "initial window passed through");
-        assert!(guard_state.is_active(), "guard engaged once rate exceeded threshold");
-        assert!(guard_state.stats().fabricated_ns_sent > 0);
-        let _ = lrs;
-    }
-
-    #[test]
-    fn key_rotation_preserves_service() {
-        let (mut sim, guard, _ans) = guarded_world(11, 0, SchemeMode::DnsBased);
-        let lrs = add_lrs(&mut sim, 9, CookieMode::Plain, true);
-        sim.run_until(SimTime::from_millis(100));
-        let before = sim.node_ref::<LrsSimulator>(lrs).unwrap().stats.completed;
-        assert!(before > 0);
-        sim.node_mut::<RemoteGuard>(guard).unwrap().rotate_key();
-        sim.run_until(SimTime::from_millis(200));
-        let after = sim.node_ref::<LrsSimulator>(lrs).unwrap();
-        assert!(after.stats.completed > before, "cached cookies still verify after one rotation");
-        assert_eq!(sim.node_ref::<RemoteGuard>(guard).unwrap().stats().ns_cookie_invalid, 0);
-    }
-
-    #[test]
-    fn ans_down_detected_probed_and_recovered() {
-        let (mut sim, guard, ans) = guarded_world(20, 0, SchemeMode::DnsBased);
-        {
-            let cfg = sim.node_mut::<RemoteGuard>(guard).unwrap().config_mut();
-            cfg.ans_timeout = SimTime::from_millis(50);
-            cfg.ans_failure_threshold = 2;
-            cfg.ans_probe_interval = SimTime::from_millis(100);
-        }
-        let lrs = add_lrs(&mut sim, 11, CookieMode::Plain, true);
-        sim.run_until(SimTime::from_millis(100));
-        assert!(!sim.node_ref::<RemoteGuard>(guard).unwrap().ans_is_down());
-        assert!(sim.node_ref::<LrsSimulator>(lrs).unwrap().stats.completed > 0);
-
-        sim.crash(ans);
-        sim.run_until(SimTime::from_millis(700));
-        let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert!(g.ans_is_down(), "health monitor noticed the crash");
-        assert_eq!(g.stats().ans_down_events, 1);
-        assert!(g.stats().ans_timeouts >= 2);
-        assert!(g.stats().ans_probes >= 2, "probing while down");
-
-        sim.restart(ans);
-        sim.run_until(SimTime::from_millis(1_500));
-        let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert!(!g.ans_is_down(), "probe response cleared the down state");
-        assert_eq!(g.stats().ans_recoveries, 1);
-        let completed_after = sim.node_ref::<LrsSimulator>(lrs).unwrap().stats.completed;
-        sim.run_until(SimTime::from_millis(1_700));
-        assert!(
-            sim.node_ref::<LrsSimulator>(lrs).unwrap().stats.completed > completed_after,
-            "service resumed after recovery"
-        );
-    }
-
-    #[test]
-    fn fail_closed_sheds_load_while_ans_down() {
-        let (mut sim, guard, ans) = guarded_world(21, 0, SchemeMode::DnsBased);
-        {
-            let cfg = sim.node_mut::<RemoteGuard>(guard).unwrap().config_mut();
-            cfg.ans_timeout = SimTime::from_millis(50);
-            cfg.ans_failure_threshold = 2;
-            cfg.ans_probe_interval = SimTime::from_millis(100);
-            cfg.health_policy = crate::config::AnsHealthPolicy::FailClosed;
-        }
-        let _lrs = add_lrs(&mut sim, 12, CookieMode::Plain, true);
-        sim.run_until(SimTime::from_millis(100));
-        sim.crash(ans);
-        sim.run_until(SimTime::from_millis(800));
-        let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert!(g.ans_is_down());
-        assert!(g.stats().failed_closed > 0, "verified queries refused fast");
-        // Probes still go out despite the fail-closed gate.
-        assert!(g.stats().ans_probes >= 2);
-        sim.restart(ans);
-        sim.run_until(SimTime::from_millis(1_500));
-        assert!(!sim.node_ref::<RemoteGuard>(guard).unwrap().ans_is_down());
-    }
-
-    #[test]
-    fn forward_table_stays_within_byte_bound() {
-        // A spoofed flood of out-of-bailiwick names all get forwarded
-        // (passthrough) to an ANS that never answers; the forward table
-        // must hold its configured byte bound and evict oldest-first.
-        let (root, com, foo) = paper_hierarchy();
-        let _ = (root, com);
-        let authority = Authority::new(vec![foo]);
-        let mut sim = Simulator::new(22);
-        let mut config = GuardConfig {
-            subnet_base: GUARD_SUBNET,
-            ..GuardConfig::new(ROOT_SERVER, ANS_PRIVATE)
-        };
-        config.rl1_global_rate = 1e12;
-        config.rl1_per_source_rate = 1e12;
-        config.fwd_bytes_max = 8_192;
-        let guard = sim.add_node(
-            ROOT_SERVER,
-            CpuConfig::unbounded(),
-            RemoteGuard::new(config, AuthorityClassifier::new(authority)),
-        );
-        sim.add_subnet(GUARD_SUBNET, 24, guard);
-        // No ANS node at all: every forward is a black hole.
-        struct Flood;
-        impl Node for Flood {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(SimTime::ZERO, 0);
-            }
-            fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-                if tag >= 2_000 {
-                    return;
-                }
-                let name: Name = format!("h{tag}.elsewhere.example").parse().unwrap();
-                let q = Message::iterative_query(tag as u16, name, RrType::A);
-                ctx.send(Packet::udp(
-                    Endpoint::new(Ipv4Addr::from(0x2000_0000 + tag as u32), 999),
-                    Endpoint::new(ROOT_SERVER, DNS_PORT),
-                    q.encode(),
-                ));
-                ctx.set_timer(SimTime::from_micros(4), tag + 1); // 250K req/s
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
-        }
-        sim.add_node(Ipv4Addr::new(32, 0, 0, 1), CpuConfig::unbounded(), Flood);
-        sim.run_until(SimTime::from_millis(20));
-        let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert!(g.stats().forwarded >= 2_000);
-        assert!(
-            g.table_bytes() <= 8_192,
-            "table {} bytes exceeds bound",
-            g.table_bytes()
-        );
-        assert!(g.stats().fwd_evicted > 0, "bound enforced by eviction");
-    }
-
-    #[test]
-    fn rcode_passthrough_for_unknown_zone() {
-        // A query outside the ANS's bailiwick is forwarded and the REFUSED
-        // response relayed. (Guard the foo.com zone: example names are then
-        // genuinely out of bailiwick; a root guard would own everything.)
-        let (mut sim, _guard, _ans) = guarded_world(12, 2, SchemeMode::DnsBased);
-        struct Asker {
-            reply: Option<Message>,
-        }
-        impl Node for Asker {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let q = Message::iterative_query(5, "out.of.zone.example".parse().unwrap(), RrType::A);
-                ctx.send(Packet::udp(
-                    Endpoint::new(Ipv4Addr::new(10, 0, 0, 40), 999),
-                    Endpoint::new(ROOT_SERVER, DNS_PORT),
-                    q.encode(),
-                ));
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-                self.reply = Message::decode(&pkt.payload).ok();
-            }
-        }
-        let asker = sim.add_node(Ipv4Addr::new(10, 0, 0, 40), CpuConfig::unbounded(), Asker { reply: None });
-        sim.run_until(SimTime::from_millis(20));
-        let reply = sim.node_ref::<Asker>(asker).unwrap().reply.clone();
-        let reply = reply.expect("got a response");
-        assert_eq!(reply.header.rcode, Rcode::Refused);
-    }
-
-    #[test]
-    fn attach_obs_exports_counters_and_decision_trace() {
-        let obs = obs::Obs::new();
-        obs.tracer.set_default_level(obs::trace::Level::Info);
-        let (mut sim, guard, _ans) = guarded_world(30, 0, SchemeMode::DnsBased);
-        sim.node_mut::<RemoteGuard>(guard).unwrap().attach_obs(&obs);
-        let lrs = add_lrs(&mut sim, 13, CookieMode::Plain, true);
-        sim.run_until(SimTime::from_millis(100));
-        let completed = sim.node_ref::<LrsSimulator>(lrs).unwrap().stats.completed;
-        assert!(completed > 10);
-
-        // Registry view matches the snapshot view.
-        let stats = sim.node_ref::<RemoteGuard>(guard).unwrap().stats();
-        let snap = obs.registry.snapshot();
-        let find = |name: &str, labels: &[(&str, &str)]| {
-            snap.iter()
-                .find(|m| {
-                    m.component == "guard"
-                        && m.name == name
-                        && labels.iter().all(|(k, v)| {
-                            m.labels.iter().any(|(lk, lv)| lk == k && lv == v)
-                        })
-                })
-                .map(|m| match m.value {
-                    obs::metrics::SampleValue::Counter(v) => v,
-                    _ => panic!("expected counter"),
-                })
-        };
-        assert_eq!(
-            find("verify", &[("scheme", "ns_label"), ("verdict", "valid")]),
-            Some(stats.ns_cookie_valid)
-        );
-        assert_eq!(find("forwarded", &[]), Some(stats.forwarded));
-        assert_eq!(find("udp_datagrams", &[]), Some(stats.udp_datagrams));
-        assert!(
-            snap.iter().any(|m| m.component == "guard"
-                && m.name == "ans_rtt_ns"
-                && matches!(m.value, obs::metrics::SampleValue::Histogram { count, .. } if count > 0)),
-            "ANS round-trips recorded"
-        );
-
-        // Decision events arrived in sim-time order.
-        let (events, dropped) = obs.tracer.drain();
-        assert_eq!(dropped, 0);
-        assert!(events.iter().any(|e| e.kind == "verify"));
-        assert!(events.iter().any(|e| e.kind == "fabricated_ns"));
-        assert!(events.windows(2).all(|w| w[0].t_nanos <= w[1].t_nanos));
-    }
-
-    #[test]
-    fn referral_reply_carries_real_server_address() {
-        // The cookie-name answer must hold the true com-server glue.
-        let (mut sim, _guard, _ans) = guarded_world(13, 0, SchemeMode::DnsBased);
-        let lrs = add_lrs(&mut sim, 10, CookieMode::Plain, true);
-        sim.run_until(SimTime::from_millis(50));
-        let lrs_state = sim.node_ref::<LrsSimulator>(lrs).unwrap();
-        assert!(lrs_state.stats.completed > 0);
-        // The LRS's cached NS name resolves through the guard to the real
-        // com server address — verified implicitly by completion, and the
-        // answer values are checked in the integration tests.
-        let _ = RData::A(server::zone::COM_SERVER);
     }
 }

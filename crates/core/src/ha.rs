@@ -426,6 +426,7 @@ mod tests {
                         "PRdeadbeefcom".parse().unwrap(),
                         RrType::Ns,
                     ),
+                    question: 0x0123_4567_89AB_CDEF,
                 },
                 created_nanos: 5_000,
                 qid: 3,

@@ -4,8 +4,10 @@
 //! Preventing DoS Attacks against DNS Servers"* (Guo, Chen & Chiueh,
 //! ICDCS 2006), reproduced in full:
 //!
-//! * [`guard`] — the **remote guard** firewall node (Figure 4): cookie
-//!   checker, scheme dispatch, both rate limiters, ANS forwarding;
+//! * [`guard`] — the **remote guard** firewall module (Figure 4): cookie
+//!   checker, scheme dispatch, both rate limiters, ANS forwarding — one
+//!   sans-IO [`guard::GuardCore`], with [`guard::RemoteGuard`] driving it
+//!   as a simulated node (the `runtime` crate drives it from sockets);
 //! * [`local_guard`] — the **local guard** that makes an unmodified LRS
 //!   cookie-capable (modified-DNS scheme, Figure 3);
 //! * [`tcp_proxy`] — the transparent TCP proxy with SYN cookies,
@@ -67,7 +69,7 @@ pub use admission::{AdmissionConfig, AdmissionController, PressureTier};
 pub use checkpoint::{CheckpointStore, GuardCheckpoint, SharedCheckpointStore};
 pub use classify::{AuthorityClassifier, Classification, Classifier};
 pub use config::{AnsHealthPolicy, GuardConfig, SchemeMode};
-pub use guard::{GuardStats, RemoteGuard};
+pub use guard::{GuardCore, GuardStats, RemoteGuard};
 pub use ha::{FleetConfig, HaConfig, HaRole};
 pub use local_guard::LocalGuard;
 pub use ratelimit::SourceRateLimiter;
@@ -271,45 +273,77 @@ mod proptests {
         /// Conservation: every UDP datagram entering the guard pipeline is
         /// counted in exactly one terminal disposition bucket, whatever mix
         /// of legitimate, malformed, spoofed and misdirected traffic
-        /// arrives, in every scheme.
+        /// arrives, in every scheme. Driven on the core itself, with no
+        /// event engine: a protocol-following requester's verified queries
+        /// go in between the junk, and whatever reaches the stand-in ANS
+        /// is answered on the upstream leg, so the verify, forward and
+        /// relay paths are in the mix.
         #[test]
         fn every_datagram_lands_in_one_bucket(
             kinds in proptest::collection::vec(0u8..10, 1..100),
             mode_sel in 0usize..3,
         ) {
+            use crate::guard::{GuardCore, Leg, Output, Outputs};
+            use dnswire::cookie_ext;
+
             let (root, _, foo) = paper_hierarchy();
-            let (zone, lrs_mode, guard_mode) = match mode_sel {
-                0 => (root, CookieMode::Plain, SchemeMode::DnsBased),
-                1 => (foo, CookieMode::Plain, SchemeMode::TcpBased),
-                _ => (foo, CookieMode::Extension, SchemeMode::ModifiedOnly),
+            let (zone, guard_mode) = match mode_sel {
+                0 => (root, SchemeMode::DnsBased),
+                1 => (foo, SchemeMode::TcpBased),
+                _ => (foo, SchemeMode::ModifiedOnly),
             };
             let authority = Authority::new(vec![zone]);
-            let mut sim = Simulator::new(kinds.len() as u64);
             let gconfig = GuardConfig::new(PUB, PRIV).with_mode(guard_mode);
-            let guard = sim.add_node(
-                PUB,
-                CpuConfig::unbounded(),
-                RemoteGuard::new(gconfig, AuthorityClassifier::new(authority.clone())),
-            );
-            sim.add_subnet(Ipv4Addr::new(198, 41, 0, 0), 24, guard);
-            sim.add_node(PRIV, CpuConfig::unbounded(), AuthNode::new(PRIV, authority));
-            // A protocol-following requester alongside the junk, so valid
-            // verify/forward/relay paths are also in the mix.
-            let lrs_ip = Ipv4Addr::new(172, 16, 0, 1);
-            let mut lconfig = LrsSimConfig::new(lrs_ip, PUB, "www.foo.com".parse().unwrap());
-            lconfig.mode = lrs_mode;
-            sim.add_node(lrs_ip, CpuConfig::unbounded(), LrsSimulator::new(lconfig));
-            let pkts: Vec<Packet> = kinds.iter().enumerate().map(|(i, &k)| craft(k, i)).collect();
-            sim.add_node(Ipv4Addr::new(9, 0, 0, 1), CpuConfig::unbounded(), PacketSpammer { pkts });
-            sim.run_until(SimTime::from_millis(40));
-            let gs = sim.node_ref::<RemoteGuard>(guard).unwrap().stats();
+            let mut guard = GuardCore::new(gconfig, AuthorityClassifier::new(authority.clone()));
+            let lrs = Endpoint::new(Ipv4Addr::new(172, 16, 0, 1), 4000);
+            let cookie = guard.cookie_factory().generate(lrs.ip);
+            let legit = |i: usize| {
+                let id = 0x4000 + i as u16;
+                let label = format!("PR{}com", cookie.ns_label_suffix());
+                let query = match guard_mode {
+                    SchemeMode::DnsBased => Message::iterative_query(id, label.parse().unwrap(), RrType::A),
+                    SchemeMode::TcpBased => Message::iterative_query(id, "www.foo.com".parse().unwrap(), RrType::A),
+                    SchemeMode::ModifiedOnly => {
+                        let mut q = Message::iterative_query(id, "www.foo.com".parse().unwrap(), RrType::A);
+                        cookie_ext::attach_cookie(&mut q, cookie.0, 0);
+                        q
+                    }
+                };
+                Packet::udp(lrs, Endpoint::new(PUB, DNS_PORT), query.encode())
+            };
+
+            let mut out = Outputs::default();
+            let mut offered = 0u64;
+            let mut relayed = 0u64;
+            for (i, &kind) in kinds.iter().enumerate() {
+                let mut inbox = vec![craft(kind, i), legit(i)];
+                while let Some(pkt) = inbox.pop() {
+                    let now = SimTime::from_micros(400 * (1 + offered));
+                    let leg = if pkt.src.ip == PRIV { Leg::Upstream } else { Leg::Client };
+                    guard.handle_packet(now, leg, pkt, &mut out);
+                    offered += 1;
+                    for output in out.drain() {
+                        match output {
+                            Output::ToAns(wire) => {
+                                let (answer, _) = authority.answer(&Message::decode(&wire).unwrap());
+                                let ans = Endpoint::new(PRIV, DNS_PORT);
+                                inbox.push(Packet::udp(ans, Endpoint::new(PUB, DNS_PORT), answer.encode()));
+                            }
+                            Output::Packet(reply) => relayed += u64::from(reply.dst == lrs),
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            let gs = guard.stats();
             prop_assert_eq!(
                 gs.udp_datagrams,
                 gs.disposition_total(),
                 "disposition buckets must partition the datagram count: {:?}",
                 gs
             );
-            prop_assert!(gs.udp_datagrams >= kinds.len() as u64, "all crafted datagrams arrived");
+            prop_assert_eq!(gs.udp_datagrams, offered, "every offered datagram was counted");
+            prop_assert!(relayed > 0, "the requester was served: {:?}", gs);
         }
 
         /// Checkpoint round-trip: `restore(checkpoint(g))` survives the

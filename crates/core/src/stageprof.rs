@@ -1,7 +1,7 @@
 //! Hot-path stage profiling for the guard's per-datagram pipeline.
 //!
 //! When the `stage-profiling` cargo feature is enabled, [`StageProf`]
-//! measures how long each decision stage of `RemoteGuard::handle_udp`
+//! measures how long each decision stage of `GuardCore::handle_packet`
 //! takes — `decode` (wire → message), `verify` (cookie verdicts),
 //! `admit` (rate-limiter decisions), `respond` (encode + transmit) — plus
 //! the end-to-end `total`, into per-stage log-bucketed histograms
@@ -11,7 +11,7 @@
 //!
 //! * **Compile-out.** Without the feature, [`StageProf`] is a zero-sized
 //!   type whose methods are empty `#[inline]` bodies: the call sites in
-//!   `guard.rs` stay uncluttered and the optimizer erases them entirely.
+//!   `guard/core.rs` stay uncluttered and the optimizer erases them entirely.
 //! * **Injected clock.** The sim-domain crates forbid wall clocks
 //!   (guardlint L2), and sim-time does not advance inside a handler — so
 //!   the profiler only measures when a harness injects a clock closure
@@ -43,7 +43,7 @@ pub const STAGE_ADMIT: usize = 2;
 /// Index into [`STAGE_NAMES`]: reply/forward encoded and transmitted
 /// (recorded by [`StageProf::finish`] as the tail segment).
 pub const STAGE_RESPOND: usize = 3;
-/// Index into [`STAGE_NAMES`]: whole `handle_udp` invocation.
+/// Index into [`STAGE_NAMES`]: one whole datagram through the pipeline.
 pub const STAGE_TOTAL: usize = 4;
 
 /// Measure one datagram out of this many (power of two).

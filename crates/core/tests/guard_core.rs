@@ -1,0 +1,411 @@
+//! `GuardCore` on its own: no simulator, no socket, no clock but the one the
+//! test hands it.
+//!
+//! Every scenario is written once against [`Guard`] and played twice: to a
+//! bare [`GuardCore`] whose out-buffer the test drains itself, and to a
+//! [`RemoteGuard`] node in a simulated world whose only other node is a tap
+//! that owns the default route. What each emits and counts must be equal —
+//! the simulator driver adds nothing and loses nothing.
+
+use dnsguard::classify::AuthorityClassifier;
+use dnsguard::config::{GuardConfig, SchemeMode};
+use dnsguard::guard::{GuardCore, GuardStats, Leg, Output, Outputs, RemoteGuard, WINDOW};
+use dnswire::cookie_ext;
+use dnswire::message::Message;
+use dnswire::name::Name;
+use dnswire::rdata::RData;
+use dnswire::record::Record;
+use dnswire::types::RrType;
+use guardhash::cookie::CookieFactory;
+use netsim::engine::{Context, CpuConfig, Node, NodeId, Simulator};
+use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT};
+use netsim::tcp::{TcpEvent, TcpHost};
+use netsim::time::SimTime;
+use server::authoritative::Authority;
+use server::zone::paper_hierarchy;
+use std::net::Ipv4Addr;
+
+const PUBLIC: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
+const SUBNET: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 0);
+const ANS: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 1);
+const CLIENT: Endpoint = Endpoint {
+    ip: Ipv4Addr::new(10, 0, 0, 9),
+    port: 4242,
+};
+
+/// One-way delay of every simulated link: what the simulated guard's clock
+/// reads when a packet offered at `t` reaches it is `t + LINK`.
+const LINK: SimTime = SimTime::from_micros(50);
+/// Time between offered packets: ample for the guard's charged CPU and both
+/// link crossings, and never on a housekeeping-window boundary.
+const GAP: SimTime = SimTime::from_micros(700);
+
+/// A guard a scenario can be played to.
+trait Guard {
+    /// Offers `pkt` and returns what the guard sent because of it, in order.
+    /// A packet whose source is the ANS address arrives on the upstream leg.
+    fn offer(&mut self, pkt: Packet) -> Vec<Packet>;
+    /// Lets `d` pass with nothing offered; returns what the guard sent.
+    fn idle(&mut self, d: SimTime) -> Vec<Packet>;
+    fn stats(&self) -> GuardStats;
+    fn cookies(&self) -> CookieFactory;
+}
+
+/// The core, driven by hand.
+struct Direct {
+    core: GuardCore,
+    out: Outputs,
+    now: SimTime,
+    next_window: SimTime,
+}
+
+impl Direct {
+    /// Advances the clock, keeping the housekeeping window a driver owes.
+    fn pass(&mut self, d: SimTime) {
+        self.now += d;
+        while self.next_window <= self.now {
+            self.core.on_window(self.next_window, &mut self.out);
+            self.next_window += WINDOW;
+        }
+    }
+
+    /// The out-buffer as the packets a driver would send.
+    fn sent(&mut self) -> Vec<Packet> {
+        let me = Endpoint::new(PUBLIC, DNS_PORT);
+        let drained = self.out.drain().map(|output| match output {
+            Output::Packet(pkt) => pkt,
+            Output::ToAns(wire) => Packet::udp(me, Endpoint::new(ANS, DNS_PORT), wire),
+            claim => panic!("a standalone guard claimed {claim:?}"),
+        });
+        drained.collect()
+    }
+}
+
+impl Guard for Direct {
+    fn offer(&mut self, pkt: Packet) -> Vec<Packet> {
+        let leg = if pkt.src.ip == ANS { Leg::Upstream } else { Leg::Client };
+        self.core.handle_packet(self.now + LINK, leg, pkt, &mut self.out);
+        self.pass(GAP);
+        self.sent()
+    }
+
+    fn idle(&mut self, d: SimTime) -> Vec<Packet> {
+        self.pass(d);
+        self.sent()
+    }
+
+    fn stats(&self) -> GuardStats {
+        self.core.stats()
+    }
+
+    fn cookies(&self) -> CookieFactory {
+        self.core.cookie_factory().clone()
+    }
+}
+
+/// Keeps whatever reaches it: with the default route, everything the guard
+/// sends anywhere.
+#[derive(Default)]
+struct Tap {
+    got: Vec<Packet>,
+}
+
+impl Node for Tap {
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
+        self.got.push(pkt);
+    }
+}
+
+/// The same core behind its simulator driver.
+struct Simulated {
+    sim: Simulator,
+    guard: NodeId,
+    tap: NodeId,
+}
+
+impl Simulated {
+    fn sent(&mut self) -> Vec<Packet> {
+        std::mem::take(&mut self.sim.node_mut::<Tap>(self.tap).unwrap().got)
+    }
+}
+
+impl Guard for Simulated {
+    fn offer(&mut self, pkt: Packet) -> Vec<Packet> {
+        self.sim.inject(self.tap, pkt);
+        self.idle(GAP)
+    }
+
+    fn idle(&mut self, d: SimTime) -> Vec<Packet> {
+        self.sim.run_for(d);
+        self.sent()
+    }
+
+    fn stats(&self) -> GuardStats {
+        self.sim.node_ref::<RemoteGuard>(self.guard).unwrap().stats()
+    }
+
+    fn cookies(&self) -> CookieFactory {
+        self.sim.node_ref::<RemoteGuard>(self.guard).unwrap().cookie_factory().clone()
+    }
+}
+
+/// Which zone the protected ANS serves: under the root a query for
+/// `www.foo.com` is a referral, under `foo.com` it is answered.
+#[derive(Clone, Copy)]
+enum Zone {
+    Root,
+    Foo,
+}
+
+fn parts(mode: SchemeMode, zone: Zone) -> (GuardConfig, AuthorityClassifier) {
+    let (root, _, foo_com) = paper_hierarchy();
+    let zone = match zone {
+        Zone::Root => root,
+        Zone::Foo => foo_com,
+    };
+    let config = GuardConfig {
+        subnet_base: SUBNET,
+        ..GuardConfig::new(PUBLIC, ANS)
+    }
+    .with_mode(mode);
+    (config, AuthorityClassifier::new(Authority::new(vec![zone])))
+}
+
+fn direct(mode: SchemeMode, zone: Zone) -> Direct {
+    let (config, classifier) = parts(mode, zone);
+    Direct {
+        core: GuardCore::new(config, classifier),
+        out: Outputs::default(),
+        now: SimTime::ZERO,
+        next_window: WINDOW,
+    }
+}
+
+fn simulated(mode: SchemeMode, zone: Zone) -> Simulated {
+    let (config, classifier) = parts(mode, zone);
+    let mut sim = Simulator::new(7);
+    sim.set_default_delay(LINK);
+    let guard = sim.add_node(PUBLIC, CpuConfig::unbounded(), RemoteGuard::new(config, classifier));
+    sim.add_subnet(SUBNET, 24, guard);
+    let tap = sim.add_node(Ipv4Addr::new(192, 0, 2, 1), CpuConfig::unbounded(), Tap::default());
+    sim.add_subnet(Ipv4Addr::UNSPECIFIED, 0, tap);
+    Simulated { sim, guard, tap }
+}
+
+/// Plays `scenario` to both guards; the transcript (everything sent, in
+/// order) and the counters must agree. Returns them for the scenario's own
+/// assertions.
+fn same_on_both(
+    mode: SchemeMode,
+    zone: Zone,
+    scenario: impl Fn(&mut dyn Guard) -> Vec<Packet>,
+) -> (Vec<Packet>, GuardStats) {
+    let (mut core, mut node) = (direct(mode, zone), simulated(mode, zone));
+    let (by_core, by_node) = (scenario(&mut core), scenario(&mut node));
+    assert_eq!(by_core, by_node, "the two drivers sent different packets");
+    assert_eq!(core.stats(), node.stats(), "the two drivers counted differently");
+    let stats = core.stats();
+    assert_eq!(stats.disposition_total(), stats.udp_datagrams);
+    (by_core, stats)
+}
+
+fn name(text: &str) -> Name {
+    text.parse().unwrap()
+}
+
+fn from(src: Endpoint, dst: Ipv4Addr, msg: &Message) -> Packet {
+    Packet::udp(src, Endpoint::new(dst, DNS_PORT), msg.encode())
+}
+
+fn query(id: u16, qname: &str) -> Message {
+    Message::iterative_query(id, name(qname), RrType::A)
+}
+
+/// The ANS's answer to what the guard forwarded in `forward`.
+fn ans_answers(forward: &Packet, records: &[Record]) -> Packet {
+    assert_eq!(forward.dst, Endpoint::new(ANS, DNS_PORT), "not a forward: {forward:?}");
+    let mut resp = Message::decode(&forward.payload).unwrap().response();
+    resp.answers.extend_from_slice(records);
+    Packet::udp(forward.dst, forward.src, resp.encode())
+}
+
+/// One of each way a datagram is dropped, whatever the scheme: bytes that
+/// are not DNS, a response from somewhere that is not the ANS, an ANS
+/// response to nothing the guard asked, a forged extension cookie, a wrong
+/// `COOKIE2` address, and one source's plain queries past Rate-Limiter1.
+fn every_drop(guard: &mut dyn Guard, sent: &mut Vec<Packet>) {
+    let stranger = Endpoint::new(Ipv4Addr::new(203, 0, 113, 5), 999);
+    let mut response = query(77, "www.foo.com");
+    response.header.response = true;
+    let mut forged = query(78, "www.foo.com");
+    cookie_ext::attach_cookie(&mut forged, [0xAB; 16], 0);
+    // One address of the 253 is the stranger's `COOKIE2`; this is not it.
+    let wrong_cookie2 = Ipv4Addr::new(198, 41, 0, 200);
+    let drops = [
+        Packet::udp(stranger, Endpoint::new(PUBLIC, DNS_PORT), vec![0xFF; 9]),
+        from(stranger, PUBLIC, &response),
+        from(Endpoint::new(ANS, DNS_PORT), PUBLIC, &response),
+        from(stranger, PUBLIC, &forged),
+        from(stranger, wrong_cookie2, &query(79, "www.foo.com")),
+    ];
+    for pkt in drops {
+        sent.extend(guard.offer(pkt));
+    }
+    for id in 0..14 {
+        sent.extend(guard.offer(from(stranger, PUBLIC, &query(100 + id, "www.foo.com"))));
+    }
+}
+
+#[test]
+fn modified_dns_scheme_is_the_same_on_both_drivers() {
+    let real = Record::a(name("www.foo.com"), Ipv4Addr::new(192, 0, 2, 80), 60);
+    let (sent, stats) = same_on_both(SchemeMode::ModifiedOnly, Zone::Foo, |guard| {
+        let mut sent = Vec::new();
+        // First contact: the question back, with a cookie.
+        let grant = guard.offer(from(CLIENT, PUBLIC, &query(1, "www.foo.com")));
+        let granted = cookie_ext::find_cookie(&Message::decode(&grant[0].payload).unwrap());
+        let mut verified = query(2, "www.foo.com");
+        cookie_ext::attach_cookie(&mut verified, granted.unwrap().cookie, 0);
+        // Verified query → forward → the ANS answers → relay.
+        let forward = guard.offer(from(CLIENT, PUBLIC, &verified));
+        let relay = guard.offer(ans_answers(&forward[0], std::slice::from_ref(&real)));
+        sent.extend([grant, forward, relay].concat());
+        every_drop(guard, &mut sent);
+        sent.extend(guard.idle(WINDOW));
+        sent
+    });
+    let relay = Message::decode(&sent[2].payload).unwrap();
+    assert_eq!((sent[2].dst, relay.header.id), (CLIENT, 2));
+    assert_eq!(relay.answers, std::slice::from_ref(&real));
+    assert_eq!((stats.grants_sent, stats.ext_valid, stats.relayed_responses), (11, 1, 1));
+    assert_eq!((stats.unparseable, stats.resp_foreign, stats.resp_unmatched), (1, 1, 1));
+    assert_eq!((stats.ext_invalid, stats.cookie2_invalid), (1, 1));
+    assert!(stats.rl1_dropped >= 1, "{stats:?}");
+}
+
+#[test]
+fn ns_name_scheme_is_the_same_on_both_drivers() {
+    let glue = Record::a(name("a.gtld-servers.net"), Ipv4Addr::new(192, 5, 6, 30), 60);
+    let (sent, stats) = same_on_both(SchemeMode::DnsBased, Zone::Root, |guard| {
+        let mut sent = Vec::new();
+        // First contact: a referral to a name that carries the cookie.
+        let referral = guard.offer(from(CLIENT, PUBLIC, &query(1, "www.foo.com")));
+        let fabricated = Message::decode(&referral[0].payload).unwrap();
+        let RData::Ns(cookie_name) = &fabricated.authorities[0].rdata else {
+            panic!("no NS in {fabricated}");
+        };
+        // The requester resolves that name: verified, restored, forwarded;
+        // the ANS's referral comes back as the cookie name's address.
+        let ask = Message::iterative_query(2, cookie_name.clone(), RrType::A);
+        let forward = guard.offer(from(CLIENT, PUBLIC, &ask));
+        let restored = Message::decode(&forward[0].payload).unwrap();
+        assert_eq!(restored.questions[0].name, name("com"));
+        let relay = guard.offer(ans_answers(&forward[0], std::slice::from_ref(&glue)));
+        // A forged cookie label is dropped.
+        let forged = guard.offer(from(CLIENT, PUBLIC, &query(3, "PR00000000com")));
+        sent.extend([referral, forward, relay, forged].concat());
+        every_drop(guard, &mut sent);
+        sent
+    });
+    let relay = Message::decode(&sent[2].payload).unwrap();
+    assert_eq!((sent[2].dst, relay.header.id), (CLIENT, 2));
+    assert_eq!(relay.answers[0].rdata, glue.rdata);
+    assert_eq!((stats.fabricated_ns_sent, stats.ns_cookie_valid, stats.ns_cookie_invalid), (11, 1, 1));
+    assert_eq!(stats.relayed_responses, 1);
+}
+
+#[test]
+fn fabricated_ns_ip_scheme_is_the_same_on_both_drivers() {
+    let real = Record::a(name("www.foo.com"), Ipv4Addr::new(192, 0, 2, 80), 60);
+    let (sent, stats) = same_on_both(SchemeMode::DnsBased, Zone::Foo, |guard| {
+        let referral = guard.offer(from(CLIENT, PUBLIC, &query(1, "www.foo.com")));
+        let fabricated = Message::decode(&referral[0].payload).unwrap();
+        let RData::Ns(cookie_name) = &fabricated.authorities[0].rdata else {
+            panic!("no NS in {fabricated}");
+        };
+        // The cookie name's query is forwarded as the original; the real
+        // answer is stashed and the requester is sent to `COOKIE2`.
+        let ask = Message::iterative_query(2, cookie_name.clone(), RrType::A);
+        let forward = guard.offer(from(CLIENT, PUBLIC, &ask));
+        let redirect = guard.offer(ans_answers(&forward[0], std::slice::from_ref(&real)));
+        let RData::A(cookie2) = Message::decode(&redirect[0].payload).unwrap().answers[0].rdata else {
+            panic!("no COOKIE2 address");
+        };
+        // Asking there is the third verification; the stash answers.
+        let served = guard.offer(from(CLIENT, cookie2, &query(3, "www.foo.com")));
+        [referral, forward, redirect, served].concat()
+    });
+    let served = Message::decode(&sent[3].payload).unwrap();
+    assert_eq!((sent[3].dst, served.header.id), (CLIENT, 3));
+    assert_eq!(served.answers, std::slice::from_ref(&real));
+    assert_eq!((stats.cookie2_valid, stats.stash_hits, stats.forwarded), (1, 1, 1));
+}
+
+#[test]
+fn tcp_scheme_is_the_same_on_both_drivers() {
+    let real = Record::a(name("www.foo.com"), Ipv4Addr::new(192, 0, 2, 80), 60);
+    let (_, stats) = same_on_both(SchemeMode::TcpBased, Zone::Foo, |guard| {
+        // First contact: come back over TCP.
+        let mut sent = guard.offer(from(CLIENT, PUBLIC, &query(1, "www.foo.com")));
+        assert!(Message::decode(&sent[0].payload).unwrap().header.truncated);
+        // The requester does: handshake with the proxy, one framed query.
+        let mut tcp = TcpHost::new(8);
+        let (key, syn) = tcp.connect(CLIENT, Endpoint::new(PUBLIC, DNS_PORT));
+        let mut to_guard = vec![syn];
+        let mut framed = query(2, "www.foo.com").encode();
+        framed.splice(..0, (framed.len() as u16).to_be_bytes());
+        let mut framed = Some(framed);
+        let mut answer = None;
+        while let Some(pkt) = to_guard.pop() {
+            for reply in guard.offer(pkt) {
+                sent.push(reply.clone());
+                if reply.proto == Proto::Udp {
+                    // The proxied query on its way to the ANS.
+                    to_guard.push(ans_answers(&reply, std::slice::from_ref(&real)));
+                    continue;
+                }
+                for event in tcp.on_segment(&reply, &mut to_guard) {
+                    if let TcpEvent::Data(_, bytes) = event {
+                        answer = Some(Message::decode(&bytes[2..]).unwrap());
+                    }
+                }
+            }
+            if tcp.is_established(&key) {
+                to_guard.extend(framed.take().and_then(|framed| tcp.send(key, framed)));
+            }
+        }
+        assert_eq!(answer.expect("an answer over TCP").answers, std::slice::from_ref(&real));
+        sent
+    });
+    assert_eq!((stats.tc_sent, stats.forwarded, stats.relayed_responses), (1, 1, 1));
+}
+
+/// The forward table is matched on id *and* question, and looked at before
+/// it is touched: an answer from the ANS address under the right id but to
+/// another question is not relayed and does not use the entry up.
+#[test]
+fn right_id_wrong_question_is_not_relayed_and_the_real_answer_still_is() {
+    let mut guard = direct(SchemeMode::ModifiedOnly, Zone::Foo);
+    let mut verified = query(0x5151, "wWw.Foo.com");
+    cookie_ext::attach_cookie(&mut verified, guard.cookies().generate(CLIENT.ip).0, 0);
+    let forward = guard.offer(from(CLIENT, PUBLIC, &verified));
+    let asked = Message::decode(&forward[0].payload).unwrap();
+
+    let answer = |qname: &str, addr: Ipv4Addr| {
+        let mut resp = Message::query(asked.header.id, name(qname), RrType::A).response();
+        resp.answers.push(Record::a(name(qname), addr, 60));
+        Packet::udp(forward[0].dst, forward[0].src, resp.encode())
+    };
+    let poisoned = guard.offer(answer("evil.foo.com", Ipv4Addr::new(6, 6, 6, 6)));
+    assert!(poisoned.is_empty(), "relayed {poisoned:?}");
+    assert_eq!((guard.stats().resp_unmatched, guard.stats().relayed_responses), (1, 0));
+
+    // Names compare without case, so does the match.
+    let relayed = guard.offer(answer("www.foo.COM", Ipv4Addr::new(2, 2, 2, 2)));
+    let resp = Message::decode(&relayed[0].payload).unwrap();
+    assert_eq!((relayed[0].dst, resp.header.id), (CLIENT, 0x5151));
+    assert_eq!(resp.answers[0].rdata, RData::A(Ipv4Addr::new(2, 2, 2, 2)));
+    let again = guard.offer(answer("www.foo.com", Ipv4Addr::new(2, 2, 2, 2)));
+    assert!(again.is_empty(), "one forward, one relay");
+    assert_eq!((guard.stats().resp_unmatched, guard.stats().relayed_responses), (2, 1));
+}

@@ -12,7 +12,7 @@ use crate::error::{WireError, WireResult};
 use crate::header::{Header, SectionCounts, HEADER_LEN};
 use crate::message::Message;
 use crate::name::{split_label, Name};
-use crate::question::{read_u16, read_u32, Question};
+use crate::question::{self, read_u16, read_u32, Question, NO_QUESTION};
 use crate::rdata::RData;
 use crate::record::Record;
 use crate::types::{RrClass, RrType};
@@ -46,6 +46,8 @@ pub struct MessageView<'a> {
     first_label: &'a [u8],
     /// Whether the first question's name is spelled out in place.
     literal_question: bool,
+    /// Offset of the first question's type, just past its name.
+    question_type_at: usize,
     /// Offset just past the question section.
     questions_end: usize,
     /// What [`cookie_ext::find_cookie`] finds in the decoded message.
@@ -78,6 +80,25 @@ impl<'a> MessageView<'a> {
     pub fn question_name(&self) -> Option<Name> {
         let read = Name::read::<true>(self.wire, HEADER_LEN).ok();
         read.filter(|_| self.has_question()).and_then(|(name, _)| name)
+    }
+
+    /// The [`Question::digest`] of the first question ([`NO_QUESTION`]
+    /// without one), read where it lies: only a name that is a compression
+    /// pointer is built.
+    pub fn question_digest(&self) -> u64 {
+        if !self.has_question() {
+            return NO_QUESTION;
+        }
+        let code = |at| read_u16(self.wire, at).unwrap_or_default();
+        let (qtype, qclass) = (code(self.question_type_at), code(self.question_type_at + 2));
+        let in_place = self.wire.get(HEADER_LEN..self.question_type_at - 1);
+        match in_place.filter(|_| self.literal_question) {
+            Some(labels) => question::digest_wire(labels, qtype, qclass),
+            None => {
+                let name = self.question_name().unwrap_or_default();
+                question::digest_wire(name.as_wire(), qtype, qclass)
+            }
+        }
     }
 
     /// The cookie extension, as [`cookie_ext::find_cookie`] finds it: the
@@ -149,6 +170,7 @@ pub(crate) fn walk<'a, const KEEP: bool>(
         counts,
         first_label: &[],
         literal_question: false,
+        question_type_at: HEADER_LEN,
         questions_end: HEADER_LEN,
         cookie: None,
     };
@@ -164,6 +186,7 @@ pub(crate) fn walk<'a, const KEEP: bool>(
         pos = seen.end + 4;
         if i == 0 {
             view.literal_question = seen.literal;
+            view.question_type_at = seen.end;
             let labels = wire.get(seen.first_label..).filter(|_| seen.len > 0);
             view.first_label = labels.and_then(split_label).map_or(&[], |(label, _)| label);
         }
@@ -244,6 +267,7 @@ pub(crate) mod tests {
         assert_eq!(view.has_question(), msg.question().is_some());
         assert_eq!(view.first_label(), msg.question().and_then(|q| q.name.first_label()));
         assert_eq!(view.to_message(), msg);
+        assert_eq!(view.question_digest(), msg.question().map_or(NO_QUESTION, Question::digest));
         match (view.question_name(), msg.question()) {
             (Some(name), Some(q)) => assert!(name.eq_case_sensitive(&q.name)),
             (name, q) => assert!(name.is_none() && q.is_none(), "{name:?} / {q:?}"),

@@ -33,7 +33,7 @@ pub struct SourceFile {
 /// L1 scope: the modules that parse adversarial wire input.
 fn in_l1_scope(rel: &str) -> bool {
     rel.starts_with("crates/dnswire/src/")
-        || rel == "crates/core/src/guard.rs"
+        || rel == GUARD_RS
         || rel == "crates/core/src/tcp_proxy.rs"
 }
 
@@ -1037,7 +1037,7 @@ pub fn l4(files: &[SourceFile]) -> Vec<Finding> {
 
 const OBS_EXPORT: &str = "crates/bench/src/obs_export.rs";
 const FLEETOBS_RS: &str = "crates/bench/src/fleetobs.rs";
-const GUARD_RS: &str = "crates/core/src/guard.rs";
+const GUARD_RS: &str = "crates/core/src/guard/core.rs";
 const ANALYTICS_RS: &str = "crates/core/src/analytics.rs";
 const POISON_RS: &str = "crates/bench/src/poison.rs";
 
@@ -1082,7 +1082,7 @@ fn emit_sites(files: &[SourceFile]) -> Vec<(String, String, usize)> {
 /// * every kind in a declared contract table (`REQUIRED_KINDS` in the
 ///   export, `STITCH_KINDS` in the fleet aggregator, `ANALYTICS_KINDS`
 ///   in the traffic-analytics pipeline) has an emit site;
-/// * every kind emitted by an `OBSERVED_EMITTERS` file (`core::guard`,
+/// * every kind emitted by an `OBSERVED_EMITTERS` file (`core::guard::core`,
 ///   `core::analytics`) is referenced (as a string literal) somewhere
 ///   else in the workspace — journey assembly, alert rules, the fleet
 ///   collector vocabulary, benches or tests — so no decision or
@@ -1208,7 +1208,7 @@ mod tests {
 
     #[test]
     fn l2_flags_wall_clock_in_sim_domain() {
-        let f = file("crates/core/src/guard.rs", "fn f() { let t = std::time::Instant::now(); }\n");
+        let f = file(GUARD_RS, "fn f() { let t = std::time::Instant::now(); }\n");
         let findings = l2(&f);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].lint, "L2");
@@ -1240,7 +1240,7 @@ mod tests {
     #[test]
     fn l4_detects_phantom_metric() {
         let defs = file(
-            "crates/core/src/guard.rs",
+            "crates/core/src/guard/stats.rs",
             "fn a(r: &Registry) { r.adopt_counter(\"guard\", \"verify\", &[], &c); }\n",
         );
         let contract = file(
@@ -1255,7 +1255,7 @@ mod tests {
     #[test]
     fn l4_alert_match_arm_checked() {
         let defs = file(
-            "crates/core/src/guard.rs",
+            "crates/core/src/guard/stats.rs",
             "fn a(r: &Registry) { r.adopt_counter(\"guard\", \"verify\", &[], &c); }\n",
         );
         let alert = file(
@@ -1293,12 +1293,12 @@ mod tests {
     #[test]
     fn l4_fleet_match_arm_checked() {
         let defs = file(
-            "crates/core/src/guard.rs",
+            "crates/core/src/guard/stats.rs",
             "fn a(r: &Registry) { r.adopt_counter(\"guard\", \"verify\", &[], &c); }\n",
         );
         let fleet = file(
             FLEET_RS,
-            "fn e(s: &S) { match (s.component, s.name) { (_, \"verify\") => {}, (\"guard_server\", \"phantom\") => {}, _ => {} } }\n",
+            "fn e(s: &S) { match (s.component, s.name) { (_, \"verify\") => {}, (\"guard\", \"phantom\") => {}, _ => {} } }\n",
         );
         let findings = l4(&[defs, fleet]);
         assert_eq!(findings.len(), 1, "{findings:?}");

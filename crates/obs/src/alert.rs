@@ -282,11 +282,9 @@ impl AlertEngine {
                 (_, "verify") if label_is(&s.labels, "verdict", "invalid") => {
                     d_invalid += cell_delta(s, counter_of(s));
                 }
-                ("guard_server", "dropped_spoofed") => d_invalid += cell_delta(s, counter_of(s)),
                 (_, "rl_dropped") if label_is(&s.labels, "limiter", "rl1") => {
                     d_rl1 += cell_delta(s, counter_of(s));
                 }
-                ("guard_server", "dropped_rl1") => d_rl1 += cell_delta(s, counter_of(s)),
                 (_, "rl_dropped") if label_is(&s.labels, "limiter", "rl2") => {
                     d_rl2 += cell_delta(s, counter_of(s));
                 }
@@ -759,26 +757,27 @@ mod tests {
 
     #[test]
     fn counter_reset_does_not_mask_other_cells_growth() {
-        // Two cells feed spoof_surge: the guard's invalid verifies and the
-        // runtime front's dropped_spoofed. Mid-flood, a checkpoint restore
-        // re-attaches the guard's metrics (adopt_replacing swaps in fresh
-        // zero cells) so its counter jumps backwards. The summed-total
+        // Two cells feed spoof_surge: the guard's invalid NS-label verifies
+        // and its invalid extension verifies. Mid-flood, a checkpoint
+        // restore re-attaches the first (adopt_replacing swaps in a fresh
+        // zero cell) so its counter jumps backwards. The summed-total
         // delta of the old implementation went negative and clamped the
         // whole class to zero — falsely clearing the alert while the other
         // cell's flood kept growing.
         let reg = Registry::new();
         let guard_invalid =
             reg.counter("guard", "verify", &[("scheme", "ns_label"), ("verdict", "invalid")]);
-        let front_spoofed = reg.counter("guard_server", "dropped_spoofed", &[]);
+        let ext_invalid =
+            reg.counter("guard", "verify", &[("scheme", "ext"), ("verdict", "invalid")]);
         let mut engine = AlertEngine::new(AlertConfig::default());
         engine.evaluate(0, &snapshot_with(&reg));
 
         guard_invalid.add(5_000);
-        front_spoofed.add(1_000);
+        ext_invalid.add(1_000);
         engine.evaluate(SEC, &snapshot_with(&reg));
         assert!(engine.active().iter().any(|a| a.rule == "spoof_surge"), "flood fires");
 
-        // Restore: the guard cell resets to zero, the front keeps flooding.
+        // Restore: the NS-label cell resets to zero, the other keeps flooding.
         let fresh = crate::metrics::Counter::new();
         reg.adopt_counter(
             "guard",
@@ -786,7 +785,7 @@ mod tests {
             &[("scheme", "ns_label"), ("verdict", "invalid")],
             &fresh,
         );
-        front_spoofed.add(1_000); // Still 1000/s ≫ 200/s on its own.
+        ext_invalid.add(1_000); // Still 1000/s ≫ 200/s on its own.
         engine.evaluate(2 * SEC, &snapshot_with(&reg));
         assert!(
             engine.active().iter().any(|a| a.rule == "spoof_surge"),
@@ -796,7 +795,7 @@ mod tests {
         // The reset cell resumes counting from zero; the alert never
         // flapped — one fire transition, no clear.
         fresh.add(900);
-        front_spoofed.add(1_000);
+        ext_invalid.add(1_000);
         engine.evaluate(3 * SEC, &snapshot_with(&reg));
         assert!(engine.active().iter().any(|a| a.rule == "spoof_surge"));
         let surge_transitions =
@@ -816,7 +815,7 @@ mod tests {
         engine.evaluate(SEC, &snapshot_with(&reg));
         assert!(engine.is_silent());
         // Late-attaching cell carrying history: must not read as a burst.
-        let late = reg.counter("guard_server", "dropped_spoofed", &[]);
+        let late = reg.counter("guard", "verify", &[("scheme", "cookie2"), ("verdict", "invalid")]);
         late.add(1_000_000);
         engine.evaluate(2 * SEC, &snapshot_with(&reg));
         assert!(engine.is_silent(), "first sight of a cell is a baseline, not a delta");

@@ -487,7 +487,6 @@ impl FleetAggregator {
             for s in &node.last_samples {
                 let class = match (s.component.as_str(), s.name.as_str()) {
                     (_, "verify") if label_is(&s.labels, "verdict", "invalid") => "invalid",
-                    ("guard_server", "dropped_spoofed") => "invalid",
                     ("guard", "udp_datagrams") => "datagrams",
                     _ => continue,
                 };

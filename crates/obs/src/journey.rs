@@ -9,7 +9,7 @@
 //! each is bridged explicitly:
 //!
 //! * **the txid rewrite** — the guard re-ids queries before forwarding
-//!   (`orig_txid` maps in `guard.rs`); the forward's `qid` is stored in
+//!   (`orig_txid` maps in `guard/core.rs`); the forward's `qid` is stored in
 //!   the guard's forward table, so the `relay` event shares the `qid` of
 //!   the `verify`/`forward` that caused it and no txid matching is needed;
 //! * **the COOKIE2 destination-IP change** — the redirected retry arrives
@@ -287,7 +287,7 @@ impl JourneyAssembler {
 
     /// Processes one trace event from a single-node trace (node 0). Events
     /// without a `qid` field, and events from components other than the
-    /// guards, are ignored.
+    /// guard, are ignored.
     pub fn observe(&mut self, e: &Event) {
         self.observe_on(0, e);
     }
@@ -299,7 +299,7 @@ impl JourneyAssembler {
     /// catchment shift exactly as it stitches across a destination-IP
     /// change — the pending challenge just lives on another node.
     pub fn observe_on(&mut self, node: u32, e: &Event) {
-        if e.component != "guard" && e.component != "guard_server" {
+        if e.component != "guard" {
             return;
         }
         let Some(Value::U64(qid)) = e.field("qid") else {

@@ -264,6 +264,12 @@ pub struct ComponentTracer {
     shared: Arc<TracerShared>,
 }
 
+impl Default for ComponentTracer {
+    fn default() -> Self {
+        ComponentTracer::disabled()
+    }
+}
+
 impl ComponentTracer {
     /// A handle wired to a [`Tracer::disabled`] tracer — the default for
     /// components constructed without an observer.

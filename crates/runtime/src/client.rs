@@ -7,7 +7,10 @@ use dnswire::name::Name;
 use dnswire::types::RrType;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long the client waits for the reply to one query.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Errors from the live client.
 #[derive(Debug)]
@@ -69,7 +72,7 @@ impl CookieClient {
     /// Binds an ephemeral port and targets `server`.
     pub fn connect(server: SocketAddr) -> io::Result<CookieClient> {
         let sock = UdpSocket::bind("127.0.0.1:0")?;
-        sock.set_read_timeout(Some(Duration::from_secs(2)))?;
+        sock.set_read_timeout(Some(READ_TIMEOUT))?;
         Ok(CookieClient {
             sock,
             server,
@@ -84,8 +87,9 @@ impl CookieClient {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Timeout`] when the guard or ANS does not answer,
-    /// [`ClientError::BadResponse`] on undecodable data.
+    /// [`ClientError::Timeout`] when the guard or ANS does not answer in
+    /// time, [`ClientError::BadResponse`] when the guard's answer to a cookie
+    /// request carries no cookie.
     pub fn query(&mut self, name: Name, qtype: RrType) -> Result<Message, ClientError> {
         if self.cookie.is_none() {
             self.obtain_cookie(&name, qtype)?;
@@ -119,17 +123,35 @@ impl CookieClient {
         Ok(())
     }
 
+    /// Waits for `server`'s reply to query `want_id`. Anything else that
+    /// reaches the port — a datagram from another sender, one that does not
+    /// decode, a stale reply — is skipped, and the wait ends at the deadline
+    /// whatever arrives meanwhile.
     fn recv(&mut self, want_id: u16) -> Result<Message, ClientError> {
+        let deadline = Instant::now() + READ_TIMEOUT;
         let mut buf = [0u8; 2048];
-        // Skip unrelated datagrams (stale responses) up to a small budget.
-        for _ in 0..8 {
-            let (len, _) = self.sock.recv_from(&mut buf)?;
-            let msg = Message::decode(&buf[..len]).map_err(|_| ClientError::BadResponse)?;
-            if msg.header.id == want_id && msg.header.response {
-                return Ok(msg);
+        let mut skipped = false;
+        let result = loop {
+            let (len, from) = match self.sock.recv_from(&mut buf) {
+                Ok(received) => received,
+                Err(e) => break Err(e.into()),
+            };
+            let reply = buf.get(..len).filter(|_| from == self.server);
+            match reply.map(Message::decode) {
+                Some(Ok(msg)) if msg.header.id == want_id && msg.header.response => break Ok(msg),
+                _ => skipped = true,
             }
+            // The next read gets only what is left of the wait.
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break Err(ClientError::Timeout);
+            }
+            self.sock.set_read_timeout(Some(left))?;
+        };
+        if skipped {
+            self.sock.set_read_timeout(Some(READ_TIMEOUT))?;
         }
-        Err(ClientError::Timeout)
+        result
     }
 
     fn alloc_id(&mut self) -> u16 {
@@ -149,5 +171,42 @@ mod tests {
         client.sock.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
         let err = client.query("x.y".parse().unwrap(), RrType::A).unwrap_err();
         assert!(matches!(err, ClientError::Timeout | ClientError::Io(_)));
+    }
+
+    /// Ahead of each real reply the stand-in server sends bytes that are not
+    /// DNS, and a stranger sends a well-formed reply under the right id.
+    #[test]
+    fn junk_and_foreign_datagrams_do_not_fail_a_query() {
+        use dnswire::rdata::RData;
+        use dnswire::record::Record;
+        use std::net::Ipv4Addr;
+
+        let (forged, real) = (Ipv4Addr::new(6, 6, 6, 6), Ipv4Addr::new(2, 2, 2, 2));
+        let server = UdpSocket::bind("127.0.0.1:0").unwrap();
+        server.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let addr = server.local_addr().unwrap();
+        let serve = std::thread::spawn(move || {
+            let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let mut buf = [0u8; 512];
+            // The cookie request, then the query.
+            for _ in 0..2 {
+                let (n, client) = server.recv_from(&mut buf).unwrap();
+                let query = Message::decode(&buf[..n]).unwrap();
+                let reply = |addr| {
+                    let mut resp = query.response();
+                    resp.answers.push(Record::a(query.questions[0].name.clone(), addr, 60));
+                    cookie_ext::attach_cookie(&mut resp, [7; 16], 60);
+                    resp.encode()
+                };
+                server.send_to(&[0xFF; 5], client).unwrap();
+                stranger.send_to(&reply(forged), client).unwrap();
+                server.send_to(&reply(real), client).unwrap();
+            }
+        });
+        let mut client = CookieClient::connect(addr).unwrap();
+        let resp = client.query("www.foo.com".parse().unwrap(), RrType::A).unwrap();
+        assert_eq!(resp.answers[0].rdata, RData::A(real));
+        assert_eq!(client.grants_received, 1);
+        serve.join().unwrap();
     }
 }

@@ -43,7 +43,7 @@ const IO_TIMEOUT: Duration = Duration::from_millis(500);
 /// alert rules match on them.
 const VOCAB: &[&str] = &[
     // components
-    "alert", "ans", "bench", "client", "fleet", "guard", "guard_server", "netsim", "proxy",
+    "alert", "ans", "bench", "client", "fleet", "guard", "netsim", "proxy",
     "resolver", "sim", "trace",
     // event kinds
     "admission_shed", "amp", "analytics_topk", "anomaly_gate", "ans_down", "ans_probe",

@@ -1,268 +1,195 @@
-//! A real-socket remote DNS guard: the modified-DNS and NS-name schemes over
-//! `std::net` UDP on loopback.
+//! A real-socket remote DNS guard: [`dnsguard::guard::GuardCore`] driven from
+//! `std::net` UDP sockets on loopback.
 //!
-//! The guard listens on one UDP port (the "public" ANS address), verifies or
-//! grants cookies per source address, and forwards verified requests to the
-//! real ANS. This is the userspace equivalent of the paper's iptables
-//! module, sufficient for live demonstrations and latency measurements; the
-//! packet-level performance study runs in [`netsim`] (see the `bench`
-//! crate).
+//! This file decides nothing. The guard listens on one UDP port (the
+//! "public" ANS address) and reaches the real ANS from a second, ephemeral
+//! one; a thread per socket hands every datagram to the one core — the same
+//! code the simulator drives — and sends what the core appends to its
+//! out-buffer. Because the core keeps a forward table instead of waiting, a
+//! slow or silent ANS delays nobody but the client that asked it. This is
+//! the userspace equivalent of the paper's iptables module, sufficient for
+//! live demonstrations and latency measurements; the packet-level
+//! performance study runs in [`netsim`] (see the `bench` crate).
 
 use crate::ans::ToyAns;
-use dnsguard::ratelimit::SourceRateLimiter;
-use dnswire::cookie_ext;
-use dnswire::message::{Message, MAX_UDP_PAYLOAD};
-use dnswire::view::MessageView;
-use dnswire::writer::Writer;
-use guardhash::cookie::CookieFactory;
-use guardhash::Cookie;
-use netsim::time::SimTime;
-use obs::metrics::Counter;
-use obs::trace::{ComponentTracer, Value};
-use parking_lot::Mutex;
-use std::io;
-use std::net::{IpAddr, SocketAddr, UdpSocket};
 use crate::stopflag::StopFlag;
+use dnsguard::classify::AuthorityClassifier;
+use dnsguard::config::{GuardConfig, SchemeMode};
+use dnsguard::guard::{GuardCore, Leg, Output, Outputs, WINDOW};
+use netsim::packet::{Endpoint, Packet};
+use netsim::time::SimTime;
+use parking_lot::Mutex;
+use server::authoritative::Authority;
+use std::io;
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the guard waits for the ANS to answer a forwarded query.
-const UPSTREAM_TIMEOUT: Duration = Duration::from_millis(500);
+/// How long a socket read blocks before its thread looks at the stop flag
+/// (and, on the client leg, at the housekeeping window) again.
+const POLL: Duration = Duration::from_millis(50);
 
-/// Read time-out of the upstream socket: how far past [`UPSTREAM_TIMEOUT`] a
-/// wait can run when datagrams that are not the answer keep arriving.
-const UPSTREAM_POLL: Duration = Duration::from_millis(50);
-
-/// How long a granted cookie may be cached: one week, the key rotation
-/// period.
-const COOKIE_TTL: u32 = 604_800;
-
-/// Counters shared with the guard thread (detached registry handles;
-/// adopted into a registry by [`GuardServer::spawn_with_obs`]).
-#[derive(Debug, Default)]
-pub struct GuardCounters {
-    /// Requests forwarded to the ANS.
-    pub forwarded: Counter,
-    /// Cookie grants issued.
-    pub grants: Counter,
-    /// Requests dropped as spoofed (bad cookie).
-    pub dropped_spoofed: Counter,
-    /// Requests dropped by the cookie-response rate limiter.
-    pub dropped_rl1: Counter,
+/// The live guard's one configuration. Only the modified-DNS (cookie
+/// extension) scheme is exposed over real sockets: it is the scheme RFC 7873
+/// standardised, and the only one that makes sense when every loopback
+/// client shares the address 127.0.0.1 — which is also why Rate-Limiter2,
+/// per verified *address*, is left open.
+fn config(key_seed: u64) -> GuardConfig {
+    GuardConfig {
+        key_seed,
+        mode: SchemeMode::ModifiedOnly,
+        activation_threshold: 0.0,
+        rl1_global_rate: 10_000.0,
+        rl1_per_source_rate: 1_000.0,
+        rl2_per_source_rate: f64::INFINITY,
+        // One week, the key rotation period.
+        cookie_ttl: 604_800,
+        ans_timeout: SimTime::from_millis(500),
+        ..GuardConfig::new(Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST)
+    }
 }
 
-/// A live remote guard on a background thread.
-///
-/// Only the modified-DNS (cookie extension) scheme is exposed over real
-/// sockets: it is the scheme RFC 7873 standardised, and the only one that
-/// makes sense when every loopback client shares the address 127.0.0.1.
+/// What the two socket threads share.
+struct Shared {
+    core: Mutex<GuardCore>,
+    /// The guarded address: queries arrive here and every answer leaves
+    /// from here.
+    public: UdpSocket,
+    /// The leg to the ANS. Its own ephemeral port is entropy: a forger of
+    /// ANS answers has to find it.
+    upstream: UdpSocket,
+    ans: SocketAddr,
+    started: Instant,
+    stop: StopFlag,
+}
+
+impl Shared {
+    /// Feeds the core from `leg`'s socket until stopped.
+    fn serve(&self, leg: Leg) -> io::Result<()> {
+        let sock = match leg {
+            Leg::Client => &self.public,
+            Leg::Upstream => &self.upstream,
+        };
+        let local = Endpoint::new(Ipv4Addr::LOCALHOST, sock.local_addr()?.port());
+        let mut buf = [0u8; 2048];
+        let mut out = Outputs::default();
+        let mut next_window = WINDOW;
+        while !self.stop.should_stop() {
+            let pkt = match sock.recv_from(&mut buf) {
+                Ok((len, from)) => buf.get(..len).and_then(|payload| self.packet(leg, from, local, payload)),
+                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => None,
+                Err(e) => return Err(e),
+            };
+            // The client leg's thread also keeps the housekeeping window.
+            if pkt.is_none() && leg == Leg::Upstream {
+                continue;
+            }
+            {
+                let mut core = self.core.lock();
+                // The core's clock is nanoseconds since spawn (trace events are
+                // stamped with it), read under the lock so it never runs
+                // backwards.
+                let now = SimTime::from_nanos(self.started.elapsed().as_nanos() as u64);
+                if leg == Leg::Client && now >= next_window {
+                    next_window = now + WINDOW;
+                    core.on_window(now, &mut out);
+                }
+                if let Some(pkt) = pkt {
+                    core.handle_packet(now, leg, pkt, &mut out);
+                }
+            }
+            self.execute(&mut out);
+        }
+        Ok(())
+    }
+
+    /// A received datagram as the core takes it; `None` for what must not
+    /// enter the guard. The leg is this driver's word: on the upstream one
+    /// it lets through only what the ANS's own socket sent, address *and*
+    /// port — the check against forged answers that only the socket's
+    /// owner can make (the core matches id and question).
+    fn packet(&self, leg: Leg, from: SocketAddr, local: Endpoint, payload: &[u8]) -> Option<Packet> {
+        let SocketAddr::V4(v4) = from else {
+            return None;
+        };
+        if leg == Leg::Upstream && from != self.ans {
+            return None;
+        }
+        Some(Packet::udp(Endpoint::new(*v4.ip(), v4.port()), local, payload.to_vec()))
+    }
+
+    /// Sends what the core asked for, outside its lock. The charged cost is
+    /// the simulator's business; here the CPU time was really spent.
+    fn execute(&self, out: &mut Outputs) {
+        for output in out.drain() {
+            // A failed send is a lost datagram, which DNS tolerates.
+            let _ = match output {
+                Output::Packet(pkt) => {
+                    let to = SocketAddrV4::new(pkt.dst.ip, pkt.dst.port);
+                    self.public.send_to(&pkt.payload, to)
+                }
+                Output::ToAns(wire) => self.upstream.send_to(&wire, self.ans),
+                // Only a standby of an HA pair claims addresses.
+                Output::ClaimAddress(_) | Output::ClaimSubnet(..) => continue,
+            };
+        }
+    }
+}
+
+/// A live remote guard: two background threads around one [`GuardCore`].
 pub struct GuardServer {
     addr: SocketAddr,
-    stop: StopFlag,
-    counters: Arc<GuardCounters>,
-    handle: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    handles: Vec<JoinHandle<io::Result<()>>>,
 }
 
 impl GuardServer {
     /// Spawns a guard forwarding verified queries to `ans`.
     pub fn spawn(ans: SocketAddr, key_seed: u64) -> io::Result<GuardServer> {
-        Self::spawn_inner(ans, key_seed, ComponentTracer::disabled())
+        Self::spawn_inner(ans, key_seed, None)
     }
 
-    /// Like [`GuardServer::spawn`], with the guard's counters adopted into
-    /// `obs.registry` (component `guard_server`) and decisions traced under
-    /// the same component. Event timestamps are nanoseconds since spawn —
-    /// the live guard's equivalent of sim-time.
+    /// Like [`GuardServer::spawn`], with the guard adopted into `obs` exactly
+    /// as a simulated one is ([`GuardCore::attach_obs`]): the same metrics
+    /// and decision events, under component `guard`. Event timestamps are
+    /// nanoseconds since spawn.
     pub fn spawn_with_obs(ans: SocketAddr, key_seed: u64, obs: &obs::Obs) -> io::Result<GuardServer> {
-        let server = Self::spawn_inner(ans, key_seed, obs.tracer.component("guard_server"))?;
-        let c = &server.counters;
-        let r = &obs.registry;
-        r.adopt_counter("guard_server", "forwarded", &[], &c.forwarded);
-        r.adopt_counter("guard_server", "grants", &[], &c.grants);
-        r.adopt_counter("guard_server", "dropped_spoofed", &[], &c.dropped_spoofed);
-        r.adopt_counter("guard_server", "dropped_rl1", &[], &c.dropped_rl1);
-        Ok(server)
+        Self::spawn_inner(ans, key_seed, Some(obs))
     }
 
-    fn spawn_inner(
-        ans: SocketAddr,
-        key_seed: u64,
-        trace: ComponentTracer,
-    ) -> io::Result<GuardServer> {
-        let sock = UdpSocket::bind("127.0.0.1:0")?;
-        sock.set_read_timeout(Some(Duration::from_millis(50)))?;
-        let addr = sock.local_addr()?;
-        let upstream = UdpSocket::bind("127.0.0.1:0")?;
-        upstream.set_read_timeout(Some(UPSTREAM_POLL))?;
-
-        let stop = StopFlag::new();
-        let counters = Arc::new(GuardCounters::default());
-        let factory = Arc::new(Mutex::new(CookieFactory::from_seed(key_seed)));
-        let rl1 = Arc::new(Mutex::new(SourceRateLimiter::new(10_000.0, 1_000.0)));
-
-        let t_stop = stop.clone();
-        let t_counters = counters.clone();
-        let started = Instant::now();
-        let handle = std::thread::spawn(move || {
-            let mut buf = [0u8; 2048];
-            // Journey correlation: one qid per accepted datagram, stamped on
-            // every decision event so offline assembly can stitch the
-            // grant → verify → forward → relay chain.
-            let mut next_qid: u64 = 1;
-            while !t_stop.should_stop() {
-                let (len, peer) = match sock.recv_from(&mut buf) {
-                    Ok(x) => x,
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(_) => break,
-                };
-                let Some(received) = buf.get(..len) else {
-                    continue;
-                };
-                let Ok(view) = MessageView::parse(received) else {
-                    continue;
-                };
-                if view.header.response {
-                    continue;
-                }
-                let IpAddr::V4(peer_ip) = peer.ip() else {
-                    continue;
-                };
-                let now = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
-                let qid = next_qid;
-                next_qid += 1;
-
-                // A cookie-less request and one asking for a cookie get the
-                // same answer: the question back with a cookie (rate limited).
-                let Some(ext) = view.cookie().filter(|ext| !ext.is_request()) else {
-                    if !rl1.lock().admit(now, peer_ip) {
-                        t_counters.dropped_rl1.inc();
-                        trace.event(
-                            now.as_nanos(),
-                            "rl_drop",
-                            &[
-                                ("limiter", Value::Str("rl1")),
-                                ("src", Value::Ip(peer_ip)),
-                                ("qid", Value::U64(qid)),
-                            ],
-                        );
-                        continue;
-                    }
-                    let cookie = factory.lock().generate(peer_ip);
-                    let mut grant = Writer::over(received.to_vec(), view.reply_start());
-                    cookie_ext::write_cookie(&mut grant, cookie.0, COOKIE_TTL);
-                    let _ = sock.send_to(&grant.finish(), peer);
-                    t_counters.grants.inc();
-                    trace.event(
-                        now.as_nanos(),
-                        "grant",
-                        &[("src", Value::Ip(peer_ip)), ("qid", Value::U64(qid))],
-                    );
-                    continue;
-                };
-
-                if !factory.lock().verify(peer_ip, &Cookie(ext.cookie)) {
-                    t_counters.dropped_spoofed.inc();
-                    trace.event(
-                        now.as_nanos(),
-                        "verify",
-                        &[
-                            ("scheme", Value::Str("ext")),
-                            ("verdict", Value::Str("invalid")),
-                            ("src", Value::Ip(peer_ip)),
-                            ("qid", Value::U64(qid)),
-                        ],
-                    );
-                    continue;
-                }
-                trace.event(
-                    now.as_nanos(),
-                    "verify",
-                    &[
-                        ("scheme", Value::Str("ext")),
-                        ("verdict", Value::Str("valid")),
-                        ("src", Value::Ip(peer_ip)),
-                        ("qid", Value::U64(qid)),
-                    ],
-                );
-                // Verified: strip the extension, proxy to the ANS. The owned
-                // query stays for the check on what comes back.
-                let mut msg = view.to_message();
-                let orig_txid = msg.header.id;
-                cookie_ext::strip_cookie(&mut msg);
-                let forward = view.without_cookie(orig_txid).unwrap_or_else(|| msg.encode());
-                if upstream.send_to(&forward, ans).is_err() {
-                    continue;
-                }
-                t_counters.forwarded.inc();
-                trace.event(
-                    now.as_nanos(),
-                    "forward",
-                    &[
-                        ("src", Value::Ip(peer_ip)),
-                        ("qid", Value::U64(qid)),
-                        ("txid", Value::U64(msg.header.id as u64)),
-                        ("orig_txid", Value::U64(orig_txid as u64)),
-                    ],
-                );
-                // Only the ANS's answer to *this* query is relayed. Anything
-                // else on the upstream socket — an answer that outlived an
-                // earlier query's time-out, a datagram from someone who
-                // found the port — is skipped, and the wait goes on until
-                // the deadline.
-                let deadline = Instant::now() + UPSTREAM_TIMEOUT;
-                let mut rbuf = [0u8; 2048];
-                let answer = loop {
-                    match upstream.recv_from(&mut rbuf) {
-                        Ok((rlen, from)) if from == ans => {
-                            let resp = Message::decode(&rbuf[..rlen]).ok().filter(|resp| {
-                                resp.header.response
-                                    && resp.header.id == msg.header.id
-                                    && resp.questions == msg.questions
-                            });
-                            if resp.is_some() {
-                                break resp;
-                            }
-                        }
-                        Ok(_) => {}
-                        Err(e)
-                            if e.kind() == io::ErrorKind::WouldBlock
-                                || e.kind() == io::ErrorKind::TimedOut => {}
-                        Err(_) => break None,
-                    }
-                    if Instant::now() >= deadline {
-                        break None;
-                    }
-                };
-                if let Some(Ok((wire, _))) =
-                    answer.map(|resp| resp.encode_with_limit(MAX_UDP_PAYLOAD))
-                {
-                    let _ = sock.send_to(&wire, peer);
-                    let done = SimTime::from_nanos(started.elapsed().as_nanos() as u64);
-                    trace.event(
-                        done.as_nanos(),
-                        "relay",
-                        &[
-                            ("src", Value::Ip(peer_ip)),
-                            ("qid", Value::U64(qid)),
-                            ("via", Value::Str("passthrough")),
-                            ("rtt_ns", Value::U64(done.saturating_sub(now).as_nanos())),
-                        ],
-                    );
-                }
-            }
+    fn spawn_inner(ans: SocketAddr, key_seed: u64, obs: Option<&obs::Obs>) -> io::Result<GuardServer> {
+        let (public, upstream) = (UdpSocket::bind("127.0.0.1:0")?, UdpSocket::bind("127.0.0.1:0")?);
+        for sock in [&public, &upstream] {
+            sock.set_read_timeout(Some(POLL))?;
+        }
+        let addr = public.local_addr()?;
+        // The loopback guard fabricates no referrals, so its classifier
+        // needs no zones.
+        let classifier = AuthorityClassifier::new(Authority::new(Vec::new()));
+        let mut core = GuardCore::new(config(key_seed), classifier);
+        if let Some(obs) = obs {
+            core.attach_obs(obs);
+        }
+        let shared = Arc::new(Shared {
+            core: Mutex::new(core),
+            public,
+            upstream,
+            ans,
+            started: Instant::now(),
+            stop: StopFlag::new(),
         });
-
+        let handles = [Leg::Client, Leg::Upstream]
+            .into_iter()
+            .map(|leg| {
+                let shared = shared.clone();
+                std::thread::spawn(move || shared.serve(leg))
+            })
+            .collect();
         Ok(GuardServer {
             addr,
-            stop,
-            counters,
-            handle: Some(handle),
+            shared,
+            handles,
         })
     }
 
@@ -271,30 +198,27 @@ impl GuardServer {
         self.addr
     }
 
-    /// Counter snapshot: `(forwarded, grants, dropped_spoofed, dropped_rl1)`.
+    /// Counter snapshot: `(forwarded, grants, dropped_spoofed, dropped_rl1)`,
+    /// read off the core's [`dnsguard::guard::GuardStats`].
     pub fn counters(&self) -> (u64, u64, u64, u64) {
+        let stats = self.shared.core.lock().stats();
         (
-            self.counters.forwarded.get(),
-            self.counters.grants.get(),
-            self.counters.dropped_spoofed.get(),
-            self.counters.dropped_rl1.get(),
+            stats.forwarded,
+            stats.grants_sent,
+            stats.spoofed_dropped(),
+            stats.rl1_dropped,
         )
     }
 
-    /// Stops the guard thread.
-    pub fn shutdown(mut self) {
-        self.stop.stop();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stops the guard's threads, as dropping the server does.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for GuardServer {
     fn drop(&mut self) {
-        self.stop.stop();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        self.shared.stop.stop();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -314,9 +238,12 @@ pub fn spawn_guarded(
 mod tests {
     use super::*;
     use crate::client::CookieClient;
+    use dnswire::cookie_ext;
+    use dnswire::message::Message;
     use dnswire::rdata::RData;
+    use dnswire::record::Record;
     use dnswire::types::RrType;
-    use server::authoritative::Authority;
+    use obs::trace::Value;
     use server::zone::{paper_hierarchy, WWW_ADDR};
 
     #[test]
@@ -341,6 +268,18 @@ mod tests {
         ans.shutdown();
     }
 
+    /// A `guard` counter or gauge of `obs`'s registry, summed over labels.
+    fn metric(obs: &obs::Obs, name: &str) -> u64 {
+        let snap = obs.registry.snapshot();
+        let cells = snap.iter().filter(|m| m.component == "guard" && m.name == name);
+        cells
+            .map(|m| match m.value {
+                obs::metrics::SampleValue::Counter(v) | obs::metrics::SampleValue::Gauge(v) => v,
+                _ => 0,
+            })
+            .sum()
+    }
+
     #[test]
     fn obs_attached_guard_exports_counters_and_trace() {
         let obs = obs::Obs::new();
@@ -353,41 +292,106 @@ mod tests {
         let resp = client.query("www.foo.com".parse().unwrap(), RrType::A).unwrap();
         assert_eq!(resp.answers[0].rdata, RData::A(WWW_ADDR));
 
-        let snap = obs.registry.snapshot();
-        let get = |name: &str| {
-            snap.iter()
-                .find(|m| m.component == "guard_server" && m.name == name)
-                .map(|m| match m.value {
-                    obs::metrics::SampleValue::Counter(v) => v,
-                    _ => 0,
-                })
-        };
-        assert_eq!(get("grants"), Some(1));
-        assert_eq!(get("forwarded"), Some(1));
+        // The simulated guard's vocabulary, not a private one.
+        assert_eq!(metric(&obs, "grants_sent"), 1);
+        assert_eq!(metric(&obs, "forwarded"), 1);
+        assert_eq!(metric(&obs, "verify"), 1);
+        assert_eq!(metric(&obs, "relayed_responses"), 1);
+        assert_eq!(metric(&obs, "udp_datagrams"), 3);
         let (events, _) = obs.tracer.drain();
+        assert!(events.iter().all(|e| e.component == "guard"));
         assert!(events.iter().any(|e| e.kind == "grant"));
         assert!(events
             .iter()
             .any(|e| e.kind == "verify" && e.field("verdict") == Some(Value::Str("valid"))));
+        assert!(events.iter().any(|e| e.kind == "relay"));
 
         guard.shutdown();
         ans.shutdown();
     }
 
-    /// The upstream leg relays only the ANS's answer to the query in flight.
-    /// The stand-in ANS leaves the first query unanswered until the guard has
-    /// given up on it; when the second arrives it sends, in this order, a
-    /// forged answer to the second query from a socket that is not the ANS,
-    /// the late answer to the first, and the real answer to the second.
+    /// A stand-in ANS (a bare socket the test answers from, or does not) and
+    /// a guard in front of it.
+    fn guard_before_bare_socket(key_seed: u64, obs: Option<&obs::Obs>) -> (UdpSocket, GuardServer) {
+        let ans = UdpSocket::bind("127.0.0.1:0").unwrap();
+        ans.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let guard = GuardServer::spawn_inner(ans.local_addr().unwrap(), key_seed, obs).unwrap();
+        (ans, guard)
+    }
+
+    fn client_socket(wait_ms: u64) -> UdpSocket {
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        sock.set_read_timeout(Some(Duration::from_millis(wait_ms))).unwrap();
+        sock
+    }
+
+    /// Asks the guard for a cookie from `sock` and returns it with the time
+    /// the grant took. Every loopback client shares 127.0.0.1, so one cookie
+    /// serves them all.
+    fn obtain_cookie(sock: &UdpSocket, guard: &GuardServer) -> ([u8; 16], Duration) {
+        let mut probe = Message::query(1, "one.foo.com".parse().unwrap(), RrType::A);
+        cookie_ext::attach_cookie(&mut probe, cookie_ext::ZERO_COOKIE, 0);
+        let asked = Instant::now();
+        sock.send_to(&probe.encode(), guard.addr()).unwrap();
+        let mut buf = [0u8; 512];
+        let (n, _) = sock.recv_from(&mut buf).expect("a grant");
+        let took = asked.elapsed();
+        let grant = Message::decode(&buf[..n]).unwrap();
+        (cookie_ext::find_cookie(&grant).unwrap().cookie, took)
+    }
+
+    fn send_verified(sock: &UdpSocket, guard: &GuardServer, cookie: [u8; 16], id: u16, name: &str) {
+        let mut q = Message::query(id, name.parse().unwrap(), RrType::A);
+        cookie_ext::attach_cookie(&mut q, cookie, 0);
+        sock.send_to(&q.encode(), guard.addr()).unwrap();
+    }
+
+    /// The forward table, not a blocked thread, waits for the ANS: while one
+    /// client's verified query sits unanswered, another is served at once.
+    #[test]
+    fn silent_ans_does_not_delay_a_second_client() {
+        let (ans, guard) = guard_before_bare_socket(46, None);
+        let (first, second) = (client_socket(2_000), client_socket(2_000));
+        let (cookie, _) = obtain_cookie(&first, &guard);
+        send_verified(&first, &guard, cookie, 0x1111, "one.foo.com");
+        // The forward has reached the ANS, which never answers it.
+        let mut buf = [0u8; 512];
+        ans.recv_from(&mut buf).expect("the verified query is forwarded");
+
+        let (_, took) = obtain_cookie(&second, &guard);
+        assert!(took < Duration::from_millis(250), "the grant took {took:?}");
+        guard.shutdown();
+    }
+
+    /// The upstream leg relays only the ANS's answer to a forward that is
+    /// still waiting for it. Two forwards are in flight at once; on the
+    /// second's id arrive, in this order, a forged answer from a socket that
+    /// is not the ANS, an answer from the ANS to a question the guard did not
+    /// ask, and the real answer. The first forward is answered only after it
+    /// has expired.
     #[test]
     fn late_and_foreign_upstream_datagrams_never_reach_the_next_client() {
-        use dnswire::record::Record;
-        use std::net::Ipv4Addr;
+        let obs = obs::Obs::new();
+        let (ans, guard) = guard_before_bare_socket(45, Some(&obs));
+        let (first, second) = (client_socket(2_000), client_socket(2_000));
+        let (cookie, _) = obtain_cookie(&first, &guard);
+        send_verified(&first, &guard, cookie, 0x1111, "one.foo.com");
+        send_verified(&second, &guard, cookie, 0x2222, "two.foo.com");
 
-        let answer = |query: &[u8], addr: Ipv4Addr| {
-            let query = Message::decode(query).unwrap();
-            let mut resp = query.response();
-            resp.answers.push(Record::a(query.questions[0].name.clone(), addr, 60));
+        // Both forwards arrive before either is answered.
+        let forward = || {
+            let mut buf = [0u8; 512];
+            let (n, upstream) = ans.recv_from(&mut buf).expect("a forward");
+            (Message::decode(&buf[..n]).unwrap(), upstream)
+        };
+        let ((fwd1, upstream), (fwd2, _)) = (forward(), forward());
+        let (fwd1, fwd2) = match fwd1.questions[0].name == "one.foo.com".parse().unwrap() {
+            true => (fwd1, fwd2),
+            false => (fwd2, fwd1),
+        };
+        let answer = |to: &Message, name: &str, addr: Ipv4Addr| {
+            let mut resp = Message::query(to.header.id, name.parse().unwrap(), RrType::A).response();
+            resp.answers.push(Record::a(name.parse().unwrap(), addr, 60));
             resp.encode()
         };
         let (late, forged, real) = (
@@ -395,42 +399,12 @@ mod tests {
             Ipv4Addr::new(6, 6, 6, 6),
             Ipv4Addr::new(2, 2, 2, 2),
         );
-        let ans_sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        ans_sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let ans_addr = ans_sock.local_addr().unwrap();
-        let ans = std::thread::spawn(move || {
-            let (mut first, mut second) = ([0u8; 512], [0u8; 512]);
-            let (n1, _) = ans_sock.recv_from(&mut first).unwrap();
-            let (n2, upstream) = ans_sock.recv_from(&mut second).unwrap();
-            let intruder = UdpSocket::bind("127.0.0.1:0").unwrap();
-            intruder.send_to(&answer(&second[..n2], forged), upstream).unwrap();
-            ans_sock.send_to(&answer(&first[..n1], late), upstream).unwrap();
-            ans_sock.send_to(&answer(&second[..n2], real), upstream).unwrap();
-        });
-        let guard = GuardServer::spawn(ans_addr, 45).unwrap();
+        let intruder = UdpSocket::bind("127.0.0.1:0").unwrap();
+        intruder.send_to(&answer(&fwd2, "two.foo.com", forged), upstream).unwrap();
+        ans.send_to(&answer(&fwd2, "six.foo.com", forged), upstream).unwrap();
+        ans.send_to(&answer(&fwd2, "two.foo.com", real), upstream).unwrap();
 
-        let client = |wait_ms| {
-            let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-            sock.set_read_timeout(Some(Duration::from_millis(wait_ms))).unwrap();
-            sock
-        };
         let mut buf = [0u8; 512];
-        // Every loopback client shares 127.0.0.1, hence the cookie.
-        let (first, second) = (client(100), client(3000));
-        let mut probe = Message::query(1, "one.foo.com".parse().unwrap(), RrType::A);
-        cookie_ext::attach_cookie(&mut probe, cookie_ext::ZERO_COOKIE, 0);
-        first.send_to(&probe.encode(), guard.addr()).unwrap();
-        let (n, _) = first.recv_from(&mut buf).unwrap();
-        let cookie = cookie_ext::find_cookie(&Message::decode(&buf[..n]).unwrap()).unwrap().cookie;
-
-        let send = |sock: &UdpSocket, id, name: &str| {
-            let mut q = Message::query(id, name.parse().unwrap(), RrType::A);
-            cookie_ext::attach_cookie(&mut q, cookie, 0);
-            sock.send_to(&q.encode(), guard.addr()).unwrap();
-        };
-        send(&first, 0x1111, "one.foo.com");
-        send(&second, 0x2222, "two.foo.com");
-
         let (n, _) = second.recv_from(&mut buf).expect("the second query is answered");
         let resp = Message::decode(&buf[..n]).unwrap();
         assert_eq!(resp.header.id, 0x2222);
@@ -438,9 +412,24 @@ mod tests {
         assert_eq!(resp.answers[0].rdata, RData::A(real));
         second.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
         assert!(second.recv_from(&mut buf).is_err(), "and only once");
-        assert!(first.recv_from(&mut buf).is_err(), "the late answer went nowhere");
 
-        ans.join().unwrap();
+        // The first forward is seen waiting in the table, then expires; what
+        // the ANS says after that is late.
+        let wait_until = |what: &str, reached: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !reached() {
+                assert!(Instant::now() < deadline, "never saw {what}");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        };
+        wait_until("the first forward waiting", &|| metric(&obs, "table_bytes") > 0);
+        wait_until("the first forward expire", &|| metric(&obs, "table_bytes") == 0);
+        ans.send_to(&answer(&fwd1, "one.foo.com", late), upstream).unwrap();
+        wait_until("the late answer dropped", &|| metric(&obs, "resp_unmatched") == 2);
+        first.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+        assert!(first.recv_from(&mut buf).is_err(), "the late answer went nowhere");
+        assert_eq!(metric(&obs, "relayed_responses"), 1);
+
         guard.shutdown();
     }
 
@@ -449,8 +438,7 @@ mod tests {
         let (_, _, foo) = paper_hierarchy();
         let (ans, guard) = spawn_guarded(Authority::new(vec![foo]), 43).unwrap();
 
-        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sock.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+        let sock = client_socket(300);
         let mut q = Message::query(7, "www.foo.com".parse().unwrap(), RrType::A);
         cookie_ext::attach_cookie(&mut q, [0x66; 16], 0);
         sock.send_to(&q.encode(), guard.addr()).unwrap();

@@ -4,9 +4,11 @@
 //!
 //! * [`ans`] — a toy authoritative server answering from a
 //!   [`server::authoritative::Authority`];
-//! * [`guard_server`] — the remote guard speaking the modified-DNS cookie
-//!   extension (the scheme RFC 7873 later standardised): grants cookies,
-//!   verifies them per source address, forwards verified queries;
+//! * [`guard_server`] — the remote guard on two UDP sockets, configured for
+//!   the modified-DNS cookie extension (the scheme RFC 7873 later
+//!   standardised). It is a driver and nothing else: every datagram goes to
+//!   a [`dnsguard::guard::GuardCore`], which grants and verifies cookies,
+//!   rate-limits, forwards and matches the ANS's answers;
 //! * [`client`] — a cookie-capable client that transparently performs the
 //!   cookie exchange and stamps cached cookies on queries;
 //! * [`telemetry`] — a live telemetry endpoint (newline-JSON over TCP):
@@ -18,9 +20,10 @@
 //!   snapshots, cross-node journey stitching and fleet alerting.
 //!
 //! The packet-level performance evaluation lives in [`netsim`]-based
-//! experiments (`bench` crate); this crate demonstrates that the same
-//! protocol logic (`dnswire` + `guardhash` + the guard's checking rules)
-//! runs unchanged against real sockets.
+//! experiments (`bench` crate); this crate runs the same protocol logic
+//! against real sockets, literally: `GuardCore` does no I/O and reads no
+//! clock, and the simulator's `RemoteGuard` and [`GuardServer`] alike hand it
+//! the time and each datagram and send what it appends to their out-buffer.
 
 #![forbid(unsafe_code)]
 
