@@ -10,7 +10,10 @@
 //!   discriminator must *not* label as spoofing;
 //! * [`botnet`] — many real sources each at a trickle: individually
 //!   innocuous, collectively a flood, detectable only as a
-//!   source-population anomaly.
+//!   source-population anomaly;
+//! * [`spray`] — a reflection attack on one victim under a spray of
+//!   distinct spoofed sources sized to flush the guard's per-source
+//!   limiter table.
 //!
 //! Non-spoofed ("zombie") floods reuse [`flood::SourceStrategy::Pool`]:
 //! real addresses at high rates, which is exactly what Rate-Limiter2
@@ -24,6 +27,7 @@ pub mod flashcrowd;
 pub mod flood;
 pub mod poison;
 pub mod prober;
+pub mod spray;
 
 pub use amplification::Victim;
 pub use botnet::{BotnetConfig, BotnetLowRate};
@@ -34,6 +38,7 @@ pub use poison::{
     PortDerandomizer, PortKnowledge,
 };
 pub use prober::{FeedbackProber, ProberConfig};
+pub use spray::FlushSpray;
 
 #[cfg(test)]
 mod guard_attack_tests {
@@ -252,5 +257,60 @@ mod guard_attack_tests {
         );
         // And what *is* reflected amplifies < 1.5× per the DNS-based bound.
         assert!(g.traffic_unverified.amplification() < 1.5);
+    }
+    /// The table-flush adversary ([`crate::spray`]): with the global budget
+    /// opened, 70 000 sprayed sources are answered at the guard's full
+    /// speed, and the victim's address starts being hammered at ten times
+    /// its rate in the window in which the spray passes its 65 536th
+    /// source. The victim is owed its burst once; a limiter that forgot it
+    /// under the spray would pay it again in the same window.
+    #[test]
+    fn source_spray_never_refreshes_the_hammered_victims_burst() {
+        use crate::spray::{victim_packets_per_window, FlushSpray};
+        use dnsguard::guard::WINDOW;
+
+        let (_, _, foo) = paper_hierarchy();
+        let authority = Authority::new(vec![foo]);
+        let mut sim = Simulator::new(6);
+        // Short links: a window at the victim is the same window at the guard.
+        sim.set_default_delay(SimTime::from_micros(50));
+        let mut config = GuardConfig {
+            subnet_base: SUBNET,
+            ..GuardConfig::new(PUB, PRIV)
+        }
+        .with_mode(SchemeMode::TcpBased);
+        config.rl1_global_rate = 1e12;
+        let (rate, burst) = (config.rl1_per_source_rate, 10.0);
+        let guard = sim.add_node(
+            PUB,
+            CpuConfig::unbounded(),
+            RemoteGuard::new(config, AuthorityClassifier::new(authority)),
+        );
+        sim.add_subnet(SUBNET, 24, guard);
+
+        // 400 K/s is what the simulated guard's CPU answers: the 65 536th
+        // source is admitted 164 ms in.
+        let attack = FlushSpray {
+            target: PUB,
+            victim: Ipv4Addr::new(203, 0, 113, 9),
+            victim_rate: 10.0 * rate,
+            spray_base: Ipv4Addr::new(32, 0, 0, 0),
+            sources: 70_000,
+            over: SimTime::from_millis(175),
+            qname: "www.foo.com".parse().unwrap(),
+        };
+        let attackers = [Ipv4Addr::new(66, 0, 6, 1), Ipv4Addr::new(66, 0, 6, 2)];
+        let (victim, _) = attack.launch(&mut sim, attackers);
+
+        let per_window = victim_packets_per_window(&mut sim, victim, 4);
+        let bound = (rate * WINDOW.as_secs_f64() + burst) as u64;
+        let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
+        assert!(g.stats().tc_sent > 65_536 + 40, "the spray was admitted: {}", g.stats().tc_sent);
+        assert!(
+            per_window.iter().all(|&got| got <= bound),
+            "responses to the victim per window {per_window:?}, bound {bound}"
+        );
+        assert!(per_window[1] >= bound - 2, "the hammer's first window spends the burst: {per_window:?}");
+        assert!(g.stats().rl1_dropped > 200, "the hammer was throttled");
     }
 }

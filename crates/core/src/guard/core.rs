@@ -1,6 +1,7 @@
 //! The guard's decisions, with no I/O: [`GuardCore`] is handed the time and
 //! each datagram and appends what must happen to the driver's [`Outputs`].
 
+use super::fwd::{restored_question, Forwarded, FwdTable, Rewrite};
 use super::stats::{GuardMetrics, GuardStats};
 use crate::admission::{AdmissionController, PressureTier};
 use crate::checkpoint::{
@@ -18,9 +19,9 @@ use crate::tcp_proxy::{ProxyAction, TcpProxy};
 use dnswire::cookie_ext;
 use dnswire::message::{Message, MAX_UDP_PAYLOAD};
 use dnswire::name::{Name, MAX_LABEL_LEN};
-use dnswire::question::{self, Question, NO_QUESTION};
+use dnswire::question::{Question, NO_QUESTION};
 use dnswire::record::Record;
-use dnswire::types::{RrClass, RrType};
+use dnswire::types::RrType;
 use dnswire::view::MessageView;
 use dnswire::writer::{ReplyStart, Section, Writer};
 use guardhash::cookie::{Cookie, CookieFactory, SecretKey};
@@ -28,7 +29,6 @@ use netsim::metrics::TrafficMeter;
 use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT, UDP_HEADER_BYTES};
 use netsim::time::SimTime;
 use obs::trace::Value;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -92,37 +92,6 @@ impl Outputs {
     }
 }
 
-#[derive(Debug)]
-enum Rewrite {
-    /// One of the rewrites that outlive a restart and are replicated to a
-    /// standby, kept as their serializable image.
-    Durable(RewriteState),
-    /// A health probe: the response only proves liveness, nothing is
-    /// relayed.
-    Probe { question: u64 },
-    /// TCP proxy relay (token routes back to the connection).
-    TcpRelay { token: u64, question: u64 },
-}
-
-#[derive(Debug)]
-struct Forwarded {
-    requester: Endpoint,
-    reply_from: Endpoint,
-    orig_txid: u16,
-    rewrite: Rewrite,
-    created: SimTime,
-    /// Journey correlation id: the relay of the ANS reply inherits the
-    /// qid of the verify/forward that caused it, which is what lets the
-    /// assembler stitch across the txid rewrite.
-    qid: u64,
-}
-
-// The byte-bounded forward table charges `size_of::<Forwarded>()` per entry,
-// so a fatter entry shifts its evictions and the `guard.table_bytes` of the
-// committed `BENCH_obs.json`. The `question` digests ride in the room the
-// smaller `Rewrite` variants leave under `Fabricated`.
-const _: () = assert!(std::mem::size_of::<Forwarded>() == 88);
-
 impl Forwarded {
     /// The entry for `query`, which `requester` sent to `reply_from`.
     fn of(
@@ -142,41 +111,6 @@ impl Forwarded {
             qid,
         }
     }
-
-    /// Approximate heap footprint, for the forward-table byte bound.
-    fn approx_bytes(&self) -> usize {
-        let heap = match &self.rewrite {
-            Rewrite::Durable(RewriteState::ReferralCookie { cookie_question, .. }) => {
-                cookie_question.name.wire_len()
-            }
-            Rewrite::Durable(RewriteState::Fabricated {
-                cookie_question,
-                original,
-            }) => cookie_question.name.wire_len() + original.wire_len(),
-            _ => 0,
-        };
-        std::mem::size_of::<Self>() + heap
-    }
-
-    /// The [`question::digest`] of what was forwarded: an ANS response is
-    /// this entry's answer only if it asks the same.
-    fn question(&self) -> u64 {
-        match &self.rewrite {
-            Rewrite::Durable(RewriteState::Passthrough { question })
-            | Rewrite::Durable(RewriteState::ReferralCookie { question, .. })
-            | Rewrite::Probe { question }
-            | Rewrite::TcpRelay { question, .. } => *question,
-            Rewrite::Durable(RewriteState::Fabricated { original, .. }) => {
-                restored_question(original)
-            }
-        }
-    }
-}
-
-/// The digest of the question the DNS-based scheme forwards for a restored
-/// name: its address.
-fn restored_question(original: &Name) -> u64 {
-    question::digest(original, RrType::A, RrClass::In)
 }
 
 /// A query on its way to the ANS.
@@ -471,12 +405,10 @@ pub struct GuardCore {
     rl1: SourceRateLimiter,
     rl2: SourceRateLimiter,
     proxy: TcpProxy,
-    fwd: HashMap<u16, Forwarded>,
-    /// Insertion order of live `fwd` entries (oldest first) with their
-    /// creation stamps; stale fronts (already answered or re-used txids)
-    /// are skipped lazily during eviction.
-    fwd_order: VecDeque<(u16, SimTime)>,
-    fwd_bytes: usize,
+    fwd: FwdTable,
+    /// Forwards overwritten because their transaction id came round again
+    /// (see [`GuardCore::lossy_evictions`]).
+    fwd_overwritten: u64,
     next_txid: u16,
     /// Monotonic journey correlation id, stamped on every decision-point
     /// trace event; never reused (unlike the 16-bit txid space).
@@ -528,12 +460,13 @@ impl GuardCore {
         );
         GuardCore {
             cookies: CookieFactory::from_seed(config.key_seed).with_alg(config.cookie_alg),
-            rl1: SourceRateLimiter::new(config.rl1_global_rate, config.rl1_per_source_rate),
-            rl2: SourceRateLimiter::per_source_only(config.rl2_per_source_rate),
+            rl1: SourceRateLimiter::new(config.rl1_global_rate, config.rl1_per_source_rate)
+                .keyed(config.key_seed),
+            rl2: SourceRateLimiter::per_source_only(config.rl2_per_source_rate)
+                .keyed(config.key_seed),
             proxy,
-            fwd: HashMap::new(),
-            fwd_order: VecDeque::new(),
-            fwd_bytes: 0,
+            fwd: FwdTable::new(),
+            fwd_overwritten: 0,
             next_txid: 1,
             next_qid: 1,
             stash: HashMap::new(),
@@ -642,7 +575,20 @@ impl GuardCore {
     /// combined — the quantity bounded by
     /// [`GuardConfig::fwd_bytes_max`]/[`GuardConfig::stash_bytes_max`].
     pub fn table_bytes(&self) -> usize {
-        self.fwd_bytes + self.stash_bytes
+        self.fwd.bytes() + self.stash_bytes
+    }
+
+    /// State forgotten before its time, which no registered metric counts:
+    /// Rate-Limiter1 and Rate-Limiter2 buckets evicted before they had
+    /// refilled ([`SourceRateLimiter::lossy_evictions`]), and forwards
+    /// overwritten because their transaction id came round again. Each is
+    /// also traced as an `evict` event (`table` = `rl1`, `rl2`, `fwd`).
+    pub fn lossy_evictions(&self) -> (u64, u64, u64) {
+        (
+            self.rl1.lossy_evictions(),
+            self.rl2.lossy_evictions(),
+            self.fwd_overwritten,
+        )
     }
 
     /// The configuration.
@@ -726,7 +672,7 @@ impl GuardCore {
         let mut fwd: Vec<FwdState> = self
             .fwd
             .iter()
-            .filter_map(|(&txid, f)| fwd_state_of(txid, f))
+            .filter_map(|(txid, f)| fwd_state_of(txid, f))
             .collect();
         fwd.sort_by_key(|f| f.txid);
         let mut stash: Vec<StashState> = self
@@ -789,12 +735,13 @@ impl GuardCore {
         };
         self.last_rotation = SimTime::from_nanos(cp.last_rotation_nanos);
         self.fwd.clear();
-        self.fwd_order.clear();
-        self.fwd_bytes = 0;
         self.stash.clear();
         self.stash_order.clear();
         self.stash_bytes = 0;
-        for f in &cp.fwd {
+        // Oldest first, so each entry goes straight to the table's tail.
+        let mut fwd: Vec<&FwdState> = cp.fwd.iter().collect();
+        fwd.sort_by_key(|f| f.created_nanos);
+        for f in fwd {
             self.install_fwd_state(f, now);
         }
         for s in &cp.stash {
@@ -1157,7 +1104,7 @@ impl GuardCore {
             let fwd_add: Vec<FwdState> = pending
                 .fwd_add
                 .iter()
-                .filter_map(|txid| self.fwd.get(txid).and_then(|f| fwd_state_of(*txid, f)))
+                .filter_map(|&txid| self.fwd.get(txid).and_then(|f| fwd_state_of(txid, f)))
                 .collect();
             let stash_add: Vec<StashState> = pending
                 .stash_add
@@ -1324,11 +1271,20 @@ impl GuardCore {
     /// i.e. the ANS is hopelessly behind), the old entry is overwritten —
     /// its response, if it ever comes, is treated as lost. This mirrors a
     /// real NAT-style table shedding stale flows under overload.
-    fn alloc_txid(&mut self) -> u16 {
+    fn alloc_txid(&mut self, now: SimTime) -> u16 {
         let id = self.next_txid;
         self.next_txid = self.next_txid.wrapping_add(1).max(1);
-        self.remove_fwd(id, None);
+        if self.remove_fwd(id, None).is_some() {
+            self.fwd_overwritten += 1;
+            self.trace_evict(now, "fwd", ("txid", Value::U64(id as u64)));
+        }
         id
+    }
+
+    /// Traces that `table` forgot the entry `key` names before its time.
+    fn trace_evict(&self, now: SimTime, table: &'static str, key: (&'static str, Value)) {
+        let fields = [("table", Value::Str(table)), key];
+        self.metrics.trace.event(now.as_nanos(), "evict", &fields);
     }
 
     /// Allocates a journey correlation id.
@@ -1347,26 +1303,14 @@ impl GuardCore {
                 ha.pending.fwd_add.push(txid);
             }
         }
-        self.fwd_bytes += entry.approx_bytes();
-        self.fwd_order.push_back((txid, entry.created));
-        if let Some(old) = self.fwd.insert(txid, entry) {
-            self.fwd_bytes -= old.approx_bytes();
-        }
-        while self.fwd_bytes > self.config.fwd_bytes_max {
-            let Some((old_txid, created)) = self.fwd_order.pop_front() else {
+        self.fwd.insert(txid, entry);
+        while self.fwd.bytes() > self.config.fwd_bytes_max {
+            let Some((oldest, _)) = self.fwd.oldest() else {
                 break;
             };
-            // Skip stale queue fronts: answered entries, or txids re-used
-            // since (their live entry has a newer creation stamp).
-            if self.fwd.get(&old_txid).is_some_and(|f| f.created == created) {
-                self.remove_fwd(old_txid, None);
-                self.metrics.fwd_evicted.inc();
-                self.metrics.trace.event(
-                    now.as_nanos(),
-                    "evict",
-                    &[("table", Value::Str("fwd")), ("txid", Value::U64(old_txid as u64))],
-                );
-            }
+            self.remove_fwd(oldest, None);
+            self.metrics.fwd_evicted.inc();
+            self.trace_evict(now, "fwd", ("txid", Value::U64(oldest as u64)));
         }
     }
 
@@ -1375,14 +1319,11 @@ impl GuardCore {
     /// compares and only then removes, so an answer to another question
     /// cannot use the entry up.
     fn remove_fwd(&mut self, txid: u16, asking: Option<u64>) -> Option<Forwarded> {
-        let Entry::Occupied(slot) = self.fwd.entry(txid) else {
-            return None;
-        };
-        if asking.is_some_and(|asking| slot.get().question() != asking) {
+        let held = self.fwd.get(txid)?;
+        if asking.is_some_and(|asking| held.question() != asking) {
             return None;
         }
-        let entry = slot.remove();
-        self.fwd_bytes -= entry.approx_bytes();
+        let entry = self.fwd.remove(txid)?;
         if matches!(entry.rewrite, Rewrite::Durable(_)) {
             if let Some(ha) = self.replicating() {
                 ha.pending.fwd_del.push(txid);
@@ -1413,11 +1354,7 @@ impl GuardCore {
             {
                 self.remove_stash(&old_key);
                 self.metrics.stash_evicted.inc();
-                self.metrics.trace.event(
-                    now.as_nanos(),
-                    "evict",
-                    &[("table", Value::Str("stash")), ("src", Value::Ip(old_key.0))],
-                );
+                self.trace_evict(now, "stash", ("src", Value::Ip(old_key.0)));
             }
         }
     }
@@ -1455,7 +1392,7 @@ impl GuardCore {
             return;
         }
         let orig_txid = entry.orig_txid;
-        let txid = self.alloc_txid();
+        let txid = self.alloc_txid(now);
         self.insert_fwd(txid, entry);
         self.metrics.forwarded.inc();
         // Info-level with both sides of the txid rewrite: the journey
@@ -1618,6 +1555,9 @@ impl GuardCore {
     fn admit_unverified(&mut self, now: SimTime, src: Ipv4Addr) -> bool {
         let admitted = self.rl1.admit(now, src);
         self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
+        if let Some(forgotten) = self.rl1.take_evicted() {
+            self.trace_evict(now, "rl1", ("src", Value::Ip(forgotten)));
+        }
         if !admitted {
             self.metrics.rl1_dropped.inc();
             let fields = [("limiter", Value::Str("rl1")), ("src", Value::Ip(src))];
@@ -1631,6 +1571,9 @@ impl GuardCore {
     fn admit_verified(&mut self, now: SimTime, src: Ipv4Addr, qid: u64) -> bool {
         let admitted = self.rl2.admit(now, src);
         self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
+        if let Some(forgotten) = self.rl2.take_evicted() {
+            self.trace_evict(now, "rl2", ("src", Value::Ip(forgotten)));
+        }
         if !admitted {
             self.metrics.rl2_dropped.inc();
             let fields = [
@@ -2142,14 +2085,10 @@ impl GuardCore {
         self.proxy.reap(now);
         // Expire unanswered forwards: each one is an ANS timeout feeding
         // the health monitor.
-        let horizon = self.config.ans_timeout;
-        let expired: Vec<u16> = self
-            .fwd
-            .iter()
-            .filter(|(_, f)| now.saturating_sub(f.created) >= horizon)
-            .map(|(&txid, _)| txid)
-            .collect();
-        for txid in expired {
+        while let Some((txid, oldest)) = self.fwd.oldest() {
+            if now.saturating_sub(oldest.created) < self.config.ans_timeout {
+                break;
+            }
             let entry = self.remove_fwd(txid, None);
             if entry.is_some_and(|f| f.created >= self.health.last_response) {
                 self.metrics.ans_timeouts.inc();
@@ -2185,16 +2124,13 @@ impl GuardCore {
             self.remove_stash(&key);
         }
         // Drop queue entries whose table entry is gone (lazy compaction,
-        // so the order queues cannot outgrow the tables they mirror).
-        let fwd = &self.fwd;
-        self.fwd_order
-            .retain(|(txid, created)| fwd.get(txid).is_some_and(|f| f.created == *created));
+        // so the order queue cannot outgrow the table it mirrors).
         let stash = &self.stash;
         self.stash_order
             .retain(|(key, created)| stash.get(key).is_some_and(|s| s.created == *created));
         self.metrics
             .table_bytes
-            .set((self.fwd_bytes + self.stash_bytes) as u64);
+            .set((self.fwd.bytes() + self.stash_bytes) as u64);
         // Export the unverified-traffic amplification ratio (paper bound:
         // ≤1.5×) in milli-units so the alert engine can threshold it.
         let amp = self.traffic_unverified.amplification();
@@ -2225,7 +2161,7 @@ impl GuardCore {
         // Admission-pressure sample: RL saturation + forward-table fill.
         if let Some(adm) = self.admission.as_mut() {
             let before = adm.tier();
-            let fill = self.fwd_bytes as f64 / self.config.fwd_bytes_max.max(1) as f64;
+            let fill = self.fwd.bytes() as f64 / self.config.fwd_bytes_max.max(1) as f64;
             let tier = adm.observe(
                 self.rl1.admitted(),
                 self.rl1.rejected(),

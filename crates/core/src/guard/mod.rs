@@ -28,6 +28,7 @@
 //! plus the packet counts of each scheme.
 
 mod core;
+mod fwd;
 mod sim;
 mod stats;
 #[cfg(test)]

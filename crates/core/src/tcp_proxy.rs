@@ -97,7 +97,7 @@ impl TcpProxy {
             conns: HashMap::new(),
             tokens: HashMap::new(),
             next_token: 1,
-            conn_limiter: SourceRateLimiter::per_source_only(conn_rate),
+            conn_limiter: SourceRateLimiter::per_source_only(conn_rate).keyed(secret),
             lifetime,
             metrics: ProxyMetrics::default(),
         }

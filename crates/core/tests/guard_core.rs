@@ -409,3 +409,81 @@ fn right_id_wrong_question_is_not_relayed_and_the_real_answer_still_is() {
     assert!(again.is_empty(), "one forward, one relay");
     assert_eq!((guard.stats().resp_unmatched, guard.stats().relayed_responses), (2, 1));
 }
+
+/// The `evict` events of `table` traced since the last drain, as the value
+/// of their `field`.
+fn evictions(obs: &obs::Obs, table: &'static str, field: &str) -> Vec<obs::trace::Value> {
+    let (events, dropped) = obs.tracer.drain();
+    assert_eq!(dropped, 0, "the trace ring overflowed");
+    let of_table = events.iter().filter(|e| {
+        e.kind == "evict" && e.field("table") == Some(obs::trace::Value::Str(table))
+    });
+    of_table.map(|e| e.field(field).expect("an evict event names what went")).collect()
+}
+
+/// A transaction id that comes round while its forward is still waiting
+/// overwrites it. That is traced as an eviction and counted beside the
+/// registry, not in it.
+#[test]
+fn a_forward_overwritten_by_id_reuse_is_traced_and_counted() {
+    let (mut config, classifier) = parts(SchemeMode::ModifiedOnly, Zone::Foo);
+    // Room and patience for every id at once; nothing answers.
+    config.fwd_bytes_max = usize::MAX;
+    config.ans_timeout = SimTime::from_secs(3_600);
+    let mut core = GuardCore::new(config, classifier);
+    let obs = obs::Obs::new();
+    obs.tracer.set_default_level(obs::trace::Level::Info);
+    core.attach_obs(&obs);
+    let mut verified = query(7, "www.foo.com");
+    cookie_ext::attach_cookie(&mut verified, core.cookie_factory().generate(CLIENT.ip).0, 0);
+    let pkt = from(CLIENT, PUBLIC, &verified);
+
+    let mut out = Outputs::default();
+    let mut overwritten = Vec::new();
+    for n in 0..=u64::from(u16::MAX) {
+        core.handle_packet(SimTime::from_micros(100 * n), Leg::Client, pkt.clone(), &mut out);
+        out.drain();
+        if n % 1_024 == 0 || n == u64::from(u16::MAX) {
+            overwritten.extend(evictions(&obs, "fwd", "txid"));
+        }
+    }
+    // Ids 1 to 65 535 were all in flight when the 65 536th forward took 1.
+    assert_eq!(core.stats().forwarded, 65_536);
+    assert_eq!(overwritten, [obs::trace::Value::U64(1)]);
+    assert_eq!(core.lossy_evictions(), (0, 0, 1));
+    assert_eq!(core.stats().fwd_evicted, 0, "not the byte bound's doing");
+    assert_eq!(core.table_bytes(), 65_535 * 88);
+}
+
+/// More unrefilled Rate-Limiter1 buckets than their sets hold: each source
+/// forgotten early is traced by address and counted.
+#[test]
+fn a_lossy_limiter_eviction_is_traced_and_counted() {
+    let (mut config, classifier) = parts(SchemeMode::TcpBased, Zone::Foo);
+    config.rl1_global_rate = 1e12;
+    config.rl1_per_source_rate = 1.0; // a spent token takes a second to return
+    let mut core = GuardCore::new(config, classifier);
+    let obs = obs::Obs::new();
+    obs.tracer.set_default_level(obs::trace::Level::Info);
+    core.attach_obs(&obs);
+
+    let mut out = Outputs::default();
+    let sprayed = |n: u32| Ipv4Addr::from(0x2D00_0000 + n);
+    for n in 0..6_000u32 {
+        let src = Endpoint::new(sprayed(n), 5_353);
+        let now = SimTime::from_micros(50 * u64::from(n));
+        core.handle_packet(now, Leg::Client, from(src, PUBLIC, &query(9, "www.foo.com")), &mut out);
+        out.drain();
+    }
+    assert_eq!(core.stats().tc_sent, 6_000, "every sprayed source was answered");
+    let forgotten = evictions(&obs, "rl1", "src");
+    let (rl1, rl2, fwd) = core.lossy_evictions();
+    assert!(rl1 > 0, "6 000 unrefilled buckets overflow some of 1 024 three-bucket sets");
+    assert_eq!((forgotten.len() as u64, rl2, fwd), (rl1, 0, 0));
+    for src in forgotten {
+        let obs::trace::Value::Ip(src) = src else {
+            panic!("an rl1 eviction names {src:?}");
+        };
+        assert!((0..6_000).any(|n| sprayed(n) == src), "{src} was never admitted");
+    }
+}

@@ -9,7 +9,9 @@
 //!
 //! The implementation is the standard 2 compression / 4 finalization round
 //! variant over 8-byte little-endian blocks, with the message length folded
-//! into the top byte of the final block.
+//! into the top byte of the final block. The same rounds run 1 / 3 times are
+//! [`siphash13_u32`], the hash-table variant, which the guard's per-source
+//! limiter tables are keyed with.
 //!
 //! # Examples
 //!
@@ -39,11 +41,9 @@ fn sip_round(v: &mut [u64; 4]) {
     v[2] = v[2].rotate_left(32);
 }
 
-/// SipHash-2-4 of `data` under the 128-bit `key`, as a 64-bit tag.
-///
-/// Wire encodings (RFC 9018 cookies) serialize the tag little-endian:
-/// `siphash24(k, m).to_le_bytes()` reproduces the reference test vectors.
-pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
+/// SipHash-`C`-`D`: `C` rounds per message block, `D` to finish.
+#[inline(always)]
+fn siphash<const C: usize, const D: usize>(key: &[u8; 16], data: &[u8]) -> u64 {
     let k0 = u64::from_le_bytes(key[0..8].try_into().unwrap());
     let k1 = u64::from_le_bytes(key[8..16].try_into().unwrap());
     let mut v = [
@@ -57,8 +57,9 @@ pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
     for chunk in &mut chunks {
         let m = u64::from_le_bytes(chunk.try_into().unwrap());
         v[3] ^= m;
-        sip_round(&mut v);
-        sip_round(&mut v);
+        for _ in 0..C {
+            sip_round(&mut v);
+        }
         v[0] ^= m;
     }
 
@@ -69,15 +70,33 @@ pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
     last[7] = data.len() as u8;
     let m = u64::from_le_bytes(last);
     v[3] ^= m;
-    sip_round(&mut v);
-    sip_round(&mut v);
+    for _ in 0..C {
+        sip_round(&mut v);
+    }
     v[0] ^= m;
 
     v[2] ^= 0xff;
-    for _ in 0..4 {
+    for _ in 0..D {
         sip_round(&mut v);
     }
     v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
+/// SipHash-2-4 of `data` under the 128-bit `key`, as a 64-bit tag.
+///
+/// Wire encodings (RFC 9018 cookies) serialize the tag little-endian:
+/// `siphash24(k, m).to_le_bytes()` reproduces the reference test vectors.
+pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
+    siphash::<2, 4>(key, data)
+}
+
+/// SipHash-1-3 of the four bytes of `word` under `key`: the reduced-round
+/// variant hash tables use (it is what keys `std`'s `HashMap`), for placing
+/// an address in a table where an attacker who cannot see the key must not
+/// be able to choose collisions. Not for cookies.
+#[inline]
+pub fn siphash13_u32(key: &[u8; 16], word: u32) -> u64 {
+    siphash::<1, 3>(key, &word.to_le_bytes())
 }
 
 /// SipHash-2-4 tag in the little-endian wire form used by cookie encodings.
@@ -134,6 +153,21 @@ mod tests {
         let key = reference_key();
         let msg: Vec<u8> = (0..15).collect();
         assert_eq!(siphash24(&key, &msg), 0xa129_ca61_49be_45e5);
+    }
+
+    /// `std`'s `DefaultHasher` is SipHash-1-3 under the all-zero key (an
+    /// implementation detail it does not promise, but the only independent
+    /// 1-3 implementation at hand): the shared rounds are right for 2-4 by
+    /// the vectors above, and the round counts are right for 1-3 by this.
+    #[test]
+    fn one_three_matches_the_standard_librarys_hasher() {
+        use std::hash::Hasher;
+        for word in [0, 1, 0x0a00_0001, 0xdead_beef, u32::MAX] {
+            let mut std13 = std::collections::hash_map::DefaultHasher::new();
+            std13.write(&word.to_le_bytes());
+            assert_eq!(siphash13_u32(&[0; 16], word), std13.finish(), "word {word:#x}");
+        }
+        assert_ne!(siphash13_u32(&[0; 16], 7), siphash13_u32(&reference_key(), 7));
     }
 
     #[test]

@@ -146,151 +146,6 @@ impl TokenBucket {
     }
 }
 
-/// A lock-free token bucket sharable across threads: the shard-ready
-/// variant of [`TokenBucket`] for the multi-core guard data plane,
-/// where per-source buckets are consulted concurrently with no lock on
-/// the hot path.
-///
-/// The whole mutable state — token count and last-refill time — is
-/// packed into one `AtomicU64` (milli-tokens in the high 32 bits,
-/// sim-milliseconds in the low 32), so refill and consume commit as a
-/// single compare-exchange: admission is linearizable and no interleaving
-/// can mint tokens or admit past the burst. This exact property is
-/// model-checked by the guardcheck `token_bucket` harness.
-///
-/// Quantization bounds (fine for rate limiting, documented rather than
-/// checked): bursts above ~4.2 M tokens and sim times beyond ~49 days
-/// saturate. Degenerate rates keep [`TokenBucket`]'s semantics
-/// (infinite ⇒ unlimited; zero/negative/NaN ⇒ deny-all).
-#[derive(Debug)]
-pub struct AtomicTokenBucket {
-    rate_per_sec: f64,
-    burst_milli: u32,
-    unlimited: bool,
-    deny_all: bool,
-    /// hi 32 bits: milli-tokens; lo 32 bits: last refill in sim-millis.
-    state: guardcheck::sync::AtomicU64,
-}
-
-impl AtomicTokenBucket {
-    /// Creates a full bucket (same degenerate-parameter semantics as
-    /// [`TokenBucket::new`]; no parameter combination panics).
-    pub fn new(rate_per_sec: f64, burst: f64) -> Self {
-        let unlimited = rate_per_sec == f64::INFINITY || burst == f64::INFINITY;
-        let deny_all = !(unlimited || (rate_per_sec > 0.0 && burst > 0.0));
-        let burst_milli = if burst.is_finite() && burst > 0.0 {
-            (burst * 1_000.0).min(u32::MAX as f64) as u32
-        } else {
-            0
-        };
-        AtomicTokenBucket {
-            rate_per_sec,
-            burst_milli,
-            unlimited,
-            deny_all,
-            state: guardcheck::sync::AtomicU64::new(pack(burst_milli, 0)),
-        }
-    }
-
-    /// Whether the bucket admits everything.
-    pub fn is_unlimited(&self) -> bool {
-        self.unlimited
-    }
-
-    /// Whether the bucket admits nothing.
-    pub fn is_deny_all(&self) -> bool {
-        self.deny_all
-    }
-
-    /// Attempts to take one token at time `now`. Safe to call from any
-    /// number of threads concurrently; each successful return consumed
-    /// exactly one token.
-    pub fn try_take(&self, now: SimTime) -> bool {
-        use guardcheck::sync::Ordering;
-        if self.unlimited {
-            return true;
-        }
-        if self.deny_all {
-            return false;
-        }
-        let now_ms = clamp_millis(now);
-        // CAS loop: recompute refill+consume against the freshly observed
-        // state until the packed word commits unchanged underneath us.
-        let mut cur = self.state.load(Ordering::Acquire);
-        loop {
-            let (tokens, last) = unpack(cur);
-            let (mut new_tokens, mut new_last) = (tokens, last);
-            let elapsed_ms = now_ms.saturating_sub(last);
-            if elapsed_ms > 0 {
-                // rate tokens/s ≡ rate milli-tokens per milli-second.
-                let refill = (elapsed_ms as f64 * self.rate_per_sec).max(0.0);
-                let refill_milli = if refill.is_finite() {
-                    refill.min(u32::MAX as f64) as u32
-                } else {
-                    u32::MAX
-                };
-                if refill_milli > 0 {
-                    // Advance `last` only when at least one milli-token
-                    // accrued, so sub-quantum fractions keep accumulating
-                    // instead of being repeatedly floored away.
-                    new_tokens = tokens.saturating_add(refill_milli).min(self.burst_milli);
-                    new_last = now_ms;
-                }
-            }
-            let admitted = new_tokens >= 1_000;
-            if admitted {
-                new_tokens -= 1_000;
-            }
-            let next = pack(new_tokens, new_last);
-            if next == cur {
-                return admitted;
-            }
-            // AcqRel: the successful exchange both observes prior commits
-            // and publishes this one; failure re-observes with Acquire.
-            match self
-                .state
-                .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return admitted,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Current whole tokens available at `now` (no refill committed).
-    /// Unlimited buckets report `u32::MAX`; deny-all buckets report 0.
-    pub fn available(&self, now: SimTime) -> u32 {
-        use guardcheck::sync::Ordering;
-        if self.unlimited {
-            return u32::MAX;
-        }
-        if self.deny_all {
-            return 0;
-        }
-        let (tokens, last) = unpack(self.state.load(Ordering::Acquire));
-        let elapsed_ms = clamp_millis(now).saturating_sub(last);
-        let refill = (elapsed_ms as f64 * self.rate_per_sec).max(0.0);
-        let refill_milli = if refill.is_finite() {
-            refill.min(u32::MAX as f64) as u32
-        } else {
-            u32::MAX
-        };
-        tokens.saturating_add(refill_milli).min(self.burst_milli) / 1_000
-    }
-}
-
-fn pack(tokens_milli: u32, last_ms: u32) -> u64 {
-    ((tokens_milli as u64) << 32) | last_ms as u64
-}
-
-fn unpack(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, word as u32)
-}
-
-fn clamp_millis(t: SimTime) -> u32 {
-    (t.as_nanos() / 1_000_000).min(u32::MAX as u64) as u32
-}
-
 /// The serializable face of a [`TokenBucket`], as captured by
 /// [`TokenBucket::checkpoint`] and replayed by [`TokenBucket::restore`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -443,68 +298,5 @@ mod tests {
         for _ in 0..10_000 {
             assert!(tb.try_take(t0));
         }
-    }
-
-    #[test]
-    fn atomic_bucket_burst_and_refill() {
-        let tb = AtomicTokenBucket::new(10.0, 2.0);
-        let t0 = SimTime::ZERO;
-        assert!(tb.try_take(t0));
-        assert!(tb.try_take(t0));
-        assert!(!tb.try_take(t0), "burst exhausted");
-        assert!(tb.try_take(t0 + SimTime::from_millis(100)), "one token refilled");
-        assert!(!tb.try_take(t0 + SimTime::from_millis(100)));
-    }
-
-    #[test]
-    fn atomic_bucket_matches_scalar_admission_rate() {
-        let atomic = AtomicTokenBucket::new(100.0, 1.0);
-        let mut admitted = 0;
-        for i in 0..10_000u64 {
-            if atomic.try_take(SimTime::from_micros(i * 1_000)) {
-                admitted += 1;
-            }
-        }
-        // Same envelope the scalar bucket is held to above.
-        assert!((900..=1_010).contains(&admitted), "admitted {admitted}");
-    }
-
-    #[test]
-    fn atomic_bucket_degenerate_semantics() {
-        let open = AtomicTokenBucket::new(f64::INFINITY, 1.0);
-        assert!(open.is_unlimited());
-        for _ in 0..100 {
-            assert!(open.try_take(SimTime::ZERO));
-        }
-        for (rate, burst) in [(0.0, 1.0), (-1.0, 5.0), (f64::NAN, 5.0), (10.0, 0.0)] {
-            let deny = AtomicTokenBucket::new(rate, burst);
-            assert!(deny.is_deny_all(), "rate {rate} burst {burst}");
-            assert!(!deny.try_take(SimTime::from_secs(10)));
-            assert_eq!(deny.available(SimTime::from_secs(10)), 0);
-        }
-    }
-
-    #[test]
-    fn atomic_bucket_concurrent_consumers_never_overspend() {
-        // Real-thread smoke test; the exhaustive interleaving proof is
-        // the guardcheck `token_bucket` harness.
-        let tb = std::sync::Arc::new(AtomicTokenBucket::new(1.0, 50.0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let tb = std::sync::Arc::clone(&tb);
-            handles.push(std::thread::spawn(move || {
-                (0..100).filter(|_| tb.try_take(SimTime::ZERO)).count()
-            }));
-        }
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 50, "exactly the burst is admitted across threads");
-    }
-
-    #[test]
-    fn atomic_bucket_time_overflow_saturates() {
-        let tb = AtomicTokenBucket::new(1e300, 5.0);
-        assert!(tb.try_take(SimTime::ZERO));
-        assert!(tb.try_take(SimTime::MAX), "far-future refill stays full");
-        assert_eq!(tb.available(SimTime::MAX), 4);
     }
 }

