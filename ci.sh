@@ -4,7 +4,8 @@
 # test suite (unit, integration, chaos and property tests), the guardlint
 # static-analysis pass (repo-specific safety/determinism/telemetry
 # invariants; exemptions live in Lint.toml) with the checks that the guard's
-# sans-IO core names no simulator engine and its state tables no HashMap,
+# sans-IO core names no simulator engine, its state tables no HashMap, and
+# no crate a cargo feature (the workspace has one build configuration),
 # clippy with warnings promoted to errors, the experiment smoke run (every
 # non-paper entry of the experiment registry: acceptance bars, export
 # validation, and a `cmp` of every export against the committed BENCH_*
@@ -61,6 +62,15 @@ if want lint; then
       exit 1
     fi
   done
+  echo "==> one build configuration: no cargo features"
+  # Every setting of a feature is a build that tests and the drift gate
+  # would have to cover; what varies (traffic analytics) is armed at run
+  # time instead.
+  if grep -rnE 'cfg!?\(.*feature *=' crates src tests examples ||
+    grep -n '^\[features\]' crates/*/Cargo.toml; then
+    echo "features: a cargo feature is declared or tested above" >&2
+    exit 1
+  fi
 fi
 
 if want guardcheck; then
@@ -107,12 +117,7 @@ if want experiments; then
   smoke=target/experiments-smoke
   rm -rf "$smoke"
   cargo run --release --offline -p bench --bin all_experiments -- \
-    --out "$smoke" ablations obs journeys ha fleet fleetobs poison
-  # The analytics entry exists only with the guard's sketches compiled in.
-  cargo test -q --offline -p dnsguard --features traffic-analytics
-  cargo test -q --offline -p bench --features traffic-analytics analytics
-  cargo run --release --offline -p bench --features traffic-analytics \
-    --bin all_experiments -- --out "$smoke" analytics
+    --out "$smoke" ablations obs journeys ha fleet fleetobs analytics poison
   # The simulator is seeded, so a fresh export must equal the committed
   # file of the same name byte for byte; a difference is a behaviour change
   # (or a stale artifact) and has to be committed deliberately.

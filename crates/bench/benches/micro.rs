@@ -4,13 +4,20 @@
 //! observability recording overhead (disabled vs enabled).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use dnsguard::classify::AuthorityClassifier;
+use dnsguard::config::GuardConfig;
+use dnsguard::guard::RemoteGuard;
 use dnswire::message::Message;
 use dnswire::record::Record;
 use dnswire::types::RrType;
 use guardhash::cookie::CookieFactory;
 use guardhash::md5::md5;
+use netsim::engine::{Context, CpuConfig, Node, NodeId, Simulator};
+use netsim::packet::{Endpoint, Packet, DNS_PORT};
 use netsim::time::SimTime;
 use netsim::tokenbucket::TokenBucket;
+use server::authoritative::Authority;
+use server::zone::paper_hierarchy;
 use std::net::Ipv4Addr;
 
 fn bench_md5(c: &mut Criterion) {
@@ -90,45 +97,46 @@ fn bench_ratelimit(c: &mut Criterion) {
     g.finish();
 }
 
+const GUARD_ADDR: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
+const INJECTOR: Ipv4Addr = Ipv4Addr::new(66, 0, 0, 9);
+
+/// Swallows the guard's replies.
+struct Blackhole;
+impl Node for Blackhole {
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+}
+
+/// A guard at [`GUARD_ADDR`] and a node at [`INJECTOR`] to inject datagrams
+/// from and swallow the replies: `(sim, guard, injector)`. The limiters are
+/// open: a closed bucket would flip a bench onto the drop path after its
+/// budget drains.
+fn guard_world() -> (Simulator, NodeId, NodeId) {
+    let (root, _, _) = paper_hierarchy();
+    let mut config = GuardConfig::new(GUARD_ADDR, Ipv4Addr::new(10, 99, 0, 1));
+    config.rl1_global_rate = 1e12;
+    config.rl1_per_source_rate = 1e12;
+    config.rl2_per_source_rate = 1e12;
+    let mut sim = Simulator::new(7);
+    let guard = sim.add_node(
+        GUARD_ADDR,
+        CpuConfig::unbounded(),
+        RemoteGuard::new(config, AuthorityClassifier::new(Authority::new(vec![root]))),
+    );
+    let injector = sim.add_node(INJECTOR, CpuConfig::unbounded(), Blackhole);
+    (sim, guard, injector)
+}
+
 /// The observability recording overhead on the guard's per-datagram path:
 /// the same plain-query packet driven through a full `RemoteGuard` node
 /// with telemetry detached (counters only, tracer off) vs attached
 /// (registry-adopted counters plus Info-level trace events into the ring).
 /// The disabled/enabled delta is the cost the obs layer adds per datagram.
 fn bench_obs_overhead(c: &mut Criterion) {
-    use dnsguard::classify::AuthorityClassifier;
-    use dnsguard::config::GuardConfig;
-    use dnsguard::guard::RemoteGuard;
-    use netsim::engine::{Context, CpuConfig, Node, NodeId, Simulator};
-    use netsim::packet::{Endpoint, Packet, DNS_PORT};
     use obs::trace::{Level, Value};
     use obs::Obs;
-    use server::authoritative::Authority;
-    use server::zone::paper_hierarchy;
 
-    /// Swallows the guard's replies.
-    struct Blackhole;
-    impl Node for Blackhole {
-        fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
-    }
-
-    let pub_addr = Ipv4Addr::new(198, 41, 0, 4);
-    let attacker = Ipv4Addr::new(66, 0, 0, 9);
     let build = |attach: bool| -> (Simulator, NodeId, Obs) {
-        let (root, _, _) = paper_hierarchy();
-        let mut config = GuardConfig::new(pub_addr, Ipv4Addr::new(10, 99, 0, 1));
-        // Open limiters: a closed bucket would flip the bench onto the
-        // drop path after its budget drains.
-        config.rl1_global_rate = 1e12;
-        config.rl1_per_source_rate = 1e12;
-        config.rl2_per_source_rate = 1e12;
-        let mut sim = Simulator::new(7);
-        let guard = sim.add_node(
-            pub_addr,
-            CpuConfig::unbounded(),
-            RemoteGuard::new(config, AuthorityClassifier::new(Authority::new(vec![root]))),
-        );
-        let atk = sim.add_node(attacker, CpuConfig::unbounded(), Blackhole);
+        let (mut sim, guard, atk) = guard_world();
         let obs = Obs::new();
         if attach {
             obs.tracer.set_default_level(Level::Info);
@@ -139,8 +147,8 @@ fn bench_obs_overhead(c: &mut Criterion) {
     };
     let query = Message::iterative_query(9, "www.foo.com".parse().unwrap(), RrType::A);
     let pkt = Packet::udp(
-        Endpoint::new(attacker, 1024),
-        Endpoint::new(pub_addr, DNS_PORT),
+        Endpoint::new(INJECTOR, 1024),
+        Endpoint::new(GUARD_ADDR, DNS_PORT),
         query.encode(),
     );
 
@@ -162,251 +170,108 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.bench_function("counter_inc", |b| b.iter(|| counter.inc()));
     let t_off = obs.tracer.component("bench");
     g.bench_function("trace_event_off", |b| {
-        b.iter(|| t_off.event(1, "grant", &[("src", Value::Ip(attacker))]))
+        b.iter(|| t_off.event(1, "grant", &[("src", Value::Ip(INJECTOR))]))
     });
     obs.tracer.set_default_level(Level::Info);
     let t_on = obs.tracer.component("bench2");
     g.bench_function("trace_event_on", |b| {
-        b.iter(|| t_on.event(1, "grant", &[("src", Value::Ip(attacker))]))
+        b.iter(|| t_on.event(1, "grant", &[("src", Value::Ip(INJECTOR))]))
     });
     // The same event carrying the journey correlation id: the per-event
     // cost of making a decision point stitchable into a causal timeline.
     g.bench_function("trace_event_on_with_qid", |b| {
         b.iter(|| {
-            t_on.event(1, "grant", &[("src", Value::Ip(attacker)), ("qid", Value::U64(42))])
+            t_on.event(1, "grant", &[("src", Value::Ip(INJECTOR)), ("qid", Value::U64(42))])
         })
     });
     g.finish();
 }
 
-/// Stage-profiling overhead budget: the same per-datagram path as
-/// `bench_obs_overhead`, but compiled with the guard's `stage-profiling`
-/// feature — once with the profiler unarmed (no clock injected: one branch
-/// per datagram) and once armed with an `Instant`-based clock (1-in-8
-/// sampled stage laps). Beyond the criterion timings, this bench enforces
-/// the budget itself: best-of-N mean per-datagram cost when armed must
-/// stay within 5 % of unarmed, or the bench panics (ci runs it with
-/// `--features stage-profiling`).
-///
-/// Without the feature this is a no-op so `--all-targets` builds stay
-/// green in the default configuration.
-fn bench_stage_profiling(c: &mut Criterion) {
-    #[cfg(not(feature = "stage-profiling"))]
-    let _ = c;
-    #[cfg(feature = "stage-profiling")]
-    {
-        use dnsguard::classify::AuthorityClassifier;
-        use dnsguard::config::GuardConfig;
-        use dnsguard::guard::RemoteGuard;
-        use netsim::engine::{Context, CpuConfig, Node, NodeId, Simulator};
-        use netsim::packet::{Endpoint, Packet, DNS_PORT};
-        use std::sync::Arc;
-        use std::time::Instant;
-
-        struct Blackhole;
-        impl Node for Blackhole {
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
-        }
-
-        let pub_addr = Ipv4Addr::new(198, 41, 0, 4);
-        let client = Ipv4Addr::new(66, 0, 0, 9);
-        let build = |armed: bool| -> (Simulator, NodeId) {
-            let (root, _, _) = server::zone::paper_hierarchy();
-            let mut config = GuardConfig::new(pub_addr, Ipv4Addr::new(10, 99, 0, 1));
-            config.rl1_global_rate = 1e12;
-            config.rl1_per_source_rate = 1e12;
-            config.rl2_per_source_rate = 1e12;
-            let mut sim = Simulator::new(7);
-            let guard = sim.add_node(
-                pub_addr,
-                CpuConfig::unbounded(),
-                RemoteGuard::new(
-                    config,
-                    AuthorityClassifier::new(server::authoritative::Authority::new(vec![root])),
-                ),
-            );
-            let atk = sim.add_node(client, CpuConfig::unbounded(), Blackhole);
-            if armed {
-                let started = Instant::now();
-                sim.node_mut::<RemoteGuard>(guard)
-                    .unwrap()
-                    .set_stage_clock(Arc::new(move || started.elapsed().as_nanos() as u64));
-            }
-            (sim, atk)
-        };
-        let query = Message::iterative_query(9, "www.foo.com".parse().unwrap(), RrType::A);
-        let pkt = Packet::udp(
-            Endpoint::new(client, 1024),
-            Endpoint::new(pub_addr, DNS_PORT),
-            query.encode(),
-        );
-
-        let mut g = c.benchmark_group("stage_profiling");
-        for (label, armed) in [("guard_datagram_unarmed", false), ("guard_datagram_armed", true)] {
-            let (mut sim, atk) = build(armed);
-            let pkt = pkt.clone();
-            g.bench_function(label, |b| {
-                b.iter(|| {
-                    sim.inject(atk, black_box(pkt.clone()));
-                    sim.run();
-                })
-            });
-        }
-        g.finish();
-
-        // The budget gate: best-of-N mean per-datagram wall time, armed vs
-        // unarmed. Best-of-N discards scheduler noise; the 5 % bound is the
-        // acceptance criterion, the small absolute floor keeps sub-µs
-        // timer jitter from flaking the gate. Trials are interleaved
-        // (unarmed, armed, unarmed, ...) so a load spike on a shared box
-        // degrades both arms rather than biasing one, and kept short
-        // (~2 ms) so each arm gets many chances at a preemption-free
-        // minimum inside one scheduler quantum.
-        const TRIALS: usize = 32;
-        const DATAGRAMS: u32 = 1_000;
-        let trial = |sim: &mut Simulator, atk: NodeId| -> f64 {
-            let t0 = Instant::now();
-            for _ in 0..DATAGRAMS {
-                sim.inject(atk, pkt.clone());
-                sim.run();
-            }
-            t0.elapsed().as_nanos() as f64 / DATAGRAMS as f64
-        };
-        let (mut sim_u, atk_u) = build(false);
-        let (mut sim_a, atk_a) = build(true);
-        let (mut unarmed, mut armed) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..TRIALS {
-            unarmed = unarmed.min(trial(&mut sim_u, atk_u));
-            armed = armed.min(trial(&mut sim_a, atk_a));
-        }
-        let budget = unarmed * 1.05 + 50.0;
-        assert!(
-            armed <= budget,
-            "stage profiling overhead out of budget: armed {armed:.1} ns/datagram \
-             vs unarmed {unarmed:.1} ns/datagram (budget {budget:.1} ns)"
-        );
-        println!(
-            "stage-profiling budget OK: unarmed {unarmed:.1} ns/datagram, \
-             armed {armed:.1} ns/datagram (≤ {budget:.1})"
-        );
-    }
-}
-
 /// Traffic-analytics overhead budget: the same per-datagram path as
-/// `bench_obs_overhead`, but compiled with the guard's `traffic-analytics`
-/// feature — once with the sketch pipeline disabled at runtime (one branch
-/// per datagram) and once enabled (SipHash + count-min/top-K/HLL writes
-/// per datagram, estimate derivation every 256th). The datagrams cycle
-/// through 64 distinct sources so the top-K takes its eviction path, not
-/// just the same-entry fast path. Beyond the criterion timings, the bench
-/// enforces the budget itself: best-of-N mean per-datagram cost with
-/// analytics enabled must stay within 5 % of disabled, or the bench panics
-/// (ci runs it with `--features traffic-analytics`).
-///
-/// Without the feature this is a no-op so `--all-targets` builds stay
-/// green in the default configuration.
+/// `bench_obs_overhead`, once through an unarmed guard (one branch per
+/// datagram) and once through a guard armed with `arm_analytics` (SipHash,
+/// count-min/top-K/HLL writes per datagram, estimate derivation every
+/// 256th). The datagrams cycle through 64 distinct sources so the top-K
+/// takes its eviction path, not just the same-entry fast path. Beyond the
+/// criterion timings, the bench enforces the budget itself: best-of-N mean
+/// per-datagram cost armed must stay within 5 % + 50 ns of unarmed, or the
+/// bench panics — which is why this group runs last. No CI stage runs it,
+/// and it is red: the datagram got three times cheaper over PRs 12–17 while
+/// the sketch kept its ~90 ns (EXPERIMENTS.md "One build configuration" has
+/// the readings, ROADMAP's ledger item the decision the budget waits on).
 fn bench_traffic_analytics(c: &mut Criterion) {
-    #[cfg(not(feature = "traffic-analytics"))]
-    let _ = c;
-    #[cfg(feature = "traffic-analytics")]
+    use std::time::Instant;
+
+    let build = |enabled: bool| -> (Simulator, NodeId) {
+        let (mut sim, guard, atk) = guard_world();
+        if enabled {
+            sim.node_mut::<RemoteGuard>(guard).unwrap().arm_analytics();
+        }
+        (sim, atk)
+    };
+    // 64 distinct sources against a top-K capacity of 16: the sketch
+    // update constantly churns the replacement path.
+    let query = Message::iterative_query(9, "www.foo.com".parse().unwrap(), RrType::A);
+    let pkts: Vec<Packet> = (0..64u8)
+        .map(|i| {
+            Packet::udp(
+                Endpoint::new(Ipv4Addr::new(66, 0, 1, i), 1024),
+                Endpoint::new(GUARD_ADDR, DNS_PORT),
+                query.encode(),
+            )
+        })
+        .collect();
+
+    let mut g = c.benchmark_group("traffic_analytics");
+    for (label, enabled) in [("guard_datagram_disabled", false), ("guard_datagram_enabled", true)]
     {
-        use dnsguard::classify::AuthorityClassifier;
-        use dnsguard::config::GuardConfig;
-        use dnsguard::guard::RemoteGuard;
-        use netsim::engine::{Context, CpuConfig, Node, NodeId, Simulator};
-        use netsim::packet::{Endpoint, Packet, DNS_PORT};
-        use std::time::Instant;
-
-        struct Blackhole;
-        impl Node for Blackhole {
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
-        }
-
-        let pub_addr = Ipv4Addr::new(198, 41, 0, 4);
-        let client = Ipv4Addr::new(66, 0, 0, 9);
-        let build = |enabled: bool| -> (Simulator, NodeId) {
-            let (root, _, _) = server::zone::paper_hierarchy();
-            let mut config = GuardConfig::new(pub_addr, Ipv4Addr::new(10, 99, 0, 1));
-            config.rl1_global_rate = 1e12;
-            config.rl1_per_source_rate = 1e12;
-            config.rl2_per_source_rate = 1e12;
-            let mut sim = Simulator::new(7);
-            let guard = sim.add_node(
-                pub_addr,
-                CpuConfig::unbounded(),
-                RemoteGuard::new(
-                    config,
-                    AuthorityClassifier::new(server::authoritative::Authority::new(vec![root])),
-                ),
-            );
-            let atk = sim.add_node(client, CpuConfig::unbounded(), Blackhole);
-            if !enabled {
-                sim.node_mut::<RemoteGuard>(guard)
-                    .unwrap()
-                    .set_analytics_enabled(false);
-            }
-            (sim, atk)
-        };
-        // 64 distinct sources against a top-K capacity of 16: the sketch
-        // update constantly churns the replacement path.
-        let query = Message::iterative_query(9, "www.foo.com".parse().unwrap(), RrType::A);
-        let pkts: Vec<Packet> = (0..64u8)
-            .map(|i| {
-                Packet::udp(
-                    Endpoint::new(Ipv4Addr::new(66, 0, 1, i), 1024),
-                    Endpoint::new(pub_addr, DNS_PORT),
-                    query.encode(),
-                )
-            })
-            .collect();
-
-        let mut g = c.benchmark_group("traffic_analytics");
-        for (label, enabled) in [("guard_datagram_disabled", false), ("guard_datagram_enabled", true)]
-        {
-            let (mut sim, atk) = build(enabled);
-            let pkts = pkts.clone();
-            let mut i = 0usize;
-            g.bench_function(label, |b| {
-                b.iter(|| {
-                    i = (i + 1) % pkts.len();
-                    sim.inject(atk, black_box(pkts[i].clone()));
-                    sim.run();
-                })
-            });
-        }
-        g.finish();
-
-        // The budget gate: best-of-N mean per-datagram wall time, enabled
-        // vs disabled, interleaved trials — same methodology as the
-        // stage-profiling gate above.
-        const TRIALS: usize = 32;
-        const DATAGRAMS: u32 = 1_000;
-        let trial = |sim: &mut Simulator, atk: NodeId| -> f64 {
-            let t0 = Instant::now();
-            for n in 0..DATAGRAMS {
-                sim.inject(atk, pkts[n as usize % pkts.len()].clone());
+        let (mut sim, atk) = build(enabled);
+        let pkts = pkts.clone();
+        let mut i = 0usize;
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                i = (i + 1) % pkts.len();
+                sim.inject(atk, black_box(pkts[i].clone()));
                 sim.run();
-            }
-            t0.elapsed().as_nanos() as f64 / DATAGRAMS as f64
-        };
-        let (mut sim_off, atk_off) = build(false);
-        let (mut sim_on, atk_on) = build(true);
-        let (mut disabled, mut enabled) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..TRIALS {
-            disabled = disabled.min(trial(&mut sim_off, atk_off));
-            enabled = enabled.min(trial(&mut sim_on, atk_on));
-        }
-        let budget = disabled * 1.05 + 50.0;
-        assert!(
-            enabled <= budget,
-            "traffic analytics overhead out of budget: enabled {enabled:.1} ns/datagram \
-             vs disabled {disabled:.1} ns/datagram (budget {budget:.1} ns)"
-        );
-        println!(
-            "traffic-analytics budget OK: disabled {disabled:.1} ns/datagram, \
-             enabled {enabled:.1} ns/datagram (≤ {budget:.1})"
-        );
+            })
+        });
     }
+    g.finish();
+
+    // The budget gate: best-of-N mean per-datagram wall time, enabled vs
+    // disabled. Best-of-N discards scheduler noise; the small absolute
+    // floor keeps sub-µs timer jitter from flaking the gate. Trials are
+    // interleaved (disabled, enabled, disabled, ...) so a load spike on a
+    // shared box degrades both arms rather than biasing one, and kept short
+    // (~1 ms) so each arm gets many chances at a preemption-free minimum
+    // inside one scheduler quantum.
+    const TRIALS: usize = 32;
+    const DATAGRAMS: u32 = 1_000;
+    let trial = |sim: &mut Simulator, atk: NodeId| -> f64 {
+        let t0 = Instant::now();
+        for n in 0..DATAGRAMS {
+            sim.inject(atk, pkts[n as usize % pkts.len()].clone());
+            sim.run();
+        }
+        t0.elapsed().as_nanos() as f64 / DATAGRAMS as f64
+    };
+    let (mut sim_off, atk_off) = build(false);
+    let (mut sim_on, atk_on) = build(true);
+    let (mut disabled, mut enabled) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..TRIALS {
+        disabled = disabled.min(trial(&mut sim_off, atk_off));
+        enabled = enabled.min(trial(&mut sim_on, atk_on));
+    }
+    let budget = disabled * 1.05 + 50.0;
+    assert!(
+        enabled <= budget,
+        "traffic analytics overhead out of budget: enabled {enabled:.1} ns/datagram \
+         vs disabled {disabled:.1} ns/datagram (budget {budget:.1} ns)"
+    );
+    println!(
+        "traffic-analytics budget OK: disabled {disabled:.1} ns/datagram, \
+         enabled {enabled:.1} ns/datagram (≤ {budget:.1})"
+    );
 }
 
 /// Journey reassembly throughput: stitching one cold-start world's drained
@@ -456,8 +321,7 @@ criterion_group!(
     bench_wire,
     bench_ratelimit,
     bench_obs_overhead,
-    bench_stage_profiling,
-    bench_traffic_analytics,
-    bench_journey_assembly
+    bench_journey_assembly,
+    bench_traffic_analytics
 );
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! The traffic-analytics experiment behind `BENCH_analytics.json`: can the
 //! guard's streaming sketches tell a spoofed flood from a flash crowd?
 //!
-//! Three adversarial workloads and a clean baseline drive one guard each,
+//! Three adversarial workloads and a clean baseline drive one guard each
+//! (armed with `GuardCore::arm_analytics`; no other experiment arms one),
 //! with the alert engine evaluated on a fixed cadence over the registry
 //! (exactly what a live deployment's telemetry loop does):
 //!
@@ -28,10 +29,8 @@
 //! top-K with its count inside the space-saving error bracket
 //! (`guaranteed ≤ truth ≤ count`).
 //!
-//! Only built with the `traffic-analytics` feature (the sketches compile
-//! out of the guard otherwise). Run via `cargo run --release -p bench
-//! --features traffic-analytics --bin all_experiments -- analytics`; the
-//! document lands in `BENCH_analytics.json`.
+//! Run via `cargo run --release -p bench --bin all_experiments --
+//! analytics`; the document lands in `BENCH_analytics.json`.
 //!
 //! [`FleetAggregator::merged_sketch`]: obs::fleet::FleetAggregator::merged_sketch
 
@@ -98,10 +97,9 @@ fn scenario_world(seed: u64) -> ScenarioWorld {
     });
     let obs = Obs::new();
     obs.tracer.set_default_level(Level::Info);
-    w.sim
-        .node_mut::<RemoteGuard>(w.guard)
-        .unwrap()
-        .attach_obs(&obs);
+    let guard = w.sim.node_mut::<RemoteGuard>(w.guard).unwrap();
+    guard.attach_obs(&obs);
+    guard.arm_analytics();
     let mut engine = AlertEngine::new(AlertConfig::default());
     engine.attach_obs(&obs);
     ScenarioWorld { w, obs, engine }
@@ -277,6 +275,7 @@ fn merge_site(seed: u64, config: FlashCrowdConfig) -> (obs::sketch::TrafficSketc
         guard_cpu: CpuConfig::unbounded(),
         ..WorldParams::new(seed)
     });
+    w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().arm_analytics();
     let crowd = w.sim.add_node(
         Ipv4Addr::new(81, 0, 0, 1),
         CpuConfig::unbounded(),

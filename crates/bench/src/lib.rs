@@ -27,12 +27,11 @@
 //!   `BENCH_fleetobs.json`: both sites polled into a [`FleetAggregator`],
 //!   cross-node journey stitching through a mid-flood catchment shift
 //!   with clock skew, and the fleet alert rules through a site crash;
-//! * `analytics` — `analytics`: (feature `traffic-analytics`, so no doc
-//!   link from the default build) the spoof-vs-flash-crowd discriminator
+//! * [`analytics`] — `analytics`: the spoof-vs-flash-crowd discriminator
 //!   experiment behind `BENCH_analytics.json`: a random-spoof flood, a
 //!   bounded Zipf flash crowd, and a low-and-slow botnet driven through
-//!   the guard's streaming sketches, plus a two-site sketch-merge leg
-//!   checked against exact generator ground truth;
+//!   the streaming sketches of guards armed for it, plus a two-site
+//!   sketch-merge leg checked against exact generator ground truth;
 //! * [`poison`] — `poison`: the cache-poisoning success table behind
 //!   `BENCH_poison.json`;
 //! * [`registry`] — the table, the runner and the export validator;
@@ -46,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
-#[cfg(feature = "traffic-analytics")]
 pub mod analytics;
 pub mod experiments;
 pub mod failover;

@@ -9,7 +9,7 @@
 //! every row alike: print the report, write the exports, read them back
 //! from disk, validate format and required keys, collect the failures.
 
-use crate::{ablations, failover, fleet, fleetobs, journeys, obs_export, paper, poison};
+use crate::{ablations, analytics, failover, fleet, fleetobs, journeys, obs_export, paper, poison};
 use obs::export::{validate_json, validate_jsonl};
 use std::path::PathBuf;
 
@@ -177,13 +177,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
         files: &[fleetobs::SUMMARY_FILE, fleetobs::TRACE_FILE],
         run: fleetobs::experiment,
     },
-    #[cfg(feature = "traffic-analytics")]
     Experiment {
         name: "analytics",
         title: "Traffic analytics: spoof vs flash crowd, sketch merge",
         paper: false,
-        files: &[crate::analytics::SUMMARY_FILE],
-        run: crate::analytics::experiment,
+        files: &[analytics::SUMMARY_FILE],
+        run: analytics::experiment,
     },
     Experiment {
         name: "poison",
@@ -213,22 +212,14 @@ fn usage() -> String {
         let mark = if e.paper { '*' } else { ' ' };
         text.push_str(&format!(" {mark} {:<10} {}\n", e.name, e.title));
     }
-    if cfg!(not(feature = "traffic-analytics")) {
-        text.push_str("   analytics  (only in a build with --features traffic-analytics)\n");
-    }
     text
 }
 
 fn lookup(name: &str) -> Result<&'static Experiment, String> {
-    EXPERIMENTS.iter().find(|e| e.name == name).ok_or_else(|| {
-        if name == "analytics" {
-            "the analytics experiment needs the sketches compiled in: \
-             rebuild with --features traffic-analytics"
-                .to_string()
-        } else {
-            format!("unknown experiment {name:?}")
-        }
-    })
+    EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .ok_or_else(|| format!("unknown experiment {name:?}"))
 }
 
 /// Parses the arguments after the program name. Anything that is not
@@ -370,10 +361,11 @@ mod tests {
             (names(&plan), plan.out),
             (PAPER.to_vec(), PathBuf::from("."))
         );
-        let plan = parse(&["poison", "--out", "target/x", "ha"]).unwrap();
+        // `analytics` is a row like any other: it parses in the one build.
+        let plan = parse(&["poison", "--out", "target/x", "analytics"]).unwrap();
         assert_eq!(
             (names(&plan), plan.out),
-            (vec!["poison", "ha"], PathBuf::from("target/x"))
+            (vec!["poison", "analytics"], PathBuf::from("target/x"))
         );
     }
 
@@ -384,12 +376,6 @@ mod tests {
             (&["posion"], "unknown experiment \"posion\""),
             (&["obs", "--outdir", "x"], "unknown flag \"--outdir\""),
             (&["obs", "--out"], "--out needs a directory"),
-            #[cfg(not(feature = "traffic-analytics"))]
-            (
-                &["analytics"],
-                "the analytics experiment needs the sketches compiled in: \
-                 rebuild with --features traffic-analytics",
-            ),
         ] {
             let err = parse(bad).err().expect("must be rejected");
             assert_eq!(err.lines().next(), Some(problem));

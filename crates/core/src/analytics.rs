@@ -1,42 +1,32 @@
 //! Hot-path traffic analytics for the guard's per-datagram pipeline.
 //!
-//! When the `traffic-analytics` cargo feature is enabled,
-//! [`TrafficAnalytics`] folds every datagram's source address into an
-//! [`obs::sketch::TrafficSketch`] (count-min + space-saving top-K + HLL
+//! A guard armed with [`GuardCore::arm_analytics`] holds one
+//! [`TrafficAnalytics`], which folds every datagram's source address into
+//! an [`obs::sketch::TrafficSketch`] (count-min + space-saving top-K + HLL
 //! cardinality + entropy) and republishes the derived population signals
 //! at a fixed cadence:
 //!
 //! * gauges `guard.analytics_distinct`, `guard.analytics_entropy_norm_milli`
 //!   and `guard.analytics_top_share_milli` — the inputs the alert engine's
 //!   `spoof_flood` / `flash_crowd` discriminator reads;
-//! * a shared [`AnalyticsSnapshot`] the runtime telemetry endpoint serves
-//!   for its `top_sources` command;
 //! * an `analytics_topk` trace event per refresh, so the trace ring
 //!   carries the population history alongside the per-decision events.
 //!
-//! The same discipline as [`crate::stageprof`] keeps this safe on the hot
-//! path: without the feature, [`TrafficAnalytics`] is a zero-sized type
-//! whose methods are empty `#[inline]` bodies the optimizer erases; with
-//! it, the per-datagram cost is one SipHash call plus a handful of array
-//! writes (estimate *derivation* — HLL harmonic mean, entropy — only runs
-//! every [`REFRESH_PERIOD`] datagrams), inside the ≤5 % budget the
-//! micro-bench enforces. Everything is deterministic: no clocks (the
-//! refresh timestamp is the caller's sim time), no ambient randomness
-//! (guardlint L2).
+//! An unarmed guard (the default) owns no sketch, registers no gauge and
+//! pays one branch per UDP datagram. Armed, the per-datagram cost is one
+//! SipHash call plus a handful of array writes; estimate *derivation* —
+//! HLL harmonic mean, entropy — only runs every [`REFRESH_PERIOD`]
+//! datagrams. Everything is deterministic: no clocks (the refresh
+//! timestamp is the caller's sim time), no ambient randomness (guardlint
+//! L2).
+//!
+//! [`GuardCore::arm_analytics`]: crate::guard::GuardCore::arm_analytics
 
-#[cfg(feature = "traffic-analytics")]
 use obs::metrics::Gauge;
 use obs::sketch::{AnalyticsSnapshot, TrafficSketch};
-#[cfg(feature = "traffic-analytics")]
 use obs::trace::{ComponentTracer, Value};
 use obs::Obs;
-use parking_lot::Mutex;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
-
-/// A republishing handle for the latest derived snapshot: the guard
-/// refreshes it in-place, the telemetry endpoint reads it lock-briefly.
-pub type SharedAnalytics = Arc<Mutex<AnalyticsSnapshot>>;
 
 /// Derive estimates and republish once per this many datagrams (power of
 /// two): per-datagram work stays O(1) while the gauges lag the stream by
@@ -47,40 +37,18 @@ pub const REFRESH_PERIOD: u64 = 256;
 /// each has a live emit site and is observed outside this module).
 pub const ANALYTICS_KINDS: &[&str] = &["analytics_topk"];
 
-/// The live analytics pipeline (feature `traffic-analytics` on).
-#[cfg(feature = "traffic-analytics")]
+/// The analytics pipeline of an armed guard; `default()` is unattached
+/// (gauges detached, tracing off).
+#[derive(Default)]
 pub struct TrafficAnalytics {
-    /// Runtime arm/disarm switch (the bench's no-observe arm; defaults on).
-    enabled: bool,
     sketch: TrafficSketch,
     gauge_distinct: Gauge,
     gauge_entropy_norm_milli: Gauge,
     gauge_top_share_milli: Gauge,
-    published: SharedAnalytics,
     trace: ComponentTracer,
 }
 
-#[cfg(feature = "traffic-analytics")]
 impl TrafficAnalytics {
-    /// An enabled, unattached pipeline (gauges detached, tracing off).
-    pub fn new() -> TrafficAnalytics {
-        TrafficAnalytics {
-            enabled: true,
-            sketch: TrafficSketch::new(),
-            gauge_distinct: Gauge::new(),
-            gauge_entropy_norm_milli: Gauge::new(),
-            gauge_top_share_milli: Gauge::new(),
-            published: Arc::new(Mutex::new(AnalyticsSnapshot::default())),
-            trace: ComponentTracer::disabled(),
-        }
-    }
-
-    /// Runtime switch: `false` leaves only the per-datagram branch (the
-    /// micro-bench's reference arm).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Adopts the analytics gauges into `obs.registry` (component `guard`)
     /// and wires refresh trace events into component `guard`.
     pub fn adopt_into(&mut self, obs: &Obs) {
@@ -106,17 +74,14 @@ impl TrafficAnalytics {
     /// estimates (`now_nanos` stamps the refresh trace event).
     #[inline]
     pub fn observe(&mut self, now_nanos: u64, src: Ipv4Addr) {
-        if !self.enabled {
-            return;
-        }
         self.sketch.observe(src);
         if self.sketch.total() & (REFRESH_PERIOD - 1) == 0 {
             self.refresh(now_nanos);
         }
     }
 
-    /// Derives the current estimates, updates the gauges and the shared
-    /// snapshot, and emits one `analytics_topk` trace event.
+    /// Derives the current estimates, updates the gauges and emits one
+    /// `analytics_topk` trace event.
     fn refresh(&mut self, now_nanos: u64) {
         let snap = self.sketch.snapshot();
         self.gauge_distinct.set(snap.distinct as u64);
@@ -138,7 +103,6 @@ impl TrafficAnalytics {
                 ("top_count", Value::U64(top.map(|e| e.count).unwrap_or(0))),
             ],
         );
-        *self.published.lock() = snap;
     }
 
     /// A freshly derived snapshot of the cumulative sketch.
@@ -150,95 +114,25 @@ impl TrafficAnalytics {
     pub fn sketch(&self) -> TrafficSketch {
         self.sketch.clone()
     }
-
-    /// The shared republished snapshot (for the telemetry `top_sources`
-    /// provider). Refreshed every [`REFRESH_PERIOD`] datagrams.
-    pub fn shared(&self) -> SharedAnalytics {
-        self.published.clone()
-    }
-
-    /// Datagrams folded in so far.
-    pub fn observed(&self) -> u64 {
-        self.sketch.total()
-    }
 }
 
-#[cfg(feature = "traffic-analytics")]
-impl Default for TrafficAnalytics {
-    fn default() -> Self {
-        TrafficAnalytics::new()
-    }
-}
-
-/// The compiled-out pipeline (feature `traffic-analytics` off): a
-/// zero-sized type with the same API, every method an empty inline body.
-#[cfg(not(feature = "traffic-analytics"))]
-#[derive(Default)]
-pub struct TrafficAnalytics;
-
-#[cfg(not(feature = "traffic-analytics"))]
-impl TrafficAnalytics {
-    /// A no-op pipeline.
-    pub fn new() -> TrafficAnalytics {
-        TrafficAnalytics
-    }
-
-    /// No-op.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
-    /// No-op: no gauges exist to adopt.
-    pub fn adopt_into(&mut self, obs: &Obs) {
-        let _ = obs;
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn observe(&mut self, now_nanos: u64, src: Ipv4Addr) {
-        let _ = (now_nanos, src);
-    }
-
-    /// An empty snapshot in a no-op build.
-    pub fn snapshot(&self) -> AnalyticsSnapshot {
-        AnalyticsSnapshot::default()
-    }
-
-    /// An empty sketch in a no-op build.
-    pub fn sketch(&self) -> TrafficSketch {
-        TrafficSketch::new()
-    }
-
-    /// A shared snapshot that stays empty forever.
-    pub fn shared(&self) -> SharedAnalytics {
-        Arc::new(Mutex::new(AnalyticsSnapshot::default()))
-    }
-
-    /// Always zero in a no-op build.
-    pub fn observed(&self) -> u64 {
-        0
-    }
-}
-
-#[cfg(all(test, feature = "traffic-analytics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use obs::trace::Level;
 
     #[test]
-    fn gauges_and_shared_snapshot_refresh_on_period() {
+    fn gauges_and_trace_refresh_on_period() {
         let obs = Obs::new();
         obs.tracer.set_default_level(Level::Info);
-        let mut a = TrafficAnalytics::new();
+        let mut a = TrafficAnalytics::default();
         a.adopt_into(&obs);
-        let shared = a.shared();
 
         // One refresh period of a single chatty source.
         for i in 0..REFRESH_PERIOD {
             a.observe(i * 1_000, Ipv4Addr::new(10, 0, 0, 1));
         }
-        assert_eq!(a.observed(), REFRESH_PERIOD);
-        let snap = shared.lock().clone();
+        let snap = a.snapshot();
         assert_eq!(snap.total, REFRESH_PERIOD);
         assert_eq!(snap.top[0].ip, u32::from(Ipv4Addr::new(10, 0, 0, 1)));
         assert!(snap.top_share > 0.99, "single source owns the stream");
@@ -251,16 +145,5 @@ mod tests {
         assert!(matches!(distinct.value, obs::metrics::SampleValue::Gauge(1)));
         let (events, _) = obs.tracer.drain();
         assert_eq!(events.iter().filter(|e| e.kind == "analytics_topk").count(), 1);
-    }
-
-    #[test]
-    fn disabled_pipeline_observes_nothing() {
-        let mut a = TrafficAnalytics::new();
-        a.set_enabled(false);
-        for _ in 0..1_000 {
-            a.observe(0, Ipv4Addr::new(10, 0, 0, 1));
-        }
-        assert_eq!(a.observed(), 0);
-        assert_eq!(a.snapshot().total, 0);
     }
 }

@@ -4,6 +4,7 @@
 use super::fwd::{restored_question, Forwarded, FwdTable, Rewrite};
 use super::stats::{GuardMetrics, GuardStats};
 use crate::admission::{AdmissionController, PressureTier};
+use crate::analytics::TrafficAnalytics;
 use crate::checkpoint::{
     FwdState, GuardCheckpoint, KeyState, RewriteState, SharedCheckpointStore, StashState,
     CHECKPOINT_VERSION, STASH_TTL,
@@ -440,13 +441,12 @@ pub struct GuardCore {
     ha: Option<HaRuntime>,
     /// Anycast-fleet key-sync state (None ⇒ single-site key).
     fleet: Option<FleetRuntime>,
-    /// Per-decision-stage latency profiler; a zero-sized no-op unless the
-    /// `stage-profiling` cargo feature is on *and* a clock is injected.
-    stageprof: crate::stageprof::StageProf,
     /// Streaming source-population sketches (heavy hitters, cardinality,
-    /// entropy); a zero-sized no-op unless the `traffic-analytics` cargo
-    /// feature is on.
-    analytics: crate::analytics::TrafficAnalytics,
+    /// entropy); `None` until [`GuardCore::arm_analytics`].
+    analytics: Option<Box<TrafficAnalytics>>,
+    /// The bundle given to [`GuardCore::attach_obs`], kept so that arming
+    /// analytics afterwards adopts its gauges into the same registry.
+    obs: Option<obs::Obs>,
 }
 
 impl GuardCore {
@@ -496,8 +496,8 @@ impl GuardCore {
                 .map(|cfg| FleetRuntime::new(cfg, config.key_seed)),
             config,
             classifier,
-            stageprof: crate::stageprof::StageProf::new(),
-            analytics: crate::analytics::TrafficAnalytics::new(),
+            analytics: None,
+            obs: None,
         }
     }
 
@@ -515,50 +515,38 @@ impl GuardCore {
         self.rl1.adopt_into(&obs.registry, "guard", "rl1");
         self.rl2.adopt_into(&obs.registry, "guard", "rl2");
         self.proxy.adopt_into(&obs.registry);
-        self.stageprof.adopt_into(&obs.registry);
-        self.analytics.adopt_into(obs);
+        if let Some(analytics) = &mut self.analytics {
+            analytics.adopt_into(obs);
+        }
         self.metrics.trace = obs.tracer.component("guard");
+        self.obs = Some(obs.clone());
     }
 
-    /// Arms the stage profiler with a monotonic nanosecond clock (e.g. a
-    /// captured `Instant`-based closure in a bench harness). A no-op
-    /// unless the crate was built with the `stage-profiling` feature; the
-    /// sim-domain guard never reads a wall clock itself.
-    pub fn set_stage_clock(&mut self, clock: crate::stageprof::StageClock) {
-        self.stageprof.set_clock(clock);
-    }
-
-    /// Samples recorded for profiling stage `stage` (see
-    /// [`crate::stageprof::STAGE_NAMES`]); always 0 without the
-    /// `stage-profiling` feature.
-    pub fn stage_sample_count(&self, stage: usize) -> u64 {
-        self.stageprof.stage_count(stage)
-    }
-
-    /// Runtime switch for the traffic-analytics pipeline (the bench's
-    /// reference arm); a no-op without the `traffic-analytics` feature.
-    pub fn set_analytics_enabled(&mut self, enabled: bool) {
-        self.analytics.set_enabled(enabled);
+    /// Arms the traffic-analytics pipeline: from here on every UDP
+    /// datagram's source is folded into the sketch, and the `analytics_*`
+    /// gauges and `analytics_topk` events appear in the attached bundle
+    /// (whether it was attached before or is attached later). Arming an
+    /// armed guard changes nothing.
+    pub fn arm_analytics(&mut self) {
+        if self.analytics.is_none() {
+            let mut analytics = Box::<TrafficAnalytics>::default();
+            if let Some(obs) = &self.obs {
+                analytics.adopt_into(obs);
+            }
+            self.analytics = Some(analytics);
+        }
     }
 
     /// A freshly derived source-population snapshot (distinct sources,
-    /// entropy, top talkers); empty without the `traffic-analytics`
-    /// feature.
+    /// entropy, top talkers); empty on an unarmed guard.
     pub fn analytics_snapshot(&self) -> obs::sketch::AnalyticsSnapshot {
-        self.analytics.snapshot()
+        self.analytics.as_ref().map(|a| a.snapshot()).unwrap_or_default()
     }
 
     /// A clone of the cumulative traffic sketch for fleet-level merging;
-    /// empty without the `traffic-analytics` feature.
+    /// empty on an unarmed guard.
     pub fn analytics_sketch(&self) -> obs::sketch::TrafficSketch {
-        self.analytics.sketch()
-    }
-
-    /// The shared republished snapshot the telemetry `top_sources`
-    /// command serves; stays empty without the `traffic-analytics`
-    /// feature.
-    pub fn analytics_shared(&self) -> crate::analytics::SharedAnalytics {
-        self.analytics.shared()
+        self.analytics.as_ref().map(|a| a.sketch()).unwrap_or_default()
     }
 
     /// Whether spoof detection is currently engaged.
@@ -1535,17 +1523,13 @@ impl GuardCore {
             // Replication traffic is control-plane, not DNS: it is
             // dispatched before the datagram counter so the pipeline
             // conservation invariant keeps covering exactly the DNS data
-            // path. It is also outside the profiled DNS pipeline.
+            // path.
             Proto::Udp
                 if (self.ha.is_some() || self.fleet.is_some()) && pkt.dst.port == REPL_PORT =>
             {
                 self.handle_repl(now, out, pkt);
             }
-            Proto::Udp => {
-                self.stageprof.begin();
-                self.handle_udp(now, leg, out, pkt);
-                self.stageprof.finish();
-            }
+            Proto::Udp => self.handle_udp(now, leg, out, pkt),
             Proto::Tcp => self.handle_tcp(now, out, pkt),
         }
     }
@@ -1554,7 +1538,6 @@ impl GuardCore {
     /// is told: admits `src`, or counts and traces the drop.
     fn admit_unverified(&mut self, now: SimTime, src: Ipv4Addr) -> bool {
         let admitted = self.rl1.admit(now, src);
-        self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
         if let Some(forgotten) = self.rl1.take_evicted() {
             self.trace_evict(now, "rl1", ("src", Value::Ip(forgotten)));
         }
@@ -1570,7 +1553,6 @@ impl GuardCore {
     /// the source verified in decision `qid`, or counts and traces the drop.
     fn admit_verified(&mut self, now: SimTime, src: Ipv4Addr, qid: u64) -> bool {
         let admitted = self.rl2.admit(now, src);
-        self.stageprof.lap(crate::stageprof::STAGE_ADMIT);
         if let Some(forgotten) = self.rl2.take_evicted() {
             self.trace_evict(now, "rl2", ("src", Value::Ip(forgotten)));
         }
@@ -1597,7 +1579,6 @@ impl GuardCore {
         src: Ipv4Addr,
         qid: u64,
     ) -> bool {
-        self.stageprof.lap(crate::stageprof::STAGE_VERIFY);
         let m = &self.metrics;
         let (name, cell) = match (scheme, valid) {
             (Scheme::Ext, true) => ("ext", &m.ext_valid),
@@ -1638,14 +1619,15 @@ impl GuardCore {
 
     fn handle_udp(&mut self, now: SimTime, leg: Leg, out: &mut Outputs, pkt: Packet) {
         self.metrics.udp_datagrams.inc();
-        self.analytics.observe(now.as_nanos(), pkt.src.ip);
+        if let Some(analytics) = &mut self.analytics {
+            analytics.observe(now.as_nanos(), pkt.src.ip);
+        }
         // The verdict is taken on a borrowed view of the datagram; an owned
         // `Message` is built only for what the guard answers or rewrites.
         let Ok(view) = MessageView::parse(&pkt.payload) else {
             self.metrics.unparseable.inc();
             return;
         };
-        self.stageprof.lap(crate::stageprof::STAGE_DECODE);
         if view.header.response {
             if leg != Leg::Upstream {
                 // A response-flagged datagram not from the ANS: spoofed or

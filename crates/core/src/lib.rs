@@ -62,7 +62,6 @@ pub mod ha;
 pub mod local_guard;
 pub mod ratelimit;
 pub mod rfc7873;
-pub mod stageprof;
 pub mod tcp_proxy;
 
 pub use admission::{AdmissionConfig, AdmissionController, PressureTier};

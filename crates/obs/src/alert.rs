@@ -167,331 +167,58 @@ pub struct AlertTransition {
     pub value: f64,
 }
 
-/// The rule engine. Feed it snapshots; read back active alerts, the
-/// transition history, and `alert` trace events/counters.
-pub struct AlertEngine {
-    config: AlertConfig,
+/// The alert state machine under both rule engines (the per-node
+/// [`AlertEngine`] and the fleet's [`crate::fleet::FleetAggregator`]): the
+/// per-cell clamped-delta book-keeping, the active set, the transition
+/// history, and the trace event and counter every transition leaves. The
+/// engines differ only in the rules they evaluate and in what they attach.
+#[derive(Default)]
+pub(crate) struct AlertState {
+    /// Previous value of every cell a rule reads, by caller-chosen key.
     prev: HashMap<String, u64>,
     prev_t: Option<u64>,
     active: BTreeMap<&'static str, ActiveAlert>,
     history: Vec<AlertTransition>,
-    down_times: VecDeque<u64>,
-    trace: ComponentTracer,
+    /// The engine's trace component; the fleet aggregator's own events
+    /// (`journey_stitch`, `node_silent`) go through it too.
+    pub(crate) trace: ComponentTracer,
     fired: HashMap<&'static str, Counter>,
 }
 
-impl std::fmt::Debug for AlertEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlertEngine")
-            .field("active", &self.active.keys().collect::<Vec<_>>())
-            .field("history", &self.history.len())
-            .finish()
-    }
-}
-
-/// A shareable engine handle: the netsim tick and a telemetry endpoint can
-/// evaluate/read the same engine.
-pub type SharedAlertEngine = Arc<parking_lot::Mutex<AlertEngine>>;
-
-/// Wraps an engine for sharing.
-pub fn shared(engine: AlertEngine) -> SharedAlertEngine {
-    Arc::new(parking_lot::Mutex::new(engine))
-}
-
-fn label_is(labels: &[(&'static str, String)], key: &str, value: &str) -> bool {
-    labels.iter().any(|(k, v)| *k == key && v == value)
-}
-
-fn counter_of(s: &MetricSample) -> u64 {
-    match s.value {
-        SampleValue::Counter(v) => v,
-        _ => 0,
-    }
-}
-
-impl AlertEngine {
-    /// An engine with the given thresholds, not yet attached to an
-    /// observer (transitions are tracked but not traced/counted).
-    pub fn new(config: AlertConfig) -> AlertEngine {
-        AlertEngine {
-            config,
-            prev: HashMap::new(),
-            prev_t: None,
-            active: BTreeMap::new(),
-            history: Vec::new(),
-            down_times: VecDeque::new(),
-            trace: ComponentTracer::disabled(),
-            fired: HashMap::new(),
-        }
+impl AlertState {
+    /// Wires transitions into `trace` and the per-rule `fired` counters.
+    /// The engines register the counters themselves, so that each name has
+    /// a literal definition site for guardlint L4 to find.
+    pub(crate) fn attach(
+        &mut self,
+        trace: ComponentTracer,
+        fired: impl Iterator<Item = (&'static str, Counter)>,
+    ) {
+        self.trace = trace;
+        self.fired.extend(fired);
     }
 
-    /// Wires transition events into `obs`: trace component `alert`, and an
-    /// `alert.fired{rule}` counter per rule.
-    pub fn attach_obs(&mut self, obs: &Obs) {
-        self.trace = obs.tracer.component("alert");
-        for rule in RULES {
-            self.fired
-                .insert(rule, obs.registry.counter("alert", "fired", &[("rule", rule)]));
-        }
+    /// The growth of cell `key` (a counter, or a gauge that only moves
+    /// forward) since the previous evaluation, clamped to zero: a cell
+    /// jumping backwards — a checkpoint restore or failover re-attach swaps
+    /// in fresh zero-valued counters — contributes nothing instead of
+    /// dragging a summed total negative and masking other cells' genuine
+    /// growth. A cell seen for the first time likewise contributes zero, so
+    /// metrics attached mid-run cannot fake a surge.
+    pub(crate) fn cell_delta(&mut self, key: String, now: u64) -> u64 {
+        let was = self.prev.insert(key, now).unwrap_or(now);
+        now.saturating_sub(was)
     }
 
-    /// Evaluates every rule against `samples` (a `Registry::snapshot`).
-    /// The first call only records baselines; subsequent calls compute
-    /// rates over the elapsed interval.
-    ///
-    /// Deltas are computed **per cell** (keyed by component+name+labels)
-    /// and clamped to zero *before* summing into a rule's class: a single
-    /// cell jumping backwards — a checkpoint restore or failover re-attach
-    /// swaps in fresh zero-valued counters — contributes nothing instead
-    /// of dragging the summed total negative and masking other cells'
-    /// genuine growth. A cell seen for the first time likewise contributes
-    /// zero, so a guard attaching its metrics mid-run cannot fake a surge.
-    pub fn evaluate(&mut self, t_nanos: u64, samples: &[MetricSample]) {
-        // Per-class deltas, summed over per-cell clamped deltas across
-        // guard + runtime guard.
-        let mut d_invalid = 0u64;
-        let mut d_rl1 = 0u64;
-        let mut d_rl2 = 0u64;
-        let mut d_downs = 0u64;
-        let mut d_recov = 0u64;
-        let mut d_ring = 0u64;
-        let mut amp_milli = 0u64;
-        let mut checkpoint_age = 0u64;
-        let mut d_takeovers = 0u64;
-        let mut d_shed = 0u64;
-        let mut d_shifted = 0u64;
-        let mut d_handshakes = 0u64;
-        let mut d_datagrams = 0u64;
-        let mut d_poison_attempts = 0u64;
-        let mut d_poison_hits = 0u64;
-        let mut d_new_sources = 0u64;
-        let mut distinct = 0u64;
-        let mut entropy_norm_milli = 0u64;
-        let mut top_share_milli = 0u64;
-        let prev = &mut self.prev;
-        // Clamped per-cell delta of `now` (the counter value — or, for the
-        // cumulative `analytics_distinct` gauge, the gauge value: between
-        // refreshes it only moves forward, and a reset clamps to zero like
-        // any counter) against this cell's previous evaluation.
-        let mut cell_delta = |s: &MetricSample, now: u64| -> u64 {
-            let was = prev.insert(s.key(), now).unwrap_or(now);
-            now.saturating_sub(was)
-        };
-        for s in samples {
-            match (s.component, s.name) {
-                (_, "verify") if label_is(&s.labels, "verdict", "invalid") => {
-                    d_invalid += cell_delta(s, counter_of(s));
-                }
-                (_, "rl_dropped") if label_is(&s.labels, "limiter", "rl1") => {
-                    d_rl1 += cell_delta(s, counter_of(s));
-                }
-                (_, "rl_dropped") if label_is(&s.labels, "limiter", "rl2") => {
-                    d_rl2 += cell_delta(s, counter_of(s));
-                }
-                (_, "ans_down_events") => d_downs += cell_delta(s, counter_of(s)),
-                (_, "ans_recoveries") => d_recov += cell_delta(s, counter_of(s)),
-                ("trace", "ring_dropped") => d_ring += cell_delta(s, counter_of(s)),
-                (_, "amplification_milli") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        amp_milli = amp_milli.max(v);
-                    }
-                }
-                (_, "checkpoint_age_nanos") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        checkpoint_age = checkpoint_age.max(v);
-                    }
-                }
-                (_, "failover_takeovers") => d_takeovers += cell_delta(s, counter_of(s)),
-                (_, "admission_shed") => d_shed += cell_delta(s, counter_of(s)),
-                (_, "catchment_shifted") => d_shifted += cell_delta(s, counter_of(s)),
-                (_, "fabricated_ns_sent") | (_, "grants_sent") | (_, "tc_sent") => {
-                    d_handshakes += cell_delta(s, counter_of(s));
-                }
-                (_, "udp_datagrams") => d_datagrams += cell_delta(s, counter_of(s)),
-                (_, "poison_attempts") => d_poison_attempts += cell_delta(s, counter_of(s)),
-                (_, "poison_successes") => d_poison_hits += cell_delta(s, counter_of(s)),
-                (_, "analytics_distinct") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        distinct = distinct.max(v);
-                        d_new_sources += cell_delta(s, v);
-                    }
-                }
-                (_, "analytics_entropy_norm_milli") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        entropy_norm_milli = entropy_norm_milli.max(v);
-                    }
-                }
-                (_, "analytics_top_share_milli") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        top_share_milli = top_share_milli.max(v);
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        let Some(prev_t) = self.prev_t.replace(t_nanos) else {
-            return; // Baseline only: deltas against nothing are meaningless.
-        };
-        let dt = t_nanos.saturating_sub(prev_t);
-        if dt == 0 {
-            return;
-        }
-        let rate = |d: u64| d as f64 * 1e9 / dt as f64;
-
-        let spoof_rate = rate(d_invalid);
-        self.set_state(
-            t_nanos,
-            "spoof_surge",
-            spoof_rate > self.config.spoof_invalid_per_sec,
-            spoof_rate,
-            self.config.spoof_invalid_per_sec,
-        );
-        let rl1_rate = rate(d_rl1);
-        self.set_state(
-            t_nanos,
-            "rl1_saturation",
-            rl1_rate > self.config.rl_drop_per_sec,
-            rl1_rate,
-            self.config.rl_drop_per_sec,
-        );
-        let rl2_rate = rate(d_rl2);
-        self.set_state(
-            t_nanos,
-            "rl2_saturation",
-            rl2_rate > self.config.rl_drop_per_sec,
-            rl2_rate,
-            self.config.rl_drop_per_sec,
-        );
-        self.set_state(
-            t_nanos,
-            "amplification_breach",
-            amp_milli > self.config.amplification_max_milli,
-            amp_milli as f64 / 1_000.0,
-            self.config.amplification_max_milli as f64 / 1_000.0,
-        );
-
-        // ANS health is edge-triggered: a down transition fires the alert,
-        // a recovery with no concurrent down clears it.
-        if d_downs > 0 {
-            self.set_state(t_nanos, "ans_down", true, d_downs as f64, 1.0);
-            for _ in 0..d_downs {
-                self.down_times.push_back(t_nanos);
-            }
-        } else if d_recov > 0 {
-            self.set_state(t_nanos, "ans_down", false, 0.0, 1.0);
-        }
-        let horizon = t_nanos.saturating_sub(self.config.flap_window_nanos);
-        while self.down_times.front().is_some_and(|&t| t < horizon) {
-            self.down_times.pop_front();
-        }
-        self.set_state(
-            t_nanos,
-            "ans_flap",
-            self.down_times.len() >= self.config.flap_transitions,
-            self.down_times.len() as f64,
-            self.config.flap_transitions as f64,
-        );
-
-        self.set_state(t_nanos, "trace_drops", d_ring > 0, d_ring as f64, 1.0);
-
-        // Recoverable state too stale: a crash now would lose more than
-        // the configured window. Age zero means checkpointing is off or a
-        // snapshot/replication message just landed — never a lag.
-        self.set_state(
-            t_nanos,
-            "checkpoint_lag",
-            checkpoint_age > self.config.checkpoint_lag_max_nanos,
-            checkpoint_age as f64 / 1e9,
-            self.config.checkpoint_lag_max_nanos as f64 / 1e9,
-        );
-        // A standby promoted itself. Edge-triggered like ans_down: the
-        // takeover counter only ever moves on a real transition.
-        if d_takeovers > 0 {
-            self.set_state(t_nanos, "failover_triggered", true, d_takeovers as f64, 1.0);
-        }
-        let shed_rate = rate(d_shed);
-        self.set_state(
-            t_nanos,
-            "admission_shedding",
-            shed_rate > self.config.shed_per_sec,
-            shed_rate,
-            self.config.shed_per_sec,
-        );
-        let shift_rate = rate(d_shifted);
-        self.set_state(
-            t_nanos,
-            "catchment_shift",
-            shift_rate > self.config.shift_per_sec,
-            shift_rate,
-            self.config.shift_per_sec,
-        );
-        let handshake_rate = rate(d_handshakes);
-        self.set_state(
-            t_nanos,
-            "handshake_storm",
-            handshake_rate > self.config.handshake_per_sec,
-            handshake_rate,
-            self.config.handshake_per_sec,
-        );
-
-        // The spoof-vs-flash-crowd discriminator, over the sketch-derived
-        // population signals (zeros — analytics off — satisfy neither
-        // rule). A spoofed flood mints new sources near the datagram rate
-        // with near-maximal entropy and no repeats; a flash crowd is a
-        // bounded, Zipf-skewed population that re-queries. The absolute
-        // cardinality split (`spoof_min_distinct` / `crowd_max_distinct`)
-        // keeps a crowd's recruitment burst from reading as spoofing and a
-        // flood's tail from reading as a crowd.
-        let datagram_rate = rate(d_datagrams);
-        let new_source_rate = rate(d_new_sources);
-        let repeat = if d_new_sources == 0 {
-            f64::INFINITY
-        } else {
-            d_datagrams as f64 / d_new_sources as f64
-        };
-        let entropy_norm = entropy_norm_milli as f64 / 1_000.0;
-        let top_share = top_share_milli as f64 / 1_000.0;
-        let spoofing = datagram_rate > self.config.analytics_min_rate
-            && distinct as f64 > self.config.spoof_min_distinct
-            && new_source_rate > self.config.spoof_new_source_per_sec
-            && repeat <= self.config.spoof_max_repeat
-            && entropy_norm >= self.config.spoof_min_entropy_norm;
-        self.set_state(
-            t_nanos,
-            "spoof_flood",
-            spoofing,
-            new_source_rate,
-            self.config.spoof_new_source_per_sec,
-        );
-        let crowding = datagram_rate > self.config.analytics_min_rate
-            && distinct > 0
-            && (distinct as f64) <= self.config.crowd_max_distinct
-            && new_source_rate <= self.config.crowd_max_new_source_per_sec
-            && (entropy_norm <= self.config.crowd_max_entropy_norm
-                || top_share >= self.config.crowd_min_top_share);
-        self.set_state(
-            t_nanos,
-            "flash_crowd",
-            crowding,
-            datagram_rate,
-            self.config.analytics_min_rate,
-        );
-
-        // A poisoning race in progress (mismatch burst) or already won
-        // (any confirmed poisoned entry fires at once — one success is
-        // one too many).
-        let poison_rate = rate(d_poison_attempts);
-        self.set_state(
-            t_nanos,
-            "cache_poisoning",
-            poison_rate > self.config.poison_attempt_per_sec || d_poison_hits > 0,
-            poison_rate.max(d_poison_hits as f64),
-            self.config.poison_attempt_per_sec,
-        );
+    /// Closes the evaluation interval at `t_nanos` and returns its length;
+    /// `None` on the first call (deltas against nothing are meaningless)
+    /// and on a zero-length interval.
+    pub(crate) fn interval(&mut self, t_nanos: u64) -> Option<u64> {
+        let prev_t = self.prev_t.replace(t_nanos)?;
+        Some(t_nanos.saturating_sub(prev_t)).filter(|&dt| dt > 0)
     }
 
-    fn set_state(
+    pub(crate) fn set_state(
         &mut self,
         t_nanos: u64,
         rule: &'static str,
@@ -527,23 +254,19 @@ impl AlertEngine {
         );
     }
 
-    /// Currently-firing alerts, in rule-name order.
-    pub fn active(&self) -> Vec<ActiveAlert> {
+    pub(crate) fn active_rules(&self) -> Vec<&'static str> {
+        self.active.keys().copied().collect()
+    }
+
+    pub(crate) fn active(&self) -> Vec<ActiveAlert> {
         self.active.values().cloned().collect()
     }
 
-    /// Every fire/clear transition so far, oldest first.
-    pub fn history(&self) -> &[AlertTransition] {
+    pub(crate) fn history(&self) -> &[AlertTransition] {
         &self.history
     }
 
-    /// True when no rule ever fired — the clean-baseline expectation.
-    pub fn is_silent(&self) -> bool {
-        self.history.is_empty()
-    }
-
-    /// Rules that fired at least once, deduplicated, in first-fire order.
-    pub fn fired_rules(&self) -> Vec<&'static str> {
+    pub(crate) fn fired_rules(&self) -> Vec<&'static str> {
         let mut seen = Vec::new();
         for t in &self.history {
             if t.firing && !seen.contains(&t.rule) {
@@ -553,9 +276,7 @@ impl AlertEngine {
         seen
     }
 
-    /// Serialises the active set and transition history as one JSON
-    /// object: `{"active":[...],"history":[...]}`.
-    pub fn alerts_json(&self) -> String {
+    pub(crate) fn alerts_json(&self) -> String {
         let mut out = String::from("{\"active\":[");
         for (i, a) in self.active.values().enumerate() {
             if i > 0 {
@@ -581,6 +302,336 @@ impl AlertEngine {
         }
         out.push_str("]}");
         out
+    }
+}
+
+/// The rule engine. Feed it snapshots; read back active alerts, the
+/// transition history, and `alert` trace events/counters.
+pub struct AlertEngine {
+    config: AlertConfig,
+    alerts: AlertState,
+    down_times: VecDeque<u64>,
+}
+
+impl std::fmt::Debug for AlertEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AlertEngine")
+            .field("active", &self.alerts.active_rules())
+            .field("history", &self.alerts.history().len())
+            .finish()
+    }
+}
+
+/// A shareable engine handle: the netsim tick and a telemetry endpoint can
+/// evaluate/read the same engine.
+pub type SharedAlertEngine = Arc<parking_lot::Mutex<AlertEngine>>;
+
+/// Wraps an engine for sharing.
+pub fn shared(engine: AlertEngine) -> SharedAlertEngine {
+    Arc::new(parking_lot::Mutex::new(engine))
+}
+
+pub(crate) fn label_is<K: AsRef<str>>(labels: &[(K, String)], key: &str, value: &str) -> bool {
+    labels.iter().any(|(k, v)| k.as_ref() == key && v == value)
+}
+
+pub(crate) fn counter_of(value: &SampleValue) -> u64 {
+    match value {
+        SampleValue::Counter(v) => *v,
+        _ => 0,
+    }
+}
+
+impl AlertEngine {
+    /// An engine with the given thresholds, not yet attached to an
+    /// observer (transitions are tracked but not traced/counted).
+    pub fn new(config: AlertConfig) -> AlertEngine {
+        AlertEngine {
+            config,
+            alerts: AlertState::default(),
+            down_times: VecDeque::new(),
+        }
+    }
+
+    /// Wires transition events into `obs`: trace component `alert`, and an
+    /// `alert.fired{rule}` counter per rule.
+    pub fn attach_obs(&mut self, obs: &Obs) {
+        let fired = |rule: &&'static str| {
+            (*rule, obs.registry.counter("alert", "fired", &[("rule", rule)]))
+        };
+        self.alerts.attach(obs.tracer.component("alert"), RULES.iter().map(fired));
+    }
+
+    /// Evaluates every rule against `samples` (a `Registry::snapshot`).
+    /// The first call only records baselines; subsequent calls compute
+    /// rates over the elapsed interval.
+    ///
+    /// Deltas are computed **per cell** (keyed by component+name+labels)
+    /// and clamped to zero *before* summing into a rule's class, so a
+    /// counter reset or a guard attaching its metrics mid-run can neither
+    /// mask nor fake a surge.
+    pub fn evaluate(&mut self, t_nanos: u64, samples: &[MetricSample]) {
+        // Per-class deltas, summed over per-cell clamped deltas across
+        // guard + runtime guard.
+        let mut d_invalid = 0u64;
+        let mut d_rl1 = 0u64;
+        let mut d_rl2 = 0u64;
+        let mut d_downs = 0u64;
+        let mut d_recov = 0u64;
+        let mut d_ring = 0u64;
+        let mut amp_milli = 0u64;
+        let mut checkpoint_age = 0u64;
+        let mut d_takeovers = 0u64;
+        let mut d_shed = 0u64;
+        let mut d_shifted = 0u64;
+        let mut d_handshakes = 0u64;
+        let mut d_datagrams = 0u64;
+        let mut d_poison_attempts = 0u64;
+        let mut d_poison_hits = 0u64;
+        let mut d_new_sources = 0u64;
+        let mut distinct = 0u64;
+        let mut entropy_norm_milli = 0u64;
+        let mut top_share_milli = 0u64;
+        let alerts = &mut self.alerts;
+        // Clamped per-cell delta of `now` (the counter value — or, for the
+        // cumulative `analytics_distinct` gauge, the gauge value: between
+        // refreshes it only moves forward, and a reset clamps to zero like
+        // any counter) against this cell's previous evaluation.
+        let mut cell_delta = |s: &MetricSample, now: u64| alerts.cell_delta(s.key(), now);
+        for s in samples {
+            match (s.component, s.name) {
+                (_, "verify") if label_is(&s.labels, "verdict", "invalid") => {
+                    d_invalid += cell_delta(s, counter_of(&s.value));
+                }
+                (_, "rl_dropped") if label_is(&s.labels, "limiter", "rl1") => {
+                    d_rl1 += cell_delta(s, counter_of(&s.value));
+                }
+                (_, "rl_dropped") if label_is(&s.labels, "limiter", "rl2") => {
+                    d_rl2 += cell_delta(s, counter_of(&s.value));
+                }
+                (_, "ans_down_events") => d_downs += cell_delta(s, counter_of(&s.value)),
+                (_, "ans_recoveries") => d_recov += cell_delta(s, counter_of(&s.value)),
+                ("trace", "ring_dropped") => d_ring += cell_delta(s, counter_of(&s.value)),
+                (_, "amplification_milli") => {
+                    if let SampleValue::Gauge(v) = s.value {
+                        amp_milli = amp_milli.max(v);
+                    }
+                }
+                (_, "checkpoint_age_nanos") => {
+                    if let SampleValue::Gauge(v) = s.value {
+                        checkpoint_age = checkpoint_age.max(v);
+                    }
+                }
+                (_, "failover_takeovers") => d_takeovers += cell_delta(s, counter_of(&s.value)),
+                (_, "admission_shed") => d_shed += cell_delta(s, counter_of(&s.value)),
+                (_, "catchment_shifted") => d_shifted += cell_delta(s, counter_of(&s.value)),
+                (_, "fabricated_ns_sent") | (_, "grants_sent") | (_, "tc_sent") => {
+                    d_handshakes += cell_delta(s, counter_of(&s.value));
+                }
+                (_, "udp_datagrams") => d_datagrams += cell_delta(s, counter_of(&s.value)),
+                (_, "poison_attempts") => d_poison_attempts += cell_delta(s, counter_of(&s.value)),
+                (_, "poison_successes") => d_poison_hits += cell_delta(s, counter_of(&s.value)),
+                (_, "analytics_distinct") => {
+                    if let SampleValue::Gauge(v) = s.value {
+                        distinct = distinct.max(v);
+                        d_new_sources += cell_delta(s, v);
+                    }
+                }
+                (_, "analytics_entropy_norm_milli") => {
+                    if let SampleValue::Gauge(v) = s.value {
+                        entropy_norm_milli = entropy_norm_milli.max(v);
+                    }
+                }
+                (_, "analytics_top_share_milli") => {
+                    if let SampleValue::Gauge(v) = s.value {
+                        top_share_milli = top_share_milli.max(v);
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        let Some(dt) = self.alerts.interval(t_nanos) else {
+            return;
+        };
+        let rate = |d: u64| d as f64 * 1e9 / dt as f64;
+
+        let spoof_rate = rate(d_invalid);
+        self.alerts.set_state(
+            t_nanos,
+            "spoof_surge",
+            spoof_rate > self.config.spoof_invalid_per_sec,
+            spoof_rate,
+            self.config.spoof_invalid_per_sec,
+        );
+        let rl1_rate = rate(d_rl1);
+        self.alerts.set_state(
+            t_nanos,
+            "rl1_saturation",
+            rl1_rate > self.config.rl_drop_per_sec,
+            rl1_rate,
+            self.config.rl_drop_per_sec,
+        );
+        let rl2_rate = rate(d_rl2);
+        self.alerts.set_state(
+            t_nanos,
+            "rl2_saturation",
+            rl2_rate > self.config.rl_drop_per_sec,
+            rl2_rate,
+            self.config.rl_drop_per_sec,
+        );
+        self.alerts.set_state(
+            t_nanos,
+            "amplification_breach",
+            amp_milli > self.config.amplification_max_milli,
+            amp_milli as f64 / 1_000.0,
+            self.config.amplification_max_milli as f64 / 1_000.0,
+        );
+
+        // ANS health is edge-triggered: a down transition fires the alert,
+        // a recovery with no concurrent down clears it.
+        if d_downs > 0 {
+            self.alerts.set_state(t_nanos, "ans_down", true, d_downs as f64, 1.0);
+            for _ in 0..d_downs {
+                self.down_times.push_back(t_nanos);
+            }
+        } else if d_recov > 0 {
+            self.alerts.set_state(t_nanos, "ans_down", false, 0.0, 1.0);
+        }
+        let horizon = t_nanos.saturating_sub(self.config.flap_window_nanos);
+        while self.down_times.front().is_some_and(|&t| t < horizon) {
+            self.down_times.pop_front();
+        }
+        self.alerts.set_state(
+            t_nanos,
+            "ans_flap",
+            self.down_times.len() >= self.config.flap_transitions,
+            self.down_times.len() as f64,
+            self.config.flap_transitions as f64,
+        );
+
+        self.alerts.set_state(t_nanos, "trace_drops", d_ring > 0, d_ring as f64, 1.0);
+
+        // Recoverable state too stale: a crash now would lose more than
+        // the configured window. Age zero means checkpointing is off or a
+        // snapshot/replication message just landed — never a lag.
+        self.alerts.set_state(
+            t_nanos,
+            "checkpoint_lag",
+            checkpoint_age > self.config.checkpoint_lag_max_nanos,
+            checkpoint_age as f64 / 1e9,
+            self.config.checkpoint_lag_max_nanos as f64 / 1e9,
+        );
+        // A standby promoted itself. Edge-triggered like ans_down: the
+        // takeover counter only ever moves on a real transition.
+        if d_takeovers > 0 {
+            self.alerts.set_state(t_nanos, "failover_triggered", true, d_takeovers as f64, 1.0);
+        }
+        let shed_rate = rate(d_shed);
+        self.alerts.set_state(
+            t_nanos,
+            "admission_shedding",
+            shed_rate > self.config.shed_per_sec,
+            shed_rate,
+            self.config.shed_per_sec,
+        );
+        let shift_rate = rate(d_shifted);
+        self.alerts.set_state(
+            t_nanos,
+            "catchment_shift",
+            shift_rate > self.config.shift_per_sec,
+            shift_rate,
+            self.config.shift_per_sec,
+        );
+        let handshake_rate = rate(d_handshakes);
+        self.alerts.set_state(
+            t_nanos,
+            "handshake_storm",
+            handshake_rate > self.config.handshake_per_sec,
+            handshake_rate,
+            self.config.handshake_per_sec,
+        );
+
+        // The spoof-vs-flash-crowd discriminator, over the sketch-derived
+        // population signals (zeros — analytics off — satisfy neither
+        // rule). A spoofed flood mints new sources near the datagram rate
+        // with near-maximal entropy and no repeats; a flash crowd is a
+        // bounded, Zipf-skewed population that re-queries. The absolute
+        // cardinality split (`spoof_min_distinct` / `crowd_max_distinct`)
+        // keeps a crowd's recruitment burst from reading as spoofing and a
+        // flood's tail from reading as a crowd.
+        let datagram_rate = rate(d_datagrams);
+        let new_source_rate = rate(d_new_sources);
+        let repeat = if d_new_sources == 0 {
+            f64::INFINITY
+        } else {
+            d_datagrams as f64 / d_new_sources as f64
+        };
+        let entropy_norm = entropy_norm_milli as f64 / 1_000.0;
+        let top_share = top_share_milli as f64 / 1_000.0;
+        let spoofing = datagram_rate > self.config.analytics_min_rate
+            && distinct as f64 > self.config.spoof_min_distinct
+            && new_source_rate > self.config.spoof_new_source_per_sec
+            && repeat <= self.config.spoof_max_repeat
+            && entropy_norm >= self.config.spoof_min_entropy_norm;
+        self.alerts.set_state(
+            t_nanos,
+            "spoof_flood",
+            spoofing,
+            new_source_rate,
+            self.config.spoof_new_source_per_sec,
+        );
+        let crowding = datagram_rate > self.config.analytics_min_rate
+            && distinct > 0
+            && (distinct as f64) <= self.config.crowd_max_distinct
+            && new_source_rate <= self.config.crowd_max_new_source_per_sec
+            && (entropy_norm <= self.config.crowd_max_entropy_norm
+                || top_share >= self.config.crowd_min_top_share);
+        self.alerts.set_state(
+            t_nanos,
+            "flash_crowd",
+            crowding,
+            datagram_rate,
+            self.config.analytics_min_rate,
+        );
+
+        // A poisoning race in progress (mismatch burst) or already won
+        // (any confirmed poisoned entry fires at once — one success is
+        // one too many).
+        let poison_rate = rate(d_poison_attempts);
+        self.alerts.set_state(
+            t_nanos,
+            "cache_poisoning",
+            poison_rate > self.config.poison_attempt_per_sec || d_poison_hits > 0,
+            poison_rate.max(d_poison_hits as f64),
+            self.config.poison_attempt_per_sec,
+        );
+    }
+
+    /// Currently-firing alerts, in rule-name order.
+    pub fn active(&self) -> Vec<ActiveAlert> {
+        self.alerts.active()
+    }
+
+    /// Every fire/clear transition so far, oldest first.
+    pub fn history(&self) -> &[AlertTransition] {
+        self.alerts.history()
+    }
+
+    /// True when no rule ever fired — the clean-baseline expectation.
+    pub fn is_silent(&self) -> bool {
+        self.alerts.history().is_empty()
+    }
+
+    /// Rules that fired at least once, deduplicated, in first-fire order.
+    pub fn fired_rules(&self) -> Vec<&'static str> {
+        self.alerts.fired_rules()
+    }
+
+    /// Serialises the active set and transition history as one JSON
+    /// object: `{"active":[...],"history":[...]}`.
+    pub fn alerts_json(&self) -> String {
+        self.alerts.alerts_json()
     }
 }
 

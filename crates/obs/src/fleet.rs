@@ -29,13 +29,13 @@
 //!   clamped deltas.
 
 use crate::journey::{JourneyAssembler, JourneyReport};
-use crate::metrics::{quantile_from_buckets, Counter, Gauge, MetricSample, SampleValue};
+use crate::metrics::{flat_key, quantile_from_buckets, Counter, Gauge, MetricSample, SampleValue};
 use crate::sketch::TrafficSketch;
-use crate::trace::{ComponentTracer, Event, Value};
+use crate::trace::{Event, Value};
 use crate::Obs;
-use crate::alert::{ActiveAlert, AlertTransition};
+use crate::alert::{counter_of, label_is, ActiveAlert, AlertState, AlertTransition};
 use crate::export::escape_json_str;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Every fleet-level rule the aggregator knows, by name.
 pub const FLEET_RULES: &[&str] = &["fleet_spoof_surge", "site_rate_skew", "node_silent"];
@@ -92,20 +92,7 @@ impl FleetSample {
     /// The flat key `component.name{k=v,...}`, matching
     /// [`MetricSample::key`].
     pub fn key(&self) -> String {
-        let mut k = format!("{}.{}", self.component, self.name);
-        if !self.labels.is_empty() {
-            k.push('{');
-            for (i, (lk, lv)) in self.labels.iter().enumerate() {
-                if i > 0 {
-                    k.push(',');
-                }
-                k.push_str(lk);
-                k.push('=');
-                k.push_str(lv);
-            }
-            k.push('}');
-        }
-        k
+        flat_key(&self.component, &self.name, &self.labels)
     }
 }
 
@@ -117,17 +104,6 @@ impl From<&MetricSample> for FleetSample {
             labels: s.labels.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
             value: s.value.clone(),
         }
-    }
-}
-
-fn label_is(labels: &[(String, String)], key: &str, value: &str) -> bool {
-    labels.iter().any(|(k, v)| k == key && v == value)
-}
-
-fn counter_of(s: &FleetSample) -> u64 {
-    match s.value {
-        SampleValue::Counter(v) => v,
-        _ => 0,
     }
 }
 
@@ -155,7 +131,7 @@ struct NodeState {
     silent: bool,
     last_samples: Vec<FleetSample>,
     /// Most recent traffic sketch reported by the node (`None` until one
-    /// arrives — e.g. the node runs without `traffic-analytics`).
+    /// arrives — e.g. the node's guard is not armed for analytics).
     sketch: Option<TrafficSketch>,
 }
 
@@ -169,13 +145,8 @@ pub struct FleetAggregator {
     /// Offset-corrected node-tagged events, in arrival order; sorted by
     /// corrected time at stitch time.
     events: Vec<(u32, Event)>,
-    /// Per-(node, cell) previous counter values for clamped deltas.
-    prev: HashMap<String, u64>,
-    prev_t: Option<u64>,
-    active: BTreeMap<&'static str, ActiveAlert>,
-    history: Vec<AlertTransition>,
-    trace: ComponentTracer,
-    fired: HashMap<&'static str, Counter>,
+    /// The alert state machine; its cells are keyed per (node, cell).
+    alerts: AlertState,
     nodes_reporting: Gauge,
     snapshots_ingested: Counter,
     trace_events_ingested: Counter,
@@ -187,7 +158,7 @@ impl std::fmt::Debug for FleetAggregator {
         f.debug_struct("FleetAggregator")
             .field("nodes", &self.nodes.len())
             .field("events", &self.events.len())
-            .field("active", &self.active.keys().collect::<Vec<_>>())
+            .field("active", &self.alerts.active_rules())
             .finish()
     }
 }
@@ -200,12 +171,7 @@ impl FleetAggregator {
             config,
             nodes: Vec::new(),
             events: Vec::new(),
-            prev: HashMap::new(),
-            prev_t: None,
-            active: BTreeMap::new(),
-            history: Vec::new(),
-            trace: ComponentTracer::disabled(),
-            fired: HashMap::new(),
+            alerts: AlertState::default(),
             nodes_reporting: Gauge::new(),
             snapshots_ingested: Counter::new(),
             trace_events_ingested: Counter::new(),
@@ -217,11 +183,10 @@ impl FleetAggregator {
     /// `fleet`, per-rule `fleet.alert_fired{rule}` counters, and the
     /// ingestion metrics.
     pub fn attach_obs(&mut self, obs: &Obs) {
-        self.trace = obs.tracer.component("fleet");
-        for rule in FLEET_RULES {
-            self.fired
-                .insert(rule, obs.registry.counter("fleet", "alert_fired", &[("rule", rule)]));
-        }
+        let fired = |rule: &&'static str| {
+            (*rule, obs.registry.counter("fleet", "alert_fired", &[("rule", rule)]))
+        };
+        self.alerts.attach(obs.tracer.component("fleet"), FLEET_RULES.iter().map(fired));
         obs.registry.adopt_gauge("fleet", "nodes_reporting", &[], &self.nodes_reporting);
         obs.registry
             .adopt_counter("fleet", "snapshots_ingested", &[], &self.snapshots_ingested);
@@ -342,7 +307,7 @@ impl FleetAggregator {
         for j in report.complete.iter().filter(|j| j.spans_nodes()) {
             self.stitched_journeys.inc();
             let a = j.attribution();
-            self.trace.event(
+            self.alerts.trace.event(
                 j.stages.last().map(|s| s.t_nanos).unwrap_or(0),
                 "journey_stitch",
                 &[
@@ -464,7 +429,7 @@ impl FleetAggregator {
             };
             let now_silent = age > self.config.silent_after_nanos;
             if now_silent && !node.silent {
-                self.trace.event(
+                self.alerts.trace.event(
                     t_nanos,
                     "node_silent",
                     &[("node", Value::U64(idx as u64)), ("age_ns", Value::U64(age))],
@@ -490,10 +455,8 @@ impl FleetAggregator {
                     ("guard", "udp_datagrams") => "datagrams",
                     _ => continue,
                 };
-                let now = counter_of(s);
                 let key = format!("{idx}|{}", s.key());
-                let was = self.prev.insert(key, now).unwrap_or(now);
-                let d = now.saturating_sub(was);
+                let d = self.alerts.cell_delta(key, counter_of(&s.value));
                 match class {
                     "invalid" => d_invalid += d,
                     _ => d_datagrams += d,
@@ -504,17 +467,13 @@ impl FleetAggregator {
             }
         }
 
-        let Some(prev_t) = self.prev_t.replace(t_nanos) else {
-            return; // Baseline only.
-        };
-        let dt = t_nanos.saturating_sub(prev_t);
-        if dt == 0 {
+        let Some(dt) = self.alerts.interval(t_nanos) else {
             return;
-        }
+        };
         let rate = |d: u64| d as f64 * 1e9 / dt as f64;
 
         let spoof_rate = rate(d_invalid);
-        self.set_state(
+        self.alerts.set_state(
             t_nanos,
             "fleet_spoof_surge",
             spoof_rate > self.config.spoof_invalid_per_sec,
@@ -533,9 +492,9 @@ impl FleetAggregator {
         } else {
             (false, 0.0)
         };
-        self.set_state(t_nanos, "site_rate_skew", skewed, ratio, self.config.skew_ratio);
+        self.alerts.set_state(t_nanos, "site_rate_skew", skewed, ratio, self.config.skew_ratio);
 
-        self.set_state(
+        self.alerts.set_state(
             t_nanos,
             "node_silent",
             silent_count > 0,
@@ -544,96 +503,30 @@ impl FleetAggregator {
         );
     }
 
-    fn set_state(
-        &mut self,
-        t_nanos: u64,
-        rule: &'static str,
-        firing: bool,
-        value: f64,
-        threshold: f64,
-    ) {
-        let was = self.active.contains_key(rule);
-        if firing == was {
-            return;
-        }
-        if firing {
-            self.active.insert(
-                rule,
-                ActiveAlert { rule, since_nanos: t_nanos, value, threshold },
-            );
-            if let Some(c) = self.fired.get(rule) {
-                c.inc();
-            }
-        } else {
-            self.active.remove(rule);
-        }
-        self.history.push(AlertTransition { rule, t_nanos, firing, value });
-        self.trace.event(
-            t_nanos,
-            "alert",
-            &[
-                ("rule", Value::Str(rule)),
-                ("state", Value::Str(if firing { "firing" } else { "cleared" })),
-                ("value", Value::F64(value)),
-                ("threshold", Value::F64(threshold)),
-            ],
-        );
-    }
-
     /// Currently-firing fleet alerts, in rule-name order.
     pub fn active(&self) -> Vec<ActiveAlert> {
-        self.active.values().cloned().collect()
+        self.alerts.active()
     }
 
     /// Every fire/clear transition so far, oldest first.
     pub fn history(&self) -> &[AlertTransition] {
-        &self.history
+        self.alerts.history()
     }
 
     /// True when no fleet rule ever fired.
     pub fn is_silent(&self) -> bool {
-        self.history.is_empty()
+        self.alerts.history().is_empty()
     }
 
     /// Rules that fired at least once, deduplicated, in first-fire order.
     pub fn fired_rules(&self) -> Vec<&'static str> {
-        let mut seen = Vec::new();
-        for t in &self.history {
-            if t.firing && !seen.contains(&t.rule) {
-                seen.push(t.rule);
-            }
-        }
-        seen
+        self.alerts.fired_rules()
     }
 
     /// Serialises the active set and transition history as one JSON
     /// object, matching the per-node engine's `alerts_json` shape.
     pub fn alerts_json(&self) -> String {
-        let mut out = String::from("{\"active\":[");
-        for (i, a) in self.active.values().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"since\":{},\"value\":{:.3},\"threshold\":{:.3}}}",
-                a.rule, a.since_nanos, a.value, a.threshold
-            ));
-        }
-        out.push_str("],\"history\":[");
-        for (i, t) in self.history.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"t\":{},\"state\":\"{}\",\"value\":{:.3}}}",
-                t.rule,
-                t.t_nanos,
-                if t.firing { "firing" } else { "cleared" },
-                t.value
-            ));
-        }
-        out.push_str("]}");
-        out
+        self.alerts.alerts_json()
     }
 }
 

@@ -246,7 +246,11 @@ pub(crate) struct Row {
 }
 
 /// The flat series key `component.name{k=v,...}` for one metric address.
-fn flat_key(component: &str, name: &str, labels: &[(&'static str, String)]) -> String {
+pub(crate) fn flat_key<K: AsRef<str>>(
+    component: &str,
+    name: &str,
+    labels: &[(K, String)],
+) -> String {
     let mut k = format!("{component}.{name}");
     if !labels.is_empty() {
         k.push('{');
@@ -254,7 +258,7 @@ fn flat_key(component: &str, name: &str, labels: &[(&'static str, String)]) -> S
             if i > 0 {
                 k.push(',');
             }
-            k.push_str(lk);
+            k.push_str(lk.as_ref());
             k.push('=');
             k.push_str(lv);
         }

@@ -38,13 +38,9 @@ use std::time::{Duration, Instant};
 /// How many trace events an `events` reply carries at most.
 const RECENT_EVENTS: usize = 256;
 
-/// Produces the `top_sources` reply body (a JSON document). The runtime
-/// stays feature-free: a deployment built with the guard's
-/// `traffic-analytics` feature wires a closure over the guard's shared
-/// [`AnalyticsSnapshot`]; without one the command reports analytics as
-/// disabled.
-///
-/// [`AnalyticsSnapshot`]: obs::sketch::AnalyticsSnapshot
+/// Produces the `top_sources` reply body (a JSON document): a closure
+/// serialising `GuardCore::analytics_snapshot()` of a guard armed with
+/// `arm_analytics`; without one the command reports analytics as disabled.
 pub type AnalyticsProvider = Arc<dyn Fn() -> String + Send + Sync>;
 
 /// A live telemetry endpoint on a background thread.
@@ -68,7 +64,7 @@ impl TelemetryServer {
     }
 
     /// [`TelemetryServer::spawn`] with a `top_sources` provider (e.g. a
-    /// closure serialising the guard's shared analytics snapshot).
+    /// closure serialising the guard's analytics snapshot).
     pub fn spawn_with_analytics(
         obs: &Obs,
         engine: SharedAlertEngine,
