@@ -45,6 +45,14 @@ impl AuthorityClassifier {
     pub fn new(authority: Authority) -> Self {
         AuthorityClassifier { authority }
     }
+
+    /// Whether `qname` classifies as [`Classification::NonReferral`], for a
+    /// caller that has no use for the child zone's name a referral's
+    /// classification carries a copy of.
+    pub fn answers_directly(&self, qname: &Name) -> bool {
+        let zone = self.authority.best_zone(qname);
+        zone.is_some_and(|zone| zone.delegation_for(qname).is_none())
+    }
 }
 
 impl Classifier for AuthorityClassifier {
@@ -90,6 +98,18 @@ mod tests {
         let c = AuthorityClassifier::new(Authority::new(vec![foo]));
         assert_eq!(c.classify(&n("www.foo.com")), Classification::NonReferral);
         assert_eq!(c.classify(&n("nope.foo.com")), Classification::NonReferral);
+    }
+
+    #[test]
+    fn answers_directly_is_the_non_referral_classification() {
+        let (root, _, foo) = paper_hierarchy();
+        for zone in [root, foo] {
+            let c = AuthorityClassifier::new(Authority::new(vec![zone]));
+            for name in ["www.foo.com", "com", "foo.com", "example.org", "."] {
+                let direct = c.classify(&n(name)) == Classification::NonReferral;
+                assert_eq!(c.answers_directly(&n(name)), direct, "{name}");
+            }
+        }
     }
 
     #[test]

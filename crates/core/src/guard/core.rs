@@ -1,7 +1,7 @@
 //! The guard's decisions, with no I/O: [`GuardCore`] is handed the time and
 //! each datagram and appends what must happen to the driver's [`Outputs`].
 
-use super::fwd::{restored_question, Forwarded, FwdTable, Rewrite};
+use super::fwd::{Forwarded, FwdTable, Rewrite};
 use super::stats::{GuardMetrics, GuardStats};
 use crate::admission::{AdmissionController, PressureTier};
 use crate::analytics::TrafficAnalytics;
@@ -18,11 +18,12 @@ use crate::ha::{
 use crate::ratelimit::SourceRateLimiter;
 use crate::tcp_proxy::{ProxyAction, TcpProxy};
 use dnswire::cookie_ext;
+use dnswire::header::Header;
 use dnswire::message::{Message, MAX_UDP_PAYLOAD};
 use dnswire::name::{Name, MAX_LABEL_LEN};
 use dnswire::question::{Question, NO_QUESTION};
 use dnswire::record::Record;
-use dnswire::types::RrType;
+use dnswire::types::{Rcode, RrClass, RrType};
 use dnswire::view::MessageView;
 use dnswire::writer::{ReplyStart, Section, Writer};
 use guardhash::cookie::{Cookie, CookieFactory, SecretKey};
@@ -118,11 +119,15 @@ impl Forwarded {
 enum Outgoing<'a> {
     /// An owned query, encoded under the upstream transaction id.
     Owned(Message),
-    /// A verified extension query still in its receive buffer: what goes
-    /// upstream is its header and question bytes ([`MessageView::without_cookie`])
-    /// when it has that shape, and the owned query without its cookie
-    /// otherwise.
-    CookieQuery(&'a MessageView<'a>),
+    /// A verified query still in its receive buffer: what goes upstream is
+    /// its question bytes behind a fresh header
+    /// ([`MessageView::question_only`]) when it has that shape — one
+    /// spelled-out question and no record but the cookie — and the owned
+    /// query without its cookie otherwise.
+    Received(&'a MessageView<'a>),
+    /// The query a cookie name stood for, restored: `question` asked
+    /// iteratively under the requester's `id`, written as it stands.
+    Restored { id: u16, question: &'a Question },
 }
 
 impl Outgoing<'_> {
@@ -130,7 +135,8 @@ impl Outgoing<'_> {
     fn id(&self) -> u16 {
         match self {
             Outgoing::Owned(msg) => msg.header.id,
-            Outgoing::CookieQuery(view) => view.header.id,
+            Outgoing::Received(view) => view.header.id,
+            Outgoing::Restored { id, .. } => *id,
         }
     }
 
@@ -138,7 +144,8 @@ impl Outgoing<'_> {
     fn question(&self) -> u64 {
         match self {
             Outgoing::Owned(msg) => msg.question().map_or(NO_QUESTION, Question::digest),
-            Outgoing::CookieQuery(view) => view.question_digest(),
+            Outgoing::Received(view) => view.question_digest(),
+            Outgoing::Restored { question, .. } => question.digest(),
         }
     }
 
@@ -146,24 +153,34 @@ impl Outgoing<'_> {
     fn into_message(self) -> Message {
         match self {
             Outgoing::Owned(msg) => msg,
-            Outgoing::CookieQuery(view) => {
+            Outgoing::Received(view) => {
                 let mut msg = view.to_message();
                 cookie_ext::strip_cookie(&mut msg);
                 msg
             }
+            Outgoing::Restored { id, question } => Message {
+                header: Header::iterative_query(id),
+                questions: vec![question.clone()],
+                ..Message::default()
+            },
         }
     }
 
     /// The datagram for the ANS, under transaction id `txid`.
     fn into_wire(self, txid: u16) -> Vec<u8> {
-        if let Outgoing::CookieQuery(view) = self {
-            if let Some(wire) = view.without_cookie(txid) {
-                return wire;
+        let in_place = match &self {
+            Outgoing::Owned(_) => None,
+            Outgoing::Received(view) => view.question_only(txid),
+            Outgoing::Restored { question, .. } => {
+                let header = Header::iterative_query(txid);
+                Some(Writer::new(header, std::slice::from_ref(question)).finish())
             }
-        }
-        let mut msg = self.into_message();
-        msg.header.id = txid;
-        msg.encode()
+        };
+        in_place.unwrap_or_else(|| {
+            let mut msg = self.into_message();
+            msg.header.id = txid;
+            msg.encode()
+        })
     }
 }
 
@@ -180,24 +197,29 @@ enum FirstContact {
 }
 
 /// The answer to the cookie-name question a DNS-based exchange is waiting
-/// on, to query `id`: `answers`, or SERVFAIL when the ANS gave none to pass
-/// on.
-fn cookie_name_reply(id: u16, cookie_question: Question, answers: Vec<Record>) -> Vec<u8> {
-    let mut reply = Message {
-        header: dnswire::header::Header {
-            id,
-            response: true,
-            authoritative: true,
-            ..dnswire::header::Header::default()
-        },
-        questions: vec![cookie_question],
-        answers,
-        ..Message::default()
+/// on, to query `id`: one address record under the cookie name per
+/// `(class, ttl, address)`, or SERVFAIL when the ANS gave none to pass on.
+fn cookie_name_reply<'r>(
+    id: u16,
+    cookie_question: &Question,
+    addresses: impl Iterator<Item = (RrClass, u32, &'r [u8])>,
+) -> Vec<u8> {
+    let header = Header {
+        id,
+        response: true,
+        authoritative: true,
+        rcode: Rcode::ServFail,
+        ..Header::default()
     };
-    if reply.answers.is_empty() {
-        reply.header.rcode = dnswire::types::Rcode::ServFail;
+    let mut reply = Writer::new(header, std::slice::from_ref(cookie_question));
+    for (class, ttl, address) in addresses {
+        reply.header.rcode = Rcode::NoError;
+        let owner = &cookie_question.name;
+        reply.push_raw(Section::Answer, owner, RrType::A, class, ttl, |rdata| {
+            rdata.extend_from_slice(address);
+        });
     }
-    reply.encode()
+    reply.finish()
 }
 
 /// A cookie encoding, as the `verify` counters and events name it.
@@ -1242,8 +1264,7 @@ impl GuardCore {
     fn send_probe(&mut self, now: SimTime, out: &mut Outputs) {
         self.metrics.ans_probes.inc();
         self.metrics.trace.debug(now.as_nanos(), "ans_probe", &[]);
-        let probe =
-            Message::iterative_query(0, Name::root(), dnswire::types::RrType::Ns);
+        let probe = Message::iterative_query(0, Name::root(), RrType::Ns);
         let me = Endpoint::new(self.config.public_addr, DNS_PORT);
         let qid = self.alloc_qid();
         let query = Outgoing::Owned(probe);
@@ -1373,7 +1394,7 @@ impl GuardCore {
             // proxy connection is reaped by the lifetime cap).
             if !matches!(entry.rewrite, Rewrite::TcpRelay { .. }) {
                 let mut resp = query.into_message().into_response();
-                resp.header.rcode = dnswire::types::Rcode::ServFail;
+                resp.header.rcode = Rcode::ServFail;
                 let pkt = Packet::udp(entry.reply_from, requester, resp.encode());
                 self.tx(out, pkt);
             }
@@ -1633,7 +1654,7 @@ impl GuardCore {
                 // A response-flagged datagram not from the ANS: spoofed or
                 // misrouted; dropped without further processing.
                 self.metrics.resp_foreign.inc();
-            } else if let Some(fwd) = self.handle_ans_response(now, out, &view, pkt.payload.len()) {
+            } else if let Some(fwd) = self.handle_ans_response(now, out, &view) {
                 // A pass-through answer that fits a UDP payload goes out in
                 // the buffer it came in, under the requester's id.
                 let mut wire = pkt.payload;
@@ -1680,7 +1701,7 @@ impl GuardCore {
             let qid = self.alloc_qid();
             let valid = self.cookies.verify(src, &guardhash::Cookie(ext.cookie));
             if self.verified(now, Scheme::Ext, valid, src, qid) {
-                self.forward_passthrough(now, out, Outgoing::CookieQuery(&view), &pkt, qid);
+                self.forward_passthrough(now, out, Outgoing::Received(&view), &pkt, qid);
             }
             return;
         }
@@ -1693,19 +1714,25 @@ impl GuardCore {
             if !self.verified(now, Scheme::Cookie2, valid, src, qid) {
                 return;
             }
-            let msg = view.to_message();
-            let Some(question) = msg.question() else {
+            if !view.has_question() {
                 return;
+            }
+            // One-shot stash from the first exchange (messages 4/5). The key
+            // needs the question's name, so it is built only while the stash
+            // holds something.
+            let stashed = if self.stash.is_empty() {
+                None
+            } else {
+                view.question_name().and_then(|qname| self.remove_stash(&(src, qname)))
             };
-            // One-shot stash from the first exchange (messages 4/5).
-            if let Some(entry) = self.remove_stash(&(src, question.name.clone())) {
+            if let Some(entry) = stashed {
                 self.metrics.stash_hits.inc();
                 self.metrics.trace.event(
                     now.as_nanos(),
                     "stash_hit",
                     &[("src", Value::Ip(src)), ("qid", Value::U64(qid))],
                 );
-                let mut resp = msg.into_response();
+                let mut resp = view.to_message().into_response();
                 resp.header.authoritative = true;
                 resp.answers = entry.answers;
                 let (wire, _) = resp
@@ -1715,7 +1742,7 @@ impl GuardCore {
                 self.tx(out, reply);
                 return;
             }
-            self.forward_passthrough(now, out, Outgoing::Owned(msg), &pkt, qid);
+            self.forward_passthrough(now, out, Outgoing::Received(&view), &pkt, qid);
             return;
         }
 
@@ -1768,29 +1795,33 @@ impl GuardCore {
         // drop, and must land in exactly one disposition bucket — as does a
         // questionless message (the caller read the question's first label,
         // but this wire-input path stays panic-free). A cookie that does not
-        // verify builds nothing.
-        let question = suffix_ok.then(|| view.to_message().questions.into_iter().next());
-        let restored = question.flatten().and_then(|q| {
+        // verify builds nothing; one that does builds the two questions —
+        // the cookie name's, kept for the answer, and the one it stood for —
+        // and no message.
+        let restored = suffix_ok.then(|| view.question()).flatten().and_then(|q| {
             let original = q.name.with_first_label(original_first).ok()?;
-            Some((q, original))
+            Some((q, Question::new(original, RrType::A)))
         });
         let admitted = self.verified(now, Scheme::NsLabel, restored.is_some(), pkt.src.ip, qid);
-        let Some((cookie_question, original)) = restored.filter(|_| admitted) else {
+        let Some((cookie_question, restored)) = restored.filter(|_| admitted) else {
             return;
         };
-        let rewrite = match self.classifier.classify(&original) {
-            Classification::Referral { .. } | Classification::Unknown => RewriteState::ReferralCookie {
+        let rewrite = if self.classifier.answers_directly(&restored.name) {
+            RewriteState::Fabricated {
                 cookie_question,
-                question: restored_question(&original),
-            },
-            Classification::NonReferral => RewriteState::Fabricated {
+                original: restored.name.clone(),
+            }
+        } else {
+            RewriteState::ReferralCookie {
                 cookie_question,
-                original: original.clone(),
-            },
+                question: restored.digest(),
+            }
         };
         let rewrite = Rewrite::Durable(rewrite);
-        let restored = Message::iterative_query(view.header.id, original, RrType::A);
-        let query = Outgoing::Owned(restored);
+        let query = Outgoing::Restored {
+            id: view.header.id,
+            question: &restored,
+        };
         let entry = Forwarded::of(&query, now, pkt.src, pkt.dst, rewrite, qid);
         self.forward_to_ans(out, query, entry);
     }
@@ -1879,14 +1910,15 @@ impl GuardCore {
 
     /// Matches an ANS response to its forward and relays it. A pass-through
     /// answer that fits one UDP payload is handed back instead — the caller
-    /// owns the receive buffer and relays it in place; every other rewrite
-    /// builds the owned message here.
+    /// owns the receive buffer and relays it in place. The cookie-name
+    /// rewrites write their own answer from the records the view shows and a
+    /// TCP relay frames the received bytes; only a pass-through answer too
+    /// long for UDP is built as an owned message, to be cut down.
     fn handle_ans_response(
         &mut self,
         now: SimTime,
         out: &mut Outputs,
         view: &MessageView<'_>,
-        wire_len: usize,
     ) -> Option<Forwarded> {
         // Any response from the ANS proves it alive, matched or not.
         self.health.consecutive_timeouts = 0;
@@ -1928,16 +1960,14 @@ impl GuardCore {
                 ],
             );
         }
-        let mut msg = match fwd.rewrite {
-            Rewrite::Probe { .. } => return None,
-            Rewrite::Durable(RewriteState::Passthrough { .. }) if wire_len <= MAX_UDP_PAYLOAD => {
-                return Some(fwd)
-            }
-            _ => view.to_message(),
-        };
+        let wire = view.as_bytes();
         match fwd.rewrite {
             Rewrite::Probe { .. } => {}
+            Rewrite::Durable(RewriteState::Passthrough { .. }) if wire.len() <= MAX_UDP_PAYLOAD => {
+                return Some(fwd)
+            }
             Rewrite::Durable(RewriteState::Passthrough { .. }) => {
+                let mut msg = view.to_message();
                 msg.header.id = fwd.orig_txid;
                 let (wire, _) = msg
                     .encode_with_limit(MAX_UDP_PAYLOAD)
@@ -1947,18 +1977,14 @@ impl GuardCore {
             }
             Rewrite::Durable(RewriteState::ReferralCookie { cookie_question, .. }) => {
                 // Map the referral's glue addresses onto the cookie name
-                // ("one name can be mapped to multiple IP addresses").
-                let glue: Vec<Record> = msg
-                    .additionals
-                    .into_iter()
-                    .chain(msg.answers)
-                    .filter(|r| r.rtype == dnswire::types::RrType::A)
-                    .map(|r| Record {
-                        name: cookie_question.name.clone(),
-                        ..r
-                    })
-                    .collect();
-                let reply = cookie_name_reply(fwd.orig_txid, cookie_question, glue);
+                // ("one name can be mapped to multiple IP addresses"): the
+                // additional section's first, then any in the answer.
+                let addresses = |section| {
+                    let records = view.records().filter(move |r| r.section == section && r.rtype == RrType::A);
+                    records.map(|r| (r.class, r.ttl, r.rdata()))
+                };
+                let glue = addresses(Section::Additional).chain(addresses(Section::Answer));
+                let reply = cookie_name_reply(fwd.orig_txid, &cookie_question, glue);
                 self.tx(out, Packet::udp(fwd.reply_from, fwd.requester, reply));
             }
             Rewrite::Durable(RewriteState::Fabricated {
@@ -1971,24 +1997,21 @@ impl GuardCore {
                 // computed when the cookie label was verified, so no extra
                 // cookie charge is taken here — but the third computation of
                 // the paper's count happens when message 7 is verified.
+                let answers = view.records().filter(|r| r.section == Section::Answer);
                 self.insert_stash(
                     (fwd.requester.ip, original),
                     StashEntry {
-                        answers: msg.answers,
+                        answers: answers.map(|r| r.to_record()).collect(),
                         created: now,
                     },
                 );
-                let cookie2 = self.cookie2_addr(fwd.requester.ip);
-                let redirect = Record::a(
-                    cookie_question.name.clone(),
-                    cookie2,
-                    self.config.fabricated_ns_ttl,
-                );
-                let reply = cookie_name_reply(fwd.orig_txid, cookie_question, vec![redirect]);
+                let cookie2 = self.cookie2_addr(fwd.requester.ip).octets();
+                let redirect = (RrClass::In, self.config.fabricated_ns_ttl, cookie2.as_slice());
+                let reply = cookie_name_reply(fwd.orig_txid, &cookie_question, std::iter::once(redirect));
                 self.tx(out, Packet::udp(fwd.reply_from, fwd.requester, reply));
             }
             Rewrite::TcpRelay { token, .. } => {
-                if let Some(pkt) = self.proxy.on_ans_response(token, &msg) {
+                if let Some(pkt) = self.proxy.on_ans_response(token, wire, fwd.orig_txid) {
                     self.tx(out, pkt);
                 }
             }

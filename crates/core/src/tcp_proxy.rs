@@ -190,16 +190,18 @@ impl TcpProxy {
         actions
     }
 
-    /// Routes a UDP response from the ANS back onto its TCP connection.
-    pub fn on_ans_response(&mut self, token: u64, response: &Message) -> Option<Packet> {
+    /// Routes a UDP response from the ANS back onto its TCP connection:
+    /// `response` as it was received, framed, under `id` — the transaction
+    /// id the client's query carried, not the one it was forwarded under.
+    pub fn on_ans_response(&mut self, token: u64, response: &[u8], id: u16) -> Option<Packet> {
         let key = self.tokens.remove(&token)?;
         if !self.conns.contains_key(&key) {
             return None; // reaped or closed meanwhile
         }
-        let wire = response.encode();
-        let mut framed = Vec::with_capacity(wire.len() + 2);
-        framed.extend_from_slice(&(wire.len() as u16).to_be_bytes());
-        framed.extend_from_slice(&wire);
+        let mut framed = Vec::with_capacity(response.len() + 2);
+        framed.extend_from_slice(&(response.len() as u16).to_be_bytes());
+        framed.extend_from_slice(&id.to_be_bytes());
+        framed.extend_from_slice(response.get(2..).unwrap_or_default());
         let pkt = self.tcp.send(key, framed)?;
         self.metrics.responses_returned.inc();
         Some(pkt)
@@ -287,14 +289,20 @@ mod tests {
         let (token, query) = forwarded.expect("query forwarded toward ANS");
         assert_eq!(query.question().unwrap().name.to_string(), "www.foo.com.");
 
-        // ANS answers: the proxy frames it back onto the connection.
-        let resp = query.response();
-        let back = proxy.on_ans_response(token, &resp).expect("response relayed");
+        // The ANS answers what the guard forwarded under an id of its own;
+        // the proxy frames that onto the connection under the client's.
+        let mut upstream = query.response();
+        upstream.header.id = 0x7777;
+        let back = proxy.on_ans_response(token, &upstream.encode(), 3).expect("response relayed");
         let mut out = Vec::new();
         let events = client.on_segment(&back, &mut out);
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TcpEvent::Data(_, d) if d.len() > 2)));
+        let framed = events.iter().find_map(|e| match e {
+            TcpEvent::Data(_, d) => Some(d.clone()),
+            _ => None,
+        });
+        let framed = framed.expect("the answer on the connection");
+        assert_eq!(framed[..2], (framed.len() as u16 - 2).to_be_bytes());
+        assert_eq!(Message::decode(&framed[2..]).unwrap(), query.response(), "under the id the client sent");
         assert_eq!(proxy.stats().requests_relayed, 1);
         assert_eq!(proxy.stats().responses_returned, 1);
     }
@@ -359,6 +367,6 @@ mod tests {
             })
             .unwrap();
         proxy.reap(SimTime::from_secs(1));
-        assert!(proxy.on_ans_response(token, &q.response()).is_none());
+        assert!(proxy.on_ans_response(token, &q.response().encode(), 4).is_none());
     }
 }

@@ -374,7 +374,9 @@ fn tcp_scheme_is_the_same_on_both_drivers() {
                 to_guard.extend(framed.take().and_then(|framed| tcp.send(key, framed)));
             }
         }
-        assert_eq!(answer.expect("an answer over TCP").answers, std::slice::from_ref(&real));
+        let answer = answer.expect("an answer over TCP");
+        assert_eq!(answer.answers, std::slice::from_ref(&real));
+        assert_eq!(answer.header.id, 2, "the id the client sent, not the one the guard forwarded under");
         sent
     });
     assert_eq!((stats.tc_sent, stats.forwarded, stats.relayed_responses), (1, 1, 1));

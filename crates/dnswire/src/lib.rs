@@ -287,6 +287,47 @@ mod proptests {
             prop_assert_eq!(reply.finish(), owned.encode());
         }
 
+        /// A reply cut to a limit as it is written equals the owned route cut
+        /// by `encode_with_limit`, whichever way the writer came by its
+        /// question section: the same records kept, the record that straddles
+        /// the limit and everything behind it dropped, TC set — and
+        /// `TooLarge` when the question section alone is already past it.
+        #[test]
+        fn limited_reply_matches_encode_with_limit(
+            wire in arb_query_wire(),
+            answers in proptest::collection::vec(arb_record(), 0..4),
+            authorities in proptest::collection::vec(arb_record(), 0..3),
+            additionals in proptest::collection::vec(arb_record(), 0..3),
+            limit in 12usize..400,
+            authoritative in any::<bool>(),
+        ) {
+            let view = MessageView::parse(&wire).unwrap();
+            let mut owned = view.to_message().into_response();
+            let mut reply = Writer::over(wire.clone(), view.reply_start());
+            reply.limit(limit);
+            prop_assert_eq!(reply.question(), owned.question().cloned());
+            owned.header.authoritative = authoritative;
+            reply.header.authoritative = authoritative;
+            let sections = [
+                (Section::Answer, answers, &mut owned.answers),
+                (Section::Authority, authorities, &mut owned.authorities),
+                (Section::Additional, additionals, &mut owned.additionals),
+            ];
+            for (section, records, kept) in sections {
+                for record in &records {
+                    reply.push(section, record);
+                }
+                *kept = records;
+            }
+            prop_assert_eq!(reply.finish_limited(), owned.encode_with_limit(limit));
+            // `encode_with_limit` is itself a `Writer`; the encoder it
+            // replaced is the independent oracle.
+            prop_assert_eq!(
+                owned.encode_with_limit(limit),
+                crate::message::reference::encode_with_limit(&owned, limit)
+            );
+        }
+
         /// The allocation-free compressor emits exactly the bytes the
         /// `HashMap` one did.
         #[test]

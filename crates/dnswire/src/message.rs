@@ -1,12 +1,13 @@
 //! Whole DNS messages: sections, compression-aware encoding, decoding and
 //! the 512-byte UDP truncation rule that the TCP-based guard scheme exploits.
 
-use crate::error::{WireError, WireResult};
-use crate::header::{Header, SectionCounts, HEADER_LEN};
+use crate::error::WireResult;
+use crate::header::Header;
 use crate::name::{split_label, Name};
 use crate::question::Question;
 use crate::record::Record;
 use crate::types::{RrClass, RrType, Rcode};
+use crate::writer::{Section, Writer};
 use std::fmt;
 
 /// Classic maximum UDP DNS payload (RFC 1035); larger answers set TC.
@@ -113,7 +114,9 @@ impl Message {
 
     /// Encodes with name compression, no size limit.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_records(usize::MAX).0
+        let mut out = Writer::new(self.header, &self.questions);
+        self.push_records(&mut out);
+        out.finish()
     }
 
     /// Encodes with name compression, truncating at `limit` bytes.
@@ -124,54 +127,26 @@ impl Message {
     ///
     /// # Errors
     ///
-    /// [`WireError::TooLarge`] if even header + questions exceed `limit`.
+    /// [`crate::WireError::TooLarge`] if even header + questions exceed `limit`.
     pub fn encode_with_limit(&self, limit: usize) -> WireResult<(Vec<u8>, bool)> {
-        match self.encode_records(limit) {
-            (wire, _) if wire.len() > limit => Err(WireError::TooLarge {
-                needed: wire.len(),
-                limit,
-            }),
-            fits => Ok(fits),
-        }
+        let mut out = Writer::new(self.header, &self.questions);
+        out.limit(limit);
+        self.push_records(&mut out);
+        out.finish_limited()
     }
 
-    /// One pass: header and questions always, then records in section order
-    /// until one would end past `limit`. A record's encoding depends only on
-    /// what precedes it, so stopping there yields byte for byte what
-    /// encoding the message without the dropped records would; the header
-    /// goes in last, once the kept counts and TC are known.
-    fn encode_records(&self, limit: usize) -> (Vec<u8>, bool) {
-        let mut buf = Vec::with_capacity(128);
-        buf.extend_from_slice(&[0; HEADER_LEN]);
-        let mut compressor = Compressor::default();
-        for q in &self.questions {
-            compressor.question(&mut buf, q);
+    /// Every record, in section order, into `out` — which stops taking them
+    /// at its limit.
+    fn push_records(&self, out: &mut Writer) {
+        for record in &self.answers {
+            out.push(Section::Answer, record);
         }
-        let mut kept = 0usize;
-        for r in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
-            let start = buf.len();
-            compressor.record(&mut buf, &r.name, r.rtype, r.class, r.ttl, |buf| r.rdata.encode(buf));
-            if buf.len() > limit {
-                buf.truncate(start);
-                break;
-            }
-            kept += 1;
+        for record in &self.authorities {
+            out.push(Section::Authority, record);
         }
-        let truncated = kept < self.answers.len() + self.authorities.len() + self.additionals.len();
-        let mut header = self.header;
-        header.truncated |= truncated;
-        let answers = kept.min(self.answers.len());
-        let authorities = (kept - answers).min(self.authorities.len());
-        let counts = SectionCounts {
-            questions: self.questions.len() as u16,
-            answers: answers as u16,
-            authorities: authorities as u16,
-            additionals: (kept - answers - authorities) as u16,
-        };
-        if let Some(slot) = buf.get_mut(..HEADER_LEN) {
-            slot.copy_from_slice(&header.to_bytes(counts));
+        for record in &self.additionals {
+            out.push(Section::Additional, record);
         }
-        (buf, truncated)
     }
 
     /// Decodes a full message.
@@ -348,6 +323,8 @@ fn spells(out: &[u8], mut at: usize, mut suffix: &[u8]) -> bool {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use crate::error::WireError;
+    use crate::header::SectionCounts;
     use std::collections::HashMap;
 
     #[derive(Default)]
@@ -451,6 +428,8 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WireError;
+    use crate::header::{SectionCounts, HEADER_LEN};
     use std::net::Ipv4Addr;
 
     fn n(s: &str) -> Name {

@@ -35,6 +35,17 @@ impl Question {
             qclass: RrClass::In,
         }
     }
+
+    /// The question encoded at `offset` of `msg`, by the walk every decoded
+    /// name comes from; `None` if there is no well-formed one there.
+    pub(crate) fn read(msg: &[u8], offset: usize) -> Option<Question> {
+        let (name, seen) = Name::read::<true>(msg, offset).ok()?;
+        Some(Question {
+            name: name?,
+            qtype: RrType::from(read_u16(msg, seen.end).ok()?),
+            qclass: RrClass::from(read_u16(msg, seen.end + 2).ok()?),
+        })
+    }
 }
 
 /// The [`digest`] of a message without a question.

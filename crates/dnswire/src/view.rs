@@ -6,6 +6,14 @@
 //! once: a name's in `Name::read`, an RDATA's in `RData::read`, the message's
 //! in `walk` below. A guard that drops a datagram on what the view shows has
 //! allocated nothing for it.
+//!
+//! What a datagram that passed the walk is then asked for, still without a
+//! [`Message`]: its first question ([`MessageView::question`], the one owned
+//! name an answer or a classification needs), its question behind a fresh
+//! header ([`MessageView::question_only`], a forward), where a reply in its
+//! own buffer starts ([`MessageView::reply_start`]), and its records one at
+//! a time ([`MessageView::records`]: section, type, class, TTL and the RDATA
+//! bytes where they lie — a relay that renames address records builds none).
 
 use crate::cookie_ext::{self, CookieExt};
 use crate::error::{WireError, WireResult};
@@ -16,7 +24,7 @@ use crate::question::{self, read_u16, read_u32, Question, NO_QUESTION};
 use crate::rdata::RData;
 use crate::record::Record;
 use crate::types::{RrClass, RrType};
-use crate::writer::ReplyStart;
+use crate::writer::{ReplyStart, Section};
 
 /// A validated datagram, still in its receive buffer.
 ///
@@ -74,12 +82,38 @@ impl<'a> MessageView<'a> {
         Some(self.first_label).filter(|label| !label.is_empty())
     }
 
+    /// The bytes this view was parsed from.
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.wire
+    }
+
     /// The first question's name, read by the walk every decoded name comes
     /// from — the one piece of a query a guard may need owned (to classify
     /// it) without needing the message.
     pub fn question_name(&self) -> Option<Name> {
-        let read = Name::read::<true>(self.wire, HEADER_LEN).ok();
-        read.filter(|_| self.has_question()).and_then(|(name, _)| name)
+        self.question().map(|q| q.name)
+    }
+
+    /// The first question, as `Message::question()` would hold it.
+    pub fn question(&self) -> Option<Question> {
+        Question::read(self.wire, HEADER_LEN).filter(|_| self.has_question())
+    }
+
+    /// The records of the answer, authority and additional sections in wire
+    /// order, each shown where it lies: no name is built and nothing is
+    /// copied.
+    pub fn records(&self) -> Records<'a> {
+        let SectionCounts {
+            answers,
+            authorities,
+            additionals,
+            ..
+        } = self.counts;
+        Records {
+            wire: self.wire,
+            pos: self.questions_end,
+            left: [answers, authorities, additionals],
+        }
     }
 
     /// The [`Question::digest`] of the first question ([`NO_QUESTION`]
@@ -132,26 +166,106 @@ impl<'a> MessageView<'a> {
     }
 
     /// This query under transaction id `id` and without its cookie, when
-    /// that is the received question bytes behind a fresh header: a single
-    /// question whose name is *literal* (spelled out in place, no
-    /// compression pointer) and no record but the cookie. That is byte for
-    /// byte what decode → `strip_cookie` → encode emits: the encoder writes
-    /// the header from the decoded fields, has nothing to point a first name
-    /// at, and type and class codes round-trip. Every other shape is `None`.
+    /// it carries one and [`MessageView::question_only`] can write it.
     pub fn without_cookie(&self, id: u16) -> Option<Vec<u8>> {
+        self.cookie.and_then(|_| self.question_only(id))
+    }
+
+    /// This query under transaction id `id` and without its cookie, if it
+    /// has one, when that is the received question bytes behind a fresh
+    /// header: a single question whose name is *literal* (spelled out in
+    /// place, no compression pointer) and no record but the cookie. That is
+    /// byte for byte what decode → `strip_cookie` → encode emits: the
+    /// encoder writes the header from the decoded fields, has nothing to
+    /// point a first name at, and type and class codes round-trip. Every
+    /// other shape is `None`.
+    pub fn question_only(&self, id: u16) -> Option<Vec<u8>> {
         let counts = |additionals| SectionCounts {
             questions: 1,
             additionals,
             ..SectionCounts::default()
         };
-        let bare = self.cookie.is_some()
-            && self.counts == counts(1)
-            && self.literal_question;
+        let bare = self.counts == counts(self.cookie.is_some() as u16) && self.literal_question;
         let question = self.wire.get(HEADER_LEN..self.questions_end).filter(|_| bare)?;
         let mut out = Vec::with_capacity(HEADER_LEN + question.len());
         out.extend_from_slice(&Header { id, ..self.header }.to_bytes(counts(0)));
         out.extend_from_slice(question);
         Some(out)
+    }
+}
+
+/// One record of a parsed datagram, where it lies.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    wire: &'a [u8],
+    owner_at: usize,
+    rdata_at: usize,
+    rdlen: usize,
+    /// The section it stands in.
+    pub section: Section,
+    /// TYPE.
+    pub rtype: RrType,
+    /// CLASS.
+    pub class: RrClass,
+    /// TTL.
+    pub ttl: u32,
+}
+
+impl<'a> RecordView<'a> {
+    /// The RDATA as received. A name in it may end in a compression
+    /// pointer, so only RDATA without names (an address, text, opaque bytes)
+    /// can be copied into another message as it is.
+    pub fn rdata(&self) -> &'a [u8] {
+        self.wire.get(self.rdata_at..self.rdata_at + self.rdlen).unwrap_or_default()
+    }
+
+    /// The owned record, as `Message::decode` holds it.
+    pub fn to_record(&self) -> Record {
+        let name = Name::read::<true>(self.wire, self.owner_at).ok().and_then(|(name, _)| name);
+        let rdata = RData::read::<true>(self.wire, self.rdata_at, self.rdlen, self.rtype);
+        Record {
+            name: name.unwrap_or_default(),
+            rtype: self.rtype,
+            class: self.class,
+            ttl: self.ttl,
+            // Unreachable on bytes `parse` accepted: it ran the same read.
+            rdata: rdata.ok().flatten().unwrap_or(RData::Unknown(Vec::new())),
+        }
+    }
+}
+
+/// The records of a parsed datagram ([`MessageView::records`]).
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    wire: &'a [u8],
+    pos: usize,
+    /// Records still to come in the answer, authority and additional
+    /// sections.
+    left: [u16; 3],
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = RecordView<'a>;
+
+    fn next(&mut self) -> Option<RecordView<'a>> {
+        const SECTIONS: [Section; 3] = [Section::Answer, Section::Authority, Section::Additional];
+        let (left, &section) = self.left.iter_mut().zip(&SECTIONS).find(|(left, _)| **left > 0)?;
+        *left -= 1;
+        // The walk accepted these bytes, so none of the reads below fails.
+        let (_, owner) = Name::read::<false>(self.wire, self.pos).ok()?;
+        let at = owner.end;
+        let record = RecordView {
+            wire: self.wire,
+            owner_at: self.pos,
+            rdata_at: at + 10,
+            rdlen: read_u16(self.wire, at + 8).ok()? as usize,
+            section,
+            rtype: RrType::from(read_u16(self.wire, at).ok()?),
+            class: RrClass::from(read_u16(self.wire, at + 2).ok()?),
+            ttl: read_u32(self.wire, at + 4).ok()?,
+        };
+        self.pos = record.rdata_at + record.rdlen;
+        Some(record)
     }
 }
 
@@ -268,13 +382,39 @@ pub(crate) mod tests {
         assert_eq!(view.first_label(), msg.question().and_then(|q| q.name.first_label()));
         assert_eq!(view.to_message(), msg);
         assert_eq!(view.question_digest(), msg.question().map_or(NO_QUESTION, Question::digest));
-        match (view.question_name(), msg.question()) {
-            (Some(name), Some(q)) => assert!(name.eq_case_sensitive(&q.name)),
-            (name, q) => assert!(name.is_none() && q.is_none(), "{name:?} / {q:?}"),
+        match (view.question(), msg.question()) {
+            (Some(seen), Some(q)) => {
+                assert!(seen.name.eq_case_sensitive(&q.name));
+                assert_eq!((seen.qtype, seen.qclass), (q.qtype, q.qclass));
+            }
+            (seen, q) => assert!(seen.is_none() && q.is_none(), "{seen:?} / {q:?}"),
         }
-        if let Some(bare) = view.without_cookie(0xBEEF) {
+        assert_eq!(view.question_name(), view.question().map(|q| q.name));
+        assert_eq!(view.as_bytes(), wire);
+        if let Some(bare) = view.question_only(0xBEEF) {
             assert_eq!(bare, reference_without_cookie(wire, 0xBEEF));
         }
+        assert_eq!(view.without_cookie(0xBEEF), view.question_only(0xBEEF).filter(|_| view.cookie().is_some()));
+
+        // The record iterator shows the owned sections, in order.
+        let sections = [
+            (Section::Answer, &msg.answers),
+            (Section::Authority, &msg.authorities),
+            (Section::Additional, &msg.additionals),
+        ];
+        let owned = sections.iter().flat_map(|(section, records)| records.iter().map(|r| (*section, r)));
+        let mut seen = view.records();
+        for (section, record) in owned {
+            let shown = seen.next().expect("a record short");
+            assert_eq!((shown.section, shown.to_record()), (section, record.clone()));
+            assert_eq!((shown.rtype, shown.class, shown.ttl), (record.rtype, record.class, record.ttl));
+            if matches!(record.rdata, RData::A(_) | RData::Aaaa(_) | RData::Unknown(_)) {
+                let mut encoded = Vec::new();
+                record.rdata.encode(&mut encoded);
+                assert_eq!(shown.rdata(), encoded);
+            }
+        }
+        assert!(seen.next().is_none(), "a record too many");
     }
 
     fn cookie_query() -> Message {
@@ -301,6 +441,9 @@ pub(crate) mod tests {
         };
         let plain = Message::query(7, "www.foo.com".parse().unwrap(), RrType::A);
         assert!(declines(&plain), "no cookie");
+        let wire = plain.encode();
+        let bare = MessageView::parse(&wire).unwrap().question_only(9);
+        assert_eq!(bare, Some(reference_without_cookie(&wire, 9)), "… but still only a question");
 
         let mut two_questions = cookie_query();
         two_questions.questions.push(Question::new("foo.com".parse().unwrap(), RrType::A));

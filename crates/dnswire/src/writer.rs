@@ -1,18 +1,31 @@
-//! A reply written over the query it answers.
+//! The one encoder: a message written section by section into one buffer.
 //!
-//! A reply echoes the question, and a guard's first-contact replies add at
-//! most one record to it. So when the received question section is exactly
-//! what the encoder would write, the reply is the received buffer cut off
-//! behind the question, twelve header bytes rewritten, and records appended —
-//! through the compressor every [`Message::encode`] uses, told where the
-//! question name's suffixes already lie. A [`Writer`] started that way emits
-//! byte for byte what decode → `into_response()` → push → `encode()` does;
-//! for the shapes whose question bytes cannot stand it obtains its header and
-//! questions from the owned decode and appends through the same path.
+//! A [`Writer`] holds twelve bytes for the header, the question section, and
+//! whole records appended through the suffix compressor; the header goes in
+//! last, with the counts of what was pushed. It starts in one of two ways:
+//!
+//! * [`Writer::new`] — an empty buffer, the questions encoded. This is what
+//!   [`Message::encode`] and [`Message::encode_with_limit`] are: every
+//!   message the workspace emits is written here.
+//! * [`Writer::over`] — the buffer of the query being answered. A reply
+//!   echoes the question, so when the received question section is exactly
+//!   what the encoder would write (one question, its name spelled out in
+//!   place), the reply is the received buffer cut off behind the question
+//!   and the compressor is told where the question name's suffixes already
+//!   lie: nothing is copied or allocated, and the bytes equal decode →
+//!   `into_response()` → push → `encode()`. Any other shape (no question,
+//!   several, a compressed question name) is decoded and its questions
+//!   encoded afresh.
+//!
+//! The UDP truncation rule lives here too ([`Writer::limit`]): the first
+//! record that would end past the limit is left out with everything after
+//! it, and TC is set.
 
+use crate::error::{WireError, WireResult};
 use crate::header::{Header, SectionCounts, HEADER_LEN};
 use crate::message::{Compressor, Message};
 use crate::name::Name;
+use crate::question::Question;
 use crate::record::Record;
 use crate::types::{RrClass, RrType};
 
@@ -42,7 +55,8 @@ pub struct ReplyStart {
     pub(crate) questions_end: Option<usize>,
 }
 
-/// A reply being written.
+/// A message being written: a reply over the query it answers, or any
+/// message from nothing.
 ///
 /// # Examples
 ///
@@ -74,6 +88,10 @@ pub struct Writer {
     buf: Vec<u8>,
     counts: SectionCounts,
     compressor: Compressor,
+    /// No record may end past this offset ([`Writer::limit`]).
+    limit: usize,
+    /// A record did not fit: it and every later one is left out, and TC set.
+    dropped: bool,
 }
 
 impl Writer {
@@ -84,35 +102,75 @@ impl Writer {
     /// registered. Any other shape (no question, several, a compressed
     /// question name) is decoded and its questions encoded afresh.
     pub fn over(mut query: Vec<u8>, start: ReplyStart) -> Writer {
-        let mut compressor = Compressor::default();
-        let questions = match start.questions_end {
-            Some(end) => {
-                query.truncate(end);
-                let mut at = HEADER_LEN;
-                while let Some(&len @ 1..=63) = query.get(at) {
-                    compressor.remember(at);
-                    at += 1 + len as usize;
-                }
-                1
-            }
-            None => {
-                let owned = Message::decode(&query).unwrap_or_default();
-                query.resize(HEADER_LEN, 0);
-                for q in &owned.questions {
-                    compressor.question(&mut query, q);
-                }
-                owned.questions.len() as u16
-            }
+        let Some(end) = start.questions_end else {
+            let owned = Message::decode(&query).unwrap_or_default();
+            return Writer::start(query, start.header, &owned.questions);
         };
+        let mut compressor = Compressor::default();
+        query.truncate(end);
+        let mut at = HEADER_LEN;
+        while let Some(&len @ 1..=63) = query.get(at) {
+            compressor.remember(at);
+            at += 1 + len as usize;
+        }
         Writer {
             header: start.header,
             buf: query,
             counts: SectionCounts {
-                questions,
+                questions: 1,
                 ..SectionCounts::default()
             },
             compressor,
+            limit: usize::MAX,
+            dropped: false,
         }
+    }
+
+    /// Starts a message under `header` asking `questions`, in a buffer of
+    /// its own.
+    #[inline]
+    pub fn new(header: Header, questions: &[Question]) -> Writer {
+        Writer::start(Vec::with_capacity(128), header, questions)
+    }
+
+    /// `questions` encoded into `buf`, whatever it held.
+    // Into `new` and `over`, so the writer is built where it will live: it
+    // is ~150 bytes, and a copy per message showed in `Message::encode`.
+    #[inline(always)]
+    fn start(mut buf: Vec<u8>, header: Header, questions: &[Question]) -> Writer {
+        let mut compressor = Compressor::default();
+        buf.clear();
+        buf.resize(HEADER_LEN, 0);
+        for q in questions {
+            compressor.question(&mut buf, q);
+        }
+        Writer {
+            header,
+            buf,
+            counts: SectionCounts {
+                questions: questions.len() as u16,
+                ..SectionCounts::default()
+            },
+            compressor,
+            limit: usize::MAX,
+            dropped: false,
+        }
+    }
+
+    /// Keeps the message within `limit` bytes, the way a UDP answer is cut
+    /// to its payload: the first record that would end past `limit` is left
+    /// out together with every record pushed after it (whole records, so
+    /// what is kept is byte for byte the message without them), and
+    /// [`Writer::finish`] sets TC.
+    pub fn limit(&mut self, limit: usize) {
+        self.limit = limit;
+    }
+
+    /// The first question, read back from where it was written (`None`
+    /// when the message has none): a reply over a query knows what it
+    /// answers.
+    pub fn question(&self) -> Option<Question> {
+        Question::read(&self.buf, HEADER_LEN).filter(|_| self.counts.questions > 0)
     }
 
     /// Appends `record` to `section`; see [`Writer::push_raw`].
@@ -130,7 +188,9 @@ impl Writer {
     /// Appends one record to `section`: the owner name compressed against
     /// everything before it, the fixed fields, and whatever `rdata` writes.
     /// Sections fill in order, so a record may not go to a section before
-    /// the one last written to.
+    /// the one last written to. Past a [`Writer::limit`] the record is
+    /// dropped, as is everything pushed after it.
+    #[inline]
     pub fn push_raw(
         &mut self,
         section: Section,
@@ -147,16 +207,47 @@ impl Writer {
             Section::Additional => (&mut counts.additionals, 0),
         };
         debug_assert_eq!(later, 0, "{section:?} record after a later section's");
-        *count += 1;
+        if self.dropped {
+            return;
+        }
+        // A record's encoding depends only on what precedes it, so cutting
+        // it off again leaves exactly the message that never had it.
+        let start = self.buf.len();
         self.compressor.record(&mut self.buf, owner, rtype, class, ttl, rdata);
+        if self.buf.len() > self.limit {
+            self.buf.truncate(start);
+            self.dropped = true;
+        } else {
+            *count += 1;
+        }
     }
 
-    /// The finished reply: the header goes in last, over the twelve bytes
-    /// kept for it, with the counts of what was pushed.
+    /// The finished message: the header goes in last, over the twelve bytes
+    /// kept for it, with the counts of what was pushed and TC set if a
+    /// record was dropped at the limit.
+    #[inline]
     pub fn finish(mut self) -> Vec<u8> {
+        self.header.truncated |= self.dropped;
         if let Some(slot) = self.buf.first_chunk_mut() {
             *slot = self.header.to_bytes(self.counts);
         }
         self.buf
+    }
+
+    /// [`Writer::finish`] for a writer with a [`Writer::limit`]: the message and
+    /// whether records were dropped to keep it within the limit.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::TooLarge`] if even header + questions exceed the limit.
+    pub fn finish_limited(self) -> WireResult<(Vec<u8>, bool)> {
+        let (limit, dropped) = (self.limit, self.dropped);
+        match self.finish() {
+            wire if wire.len() > limit => Err(WireError::TooLarge {
+                needed: wire.len(),
+                limit,
+            }),
+            wire => Ok((wire, dropped)),
+        }
     }
 }

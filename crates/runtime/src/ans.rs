@@ -1,8 +1,12 @@
 //! A real-socket authoritative name server: answers UDP DNS queries from a
-//! [`server::authoritative::Authority`] on a loopback port.
+//! [`server::authoritative::Authority`] on a loopback port, through
+//! [`Authority::answer_wire`] — the answer path of the simulated
+//! `server::nodes::AuthNode`. The serving thread owns the authority and one
+//! buffer, into which a query is received and over which its answer is
+//! written.
 
-use dnswire::message::{Message, MAX_UDP_PAYLOAD};
-use parking_lot::Mutex;
+use dnswire::message::MAX_UDP_PAYLOAD;
+use dnswire::view::MessageView;
 use server::authoritative::Authority;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -52,13 +56,13 @@ impl ToyAns {
         let addr = sock.local_addr()?;
         let stop = StopFlag::new();
         let counters = Arc::new(AnsCounters::default());
-        let authority = Arc::new(Mutex::new(authority));
 
         let t_stop = stop.clone();
         let t_counters = counters.clone();
         let handle = std::thread::spawn(move || {
-            let mut buf = [0u8; 2048];
+            let mut buf = Vec::new();
             while !t_stop.should_stop() {
+                buf.resize(2048, 0);
                 let (len, peer) = match sock.recv_from(&mut buf) {
                     Ok(x) => x,
                     Err(e)
@@ -69,7 +73,8 @@ impl ToyAns {
                     }
                     Err(_) => break,
                 };
-                let Ok(query) = Message::decode(&buf[..len]) else {
+                buf.truncate(len);
+                let Ok(query) = MessageView::parse(&buf) else {
                     // lint: relaxed-ok — monotonic statistic; readers sync
                     // via the shutdown join, not via this counter.
                     t_counters.bad_packets.fetch_add(1, Ordering::Relaxed);
@@ -78,14 +83,16 @@ impl ToyAns {
                 if query.header.response {
                     continue;
                 }
-                let (response, _) = authority.lock().answer(&query);
-                if let Ok((wire, _)) = response.encode_with_limit(MAX_UDP_PAYLOAD) {
+                let start = query.reply_start();
+                let query = std::mem::take(&mut buf);
+                if let Ok(wire) = authority.answer_wire(query, start, MAX_UDP_PAYLOAD) {
                     // Count before sending so observers who already saw the
                     // response also see the counter.
                     // lint: relaxed-ok — monotonic statistic; exactness only
                     // matters after shutdown(), which joins the thread.
                     t_counters.served.fetch_add(1, Ordering::Relaxed);
                     let _ = sock.send_to(&wire, peer);
+                    buf = wire;
                 }
             }
         });
@@ -130,6 +137,7 @@ impl Drop for ToyAns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnswire::message::Message;
     use dnswire::rdata::RData;
     use dnswire::types::RrType;
     use server::zone::{paper_hierarchy, WWW_ADDR};

@@ -3,7 +3,9 @@
 //! demonstrations on loopback.
 //!
 //! * [`ans`] — a toy authoritative server answering from a
-//!   [`server::authoritative::Authority`];
+//!   [`server::authoritative::Authority`], through the wire entry point the
+//!   simulated ANS uses (the reply written over the query, in the receive
+//!   buffer);
 //! * [`guard_server`] — the remote guard on two UDP sockets, configured for
 //!   the modified-DNS cookie extension (the scheme RFC 7873 later
 //!   standardised). It is a driver and nothing else: every datagram goes to

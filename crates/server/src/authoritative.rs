@@ -1,11 +1,27 @@
 //! Pure authoritative answering logic: given zones and a question, produce
 //! the referral, answer, NODATA or NXDOMAIN response.
+//!
+//! There is one zone walk ([`Authority`]'s private `walk`): it classifies
+//! the question and hands the records it selects, *borrowed* from the zone
+//! and in answer order, to whoever asked. Two callers give it a place to put
+//! them. [`Authority::answer`] clones them into an owned [`Message`] — the
+//! form the recursive resolver's in-process authority, the attack tooling
+//! and the benchmark hold an answer in. [`Authority::answer_wire`] pushes
+//! them into a [`Writer`] over the query's own buffer, so a served datagram
+//! is parsed once as a view, its question name is the only thing built, and
+//! the reply leaves in the bytes the query came in; both the simulated
+//! [`AuthNode`](crate::nodes::AuthNode) (UDP and TCP) and the real-socket
+//! `runtime::ans::ToyAns` answer through it.
 
 use crate::zone::Zone;
+use dnswire::error::WireResult;
 use dnswire::message::Message;
 use dnswire::name::Name;
+use dnswire::question::Question;
 use dnswire::rdata::RData;
+use dnswire::record::Record;
 use dnswire::types::{Rcode, RrType};
+use dnswire::writer::{ReplyStart, Section, Writer};
 
 /// How an authority classified its response — used by tests, the guard
 /// (which treats referral and non-referral answers differently), and stats.
@@ -21,6 +37,14 @@ pub enum AnswerKind {
     NxDomain,
     /// This server is not authoritative for the name at all.
     NotAuth,
+}
+
+impl AnswerKind {
+    /// Whether a response of this kind carries AA: everything answered out
+    /// of a zone's own data, as opposed to a referral or a refusal.
+    fn is_authoritative(self) -> bool {
+        matches!(self, AnswerKind::Authoritative | AnswerKind::NoData | AnswerKind::NxDomain)
+    }
 }
 
 /// A set of zones served by one authoritative name server.
@@ -66,44 +90,94 @@ impl Authority {
     /// [`Message::encode_with_limit`] as transport dictates.
     pub fn answer(&self, query: &Message) -> (Message, AnswerKind) {
         let mut response = query.response();
-        let Some(question) = query.question() else {
-            response.header.rcode = Rcode::FormErr;
-            return (response, AnswerKind::NotAuth);
+        let (kind, rcode) = self.walk(query.question(), |section, record| {
+            let records = match section {
+                Section::Answer => &mut response.answers,
+                Section::Authority => &mut response.authorities,
+                Section::Additional => &mut response.additionals,
+            };
+            records.push(record.clone());
+        });
+        response.header.rcode = rcode;
+        response.header.authoritative = kind.is_authoritative();
+        (response, kind)
+    }
+
+    /// Answers the query in `query`, the buffer `start` was taken from
+    /// ([`MessageView::reply_start`]), in that buffer: byte for byte what
+    /// decode → [`Authority::answer`] → `encode_with_limit(limit)` gives
+    /// (`usize::MAX` for a transport without a limit), without the owned
+    /// query, the owned response or a copy of any record.
+    ///
+    /// # Errors
+    ///
+    /// [`dnswire::WireError::TooLarge`] if the question section alone
+    /// exceeds `limit`.
+    ///
+    /// [`MessageView::reply_start`]: dnswire::view::MessageView::reply_start
+    pub fn answer_wire(&self, query: Vec<u8>, start: ReplyStart, limit: usize) -> WireResult<Vec<u8>> {
+        let mut reply = Writer::over(query, start);
+        reply.limit(limit);
+        let question = reply.question();
+        let (kind, rcode) = self.walk(question.as_ref(), |section, record| reply.push(section, record));
+        reply.header.rcode = rcode;
+        reply.header.authoritative = kind.is_authoritative();
+        reply.finish_limited().map(|(wire, _)| wire)
+    }
+
+    /// The zone walk: classifies `question` and hands `select` each record
+    /// of the response, borrowed from the zone, sections in order. Returns
+    /// the classification and the response code that goes with it.
+    fn walk<'z>(
+        &'z self,
+        question: Option<&Question>,
+        mut select: impl FnMut(Section, &'z Record),
+    ) -> (AnswerKind, Rcode) {
+        let Some(question) = question else {
+            return (AnswerKind::NotAuth, Rcode::FormErr);
         };
         let qname = &question.name;
         let qtype = question.qtype;
 
         let Some(zone) = self.best_zone(qname) else {
-            response.header.rcode = Rcode::Refused;
-            return (response, AnswerKind::NotAuth);
+            return (AnswerKind::NotAuth, Rcode::Refused);
         };
 
-        // Delegation below a zone cut → referral (not authoritative).
+        // Delegation below a zone cut → referral (not authoritative): the
+        // cut's NS records, then the glue of each in the same order.
         if let Some((_cut, ns_records)) = zone.delegation_for(qname) {
             for ns in ns_records {
-                response.authorities.push(ns.clone());
+                select(Section::Authority, ns);
+            }
+            for ns in ns_records {
                 if let RData::Ns(ns_name) = &ns.rdata {
-                    response.additionals.extend(zone.glue(ns_name));
+                    for glue in zone.glue(ns_name) {
+                        select(Section::Additional, glue);
+                    }
                 }
             }
-            return (response, AnswerKind::Referral);
+            return (AnswerKind::Referral, Rcode::NoError);
         }
-
-        response.header.authoritative = true;
 
         // Exact-type match.
         if let Some(records) = zone.lookup(qname, qtype) {
-            response.answers.extend_from_slice(records);
-            return (response, AnswerKind::Authoritative);
+            for record in records {
+                select(Section::Answer, record);
+            }
+            return (AnswerKind::Authoritative, Rcode::NoError);
         }
 
         // CNAME chain within the zone (bounded).
         if qtype != RrType::Cname {
             let mut current = qname;
             let mut followed = 0;
+            let mut aliased = false;
             while let Some(cnames) = zone.lookup(current, RrType::Cname) {
-                response.answers.extend_from_slice(cnames);
-                let RData::Cname(target) = &cnames[0].rdata else {
+                aliased = true;
+                for cname in cnames {
+                    select(Section::Answer, cname);
+                }
+                let Some(RData::Cname(target)) = cnames.first().map(|r| &r.rdata) else {
                     break;
                 };
                 current = target;
@@ -112,24 +186,25 @@ impl Authority {
                     break;
                 }
                 if let Some(records) = zone.lookup(current, qtype) {
-                    response.answers.extend_from_slice(records);
-                    return (response, AnswerKind::Authoritative);
+                    for record in records {
+                        select(Section::Answer, record);
+                    }
+                    return (AnswerKind::Authoritative, Rcode::NoError);
                 }
             }
-            if !response.answers.is_empty() {
+            if aliased {
                 // CNAME present but target unresolved here.
-                return (response, AnswerKind::Authoritative);
+                return (AnswerKind::Authoritative, Rcode::NoError);
             }
         }
 
         // Name exists (possibly only as an empty non-terminal) → NODATA,
         // else NXDOMAIN. Both carry the SOA for negative caching.
-        response.authorities.push(zone.soa().clone());
+        select(Section::Authority, zone.soa());
         if zone.name_exists(qname) || qname == zone.apex() {
-            (response, AnswerKind::NoData)
+            (AnswerKind::NoData, Rcode::NoError)
         } else {
-            response.header.rcode = Rcode::NxDomain;
-            (response, AnswerKind::NxDomain)
+            (AnswerKind::NxDomain, Rcode::NxDomain)
         }
     }
 }
@@ -138,7 +213,11 @@ impl Authority {
 mod tests {
     use super::*;
     use crate::zone::{paper_hierarchy, ZoneBuilder, COM_SERVER, FOO_SERVER, WWW_ADDR};
-    use dnswire::record::Record;
+    use dnswire::cookie_ext::attach_cookie;
+    use dnswire::edns::Edns;
+    use dnswire::message::MAX_UDP_PAYLOAD;
+    use dnswire::view::MessageView;
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
     fn n(s: &str) -> Name {
@@ -241,5 +320,180 @@ mod tests {
         query.header.id = 3;
         let (resp, _) = authority.answer(&query);
         assert_eq!(resp.header.rcode, Rcode::FormErr);
+    }
+
+    /// A `foo.com` zone with everything the walk branches on: an alias, a
+    /// chain of aliases longer than the walk follows, a loop, an alias that
+    /// leaves the zone, a name below an empty one, a delegation with two
+    /// servers and an address set that does not fit one UDP payload.
+    fn cname_chain_zone() -> Zone {
+        let mut zone = ZoneBuilder::new(n("foo.com"))
+            .ns(n("ns1.foo.com"), FOO_SERVER)
+            .a(n("www.foo.com"), WWW_ADDR)
+            .a(n("leaf.deep.foo.com"), WWW_ADDR)
+            .record(Record::new(n("alias.foo.com"), 60, RData::Cname(n("www.foo.com"))))
+            .record(Record::new(n("away.foo.com"), 60, RData::Cname(n("www.bar.org"))))
+            .record(Record::new(n("loop.foo.com"), 60, RData::Cname(n("pool.foo.com"))))
+            .record(Record::new(n("pool.foo.com"), 60, RData::Cname(n("loop.foo.com"))))
+            .record(Record::txt(n("www.foo.com"), b"v=spf1 -all".to_vec(), 300))
+            .delegate(n("sub.foo.com"), n("ns1.sub.foo.com"), Ipv4Addr::new(192, 0, 2, 61))
+            .delegate(n("sub.foo.com"), n("ns2.sub.foo.com"), Ipv4Addr::new(192, 0, 2, 62));
+        for i in 0..12u8 {
+            let target = if i == 11 { n("www.foo.com") } else { n(&format!("a{}.foo.com", i + 1)) };
+            zone = zone.record(Record::new(n(&format!("a{i}.foo.com")), 60, RData::Cname(target)));
+        }
+        for i in 0..40u8 {
+            zone = zone.a(n("big.foo.com"), Ipv4Addr::new(10, 0, 0, i));
+        }
+        zone.build()
+    }
+
+    fn authorities() -> Vec<Authority> {
+        let (root, com, foo) = paper_hierarchy();
+        vec![
+            Authority::new(vec![root.clone()]),
+            Authority::new(vec![com.clone()]),
+            Authority::new(vec![foo.clone()]),
+            Authority::new(vec![root, com, foo]),
+            Authority::new(vec![cname_chain_zone()]),
+        ]
+    }
+
+    /// Answers `query` both ways under a UDP payload limit, checks that the
+    /// bytes agree, and returns the decoded reply with its kind.
+    fn answered(authority: &Authority, query: &Message) -> (Message, AnswerKind) {
+        let wire = query.encode();
+        let start = MessageView::parse(&wire).unwrap().reply_start();
+        let reply = authority.answer_wire(wire, start, MAX_UDP_PAYLOAD).unwrap();
+        let (owned, kind) = authority.answer(query);
+        assert_eq!(reply, owned.encode_with_limit(MAX_UDP_PAYLOAD).unwrap().0);
+        (Message::decode(&reply).unwrap(), kind)
+    }
+
+    /// Every kind of answer, the truncated one and the refused ones
+    /// included, is the same bytes from the wire entry point.
+    #[test]
+    fn each_kind_of_answer_is_reached_on_the_wire() {
+        let chain = &authorities()[4];
+        let (reply, kind) = answered(chain, &q("x.SUB.foo.com", RrType::A));
+        assert_eq!((kind, reply.authorities.len(), reply.additionals.len()), (AnswerKind::Referral, 2, 2));
+        let (reply, kind) = answered(chain, &q("alias.foo.com", RrType::A));
+        assert_eq!((kind, reply.answers.len(), reply.header.authoritative), (AnswerKind::Authoritative, 2, true));
+        let (reply, _) = answered(chain, &q("a0.foo.com", RrType::A));
+        assert_eq!(reply.answers.len(), 9, "nine aliases followed, the tenth not");
+        let (reply, _) = answered(chain, &q("loop.foo.com", RrType::A));
+        assert_eq!(reply.answers.len(), 9);
+        let (reply, kind) = answered(chain, &q("away.foo.com", RrType::A));
+        assert_eq!((kind, reply.answers.len()), (AnswerKind::Authoritative, 1));
+        let (reply, kind) = answered(chain, &q("big.foo.com", RrType::A));
+        assert_eq!(kind, AnswerKind::Authoritative);
+        assert!(reply.header.truncated && reply.answers.len() < 40);
+        let (reply, kind) = answered(chain, &q("www.foo.com", RrType::Mx));
+        assert_eq!((kind, reply.header.rcode), (AnswerKind::NoData, Rcode::NoError));
+        let (reply, kind) = answered(chain, &q("nope.foo.com", RrType::A));
+        assert_eq!((kind, reply.header.rcode), (AnswerKind::NxDomain, Rcode::NxDomain));
+        let (reply, kind) = answered(chain, &q("www.bar.org", RrType::A));
+        assert_eq!((kind, reply.header.rcode), (AnswerKind::NotAuth, Rcode::Refused));
+        let mut questionless = q("www.foo.com", RrType::A);
+        questionless.questions.clear();
+        let (reply, kind) = answered(chain, &questionless);
+        assert_eq!((kind, reply.header.rcode), (AnswerKind::NotAuth, Rcode::FormErr));
+    }
+
+    /// Names over the labels the zones know (and a few they do not), in the
+    /// case the zone has them or 0x20-style mixed.
+    fn arb_qname() -> impl Strategy<Value = Name> {
+        const LABELS: [&str; 16] = [
+            "www", "foo", "com", "alias", "away", "loop", "a0", "a5", "big", "deep", "leaf", "sub", "ns1", "missing",
+            "org", "net",
+        ];
+        const NAMES: [&str; 9] = [
+            "www.foo.com", "alias.foo.com", "a0.foo.com", "loop.foo.com", "away.foo.com", "big.foo.com",
+            "deep.foo.com", "x.sub.foo.com", "nope.foo.com",
+        ];
+        let label = (0..LABELS.len(), any::<u16>()).prop_map(|(i, case)| {
+            let cased = LABELS[i].bytes().enumerate().map(|(k, b)| match case >> (k % 16) & 1 {
+                1 => b.to_ascii_uppercase(),
+                _ => b,
+            });
+            cased.collect::<Vec<u8>>()
+        });
+        prop_oneof![
+            proptest::collection::vec(label, 0..5).prop_map(|labels| Name::from_labels(labels).unwrap()),
+            (0..NAMES.len()).prop_map(|i| n(NAMES[i])),
+        ]
+    }
+
+    fn arb_qtype() -> impl Strategy<Value = RrType> {
+        const TYPES: [RrType; 8] = [
+            RrType::A,
+            RrType::Ns,
+            RrType::Cname,
+            RrType::Mx,
+            RrType::Aaaa,
+            RrType::Txt,
+            RrType::Soa,
+            RrType::Other(99),
+        ];
+        (0..TYPES.len()).prop_map(|i| TYPES[i])
+    }
+
+    /// A query datagram: `shape` picks one literal question, none, two
+    /// (short, or so long that the question section alone passes a UDP
+    /// payload), or the root name as a compression pointer; `extra` adds an
+    /// EDNS record, a cookie, or both.
+    fn arb_query() -> impl Strategy<Value = Vec<u8>> {
+        (any::<u16>(), arb_qname(), arb_qtype(), 0u8..7, 0u8..4, any::<bool>()).prop_map(
+            |(id, qname, qtype, shape, extra, recursive)| {
+                let mut query = Message::iterative_query(id, qname, qtype);
+                query.header.recursion_desired = recursive;
+                match shape {
+                    0 => query.questions.clear(),
+                    1 => query.questions.push(Question::new(n("foo.com"), RrType::Ns)),
+                    2 => {
+                        let long = Name::from_labels([[b'a'; 63], [b'b'; 63], [b'c'; 63]]).unwrap();
+                        let long = long.child([b'd'; 61]).unwrap();
+                        query.questions = vec![Question::new(long.clone(), qtype), Question::new(long, RrType::A)];
+                    }
+                    3 => query.questions[0].name = Name::root(),
+                    _ => {}
+                }
+                if extra & 1 == 1 {
+                    query.additionals.push(Edns::default().to_record());
+                }
+                if extra & 2 == 2 {
+                    attach_cookie(&mut query, [7; 16], 0);
+                }
+                let mut wire = query.encode();
+                if shape == 3 {
+                    // The root question name (one zero octet) as a pointer
+                    // to another: the high byte of QDCOUNT.
+                    wire.splice(12..13, [0xC0, 0x04]);
+                }
+                wire
+            },
+        )
+    }
+
+    proptest! {
+        /// The wire entry point answers every query byte for byte as decode
+        /// → `answer` → encode does, under a UDP payload limit and without
+        /// one.
+        #[test]
+        fn wire_answer_is_the_owned_answer_encoded(
+            which in 0usize..5,
+            query in arb_query(),
+            udp in any::<bool>(),
+        ) {
+            let authority = &authorities()[which];
+            let owned = authority.answer(&Message::decode(&query).unwrap()).0;
+            let start = MessageView::parse(&query).unwrap().reply_start();
+            if udp {
+                let expected = owned.encode_with_limit(MAX_UDP_PAYLOAD).map(|(wire, _)| wire);
+                prop_assert_eq!(authority.answer_wire(query, start, MAX_UDP_PAYLOAD), expected);
+            } else {
+                prop_assert_eq!(authority.answer_wire(query, start, usize::MAX), Ok(owned.encode()));
+            }
+        }
     }
 }

@@ -6,13 +6,14 @@
 //! * [`zone`] — zone data with delegations and glue, plus the paper's
 //!   root → `com` → `foo.com` hierarchy;
 //! * [`authoritative`] — pure answering logic (referral / answer / NODATA /
-//!   NXDOMAIN classification);
+//!   NXDOMAIN classification): one zone walk over borrowed records, into an
+//!   owned `Message` or straight into the query's own buffer;
 //! * [`cache`] — the resolver's TTL cache (TTL 0 disables caching, as the
 //!   Figure 5 experiment requires);
 //! * [`recursive`] — a stock local recursive server: iterative resolution,
 //!   NS chasing, retransmission timers, TC→TCP fallback;
 //! * [`nodes`] — authoritative server nodes with BIND 9.3.1 / ANS-simulator
-//!   cost models;
+//!   cost models, answering UDP and TCP queries through the wire entry point;
 //! * [`simclient`] — the paper's closed-loop "LRS simulator" workload
 //!   generator (scheme-aware through standard DNS behaviour only);
 //! * [`openloop`] — constant-rate clients with BIND's congestion backoff;

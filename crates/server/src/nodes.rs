@@ -3,7 +3,8 @@
 //! TCP-capable variant.
 
 use crate::authoritative::Authority;
-use dnswire::message::{Message, MAX_UDP_PAYLOAD};
+use dnswire::message::MAX_UDP_PAYLOAD;
+use dnswire::view::MessageView;
 use netsim::engine::{Context, Node};
 use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT};
 use netsim::tcp::{TcpEvent, TcpHost};
@@ -122,29 +123,23 @@ impl AuthNode {
         );
     }
 
-    fn answer_wire(&mut self, query: &Message, udp: bool) -> Option<Vec<u8>> {
-        let (resp, _) = self.authority.answer(query);
-        if udp {
-            resp.encode_with_limit(MAX_UDP_PAYLOAD).ok().map(|(w, _)| w)
-        } else {
-            Some(resp.encode())
-        }
-    }
 }
 
 impl Node for AuthNode {
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         match pkt.proto {
             Proto::Udp => {
-                let Ok(msg) = Message::decode(&pkt.payload) else {
+                let Ok(view) = MessageView::parse(&pkt.payload) else {
                     return;
                 };
-                if msg.header.response {
+                if view.header.response {
                     return;
                 }
                 ctx.charge(self.costs.udp_request);
                 self.udp_queries.inc();
-                if let Some(wire) = self.answer_wire(&msg, true) {
+                // The reply is written over the query, in its own buffer.
+                let start = view.reply_start();
+                if let Ok(wire) = self.authority.answer_wire(pkt.payload, start, MAX_UDP_PAYLOAD) {
                     ctx.send(Packet::udp(Endpoint::new(self.addr, DNS_PORT), pkt.src, wire));
                 }
             }
@@ -168,12 +163,13 @@ impl Node for AuthNode {
                             }
                             let frame = buf[2..2 + need].to_vec();
                             self.tcp_bufs.remove(&key);
-                            let Ok(msg) = Message::decode(&frame) else {
+                            let Ok(view) = MessageView::parse(&frame) else {
                                 continue;
                             };
                             ctx.charge(self.costs.tcp_request);
                             self.tcp_queries.inc();
-                            if let Some(wire) = self.answer_wire(&msg, false) {
+                            let start = view.reply_start();
+                            if let Ok(wire) = self.authority.answer_wire(frame, start, usize::MAX) {
                                 let mut framed = Vec::with_capacity(wire.len() + 2);
                                 framed.extend_from_slice(&(wire.len() as u16).to_be_bytes());
                                 framed.extend_from_slice(&wire);
@@ -197,6 +193,7 @@ impl Node for AuthNode {
 mod tests {
     use super::*;
     use crate::zone::{paper_hierarchy, FOO_SERVER, WWW_ADDR};
+    use dnswire::message::Message;
     use dnswire::rdata::RData;
     use dnswire::types::RrType;
     use netsim::engine::{CpuConfig, Simulator};

@@ -1,4 +1,9 @@
 //! Zone data: the record database an authoritative server answers from.
+//!
+//! Records are indexed by owner name, then by type, so every look-up
+//! ([`Zone::lookup`], [`Zone::glue`], [`Zone::name_exists`]) probes with the
+//! name it is given and hands back records borrowed from the zone: answering
+//! a query copies nothing out of here.
 
 use dnswire::name::Name;
 use dnswire::rdata::{RData, Soa};
@@ -6,6 +11,19 @@ use dnswire::record::Record;
 use dnswire::types::RrType;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+
+/// The records at one owner name: one set per type, in the order the types
+/// were first added. A name rarely has more than a few.
+type RrSets = Vec<(RrType, Vec<Record>)>;
+
+/// Files `record` under its owner and type.
+fn file(records: &mut HashMap<Name, RrSets>, record: Record) {
+    let sets = records.entry(record.name.clone()).or_default();
+    match sets.iter_mut().find(|(rtype, _)| *rtype == record.rtype) {
+        Some((_, set)) => set.push(record),
+        None => sets.push((record.rtype, vec![record])),
+    }
+}
 
 /// One authoritative zone: an apex, its records, and delegation cuts to
 /// child zones.
@@ -31,7 +49,9 @@ use std::net::Ipv4Addr;
 pub struct Zone {
     apex: Name,
     soa: Record,
-    records: HashMap<(Name, RrType), Vec<Record>>,
+    /// Owner name → its record sets, so a look-up probes with the name it
+    /// was given and builds no key.
+    records: HashMap<Name, RrSets>,
     /// Child cut apex → NS records for that cut. BTreeMap so lookups can
     /// pick the deepest matching cut deterministically.
     delegations: BTreeMap<Name, Vec<Record>>,
@@ -44,13 +64,17 @@ impl Zone {
     pub fn from_parts(
         apex: Name,
         soa: Record,
-        records: HashMap<(Name, RrType), Vec<Record>>,
+        records: impl IntoIterator<Item = Record>,
         delegations: BTreeMap<Name, Vec<Record>>,
     ) -> Self {
+        let mut by_name = HashMap::new();
+        for record in records {
+            file(&mut by_name, record);
+        }
         Zone {
             apex,
             soa,
-            records,
+            records: by_name,
             delegations,
         }
     }
@@ -67,13 +91,13 @@ impl Zone {
 
     /// Looks up records of `rtype` at exactly `name`.
     pub fn lookup(&self, name: &Name, rtype: RrType) -> Option<&[Record]> {
-        self.records.get(&(name.clone(), rtype)).map(|v| v.as_slice())
+        let sets = self.records.get(name)?;
+        sets.iter().find(|(t, _)| *t == rtype).map(|(_, set)| set.as_slice())
     }
 
     /// Whether any records exist at `name` (of any type).
     pub fn name_exists(&self, name: &Name) -> bool {
-        self.records.keys().any(|(n, _)| n == name)
-            || self.delegations.keys().any(|cut| cut == name || name.is_subdomain_of(cut))
+        self.records.contains_key(name) || self.delegations.keys().any(|cut| name.is_subdomain_of(cut))
     }
 
     /// Finds the delegation cut covering `name`, if `name` lies at or below
@@ -95,21 +119,17 @@ impl Zone {
         best
     }
 
-    /// Glue addresses for a name-server name, if this zone stores them.
-    pub fn glue(&self, ns_name: &Name) -> Vec<Record> {
-        let mut out = Vec::new();
-        if let Some(a) = self.lookup(ns_name, RrType::A) {
-            out.extend_from_slice(a);
-        }
-        if let Some(aaaa) = self.lookup(ns_name, RrType::Aaaa) {
-            out.extend_from_slice(aaaa);
-        }
-        out
+    /// Glue addresses for a name-server name, if this zone stores them:
+    /// its A records, then its AAAA records.
+    pub fn glue<'z>(&'z self, ns_name: &Name) -> impl Iterator<Item = &'z Record> {
+        let sets = self.records.get(ns_name).map_or(&[][..], Vec::as_slice);
+        let of = move |rtype| sets.iter().filter(move |(t, _)| *t == rtype).flat_map(|(_, set)| set);
+        of(RrType::A).chain(of(RrType::Aaaa))
     }
 
     /// Iterates over all records (not including delegation NS sets).
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.records.values().flatten()
+        self.records.values().flatten().flat_map(|(_, set)| set)
     }
 }
 
@@ -119,7 +139,7 @@ pub struct ZoneBuilder {
     apex: Name,
     soa_ttl: u32,
     default_ttl: u32,
-    records: HashMap<(Name, RrType), Vec<Record>>,
+    records: HashMap<Name, RrSets>,
     delegations: BTreeMap<Name, Vec<Record>>,
 }
 
@@ -154,10 +174,7 @@ impl ZoneBuilder {
             record.name,
             self.apex
         );
-        self.records
-            .entry((record.name.clone(), record.rtype))
-            .or_default()
-            .push(record);
+        file(&mut self.records, record);
         self
     }
 
@@ -171,16 +188,9 @@ impl ZoneBuilder {
     /// its address. The server name may be out-of-bailiwick (e.g.
     /// `a.gtld-servers.net` serving `com`); its A record is stored as glue.
     pub fn ns(mut self, ns_name: Name, addr: Ipv4Addr) -> Self {
-        let apex = self.apex.clone();
         let ttl = self.default_ttl;
-        self.records
-            .entry((apex.clone(), RrType::Ns))
-            .or_default()
-            .push(Record::ns(apex, ns_name.clone(), ttl));
-        self.records
-            .entry((ns_name.clone(), RrType::A))
-            .or_default()
-            .push(Record::a(ns_name, addr, ttl));
+        file(&mut self.records, Record::ns(self.apex.clone(), ns_name.clone(), ttl));
+        file(&mut self.records, Record::a(ns_name, addr, ttl));
         self
     }
 
@@ -197,24 +207,18 @@ impl ZoneBuilder {
             .entry(child.clone())
             .or_default()
             .push(Record::ns(child, ns_name.clone(), ttl));
-        self.records
-            .entry((ns_name.clone(), RrType::A))
-            .or_default()
-            .push(Record::a(ns_name, ns_addr, ttl));
+        file(&mut self.records, Record::a(ns_name, ns_addr, ttl));
         self
     }
 
     /// Finalises the zone (synthesising a standard SOA).
     pub fn build(self) -> Zone {
-        let mname = self
-            .records
-            .iter()
-            .find(|((n, t), _)| *t == RrType::Ns && n == &self.apex)
-            .and_then(|(_, rs)| {
-                rs.first().and_then(|r| match &r.rdata {
-                    RData::Ns(n) => Some(n.clone()),
-                    _ => None,
-                })
+        let apex_sets = self.records.get(&self.apex).into_iter().flatten();
+        let mname = apex_sets
+            .filter(|(rtype, _)| *rtype == RrType::Ns)
+            .find_map(|(_, set)| match &set.first()?.rdata {
+                RData::Ns(n) => Some(n.clone()),
+                _ => None,
             })
             .unwrap_or_else(|| self.apex.clone());
         let soa = Record::new(
@@ -292,7 +296,7 @@ mod tests {
     fn lookup_and_glue() {
         let (_, com, _) = paper_hierarchy();
         assert_eq!(com.apex(), &n("com"));
-        let glue = com.glue(&n("ns1.foo.com"));
+        let glue: Vec<&Record> = com.glue(&n("ns1.foo.com")).collect();
         assert_eq!(glue.len(), 1);
         assert_eq!(glue[0].rdata, RData::A(FOO_SERVER));
     }

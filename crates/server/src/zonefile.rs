@@ -29,7 +29,7 @@ use dnswire::name::Name;
 use dnswire::rdata::{RData, Soa};
 use dnswire::record::Record;
 use dnswire::types::RrType;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -395,14 +395,11 @@ pub fn parse_zone(text: &str) -> Result<Zone, ZoneParseError> {
 /// Builds the [`Zone`], classifying NS records below the apex as
 /// delegations.
 fn assemble(apex: Name, soa: Record, records: Vec<Record>) -> Zone {
-    let mut plain: HashMap<(Name, RrType), Vec<Record>> = HashMap::new();
     let mut delegations: BTreeMap<Name, Vec<Record>> = BTreeMap::new();
-    for r in records {
-        if r.rtype == RrType::Ns && r.name != apex {
-            delegations.entry(r.name.clone()).or_default().push(r);
-        } else {
-            plain.entry((r.name.clone(), r.rtype)).or_default().push(r);
-        }
+    let (cuts, plain): (Vec<Record>, Vec<Record>) =
+        records.into_iter().partition(|r| r.rtype == RrType::Ns && r.name != apex);
+    for r in cuts {
+        delegations.entry(r.name.clone()).or_default().push(r);
     }
     Zone::from_parts(apex, soa, plain, delegations)
 }
