@@ -236,38 +236,20 @@ impl GuardCheckpoint {
         if version != CHECKPOINT_VERSION {
             return Err(DecodeError::UnsupportedVersion(version));
         }
-        let seq = r.u64()?;
-        let taken_at_nanos = r.u64()?;
-        let key = get_key(&mut r)?;
-        let rl1 = get_limiter(&mut r)?;
-        let rl2 = get_limiter(&mut r)?;
-        let next_txid = r.u16()?;
-        let next_qid = r.u64()?;
-        let active = r.u8()? != 0;
-        let last_rotation_nanos = r.u64()?;
-        let fwd_len = r.u32()? as usize;
-        let mut fwd = Vec::with_capacity(fwd_len.min(4_096));
-        for _ in 0..fwd_len {
-            fwd.push(get_fwd(&mut r)?);
-        }
-        let stash_len = r.u32()? as usize;
-        let mut stash = Vec::with_capacity(stash_len.min(4_096));
-        for _ in 0..stash_len {
-            stash.push(get_stash(&mut r)?);
-        }
+        // Fields are read in the order they are written here: the wire's.
         Ok(GuardCheckpoint {
             version,
-            seq,
-            taken_at_nanos,
-            key,
-            rl1,
-            rl2,
-            next_txid,
-            next_qid,
-            active,
-            last_rotation_nanos,
-            fwd,
-            stash,
+            seq: r.u64()?,
+            taken_at_nanos: r.u64()?,
+            key: get_key(&mut r)?,
+            rl1: get_limiter(&mut r)?,
+            rl2: get_limiter(&mut r)?,
+            next_txid: r.u16()?,
+            next_qid: r.u64()?,
+            active: r.u8()? != 0,
+            last_rotation_nanos: r.u64()?,
+            fwd: r.count()?.map(|_| get_fwd(&mut r)).collect::<Result<_, _>>()?,
+            stash: r.count()?.map(|_| get_stash(&mut r)).collect::<Result<_, _>>()?,
         })
     }
 }
@@ -492,6 +474,13 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// The length prefix of a list, as the range of its items' numbers.
+    /// Collecting their `Result`s reserves nothing up front, so a hostile
+    /// length costs no memory.
+    pub(crate) fn count(&mut self) -> Result<std::ops::Range<u32>, DecodeError> {
+        Ok(0..self.u32()?)
+    }
+
     pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.bytes(1)?[0])
     }
@@ -580,42 +569,30 @@ pub(crate) fn get_limiter(r: &mut Reader<'_>) -> Result<LimiterState, DecodeErro
         1 => Some(get_bucket(r)?),
         _ => return Err(DecodeError::Malformed("global-bucket flag")),
     };
-    let n = r.u32()? as usize;
-    let mut per_source = Vec::with_capacity(n.min(4_096));
-    for _ in 0..n {
-        let ip = r.ip()?;
-        per_source.push((ip, get_bucket(r)?));
-    }
+    let per_source = r.count()?.map(|_| Ok((r.ip()?, get_bucket(r)?))).collect::<Result<_, _>>()?;
     Ok(LimiterState { global, per_source })
 }
 
 pub(crate) fn get_fwd(r: &mut Reader<'_>) -> Result<FwdState, DecodeError> {
-    let txid = r.u16()?;
-    let requester = (r.ip()?, r.u16()?);
-    let reply_from = (r.ip()?, r.u16()?);
-    let orig_txid = r.u16()?;
-    let created_nanos = r.u64()?;
-    let qid = r.u64()?;
-    let rewrite = match r.u8()? {
-        0 => RewriteState::Passthrough { question: r.u64()? },
-        1 => RewriteState::ReferralCookie {
-            cookie_question: get_question(r)?,
-            question: r.u64()?,
-        },
-        2 => RewriteState::Fabricated {
-            cookie_question: get_question(r)?,
-            original: get_name(r)?,
-        },
-        _ => return Err(DecodeError::Malformed("rewrite tag")),
-    };
     Ok(FwdState {
-        txid,
-        requester,
-        reply_from,
-        orig_txid,
-        rewrite,
-        created_nanos,
-        qid,
+        txid: r.u16()?,
+        requester: (r.ip()?, r.u16()?),
+        reply_from: (r.ip()?, r.u16()?),
+        orig_txid: r.u16()?,
+        created_nanos: r.u64()?,
+        qid: r.u64()?,
+        rewrite: match r.u8()? {
+            0 => RewriteState::Passthrough { question: r.u64()? },
+            1 => RewriteState::ReferralCookie {
+                cookie_question: get_question(r)?,
+                question: r.u64()?,
+            },
+            2 => RewriteState::Fabricated {
+                cookie_question: get_question(r)?,
+                original: get_name(r)?,
+            },
+            _ => return Err(DecodeError::Malformed("rewrite tag")),
+        },
     })
 }
 

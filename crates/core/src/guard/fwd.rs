@@ -15,6 +15,10 @@
 //!   the tail past younger entries — none, while the driver's clock runs
 //!   forward), so the head is both the entry to evict first and the first
 //!   to pass any age.
+//!
+//! An `index` subscript is a `u16` into 65 536 entries, and a `slab`
+//! subscript a slot the index, the list or the free chain holds — by the
+//! invariants above, inside the slab. That is what each `index-ok` means.
 
 use crate::checkpoint::RewriteState;
 use dnswire::name::Name;
@@ -134,31 +138,29 @@ impl FwdTable {
         self.bytes
     }
 
-    fn live(&self, slot: u32) -> &Forwarded {
-        self.slab[slot as usize]
-            .entry
-            .as_ref()
-            .expect("an indexed or listed slot holds an entry")
+    /// The entry in `slot` with its id; `None` for [`NIL`].
+    fn live(&self, slot: u32) -> Option<(u16, &Forwarded)> {
+        let slot = self.slab.get(slot as usize)?;
+        Some((slot.txid, slot.entry.as_ref()?))
     }
 
     /// The entry under `txid`.
     pub(super) fn get(&self, txid: u16) -> Option<&Forwarded> {
-        let slot = self.index[txid as usize].checked_sub(1)?;
-        Some(self.live(slot))
+        let slot = self.index[txid as usize].checked_sub(1)?; // lint: index-ok — a u16
+        Some(self.live(slot)?.1)
     }
 
     /// The entry created first, with its id.
     pub(super) fn oldest(&self) -> Option<(u16, &Forwarded)> {
-        (self.head != NIL).then(|| (self.slab[self.head as usize].txid, self.live(self.head)))
+        self.live(self.head)
     }
 
     /// The live entries with their ids, oldest first.
     pub(super) fn iter(&self) -> impl Iterator<Item = (u16, &Forwarded)> {
         let mut at = self.head;
         std::iter::from_fn(move || {
-            let slot = self.slab.get(at as usize)?;
-            let item = (slot.txid, self.live(at));
-            at = slot.next;
+            let item = self.live(at)?;
+            at = self.slab.get(at as usize)?.next;
             Some(item)
         })
     }
@@ -168,12 +170,12 @@ impl FwdTable {
         let replaced = self.remove(txid);
         self.bytes += entry.approx_bytes();
         let mut prev = self.tail;
-        while prev != NIL && self.live(prev).created > entry.created {
-            prev = self.slab[prev as usize].prev;
+        while self.live(prev).is_some_and(|(_, held)| held.created > entry.created) {
+            prev = self.slab[prev as usize].prev; // lint: index-ok — a listed slot
         }
         let next = match prev {
             NIL => self.head,
-            _ => self.slab[prev as usize].next,
+            _ => self.slab[prev as usize].next, // lint: index-ok — a listed slot
         };
         let filled = Slot {
             entry: Some(entry),
@@ -187,39 +189,39 @@ impl FwdTable {
                 self.slab.len() as u32 - 1
             }
             slot => {
-                self.free = self.slab[slot as usize].next;
-                self.slab[slot as usize] = filled;
+                self.free = self.slab[slot as usize].next; // lint: index-ok — a free slot
+                self.slab[slot as usize] = filled; // lint: index-ok — a free slot
                 slot
             }
         };
         match prev {
             NIL => self.head = slot,
-            _ => self.slab[prev as usize].next = slot,
+            _ => self.slab[prev as usize].next = slot, // lint: index-ok — a listed slot
         }
         match next {
             NIL => self.tail = slot,
-            _ => self.slab[next as usize].prev = slot,
+            _ => self.slab[next as usize].prev = slot, // lint: index-ok — a listed slot
         }
-        self.index[txid as usize] = slot + 1;
+        self.index[txid as usize] = slot + 1; // lint: index-ok — a u16
         replaced
     }
 
     /// Removes and returns the entry under `txid`.
     pub(super) fn remove(&mut self, txid: u16) -> Option<Forwarded> {
-        let slot = self.index[txid as usize].checked_sub(1)?;
-        self.index[txid as usize] = 0;
-        let freed = &mut self.slab[slot as usize];
-        let entry = freed.entry.take().expect("an indexed slot holds an entry");
+        let slot = self.index[txid as usize].checked_sub(1)?; // lint: index-ok — a u16
+        let freed = self.slab.get_mut(slot as usize)?;
+        let entry = freed.entry.take()?;
+        self.index[txid as usize] = 0; // lint: index-ok — a u16
         let (prev, next) = (freed.prev, freed.next);
         freed.next = self.free;
         self.free = slot;
         match prev {
             NIL => self.head = next,
-            _ => self.slab[prev as usize].next = next,
+            _ => self.slab[prev as usize].next = next, // lint: index-ok — a listed slot
         }
         match next {
             NIL => self.tail = prev,
-            _ => self.slab[next as usize].prev = prev,
+            _ => self.slab[next as usize].prev = prev, // lint: index-ok — a listed slot
         }
         self.bytes -= entry.approx_bytes();
         Some(entry)

@@ -19,7 +19,10 @@
 //! tagged with the [`Leg`] it arrived on, and executes the [`Outputs`] it
 //! appends. [`RemoteGuard`] is the driver for [`netsim`]; the real-socket
 //! `runtime::GuardServer` is the other. DESIGN.md, "One guard, two
-//! drivers", states what each must guarantee.
+//! drivers", states what each must guarantee. `core` is the pipeline above;
+//! `schemes`, `health`, `stash`, `fwd`, `repl` (HA pair, fleet keys) and
+//! `restore` (checkpoints) are what it is composed of: state that owns its
+//! fields and returns what the guard must do.
 //!
 //! CPU is accounted with the calibrated constants of [`netsim::cost`]: one
 //! `packet_cost` per packet in or out, one `cookie_cost` per cookie
@@ -29,7 +32,12 @@
 
 mod core;
 mod fwd;
+mod health;
+mod repl;
+mod restore;
+mod schemes;
 mod sim;
+mod stash;
 mod stats;
 #[cfg(test)]
 mod tests;

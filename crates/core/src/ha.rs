@@ -344,46 +344,22 @@ fn decode_body(body: &[u8]) -> Result<ReplPayload, DecodeError> {
             let wire = r.bytes(len)?;
             Ok(ReplPayload::Full(GuardCheckpoint::decode(wire)?))
         }
-        TAG_DELTA => {
-            let seq = r.u64()?;
-            let key = match r.u8()? {
+        // Fields are read in the order they are written here: the wire's.
+        TAG_DELTA => Ok(ReplPayload::Delta(ReplDelta {
+            seq: r.u64()?,
+            key: match r.u8()? {
                 0 => None,
                 1 => Some(get_key(&mut r)?),
                 _ => return Err(DecodeError::Malformed("delta key flag")),
-            };
-            let n = r.u32()? as usize;
-            let mut fwd_add = Vec::with_capacity(n.min(4_096));
-            for _ in 0..n {
-                fwd_add.push(get_fwd(&mut r)?);
-            }
-            let n = r.u32()? as usize;
-            let mut fwd_del = Vec::with_capacity(n.min(4_096));
-            for _ in 0..n {
-                fwd_del.push(r.u16()?);
-            }
-            let n = r.u32()? as usize;
-            let mut stash_add = Vec::with_capacity(n.min(4_096));
-            for _ in 0..n {
-                stash_add.push(get_stash(&mut r)?);
-            }
-            let n = r.u32()? as usize;
-            let mut stash_del = Vec::with_capacity(n.min(4_096));
-            for _ in 0..n {
-                let ip = r.ip()?;
-                stash_del.push((ip, get_name(&mut r)?));
-            }
-            Ok(ReplPayload::Delta(ReplDelta {
-                seq,
-                key,
-                fwd_add,
-                fwd_del,
-                stash_add,
-                stash_del,
-                next_txid: r.u16()?,
-                next_qid: r.u64()?,
-                active: r.u8()? != 0,
-            }))
-        }
+            },
+            fwd_add: r.count()?.map(|_| get_fwd(&mut r)).collect::<Result<_, _>>()?,
+            fwd_del: r.count()?.map(|_| r.u16()).collect::<Result<_, _>>()?,
+            stash_add: r.count()?.map(|_| get_stash(&mut r)).collect::<Result<_, _>>()?,
+            stash_del: r.count()?.map(|_| Ok((r.ip()?, get_name(&mut r)?))).collect::<Result<_, _>>()?,
+            next_txid: r.u16()?,
+            next_qid: r.u64()?,
+            active: r.u8()? != 0,
+        })),
         TAG_RESYNC => Ok(ReplPayload::ResyncReq { have_seq: r.u64()? }),
         TAG_FLEET => Ok(ReplPayload::FleetKey {
             epoch: r.u64()?,

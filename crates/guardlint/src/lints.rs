@@ -30,11 +30,16 @@ pub struct SourceFile {
 
 // ---------------------------------------------------------------- scopes
 
+/// The guard's own modules: every file under `crates/core/src/guard/` but
+/// its simulated-world tests. L1 and L5 follow the guard's code wherever a
+/// split puts it.
+fn in_guard(rel: &str) -> bool {
+    rel.starts_with(GUARD_DIR) && rel != "crates/core/src/guard/tests.rs"
+}
+
 /// L1 scope: the modules that parse adversarial wire input.
 fn in_l1_scope(rel: &str) -> bool {
-    rel.starts_with("crates/dnswire/src/")
-        || rel == GUARD_RS
-        || rel == "crates/core/src/tcp_proxy.rs"
+    rel.starts_with("crates/dnswire/src/") || in_guard(rel) || rel == "crates/core/src/tcp_proxy.rs"
 }
 
 /// L2 scope: sim-domain crates where all time/randomness must come from
@@ -1037,7 +1042,7 @@ pub fn l4(files: &[SourceFile]) -> Vec<Finding> {
 
 const OBS_EXPORT: &str = "crates/bench/src/obs_export.rs";
 const FLEETOBS_RS: &str = "crates/bench/src/fleetobs.rs";
-const GUARD_RS: &str = "crates/core/src/guard/core.rs";
+const GUARD_DIR: &str = "crates/core/src/guard/";
 const ANALYTICS_RS: &str = "crates/core/src/analytics.rs";
 const POISON_RS: &str = "crates/bench/src/poison.rs";
 
@@ -1055,11 +1060,13 @@ const KIND_CONTRACTS: &[(&str, &str)] = &[
     (POISON_RS, "POISON_KINDS"),
 ];
 
-/// Files whose emitted kinds must be observed elsewhere in the corpus:
-/// the guard's per-decision events, and the analytics pipeline's
-/// per-refresh population events (both feed dashboards and alerts, so an
-/// unreferenced kind is dead telemetry).
-const OBSERVED_EMITTERS: &[&str] = &[GUARD_RS, ANALYTICS_RS];
+/// Whether `rel` is a file whose emitted kinds must be observed elsewhere
+/// in the corpus: the guard's per-decision events, and the analytics
+/// pipeline's per-refresh population events (both feed dashboards and
+/// alerts, so an unreferenced kind is dead telemetry).
+fn is_observed_emitter(rel: &str) -> bool {
+    in_guard(rel) || rel == ANALYTICS_RS
+}
 
 /// Trace emit sites: `(kind, file, line)` for every non-test
 /// `.event( / .debug(` call (the kind is the first string argument).
@@ -1082,11 +1089,11 @@ fn emit_sites(files: &[SourceFile]) -> Vec<(String, String, usize)> {
 /// * every kind in a declared contract table (`REQUIRED_KINDS` in the
 ///   export, `STITCH_KINDS` in the fleet aggregator, `ANALYTICS_KINDS`
 ///   in the traffic-analytics pipeline) has an emit site;
-/// * every kind emitted by an `OBSERVED_EMITTERS` file (`core::guard::core`,
-///   `core::analytics`) is referenced (as a string literal) somewhere
-///   else in the workspace — journey assembly, alert rules, the fleet
-///   collector vocabulary, benches or tests — so no decision or
-///   population event is unobserved.
+/// * every kind emitted by an observed emitter (a `core::guard` module,
+///   `core::analytics`) is referenced (as a string literal) in a file that
+///   is not one — journey assembly, alert rules, the fleet collector
+///   vocabulary, benches or tests — so no decision or population event is
+///   unobserved.
 ///
 /// `corpus` is the wider reference set (lint files plus tests/examples),
 /// searched including test code.
@@ -1118,29 +1125,25 @@ pub fn l5(files: &[SourceFile], corpus: &[SourceFile]) -> Vec<Finding> {
 
     // Kinds emitted by the observed-emitter files (guard decisions,
     // analytics refreshes) must be referenced somewhere outside them.
-    for &emitter in OBSERVED_EMITTERS {
-        let mut kinds: BTreeMap<&str, usize> = BTreeMap::new();
-        for (k, file, line) in &emits {
-            if file == emitter {
-                kinds.entry(k).or_insert(*line);
-            }
-        }
-        for (kind, line) in kinds {
-            let observed = corpus.iter().any(|f| {
-                f.rel != emitter && f.scrub.strings.iter().any(|s| s.content == kind)
+    let mut kinds: BTreeMap<&str, (&str, usize)> = BTreeMap::new();
+    for (k, file, line) in emits.iter().filter(|(_, file, _)| is_observed_emitter(file)) {
+        kinds.entry(k).or_insert((file, *line));
+    }
+    for (kind, (emitter, line)) in kinds {
+        let observed = corpus.iter().any(|f| {
+            !is_observed_emitter(&f.rel) && f.scrub.strings.iter().any(|s| s.content == kind)
+        });
+        if !observed {
+            out.push(Finding {
+                file: emitter.to_string(),
+                line,
+                lint: "L5",
+                severity: Severity::Error,
+                message: format!(
+                    "emitted trace kind {kind:?} is referenced nowhere else \
+                     (journeys, alerts, benches or tests) — unobserved telemetry"
+                ),
             });
-            if !observed {
-                out.push(Finding {
-                    file: emitter.to_string(),
-                    line,
-                    lint: "L5",
-                    severity: Severity::Error,
-                    message: format!(
-                        "emitted trace kind {kind:?} is referenced nowhere else \
-                         (journeys, alerts, benches or tests) — unobserved telemetry"
-                    ),
-                });
-            }
         }
     }
     out
@@ -1208,7 +1211,7 @@ mod tests {
 
     #[test]
     fn l2_flags_wall_clock_in_sim_domain() {
-        let f = file(GUARD_RS, "fn f() { let t = std::time::Instant::now(); }\n");
+        let f = file("crates/core/src/guard/core.rs", "fn f() { let t = std::time::Instant::now(); }\n");
         let findings = l2(&f);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].lint, "L2");
@@ -1325,7 +1328,7 @@ mod tests {
             "pub const REQUIRED_KINDS: &[&str] = &[\"grant\", \"ghost_kind\"];\n",
         );
         let guard = file(
-            GUARD_RS,
+            "crates/core/src/guard/core.rs",
             "fn f(&self, t: u64) { self.metrics.trace.event(t, \"grant\", &[]); }\n",
         );
         let refs = file("tests/journeys.rs", "const K: &str = \"grant\";\n");
@@ -1505,15 +1508,20 @@ mod tests {
 
     #[test]
     fn l5_unobserved_guard_kind() {
+        // Any guard module is an emitter — and none of them a witness.
         let guard = file(
-            GUARD_RS,
+            "crates/core/src/guard/repl.rs",
             "fn f(&self, t: u64) { self.metrics.trace.event(t, \"lonely_kind\", &[]); }\n",
         );
-        let findings = l5(std::slice::from_ref(&guard), &[]);
+        let sibling = file("crates/core/src/guard/core.rs", "const K: &str = \"lonely_kind\";\n");
+        let findings = l5(std::slice::from_ref(&guard), &[sibling]);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("lonely_kind"));
-        let witness = file("tests/x.rs", "const K: &str = \"lonely_kind\";\n");
-        let findings = l5(std::slice::from_ref(&guard), &[witness]);
-        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(findings[0].file, "crates/core/src/guard/repl.rs");
+        for witness in ["tests/x.rs", "crates/core/src/guard/tests.rs"] {
+            let witness = file(witness, "const K: &str = \"lonely_kind\";\n");
+            let findings = l5(std::slice::from_ref(&guard), &[witness]);
+            assert!(findings.is_empty(), "{findings:?}");
+        }
     }
 }

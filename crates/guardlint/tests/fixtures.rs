@@ -74,6 +74,20 @@ fn l1_is_scoped_to_wire_input_modules() {
 }
 
 #[test]
+fn l1_follows_the_guard_into_every_module_but_its_tests() {
+    // Line 6 of the fixture is an `unwrap()`: flagged in a module split out
+    // of the guard core, not in the guard's simulated-world tests.
+    let f = fixture("bad_wire.rs.txt", "crates/core/src/guard/repl.rs");
+    assert!(lines(&lints::l1(&f)).contains(&6), "unwrap in guard/repl.rs must be flagged");
+    for module in ["core", "fwd", "health", "restore", "schemes", "sim", "stash", "stats"] {
+        let f = fixture("bad_wire.rs.txt", &format!("crates/core/src/guard/{module}.rs"));
+        assert_eq!(lints::l1(&f).len(), 5, "guard/{module}.rs is in scope");
+    }
+    let f = fixture("bad_wire.rs.txt", "crates/core/src/guard/tests.rs");
+    assert!(lints::l1(&f).is_empty());
+}
+
+#[test]
 fn l2_flags_clocks_and_ambient_rng_in_sim_crates() {
     let f = fixture("bad_determinism.rs.txt", "crates/core/src/clock.rs");
     let at = lines(&lints::l2(&f));

@@ -324,11 +324,11 @@ impl std::fmt::Debug for AlertEngine {
 
 /// A shareable engine handle: the netsim tick and a telemetry endpoint can
 /// evaluate/read the same engine.
-pub type SharedAlertEngine = Arc<parking_lot::Mutex<AlertEngine>>;
+pub type SharedAlertEngine = Arc<guardcheck::sync::Mutex<AlertEngine>>;
 
 /// Wraps an engine for sharing.
 pub fn shared(engine: AlertEngine) -> SharedAlertEngine {
-    Arc::new(parking_lot::Mutex::new(engine))
+    Arc::new(guardcheck::sync::Mutex::new(engine))
 }
 
 pub(crate) fn label_is<K: AsRef<str>>(labels: &[(K, String)], key: &str, value: &str) -> bool {

@@ -209,23 +209,79 @@ impl Sampler {
     }
 }
 
-/// Validates that `s` is exactly one well-formed JSON value (surrounded by
-/// optional whitespace). Returns the byte offset of the first error.
+/// A parsed JSON value. Numbers keep their raw text, so a `u64` counter
+/// survives without a round-trip through `f64`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// An object's members, in document order (duplicate keys are kept).
+    Obj(Vec<(String, Json)>),
+    /// An array's items.
+    Arr(Vec<Json>),
+    /// A string, escapes decoded.
+    Str(String),
+    /// A number, as written.
+    Num(String),
+    /// `true` or `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+impl Json {
+    /// The first member of an object under `key`.
+    pub fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// A number that is written as a `u64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// A string's text.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Arrays and objects nested deeper than this are refused (the parser
+/// recurses, and it reads replies off the network).
+const MAX_DEPTH: usize = 128;
+
+/// Parses `s` as exactly one JSON value (surrounded by optional whitespace)
+/// — the workspace's one JSON grammar: what the export smoke tests validate
+/// with and what the fleet collector reads telemetry replies with. Returns
+/// the byte offset of the first error.
 ///
-/// This is a structural check for CI smoke tests — it accepts everything
-/// [RFC 8259](https://www.rfc-editor.org/rfc/rfc8259) accepts except it
-/// does not enforce unique object keys.
-pub fn validate_json(s: &str) -> Result<(), usize> {
-    let b = s.as_bytes();
+/// It accepts everything [RFC 8259](https://www.rfc-editor.org/rfc/rfc8259)
+/// accepts down to 128 levels of nesting, and does not enforce unique object
+/// keys. A `\u` escape naming a surrogate half decodes to U+FFFD (the
+/// workspace's writers escape control characters only).
+pub fn parse_json(s: &str) -> Result<Json, usize> {
     let mut i = 0;
-    skip_ws(b, &mut i);
-    parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i == b.len() {
-        Ok(())
+    skip_ws(s.as_bytes(), &mut i);
+    let value = parse_value(s, &mut i, 0)?;
+    skip_ws(s.as_bytes(), &mut i);
+    if i == s.len() {
+        Ok(value)
     } else {
         Err(i)
     }
+}
+
+/// Validates that `s` is exactly one well-formed JSON value: whether
+/// [`parse_json`] takes it.
+pub fn validate_json(s: &str) -> Result<(), usize> {
+    parse_json(s).map(drop)
 }
 
 /// Validates JSONL: every non-empty line must be one well-formed JSON
@@ -241,26 +297,28 @@ pub fn validate_jsonl(s: &str) -> Result<(), (usize, usize)> {
 }
 
 fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
+    while matches!(b.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
         *i += 1;
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<(), usize> {
+fn parse_value(s: &str, i: &mut usize, depth: usize) -> Result<Json, usize> {
+    let b = s.as_bytes();
     match b.get(*i) {
-        Some(b'{') => parse_object(b, i),
-        Some(b'[') => parse_array(b, i),
-        Some(b'"') => parse_string(b, i),
-        Some(b't') => parse_lit(b, i, b"true"),
-        Some(b'f') => parse_lit(b, i, b"false"),
-        Some(b'n') => parse_lit(b, i, b"null"),
-        Some(b'-') | Some(b'0'..=b'9') => parse_number(b, i),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(*i),
+        Some(b'{') => parse_object(s, i, depth + 1).map(Json::Obj),
+        Some(b'[') => parse_array(s, i, depth + 1).map(Json::Arr),
+        Some(b'"') => parse_string(s, i).map(Json::Str),
+        Some(b't') => parse_lit(b, i, b"true").map(|()| Json::Bool(true)),
+        Some(b'f') => parse_lit(b, i, b"false").map(|()| Json::Bool(false)),
+        Some(b'n') => parse_lit(b, i, b"null").map(|()| Json::Null),
+        Some(b'-' | b'0'..=b'9') => parse_number(s, i).map(Json::Num),
         _ => Err(*i),
     }
 }
 
 fn parse_lit(b: &[u8], i: &mut usize, lit: &[u8]) -> Result<(), usize> {
-    if b.len() - *i >= lit.len() && &b[*i..*i + lit.len()] == lit {
+    if b[*i..].starts_with(lit) {
         *i += lit.len();
         Ok(())
     } else {
@@ -268,84 +326,103 @@ fn parse_lit(b: &[u8], i: &mut usize, lit: &[u8]) -> Result<(), usize> {
     }
 }
 
-fn parse_object(b: &[u8], i: &mut usize) -> Result<(), usize> {
+fn parse_object(s: &str, i: &mut usize, depth: usize) -> Result<Vec<(String, Json)>, usize> {
+    let b = s.as_bytes();
+    let mut pairs = Vec::new();
     *i += 1; // '{'
     skip_ws(b, i);
     if b.get(*i) == Some(&b'}') {
         *i += 1;
-        return Ok(());
+        return Ok(pairs);
     }
     loop {
         skip_ws(b, i);
-        if b.get(*i) != Some(&b'"') {
-            return Err(*i);
-        }
-        parse_string(b, i)?;
+        let key = parse_string(s, i)?;
         skip_ws(b, i);
         if b.get(*i) != Some(&b':') {
             return Err(*i);
         }
         *i += 1;
         skip_ws(b, i);
-        parse_value(b, i)?;
+        pairs.push((key, parse_value(s, i, depth)?));
         skip_ws(b, i);
         match b.get(*i) {
             Some(b',') => *i += 1,
             Some(b'}') => {
                 *i += 1;
-                return Ok(());
+                return Ok(pairs);
             }
             _ => return Err(*i),
         }
     }
 }
 
-fn parse_array(b: &[u8], i: &mut usize) -> Result<(), usize> {
+fn parse_array(s: &str, i: &mut usize, depth: usize) -> Result<Vec<Json>, usize> {
+    let b = s.as_bytes();
+    let mut items = Vec::new();
     *i += 1; // '['
     skip_ws(b, i);
     if b.get(*i) == Some(&b']') {
         *i += 1;
-        return Ok(());
+        return Ok(items);
     }
     loop {
         skip_ws(b, i);
-        parse_value(b, i)?;
+        items.push(parse_value(s, i, depth)?);
         skip_ws(b, i);
         match b.get(*i) {
             Some(b',') => *i += 1,
             Some(b']') => {
                 *i += 1;
-                return Ok(());
+                return Ok(items);
             }
             _ => return Err(*i),
         }
     }
 }
 
-fn parse_string(b: &[u8], i: &mut usize) -> Result<(), usize> {
-    *i += 1; // '"'
+fn parse_string(s: &str, i: &mut usize) -> Result<String, usize> {
+    let b = s.as_bytes();
+    if b.get(*i) != Some(&b'"') {
+        return Err(*i);
+    }
+    *i += 1;
+    let mut out = String::new();
+    // Text runs are copied whole: `s` is UTF-8 and a run ends at an ASCII
+    // byte, so each is a `str` of its own.
+    let mut run = *i;
     while let Some(&c) = b.get(*i) {
         match c {
             b'"' => {
+                out.push_str(&s[run..*i]);
                 *i += 1;
-                return Ok(());
+                return Ok(out);
             }
             b'\\' => {
+                out.push_str(&s[run..*i]);
                 *i += 1;
-                match b.get(*i) {
-                    Some(b'"') | Some(b'\\') | Some(b'/') | Some(b'b') | Some(b'f')
-                    | Some(b'n') | Some(b'r') | Some(b't') => *i += 1,
+                out.push(match b.get(*i) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
                     Some(b'u') => {
-                        *i += 1;
+                        let mut code = 0;
                         for _ in 0..4 {
-                            if !b.get(*i).is_some_and(|c| c.is_ascii_hexdigit()) {
-                                return Err(*i);
-                            }
                             *i += 1;
+                            let digit = b.get(*i).and_then(|&c| (c as char).to_digit(16));
+                            code = code * 16 + digit.ok_or(*i)?;
                         }
+                        char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)
                     }
                     _ => return Err(*i),
-                }
+                });
+                *i += 1;
+                run = *i;
             }
             0x00..=0x1f => return Err(*i),
             _ => *i += 1,
@@ -354,41 +431,37 @@ fn parse_string(b: &[u8], i: &mut usize) -> Result<(), usize> {
     Err(*i)
 }
 
-fn parse_number(b: &[u8], i: &mut usize) -> Result<(), usize> {
+fn parse_number(s: &str, i: &mut usize) -> Result<String, usize> {
+    let b = s.as_bytes();
+    let start = *i;
+    let digits = |i: &mut usize| {
+        if !b.get(*i).is_some_and(u8::is_ascii_digit) {
+            return Err(*i);
+        }
+        while b.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        Ok(())
+    };
     if b.get(*i) == Some(&b'-') {
         *i += 1;
     }
     match b.get(*i) {
         Some(b'0') => *i += 1,
-        Some(b'1'..=b'9') => {
-            while b.get(*i).is_some_and(u8::is_ascii_digit) {
-                *i += 1;
-            }
-        }
-        _ => return Err(*i),
+        _ => digits(i)?,
     }
     if b.get(*i) == Some(&b'.') {
         *i += 1;
-        if !b.get(*i).is_some_and(u8::is_ascii_digit) {
-            return Err(*i);
-        }
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
+        digits(i)?;
     }
-    if matches!(b.get(*i), Some(b'e') | Some(b'E')) {
+    if matches!(b.get(*i), Some(b'e' | b'E')) {
         *i += 1;
-        if matches!(b.get(*i), Some(b'+') | Some(b'-')) {
+        if matches!(b.get(*i), Some(b'+' | b'-')) {
             *i += 1;
         }
-        if !b.get(*i).is_some_and(u8::is_ascii_digit) {
-            return Err(*i);
-        }
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
+        digits(i)?;
     }
-    Ok(())
+    Ok(s[start..*i].to_string())
 }
 
 #[cfg(test)]
@@ -468,6 +541,43 @@ mod tests {
         let line = event_json(&events[0]);
         validate_json(&line).unwrap();
         assert!(line.contains("\"ratio\":\"inf\""));
+    }
+
+    #[test]
+    fn parser_keeps_the_validators_error_offsets() {
+        // What the validator this parser replaced answered, document by document.
+        let rejected = [
+            ("{\"a\":}", 5), ("[1,]", 3), ("01", 1), ("{} {}", 3), ("\"unterminated", 13),
+            ("{\"a\" 1}", 5), ("[1 2]", 3), ("\"\\u12G4\"", 5), ("\"\\x\"", 2), ("-", 1), ("1.", 2),
+            ("1e", 2), ("tru", 0), ("", 0), ("  ", 2), ("{\"a\":1,}", 7), ("[\"\t\"]", 2), ("nul", 0),
+            ("{1:2}", 1), ("[[1]", 4), ("1e+", 3), ("-x", 1),
+        ];
+        for (doc, offset) in rejected {
+            assert_eq!(parse_json(doc), Err(offset), "{doc:?}");
+            assert_eq!(validate_json(doc), Err(offset), "{doc:?}");
+        }
+    }
+
+    #[test]
+    fn parser_builds_values_with_raw_numbers_and_decoded_strings() {
+        let doc = parse_json(" {\"n\": 18446744073709551615, \"f\": -2.5e3, \"s\": \"a\\n\\u00e9\\\"é/\\/\", \"l\": [true, null, {}], \"n\": 2} ").unwrap();
+        assert_eq!(doc.get("n").and_then(Json::as_u64), Some(u64::MAX), "the first of two equal keys, exactly");
+        assert_eq!(doc.get("f"), Some(&Json::Num("-2.5e3".into())));
+        assert_eq!(doc.get("f").and_then(Json::as_u64), None);
+        assert_eq!(doc.get("s").and_then(Json::as_str), Some("a\né\"é//"));
+        assert_eq!(doc.get("l"), Some(&Json::Arr(vec![Json::Bool(true), Json::Null, Json::Obj(vec![])])));
+        assert_eq!((doc.get("x"), Json::Null.get("n"), Json::Null.as_str()), (None, None, None));
+        // A surrogate half has no `char`: it is replaced, the document stands.
+        assert_eq!(parse_json("\"\\ud83d!\""), Ok(Json::Str("\u{fffd}!".into())));
+    }
+
+    #[test]
+    fn parser_refuses_nesting_past_its_depth_bound() {
+        let nested = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(parse_json(&nested(MAX_DEPTH + 1)), Err(MAX_DEPTH));
+        // Far past it, the answer is still an error and not a stack overflow.
+        assert_eq!(validate_json(&"[{\"k\":".repeat(200_000)), Err(6 * (MAX_DEPTH / 2)));
     }
 
     #[test]

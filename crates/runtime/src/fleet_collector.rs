@@ -6,9 +6,10 @@
 //! consuming, atomic trace read) — and hand-parses the replies back into
 //! [`FleetSample`]s and [`Event`]s. The wire formats are this workspace's
 //! own ([`obs::export::metrics_json`] / [`obs::export::event_json`]), so
-//! the parser is a small recursive-descent JSON reader plus an interner
-//! over the closed vocabulary of component/kind/field strings the guard
-//! emits; no external JSON crate is involved.
+//! the parser is the workspace's one JSON grammar
+//! ([`obs::export::parse_json`], the one the export validators run) plus an
+//! interner over the closed vocabulary of component/kind/field strings the
+//! guard emits; no external JSON crate is involved.
 //!
 //! Failure handling is deliberately lossy-but-safe:
 //!
@@ -23,6 +24,7 @@
 //!
 //! [`TelemetryServer`]: crate::telemetry::TelemetryServer
 
+use obs::export::{parse_json, Json};
 use obs::fleet::{FleetAggregator, FleetAlertConfig, FleetSample};
 use obs::metrics::{Counter, SampleValue};
 use obs::trace::{Event, Value};
@@ -82,217 +84,6 @@ fn intern(s: &str) -> Option<&'static str> {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader for the workspace's own export formats.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw text so `u64` counters
-/// survive without a round-trip through `f64`.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(String),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Reader<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(s: &'a str) -> Reader<'a> {
-        Reader { b: s.as_bytes(), i: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        self.skip_ws();
-        match self.b.get(self.i)? {
-            b'{' => {
-                self.i += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.b.get(self.i) == Some(&b'}') {
-                    self.i += 1;
-                    return Some(Json::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.eat(b':')?;
-                    pairs.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.b.get(self.i)? {
-                        b',' => self.i += 1,
-                        b'}' => {
-                            self.i += 1;
-                            return Some(Json::Obj(pairs));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'[' => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.b.get(self.i) == Some(&b']') {
-                    self.i += 1;
-                    return Some(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.b.get(self.i)? {
-                        b',' => self.i += 1,
-                        b']' => {
-                            self.i += 1;
-                            return Some(Json::Arr(items));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => self.string().map(Json::Str),
-            b't' => self.literal(b"true").map(|()| Json::Bool(true)),
-            b'f' => self.literal(b"false").map(|()| Json::Bool(false)),
-            b'n' => self.literal(b"null").map(|()| Json::Null),
-            b'-' | b'0'..=b'9' => self.number().map(Json::Num),
-            _ => None,
-        }
-    }
-
-    fn literal(&mut self, lit: &[u8]) -> Option<()> {
-        if self.b.len() - self.i >= lit.len() && &self.b[self.i..self.i + lit.len()] == lit {
-            self.i += lit.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.b.get(self.i) != Some(&b'"') {
-            return None;
-        }
-        self.i += 1;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i)? {
-                b'"' => {
-                    self.i += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.b.get(self.i)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.b.get(self.i + 1..self.i + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.i += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.i += 1;
-                }
-                &c => {
-                    // Multi-byte UTF-8 sequences pass through bytewise; the
-                    // input came from a &str so they are valid.
-                    let start = self.i;
-                    self.i += 1;
-                    if c >= 0x80 {
-                        while self.b.get(self.i).is_some_and(|&b| b & 0xc0 == 0x80) {
-                            self.i += 1;
-                        }
-                    }
-                    out.push_str(std::str::from_utf8(&self.b[start..self.i]).ok()?);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|&c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        if self.i == start {
-            return None;
-        }
-        std::str::from_utf8(&self.b[start..self.i]).ok().map(String::from)
-    }
-}
-
-fn parse_json(s: &str) -> Option<Json> {
-    let mut r = Reader::new(s);
-    let v = r.value()?;
-    r.skip_ws();
-    if r.i == r.b.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Reply decoding: snapshot and drain_traces.
 // ---------------------------------------------------------------------------
 
@@ -300,7 +91,7 @@ fn parse_json(s: &str) -> Option<Json> {
 /// fleet samples. Returns `None` if the document is structurally invalid;
 /// individual samples with unknown kinds are skipped, not fatal.
 pub fn parse_snapshot_reply(reply: &str) -> Option<Vec<FleetSample>> {
-    let doc = parse_json(reply)?;
+    let doc = parse_json(reply).ok()?;
     let Json::Arr(metrics) = doc.get("metrics")? else {
         return None;
     };
@@ -349,7 +140,7 @@ pub fn parse_snapshot_reply(reply: &str) -> Option<Vec<FleetSample>> {
 /// journey or alert rule anyway); unknown field names or string values
 /// drop just that field.
 pub fn parse_drain_reply(reply: &str) -> Option<(Vec<Event>, u64)> {
-    let doc = parse_json(reply)?;
+    let doc = parse_json(reply).ok()?;
     let dropped = doc.get("dropped")?.as_u64()?;
     let Json::Arr(raw) = doc.get("events")? else {
         return None;

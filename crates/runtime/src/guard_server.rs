@@ -16,9 +16,9 @@ use crate::stopflag::StopFlag;
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::{GuardCore, Leg, Output, Outputs, WINDOW};
+use guardcheck::sync::Mutex;
 use netsim::packet::{Endpoint, Packet};
 use netsim::time::SimTime;
-use parking_lot::Mutex;
 use server::authoritative::Authority;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};

@@ -34,12 +34,10 @@ pub mod client;
 pub mod fleet_collector;
 pub mod guard_server;
 pub mod stopflag;
-pub mod tcp_front;
 pub mod telemetry;
 
 pub use ans::ToyAns;
 pub use client::{ClientError, CookieClient};
 pub use fleet_collector::FleetCollector;
 pub use guard_server::{spawn_guarded, GuardServer};
-pub use tcp_front::{query_over_tcp, TcpFront};
 pub use telemetry::TelemetryServer;

@@ -384,7 +384,7 @@ mod tests {
         let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
         // The provider shape a deployment wires: a closure over the guard's
         // shared snapshot handle, serialised fresh per request.
-        let snap = Arc::new(parking_lot::Mutex::new(
+        let snap = Arc::new(guardcheck::sync::Mutex::new(
             obs::sketch::AnalyticsSnapshot::default(),
         ));
         {
