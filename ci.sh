@@ -2,8 +2,8 @@
 # The repository's CI gate, runnable locally and from the GitHub Actions
 # workflow (.github/workflows/ci.yml): release build, the full workspace
 # test suite (unit, integration, chaos and property tests), the guardlint
-# static-analysis pass (repo-specific safety/determinism/telemetry
-# invariants; exemptions live in Lint.toml) with the checks that the guard's
+# static-analysis pass (families L1–L3, L6, L7: repo-specific safety,
+# determinism and concurrency invariants; exemptions live in Lint.toml) with the checks that the guard's
 # sans-IO modules name no simulator engine, no file of `core` outgrows 1 200
 # lines, its state tables name no HashMap, the authoritative servers no owned
 # decode, and no crate a cargo feature (the workspace has one build
@@ -42,7 +42,7 @@ if want test; then
 fi
 
 if want lint; then
-  echo "==> guardlint --deny (L1–L7 workspace invariants)"
+  echo "==> guardlint --deny (L1–L3, L6, L7 workspace invariants)"
   # Inside GitHub Actions, emit ::error annotations so findings land on
   # the PR diff lines; locally, the plain file:line form.
   cargo run -q --offline -p guardlint -- --deny ${GITHUB_ACTIONS:+--github}

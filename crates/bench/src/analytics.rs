@@ -34,7 +34,7 @@
 //!
 //! [`FleetAggregator::merged_sketch`]: obs::fleet::FleetAggregator::merged_sketch
 
-use crate::registry::{Export, Format, Outcome};
+use crate::registry::{traced_kinds, untraced_kinds, Export, Format, Outcome};
 use crate::report::json_strings;
 use crate::worlds::{guarded_world, GuardedWorld, WorldParams, PUB};
 use attack::botnet::{BotnetConfig, BotnetLowRate};
@@ -47,6 +47,7 @@ use obs::alert::{AlertConfig, AlertEngine};
 use obs::fleet::{FleetAggregator, FleetAlertConfig};
 use obs::trace::Level;
 use obs::Obs;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// The summary document's file name.
@@ -139,6 +140,8 @@ pub struct ScenarioOutcome {
     pub analytics_json: String,
     /// The alert engine's transcript document.
     pub alerts_json: String,
+    /// The kinds the scenario traced.
+    pub traced: BTreeSet<&'static str>,
 }
 
 fn finish(name: &'static str, sw: ScenarioWorld) -> ScenarioOutcome {
@@ -156,6 +159,7 @@ fn finish(name: &'static str, sw: ScenarioWorld) -> ScenarioOutcome {
         fired_rules: fired,
         analytics_json: snap.to_json(),
         alerts_json: sw.engine.alerts_json(),
+        traced: traced_kinds(&sw.obs),
     }
 }
 
@@ -471,10 +475,11 @@ pub fn run_all(seed: u64) -> AnalyticsRun {
 /// The acceptance bars: every scenario got its designed verdict, and the
 /// merged sketches conserve the stream exactly, estimate cardinality
 /// within the HLL's documented ±20 %, and hold every true top talker
-/// inside its error bracket.
+/// inside its error bracket; and the armed guards traced their refreshes.
 pub fn failures(run: &AnalyticsRun) -> Vec<String> {
     let m = &run.merge;
-    let mut failures = Vec::new();
+    let scenarios = [&run.baseline, &run.flood, &run.crowd, &run.botnet];
+    let mut failures = untraced_kinds("analytics", |k| scenarios.iter().any(|o| o.traced.contains(k)));
     if !run.discriminator_ok {
         failures.push("a scenario got the wrong verdict".to_string());
     }
@@ -575,5 +580,11 @@ mod tests {
         validate_json(&run.summary_json)
             .unwrap_or_else(|off| panic!("BENCH_analytics.json invalid at byte {off}"));
         assert!(run.summary_json.contains("\"experiment\":\"analytics\""));
+
+        let mut run = run;
+        for o in [&mut run.baseline, &mut run.flood, &mut run.crowd, &mut run.botnet] {
+            o.traced.remove("analytics_topk");
+        }
+        assert_eq!(failures(&run), ["required event kind \"analytics_topk\" was never traced"]);
     }
 }

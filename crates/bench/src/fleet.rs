@@ -173,10 +173,7 @@ pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
 /// clients the steady-state handshake rate is ~0, so a *sustained* 50/s
 /// of first-contact responses is already a storm.
 fn fleet_alert_config() -> AlertConfig {
-    AlertConfig {
-        handshake_per_sec: 50.0,
-        ..AlertConfig::default()
-    }
+    AlertConfig { handshake_per_sec: 50.0 }
 }
 
 fn attach_alerting(w: &mut FleetWorld) -> (Obs, SharedAlertEngine) {

@@ -27,7 +27,7 @@
 //! Run via `cargo run --release -p bench --bin all_experiments -- poison`;
 //! the document lands in `BENCH_poison.json`.
 
-use crate::registry::{Export, Format, Outcome};
+use crate::registry::{traced_kinds, untraced_kinds, Export, Format, Outcome};
 use crate::report::{json_array, json_strings};
 use attack::poison::{
     craft_evil_tail, miss_name, target_name, DerandConfig, FragPoisonConfig, FragPoisoner,
@@ -48,6 +48,7 @@ use server::hardening::{PortMode, ResolverHardening};
 use server::nodes::AuthNode;
 use server::recursive::{RecursiveResolver, ResolverConfig};
 use server::zone::{Zone, ZoneBuilder};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// The summary document's file name.
@@ -72,19 +73,6 @@ const SUMMARY_KEYS: &[&str] = &[
     "\"hardened_poisoned\":",
     "\"baseline_fired\":",
     "\"table_ok\":",
-];
-
-/// Trace kinds the poisoning experiment exercises end to end — the
-/// resolver-hardening and fragmentation-fault telemetry contract
-/// (guardlint L5 checks each has an emit site).
-pub const POISON_KINDS: &[&str] = &[
-    "poison_attempt",
-    "poison_success",
-    "anomaly_gate",
-    "bailiwick_drop",
-    "frag_rejected",
-    "fragmented",
-    "frag_substituted",
 ];
 
 const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
@@ -306,6 +294,8 @@ pub struct CellOutcome {
     pub gate_trips: u64,
     /// Whether the per-node `cache_poisoning` alert fired during the cell.
     pub alert_fired: bool,
+    /// The kinds the resolver traced.
+    pub traced: BTreeSet<&'static str>,
 }
 
 /// Letters (not digits/dots) in the race qname — each is one 0x20 coin.
@@ -372,6 +362,7 @@ fn kaminsky_cell(seed: u64, defense: Defense, rate: f64, params: &PoisonParams) 
         poison_attempts: stats.poison_attempts,
         gate_trips: stats.gate_trips,
         alert_fired: engine.fired_rules().contains(&"cache_poisoning"),
+        traced: traced_kinds(&obs),
     }
 }
 
@@ -449,6 +440,8 @@ pub struct FragOutcome {
     pub frag_rejected: u64,
     /// TCP re-queries the hardened resolver issued.
     pub tcp_fallbacks: u64,
+    /// The kinds the network and both resolvers traced.
+    pub traced: BTreeSet<&'static str>,
 }
 
 /// The exact wire the victim's server emits for the oversized query; the
@@ -464,8 +457,12 @@ fn frag_leg(seed: u64) -> FragOutcome {
     let legit: Vec<RData> = (0..BIG_RRSET)
         .map(|i| RData::A(Ipv4Addr::new(192, 0, 2, 100 + i)))
         .collect();
+    let obs = Obs::new();
+    obs.tracer.set_default_level(Level::Info);
     let run = |hardening: ResolverHardening| -> (bool, u64, u64, u64, u64) {
         let (mut sim, lrs, victim_ns) = poison_world(seed, hardening, SimTime::from_millis(4));
+        sim.attach_obs(&obs);
+        sim.node_mut::<RecursiveResolver>(lrs).expect("resolver node").attach_obs(&obs);
         sim.set_link_mtu(victim_ns, lrs, FRAG_MTU);
         sim.plant_fragment(
             lrs,
@@ -513,6 +510,7 @@ fn frag_leg(seed: u64) -> FragOutcome {
         substituted,
         frag_rejected,
         tcp_fallbacks,
+        traced: traced_kinds(&obs),
     }
 }
 
@@ -647,17 +645,22 @@ pub fn run_all(params: &PoisonParams) -> PoisonRun {
     PoisonRun { summary_json, cells, derand, frag, baseline_fired, table_ok }
 }
 
-/// The acceptance bar: `table_ok`, the conjunction [`run_all`] computes
-/// (and exports) over the success table and the three other legs.
+/// The acceptance bars: `table_ok`, the conjunction [`run_all`] computes
+/// (and exports) over the success table and the three other legs; and the
+/// table's cells and the fragmentation leg traced every hardening and
+/// fragmentation kind.
 pub fn failures(run: &PoisonRun) -> Vec<String> {
-    if run.table_ok {
-        return Vec::new();
+    let mut failures = untraced_kinds("poison", |k| {
+        run.frag.traced.contains(k) || run.cells.iter().any(|c| c.traced.contains(k))
+    });
+    if !run.table_ok {
+        failures.push(
+            "the success table is off the analytic model, a hardened cell was poisoned, \
+             or the derand / fragmentation / baseline leg broke its design"
+                .to_string(),
+        );
     }
-    vec![
-        "the success table is off the analytic model, a hardened cell was poisoned, \
-         or the derand / fragmentation / baseline leg broke its design"
-            .to_string(),
-    ]
+    failures
 }
 
 /// The registry entry: the full-scale sweep.

@@ -8,9 +8,13 @@
 //! `failures(&Run)` function beside the run code) — and the runner treats
 //! every row alike: print the report, write the exports, read them back
 //! from disk, validate format and required keys, collect the failures.
+//! The one bar the tracing experiments share — every kind `obs::vocab` says
+//! the experiment shows was traced — is [`untraced_kinds`].
 
 use crate::{ablations, analytics, failover, fleet, fleetobs, journeys, obs_export, paper, poison};
-use obs::export::{validate_json, validate_jsonl};
+use obs::export::{event_json, parse_event, parse_json, validate_json};
+use obs::vocab;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// How an exported file must parse.
@@ -18,7 +22,8 @@ use std::path::PathBuf;
 pub enum Format {
     /// One JSON value.
     Json,
-    /// One JSON value per non-empty line.
+    /// An event trace: every line is an event of `obs::vocab`, written as
+    /// `obs::export::event_json` writes it.
     Jsonl,
 }
 
@@ -30,8 +35,8 @@ pub struct Export {
     pub format: Format,
     /// The document.
     pub contents: String,
-    /// Substrings the document must contain: the keys (and table rows,
-    /// event kinds) a reader of the committed file may rely on.
+    /// Substrings the document must contain: the keys (and table rows) a
+    /// reader of the committed file may rely on.
     pub required: Vec<String>,
 }
 
@@ -46,8 +51,8 @@ impl Export {
         }
     }
 
-    /// Adds required substrings computed from a table (event kinds, scheme
-    /// labels, table rows).
+    /// Adds required substrings computed from a table (scheme labels,
+    /// table rows).
     pub fn also_require(mut self, more: impl IntoIterator<Item = String>) -> Export {
         self.required.extend(more);
         self
@@ -193,6 +198,22 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
+/// Drains `obs`'s trace ring into the set of kinds it held.
+pub fn traced_kinds(obs: &obs::Obs) -> BTreeSet<&'static str> {
+    obs.tracer.drain().0.iter().map(|e| e.kind).collect()
+}
+
+/// The acceptance bar of every experiment that traces: one failure per
+/// kind whose `obs::vocab` row names `experiment` in `shown_by` and that
+/// `traced` does not hold.
+pub fn untraced_kinds(experiment: &str, traced: impl Fn(&str) -> bool) -> Vec<String> {
+    vocab::KINDS
+        .iter()
+        .filter(|k| k.shown_by == Some(experiment) && !traced(k.name))
+        .map(|k| format!("required event kind {:?} was never traced", k.name))
+        .collect()
+}
+
 /// What the command line asked for.
 pub struct Plan {
     /// Directory the exports are written under.
@@ -269,8 +290,12 @@ pub fn validate(export: &Export, on_disk: &str) -> Vec<String> {
             }
         }
         Format::Jsonl => {
-            if let Err((line, off)) = validate_jsonl(on_disk) {
-                problems.push(format!("{file} line {line} is not valid JSON (byte {off})"));
+            let bad = on_disk.lines().position(|line| {
+                let event = parse_json(line).ok().and_then(|doc| parse_event(&doc));
+                event.map(|e| event_json(&e)).as_deref() != Some(line)
+            });
+            if let Some(line) = bad {
+                problems.push(format!("{file} line {line} is not an event of obs::vocab"));
             }
         }
     }
@@ -321,7 +346,6 @@ pub fn run(plan: &Plan) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     const PAPER: [&str; 6] = ["table1", "table2", "table3", "fig5", "fig6", "fig7"];
 
@@ -397,19 +421,43 @@ mod tests {
             validate(&json, "{\"took_over\":1,}"),
             ["x.json is not valid JSON (byte 15)"]
         );
-        let jsonl = Export::new(
-            "x.jsonl",
-            Format::Jsonl,
-            String::new(),
-            &["\"kind\":\"evict\""],
-        );
-        assert_eq!(
-            validate(&jsonl, "{\"kind\":\"grant\"}\n{\"kind\":}\n"),
-            [
-                "x.jsonl line 1 is not valid JSON (byte 8)",
-                "x.jsonl is missing \"kind\":\"evict\"",
-            ]
-        );
+        // A trace line is held to the vocabulary and to the writer's bytes.
+        let jsonl = Export::new("x.jsonl", Format::Jsonl, String::new(), &[]);
+        let grant = "{\"t\":5,\"component\":\"guard\",\"kind\":\"grant\",\"fields\":{\"qid\":7}}\n";
+        assert_eq!(validate(&jsonl, &grant.repeat(2)), Vec::<String>::new());
+        for bad in [
+            grant.replace("grant", "grunt"),
+            grant.replace("qid", "quid"),
+            grant.replace(":7", ": 7"),
+            grant.replace("}}", "}"),
+        ] {
+            let problems = validate(&jsonl, &format!("{grant}{bad}"));
+            assert_eq!(problems, ["x.jsonl line 1 is not an event of obs::vocab"], "{bad}");
+        }
+    }
+
+    #[test]
+    fn every_shown_by_names_a_tracing_experiment_whose_bar_misses_a_struck_kind() {
+        let tracing = ["obs", "fleetobs", "analytics", "poison"];
+        for k in vocab::KINDS {
+            assert!(k.shown_by.is_none_or(|e| tracing.contains(&e)), "{k:?}");
+        }
+        for (experiment, n) in tracing.into_iter().zip([8, 2, 1, 6]) {
+            assert!(lookup(experiment).is_ok());
+            let shown: Vec<&str> = vocab::KINDS
+                .iter()
+                .filter(|k| k.shown_by == Some(experiment))
+                .map(|k| k.name)
+                .collect();
+            assert_eq!(shown.len(), n, "{experiment} shows {shown:?}");
+            assert_eq!(untraced_kinds(experiment, |k| shown.contains(&k)), Vec::<String>::new());
+            for struck in &shown {
+                assert_eq!(
+                    untraced_kinds(experiment, |k| k != *struck && shown.contains(&k)),
+                    [format!("required event kind {struck:?} was never traced")]
+                );
+            }
+        }
     }
 
     fn broken() -> Outcome {

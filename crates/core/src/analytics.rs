@@ -33,10 +33,6 @@ use std::net::Ipv4Addr;
 /// at most one period.
 pub const REFRESH_PERIOD: u64 = 256;
 
-/// The trace kinds this pipeline promises to emit (guardlint L5 checks
-/// each has a live emit site and is observed outside this module).
-pub const ANALYTICS_KINDS: &[&str] = &["analytics_topk"];
-
 /// The analytics pipeline of an armed guard; `default()` is unattached
 /// (gauges detached, tracing off).
 #[derive(Default)]

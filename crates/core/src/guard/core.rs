@@ -873,18 +873,20 @@ impl GuardCore {
         out: &mut Outputs,
         view: &MessageView<'_>,
     ) -> Option<Forwarded> {
-        // Any response from the ANS proves it alive, matched or not.
+        // The response must carry the id and the question of a live forward.
+        let Some(fwd) = self.remove_fwd(view.header.id, Some(view.question_digest())) else {
+            // A late response to an evicted/expired forward, a txid the
+            // guard never issued, or an answer to another question: it may
+            // as well come from a spoofer of the ANS address, so it says
+            // nothing about the ANS.
+            self.metrics.resp_unmatched.inc();
+            return None;
+        };
+        // Only the answer to a forward of the guard's own proves the ANS alive.
         if self.health.on_response(now) {
             self.metrics.ans_recoveries.inc();
             self.metrics.trace.event(now.as_nanos(), "ans_recovered", &[]);
         }
-        // The response must carry the id and the question of a live forward.
-        let Some(fwd) = self.remove_fwd(view.header.id, Some(view.question_digest())) else {
-            // A late response to an evicted/expired forward, a txid the
-            // guard never issued, or an answer to another question.
-            self.metrics.resp_unmatched.inc();
-            return None;
-        };
         self.metrics.relayed_responses.inc();
         let rtt_ns = now.saturating_sub(fwd.created).as_nanos();
         self.metrics.ans_rtt_ns.record(rtt_ns);

@@ -412,6 +412,47 @@ fn right_id_wrong_question_is_not_relayed_and_the_real_answer_still_is() {
     assert_eq!((guard.stats().resp_unmatched, guard.stats().relayed_responses), (2, 1));
 }
 
+/// ANS health is counted on a matched response only. A response-flagged
+/// datagram from the ANS address under an id or a question the guard never
+/// forwarded — all an off-path spoofer of that address can send — leaves a
+/// guard that its expired forwards drove down where it is; the answer to the
+/// guard's own probe brings it back.
+#[test]
+fn an_unmatched_upstream_response_does_not_recover_a_down_ans() {
+    let (mut config, classifier) = parts(SchemeMode::ModifiedOnly, Zone::Foo);
+    config.ans_timeout = SimTime::from_millis(20);
+    config.ans_failure_threshold = 2;
+    let mut core = GuardCore::new(config, classifier);
+    let obs = obs::Obs::new();
+    obs.tracer.set_default_level(obs::trace::Level::Info);
+    core.attach_obs(&obs);
+    let mut guard = Direct { core, out: Outputs::default(), now: SimTime::ZERO, next_window: WINDOW };
+    let recovered = |obs: &obs::Obs| obs.tracer.drain().0.iter().any(|e| e.kind == "ans_recovered");
+
+    // Two verified forwards nothing answers; the next window expires both,
+    // declares the ANS down and probes it.
+    for id in [1, 2] {
+        let mut verified = query(id, "www.foo.com");
+        cookie_ext::attach_cookie(&mut verified, guard.cookies().generate(CLIENT.ip).0, 0);
+        assert_eq!(guard.offer(from(CLIENT, PUBLIC, &verified)).len(), 1, "forwarded");
+    }
+    let probe = guard.idle(WINDOW);
+    assert_eq!((guard.stats().ans_down_events, guard.stats().ans_probes, probe.len()), (1, 1, 1));
+
+    // Right address, an id and a question of nobody's.
+    let mut stray = query(0x0BAD, "nobody.asked.this").response();
+    stray.answers.push(Record::a(name("nobody.asked.this"), Ipv4Addr::new(6, 6, 6, 6), 60));
+    let unmatched = guard.stats().resp_unmatched;
+    assert!(guard.offer(from(Endpoint::new(ANS, DNS_PORT), PUBLIC, &stray)).is_empty());
+    assert_eq!(guard.stats().resp_unmatched, unmatched + 1);
+    assert_eq!(guard.stats().ans_recoveries, 0, "an unmatched response proves nothing");
+    assert!(!recovered(&obs));
+
+    assert!(guard.offer(ans_answers(&probe[0], &[])).is_empty(), "a probe's answer goes nowhere");
+    assert_eq!(guard.stats().ans_recoveries, 1);
+    assert!(recovered(&obs));
+}
+
 /// The `evict` events of `table` traced since the last drain, as the value
 /// of their `field`.
 fn evictions(obs: &obs::Obs, table: &'static str, field: &str) -> Vec<obs::trace::Value> {

@@ -75,11 +75,11 @@ fn run_tracer_ring() -> Report {
         let ct1 = tracer.component("guard");
         let ct2 = tracer.component("ans");
         let t1 = spawn(move || {
-            ct1.event(1, "e", &[]);
-            ct1.event(2, "e", &[]);
+            ct1.event(1, "ans_probe", &[]);
+            ct1.event(2, "ans_probe", &[]);
         });
         let t2 = spawn(move || {
-            ct2.event(3, "e", &[]);
+            ct2.event(3, "ans_probe", &[]);
         });
         let (mid, mid_dropped) = tracer.drain();
         t1.join();

@@ -28,7 +28,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Lint family id: `L1`..`L5`, or `ALLOW` for allowlist meta-errors.
+    /// Lint family id: `L1`..`L3`, `L6`, `L7`, or `ALLOW` for allowlist meta-errors.
     pub lint: &'static str,
     /// Severity class.
     pub severity: Severity,
@@ -164,7 +164,7 @@ mod tests {
             Finding {
                 file: "a.rs".into(),
                 line: 1,
-                lint: "L5",
+                lint: "L6",
                 severity: Severity::Warning,
                 message: String::new(),
             },

@@ -425,30 +425,6 @@ fn byte_of_char_index(text: &str, idx: usize) -> usize {
     text.char_indices().nth(idx).map_or(text.len(), |(b, _)| b)
 }
 
-/// Iterates string-literal references embedded in a `flat` slice: yields
-/// `(byte_offset_of_marker, string_index)`.
-pub fn str_refs(flat: &str) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let bytes = flat.as_bytes();
-    let mut pos = 0usize;
-    std::iter::from_fn(move || {
-        while pos < bytes.len() {
-            if bytes[pos] == 1 {
-                let start = pos + 1;
-                let mut end = start;
-                while end < bytes.len() && bytes[end] != 2 {
-                    end += 1;
-                }
-                let idx: usize = flat[start..end].parse().ok()?;
-                let at = pos;
-                pos = end + 1;
-                return Some((at, idx));
-            }
-            pos += 1;
-        }
-        None
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,15 +484,6 @@ mod tests {
         assert!(s.is_test_line(3));
         assert!(s.is_test_line(4));
         assert!(!s.is_test_line(6));
-    }
-
-    #[test]
-    fn flat_str_refs_enumerate() {
-        let s = scrub("f(\"one\", 2, \"two\")");
-        let refs: Vec<_> = str_refs(&s.flat).collect();
-        assert_eq!(refs.len(), 2);
-        assert_eq!(s.strings[refs[0].1].content, "one");
-        assert_eq!(s.strings[refs[1].1].content, "two");
     }
 
     #[test]

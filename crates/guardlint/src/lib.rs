@@ -12,11 +12,6 @@
 //!   crates (`core`, `netsim`, `server`, `attack`, `obs`);
 //! * **L3** — `Ordering::Relaxed` outside the obs record path requires an
 //!   inline `// lint: relaxed-ok — <why>` justification;
-//! * **L4** — metric/alert names referenced by the snapshot contracts
-//!   (the required export keys of `bench::obs_export` / `bench::fleetobs`)
-//!   and the alert rules must exist at a registry definition site;
-//! * **L5** — trace coverage: the export contract's kinds have emit
-//!   sites, and guard-emitted kinds are observed somewhere;
 //! * **L6** — shared-state escape: a variable captured by a spawned
 //!   closure and mutated inside it must go through a `guardcheck::sync`
 //!   atomic/lock (so the model checker covers it) or carry an inline
@@ -33,10 +28,11 @@
 //! re-renders findings as Actions annotations. Zero dependencies by
 //! design: the crate carries its own comment/string-aware lexer
 //! ([`lexer`]) and brace matcher ([`scopes`]) instead of a Rust parser,
-//! because every invariant here is token-, scope- or
-//! string-cross-reference-shaped. guardlint is the static front line of
-//! the concurrency toolchain; the `guardcheck` crate's interleaving
-//! model checker is the dynamic back line.
+//! because every invariant here is token- or scope-shaped. (The ids skip
+//! L4 and L5: the telemetry cross-checks those two made are `obs::vocab`'s
+//! now, asserted where a name is used.) guardlint is the static front line
+//! of the concurrency toolchain; the `guardcheck` crate's interleaving model
+//! checker is the dynamic back line.
 
 pub mod allowlist;
 pub mod findings;
@@ -124,38 +120,13 @@ fn lint_set_paths(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// The L5 reference corpus: the lint set plus integration tests, benches
-/// and examples — anywhere a trace kind may legitimately be observed.
-fn corpus_extra_paths(root: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
-    collect_rs(&root.join("tests"), &mut out)?;
-    collect_rs(&root.join("examples"), &mut out)?;
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut members: Vec<PathBuf> =
-            std::fs::read_dir(&crates)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        members.sort();
-        for m in members {
-            collect_rs(&m.join("tests"), &mut out)?;
-            collect_rs(&m.join("benches"), &mut out)?;
-        }
-    }
-    Ok(out)
-}
-
 /// Runs the full lint pass over the workspace at `root`, applying the
 /// allowlist at `allowlist_path` (skipped when the file does not exist).
 /// With `deny` set (the CI gate), stale allowlist entries are promoted
 /// from advisory warnings to hard errors.
 pub fn run(root: &Path, allowlist_path: &Path, deny: bool) -> io::Result<RunResult> {
-    let lint_paths = lint_set_paths(root)?;
-    let files = load(root, &lint_paths)?;
-    let mut corpus = load(root, &corpus_extra_paths(root)?)?;
-    // The corpus also contains the lint set itself (re-lexed views are
-    // cheap relative to one workspace build).
-    corpus.extend(load(root, &lint_paths)?);
-
-    let mut findings = lints::run_all(&files, &corpus);
+    let files = load(root, &lint_set_paths(root)?)?;
+    let mut findings = lints::run_all(&files);
 
     let toml_rel = rel_of(root, allowlist_path);
     if allowlist_path.is_file() {

@@ -5,18 +5,17 @@
 //! | L1 | no panic on wire input: `unwrap`/`expect`/`panic!`-family macros and slice indexing are forbidden in `dnswire` and the guard rx modules |
 //! | L2 | determinism: wall clocks and ambient RNG are forbidden in the sim-domain crates (`core`, `netsim`, `server`, `attack`, `obs`) |
 //! | L3 | atomic-ordering discipline: `Ordering::Relaxed` outside the obs record path needs a `// lint: relaxed-ok — ...` justification |
-//! | L4 | metric/alert names referenced by the snapshot contracts (the required keys of `bench::obs_export` and `bench::fleetobs`) and the alert rules (per-node `RULES`, fleet `FLEET_RULES`) must exist at a registry definition site |
-//! | L5 | trace coverage: contract kinds (`REQUIRED_KINDS`, `STITCH_KINDS`, `ANALYTICS_KINDS`, `POISON_KINDS`) must have emit sites, and guard/analytics-emitted kinds must be observed somewhere |
 //! | L6 | shared-state escape: a variable captured by a spawned closure and mutated inside it must go through an atomic/lock (`guardcheck::sync`) or carry `// lint: shared-ok — <why>` |
 //! | L7 | lock ordering: the per-function lock-acquisition graph must be acyclic — an A→B hold-while-acquiring edge with a B→A edge elsewhere is a deadlock recipe |
 //!
 //! L1–L3 are per-line token lints over scrubbed code (see [`crate::lexer`]);
-//! L4/L5 are cross-file consistency checks over extracted call arguments;
 //! L6/L7 are brace-aware structural lints (see [`crate::scopes`]) feeding
-//! the guardcheck model checker's static front line.
+//! the guardcheck model checker's static front line. (L4 and L5, the two
+//! cross-file telemetry families, are retired: telemetry names are declared
+//! once in `obs::vocab` and checked where they are used, at run time.)
 
 use crate::findings::{Finding, Severity};
-use crate::lexer::{str_refs, Scrubbed, STR_OPEN};
+use crate::lexer::Scrubbed;
 use crate::scopes::{functions, ScopeMap};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,10 +30,10 @@ pub struct SourceFile {
 // ---------------------------------------------------------------- scopes
 
 /// The guard's own modules: every file under `crates/core/src/guard/` but
-/// its simulated-world tests. L1 and L5 follow the guard's code wherever a
-/// split puts it.
+/// its simulated-world tests. L1 follows the guard's code wherever a split
+/// puts it.
 fn in_guard(rel: &str) -> bool {
-    rel.starts_with(GUARD_DIR) && rel != "crates/core/src/guard/tests.rs"
+    rel.starts_with("crates/core/src/guard/") && rel != "crates/core/src/guard/tests.rs"
 }
 
 /// L1 scope: the modules that parse adversarial wire input.
@@ -712,446 +711,8 @@ pub fn l7(files: &[SourceFile]) -> Vec<Finding> {
     out
 }
 
-// ------------------------------------------------ flat-stream extraction
-
-/// A string argument extracted from the flat stream.
-#[derive(Debug, Clone)]
-struct ArgStr {
-    line: usize,
-    content: String,
-}
-
-/// Extracts, for every non-test call of `.method(`, up to `max` string
-/// literals appearing among its arguments (balanced-paren scan).
-fn call_string_args(file: &SourceFile, method: &str, max: usize) -> Vec<(usize, Vec<ArgStr>)> {
-    let flat = &file.scrub.flat;
-    let needle = format!(".{method}(");
-    let mut out = Vec::new();
-    let mut from = 0usize;
-    while let Some(p) = flat[from..].find(&needle) {
-        let at = from + p;
-        from = at + needle.len();
-        // Reject `.method_longer(` lookalikes: char before the dot-name
-        // match is irrelevant (the dot anchors it), but the name must end
-        // exactly at `(` which the needle guarantees.
-        let call_line = file.scrub.line_of(at);
-        if file.scrub.is_test_line(call_line) {
-            continue;
-        }
-        let mut args = Vec::new();
-        let mut depth = 1i32;
-        let bytes = flat.as_bytes();
-        let mut i = at + needle.len();
-        while i < bytes.len() && depth > 0 {
-            match bytes[i] {
-                b'(' => depth += 1,
-                b')' => depth -= 1,
-                1 => {
-                    let tail = &flat[i..];
-                    if let Some((_, idx)) = str_refs(tail).next() {
-                        if args.len() < max {
-                            let lit = &file.scrub.strings[idx];
-                            args.push(ArgStr { line: lit.line, content: lit.content.clone() });
-                        }
-                    }
-                    while i < bytes.len() && bytes[i] != 2 {
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        out.push((call_line, args));
-    }
-    out
-}
-
-/// Extracts the string literals of an array declaration `NAME… = &[ … ]`.
-fn array_literals(file: &SourceFile, name: &str) -> Option<(usize, Vec<ArgStr>)> {
-    let flat = &file.scrub.flat;
-    let at = find_token(flat, name)?;
-    // Skip past the `=` so the `&[&str]` type annotation's bracket is not
-    // mistaken for the literal's.
-    let eq = at + flat[at..].find('=')?;
-    let open = eq + flat[eq..].find('[')?;
-    let decl_line = file.scrub.line_of(at);
-    let bytes = flat.as_bytes();
-    let mut depth = 0i32;
-    let mut i = open;
-    let mut lits = Vec::new();
-    while i < bytes.len() {
-        match bytes[i] {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            1 => {
-                if let Some((_, idx)) = str_refs(&flat[i..]).next() {
-                    let lit = &file.scrub.strings[idx];
-                    lits.push(ArgStr { line: lit.line, content: lit.content.clone() });
-                }
-                while i < bytes.len() && bytes[i] != 2 {
-                    i += 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Some((decl_line, lits))
-}
-
-/// All non-test string literals of a file.
-fn nontest_strings(file: &SourceFile) -> Vec<ArgStr> {
-    file.scrub
-        .strings
-        .iter()
-        .filter(|s| !file.scrub.is_test_line(s.line))
-        .map(|s| ArgStr { line: s.line, content: s.content.clone() })
-        .collect()
-}
-
-// -------------------------------------------------------------------- L4
-
-/// The snapshot contracts checked by L4 leg A: the bench experiments whose
-/// required export keys name metrics (`"name":"…"`) and components
-/// (`"component":"…"`) of a metrics snapshot.
-const SNAPSHOT_CONTRACTS: &[&str] = &[OBS_EXPORT, FLEETOBS_RS];
-const ALERT_RS: &str = "crates/obs/src/alert.rs";
-const FLEET_RS: &str = "crates/obs/src/fleet.rs";
-
-/// Rule engines checked by L4 legs B/C: `(file, rule-table const)`. The
-/// per-node engine declares `RULES`, the fleet aggregator `FLEET_RULES`;
-/// both read metrics through match arms and fire through `set_state`.
-const RULE_ENGINES: &[(&str, &str)] = &[(ALERT_RS, "RULES"), (FLEET_RS, "FLEET_RULES")];
-
-/// Registry definition sites: `(component, name)` pairs registered by any
-/// non-test `.counter( / .gauge( / .histogram( / .adopt_*(` call.
-fn metric_definitions(files: &[SourceFile]) -> BTreeMap<String, BTreeSet<String>> {
-    let mut defs: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    const METHODS: &[&str] = &[
-        "counter",
-        "gauge",
-        "histogram",
-        "adopt_counter",
-        "adopt_gauge",
-        "adopt_histogram",
-    ];
-    for f in files {
-        for m in METHODS {
-            for (_, args) in call_string_args(f, m, 2) {
-                if let [comp, name] = args.as_slice() {
-                    defs.entry(name.content.clone())
-                        .or_default()
-                        .insert(comp.content.clone());
-                }
-            }
-        }
-    }
-    defs
-}
-
-/// Match-arm tuple references `("comp", "name") =>` / `(_, "name") if` in
-/// the alert rules. Returns `(line, Option<component>, name)`.
-fn alert_metric_refs(file: &SourceFile) -> Vec<(usize, Option<String>, String)> {
-    let flat = &file.scrub.flat;
-    let bytes = flat.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i] != b'(' {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        let skip_ws = |j: &mut usize| {
-            while *j < bytes.len() && (bytes[*j] as char).is_whitespace() {
-                *j += 1;
-            }
-        };
-        let read_str = |j: &mut usize| -> Option<usize> {
-            if bytes.get(*j) != Some(&1) {
-                return None;
-            }
-            let (_, idx) = str_refs(&flat[*j..]).next()?;
-            while *j < bytes.len() && bytes[*j] != 2 {
-                *j += 1;
-            }
-            *j += 1;
-            Some(idx)
-        };
-        skip_ws(&mut j);
-        let comp = if bytes.get(j) == Some(&b'_') {
-            j += 1;
-            None
-        } else if let Some(idx) = read_str(&mut j) {
-            Some(idx)
-        } else {
-            i += 1;
-            continue;
-        };
-        skip_ws(&mut j);
-        if bytes.get(j) != Some(&b',') {
-            i += 1;
-            continue;
-        }
-        j += 1;
-        skip_ws(&mut j);
-        let Some(name_idx) = read_str(&mut j) else {
-            i += 1;
-            continue;
-        };
-        skip_ws(&mut j);
-        if bytes.get(j) != Some(&b')') {
-            i += 1;
-            continue;
-        }
-        j += 1;
-        skip_ws(&mut j);
-        let arm = flat[j..].starts_with("=>") || flat[j..].starts_with("if ");
-        if arm {
-            let name = &file.scrub.strings[name_idx];
-            if !file.scrub.is_test_line(name.line) {
-                out.push((
-                    name.line,
-                    comp.map(|c| file.scrub.strings[c].content.clone()),
-                    name.content.clone(),
-                ));
-            }
-        }
-        i = j;
-    }
-    out
-}
-
-/// L4: metric/alert-name cross-check.
-pub fn l4(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let defs = metric_definitions(files);
-    let components: BTreeSet<&String> = defs.values().flatten().collect();
-
-    // Leg A — the snapshot contracts' required keys name real metrics.
-    for contract in files.iter().filter(|f| SNAPSHOT_CONTRACTS.contains(&f.rel.as_str())) {
-        for s in nontest_strings(contract) {
-            for (key, is_name) in [("\"name\":\"", true), ("\"component\":\"", false)] {
-                let mut from = 0usize;
-                while let Some(p) = s.content[from..].find(key) {
-                    let start = from + p + key.len();
-                    let Some(end) = s.content[start..].find('"') else { break };
-                    let token = &s.content[start..start + end];
-                    let ok = if is_name {
-                        defs.contains_key(token)
-                    } else {
-                        components.iter().any(|c| c.as_str() == token)
-                    };
-                    if !ok {
-                        out.push(Finding {
-                            file: contract.rel.clone(),
-                            line: s.line,
-                            lint: "L4",
-                            severity: Severity::Error,
-                            message: format!(
-                                "the snapshot contract expects {} {token:?}, but no registry \
-                                 definition site registers it",
-                                if is_name { "metric" } else { "component" }
-                            ),
-                        });
-                    }
-                    from = start + end;
-                }
-            }
-        }
-    }
-
-    // Legs B/C — every rule engine (per-node alert.rs, fleet aggregator)
-    // reads real metrics and evaluates every declared rule.
-    for &(engine_rel, table) in RULE_ENGINES {
-        let Some(engine) = files.iter().find(|f| f.rel == engine_rel) else { continue };
-        for (line, comp, name) in alert_metric_refs(engine) {
-            match (&comp, defs.get(&name)) {
-                (_, None) => out.push(Finding {
-                    file: engine.rel.clone(),
-                    line,
-                    lint: "L4",
-                    severity: Severity::Error,
-                    message: format!(
-                        "alert rule reads metric {name:?}, but no registry definition \
-                         site registers it"
-                    ),
-                }),
-                (Some(c), Some(comps)) if !comps.contains(c) => out.push(Finding {
-                    file: engine.rel.clone(),
-                    line,
-                    lint: "L4",
-                    severity: Severity::Error,
-                    message: format!(
-                        "alert rule reads metric {name:?} of component {c:?}, but it is \
-                         only registered under {comps:?}"
-                    ),
-                }),
-                _ => {}
-            }
-        }
-        if let Some((decl_line, rules)) = array_literals(engine, table) {
-            let evaluated: BTreeSet<String> = call_string_args(engine, "set_state", 1)
-                .into_iter()
-                .filter_map(|(_, args)| args.first().map(|a| a.content.clone()))
-                .collect();
-            for r in &rules {
-                if !evaluated.contains(&r.content) {
-                    out.push(Finding {
-                        file: engine.rel.clone(),
-                        line: decl_line,
-                        lint: "L4",
-                        severity: Severity::Error,
-                        message: format!(
-                            "alert rule {:?} is declared in {table} but never evaluated \
-                             (no set_state site)",
-                            r.content
-                        ),
-                    });
-                }
-            }
-            let declared: BTreeSet<&str> = rules.iter().map(|r| r.content.as_str()).collect();
-            for (line, args) in call_string_args(engine, "set_state", 1) {
-                if let Some(rule) = args.first() {
-                    if !declared.contains(rule.content.as_str()) {
-                        out.push(Finding {
-                            file: engine.rel.clone(),
-                            line,
-                            lint: "L4",
-                            severity: Severity::Error,
-                            message: format!(
-                                "set_state fires rule {:?} which is not declared in {table}",
-                                rule.content
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-// -------------------------------------------------------------------- L5
-
-const OBS_EXPORT: &str = "crates/bench/src/obs_export.rs";
-const FLEETOBS_RS: &str = "crates/bench/src/fleetobs.rs";
-const GUARD_DIR: &str = "crates/core/src/guard/";
-const ANALYTICS_RS: &str = "crates/core/src/analytics.rs";
-const POISON_RS: &str = "crates/bench/src/poison.rs";
-
-/// Trace-kind contracts checked by L5: `(file, kind-table const)`. The
-/// export contract promises `REQUIRED_KINDS`; the fleet aggregator
-/// promises the `STITCH_KINDS` it synthesises during stitching; the
-/// traffic-analytics pipeline promises the `ANALYTICS_KINDS` it emits
-/// on each sketch refresh; the poisoning bench promises the
-/// `POISON_KINDS` the resolver hardening and fragmentation faults emit
-/// during the success-probability sweep.
-const KIND_CONTRACTS: &[(&str, &str)] = &[
-    (OBS_EXPORT, "REQUIRED_KINDS"),
-    (FLEET_RS, "STITCH_KINDS"),
-    (ANALYTICS_RS, "ANALYTICS_KINDS"),
-    (POISON_RS, "POISON_KINDS"),
-];
-
-/// Whether `rel` is a file whose emitted kinds must be observed elsewhere
-/// in the corpus: the guard's per-decision events, and the analytics
-/// pipeline's per-refresh population events (both feed dashboards and
-/// alerts, so an unreferenced kind is dead telemetry).
-fn is_observed_emitter(rel: &str) -> bool {
-    in_guard(rel) || rel == ANALYTICS_RS
-}
-
-/// Trace emit sites: `(kind, file, line)` for every non-test
-/// `.event( / .debug(` call (the kind is the first string argument).
-fn emit_sites(files: &[SourceFile]) -> Vec<(String, String, usize)> {
-    let mut out = Vec::new();
-    for f in files {
-        for m in ["event", "debug"] {
-            for (line, args) in call_string_args(f, m, 1) {
-                if let Some(kind) = args.first() {
-                    out.push((kind.content.clone(), f.rel.clone(), line));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// L5: trace coverage.
-///
-/// * every kind in a declared contract table (`REQUIRED_KINDS` in the
-///   export, `STITCH_KINDS` in the fleet aggregator, `ANALYTICS_KINDS`
-///   in the traffic-analytics pipeline) has an emit site;
-/// * every kind emitted by an observed emitter (a `core::guard` module,
-///   `core::analytics`) is referenced (as a string literal) in a file that
-///   is not one — journey assembly, alert rules, the fleet collector
-///   vocabulary, benches or tests — so no decision or population event is
-///   unobserved.
-///
-/// `corpus` is the wider reference set (lint files plus tests/examples),
-/// searched including test code.
-pub fn l5(files: &[SourceFile], corpus: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let emits = emit_sites(files);
-    let emitted: BTreeSet<&str> = emits.iter().map(|(k, _, _)| k.as_str()).collect();
-
-    for &(contract_rel, table) in KIND_CONTRACTS {
-        let Some(exp) = files.iter().find(|f| f.rel == contract_rel) else { continue };
-        if let Some((_, kinds)) = array_literals(exp, table) {
-            for k in &kinds {
-                if !emitted.contains(k.content.as_str()) {
-                    out.push(Finding {
-                        file: exp.rel.clone(),
-                        line: k.line,
-                        lint: "L5",
-                        severity: Severity::Error,
-                        message: format!(
-                            "required trace kind {:?} ({table}) has no \
-                             `.event()`/`.debug()` emit site in the workspace",
-                            k.content
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    // Kinds emitted by the observed-emitter files (guard decisions,
-    // analytics refreshes) must be referenced somewhere outside them.
-    let mut kinds: BTreeMap<&str, (&str, usize)> = BTreeMap::new();
-    for (k, file, line) in emits.iter().filter(|(_, file, _)| is_observed_emitter(file)) {
-        kinds.entry(k).or_insert((file, *line));
-    }
-    for (kind, (emitter, line)) in kinds {
-        let observed = corpus.iter().any(|f| {
-            !is_observed_emitter(&f.rel) && f.scrub.strings.iter().any(|s| s.content == kind)
-        });
-        if !observed {
-            out.push(Finding {
-                file: emitter.to_string(),
-                line,
-                lint: "L5",
-                severity: Severity::Error,
-                message: format!(
-                    "emitted trace kind {kind:?} is referenced nowhere else \
-                     (journeys, alerts, benches or tests) — unobserved telemetry"
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Runs every family over the lint set, with `corpus` as the L5 reference
-/// universe.
-pub fn run_all(files: &[SourceFile], corpus: &[SourceFile]) -> Vec<Finding> {
+/// Runs every family over the lint set.
+pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
         out.extend(l1(f));
@@ -1159,14 +720,9 @@ pub fn run_all(files: &[SourceFile], corpus: &[SourceFile]) -> Vec<Finding> {
         out.extend(l3(f));
         out.extend(l6(f));
     }
-    out.extend(l4(files));
-    out.extend(l5(files, corpus));
     out.extend(l7(files));
     out
 }
-
-// Keep the placeholder byte referenced so the lexer contract is explicit.
-const _: () = assert!(STR_OPEN as u32 == 1);
 
 #[cfg(test)]
 mod tests {
@@ -1238,158 +794,6 @@ mod tests {
         let findings = l3(&f);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("Release"));
-    }
-
-    #[test]
-    fn l4_detects_phantom_metric() {
-        let defs = file(
-            "crates/core/src/guard/stats.rs",
-            "fn a(r: &Registry) { r.adopt_counter(\"guard\", \"verify\", &[], &c); }\n",
-        );
-        let contract = file(
-            OBS_EXPORT,
-            "const K: &[&str] = &[\"\\\"name\\\":\\\"verify\\\"\", \"\\\"name\\\":\\\"no_such\\\"\"];\n",
-        );
-        let findings = l4(&[defs, contract]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("no_such"));
-    }
-
-    #[test]
-    fn l4_alert_match_arm_checked() {
-        let defs = file(
-            "crates/core/src/guard/stats.rs",
-            "fn a(r: &Registry) { r.adopt_counter(\"guard\", \"verify\", &[], &c); }\n",
-        );
-        let alert = file(
-            ALERT_RS,
-            "fn e(s: &S) { match (s.component, s.name) { (_, \"verify\") => {}, (\"guard\", \"ghost\") => {}, _ => {} } }\n",
-        );
-        let findings = l4(&[defs, alert]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("ghost"));
-    }
-
-    #[test]
-    fn l4_unevaluated_rule_flagged() {
-        let alert = file(
-            ALERT_RS,
-            "pub const RULES: &[&str] = &[\"live_rule\", \"dead_rule\"];\nfn e(&mut self, t: u64) { self.set_state(t, \"live_rule\", true, 0.0, 0.0); }\n",
-        );
-        let findings = l4(&[alert]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("dead_rule"));
-    }
-
-    #[test]
-    fn l4_fleet_rule_table_checked() {
-        let fleet = file(
-            FLEET_RS,
-            "pub const FLEET_RULES: &[&str] = &[\"fleet_spoof_surge\", \"dead_fleet_rule\"];\nfn e(&mut self, t: u64) { self.set_state(t, \"fleet_spoof_surge\", true, 0.0, 0.0); }\n",
-        );
-        let findings = l4(&[fleet]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("dead_fleet_rule"));
-        assert!(findings[0].message.contains("FLEET_RULES"));
-    }
-
-    #[test]
-    fn l4_fleet_match_arm_checked() {
-        let defs = file(
-            "crates/core/src/guard/stats.rs",
-            "fn a(r: &Registry) { r.adopt_counter(\"guard\", \"verify\", &[], &c); }\n",
-        );
-        let fleet = file(
-            FLEET_RS,
-            "fn e(s: &S) { match (s.component, s.name) { (_, \"verify\") => {}, (\"guard\", \"phantom\") => {}, _ => {} } }\n",
-        );
-        let findings = l4(&[defs, fleet]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("phantom"));
-        assert_eq!(findings[0].file, FLEET_RS);
-    }
-
-    #[test]
-    fn l5_stitch_kind_without_emitter() {
-        let fleet = file(
-            FLEET_RS,
-            "pub const STITCH_KINDS: &[&str] = &[\"journey_stitch\", \"ghost_stitch\"];\nfn s(&self, t: u64) { self.trace.event(t, \"journey_stitch\", &[]); }\n",
-        );
-        let findings = l5(std::slice::from_ref(&fleet), &[]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("ghost_stitch"));
-        assert!(findings[0].message.contains("STITCH_KINDS"));
-    }
-
-    #[test]
-    fn l5_required_kind_without_emitter() {
-        let exp = file(
-            OBS_EXPORT,
-            "pub const REQUIRED_KINDS: &[&str] = &[\"grant\", \"ghost_kind\"];\n",
-        );
-        let guard = file(
-            "crates/core/src/guard/core.rs",
-            "fn f(&self, t: u64) { self.metrics.trace.event(t, \"grant\", &[]); }\n",
-        );
-        let refs = file("tests/journeys.rs", "const K: &str = \"grant\";\n");
-        let all = [exp, guard];
-        let corpus = [refs];
-        let findings = l5(&all, &corpus);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("ghost_kind"));
-    }
-
-    #[test]
-    fn l4_analytics_rules_need_set_state_sites() {
-        // The discriminator rules ride the same RULES contract as every
-        // other alert: declared + evaluated is clean, declared-only is not.
-        let both = file(
-            ALERT_RS,
-            "pub const RULES: &[&str] = &[\"spoof_flood\", \"flash_crowd\"];\n\
-             fn e(&mut self, t: u64) { self.set_state(t, \"spoof_flood\", true, 0.0, 0.0); \
-             self.set_state(t, \"flash_crowd\", false, 0.0, 0.0); }\n",
-        );
-        assert!(l4(std::slice::from_ref(&both)).is_empty());
-        let missing = file(
-            ALERT_RS,
-            "pub const RULES: &[&str] = &[\"spoof_flood\", \"flash_crowd\"];\n\
-             fn e(&mut self, t: u64) { self.set_state(t, \"spoof_flood\", true, 0.0, 0.0); }\n",
-        );
-        let findings = l4(std::slice::from_ref(&missing));
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("flash_crowd"));
-    }
-
-    #[test]
-    fn l5_analytics_kind_without_emitter() {
-        let analytics = file(
-            ANALYTICS_RS,
-            "pub const ANALYTICS_KINDS: &[&str] = &[\"analytics_topk\", \"ghost_topk\"];\n\
-             fn r(&self, t: u64) { self.trace.event(t, \"analytics_topk\", &[]); }\n",
-        );
-        let findings = l5(std::slice::from_ref(&analytics), &[]);
-        // `ghost_topk` has no emit site; `analytics_topk` is emitted but
-        // unobserved — both legs must fire.
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().any(|f| f.message.contains("ghost_topk")
-            && f.message.contains("ANALYTICS_KINDS")));
-        assert!(findings.iter().any(|f| f.message.contains("analytics_topk")
-            && f.message.contains("unobserved")));
-    }
-
-    #[test]
-    fn l5_observed_analytics_kind_is_clean() {
-        let analytics = file(
-            ANALYTICS_RS,
-            "pub const ANALYTICS_KINDS: &[&str] = &[\"analytics_topk\"];\n\
-             fn r(&self, t: u64) { self.trace.event(t, \"analytics_topk\", &[]); }\n",
-        );
-        let witness = file(
-            "crates/runtime/src/fleet_collector.rs",
-            "const VOCAB: &[&str] = &[\"analytics_topk\"];\n",
-        );
-        let findings = l5(std::slice::from_ref(&analytics), &[witness]);
-        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
@@ -1504,24 +908,5 @@ mod tests {
              fn b(&self) { let g = self.m2.lock(); self.m1.lock().poke(); } // lint: lockorder-ok — never concurrent with a()\n",
         );
         assert!(l7(std::slice::from_ref(&justified)).is_empty());
-    }
-
-    #[test]
-    fn l5_unobserved_guard_kind() {
-        // Any guard module is an emitter — and none of them a witness.
-        let guard = file(
-            "crates/core/src/guard/repl.rs",
-            "fn f(&self, t: u64) { self.metrics.trace.event(t, \"lonely_kind\", &[]); }\n",
-        );
-        let sibling = file("crates/core/src/guard/core.rs", "const K: &str = \"lonely_kind\";\n");
-        let findings = l5(std::slice::from_ref(&guard), &[sibling]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("lonely_kind"));
-        assert_eq!(findings[0].file, "crates/core/src/guard/repl.rs");
-        for witness in ["tests/x.rs", "crates/core/src/guard/tests.rs"] {
-            let witness = file(witness, "const K: &str = \"lonely_kind\";\n");
-            let findings = l5(std::slice::from_ref(&guard), &[witness]);
-            assert!(findings.is_empty(), "{findings:?}");
-        }
     }
 }

@@ -20,8 +20,7 @@ USAGE: guardlint [--root <dir>] [--allowlist <Lint.toml>] [--json] [--github] [-
                       remains; stale allowlist entries become errors
 
 Lint families: L1 no-panic-on-wire-input, L2 determinism, L3 relaxed-
-ordering justification, L4 metric-name cross-check, L5 trace coverage,
-L6 shared-state escape, L7 lock-ordering cycles.";
+ordering justification, L6 shared-state escape, L7 lock-ordering cycles.";
 
 fn main() {
     let mut root = PathBuf::from(".");

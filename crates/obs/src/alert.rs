@@ -22,129 +22,217 @@
 
 use crate::metrics::{Counter, MetricSample, SampleValue};
 use crate::trace::{ComponentTracer, Value};
+use crate::vocab;
 use crate::Obs;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Every rule the engine knows, by name.
-pub const RULES: &[&str] = &[
-    "spoof_surge",
-    "rl1_saturation",
-    "rl2_saturation",
-    "amplification_breach",
-    "ans_down",
-    "ans_flap",
-    "trace_drops",
-    "checkpoint_lag",
-    "failover_triggered",
-    "admission_shedding",
-    "catchment_shift",
-    "handshake_storm",
-    "spoof_flood",
-    "flash_crowd",
-    "cache_poisoning",
-];
-
-/// Thresholds and windows for the rule set.
+/// What a deployment sets of the rule set; every other threshold is a
+/// constant beside the rule that reads it.
 #[derive(Debug, Clone)]
 pub struct AlertConfig {
-    /// Invalid-verify rate (events/s) above which `spoof_surge` fires.
-    pub spoof_invalid_per_sec: f64,
-    /// RL1/RL2 drop rate (events/s) above which the saturation rules fire.
-    pub rl_drop_per_sec: f64,
-    /// `amplification_breach` fires when the guard's unverified-traffic
-    /// amplification gauge (ratio × 1000) exceeds this. The paper bounds
-    /// the schemes at 1.5×; 1600 leaves headroom for rounding.
-    pub amplification_max_milli: u64,
-    /// `ans_flap` fires when this many down transitions land within
-    /// [`AlertConfig::flap_window_nanos`].
-    pub flap_transitions: usize,
-    /// Window for flap detection.
-    pub flap_window_nanos: u64,
-    /// `checkpoint_lag` fires when the guard's recoverable-state staleness
-    /// gauge (`checkpoint_age_nanos`) exceeds this. Zero age — checkpoints
-    /// disabled or just taken — never fires.
-    pub checkpoint_lag_max_nanos: u64,
-    /// `admission_shedding` fires when the admission controller sheds
-    /// unverified requests above this rate (events/s).
-    pub shed_per_sec: f64,
-    /// `catchment_shift` fires when the network re-routes packets between
-    /// anycast sites above this rate (events/s) — the operator signal that
-    /// BGP moved a catchment mid-flood.
-    pub shift_per_sec: f64,
     /// `handshake_storm` fires when the guard fleet hands out first-contact
     /// cookies (fabricated NS + TC redirects + extension grants) above this
     /// rate (events/s): previously-verified clients are re-handshaking en
     /// masse, the failure mode shared cookies exist to prevent.
     pub handshake_per_sec: f64,
-    /// Neither analytics rule considers firing below this datagram rate
-    /// (datagrams/s): sketch estimates on a trickle are noise.
-    pub analytics_min_rate: f64,
-    /// `spoof_flood` requires the distinct-source estimate
-    /// (`analytics_distinct`) above this — spoofed floods burn through
-    /// source space; flash crowds are bounded populations.
-    pub spoof_min_distinct: f64,
-    /// `spoof_flood` requires new sources appearing above this rate
-    /// (sources/s): random spoofing mints a fresh address almost every
-    /// datagram.
-    pub spoof_new_source_per_sec: f64,
-    /// `spoof_flood` requires the per-source repeat rate (datagrams per
-    /// new source over the window) at or below this: spoofed sources
-    /// barely repeat, real clients retry and re-query.
-    pub spoof_max_repeat: f64,
-    /// `spoof_flood` requires normalized source entropy
-    /// (`analytics_entropy_norm_milli` / 1000) at or above this: a
-    /// uniform-random source population sits near 1.0.
-    pub spoof_min_entropy_norm: f64,
-    /// `flash_crowd` requires the new-source rate at or below this:
-    /// a crowd's population is recruited once, then it re-queries.
-    pub crowd_max_new_source_per_sec: f64,
-    /// `flash_crowd` requires the distinct-source estimate at or below
-    /// this (bounded population).
-    pub crowd_max_distinct: f64,
-    /// `flash_crowd` requires Zipf-like skew: normalized entropy at or
-    /// below this, …
-    pub crowd_max_entropy_norm: f64,
-    /// … or the hottest source's guaranteed share
-    /// (`analytics_top_share_milli` / 1000) at or above this.
-    pub crowd_min_top_share: f64,
-    /// `cache_poisoning` fires when a resolver registers wrong-response
-    /// mismatches for in-flight queries above this rate (events/s) — the
-    /// visible footprint of a txid-guessing race — or immediately on any
-    /// confirmed poisoned cache entry, regardless of rate.
-    pub poison_attempt_per_sec: f64,
 }
 
 impl Default for AlertConfig {
     fn default() -> Self {
-        AlertConfig {
-            spoof_invalid_per_sec: 200.0,
-            rl_drop_per_sec: 2_000.0,
-            amplification_max_milli: 1_600,
-            flap_transitions: 2,
-            flap_window_nanos: 2_000_000_000,
-            checkpoint_lag_max_nanos: 50_000_000,
-            shed_per_sec: 100.0,
-            shift_per_sec: 100.0,
-            handshake_per_sec: 2_000.0,
-            analytics_min_rate: 5_000.0,
-            spoof_min_distinct: 1_000.0,
-            spoof_new_source_per_sec: 1_000.0,
-            spoof_max_repeat: 6.0,
-            spoof_min_entropy_norm: 0.88,
-            crowd_max_new_source_per_sec: 500.0,
-            crowd_max_distinct: 1_000.0,
-            crowd_max_entropy_norm: 0.85,
-            crowd_min_top_share: 0.05,
-            poison_attempt_per_sec: 20.0,
+        AlertConfig { handshake_per_sec: 2_000.0 }
+    }
+}
+
+/// Invalid-verify rate (events/s) above which `spoof_surge` fires.
+const SPOOF_INVALID_PER_SEC: f64 = 200.0;
+/// RL1/RL2 drop rate (events/s) above which the saturation rules fire.
+const RL_DROP_PER_SEC: f64 = 2_000.0;
+/// `amplification_breach` fires when the guard's unverified-traffic
+/// amplification gauge (ratio × 1000) exceeds this. The paper bounds
+/// the schemes at 1.5×; 1600 leaves headroom for rounding.
+const AMPLIFICATION_MAX_MILLI: u64 = 1_600;
+/// `ans_flap` fires when this many down transitions land within
+/// [`FLAP_WINDOW_NANOS`].
+const FLAP_TRANSITIONS: usize = 2;
+/// Window for flap detection.
+const FLAP_WINDOW_NANOS: u64 = 2_000_000_000;
+/// `checkpoint_lag` fires when the guard's recoverable-state staleness
+/// gauge (`checkpoint_age_nanos`) exceeds this. Zero age — checkpoints
+/// disabled or just taken — never fires.
+const CHECKPOINT_LAG_MAX_NANOS: u64 = 50_000_000;
+/// `admission_shedding` fires when the admission controller sheds
+/// unverified requests above this rate (events/s).
+const SHED_PER_SEC: f64 = 100.0;
+/// `catchment_shift` fires when the network re-routes packets between
+/// anycast sites above this rate (events/s) — the operator signal that
+/// BGP moved a catchment mid-flood.
+const SHIFT_PER_SEC: f64 = 100.0;
+/// Neither analytics rule considers firing below this datagram rate
+/// (datagrams/s): sketch estimates on a trickle are noise.
+const ANALYTICS_MIN_RATE: f64 = 5_000.0;
+/// `spoof_flood` requires the distinct-source estimate
+/// (`analytics_distinct`) above this — spoofed floods burn through
+/// source space; flash crowds are bounded populations.
+const SPOOF_MIN_DISTINCT: f64 = 1_000.0;
+/// `spoof_flood` requires new sources appearing above this rate
+/// (sources/s): random spoofing mints a fresh address almost every
+/// datagram.
+const SPOOF_NEW_SOURCE_PER_SEC: f64 = 1_000.0;
+/// `spoof_flood` requires the per-source repeat rate (datagrams per
+/// new source over the window) at or below this: spoofed sources
+/// barely repeat, real clients retry and re-query.
+const SPOOF_MAX_REPEAT: f64 = 6.0;
+/// `spoof_flood` requires normalized source entropy
+/// (`analytics_entropy_norm_milli` / 1000) at or above this: a
+/// uniform-random source population sits near 1.0.
+const SPOOF_MIN_ENTROPY_NORM: f64 = 0.88;
+/// `flash_crowd` requires the new-source rate at or below this:
+/// a crowd's population is recruited once, then it re-queries.
+const CROWD_MAX_NEW_SOURCE_PER_SEC: f64 = 500.0;
+/// `flash_crowd` requires the distinct-source estimate at or below
+/// this (bounded population).
+const CROWD_MAX_DISTINCT: f64 = 1_000.0;
+/// `flash_crowd` requires Zipf-like skew: normalized entropy at or
+/// below this, …
+const CROWD_MAX_ENTROPY_NORM: f64 = 0.85;
+/// … or the hottest source's guaranteed share
+/// (`analytics_top_share_milli` / 1000) at or above this.
+const CROWD_MIN_TOP_SHARE: f64 = 0.05;
+/// `cache_poisoning` fires when a resolver registers wrong-response
+/// mismatches for in-flight queries above this rate (events/s) — the
+/// visible footprint of a txid-guessing race — or immediately on any
+/// confirmed poisoned cache entry, regardless of rate.
+const POISON_ATTEMPT_PER_SEC: f64 = 20.0;
+
+/// What the rules compute from, each summed or maximised over the cells
+/// that feed it. (The last variant sizes [`Signals`].)
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Signal {
+    Invalid,
+    Rl1,
+    Rl2,
+    Downs,
+    Recoveries,
+    RingDrops,
+    AmpMilli,
+    CheckpointAge,
+    Takeovers,
+    Shed,
+    Shifted,
+    Handshakes,
+    Datagrams,
+    PoisonAttempts,
+    PoisonHits,
+    Distinct,
+    NewSources,
+    EntropyMilli,
+    TopShareMilli,
+}
+
+/// How a cell feeds its signal.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Read {
+    /// The cell's clamped growth since the previous evaluation
+    /// ([`AlertState::cell_delta`]), summed: a counter, or — for the
+    /// cumulative `analytics_distinct` — a gauge that only moves forward
+    /// between refreshes, whose reset clamps to zero like any counter's.
+    Delta,
+    /// The gauge's value, the largest over the cells.
+    Max,
+}
+
+/// One metric a rule reads: every cell named `name`, of `component` if one
+/// is given and carrying `label` if one is given.
+#[derive(Debug)]
+pub struct Input {
+    /// The registering component; `None` reads the name under any.
+    pub component: Option<&'static str>,
+    /// The metric name.
+    pub name: &'static str,
+    /// A label pair the cell must carry.
+    pub label: Option<(&'static str, &'static str)>,
+    pub(crate) signal: Signal,
+    pub(crate) read: Read,
+}
+
+impl Input {
+    /// Whether this row reads the cell `component.name{labels}`.
+    pub fn reads<K: AsRef<str>>(
+        &self,
+        component: &str,
+        name: &str,
+        labels: &[(K, String)],
+    ) -> bool {
+        self.name == name
+            && self.component.is_none_or(|c| c == component)
+            && self.label.is_none_or(|(key, value)| {
+                labels.iter().any(|(k, v)| k.as_ref() == key && v == value)
+            })
+    }
+}
+
+pub(crate) const fn input(
+    component: Option<&'static str>,
+    name: &'static str,
+    label: Option<(&'static str, &'static str)>,
+    signal: Signal,
+    read: Read,
+) -> Input {
+    Input { component, name, label, signal, read }
+}
+
+/// Every metric the per-node rules read. `tests/telemetry_vocab.rs` holds
+/// each row to a registration site.
+pub const INPUTS: &[Input] = &[
+    input(None, "verify", Some(("verdict", "invalid")), Signal::Invalid, Read::Delta),
+    input(None, "rl_dropped", Some(("limiter", "rl1")), Signal::Rl1, Read::Delta),
+    input(None, "rl_dropped", Some(("limiter", "rl2")), Signal::Rl2, Read::Delta),
+    input(None, "ans_down_events", None, Signal::Downs, Read::Delta),
+    input(None, "ans_recoveries", None, Signal::Recoveries, Read::Delta),
+    input(Some("trace"), "ring_dropped", None, Signal::RingDrops, Read::Delta),
+    input(None, "amplification_milli", None, Signal::AmpMilli, Read::Max),
+    input(None, "checkpoint_age_nanos", None, Signal::CheckpointAge, Read::Max),
+    input(None, "failover_takeovers", None, Signal::Takeovers, Read::Delta),
+    input(None, "admission_shed", None, Signal::Shed, Read::Delta),
+    input(None, "catchment_shifted", None, Signal::Shifted, Read::Delta),
+    input(None, "fabricated_ns_sent", None, Signal::Handshakes, Read::Delta),
+    input(None, "grants_sent", None, Signal::Handshakes, Read::Delta),
+    input(None, "tc_sent", None, Signal::Handshakes, Read::Delta),
+    input(None, "udp_datagrams", None, Signal::Datagrams, Read::Delta),
+    input(None, "poison_attempts", None, Signal::PoisonAttempts, Read::Delta),
+    input(None, "poison_successes", None, Signal::PoisonHits, Read::Delta),
+    input(None, "analytics_distinct", None, Signal::Distinct, Read::Max),
+    input(None, "analytics_distinct", None, Signal::NewSources, Read::Delta),
+    input(None, "analytics_entropy_norm_milli", None, Signal::EntropyMilli, Read::Max),
+    input(None, "analytics_top_share_milli", None, Signal::TopShareMilli, Read::Max),
+];
+
+/// The signals of one evaluation.
+#[derive(Default)]
+pub(crate) struct Signals([u64; Signal::TopShareMilli as usize + 1]);
+
+impl Signals {
+    /// Folds one cell that `input` reads into its signal; `delta` is the
+    /// engine's [`AlertState::cell_delta`] under its key for the cell.
+    pub(crate) fn fold(&mut self, input: &Input, value: &SampleValue, delta: impl FnOnce(u64) -> u64) {
+        let slot = &mut self.0[input.signal as usize];
+        match (input.read, value) {
+            (Read::Delta, SampleValue::Counter(v) | SampleValue::Gauge(v)) => *slot += delta(*v),
+            (Read::Max, SampleValue::Gauge(v)) => *slot = (*slot).max(*v),
+            _ => {}
         }
+    }
+
+    pub(crate) fn get(&self, signal: Signal) -> u64 {
+        self.0[signal as usize]
     }
 }
 
 /// One currently-firing alert.
 #[derive(Debug, Clone)]
 pub struct ActiveAlert {
-    /// The rule name (one of [`RULES`]).
+    /// The rule name (one of [`vocab::RULES`]).
     pub rule: &'static str,
     /// When the alert started firing (evaluation time).
     pub since_nanos: u64,
@@ -187,8 +275,6 @@ pub(crate) struct AlertState {
 
 impl AlertState {
     /// Wires transitions into `trace` and the per-rule `fired` counters.
-    /// The engines register the counters themselves, so that each name has
-    /// a literal definition site for guardlint L4 to find.
     pub(crate) fn attach(
         &mut self,
         trace: ComponentTracer,
@@ -226,6 +312,10 @@ impl AlertState {
         value: f64,
         threshold: f64,
     ) {
+        debug_assert!(
+            vocab::RULES.iter().any(|r| r.name == rule),
+            "alert rule {rule:?} is not in obs::vocab"
+        );
         let was = self.active.contains_key(rule);
         if firing == was {
             return;
@@ -331,17 +421,6 @@ pub fn shared(engine: AlertEngine) -> SharedAlertEngine {
     Arc::new(guardcheck::sync::Mutex::new(engine))
 }
 
-pub(crate) fn label_is<K: AsRef<str>>(labels: &[(K, String)], key: &str, value: &str) -> bool {
-    labels.iter().any(|(k, v)| k.as_ref() == key && v == value)
-}
-
-pub(crate) fn counter_of(value: &SampleValue) -> u64 {
-    match value {
-        SampleValue::Counter(v) => *v,
-        _ => 0,
-    }
-}
-
 impl AlertEngine {
     /// An engine with the given thresholds, not yet attached to an
     /// observer (transitions are tracked but not traced/counted).
@@ -356,10 +435,8 @@ impl AlertEngine {
     /// Wires transition events into `obs`: trace component `alert`, and an
     /// `alert.fired{rule}` counter per rule.
     pub fn attach_obs(&mut self, obs: &Obs) {
-        let fired = |rule: &&'static str| {
-            (*rule, obs.registry.counter("alert", "fired", &[("rule", rule)]))
-        };
-        self.alerts.attach(obs.tracer.component("alert"), RULES.iter().map(fired));
+        let fired = |rule| (rule, obs.registry.counter("alert", "fired", &[("rule", rule)]));
+        self.alerts.attach(obs.tracer.component("alert"), vocab::rules(false).map(fired));
     }
 
     /// Evaluates every rule against `samples` (a `Registry::snapshot`).
@@ -371,180 +448,89 @@ impl AlertEngine {
     /// counter reset or a guard attaching its metrics mid-run can neither
     /// mask nor fake a surge.
     pub fn evaluate(&mut self, t_nanos: u64, samples: &[MetricSample]) {
-        // Per-class deltas, summed over per-cell clamped deltas across
-        // guard + runtime guard.
-        let mut d_invalid = 0u64;
-        let mut d_rl1 = 0u64;
-        let mut d_rl2 = 0u64;
-        let mut d_downs = 0u64;
-        let mut d_recov = 0u64;
-        let mut d_ring = 0u64;
-        let mut amp_milli = 0u64;
-        let mut checkpoint_age = 0u64;
-        let mut d_takeovers = 0u64;
-        let mut d_shed = 0u64;
-        let mut d_shifted = 0u64;
-        let mut d_handshakes = 0u64;
-        let mut d_datagrams = 0u64;
-        let mut d_poison_attempts = 0u64;
-        let mut d_poison_hits = 0u64;
-        let mut d_new_sources = 0u64;
-        let mut distinct = 0u64;
-        let mut entropy_norm_milli = 0u64;
-        let mut top_share_milli = 0u64;
-        let alerts = &mut self.alerts;
-        // Clamped per-cell delta of `now` (the counter value — or, for the
-        // cumulative `analytics_distinct` gauge, the gauge value: between
-        // refreshes it only moves forward, and a reset clamps to zero like
-        // any counter) against this cell's previous evaluation.
-        let mut cell_delta = |s: &MetricSample, now: u64| alerts.cell_delta(s.key(), now);
+        let mut sig = Signals::default();
         for s in samples {
-            match (s.component, s.name) {
-                (_, "verify") if label_is(&s.labels, "verdict", "invalid") => {
-                    d_invalid += cell_delta(s, counter_of(&s.value));
-                }
-                (_, "rl_dropped") if label_is(&s.labels, "limiter", "rl1") => {
-                    d_rl1 += cell_delta(s, counter_of(&s.value));
-                }
-                (_, "rl_dropped") if label_is(&s.labels, "limiter", "rl2") => {
-                    d_rl2 += cell_delta(s, counter_of(&s.value));
-                }
-                (_, "ans_down_events") => d_downs += cell_delta(s, counter_of(&s.value)),
-                (_, "ans_recoveries") => d_recov += cell_delta(s, counter_of(&s.value)),
-                ("trace", "ring_dropped") => d_ring += cell_delta(s, counter_of(&s.value)),
-                (_, "amplification_milli") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        amp_milli = amp_milli.max(v);
-                    }
-                }
-                (_, "checkpoint_age_nanos") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        checkpoint_age = checkpoint_age.max(v);
-                    }
-                }
-                (_, "failover_takeovers") => d_takeovers += cell_delta(s, counter_of(&s.value)),
-                (_, "admission_shed") => d_shed += cell_delta(s, counter_of(&s.value)),
-                (_, "catchment_shifted") => d_shifted += cell_delta(s, counter_of(&s.value)),
-                (_, "fabricated_ns_sent") | (_, "grants_sent") | (_, "tc_sent") => {
-                    d_handshakes += cell_delta(s, counter_of(&s.value));
-                }
-                (_, "udp_datagrams") => d_datagrams += cell_delta(s, counter_of(&s.value)),
-                (_, "poison_attempts") => d_poison_attempts += cell_delta(s, counter_of(&s.value)),
-                (_, "poison_successes") => d_poison_hits += cell_delta(s, counter_of(&s.value)),
-                (_, "analytics_distinct") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        distinct = distinct.max(v);
-                        d_new_sources += cell_delta(s, v);
-                    }
-                }
-                (_, "analytics_entropy_norm_milli") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        entropy_norm_milli = entropy_norm_milli.max(v);
-                    }
-                }
-                (_, "analytics_top_share_milli") => {
-                    if let SampleValue::Gauge(v) = s.value {
-                        top_share_milli = top_share_milli.max(v);
-                    }
-                }
-                _ => {}
+            for input in INPUTS.iter().filter(|i| i.reads(s.component, s.name, &s.labels)) {
+                sig.fold(input, &s.value, |now| self.alerts.cell_delta(s.key(), now));
             }
         }
 
         let Some(dt) = self.alerts.interval(t_nanos) else {
             return;
         };
-        let rate = |d: u64| d as f64 * 1e9 / dt as f64;
+        let rate = |signal| sig.get(signal) as f64 * 1e9 / dt as f64;
+        let alerts = &mut self.alerts;
 
-        let spoof_rate = rate(d_invalid);
-        self.alerts.set_state(
+        let spoof_rate = rate(Signal::Invalid);
+        alerts.set_state(
             t_nanos,
             "spoof_surge",
-            spoof_rate > self.config.spoof_invalid_per_sec,
+            spoof_rate > SPOOF_INVALID_PER_SEC,
             spoof_rate,
-            self.config.spoof_invalid_per_sec,
+            SPOOF_INVALID_PER_SEC,
         );
-        let rl1_rate = rate(d_rl1);
-        self.alerts.set_state(
-            t_nanos,
-            "rl1_saturation",
-            rl1_rate > self.config.rl_drop_per_sec,
-            rl1_rate,
-            self.config.rl_drop_per_sec,
-        );
-        let rl2_rate = rate(d_rl2);
-        self.alerts.set_state(
-            t_nanos,
-            "rl2_saturation",
-            rl2_rate > self.config.rl_drop_per_sec,
-            rl2_rate,
-            self.config.rl_drop_per_sec,
-        );
-        self.alerts.set_state(
+        let rl1_rate = rate(Signal::Rl1);
+        alerts.set_state(t_nanos, "rl1_saturation", rl1_rate > RL_DROP_PER_SEC, rl1_rate, RL_DROP_PER_SEC);
+        let rl2_rate = rate(Signal::Rl2);
+        alerts.set_state(t_nanos, "rl2_saturation", rl2_rate > RL_DROP_PER_SEC, rl2_rate, RL_DROP_PER_SEC);
+        let amp_milli = sig.get(Signal::AmpMilli);
+        alerts.set_state(
             t_nanos,
             "amplification_breach",
-            amp_milli > self.config.amplification_max_milli,
+            amp_milli > AMPLIFICATION_MAX_MILLI,
             amp_milli as f64 / 1_000.0,
-            self.config.amplification_max_milli as f64 / 1_000.0,
+            AMPLIFICATION_MAX_MILLI as f64 / 1_000.0,
         );
 
         // ANS health is edge-triggered: a down transition fires the alert,
         // a recovery with no concurrent down clears it.
+        let d_downs = sig.get(Signal::Downs);
         if d_downs > 0 {
-            self.alerts.set_state(t_nanos, "ans_down", true, d_downs as f64, 1.0);
+            alerts.set_state(t_nanos, "ans_down", true, d_downs as f64, 1.0);
             for _ in 0..d_downs {
                 self.down_times.push_back(t_nanos);
             }
-        } else if d_recov > 0 {
-            self.alerts.set_state(t_nanos, "ans_down", false, 0.0, 1.0);
+        } else if sig.get(Signal::Recoveries) > 0 {
+            alerts.set_state(t_nanos, "ans_down", false, 0.0, 1.0);
         }
-        let horizon = t_nanos.saturating_sub(self.config.flap_window_nanos);
+        let horizon = t_nanos.saturating_sub(FLAP_WINDOW_NANOS);
         while self.down_times.front().is_some_and(|&t| t < horizon) {
             self.down_times.pop_front();
         }
-        self.alerts.set_state(
+        alerts.set_state(
             t_nanos,
             "ans_flap",
-            self.down_times.len() >= self.config.flap_transitions,
+            self.down_times.len() >= FLAP_TRANSITIONS,
             self.down_times.len() as f64,
-            self.config.flap_transitions as f64,
+            FLAP_TRANSITIONS as f64,
         );
 
-        self.alerts.set_state(t_nanos, "trace_drops", d_ring > 0, d_ring as f64, 1.0);
+        let d_ring = sig.get(Signal::RingDrops);
+        alerts.set_state(t_nanos, "trace_drops", d_ring > 0, d_ring as f64, 1.0);
 
         // Recoverable state too stale: a crash now would lose more than
         // the configured window. Age zero means checkpointing is off or a
         // snapshot/replication message just landed — never a lag.
-        self.alerts.set_state(
+        let checkpoint_age = sig.get(Signal::CheckpointAge);
+        alerts.set_state(
             t_nanos,
             "checkpoint_lag",
-            checkpoint_age > self.config.checkpoint_lag_max_nanos,
+            checkpoint_age > CHECKPOINT_LAG_MAX_NANOS,
             checkpoint_age as f64 / 1e9,
-            self.config.checkpoint_lag_max_nanos as f64 / 1e9,
+            CHECKPOINT_LAG_MAX_NANOS as f64 / 1e9,
         );
         // A standby promoted itself. Edge-triggered like ans_down: the
         // takeover counter only ever moves on a real transition.
+        let d_takeovers = sig.get(Signal::Takeovers);
         if d_takeovers > 0 {
-            self.alerts.set_state(t_nanos, "failover_triggered", true, d_takeovers as f64, 1.0);
+            alerts.set_state(t_nanos, "failover_triggered", true, d_takeovers as f64, 1.0);
         }
-        let shed_rate = rate(d_shed);
-        self.alerts.set_state(
-            t_nanos,
-            "admission_shedding",
-            shed_rate > self.config.shed_per_sec,
-            shed_rate,
-            self.config.shed_per_sec,
-        );
-        let shift_rate = rate(d_shifted);
-        self.alerts.set_state(
-            t_nanos,
-            "catchment_shift",
-            shift_rate > self.config.shift_per_sec,
-            shift_rate,
-            self.config.shift_per_sec,
-        );
-        let handshake_rate = rate(d_handshakes);
-        self.alerts.set_state(
+        let shed_rate = rate(Signal::Shed);
+        alerts.set_state(t_nanos, "admission_shedding", shed_rate > SHED_PER_SEC, shed_rate, SHED_PER_SEC);
+        let shift_rate = rate(Signal::Shifted);
+        alerts.set_state(t_nanos, "catchment_shift", shift_rate > SHIFT_PER_SEC, shift_rate, SHIFT_PER_SEC);
+        let handshake_rate = rate(Signal::Handshakes);
+        alerts.set_state(
             t_nanos,
             "handshake_storm",
             handshake_rate > self.config.handshake_per_sec,
@@ -557,54 +543,44 @@ impl AlertEngine {
         // rule). A spoofed flood mints new sources near the datagram rate
         // with near-maximal entropy and no repeats; a flash crowd is a
         // bounded, Zipf-skewed population that re-queries. The absolute
-        // cardinality split (`spoof_min_distinct` / `crowd_max_distinct`)
+        // cardinality split (`SPOOF_MIN_DISTINCT` / `CROWD_MAX_DISTINCT`)
         // keeps a crowd's recruitment burst from reading as spoofing and a
         // flood's tail from reading as a crowd.
-        let datagram_rate = rate(d_datagrams);
-        let new_source_rate = rate(d_new_sources);
+        let datagram_rate = rate(Signal::Datagrams);
+        let new_source_rate = rate(Signal::NewSources);
+        let (d_datagrams, d_new_sources) = (sig.get(Signal::Datagrams), sig.get(Signal::NewSources));
         let repeat = if d_new_sources == 0 {
             f64::INFINITY
         } else {
             d_datagrams as f64 / d_new_sources as f64
         };
-        let entropy_norm = entropy_norm_milli as f64 / 1_000.0;
-        let top_share = top_share_milli as f64 / 1_000.0;
-        let spoofing = datagram_rate > self.config.analytics_min_rate
-            && distinct as f64 > self.config.spoof_min_distinct
-            && new_source_rate > self.config.spoof_new_source_per_sec
-            && repeat <= self.config.spoof_max_repeat
-            && entropy_norm >= self.config.spoof_min_entropy_norm;
-        self.alerts.set_state(
-            t_nanos,
-            "spoof_flood",
-            spoofing,
-            new_source_rate,
-            self.config.spoof_new_source_per_sec,
-        );
-        let crowding = datagram_rate > self.config.analytics_min_rate
+        let distinct = sig.get(Signal::Distinct);
+        let entropy_norm = sig.get(Signal::EntropyMilli) as f64 / 1_000.0;
+        let top_share = sig.get(Signal::TopShareMilli) as f64 / 1_000.0;
+        let spoofing = datagram_rate > ANALYTICS_MIN_RATE
+            && distinct as f64 > SPOOF_MIN_DISTINCT
+            && new_source_rate > SPOOF_NEW_SOURCE_PER_SEC
+            && repeat <= SPOOF_MAX_REPEAT
+            && entropy_norm >= SPOOF_MIN_ENTROPY_NORM;
+        alerts.set_state(t_nanos, "spoof_flood", spoofing, new_source_rate, SPOOF_NEW_SOURCE_PER_SEC);
+        let crowding = datagram_rate > ANALYTICS_MIN_RATE
             && distinct > 0
-            && (distinct as f64) <= self.config.crowd_max_distinct
-            && new_source_rate <= self.config.crowd_max_new_source_per_sec
-            && (entropy_norm <= self.config.crowd_max_entropy_norm
-                || top_share >= self.config.crowd_min_top_share);
-        self.alerts.set_state(
-            t_nanos,
-            "flash_crowd",
-            crowding,
-            datagram_rate,
-            self.config.analytics_min_rate,
-        );
+            && (distinct as f64) <= CROWD_MAX_DISTINCT
+            && new_source_rate <= CROWD_MAX_NEW_SOURCE_PER_SEC
+            && (entropy_norm <= CROWD_MAX_ENTROPY_NORM || top_share >= CROWD_MIN_TOP_SHARE);
+        alerts.set_state(t_nanos, "flash_crowd", crowding, datagram_rate, ANALYTICS_MIN_RATE);
 
         // A poisoning race in progress (mismatch burst) or already won
         // (any confirmed poisoned entry fires at once — one success is
         // one too many).
-        let poison_rate = rate(d_poison_attempts);
-        self.alerts.set_state(
+        let poison_rate = rate(Signal::PoisonAttempts);
+        let d_poison_hits = sig.get(Signal::PoisonHits);
+        alerts.set_state(
             t_nanos,
             "cache_poisoning",
-            poison_rate > self.config.poison_attempt_per_sec || d_poison_hits > 0,
+            poison_rate > POISON_ATTEMPT_PER_SEC || d_poison_hits > 0,
             poison_rate.max(d_poison_hits as f64),
-            self.config.poison_attempt_per_sec,
+            POISON_ATTEMPT_PER_SEC,
         );
     }
 
@@ -645,6 +621,14 @@ mod tests {
 
     fn snapshot_with(reg: &Registry) -> Vec<MetricSample> {
         reg.snapshot()
+    }
+
+    /// [`vocab::RULES`] is the only rule list: a rule outside it cannot be
+    /// evaluated, by either engine, without tripping this.
+    #[test]
+    #[should_panic(expected = "alert rule \"dead_rule\" is not in obs::vocab")]
+    fn an_undeclared_rule_panics_where_it_is_evaluated() {
+        AlertState::default().set_state(0, "dead_rule", false, 0.0, 1.0);
     }
 
     #[test]
@@ -696,6 +680,23 @@ mod tests {
         assert_eq!(events.iter().filter(|e| e.component == "alert").count(), 2);
         let fired = obs.registry.counter("alert", "fired", &[("rule", "spoof_surge")]);
         assert_eq!(fired.get(), 1);
+    }
+
+    #[test]
+    fn each_limiter_saturates_its_own_rule() {
+        let reg = Registry::new();
+        let rl1 = reg.counter("guard", "rl_dropped", &[("limiter", "rl1")]);
+        let rl2 = reg.counter("guard", "rl_dropped", &[("limiter", "rl2")]);
+        let mut engine = AlertEngine::new(AlertConfig::default());
+        engine.evaluate(0, &snapshot_with(&reg));
+        rl1.add(5_000); // 5000/s > 2000/s; RL2 stays under.
+        rl2.add(1_000);
+        engine.evaluate(SEC, &snapshot_with(&reg));
+        assert_eq!(engine.fired_rules(), vec!["rl1_saturation"]);
+        rl2.add(5_000);
+        engine.evaluate(2 * SEC, &snapshot_with(&reg));
+        let rules: Vec<_> = engine.active().iter().map(|a| a.rule).collect();
+        assert_eq!(rules, vec!["rl2_saturation"], "RL1 calmed, RL2 saturated");
     }
 
     #[test]

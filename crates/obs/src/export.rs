@@ -11,9 +11,17 @@
 //!   lines ordered oldest-first (sim-time order for simulator runs).
 //! * **Time series** ([`Sampler::series_json`]) — per flat metric key, the
 //!   `[t_nanos, value]` pairs collected at each [`Sampler::sample`] call.
+//!
+//! The first two are also read back here ([`parse_metrics`],
+//! [`parse_event`]): the fleet collector rebuilds a node's samples and
+//! events from them, and the experiment runner holds every exported trace
+//! line to `event_json(parse_event(line)) == line`.
 
+use crate::fleet::FleetSample;
 use crate::metrics::{quantile_from_buckets, Cell, MetricSample, Registry, SampleValue};
 use crate::trace::{Event, Value};
+use crate::vocab;
+use std::net::Ipv4Addr;
 
 /// Appends `s` to `out` as a JSON string literal (quoted, escaped).
 pub fn escape_json_str(s: &str, out: &mut String) {
@@ -296,6 +304,91 @@ pub fn validate_jsonl(s: &str) -> Result<(), (usize, usize)> {
     Ok(())
 }
 
+/// Reads a [`metrics_json`] document back into samples with owned
+/// addressing. `None` if the document is not of that shape; a sample of an
+/// unknown kind is skipped.
+pub fn parse_metrics(doc: &str) -> Option<Vec<FleetSample>> {
+    let doc = parse_json(doc).ok()?;
+    let Json::Arr(metrics) = doc.get("metrics")? else {
+        return None;
+    };
+    let mut out = Vec::with_capacity(metrics.len());
+    for m in metrics {
+        let component = m.get("component")?.as_str()?.to_string();
+        let name = m.get("name")?.as_str()?.to_string();
+        let mut labels = Vec::new();
+        if let Some(Json::Obj(pairs)) = m.get("labels") {
+            for (k, v) in pairs {
+                labels.push((k.clone(), v.as_str()?.to_string()));
+            }
+        }
+        let value = match m.get("kind")?.as_str()? {
+            "counter" => SampleValue::Counter(m.get("value")?.as_u64()?),
+            "gauge" => SampleValue::Gauge(m.get("value")?.as_u64()?),
+            "histogram" => {
+                let Json::Arr(raw) = m.get("buckets")? else {
+                    return None;
+                };
+                let mut buckets = Vec::with_capacity(raw.len());
+                for b in raw {
+                    let Json::Arr(pair) = b else { return None };
+                    let [bound, n] = pair.as_slice() else { return None };
+                    buckets.push((bound.as_u64()?, n.as_u64()?));
+                }
+                SampleValue::Histogram {
+                    count: m.get("count")?.as_u64()?,
+                    sum: m.get("sum")?.as_u64()?,
+                    buckets,
+                }
+            }
+            _ => continue,
+        };
+        out.push(FleetSample { component, name, labels, value });
+    }
+    Some(out)
+}
+
+/// Reads one [`event_json`] object back into an [`Event`] carrying the
+/// vocabulary's own `'static` strings, which is what lets the journey
+/// assembler and the alert rules match on a relayed event. `None` when the
+/// component or the kind is not in [`vocab`]; a field whose name or string
+/// value is not is dropped alone.
+///
+/// The format is not self-describing, so this inverts the writer's
+/// conventions: a quoted dotted quad was an address, any other string a
+/// word, a number the narrowest of `U64` / `I64` / `F64` that holds it. A
+/// finite number therefore comes back as the text it was written as, and
+/// `event_json` of the result is the input again. A non-finite float was
+/// written as the string `"inf"` or `"NaN"`, which is no word: it is dropped.
+pub fn parse_event(e: &Json) -> Option<Event> {
+    let t_nanos = e.get("t")?.as_u64()?;
+    let component = vocab::intern(e.get("component")?.as_str()?)?;
+    let kind = vocab::kind(e.get("kind")?.as_str()?)?.name;
+    let mut fields = Vec::new();
+    if let Some(Json::Obj(pairs)) = e.get("fields") {
+        for (k, v) in pairs {
+            let value = match v {
+                Json::Bool(b) => Some(Value::Bool(*b)),
+                Json::Str(s) => match s.parse::<Ipv4Addr>() {
+                    Ok(ip) => Some(Value::Ip(ip)),
+                    Err(_) => vocab::intern(s).map(Value::Str),
+                },
+                Json::Num(raw) => raw
+                    .parse()
+                    .map(Value::U64)
+                    .or_else(|_| raw.parse().map(Value::I64))
+                    .or_else(|_| raw.parse().map(Value::F64))
+                    .ok(),
+                _ => None,
+            };
+            if let (Some(key), Some(value)) = (vocab::intern(k), value) {
+                fields.push((key, value));
+            }
+        }
+    }
+    Some(Event::new(t_nanos, component, kind, &fields))
+}
+
 fn skip_ws(b: &[u8], i: &mut usize) {
     while matches!(b.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
         *i += 1;
@@ -494,7 +587,7 @@ mod tests {
         tracer.set_default_level(Level::Info);
         let t = tracer.component("guard");
         t.event(5, "grant", &[("src", Value::Ip(Ipv4Addr::new(10, 0, 0, 2)))]);
-        t.event(9, "rl_drop", &[("limiter", Value::Str("rl1")), ("ok", Value::Bool(false))]);
+        t.event(9, "rl_drop", &[("limiter", Value::Str("rl1")), ("qid", Value::Bool(false))]);
         let (events, _) = tracer.drain();
         let jsonl = events_jsonl(&events);
         validate_jsonl(&jsonl).unwrap();
@@ -502,7 +595,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"t\":5,"));
         assert!(lines[1].contains("\"kind\":\"rl_drop\""));
-        assert!(lines[1].contains("\"ok\":false"));
+        assert!(lines[1].contains("\"qid\":false"));
         assert!(lines[0].contains("\"src\":\"10.0.0.2\""));
     }
 
@@ -535,12 +628,15 @@ mod tests {
     fn non_finite_floats_encode_as_strings() {
         let tracer = Tracer::new(4);
         tracer.set_default_level(Level::Info);
-        let t = tracer.component("m");
-        t.event(0, "amp", &[("ratio", Value::F64(f64::INFINITY))]);
+        let t = tracer.component("alert");
+        t.event(0, "alert", &[("value", Value::F64(f64::INFINITY))]);
         let (events, _) = tracer.drain();
         let line = event_json(&events[0]);
         validate_json(&line).unwrap();
-        assert!(line.contains("\"ratio\":\"inf\""));
+        assert!(line.contains("\"value\":\"inf\""));
+        // ... and `"inf"` is no word of the vocabulary: read back, the field is gone.
+        let back = parse_event(&parse_json(&line).unwrap()).unwrap();
+        assert_eq!((back.kind, back.fields().len()), ("alert", 0));
     }
 
     #[test]

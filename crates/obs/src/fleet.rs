@@ -32,30 +32,16 @@ use crate::journey::{JourneyAssembler, JourneyReport};
 use crate::metrics::{flat_key, quantile_from_buckets, Counter, Gauge, MetricSample, SampleValue};
 use crate::sketch::TrafficSketch;
 use crate::trace::{Event, Value};
+use crate::vocab;
 use crate::Obs;
-use crate::alert::{counter_of, label_is, ActiveAlert, AlertState, AlertTransition};
+use crate::alert::{input, ActiveAlert, AlertState, AlertTransition, Input, Read, Signal, Signals};
 use crate::export::escape_json_str;
 use std::collections::BTreeMap;
 
-/// Every fleet-level rule the aggregator knows, by name.
-pub const FLEET_RULES: &[&str] = &["fleet_spoof_surge", "site_rate_skew", "node_silent"];
-
-/// Trace kinds the aggregator emits; the contract table guardlint checks
-/// for emit sites and test coverage.
-pub const STITCH_KINDS: &[&str] = &["journey_stitch", "node_silent"];
-
-/// Thresholds for the fleet rule set.
+/// What a deployment sets of the fleet rule set; the other thresholds are
+/// constants beside the rule that reads them.
 #[derive(Debug, Clone)]
 pub struct FleetAlertConfig {
-    /// Fleet-wide invalid-verify rate (events/s, summed across nodes)
-    /// above which `fleet_spoof_surge` fires.
-    pub spoof_invalid_per_sec: f64,
-    /// `site_rate_skew` fires when the busiest site's datagram rate
-    /// exceeds the quietest reporting site's by more than this factor.
-    pub skew_ratio: f64,
-    /// Skew is only meaningful under load: the busiest site must exceed
-    /// this rate (events/s) before `site_rate_skew` can fire.
-    pub skew_floor_per_sec: f64,
     /// `node_silent` fires when a registered node has not delivered a
     /// snapshot for this long.
     pub silent_after_nanos: u64,
@@ -63,14 +49,26 @@ pub struct FleetAlertConfig {
 
 impl Default for FleetAlertConfig {
     fn default() -> Self {
-        FleetAlertConfig {
-            spoof_invalid_per_sec: 200.0,
-            skew_ratio: 4.0,
-            skew_floor_per_sec: 1_000.0,
-            silent_after_nanos: 250_000_000,
-        }
+        FleetAlertConfig { silent_after_nanos: 250_000_000 }
     }
 }
+
+/// Fleet-wide invalid-verify rate (events/s, summed across nodes)
+/// above which `fleet_spoof_surge` fires.
+const SPOOF_INVALID_PER_SEC: f64 = 200.0;
+/// `site_rate_skew` fires when the busiest site's datagram rate
+/// exceeds the quietest reporting site's by more than this factor.
+const SKEW_RATIO: f64 = 4.0;
+/// Skew is only meaningful under load: the busiest site must exceed
+/// this rate (events/s) before `site_rate_skew` can fire.
+const SKEW_FLOOR_PER_SEC: f64 = 1_000.0;
+
+/// Every metric the fleet rules read, of each node's latest snapshot.
+/// `tests/telemetry_vocab.rs` holds each row to a registration site.
+pub const INPUTS: &[Input] = &[
+    input(None, "verify", Some(("verdict", "invalid")), Signal::Invalid, Read::Delta),
+    input(Some("guard"), "udp_datagrams", None, Signal::Datagrams, Read::Delta),
+];
 
 /// One metric sample with owned addressing — the over-the-wire form of
 /// [`MetricSample`], produced when a node's snapshot JSON is parsed back
@@ -183,10 +181,9 @@ impl FleetAggregator {
     /// `fleet`, per-rule `fleet.alert_fired{rule}` counters, and the
     /// ingestion metrics.
     pub fn attach_obs(&mut self, obs: &Obs) {
-        let fired = |rule: &&'static str| {
-            (*rule, obs.registry.counter("fleet", "alert_fired", &[("rule", rule)]))
-        };
-        self.alerts.attach(obs.tracer.component("fleet"), FLEET_RULES.iter().map(fired));
+        let fired =
+            |rule| (rule, obs.registry.counter("fleet", "alert_fired", &[("rule", rule)]));
+        self.alerts.attach(obs.tracer.component("fleet"), vocab::rules(true).map(fired));
         obs.registry.adopt_gauge("fleet", "nodes_reporting", &[], &self.nodes_reporting);
         obs.registry
             .adopt_counter("fleet", "snapshots_ingested", &[], &self.snapshots_ingested);
@@ -448,20 +445,15 @@ impl FleetAggregator {
         let mut d_invalid = 0u64;
         let mut node_datagram_deltas: Vec<(usize, u64)> = Vec::new();
         for (idx, node) in self.nodes.iter().enumerate() {
-            let mut d_datagrams = 0u64;
+            let mut sig = Signals::default();
             for s in &node.last_samples {
-                let class = match (s.component.as_str(), s.name.as_str()) {
-                    (_, "verify") if label_is(&s.labels, "verdict", "invalid") => "invalid",
-                    ("guard", "udp_datagrams") => "datagrams",
-                    _ => continue,
-                };
-                let key = format!("{idx}|{}", s.key());
-                let d = self.alerts.cell_delta(key, counter_of(&s.value));
-                match class {
-                    "invalid" => d_invalid += d,
-                    _ => d_datagrams += d,
+                for input in INPUTS.iter().filter(|i| i.reads(&s.component, &s.name, &s.labels)) {
+                    let key = || format!("{idx}|{}", s.key());
+                    sig.fold(input, &s.value, |now| self.alerts.cell_delta(key(), now));
                 }
             }
+            d_invalid += sig.get(Signal::Invalid);
+            let d_datagrams = sig.get(Signal::Datagrams);
             if !node.silent {
                 node_datagram_deltas.push((idx, d_datagrams));
             }
@@ -476,9 +468,9 @@ impl FleetAggregator {
         self.alerts.set_state(
             t_nanos,
             "fleet_spoof_surge",
-            spoof_rate > self.config.spoof_invalid_per_sec,
+            spoof_rate > SPOOF_INVALID_PER_SEC,
             spoof_rate,
-            self.config.spoof_invalid_per_sec,
+            SPOOF_INVALID_PER_SEC,
         );
 
         // Asymmetric catchment: the busiest reporting site dwarfs the
@@ -488,11 +480,11 @@ impl FleetAggregator {
             let min = node_datagram_deltas.iter().map(|&(_, d)| d).min().unwrap_or(0);
             let max_rate = rate(max);
             let ratio = max_rate / rate(min).max(1.0);
-            (max_rate > self.config.skew_floor_per_sec && ratio > self.config.skew_ratio, ratio)
+            (max_rate > SKEW_FLOOR_PER_SEC && ratio > SKEW_RATIO, ratio)
         } else {
             (false, 0.0)
         };
-        self.alerts.set_state(t_nanos, "site_rate_skew", skewed, ratio, self.config.skew_ratio);
+        self.alerts.set_state(t_nanos, "site_rate_skew", skewed, ratio, SKEW_RATIO);
 
         self.alerts.set_state(
             t_nanos,

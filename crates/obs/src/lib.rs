@@ -17,9 +17,13 @@
 //!   fabricated NS, health transition, eviction), netsim fault injection
 //!   and TCP-proxy accept/relay can emit an [`trace::Event`] stamped with
 //!   sim-time nanoseconds, filtered per component and level.
+//! * [`vocab`] — the one table of trace kinds, their fields, field words,
+//!   components and alert rules; emitters are asserted against it in debug
+//!   builds and every reader and contract derives from it.
 //! * [`export`] — JSONL/JSON serialisation for both (snapshot plus a
-//!   sim-time-cadence [`export::Sampler`] time series), and a small JSON
-//!   validator so CI can check emitted telemetry without external tools.
+//!   sim-time-cadence [`export::Sampler`] time series), the reader of both
+//!   wire formats, and a small JSON validator so CI can check emitted
+//!   telemetry without external tools.
 //! * [`journey`] — query-journey reconstruction: stitches the event ring
 //!   back into per-transaction causal timelines across the guard's txid
 //!   rewrite, the COOKIE2 redirect and the TC→TCP hop, with latency
@@ -50,6 +54,7 @@
 //! ```
 //! use obs::Obs;
 //! use obs::trace::{Level, Value};
+//! use std::net::Ipv4Addr;
 //!
 //! let obs = Obs::new();
 //! obs.tracer.set_default_level(Level::Info);
@@ -60,7 +65,7 @@
 //!
 //! // ...and records on the hot path without locks or allocation.
 //! forwarded.inc();
-//! trace.event(1_000, "grant", &[("src", Value::Str("10.0.0.2"))]);
+//! trace.event(1_000, "grant", &[("src", Value::Ip(Ipv4Addr::new(10, 0, 0, 2)))]);
 //!
 //! assert_eq!(obs.registry.snapshot().len(), 1);
 //! assert_eq!(obs.tracer.drain().0.len(), 1);
@@ -75,6 +80,7 @@ pub mod journey;
 pub mod metrics;
 pub mod sketch;
 pub mod trace;
+pub mod vocab;
 
 use std::sync::Arc;
 
@@ -138,7 +144,7 @@ mod tests {
         clone
             .tracer
             .component("a")
-            .event(7, "hit", &[("n", Value::U64(1))]);
+            .event(7, "grant", &[("qid", Value::U64(1))]);
         assert_eq!(clone.registry.snapshot().len(), 1);
         assert_eq!(obs.tracer.drain().0.len(), 1);
     }
@@ -147,7 +153,7 @@ mod tests {
     fn disabled_bundle_records_no_events() {
         let obs = Obs::disabled();
         let t = obs.tracer.component("x");
-        t.event(1, "kind", &[]);
+        t.event(1, "grant", &[]);
         assert!(obs.tracer.drain().0.is_empty());
     }
 }

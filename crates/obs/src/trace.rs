@@ -90,9 +90,8 @@ pub struct Event {
 
 impl Event {
     /// Builds an event directly, outside any tracer — the entry point for
-    /// re-materialising events that crossed a process boundary (the fleet
-    /// collector parses node trace JSON back into [`Event`]s) and for test
-    /// fixtures. Fields beyond [`MAX_FIELDS`] are truncated, matching the
+    /// re-materialising events that crossed a process boundary
+    /// ([`crate::export::parse_event`]) and for test fixtures. Fields beyond [`MAX_FIELDS`] are truncated, matching the
     /// recording path.
     pub fn new(
         t_nanos: u64,
@@ -294,7 +293,8 @@ impl ComponentTracer {
         level <= Level::from_u8(effective) && level != Level::Off
     }
 
-    /// Records an [`Level::Info`] event.
+    /// Records an [`Level::Info`] event. In a debug build `kind` and
+    /// `fields` must be declared in [`crate::vocab`], listening or not.
     #[inline]
     pub fn event(&self, t_nanos: u64, kind: &'static str, fields: &[(&'static str, Value)]) {
         self.record(Level::Info, t_nanos, kind, fields);
@@ -307,6 +307,13 @@ impl ComponentTracer {
     }
 
     fn record(&self, level: Level, t_nanos: u64, kind: &'static str, fields: &[(&'static str, Value)]) {
+        // A debug assertion, and before the level test: a test that runs an
+        // emit site validates it whether or not anything is listening.
+        if cfg!(debug_assertions) {
+            if let Err(undeclared) = crate::vocab::check(kind, fields) {
+                panic!("{undeclared}");
+            }
+        }
         if !self.enabled(level) {
             return;
         }
@@ -370,12 +377,12 @@ mod tests {
         tracer.set_default_level(Level::Info);
         let t = tracer.component("c");
         for i in 0..5u64 {
-            t.event(i, "e", &[("i", Value::U64(i))]);
+            t.event(i, "grant", &[("qid", Value::U64(i))]);
         }
         let (events, dropped) = tracer.drain();
         assert_eq!(events.len(), 3);
         assert_eq!(dropped, 2);
-        assert_eq!(events[0].field("i"), Some(Value::U64(2)), "oldest dropped first");
+        assert_eq!(events[0].field("qid"), Some(Value::U64(2)), "oldest dropped first");
         assert_eq!(events[2].t_nanos, 4);
     }
 
@@ -386,13 +393,13 @@ mod tests {
         let t = tracer.component("c");
         // Exactly at capacity: zero drops.
         for i in 0..4u64 {
-            t.event(i, "e", &[]);
+            t.event(i, "ans_probe", &[]);
         }
         let (events, dropped) = tracer.drain();
         assert_eq!((events.len(), dropped), (4, 0), "at capacity nothing drops");
         // k over capacity: exactly k drops, k=3.
         for i in 0..7u64 {
-            t.event(i, "e", &[]);
+            t.event(i, "ans_probe", &[]);
         }
         let (events, dropped) = tracer.drain();
         assert_eq!((events.len(), dropped), (4, 3), "exactly the overflow drops");
@@ -406,14 +413,14 @@ mod tests {
         tracer.adopt_into(&reg);
         tracer.set_default_level(Level::Info);
         let t = tracer.component("c");
-        t.event(0, "e", &[]);
-        t.event(1, "e", &[]);
+        t.event(0, "ans_probe", &[]);
+        t.event(1, "ans_probe", &[]);
         let occupancy = reg.gauge("trace", "ring_occupancy", &[]);
         let dropped = reg.counter("trace", "ring_dropped", &[]);
         assert_eq!(occupancy.get(), 2);
         assert_eq!(dropped.get(), 0);
         for i in 2..6u64 {
-            t.event(i, "e", &[]);
+            t.event(i, "ans_probe", &[]);
         }
         assert_eq!(occupancy.get(), 3, "gauge capped at capacity");
         assert_eq!(dropped.get(), 3, "counter saw every discard");
@@ -429,7 +436,7 @@ mod tests {
         tracer.set_default_level(Level::Info);
         let t = tracer.component("c");
         for i in 0..5u64 {
-            t.event(i, "e", &[]);
+            t.event(i, "ans_probe", &[]);
         }
         let recent = tracer.recent(3);
         assert_eq!(recent.len(), 3);
@@ -444,8 +451,8 @@ mod tests {
         tracer.set_default_level(Level::Info);
         let t = tracer.component("c");
         let fields: Vec<(&'static str, Value)> =
-            (0..10).map(|_| ("k", Value::Bool(true))).collect();
-        t.event(0, "e", &fields);
+            (0..10).map(|_| ("qid", Value::Bool(true))).collect();
+        t.event(0, "grant", &fields);
         let (events, _) = tracer.drain();
         assert_eq!(events[0].fields().len(), MAX_FIELDS);
     }
@@ -457,18 +464,18 @@ mod tests {
         let t = tracer.component("c");
         t.event(
             9,
-            "mix",
+            "verify",
             &[
-                ("u", Value::U64(1)),
-                ("s", Value::Str("x")),
-                ("ip", Value::Ip(Ipv4Addr::new(10, 0, 0, 1))),
+                ("qid", Value::U64(1)),
+                ("scheme", Value::Str("ext")),
+                ("src", Value::Ip(Ipv4Addr::new(10, 0, 0, 1))),
             ],
         );
         let (events, _) = tracer.drain();
         let e = &events[0];
         assert_eq!(e.component, "c");
-        assert_eq!(e.kind, "mix");
-        assert_eq!(e.field("ip"), Some(Value::Ip(Ipv4Addr::new(10, 0, 0, 1))));
+        assert_eq!(e.kind, "verify");
+        assert_eq!(e.field("src"), Some(Value::Ip(Ipv4Addr::new(10, 0, 0, 1))));
         assert_eq!(e.field("missing"), None);
     }
 }

@@ -3,13 +3,10 @@
 //!
 //! Each poll issues two commands per node over one TCP connection —
 //! `snapshot` (non-consuming metrics read) and `drain_traces` (the
-//! consuming, atomic trace read) — and hand-parses the replies back into
-//! [`FleetSample`]s and [`Event`]s. The wire formats are this workspace's
-//! own ([`obs::export::metrics_json`] / [`obs::export::event_json`]), so
-//! the parser is the workspace's one JSON grammar
-//! ([`obs::export::parse_json`], the one the export validators run) plus an
-//! interner over the closed vocabulary of component/kind/field strings the
-//! guard emits; no external JSON crate is involved.
+//! consuming, atomic trace read). The replies are this workspace's own
+//! wire formats, read back by the module that writes them
+//! ([`obs::export::parse_metrics`], [`obs::export::parse_event`]); only the
+//! `drain_traces` envelope is the telemetry server's and is opened here.
 //!
 //! Failure handling is deliberately lossy-but-safe:
 //!
@@ -24,179 +21,32 @@
 //!
 //! [`TelemetryServer`]: crate::telemetry::TelemetryServer
 
-use obs::export::{parse_json, Json};
-use obs::fleet::{FleetAggregator, FleetAlertConfig, FleetSample};
-use obs::metrics::{Counter, SampleValue};
-use obs::trace::{Event, Value};
+use obs::export::{parse_event, parse_json, parse_metrics, Json};
+use obs::fleet::{FleetAggregator, FleetAlertConfig};
+use obs::metrics::Counter;
+use obs::trace::Event;
 use obs::Obs;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// Per-connection budget: connect and per-read timeout. Nodes are on
 /// loopback (or a LAN hop) — anything slower than this is "silent".
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// The closed vocabulary of `&'static str` strings this workspace's trace
-/// and metric emitters use: components, event kinds, field names, string
-/// field values, and alert rule names. Parsing interns against this table
-/// so reconstructed [`Event`]s carry the same `'static` strings the
-/// original emitters used — which is what lets the journey assembler and
-/// alert rules match on them.
-const VOCAB: &[&str] = &[
-    // components
-    "alert", "ans", "bench", "client", "fleet", "guard", "netsim", "proxy",
-    "resolver", "sim", "trace",
-    // event kinds
-    "admission_shed", "amp", "analytics_topk", "anomaly_gate", "ans_down", "ans_probe",
-    "ans_recovered", "bailiwick_drop", "catchment_shift",
-    "checkpoint", "corrupted", "crash_dropped", "duplicated", "evict", "fabricated_ns",
-    "fail_closed", "fleet_key_rotate", "forward", "frag_rejected", "frag_substituted",
-    "fragmented", "grant", "injected_loss", "journey_stitch",
-    "mix", "node_silent", "partition_dropped", "passthrough", "peer_down", "poison_attempt",
-    "poison_success", "proxy_accept",
-    "proxy_relay", "refused", "relay", "reordered", "restore", "rl_drop", "servfail",
-    "stash_hit", "takeover", "tc_sent", "tcp_fallback", "tier_change", "timeout", "verify",
-    // field names
-    "addr", "age_nanos", "age_ns", "bytes", "distinct", "dropped", "entropy_norm_milli",
-    "epoch", "from",
-    "inter_site_ns", "ip", "job", "limiter",
-    "n", "node", "nodes", "offset", "ok", "orig_txid", "qid", "qtype", "ratio", "role",
-    "rtt_ns", "rule", "scheme", "server",
-    "seq", "src", "state", "table", "threshold", "tier", "timeouts", "to", "token",
-    "top_count", "top_share_milli", "top_src", "total", "txid",
-    "value", "verdict", "via",
-    // string field values
-    "cookie", "cookie2", "cookie2_redirect", "dns_based", "ext", "fwd", "invalid", "master",
-    "member", "normal", "ns_label", "referral", "rl1", "rl2", "shed", "stash", "surge", "tcp",
-    "valid",
-    // per-node alert rule names (the `rule` field of `alert` events)
-    "spoof_surge", "rl1_saturation", "rl2_saturation", "amplification_breach", "ans_flap",
-    "trace_drops", "checkpoint_lag", "failover_triggered", "admission_shedding",
-    "handshake_storm", "fleet_spoof_surge", "site_rate_skew", "spoof_flood", "flash_crowd",
-    "cache_poisoning",
-];
-
-/// Interns `s` against [`VOCAB`]. `None` means the string is outside the
-/// workspace's emit vocabulary (a foreign or corrupted reply).
-fn intern(s: &str) -> Option<&'static str> {
-    VOCAB.iter().find(|v| **v == s).copied()
-}
-
-// ---------------------------------------------------------------------------
-// Reply decoding: snapshot and drain_traces.
-// ---------------------------------------------------------------------------
-
-/// Decodes one `snapshot` reply ([`obs::export::metrics_json`] shape) into
-/// fleet samples. Returns `None` if the document is structurally invalid;
-/// individual samples with unknown kinds are skipped, not fatal.
-pub fn parse_snapshot_reply(reply: &str) -> Option<Vec<FleetSample>> {
-    let doc = parse_json(reply).ok()?;
-    let Json::Arr(metrics) = doc.get("metrics")? else {
-        return None;
-    };
-    let mut out = Vec::with_capacity(metrics.len());
-    for m in metrics {
-        let component = m.get("component")?.as_str()?.to_string();
-        let name = m.get("name")?.as_str()?.to_string();
-        let mut labels = Vec::new();
-        if let Some(Json::Obj(pairs)) = m.get("labels") {
-            for (k, v) in pairs {
-                labels.push((k.clone(), v.as_str()?.to_string()));
-            }
-        }
-        let value = match m.get("kind")?.as_str()? {
-            "counter" => SampleValue::Counter(m.get("value")?.as_u64()?),
-            "gauge" => SampleValue::Gauge(m.get("value")?.as_u64()?),
-            "histogram" => {
-                let Json::Arr(raw) = m.get("buckets")? else {
-                    return None;
-                };
-                let mut buckets = Vec::with_capacity(raw.len());
-                for b in raw {
-                    let Json::Arr(pair) = b else { return None };
-                    if pair.len() != 2 {
-                        return None;
-                    }
-                    buckets.push((pair[0].as_u64()?, pair[1].as_u64()?));
-                }
-                SampleValue::Histogram {
-                    count: m.get("count")?.as_u64()?,
-                    sum: m.get("sum")?.as_u64()?,
-                    buckets,
-                }
-            }
-            _ => continue,
-        };
-        out.push(FleetSample { component, name, labels, value });
-    }
-    Some(out)
-}
-
-/// Decodes one `drain_traces` reply (`{"events":[...],"dropped":N}`) into
-/// offset-uncorrected events plus the node's drop count. Events whose
-/// component or kind falls outside the workspace vocabulary are skipped
-/// (they cannot be represented as `&'static str` and would never match a
-/// journey or alert rule anyway); unknown field names or string values
-/// drop just that field.
+/// Opens one `drain_traces` reply (`{"events":[...],"dropped":N}`) into
+/// offset-uncorrected events plus the node's drop count. `None` if the
+/// envelope is malformed; an event [`parse_event`] does not take (a
+/// component or kind outside `obs::vocab`) is skipped: it could never match
+/// a journey or an alert rule.
 pub fn parse_drain_reply(reply: &str) -> Option<(Vec<Event>, u64)> {
     let doc = parse_json(reply).ok()?;
     let dropped = doc.get("dropped")?.as_u64()?;
     let Json::Arr(raw) = doc.get("events")? else {
         return None;
     };
-    let mut events = Vec::with_capacity(raw.len());
-    for e in raw {
-        let t = e.get("t")?.as_u64()?;
-        let (Some(component), Some(kind)) = (
-            e.get("component").and_then(|c| c.as_str()).and_then(intern),
-            e.get("kind").and_then(|k| k.as_str()).and_then(intern),
-        ) else {
-            continue;
-        };
-        let mut fields: Vec<(&'static str, Value)> = Vec::new();
-        if let Some(Json::Obj(pairs)) = e.get("fields") {
-            for (k, v) in pairs {
-                let Some(key) = intern(k) else { continue };
-                let Some(value) = decode_field_value(v) else { continue };
-                fields.push((key, value));
-            }
-        }
-        events.push(Event::new(t, component, kind, &fields));
-    }
-    Some((events, dropped))
+    Some((raw.iter().filter_map(parse_event).collect(), dropped))
 }
-
-/// Recovers a trace [`Value`] from its JSON encoding. The wire format is
-/// not self-describing, so this inverts [`obs::export::event_json`]'s
-/// conventions: quoted dotted-quads were IPs, other strings intern or
-/// drop, numbers map to the narrowest of `U64`/`I64`/`F64`.
-fn decode_field_value(v: &Json) -> Option<Value> {
-    match v {
-        Json::Bool(b) => Some(Value::Bool(*b)),
-        Json::Str(s) => {
-            if let Ok(ip) = s.parse::<Ipv4Addr>() {
-                Some(Value::Ip(ip))
-            } else {
-                intern(s).map(Value::Str)
-            }
-        }
-        Json::Num(raw) => {
-            if raw.contains(['.', 'e', 'E']) {
-                raw.parse::<f64>().ok().map(Value::F64)
-            } else if raw.starts_with('-') {
-                raw.parse::<i64>().ok().map(Value::I64)
-            } else {
-                raw.parse::<u64>().ok().map(Value::U64)
-            }
-        }
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The collector.
-// ---------------------------------------------------------------------------
 
 /// Polls a fleet of [`TelemetryServer`] endpoints and feeds a
 /// [`FleetAggregator`].
@@ -258,7 +108,7 @@ impl FleetCollector {
                     continue;
                 }
             };
-            match parse_snapshot_reply(&snap_line) {
+            match parse_metrics(&snap_line) {
                 Some(samples) => {
                     self.agg.observe_snapshot(idx as u32, t_nanos, samples);
                     answered += 1;
@@ -322,9 +172,10 @@ mod tests {
     use super::*;
     use crate::telemetry::TelemetryServer;
     use obs::alert::{shared, AlertConfig, AlertEngine};
-    use obs::export::{event_json, metrics_json};
-    use obs::trace::Level;
-    use std::net::TcpListener;
+    use obs::export::{event_json, metrics_json, parse_metrics as parse_snapshot_reply};
+    use obs::metrics::SampleValue;
+    use obs::trace::{Level, Value};
+    use std::net::{Ipv4Addr, TcpListener};
     use std::time::Duration;
 
     #[test]
@@ -372,7 +223,7 @@ mod tests {
                 ("src", Value::Ip(Ipv4Addr::new(10, 0, 3, 1))),
                 ("qid", Value::U64(77)),
                 ("verdict", Value::Str("valid")),
-                ("ok", Value::Bool(true)),
+                ("scheme", Value::Bool(true)),
             ],
         );
         let (events, _) = obs.tracer.drain();
@@ -387,7 +238,7 @@ mod tests {
         assert_eq!(e.field("src"), Some(Value::Ip(Ipv4Addr::new(10, 0, 3, 1))));
         assert_eq!(e.field("qid"), Some(Value::U64(77)));
         assert_eq!(e.field("verdict"), Some(Value::Str("valid")));
-        assert_eq!(e.field("ok"), Some(Value::Bool(true)));
+        assert_eq!(e.field("scheme"), Some(Value::Bool(true)));
 
         // A reply from something that is not our guard: unknown kind means
         // the event is skipped, not mangled into a lookalike.
@@ -464,10 +315,8 @@ mod tests {
 
         let fleet_obs = Obs::new();
         fleet_obs.tracer.set_default_level(Level::Info);
-        let mut collector = FleetCollector::new(FleetAlertConfig {
-            silent_after_nanos: 50_000_000, // 50 ms
-            ..FleetAlertConfig::default()
-        });
+        let mut collector =
+            FleetCollector::new(FleetAlertConfig { silent_after_nanos: 50_000_000 }); // 50 ms
         collector.attach_obs(&fleet_obs);
         collector.add_node("site_a", server_a.addr(), 0);
         collector.add_node("site_b", server_b.addr(), 0);

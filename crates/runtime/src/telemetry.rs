@@ -243,7 +243,7 @@ mod tests {
         c.inc();
         obs.tracer
             .component("demo")
-            .event(7, "hit", &[("n", Value::U64(1))]);
+            .event(7, "grant", &[("qid", Value::U64(1))]);
 
         let replies = query(server.addr(), &["ping", "snapshot", "events", "alerts", "bogus"]);
         assert_eq!(replies[0], "{\"ok\":true}");
@@ -251,7 +251,7 @@ mod tests {
             validate_json(r).unwrap_or_else(|p| panic!("invalid JSON at {p}: {r}"));
         }
         assert!(replies[1].contains("\"demo\"") && replies[1].contains("\"hits\""));
-        assert!(replies[2].contains("\"kind\":\"hit\""), "events: {}", replies[2]);
+        assert!(replies[2].contains("\"kind\":\"grant\""), "events: {}", replies[2]);
         assert!(replies[3].contains("\"active\""), "alerts: {}", replies[3]);
         assert!(replies[4].contains("unknown command"));
 
@@ -307,7 +307,7 @@ mod tests {
 
         let t = obs.tracer.component("demo");
         for i in 0..5u64 {
-            t.event(i * 100, "hit", &[("n", Value::U64(i))]);
+            t.event(i * 100, "grant", &[("qid", Value::U64(i))]);
         }
 
         let stream = TcpStream::connect(server.addr()).unwrap();
@@ -325,7 +325,7 @@ mod tests {
         reader.read_line(&mut line).unwrap();
         let reply = line.trim();
         validate_json(reply).unwrap_or_else(|p| panic!("invalid JSON at {p}: {reply}"));
-        assert_eq!(reply.matches("\"kind\":\"hit\"").count(), 5, "reply: {reply}");
+        assert_eq!(reply.matches("\"kind\":\"grant\"").count(), 5, "reply: {reply}");
         assert!(reply.contains("\"dropped\":0"), "reply: {reply}");
 
         // The drain consumed the ring: a second drain returns nothing.
@@ -348,7 +348,7 @@ mod tests {
 
         let t = obs.tracer.component("demo");
         for i in 0..20u64 {
-            t.event(i, "hit", &[("n", Value::U64(i))]);
+            t.event(i, "grant", &[("qid", Value::U64(i))]);
         }
 
         // Two clients race drains: the accept loop serialises them, and
@@ -358,11 +358,11 @@ mod tests {
         let r2 = query(server.addr(), &["drain_traces"]);
         let total: usize = [&r1[0], &r2[0]]
             .iter()
-            .map(|r| r.matches("\"kind\":\"hit\"").count())
+            .map(|r| r.matches("\"kind\":\"grant\"").count())
             .sum();
         assert_eq!(total, 20, "union must cover all events exactly once: {r1:?} {r2:?}");
         // First drainer took everything; the second saw an empty ring.
-        assert_eq!(r1[0].matches("\"kind\":\"hit\"").count(), 20);
+        assert_eq!(r1[0].matches("\"kind\":\"grant\"").count(), 20);
         assert!(r2[0].contains("\"events\":[]"), "second client: {}", r2[0]);
         server.shutdown();
     }
