@@ -6,8 +6,9 @@
 # determinism and concurrency invariants; exemptions live in Lint.toml) with the checks that the guard's
 # sans-IO modules name no simulator engine, no file of `core` outgrows 1 200
 # lines, its state tables name no HashMap, the authoritative servers no owned
-# decode, and no crate a cargo feature (the workspace has one build
-# configuration),
+# decode, no crate a cargo feature (the workspace has one build
+# configuration), and no experiment module but `bench::worlds` an alert
+# engine of its own,
 # clippy with warnings promoted to errors, the experiment smoke run (every
 # non-paper entry of the experiment registry: acceptance bars, export
 # validation, and a `cmp` of every export against the committed BENCH_*
@@ -96,6 +97,14 @@ if want lint; then
   if grep -rnE 'cfg!?\(.*feature *=' crates src tests examples ||
     grep -n '^\[features\]' crates/*/Cargo.toml; then
     echo "features: a cargo feature is declared or tested above" >&2
+    exit 1
+  fi
+  echo "==> one testbed: experiments wire no alert engine of their own"
+  # An engine is built, attached and ticked in bench::worlds (`alert_engine`,
+  # `alerting`); a second set-up beside it is the near-copy that module
+  # replaced.
+  if grep -nE 'attach_alert_engine\(|AlertEngine::new\(' crates/bench/src/*.rs | grep -v '^crates/bench/src/worlds.rs:'; then
+    echo "testbed: an experiment wires its own alert engine (use bench::worlds)" >&2
     exit 1
   fi
 fi

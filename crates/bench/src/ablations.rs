@@ -6,14 +6,16 @@
 
 use crate::registry::Outcome;
 use crate::report::render_table;
-use crate::worlds::{attach_flood, attach_lrs, guarded_world, LrsParams, WorldParams, ZoneSel, PUB, SUBNET};
+use crate::worlds::{
+    attach_flood, attach_lrs, guarded_world, guarded_world_with, measure_throughput, LrsParams, WorldParams,
+    ZoneSel, PUB, SUBNET,
+};
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
 use netsim::engine::CpuConfig;
 use netsim::tcp::{Flags, Segment, TcpHost};
 use netsim::time::SimTime;
-use server::simclient::CookieMode;
 use std::net::Ipv4Addr;
 
 /// Ablation 1 — `COOKIE2` range: the worst-case false-negative rate is
@@ -73,26 +75,12 @@ fn ablate_rl1() -> String {
         p.zone = ZoneSel::Root;
         p.mode = SchemeMode::DnsBased;
         p.open_limiters = false;
-        let mut world = guarded_world(p);
-        {
-            let g = world.sim.node_mut::<RemoteGuard>(world.guard).unwrap();
-            // The limiter itself is rebuilt via a fresh guard config; since
-            // rates are fixed at construction we rebuild the limiter by
-            // constructing the world with open limiters and relying on the
-            // global bucket only. Simplest honest route: construct a new
-            // limiter in place.
-            *g = RemoteGuard::new(
-                {
-                    let mut c = g.config_mut().clone();
-                    c.rl1_global_rate = budget;
-                    c.rl1_per_source_rate = budget;
-                    c
-                },
-                dnsguard::classify::AuthorityClassifier::new(
-                    server::authoritative::Authority::new(vec![server::zone::paper_hierarchy().0]),
-                ),
-            );
-        }
+        // The limiters are built from the rates the guard is constructed with.
+        let mut world = guarded_world_with(p, |mut c| {
+            c.rl1_global_rate = budget;
+            c.rl1_per_source_rate = budget;
+            c
+        });
         attach_flood(&mut world.sim, Ipv4Addr::new(66, 0, 0, 22), 100_000.0);
         world.sim.run_until(SimTime::from_secs(1));
         let g = world.sim.node_ref::<RemoteGuard>(world.guard).unwrap();
@@ -165,36 +153,16 @@ fn ablate_activation() -> String {
         let mut world = guarded_world(p);
         let lrs = attach_lrs(
             &mut world.sim,
-            LrsParams {
-                ip: Ipv4Addr::new(10, 0, 9, 1),
-                mode: CookieMode::Plain,
-                cookie_cache: true,
-                concurrency: 20,
-                wait: SimTime::from_millis(100),
-                pace: SimTime::from_millis(10),
-                per_packet_cost: SimTime::ZERO,
-            },
+            LrsParams::paced(Ipv4Addr::new(10, 0, 9, 1), 20, SimTime::from_millis(100), SimTime::from_millis(10)),
         );
         world.sim.run_until(SimTime::from_millis(500));
         world.sim.reset_cpu_stats(world.guard);
-        let before = world
-            .sim
-            .node_ref::<server::simclient::LrsSimulator>(lrs)
-            .unwrap()
-            .stats
-            .completed;
         let window = SimTime::from_secs(1);
-        world.sim.run_for(window);
-        let after = world
-            .sim
-            .node_ref::<server::simclient::LrsSimulator>(lrs)
-            .unwrap()
-            .stats
-            .completed;
+        let rps = measure_throughput(&mut world.sim, &[lrs], SimTime::ZERO, window);
         let cpu = world.sim.cpu_stats(world.guard).utilization(window);
         rows.push(vec![
             label.to_string(),
-            format!("{:.0}", (after - before) as f64 / window.as_secs_f64()),
+            format!("{rps:.0}"),
             format!("{:.2}%", cpu * 100.0),
         ]);
     }

@@ -36,7 +36,7 @@
 
 use crate::registry::{traced_kinds, untraced_kinds, Export, Format, Outcome};
 use crate::report::json_strings;
-use crate::worlds::{guarded_world, GuardedWorld, WorldParams, PUB};
+use crate::worlds::{alert_engine, guarded_world, observe, run_evaluated, GuardedWorld, Scope, WorldParams, PUB};
 use attack::botnet::{BotnetConfig, BotnetLowRate};
 use attack::flashcrowd::{FlashCrowd, FlashCrowdConfig};
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
@@ -45,7 +45,6 @@ use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
 use obs::alert::{AlertConfig, AlertEngine};
 use obs::fleet::{FleetAggregator, FleetAlertConfig};
-use obs::trace::Level;
 use obs::Obs;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -96,25 +95,18 @@ fn scenario_world(seed: u64) -> ScenarioWorld {
         guard_cpu: CpuConfig::unbounded(),
         ..WorldParams::new(seed)
     });
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    let guard = w.sim.node_mut::<RemoteGuard>(w.guard).unwrap();
-    guard.attach_obs(&obs);
-    guard.arm_analytics();
-    let mut engine = AlertEngine::new(AlertConfig::default());
-    engine.attach_obs(&obs);
+    let obs = observe(&mut w.sim, Scope::Untraced, &[w.guard]);
+    w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().arm_analytics();
+    let engine = alert_engine(&obs, AlertConfig::default());
     ScenarioWorld { w, obs, engine }
 }
 
-/// Advances the world to `to_ms`, evaluating the alert rules every
-/// [`EVAL_MS`] against a fresh registry snapshot.
-fn run_evaluated(sw: &mut ScenarioWorld, to_ms: u64) {
-    let mut ms = 0u64;
-    while ms < to_ms {
-        ms += EVAL_MS;
-        sw.w.sim.run_until(SimTime::from_millis(ms));
-        let samples = sw.obs.registry.snapshot();
-        sw.engine.evaluate(sw.w.sim.now().as_nanos(), &samples);
+impl ScenarioWorld {
+    /// Advances the world to `to_ms`, evaluating the alert rules every
+    /// [`EVAL_MS`] against a fresh registry snapshot.
+    fn run(&mut self, to_ms: u64) {
+        let (until, every) = (SimTime::from_millis(to_ms), SimTime::from_millis(EVAL_MS));
+        run_evaluated(&mut self.w.sim, &self.obs, &mut self.engine, until, every);
     }
 }
 
@@ -183,7 +175,7 @@ pub fn run_baseline(seed: u64) -> ScenarioOutcome {
             duration: None,
         }),
     );
-    run_evaluated(&mut sw, 1_000);
+    sw.run(1_000);
     finish("baseline", sw)
 }
 
@@ -201,7 +193,7 @@ pub fn run_spoof_flood(seed: u64) -> ScenarioOutcome {
             duration: None,
         }),
     );
-    run_evaluated(&mut sw, 1_000);
+    sw.run(1_000);
     finish("spoof_flood", sw)
 }
 
@@ -224,7 +216,7 @@ pub fn run_flash_crowd(seed: u64) -> ScenarioOutcome {
     // Two seconds: the first evaluation windows absorb the crowd's onset
     // (the whole population appearing at once is a new-source burst); the
     // steady-state windows after it are what must read as a crowd.
-    run_evaluated(&mut sw, 2_000);
+    sw.run(2_000);
     finish("flash_crowd", sw)
 }
 
@@ -243,7 +235,7 @@ pub fn run_botnet(seed: u64) -> ScenarioOutcome {
             duration: None,
         }),
     );
-    run_evaluated(&mut sw, 1_000);
+    sw.run(1_000);
     finish("botnet", sw)
 }
 

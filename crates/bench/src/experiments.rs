@@ -98,15 +98,8 @@ pub fn table2_latency() -> Vec<LatencyRow> {
             let lrs_ip = Ipv4Addr::new(10, 0, 0, 11);
             let lrs = attach_lrs(
                 &mut sim,
-                LrsParams {
-                    ip: lrs_ip,
-                    mode: scheme.lrs_mode(),
-                    cookie_cache: true,
-                    concurrency: 1,
-                    wait: SimTime::from_millis(200),
-                    pace: SimTime::from_millis(5),
-                    per_packet_cost: SimTime::ZERO,
-                },
+                LrsParams::paced(lrs_ip, 1, SimTime::from_millis(200), SimTime::from_millis(5))
+                    .with_mode(scheme.lrs_mode()),
             );
             // The Internet path between LRS and guard.
             sim.connect_rtt(lrs, guard, rtt);
@@ -158,12 +151,9 @@ pub fn table3_throughput() -> Vec<ThroughputRow> {
             .map(|i| {
                 attach_lrs(
                     &mut sim,
-                    LrsParams {
-                        ip: Ipv4Addr::new(10, 0, 1, i as u8 + 1),
-                        mode: scheme.lrs_mode(),
-                        cookie_cache: cache,
-                        ..LrsParams::closed_loop(Ipv4Addr::new(10, 0, 1, i as u8 + 1), conc)
-                    },
+                    LrsParams::closed_loop(Ipv4Addr::new(10, 0, 1, i as u8 + 1), conc)
+                        .with_mode(scheme.lrs_mode())
+                        .with_cache(cache),
                 )
             })
             .collect();
@@ -219,15 +209,7 @@ pub fn fig5_bind_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig5Point>
             let lrs1_ip = Ipv4Addr::new(10, 0, 2, 1);
             let lrs1 = attach_lrs(
                 &mut sim,
-                LrsParams {
-                    ip: lrs1_ip,
-                    mode: CookieMode::Plain,
-                    cookie_cache: true,
-                    concurrency: 10,
-                    wait: SimTime::from_secs(2),
-                    pace: SimTime::from_millis(10),
-                    per_packet_cost: SimTime::ZERO,
-                },
+                LrsParams::paced(lrs1_ip, 10, SimTime::from_secs(2), SimTime::from_millis(10)),
             );
             // LRS2: TCP-redirected; its TCP stack caps it at ~0.5 K req/s
             // (client-side cost 0.2 ms per packet ≈ 2 ms per TCP request).
@@ -235,13 +217,8 @@ pub fn fig5_bind_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig5Point>
             let lrs2 = attach_lrs(
                 &mut sim,
                 LrsParams {
-                    ip: lrs2_ip,
-                    mode: CookieMode::Plain,
-                    cookie_cache: false,
-                    concurrency: 10,
-                    wait: SimTime::from_secs(2),
-                    pace: SimTime::from_millis(10),
                     per_packet_cost: SimTime::from_micros(200),
+                    ..LrsParams::paced(lrs2_ip, 10, SimTime::from_secs(2), SimTime::from_millis(10)).with_cache(false)
                 },
             );
             sim.node_mut::<RemoteGuard>(guard)
@@ -257,21 +234,11 @@ pub fn fig5_bind_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig5Point>
             // Warm up past activation windows and one BIND timer period.
             sim.run_until(SimTime::from_secs(3));
             sim.reset_cpu_stats(ans);
-            let before: u64 = [lrs1, lrs2]
-                .iter()
-                .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs").stats.completed)
-                .sum();
             let window = SimTime::from_secs(3);
-            sim.run_for(window);
-            let after: u64 = [lrs1, lrs2]
-                .iter()
-                .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs").stats.completed)
-                .sum();
-            let ans_cpu = sim.cpu_stats(ans).utilization(window);
             Fig5Point {
                 attack_rate,
-                legit_throughput: (after - before) as f64 / window.as_secs_f64(),
-                ans_cpu,
+                legit_throughput: measure_throughput(&mut sim, &[lrs1, lrs2], SimTime::ZERO, window),
+                ans_cpu: sim.cpu_stats(ans).utilization(window),
             }
         })
         .collect()
@@ -320,15 +287,7 @@ pub fn fig6_guard_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig6Point
             let lrs_ip = Ipv4Addr::new(10, 0, 3, 1);
             let lrs = attach_lrs(
                 &mut sim,
-                LrsParams {
-                    ip: lrs_ip,
-                    mode: CookieMode::Extension,
-                    cookie_cache: true,
-                    concurrency: 256,
-                    wait: SimTime::from_millis(10),
-                    pace: SimTime::ZERO,
-                    per_packet_cost: SimTime::ZERO,
-                },
+                LrsParams::paced(lrs_ip, 256, SimTime::from_millis(10), SimTime::ZERO).with_mode(CookieMode::Extension),
             );
             if attack_rate > 0.0 {
                 attach_flood(&mut sim, Ipv4Addr::new(66, 6, 0, 1), attack_rate);
@@ -336,13 +295,10 @@ pub fn fig6_guard_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig6Point
 
             sim.run_until(SimTime::from_millis(500));
             sim.reset_cpu_stats(guard);
-            let before = sim.node_ref::<LrsSimulator>(lrs).expect("lrs").stats.completed;
             let window = SimTime::from_secs(1);
-            sim.run_for(window);
-            let after = sim.node_ref::<LrsSimulator>(lrs).expect("lrs").stats.completed;
             Fig6Point {
                 attack_rate,
-                legit_throughput: (after - before) as f64 / window.as_secs_f64(),
+                legit_throughput: measure_throughput(&mut sim, &[lrs], SimTime::ZERO, window),
                 guard_cpu: sim.cpu_stats(guard).utilization(window),
             }
         })
@@ -378,15 +334,8 @@ pub fn fig7a_tcp_concurrency(concurrencies: &[u32]) -> Vec<Fig7aPoint> {
             let GuardedWorld { mut sim, .. } = guarded_world(p);
             let lrs = attach_lrs(
                 &mut sim,
-                LrsParams {
-                    ip: Ipv4Addr::new(10, 0, 4, 1),
-                    mode: CookieMode::Plain,
-                    cookie_cache: false,
-                    concurrency,
-                    wait: SimTime::from_secs(4),
-                    pace: SimTime::ZERO,
-                    per_packet_cost: SimTime::ZERO,
-                },
+                LrsParams::paced(Ipv4Addr::new(10, 0, 4, 1), concurrency, SimTime::from_secs(4), SimTime::ZERO)
+                    .with_cache(false),
             );
             let throughput = measure_throughput(
                 &mut sim,
@@ -426,15 +375,8 @@ pub fn fig7b_tcp_under_attack(attack_rates: &[f64]) -> Vec<Fig7bPoint> {
             let GuardedWorld { mut sim, .. } = guarded_world(p);
             let lrs = attach_lrs(
                 &mut sim,
-                LrsParams {
-                    ip: Ipv4Addr::new(10, 0, 5, 1),
-                    mode: CookieMode::Plain,
-                    cookie_cache: false,
-                    concurrency: 50,
-                    wait: SimTime::from_millis(200),
-                    pace: SimTime::ZERO,
-                    per_packet_cost: SimTime::ZERO,
-                },
+                LrsParams::paced(Ipv4Addr::new(10, 0, 5, 1), 50, SimTime::from_millis(200), SimTime::ZERO)
+                    .with_cache(false),
             );
             if attack_rate > 0.0 {
                 attach_flood(&mut sim, Ipv4Addr::new(66, 7, 0, 1), attack_rate);
@@ -489,15 +431,9 @@ pub fn table1_comparison() -> Vec<ComparisonRow> {
         let GuardedWorld { mut sim, guard, .. } = guarded_world(scheme.world_params(9));
         let _ = attach_lrs(
             &mut sim,
-            LrsParams {
-                ip: Ipv4Addr::new(10, 0, 6, 1),
-                mode: scheme.lrs_mode(),
-                cookie_cache: false,
-                concurrency: 4,
-                wait: SimTime::from_millis(50),
-                pace: SimTime::ZERO,
-                per_packet_cost: SimTime::ZERO,
-            },
+            LrsParams::paced(Ipv4Addr::new(10, 0, 6, 1), 4, SimTime::from_millis(50), SimTime::ZERO)
+                .with_mode(scheme.lrs_mode())
+                .with_cache(false),
         );
         sim.run_until(SimTime::from_millis(200));
         sim.node_ref::<RemoteGuard>(guard)

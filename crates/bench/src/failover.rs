@@ -28,21 +28,19 @@
 use crate::registry::{Export, Format, Outcome};
 use crate::report::{json_array, json_strings};
 use crate::worlds::{
-    attach_cookie_guess_flood, attach_flood, attach_lrs, completions, traced_obs,
-    verified_clients, LrsParams, PRIV, PUB, SUBNET,
+    alerting, attach_cookie_guess_flood, attach_flood, completions, guarded_world_with, ha_world,
+    observe, paced_clients, stays_silent, unverified_at_ans, verified_clients, GuardedWorld, Scope,
+    WorldParams, ZoneSel, PUB,
 };
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::checkpoint::shared_store;
 use dnsguard::classify::AuthorityClassifier;
-use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
-use dnsguard::{AdmissionConfig, HaConfig, PressureTier};
-use netsim::engine::{CpuConfig, NodeId, Simulator};
+use dnsguard::{AdmissionConfig, PressureTier};
+use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
-use obs::alert::{AlertConfig, AlertEngine};
+use obs::alert::AlertConfig;
 use server::authoritative::Authority;
-use server::nodes::{AuthNode, ServerCosts};
-use server::simclient::CookieMode;
 use server::zone::paper_hierarchy;
 use std::net::Ipv4Addr;
 
@@ -64,75 +62,6 @@ const SUMMARY_KEYS: &[&str] = &[
     "\"amplification_milli\":",
     "\"baseline_silent\":",
 ];
-
-/// The primary guard's replication address.
-pub const REPL_PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
-/// The standby guard's replication address.
-pub const REPL_STANDBY: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 3);
-
-/// Handles into a primary–standby world.
-pub struct HaWorld {
-    /// The simulator.
-    pub sim: Simulator,
-    /// The primary guard (owns [`PUB`] and the `COOKIE2` subnet at start).
-    pub primary: NodeId,
-    /// The standby guard (reachable only at [`REPL_STANDBY`] until
-    /// takeover).
-    pub standby: NodeId,
-    /// The ANS node.
-    pub ans: NodeId,
-}
-
-/// Builds the HA topology: primary at the public address, standby fed over
-/// the replication channel, both with admission control, the `foo.com`
-/// zone behind them (terminal answers → fabricated-NS + `COOKIE2` path).
-///
-/// Default rate limiters stay in place so floods genuinely saturate RL1.
-pub fn ha_world(seed: u64) -> HaWorld {
-    let (_, _, foo_com) = paper_hierarchy();
-    let authority = Authority::new(vec![foo_com]);
-    let mut sim = Simulator::new(seed);
-
-    let base = GuardConfig {
-        subnet_base: SUBNET,
-        ..GuardConfig::new(PUB, PRIV)
-    }
-    .with_mode(SchemeMode::DnsBased)
-    .with_admission(AdmissionConfig::default());
-    let interval = SimTime::from_millis(20);
-    let primary_cfg = base
-        .clone()
-        .with_ha(HaConfig::primary(REPL_PRIMARY, REPL_STANDBY).with_interval(interval));
-    let standby_cfg =
-        base.with_ha(HaConfig::standby(REPL_STANDBY, REPL_PRIMARY).with_interval(interval));
-
-    let cpu = CpuConfig {
-        max_backlog: SimTime::from_millis(5),
-    };
-    let primary = sim.add_node(
-        PUB,
-        cpu,
-        RemoteGuard::new(primary_cfg, AuthorityClassifier::new(authority.clone())),
-    );
-    sim.add_subnet(SUBNET, 24, primary);
-    sim.add_address(REPL_PRIMARY, primary);
-    let standby = sim.add_node(
-        REPL_STANDBY,
-        cpu,
-        RemoteGuard::new(standby_cfg, AuthorityClassifier::new(authority.clone())),
-    );
-    let ans = sim.add_node(
-        PRIV,
-        cpu,
-        AuthNode::with_costs(PRIV, authority, ServerCosts::ans_simulator()),
-    );
-    HaWorld {
-        sim,
-        primary,
-        standby,
-        ans,
-    }
-}
 
 /// The crash-mid-attack outcome.
 pub struct CrashFailover {
@@ -168,19 +97,10 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
     // Observe the *standby*: it owns the interesting half of the story
     // (heartbeat age, takeover, post-takeover shedding). The primary is
     // read via its stats snapshot instead of the registry.
-    let obs = traced_obs();
-    w.sim.attach_obs(&obs);
-    w.sim
-        .node_mut::<RemoteGuard>(w.standby)
-        .unwrap()
-        .attach_obs(&obs);
-    let mut engine = AlertEngine::new(AlertConfig::default());
-    engine.attach_obs(&obs);
-    let engine = obs::alert::shared(engine);
-    w.sim
-        .attach_alert_engine(engine.clone(), obs.registry.clone(), SimTime::from_millis(10));
+    let obs = observe(&mut w.sim, Scope::World, &[w.standby]);
+    let engine = alerting(&mut w.sim, &obs, AlertConfig::default());
 
-    let clients = verified_clients(&mut w.sim, 10);
+    let (clients, _) = verified_clients(&mut w.sim, 10);
     w.sim.run_until(SimTime::from_millis(300));
 
     // The 2⁻³² cookie-label guess flood (invalid verifies) ...
@@ -209,17 +129,9 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
     w.sim.run_until(SimTime::from_millis(1_500));
     let at_end = completions(&w.sim, &clients);
 
-    let p_stats = w.sim.node_ref::<RemoteGuard>(w.primary).unwrap().stats();
     let standby = w.sim.node_ref::<RemoteGuard>(w.standby).unwrap();
     let took_over = standby.has_taken_over();
-    let s_stats = standby.stats();
-    let ans_total = w.sim.node_ref::<AuthNode>(w.ans).unwrap().total_queries();
-    // Everything the ANS saw must be accounted for by a guard's forwarder,
-    // and nothing unverified may have been plain-forwarded to it.
-    let forwarded = p_stats.forwarded + s_stats.forwarded;
-    let spoofed_to_ans = ans_total.saturating_sub(forwarded)
-        + p_stats.plain_forwarded
-        + s_stats.plain_forwarded;
+    let standby_shed = standby.stats().admission_shed;
 
     let continued = at_flood_end
         .iter()
@@ -241,8 +153,8 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
         took_over,
         takeover_after_crash_nanos,
         post_crash_completed,
-        spoofed_to_ans,
-        standby_shed: s_stats.admission_shed,
+        spoofed_to_ans: unverified_at_ans(&w.sim, &[w.primary, w.standby], &[w.ans]),
+        standby_shed,
         fired_rules: guard.fired_rules(),
         alerts_json: guard.alerts_json(),
     }
@@ -265,52 +177,20 @@ pub struct AgePoint {
 }
 
 fn run_age_point(seed: u64, interval: Option<SimTime>) -> AgePoint {
-    let (_, _, foo_com) = paper_hierarchy();
-    let authority = Authority::new(vec![foo_com]);
-    let mut sim = Simulator::new(seed);
-    let mut config = GuardConfig {
-        subnet_base: SUBNET,
-        ..GuardConfig::new(PUB, PRIV)
-    }
-    .with_mode(SchemeMode::DnsBased);
-    if let Some(i) = interval {
-        config = config.with_checkpoint_interval(i);
-    }
-    let cpu = CpuConfig {
-        max_backlog: SimTime::from_millis(5),
-    };
-    let guard_id = sim.add_node(
-        PUB,
-        cpu,
-        RemoteGuard::new(config.clone(), AuthorityClassifier::new(authority.clone())),
+    let GuardedWorld { mut sim, guard: guard_id, .. } = guarded_world_with(
+        WorldParams { zone: ZoneSel::Foo, open_limiters: false, ..WorldParams::new(seed) },
+        |config| match interval {
+            Some(i) => config.with_checkpoint_interval(i),
+            None => config,
+        },
     );
-    sim.add_subnet(SUBNET, 24, guard_id);
-    sim.add_node(
-        PRIV,
-        cpu,
-        AuthNode::with_costs(PRIV, authority.clone(), ServerCosts::ans_simulator()),
-    );
+    let authority = Authority::new(vec![paper_hierarchy().2]);
     let store = shared_store();
-    sim.node_mut::<RemoteGuard>(guard_id)
-        .unwrap()
-        .attach_checkpoint_store(store.clone());
+    let guard = sim.node_mut::<RemoteGuard>(guard_id).unwrap();
+    guard.attach_checkpoint_store(store.clone());
+    let config = guard.config_mut().clone();
 
-    let clients: Vec<NodeId> = (1..=5u8)
-        .map(|c| {
-            attach_lrs(
-                &mut sim,
-                LrsParams {
-                    ip: Ipv4Addr::new(10, 0, c, 1),
-                    mode: CookieMode::Plain,
-                    cookie_cache: true,
-                    concurrency: 2,
-                    wait: SimTime::from_millis(80),
-                    pace: SimTime::from_millis(2),
-                    per_packet_cost: SimTime::ZERO,
-                },
-            )
-        })
-        .collect();
+    let (clients, _) = paced_clients(&mut sim, 5, 2, SimTime::from_millis(80), SimTime::from_millis(2));
 
     // Crash off the housekeeping grid so snapshot ages differ by cadence.
     sim.run_until(SimTime::from_millis(530));
@@ -321,12 +201,12 @@ fn run_age_point(seed: u64, interval: Option<SimTime>) -> AgePoint {
     sim.run_until(restore_at);
     let fresh = match &cp {
         Some(cp) => RemoteGuard::restore_from_checkpoint(
-            config.clone(),
-            AuthorityClassifier::new(authority.clone()),
+            config,
+            AuthorityClassifier::new(authority),
             cp,
             restore_at,
         ),
-        None => RemoteGuard::new(config.clone(), AuthorityClassifier::new(authority)),
+        None => RemoteGuard::new(config, AuthorityClassifier::new(authority)),
     };
     sim.restart_with(guard_id, fresh);
     sim.node_mut::<RemoteGuard>(guard_id)
@@ -378,45 +258,11 @@ pub struct ShedPoint {
 fn run_shed_point(seed: u64, rate: f64) -> ShedPoint {
     // Root zone: referral answers → the NS-label cookie variant, the world
     // the paper's amplification bound (< 1.5) was measured in.
-    let (root, _, _) = paper_hierarchy();
-    let authority = Authority::new(vec![root]);
-    let mut sim = Simulator::new(seed);
-    let config = GuardConfig {
-        subnet_base: SUBNET,
-        ..GuardConfig::new(PUB, PRIV)
-    }
-    .with_mode(SchemeMode::DnsBased)
-    .with_admission(AdmissionConfig::default());
-    let cpu = CpuConfig {
-        max_backlog: SimTime::from_millis(5),
-    };
-    let guard_id = sim.add_node(
-        PUB,
-        cpu,
-        RemoteGuard::new(config, AuthorityClassifier::new(authority.clone())),
+    let GuardedWorld { mut sim, guard: guard_id, .. } = guarded_world_with(
+        WorldParams { open_limiters: false, ..WorldParams::new(seed) },
+        |config| config.with_admission(AdmissionConfig::default()),
     );
-    sim.add_subnet(SUBNET, 24, guard_id);
-    sim.add_node(
-        PRIV,
-        cpu,
-        AuthNode::with_costs(PRIV, authority, ServerCosts::ans_simulator()),
-    );
-    let clients: Vec<NodeId> = (1..=3u8)
-        .map(|c| {
-            attach_lrs(
-                &mut sim,
-                LrsParams {
-                    ip: Ipv4Addr::new(10, 0, c, 1),
-                    mode: CookieMode::Plain,
-                    cookie_cache: true,
-                    concurrency: 2,
-                    wait: SimTime::from_millis(60),
-                    pace: SimTime::from_millis(2),
-                    per_packet_cost: SimTime::ZERO,
-                },
-            )
-        })
-        .collect();
+    let (clients, _) = paced_clients(&mut sim, 3, 2, SimTime::from_millis(60), SimTime::from_millis(2));
 
     sim.run_until(SimTime::from_millis(300));
     let before: u64 = completions(&sim, &clients).iter().sum();
@@ -456,18 +302,8 @@ pub fn run_shed_sweep(seed: u64) -> Vec<ShedPoint> {
 /// returns whether the alert engine stayed silent.
 pub fn ha_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let mut w = ha_world(seed);
-    let obs = traced_obs();
-    w.sim
-        .node_mut::<RemoteGuard>(w.standby)
-        .unwrap()
-        .attach_obs(&obs);
-    let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
-    w.sim
-        .attach_alert_engine(engine.clone(), obs.registry.clone(), SimTime::from_millis(10));
     verified_clients(&mut w.sim, 3);
-    w.sim.run_until(duration);
-    let silent = engine.lock().is_silent();
-    silent
+    stays_silent(&mut w.sim, &[w.standby], AlertConfig::default(), duration)
 }
 
 /// The full experiment: crash failover, checkpoint-age sweep, shed-tier

@@ -24,21 +24,13 @@
 use crate::registry::{Export, Format, Outcome};
 use crate::report::json_strings;
 use crate::worlds::{
-    attach_cookie_guess_flood, completions, traced_obs, verified_clients, PUB, SUBNET,
+    alerting, attach_cookie_guess_flood, completions, fleet_world, observe, stays_silent,
+    unverified_at_ans, verified_clients, Scope,
 };
-use dnsguard::classify::AuthorityClassifier;
-use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
-use dnsguard::FleetConfig;
-use guardhash::cookie::CookieAlg;
-use netsim::engine::{CpuConfig, FaultPlan, NodeId, Simulator};
+use netsim::engine::FaultPlan;
 use netsim::time::SimTime;
-use obs::alert::{AlertConfig, AlertEngine, SharedAlertEngine};
-use obs::Obs;
-use server::authoritative::Authority;
-use server::nodes::{AuthNode, ServerCosts};
-use server::zone::paper_hierarchy;
-use std::net::Ipv4Addr;
+use obs::alert::AlertConfig;
 
 /// The summary document's file name.
 pub const SUMMARY_FILE: &str = "BENCH_fleet.json";
@@ -62,135 +54,16 @@ const SUMMARY_KEYS: &[&str] = &[
     "\"baseline_silent\":",
 ];
 
-/// Site A's (the key master's) replication address.
-pub const SITE_A: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
-/// Site B's (the member's) replication address.
-pub const SITE_B: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 3);
-/// Site A's private ANS.
-pub const ANS_A: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 11);
-/// Site B's private ANS.
-pub const ANS_B: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 12);
-
 /// Number of verified workload clients.
 const CLIENTS: u8 = 40;
 /// Fraction of source addresses the mid-flood catchment shift moves.
 const SHIFT_FRACTION: f64 = 0.55;
-
-/// Handles into a two-site anycast world.
-pub struct FleetWorld {
-    /// The simulator.
-    pub sim: Simulator,
-    /// Site A: owns the route for [`PUB`] and the `COOKIE2` subnet.
-    pub site_a: NodeId,
-    /// Site B: receives only catchment-shifted traffic.
-    pub site_b: NodeId,
-    /// Site A's ANS node.
-    pub ans_a: NodeId,
-    /// Site B's ANS node.
-    pub ans_b: NodeId,
-}
-
-/// Builds the two-site topology. Both guards advertise [`PUB`]; the
-/// simulator's routing table sends it to site A (the "normal" BGP
-/// catchment), and a [`FaultPlan::catchment_shift`] later moves a subset
-/// of sources to site B. Each site forwards to its own ANS.
-///
-/// `shared` selects the cookie regime: one SipHash-2-4 secret distributed
-/// by the fleet channel, or the paper's MD5 with an independent secret per
-/// site.
-pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
-    let (_, _, foo_com) = paper_hierarchy();
-    let authority = Authority::new(vec![foo_com]);
-    let mut sim = Simulator::new(seed);
-
-    let base = |ans: Ipv4Addr| {
-        let mut c = GuardConfig {
-            subnet_base: SUBNET,
-            ..GuardConfig::new(PUB, ans)
-        }
-        .with_mode(SchemeMode::DnsBased);
-        // Tight global cookie budget: the re-handshake storm and the flood
-        // compete for it, which is exactly the paper's reflector bound
-        // turning a routing event into a denial of verified service.
-        c.rl1_global_rate = 120.0;
-        c
-    };
-    let interval = SimTime::from_millis(20);
-    let (a_cfg, b_cfg) = if shared {
-        (
-            base(ANS_A)
-                .with_cookie_alg(CookieAlg::SipHash24)
-                .with_fleet(FleetConfig::master(SITE_A, vec![SITE_B]).with_interval(interval)),
-            base(ANS_B)
-                .with_cookie_alg(CookieAlg::SipHash24)
-                .with_fleet(FleetConfig::member(SITE_B, SITE_A).with_interval(interval)),
-        )
-    } else {
-        let mut b = base(ANS_B);
-        b.key_seed = 4242; // Independent vendor secret at each site.
-        (base(ANS_A), b)
-    };
-
-    let cpu = CpuConfig {
-        max_backlog: SimTime::from_millis(5),
-    };
-    let site_a = sim.add_node(
-        PUB,
-        cpu,
-        RemoteGuard::new(a_cfg, AuthorityClassifier::new(authority.clone())),
-    );
-    sim.add_subnet(SUBNET, 24, site_a);
-    sim.add_address(SITE_A, site_a);
-    let site_b = sim.add_node(
-        SITE_B,
-        cpu,
-        RemoteGuard::new(b_cfg, AuthorityClassifier::new(authority.clone())),
-    );
-    let ans_a = sim.add_node(
-        ANS_A,
-        cpu,
-        AuthNode::with_costs(ANS_A, authority.clone(), ServerCosts::ans_simulator()),
-    );
-    let ans_b = sim.add_node(
-        ANS_B,
-        cpu,
-        AuthNode::with_costs(ANS_B, authority, ServerCosts::ans_simulator()),
-    );
-    // Site B forwards from the anycast address, so its ANS replies to
-    // [`PUB`] — which the routing table hands to site A. Pin the return
-    // path: everything ANS-B sends toward site A's catchment belongs at B.
-    sim.fault_link(ans_b, site_a, FaultPlan::new().catchment_shift(1.0, site_b));
-    FleetWorld {
-        sim,
-        site_a,
-        site_b,
-        ans_a,
-        ans_b,
-    }
-}
 
 /// Alert thresholds for the fleet runs: with a warmed fleet of verified
 /// clients the steady-state handshake rate is ~0, so a *sustained* 50/s
 /// of first-contact responses is already a storm.
 fn fleet_alert_config() -> AlertConfig {
     AlertConfig { handshake_per_sec: 50.0 }
-}
-
-fn attach_alerting(w: &mut FleetWorld) -> (Obs, SharedAlertEngine) {
-    // Observe site B: it is where shifted clients land, so it owns the
-    // whole storm story (re-handshakes, RL1 pressure, cookie verdicts).
-    let obs = traced_obs();
-    w.sim.attach_obs(&obs);
-    w.sim
-        .node_mut::<RemoteGuard>(w.site_b)
-        .unwrap()
-        .attach_obs(&obs);
-    let mut engine = AlertEngine::new(fleet_alert_config());
-    engine.attach_obs(&obs);
-    let engine = obs::alert::shared(engine);
-    w.sim
-        .attach_alert_engine(engine.clone(), obs.registry.clone(), SimTime::from_millis(10));
-    (obs, engine)
 }
 
 /// Outcome of one catchment-shift scenario.
@@ -230,8 +103,11 @@ pub struct ShiftOutcome {
 /// additionally rotates the fleet key while the shift is in progress.
 pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcome {
     let mut w = fleet_world(seed, shared);
-    let (_obs, engine) = attach_alerting(&mut w);
-    let clients = verified_clients(&mut w.sim, CLIENTS);
+    // Observe site B: it is where shifted clients land, so it owns the
+    // whole storm story (re-handshakes, RL1 pressure, cookie verdicts).
+    let obs = observe(&mut w.sim, Scope::World, &[w.site_b]);
+    let engine = alerting(&mut w.sim, &obs, fleet_alert_config());
+    let (clients, ips) = verified_clients(&mut w.sim, CLIENTS);
 
     // Warm-up: every client handshakes at site A and caches its cookie.
     // Long enough that the whole cohort clears RL1's tight budget — the
@@ -272,23 +148,16 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
     // Membership is a pure function of the client address, so the
     // experiment knows exactly who moved without sampling anything.
     let shifted: Vec<usize> = (0..clients.len())
-        .filter(|&i| plan.shifts_source(Ipv4Addr::new(10, 0, i as u8 + 1, 1)))
+        .filter(|&i| plan.shifts_source(ips[i]))
         .collect();
     let continued = shifted
         .iter()
         .filter(|&&i| at_end[i] > at_shift[i])
         .count();
 
-    let a_stats = w.sim.node_ref::<RemoteGuard>(w.site_a).unwrap().stats();
     let site_b_ref = w.sim.node_ref::<RemoteGuard>(w.site_b).unwrap();
     let b_stats = site_b_ref.stats();
     let amp = site_b_ref.traffic_unverified.amplification();
-    let ans_total = w.sim.node_ref::<AuthNode>(w.ans_a).unwrap().total_queries()
-        + w.sim.node_ref::<AuthNode>(w.ans_b).unwrap().total_queries();
-    let forwarded = a_stats.forwarded + b_stats.forwarded;
-    let spoofed_to_ans = ans_total.saturating_sub(forwarded)
-        + a_stats.plain_forwarded
-        + b_stats.plain_forwarded;
 
     let handshakes = |s: &dnsguard::guard::GuardStats| {
         s.fabricated_ns_sent + s.tc_sent + s.grants_sent
@@ -302,7 +171,7 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
         cookie2_invalid: b_stats.cookie2_invalid,
         rl1_dropped: b_stats.rl1_dropped,
         amplification_milli: (amp * 1000.0) as u64,
-        spoofed_to_ans,
+        spoofed_to_ans: unverified_at_ans(&w.sim, &[w.site_a, w.site_b], &[w.ans_a, w.ans_b]),
         fleet_keys_applied: b_stats.fleet_keys_applied,
         fired_rules: guard.fired_rules(),
         alerts_json: guard.alerts_json(),
@@ -313,11 +182,8 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
 /// and no flood) and returns whether the alert engine stayed silent.
 pub fn fleet_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let mut w = fleet_world(seed, true);
-    let (_obs, engine) = attach_alerting(&mut w);
     verified_clients(&mut w.sim, 5);
-    w.sim.run_until(duration);
-    let silent = engine.lock().is_silent();
-    silent
+    stays_silent(&mut w.sim, &[w.site_b], fleet_alert_config(), duration)
 }
 
 /// The full experiment: both cookie regimes under the same shift, the

@@ -28,17 +28,18 @@
 //! fleetobs`; the documents land in `BENCH_fleetobs.json` and
 //! `BENCH_fleetobs_trace.jsonl`.
 
-use crate::fleet::{fleet_world, FleetWorld};
 use crate::registry::{untraced_kinds, Export, Format, Outcome};
 use crate::report::json_strings;
-use crate::worlds::{attach_cookie_guess_flood, attach_lrs, traced_obs, LrsParams};
-use netsim::engine::{FaultPlan, NodeId};
+use crate::worlds::{
+    attach_cookie_guess_flood, attach_lrs, fleet_world, observe, paced_clients, run_stepped, FleetWorld,
+    LrsParams, Scope,
+};
+use netsim::engine::{FaultPlan, NodeId, Simulator};
 use netsim::time::SimTime;
 use obs::export::event_json;
 use obs::fleet::{FleetAggregator, FleetAlertConfig};
 use obs::trace::{Event, Value};
 use obs::Obs;
-use server::simclient::CookieMode;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -90,10 +91,6 @@ fn fleetobs_alert_config() -> FleetAlertConfig {
     FleetAlertConfig { silent_after_nanos: 120_000_000 }
 }
 
-fn warm_ip(i: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, i, 1)
-}
-
 fn joiner_ip(i: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 7, i, 1)
 }
@@ -101,22 +98,7 @@ fn joiner_ip(i: u8) -> Ipv4Addr {
 /// Warm cohort: cookie-cached, paced slowly enough that the clean
 /// two-site baseline stays under the `site_rate_skew` load floor.
 fn warm_clients(w: &mut FleetWorld, n: u8) -> Vec<NodeId> {
-    (1..=n)
-        .map(|c| {
-            attach_lrs(
-                &mut w.sim,
-                LrsParams {
-                    ip: warm_ip(c),
-                    mode: CookieMode::Plain,
-                    cookie_cache: true,
-                    concurrency: 1,
-                    wait: SimTime::from_millis(150),
-                    pace: SimTime::from_millis(50),
-                    per_packet_cost: SimTime::ZERO,
-                },
-            )
-        })
-        .collect()
+    paced_clients(&mut w.sim, n, 1, SimTime::from_millis(150), SimTime::from_millis(50)).0
 }
 
 /// Joiners sit 20 ms (one way) from the sites, so a handshake started at
@@ -126,18 +108,8 @@ fn attach_joiners(w: &mut FleetWorld, n: u8) -> Vec<NodeId> {
     let rtt = SimTime::from_millis(40);
     (1..=n)
         .map(|c| {
-            let id = attach_lrs(
-                &mut w.sim,
-                LrsParams {
-                    ip: joiner_ip(c),
-                    mode: CookieMode::Plain,
-                    cookie_cache: false,
-                    concurrency: 1,
-                    wait: SimTime::from_millis(150),
-                    pace: SimTime::from_millis(25),
-                    per_packet_cost: SimTime::ZERO,
-                },
-            );
+            let (wait, pace) = (SimTime::from_millis(150), SimTime::from_millis(25));
+            let id = attach_lrs(&mut w.sim, LrsParams::paced(joiner_ip(c), 1, wait, pace).with_cache(false));
             w.sim.connect_rtt(id, w.site_a, rtt);
             w.sim.connect_rtt(id, w.site_b, rtt);
             id
@@ -145,77 +117,74 @@ fn attach_joiners(w: &mut FleetWorld, n: u8) -> Vec<NodeId> {
         .collect()
 }
 
-/// The collector's poll tick: drain both sites into the aggregator (site
-/// B's events skewed +7 ms to simulate its fast clock, corrected by the
-/// registered offset) and snapshot both registries; when `evaluate` is
-/// set, also run the fleet rules over the window since the last
-/// evaluation. A crashed site B is simply never polled — it ages into
-/// `node_silent` on its own.
-#[allow(clippy::too_many_arguments)]
-fn poll_fleet(
-    w: &FleetWorld,
-    agg: &mut FleetAggregator,
-    obs_a: &Obs,
-    obs_b: &Obs,
-    node_a: u32,
-    node_b: u32,
-    joiner_challenged: &mut BTreeSet<Ipv4Addr>,
-    evaluate: bool,
-) {
-    let t_ns = w.sim.now().as_nanos();
-    let (ev_a, _) = obs_a.tracer.drain();
-    // Ground truth for the acceptance bar: which joiners did site A
-    // challenge? Every one of them must later stitch across the shift.
-    for e in &ev_a {
-        if e.kind == "fabricated_ns" {
-            if let Some(Value::Ip(ip)) = e.field("src") {
-                if (1..=JOINERS).any(|c| joiner_ip(c) == ip) {
-                    joiner_challenged.insert(ip);
-                }
-            }
-        }
-    }
-    agg.observe_trace(node_a, &ev_a);
-    agg.observe_metric_snapshot(node_a, t_ns, &obs_a.registry.snapshot());
-    if !w.sim.is_crashed(w.site_b) {
-        let (ev_b, _) = obs_b.tracer.drain();
-        let skewed: Vec<Event> = ev_b.iter().map(|e| e.with_offset(SKEW_NANOS)).collect();
-        agg.observe_trace(node_b, &skewed);
-        agg.observe_metric_snapshot(node_b, t_ns, &obs_b.registry.snapshot());
-    }
-    if evaluate {
-        agg.evaluate(t_ns);
-    }
+/// One site as the collector polls it.
+struct Site {
+    guard: NodeId,
+    obs: Obs,
+    /// The aggregator's id for the site.
+    node: u32,
+    /// How far the site's clock runs ahead of fleet time.
+    skew: i64,
 }
 
-/// Advances the world to `to_ms`, polling the collector every
-/// [`POLL_MS`].
-#[allow(clippy::too_many_arguments)]
-fn run_polled(
-    w: &mut FleetWorld,
-    agg: &mut FleetAggregator,
-    obs_a: &Obs,
-    obs_b: &Obs,
-    node_a: u32,
-    node_b: u32,
-    joiner_challenged: &mut BTreeSet<Ipv4Addr>,
-    from_ms: u64,
-    to_ms: u64,
-) {
-    let mut ms = from_ms;
-    while ms < to_ms {
-        ms = (ms + POLL_MS).min(to_ms);
-        w.sim.run_until(SimTime::from_millis(ms));
-        poll_fleet(
-            w,
-            agg,
-            obs_a,
-            obs_b,
-            node_a,
-            node_b,
-            joiner_challenged,
-            ms.is_multiple_of(EVAL_MS),
-        );
+/// The collector and the sites it polls, site A first.
+struct Collector {
+    agg: FleetAggregator,
+    /// The collector's own telemetry: `fleet.*` metrics and its trace.
+    obs: Obs,
+    sites: [Site; 2],
+    /// Ground truth for the acceptance bar: the joiners site A challenged.
+    /// Every one of them must later stitch across the shift.
+    challenged: BTreeSet<Ipv4Addr>,
+}
+
+/// Attaches a collector to both sites. Site B's clock runs 7 ms ahead, so
+/// its registered correction is −7 ms.
+fn collector(w: &mut FleetWorld) -> Collector {
+    let obs = observe(&mut w.sim, Scope::Site, &[]);
+    let mut agg = FleetAggregator::new(fleetobs_alert_config());
+    agg.attach_obs(&obs);
+    let sites = [(w.site_a, "site-a", 0), (w.site_b, "site-b", SKEW_NANOS)].map(|(guard, name, skew)| Site {
+        guard,
+        obs: observe(&mut w.sim, Scope::Site, &[guard]),
+        node: agg.register_node(name, -skew),
+        skew,
+    });
+    Collector { agg, obs, sites, challenged: BTreeSet::new() }
+}
+
+impl Collector {
+    /// The poll tick: drain every live site into the aggregator (its events
+    /// skewed as its clock is, corrected by the registered offset) and
+    /// snapshot its registry; every [`EVAL_MS`], also run the fleet rules
+    /// over the window since the last evaluation. A crashed site is simply
+    /// never polled — it ages into `node_silent` on its own.
+    fn poll(&mut self, sim: &Simulator) {
+        let t_ns = sim.now().as_nanos();
+        for (i, site) in self.sites.iter().enumerate() {
+            if sim.is_crashed(site.guard) {
+                continue;
+            }
+            let (events, _) = site.obs.tracer.drain();
+            for e in events.iter().filter(|e| i == 0 && e.kind == "fabricated_ns") {
+                if let Some(Value::Ip(ip)) = e.field("src") {
+                    if (1..=JOINERS).any(|c| joiner_ip(c) == ip) {
+                        self.challenged.insert(ip);
+                    }
+                }
+            }
+            let skewed: Vec<Event> = events.iter().map(|e| e.with_offset(site.skew)).collect();
+            self.agg.observe_trace(site.node, &skewed);
+            self.agg.observe_metric_snapshot(site.node, t_ns, &site.obs.registry.snapshot());
+        }
+        if (t_ns / 1_000_000).is_multiple_of(EVAL_MS) {
+            self.agg.evaluate(t_ns);
+        }
+    }
+
+    /// Advances the world to `until`, polling every [`POLL_MS`].
+    fn run(&mut self, sim: &mut Simulator, until: SimTime) {
+        run_stepped(sim, until, SimTime::from_millis(POLL_MS), |sim| self.poll(sim));
     }
 }
 
@@ -267,46 +236,29 @@ pub struct FleetObsOutcome {
 /// 700 ms, site B crash at 1400 ms, end at 1600 ms.
 pub fn run_chaos(seed: u64) -> FleetObsOutcome {
     let mut w = fleet_world(seed, true);
-    let obs_a = traced_obs();
-    let obs_b = traced_obs();
-    let obs_fleet = traced_obs();
-    w.sim
-        .node_mut::<dnsguard::guard::RemoteGuard>(w.site_a)
-        .unwrap()
-        .attach_obs(&obs_a);
-    w.sim
-        .node_mut::<dnsguard::guard::RemoteGuard>(w.site_b)
-        .unwrap()
-        .attach_obs(&obs_b);
-
-    let mut agg = FleetAggregator::new(fleetobs_alert_config());
-    agg.attach_obs(&obs_fleet);
-    let node_a = agg.register_node("site-a", 0);
-    // Site B's clock runs 7 ms ahead, so its correction is −7 ms.
-    let node_b = agg.register_node("site-b", -SKEW_NANOS);
-
+    let mut c = collector(&mut w);
     let warm = warm_clients(&mut w, WARM_CLIENTS);
-    let mut challenged = BTreeSet::new();
+    let ms = SimTime::from_millis;
 
     // Warm-up: the cohort handshakes and settles into cookie-cached
     // steady state at site A.
-    run_polled(&mut w, &mut agg, &obs_a, &obs_b, node_a, node_b, &mut challenged, 0, 600);
+    c.run(&mut w.sim, ms(600));
 
     // The cookie-guessing flood concentrates on site A's catchment.
-    let attacker = attach_cookie_guess_flood(&mut w.sim, 6_000.0, SimTime::from_millis(1_000));
-    run_polled(&mut w, &mut agg, &obs_a, &obs_b, node_a, node_b, &mut challenged, 600, 665);
+    let attacker = attach_cookie_guess_flood(&mut w.sim, 6_000.0, ms(1_000));
+    c.run(&mut w.sim, ms(665));
 
     // Joiners: first query reaches site A ≈685 ms (challenge issued
     // pre-shift), the challenge reaches the client ≈705 ms (retry sent
     // post-shift).
     let joiners = attach_joiners(&mut w, JOINERS);
-    run_polled(&mut w, &mut agg, &obs_a, &obs_b, node_a, node_b, &mut challenged, 665, 700);
+    c.run(&mut w.sim, ms(700));
 
     // BGP reconverges: 55 % of warm/attack sources and every joiner now
     // land at site B.
     let plan = FaultPlan::new().catchment_shift(SHIFT_FRACTION, w.site_b);
-    for &c in &warm {
-        w.sim.fault_link(c, w.site_a, plan);
+    for &client in &warm {
+        w.sim.fault_link(client, w.site_a, plan);
     }
     w.sim.fault_link(attacker, w.site_a, plan);
     // Every joiner moves: their in-flight handshakes straddle the shift.
@@ -314,13 +266,15 @@ pub fn run_chaos(seed: u64) -> FleetObsOutcome {
     for &j in &joiners {
         w.sim.fault_link(j, w.site_a, joiner_plan);
     }
-    run_polled(&mut w, &mut agg, &obs_a, &obs_b, node_a, node_b, &mut challenged, 700, 1_400);
+    c.run(&mut w.sim, ms(1_400));
 
     // Site B crashes; the collector's polls stop reaching it and the
     // node ages into silence.
     w.sim.crash(w.site_b);
-    run_polled(&mut w, &mut agg, &obs_a, &obs_b, node_a, node_b, &mut challenged, 1_400, 1_600);
+    c.run(&mut w.sim, ms(1_600));
 
+    let Collector { agg, obs: obs_fleet, sites, challenged } = c;
+    let node_b = sites[1].node;
     let report = agg.stitch();
 
     let joiner_set: BTreeSet<Ipv4Addr> = (1..=JOINERS).map(joiner_ip).collect();
@@ -378,32 +332,10 @@ pub fn run_chaos(seed: u64) -> FleetObsOutcome {
 /// every fleet rule stayed silent.
 pub fn fleetobs_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let mut w = fleet_world(seed, true);
-    let obs_a = traced_obs();
-    let obs_b = traced_obs();
-    w.sim
-        .node_mut::<dnsguard::guard::RemoteGuard>(w.site_a)
-        .unwrap()
-        .attach_obs(&obs_a);
-    w.sim
-        .node_mut::<dnsguard::guard::RemoteGuard>(w.site_b)
-        .unwrap()
-        .attach_obs(&obs_b);
-    let mut agg = FleetAggregator::new(fleetobs_alert_config());
-    let node_a = agg.register_node("site-a", 0);
-    let node_b = agg.register_node("site-b", -SKEW_NANOS);
+    let mut c = collector(&mut w);
     warm_clients(&mut w, WARM_CLIENTS);
-    let mut challenged = BTreeSet::new();
-    run_polled(
-        &mut w,
-        &mut agg,
-        &obs_a,
-        &obs_b,
-        node_a,
-        node_b,
-        &mut challenged,
-        0,
-        duration.as_nanos() / 1_000_000,
-    );
+    c.run(&mut w.sim, duration);
+    let agg = c.agg;
     if !agg.is_silent() {
         eprintln!("baseline fired: {:?}", agg.history());
     }

@@ -18,13 +18,14 @@
 use crate::registry::{Export, Format, Outcome};
 use crate::report::json_strings;
 use crate::worlds::{
-    attach_cookie_guess_flood, attach_lrs, guarded_world, traced_obs, LrsParams, WorldParams, ZoneSel,
+    alerting, attach_cookie_guess_flood, attach_lrs, guarded_world, observe, stays_silent, LrsParams,
+    Scope, WorldParams, ZoneSel,
 };
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
 use netsim::engine::FaultPlan;
 use netsim::time::SimTime;
-use obs::alert::{AlertConfig, AlertEngine};
+use obs::alert::AlertConfig;
 use obs::export::metrics_json;
 use obs::journey::JourneyReport;
 use server::nodes::AuthNode;
@@ -138,24 +139,13 @@ pub fn run_scheme(scheme: &'static str, seed: u64, duration: SimTime) -> SchemeJ
     p.mode = mode;
     let mut world = guarded_world(p);
 
-    let obs = traced_obs();
-    world
-        .sim
-        .node_mut::<RemoteGuard>(world.guard)
-        .unwrap()
-        .attach_obs(&obs);
+    let obs = observe(&mut world.sim, Scope::World, &[world.guard]);
 
     let client = attach_lrs(
         &mut world.sim,
-        LrsParams {
-            ip: Ipv4Addr::new(10, 0, 1, 1),
-            mode: lrs_mode,
-            cookie_cache: false, // cold start: every transaction handshakes
-            concurrency: 4,
-            wait: SimTime::from_millis(50),
-            pace: SimTime::from_millis(1),
-            per_packet_cost: SimTime::ZERO,
-        },
+        LrsParams::paced(Ipv4Addr::new(10, 0, 1, 1), 4, SimTime::from_millis(50), SimTime::from_millis(1))
+            .with_mode(lrs_mode)
+            .with_cache(false), // cold start: every transaction handshakes
     );
     world.sim.run_until(duration);
 
@@ -202,6 +192,11 @@ impl ChaosJourneys {
     }
 }
 
+/// A client of the chaos world and of its clean baseline.
+fn chaos_client(ip: Ipv4Addr) -> LrsParams {
+    LrsParams::paced(ip, 4, SimTime::from_millis(50), SimTime::from_millis(2))
+}
+
 /// Drives the chaos world: a guarded DNS-based deployment under a
 /// cookie-guessing flood (the 2⁻³² label-guess attack — invalid verifies,
 /// never journeys), duplication + reordering on the client links, and a
@@ -222,42 +217,17 @@ pub fn run_chaos(seed: u64, duration: SimTime) -> ChaosJourneys {
         c.ans_probe_interval = SimTime::from_millis(50);
     }
 
-    let obs = traced_obs();
-    world.sim.attach_obs(&obs);
-    world
-        .sim
-        .node_mut::<RemoteGuard>(world.guard)
-        .unwrap()
-        .attach_obs(&obs);
+    let obs = observe(&mut world.sim, Scope::World, &[world.guard]);
     world
         .sim
         .node_ref::<AuthNode>(world.ans)
         .unwrap()
         .attach_obs(&obs);
-
-    let mut engine = AlertEngine::new(AlertConfig::default());
-    engine.attach_obs(&obs);
-    let engine = obs::alert::shared(engine);
-    world.sim.attach_alert_engine(
-        engine.clone(),
-        obs.registry.clone(),
-        SimTime::from_millis(10),
-    );
+    let engine = alerting(&mut world.sim, &obs, AlertConfig::default());
 
     let mut clients = Vec::new();
     for ip in [Ipv4Addr::new(10, 0, 1, 1), Ipv4Addr::new(10, 0, 2, 1)] {
-        let node = attach_lrs(
-            &mut world.sim,
-            LrsParams {
-                ip,
-                mode: CookieMode::Plain,
-                cookie_cache: true,
-                concurrency: 4,
-                wait: SimTime::from_millis(50),
-                pace: SimTime::from_millis(2),
-                per_packet_cost: SimTime::ZERO,
-            },
-        );
+        let node = attach_lrs(&mut world.sim, chaos_client(ip));
         world.sim.fault_link_both(
             node,
             world.guard,
@@ -301,34 +271,8 @@ pub fn clean_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     p.zone = ZoneSel::Root;
     p.open_limiters = false;
     let mut world = guarded_world(p);
-
-    let obs = traced_obs();
-    world
-        .sim
-        .node_mut::<RemoteGuard>(world.guard)
-        .unwrap()
-        .attach_obs(&obs);
-    let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
-    world.sim.attach_alert_engine(
-        engine.clone(),
-        obs.registry.clone(),
-        SimTime::from_millis(10),
-    );
-    attach_lrs(
-        &mut world.sim,
-        LrsParams {
-            ip: Ipv4Addr::new(10, 0, 1, 1),
-            mode: CookieMode::Plain,
-            cookie_cache: true,
-            concurrency: 4,
-            wait: SimTime::from_millis(50),
-            pace: SimTime::from_millis(2),
-            per_packet_cost: SimTime::ZERO,
-        },
-    );
-    world.sim.run_until(duration);
-    let silent = engine.lock().is_silent();
-    silent
+    attach_lrs(&mut world.sim, chaos_client(Ipv4Addr::new(10, 0, 1, 1)));
+    stays_silent(&mut world.sim, &[world.guard], AlertConfig::default(), duration)
 }
 
 /// The full experiment: every scheme plus chaos plus the clean baseline.

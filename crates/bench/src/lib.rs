@@ -7,7 +7,10 @@
 //! names it runs the paper's own evaluation. Each experiment is a module
 //! that owns its worlds, the documents it exports and its acceptance bars:
 //!
-//! * [`worlds`] — the guard + ANS + LRS + attacker topologies;
+//! * [`worlds`] — the one testbed: the guard + ANS + LRS + attacker
+//!   topologies (single guard, primary–standby pair, two-site fleet), the
+//!   client shapes, and how a world is observed, alerted on, stepped and
+//!   held to a silent baseline;
 //! * [`experiments`] — one measuring function per paper artefact (Table
 //!   I–III, Figures 5–7), each returning the rows/series the paper reports;
 //! * [`paper`] — `table1` … `fig7`: those rows rendered beside the paper's;
@@ -38,9 +41,6 @@
 //! * [`report`] — plain-text table rendering and JSON list joining.
 //!
 //! [`FleetAggregator`]: obs::fleet::FleetAggregator
-//!
-//! Criterion micro-benchmarks (cookie computation, wire codec, rate
-//! limiters): `cargo bench -p bench`.
 
 #![forbid(unsafe_code)]
 

@@ -12,14 +12,14 @@
 //!   per line in sim-time order.
 
 use crate::registry::{untraced_kinds, Export, Format, Outcome};
-use crate::worlds::{attach_lrs, guarded_world, LrsParams, WorldParams, ZoneSel, PUB};
+use crate::worlds::{
+    attach_lrs, guarded_world, observe, run_stepped, LrsParams, Scope, WorldParams, ZoneSel, PUB,
+};
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::guard::RemoteGuard;
 use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
 use obs::export::{events_jsonl, metrics_json, Sampler};
-use obs::trace::Level;
-use obs::Obs;
 use server::nodes::AuthNode;
 use server::simclient::CookieMode;
 use std::collections::BTreeMap;
@@ -102,29 +102,14 @@ pub fn run_scenario(seed: u64, duration: SimTime) -> ObsRun {
         c.tcp_redirect_sources.push(tcp_client);
     }
 
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    world.sim.attach_obs(&obs);
-    world
-        .sim
-        .node_mut::<RemoteGuard>(world.guard)
-        .unwrap()
-        .attach_obs(&obs);
+    let obs = observe(&mut world.sim, Scope::Untraced, &[world.guard]);
     world
         .sim
         .node_ref::<AuthNode>(world.ans)
         .unwrap()
         .attach_obs(&obs);
 
-    let lrs = |ip, mode| LrsParams {
-        ip,
-        mode,
-        cookie_cache: true,
-        concurrency: 8,
-        wait: SimTime::from_millis(50),
-        pace: SimTime::from_millis(2),
-        per_packet_cost: SimTime::ZERO,
-    };
+    let lrs = |ip, mode| LrsParams::paced(ip, 8, SimTime::from_millis(50), SimTime::from_millis(2)).with_mode(mode);
     attach_lrs(&mut world.sim, lrs(Ipv4Addr::new(10, 0, 1, 1), CookieMode::Plain));
     attach_lrs(&mut world.sim, lrs(Ipv4Addr::new(10, 0, 2, 1), CookieMode::Extension));
     attach_lrs(&mut world.sim, lrs(tcp_client, CookieMode::Plain));
@@ -149,13 +134,7 @@ pub fn run_scenario(seed: u64, duration: SimTime) -> ObsRun {
     // The sampler snapshots the registry's metric set at construction, so
     // it must come after every attach above.
     let mut sampler = Sampler::new(&obs.registry);
-    let cadence = SimTime::from_millis(10);
-    let mut t = SimTime::ZERO;
-    while t < duration {
-        t = (t + cadence).min(duration);
-        world.sim.run_until(t);
-        sampler.sample(t.as_nanos());
-    }
+    run_stepped(&mut world.sim, duration, SimTime::from_millis(10), |sim| sampler.sample(sim.now().as_nanos()));
 
     let (events, dropped) = obs.tracer.drain();
     let mut kind_counts: BTreeMap<&'static str, usize> = BTreeMap::new();

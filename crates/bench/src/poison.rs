@@ -29,6 +29,7 @@
 
 use crate::registry::{traced_kinds, untraced_kinds, Export, Format, Outcome};
 use crate::report::{json_array, json_strings};
+use crate::worlds::{alert_engine, observe, run_evaluated, Scope};
 use attack::poison::{
     craft_evil_tail, miss_name, target_name, DerandConfig, FragPoisonConfig, FragPoisoner,
     KaminskyAttack, KaminskyConfig, PortDerandomizer, PortKnowledge,
@@ -41,7 +42,6 @@ use netsim::engine::{CpuConfig, FragSub, Simulator};
 use netsim::time::SimTime;
 use netsim::NodeId;
 use obs::alert::{AlertConfig, AlertEngine};
-use obs::trace::Level;
 use obs::Obs;
 use server::authoritative::Authority;
 use server::hardening::{PortMode, ResolverHardening};
@@ -271,6 +271,18 @@ fn poison_world(
     (sim, lrs, victim_ns)
 }
 
+/// Observes `sim` and its resolver `lrs` ([`Scope::Untraced`]) under an
+/// alert engine the caller evaluates.
+fn observe_resolver(sim: &mut Simulator, lrs: NodeId) -> (Obs, AlertEngine) {
+    let obs = observe(sim, Scope::Untraced, &[]);
+    sim.node_mut::<RecursiveResolver>(lrs).expect("resolver node").attach_obs(&obs);
+    let engine = alert_engine(&obs, AlertConfig::default());
+    (obs, engine)
+}
+
+/// Alert-evaluation cadence of the table's cells and the clean baseline.
+const EVAL: SimTime = SimTime::from_millis(100);
+
 /// One Kaminsky table cell.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
@@ -306,13 +318,7 @@ fn qname_letters(zone: &Name, race: u32) -> u32 {
 
 fn kaminsky_cell(seed: u64, defense: Defense, rate: f64, params: &PoisonParams) -> CellOutcome {
     let (mut sim, lrs, _) = poison_world(seed, defense.hardening(), params.window);
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    sim.node_mut::<RecursiveResolver>(lrs)
-        .expect("resolver node")
-        .attach_obs(&obs);
-    let mut engine = AlertEngine::new(AlertConfig::default());
-    engine.attach_obs(&obs);
+    let (obs, mut engine) = observe_resolver(&mut sim, lrs);
 
     let arm_delay = SimTime::from_micros(500);
     // One race per period, with slack for the gate's TCP re-queries.
@@ -334,13 +340,10 @@ fn kaminsky_cell(seed: u64, defense: Defense, rate: f64, params: &PoisonParams) 
             ports: defense.attacker_ports(),
         }),
     );
+    // Past the last race to the next whole evaluation step.
     let horizon = period * u64::from(params.races) + params.window * 2;
-    let mut ms = 0u64;
-    while ms * 1_000_000 < horizon.as_nanos() {
-        ms += 100;
-        sim.run_until(SimTime::from_millis(ms));
-        engine.evaluate(sim.now().as_nanos(), &obs.registry.snapshot());
-    }
+    let until = EVAL * horizon.as_nanos().div_ceil(EVAL.as_nanos());
+    run_evaluated(&mut sim, &obs, &mut engine, until, EVAL);
 
     let forged = sim.node_ref::<KaminskyAttack>(atk).expect("attacker node").forged_sent();
     let now = sim.now();
@@ -457,12 +460,10 @@ fn frag_leg(seed: u64) -> FragOutcome {
     let legit: Vec<RData> = (0..BIG_RRSET)
         .map(|i| RData::A(Ipv4Addr::new(192, 0, 2, 100 + i)))
         .collect();
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    let run = |hardening: ResolverHardening| -> (bool, u64, u64, u64, u64) {
+    let mut traced = BTreeSet::new();
+    let mut run = |hardening: ResolverHardening| -> (bool, u64, u64, u64, u64) {
         let (mut sim, lrs, victim_ns) = poison_world(seed, hardening, SimTime::from_millis(4));
-        sim.attach_obs(&obs);
-        sim.node_mut::<RecursiveResolver>(lrs).expect("resolver node").attach_obs(&obs);
+        let (obs, _) = observe_resolver(&mut sim, lrs);
         sim.set_link_mtu(victim_ns, lrs, FRAG_MTU);
         sim.plant_fragment(
             lrs,
@@ -494,6 +495,7 @@ fn frag_leg(seed: u64) -> FragOutcome {
             RrType::A,
             &legit,
         );
+        traced.extend(traced_kinds(&obs));
         (poisoned, faults.fragmented, faults.frag_substituted, stats.frag_rejected, stats.tcp_fallbacks)
     };
     let (undefended_poisoned, fragmented, substituted, _, _) =
@@ -510,7 +512,7 @@ fn frag_leg(seed: u64) -> FragOutcome {
         substituted,
         frag_rejected,
         tcp_fallbacks,
-        traced: traced_kinds(&obs),
+        traced,
     }
 }
 
@@ -518,13 +520,7 @@ fn frag_leg(seed: u64) -> FragOutcome {
 /// attached; returns every rule that fired (must be none).
 fn baseline_leg(seed: u64) -> Vec<&'static str> {
     let (mut sim, lrs, _) = poison_world(seed, ResolverHardening::full(), SimTime::from_millis(4));
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    sim.node_mut::<RecursiveResolver>(lrs)
-        .expect("resolver node")
-        .attach_obs(&obs);
-    let mut engine = AlertEngine::new(AlertConfig::default());
-    engine.attach_obs(&obs);
+    let (obs, mut engine) = observe_resolver(&mut sim, lrs);
     // An ordinary client re-querying popular names — misses, then hits.
     sim.add_node(
         Ipv4Addr::new(10, 0, 0, 1),
@@ -537,12 +533,7 @@ fn baseline_leg(seed: u64) -> Vec<&'static str> {
             trial_period: SimTime::from_millis(40),
         }),
     );
-    let mut ms = 0u64;
-    while ms < 500 {
-        ms += 100;
-        sim.run_until(SimTime::from_millis(ms));
-        engine.evaluate(sim.now().as_nanos(), &obs.registry.snapshot());
-    }
+    run_evaluated(&mut sim, &obs, &mut engine, SimTime::from_millis(500), EVAL);
     engine.fired_rules()
 }
 

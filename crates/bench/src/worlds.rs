@@ -1,12 +1,27 @@
-//! Standard experiment topologies, mirroring the paper's testbed: one
-//! remote DNS guard in front of one ANS, up to three LRS workload clients,
-//! and an attacker.
+//! The one testbed, mirroring the paper's: guards in front of ANS nodes,
+//! LRS workload clients and attackers. Every experiment builds its world,
+//! observes it, alerts on it and steps it through this module:
+//!
+//! * topologies — [`guarded_world`] (one guard, one ANS; the paper's),
+//!   [`ha_world`] (a primary–standby pair) and [`fleet_world`] (two anycast
+//!   sites);
+//! * clients and attackers — [`attach_lrs`] over [`LrsParams`],
+//!   [`paced_clients`], [`attach_flood`], [`attach_cookie_guess_flood`];
+//! * observation — [`observe`] (one [`Obs`] over the simulator and its
+//!   guards), [`alerting`] (the alert engine on the simulator's 10 ms
+//!   tick), [`run_stepped`] / [`run_evaluated`] (a callback after the
+//!   events of every boundary), [`stays_silent`] (the clean-baseline bar);
+//! * readings — [`measure_throughput`], [`completions`],
+//!   [`unverified_at_ans`].
 
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
-use netsim::engine::{CpuConfig, NodeId, Simulator};
+use dnsguard::{AdmissionConfig, FleetConfig, HaConfig};
+use guardhash::cookie::CookieAlg;
+use netsim::engine::{CpuConfig, FaultPlan, NodeId, Simulator};
 use netsim::time::SimTime;
+use obs::alert::{AlertConfig, AlertEngine, SharedAlertEngine};
 use obs::trace::Level;
 use obs::Obs;
 use server::authoritative::Authority;
@@ -66,6 +81,12 @@ pub struct WorldParams {
     pub activation_threshold: f64,
 }
 
+/// The CPU queue bound of a guard or an ANS unless [`WorldParams`] sets
+/// another.
+const CPU: CpuConfig = CpuConfig {
+    max_backlog: SimTime::from_millis(5),
+};
+
 impl WorldParams {
     /// Defaults: root zone, DNS-based scheme, generous CPU queues, ANS
     /// simulator costs, limiters open, detection always on.
@@ -74,21 +95,41 @@ impl WorldParams {
             seed,
             zone: ZoneSel::Root,
             mode: SchemeMode::DnsBased,
-            guard_cpu: CpuConfig {
-                max_backlog: SimTime::from_millis(5),
-            },
+            guard_cpu: CPU,
             ans_costs: ServerCosts::ans_simulator(),
-            ans_cpu: CpuConfig {
-                max_backlog: SimTime::from_millis(5),
-            },
+            ans_cpu: CPU,
             open_limiters: true,
             activation_threshold: 0.0,
         }
     }
 }
 
+/// What every guard starts from: [`PUB`] in front of `ans` with the
+/// `COOKIE2` subnet, otherwise the defaults (the DNS-based scheme).
+fn guard_config(ans: Ipv4Addr) -> GuardConfig {
+    GuardConfig {
+        subnet_base: SUBNET,
+        ..GuardConfig::new(PUB, ans)
+    }
+}
+
+fn add_guard(sim: &mut Simulator, addr: Ipv4Addr, cpu: CpuConfig, config: GuardConfig, zones: &Authority) -> NodeId {
+    sim.add_node(addr, cpu, RemoteGuard::new(config, AuthorityClassifier::new(zones.clone())))
+}
+
+fn add_ans(sim: &mut Simulator, addr: Ipv4Addr, cpu: CpuConfig, zones: Authority, costs: ServerCosts) -> NodeId {
+    sim.add_node(addr, cpu, AuthNode::with_costs(addr, zones, costs))
+}
+
 /// Builds the one-guard-one-ANS topology used by most experiments.
 pub fn guarded_world(p: WorldParams) -> GuardedWorld {
+    guarded_world_with(p, |config| config)
+}
+
+/// [`guarded_world`] whose guard is built from `configure`'s edit of the
+/// configuration `p` describes — for what a guard reads at construction
+/// (limiter budgets, admission control, the checkpoint cadence).
+pub fn guarded_world_with(p: WorldParams, configure: impl FnOnce(GuardConfig) -> GuardConfig) -> GuardedWorld {
     let (root, _, foo_com) = paper_hierarchy();
     let zone = match p.zone {
         ZoneSel::Root => root,
@@ -97,12 +138,9 @@ pub fn guarded_world(p: WorldParams) -> GuardedWorld {
     let authority = Authority::new(vec![zone]);
 
     let mut sim = Simulator::new(p.seed);
-    let mut config = GuardConfig {
-        subnet_base: SUBNET,
-        ..GuardConfig::new(PUB, PRIV)
-    }
-    .with_mode(p.mode)
-    .with_activation_threshold(p.activation_threshold);
+    let mut config = guard_config(PRIV)
+        .with_mode(p.mode)
+        .with_activation_threshold(p.activation_threshold);
     if p.open_limiters {
         config.rl1_global_rate = 1e12;
         config.rl1_per_source_rate = 1e12;
@@ -112,32 +150,138 @@ pub fn guarded_world(p: WorldParams) -> GuardedWorld {
     // Experiments run deep TCP pipelines; reap only truly dead connections.
     config.tcp_conn_lifetime = SimTime::from_secs(10);
 
-    let guard = sim.add_node(
-        PUB,
-        p.guard_cpu,
-        RemoteGuard::new(config, AuthorityClassifier::new(authority.clone())),
-    );
+    let guard = add_guard(&mut sim, PUB, p.guard_cpu, configure(config), &authority);
     sim.add_subnet(SUBNET, 24, guard);
-    let ans = sim.add_node(
-        PRIV,
-        p.ans_cpu,
-        AuthNode::with_costs(PRIV, authority, p.ans_costs),
-    );
+    let ans = add_ans(&mut sim, PRIV, p.ans_cpu, authority, p.ans_costs);
     GuardedWorld { sim, guard, ans }
 }
 
-/// Builds the same topology *without* a guard: the public address routes
-/// straight to the ANS (the paper's "DNS guard completely turned off").
-pub fn unguarded_world(seed: u64, zone: ZoneSel, ans_costs: ServerCosts, ans_cpu: CpuConfig) -> (Simulator, NodeId) {
-    let (root, _, foo_com) = paper_hierarchy();
-    let zone = match zone {
-        ZoneSel::Root => root,
-        ZoneSel::Foo => foo_com,
-    };
-    let authority = Authority::new(vec![zone]);
+/// The primary guard's replication address.
+pub const REPL_PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
+/// The standby guard's replication address.
+pub const REPL_STANDBY: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 3);
+
+/// Handles into a primary–standby world.
+pub struct HaWorld {
+    /// The simulator.
+    pub sim: Simulator,
+    /// The primary guard (owns [`PUB`] and the `COOKIE2` subnet at start).
+    pub primary: NodeId,
+    /// The standby guard (reachable only at [`REPL_STANDBY`] until
+    /// takeover).
+    pub standby: NodeId,
+    /// The ANS node.
+    pub ans: NodeId,
+}
+
+/// Builds the HA topology: primary at the public address, standby fed over
+/// the replication channel, both with admission control, the `foo.com`
+/// zone behind them (terminal answers → fabricated-NS + `COOKIE2` path).
+///
+/// Default rate limiters stay in place so floods genuinely saturate RL1.
+pub fn ha_world(seed: u64) -> HaWorld {
+    let (_, _, foo_com) = paper_hierarchy();
+    let authority = Authority::new(vec![foo_com]);
     let mut sim = Simulator::new(seed);
-    let ans = sim.add_node(PUB, ans_cpu, AuthNode::with_costs(PUB, authority, ans_costs));
-    (sim, ans)
+
+    let base = guard_config(PRIV).with_admission(AdmissionConfig::default());
+    let interval = SimTime::from_millis(20);
+    let primary_cfg = base
+        .clone()
+        .with_ha(HaConfig::primary(REPL_PRIMARY, REPL_STANDBY).with_interval(interval));
+    let standby_cfg =
+        base.with_ha(HaConfig::standby(REPL_STANDBY, REPL_PRIMARY).with_interval(interval));
+
+    let primary = add_guard(&mut sim, PUB, CPU, primary_cfg, &authority);
+    sim.add_subnet(SUBNET, 24, primary);
+    sim.add_address(REPL_PRIMARY, primary);
+    let standby = add_guard(&mut sim, REPL_STANDBY, CPU, standby_cfg, &authority);
+    let ans = add_ans(&mut sim, PRIV, CPU, authority, ServerCosts::ans_simulator());
+    HaWorld {
+        sim,
+        primary,
+        standby,
+        ans,
+    }
+}
+
+/// Site A's (the key master's) replication address.
+pub const SITE_A: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
+/// Site B's (the member's) replication address.
+pub const SITE_B: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 3);
+/// Site A's private ANS.
+pub const ANS_A: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 11);
+/// Site B's private ANS.
+pub const ANS_B: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 12);
+
+/// Handles into a two-site anycast world.
+pub struct FleetWorld {
+    /// The simulator.
+    pub sim: Simulator,
+    /// Site A: owns the route for [`PUB`] and the `COOKIE2` subnet.
+    pub site_a: NodeId,
+    /// Site B: receives only catchment-shifted traffic.
+    pub site_b: NodeId,
+    /// Site A's ANS node.
+    pub ans_a: NodeId,
+    /// Site B's ANS node.
+    pub ans_b: NodeId,
+}
+
+/// Builds the two-site topology. Both guards advertise [`PUB`]; the
+/// simulator's routing table sends it to site A (the "normal" BGP
+/// catchment), and a [`FaultPlan::catchment_shift`] later moves a subset
+/// of sources to site B. Each site forwards to its own ANS.
+///
+/// `shared` selects the cookie regime: one SipHash-2-4 secret distributed
+/// by the fleet channel, or the paper's MD5 with an independent secret per
+/// site.
+pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
+    let (_, _, foo_com) = paper_hierarchy();
+    let authority = Authority::new(vec![foo_com]);
+    let mut sim = Simulator::new(seed);
+
+    let base = |ans: Ipv4Addr| {
+        let mut c = guard_config(ans);
+        // Tight global cookie budget: the re-handshake storm and the flood
+        // compete for it, which is exactly the paper's reflector bound
+        // turning a routing event into a denial of verified service.
+        c.rl1_global_rate = 120.0;
+        c
+    };
+    let interval = SimTime::from_millis(20);
+    let (a_cfg, b_cfg) = if shared {
+        (
+            base(ANS_A)
+                .with_cookie_alg(CookieAlg::SipHash24)
+                .with_fleet(FleetConfig::master(SITE_A, vec![SITE_B]).with_interval(interval)),
+            base(ANS_B)
+                .with_cookie_alg(CookieAlg::SipHash24)
+                .with_fleet(FleetConfig::member(SITE_B, SITE_A).with_interval(interval)),
+        )
+    } else {
+        let mut b = base(ANS_B);
+        b.key_seed = 4242; // Independent vendor secret at each site.
+        (base(ANS_A), b)
+    };
+
+    let site_a = add_guard(&mut sim, PUB, CPU, a_cfg, &authority);
+    sim.add_subnet(SUBNET, 24, site_a);
+    sim.add_address(SITE_A, site_a);
+    let site_b = add_guard(&mut sim, SITE_B, CPU, b_cfg, &authority);
+    let ans_a = add_ans(&mut sim, ANS_A, CPU, authority.clone(), ServerCosts::ans_simulator());
+    let ans_b = add_ans(&mut sim, ANS_B, CPU, authority, ServerCosts::ans_simulator());
+    // Site B forwards from the anycast address, so its ANS replies to
+    // [`PUB`] — which the routing table hands to site A. Pin the return
+    // path: everything ANS-B sends toward site A's catchment belongs at B.
+    sim.fault_link(ans_b, site_a, FaultPlan::new().catchment_shift(1.0, site_b));
+    FleetWorld {
+        sim,
+        site_a,
+        site_b,
+        ans_a,
+        ans_b,
+    }
 }
 
 /// Parameters for an attached workload client.
@@ -159,17 +303,35 @@ pub struct LrsParams {
 }
 
 impl LrsParams {
-    /// A fast closed-loop client (throughput tests).
-    pub fn closed_loop(ip: Ipv4Addr, concurrency: u32) -> Self {
+    /// A cookie-caching plain-DNS client: `slots` logical requests in
+    /// flight, each abandoned after `wait` and followed `pace` later by
+    /// the slot's next.
+    pub fn paced(ip: Ipv4Addr, slots: u32, wait: SimTime, pace: SimTime) -> Self {
         LrsParams {
             ip,
             mode: CookieMode::Plain,
             cookie_cache: true,
-            concurrency,
-            wait: SimTime::from_millis(20),
-            pace: SimTime::ZERO,
+            concurrency: slots,
+            wait,
+            pace,
             per_packet_cost: SimTime::ZERO,
         }
+    }
+
+    /// A fast closed-loop client (throughput tests).
+    pub fn closed_loop(ip: Ipv4Addr, concurrency: u32) -> Self {
+        LrsParams::paced(ip, concurrency, SimTime::from_millis(20), SimTime::ZERO)
+    }
+
+    /// The same client carrying its cookies as `mode` says.
+    pub fn with_mode(self, mode: CookieMode) -> Self {
+        LrsParams { mode, ..self }
+    }
+
+    /// The same client with its cookie cache on or off (off: every request
+    /// repeats the whole exchange).
+    pub fn with_cache(self, cookie_cache: bool) -> Self {
+        LrsParams { cookie_cache, ..self }
     }
 }
 
@@ -234,40 +396,27 @@ pub fn measure_throughput(
     window: SimTime,
 ) -> f64 {
     sim.run_for(warmup);
-    let before: u64 = clients
-        .iter()
-        .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs node").stats.completed)
-        .sum();
+    let before: u64 = completions(sim, clients).iter().sum();
     sim.run_for(window);
-    let after: u64 = clients
-        .iter()
-        .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs node").stats.completed)
-        .sum();
+    let after: u64 = completions(sim, clients).iter().sum();
     (after - before) as f64 / window.as_secs_f64()
 }
 
-/// Attaches `n` cookie-caching clients at `10.0.<i>.1` (the HA and fleet
-/// worlds). Concurrency 1 so a crashed guard, or a site the catchment moved
-/// away from, costs each client at most one consecutive timeout — two would
-/// invalidate the cached cookie and force the fresh handshake a takeover is
-/// supposed to avoid.
-pub fn verified_clients(sim: &mut Simulator, n: u8) -> Vec<NodeId> {
-    (1..=n)
-        .map(|c| {
-            attach_lrs(
-                sim,
-                LrsParams {
-                    ip: Ipv4Addr::new(10, 0, c, 1),
-                    mode: CookieMode::Plain,
-                    cookie_cache: true,
-                    concurrency: 1,
-                    wait: SimTime::from_millis(150),
-                    pace: SimTime::from_millis(5),
-                    per_packet_cost: SimTime::ZERO,
-                },
-            )
-        })
-        .collect()
+/// Attaches `n` [`LrsParams::paced`] clients at `10.0.<i>.1` and returns
+/// their nodes and those addresses.
+pub fn paced_clients(sim: &mut Simulator, n: u8, slots: u32, wait: SimTime, pace: SimTime) -> (Vec<NodeId>, Vec<Ipv4Addr>) {
+    let ips: Vec<Ipv4Addr> = (1..=n).map(|c| Ipv4Addr::new(10, 0, c, 1)).collect();
+    let nodes = ips.iter().map(|&ip| attach_lrs(sim, LrsParams::paced(ip, slots, wait, pace))).collect();
+    (nodes, ips)
+}
+
+/// The [`paced_clients`] of the HA and fleet worlds. Concurrency 1 so a
+/// crashed guard, or a site the catchment moved away from, costs each
+/// client at most one consecutive timeout — two would invalidate the
+/// cached cookie and force the fresh handshake a takeover is supposed to
+/// avoid.
+pub fn verified_clients(sim: &mut Simulator, n: u8) -> (Vec<NodeId>, Vec<Ipv4Addr>) {
+    paced_clients(sim, n, 1, SimTime::from_millis(150), SimTime::from_millis(5))
 }
 
 /// Transactions each client has completed so far.
@@ -278,11 +427,167 @@ pub fn completions(sim: &Simulator, clients: &[NodeId]) -> Vec<u64> {
         .collect()
 }
 
-/// A telemetry bundle for an instrumented world: info-level tracing, with
-/// the tracer's own counters adopted into the registry.
-pub fn traced_obs() -> Obs {
+/// Queries that reached an ANS unverified: whatever the `ans` nodes saw
+/// beyond what the `guards` forwarded, plus what the guards forwarded
+/// plain. The bar is zero.
+pub fn unverified_at_ans(sim: &Simulator, guards: &[NodeId], ans: &[NodeId]) -> u64 {
+    let stats: Vec<_> = guards
+        .iter()
+        .map(|&g| sim.node_ref::<RemoteGuard>(g).expect("guard node").stats())
+        .collect();
+    let seen: u64 = ans
+        .iter()
+        .map(|&a| sim.node_ref::<AuthNode>(a).expect("ANS node").total_queries())
+        .sum();
+    let forwarded: u64 = stats.iter().map(|s| s.forwarded).sum();
+    seen.saturating_sub(forwarded) + stats.iter().map(|s| s.plain_forwarded).sum::<u64>()
+}
+
+/// What an [`observe`]d bundle registers beside the guards. The variants
+/// are the ways the committed exports differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// The tracer's own counters (`trace.*`) and the simulator's fault
+    /// counters and trace: a whole world behind one bundle.
+    World,
+    /// The tracer's counters only: one site of a fleet, or the collector
+    /// that merges the sites' snapshots — the simulator is neither's to
+    /// report.
+    Site,
+    /// The simulator's only: `BENCH_obs.json` lists no `trace.*` metric,
+    /// and an engine that cannot read `trace.ring_dropped` cannot fire
+    /// `trace_drops` on a flood that overruns the ring (`analytics`,
+    /// `poison`).
+    Untraced,
+}
+
+/// One telemetry bundle over a world: tracing at `Info`, what `scope`
+/// names, and each of `guards` attached.
+pub fn observe(sim: &mut Simulator, scope: Scope, guards: &[NodeId]) -> Obs {
     let obs = Obs::new();
     obs.tracer.set_default_level(Level::Info);
-    obs.tracer.adopt_into(&obs.registry);
+    if scope != Scope::Untraced {
+        obs.tracer.adopt_into(&obs.registry);
+    }
+    if scope != Scope::Site {
+        sim.attach_obs(&obs);
+    }
+    for &guard in guards {
+        sim.node_mut::<RemoteGuard>(guard).expect("guard node").attach_obs(&obs);
+    }
     obs
+}
+
+/// An alert engine that reports through `obs` (transitions as `alert`
+/// events, `alert.*` metrics); the caller evaluates it.
+pub fn alert_engine(obs: &Obs, config: AlertConfig) -> AlertEngine {
+    let mut engine = AlertEngine::new(config);
+    engine.attach_obs(obs);
+    engine
+}
+
+/// [`alert_engine`] on the simulator's tick: evaluated over `obs`'s
+/// registry every 10 ms of simulated time, *before* the events of that
+/// instant.
+pub fn alerting(sim: &mut Simulator, obs: &Obs, config: AlertConfig) -> SharedAlertEngine {
+    let engine = obs::alert::shared(alert_engine(obs, config));
+    sim.attach_alert_engine(engine.clone(), obs.registry.clone(), SimTime::from_millis(10));
+    engine
+}
+
+/// Advances the world to `until`, calling `at` *after* the events of every
+/// `every`-th instant from now and of `until` itself, never later.
+pub fn run_stepped(sim: &mut Simulator, until: SimTime, every: SimTime, mut at: impl FnMut(&mut Simulator)) {
+    while sim.now() < until {
+        let next = (sim.now() + every).min(until);
+        sim.run_until(next);
+        at(sim);
+    }
+}
+
+/// [`run_stepped`], evaluating `engine` over `obs`'s registry at each step.
+pub fn run_evaluated(sim: &mut Simulator, obs: &Obs, engine: &mut AlertEngine, until: SimTime, every: SimTime) {
+    run_stepped(sim, until, every, |sim| engine.evaluate(sim.now().as_nanos(), &obs.registry.snapshot()));
+}
+
+/// The clean-baseline bar: observes the world and its `guards`, alerts on
+/// it under `config`, runs it to `duration` and returns whether no rule
+/// ever fired.
+pub fn stays_silent(sim: &mut Simulator, guards: &[NodeId], config: AlertConfig, duration: SimTime) -> bool {
+    let obs = observe(sim, Scope::World, guards);
+    let engine = alerting(sim, &obs, config);
+    sim.run_until(duration);
+    let silent = engine.lock().is_silent();
+    silent
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_observed_alerting_world_registers_every_input_of_a_guard_and_a_simulator() {
+        let mut w = guarded_world(WorldParams::new(1));
+        let obs = observe(&mut w.sim, Scope::World, &[w.guard]);
+        alerting(&mut w.sim, &obs, AlertConfig::default());
+        let registered = obs.registry.snapshot();
+        let missing: Vec<&str> = obs::alert::INPUTS
+            .iter()
+            .filter(|i| !registered.iter().any(|s| i.reads(s.component, s.name, &s.labels)))
+            .map(|i| i.name)
+            .collect();
+        // What is left is a resolver's and an analytics-armed guard's.
+        assert_eq!(
+            missing,
+            [
+                "poison_attempts",
+                "poison_successes",
+                "analytics_distinct",
+                "analytics_distinct",
+                "analytics_entropy_norm_milli",
+                "analytics_top_share_milli",
+            ]
+        );
+        assert!(registered.iter().any(|s| s.component == "alert"), "the engine reports through the bundle");
+
+        // The other scopes leave out exactly what they say.
+        let site = observe(&mut w.sim, Scope::Site, &[w.guard]).registry.snapshot();
+        assert!(site.iter().any(|s| s.component == "trace") && !site.iter().any(|s| s.component == "netsim"));
+        let untraced = observe(&mut w.sim, Scope::Untraced, &[w.guard]).registry.snapshot();
+        assert!(!untraced.iter().any(|s| s.component == "trace") && untraced.iter().any(|s| s.component == "netsim"));
+    }
+
+    #[test]
+    fn run_stepped_calls_back_at_every_boundary_and_a_ragged_end_never_past_it() {
+        let ms = SimTime::from_millis;
+        let mut sim = Simulator::new(1);
+        let mut at = Vec::new();
+        run_stepped(&mut sim, ms(35), ms(10), |sim| at.push(sim.now()));
+        assert_eq!(at, [ms(10), ms(20), ms(30), ms(35)]);
+        // Boundaries count from where the world stands, not from zero.
+        run_stepped(&mut sim, ms(60), ms(10), |sim| at.push(sim.now()));
+        assert_eq!(at[4..], [ms(45), ms(55), ms(60)]);
+        run_stepped(&mut sim, ms(60), ms(10), |_| panic!("nothing is left to run"));
+        assert_eq!(sim.now(), ms(60));
+    }
+
+    #[test]
+    fn paced_is_the_literal_it_replaces() {
+        let ip = Ipv4Addr::new(10, 0, 1, 1);
+        let fields = |p: LrsParams| (p.ip, p.mode, p.cookie_cache, p.concurrency, p.wait, p.pace, p.per_packet_cost);
+        let literal = LrsParams {
+            ip,
+            mode: CookieMode::Plain,
+            cookie_cache: true,
+            concurrency: 4,
+            wait: SimTime::from_millis(50),
+            pace: SimTime::from_millis(2),
+            per_packet_cost: SimTime::ZERO,
+        };
+        assert_eq!(fields(LrsParams::paced(ip, 4, SimTime::from_millis(50), SimTime::from_millis(2))), fields(literal));
+        let closed = fields(LrsParams::closed_loop(ip, 64));
+        assert_eq!(closed, (ip, CookieMode::Plain, true, 64, SimTime::from_millis(20), SimTime::ZERO, SimTime::ZERO));
+        let cold = LrsParams::closed_loop(ip, 64).with_mode(CookieMode::Extension).with_cache(false);
+        assert_eq!(fields(cold), (ip, CookieMode::Extension, false, closed.3, closed.4, closed.5, closed.6));
+    }
 }

@@ -188,19 +188,6 @@ impl GuardConfig {
         self
     }
 
-    /// Selects the degradation behaviour while the ANS is unreachable.
-    pub fn with_health_policy(mut self, policy: AnsHealthPolicy) -> Self {
-        self.health_policy = policy;
-        self
-    }
-
-    /// Bounds the forward table and answer stash to the given byte sizes.
-    pub fn with_table_bounds(mut self, fwd_bytes: usize, stash_bytes: usize) -> Self {
-        self.fwd_bytes_max = fwd_bytes;
-        self.stash_bytes_max = stash_bytes;
-        self
-    }
-
     /// Enables periodic state checkpoints at the given cadence.
     pub fn with_checkpoint_interval(mut self, interval: SimTime) -> Self {
         self.checkpoint_interval = Some(interval);

@@ -223,7 +223,7 @@ impl GuardCore {
     /// components `guard` and `proxy`, and pipeline decisions start
     /// emitting trace events under component `guard`.
     pub fn attach_obs(&mut self, obs: &obs::Obs) {
-        self.metrics.adopt_into(&obs.registry);
+        self.metrics.adopt_into(&obs.registry, &[]);
         self.rl1.adopt_into(&obs.registry, "guard", "rl1");
         self.rl2.adopt_into(&obs.registry, "guard", "rl2");
         self.proxy.adopt_into(&obs.registry);

@@ -21,33 +21,26 @@ use dnswire::message::Message;
 use netsim::packet::Packet;
 use netsim::tcp::{ConnKey, Segment, TcpEvent, TcpHost};
 use netsim::time::SimTime;
-use obs::metrics::{Counter, Registry};
+use obs::metrics::Registry;
 use std::collections::HashMap;
 
-/// Counters for the proxy (a snapshot; see [`TcpProxy::stats`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProxyStats {
-    /// Connections accepted (handshake completed).
-    pub accepted: u64,
-    /// SYNs rejected by the connection-rate limiter.
-    pub syn_rejected: u64,
-    /// DNS requests relayed to the ANS.
-    pub requests_relayed: u64,
-    /// DNS responses returned to clients.
-    pub responses_returned: u64,
-    /// Connections reaped by the lifetime cap.
-    pub reaped: u64,
-}
-
-/// Live proxy counters: detached registry handles, adopted by
-/// [`TcpProxy::adopt_into`].
-#[derive(Debug, Default)]
-struct ProxyMetrics {
-    accepted: Counter,
-    syn_rejected: Counter,
-    requests_relayed: Counter,
-    responses_returned: Counter,
-    reaped: Counter,
+obs::counters! {
+    /// Counters for the proxy (a snapshot; see [`TcpProxy::stats`]).
+    pub struct ProxyStats;
+    /// Live proxy counters: detached registry handles, adopted by
+    /// [`TcpProxy::adopt_into`].
+    struct ProxyMetrics: "proxy" {
+        /// Connections accepted (handshake completed).
+        accepted,
+        /// SYNs rejected by the connection-rate limiter.
+        syn_rejected,
+        /// DNS requests relayed to the ANS.
+        requests_relayed,
+        /// DNS responses returned to clients.
+        responses_returned,
+        /// Connections reaped by the lifetime cap.
+        reaped,
+    }
 }
 
 /// What the proxy wants its host (the guard node) to do.
@@ -110,24 +103,13 @@ impl TcpProxy {
 
     /// A snapshot of the proxy counters.
     pub fn stats(&self) -> ProxyStats {
-        ProxyStats {
-            accepted: self.metrics.accepted.get(),
-            syn_rejected: self.metrics.syn_rejected.get(),
-            requests_relayed: self.metrics.requests_relayed.get(),
-            responses_returned: self.metrics.responses_returned.get(),
-            reaped: self.metrics.reaped.get(),
-        }
+        self.metrics.snapshot()
     }
 
     /// Registers the proxy's counters (and its connection limiter) in
     /// `registry` under component `proxy`.
     pub fn adopt_into(&self, registry: &Registry) {
-        let m = &self.metrics;
-        registry.adopt_counter("proxy", "accepted", &[], &m.accepted);
-        registry.adopt_counter("proxy", "syn_rejected", &[], &m.syn_rejected);
-        registry.adopt_counter("proxy", "requests_relayed", &[], &m.requests_relayed);
-        registry.adopt_counter("proxy", "responses_returned", &[], &m.responses_returned);
-        registry.adopt_counter("proxy", "reaped", &[], &m.reaped);
+        self.metrics.adopt_into(registry, &[]);
         self.conn_limiter.adopt_into(registry, "proxy", "conn");
     }
 

@@ -29,7 +29,6 @@
 
 use crate::packet::{Packet, Proto};
 use crate::time::SimTime;
-use obs::metrics::Counter;
 use obs::trace::{ComponentTracer, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -237,65 +236,39 @@ impl FaultPlan {
     }
 }
 
-/// Counters for every fault the simulator injected, from
-/// [`Simulator::fault_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Packets duplicated (each counts once however many copies resulted).
-    pub duplicated: u64,
-    /// Packet copies delayed by reorder jitter.
-    pub reordered: u64,
-    /// Packet copies with a corrupted payload byte.
-    pub corrupted: u64,
-    /// Packets dropped by a [`FaultPlan::loss`] draw.
-    pub injected_loss: u64,
-    /// Packets re-routed to another node by a catchment shift.
-    pub shifted: u64,
-    /// Packets dropped because an active partition separated the endpoints.
-    pub partition_dropped: u64,
-    /// Events (deliveries, timers, starts) discarded because their target
-    /// node had crashed, or had crashed and restarted since they were
-    /// scheduled.
-    pub crash_dropped: u64,
-    /// UDP datagrams that exceeded a link MTU and were delivered
-    /// network-reassembled (marked [`Packet::fragmented`]).
-    pub fragmented: u64,
-    /// Fragmented datagrams whose tail was replaced by a planted spoofed
-    /// second fragment ([`Simulator::plant_fragment`]).
-    pub frag_substituted: u64,
-}
-
-/// Live fault accounting: detached [`Counter`] handles (adopted into a
-/// registry by [`Simulator::attach_obs`]) plus the trace handle fault
-/// injections are reported through.
-#[derive(Debug)]
-struct FaultMetrics {
-    duplicated: Counter,
-    reordered: Counter,
-    corrupted: Counter,
-    injected_loss: Counter,
-    catchment_shifted: Counter,
-    partition_dropped: Counter,
-    crash_dropped: Counter,
-    fragmented: Counter,
-    frag_substituted: Counter,
-    trace: ComponentTracer,
-}
-
-impl Default for FaultMetrics {
-    fn default() -> Self {
-        FaultMetrics {
-            duplicated: Counter::new(),
-            reordered: Counter::new(),
-            corrupted: Counter::new(),
-            injected_loss: Counter::new(),
-            catchment_shifted: Counter::new(),
-            partition_dropped: Counter::new(),
-            crash_dropped: Counter::new(),
-            fragmented: Counter::new(),
-            frag_substituted: Counter::new(),
-            trace: ComponentTracer::disabled(),
-        }
+obs::counters! {
+    /// Counters for every fault the simulator injected, from
+    /// [`Simulator::fault_stats`].
+    pub struct FaultStats;
+    /// Live fault accounting: detached counter handles (adopted into a
+    /// registry by [`Simulator::attach_obs`]) plus the trace handle fault
+    /// injections are reported through.
+    struct FaultMetrics: "netsim" {
+        /// Packets duplicated (each counts once however many copies resulted).
+        duplicated = "fault_duplicated",
+        /// Packet copies delayed by reorder jitter.
+        reordered = "fault_reordered",
+        /// Packet copies with a corrupted payload byte.
+        corrupted = "fault_corrupted",
+        /// Packets dropped by a [`FaultPlan::loss`] draw.
+        injected_loss = "fault_injected_loss",
+        /// Packets re-routed to another node by a catchment shift.
+        shifted = "catchment_shifted",
+        /// Packets dropped because an active partition separated the endpoints.
+        partition_dropped = "fault_partition_dropped",
+        /// Events (deliveries, timers, starts) discarded because their target
+        /// node had crashed, or had crashed and restarted since they were
+        /// scheduled.
+        crash_dropped = "fault_crash_dropped",
+        /// UDP datagrams that exceeded a link MTU and were delivered
+        /// network-reassembled (marked [`Packet::fragmented`]).
+        fragmented = "fault_fragmented",
+        /// Fragmented datagrams whose tail was replaced by a planted spoofed
+        /// second fragment ([`Simulator::plant_fragment`]).
+        frag_substituted = "fault_frag_substituted",
+    }
+    fields {
+        trace: ComponentTracer,
     }
 }
 
@@ -591,17 +564,7 @@ impl Simulator {
     /// into `obs.registry` under component `netsim`, and fault injections
     /// start emitting trace events (component `netsim`, sim-time stamped).
     pub fn attach_obs(&mut self, obs: &obs::Obs) {
-        let m = &self.fault_metrics;
-        let r = &obs.registry;
-        r.adopt_counter("netsim", "fault_duplicated", &[], &m.duplicated);
-        r.adopt_counter("netsim", "fault_reordered", &[], &m.reordered);
-        r.adopt_counter("netsim", "fault_corrupted", &[], &m.corrupted);
-        r.adopt_counter("netsim", "fault_injected_loss", &[], &m.injected_loss);
-        r.adopt_counter("netsim", "catchment_shifted", &[], &m.catchment_shifted);
-        r.adopt_counter("netsim", "fault_partition_dropped", &[], &m.partition_dropped);
-        r.adopt_counter("netsim", "fault_crash_dropped", &[], &m.crash_dropped);
-        r.adopt_counter("netsim", "fault_fragmented", &[], &m.fragmented);
-        r.adopt_counter("netsim", "fault_frag_substituted", &[], &m.frag_substituted);
+        self.fault_metrics.adopt_into(&obs.registry, &[]);
         self.fault_metrics.trace = obs.tracer.component("netsim");
     }
 
@@ -711,12 +674,6 @@ impl Simulator {
         self.fault_link(b, a, plan);
     }
 
-    /// Removes the fault plans between `a` and `b` in both directions.
-    pub fn clear_fault(&mut self, a: NodeId, b: NodeId) {
-        self.faults.remove(&(a, b));
-        self.faults.remove(&(b, a));
-    }
-
     /// Sets the MTU of the *directed* link `from -> to`. UDP datagrams
     /// whose payload exceeds `mtu` still arrive whole (the simulator
     /// reassembles instantly) but are marked [`Packet::fragmented`] — the
@@ -726,11 +683,6 @@ impl Simulator {
     pub fn set_link_mtu(&mut self, from: NodeId, to: NodeId, mtu: usize) {
         assert!(mtu > 0, "zero MTU");
         self.frag_mtus.insert((from, to), mtu);
-    }
-
-    /// Removes the MTU of the directed link `from -> to`.
-    pub fn clear_link_mtu(&mut self, from: NodeId, to: NodeId) {
-        self.frag_mtus.remove(&(from, to));
     }
 
     /// Plants a spoofed second fragment in `at`'s reassembly buffer. Every
@@ -811,18 +763,7 @@ impl Simulator {
     /// Counters of all injected faults so far (snapshot of the live
     /// registry-backed counters).
     pub fn fault_stats(&self) -> FaultStats {
-        let m = &self.fault_metrics;
-        FaultStats {
-            duplicated: m.duplicated.get(),
-            reordered: m.reordered.get(),
-            corrupted: m.corrupted.get(),
-            injected_loss: m.injected_loss.get(),
-            shifted: m.catchment_shifted.get(),
-            partition_dropped: m.partition_dropped.get(),
-            crash_dropped: m.crash_dropped.get(),
-            fragmented: m.fragmented.get(),
-            frag_substituted: m.frag_substituted.get(),
-        }
+        self.fault_metrics.snapshot()
     }
 
     /// Current simulated time.
@@ -1063,7 +1004,7 @@ impl Simulator {
         // loss/reorder/corruption apply to the link actually traversed.
         if let Some(plan) = self.faults.get(&(from, dst_node)) {
             if let (true, Some(to)) = (plan.shifts_source(pkt.src.ip), plan.shift_to) {
-                self.fault_metrics.catchment_shifted.inc();
+                self.fault_metrics.shifted.inc();
                 self.fault_metrics.trace.event(
                     depart.as_nanos(),
                     "catchment_shift",

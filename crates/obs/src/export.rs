@@ -1,8 +1,8 @@
 //! Telemetry export: JSON snapshots, JSONL event traces, a sim-time-cadence
 //! time-series [`Sampler`], and a dependency-free JSON validator for CI.
 //!
-//! All serialisation is hand-written (the workspace vendors only a marker
-//! `serde`, no `serde_json`), so the formats are deliberately simple:
+//! All serialisation is hand-written (the workspace has no `serde`), so
+//! the formats are deliberately simple:
 //!
 //! * **Metrics snapshot** ([`metrics_json`]) — one JSON object with a
 //!   `metrics` array of `{component, name, labels, kind, ...}` objects.
@@ -64,22 +64,30 @@ fn push_value(v: &Value, out: &mut String) {
     }
 }
 
-fn push_sample(s: &MetricSample, out: &mut String) {
+/// Appends one metric as an object of the `metrics` array — the one
+/// writer under [`metrics_json`] and the fleet's merged snapshot.
+pub(crate) fn push_sample<K: AsRef<str>>(
+    component: &str,
+    name: &str,
+    labels: &[(K, String)],
+    value: &SampleValue,
+    out: &mut String,
+) {
     out.push_str("{\"component\":");
-    escape_json_str(s.component, out);
+    escape_json_str(component, out);
     out.push_str(",\"name\":");
-    escape_json_str(s.name, out);
+    escape_json_str(name, out);
     out.push_str(",\"labels\":{");
-    for (i, (k, v)) in s.labels.iter().enumerate() {
+    for (i, (k, v)) in labels.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        escape_json_str(k, out);
+        escape_json_str(k.as_ref(), out);
         out.push(':');
         escape_json_str(v, out);
     }
     out.push('}');
-    match &s.value {
+    match value {
         SampleValue::Counter(v) => {
             out.push_str(&format!(",\"kind\":\"counter\",\"value\":{v}"));
         }
@@ -115,7 +123,7 @@ pub fn metrics_json(samples: &[MetricSample]) -> String {
         if i > 0 {
             out.push(',');
         }
-        push_sample(s, &mut out);
+        push_sample(s.component, s.name, &s.labels, &s.value, &mut out);
     }
     out.push_str("]}");
     out

@@ -29,13 +29,13 @@
 //!   clamped deltas.
 
 use crate::journey::{JourneyAssembler, JourneyReport};
-use crate::metrics::{flat_key, quantile_from_buckets, Counter, Gauge, MetricSample, SampleValue};
+use crate::metrics::{flat_key, Counter, Gauge, MetricSample, SampleValue};
 use crate::sketch::TrafficSketch;
 use crate::trace::{Event, Value};
 use crate::vocab;
 use crate::Obs;
 use crate::alert::{input, ActiveAlert, AlertState, AlertTransition, Input, Read, Signal, Signals};
-use crate::export::escape_json_str;
+use crate::export::push_sample;
 use std::collections::BTreeMap;
 
 /// What a deployment sets of the fleet rule set; the other thresholds are
@@ -365,44 +365,7 @@ impl FleetAggregator {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("{\"component\":");
-            escape_json_str(&s.component, &mut out);
-            out.push_str(",\"name\":");
-            escape_json_str(&s.name, &mut out);
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in s.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                escape_json_str(k, &mut out);
-                out.push(':');
-                escape_json_str(v, &mut out);
-            }
-            out.push('}');
-            match &s.value {
-                SampleValue::Counter(v) => {
-                    out.push_str(&format!(",\"kind\":\"counter\",\"value\":{v}}}"));
-                }
-                SampleValue::Gauge(v) => {
-                    out.push_str(&format!(",\"kind\":\"gauge\",\"value\":{v}}}"));
-                }
-                SampleValue::Histogram { count, sum, buckets } => {
-                    out.push_str(&format!(
-                        ",\"kind\":\"histogram\",\"count\":{count},\"sum\":{sum},\
-                         \"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-                        quantile_from_buckets(buckets, *count, 0.50),
-                        quantile_from_buckets(buckets, *count, 0.95),
-                        quantile_from_buckets(buckets, *count, 0.99),
-                    ));
-                    for (j, (bound, n)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("[{bound},{n}]"));
-                    }
-                    out.push_str("]}");
-                }
-            }
+            push_sample(&s.component, &s.name, &s.labels, &s.value, &mut out);
         }
         out.push_str("]}");
         out
@@ -540,6 +503,7 @@ fn node_samples(build: impl FnOnce(&crate::metrics::Registry)) -> Vec<FleetSampl
 mod tests {
     use super::*;
     use crate::export::validate_json;
+    use crate::metrics::quantile_from_buckets;
     use crate::trace::{Level, Tracer};
     use std::net::Ipv4Addr;
 
@@ -587,6 +551,20 @@ mod tests {
             other => panic!("expected histogram, got {other:?}"),
         }
         validate_json(&agg.merged_snapshot_json()).unwrap();
+    }
+
+    #[test]
+    fn one_nodes_merged_snapshot_is_its_metrics_json_byte_for_byte() {
+        // Registered in flat-key order, which is the order a merge lists.
+        let reg = crate::metrics::Registry::new();
+        reg.histogram("guard", "ans_rtt_ns", &[]).record(1_500);
+        reg.gauge("guard", "table_bytes", &[]).set(812);
+        reg.counter("guard", "verify", &[("scheme", "ext"), ("verdict", "in\"valid")]).add(7);
+        let samples = reg.snapshot();
+        let mut agg = FleetAggregator::default();
+        let node = agg.register_node("site_a", 0);
+        agg.observe_metric_snapshot(node, 0, &samples);
+        assert_eq!(agg.merged_snapshot_json(), crate::export::metrics_json(&samples));
     }
 
     #[test]

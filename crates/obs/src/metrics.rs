@@ -508,9 +508,124 @@ impl Registry {
     }
 }
 
+/// One row of a component's `METRICS` table: `(component, name, labels)`.
+pub type Declared = (&'static str, &'static str, &'static [(&'static str, &'static str)]);
+
+/// Declares a component's counters once. Each row is a field of the `pub`
+/// snapshot struct callers read and a live [`Counter`] cell of the second
+/// struct; `= "name"` registers the cell under another name than the
+/// field's and `{ key = "value", .. }` under labels. The optional `gauges`,
+/// `histograms` and `fields` blocks add cells the snapshot does not copy
+/// (`fields` are not registered either: a tracer handle, say).
+///
+/// Generated: both structs (the live one `Default`), `snapshot()`,
+/// `adopt_into(&Registry, instance_labels)`, which registers every cell in
+/// declaration order with `instance_labels` appended to its own, and the
+/// snapshot struct's `METRICS`, the table of what that registers.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$stats_meta:meta])* pub struct $Stats:ident;
+        $(#[$cells_meta:meta])* $vis:vis struct $Cells:ident: $component:literal {
+            $($(#[$doc:meta])* $field:ident $(= $name:literal)? $({ $($key:ident = $value:literal),+ })?,)*
+        }
+        $(gauges { $($(#[$gauge_doc:meta])* $gauge:ident,)* })?
+        $(histograms { $($(#[$histogram_doc:meta])* $histogram:ident,)* })?
+        $(fields { $($(#[$other_doc:meta])* $other:ident: $Other:ty,)* })?
+    ) => {
+        $(#[$stats_meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $Stats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl $Stats {
+            /// Every metric the component registers, in registration order.
+            pub const METRICS: &'static [$crate::metrics::Declared] = &[
+                $((
+                    $component,
+                    // The declared name if there is one, the field's otherwise.
+                    { let names: &[&str] = &[stringify!($field) $(, $name)?]; names[names.len() - 1] },
+                    &[$($((stringify!($key), $value)),+)?],
+                ),)*
+                $($(($component, stringify!($gauge), &[]),)*)?
+                $($(($component, stringify!($histogram), &[]),)*)?
+            ];
+        }
+
+        $(#[$cells_meta])*
+        #[derive(Debug, Default)]
+        $vis struct $Cells {
+            $($vis $field: $crate::metrics::Counter,)*
+            $($($(#[$gauge_doc])* $vis $gauge: $crate::metrics::Gauge,)*)?
+            $($($(#[$histogram_doc])* $vis $histogram: $crate::metrics::Histogram,)*)?
+            $($($(#[$other_doc])* $vis $other: $Other,)*)?
+        }
+
+        impl $Cells {
+            $vis fn snapshot(&self) -> $Stats {
+                $Stats { $($field: self.$field.get(),)* }
+            }
+
+            $vis fn adopt_into(&self, registry: &$crate::metrics::Registry, instance: $crate::metrics::LabelPairs<'_>) {
+                let mut rows = $Stats::METRICS.iter();
+                let mut row = || {
+                    let &(component, name, labels) = rows.next().expect("one METRICS row per cell");
+                    (component, name, [labels, instance].concat())
+                };
+                $(let (c, n, l) = row(); registry.adopt_counter(c, n, &l, &self.$field);)*
+                $($(let (c, n, l) = row(); registry.adopt_gauge(c, n, &l, &self.$gauge);)*)?
+                $($(let (c, n, l) = row(); registry.adopt_histogram(c, n, &l, &self.$histogram);)*)?
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    counters! {
+        /// What the test component counted.
+        pub struct ProbeStats;
+        struct ProbeCells: "probe" {
+            /// Registered under the field's name.
+            plain,
+            renamed = "other_name",
+            labelled = "verdicts" { scheme = "ext", verdict = "invalid" },
+        }
+        gauges { level, }
+    }
+
+    #[test]
+    fn counters_macro_snapshots_adopts_and_lists_what_it_declared() {
+        let cells = ProbeCells::default();
+        cells.plain.inc();
+        cells.labelled.add(3);
+        cells.level.set(9);
+        assert_eq!(cells.snapshot(), ProbeStats { plain: 1, renamed: 0, labelled: 3 });
+
+        let reg = Registry::new();
+        cells.adopt_into(&reg, &[("node", "a")]);
+        cells.renamed.inc();
+        let got: Vec<(String, SampleValue)> = reg.snapshot().into_iter().map(|s| (s.key(), s.value)).collect();
+        assert_eq!(
+            got,
+            [
+                ("probe.plain{node=a}".to_string(), SampleValue::Counter(1)),
+                ("probe.other_name{node=a}".to_string(), SampleValue::Counter(1)),
+                ("probe.verdicts{scheme=ext,verdict=invalid,node=a}".to_string(), SampleValue::Counter(3)),
+                ("probe.level{node=a}".to_string(), SampleValue::Gauge(9)),
+            ]
+        );
+        let declared: &[Declared] = &[
+            ("probe", "plain", &[]),
+            ("probe", "other_name", &[]),
+            ("probe", "verdicts", &[("scheme", "ext"), ("verdict", "invalid")]),
+            ("probe", "level", &[]),
+        ];
+        assert_eq!(ProbeStats::METRICS, declared);
+    }
 
     #[test]
     fn counter_and_gauge_roundtrip() {

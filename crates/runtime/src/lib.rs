@@ -17,9 +17,10 @@
 //!   metrics snapshots, recent trace events, atomic trace drains and
 //!   active alerts on demand, with periodic alert-rule evaluation;
 //! * [`fleet_collector`] — the fleet side of that wire: polls every
-//!   node's endpoint, hand-parses the replies back into samples and
-//!   events, and feeds an [`obs::fleet::FleetAggregator`] for merged
-//!   snapshots, cross-node journey stitching and fleet alerting.
+//!   node's endpoint, reads the replies back into samples and events
+//!   (`obs::export::parse_*`), and feeds an
+//!   [`obs::fleet::FleetAggregator`] for merged snapshots, cross-node
+//!   journey stitching and fleet alerting.
 //!
 //! The packet-level performance evaluation lives in [`netsim`]-based
 //! experiments (`bench` crate); this crate runs the same protocol logic

@@ -191,12 +191,6 @@ impl Cache {
         nx
     }
 
-    /// Removes everything.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.negative.clear();
-    }
-
     /// Number of live (possibly expired-but-unswept) entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -16,7 +16,6 @@
 //!   cost models, answering UDP and TCP queries through the wire entry point;
 //! * [`simclient`] — the paper's closed-loop "LRS simulator" workload
 //!   generator (scheme-aware through standard DNS behaviour only);
-//! * [`openloop`] — constant-rate clients with BIND's congestion backoff;
 //! * [`tcpclient`] — a one-query-per-connection DNS-over-TCP driver.
 
 #![forbid(unsafe_code)]
@@ -25,7 +24,6 @@ pub mod authoritative;
 pub mod cache;
 pub mod hardening;
 pub mod nodes;
-pub mod openloop;
 pub mod recursive;
 pub mod simclient;
 pub mod tcpclient;
@@ -36,7 +34,6 @@ pub use authoritative::{AnswerKind, Authority};
 pub use cache::Cache;
 pub use hardening::{KeyedSeq, PortMode, ResolverHardening};
 pub use nodes::{AuthNode, ServerCosts};
-pub use openloop::{OpenLoopClient, OpenLoopConfig};
 pub use recursive::{InFlight, RecursiveResolver, ResolverConfig};
 pub use simclient::{CookieMode, LrsSimConfig, LrsSimulator};
 pub use zone::{Zone, ZoneBuilder};

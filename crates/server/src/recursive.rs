@@ -67,12 +67,6 @@ impl ResolverConfig {
         }
     }
 
-    /// Switches to BIND's 2-second retry timer (used by Figure 5).
-    pub fn with_bind_timer(mut self) -> Self {
-        self.timeout = SimTime::from_secs(2);
-        self
-    }
-
     /// Sets the unilateral anti-poisoning defenses.
     pub fn with_hardening(mut self, hardening: ResolverHardening) -> Self {
         self.hardening = hardening;
@@ -80,92 +74,41 @@ impl ResolverConfig {
     }
 }
 
-/// Observable resolver counters — a snapshot of the live registry-backed
-/// counters, from [`RecursiveResolver::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResolverStats {
-    /// Recursive queries accepted from clients.
-    pub client_queries: u64,
-    /// Responses returned to clients (any rcode).
-    pub responses_sent: u64,
-    /// Client queries refused by the ACL.
-    pub refused: u64,
-    /// Iterative queries sent upstream (UDP).
-    pub upstream_sent: u64,
-    /// Upstream timeouts (each triggers a retry or failure).
-    pub timeouts: u64,
-    /// Queries retried over TCP after a TC response.
-    pub tcp_fallbacks: u64,
-    /// Jobs that exhausted retries and answered SERVFAIL.
-    pub servfails: u64,
-    /// Response-shaped datagrams aimed at an in-flight query's 4-tuple
-    /// that failed acceptance — the footprint of a guessing race.
-    pub poison_attempts: u64,
-    /// In-flight queries abandoned by the anomaly gate (re-queried TCP).
-    pub gate_trips: u64,
-    /// Records refused by strict bailiwick filtering.
-    pub bailiwick_dropped: u64,
-    /// Fragmented responses discarded (re-queried over TCP).
-    pub frag_rejected: u64,
-    /// Ground-truth poisonings detected by [`RecursiveResolver::poison_check`].
-    pub poison_successes: u64,
-}
-
-/// Live resolver counters: detached registry handles, adopted by
-/// [`RecursiveResolver::attach_obs`].
-#[derive(Debug)]
-struct ResolverMetrics {
-    client_queries: obs::metrics::Counter,
-    responses_sent: obs::metrics::Counter,
-    refused: obs::metrics::Counter,
-    upstream_sent: obs::metrics::Counter,
-    timeouts: obs::metrics::Counter,
-    tcp_fallbacks: obs::metrics::Counter,
-    servfails: obs::metrics::Counter,
-    poison_attempts: obs::metrics::Counter,
-    gate_trips: obs::metrics::Counter,
-    bailiwick_dropped: obs::metrics::Counter,
-    frag_rejected: obs::metrics::Counter,
-    poison_successes: obs::metrics::Counter,
-    trace: obs::trace::ComponentTracer,
-}
-
-impl Default for ResolverMetrics {
-    fn default() -> Self {
-        ResolverMetrics {
-            client_queries: obs::metrics::Counter::new(),
-            responses_sent: obs::metrics::Counter::new(),
-            refused: obs::metrics::Counter::new(),
-            upstream_sent: obs::metrics::Counter::new(),
-            timeouts: obs::metrics::Counter::new(),
-            tcp_fallbacks: obs::metrics::Counter::new(),
-            servfails: obs::metrics::Counter::new(),
-            poison_attempts: obs::metrics::Counter::new(),
-            gate_trips: obs::metrics::Counter::new(),
-            bailiwick_dropped: obs::metrics::Counter::new(),
-            frag_rejected: obs::metrics::Counter::new(),
-            poison_successes: obs::metrics::Counter::new(),
-            trace: obs::trace::ComponentTracer::disabled(),
-        }
+obs::counters! {
+    /// Observable resolver counters — a snapshot of the live registry-backed
+    /// counters, from [`RecursiveResolver::stats`].
+    pub struct ResolverStats;
+    /// Live resolver counters: detached registry handles, adopted by
+    /// [`RecursiveResolver::attach_obs`].
+    struct ResolverMetrics: "resolver" {
+        /// Recursive queries accepted from clients.
+        client_queries,
+        /// Responses returned to clients (any rcode).
+        responses_sent,
+        /// Client queries refused by the ACL.
+        refused,
+        /// Iterative queries sent upstream (UDP).
+        upstream_sent,
+        /// Upstream timeouts (each triggers a retry or failure).
+        timeouts,
+        /// Queries retried over TCP after a TC response.
+        tcp_fallbacks,
+        /// Jobs that exhausted retries and answered SERVFAIL.
+        servfails,
+        /// Response-shaped datagrams aimed at an in-flight query's 4-tuple
+        /// that failed acceptance — the footprint of a guessing race.
+        poison_attempts,
+        /// In-flight queries abandoned by the anomaly gate (re-queried TCP).
+        gate_trips,
+        /// Records refused by strict bailiwick filtering.
+        bailiwick_dropped,
+        /// Fragmented responses discarded (re-queried over TCP).
+        frag_rejected,
+        /// Ground-truth poisonings detected by [`RecursiveResolver::poison_check`].
+        poison_successes,
     }
-}
-
-impl ResolverMetrics {
-    fn snapshot(&self) -> ResolverStats {
-        ResolverStats {
-            client_queries: self.client_queries.get(),
-            responses_sent: self.responses_sent.get(),
-            refused: self.refused.get(),
-            upstream_sent: self.upstream_sent.get(),
-            timeouts: self.timeouts.get(),
-            tcp_fallbacks: self.tcp_fallbacks.get(),
-            servfails: self.servfails.get(),
-            poison_attempts: self.poison_attempts.get(),
-            gate_trips: self.gate_trips.get(),
-            bailiwick_dropped: self.bailiwick_dropped.get(),
-            frag_rejected: self.frag_rejected.get(),
-            poison_successes: self.poison_successes.get(),
-        }
+    fields {
+        trace: obs::trace::ComponentTracer,
     }
 }
 
@@ -301,32 +244,13 @@ impl RecursiveResolver {
     /// component.
     pub fn attach_obs(&mut self, obs: &obs::Obs) {
         let node = self.config.addr.to_string();
-        let labels: &[(&'static str, &str)] = &[("node", node.as_str())];
-        let m = &self.metrics;
-        let r = &obs.registry;
-        r.adopt_counter("resolver", "client_queries", labels, &m.client_queries);
-        r.adopt_counter("resolver", "responses_sent", labels, &m.responses_sent);
-        r.adopt_counter("resolver", "refused", labels, &m.refused);
-        r.adopt_counter("resolver", "upstream_sent", labels, &m.upstream_sent);
-        r.adopt_counter("resolver", "timeouts", labels, &m.timeouts);
-        r.adopt_counter("resolver", "tcp_fallbacks", labels, &m.tcp_fallbacks);
-        r.adopt_counter("resolver", "servfails", labels, &m.servfails);
-        r.adopt_counter("resolver", "poison_attempts", labels, &m.poison_attempts);
-        r.adopt_counter("resolver", "gate_trips", labels, &m.gate_trips);
-        r.adopt_counter("resolver", "bailiwick_dropped", labels, &m.bailiwick_dropped);
-        r.adopt_counter("resolver", "frag_rejected", labels, &m.frag_rejected);
-        r.adopt_counter("resolver", "poison_successes", labels, &m.poison_successes);
+        self.metrics.adopt_into(&obs.registry, &[("node", node.as_str())]);
         self.metrics.trace = obs.tracer.component("resolver");
     }
 
     /// Read access to the cache (tests & experiments).
     pub fn cache(&self) -> &Cache {
         &self.cache
-    }
-
-    /// Drops all cached data.
-    pub fn flush_cache(&mut self) {
-        self.cache.clear();
     }
 
     /// Snapshot of every in-flight UDP iterative query — the omniscient

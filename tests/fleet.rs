@@ -8,51 +8,18 @@
 //! reaches either authoritative server.
 
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
-use bench::fleet::{fleet_world, FleetWorld};
-use bench::worlds::{attach_lrs, LrsParams, PUB};
+use bench::worlds::{completions, fleet_world, unverified_at_ans, verified_clients, FleetWorld, PUB};
 use dnsguard::guard::RemoteGuard;
-use netsim::engine::{CpuConfig, FaultPlan, NodeId, Simulator};
+use netsim::engine::{CpuConfig, FaultPlan};
 use netsim::time::SimTime;
-use server::nodes::AuthNode;
-use server::simclient::{CookieMode, LrsSimulator};
 use std::net::Ipv4Addr;
 
 const CLIENTS: u8 = 30;
 const SHIFT_FRACTION: f64 = 0.55;
 
-fn chaos_clients(sim: &mut Simulator, n: u8) -> Vec<NodeId> {
-    (1..=n)
-        .map(|c| {
-            attach_lrs(
-                sim,
-                LrsParams {
-                    ip: Ipv4Addr::new(10, 0, c, 1),
-                    mode: CookieMode::Plain,
-                    cookie_cache: true,
-                    concurrency: 1,
-                    wait: SimTime::from_millis(150),
-                    pace: SimTime::from_millis(5),
-                    per_packet_cost: SimTime::ZERO,
-                },
-            )
-        })
-        .collect()
-}
-
-fn completions(sim: &Simulator, clients: &[NodeId]) -> Vec<u64> {
-    clients
-        .iter()
-        .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs node").stats.completed)
-        .collect()
-}
-
 /// Queries that reached either ANS without passing verification.
 fn spoofed_to_ans(w: &FleetWorld) -> u64 {
-    let a = w.sim.node_ref::<RemoteGuard>(w.site_a).unwrap().stats();
-    let b = w.sim.node_ref::<RemoteGuard>(w.site_b).unwrap().stats();
-    let ans_total = w.sim.node_ref::<AuthNode>(w.ans_a).unwrap().total_queries()
-        + w.sim.node_ref::<AuthNode>(w.ans_b).unwrap().total_queries();
-    ans_total.saturating_sub(a.forwarded + b.forwarded) + a.plain_forwarded + b.plain_forwarded
+    unverified_at_ans(&w.sim, &[w.site_a, w.site_b], &[w.ans_a, w.ans_b])
 }
 
 struct ChaosOutcome {
@@ -70,7 +37,7 @@ struct ChaosOutcome {
 /// once. Optionally rotate the fleet secret while the catchment is split.
 fn run_chaos_shift(seed: u64, rotate_mid_shift: bool) -> ChaosOutcome {
     let mut w = fleet_world(seed, true);
-    let clients = chaos_clients(&mut w.sim, CLIENTS);
+    let clients = verified_clients(&mut w.sim, CLIENTS).0;
 
     // Warm-up: the whole cohort must clear RL1's tight budget and cache
     // cookies before the catchment moves.
@@ -187,7 +154,7 @@ fn rotation_mid_shift_under_chaos_drops_no_verified_client() {
 #[test]
 fn md5_per_site_storms_but_still_contains_the_flood() {
     let mut w = fleet_world(79, false);
-    let clients = chaos_clients(&mut w.sim, CLIENTS);
+    let clients = verified_clients(&mut w.sim, CLIENTS).0;
     w.sim.run_until(SimTime::from_millis(600));
     let plan = FaultPlan::new()
         .catchment_shift(SHIFT_FRACTION, w.site_b)

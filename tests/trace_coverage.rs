@@ -30,7 +30,7 @@ fn drained_kinds(obs: &Obs) -> BTreeSet<&'static str> {
 /// when it claims the guarded address.
 #[test]
 fn failover_emits_peer_down_and_takeover_events() {
-    let mut w = bench::failover::ha_world(41);
+    let mut w = bench::worlds::ha_world(41);
     let obs = Obs::new();
     obs.tracer.set_default_level(Level::Info);
     w.sim
@@ -146,7 +146,7 @@ fn tcp_scheme_emits_proxy_relay_events() {
 /// was live when the routes moved.
 #[test]
 fn fleet_key_sync_emits_fleet_key_rotate_events() {
-    let mut w = bench::fleet::fleet_world(46, true);
+    let mut w = bench::worlds::fleet_world(46, true);
     let obs = Obs::new();
     obs.tracer.set_default_level(Level::Info);
     w.sim
@@ -173,7 +173,7 @@ fn catchment_shift_emits_routing_events() {
     use bench::worlds::{attach_lrs, LrsParams};
     use netsim::engine::FaultPlan;
 
-    let mut w = bench::fleet::fleet_world(47, true);
+    let mut w = bench::worlds::fleet_world(47, true);
     let obs = Obs::new();
     obs.tracer.set_default_level(Level::Info);
     w.sim.attach_obs(&obs);
