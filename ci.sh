@@ -7,8 +7,9 @@
 # sans-IO modules name no simulator engine, no file of `core` outgrows 1 200
 # lines, its state tables name no HashMap, the authoritative servers no owned
 # decode, no crate a cargo feature (the workspace has one build
-# configuration), and no experiment module but `bench::worlds` an alert
-# engine of its own,
+# configuration), no experiment module but `bench::worlds` an alert
+# engine of its own, and netsim's engine no second per-link map and no
+# placeholder node,
 # clippy with warnings promoted to errors, the experiment smoke run (every
 # non-paper entry of the experiment registry: acceptance bars, export
 # validation, and a `cmp` of every export against the committed BENCH_*
@@ -90,6 +91,15 @@ if want lint; then
       exit 1
     fi
   done
+  echo "==> netsim engine: one link table, no placeholder node"
+  # A packet reads delay, fault plan and MTU from one record with one
+  # probe, and a handler borrows its node where it lives; a map keyed by a
+  # node pair brings back a probe per property, a NullNode the swap per
+  # dispatch (the tests may name either).
+  if sed '/#\[cfg(test)\]/,$d' crates/netsim/src/engine.rs | grep -nE 'HashMap<\(NodeId, NodeId\)|NullNode'; then
+    echo "netsim engine: crates/netsim/src/engine.rs names a node-pair HashMap or NullNode outside #[cfg(test)]" >&2
+    exit 1
+  fi
   echo "==> one build configuration: no cargo features"
   # Every setting of a feature is a build that tests and the drift gate
   # would have to cover; what varies (traffic analytics) is armed at run

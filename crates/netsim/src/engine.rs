@@ -26,6 +26,22 @@
 //!   backlog, and a restart re-runs `on_start` so the node can re-register
 //!   its protocol state. Links without plans draw no randomness, so
 //!   fault-free runs are unchanged.
+//!
+//! # Data structures
+//!
+//! The **route table** maps an exact address to its node (subnets are a
+//! short list, scanned on a miss). The **link table** holds one record per
+//! directed link — delay and loss, fault plan, MTU — whichever of
+//! [`Simulator::connect`], [`Simulator::fault_link`] and
+//! [`Simulator::set_link_mtu`] wrote it. Both are keyed by integers the
+//! simulator made and hashed with one multiply. The **event queue** is a
+//! heap of 24-byte `(time, seq, slot)` keys over a slab holding each
+//! event's packet or timer, so a sift moves three words; the slot freed
+//! last is reused first, and the slab stays at the most events ever in
+//! flight. What belongs to one node (its gateway, the fragments planted on
+//! it) is a field of that node. A fault-free routed packet costs two probes
+//! (route, link), one clone, one push and one pop; a catchment shift adds a
+//! probe of the link actually crossed.
 
 use crate::packet::{Packet, Proto};
 use crate::time::SimTime;
@@ -35,6 +51,7 @@ use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 
 /// Identifies a node within one [`Simulator`].
@@ -327,9 +344,18 @@ impl EventKind {
     }
 }
 
-struct Scheduled {
+/// What the heap orders. `seq` is unique, so `slot` never decides.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct EventKey {
     time: SimTime,
     seq: u64,
+    slot: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<EventKey>() <= 24);
+
+/// The rest of a queued event, parked in the slab until its key is popped.
+struct Pending {
     kind: EventKind,
     /// Daemon events do not keep [`Simulator::run`] alive.
     daemon: bool,
@@ -339,21 +365,101 @@ struct Scheduled {
     epoch: u64,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+enum EventSlot {
+    Held(Pending),
+    /// On the free chain; holds the next free slot, or [`NIL`].
+    Free(u32),
+}
+
+const NIL: u32 = u32::MAX;
+
+/// Events in `(time, seq)` order: a heap of keys over a slab of the rest.
+struct EventQueue {
+    heap: BinaryHeap<Reverse<EventKey>>,
+    slab: Vec<EventSlot>,
+    /// Head of the free chain: the slot freed last is reused first.
+    free: u32,
+    seq: u64,
+}
+
+impl EventQueue {
+    fn next_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(key)| key.time)
+    }
+
+    fn push(&mut self, time: SimTime, pending: Pending) {
+        let held = EventSlot::Held(pending);
+        let slot = match self.free {
+            NIL => {
+                self.slab.push(held);
+                self.slab.len() as u32 - 1
+            }
+            slot => {
+                let at = &mut self.slab[slot as usize];
+                let EventSlot::Free(next) = std::mem::replace(at, held) else {
+                    unreachable!("the free chain threads free slots only");
+                };
+                self.free = next;
+                slot
+            }
+        };
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(EventKey { time, seq, slot }));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Pending)> {
+        let Reverse(EventKey { time, slot, .. }) = self.heap.pop()?;
+        let at = &mut self.slab[slot as usize];
+        let EventSlot::Held(pending) = std::mem::replace(at, EventSlot::Free(self.free)) else {
+            unreachable!("a queued key owns a held slot");
+        };
+        self.free = slot;
+        Some((time, pending))
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+/// Hashes the engine's own keys — a route's `u32` address, a link's packed
+/// node pair — with one multiply, folding the product's well-mixed high
+/// half onto the bits a table indexes by. Every key is inserted by the
+/// experiment that builds the world (a simulated sender can only make the
+/// engine look one up), so SipHash's flooding resistance protects nothing.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("engine tables are keyed by u32 and u64");
+    }
+    fn write_u32(&mut self, key: u32) {
+        self.write_u64(u64::from(key));
+    }
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// Everything configured on one directed link. [`Simulator::connect`],
+/// [`Simulator::fault_link`] and [`Simulator::set_link_mtu`] each write
+/// their field; a packet reads all three with one probe. A pair nobody
+/// configured reads as the default: default delay, no faults, no MTU.
+#[derive(Clone, Copy, Default)]
+struct Link {
+    params: Option<LinkParams>,
+    fault: FaultPlan,
+    /// UDP payloads above the MTU arrive network-reassembled
+    /// ([`Packet::fragmented`] set).
+    mtu: Option<usize>,
+}
+
+fn link_key(from: NodeId, to: NodeId) -> u64 {
+    (from as u64) << 32 | to as u64
 }
 
 struct NodeSlot {
@@ -366,6 +472,10 @@ struct NodeSlot {
     epoch: u64,
     /// While crashed a node receives no events at all.
     crashed: bool,
+    /// Egress tap: everything this node sends is handed to the gateway.
+    gateway: Option<NodeId>,
+    /// Spoofed second fragments planted in this node's reassembly buffer.
+    frag_subs: Vec<FragSub>,
 }
 
 /// Deferred actions a handler produced, applied when it returns.
@@ -495,27 +605,20 @@ impl Context<'_> {
 /// ```
 pub struct Simulator {
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: EventQueue,
     nodes: Vec<NodeSlot>,
-    routes: HashMap<Ipv4Addr, NodeId>,
+    /// Exact addresses (as `u32`) to their nodes.
+    routes: IntMap<u32, NodeId>,
     subnets: Vec<(u32, u32, NodeId)>, // (base, mask, node), longest prefix wins
-    links: HashMap<(NodeId, NodeId), LinkParams>,
+    /// Directed links by [`link_key`].
+    links: IntMap<u64, Link>,
     default_delay: SimTime,
     rng: SmallRng,
     unrouted: u64,
-    gateways: HashMap<NodeId, NodeId>,
     /// Non-daemon events currently queued; [`Simulator::run`] stops at 0.
     live_events: usize,
-    /// Directed per-link fault plans; absent entries inject nothing.
-    faults: HashMap<(NodeId, NodeId), FaultPlan>,
-    /// Timed partitions, checked at packet departure time.
+    /// Timed partitions not yet healed, checked at packet departure time.
     partitions: Vec<Partition>,
-    /// Directed per-link MTUs; UDP payloads above the MTU arrive
-    /// network-reassembled ([`Packet::fragmented`] set).
-    frag_mtus: HashMap<(NodeId, NodeId), usize>,
-    /// Spoofed second fragments planted per destination node.
-    frag_subs: HashMap<NodeId, Vec<FragSub>>,
     fault_metrics: FaultMetrics,
     /// Optional alert-engine tick: evaluated on a sim-time cadence from the
     /// run loops, so alerts fire at deterministic simulated instants.
@@ -539,21 +642,21 @@ impl Simulator {
     pub fn new(seed: u64) -> Self {
         Simulator {
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue {
+                heap: BinaryHeap::new(),
+                slab: Vec::new(),
+                free: NIL,
+                seq: 0,
+            },
             nodes: Vec::new(),
-            routes: HashMap::new(),
+            routes: IntMap::default(),
             subnets: Vec::new(),
-            links: HashMap::new(),
+            links: IntMap::default(),
             default_delay: SimTime::from_micros(200), // 0.4 ms RTT LAN default
             rng: SmallRng::seed_from_u64(seed),
             unrouted: 0,
-            gateways: HashMap::new(),
             live_events: 0,
-            faults: HashMap::new(),
             partitions: Vec::new(),
-            frag_mtus: HashMap::new(),
-            frag_subs: HashMap::new(),
             fault_metrics: FaultMetrics::default(),
             alert: None,
             actions: Vec::new(),
@@ -608,7 +711,7 @@ impl Simulator {
     /// (like the paper's local DNS guard) sitting in front of a host.
     pub fn set_gateway(&mut self, node: NodeId, gateway: NodeId) {
         assert_ne!(node, gateway, "a node cannot be its own gateway");
-        self.gateways.insert(node, gateway);
+        self.nodes[node].gateway = Some(gateway);
     }
 
     /// Sets the one-way delay used for node pairs without an explicit link.
@@ -627,31 +730,51 @@ impl Simulator {
             stats: CpuStats::default(),
             epoch: 0,
             crashed: false,
+            gateway: None,
+            frag_subs: Vec::new(),
         });
-        self.routes.insert(addr, id);
+        self.add_address(addr, id);
         self.push(self.now, EventKind::Start(id));
         id
     }
 
     /// Routes an additional exact address to `node`.
     pub fn add_address(&mut self, addr: Ipv4Addr, node: NodeId) {
-        self.routes.insert(addr, node);
+        self.routes.insert(u32::from(addr), node);
     }
 
     /// Routes a whole `base/prefix` subnet to `node` (exact addresses still
-    /// take precedence; among subnets the longest prefix wins).
+    /// take precedence; among subnets the longest prefix wins). A route
+    /// already held for the identical `base/prefix` is replaced, so repeated
+    /// registrations and take-overs ([`Context::claim_subnet`]) cannot grow
+    /// the table.
     pub fn add_subnet(&mut self, base: Ipv4Addr, prefix: u8, node: NodeId) {
         assert!(prefix <= 32, "invalid prefix {prefix}");
         let mask = if prefix == 0 { 0 } else { u32::MAX << (32 - prefix) };
-        self.subnets.push((u32::from(base) & mask, mask, node));
+        let base = u32::from(base) & mask;
+        self.subnets.retain(|&(b, m, _)| (b, m) != (base, mask));
+        self.subnets.push((base, mask, node));
         // Keep longest prefixes first so the first match wins.
-        self.subnets.sort_by_key(|s| std::cmp::Reverse(s.1));
+        self.subnets.sort_by_key(|s| Reverse(s.1));
+    }
+
+    /// The record of the directed link `from -> to`, made on first write.
+    fn link_mut(&mut self, from: NodeId, to: NodeId) -> &mut Link {
+        self.links.entry(link_key(from, to)).or_default()
+    }
+
+    /// What is configured on `from -> to`; the default if nothing is.
+    fn link(&self, from: NodeId, to: NodeId) -> Link {
+        self.links
+            .get(&link_key(from, to))
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Configures the (symmetric) link between two nodes.
     pub fn connect(&mut self, a: NodeId, b: NodeId, params: LinkParams) {
-        self.links.insert((a, b), params);
-        self.links.insert((b, a), params);
+        self.link_mut(a, b).params = Some(params);
+        self.link_mut(b, a).params = Some(params);
     }
 
     /// Convenience: lossless link with the given RTT.
@@ -665,7 +788,7 @@ impl Simulator {
     /// for symmetric ones. Faults apply to routed packets; gateway taps and
     /// [`Context::send_direct`] hops model an internal bus and bypass them.
     pub fn fault_link(&mut self, from: NodeId, to: NodeId, plan: FaultPlan) {
-        self.faults.insert((from, to), plan);
+        self.link_mut(from, to).fault = plan;
     }
 
     /// Installs the same fault plan in both directions between `a` and `b`.
@@ -682,7 +805,7 @@ impl Simulator {
     /// segments under the MTU in real stacks).
     pub fn set_link_mtu(&mut self, from: NodeId, to: NodeId, mtu: usize) {
         assert!(mtu > 0, "zero MTU");
-        self.frag_mtus.insert((from, to), mtu);
+        self.link_mut(from, to).mtu = Some(mtu);
     }
 
     /// Plants a spoofed second fragment in `at`'s reassembly buffer. Every
@@ -692,12 +815,12 @@ impl Simulator {
     /// persists until [`Simulator::clear_fragment_plants`] — modelling an
     /// attacker continuously refreshing the poisoned fragment.
     pub fn plant_fragment(&mut self, at: NodeId, sub: FragSub) {
-        self.frag_subs.entry(at).or_default().push(sub);
+        self.nodes[at].frag_subs.push(sub);
     }
 
     /// Removes every planted fragment at `at`.
     pub fn clear_fragment_plants(&mut self, at: NodeId) {
-        self.frag_subs.remove(&at);
+        self.nodes[at].frag_subs.clear();
     }
 
     /// Cuts all traffic between `a` and `b` (both directions) for packets
@@ -816,10 +939,9 @@ impl Simulator {
     /// armed with [`Context::set_daemon_timer`] do not keep the run alive.
     pub fn run(&mut self) {
         while self.live_events > 0 {
-            let Some(Reverse(head)) = self.queue.peek() else {
+            let Some(t) = self.queue.next_time() else {
                 break;
             };
-            let t = head.time;
             self.eval_alerts_until(t);
             if !self.step() {
                 break;
@@ -829,11 +951,10 @@ impl Simulator {
 
     /// Runs events with `time <= until`, then advances the clock to `until`.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.time > until {
+        while let Some(t) = self.queue.next_time() {
+            if t > until {
                 break;
             }
-            let t = head.time;
             self.eval_alerts_until(t);
             self.step();
         }
@@ -852,36 +973,35 @@ impl Simulator {
     }
 
     fn push_with(&mut self, time: SimTime, kind: EventKind, daemon: bool) {
-        let seq = self.seq;
-        self.seq += 1;
         if !daemon {
             self.live_events += 1;
         }
         let epoch = self.nodes[kind.target()].epoch;
-        self.queue.push(Reverse(Scheduled {
+        self.queue.push(
             time,
-            seq,
-            kind,
-            daemon,
-            epoch,
-        }));
+            Pending {
+                kind,
+                daemon,
+                epoch,
+            },
+        );
     }
 
     fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.queue.pop() else {
+        let Some((time, ev)) = self.queue.pop() else {
             return false;
         };
         if !ev.daemon {
             self.live_events -= 1;
         }
-        debug_assert!(ev.time >= self.now, "event time went backwards");
-        self.now = ev.time;
+        debug_assert!(time >= self.now, "event time went backwards");
+        self.now = time;
         {
             let slot = &self.nodes[ev.kind.target()];
             if slot.crashed || slot.epoch != ev.epoch {
                 self.fault_metrics.crash_dropped.inc();
                 self.fault_metrics.trace.event(
-                    ev.time.as_nanos(),
+                    time.as_nanos(),
                     "crash_dropped",
                     &[("node", Value::U64(ev.kind.target() as u64))],
                 );
@@ -889,18 +1009,18 @@ impl Simulator {
             }
         }
         match ev.kind {
-            EventKind::Start(id) => self.dispatch(id, ev.time, |node, ctx| node.on_start(ctx)),
+            EventKind::Start(id) => self.dispatch(id, time, |node, ctx| node.on_start(ctx)),
             EventKind::Timer(id, tag) => {
-                self.dispatch(id, ev.time, |node, ctx| node.on_timer(ctx, tag))
+                self.dispatch(id, time, |node, ctx| node.on_timer(ctx, tag))
             }
             EventKind::Deliver(id, pkt) => {
                 let slot = &mut self.nodes[id];
-                let backlog = slot.next_free.saturating_sub(ev.time);
+                let backlog = slot.next_free.saturating_sub(time);
                 if backlog > slot.cpu_config.max_backlog {
                     slot.stats.dropped += 1;
                 } else {
                     slot.stats.delivered += 1;
-                    self.dispatch(id, ev.time, |node, ctx| node.on_packet(ctx, pkt));
+                    self.dispatch(id, time, |node, ctx| node.on_packet(ctx, pkt));
                 }
             }
         }
@@ -912,9 +1032,10 @@ impl Simulator {
     where
         F: FnOnce(&mut dyn Node, &mut Context<'_>),
     {
-        let service_start = self.nodes[id].next_free.max(arrival);
-        // Split borrow: take the node out to satisfy the borrow checker.
-        let mut node = std::mem::replace(&mut self.nodes[id].node, Box::new(NullNode));
+        // The node, the RNG and the action buffer are three fields of the
+        // simulator, borrowed side by side for the handler's run.
+        let slot = &mut self.nodes[id];
+        let service_start = slot.next_free.max(arrival);
         let mut ctx = Context {
             now: service_start,
             node: id,
@@ -922,12 +1043,9 @@ impl Simulator {
             charged: SimTime::ZERO,
             actions: &mut self.actions,
         };
-        f(&mut *node, &mut ctx);
+        f(&mut *slot.node, &mut ctx);
         let charged = ctx.charged;
-        self.nodes[id].node = node;
-
         let completion = service_start + charged;
-        let slot = &mut self.nodes[id];
         slot.next_free = completion;
         slot.stats.busy += charged;
 
@@ -939,56 +1057,36 @@ impl Simulator {
         let mut actions = std::mem::take(&mut self.actions);
         for action in actions.drain(..) {
             match action {
-                Action::Send(pkt) => match self.gateways.get(&id) {
-                    Some(&gw) => {
-                        let delay = self
-                            .links
-                            .get(&(id, gw))
-                            .map(|p| p.delay)
-                            .unwrap_or(self.default_delay);
-                        self.push(completion + delay, EventKind::Deliver(gw, pkt));
-                    }
+                Action::Send(pkt) => match self.nodes[id].gateway {
+                    Some(gw) => self.send_hop(id, gw, completion, pkt),
                     None => self.route_packet(id, completion, pkt),
                 },
-                Action::SendDirect(target, pkt) => {
-                    let delay = self
-                        .links
-                        .get(&(id, target))
-                        .map(|p| p.delay)
-                        .unwrap_or(self.default_delay);
-                    self.push(completion + delay, EventKind::Deliver(target, pkt));
-                }
+                Action::SendDirect(target, pkt) => self.send_hop(id, target, completion, pkt),
                 Action::Timer(delay, tag, daemon) => {
                     self.push_with(completion + delay, EventKind::Timer(id, tag), daemon)
                 }
-                Action::ClaimAddress(addr) => {
-                    self.routes.insert(addr, id);
-                }
-                Action::ClaimSubnet(base, prefix) => {
-                    self.rebind_subnet(base, prefix, id);
-                }
+                Action::ClaimAddress(addr) => self.add_address(addr, id),
+                Action::ClaimSubnet(base, prefix) => self.add_subnet(base, prefix, id),
             }
         }
         self.actions = actions;
     }
 
-    /// Points `base/prefix` at `node`, replacing an existing entry for the
-    /// identical base/prefix (used by failover takeover; see
-    /// [`Context::claim_subnet`]).
-    fn rebind_subnet(&mut self, base: Ipv4Addr, prefix: u8, node: NodeId) {
-        assert!(prefix <= 32, "invalid prefix {prefix}");
-        let mask = if prefix == 0 { 0 } else { u32::MAX << (32 - prefix) };
-        let base = u32::from(base) & mask;
-        self.subnets.retain(|&(b, m, _)| !(b == base && m == mask));
-        self.subnets.push((base, mask, node));
-        self.subnets.sort_by_key(|s| std::cmp::Reverse(s.1));
+    /// A hop that bypasses routing and faults (a gateway tap, a
+    /// [`Context::send_direct`]): only the link's delay applies.
+    fn send_hop(&mut self, from: NodeId, to: NodeId, depart: SimTime, pkt: Packet) {
+        let delay = self
+            .link(from, to)
+            .params
+            .map_or(self.default_delay, |p| p.delay);
+        self.push(depart + delay, EventKind::Deliver(to, pkt));
     }
 
     fn lookup(&self, ip: Ipv4Addr) -> Option<NodeId> {
+        let ip = u32::from(ip);
         if let Some(&id) = self.routes.get(&ip) {
             return Some(id);
         }
-        let ip = u32::from(ip);
         self.subnets
             .iter()
             .find(|(base, mask, _)| ip & mask == *base)
@@ -1000,43 +1098,33 @@ impl Simulator {
             self.unrouted += 1;
             return;
         };
+        let mut link = self.link(from, dst_node);
         // Catchment shift: re-route before any other fault is sampled, so
         // loss/reorder/corruption apply to the link actually traversed.
-        if let Some(plan) = self.faults.get(&(from, dst_node)) {
-            if let (true, Some(to)) = (plan.shifts_source(pkt.src.ip), plan.shift_to) {
-                self.fault_metrics.shifted.inc();
-                self.fault_metrics.trace.event(
-                    depart.as_nanos(),
-                    "catchment_shift",
-                    &[
-                        ("from", Value::U64(dst_node as u64)),
-                        ("to", Value::U64(to as u64)),
-                        ("src", Value::Ip(pkt.src.ip)),
-                    ],
-                );
-                dst_node = to;
-            }
+        if let (true, Some(to)) = (link.fault.shifts_source(pkt.src.ip), link.fault.shift_to) {
+            self.fault_metrics.shifted.inc();
+            self.fault_metrics.trace.event(
+                depart.as_nanos(),
+                "catchment_shift",
+                &[
+                    ("from", Value::U64(dst_node as u64)),
+                    ("to", Value::U64(to as u64)),
+                    ("src", Value::Ip(pkt.src.ip)),
+                ],
+            );
+            dst_node = to;
+            link = self.link(from, to);
         }
         if self.is_partitioned(from, dst_node, depart) {
             self.fault_metrics.partition_dropped.inc();
-            self.fault_metrics.trace.event(
-                depart.as_nanos(),
-                "partition_dropped",
-                &[
-                    ("from", Value::U64(from as u64)),
-                    ("to", Value::U64(dst_node as u64)),
-                ],
-            );
+            self.trace_link(depart, "partition_dropped", from, dst_node);
             return;
         }
-        let params = self
-            .links
-            .get(&(from, dst_node))
-            .copied()
-            .unwrap_or(LinkParams {
-                delay: self.default_delay,
-                loss: 0.0,
-            });
+        let Link { params, fault, mtu } = link;
+        let params = params.unwrap_or(LinkParams {
+            delay: self.default_delay,
+            loss: 0.0,
+        });
         if params.loss > 0.0 && self.rng.gen::<f64>() < params.loss {
             return; // lost on the wire
         }
@@ -1047,33 +1135,14 @@ impl Simulator {
         };
         // A link with no fault plan takes no RNG draws here, so fault-free
         // simulations replay identically to pre-fault-injection builds.
-        let fault = self
-            .faults
-            .get(&(from, dst_node))
-            .copied()
-            .unwrap_or_default();
         if fault.loss > 0.0 && self.rng.gen::<f64>() < fault.loss {
             self.fault_metrics.injected_loss.inc();
-            self.fault_metrics.trace.event(
-                depart.as_nanos(),
-                "injected_loss",
-                &[
-                    ("from", Value::U64(from as u64)),
-                    ("to", Value::U64(dst_node as u64)),
-                ],
-            );
+            self.trace_link(depart, "injected_loss", from, dst_node);
             return;
         }
         let copies = if fault.duplicate > 0.0 && self.rng.gen::<f64>() < fault.duplicate {
             self.fault_metrics.duplicated.inc();
-            self.fault_metrics.trace.event(
-                depart.as_nanos(),
-                "duplicated",
-                &[
-                    ("from", Value::U64(from as u64)),
-                    ("to", Value::U64(dst_node as u64)),
-                ],
-            );
+            self.trace_link(depart, "duplicated", from, dst_node);
             2
         } else {
             1
@@ -1092,14 +1161,7 @@ impl Simulator {
                 let mask = self.rng.gen_range(1..=255u8); // non-zero: always changes the byte
                 pkt.payload[idx] ^= mask;
                 self.fault_metrics.corrupted.inc();
-                self.fault_metrics.trace.event(
-                    depart.as_nanos(),
-                    "corrupted",
-                    &[
-                        ("from", Value::U64(from as u64)),
-                        ("to", Value::U64(dst_node as u64)),
-                    ],
-                );
+                self.trace_link(depart, "corrupted", from, dst_node);
             }
             if fault.reorder > 0.0
                 && fault.jitter > SimTime::ZERO
@@ -1107,20 +1169,13 @@ impl Simulator {
             {
                 delay += SimTime::from_nanos(self.rng.gen_range(0..=fault.jitter.as_nanos()));
                 self.fault_metrics.reordered.inc();
-                self.fault_metrics.trace.event(
-                    depart.as_nanos(),
-                    "reordered",
-                    &[
-                        ("from", Value::U64(from as u64)),
-                        ("to", Value::U64(dst_node as u64)),
-                    ],
-                );
+                self.trace_link(depart, "reordered", from, dst_node);
             }
             // Fragmentation: a UDP payload above the link MTU arrives
             // reassembled-and-marked; a planted spoofed tail whose claimed
             // source and offset line up replaces everything past the split.
             if pkt.proto == Proto::Udp {
-                if let Some(&mtu) = self.frag_mtus.get(&(from, dst_node)) {
+                if let Some(mtu) = mtu {
                     if pkt.payload.len() > mtu {
                         pkt.fragmented = true;
                         self.fault_metrics.fragmented.inc();
@@ -1133,14 +1188,10 @@ impl Simulator {
                                 ("bytes", Value::U64(pkt.payload.len() as u64)),
                             ],
                         );
-                        let planted = self
+                        let planted = self.nodes[dst_node]
                             .frag_subs
-                            .get(&dst_node)
-                            .and_then(|subs| {
-                                subs.iter()
-                                    .find(|s| s.src == pkt.src.ip && s.offset == mtu)
-                            })
-                            .cloned();
+                            .iter()
+                            .find(|s| s.src == pkt.src.ip && s.offset == mtu);
                         if let Some(sub) = planted {
                             pkt.payload.truncate(mtu);
                             pkt.payload.extend_from_slice(&sub.payload);
@@ -1162,7 +1213,20 @@ impl Simulator {
         }
     }
 
-    fn is_partitioned(&self, a: NodeId, b: NodeId, t: SimTime) -> bool {
+    /// Traces a fault injected on the directed link `from -> to`.
+    fn trace_link(&self, at: SimTime, kind: &'static str, from: NodeId, to: NodeId) {
+        let ends = [
+            ("from", Value::U64(from as u64)),
+            ("to", Value::U64(to as u64)),
+        ];
+        self.fault_metrics.trace.event(at.as_nanos(), kind, &ends);
+    }
+
+    fn is_partitioned(&mut self, a: NodeId, b: NodeId, t: SimTime) -> bool {
+        // No packet departs before `now`: a window that has closed cuts
+        // nothing more, and is not scanned again.
+        let now = self.now;
+        self.partitions.retain(|p| p.until > now);
         self.partitions.iter().any(|p| {
             t >= p.from
                 && t < p.until
@@ -1171,14 +1235,6 @@ impl Simulator {
                     PartitionScope::Node(n) => n == a || n == b,
                 }
         })
-    }
-}
-
-/// Placeholder swapped in while a node's handler runs.
-struct NullNode;
-impl Node for NullNode {
-    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {
-        unreachable!("null node must never receive events");
     }
 }
 
@@ -1319,6 +1375,102 @@ mod tests {
     }
 
     #[test]
+    fn slab_stays_at_the_most_events_ever_in_flight() {
+        // Two nodes bounce 32 datagrams between them a million times, each
+        // with a housekeeping tick that re-arms forever.
+        struct Bouncer {
+            me: Endpoint,
+            peer: Endpoint,
+            serve: u32,
+            left: u32,
+        }
+        impl Node for Bouncer {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.set_daemon_timer(SimTime::from_millis(1), 0);
+                for _ in 0..self.serve {
+                    ctx.send(Packet::udp(self.me, self.peer, vec![0u8; 30]));
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
+                ctx.set_daemon_timer(SimTime::from_millis(1), 0);
+            }
+            fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+                if self.left > 0 {
+                    self.left -= 1;
+                    ctx.send(Packet::udp(self.me, self.peer, pkt.payload));
+                }
+            }
+        }
+        let mut sim = Simulator::new(20);
+        let bouncer = |me, peer, serve| Bouncer {
+            me: ep(me, 7),
+            peer: ep(peer, 7),
+            serve,
+            left: 500_000 - 16,
+        };
+        let a = sim.add_node(Ipv4Addr::new(10, 0, 0, 1), CpuConfig::unbounded(), bouncer(1, 2, 32));
+        let b = sim.add_node(Ipv4Addr::new(10, 0, 0, 2), CpuConfig::unbounded(), bouncer(2, 1, 0));
+        sim.run(); // returns although both ticks are still queued
+        assert_eq!(sim.cpu_stats(a).delivered + sim.cpu_stats(b).delivered, 1_000_000);
+        assert_eq!(sim.live_events, 0);
+        assert_eq!(sim.queue.heap.len(), 2, "the two daemon ticks");
+        assert!(sim.queue.slab.len() <= 64, "slab grew to {}", sim.queue.slab.len());
+    }
+
+    #[test]
+    fn a_link_reads_back_every_writer_in_any_order_and_either_direction() {
+        let params = LinkParams {
+            delay: SimTime::from_millis(7),
+            loss: 0.5,
+        };
+        let plan = FaultPlan::new().loss(0.25).catchment_shift(0.1, 9);
+        type Write<'a> = &'a dyn Fn(&mut Simulator, NodeId, NodeId);
+        let writers: [Write<'_>; 3] = [
+            &|sim, from, to| sim.connect(from, to, params),
+            &|sim, from, to| sim.fault_link(from, to, plan),
+            &|sim, from, to| sim.set_link_mtu(from, to, 512),
+        ];
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            for (from, to) in [(3, 4), (4, 3)] {
+                let mut sim = Simulator::new(1);
+                for w in order {
+                    writers[w](&mut sim, from, to);
+                }
+                let link = sim.link(from, to);
+                assert_eq!(link.params.map(|p| (p.delay, p.loss)), Some((params.delay, 0.5)));
+                assert_eq!(link.fault, plan);
+                assert_eq!(link.mtu, Some(512));
+                // `connect` is symmetric; plans and MTUs are directed.
+                let back = sim.link(to, from);
+                assert_eq!(back.params.map(|p| p.delay), Some(params.delay));
+                assert_eq!(back.fault, FaultPlan::default());
+                assert_eq!(back.mtu, None);
+                assert_eq!(sim.links.len(), 2);
+            }
+        }
+    }
+
+    #[test]
+    fn unconnected_pair_gets_the_default_delay_as_last_set() {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node(Ipv4Addr::new(10, 0, 0, 1), CpuConfig::default(), sink(SimTime::ZERO));
+        let b = sim.add_node(Ipv4Addr::new(10, 0, 0, 2), CpuConfig::default(), sink(SimTime::ZERO));
+        // A record that no `connect` wrote still has no delay of its own.
+        sim.fault_link(a, b, FaultPlan::new());
+        sim.set_link_mtu(a, b, 1500);
+        let pkt = Packet::udp(ep(1, 4000), ep(2, 53), vec![0u8; 30]);
+        sim.inject(a, pkt.clone());
+        sim.run();
+        let first = sim.node_ref::<Sink>(b).unwrap().last_arrival;
+        assert_eq!(first, SimTime::from_micros(200));
+        sim.set_default_delay(SimTime::from_millis(3));
+        sim.inject(a, pkt);
+        sim.run();
+        let second = sim.node_ref::<Sink>(b).unwrap().last_arrival;
+        assert_eq!(second, first + SimTime::from_millis(3));
+    }
+
+    #[test]
     fn packets_arrive_after_link_delay() {
         let mut sim = Simulator::new(7);
         let b = Blaster {
@@ -1405,6 +1557,11 @@ mod tests {
         assert!(new_got >= 1, "post-claim traffic hit the claimer");
         // A subnet address (COOKIE2-style) also routes to the claimer now.
         assert_eq!(sim.lookup(Ipv4Addr::new(198, 51, 100, 77)), Some(standby));
+        // Registering the same base/prefix again replaces, like a claim: the
+        // later owner is the one found and nothing shadowed is left behind.
+        sim.add_subnet(Ipv4Addr::new(198, 51, 100, 9), 24, old);
+        assert_eq!(sim.lookup(Ipv4Addr::new(198, 51, 100, 77)), Some(old));
+        assert_eq!(sim.subnets.len(), 1);
     }
 
     #[test]
@@ -1732,6 +1889,7 @@ mod tests {
         let received = sim.node_ref::<Sink>(s).unwrap().received;
         assert_eq!(sim.fault_stats().partition_dropped, 30);
         assert_eq!(received, 70);
+        assert!(sim.partitions.is_empty(), "a healed partition is forgotten");
     }
 
     #[test]
