@@ -1,32 +1,22 @@
 #!/usr/bin/env bash
 # The repository's CI gate, runnable locally and from the GitHub Actions
-# workflow (.github/workflows/ci.yml): release build, the full workspace
-# test suite (unit, integration, chaos and property tests), the guardlint
-# static-analysis pass (families L1–L3, L6, L7: repo-specific safety,
-# determinism and concurrency invariants; exemptions live in Lint.toml) with the checks that the guard's
-# sans-IO modules name no simulator engine, no file of `core` outgrows 1 200
-# lines, its state tables name no HashMap, the authoritative servers no owned
-# decode, no crate a cargo feature (the workspace has one build
-# configuration), no experiment module but `bench::worlds` an alert
-# engine of its own, and netsim's engine no second per-link map and no
-# placeholder node,
-# clippy with warnings promoted to errors, the experiment smoke run (every
-# non-paper entry of the experiment registry: acceptance bars, export
-# validation, and a `cmp` of every export against the committed BENCH_*
-# file of the same name), and rustdoc with warnings denied.
+# workflow (.github/workflows/ci.yml). All dependencies are vendored
+# (vendor/*); --offline makes "never touches a registry" a hard guarantee.
 #
-# All dependencies are vendored (vendor/*), so the build never touches a
-# registry; --offline makes that a hard guarantee rather than an accident.
-#
-# Usage: ./ci.sh [stage]
-#   stage ∈ {build, test, lint, guardcheck, clippy, experiments, docs};
-#   no argument runs all.
-#   `tsan` (nightly-only ThreadSanitizer pass) runs only when requested
-#   explicitly and skips gracefully without a nightly toolchain; `perf`
-#   (the benchmark package's own tests, clippy, a smoke run and the
-#   allocation gate on the guard's drop, first-contact and forward paths) is
-#   explicit-only too: it builds the workspace a second time into
-#   perf/target, over a minute from cold.
+# Usage: ./ci.sh [stage]; no argument runs every stage but `perf`.
+#   build        release build of the workspace
+#   test         the workspace's unit, integration, chaos and property tests
+#   lint         guardlint --deny: its rule table (wire-path panics, clocks
+#                and RNGs, the workspace's layering), L1 indexing, L3 and L6;
+#                exemptions live in Lint.toml
+#   guardcheck   the interleaving model checker's harnesses (300 s cap)
+#   clippy       clippy with warnings denied
+#   experiments  every non-paper experiment: bars, export validation, and a
+#                `cmp` of every export against the committed BENCH_* file
+#   docs         rustdoc with warnings denied
+#   perf         explicit only: the benchmark package's tests, clippy, a smoke
+#                run and the allocation gate; builds into perf/target, over a
+#                minute from cold
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -44,79 +34,10 @@ if want test; then
 fi
 
 if want lint; then
-  echo "==> guardlint --deny (L1–L3, L6, L7 workspace invariants)"
+  echo "==> guardlint --deny (rule table, L1 indexing, L3, L6)"
   # Inside GitHub Actions, emit ::error annotations so findings land on
   # the PR diff lines; locally, the plain file:line form.
   cargo run -q --offline -p guardlint -- --deny ${GITHUB_ACTIONS:+--github}
-  echo "==> seam: the guard names no simulator engine outside its simulator driver"
-  # GuardCore is driven by netsim and by real sockets alike. Its modules
-  # (crates/core/src/guard/*.rs) may use netsim's packet, time and cost
-  # types; the event engine belongs to the simulator driver (sim.rs) and to
-  # the simulated-world tests (tests.rs).
-  for f in crates/core/src/guard/*.rs; do
-    case "$f" in */sim.rs | */tests.rs) continue ;; esac
-    if grep -nE 'netsim::(engine|Context|Node|Simulator)' "$f"; then
-      echo "seam: $f names netsim's event engine" >&2
-      exit 1
-    fi
-  done
-  echo "==> core: no source file over 1200 lines before its tests"
-  # The guard was one 2 190-line file once; its stages are modules now, and
-  # a file that grows back past this is a stage that wants splitting.
-  find crates/core/src -name '*.rs' | while read -r f; do
-    lines=$(sed '/#\[cfg(test)\]/,$d' "$f" | wc -l)
-    if [ "$lines" -gt 1200 ]; then
-      echo "core: $f is $lines lines before its #[cfg(test)]" >&2
-      exit 1
-    fi
-  done
-  echo "==> state tables: fixed structures, no HashMap"
-  # The per-source limiter table and the forward table are allocated once
-  # and never rehash or clear; a HashMap there (outside the test modules,
-  # where the unbounded reference and the model live) undoes that.
-  for f in crates/core/src/ratelimit.rs crates/core/src/guard/fwd.rs; do
-    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'HashMap'; then
-      echo "state tables: $f names HashMap outside #[cfg(test)]" >&2
-      exit 1
-    fi
-  done
-  echo "==> ANS wire path: the servers decode no Message"
-  # The simulated and the real-socket ANS answer from a MessageView, over
-  # the query's own buffer (Authority::answer_wire); an owned decode there
-  # (outside the test modules, which decode replies to check them) brings
-  # the per-query Message back.
-  for f in crates/server/src/nodes.rs crates/runtime/src/ans.rs; do
-    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'Message::decode'; then
-      echo "ANS wire path: $f names Message::decode outside #[cfg(test)]" >&2
-      exit 1
-    fi
-  done
-  echo "==> netsim engine: one link table, no placeholder node"
-  # A packet reads delay, fault plan and MTU from one record with one
-  # probe, and a handler borrows its node where it lives; a map keyed by a
-  # node pair brings back a probe per property, a NullNode the swap per
-  # dispatch (the tests may name either).
-  if sed '/#\[cfg(test)\]/,$d' crates/netsim/src/engine.rs | grep -nE 'HashMap<\(NodeId, NodeId\)|NullNode'; then
-    echo "netsim engine: crates/netsim/src/engine.rs names a node-pair HashMap or NullNode outside #[cfg(test)]" >&2
-    exit 1
-  fi
-  echo "==> one build configuration: no cargo features"
-  # Every setting of a feature is a build that tests and the drift gate
-  # would have to cover; what varies (traffic analytics) is armed at run
-  # time instead.
-  if grep -rnE 'cfg!?\(.*feature *=' crates src tests examples ||
-    grep -n '^\[features\]' crates/*/Cargo.toml; then
-    echo "features: a cargo feature is declared or tested above" >&2
-    exit 1
-  fi
-  echo "==> one testbed: experiments wire no alert engine of their own"
-  # An engine is built, attached and ticked in bench::worlds (`alert_engine`,
-  # `alerting`); a second set-up beside it is the near-copy that module
-  # replaced.
-  if grep -nE 'attach_alert_engine\(|AlertEngine::new\(' crates/bench/src/*.rs | grep -v '^crates/bench/src/worlds.rs:'; then
-    echo "testbed: an experiment wires its own alert engine (use bench::worlds)" >&2
-    exit 1
-  fi
 fi
 
 if want guardcheck; then
@@ -131,23 +52,6 @@ if want guardcheck; then
   # `timeout` makes overrun a hard failure, not a hung job).
   RUSTFLAGS="--cfg guardcheck" timeout 300 \
     cargo test -q --offline -p guardcheck --test harnesses -- --nocapture
-fi
-
-if [ "$stage" = tsan ]; then
-  echo "==> ThreadSanitizer (nightly-only, optional)"
-  if rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
-    # Advisory cross-check of the model checker's verdicts on the real
-    # atomics. std stays uninstrumented (no -Zbuild-std offline), so the
-    # ABI-mismatch override is required and tsan cannot see std's internal
-    # synchronization — warnings rooted entirely in library/std frames are
-    # expected false positives. Opt-in, never part of `all`.
-    RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer" \
-      cargo +nightly test -q --offline -p guardcheck --lib ||
-      echo "tsan: reported issues (advisory stage; see output above)"
-  else
-    echo "tsan: no nightly toolchain installed; skipping (the guardcheck"
-    echo "      model checker stage remains the primary concurrency gate)"
-  fi
 fi
 
 if want clippy; then

@@ -4,6 +4,7 @@ use dnswire::cookie_ext;
 use dnswire::message::Message;
 use dnswire::name::Name;
 use dnswire::types::RrType;
+use guardhash::cookie::{NS_COOKIE_BYTES, NS_PREFIX};
 use netsim::engine::{Context, Node};
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
 use netsim::time::SimTime;
@@ -125,7 +126,7 @@ impl SpoofedFlood {
             ),
             AttackPayload::CookieLabelGuess { zone_suffix, parent } => {
                 let guess: u32 = ctx.rng().gen();
-                let label = format!("PR{guess:08x}{zone_suffix}");
+                let label = format!("{NS_PREFIX}{guess:0w$x}{zone_suffix}", w = 2 * NS_COOKIE_BYTES);
                 let name = parent
                     .child(label.as_bytes())
                     .unwrap_or_else(|_| parent.clone());

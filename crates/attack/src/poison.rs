@@ -248,11 +248,6 @@ impl KaminskyAttack {
     pub fn forged_sent(&self) -> u64 {
         self.forger.total_sent
     }
-
-    /// Races launched so far.
-    pub fn races_launched(&self) -> u32 {
-        self.next_race
-    }
 }
 
 impl Node for KaminskyAttack {

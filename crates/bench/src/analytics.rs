@@ -318,8 +318,8 @@ pub fn run_merge(seed: u64) -> MergeOutcome {
 
     let site_totals = (sketch_a.total(), sketch_b.total());
     let mut agg = FleetAggregator::new(FleetAlertConfig::default());
-    let node_a = agg.register_node("site-a", 0);
-    let node_b = agg.register_node("site-b", 0);
+    let node_a = agg.register_node(0);
+    let node_b = agg.register_node(0);
     agg.observe_sketch(node_a, sketch_a);
     agg.observe_sketch(node_b, sketch_b);
     let merged = agg.merged_sketch();

@@ -144,10 +144,10 @@ fn collector(w: &mut FleetWorld) -> Collector {
     let obs = observe(&mut w.sim, Scope::Site, &[]);
     let mut agg = FleetAggregator::new(fleetobs_alert_config());
     agg.attach_obs(&obs);
-    let sites = [(w.site_a, "site-a", 0), (w.site_b, "site-b", SKEW_NANOS)].map(|(guard, name, skew)| Site {
+    let sites = [(w.site_a, 0), (w.site_b, SKEW_NANOS)].map(|(guard, skew)| Site {
         guard,
         obs: observe(&mut w.sim, Scope::Site, &[guard]),
-        node: agg.register_node(name, -skew),
+        node: agg.register_node(-skew),
         skew,
     });
     Collector { agg, obs, sites, challenged: BTreeSet::new() }

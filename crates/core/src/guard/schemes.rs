@@ -12,7 +12,7 @@ use dnswire::record::Record;
 use dnswire::types::{Rcode, RrClass, RrType};
 use dnswire::view::MessageView;
 use dnswire::writer::{Section, Writer};
-use guardhash::cookie::{Cookie, CookieFactory};
+use guardhash::cookie::{Cookie, CookieFactory, NS_COOKIE_BYTES, NS_PREFIX};
 use std::net::Ipv4Addr;
 
 /// A cookie encoding, as the `verify` counters and events name it.
@@ -133,18 +133,22 @@ pub(super) fn cookie_name_reply<'r>(
     reply.finish()
 }
 
-/// Builds the fabricated NS label on the stack: `PR`, 8 hex cookie chars,
-/// then the first label of the target (child zone or query name). Returns
-/// the buffer and the label's length, which can exceed what a label may be.
+/// The hex digits of the cookie in a fabricated NS label.
+const HEX_LEN: usize = 2 * NS_COOKIE_BYTES;
+
+/// Builds the fabricated NS label on the stack: [`NS_PREFIX`], the cookie's
+/// hex digits, then the first label of the target (child zone or query
+/// name). Returns the buffer and the label's length, which can exceed what
+/// a label may be.
 pub(super) fn fabricate_label(
     cookies: &CookieFactory,
     src: Ipv4Addr,
     target_first_label: &[u8],
-) -> ([u8; 10 + MAX_LABEL_LEN], usize) {
+) -> ([u8; NS_PREFIX.len() + HEX_LEN + MAX_LABEL_LEN], usize) {
     let cookie = cookies.generate(src);
-    let mut label = [0u8; 10 + MAX_LABEL_LEN];
+    let mut label = [0u8; NS_PREFIX.len() + HEX_LEN + MAX_LABEL_LEN];
     let mut len = 0;
-    for part in [&b"PR"[..], &cookie.ns_label_hex(), target_first_label] {
+    for part in [NS_PREFIX.as_bytes(), &cookie.ns_label_hex(), target_first_label] {
         if let Some(slot) = label.get_mut(len..len + part.len()) {
             slot.copy_from_slice(part);
             len += part.len();
@@ -157,14 +161,11 @@ pub(super) fn fabricate_label(
 /// The prefix check is case-insensitive because DNS names compare (and
 /// our wire library canonicalises) case-insensitively.
 pub(super) fn parse_cookie_label(label: &[u8]) -> Option<(&str, &[u8])> {
-    let rest = match label.split_first_chunk::<2>() {
-        Some((prefix, rest)) if prefix.eq_ignore_ascii_case(b"PR") => rest,
-        _ => return None,
-    };
-    if rest.len() < 8 {
+    let (prefix, rest) = label.split_at_checked(NS_PREFIX.len())?;
+    if !prefix.eq_ignore_ascii_case(NS_PREFIX.as_bytes()) {
         return None;
     }
-    let (hex, original) = rest.split_at(8);
+    let (hex, original) = rest.split_at_checked(HEX_LEN)?;
     let hex = std::str::from_utf8(hex).ok()?;
     if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;

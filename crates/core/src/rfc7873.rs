@@ -17,7 +17,7 @@
 use dnswire::edns::{self, DnsCookie};
 use dnswire::message::Message;
 use dnswire::types::Rcode;
-use guardhash::cookie::{CookieAlg, SecretKey};
+use guardhash::cookie::{CookieAlg, CookieFactory, SecretKey};
 use guardhash::md5::Md5;
 use guardhash::siphash::siphash24;
 use std::collections::HashMap;
@@ -50,19 +50,12 @@ pub const INTEROP_COOKIE_VERSION: u8 = 1;
 /// ```
 #[derive(Debug)]
 pub struct CookieServer {
-    key: SecretKey,
-    /// The previous key, live while a rotation grace window is open
-    /// (SipHash mode only — the vendor MD5 cookie has no epoch field to
-    /// dispatch on).
-    previous: Option<SecretKey>,
-    /// Current key epoch, carried in interoperable server cookies so a
-    /// verifier knows which secret minted a presented cookie.
-    epoch: u32,
-    /// Seed future rotations derive from.
-    seed: u64,
-    /// Cookie construction: the legacy vendor MD5 layout, or the
+    /// The secrets and their rotation: the current key, the previous one
+    /// while a grace window is open (used in SipHash mode only — the vendor
+    /// MD5 cookie has no epoch field to dispatch on), the generation as the
+    /// epoch, and the construction — the legacy vendor MD5 layout or the
     /// interoperable SipHash-2-4 versioned layout of draft-sury-toorop.
-    alg: CookieAlg,
+    keys: CookieFactory,
     /// When enforcing (e.g. under attack), queries without a valid server
     /// cookie get BADCOOKIE instead of service.
     pub enforcing: bool,
@@ -93,29 +86,26 @@ impl CookieServer {
     /// Creates a server engine keyed from `seed` (vendor MD5 layout).
     pub fn new(seed: u64, enforcing: bool) -> Self {
         CookieServer {
-            key: SecretKey::from_seed(seed),
-            previous: None,
-            epoch: 0,
-            seed,
-            alg: CookieAlg::Md5,
+            keys: CookieFactory::from_seed(seed),
             enforcing,
         }
     }
 
     /// Selects the cookie construction (builder style; default MD5).
     pub fn with_alg(mut self, alg: CookieAlg) -> Self {
-        self.alg = alg;
+        self.keys = self.keys.with_alg(alg);
         self
     }
 
     /// The cookie construction in use.
     pub fn alg(&self) -> CookieAlg {
-        self.alg
+        self.keys.alg()
     }
 
-    /// Current key epoch.
+    /// Current key epoch: the key generation, which interoperable server
+    /// cookies carry so a verifier knows which secret minted them.
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.keys.generation() as u32
     }
 
     /// Rotates the cookie secret. The outgoing key stays live for one
@@ -123,12 +113,7 @@ impl CookieServer {
     /// a verifier holding `epoch` and `epoch − 1` never rejects a cookie
     /// issued just before the rotation.
     pub fn rotate(&mut self) {
-        let next_epoch = self.epoch.wrapping_add(1);
-        let next = SecretKey::from_seed(
-            self.seed ^ u64::from(next_epoch).wrapping_mul(0x2545_F491_4F6C_DD1D),
-        );
-        self.previous = Some(std::mem::replace(&mut self.key, next));
-        self.epoch = next_epoch;
+        self.keys.rotate();
     }
 
     /// Mints the server cookie for `(client_cookie, client_ip)` under the
@@ -142,15 +127,16 @@ impl CookieServer {
     ///   client_ip)` keyed by the leading 16 secret bytes — any server
     ///   holding the same key validates it.
     pub fn server_cookie(&self, client_cookie: [u8; 8], client_ip: Ipv4Addr) -> Vec<u8> {
-        match self.alg {
+        let key = self.keys.current_key();
+        match self.alg() {
             CookieAlg::Md5 => {
                 let mut h = Md5::new();
                 h.update(&client_cookie);
                 h.update(&client_ip.octets());
-                h.update(self.key.as_bytes());
+                h.update(key.as_bytes());
                 h.finalize()[..SERVER_COOKIE_LEN].to_vec()
             }
-            CookieAlg::SipHash24 => sip_server_cookie(&self.key, self.epoch, client_cookie, client_ip),
+            CookieAlg::SipHash24 => sip_server_cookie(key, self.epoch(), client_cookie, client_ip),
         }
     }
 
@@ -166,19 +152,19 @@ impl CookieServer {
         if presented == self.server_cookie(client_cookie, client_ip).as_slice() {
             return true;
         }
-        if self.alg != CookieAlg::SipHash24 {
+        if self.alg() != CookieAlg::SipHash24 {
             return false;
         }
         // Epoch dispatch: only a cookie claiming the previous epoch is
         // checked against the previous key.
-        let Some(prev) = &self.previous else {
+        let Some(prev) = self.keys.previous_key() else {
             return false;
         };
         if presented.len() != SERVER_COOKIE_LEN || presented[0] != INTEROP_COOKIE_VERSION {
             return false;
         }
         let claimed = u32::from_be_bytes([presented[4], presented[5], presented[6], presented[7]]);
-        claimed == self.epoch.wrapping_sub(1)
+        claimed == self.epoch().wrapping_sub(1)
             && presented == sip_server_cookie(prev, claimed, client_cookie, client_ip).as_slice()
     }
 

@@ -51,25 +51,6 @@ pub enum CookieAlg {
     SipHash24,
 }
 
-impl CookieAlg {
-    /// Stable one-byte wire/checkpoint discriminant.
-    pub fn to_wire(self) -> u8 {
-        match self {
-            CookieAlg::Md5 => 0,
-            CookieAlg::SipHash24 => 1,
-        }
-    }
-
-    /// Inverse of [`CookieAlg::to_wire`].
-    pub fn from_wire(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(CookieAlg::Md5),
-            1 => Some(CookieAlg::SipHash24),
-            _ => None,
-        }
-    }
-}
-
 /// A 16-byte spoof-detection cookie.
 ///
 /// # Examples
@@ -153,11 +134,6 @@ impl Cookie {
     /// [`Cookie::ns_label_hex`] as a `String`.
     pub fn ns_label_suffix(&self) -> String {
         self.ns_label_hex().iter().map(|&b| b as char).collect()
-    }
-
-    /// Full fabricated NS label, prefix included: e.g. `PRa1b2c3d4`.
-    pub fn ns_label(&self) -> String {
-        format!("{NS_PREFIX}{}", self.ns_label_suffix())
     }
 
     /// Checks a hex suffix (as extracted from an incoming NS-name label)
@@ -332,18 +308,6 @@ impl CookieFactory {
         self.alg
     }
 
-    /// Creates a factory from an explicit initial key. Rotation keys derive
-    /// from the supplied `rotation_seed`.
-    pub fn with_key(key: SecretKey, rotation_seed: u64) -> Self {
-        CookieFactory {
-            current: key,
-            previous: None,
-            generation: 0,
-            seed: rotation_seed,
-            alg: CookieAlg::Md5,
-        }
-    }
-
     /// Rebuilds a factory from checkpointed parts, preserving the rotation
     /// state exactly: the generation counter keeps the generation-bit
     /// dispatch consistent, and the previous key (when present) keeps
@@ -470,34 +434,6 @@ impl CookieFactory {
     }
 }
 
-/// Extracts the hex cookie suffix from a DNS label if it is a fabricated
-/// cookie label (`PRa1b2c3d4...` → `a1b2c3d4...`).
-///
-/// Returns `None` when the label does not start with [`NS_PREFIX`] or the
-/// remainder is not plain hex of the expected length.
-pub fn parse_ns_label(label: &str) -> Option<&str> {
-    let suffix = label.strip_prefix(NS_PREFIX)?;
-    if suffix.len() != NS_COOKIE_BYTES * 2 {
-        return None;
-    }
-    if !suffix.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    Some(suffix)
-}
-
-/// Convenience: the raw (un-rotated) cookie for `ip` under `key`, as the
-/// paper's formula `c = MD5(source_ip, key)`.
-pub fn raw_cookie(key: &SecretKey, ip: Ipv4Addr) -> Cookie {
-    Cookie::compute(key, ip)
-}
-
-/// Verifies that the 80-byte MD5 input layout matches the paper (76-byte key
-/// plus 4-byte address). Exposed for documentation tests and audits.
-pub fn cookie_input_len() -> usize {
-    KEY_LEN + 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,11 +441,6 @@ mod tests {
 
     fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
         Ipv4Addr::new(a, b, c, d)
-    }
-
-    #[test]
-    fn input_is_80_bytes() {
-        assert_eq!(cookie_input_len(), 80);
     }
 
     #[test]
@@ -533,16 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn ns_label_format() {
-        let key = SecretKey::from_seed(3);
-        let c = Cookie::compute(&key, ip(8, 8, 8, 8));
-        let label = c.ns_label();
-        assert_eq!(label.len(), 10, "paper: COOKIE is encoded in 10 bytes");
-        assert!(label.starts_with("PR"));
-        assert!(label[2..].bytes().all(|b| b.is_ascii_hexdigit()));
-    }
-
-    #[test]
     fn ns_label_hex_is_the_lowercase_hex_of_the_head_and_matches_any_case() {
         for seed in 0..64 {
             let c = Cookie::compute(&SecretKey::from_seed(seed), ip(8, 8, 4, 4));
@@ -552,19 +473,6 @@ mod tests {
             assert!(c.matches_prefix(&hex) && c.matches_prefix(&hex.to_ascii_uppercase()));
             assert!(!c.matches_prefix(&hex[1..]) && !c.matches_prefix(&format!("{hex}0")));
         }
-    }
-
-    #[test]
-    fn parse_ns_label_accepts_valid_rejects_invalid() {
-        let key = SecretKey::from_seed(4);
-        let c = Cookie::compute(&key, ip(9, 9, 9, 9));
-        let label = c.ns_label();
-        assert_eq!(parse_ns_label(&label), Some(c.ns_label_suffix().as_str()));
-        assert_eq!(parse_ns_label("www"), None);
-        assert_eq!(parse_ns_label("PRzzzzzzzz"), None);
-        assert_eq!(parse_ns_label("PRa1b2c3"), None, "too short");
-        assert_eq!(parse_ns_label("PRa1b2c3d4e5"), None, "too long");
-        assert_eq!(parse_ns_label(""), None);
     }
 
     #[test]
@@ -756,14 +664,6 @@ mod tests {
         assert!(y < 254);
         assert!(f.verify_subnet_offset(addr, y, 254));
         assert!(!f.verify_subnet_offset(addr, (y + 1) % 254, 254));
-    }
-
-    #[test]
-    fn cookie_alg_wire_round_trip() {
-        for alg in [CookieAlg::Md5, CookieAlg::SipHash24] {
-            assert_eq!(CookieAlg::from_wire(alg.to_wire()), Some(alg));
-        }
-        assert_eq!(CookieAlg::from_wire(9), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub struct AllowEntry {
     pub path: String,
     /// Specific 1-based line; `None` allows the lint anywhere in `path`.
     pub line: Option<usize>,
-    /// Lint family id (`L1`..`L3`, `L6`, `L7`).
+    /// Check id (`L1`, `L3`, `L6` or a rule-table row's).
     pub lint: String,
     /// Mandatory reason; empty justifications are themselves findings.
     pub justification: String,

@@ -28,7 +28,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Lint family id: `L1`..`L3`, `L6`, `L7`, or `ALLOW` for allowlist meta-errors.
+    /// Check id: a rule-table row's (`L1`, `L2`, `seam`, …), `L1`, `L3`,
+    /// `L6`, or `ALLOW` for allowlist meta-errors.
     pub lint: &'static str,
     /// Severity class.
     pub severity: Severity,

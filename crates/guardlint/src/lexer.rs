@@ -1,6 +1,6 @@
 //! A comment- and string-aware lexer for Rust sources.
 //!
-//! guardlint's lint families are token-level, so they do not need a full
+//! guardlint's checks are token-level, so they do not need a full
 //! parser — but they *do* need to know whether `unwrap()` appears in code,
 //! in a string literal, or in a comment, and whether a line sits inside a
 //! `#[cfg(test)]` module. This module produces a [`Scrubbed`] view of a

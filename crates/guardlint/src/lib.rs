@@ -1,44 +1,39 @@
 #![forbid(unsafe_code)]
 //! guardlint — workspace-native static analysis for the DNS-guard repo.
 //!
-//! The guard's value proposition is surviving adversarial wire input in
-//! front of the ANS, and the chaos/failover suites depend on simulated
-//! time being the only clock. Those invariants were previously enforced
-//! by review convention; guardlint machine-checks them on every run:
+//! The guard's value is surviving adversarial wire input in front of the
+//! ANS, and the chaos/failover suites depend on simulated time being the
+//! only clock. guardlint machine-checks those invariants and the
+//! workspace's layering on every run, in one pass over every `.rs` file of
+//! `crates/`, `src/`, `tests/` and `examples/` and every package manifest:
 //!
-//! * **L1** — no panic on wire input (`unwrap`/`expect`/`panic!`-family /
-//!   slice indexing) in `dnswire` and the guard rx modules;
-//! * **L2** — determinism: no wall clock or ambient RNG in the sim-domain
-//!   crates (`core`, `netsim`, `server`, `attack`, `obs`);
+//! * [`lints::RULES`], one table: per row a path scope, forbidden tokens
+//!   (or a line cap), a message, and whether test items count — L1's
+//!   panics and L2's clocks and RNGs, and the seam, `core` size, state
+//!   table, ANS wire path, netsim engine, cargo feature and testbed rows;
+//! * **L1** — no unjustified slice/array index on wire input;
 //! * **L3** — `Ordering::Relaxed` outside the obs record path requires an
 //!   inline `// lint: relaxed-ok — <why>` justification;
 //! * **L6** — shared-state escape: a variable captured by a spawned
 //!   closure and mutated inside it must go through a `guardcheck::sync`
 //!   atomic/lock (so the model checker covers it) or carry an inline
-//!   `// lint: shared-ok — <why>`;
-//! * **L7** — lock ordering: the hold-while-acquiring graph built from
-//!   every function's `.lock()` sites must be acyclic (AB/BA cycles and
-//!   re-acquiring a held lock are deadlock recipes under the
-//!   non-reentrant facade mutex).
+//!   `// lint: shared-ok — <why>`.
 //!
-//! Findings print as `file:line [lint-id] severity: message`; `Lint.toml`
+//! Findings print as `file:line [id] severity: message`; `Lint.toml`
 //! holds justified exemptions (see [`allowlist`]) — entries that stop
 //! matching become hard errors under `--deny` so the file cannot rot;
 //! `--deny` turns errors into a non-zero exit for CI and `--github`
 //! re-renders findings as Actions annotations. Zero dependencies by
 //! design: the crate carries its own comment/string-aware lexer
-//! ([`lexer`]) and brace matcher ([`scopes`]) instead of a Rust parser,
-//! because every invariant here is token- or scope-shaped. (The ids skip
-//! L4 and L5: the telemetry cross-checks those two made are `obs::vocab`'s
-//! now, asserted where a name is used.) guardlint is the static front line
-//! of the concurrency toolchain; the `guardcheck` crate's interleaving model
-//! checker is the dynamic back line.
+//! ([`lexer`]) instead of a Rust parser, because every invariant here is
+//! token-shaped. guardlint is the static front line of the concurrency
+//! toolchain; the `guardcheck` crate's interleaving model checker is the
+//! dynamic back line.
 
 pub mod allowlist;
 pub mod findings;
 pub mod lexer;
 pub mod lints;
-pub mod scopes;
 
 use findings::{Finding, Severity};
 use lints::SourceFile;
@@ -65,8 +60,9 @@ impl RunResult {
     }
 }
 
-/// Collects `.rs` files under `dir` recursively, sorted for determinism.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Collects `.rs` files and package manifests under `dir` recursively,
+/// sorted for determinism.
+fn collect(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -79,8 +75,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
             continue;
         }
         if path.is_dir() {
-            collect_rs(&path, out)?;
-        } else if name.ends_with(".rs") {
+            collect(&path, out)?;
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             out.push(path);
         }
     }
@@ -103,20 +99,16 @@ fn load(root: &Path, paths: &[PathBuf]) -> io::Result<Vec<SourceFile>> {
     Ok(files)
 }
 
-/// The lint set: every non-vendor workspace source (`crates/*/src`, the
-/// umbrella `src/`).
+/// The lint set: the workspace's crates, the umbrella package's `src/`,
+/// `tests/` and `examples/`, and its manifest.
 fn lint_set_paths(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut members: Vec<PathBuf> =
-            std::fs::read_dir(&crates)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        members.sort();
-        for m in members {
-            collect_rs(&m.join("src"), &mut out)?;
-        }
+    for dir in ["crates", "src", "tests", "examples"] {
+        collect(&root.join(dir), &mut out)?;
     }
-    collect_rs(&root.join("src"), &mut out)?;
+    if root.join("Cargo.toml").is_file() {
+        out.push(root.join("Cargo.toml"));
+    }
     Ok(out)
 }
 
@@ -126,7 +118,7 @@ fn lint_set_paths(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// from advisory warnings to hard errors.
 pub fn run(root: &Path, allowlist_path: &Path, deny: bool) -> io::Result<RunResult> {
     let files = load(root, &lint_set_paths(root)?)?;
-    let mut findings = lints::run_all(&files);
+    let mut findings: Vec<Finding> = files.iter().flat_map(lints::check).collect();
 
     let toml_rel = rel_of(root, allowlist_path);
     if allowlist_path.is_file() {

@@ -1,23 +1,23 @@
-//! The five guardlint families.
+//! What guardlint checks: one rule table and three checks that need more
+//! than a token.
+//!
+//! [`RULES`] is declarative. Each row names a path scope, what is forbidden
+//! there (tokens in code, or a line cap), its message, and whether
+//! `#[cfg(test)]` items count. L1's panic tokens, L2's clocks and RNGs and
+//! the workspace's layering invariants are rows. The other three checks:
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | L1 | no panic on wire input: `unwrap`/`expect`/`panic!`-family macros and slice indexing are forbidden in `dnswire` and the guard rx modules |
-//! | L2 | determinism: wall clocks and ambient RNG are forbidden in the sim-domain crates (`core`, `netsim`, `server`, `attack`, `obs`) |
-//! | L3 | atomic-ordering discipline: `Ordering::Relaxed` outside the obs record path needs a `// lint: relaxed-ok — ...` justification |
-//! | L6 | shared-state escape: a variable captured by a spawned closure and mutated inside it must go through an atomic/lock (`guardcheck::sync`) or carry `// lint: shared-ok — <why>` |
-//! | L7 | lock ordering: the per-function lock-acquisition graph must be acyclic — an A→B hold-while-acquiring edge with a B→A edge elsewhere is a deadlock recipe |
+//! | L1 | no slice/array index on wire input unless justified with `// lint: index-ok — <why>` |
+//! | L3 | `Ordering::Relaxed` outside the obs record path needs `// lint: relaxed-ok — <why>` |
+//! | L6 | a variable captured by a spawned closure and mutated inside it goes through a `guardcheck::sync` atomic or lock, or carries `// lint: shared-ok — <why>` |
 //!
-//! L1–L3 are per-line token lints over scrubbed code (see [`crate::lexer`]);
-//! L6/L7 are brace-aware structural lints (see [`crate::scopes`]) feeding
-//! the guardcheck model checker's static front line. (L4 and L5, the two
-//! cross-file telemetry families, are retired: telemetry names are declared
-//! once in `obs::vocab` and checked where they are used, at run time.)
+//! The ids of retired checks are never reused (DESIGN.md, "Static analysis",
+//! lists them).
 
 use crate::findings::{Finding, Severity};
 use crate::lexer::Scrubbed;
-use crate::scopes::{functions, ScopeMap};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// One lexed source file, addressed by workspace-relative path.
 pub struct SourceFile {
@@ -27,26 +27,186 @@ pub struct SourceFile {
     pub scrub: Scrubbed,
 }
 
-// ---------------------------------------------------------------- scopes
+// ------------------------------------------------------------ rule table
 
-/// The guard's own modules: every file under `crates/core/src/guard/` but
-/// its simulated-world tests. L1 follows the guard's code wherever a split
-/// puts it.
-fn in_guard(rel: &str) -> bool {
-    rel.starts_with("crates/core/src/guard/") && rel != "crates/core/src/guard/tests.rs"
+/// Where a rule applies: workspace-relative paths, each a directory when it
+/// ends in `/` and a file otherwise, less the `except` files.
+pub struct Scope {
+    /// Directories (trailing `/`) and files in scope.
+    pub paths: &'static [&'static str],
+    /// Files left out.
+    pub except: &'static [&'static str],
 }
 
-/// L1 scope: the modules that parse adversarial wire input.
-fn in_l1_scope(rel: &str) -> bool {
-    rel.starts_with("crates/dnswire/src/") || in_guard(rel) || rel == "crates/core/src/tcp_proxy.rs"
+impl Scope {
+    /// Whether `rel` is in scope.
+    pub fn contains(&self, rel: &str) -> bool {
+        let hit = |p: &&str| if p.ends_with('/') { rel.starts_with(p) } else { rel == *p };
+        self.paths.iter().any(hit) && !self.except.contains(&rel)
+    }
 }
 
-/// L2 scope: sim-domain crates where all time/randomness must come from
-/// the simulator (wall clock is allowed only in `runtime` and tooling).
-fn in_l2_scope(rel: &str) -> bool {
-    ["core", "netsim", "server", "attack", "obs"]
-        .iter()
-        .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
+/// What a rule forbids.
+pub enum Check {
+    /// Any of these tokens in code (strings and comments are not code).
+    Tokens(&'static [&'static str]),
+    /// More lines than this.
+    MaxLines(usize),
+}
+
+/// One row of [`RULES`].
+pub struct Rule {
+    /// The finding id.
+    pub id: &'static str,
+    /// Files the rule reads.
+    pub scope: Scope,
+    /// What it forbids there.
+    pub check: Check,
+    /// Why, appended to each finding.
+    pub message: &'static str,
+    /// Whether lines of `#[cfg(test)]`/`#[test]` items count.
+    pub tests: bool,
+}
+
+/// L1's scope: the modules that parse adversarial wire input — `dnswire`,
+/// every file of the guard but its simulated-world tests, the TCP proxy.
+const WIRE: Scope = Scope {
+    paths: &["crates/dnswire/src/", "crates/core/src/guard/", "crates/core/src/tcp_proxy.rs"],
+    except: &["crates/core/src/guard/tests.rs"],
+};
+
+/// The rule table.
+pub const RULES: &[Rule] = &[
+    Rule {
+        id: "L1",
+        scope: WIRE,
+        check: Check::Tokens(&[
+            ".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!(",
+        ]),
+        message: "can panic on adversarial wire input; return a typed error",
+        tests: false,
+    },
+    Rule {
+        id: "L2",
+        scope: Scope {
+            paths: &[
+                "crates/core/src/", "crates/netsim/src/", "crates/server/src/",
+                "crates/attack/src/", "crates/obs/src/",
+            ],
+            except: &[],
+        },
+        check: Check::Tokens(&[
+            "Instant::now", "SystemTime", "UNIX_EPOCH", "thread_rng", "from_entropy", "rand::random",
+        ]),
+        message: "in a sim-domain crate: simulated time is the only clock and a seeded RNG \
+                  threaded from the scenario the only randomness",
+        tests: false,
+    },
+    Rule {
+        id: "seam",
+        scope: Scope {
+            paths: &["crates/core/src/guard/"],
+            except: &["crates/core/src/guard/sim.rs", "crates/core/src/guard/tests.rs"],
+        },
+        check: Check::Tokens(&[
+            "netsim::engine", "netsim::Context", "netsim::Node", "netsim::Simulator",
+        ]),
+        message: "in the sans-IO guard: netsim's event engine belongs to its simulator driver \
+                  (sim.rs); the guard may use netsim's packet, time and cost types",
+        tests: true,
+    },
+    Rule {
+        id: "core-size",
+        scope: Scope { paths: &["crates/core/src/"], except: &[] },
+        check: Check::MaxLines(1200),
+        message: "a file of `core` that grows past this is a stage that wants its own module",
+        tests: false,
+    },
+    Rule {
+        id: "state-table",
+        scope: Scope {
+            paths: &["crates/core/src/ratelimit.rs", "crates/core/src/guard/fwd.rs"],
+            except: &[],
+        },
+        check: Check::Tokens(&["HashMap"]),
+        message: "in a fixed state table: the limiter and forward tables are allocated once \
+                  and never rehash or clear",
+        tests: false,
+    },
+    Rule {
+        id: "ans-wire",
+        scope: Scope {
+            paths: &["crates/server/src/nodes.rs", "crates/runtime/src/ans.rs"],
+            except: &[],
+        },
+        check: Check::Tokens(&["Message::decode"]),
+        message: "on the ANS wire path: answer from a view over the query's own buffer \
+                  (`Authority::answer_wire`)",
+        tests: false,
+    },
+    Rule {
+        id: "netsim-engine",
+        scope: Scope { paths: &["crates/netsim/src/engine.rs"], except: &[] },
+        check: Check::Tokens(&["HashMap<(NodeId, NodeId)", "NullNode"]),
+        message: "in netsim's engine: a packet reads its link from one record with one probe, \
+                  and a handler borrows its node where it lives",
+        tests: false,
+    },
+    Rule {
+        id: "features",
+        scope: Scope {
+            paths: &["crates/", "src/", "tests/", "examples/", "Cargo.toml"],
+            except: &[],
+        },
+        check: Check::Tokens(&["[features]", "feature =", "feature="]),
+        message: "declares or tests a cargo feature: the workspace has one build \
+                  configuration, and what varies is armed at run time",
+        tests: true,
+    },
+    Rule {
+        id: "testbed",
+        scope: Scope { paths: &["crates/bench/src/"], except: &["crates/bench/src/worlds.rs"] },
+        check: Check::Tokens(&["AlertEngine::new(", "attach_alert_engine("]),
+        message: "outside `bench::worlds`: an experiment's alert engine is built, attached \
+                  and ticked there (`alert_engine`, `alerting`)",
+        tests: true,
+    },
+];
+
+impl Rule {
+    /// The rule's findings in `file`.
+    pub fn apply(&self, file: &SourceFile) -> Vec<Finding> {
+        if !self.scope.contains(&file.rel) {
+            return Vec::new();
+        }
+        let finding = |line: usize, message: String| Finding {
+            file: file.rel.clone(),
+            line,
+            lint: self.id,
+            severity: Severity::Error,
+            message,
+        };
+        let mut counted = file.scrub.lines.iter().enumerate().filter(|(_, l)| self.tests || !l.in_test);
+        match self.check {
+            Check::Tokens(tokens) => counted
+                .flat_map(|(i, l)| {
+                    tokens.iter().filter(|t| find_token(&l.code, t).is_some()).map(move |t| (i, t))
+                })
+                .map(|(i, t)| finding(i + 1, format!("`{t}` {}", self.message)))
+                .collect(),
+            Check::MaxLines(cap) => counted
+                .nth(cap)
+                .map(|(i, _)| finding(i + 1, format!("more than {cap} lines of code: {}", self.message)))
+                .into_iter()
+                .collect(),
+        }
+    }
+}
+
+/// L3 and L6 read the library sources: `crates/*/src/` and the umbrella
+/// package's `src/`.
+fn library_source(rel: &str) -> bool {
+    rel.starts_with("src/") || rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src")
 }
 
 /// L3 exemption: the lock-free metrics/trace record path is the one place
@@ -124,85 +284,31 @@ fn index_brackets(code: &str) -> Vec<usize> {
         .collect()
 }
 
-// --------------------------------------------------------------- L1 – L3
+// ------------------------------------------------------------- L1, L3
 
-/// L1: no panic on wire input.
+/// L1's index check: a slice/array index on wire input needs a
+/// justification (the panic tokens are [`RULES`]' first row).
 pub fn l1(file: &SourceFile) -> Vec<Finding> {
-    if !in_l1_scope(&file.rel) {
+    if !WIRE.contains(&file.rel) {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    const PANICS: &[(&str, &str)] = &[
-        (".unwrap()", "`unwrap()` can panic on adversarial wire input; propagate a typed error"),
-        (".expect(", "`expect()` can panic on adversarial wire input; propagate a typed error"),
-        ("panic!(", "`panic!` on a wire-input path; return a typed error instead"),
-        ("unreachable!(", "`unreachable!` on a wire-input path; make the state unrepresentable or return a typed error"),
-        ("todo!(", "`todo!` placeholder on a wire-input path"),
-        ("unimplemented!(", "`unimplemented!` placeholder on a wire-input path"),
-    ];
-    for (i, line) in file.scrub.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for (tok, msg) in PANICS {
-            if find_token(&line.code, tok).is_some() {
-                out.push(Finding {
-                    file: file.rel.clone(),
-                    line: i + 1,
-                    lint: "L1",
-                    severity: Severity::Error,
-                    message: (*msg).to_string(),
-                });
-            }
-        }
-        if !index_brackets(&line.code).is_empty()
-            && !justified(&file.scrub.lines, i, "index-ok")
-        {
-            out.push(Finding {
-                file: file.rel.clone(),
-                line: i + 1,
-                lint: "L1",
-                severity: Severity::Error,
-                message: "slice/array index can panic on wire input; use `get()`-style \
-                          access with a typed error, or justify with `// lint: index-ok — <why>`"
-                    .to_string(),
-            });
-        }
-    }
-    out
-}
-
-/// L2: determinism — no wall clock or ambient RNG in sim-domain crates.
-pub fn l2(file: &SourceFile) -> Vec<Finding> {
-    if !in_l2_scope(&file.rel) {
-        return Vec::new();
-    }
-    const CLOCKS: &[(&str, &str)] = &[
-        ("Instant::now", "wall-clock `Instant::now()` in a sim-domain crate; take time from the simulator context"),
-        ("SystemTime", "`SystemTime` in a sim-domain crate; sim time is the only clock here"),
-        ("UNIX_EPOCH", "`UNIX_EPOCH` in a sim-domain crate; sim time is the only clock here"),
-        ("thread_rng", "ambient `thread_rng()` breaks run reproducibility; use a seeded RNG threaded from the scenario"),
-        ("from_entropy", "entropy-seeded RNG breaks run reproducibility; use a seeded RNG threaded from the scenario"),
-        ("rand::random", "ambient `rand::random` breaks run reproducibility; use a seeded RNG threaded from the scenario"),
-    ];
-    let mut out = Vec::new();
-    for (i, line) in file.scrub.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for (tok, msg) in CLOCKS {
-            if find_token(&line.code, tok).is_some() {
-                out.push(Finding {
-                    file: file.rel.clone(),
-                    line: i + 1,
-                    lint: "L2",
-                    severity: Severity::Error,
-                    message: (*msg).to_string(),
-                });
-            }
-        }
-    }
-    out
+    let lines = &file.scrub.lines;
+    (0..lines.len())
+        .filter(|&i| {
+            !lines[i].in_test
+                && !index_brackets(&lines[i].code).is_empty()
+                && !justified(lines, i, "index-ok")
+        })
+        .map(|i| Finding {
+            file: file.rel.clone(),
+            line: i + 1,
+            lint: "L1",
+            severity: Severity::Error,
+            message: "slice/array index can panic on wire input; use `get()`-style access with \
+                      a typed error, or justify with `// lint: index-ok — <why>`"
+                .to_string(),
+        })
+        .collect()
 }
 
 /// L3: every `Ordering::Relaxed` outside the obs record path needs an
@@ -243,21 +349,22 @@ pub fn l3(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
-// --------------------------------------------------------------- L6 / L7
+// -------------------------------------------------------------------- L6
 
-/// Matching `)` of the `(` at `open` (byte offsets); `None` if unbalanced.
-fn matching_paren(bytes: &[u8], open: usize) -> Option<usize> {
+/// The delimiter closing the `(` or `{` at `open` (byte offsets); `None`
+/// if unbalanced. The flat stream holds no strings or comments, so every
+/// delimiter it sees is real.
+fn matching(bytes: &[u8], open: usize) -> Option<usize> {
+    let (up, down) = if bytes.get(open) == Some(&b'{') { (b'{', b'}') } else { (b'(', b')') };
     let mut depth = 0i32;
     for (k, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
+        if b == up {
+            depth += 1;
+        } else if b == down {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
             }
-            _ => {}
         }
     }
     None
@@ -443,7 +550,6 @@ fn collect_bindings(text: &str, into: &mut BTreeSet<String>) {
 pub fn l6(file: &SourceFile) -> Vec<Finding> {
     let flat = &file.scrub.flat;
     let bytes = flat.as_bytes();
-    let scopes = ScopeMap::build(flat);
     let mut out = Vec::new();
     let mut from = 0usize;
     while let Some(p) = find_token(&flat[from..], "spawn") {
@@ -459,7 +565,7 @@ pub fn l6(file: &SourceFile) -> Vec<Finding> {
         if bytes.get(i) != Some(&b'(') {
             continue;
         }
-        let Some(call_close) = matching_paren(bytes, i) else { continue };
+        let Some(call_close) = matching(bytes, i) else { continue };
         let args = &flat[i + 1..call_close];
         // The closure literal: `move |params| body` / `|| body`. Calls
         // without one (`GuardServer::spawn(addr, seed)`) are not spawns
@@ -473,15 +579,15 @@ pub fn l6(file: &SourceFile) -> Vec<Finding> {
                 None => continue,
             }
         };
-        // Body extent: a brace block (matched via the scope map) or a
-        // bare expression running to the call's closing paren.
+        // Body extent: a brace block or a bare expression running to the
+        // call's closing paren.
         let body_abs = i + 1 + body_rel;
         let mut k = body_abs;
         while k < call_close && bytes[k].is_ascii_whitespace() {
             k += 1;
         }
         let (body_start, body_end) = if bytes.get(k) == Some(&b'{') {
-            match scopes.close_of(k) {
+            match matching(bytes, k) {
                 Some(c) => (k + 1, c),
                 None => (k + 1, call_close),
             }
@@ -534,193 +640,15 @@ pub fn l6(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
-/// One hold-while-acquiring edge: lock `from` was (plausibly) held when
-/// lock `to` was acquired.
-struct LockEdge {
-    from: String,
-    to: String,
-    file: String,
-    /// Line of the `to` acquisition (the finding anchor).
-    line: usize,
-    /// Line of the `from` acquisition (context in the message).
-    held_line: usize,
-}
-
-/// Lock acquisitions of one function body, with liveness extents:
-/// `let g = x.lock()` guards live to the end of their enclosing scope
-/// (or an explicit `drop(g)`); bare `x.lock().f()` temporaries live to
-/// the end of their statement.
-fn lock_sites(
-    file: &SourceFile,
-    scopes: &ScopeMap,
-    body: (usize, usize),
-) -> Vec<(usize, String, usize, usize)> {
-    let flat = &file.scrub.flat;
-    let bytes = flat.as_bytes();
-    let (bo, bc) = body;
-    let mut sites = Vec::new();
-    let mut from = bo;
-    while let Some(p) = flat[from..bc].find(".lock()") {
-        let at = from + p;
-        from = at + ".lock()".len();
-        let line = file.scrub.line_of(at);
-        if file.scrub.is_test_line(line) {
-            continue;
-        }
-        let (path, root) = path_before(flat, at);
-        if root.is_empty() {
-            continue;
-        }
-        // Statement start: the last `;`/`{`/`}` before the receiver.
-        let recv_start = at - path.len();
-        let stmt_start = flat[bo..recv_start]
-            .rfind([';', '{', '}'])
-            .map_or(bo, |q| bo + q + 1);
-        let let_bound = find_token(&flat[stmt_start..recv_start], "let").is_some();
-        let live_until = if let_bound {
-            let scope_end = scopes.enclosing(at).map_or(bc, |(_, c)| c).min(bc);
-            // An explicit `drop(guard)` releases early.
-            let guard = flat[stmt_start..recv_start]
-                .split_whitespace()
-                .filter(|w| !matches!(*w, "let" | "mut"))
-                .find_map(|w| {
-                    let id: String =
-                        w.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-                    (!id.is_empty()).then_some(id)
-                });
-            match guard.and_then(|g| {
-                let needle = format!("drop({g})");
-                flat[at..scope_end].find(&needle).map(|q| at + q)
-            }) {
-                Some(dropped) => dropped,
-                None => scope_end,
-            }
-        } else {
-            flat[at..bc]
-                .find(';')
-                .map_or_else(|| bc.min(bytes.len()), |q| at + q)
-        };
-        sites.push((at, path, live_until, line));
+/// Every check over one file: the rule table, L1's index check, and L3 and
+/// L6 over the library sources.
+pub fn check(file: &SourceFile) -> Vec<Finding> {
+    let mut out: Vec<Finding> = RULES.iter().flat_map(|r| r.apply(file)).collect();
+    out.extend(l1(file));
+    if library_source(&file.rel) {
+        out.extend(l3(file));
+        out.extend(l6(file));
     }
-    sites
-}
-
-/// L7: lock-ordering. Builds the hold-while-acquiring graph across the
-/// whole lint set (edges keyed by receiver path, `self.` stripped) and
-/// flags every acquisition participating in a cycle — the classic
-/// AB/BA deadlock recipe — plus re-acquisition of a lock already held
-/// (a self-deadlock with the non-reentrant `guardcheck::sync::Mutex`).
-/// `// lint: lockorder-ok — <why>` on the inner acquisition exempts it.
-pub fn l7(files: &[SourceFile]) -> Vec<Finding> {
-    let mut edges: Vec<LockEdge> = Vec::new();
-    let mut selfs: Vec<LockEdge> = Vec::new();
-    for f in files {
-        let flat = &f.scrub.flat;
-        let scopes = ScopeMap::build(flat);
-        for func in functions(flat, &scopes) {
-            let sites = lock_sites(f, &scopes, func.body);
-            for (i, (at, path, _until, line)) in sites.iter().enumerate() {
-                for (_pat, ppath, puntil, pline) in &sites[..i] {
-                    if puntil <= at {
-                        continue; // earlier guard already dead here
-                    }
-                    let edge = LockEdge {
-                        from: ppath.clone(),
-                        to: path.clone(),
-                        file: f.rel.clone(),
-                        line: *line,
-                        held_line: *pline,
-                    };
-                    if ppath == path {
-                        selfs.push(edge);
-                    } else {
-                        edges.push(edge);
-                    }
-                }
-            }
-        }
-    }
-
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for e in &edges {
-        adj.entry(&e.from).or_default().insert(&e.to);
-    }
-    let reaches = |start: &str, goal: &str| -> bool {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut stack = vec![start];
-        while let Some(n) = stack.pop() {
-            if n == goal {
-                return true;
-            }
-            if seen.insert(n) {
-                if let Some(next) = adj.get(n) {
-                    stack.extend(next.iter().copied());
-                }
-            }
-        }
-        false
-    };
-
-    let mut out = Vec::new();
-    for e in &selfs {
-        let file = files.iter().find(|f| f.rel == e.file);
-        if file.is_some_and(|f| justified(&f.scrub.lines, e.line - 1, "lockorder-ok")) {
-            continue;
-        }
-        out.push(Finding {
-            file: e.file.clone(),
-            line: e.line,
-            lint: "L7",
-            severity: Severity::Error,
-            message: format!(
-                "lock `{}` re-acquired while the guard from line {} is still live — \
-                 self-deadlock with a non-reentrant mutex; drop the first guard, or \
-                 justify with `// lint: lockorder-ok — <why>`",
-                e.to, e.held_line
-            ),
-        });
-    }
-    for e in &edges {
-        if !reaches(&e.to, &e.from) {
-            continue;
-        }
-        let file = files.iter().find(|f| f.rel == e.file);
-        if file.is_some_and(|f| justified(&f.scrub.lines, e.line - 1, "lockorder-ok")) {
-            continue;
-        }
-        let witness = edges
-            .iter()
-            .find(|w| w.from == e.to && reaches(&w.to, &e.from))
-            .map(|w| format!(" (reverse path starts at {}:{})", w.file, w.line))
-            .unwrap_or_default();
-        out.push(Finding {
-            file: e.file.clone(),
-            line: e.line,
-            lint: "L7",
-            severity: Severity::Error,
-            message: format!(
-                "lock-order cycle: `{}` (held since line {}) → `{}` here, but the \
-                 reverse order also exists{witness}; pick one global order or justify \
-                 with `// lint: lockorder-ok — <why>`",
-                e.from, e.held_line, e.to
-            ),
-        });
-    }
-    out.sort_by(|a, b| (&a.file, a.line, &a.message).cmp(&(&b.file, b.line, &b.message)));
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
-    out
-}
-
-/// Runs every family over the lint set.
-pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files {
-        out.extend(l1(f));
-        out.extend(l2(f));
-        out.extend(l3(f));
-        out.extend(l6(f));
-    }
-    out.extend(l7(files));
     out
 }
 
@@ -733,19 +661,24 @@ mod tests {
         SourceFile { rel: rel.to_string(), scrub: scrub(src) }
     }
 
+    /// Every finding of `check` with id `id`.
+    fn found(f: &SourceFile, id: &str) -> Vec<Finding> {
+        check(f).into_iter().filter(|x| x.lint == id).collect()
+    }
+
     #[test]
     fn l1_flags_unwrap_in_scope_only() {
         let bad = file("crates/dnswire/src/name.rs", "fn f(v: Option<u8>) { v.unwrap(); }\n");
-        assert_eq!(l1(&bad).len(), 1);
+        assert_eq!(found(&bad, "L1").len(), 1);
         let out_of_scope = file("crates/bench/src/report.rs", "fn f(v: Option<u8>) { v.unwrap(); }\n");
-        assert!(l1(&out_of_scope).is_empty());
+        assert!(check(&out_of_scope).is_empty());
     }
 
     #[test]
     fn l1_ignores_strings_comments_and_tests() {
         let src = "const S: &str = \"x.unwrap()\"; // unwrap() in comment\n#[cfg(test)]\nmod t { fn f(v: Option<u8>) { v.unwrap(); } }\n";
         let f = file("crates/dnswire/src/name.rs", src);
-        assert!(l1(&f).is_empty(), "{:?}", l1(&f));
+        assert!(check(&f).is_empty(), "{:?}", check(&f));
     }
 
     #[test]
@@ -762,17 +695,25 @@ mod tests {
     #[test]
     fn l1_unwrap_or_is_fine() {
         let f = file("crates/dnswire/src/name.rs", "fn f(v: Option<u8>) -> u8 { v.unwrap_or(0) }\n");
-        assert!(l1(&f).is_empty());
+        assert!(check(&f).is_empty());
     }
 
     #[test]
     fn l2_flags_wall_clock_in_sim_domain() {
         let f = file("crates/core/src/guard/core.rs", "fn f() { let t = std::time::Instant::now(); }\n");
-        let findings = l2(&f);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].lint, "L2");
+        assert_eq!(found(&f, "L2").len(), 1);
         let rt = file("crates/runtime/src/telemetry.rs", "fn f() { let t = std::time::Instant::now(); }\n");
-        assert!(l2(&rt).is_empty(), "wall clock is allowed in runtime");
+        assert!(check(&rt).is_empty(), "wall clock is allowed in runtime");
+    }
+
+    #[test]
+    fn scopes_take_directories_files_and_exceptions() {
+        let seam = &RULES.iter().find(|r| r.id == "seam").expect("a seam row").scope;
+        assert!(seam.contains("crates/core/src/guard/health.rs"));
+        assert!(!seam.contains("crates/core/src/guard/sim.rs"), "excepted");
+        assert!(!seam.contains("crates/core/src/guardian.rs"), "a directory ends in `/`");
+        assert!(library_source("crates/obs/src/vocab.rs") && library_source("src/lib.rs"));
+        assert!(!library_source("crates/obs/tests/x.rs") && !library_source("tests/chaos.rs"));
     }
 
     #[test]
@@ -853,60 +794,5 @@ mod tests {
             "fn f() { std::thread::spawn(move || { CURRENT.with(|c| *c.borrow_mut() = Some(1)); }); }\n",
         );
         assert!(l6(&f).is_empty(), "{:?}", l6(&f));
-    }
-
-    #[test]
-    fn l7_detects_ab_ba_cycle_across_functions() {
-        let f = file(
-            "crates/core/src/shards.rs",
-            "fn a(&self) { let g = self.m1.lock(); self.m2.lock().poke(); }\n\
-             fn b(&self) { let g = self.m2.lock(); self.m1.lock().poke(); }\n",
-        );
-        let found = l7(std::slice::from_ref(&f));
-        assert_eq!(found.len(), 2, "both directions flagged: {found:?}");
-        assert!(found[0].message.contains("m1") && found[0].message.contains("m2"));
-        assert!(found.iter().any(|x| x.message.contains("reverse path starts at")));
-    }
-
-    #[test]
-    fn l7_temporary_guards_make_no_edges() {
-        let f = file(
-            "crates/core/src/shards.rs",
-            "fn a(&self) { self.m1.lock().poke(); self.m2.lock().poke(); }\n\
-             fn b(&self) { self.m2.lock().poke(); self.m1.lock().poke(); }\n",
-        );
-        assert!(l7(std::slice::from_ref(&f)).is_empty(), "{:?}", l7(std::slice::from_ref(&f)));
-    }
-
-    #[test]
-    fn l7_self_double_lock_flagged_and_drop_releases() {
-        let double = file(
-            "crates/core/src/shards.rs",
-            "fn a(&self) { let g = self.m.lock(); self.m.lock().poke(); }\n",
-        );
-        let found = l7(std::slice::from_ref(&double));
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("self-deadlock"), "{}", found[0].message);
-        let dropped = file(
-            "crates/core/src/shards.rs",
-            "fn a(&self) { let g = self.m.lock(); drop(g); self.m.lock().poke(); }\n",
-        );
-        assert!(l7(std::slice::from_ref(&dropped)).is_empty());
-    }
-
-    #[test]
-    fn l7_consistent_order_is_clean_and_justification_respected() {
-        let consistent = file(
-            "crates/core/src/shards.rs",
-            "fn a(&self) { let g = self.m1.lock(); self.m2.lock().poke(); }\n\
-             fn b(&self) { let g = self.m1.lock(); self.m2.lock().poke(); }\n",
-        );
-        assert!(l7(std::slice::from_ref(&consistent)).is_empty());
-        let justified = file(
-            "crates/core/src/shards.rs",
-            "fn a(&self) { let g = self.m1.lock(); self.m2.lock().poke(); } // lint: lockorder-ok — m2 is a leaf lock\n\
-             fn b(&self) { let g = self.m2.lock(); self.m1.lock().poke(); } // lint: lockorder-ok — never concurrent with a()\n",
-        );
-        assert!(l7(std::slice::from_ref(&justified)).is_empty());
     }
 }

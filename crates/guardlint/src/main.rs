@@ -19,8 +19,9 @@ USAGE: guardlint [--root <dir>] [--allowlist <Lint.toml>] [--json] [--github] [-
   --deny              exit non-zero when any error-severity finding
                       remains; stale allowlist entries become errors
 
-Lint families: L1 no-panic-on-wire-input, L2 determinism, L3 relaxed-
-ordering justification, L6 shared-state escape, L7 lock-ordering cycles.";
+Checks: the rule table (L1 panics, L2 clocks and RNGs, seam, core-size,
+state-table, ans-wire, netsim-engine, features, testbed), L1 indexing,
+L3 relaxed-ordering justification, L6 shared-state escape.";
 
 fn main() {
     let mut root = PathBuf::from(".");

@@ -1,132 +1,152 @@
 //! Fixture self-tests: known-bad snippets under `tests/fixtures/` (stored
-//! with a `.txt` suffix so cargo never compiles them) are lexed and linted
-//! with synthetic in-scope paths, pinning guardlint's judgements:
-//! unjustified constructs are flagged, justified ones and test regions are
-//! not, and code inside strings or comments is invisible.
+//! with a `.txt` suffix so cargo never compiles them) and inline probes are
+//! lexed and linted with synthetic paths, pinning guardlint's judgements:
+//! unjustified constructs are flagged in scope and nowhere else, justified
+//! ones and test regions are not, and code inside strings or comments is
+//! invisible.
 
-use guardlint::findings::Finding;
 use guardlint::lexer;
-use guardlint::lints::{self, SourceFile};
+use guardlint::lints::{self, SourceFile, RULES};
+
+fn source(rel: &str, src: &str) -> SourceFile {
+    SourceFile {
+        rel: rel.to_string(),
+        scrub: lexer::scrub(src),
+    }
+}
 
 fn fixture(file: &str, rel: &str) -> SourceFile {
     let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    SourceFile {
-        rel: rel.to_string(),
-        scrub: lexer::scrub(&src),
-    }
+    source(rel, &src)
 }
 
-fn lines(findings: &[Finding]) -> Vec<usize> {
-    findings.iter().map(|f| f.line).collect()
+/// Lines of every finding with id `id`.
+fn found(f: &SourceFile, id: &str) -> Vec<usize> {
+    lints::check(f).iter().filter(|x| x.lint == id).map(|x| x.line).collect()
 }
 
 #[test]
 fn l1_flags_known_bad_wire_code() {
     let f = fixture("bad_wire.rs.txt", "crates/dnswire/src/bad_wire.rs");
-    let found = lints::l1(&f);
-    let at = lines(&found);
-    // msg[0]; [msg[1], msg[2]]; unwrap; expect; panic!.
-    assert!(at.contains(&4), "unjustified index must be flagged: {at:?}");
-    assert!(at.contains(&5), "index inside array literal args must be flagged: {at:?}");
-    assert!(at.contains(&6), "unwrap must be flagged: {at:?}");
-    assert!(at.contains(&7), "expect must be flagged: {at:?}");
-    assert!(at.contains(&9), "panic! must be flagged: {at:?}");
-    assert_eq!(found.len(), 5, "exactly the five bad lines: {found:?}");
-}
-
-#[test]
-fn l1_respects_justifications_and_test_regions() {
-    let f = fixture("bad_wire.rs.txt", "crates/dnswire/src/bad_wire.rs");
-    let at = lines(&lints::l1(&f));
-    // Line 12 carries `lint: index-ok` for line 13's msg[3].
-    assert!(!at.contains(&12), "{at:?}");
-    assert!(!at.contains(&13), "justified index must be exempt: {at:?}");
-    // The #[cfg(test)] module (lines 17+) indexes and unwraps freely.
-    assert!(
-        at.iter().all(|&l| l < 17),
-        "test-region code must be exempt: {at:?}"
-    );
-}
-
-#[test]
-fn l1_ignores_strings_and_comments() {
-    let f = fixture(
-        "strings_and_comments.rs.txt",
-        "crates/dnswire/src/strings.rs",
-    );
-    let found = lints::l1(&f);
-    assert!(
-        found.is_empty(),
-        "unwrap()/panic!/indexing inside strings or comments is not code: {found:?}"
-    );
-    // The same file is silent under L2/L3 as well.
-    let f2 = fixture("strings_and_comments.rs.txt", "crates/core/src/strings.rs");
-    assert!(lints::l2(&f2).is_empty());
-    assert!(lints::l3(&f2).is_empty());
+    let mut at = found(&f, "L1");
+    at.sort_unstable();
+    // msg[0]; [msg[1], msg[2]]; unwrap; expect; panic!. Line 12 carries
+    // `lint: index-ok` for line 13's msg[3]; the #[cfg(test)] module (lines
+    // 17+) indexes and unwraps freely.
+    assert_eq!(at, vec![4, 5, 6, 7, 9], "exactly the five bad lines");
 }
 
 #[test]
 fn l1_is_scoped_to_wire_input_modules() {
     // The same bad file outside the dnswire/guard-rx scope is L1-clean.
     let f = fixture("bad_wire.rs.txt", "crates/netsim/src/bad_wire.rs");
-    assert!(lints::l1(&f).is_empty());
+    assert!(found(&f, "L1").is_empty());
 }
 
 #[test]
 fn l1_follows_the_guard_into_every_module_but_its_tests() {
-    // Line 6 of the fixture is an `unwrap()`: flagged in a module split out
-    // of the guard core, not in the guard's simulated-world tests.
-    let f = fixture("bad_wire.rs.txt", "crates/core/src/guard/repl.rs");
-    assert!(lines(&lints::l1(&f)).contains(&6), "unwrap in guard/repl.rs must be flagged");
-    for module in ["core", "fwd", "health", "restore", "schemes", "sim", "stash", "stats"] {
+    for module in ["core", "fwd", "health", "repl", "restore", "schemes", "sim", "stash", "stats"] {
         let f = fixture("bad_wire.rs.txt", &format!("crates/core/src/guard/{module}.rs"));
-        assert_eq!(lints::l1(&f).len(), 5, "guard/{module}.rs is in scope");
+        assert_eq!(found(&f, "L1").len(), 5, "guard/{module}.rs is in scope");
     }
     let f = fixture("bad_wire.rs.txt", "crates/core/src/guard/tests.rs");
-    assert!(lints::l1(&f).is_empty());
+    assert!(found(&f, "L1").is_empty());
 }
 
 #[test]
 fn l2_flags_clocks_and_ambient_rng_in_sim_crates() {
     let f = fixture("bad_determinism.rs.txt", "crates/core/src/clock.rs");
-    let at = lines(&lints::l2(&f));
-    assert!(at.contains(&3), "Instant::now must be flagged: {at:?}");
-    assert!(at.contains(&4), "SystemTime must be flagged: {at:?}");
-    assert!(at.contains(&5), "thread_rng must be flagged: {at:?}");
+    assert_eq!(found(&f, "L2"), vec![3, 4, 5], "Instant::now, SystemTime, thread_rng");
     // The runtime crate is the wall-clock domain: same file, no findings.
     let f2 = fixture("bad_determinism.rs.txt", "crates/runtime/src/clock.rs");
-    assert!(lints::l2(&f2).is_empty());
+    assert!(found(&f2, "L2").is_empty());
+}
+
+#[test]
+fn every_row_is_silent_on_strings_and_comments() {
+    for rule in RULES {
+        for path in rule.scope.paths {
+            let rel = if path.ends_with('/') { format!("{path}strings.rs") } else { path.to_string() };
+            let f = fixture("strings_and_comments.rs.txt", &rel);
+            let all = lints::check(&f);
+            assert!(all.is_empty(), "{} under {rel}: {all:?}", rule.id);
+        }
+    }
+}
+
+/// `(id, probe, a path in scope, a path out of scope or left out)`: one
+/// case per gate `./ci.sh lint` used to grep for.
+const LAYERING: &[(&str, &str, &str, &str)] = &[
+    ("seam", "use netsim::engine::Simulator;", "crates/core/src/guard/health.rs", "crates/core/src/guard/sim.rs"),
+    ("seam", "fn f(ctx: &mut netsim::Context) {}", "crates/core/src/guard/core.rs", "crates/core/src/guard/tests.rs"),
+    ("state-table", "use std::collections::HashMap;", "crates/core/src/guard/fwd.rs", "crates/core/src/classify.rs"),
+    ("state-table", "type T = HashMap<u32, u8>;", "crates/core/src/ratelimit.rs", "crates/netsim/src/engine.rs"),
+    ("ans-wire", "let q = Message::decode(&buf);", "crates/server/src/nodes.rs", "crates/server/src/resolver.rs"),
+    ("ans-wire", "let q = Message::decode(&buf);", "crates/runtime/src/ans.rs", "crates/runtime/src/client.rs"),
+    ("netsim-engine", "links: HashMap<(NodeId, NodeId), Link>,", "crates/netsim/src/engine.rs", "crates/netsim/src/link.rs"),
+    ("netsim-engine", "struct NullNode;", "crates/netsim/src/engine.rs", "crates/core/src/lib.rs"),
+    ("features", "#[cfg(feature = \"x\")]", "tests/chaos.rs", "perf/src/main.rs"),
+    ("features", "if cfg!(feature=\"y\") {}", "examples/quickstart.rs", "vendor/rand/src/lib.rs"),
+    ("features", "[features]", "crates/obs/Cargo.toml", "perf/Cargo.toml"),
+    ("testbed", "let e = AlertEngine::new(config);", "crates/bench/src/fleet.rs", "crates/bench/src/worlds.rs"),
+    ("testbed", "sim.attach_alert_engine(e, r, t);", "crates/bench/src/bin/all_experiments.rs", "crates/obs/src/alert.rs"),
+];
+
+#[test]
+fn layering_rows_fire_in_scope_only() {
+    for (id, probe, inside, outside) in LAYERING {
+        let src = format!("// a probe for {id}\n{probe}\n");
+        assert_eq!(found(&source(inside, &src), id), vec![2], "{id}: {probe} in {inside}");
+        assert!(lints::check(&source(outside, &src)).is_empty(), "{id}: {probe} in {outside}");
+    }
+}
+
+#[test]
+fn test_items_count_for_seam_features_and_testbed_only() {
+    for (id, probe, inside, _) in LAYERING {
+        let src = format!("#[cfg(test)]\nmod tests {{\n    {probe}\n}}\n");
+        let reads_tests = matches!(*id, "seam" | "features" | "testbed");
+        let want = if reads_tests { vec![3] } else { vec![] };
+        assert_eq!(found(&source(inside, &src), id), want, "{id} in {inside}'s tests");
+    }
+}
+
+#[test]
+fn a_doc_comment_naming_cfg_test_does_not_end_the_code() {
+    // The sed gate cut each file at its first textual `#[cfg(test)]`, so
+    // this module doc blinded it to the HashMap below.
+    let src = "//! The unbounded reference lives under `#[cfg(test)]`.\n\nuse std::collections::HashMap;\n";
+    assert_eq!(found(&source("crates/core/src/ratelimit.rs", src), "state-table"), vec![3]);
+}
+
+#[test]
+fn core_files_are_capped_at_1200_lines_of_code() {
+    let code = "fn f() {}\n".repeat(1200);
+    let tests = "#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+    let at_cap = source("crates/core/src/guard/core.rs", &format!("{code}{tests}"));
+    assert!(found(&at_cap, "core-size").is_empty(), "test items do not count");
+    let over = source("crates/core/src/guard/core.rs", &format!("{code}{tests}fn g() {{}}\n"));
+    assert_eq!(found(&over, "core-size"), vec![1205], "the first line past the cap");
+    let elsewhere = source("crates/netsim/src/engine.rs", &format!("{code}fn g() {{}}\n"));
+    assert!(found(&elsewhere, "core-size").is_empty());
 }
 
 #[test]
 fn l6_flags_known_bad_escapes() {
     let f = fixture("bad_escape.rs.txt", "crates/runtime/src/bad_escape.rs");
     let found = lints::l6(&f);
-    let at = lines(&found);
+    let at: Vec<usize> = found.iter().map(|x| x.line).collect();
     assert!(at.contains(&7), "plain captured mutation must be flagged: {at:?}");
     assert!(at.contains(&13), "compound captured mutation must be flagged: {at:?}");
     assert_eq!(found.len(), 2, "locals, lock-guarded, justified and test code are exempt: {found:?}");
 }
 
 #[test]
-fn l7_flags_known_bad_lock_orders() {
-    let f = fixture("bad_lockorder.rs.txt", "crates/core/src/bad_lockorder.rs");
-    let found = lints::l7(std::slice::from_ref(&f));
-    let at = lines(&found);
-    assert!(at.contains(&6) || at.contains(&12), "one side of the AB/BA cycle: {at:?}");
-    assert!(
-        found.iter().any(|x| x.message.contains("self-deadlock")),
-        "double-lock must be flagged: {found:?}"
-    );
-    assert_eq!(found.len(), 3, "temporaries and dropped guards are exempt: {found:?}");
-}
-
-#[test]
 fn l3_requires_justification_outside_obs_record_path() {
     let f = fixture("bad_ordering.rs.txt", "crates/runtime/src/flags.rs");
     let found = lints::l3(&f);
-    let at = lines(&found);
+    let at: Vec<usize> = found.iter().map(|x| x.line).collect();
     assert_eq!(at, vec![4], "only the unjustified flag store: {found:?}");
     assert!(
         found[0].message.contains("Release"),

@@ -120,7 +120,6 @@ pub fn merge_histograms(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
 
 #[derive(Debug)]
 struct NodeState {
-    name: String,
     offset_nanos: i64,
     /// Fleet time of the last snapshot received (`None` until the first).
     last_seen_nanos: Option<u64>,
@@ -197,9 +196,8 @@ impl FleetAggregator {
     /// correction *added* to the node's event timestamps to map them onto
     /// the fleet clock (a node whose clock runs 7 ms ahead registers
     /// offset −7 ms).
-    pub fn register_node(&mut self, name: &str, offset_nanos: i64) -> u32 {
+    pub fn register_node(&mut self, offset_nanos: i64) -> u32 {
         self.nodes.push(NodeState {
-            name: name.to_string(),
             offset_nanos,
             last_seen_nanos: None,
             silent: false,
@@ -207,16 +205,6 @@ impl FleetAggregator {
             sketch: None,
         });
         (self.nodes.len() - 1) as u32
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The registered name of node `node`.
-    pub fn node_name(&self, node: u32) -> Option<&str> {
-        self.nodes.get(node as usize).map(|n| n.name.as_str())
     }
 
     /// Whether node `node` was considered silent at the last
@@ -512,8 +500,8 @@ mod tests {
     #[test]
     fn counters_sum_gauges_max_histograms_merge() {
         let mut agg = FleetAggregator::default();
-        let a = agg.register_node("site_a", 0);
-        let b = agg.register_node("site_b", 0);
+        let a = agg.register_node(0);
+        let b = agg.register_node(0);
         agg.observe_snapshot(
             a,
             0,
@@ -562,7 +550,7 @@ mod tests {
         reg.counter("guard", "verify", &[("scheme", "ext"), ("verdict", "in\"valid")]).add(7);
         let samples = reg.snapshot();
         let mut agg = FleetAggregator::default();
-        let node = agg.register_node("site_a", 0);
+        let node = agg.register_node(0);
         agg.observe_metric_snapshot(node, 0, &samples);
         assert_eq!(agg.merged_snapshot_json(), crate::export::metrics_json(&samples));
     }
@@ -597,8 +585,8 @@ mod tests {
         obs.tracer.set_default_level(Level::Info);
         let mut agg = FleetAggregator::default();
         agg.attach_obs(&obs);
-        let a = agg.register_node("site_a", 0);
-        let b = agg.register_node("site_b", 0);
+        let a = agg.register_node(0);
+        let b = agg.register_node(0);
         let mk = |n: u64| {
             node_samples(|r| {
                 r.counter("guard", "verify", &[("scheme", "ns_label"), ("verdict", "invalid")])
@@ -632,8 +620,8 @@ mod tests {
         // Node A restarts mid-flood (its counter falls back to zero);
         // node B keeps flooding. The fleet rule must stay firing.
         let mut agg = FleetAggregator::default();
-        let a = agg.register_node("site_a", 0);
-        let b = agg.register_node("site_b", 0);
+        let a = agg.register_node(0);
+        let b = agg.register_node(0);
         let mk = |n: u64| {
             node_samples(|r| {
                 r.counter("guard", "verify", &[("scheme", "ns_label"), ("verdict", "invalid")])
@@ -660,8 +648,8 @@ mod tests {
     #[test]
     fn site_rate_skew_fires_on_asymmetric_catchment_only() {
         let mut agg = FleetAggregator::default();
-        let a = agg.register_node("site_a", 0);
-        let b = agg.register_node("site_b", 0);
+        let a = agg.register_node(0);
+        let b = agg.register_node(0);
         let mk = |n: u64| {
             node_samples(|r| {
                 r.counter("guard", "udp_datagrams", &[]).add(n);
@@ -682,8 +670,8 @@ mod tests {
         assert!(agg.active().iter().any(|x| x.rule == "site_rate_skew"));
         // Low absolute load never fires, however skewed.
         let mut calm = FleetAggregator::default();
-        let a2 = calm.register_node("a", 0);
-        let b2 = calm.register_node("b", 0);
+        let a2 = calm.register_node(0);
+        let b2 = calm.register_node(0);
         calm.observe_snapshot(a2, 0, mk(0));
         calm.observe_snapshot(b2, 0, mk(0));
         calm.evaluate(0);
@@ -699,8 +687,8 @@ mod tests {
         obs.tracer.set_default_level(Level::Info);
         let mut agg = FleetAggregator::default();
         agg.attach_obs(&obs);
-        let a = agg.register_node("site_a", 0);
-        let b = agg.register_node("site_b", 0);
+        let a = agg.register_node(0);
+        let b = agg.register_node(0);
         let mk = || node_samples(|r| r.counter("guard", "udp_datagrams", &[]).inc());
         agg.observe_snapshot(a, 0, mk());
         agg.observe_snapshot(b, 0, mk());
@@ -778,8 +766,8 @@ mod tests {
                 shards[n].observe_key(ip);
             }
             let mut agg = FleetAggregator::default();
-            for (i, shard) in shards.into_iter().enumerate() {
-                let node = agg.register_node(&format!("site_{i}"), 0);
+            for shard in shards {
+                let node = agg.register_node(0);
                 agg.observe_sketch(node, shard);
             }
             let merged = agg.merged_sketch();
@@ -798,8 +786,8 @@ mod tests {
         let mut agg = FleetAggregator::default();
         agg.attach_obs(&obs);
         // Node B's clock runs 7 ms ahead; its registered offset is −7 ms.
-        let a = agg.register_node("site_a", 0);
-        let b = agg.register_node("site_b", -7_000_000);
+        let a = agg.register_node(0);
+        let b = agg.register_node(-7_000_000);
         let src = Ipv4Addr::new(10, 0, 3, 1);
         let ta = Tracer::new(64);
         ta.set_default_level(Level::Info);

@@ -86,8 +86,8 @@ impl FleetCollector {
     /// Registers a node's telemetry endpoint. `offset_nanos` is the
     /// correction *added* to the node's timestamps to express them on the
     /// fleet clock (a node whose clock runs 7 ms ahead registers −7 ms).
-    pub fn add_node(&mut self, name: &str, addr: SocketAddr, offset_nanos: i64) -> u32 {
-        let id = self.agg.register_node(name, offset_nanos);
+    pub fn add_node(&mut self, addr: SocketAddr, offset_nanos: i64) -> u32 {
+        let id = self.agg.register_node(offset_nanos);
         self.endpoints.push(addr);
         id
     }
@@ -134,12 +134,6 @@ impl FleetCollector {
     /// The aggregator (merged snapshots, stitching, alert state).
     pub fn aggregator(&self) -> &FleetAggregator {
         &self.agg
-    }
-
-    /// Mutable aggregator access (e.g. to drive `evaluate` on a cadence
-    /// decoupled from polling).
-    pub fn aggregator_mut(&mut self) -> &mut FleetAggregator {
-        &mut self.agg
     }
 }
 
@@ -318,9 +312,9 @@ mod tests {
         let mut collector =
             FleetCollector::new(FleetAlertConfig { silent_after_nanos: 50_000_000 }); // 50 ms
         collector.attach_obs(&fleet_obs);
-        collector.add_node("site_a", server_a.addr(), 0);
-        collector.add_node("site_b", server_b.addr(), 0);
-        collector.add_node("site_c", dead_addr, 0);
+        collector.add_node(server_a.addr(), 0);
+        collector.add_node(server_b.addr(), 0);
+        collector.add_node(dead_addr, 0);
 
         assert_eq!(collector.poll_and_evaluate(10_000_000), 2);
         // Baseline pass: counters merged (sum), traces ingested.
