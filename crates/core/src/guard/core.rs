@@ -3,6 +3,7 @@
 
 use super::fwd::{Forwarded, FwdTable, Rewrite};
 use super::health::AnsHealth;
+use super::keys::Keys;
 use super::repl::{FleetRuntime, HaRuntime};
 use super::schemes::{self, FirstContact, Outgoing, Scheme};
 use super::stash::{Stash, StashKey};
@@ -126,7 +127,7 @@ impl Forwarded {
 /// guard's `impl`: `restore` (checkpoints) and `repl` (HA and fleet).
 pub struct GuardCore {
     pub(super) config: GuardConfig,
-    pub(super) cookies: CookieFactory,
+    pub(super) cookies: Keys,
     classifier: AuthorityClassifier,
     pub(super) rl1: SourceRateLimiter,
     pub(super) rl2: SourceRateLimiter,
@@ -182,7 +183,7 @@ impl GuardCore {
             config.tcp_conn_lifetime,
         );
         GuardCore {
-            cookies: CookieFactory::from_seed(config.key_seed).with_alg(config.cookie_alg),
+            cookies: Keys::new(CookieFactory::from_seed(config.key_seed).with_alg(config.cookie_alg)),
             rl1: SourceRateLimiter::new(config.rl1_global_rate, config.rl1_per_source_rate)
                 .keyed(config.key_seed),
             rl2: SourceRateLimiter::per_source_only(config.rl2_per_source_rate)
@@ -694,7 +695,7 @@ impl GuardCore {
         if pkt.dst.ip != self.config.public_addr {
             out.charge(netsim::cost::cookie_cost());
             let qid = self.alloc_qid();
-            let valid = schemes::cookie2_matches(&self.cookies, &self.config, src, pkt.dst.ip);
+            let valid = schemes::cookie2_matches(&mut self.cookies, &self.config, src, pkt.dst.ip);
             if !self.verified(now, Scheme::Cookie2, valid, src, qid) || !view.has_question() {
                 return;
             }

@@ -20,19 +20,23 @@
 //! appends. [`RemoteGuard`] is the driver for [`netsim`]; the real-socket
 //! `runtime::GuardServer` is the other. DESIGN.md, "One guard, two
 //! drivers", states what each must guarantee. `core` is the pipeline above;
-//! `schemes`, `health`, `stash`, `fwd`, `repl` (HA pair, fleet keys) and
+//! `schemes`, `keys` (the cookie factory and a memo of its positive
+//! verdicts), `health`, `stash`, `fwd`, `repl` (HA pair, fleet keys) and
 //! `restore` (checkpoints) are what it is composed of: state that owns its
 //! fields and returns what the guard must do.
 //!
 //! CPU is accounted with the calibrated constants of [`netsim::cost`]: one
 //! `packet_cost` per packet in or out, one `cookie_cost` per cookie
-//! computation, `tcp_conn_cost` per proxied connection — nothing else. The
+//! computation (per verification too, whether or not `keys` answered it
+//! from its memo: the model is the paper's per-request MD5),
+//! `tcp_conn_cost` per proxied connection — nothing else. The
 //! throughput and utilisation figures of the paper emerge from these charges
 //! plus the packet counts of each scheme.
 
 mod core;
 mod fwd;
 mod health;
+mod keys;
 mod repl;
 mod restore;
 mod schemes;

@@ -2,6 +2,7 @@
 //! fabricated NS label, the `COOKIE2` address space, the query on its way to
 //! the ANS, and the two answers the guard writes itself.
 
+use super::keys::Keys;
 use crate::config::GuardConfig;
 use dnswire::cookie_ext;
 use dnswire::header::Header;
@@ -199,7 +200,7 @@ pub(super) fn cookie2_addr(cookies: &CookieFactory, config: &GuardConfig, src: I
 
 /// Whether `dst` is the `COOKIE2` address `src` was sent to.
 pub(super) fn cookie2_matches(
-    cookies: &CookieFactory,
+    cookies: &mut Keys,
     config: &GuardConfig,
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -253,7 +254,7 @@ mod tests {
 
     #[test]
     fn every_source_matches_its_own_cookie2_address() {
-        let cookies = CookieFactory::from_seed(11);
+        let mut cookies = Keys::new(CookieFactory::from_seed(11));
         let base = Ipv4Addr::new(198, 41, 0, 0);
         let inside = Ipv4Addr::new(198, 41, 0, 4);
         let outside = Ipv4Addr::new(192, 0, 2, 1);
@@ -268,12 +269,12 @@ mod tests {
                     let addr = cookie2_addr(&cookies, &config, src);
                     assert!(hosts.contains(&u32::from(addr)), "{addr} outside range {range}");
                     assert_ne!(addr, public, "never the guard's own address");
-                    assert!(cookie2_matches(&cookies, &config, src, addr));
+                    assert!(cookie2_matches(&mut cookies, &config, src, addr));
                 }
                 let src = Ipv4Addr::new(10, 0, 0, 1);
-                assert!(!cookie2_matches(&cookies, &config, src, base));
-                assert!(!cookie2_matches(&cookies, &config, src, public));
-                let matching = hosts.filter(|&h| cookie2_matches(&cookies, &config, src, h.into()));
+                assert!(!cookie2_matches(&mut cookies, &config, src, base));
+                assert!(!cookie2_matches(&mut cookies, &config, src, public));
+                let matching = hosts.filter(|&h| cookie2_matches(&mut cookies, &config, src, h.into()));
                 assert_eq!(matching.count(), 1, "one address per source");
             }
         }

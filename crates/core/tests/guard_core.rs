@@ -7,9 +7,11 @@
 //! that owns the default route. What each emits and counts must be equal —
 //! the simulator driver adds nothing and loses nothing.
 
+use dnsguard::checkpoint::KeyState;
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::{GuardCore, GuardStats, Leg, Output, Outputs, RemoteGuard, WINDOW};
+use dnsguard::ha::{encode_repl, repl_secret, FleetConfig, ReplPayload, REPL_PORT};
 use dnswire::cookie_ext;
 use dnswire::message::Message;
 use dnswire::name::Name;
@@ -173,6 +175,10 @@ fn parts(mode: SchemeMode, zone: Zone) -> (GuardConfig, AuthorityClassifier) {
 
 fn direct(mode: SchemeMode, zone: Zone) -> Direct {
     let (config, classifier) = parts(mode, zone);
+    direct_with(config, classifier)
+}
+
+fn direct_with(config: GuardConfig, classifier: AuthorityClassifier) -> Direct {
     Direct {
         core: GuardCore::new(config, classifier),
         out: Outputs::default(),
@@ -451,6 +457,75 @@ fn an_unmatched_upstream_response_does_not_recover_a_down_ans() {
     assert!(guard.offer(ans_answers(&probe[0], &[])).is_empty(), "a probe's answer goes nowhere");
     assert_eq!(guard.stats().ans_recoveries, 1);
     assert!(recovered(&obs));
+}
+
+/// A verified query from `client` carrying the extension cookie `guard`
+/// issues it now.
+fn verified_by(guard: &Direct, client: Endpoint) -> Packet {
+    let mut verified = query(1, "www.foo.com");
+    cookie_ext::attach_cookie(&mut verified, guard.cookies().generate(client.ip).0, 0);
+    from(client, PUBLIC, &verified)
+}
+
+/// A cookie the guard has verified (and so memoized) stops verifying the
+/// moment the guard holds another key at the same generation: a fleet
+/// member adopting the master's epoch 0, or a guard restoring a checkpoint
+/// of another key. A memo keyed by the generation would still accept it.
+#[test]
+fn a_memoized_cookie_dies_with_its_key_at_the_same_generation() {
+    let master = Ipv4Addr::new(10, 60, 0, 1);
+    for fleet in [true, false] {
+        let (mut config, classifier) = parts(SchemeMode::ModifiedOnly, Zone::Foo);
+        if fleet {
+            config.fleet = Some(FleetConfig::member(PUBLIC, master));
+        }
+        let seed = config.key_seed;
+        let mut guard = direct_with(config, classifier);
+        let pkt = verified_by(&guard, CLIENT);
+        for _ in 0..2 {
+            assert_eq!(guard.offer(pkt.clone()).len(), 1, "verified and forwarded");
+        }
+
+        let other = KeyState::capture(&CookieFactory::from_seed(seed ^ 0xD1FF));
+        if fleet {
+            let push = encode_repl(&ReplPayload::FleetKey { epoch: 0, key: other }, &repl_secret(seed));
+            let at = |ip| Endpoint::new(ip, REPL_PORT);
+            assert!(guard.offer(Packet::udp(at(master), at(PUBLIC), push)).is_empty());
+            assert_eq!(guard.stats().fleet_keys_applied, 1);
+        } else {
+            let mut checkpoint = guard.core.checkpoint(guard.now);
+            checkpoint.key = other;
+            guard.core.apply_checkpoint(&checkpoint, guard.now);
+        }
+        assert_eq!(guard.cookies().generation(), 0, "the same generation");
+
+        assert!(guard.offer(pkt).is_empty(), "a cookie of the old key was forwarded (fleet: {fleet})");
+        let stats = guard.stats();
+        assert_eq!((stats.ext_valid, stats.ext_invalid, stats.forwarded), (2, 1, 2), "fleet: {fleet}");
+    }
+}
+
+/// A memoized cookie lives exactly as long as the factory's verdict: it is
+/// accepted through one rotation's grace window and rejected after the
+/// second — whether it was memoized before the first rotation or, first
+/// presented in the grace window, after it. (A memo that trusted an entry
+/// for one generation past the one that verified it would accept the late
+/// one at generation 2.)
+#[test]
+fn a_memoized_cookie_survives_one_rotation_and_not_two() {
+    let mut guard = direct(SchemeMode::ModifiedOnly, Zone::Foo);
+    let late = Endpoint::new(Ipv4Addr::new(10, 0, 0, 10), 4242);
+    let (early, late) = (verified_by(&guard, CLIENT), verified_by(&guard, late));
+    let mut forwarded = Vec::new();
+    for generation in 0..3 {
+        let mut offer = |pkt: &Packet| (0..2).map(|_| guard.offer(pkt.clone()).len()).sum::<usize>();
+        let early = offer(&early);
+        forwarded.push((early, if generation == 0 { 0 } else { offer(&late) }));
+        guard.core.rotate_key();
+    }
+    assert_eq!(forwarded, [(2, 0), (2, 2), (0, 0)], "generation 0, 1 (grace), 2");
+    let stats = guard.stats();
+    assert_eq!((stats.ext_valid, stats.ext_invalid), (6, 4));
 }
 
 /// The `evict` events of `table` traced since the last drain, as the value

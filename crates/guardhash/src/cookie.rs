@@ -14,7 +14,10 @@
 //!   modified-DNS scheme (cookie range 2^128).
 //!
 //! Weekly key rotation overwrites the first bit of `c` with a generation
-//! indicator so each verification needs exactly one MD5 (section III.E).
+//! indicator so verifying the full or the NS-name encoding needs exactly one
+//! MD5 (section III.E). The subnet-IP encoding cannot carry the bit, so
+//! during the grace window an offset that does not match under the current
+//! key is tried under the previous one as well: two MD5s.
 
 use crate::md5::{self, to_hex, Digest, BLOCK_LEN};
 use crate::siphash::siphash24;
@@ -257,9 +260,11 @@ impl SecretKey {
 ///
 /// Cookies issued under generation *g* carry `g mod 2` in their first bit.
 /// While generation *g+1* is current, cookies bearing the previous parity are
-/// verified against the previous key, so every verification costs exactly one
-/// MD5. After a further rotation the old generation expires naturally with
-/// the cookie TTL.
+/// verified against the previous key, so verifying a full or NS-label cookie
+/// costs exactly one MD5; a subnet offset has no bit to read, and one that
+/// does not match under the current key costs a second
+/// ([`CookieFactory::verify_subnet_offset`]). After a further rotation the
+/// old generation expires naturally with the cookie TTL.
 ///
 /// # Examples
 ///

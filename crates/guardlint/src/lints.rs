@@ -125,12 +125,15 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "state-table",
         scope: Scope {
-            paths: &["crates/core/src/ratelimit.rs", "crates/core/src/guard/fwd.rs"],
+            paths: &[
+                "crates/core/src/ratelimit.rs", "crates/core/src/guard/fwd.rs",
+                "crates/core/src/guard/keys.rs",
+            ],
             except: &[],
         },
         check: Check::Tokens(&["HashMap"]),
-        message: "in a fixed state table: the limiter and forward tables are allocated once \
-                  and never rehash or clear",
+        message: "in a fixed state table: the limiter table, the forward table and the \
+                  cookie-verdict memo are allocated once and never rehash",
         tests: false,
     },
     Rule {

@@ -46,7 +46,7 @@ fn l1_is_scoped_to_wire_input_modules() {
 
 #[test]
 fn l1_follows_the_guard_into_every_module_but_its_tests() {
-    for module in ["core", "fwd", "health", "repl", "restore", "schemes", "sim", "stash", "stats"] {
+    for module in ["core", "fwd", "health", "keys", "repl", "restore", "schemes", "sim", "stash", "stats"] {
         let f = fixture("bad_wire.rs.txt", &format!("crates/core/src/guard/{module}.rs"));
         assert_eq!(found(&f, "L1").len(), 5, "guard/{module}.rs is in scope");
     }
@@ -82,6 +82,7 @@ const LAYERING: &[(&str, &str, &str, &str)] = &[
     ("seam", "fn f(ctx: &mut netsim::Context) {}", "crates/core/src/guard/core.rs", "crates/core/src/guard/tests.rs"),
     ("state-table", "use std::collections::HashMap;", "crates/core/src/guard/fwd.rs", "crates/core/src/classify.rs"),
     ("state-table", "type T = HashMap<u32, u8>;", "crates/core/src/ratelimit.rs", "crates/netsim/src/engine.rs"),
+    ("state-table", "let memo: HashMap<u32, bool> = HashMap::new();", "crates/core/src/guard/keys.rs", "crates/core/src/guard/stash.rs"),
     ("ans-wire", "let q = Message::decode(&buf);", "crates/server/src/nodes.rs", "crates/server/src/resolver.rs"),
     ("ans-wire", "let q = Message::decode(&buf);", "crates/runtime/src/ans.rs", "crates/runtime/src/client.rs"),
     ("netsim-engine", "links: HashMap<(NodeId, NodeId), Link>,", "crates/netsim/src/engine.rs", "crates/netsim/src/link.rs"),
