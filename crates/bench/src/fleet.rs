@@ -9,10 +9,11 @@
 //!   Rate-Limiter1 (shared with the flood) drops a chunk of the storm, and
 //!   previously-verified clients stall — the failure mode that keeps
 //!   single-key vendor cookies out of anycast deployments.
-//! * **Shared SipHash-2-4** — the interoperable draft-sury-toorop cookie
-//!   with one fleet-wide secret distributed over the authenticated
-//!   replication channel. The shifted clients' cookies verify at site B
-//!   on arrival: zero re-handshakes, no RL pressure, service continues.
+//! * **Shared SipHash-2-4** — the guard's SipHash cookie, which every site
+//!   holding its key accepts, with one fleet-wide secret distributed over
+//!   the authenticated replication channel. The shifted clients' cookies
+//!   verify at site B on arrival: zero re-handshakes, no RL pressure,
+//!   service continues.
 //!
 //! A third scenario rotates the fleet key *during* the shift: the pushed
 //! key state carries the previous epoch, so the grace window is

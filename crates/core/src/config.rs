@@ -52,10 +52,9 @@ pub struct GuardConfig {
     pub subnet_range: u32,
     /// Seed for the guard's 76-byte secret key.
     pub key_seed: u64,
-    /// Keyed hash deriving cookies from source addresses: the paper's
-    /// vendor-specific MD5, or the interoperable SipHash-2-4 per
-    /// draft-sury-toorop so anycast fleet sites sharing a key validate
-    /// each other's cookies.
+    /// Keyed hash deriving cookies from source addresses: the paper's MD5,
+    /// or `SipHash24(ip ‖ 0) ‖ SipHash24(ip ‖ 1)`. Guard sites sharing the
+    /// key accept either; neither is the RFC 9018 wire layout.
     pub cookie_alg: CookieAlg,
     /// Scheme used for cookie-less requesters.
     pub mode: SchemeMode,
@@ -96,10 +95,9 @@ pub struct GuardConfig {
     /// health monitor declares the ANS down.
     pub ans_failure_threshold: u32,
     /// Initial interval between liveness probes while the ANS is down;
-    /// doubles after each unanswered probe (exponential backoff).
+    /// doubles after each unanswered probe (exponential backoff) up to
+    /// 5 s.
     pub ans_probe_interval: SimTime,
-    /// Upper bound on the probe backoff.
-    pub ans_probe_max: SimTime,
     /// Behaviour while the ANS is down.
     pub health_policy: AnsHealthPolicy,
     /// Byte bound on the forward (in-flight request) table; the oldest
@@ -153,7 +151,6 @@ impl GuardConfig {
             ans_timeout: SimTime::from_secs(1),
             ans_failure_threshold: 3,
             ans_probe_interval: SimTime::from_millis(200),
-            ans_probe_max: SimTime::from_secs(5),
             health_policy: AnsHealthPolicy::FailOpen,
             fwd_bytes_max: 1 << 20,   // 1 MiB of in-flight request state
             stash_bytes_max: 1 << 20, // 1 MiB of stashed one-shot answers

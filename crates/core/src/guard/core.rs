@@ -1060,7 +1060,7 @@ impl GuardCore {
             let timeouts = [("timeouts", Value::U64(timeouts as u64))];
             self.metrics.trace.event(now.as_nanos(), "ans_down", &timeouts);
         }
-        if self.health.probe_due(now, &self.config) {
+        if self.health.probe_due(now) {
             self.send_probe(now, out);
         }
     }

@@ -7,6 +7,9 @@
 use crate::config::GuardConfig;
 use netsim::time::SimTime;
 
+/// Upper bound on the gap between two ANS liveness probes.
+const ANS_PROBE_MAX: SimTime = SimTime::from_secs(5);
+
 /// An attempt schedule whose interval doubles per attempt up to a cap: ANS
 /// probes, peer probes, resync requests and fleet catch-up requests.
 #[derive(Debug, Default)]
@@ -83,8 +86,8 @@ impl AnsHealth {
     }
 
     /// Whether a liveness probe is due at `now`: only while down.
-    pub(super) fn probe_due(&mut self, now: SimTime, config: &GuardConfig) -> bool {
-        self.down && self.probe.due(now, config.ans_probe_max)
+    pub(super) fn probe_due(&mut self, now: SimTime) -> bool {
+        self.down && self.probe.due(now, ANS_PROBE_MAX)
     }
 }
 
@@ -118,7 +121,6 @@ mod tests {
         let mut config = GuardConfig::new(Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(10, 0, 0, 1));
         config.ans_failure_threshold = 2;
         config.ans_probe_interval = ms(100);
-        config.ans_probe_max = ms(400);
         config
     }
 
@@ -132,7 +134,7 @@ mod tests {
         assert_eq!(health.went_down(&config), None);
         assert!(health.on_expired(ms(500)), "sent at or after it: counts");
         assert_eq!(health.went_down(&config), None, "one is under the threshold");
-        assert!(!health.probe_due(ms(700), &config), "no probes while up");
+        assert!(!health.probe_due(ms(700)), "no probes while up");
     }
 
     #[test]
@@ -141,25 +143,25 @@ mod tests {
         let mut health = AnsHealth::default();
         assert!(health.on_expired(ms(10)) && health.on_expired(ms(20)));
         assert_eq!(health.went_down(&config), Some(2));
-        assert!(health.is_down() && health.probe_due(ms(100), &config));
-        // Down is reported once; probes at 100, 200, 400, 800 (capped gap 400).
-        let probes: Vec<u64> = (2..=12)
+        assert!(health.is_down() && health.probe_due(ms(100)));
+        // Down is reported once; the gaps double from 100 ms to the 5 s cap.
+        let probes: Vec<u64> = (2..=170)
             .map(|w| w * 100)
             .filter(|&t| {
                 assert_eq!(health.went_down(&config), None);
-                health.probe_due(ms(t), &config)
+                health.probe_due(ms(t))
             })
             .collect();
-        assert_eq!(probes, [200, 400, 800, 1_200]);
-        assert!(health.on_response(ms(1_250)), "one response ends the outage");
+        assert_eq!(probes, [200, 400, 800, 1_600, 3_200, 6_400, 11_400, 16_400]);
+        assert!(health.on_response(ms(17_050)), "one response ends the outage");
         assert!(!health.is_down());
-        assert!(!health.on_response(ms(1_260)));
+        assert!(!health.on_response(ms(17_060)));
         // Forwards black-holed during the outage do not re-trip the monitor.
-        assert!(!health.on_expired(ms(900)) && !health.on_expired(ms(1_000)));
+        assert!(!health.on_expired(ms(16_700)) && !health.on_expired(ms(16_800)));
         assert_eq!(health.went_down(&config), None);
         // The next outage starts probing from the base interval again.
-        assert!(health.on_expired(ms(1_300)) && health.on_expired(ms(1_310)));
+        assert!(health.on_expired(ms(17_100)) && health.on_expired(ms(17_110)));
         assert_eq!(health.went_down(&config), Some(2));
-        assert!(health.probe_due(ms(1_400), &config) && health.probe_due(ms(1_500), &config));
+        assert!(health.probe_due(ms(17_200)) && health.probe_due(ms(17_300)));
     }
 }

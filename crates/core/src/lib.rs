@@ -61,7 +61,6 @@ pub mod guard;
 pub mod ha;
 pub mod local_guard;
 pub mod ratelimit;
-pub mod rfc7873;
 pub mod tcp_proxy;
 
 pub use admission::{AdmissionConfig, AdmissionController, PressureTier};

@@ -9,13 +9,12 @@ use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{AnsHealthPolicy, GuardConfig, SchemeMode};
 use dnsguard::guard::{GuardStats, RemoteGuard};
 use dnswire::cookie_ext;
-use dnswire::edns::Edns;
 use dnswire::message::{Message, MAX_UDP_PAYLOAD};
 use dnswire::name::Name;
 use dnswire::question::Question;
 use dnswire::rdata::RData;
 use dnswire::record::Record;
-use dnswire::types::{Rcode, RrType};
+use dnswire::types::{Rcode, RrClass, RrType};
 use netsim::engine::{Context, CpuConfig, Node, NodeId, Simulator};
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
 use netsim::time::SimTime;
@@ -300,7 +299,14 @@ fn shapes_the_fast_paths_decline_still_match_the_references() {
 fn first_contact_queries() -> Vec<Vec<u8>> {
     let query = |id, qname: &str| Message::iterative_query(id, name(qname), RrType::A);
     let mut with_opt = query(3, "www.foo.com");
-    with_opt.additionals.push(Edns::default().to_record());
+    // An empty EDNS(0) OPT record offering a 1232-byte payload.
+    with_opt.additionals.push(Record {
+        name: Name::root(),
+        rtype: RrType::Opt,
+        class: RrClass::Other(1232),
+        ttl: 0,
+        rdata: RData::Unknown(Vec::new()),
+    });
     let mut with_records = Message::query(4, name("www.Foo.com"), RrType::Mx);
     with_records.answers.push(Record::a(name("foo.com"), Ipv4Addr::LOCALHOST, 5));
     with_records.additionals.push(Record::ns(name("com"), name("ns.Foo.com"), 5));

@@ -9,14 +9,13 @@ use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::{GuardCore, GuardStats, Leg, Output, Outputs};
 use dnswire::cookie_ext::{attach_cookie, strip_cookie};
-use dnswire::edns::Edns;
 use dnswire::header::Header;
 use dnswire::message::Message;
 use dnswire::name::Name;
 use dnswire::question::Question;
 use dnswire::rdata::RData;
 use dnswire::record::Record;
-use dnswire::types::{Rcode, RrType};
+use dnswire::types::{Rcode, RrClass, RrType};
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
 use netsim::time::SimTime;
 use proptest::prelude::*;
@@ -140,7 +139,14 @@ fn query_wire(id: u16, qname: Name, qtype: RrType, shape: Shape, cookie: Option<
         query.questions.push(Question::new("foo.com".parse().unwrap(), RrType::Ns));
     }
     if shape.edns {
-        query.additionals.push(Edns::default().to_record());
+        // An empty EDNS(0) OPT record offering a 1232-byte payload.
+        query.additionals.push(Record {
+            name: Name::root(),
+            rtype: RrType::Opt,
+            class: RrClass::Other(1232),
+            ttl: 0,
+            rdata: RData::Unknown(Vec::new()),
+        });
     }
     if let Some(cookie) = cookie {
         attach_cookie(&mut query, cookie, 0);

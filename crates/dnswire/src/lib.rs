@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cookie_ext;
-pub mod edns;
 pub mod error;
 pub mod header;
 pub mod message;
@@ -65,13 +64,12 @@ pub use types::{Opcode, Rcode, RrClass, RrType};
 #[cfg(test)]
 mod proptests {
     use crate::cookie_ext::{attach_cookie, write_cookie, ZERO_COOKIE};
-    use crate::edns::Edns;
     use crate::message::Message;
     use crate::name::Name;
     use crate::question::Question;
     use crate::rdata::{RData, Soa};
     use crate::record::Record;
-    use crate::types::{Rcode, RrType};
+    use crate::types::{Rcode, RrClass, RrType};
     use crate::view::tests::assert_agrees;
     use crate::view::MessageView;
     use crate::writer::{Section, Writer};
@@ -210,7 +208,14 @@ mod proptests {
             msg.questions = vec![Question::new(qname, RrType::Aaaa)];
             match tail {
                 0 => (msg.answers, msg.authorities, msg.additionals) = Default::default(),
-                1 => msg.additionals.push(Edns::default().to_record()),
+                // An empty EDNS(0) OPT record offering a 1232-byte payload.
+                1 => msg.additionals.push(Record {
+                    name: Name::root(),
+                    rtype: RrType::Opt,
+                    class: RrClass::Other(1232),
+                    ttl: 0,
+                    rdata: RData::Unknown(Vec::new()),
+                }),
                 2 => attach_cookie(&mut msg, ZERO_COOKIE, 0),
                 _ => {}
             }

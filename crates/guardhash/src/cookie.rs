@@ -39,12 +39,13 @@ pub const NS_COOKIE_BYTES: usize = 4;
 
 /// The keyed hash a guard derives its cookies with.
 ///
-/// [`CookieAlg::Md5`] is the paper's vendor-specific construction
-/// (`MD5(ip || 76-byte key)`); [`CookieAlg::SipHash24`] is the
-/// interoperable keyed PRF selected by draft-sury-toorop / RFC 9018, so
-/// that any fleet site holding the same 128-bit key validates the same
-/// cookies. Both feed the same three encodings (NS-label, subnet-IP,
-/// full) and the same generation-bit rotation protocol.
+/// [`CookieAlg::Md5`] is the paper's construction (`MD5(ip || 76-byte
+/// key)`); [`CookieAlg::SipHash24`] is `SipHash24(ip || 0) ||
+/// SipHash24(ip || 1)` keyed by the leading 16 key bytes, cheaper per
+/// cookie. Either way, any guard site holding the same key validates the
+/// same cookies; neither is the RFC 9018 server-cookie layout, so no other
+/// DNS implementation can. Both feed the same three encodings (NS-label,
+/// subnet-IP, full) and the same generation-bit rotation protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CookieAlg {
     /// The paper's `MD5(source_ip || key)` cookie.
@@ -306,11 +307,6 @@ impl CookieFactory {
     pub fn with_alg(mut self, alg: CookieAlg) -> Self {
         self.alg = alg;
         self
-    }
-
-    /// The algorithm this factory derives cookies with.
-    pub fn alg(&self) -> CookieAlg {
-        self.alg
     }
 
     /// Rebuilds a factory from checkpointed parts, preserving the rotation

@@ -4,9 +4,9 @@
 //!
 //! * [`md5`](mod@md5) — the MD5 message digest (RFC 1321), implemented from scratch so
 //!   the reproduction carries no external crypto dependency;
-//! * [`siphash`] — SipHash-2-4, the keyed PRF behind the interoperable
-//!   (draft-sury-toorop / RFC 9018) server-cookie algorithm, so anycast
-//!   fleet sites sharing a 128-bit key validate each other's cookies;
+//! * [`siphash`] — SipHash-2-4, the keyed PRF behind the guard's
+//!   alternative cookie `SipHash24(ip ‖ 0) ‖ SipHash24(ip ‖ 1)`, which guard
+//!   sites sharing the key accept (it is not the RFC 9018 wire layout);
 //! * [`cookie`] — the DNS Guard cookie construction from the paper's section
 //!   III.E: `c = MD5(source_ip || 76-byte key)`, with the NS-name (hex),
 //!   subnet-IP (modulo) and full (16-byte) encodings plus generation-bit key

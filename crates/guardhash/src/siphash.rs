@@ -1,11 +1,11 @@
 //! SipHash-2-4 (Aumasson & Bernstein), implemented from scratch so the
 //! reproduction carries no external crypto dependency.
 //!
-//! This is the keyed PRF that draft-sury-toorop (now RFC 9018) selects for
-//! interoperable DNS server cookies: unlike the paper's vendor-specific
-//! `MD5(ip || key)` construction, any implementation holding the same
-//! 128-bit key computes the same cookie, so an anycast fleet of guard
-//! sites can validate each other's cookies.
+//! It keys the guard's alternative to the paper's `MD5(ip || key)` cookie:
+//! `SipHash24(ip || 0) || SipHash24(ip || 1)` under the leading 16 bytes of
+//! the guard secret ([`crate::cookie::CookieAlg::SipHash24`]). Guard sites
+//! holding that key accept each other's cookies; the layout is not RFC
+//! 9018's, so no other DNS implementation validates them.
 //!
 //! The implementation is the standard 2 compression / 4 finalization round
 //! variant over 8-byte little-endian blocks, with the message length folded
@@ -84,8 +84,8 @@ fn siphash<const C: usize, const D: usize>(key: &[u8; 16], data: &[u8]) -> u64 {
 
 /// SipHash-2-4 of `data` under the 128-bit `key`, as a 64-bit tag.
 ///
-/// Wire encodings (RFC 9018 cookies) serialize the tag little-endian:
-/// `siphash24(k, m).to_le_bytes()` reproduces the reference test vectors.
+/// Cookie bytes take the tag little-endian: `siphash24(k, m).to_le_bytes()`
+/// reproduces the reference test vectors.
 pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
     siphash::<2, 4>(key, data)
 }
@@ -97,11 +97,6 @@ pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
 #[inline]
 pub fn siphash13_u32(key: &[u8; 16], word: u32) -> u64 {
     siphash::<1, 3>(key, &word.to_le_bytes())
-}
-
-/// SipHash-2-4 tag in the little-endian wire form used by cookie encodings.
-pub fn siphash24_bytes(key: &[u8; 16], data: &[u8]) -> [u8; 8] {
-    siphash24(key, data).to_le_bytes()
 }
 
 #[cfg(test)]
@@ -119,8 +114,8 @@ mod tests {
 
     /// The canonical test vectors: `vectors[i]` is SipHash-2-4 of the
     /// message `00 01 ... (i-1)` under the reference key, little-endian.
-    /// These are the published values every interoperable implementation
-    /// (including the RFC 9018 cookie generators) must reproduce.
+    /// These are the published values every SipHash-2-4 implementation
+    /// must reproduce.
     #[test]
     fn reference_vectors() {
         let key = reference_key();
@@ -139,7 +134,7 @@ mod tests {
         for (len, want) in expected {
             let msg: Vec<u8> = (0..len as u8).collect();
             assert_eq!(
-                siphash24_bytes(&key, &msg),
+                siphash24(&key, &msg).to_le_bytes(),
                 want,
                 "vector mismatch for {len}-byte message"
             );

@@ -43,8 +43,6 @@ fn config(key_seed: u64) -> GuardConfig {
         rl1_global_rate: 10_000.0,
         rl1_per_source_rate: 1_000.0,
         rl2_per_source_rate: f64::INFINITY,
-        // One week, the key rotation period.
-        cookie_ttl: 604_800,
         ans_timeout: SimTime::from_millis(500),
         ..GuardConfig::new(Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST)
     }

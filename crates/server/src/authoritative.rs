@@ -214,8 +214,8 @@ mod tests {
     use super::*;
     use crate::zone::{paper_hierarchy, ZoneBuilder, COM_SERVER, FOO_SERVER, WWW_ADDR};
     use dnswire::cookie_ext::attach_cookie;
-    use dnswire::edns::Edns;
     use dnswire::message::MAX_UDP_PAYLOAD;
+    use dnswire::types::RrClass;
     use dnswire::view::MessageView;
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
@@ -459,7 +459,14 @@ mod tests {
                     _ => {}
                 }
                 if extra & 1 == 1 {
-                    query.additionals.push(Edns::default().to_record());
+                    // An empty EDNS(0) OPT record offering a 1232-byte payload.
+                    query.additionals.push(Record {
+                        name: Name::root(),
+                        rtype: RrType::Opt,
+                        class: RrClass::Other(1232),
+                        ttl: 0,
+                        rdata: RData::Unknown(Vec::new()),
+                    });
                 }
                 if extra & 2 == 2 {
                     attach_cookie(&mut query, [7; 16], 0);
