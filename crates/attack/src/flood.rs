@@ -1,4 +1,8 @@
-//! Spoofed-source request floods — the attack of Figures 5 and 6.
+//! Open-loop request floods — the attack of Figures 5 and 6, and every
+//! other workload whose sender never waits. One pacing loop serves them all;
+//! a [`SourceStrategy`] is what tells a spoofed flood from a bounded
+//! population of real clients, which is the signal the traffic-analytics
+//! discriminator reads.
 
 use dnswire::cookie_ext;
 use dnswire::message::Message;
@@ -11,21 +15,38 @@ use netsim::time::SimTime;
 use rand::Rng;
 use std::net::Ipv4Addr;
 
-/// How the attacker chooses the (spoofed) source address of each packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How the sender chooses the source address of each packet.
+///
+/// `Random` draws one `u32` per packet and `Zipf` one `u64`; `Fixed` and
+/// `Pool` draw nothing. Members of a population (`Pool`, `Zipf`) send from
+/// port `1024 + index % 50 000`, the others from `1024 + sent % 50 000`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SourceStrategy {
     /// Uniformly random 32-bit addresses (classic spoofed flood).
     Random,
-    /// A fixed spoofed address — e.g. a victim for reflection, or a
-    /// legitimate LRS whose service the attacker wants degraded.
+    /// A fixed address — a victim for reflection, a legitimate LRS whose
+    /// service the attacker wants degraded, or a zombie's own.
     Fixed(Ipv4Addr),
-    /// Round-robin over a pool of `n` addresses starting at a base
-    /// (models a zombie botnet using *real* addresses).
+    /// Round-robin over `count` real addresses from `base`, so every member
+    /// sends at exactly `rate / count`: a low-and-slow botnet, each bot
+    /// below any per-source threshold, or a limiter-table spray.
     Pool {
         /// First address of the pool.
         base: Ipv4Addr,
         /// Pool size.
         count: u32,
+    },
+    /// `count` real clients from `base` whose volume follows a Zipf
+    /// popularity curve: member `k` (0-based rank) carries weight
+    /// `(k + 1)^-s`. A flash crowd — a bounded population that re-queries
+    /// heavily, with a few big resolvers dominating.
+    Zipf {
+        /// Address of the most popular client; rank `k` is `base + k`.
+        base: Ipv4Addr,
+        /// Population size.
+        count: u32,
+        /// Zipf exponent (around `1.0`–`1.3` for realistic resolver skew).
+        s: f64,
     },
 }
 
@@ -72,31 +93,48 @@ pub struct FloodConfig {
     pub duration: Option<SimTime>,
 }
 
-/// The flooding attacker node. Open loop: it never waits for anything.
+/// The flooding node. Open loop: it never waits for anything, and ignores
+/// whatever comes back.
 pub struct SpoofedFlood {
     config: FloodConfig,
     sent: u64,
     started: SimTime,
-    pool_next: u32,
-    /// Responses that came back to an address this node actually owns
-    /// (only meaningful for `SourceStrategy::Pool` / `Fixed` where the
-    /// simulator routes those addresses here).
-    pub responses_seen: u64,
+    /// `Zipf`: the members' cumulative fixed-point weights, which a uniform
+    /// draw binary-searches. Empty otherwise.
+    cumulative: Vec<u64>,
+    /// `Pool` and `Zipf`: exact datagrams sent per member. Empty otherwise.
+    per_source: Vec<u64>,
 }
 
 /// Batch period: the flood emits `rate × 100 µs` packets per tick, keeping
 /// event counts manageable at 250 K req/s.
 const TICK: SimTime = SimTime::from_micros(100);
 
+/// Fixed-point scale of the Zipf weights.
+const WEIGHT_SCALE: f64 = 1_000_000.0;
+
 impl SpoofedFlood {
-    /// Creates the flood node.
+    /// Creates the flood node (precomputing a `Zipf` population's CDF).
     pub fn new(config: FloodConfig) -> Self {
+        let members = match config.sources {
+            SourceStrategy::Random | SourceStrategy::Fixed(_) => 0,
+            SourceStrategy::Pool { count, .. } | SourceStrategy::Zipf { count, .. } => count.max(1),
+        };
+        let cumulative = match config.sources {
+            SourceStrategy::Zipf { s, .. } => (1..=members)
+                .scan(0, |acc, k| {
+                    *acc += (WEIGHT_SCALE / f64::from(k).powf(s)).max(1.0) as u64;
+                    Some(*acc)
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
         SpoofedFlood {
             config,
             sent: 0,
             started: SimTime::ZERO,
-            pool_next: 0,
-            responses_seen: 0,
+            cumulative,
+            per_source: vec![0; members as usize],
         }
     }
 
@@ -105,19 +143,36 @@ impl SpoofedFlood {
         self.sent
     }
 
-    fn build_packet(&mut self, ctx: &mut Context<'_>) -> Packet {
-        let txid = (self.sent % 0xFFFF) as u16;
-        let random_ip: u32 = ctx.rng().gen();
-        let src_ip = match self.config.sources {
-            SourceStrategy::Random => Ipv4Addr::from(random_ip),
-            SourceStrategy::Fixed(ip) => ip,
-            SourceStrategy::Pool { base, count } => {
-                let ip = Ipv4Addr::from(u32::from(base) + self.pool_next % count.max(1));
-                self.pool_next = self.pool_next.wrapping_add(1);
-                ip
+    /// Exact datagrams sent per population member — index `k` is the
+    /// address `base + k` — for `Pool` and `Zipf`; empty for `Random` and
+    /// `Fixed`.
+    pub fn per_source(&self) -> &[u64] {
+        &self.per_source
+    }
+
+    /// The source of the packet numbered `self.sent`.
+    fn source(&mut self, ctx: &mut Context<'_>) -> Endpoint {
+        let port = 1024 + (self.sent % 50_000) as u16;
+        let (base, member) = match self.config.sources {
+            SourceStrategy::Random => return Endpoint::new(Ipv4Addr::from(ctx.rng().gen::<u32>()), port),
+            SourceStrategy::Fixed(ip) => return Endpoint::new(ip, port),
+            SourceStrategy::Pool { base, .. } => {
+                (base, ((self.sent - 1) % self.per_source.len() as u64) as usize)
+            }
+            SourceStrategy::Zipf { base, .. } => {
+                let total = self.cumulative.last().copied().unwrap_or(1);
+                let r = ctx.rng().gen::<u64>() % total;
+                (base, self.cumulative.partition_point(|&c| c <= r))
             }
         };
-        let src = Endpoint::new(src_ip, 1024 + (self.sent % 50_000) as u16);
+        self.per_source[member] += 1;
+        let ip = Ipv4Addr::from(u32::from(base).wrapping_add(member as u32));
+        Endpoint::new(ip, 1024 + (member % 50_000) as u16)
+    }
+
+    fn build_packet(&mut self, ctx: &mut Context<'_>) -> Packet {
+        let txid = (self.sent % 0xFFFF) as u16;
+        let src = self.source(ctx);
 
         let (dst_ip, payload) = match &self.config.payload {
             AttackPayload::PlainQuery(name) => (
@@ -182,9 +237,7 @@ impl Node for SpoofedFlood {
         ctx.set_timer(TICK, 0);
     }
 
-    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {
-        self.responses_seen += 1;
-    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
 }
 
 #[cfg(test)]
@@ -313,5 +366,99 @@ mod tests {
         );
         sim.run_until(SimTime::from_millis(40));
         assert!(sim.node_ref::<SubnetSink>(sink).unwrap().received > 100);
+    }
+
+    #[test]
+    fn every_bot_stays_below_per_source_rate_but_aggregate_floods() {
+        let mut sim = Simulator::new(12);
+        let target = Ipv4Addr::new(1, 2, 3, 4);
+        let base = Ipv4Addr::new(130, 0, 0, 1);
+        struct PortSink {
+            base: u32,
+            received: u64,
+        }
+        impl Node for PortSink {
+            fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
+                let member = u32::from(pkt.src.ip) - self.base;
+                assert_eq!(u32::from(pkt.src.port), 1024 + member % 50_000, "bot {member}'s port");
+                self.received += 1;
+            }
+        }
+        let sink = sim.add_node(
+            target,
+            CpuConfig::unbounded(),
+            PortSink {
+                base: u32::from(base),
+                received: 0,
+            },
+        );
+        let bots = sim.add_node(
+            Ipv4Addr::new(78, 0, 0, 1),
+            CpuConfig::unbounded(),
+            SpoofedFlood::new(FloodConfig {
+                target,
+                rate: 2_000.0 * 4.0,
+                sources: SourceStrategy::Pool { base, count: 2_000 },
+                payload: AttackPayload::PlainQuery("www.foo.com".parse().unwrap()),
+                duration: None,
+            }),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        let b = sim.node_ref::<SpoofedFlood>(bots).unwrap();
+        // Aggregate ≈ 8000/s — a flood —
+        assert!((b.sent() as f64 - 8_000.0).abs() < 300.0, "aggregate {}", b.sent());
+        let received = sim.node_ref::<PortSink>(sink).unwrap().received;
+        assert!(received + 10 >= b.sent(), "delivered {received} of {}", b.sent());
+        // — while every bot individually sent ≈ 4 queries.
+        assert!(b.per_source().iter().all(|&c| c <= 5), "low and slow per bot");
+        assert_eq!(b.per_source().iter().sum::<u64>(), b.sent());
+    }
+
+    #[test]
+    fn crowd_is_bounded_zipf_skewed_and_paced() {
+        let mut sim = Simulator::new(11);
+        let target = Ipv4Addr::new(1, 2, 3, 4);
+        sim.add_node(
+            target,
+            CpuConfig::unbounded(),
+            Sink {
+                received: 0,
+                distinct_sources: Default::default(),
+            },
+        );
+        let crowd = sim.add_node(
+            Ipv4Addr::new(77, 0, 0, 1),
+            CpuConfig::unbounded(),
+            SpoofedFlood::new(FloodConfig {
+                target,
+                rate: 20_000.0,
+                sources: SourceStrategy::Zipf {
+                    base: Ipv4Addr::new(120, 0, 0, 1),
+                    count: 300,
+                    s: 1.2,
+                },
+                payload: AttackPayload::PlainQuery("www.foo.com".parse().unwrap()),
+                duration: None,
+            }),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        let c = sim.node_ref::<SpoofedFlood>(crowd).unwrap();
+        assert!((c.sent() as f64 - 20_000.0).abs() < 500.0, "paced: {}", c.sent());
+        assert_eq!(c.per_source().iter().sum::<u64>(), c.sent(), "ground truth conserves");
+        // Bounded population…
+        let distinct_used = c.per_source().iter().filter(|&&n| n > 0).count();
+        assert!(distinct_used <= 300);
+        assert!(distinct_used > 250, "most of the crowd shows up");
+        // …with Zipf skew: rank 1 dwarfs the median client.
+        let top = c.per_source()[0];
+        let median = {
+            let mut v = c.per_source().to_vec();
+            v.sort_unstable();
+            v[v.len() / 2]
+        };
+        assert!(
+            top > median * 20,
+            "rank-1 client ({top}) should dwarf the median ({median})"
+        );
     }
 }

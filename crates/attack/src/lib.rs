@@ -1,37 +1,34 @@
 //! Attack workload generators for the DNS Guard evaluation — the
 //! adversaries of section III.G, as simulator nodes:
 //!
-//! * [`flood`] — open-loop spoofed floods with pluggable payloads: plain
-//!   queries, NS-name cookie guesses, extension-cookie guesses, and the
-//!   `COOKIE2` subnet spray (the 1/R_y attack);
+//! * [`flood`] — the one open-loop generator, with pluggable payloads
+//!   (plain queries, NS-name cookie guesses, extension-cookie guesses, the
+//!   `COOKIE2` subnet spray of the 1/R_y attack) and source strategies,
+//!   each of which models an adversary or its legitimate look-alike:
+//!   - [`SourceStrategy::Random`] — the classic spoofed flood;
+//!   - [`SourceStrategy::Fixed`] — one address: a reflection victim, or a
+//!     non-spoofed zombie at a high rate, which is exactly what
+//!     Rate-Limiter2 throttles;
+//!   - [`SourceStrategy::Pool`] — many real sources each at a trickle: a
+//!     low-and-slow botnet, individually innocuous, collectively a flood,
+//!     detectable only as a source-population anomaly;
+//!   - [`SourceStrategy::Zipf`] — a bounded population of real clients
+//!     with Zipf popularity: the flash crowd, the legitimate surge the
+//!     spoof-vs-flash-crowd discriminator must *not* label as spoofing;
 //! * [`amplification`] — the reflection attack and its measuring victim;
-//! * [`flashcrowd`] — a bounded population of real clients with Zipf
-//!   popularity: the legitimate surge the spoof-vs-flash-crowd
-//!   discriminator must *not* label as spoofing;
-//! * [`botnet`] — many real sources each at a trickle: individually
-//!   innocuous, collectively a flood, detectable only as a
-//!   source-population anomaly;
 //! * [`spray`] — a reflection attack on one victim under a spray of
 //!   distinct spoofed sources sized to flush the guard's per-source
 //!   limiter table.
-//!
-//! Non-spoofed ("zombie") floods reuse [`flood::SourceStrategy::Pool`]:
-//! real addresses at high rates, which is exactly what Rate-Limiter2
-//! throttles.
 
 #![forbid(unsafe_code)]
 
 pub mod amplification;
-pub mod botnet;
-pub mod flashcrowd;
 pub mod flood;
 pub mod poison;
 pub mod prober;
 pub mod spray;
 
 pub use amplification::Victim;
-pub use botnet::{BotnetConfig, BotnetLowRate};
-pub use flashcrowd::{FlashCrowd, FlashCrowdConfig};
 pub use flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 pub use poison::{
     DerandConfig, FragPoisonConfig, FragPoisoner, KaminskyAttack, KaminskyConfig,
@@ -178,35 +175,6 @@ mod guard_attack_tests {
         let ans = sim.add_node(PRIV, CpuConfig::unbounded(), AuthNode::new(PRIV, authority));
 
         let zombie_ip = Ipv4Addr::new(44, 0, 0, 1);
-        struct CookieZombie {
-            me: Ipv4Addr,
-            cookie_hex: String,
-            sent: u64,
-        }
-        impl netsim::engine::Node for CookieZombie {
-            fn on_start(&mut self, ctx: &mut netsim::engine::Context<'_>) {
-                ctx.set_timer(SimTime::ZERO, 0);
-            }
-            fn on_timer(&mut self, ctx: &mut netsim::engine::Context<'_>, _t: u64) {
-                for _ in 0..50 {
-                    self.sent += 1;
-                    let name: dnswire::Name =
-                        format!("PR{}com", self.cookie_hex).parse().unwrap();
-                    let q = dnswire::Message::iterative_query(
-                        (self.sent % 65535) as u16,
-                        name,
-                        dnswire::RrType::A,
-                    );
-                    ctx.send(netsim::Packet::udp(
-                        netsim::Endpoint::new(self.me, 2000),
-                        netsim::Endpoint::new(PUB, 53),
-                        q.encode(),
-                    ));
-                }
-                ctx.set_timer(SimTime::from_millis(1), 0); // 50K req/s
-            }
-            fn on_packet(&mut self, _ctx: &mut netsim::engine::Context<'_>, _p: netsim::Packet) {}
-        }
         let cookie_hex = sim
             .node_ref::<RemoteGuard>(guard)
             .unwrap()
@@ -216,11 +184,13 @@ mod guard_attack_tests {
         sim.add_node(
             zombie_ip,
             CpuConfig::unbounded(),
-            CookieZombie {
-                me: zombie_ip,
-                cookie_hex,
-                sent: 0,
-            },
+            SpoofedFlood::new(FloodConfig {
+                target: PUB,
+                rate: 50_000.0,
+                sources: SourceStrategy::Fixed(zombie_ip),
+                payload: AttackPayload::PlainQuery(format!("PR{cookie_hex}com").parse().unwrap()),
+                duration: None,
+            }),
         );
         sim.run_until(SimTime::from_secs(1));
         let g = sim.node_ref::<RemoteGuard>(guard).unwrap();

@@ -221,8 +221,6 @@ pub struct KaminskyAttack {
     next_race: u32,
     /// Forced-miss client queries sent.
     pub queries_sent: u64,
-    /// Responses the resolver sent back to our client queries.
-    pub responses_seen: u64,
 }
 
 impl KaminskyAttack {
@@ -240,7 +238,6 @@ impl KaminskyAttack {
             forger,
             next_race: 0,
             queries_sent: 0,
-            responses_seen: 0,
         }
     }
 
@@ -283,9 +280,7 @@ impl Node for KaminskyAttack {
         }
     }
 
-    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {
-        self.responses_seen += 1;
-    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
 }
 
 // ---- Port derandomizer -------------------------------------------------
@@ -336,8 +331,6 @@ pub struct PortDerandomizer {
     pub last_observed_port: Option<u16>,
     /// Client queries sent (warmup + probes + forced misses).
     pub queries_sent: u64,
-    /// Responses the resolver sent back to our client queries.
-    pub responses_seen: u64,
 }
 
 impl PortDerandomizer {
@@ -358,7 +351,6 @@ impl PortDerandomizer {
             probes_seen: 0,
             last_observed_port: None,
             queries_sent: 0,
-            responses_seen: 0,
         }
     }
 
@@ -419,7 +411,6 @@ impl Node for PortDerandomizer {
             return;
         };
         if msg.header.response {
-            self.responses_seen += 1;
             return;
         }
         // An iterative query from the resolver for our own zone: the

@@ -36,7 +36,7 @@ use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::checkpoint::shared_store;
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::guard::RemoteGuard;
-use dnsguard::{AdmissionConfig, PressureTier};
+use dnsguard::PressureTier;
 use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
 use obs::alert::AlertConfig;
@@ -260,7 +260,7 @@ fn run_shed_point(seed: u64, rate: f64) -> ShedPoint {
     // the paper's amplification bound (< 1.5) was measured in.
     let GuardedWorld { mut sim, guard: guard_id, .. } = guarded_world_with(
         WorldParams { open_limiters: false, ..WorldParams::new(seed) },
-        |config| config.with_admission(AdmissionConfig::default()),
+        |config| config.with_admission(),
     );
     let (clients, _) = paced_clients(&mut sim, 3, 2, SimTime::from_millis(60), SimTime::from_millis(2));
 

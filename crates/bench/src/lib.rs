@@ -31,8 +31,9 @@
 //!   cross-node journey stitching through a mid-flood catchment shift
 //!   with clock skew, and the fleet alert rules through a site crash;
 //! * [`analytics`] — `analytics`: the spoof-vs-flash-crowd discriminator
-//!   experiment behind `BENCH_analytics.json`: a random-spoof flood, a
-//!   bounded Zipf flash crowd, and a low-and-slow botnet driven through
+//!   experiment behind `BENCH_analytics.json`: one open-loop flood under
+//!   four source strategies (a quiet baseline crowd, random spoofing, a
+//!   bounded Zipf flash crowd, a low-and-slow botnet pool) driven through
 //!   the streaming sketches of guards armed for it, plus a two-site
 //!   sketch-merge leg checked against exact generator ground truth;
 //! * [`poison`] — `poison`: the cache-poisoning success table behind

@@ -17,7 +17,7 @@
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
-use dnsguard::{AdmissionConfig, FleetConfig, HaConfig};
+use dnsguard::{FleetConfig, HaConfig};
 use guardhash::cookie::CookieAlg;
 use netsim::engine::{CpuConfig, FaultPlan, NodeId, Simulator};
 use netsim::time::SimTime;
@@ -184,7 +184,7 @@ pub fn ha_world(seed: u64) -> HaWorld {
     let authority = Authority::new(vec![foo_com]);
     let mut sim = Simulator::new(seed);
 
-    let base = guard_config(PRIV).with_admission(AdmissionConfig::default());
+    let base = guard_config(PRIV).with_admission();
     let interval = SimTime::from_millis(20);
     let primary_cfg = base
         .clone()

@@ -14,9 +14,9 @@
 //! usual.
 //!
 //! Escalation is immediate (one hot window is enough); de-escalation is
-//! hysteretic — the controller steps down one tier only after
-//! [`AdmissionConfig::decay_windows`] consecutive calm windows, so a flood
-//! that oscillates around the threshold cannot flap the tier.
+//! hysteretic — the controller steps down one tier only after two
+//! consecutive calm windows, so a flood that oscillates around the threshold
+//! cannot flap the tier.
 
 /// Pressure tiers, in escalation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,36 +49,20 @@ impl PressureTier {
     }
 }
 
-/// Thresholds for the pressure controller. All ratios are in `[0, 1]`.
-#[derive(Debug, Clone)]
-pub struct AdmissionConfig {
-    /// RL1 reject ratio (per window) at which the controller enters Surge.
-    pub surge_reject_ratio: f64,
-    /// RL1 reject ratio at which the controller enters Shed.
-    pub shed_reject_ratio: f64,
-    /// Forward-table fill fraction at which the controller enters Surge.
-    pub surge_table_fill: f64,
-    /// Forward-table fill fraction at which the controller enters Shed.
-    pub shed_table_fill: f64,
-    /// Minimum rate-limiter decisions per window before its reject ratio is
-    /// trusted (a 1-of-2 rejection in a quiet window is noise, not surge).
-    pub min_window_events: u64,
-    /// Consecutive calm windows before stepping down one tier.
-    pub decay_windows: u32,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            surge_reject_ratio: 0.2,
-            shed_reject_ratio: 0.5,
-            surge_table_fill: 0.7,
-            shed_table_fill: 0.9,
-            min_window_events: 20,
-            decay_windows: 2,
-        }
-    }
-}
+/// Rate-limiter reject ratio (per window) at which the controller enters
+/// Surge.
+const SURGE_REJECT_RATIO: f64 = 0.2;
+/// Rate-limiter reject ratio at which the controller enters Shed.
+const SHED_REJECT_RATIO: f64 = 0.5;
+/// Forward-table fill fraction at which the controller enters Surge.
+const SURGE_TABLE_FILL: f64 = 0.7;
+/// Forward-table fill fraction at which the controller enters Shed.
+const SHED_TABLE_FILL: f64 = 0.9;
+/// Minimum rate-limiter decisions per window before its reject ratio is
+/// trusted (a 1-of-2 rejection in a quiet window is noise, not surge).
+const MIN_WINDOW_EVENTS: u64 = 20;
+/// Consecutive calm windows before stepping down one tier.
+const DECAY_WINDOWS: u32 = 2;
 
 /// The pressure controller. The guard calls [`observe`] once per
 /// housekeeping window with cumulative rate-limiter counters and the
@@ -89,7 +73,6 @@ impl Default for AdmissionConfig {
 /// [`shed_unverified`]: AdmissionController::shed_unverified
 #[derive(Debug)]
 pub struct AdmissionController {
-    config: AdmissionConfig,
     tier: PressureTier,
     calm_windows: u32,
     last_rl1_admitted: u64,
@@ -101,9 +84,8 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// A controller starting in `Normal`.
-    pub fn new(config: AdmissionConfig) -> Self {
+    pub(crate) fn new() -> Self {
         AdmissionController {
-            config,
             tier: PressureTier::Normal,
             calm_windows: 0,
             last_rl1_admitted: 0,
@@ -137,11 +119,11 @@ impl AdmissionController {
         rl2_rejected: u64,
         table_fill: f64,
     ) -> PressureTier {
-        let rl1_ratio = self.window_ratio(
+        let rl1_ratio = Self::window_ratio(
             rl1_admitted.saturating_sub(self.last_rl1_admitted),
             rl1_rejected.saturating_sub(self.last_rl1_rejected),
         );
-        let rl2_ratio = self.window_ratio(
+        let rl2_ratio = Self::window_ratio(
             rl2_admitted.saturating_sub(self.last_rl2_admitted),
             rl2_rejected.saturating_sub(self.last_rl2_rejected),
         );
@@ -150,11 +132,10 @@ impl AdmissionController {
         self.last_rl2_admitted = rl2_admitted;
         self.last_rl2_rejected = rl2_rejected;
 
-        let c = &self.config;
-        let from_rl1 = Self::grade(rl1_ratio, c.surge_reject_ratio, c.shed_reject_ratio);
-        let from_fill = Self::grade(table_fill, c.surge_table_fill, c.shed_table_fill);
-        let from_rl2 = Self::grade(rl2_ratio, c.surge_reject_ratio, c.shed_reject_ratio)
-            .min(PressureTier::Surge);
+        let from_rl1 = Self::grade(rl1_ratio, SURGE_REJECT_RATIO, SHED_REJECT_RATIO);
+        let from_fill = Self::grade(table_fill, SURGE_TABLE_FILL, SHED_TABLE_FILL);
+        let from_rl2 =
+            Self::grade(rl2_ratio, SURGE_REJECT_RATIO, SHED_REJECT_RATIO).min(PressureTier::Surge);
         let target = from_rl1.max(from_fill).max(from_rl2);
 
         if target > self.tier {
@@ -162,7 +143,7 @@ impl AdmissionController {
             self.calm_windows = 0;
         } else if target < self.tier {
             self.calm_windows += 1;
-            if self.calm_windows >= self.config.decay_windows {
+            if self.calm_windows >= DECAY_WINDOWS {
                 self.tier = match self.tier {
                     PressureTier::Shed => PressureTier::Surge,
                     _ => PressureTier::Normal,
@@ -188,9 +169,9 @@ impl AdmissionController {
         }
     }
 
-    fn window_ratio(&self, admitted: u64, rejected: u64) -> f64 {
+    fn window_ratio(admitted: u64, rejected: u64) -> f64 {
         let total = admitted + rejected;
-        if total < self.config.min_window_events {
+        if total < MIN_WINDOW_EVENTS {
             0.0
         } else {
             rejected as f64 / total as f64
@@ -213,7 +194,7 @@ mod tests {
     use super::*;
 
     fn ctl() -> AdmissionController {
-        AdmissionController::new(AdmissionConfig::default())
+        AdmissionController::new()
     }
 
     #[test]

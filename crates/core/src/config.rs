@@ -1,6 +1,5 @@
 //! Guard configuration.
 
-use crate::admission::AdmissionConfig;
 use crate::ha::{FleetConfig, HaConfig};
 use guardhash::cookie::CookieAlg;
 use netsim::time::SimTime;
@@ -109,9 +108,9 @@ pub struct GuardConfig {
     /// [`crate::checkpoint::CheckpointStore`]. `None` disables
     /// checkpointing.
     pub checkpoint_interval: Option<SimTime>,
-    /// Overload-adaptive admission control. `None` disables shedding
+    /// Overload-adaptive admission control. `false` disables shedding
     /// entirely (every request takes the plain Figure 4 pipeline).
-    pub admission: Option<AdmissionConfig>,
+    pub admission: bool,
     /// Primary–standby pairing. `None` runs the guard standalone.
     pub ha: Option<HaConfig>,
     /// Anycast fleet membership: shared-secret distribution and rotation
@@ -155,7 +154,7 @@ impl GuardConfig {
             fwd_bytes_max: 1 << 20,   // 1 MiB of in-flight request state
             stash_bytes_max: 1 << 20, // 1 MiB of stashed one-shot answers
             checkpoint_interval: None,
-            admission: None,
+            admission: false,
             ha: None,
             fleet: None,
         }
@@ -192,8 +191,8 @@ impl GuardConfig {
     }
 
     /// Enables overload-adaptive admission control.
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = Some(admission);
+    pub fn with_admission(mut self) -> Self {
+        self.admission = true;
         self
     }
 

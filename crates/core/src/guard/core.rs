@@ -201,7 +201,7 @@ impl GuardCore {
             metrics: GuardMetrics::default(),
             traffic: TrafficMeter::default(),
             traffic_unverified: TrafficMeter::default(),
-            admission: config.admission.clone().map(AdmissionController::new),
+            admission: config.admission.then(AdmissionController::new),
             checkpoint_store: None,
             checkpoint_seq: 0,
             last_checkpoint: SimTime::ZERO,

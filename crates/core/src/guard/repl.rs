@@ -21,6 +21,17 @@ use netsim::time::SimTime;
 use obs::trace::Value;
 use std::net::Ipv4Addr;
 
+/// Consecutive silent HA intervals before the standby declares the primary
+/// dead.
+const HEARTBEAT_MISSES: u32 = 3;
+
+/// Upper bound on the standby's resync-request and probe backoff once the
+/// peer is suspect (mirrors the ANS-health probe machinery).
+const PEER_BACKOFF_MAX: SimTime = SimTime::from_secs(1);
+
+/// Upper bound on a fleet member's catch-up request backoff.
+const CATCH_UP_BACKOFF_MAX: SimTime = SimTime::from_secs(1);
+
 /// One authenticated message on the channel. HA and fleet derive the same
 /// secret from the shared key seed, so a site can serve both roles over one
 /// port and either runtime's copy opens any message.
@@ -96,7 +107,7 @@ pub(super) struct HaRuntime {
     /// first `Full` arrives, and again after a sequence gap).
     synced: bool,
     /// When the standby may send another `ResyncReq` (doubling per request
-    /// up to `cfg.probe_max`, reset when a full snapshot lands).
+    /// up to `PEER_BACKOFF_MAX`, reset when a full snapshot lands).
     resync: Backoff,
     /// When the peer last sent an authenticated message.
     last_heartbeat: SimTime,
@@ -173,7 +184,7 @@ impl HaRuntime {
             // per miss, a self-amplifying storm.
             (HaRole::Standby, ReplPayload::Delta(_)) => {
                 self.synced = false;
-                if self.resync.due(now, self.cfg.probe_max) {
+                if self.resync.due(now, PEER_BACKOFF_MAX) {
                     FromPeer::AskResync(self.resync_req())
                 } else {
                     FromPeer::Nothing
@@ -224,7 +235,7 @@ impl HaRuntime {
     fn watch(&mut self, now: SimTime) -> Watch {
         let age = now.saturating_sub(self.last_heartbeat);
         self.missed = if age > self.cfg.replication_interval { self.missed + 1 } else { 0 };
-        let peer_went_down = !self.peer_down && self.missed >= self.cfg.heartbeat_miss_threshold;
+        let peer_went_down = !self.peer_down && self.missed >= HEARTBEAT_MISSES;
         if peer_went_down {
             self.peer_down = true;
             self.probe = Backoff::new(self.cfg.replication_interval);
@@ -237,7 +248,7 @@ impl HaRuntime {
             self.need_full = true;
             Some(StandbyMove::TakeOver)
         } else {
-            let due = self.probe.due(now, self.cfg.probe_max);
+            let due = self.probe.due(now, PEER_BACKOFF_MAX);
             due.then(|| StandbyMove::Probe(self.resync_req()))
         };
         Watch { age, peer_went_down, next }
@@ -278,7 +289,7 @@ pub(super) struct FleetRuntime {
     /// push, so startup always announces epoch 0).
     sent_generation: u64,
     /// Member: the catch-up request schedule (doubling per request up to
-    /// `cfg.req_backoff_max`).
+    /// `CATCH_UP_BACKOFF_MAX`).
     catch_up: Backoff,
 }
 
@@ -329,7 +340,7 @@ impl FleetRuntime {
             self.sent_generation = generation;
             let to_members = self.cfg.peers.iter().map(|&peer| self.key_for(peer, cookies));
             FleetTick::Announce(generation, to_members.collect())
-        } else if !self.cfg.master && !self.synced && self.catch_up.due(now, self.cfg.req_backoff_max) {
+        } else if !self.cfg.master && !self.synced && self.catch_up.due(now, CATCH_UP_BACKOFF_MAX) {
             // `u64::MAX` = "never applied an epoch", so the master always
             // answers — even when both sides still sit at generation 0.
             let ask = ReplPayload::FleetKeyReq { have_epoch: u64::MAX };

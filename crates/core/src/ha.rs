@@ -58,12 +58,6 @@ pub struct HaConfig {
     pub peer_addr: Ipv4Addr,
     /// Primary: delta/heartbeat cadence. Standby: heartbeat-check cadence.
     pub replication_interval: SimTime,
-    /// Consecutive silent intervals before the standby declares the
-    /// primary dead.
-    pub heartbeat_miss_threshold: u32,
-    /// Upper bound on the standby's probe backoff once the peer is
-    /// suspect (mirrors the ANS-health probe machinery).
-    pub probe_max: SimTime,
     /// Whether the standby claims the guarded address on peer death.
     /// `false` makes a pure warm spare that only mirrors state.
     pub takeover: bool,
@@ -77,8 +71,6 @@ impl HaConfig {
             local_addr: local,
             peer_addr: peer,
             replication_interval: SimTime::from_millis(20),
-            heartbeat_miss_threshold: 3,
-            probe_max: SimTime::from_secs(1),
             takeover: true,
         }
     }
@@ -122,8 +114,6 @@ pub struct FleetConfig {
     /// Master: cadence of the key-sync tick. Member: cadence of the
     /// catch-up check while unsynced.
     pub sync_interval: SimTime,
-    /// Upper bound on a member's catch-up request backoff.
-    pub req_backoff_max: SimTime,
 }
 
 impl FleetConfig {
@@ -135,7 +125,6 @@ impl FleetConfig {
             peers: members,
             master_addr: local,
             sync_interval: SimTime::from_millis(20),
-            req_backoff_max: SimTime::from_secs(1),
         }
     }
 
@@ -147,7 +136,6 @@ impl FleetConfig {
             peers: Vec::new(),
             master_addr: master,
             sync_interval: SimTime::from_millis(20),
-            req_backoff_max: SimTime::from_secs(1),
         }
     }
 

@@ -63,7 +63,7 @@ pub mod local_guard;
 pub mod ratelimit;
 pub mod tcp_proxy;
 
-pub use admission::{AdmissionConfig, AdmissionController, PressureTier};
+pub use admission::{AdmissionController, PressureTier};
 pub use checkpoint::{CheckpointStore, GuardCheckpoint, SharedCheckpointStore};
 pub use classify::{AuthorityClassifier, Classification, Classifier};
 pub use config::{AnsHealthPolicy, GuardConfig, SchemeMode};

@@ -11,9 +11,9 @@
 //! `std::sync::atomic` types plus a thin poison-recovering mutex
 //! wrapper — zero overhead, zero behavior change. Under
 //! `RUSTFLAGS="--cfg guardcheck"` they swap to the modeled primitives,
-//! so the *production types themselves* (Counter, Tracer, TokenBucket,
-//! CheckpointStore, StopFlag) run under the interleaving checker with
-//! no test doubles.
+//! so the *production types themselves* (`Counter`, `Histogram`,
+//! `Tracer`'s ring, `CheckpointStore`, `StopFlag`) run under the
+//! interleaving checker with no test doubles.
 
 pub use std::sync::atomic::Ordering;
 

@@ -9,7 +9,7 @@ use dnsguard::checkpoint::shared_store;
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
-use dnsguard::{AdmissionConfig, GuardConfig, HaConfig};
+use dnsguard::{GuardConfig, HaConfig};
 use netsim::engine::{CpuConfig, FaultPlan, Simulator};
 use netsim::time::SimTime;
 use obs::alert::{AlertConfig, AlertEngine};
@@ -150,7 +150,7 @@ fn surge_sheds_unverified_before_any_verified_query() {
     let mut sim = Simulator::new(67);
     let config = GuardConfig::new(PUB, PRIV)
         .with_mode(SchemeMode::DnsBased)
-        .with_admission(AdmissionConfig::default());
+        .with_admission();
     let guard = sim.add_node(
         PUB,
         CpuConfig {

@@ -213,7 +213,7 @@ fn admission_surge_emits_tier_change_event() {
             // admission pressure.
             c.rl1_global_rate = 10_000.0;
             c.rl1_per_source_rate = 100.0;
-            c.admission = Some(dnsguard::AdmissionConfig::default());
+            c.admission = true;
         })
         .build();
     let obs = Obs::new();
