@@ -11,8 +11,9 @@
 #                exemptions live in Lint.toml
 #   guardcheck   the interleaving model checker's harnesses (300 s cap)
 #   clippy       clippy with warnings denied
-#   experiments  every non-paper experiment: bars, export validation, and a
-#                `cmp` of every export against the committed BENCH_* file
+#   experiments  every experiment: bars, export validation, and a `cmp` of
+#                every export and of the paper tables' stdout against the
+#                committed BENCH_* file
 #   docs         rustdoc with warnings denied
 #   perf         explicit only: the benchmark package's tests, clippy, a smoke
 #                run and the allocation gate; builds into perf/target, over a
@@ -60,14 +61,17 @@ if want clippy; then
 fi
 
 if want experiments; then
-  echo "==> experiments (every non-paper registry entry: bars, export validation, drift)"
+  echo "==> experiments (every registry entry: bars, export validation, drift)"
   # The runner exits non-zero if any entry missed an acceptance bar or wrote
   # an export that fails its format or required keys. The paper's own tables
-  # and figures have shapes, not bars; `cargo test` smoke-tests those.
+  # and figures have shapes, not bars, and write no export: what they print
+  # is their artefact, kept as BENCH_paper.txt and compared like an export.
   smoke=target/experiments-smoke
   rm -rf "$smoke"
   cargo run --release --offline -p bench --bin all_experiments -- \
     --out "$smoke" ablations obs journeys ha fleet fleetobs analytics poison
+  cargo run --release --offline -q -p bench --bin all_experiments -- \
+    --out "$smoke" table1 table2 table3 fig5 fig6 fig7 >"$smoke/BENCH_paper.txt"
   # The simulator is seeded, so a fresh export must equal the committed
   # file of the same name byte for byte; a difference is a behaviour change
   # (or a stale artifact) and has to be committed deliberately.

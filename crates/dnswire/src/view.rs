@@ -219,6 +219,43 @@ impl<'a> RecordView<'a> {
         self.wire.get(self.rdata_at..self.rdata_at + self.rdlen).unwrap_or_default()
     }
 
+    /// Whether the owner is `name` by the test `Name`'s `==` applies (ASCII
+    /// case folded), read where it lies: compression pointers are followed
+    /// and no name is built.
+    pub fn owner_is(&self, name: &Name) -> bool {
+        let mut want = name.as_wire();
+        let mut pos = self.owner_at;
+        // Every pointer goes backwards and every label uses up some of
+        // `want`, so the walk ends even on bytes `parse` never saw.
+        while let Some(&len) = self.wire.get(pos) {
+            match len {
+                0 => return want.is_empty(),
+                l if l & 0xC0 == 0xC0 => {
+                    let target = self.wire.get(pos + 1).map(|&low| usize::from(l & 0x3F) << 8 | usize::from(low));
+                    match target {
+                        Some(target) if target < pos => pos = target,
+                        _ => return false,
+                    }
+                }
+                l => {
+                    // Length octet and label as one piece, as `Name` compares
+                    // them: no length octet is an ASCII letter.
+                    let end = pos + 1 + usize::from(l);
+                    let (Some(label), Some((head, rest))) =
+                        (self.wire.get(pos..end), want.split_at_checked(end - pos))
+                    else {
+                        return false;
+                    };
+                    if !label.eq_ignore_ascii_case(head) {
+                        return false;
+                    }
+                    (want, pos) = (rest, end);
+                }
+            }
+        }
+        false
+    }
+
     /// The owned record, as `Message::decode` holds it.
     pub fn to_record(&self) -> Record {
         let name = Name::read::<true>(self.wire, self.owner_at).ok().and_then(|(name, _)| name);
@@ -357,6 +394,7 @@ pub(crate) fn walk<'a, const KEEP: bool>(
 pub(crate) mod tests {
     use super::*;
     use crate::cookie_ext::{attach_cookie, find_cookie, strip_cookie};
+    use std::net::Ipv4Addr;
 
     /// The forward the in-place one replaced, kept as its oracle: decode,
     /// strip the cookie, renumber, encode.
@@ -408,6 +446,7 @@ pub(crate) mod tests {
             let shown = seen.next().expect("a record short");
             assert_eq!((shown.section, shown.to_record()), (section, record.clone()));
             assert_eq!((shown.rtype, shown.class, shown.ttl), (record.rtype, record.class, record.ttl));
+            assert_owner_is(&shown, &record.name);
             if matches!(record.rdata, RData::A(_) | RData::Aaaa(_) | RData::Unknown(_)) {
                 let mut encoded = Vec::new();
                 record.rdata.encode(&mut encoded);
@@ -417,6 +456,21 @@ pub(crate) mod tests {
         assert!(seen.next().is_none(), "a record too many");
     }
 
+    /// `record`'s owner is `owner` in its case and with every letter's case
+    /// flipped, and is not `owner` with a label more at either end.
+    fn assert_owner_is(record: &RecordView<'_>, owner: &Name) {
+        assert!(record.owner_is(owner), "{owner:?}");
+        let flipped = owner.labels().map(|label| {
+            let flip = |&b: &u8| if b.is_ascii_alphabetic() { b ^ 0x20 } else { b };
+            label.iter().map(flip).collect::<Vec<u8>>()
+        });
+        let flipped = Name::from_labels(flipped).unwrap();
+        assert!(record.owner_is(&flipped), "{flipped:?} is {owner:?} in the other case");
+        let x: Name = "x".parse().unwrap();
+        for longer in [owner.child("x"), owner.concat(&x)].into_iter().flatten() {
+            assert!(!record.owner_is(&longer), "{longer:?} is not {owner:?}");
+        }
+    }
     fn cookie_query() -> Message {
         let mut q = Message::query(7, "wWw.foo.com".parse().unwrap(), RrType::Aaaa);
         attach_cookie(&mut q, [0xAB; 16], 300);
@@ -467,6 +521,26 @@ pub(crate) mod tests {
         assert!(find_cookie(&msg).is_some());
         assert_agrees(&compressed);
         assert!(MessageView::parse(&compressed).unwrap().without_cookie(1).is_none());
+    }
+
+    #[test]
+    fn owner_behind_a_pointer_into_the_question_folds_case() {
+        let mut msg = Message::query(7, "wWw.Foo.com".parse().unwrap(), RrType::A).into_response();
+        msg.answers.push(Record::a("wWw.Foo.com".parse().unwrap(), Ipv4Addr::new(192, 0, 2, 1), 60));
+        let wire = msg.encode();
+        // The answer's owner is a pointer to the question name at offset 12.
+        let owner_at = HEADER_LEN + "wWw.Foo.com".len() + 2 + 4;
+        assert_eq!(wire[owner_at..owner_at + 2], [0xC0, HEADER_LEN as u8]);
+        assert_agrees(&wire);
+
+        let view = MessageView::parse(&wire).unwrap();
+        let answer = view.records().next().unwrap();
+        let name = |s: &str| s.parse::<Name>().unwrap();
+        assert!(answer.owner_is(&name("WWW.fOO.COM")), "differs from the question only in case");
+        assert!(answer.owner_is(&name("www.foo.com")));
+        for other in ["foo.com", "x.www.foo.com", "www.foo.co", "www.foo.com.x", "."] {
+            assert!(!answer.owner_is(&name(other)), "{other}");
+        }
     }
 
     #[test]

@@ -20,18 +20,25 @@
 //! With [`LrsSimConfig::cookie_cache`] disabled every request repeats the
 //! whole exchange — the paper's *cache miss* scenario; enabled, requests
 //! reuse cached cookies — *cache hit*.
+//!
+//! The client is on the wire path the guard takes: a response is read
+//! through a [`MessageView`] where it lies, and a query is a copy of one of
+//! a few encoded templates with its transaction id written in. Only the NS
+//! record a referral is followed by becomes an owned [`Record`].
 
 use crate::tcpclient::TcpQueryClient;
-use dnswire::cookie_ext::{self, ZERO_COOKIE};
+use dnswire::cookie_ext::{self, EXT_COOKIE_LEN, ZERO_COOKIE};
 use dnswire::message::Message;
 use dnswire::name::Name;
 use dnswire::rdata::RData;
+use dnswire::record::Record;
 use dnswire::types::{Rcode, RrType};
+use dnswire::view::MessageView;
+use dnswire::writer::Section;
 use netsim::engine::{Context, Node};
 use netsim::metrics::LatencyRecorder;
 use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT};
 use netsim::time::SimTime;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Cookie behaviour of the simulated LRS.
@@ -139,6 +146,66 @@ struct Slot {
     started: SimTime,
 }
 
+/// Templates one client keeps. It asks for at most four things: the
+/// question bare and under two cookies (the all-zero request and the one
+/// granted), and the fabricated NS name's address; a key rotation replaces
+/// the oldest.
+const TEMPLATES: usize = 4;
+
+/// A query as `Message::iterative_query(0, name, qtype)`, with the cookie
+/// extension attached if `cookie` is set, encodes it. Only bytes 0–1 (the
+/// transaction id) depend on the id, so a copy with the id written in is
+/// that query under any id.
+#[derive(Debug)]
+struct Template {
+    name: Name,
+    qtype: RrType,
+    cookie: Option<[u8; EXT_COOKIE_LEN]>,
+    wire: Vec<u8>,
+}
+
+/// The client's encoded queries, at most [`TEMPLATES`] of them.
+#[derive(Debug, Default)]
+struct Templates {
+    entries: Vec<Template>,
+    /// The entry a new key replaces once all are taken.
+    oldest: usize,
+}
+
+impl Templates {
+    /// The encoded query for `(name, qtype, cookie)` under id 0, built on
+    /// first use. Names are matched case for case: the bytes must be the
+    /// ones asked for.
+    fn get(&mut self, name: &Name, qtype: RrType, cookie: Option<[u8; EXT_COOKIE_LEN]>) -> &[u8] {
+        let found = self
+            .entries
+            .iter()
+            .position(|t| t.qtype == qtype && t.cookie == cookie && t.name.eq_case_sensitive(name));
+        let at = found.unwrap_or_else(|| {
+            let mut query = Message::iterative_query(0, name.clone(), qtype);
+            if let Some(cookie) = cookie {
+                cookie_ext::attach_cookie(&mut query, cookie, 0);
+            }
+            let template = Template {
+                name: name.clone(),
+                qtype,
+                cookie,
+                wire: query.encode(),
+            };
+            if self.entries.len() < TEMPLATES {
+                self.entries.push(template);
+                self.entries.len() - 1
+            } else {
+                let at = self.oldest;
+                self.oldest = (at + 1) % TEMPLATES;
+                self.entries[at] = template;
+                at
+            }
+        });
+        &self.entries[at].wire
+    }
+}
+
 /// Counters exposed by the simulator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LrsSimStats {
@@ -157,7 +224,12 @@ pub struct LrsSimulator {
     config: LrsSimConfig,
     slots: Vec<Slot>,
     cached: Cached,
-    txid_map: HashMap<u16, (usize, u64)>,
+    templates: Templates,
+    /// The [`LrsSimulator::timer_tag`] of the request each transaction id
+    /// was last sent for, indexed by the id. 0 names no request: it is slot
+    /// 0 at generation 0, and every slot's generation is at least 1 once
+    /// `on_start` returns.
+    in_flight: Vec<u64>,
     next_txid: u16,
     tcp: TcpQueryClient,
     /// Consecutive timeouts across all slots; two in a row invalidate the
@@ -178,7 +250,8 @@ impl LrsSimulator {
         LrsSimulator {
             slots: Vec::new(),
             cached: Cached::Nothing,
-            txid_map: HashMap::new(),
+            templates: Templates::default(),
+            in_flight: vec![0; 1 << 16],
             next_txid: 1,
             tcp,
             consecutive_timeouts: 0,
@@ -204,17 +277,46 @@ impl LrsSimulator {
     /// Bit marking a pacing (restart) timer rather than a wait timeout.
     const PAUSE_BIT: u64 = 1 << 63;
 
+    /// The generation bits of a [`LrsSimulator::timer_tag`].
+    const GENERATION: u64 = 0xFF_FFFF_FFFF;
+
     fn timer_tag(slot: usize, generation: u64) -> u64 {
-        ((slot as u64) << 40) | (generation & 0xFF_FFFF_FFFF)
+        ((slot as u64) << 40) | (generation & Self::GENERATION)
     }
 
-    fn send_udp(&mut self, ctx: &mut Context<'_>, slot: usize, server: Ipv4Addr, mut msg: Message) {
+    /// The slot `tag` names, while it is still on the request the tag was
+    /// made for.
+    fn live(&self, tag: u64) -> Option<usize> {
+        let slot = (tag >> 40) as usize;
+        let generation = self.slots.get(slot)?.generation;
+        (generation & Self::GENERATION == tag & Self::GENERATION).then_some(slot)
+    }
+
+    /// The encoded query asking the configured question, with `cookie`
+    /// attached if set, under id 0.
+    fn question(&mut self, cookie: Option<[u8; EXT_COOKIE_LEN]>) -> Vec<u8> {
+        self.templates.get(&self.config.qname, self.config.qtype, cookie).to_vec()
+    }
+
+    /// Sends `query`, a template copy, under the next transaction id.
+    fn send_udp(&mut self, ctx: &mut Context<'_>, slot: usize, server: Ipv4Addr, mut query: Vec<u8>) {
         let txid = self.next_txid;
         self.next_txid = self.next_txid.wrapping_add(1).max(1);
-        msg.header.id = txid;
-        self.txid_map.insert(txid, (slot, self.slots[slot].generation));
+        query[..2].copy_from_slice(&txid.to_be_bytes());
+        self.in_flight[usize::from(txid)] = Self::timer_tag(slot, self.slots[slot].generation);
         ctx.charge(self.config.per_packet_cost);
-        ctx.send(Packet::udp(self.me(), Endpoint::new(server, DNS_PORT), msg.encode()));
+        ctx.send(Packet::udp(self.me(), Endpoint::new(server, DNS_PORT), query));
+    }
+
+    /// Asks the configured question at `server` with `cookie` attached, if
+    /// set, awaiting a direct answer.
+    fn ask(&mut self, ctx: &mut Context<'_>, slot: usize, server: Ipv4Addr, cookie: Option<[u8; EXT_COOKIE_LEN]>) {
+        let query = self.question(cookie);
+        self.slots[slot].state = SlotState::AwaitAnswer {
+            sent_name: self.config.qname.clone(),
+            chasing: None,
+        };
+        self.send_udp(ctx, slot, server, query);
     }
 
     fn start_slot(&mut self, ctx: &mut Context<'_>, slot: usize) {
@@ -223,58 +325,38 @@ impl LrsSimulator {
         self.slots[slot].started = ctx.now();
         ctx.set_timer(self.config.wait, Self::timer_tag(slot, generation));
 
-        let qname = self.config.qname.clone();
-        let qtype = self.config.qtype;
         let cached = if self.config.cookie_cache {
-            self.cached.clone()
+            &self.cached
         } else {
-            Cached::Nothing
+            &Cached::Nothing
         };
         match (self.config.mode, cached) {
-            (CookieMode::Extension, Cached::Ext(cookie)) => {
-                let mut q = Message::iterative_query(0, qname.clone(), qtype);
-                cookie_ext::attach_cookie(&mut q, cookie, 0);
-                self.slots[slot].state = SlotState::AwaitAnswer {
-                    sent_name: qname,
-                    chasing: None,
-                };
-                self.send_udp(ctx, slot, self.config.server, q);
+            (CookieMode::Extension, &Cached::Ext(cookie)) => {
+                self.ask(ctx, slot, self.config.server, Some(cookie));
             }
             (CookieMode::Extension, _) => {
                 // Message 2: ask for a cookie with the all-zero extension.
-                let mut q = Message::iterative_query(0, qname, qtype);
-                cookie_ext::attach_cookie(&mut q, ZERO_COOKIE, 0);
+                let query = self.question(Some(ZERO_COOKIE));
                 self.slots[slot].state = SlotState::AwaitGrant;
-                self.send_udp(ctx, slot, self.config.server, q);
+                self.send_udp(ctx, slot, self.config.server, query);
             }
             (CookieMode::Plain, Cached::NsName(ns)) => {
                 // Cache hit on the NS-name scheme: resolve the fabricated
                 // NS name directly.
-                let q = Message::iterative_query(0, ns.clone(), RrType::A);
+                let ns = ns.clone();
+                let query = self.templates.get(&ns, RrType::A, None).to_vec();
                 self.slots[slot].state = SlotState::AwaitAnswer {
                     sent_name: ns,
                     chasing: None,
                 };
-                self.send_udp(ctx, slot, self.config.server, q);
+                self.send_udp(ctx, slot, self.config.server, query);
             }
-            (CookieMode::Plain, Cached::Cookie2(addr)) => {
+            (CookieMode::Plain, &Cached::Cookie2(addr)) => {
                 // Cache hit on the fabricated NS/IP scheme: straight to the
                 // fabricated ANS address.
-                let q = Message::iterative_query(0, qname.clone(), qtype);
-                self.slots[slot].state = SlotState::AwaitAnswer {
-                    sent_name: qname,
-                    chasing: None,
-                };
-                self.send_udp(ctx, slot, addr, q);
+                self.ask(ctx, slot, addr, None);
             }
-            (CookieMode::Plain, _) => {
-                let q = Message::iterative_query(0, qname.clone(), qtype);
-                self.slots[slot].state = SlotState::AwaitAnswer {
-                    sent_name: qname,
-                    chasing: None,
-                };
-                self.send_udp(ctx, slot, self.config.server, q);
-            }
+            (CookieMode::Plain, _) => self.ask(ctx, slot, self.config.server, None),
         }
     }
 
@@ -297,70 +379,47 @@ impl LrsSimulator {
         }
     }
 
-    fn handle_udp_response(&mut self, ctx: &mut Context<'_>, pkt: Packet, msg: Message) {
-        let Some(&(slot, generation)) = self.txid_map.get(&msg.header.id) else {
-            return;
+    fn handle_udp_response(&mut self, ctx: &mut Context<'_>, from: Ipv4Addr, view: &MessageView<'_>) {
+        let tag = std::mem::take(&mut self.in_flight[usize::from(view.header.id)]);
+        let Some(slot) = self.live(tag) else {
+            return; // unknown id, or a stale response for a restarted slot
         };
-        self.txid_map.remove(&msg.header.id);
-        if self.slots[slot].generation != generation {
-            return; // stale response for a restarted slot
-        }
 
-        if msg.header.truncated {
+        if view.header.truncated {
             // TCP fallback (the TCP-based scheme's redirect).
             self.stats.tcp_fallbacks += 1;
-            let q = Message::iterative_query(0, self.config.qname.clone(), self.config.qtype);
-            let token = Self::timer_tag(slot, generation);
-            let syn = self.tcp.start_query(pkt.src.ip, &q, token);
+            let query = self.templates.get(&self.config.qname, self.config.qtype, None);
+            let syn = self.tcp.start_query(from, query, tag);
             ctx.charge(self.config.per_packet_cost);
             ctx.send(syn);
             self.slots[slot].state = SlotState::AwaitTcp;
             return;
         }
 
-        if msg.header.rcode != Rcode::NoError {
+        if view.header.rcode != Rcode::NoError {
             self.stats.errors += 1;
             self.start_slot(ctx, slot);
             return;
         }
 
-        match self.slots[slot].state.clone() {
-            SlotState::AwaitGrant => {
+        // Every path below gives the slot its next state.
+        match std::mem::replace(&mut self.slots[slot].state, SlotState::Paused) {
+            SlotState::AwaitGrant => match view.cookie().filter(|ext| !ext.is_request()) {
                 // Message 3: the cookie grant.
-                if let Some(ext) = cookie_ext::find_cookie(&msg) {
-                    if !ext.is_request() {
-                        self.cached = Cached::Ext(ext.cookie);
-                        // Message 4: the real query, cookie attached.
-                        let mut q = Message::iterative_query(
-                            0,
-                            self.config.qname.clone(),
-                            self.config.qtype,
-                        );
-                        cookie_ext::attach_cookie(&mut q, ext.cookie, 0);
-                        self.slots[slot].state = SlotState::AwaitAnswer {
-                            sent_name: self.config.qname.clone(),
-                            chasing: None,
-                        };
-                        self.send_udp(ctx, slot, self.config.server, q);
-                        return;
-                    }
+                Some(ext) => {
+                    self.cached = Cached::Ext(ext.cookie);
+                    // Message 4: the real query, cookie attached.
+                    self.ask(ctx, slot, self.config.server, Some(ext.cookie));
                 }
                 // No extension in the response: the server is not cookie
                 // capable (or the guard is disengaged) and answered the
                 // probed question directly — process it as a plain answer.
-                self.process_answer(
-                    ctx,
-                    slot,
-                    pkt.src.ip,
-                    msg,
-                    self.config.qname.clone(),
-                    None,
-                );
-            }
+                None => self.process_answer(ctx, slot, from, view, self.config.qname.clone(), None),
+            },
             SlotState::AwaitAnswer { sent_name, chasing } => {
-                self.process_answer(ctx, slot, pkt.src.ip, msg, sent_name, chasing);
+                self.process_answer(ctx, slot, from, view, sent_name, chasing);
             }
-            SlotState::AwaitTcp | SlotState::Paused => {}
+            waiting @ (SlotState::AwaitTcp | SlotState::Paused) => self.slots[slot].state = waiting,
         }
     }
 
@@ -369,35 +428,27 @@ impl LrsSimulator {
         ctx: &mut Context<'_>,
         slot: usize,
         from: Ipv4Addr,
-        msg: Message,
+        view: &MessageView<'_>,
         sent_name: Name,
         chasing: Option<ChaseInfo>,
     ) {
-        // A-answer for the in-flight name?
-        let direct_a: Vec<Ipv4Addr> = msg
-            .answers
-            .iter()
-            .filter(|r| r.name == sent_name)
-            .filter_map(|r| match r.rdata {
-                RData::A(ip) => Some(ip),
-                _ => None,
-            })
-            .collect();
-        if !direct_a.is_empty() {
+        // A-answer for the in-flight name? (An A record's RDATA is the four
+        // bytes of the address: the parse checked its length.)
+        let direct_a = view
+            .records()
+            .take_while(|r| r.section == Section::Answer)
+            .find(|r| r.rtype == RrType::A && r.owner_is(&sent_name))
+            .and_then(|r| <[u8; 4]>::try_from(r.rdata()).ok())
+            .map(Ipv4Addr::from);
+        if let Some(addr) = direct_a {
             if let Some(chase) = chasing {
                 if chase.owner == self.config.qname {
                     // Fabricated ANS for a non-referral answer: the address
                     // is COOKIE2 — requery the original name there (msg 7).
-                    let addr = direct_a[0];
                     if self.config.cookie_cache {
                         self.cached = Cached::Cookie2(addr);
                     }
-                    let q = Message::iterative_query(0, self.config.qname.clone(), self.config.qtype);
-                    self.slots[slot].state = SlotState::AwaitAnswer {
-                        sent_name: self.config.qname.clone(),
-                        chasing: None,
-                    };
-                    self.send_udp(ctx, slot, addr, q);
+                    self.ask(ctx, slot, addr, None);
                     return;
                 }
                 // True referral: we now hold the next-level ANS name and
@@ -414,37 +465,37 @@ impl LrsSimulator {
         }
 
         // Referral? Find the first NS record in authorities (or answers).
-        let ns_record = msg
-            .authorities
-            .iter()
-            .chain(msg.answers.iter())
+        let ns_record = view
+            .records()
+            .filter(|r| r.section == Section::Authority)
+            .chain(view.records().take_while(|r| r.section == Section::Answer))
             .find(|r| r.rtype == RrType::Ns);
         if let Some(ns_record) = ns_record {
-            let RData::Ns(ns_name) = &ns_record.rdata else {
+            let Record {
+                name: owner,
+                rdata: RData::Ns(ns_name),
+                ..
+            } = ns_record.to_record()
+            else {
                 self.stats.errors += 1;
                 self.start_slot(ctx, slot);
                 return;
             };
             // Glue present → referral complete (a real LRS would descend).
-            let glued = msg
-                .additionals
-                .iter()
-                .any(|r| r.name == *ns_name && r.rtype == RrType::A);
+            let glued = view
+                .records()
+                .any(|r| r.section == Section::Additional && r.rtype == RrType::A && r.owner_is(&ns_name));
             if glued {
                 self.complete(ctx, slot);
                 return;
             }
             // No glue: chase the NS address at the same server.
-            let chase = ChaseInfo {
-                ns: ns_name.clone(),
-                owner: ns_record.name.clone(),
-            };
-            let q = Message::iterative_query(0, ns_name.clone(), RrType::A);
+            let query = self.templates.get(&ns_name, RrType::A, None).to_vec();
             self.slots[slot].state = SlotState::AwaitAnswer {
                 sent_name: ns_name.clone(),
-                chasing: Some(chase),
+                chasing: Some(ChaseInfo { ns: ns_name, owner }),
             };
-            self.send_udp(ctx, slot, from, q);
+            self.send_udp(ctx, slot, from, query);
             return;
         }
 
@@ -475,11 +526,11 @@ impl Node for LrsSimulator {
         ctx.charge(self.config.per_packet_cost);
         match pkt.proto {
             Proto::Udp => {
-                let Ok(msg) = Message::decode(&pkt.payload) else {
+                let Ok(view) = MessageView::parse(&pkt.payload) else {
                     return;
                 };
-                if msg.header.response {
-                    self.handle_udp_response(ctx, pkt, msg);
+                if view.header.response {
+                    self.handle_udp_response(ctx, pkt.src.ip, &view);
                 }
             }
             Proto::Tcp => {
@@ -489,13 +540,8 @@ impl Node for LrsSimulator {
                     ctx.charge(self.config.per_packet_cost);
                     ctx.send(p);
                 }
-                for (token, _msg) in done {
-                    let slot = (token >> 40) as usize;
-                    let generation = token & 0xFF_FFFF_FFFF;
-                    if slot < self.slots.len()
-                        && self.slots[slot].generation & 0xFF_FFFF_FFFF == generation
-                        && self.slots[slot].state == SlotState::AwaitTcp
-                    {
+                for (token, _frame) in done {
+                    if let Some(slot) = self.live(token).filter(|&slot| self.slots[slot].state == SlotState::AwaitTcp) {
                         self.complete(ctx, slot);
                     }
                 }
@@ -506,14 +552,9 @@ impl Node for LrsSimulator {
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         let pause = tag & Self::PAUSE_BIT != 0;
         let tag = tag & !Self::PAUSE_BIT;
-        let slot = (tag >> 40) as usize;
-        let generation = tag & 0xFF_FFFF_FFFF;
-        if slot >= self.slots.len() {
-            return;
-        }
-        if self.slots[slot].generation & 0xFF_FFFF_FFFF != generation {
+        let Some(slot) = self.live(tag) else {
             return; // restarted meanwhile
-        }
+        };
         if pause {
             if self.slots[slot].state == SlotState::Paused {
                 self.start_slot(ctx, slot);
@@ -540,6 +581,32 @@ mod tests {
     use crate::nodes::AuthNode;
     use crate::zone::{paper_hierarchy, FOO_SERVER};
     use netsim::engine::{CpuConfig, Simulator};
+
+    #[test]
+    fn a_template_is_the_owned_query_under_any_id() {
+        let www: Name = "www.foo.com".parse().unwrap();
+        let keys = [
+            (www.clone(), RrType::A, None),
+            (www.clone(), RrType::A, Some(ZERO_COOKIE)),
+            (www.clone(), RrType::A, Some([7; EXT_COOKIE_LEN])),
+            ("PRdeadbeef.foo.com".parse().unwrap(), RrType::A, None),
+            ("WWW.foo.com".parse().unwrap(), RrType::A, None),
+            (www, RrType::Aaaa, None),
+        ];
+        let mut templates = Templates::default();
+        // Six keys through four entries, twice: every one is rebuilt.
+        for (id, (name, qtype, cookie)) in keys.iter().chain(&keys).enumerate() {
+            let id = 0x0100 + id as u16;
+            let mut wire = templates.get(name, *qtype, *cookie).to_vec();
+            wire[..2].copy_from_slice(&id.to_be_bytes());
+            let mut owned = Message::iterative_query(id, name.clone(), *qtype);
+            if let Some(cookie) = cookie {
+                cookie_ext::attach_cookie(&mut owned, *cookie, 0);
+            }
+            assert_eq!(wire, owned.encode(), "{name:?} {qtype:?} {cookie:?}");
+            assert!(templates.entries.len() <= TEMPLATES);
+        }
+    }
 
     #[test]
     fn plain_closed_loop_completes_requests() {

@@ -2,7 +2,7 @@
 //! opens a connection per query (as RFC 1035 clients of the era did),
 //! sends the two-byte-framed request, collects the framed response, closes.
 
-use dnswire::message::Message;
+use dnswire::view::MessageView;
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
 use netsim::tcp::{ConnKey, TcpEvent, TcpHost};
 use std::collections::HashMap;
@@ -41,13 +41,13 @@ impl TcpQueryClient {
         self.tcp.conn_count()
     }
 
-    /// Begins a TCP query to `server:53`; returns the SYN packet to send.
-    /// `token` is echoed when the response completes.
-    pub fn start_query(&mut self, server: Ipv4Addr, query: &Message, token: u64) -> Packet {
-        let dns = query.encode();
-        let mut wire = Vec::with_capacity(dns.len() + 2);
-        wire.extend_from_slice(&(dns.len() as u16).to_be_bytes());
-        wire.extend_from_slice(&dns);
+    /// Begins a TCP query to `server:53` asking the encoded `query`;
+    /// returns the SYN packet to send. `token` is echoed when the response
+    /// completes.
+    pub fn start_query(&mut self, server: Ipv4Addr, query: &[u8], token: u64) -> Packet {
+        let mut wire = Vec::with_capacity(query.len() + 2);
+        wire.extend_from_slice(&(query.len() as u16).to_be_bytes());
+        wire.extend_from_slice(query);
 
         let local = Endpoint::new(self.local_ip, self.next_port);
         self.next_port = self.next_port.wrapping_add(1).max(32_768);
@@ -80,8 +80,9 @@ impl TcpQueryClient {
     }
 
     /// Feeds an inbound TCP packet; appends outbound packets to `out` and
-    /// returns `(token, response)` pairs for completed queries.
-    pub fn on_segment(&mut self, pkt: &Packet, out: &mut Vec<Packet>) -> Vec<(u64, Message)> {
+    /// returns `(token, response)` pairs for completed queries, each
+    /// response a frame [`MessageView::parse`] accepts.
+    pub fn on_segment(&mut self, pkt: &Packet, out: &mut Vec<Packet>) -> Vec<(u64, Vec<u8>)> {
         let mut done = Vec::new();
         let events = self.tcp.on_segment(pkt, out);
         for ev in events {
@@ -90,7 +91,7 @@ impl TcpQueryClient {
                     if let Some(p) = self.pending.get_mut(&key) {
                         if !p.sent {
                             p.sent = true;
-                            let wire = p.wire.clone();
+                            let wire = std::mem::take(&mut p.wire);
                             if let Some(data) = self.tcp.send(key, wire) {
                                 out.push(data);
                             }
@@ -115,8 +116,8 @@ impl TcpQueryClient {
                     if let Some(fin) = self.tcp.close(key) {
                         out.push(fin);
                     }
-                    if let Ok(msg) = Message::decode(&frame) {
-                        done.push((token, msg));
+                    if MessageView::parse(&frame).is_ok() {
+                        done.push((token, frame));
                     }
                 }
                 TcpEvent::Closed(key) | TcpEvent::Reset(key) => {
@@ -135,6 +136,7 @@ mod tests {
     use crate::authoritative::Authority;
     use crate::nodes::AuthNode;
     use crate::zone::{paper_hierarchy, FOO_SERVER, WWW_ADDR};
+    use dnswire::message::Message;
     use dnswire::rdata::RData;
     use dnswire::types::RrType;
     use netsim::engine::{Context, CpuConfig, Node, Simulator};
@@ -143,11 +145,11 @@ mod tests {
     struct TcpProbe {
         client: TcpQueryClient,
         server: Ipv4Addr,
-        reply: Option<Message>,
+        reply: Option<Vec<u8>>,
     }
     impl Node for TcpProbe {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let q = Message::iterative_query(8, "www.foo.com".parse().unwrap(), RrType::A);
+            let q = Message::iterative_query(8, "www.foo.com".parse().unwrap(), RrType::A).encode();
             let syn = self.client.start_query(self.server, &q, 1);
             ctx.send(syn);
         }
@@ -156,8 +158,8 @@ mod tests {
                 return;
             }
             let mut out = Vec::new();
-            for (_, msg) in self.client.on_segment(&pkt, &mut out) {
-                self.reply = Some(msg);
+            for (_, frame) in self.client.on_segment(&pkt, &mut out) {
+                self.reply = Some(frame);
             }
             for p in out {
                 ctx.send(p);
@@ -186,7 +188,8 @@ mod tests {
         );
         sim.run();
         let state = sim.node_ref::<TcpProbe>(probe).unwrap();
-        let reply = state.reply.clone().expect("got TCP response");
+        let reply = Message::decode(state.reply.as_deref().expect("got TCP response")).unwrap();
+        assert_eq!(reply.header.id, 8);
         assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
         assert_eq!(state.client.open_connections(), 0, "connection closed after reply");
     }
@@ -194,7 +197,7 @@ mod tests {
     #[test]
     fn abandon_clears_state() {
         let mut c = TcpQueryClient::new(Ipv4Addr::new(10, 0, 0, 5), 1);
-        let q = Message::iterative_query(1, "x.y".parse().unwrap(), RrType::A);
+        let q = Message::iterative_query(1, "x.y".parse().unwrap(), RrType::A).encode();
         let _syn = c.start_query(Ipv4Addr::new(1, 1, 1, 1), &q, 42);
         assert_eq!(c.open_connections(), 1);
         c.abandon(42);
