@@ -28,16 +28,16 @@
 use crate::registry::{Export, Format, Outcome};
 use crate::report::{json_array, json_strings};
 use crate::worlds::{
-    alerting, attach_cookie_guess_flood, attach_flood, completions, guarded_world_with, ha_world,
-    observe, paced_clients, stays_silent, unverified_at_ans, verified_clients, GuardedWorld, Scope,
-    WorldParams, ZoneSel, PUB,
+    alert_engine, attach_cookie_guess_flood, attach_flood, completions, guarded_world_with, ha_world,
+    observe, paced_clients, run_evaluated, stays_silent, unverified_at_ans, verified_clients,
+    GuardedWorld, Scope, WorldParams, ZoneSel, ALERT_TICK, PUB,
 };
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::checkpoint::shared_store;
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::guard::RemoteGuard;
 use dnsguard::PressureTier;
-use netsim::engine::CpuConfig;
+use netsim::engine::{CpuConfig, Simulator};
 use netsim::time::SimTime;
 use obs::alert::AlertConfig;
 use server::authoritative::Authority;
@@ -98,10 +98,11 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
     // (heartbeat age, takeover, post-takeover shedding). The primary is
     // read via its stats snapshot instead of the registry.
     let obs = observe(&mut w.sim, Scope::World, &[w.standby]);
-    let engine = alerting(&mut w.sim, &obs, AlertConfig::default());
+    let mut engine = alert_engine(&obs, AlertConfig::default());
+    let mut run_until = |sim: &mut Simulator, until| run_evaluated(sim, &obs, &mut engine, until, ALERT_TICK);
 
     let (clients, _) = verified_clients(&mut w.sim, 10);
-    w.sim.run_until(SimTime::from_millis(300));
+    run_until(&mut w.sim, SimTime::from_millis(300));
 
     // The 2⁻³² cookie-label guess flood (invalid verifies) ...
     attach_cookie_guess_flood(&mut w.sim, 4_000.0, SimTime::from_millis(900));
@@ -120,13 +121,13 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
     );
 
     let crash_at = SimTime::from_millis(400);
-    w.sim.run_until(crash_at);
+    run_until(&mut w.sim, crash_at);
     let at_crash = completions(&w.sim, &clients);
     w.sim.crash(w.primary);
     // Floods end at 1100/1200 ms; measure continuation while they rage.
-    w.sim.run_until(SimTime::from_millis(1_200));
+    run_until(&mut w.sim, SimTime::from_millis(1_200));
     let at_flood_end = completions(&w.sim, &clients);
-    w.sim.run_until(SimTime::from_millis(1_500));
+    run_until(&mut w.sim, SimTime::from_millis(1_500));
     let at_end = completions(&w.sim, &clients);
 
     let standby = w.sim.node_ref::<RemoteGuard>(w.standby).unwrap();
@@ -141,8 +142,7 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
     let post_crash_completed: u64 =
         at_end.iter().sum::<u64>() - at_crash.iter().sum::<u64>();
 
-    let guard = engine.lock();
-    let takeover_after_crash_nanos = guard
+    let takeover_after_crash_nanos = engine
         .history()
         .iter()
         .find(|t| t.rule == "failover_triggered" && t.firing)
@@ -155,8 +155,8 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
         post_crash_completed,
         spoofed_to_ans: unverified_at_ans(&w.sim, &[w.primary, w.standby], &[w.ans]),
         standby_shed,
-        fired_rules: guard.fired_rules(),
-        alerts_json: guard.alerts_json(),
+        fired_rules: engine.fired_rules(),
+        alerts_json: engine.alerts_json(),
     }
 }
 

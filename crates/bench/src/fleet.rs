@@ -25,11 +25,11 @@
 use crate::registry::{Export, Format, Outcome};
 use crate::report::json_strings;
 use crate::worlds::{
-    alerting, attach_cookie_guess_flood, completions, fleet_world, observe, stays_silent,
-    unverified_at_ans, verified_clients, Scope,
+    alert_engine, attach_cookie_guess_flood, completions, fleet_world, observe, run_evaluated,
+    stays_silent, unverified_at_ans, verified_clients, Scope, ALERT_TICK,
 };
 use dnsguard::guard::RemoteGuard;
-use netsim::engine::FaultPlan;
+use netsim::engine::{FaultPlan, Simulator};
 use netsim::time::SimTime;
 use obs::alert::AlertConfig;
 
@@ -107,14 +107,15 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
     // Observe site B: it is where shifted clients land, so it owns the
     // whole storm story (re-handshakes, RL1 pressure, cookie verdicts).
     let obs = observe(&mut w.sim, Scope::World, &[w.site_b]);
-    let engine = alerting(&mut w.sim, &obs, fleet_alert_config());
+    let mut engine = alert_engine(&obs, fleet_alert_config());
+    let mut run_until = |sim: &mut Simulator, until| run_evaluated(sim, &obs, &mut engine, until, ALERT_TICK);
     let (clients, ips) = verified_clients(&mut w.sim, CLIENTS);
 
     // Warm-up: every client handshakes at site A and caches its cookie.
     // Long enough that the whole cohort clears RL1's tight budget — the
     // scenario measures *re*-handshakes of verified clients, so nobody may
     // still be on their first contact when the catchment moves.
-    w.sim.run_until(SimTime::from_millis(600));
+    run_until(&mut w.sim, SimTime::from_millis(600));
 
     // The 2⁻³² cookie-guess flood: eats RL-relevant budget and shows up as
     // invalid verifies, without itself inflating the handshake counters.
@@ -123,7 +124,7 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
     // BGP reconverges at 700 ms: a deterministic 55% of source addresses —
     // verified clients and flood sources alike — now land at site B.
     let shift_at = SimTime::from_millis(700);
-    w.sim.run_until(shift_at);
+    run_until(&mut w.sim, shift_at);
     let plan = FaultPlan::new().catchment_shift(SHIFT_FRACTION, w.site_b);
     for &c in &clients {
         w.sim.fault_link(c, w.site_a, plan);
@@ -136,14 +137,14 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
         // The operator rotates the fleet secret while the catchment is
         // split; the next sync tick pushes the new epoch (with the old key
         // riding along as grace) to site B.
-        w.sim.run_until(SimTime::from_millis(900));
+        run_until(&mut w.sim, SimTime::from_millis(900));
         w.sim
             .node_mut::<RemoteGuard>(w.site_a)
             .unwrap()
             .rotate_key();
     }
 
-    w.sim.run_until(SimTime::from_millis(1_600));
+    run_until(&mut w.sim, SimTime::from_millis(1_600));
     let at_end = completions(&w.sim, &clients);
 
     // Membership is a pure function of the client address, so the
@@ -163,7 +164,6 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
     let handshakes = |s: &dnsguard::guard::GuardStats| {
         s.fabricated_ns_sent + s.tc_sent + s.grants_sent
     };
-    let guard = engine.lock();
     ShiftOutcome {
         clients: clients.len(),
         shifted: shifted.len(),
@@ -174,8 +174,8 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
         amplification_milli: (amp * 1000.0) as u64,
         spoofed_to_ans: unverified_at_ans(&w.sim, &[w.site_a, w.site_b], &[w.ans_a, w.ans_b]),
         fleet_keys_applied: b_stats.fleet_keys_applied,
-        fired_rules: guard.fired_rules(),
-        alerts_json: guard.alerts_json(),
+        fired_rules: engine.fired_rules(),
+        alerts_json: engine.alerts_json(),
     }
 }
 

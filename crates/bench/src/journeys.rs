@@ -1,7 +1,7 @@
 //! The query-journey experiment behind `BENCH_journeys.json`: per-scheme
 //! cold-start worlds whose drained traces are reassembled into causal
 //! timelines ([`obs::journey`]), plus one chaos world exercising the
-//! alerting engine ([`obs::alert`]) from the simulator tick.
+//! alerting engine ([`obs::alert`]) every 10 ms of simulated time.
 //!
 //! Run via `cargo run --release -p bench --bin all_experiments -- journeys`.
 //! Two files are written:
@@ -18,8 +18,8 @@
 use crate::registry::{Export, Format, Outcome};
 use crate::report::json_strings;
 use crate::worlds::{
-    alerting, attach_cookie_guess_flood, attach_lrs, guarded_world, observe, stays_silent, LrsParams,
-    Scope, WorldParams, ZoneSel,
+    alert_engine, attach_cookie_guess_flood, attach_lrs, guarded_world, observe, run_evaluated,
+    stays_silent, LrsParams, Scope, WorldParams, ZoneSel, ALERT_TICK,
 };
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
@@ -200,8 +200,8 @@ fn chaos_client(ip: Ipv4Addr) -> LrsParams {
 /// Drives the chaos world: a guarded DNS-based deployment under a
 /// cookie-guessing flood (the 2⁻³² label-guess attack — invalid verifies,
 /// never journeys), duplication + reordering on the client links, and a
-/// guard–ANS partition, with the alert engine evaluated every 10 ms of sim
-/// time from the engine tick.
+/// guard–ANS partition, with the alert engine evaluated after the events of
+/// every 10 ms of sim time.
 pub fn run_chaos(seed: u64, duration: SimTime) -> ChaosJourneys {
     let mut p = WorldParams::new(seed);
     p.zone = ZoneSel::Root;
@@ -223,7 +223,7 @@ pub fn run_chaos(seed: u64, duration: SimTime) -> ChaosJourneys {
         .node_ref::<AuthNode>(world.ans)
         .unwrap()
         .attach_obs(&obs);
-    let engine = alerting(&mut world.sim, &obs, AlertConfig::default());
+    let mut engine = alert_engine(&obs, AlertConfig::default());
 
     let mut clients = Vec::new();
     for ip in [Ipv4Addr::new(10, 0, 1, 1), Ipv4Addr::new(10, 0, 2, 1)] {
@@ -246,7 +246,7 @@ pub fn run_chaos(seed: u64, duration: SimTime) -> ChaosJourneys {
         SimTime::from_millis(700),
     );
 
-    world.sim.run_until(duration);
+    run_evaluated(&mut world.sim, &obs, &mut engine, duration, ALERT_TICK);
 
     let client_completed: u64 = clients
         .iter()
@@ -254,12 +254,11 @@ pub fn run_chaos(seed: u64, duration: SimTime) -> ChaosJourneys {
         .sum();
     let (events, _) = obs.tracer.drain();
     let report = JourneyReport::assemble(&events);
-    let guard = engine.lock();
     ChaosJourneys {
         client_completed,
         report,
-        fired_rules: guard.fired_rules(),
-        alerts_json: guard.alerts_json(),
+        fired_rules: engine.fired_rules(),
+        alerts_json: engine.alerts_json(),
     }
 }
 

@@ -8,9 +8,10 @@
 //! * clients and attackers — [`attach_lrs`] over [`LrsParams`],
 //!   [`paced_clients`], [`attach_flood`], [`attach_cookie_guess_flood`];
 //! * observation — [`observe`] (one [`Obs`] over the simulator and its
-//!   guards), [`alerting`] (the alert engine on the simulator's 10 ms
-//!   tick), [`run_stepped`] / [`run_evaluated`] (a callback after the
-//!   events of every boundary), [`stays_silent`] (the clean-baseline bar);
+//!   guards), [`alert_engine`] (an engine reporting through it),
+//!   [`run_stepped`] / [`run_evaluated`] (a callback, or that engine's
+//!   evaluation, after the events of every boundary), [`stays_silent`]
+//!   (the clean-baseline bar);
 //! * readings — [`measure_throughput`], [`completions`],
 //!   [`unverified_at_ans`].
 
@@ -21,7 +22,7 @@ use dnsguard::{FleetConfig, HaConfig};
 use guardhash::cookie::CookieAlg;
 use netsim::engine::{CpuConfig, FaultPlan, NodeId, Simulator};
 use netsim::time::SimTime;
-use obs::alert::{AlertConfig, AlertEngine, SharedAlertEngine};
+use obs::alert::{AlertConfig, AlertEngine};
 use obs::trace::Level;
 use obs::Obs;
 use server::authoritative::Authority;
@@ -479,21 +480,18 @@ pub fn observe(sim: &mut Simulator, scope: Scope, guards: &[NodeId]) -> Obs {
 }
 
 /// An alert engine that reports through `obs` (transitions as `alert`
-/// events, `alert.*` metrics); the caller evaluates it.
+/// events, `alert.*` metrics); the caller owns it and evaluates it with
+/// [`run_evaluated`].
 pub fn alert_engine(obs: &Obs, config: AlertConfig) -> AlertEngine {
     let mut engine = AlertEngine::new(config);
     engine.attach_obs(obs);
     engine
 }
 
-/// [`alert_engine`] on the simulator's tick: evaluated over `obs`'s
-/// registry every 10 ms of simulated time, *before* the events of that
-/// instant.
-pub fn alerting(sim: &mut Simulator, obs: &Obs, config: AlertConfig) -> SharedAlertEngine {
-    let engine = obs::alert::shared(alert_engine(obs, config));
-    sim.attach_alert_engine(engine.clone(), obs.registry.clone(), SimTime::from_millis(10));
-    engine
-}
+/// How often the HA, fleet and journeys worlds and the clean baselines
+/// evaluate their engine: every 10 ms of simulated time, so a takeover or
+/// a surge is timed to within one tick.
+pub const ALERT_TICK: SimTime = SimTime::from_millis(10);
 
 /// Advances the world to `until`, calling `at` *after* the events of every
 /// `every`-th instant from now and of `until` itself, never later.
@@ -510,15 +508,14 @@ pub fn run_evaluated(sim: &mut Simulator, obs: &Obs, engine: &mut AlertEngine, u
     run_stepped(sim, until, every, |sim| engine.evaluate(sim.now().as_nanos(), &obs.registry.snapshot()));
 }
 
-/// The clean-baseline bar: observes the world and its `guards`, alerts on
-/// it under `config`, runs it to `duration` and returns whether no rule
-/// ever fired.
+/// The clean-baseline bar: observes the world and its `guards`, evaluates
+/// an engine under `config` every [`ALERT_TICK`] to `duration` and returns
+/// whether no rule ever fired.
 pub fn stays_silent(sim: &mut Simulator, guards: &[NodeId], config: AlertConfig, duration: SimTime) -> bool {
     let obs = observe(sim, Scope::World, guards);
-    let engine = alerting(sim, &obs, config);
-    sim.run_until(duration);
-    let silent = engine.lock().is_silent();
-    silent
+    let mut engine = alert_engine(&obs, config);
+    run_evaluated(sim, &obs, &mut engine, duration, ALERT_TICK);
+    engine.is_silent()
 }
 
 #[cfg(test)]
@@ -529,7 +526,7 @@ mod tests {
     fn an_observed_alerting_world_registers_every_input_of_a_guard_and_a_simulator() {
         let mut w = guarded_world(WorldParams::new(1));
         let obs = observe(&mut w.sim, Scope::World, &[w.guard]);
-        alerting(&mut w.sim, &obs, AlertConfig::default());
+        let _engine = alert_engine(&obs, AlertConfig::default());
         let registered = obs.registry.snapshot();
         let missing: Vec<&str> = obs::alert::INPUTS
             .iter()
@@ -569,6 +566,27 @@ mod tests {
         assert_eq!(at[4..], [ms(45), ms(55), ms(60)]);
         run_stepped(&mut sim, ms(60), ms(10), |_| panic!("nothing is left to run"));
         assert_eq!(sim.now(), ms(60));
+    }
+
+    #[test]
+    fn an_evaluated_world_alerts_the_same_whatever_the_slicing() {
+        let ms = SimTime::from_millis;
+        let transcript = |phases: &[SimTime]| {
+            let mut w = ha_world(7);
+            let obs = observe(&mut w.sim, Scope::World, &[w.primary]);
+            let mut engine = alert_engine(&obs, AlertConfig::default());
+            verified_clients(&mut w.sim, 3);
+            attach_cookie_guess_flood(&mut w.sim, 4_000.0, ms(400));
+            for &until in phases {
+                run_evaluated(&mut w.sim, &obs, &mut engine, until, ALERT_TICK);
+            }
+            engine.alerts_json()
+        };
+        let whole = transcript(&[ms(600)]);
+        assert!(whole.contains("\"spoof_surge\""), "the flood must fire: {whole}");
+        // Each call ends after the events of its last boundary, where the
+        // next begins: three phases see what one call sees.
+        assert_eq!(transcript(&[ms(200), ms(400), ms(600)]), whole);
     }
 
     #[test]

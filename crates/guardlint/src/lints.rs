@@ -168,10 +168,10 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "testbed",
-        scope: Scope { paths: &["crates/bench/src/"], except: &["crates/bench/src/worlds.rs"] },
-        check: Check::Tokens(&["AlertEngine::new(", "attach_alert_engine("]),
-        message: "outside `bench::worlds`: an experiment's alert engine is built, attached \
-                  and ticked there (`alert_engine`, `alerting`)",
+        scope: Scope { paths: &["crates/bench/src/", "tests/"], except: &["crates/bench/src/worlds.rs"] },
+        check: Check::Tokens(&["AlertEngine::new("]),
+        message: "outside `bench::worlds`: a simulated world's alert engine is built there \
+                  (`alert_engine`) and evaluated by `run_evaluated`",
         tests: true,
     },
 ];

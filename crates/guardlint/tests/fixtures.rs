@@ -91,7 +91,7 @@ const LAYERING: &[(&str, &str, &str, &str)] = &[
     ("features", "if cfg!(feature=\"y\") {}", "examples/quickstart.rs", "vendor/rand/src/lib.rs"),
     ("features", "[features]", "crates/obs/Cargo.toml", "perf/Cargo.toml"),
     ("testbed", "let e = AlertEngine::new(config);", "crates/bench/src/fleet.rs", "crates/bench/src/worlds.rs"),
-    ("testbed", "sim.attach_alert_engine(e, r, t);", "crates/bench/src/bin/all_experiments.rs", "crates/obs/src/alert.rs"),
+    ("testbed", "let e = AlertEngine::new(config);", "tests/failover.rs", "crates/obs/src/alert.rs"),
 ];
 
 #[test]

@@ -620,21 +620,10 @@ pub struct Simulator {
     /// Timed partitions not yet healed, checked at packet departure time.
     partitions: Vec<Partition>,
     fault_metrics: FaultMetrics,
-    /// Optional alert-engine tick: evaluated on a sim-time cadence from the
-    /// run loops, so alerts fire at deterministic simulated instants.
-    alert: Option<AlertHook>,
     /// The action buffer every handler fills through its [`Context`], empty
     /// between dispatches: a dispatch that sends or arms a timer does not
     /// allocate one.
     actions: Vec<Action>,
-}
-
-/// A periodic alert evaluation driven by simulated time.
-struct AlertHook {
-    engine: obs::alert::SharedAlertEngine,
-    registry: std::sync::Arc<obs::metrics::Registry>,
-    cadence: SimTime,
-    next: SimTime,
 }
 
 impl Simulator {
@@ -658,7 +647,6 @@ impl Simulator {
             live_events: 0,
             partitions: Vec::new(),
             fault_metrics: FaultMetrics::default(),
-            alert: None,
             actions: Vec::new(),
         }
     }
@@ -669,39 +657,6 @@ impl Simulator {
     pub fn attach_obs(&mut self, obs: &obs::Obs) {
         self.fault_metrics.adopt_into(&obs.registry, &[]);
         self.fault_metrics.trace = obs.tracer.component("netsim");
-    }
-
-    /// Installs an alert engine evaluated every `cadence` of simulated time
-    /// against a snapshot of `registry`. The first evaluation happens at the
-    /// first cadence boundary after the current sim time, interleaved with
-    /// event processing by [`Simulator::run`]/[`Simulator::run_until`], so a
-    /// rule crossing its threshold fires at a deterministic simulated
-    /// instant rather than at drain time.
-    pub fn attach_alert_engine(
-        &mut self,
-        engine: obs::alert::SharedAlertEngine,
-        registry: std::sync::Arc<obs::metrics::Registry>,
-        cadence: SimTime,
-    ) {
-        assert!(cadence > SimTime::ZERO, "alert cadence must be positive");
-        self.alert = Some(AlertHook {
-            engine,
-            registry,
-            cadence,
-            next: self.now + cadence,
-        });
-    }
-
-    /// Runs every due alert evaluation with boundary `<= t`.
-    fn eval_alerts_until(&mut self, t: SimTime) {
-        let Some(hook) = self.alert.as_mut() else {
-            return;
-        };
-        while hook.next <= t {
-            let samples = hook.registry.snapshot();
-            hook.engine.lock().evaluate(hook.next.as_nanos(), &samples);
-            hook.next += hook.cadence;
-        }
     }
 
     /// Registers `gateway` as the egress tap for `node`: every packet
@@ -938,15 +893,7 @@ impl Simulator {
     /// Runs until no non-daemon events remain. Periodic housekeeping timers
     /// armed with [`Context::set_daemon_timer`] do not keep the run alive.
     pub fn run(&mut self) {
-        while self.live_events > 0 {
-            let Some(t) = self.queue.next_time() else {
-                break;
-            };
-            self.eval_alerts_until(t);
-            if !self.step() {
-                break;
-            }
-        }
+        while self.live_events > 0 && self.step() {}
     }
 
     /// Runs events with `time <= until`, then advances the clock to `until`.
@@ -955,10 +902,8 @@ impl Simulator {
             if t > until {
                 break;
             }
-            self.eval_alerts_until(t);
             self.step();
         }
-        self.eval_alerts_until(until);
         self.now = self.now.max(until);
     }
 

@@ -11,21 +11,19 @@
 //! the whole guard exists to prevent from spreading. **Trace-ring drops**
 //! round out the set: they mean the observability layer itself is lossy.
 //!
-//! [`AlertEngine::evaluate`] consumes `(t_nanos, snapshot)` pairs — from
-//! the netsim engine tick ([`Simulator::attach_alert_engine`]) or the
-//! runtime telemetry endpoint — computes counter deltas against the
-//! previous evaluation, and tracks an active-alert set. Every transition
-//! emits a structured `alert` trace event and bumps an
+//! [`AlertEngine::evaluate`] consumes `(t_nanos, snapshot)` pairs from the
+//! one driver that owns the engine — `bench::worlds::run_evaluated` after
+//! the events of each simulated boundary, or the runtime telemetry
+//! endpoint's thread on a wall-clock cadence — computes counter deltas
+//! against the previous evaluation, and tracks an active-alert set. Every
+//! transition emits a structured `alert` trace event and bumps an
 //! `alert.fired{rule}` counter.
-//!
-//! [`Simulator::attach_alert_engine`]: ../../netsim/engine/struct.Simulator.html
 
 use crate::metrics::{Counter, MetricSample, SampleValue};
 use crate::trace::{ComponentTracer, Value};
 use crate::vocab;
 use crate::Obs;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
 
 /// What a deployment sets of the rule set; every other threshold is a
 /// constant beside the rule that reads it.
@@ -410,15 +408,6 @@ impl std::fmt::Debug for AlertEngine {
             .field("history", &self.alerts.history().len())
             .finish()
     }
-}
-
-/// A shareable engine handle: the netsim tick and a telemetry endpoint can
-/// evaluate/read the same engine.
-pub type SharedAlertEngine = Arc<guardcheck::sync::Mutex<AlertEngine>>;
-
-/// Wraps an engine for sharing.
-pub fn shared(engine: AlertEngine) -> SharedAlertEngine {
-    Arc::new(guardcheck::sync::Mutex::new(engine))
 }
 
 impl AlertEngine {

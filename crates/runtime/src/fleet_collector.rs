@@ -165,7 +165,7 @@ fn fetch(addr: SocketAddr) -> std::io::Result<(String, String)> {
 mod tests {
     use super::*;
     use crate::telemetry::TelemetryServer;
-    use obs::alert::{shared, AlertConfig, AlertEngine};
+    use obs::alert::{AlertConfig, AlertEngine};
     use obs::export::{event_json, metrics_json, parse_metrics as parse_snapshot_reply};
     use obs::metrics::SampleValue;
     use obs::trace::{Level, Value};
@@ -285,7 +285,7 @@ mod tests {
         let mk_node = |invalids: u64| {
             let obs = Obs::new();
             obs.tracer.set_default_level(Level::Info);
-            let engine = shared(AlertEngine::new(AlertConfig::default()));
+            let engine = AlertEngine::new(AlertConfig::default());
             let server =
                 TelemetryServer::spawn(&obs, engine, Duration::from_millis(250)).unwrap();
             obs.registry

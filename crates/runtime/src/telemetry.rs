@@ -21,11 +21,12 @@
 //! delivered to exactly one of them, never both, never neither.
 //!
 //! Unknown commands get `{"error":"unknown command"}`. The server also
-//! drives the alert engine: every `eval_every`, it evaluates the rules
-//! against a fresh registry snapshot, so alerts fire while the deployment
-//! runs rather than at export time.
+//! owns the alert engine: every `eval_every`, its one thread evaluates the
+//! rules against a fresh registry snapshot, so alerts fire while the
+//! deployment runs rather than at export time, and `alerts` reads the
+//! engine on that same thread.
 
-use obs::alert::SharedAlertEngine;
+use obs::alert::AlertEngine;
 use obs::export::{event_json, metrics_json};
 use obs::Obs;
 use std::io::{self, Read, Write};
@@ -52,12 +53,12 @@ pub struct TelemetryServer {
 
 impl TelemetryServer {
     /// Spawns the endpoint on an ephemeral loopback port, serving `obs` and
-    /// `engine`. The engine is evaluated every `eval_every` of wall time
-    /// (timestamps are nanoseconds since spawn, matching the live guard's
-    /// trace clock).
+    /// `engine`, which moves into the endpoint's thread. The engine is
+    /// evaluated every `eval_every` of wall time (timestamps are
+    /// nanoseconds since spawn, matching the live guard's trace clock).
     pub fn spawn(
         obs: &Obs,
-        engine: SharedAlertEngine,
+        engine: AlertEngine,
         eval_every: Duration,
     ) -> io::Result<TelemetryServer> {
         TelemetryServer::spawn_with_analytics(obs, engine, eval_every, None)
@@ -67,7 +68,7 @@ impl TelemetryServer {
     /// closure serialising the guard's analytics snapshot).
     pub fn spawn_with_analytics(
         obs: &Obs,
-        engine: SharedAlertEngine,
+        mut engine: AlertEngine,
         eval_every: Duration,
         analytics: Option<AnalyticsProvider>,
     ) -> io::Result<TelemetryServer> {
@@ -82,11 +83,14 @@ impl TelemetryServer {
         let handle = std::thread::spawn(move || {
             let mut next_eval = started + eval_every;
             while !t_stop.should_stop() {
-                if Instant::now() >= next_eval {
-                    let t = started.elapsed().as_nanos() as u64;
-                    let samples = t_obs.registry.snapshot();
-                    engine.lock().evaluate(t, &samples);
-                    next_eval += eval_every;
+                let now = Instant::now();
+                if now >= next_eval {
+                    engine.evaluate((now - started).as_nanos() as u64, &t_obs.registry.snapshot());
+                    // From now, not from the missed tick: a client served
+                    // past several ticks must not be followed by a burst of
+                    // evaluations whose rate windows are a fraction of the
+                    // cadence (and read a sub-threshold flood as a surge).
+                    next_eval = now + eval_every;
                 }
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -135,7 +139,7 @@ impl Drop for TelemetryServer {
 fn serve_client(
     stream: TcpStream,
     obs: &Obs,
-    engine: &SharedAlertEngine,
+    engine: &AlertEngine,
     analytics: Option<&AnalyticsProvider>,
 ) -> io::Result<()> {
     stream.set_nonblocking(false)?;
@@ -190,7 +194,7 @@ fn serve_client(
                     out.push_str(&format!("],\"dropped\":{dropped}}}"));
                     out
                 }
-                "alerts" => engine.lock().alerts_json(),
+                "alerts" => engine.alerts_json(),
                 "top_sources" => match analytics {
                     Some(provider) => provider(),
                     None => "{\"analytics\":\"disabled\"}".to_string(),
@@ -235,7 +239,6 @@ mod tests {
         obs.tracer.set_default_level(Level::Info);
         let mut engine = AlertEngine::new(AlertConfig::default());
         engine.attach_obs(&obs);
-        let engine = obs::alert::shared(engine);
         let server =
             TelemetryServer::spawn(&obs, engine, Duration::from_millis(20)).unwrap();
 
@@ -264,7 +267,7 @@ mod tests {
     #[test]
     fn partial_reads_are_buffered_until_newline() {
         let obs = Obs::new();
-        let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
+        let engine = AlertEngine::new(AlertConfig::default());
         let server =
             TelemetryServer::spawn(&obs, engine, Duration::from_millis(50)).unwrap();
 
@@ -301,7 +304,7 @@ mod tests {
     fn drain_traces_consumes_ring_even_byte_at_a_time() {
         let obs = Obs::new();
         obs.tracer.set_default_level(Level::Info);
-        let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
+        let engine = AlertEngine::new(AlertConfig::default());
         let server =
             TelemetryServer::spawn(&obs, engine, Duration::from_millis(50)).unwrap();
 
@@ -342,7 +345,7 @@ mod tests {
     fn two_clients_drain_disjointly() {
         let obs = Obs::new();
         obs.tracer.set_default_level(Level::Info);
-        let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
+        let engine = AlertEngine::new(AlertConfig::default());
         let server =
             TelemetryServer::spawn(&obs, engine, Duration::from_millis(50)).unwrap();
 
@@ -370,7 +373,7 @@ mod tests {
     #[test]
     fn top_sources_reports_disabled_without_a_provider() {
         let obs = Obs::new();
-        let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
+        let engine = AlertEngine::new(AlertConfig::default());
         let server =
             TelemetryServer::spawn(&obs, engine, Duration::from_millis(50)).unwrap();
         let replies = query(server.addr(), &["top_sources"]);
@@ -381,7 +384,7 @@ mod tests {
     #[test]
     fn top_sources_serves_the_provider_snapshot() {
         let obs = Obs::new();
-        let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
+        let engine = AlertEngine::new(AlertConfig::default());
         // The provider shape a deployment wires: a closure over the guard's
         // shared snapshot handle, serialised fresh per request.
         let snap = Arc::new(guardcheck::sync::Mutex::new(
@@ -416,15 +419,41 @@ mod tests {
     #[test]
     fn endpoint_evaluates_alerts_periodically() {
         let obs = Obs::new();
-        let engine = obs::alert::shared(AlertEngine::new(AlertConfig::default()));
-        let server =
-            TelemetryServer::spawn(&obs, engine.clone(), Duration::from_millis(5)).unwrap();
-        // Ask over the wire (not just the shared handle) so the check
-        // exercises the full path; baseline evaluation happens quickly.
+        let engine = AlertEngine::new(AlertConfig::default());
+        let server = TelemetryServer::spawn(&obs, engine, Duration::from_millis(5)).unwrap();
+        // Baseline evaluation happens quickly; a clean start never fired.
         std::thread::sleep(Duration::from_millis(60));
         let replies = query(server.addr(), &["alerts"]);
         assert!(replies[0].contains("\"active\":[]"), "clean start is silent: {}", replies[0]);
-        assert!(engine.lock().is_silent());
+        assert!(replies[0].contains("\"history\":[]"), "clean start never fired: {}", replies[0]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_held_connection_is_not_followed_by_a_burst_of_evaluations() {
+        let obs = Obs::new();
+        let eval_every = Duration::from_millis(20);
+        let server = TelemetryServer::spawn(&obs, AlertEngine::new(AlertConfig::default()), eval_every).unwrap();
+        // Invalid verifies at 100/s, half the `spoof_surge` threshold: over
+        // any window of at least one cadence the rate stays below it, but a
+        // window of a few ms that catches one of them reads 500/s.
+        let invalid = obs.registry.counter("guard", "verify", &[("scheme", "ext"), ("verdict", "invalid")]);
+        let feeder = std::thread::spawn(move || {
+            for _ in 0..40 {
+                invalid.inc();
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        std::thread::sleep(eval_every * 2);
+        // An idle client holds the endpoint's one thread for ten cadences.
+        let idle = TcpStream::connect(server.addr()).unwrap();
+        std::thread::sleep(eval_every * 10);
+        drop(idle);
+        std::thread::sleep(eval_every * 5);
+        let replies = query(server.addr(), &["alerts"]);
+        feeder.join().unwrap();
+        validate_json(&replies[0]).unwrap_or_else(|p| panic!("invalid JSON at {p}: {}", replies[0]));
+        assert!(!replies[0].contains("spoof_surge"), "a 100/s trickle fired: {}", replies[0]);
         server.shutdown();
     }
 }

@@ -4,6 +4,7 @@
 
 mod common;
 
+use bench::worlds::{alert_engine, run_evaluated, ALERT_TICK};
 use common::{WorldBuilder, PRIV, PUB};
 use dnsguard::checkpoint::shared_store;
 use dnsguard::classify::AuthorityClassifier;
@@ -12,7 +13,7 @@ use dnsguard::guard::RemoteGuard;
 use dnsguard::{GuardConfig, HaConfig};
 use netsim::engine::{CpuConfig, FaultPlan, Simulator};
 use netsim::time::SimTime;
-use obs::alert::{AlertConfig, AlertEngine};
+use obs::alert::AlertConfig;
 use obs::trace::Level;
 use obs::Obs;
 use server::authoritative::Authority;
@@ -165,10 +166,7 @@ fn surge_sheds_unverified_before_any_verified_query() {
     obs.tracer.set_default_level(Level::Info);
     obs.tracer.adopt_into(&obs.registry);
     sim.node_mut::<RemoteGuard>(guard).unwrap().attach_obs(&obs);
-    let mut engine = AlertEngine::new(AlertConfig::default());
-    engine.attach_obs(&obs);
-    let engine = obs::alert::shared(engine);
-    sim.attach_alert_engine(engine.clone(), obs.registry.clone(), SimTime::from_millis(10));
+    let mut engine = alert_engine(&obs, AlertConfig::default());
 
     let lrs_ip = Ipv4Addr::new(10, 0, 0, 7);
     let mut lrs_config = LrsSimConfig::new(lrs_ip, PUB, "www.foo.com".parse().unwrap());
@@ -178,7 +176,7 @@ fn surge_sheds_unverified_before_any_verified_query() {
     let lrs = sim.add_node(lrs_ip, CpuConfig::unbounded(), LrsSimulator::new(lrs_config));
 
     // Warm the verified client, then surge far past RL1 capacity.
-    sim.run_until(SimTime::from_millis(300));
+    run_evaluated(&mut sim, &obs, &mut engine, SimTime::from_millis(300), ALERT_TICK);
     let before = sim.node_ref::<LrsSimulator>(lrs).unwrap().stats.completed;
     assert!(before > 0, "client must be verified before the surge");
     {
@@ -195,7 +193,7 @@ fn surge_sheds_unverified_before_any_verified_query() {
             }),
         );
     }
-    sim.run_until(SimTime::from_millis(1_000));
+    run_evaluated(&mut sim, &obs, &mut engine, SimTime::from_millis(1_000), ALERT_TICK);
 
     let after = sim.node_ref::<LrsSimulator>(lrs).unwrap().stats.completed;
     let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
@@ -219,9 +217,9 @@ fn surge_sheds_unverified_before_any_verified_query() {
         "unverified amplification {amp:.3} breaks the paper bound"
     );
     assert!(
-        engine.lock().fired_rules().contains(&"admission_shedding"),
+        engine.fired_rules().contains(&"admission_shedding"),
         "admission_shedding must fire: {:?}",
-        engine.lock().fired_rules()
+        engine.fired_rules()
     );
 }
 

@@ -10,11 +10,11 @@
 //! proxy), a recursive resolver and the tracer — with no traffic, where
 //! every row of both tables must find a cell in the snapshot.
 
-use bench::worlds::{alerting, guarded_world, observe, Scope, WorldParams, PUB};
+use bench::worlds::{guarded_world, observe, Scope, WorldParams, PUB};
 use dnsguard::guard::{GuardStats, RemoteGuard};
 use dnsguard::tcp_proxy::ProxyStats;
 use netsim::engine::FaultStats;
-use obs::alert::{AlertConfig, Input};
+use obs::alert::Input;
 use obs::Obs;
 use server::recursive::{RecursiveResolver, ResolverConfig, ResolverStats};
 use std::net::Ipv4Addr;
@@ -23,7 +23,6 @@ use std::net::Ipv4Addr;
 fn every_alert_input_is_registered_by_an_attached_deployment() {
     let mut w = guarded_world(WorldParams::new(1));
     let obs = observe(&mut w.sim, Scope::World, &[w.guard]);
-    alerting(&mut w.sim, &obs, AlertConfig::default());
     w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().arm_analytics();
     let mut resolver = RecursiveResolver::new(ResolverConfig::new(Ipv4Addr::new(10, 0, 0, 53), vec![PUB]));
     resolver.attach_obs(&obs);
