@@ -43,8 +43,8 @@ fi
 
 if want guardcheck; then
   echo "==> guardcheck (deterministic interleaving model checker)"
-  # The four harnesses run the real Counter/Histogram/Tracer/
-  # CheckpointStore/StopFlag types under the modeled scheduler
+  # The three harnesses run the real Counter/Histogram/Tracer/StopFlag
+  # types under the modeled scheduler
   # (guardcheck::sync resolves to the model under --cfg guardcheck) and
   # print per-harness schedule/state counts; the aggregate test enforces
   # ≥ 5 000 distinct schedules with zero counterexamples, and the

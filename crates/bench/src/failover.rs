@@ -33,7 +33,6 @@ use crate::worlds::{
     GuardedWorld, Scope, WorldParams, ZoneSel, ALERT_TICK, PUB,
 };
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
-use dnsguard::checkpoint::shared_store;
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::guard::RemoteGuard;
 use dnsguard::PressureTier;
@@ -185,10 +184,7 @@ fn run_age_point(seed: u64, interval: Option<SimTime>) -> AgePoint {
         },
     );
     let authority = Authority::new(vec![paper_hierarchy().2]);
-    let store = shared_store();
-    let guard = sim.node_mut::<RemoteGuard>(guard_id).unwrap();
-    guard.attach_checkpoint_store(store.clone());
-    let config = guard.config_mut().clone();
+    let config = sim.node_ref::<RemoteGuard>(guard_id).unwrap().config().clone();
 
     let (clients, _) = paced_clients(&mut sim, 5, 2, SimTime::from_millis(80), SimTime::from_millis(2));
 
@@ -196,7 +192,7 @@ fn run_age_point(seed: u64, interval: Option<SimTime>) -> AgePoint {
     sim.run_until(SimTime::from_millis(530));
     let before: u64 = completions(&sim, &clients).iter().sum();
     sim.crash(guard_id);
-    let cp = store.lock().latest_cloned();
+    let cp = sim.node_ref::<RemoteGuard>(guard_id).unwrap().latest_checkpoint().cloned();
     let restore_at = SimTime::from_millis(560);
     sim.run_until(restore_at);
     let fresh = match &cp {
@@ -209,9 +205,6 @@ fn run_age_point(seed: u64, interval: Option<SimTime>) -> AgePoint {
         None => RemoteGuard::new(config, AuthorityClassifier::new(authority)),
     };
     sim.restart_with(guard_id, fresh);
-    sim.node_mut::<RemoteGuard>(guard_id)
-        .unwrap()
-        .attach_checkpoint_store(store.clone());
     sim.run_until(SimTime::from_millis(1_000));
 
     let after: u64 = completions(&sim, &clients).iter().sum();

@@ -1,7 +1,10 @@
 //! Versioned, serializable snapshots of guard state.
 //!
-//! A [`GuardCheckpoint`] captures everything a guard needs to resume
-//! spoof-detection service after a crash without forcing verified sources
+//! A guard emits one as [`Output::Checkpoint`](crate::guard::Output::Checkpoint)
+//! on its [`checkpoint_interval`](crate::config::GuardConfig::checkpoint_interval)
+//! cadence, and its driver keeps the latest. A [`GuardCheckpoint`]
+//! captures everything a guard needs to resume spoof-detection service
+//! after a crash without forcing verified sources
 //! through a fresh cookie exchange: the secret-key state (current and
 //! previous key plus the generation counter, so pre-rotation cookies keep
 //! verifying through the generation bit), both rate limiters' token
@@ -31,11 +34,9 @@ use dnswire::record::Record;
 use dnswire::types::RrType;
 use guardhash::cookie::{CookieFactory, SecretKey, KEY_LEN};
 use netsim::time::SimTime;
-use guardcheck::sync::Mutex;
 use netsim::tokenbucket::TokenBucketState;
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// Leading magic of an encoded checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"GCKP";
@@ -279,48 +280,6 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-/// Durable checkpoint storage, as a guard node sees it: the sim's stand-in
-/// for the local disk / object store a real deployment would write to.
-/// Holds the latest snapshot; `taken` counts every put for tests and
-/// benches.
-#[derive(Debug, Default)]
-pub struct CheckpointStore {
-    latest: Option<GuardCheckpoint>,
-    taken: u64,
-}
-
-impl CheckpointStore {
-    /// Stores a snapshot, replacing the previous one.
-    pub fn put(&mut self, cp: GuardCheckpoint) {
-        self.taken += 1;
-        self.latest = Some(cp);
-    }
-
-    /// The most recent snapshot.
-    pub fn latest(&self) -> Option<&GuardCheckpoint> {
-        self.latest.as_ref()
-    }
-
-    /// Clone of the most recent snapshot.
-    pub fn latest_cloned(&self) -> Option<GuardCheckpoint> {
-        self.latest.clone()
-    }
-
-    /// How many snapshots were ever stored.
-    pub fn taken(&self) -> u64 {
-        self.taken
-    }
-}
-
-/// Shared handle to a [`CheckpointStore`]: the guard writes on its cadence,
-/// the restart harness reads after a crash.
-pub type SharedCheckpointStore = Arc<Mutex<CheckpointStore>>;
-
-/// Creates an empty shared store.
-pub fn shared_store() -> SharedCheckpointStore {
-    Arc::new(Mutex::new(CheckpointStore::default()))
-}
 
 // ---- codec primitives ----------------------------------------------------
 //
@@ -735,18 +694,5 @@ mod tests {
         let restored = KeyState::capture(&f).to_factory();
         assert!(restored.verify(ip, &cookie));
         assert_eq!(restored.generation(), f.generation());
-    }
-
-    #[test]
-    fn store_keeps_latest_and_counts_puts() {
-        let store = shared_store();
-        assert!(store.lock().latest().is_none());
-        let mut cp = sample_checkpoint();
-        store.lock().put(cp.clone());
-        cp.seq += 1;
-        store.lock().put(cp.clone());
-        let guard = store.lock();
-        assert_eq!(guard.taken(), 2);
-        assert_eq!(guard.latest().unwrap().seq, cp.seq);
     }
 }

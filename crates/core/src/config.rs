@@ -104,9 +104,10 @@ pub struct GuardConfig {
     pub fwd_bytes_max: usize,
     /// Byte bound on the one-shot answer stash; oldest entries evicted.
     pub stash_bytes_max: usize,
-    /// Cadence of guard state checkpoints written to the attached
-    /// [`crate::checkpoint::CheckpointStore`]. `None` disables
-    /// checkpointing.
+    /// Cadence of guard state checkpoints, each handed to the driver as
+    /// [`crate::guard::Output::Checkpoint`]. `None` disables checkpointing,
+    /// and the `checkpoint_age_nanos` gauge of a guard that is not an HA
+    /// standby then stays 0.
     pub checkpoint_interval: Option<SimTime>,
     /// Overload-adaptive admission control. `false` disables shedding
     /// entirely (every request takes the plain Figure 4 pipeline).

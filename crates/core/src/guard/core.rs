@@ -10,7 +10,7 @@ use super::stash::{Stash, StashKey};
 use super::stats::{GuardMetrics, GuardStats};
 use crate::admission::{AdmissionController, PressureTier};
 use crate::analytics::TrafficAnalytics;
-use crate::checkpoint::{RewriteState, SharedCheckpointStore, StashState};
+use crate::checkpoint::{GuardCheckpoint, RewriteState, StashState};
 use crate::classify::{AuthorityClassifier, Classification, Classifier};
 use crate::config::{AnsHealthPolicy, GuardConfig, SchemeMode};
 use crate::ha::REPL_PORT;
@@ -56,7 +56,13 @@ pub enum Output {
     ClaimAddress(Ipv4Addr),
     /// Take over this `base/prefix` subnet (failover).
     ClaimSubnet(Ipv4Addr, u8),
+    /// Keep this snapshot as the latest: the guard's state as it was when
+    /// its checkpoint cadence came due. Only the newest one matters.
+    Checkpoint(Box<GuardCheckpoint>),
 }
+
+// One entry per datagram sent: a checkpoint must not widen the queue.
+const _: () = assert!(std::mem::size_of::<Output>() == 48);
 
 /// The out-buffer of a driver: what one or more core calls asked for, in
 /// order, and the CPU cost they charged. The driver owns it, executes and
@@ -121,7 +127,9 @@ impl Forwarded {
 /// packet, with the [`Leg`] told truthfully and a clock that never runs
 /// backwards; [`GuardCore::on_window`] every [`WINDOW`] (and the HA and
 /// fleet ticks at their intervals, when configured); and the execution of
-/// every [`Output`], in order.
+/// every [`Output`], in order. Executing an [`Output::Checkpoint`] means
+/// keeping it, in place of the one before, where a restart can read it; a
+/// driver whose configuration sets no checkpoint cadence never sees one.
 ///
 /// The fields are open to the sibling modules that hold the rest of the
 /// guard's `impl`: `restore` (checkpoints) and `repl` (HA and fleet).
@@ -154,8 +162,6 @@ pub struct GuardCore {
     pub traffic_unverified: TrafficMeter,
     /// Overload-adaptive admission controller (None ⇒ feature off).
     admission: Option<AdmissionController>,
-    /// Where periodic checkpoints are published (None ⇒ no checkpointing).
-    pub(super) checkpoint_store: Option<SharedCheckpointStore>,
     /// Sequence number of the last checkpoint taken or applied.
     pub(super) checkpoint_seq: u64,
     /// When the last checkpoint was taken (drives the cadence and the
@@ -202,7 +208,6 @@ impl GuardCore {
             traffic: TrafficMeter::default(),
             traffic_unverified: TrafficMeter::default(),
             admission: config.admission.then(AdmissionController::new),
-            checkpoint_store: None,
             checkpoint_seq: 0,
             last_checkpoint: SimTime::ZERO,
             ha: config.ha.clone().map(|cfg| HaRuntime::new(cfg, config.key_seed)),
@@ -1016,7 +1021,7 @@ impl GuardCore {
             self.stash_removed(key);
         }
         self.export_gauges();
-        self.checkpoint_if_due(now);
+        self.checkpoint_if_due(now, out);
         self.sample_admission(now);
     }
 

@@ -1,13 +1,11 @@
 //! Checkpoint and restore: the guard's restorable state as a
-//! [`GuardCheckpoint`], and the staleness rules that installing one (from a
-//! store after a crash, or from the primary on a standby) applies.
+//! [`GuardCheckpoint`], emitted on its cadence, and the staleness rules that
+//! installing one (the driver's latest after a crash, or the primary's on a
+//! standby) applies.
 
-use super::core::GuardCore;
+use super::core::{GuardCore, Output, Outputs};
 use super::fwd::{Forwarded, Rewrite};
-use crate::checkpoint::{
-    FwdState, GuardCheckpoint, KeyState, SharedCheckpointStore, StashState, CHECKPOINT_VERSION,
-    STASH_TTL,
-};
+use crate::checkpoint::{FwdState, GuardCheckpoint, KeyState, StashState, CHECKPOINT_VERSION, STASH_TTL};
 use crate::ha::HaRole;
 use netsim::packet::Endpoint;
 use netsim::time::SimTime;
@@ -31,13 +29,6 @@ pub(super) fn fwd_state_of(txid: u16, f: &Forwarded) -> Option<FwdState> {
 }
 
 impl GuardCore {
-    /// Attaches the store that periodic checkpoints are published to
-    /// (enables the cadence configured by
-    /// [`GuardConfig::checkpoint_interval`](crate::config::GuardConfig::checkpoint_interval)).
-    pub fn attach_checkpoint_store(&mut self, store: SharedCheckpointStore) {
-        self.checkpoint_store = Some(store);
-    }
-
     /// Builds a consistent snapshot of restorable guard state. Pure — the
     /// guard is unchanged; probes and TCP relays are excluded by
     /// construction. Entries are emitted in a deterministic order so equal
@@ -67,11 +58,20 @@ impl GuardCore {
         }
     }
 
-    /// Takes a checkpoint and publishes it to the attached store.
-    pub fn take_checkpoint(&mut self, now: SimTime) {
-        let Some(store) = self.checkpoint_store.clone() else {
+    /// The checkpoint cadence and the staleness gauge of an acting primary
+    /// (a standby not yet promoted tracks staleness off its heartbeats):
+    /// once `checkpoint_interval` has passed since the last one, a snapshot
+    /// goes to the driver as [`Output::Checkpoint`].
+    pub(super) fn checkpoint_if_due(&mut self, now: SimTime, out: &mut Outputs) {
+        let standby_waiting = self.ha_role() == Some(HaRole::Standby);
+        let Some(interval) = self.config.checkpoint_interval.filter(|_| !standby_waiting) else {
             return;
         };
+        let age = now.saturating_sub(self.last_checkpoint);
+        if age < interval {
+            self.metrics.checkpoint_age_nanos.set(age.as_nanos());
+            return;
+        }
         let cp = self.checkpoint(now);
         self.checkpoint_seq = cp.seq;
         self.last_checkpoint = now;
@@ -81,21 +81,7 @@ impl GuardCore {
         self.metrics.checkpoint_age_nanos.set(0);
         let fields = [("seq", Value::U64(cp.seq)), ("bytes", Value::U64(bytes))];
         self.metrics.trace.event(now.as_nanos(), "checkpoint", &fields);
-        store.lock().put(cp);
-    }
-
-    /// The checkpoint cadence and the staleness gauge of an acting primary
-    /// (a standby not yet promoted tracks staleness off its heartbeats).
-    pub(super) fn checkpoint_if_due(&mut self, now: SimTime) {
-        let standby_waiting = self.ha_role() == Some(HaRole::Standby);
-        if self.checkpoint_store.is_none() || standby_waiting {
-            return;
-        }
-        let age = now.saturating_sub(self.last_checkpoint);
-        match self.config.checkpoint_interval {
-            Some(interval) if age >= interval => self.take_checkpoint(now),
-            _ => self.metrics.checkpoint_age_nanos.set(age.as_nanos()),
-        }
+        out.push(Output::Checkpoint(Box::new(cp)));
     }
 
     /// Replaces restorable state with a checkpoint's. Staleness rules:

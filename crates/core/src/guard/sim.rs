@@ -37,6 +37,9 @@ pub struct RemoteGuard {
     /// What the core asked for during the handler in progress. Drained
     /// before the handler returns and kept, so it is allocated once.
     out: Outputs,
+    /// The node's disk: the newest checkpoint the core emitted. A crash
+    /// keeps the node object, so this outlives it.
+    latest_checkpoint: Option<Box<GuardCheckpoint>>,
 }
 
 impl RemoteGuard {
@@ -46,7 +49,14 @@ impl RemoteGuard {
         RemoteGuard {
             core: GuardCore::new(config, classifier),
             out: Outputs::default(),
+            latest_checkpoint: None,
         }
+    }
+
+    /// The newest checkpoint this guard took, if its configuration sets a
+    /// cadence and one has come due: what a restart restores from.
+    pub fn latest_checkpoint(&self) -> Option<&GuardCheckpoint> {
+        self.latest_checkpoint.as_deref()
     }
 
     /// Creates a guard and immediately applies a previously taken
@@ -89,6 +99,7 @@ impl RemoteGuard {
                 }
                 Output::ClaimAddress(addr) => ctx.claim_address(addr),
                 Output::ClaimSubnet(base, prefix) => ctx.claim_subnet(base, prefix),
+                Output::Checkpoint(cp) => self.latest_checkpoint = Some(cp),
             }
         }
     }

@@ -74,7 +74,7 @@ obs::counters! {
         /// Unverified requests shed by the admission controller before any
         /// rate-limiter decision (Surge/Shed pressure tiers).
         admission_shed,
-        /// State checkpoints written to the attached store.
+        /// State checkpoints emitted to the driver (`Output::Checkpoint`).
         checkpoints_taken,
         /// Times guard state was rebuilt from a checkpoint or replication
         /// snapshot.

@@ -64,7 +64,7 @@ pub mod ratelimit;
 pub mod tcp_proxy;
 
 pub use admission::{AdmissionController, PressureTier};
-pub use checkpoint::{CheckpointStore, GuardCheckpoint, SharedCheckpointStore};
+pub use checkpoint::GuardCheckpoint;
 pub use classify::{AuthorityClassifier, Classification, Classifier};
 pub use config::{AnsHealthPolicy, GuardConfig, SchemeMode};
 pub use guard::{GuardCore, GuardStats, RemoteGuard};

@@ -7,11 +7,11 @@
 //! that owns the default route. What each emits and counts must be equal —
 //! the simulator driver adds nothing and loses nothing.
 
-use dnsguard::checkpoint::KeyState;
+use dnsguard::checkpoint::{GuardCheckpoint, KeyState};
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::{GuardCore, GuardStats, Leg, Output, Outputs, RemoteGuard, WINDOW};
-use dnsguard::ha::{encode_repl, repl_secret, FleetConfig, ReplPayload, REPL_PORT};
+use dnsguard::ha::{encode_repl, repl_secret, FleetConfig, HaConfig, ReplPayload, REPL_PORT};
 use dnswire::cookie_ext;
 use dnswire::message::Message;
 use dnswire::name::Name;
@@ -51,6 +51,8 @@ trait Guard {
     fn idle(&mut self, d: SimTime) -> Vec<Packet>;
     fn stats(&self) -> GuardStats;
     fn cookies(&self) -> CookieFactory;
+    /// The newest checkpoint the driver kept.
+    fn latest_checkpoint(&self) -> Option<GuardCheckpoint>;
 }
 
 /// The core, driven by hand.
@@ -59,6 +61,8 @@ struct Direct {
     out: Outputs,
     now: SimTime,
     next_window: SimTime,
+    /// Every checkpoint the core emitted, oldest first.
+    checkpoints: Vec<GuardCheckpoint>,
 }
 
 impl Direct {
@@ -71,12 +75,17 @@ impl Direct {
         }
     }
 
-    /// The out-buffer as the packets a driver would send.
+    /// The out-buffer as the packets a driver would send; checkpoints are
+    /// kept aside.
     fn sent(&mut self) -> Vec<Packet> {
         let me = Endpoint::new(PUBLIC, DNS_PORT);
-        let drained = self.out.drain().map(|output| match output {
-            Output::Packet(pkt) => pkt,
-            Output::ToAns(wire) => Packet::udp(me, Endpoint::new(ANS, DNS_PORT), wire),
+        let drained = self.out.drain().filter_map(|output| match output {
+            Output::Packet(pkt) => Some(pkt),
+            Output::ToAns(wire) => Some(Packet::udp(me, Endpoint::new(ANS, DNS_PORT), wire)),
+            Output::Checkpoint(cp) => {
+                self.checkpoints.push(*cp);
+                None
+            }
             claim => panic!("a standalone guard claimed {claim:?}"),
         });
         drained.collect()
@@ -102,6 +111,10 @@ impl Guard for Direct {
 
     fn cookies(&self) -> CookieFactory {
         self.core.cookie_factory().clone()
+    }
+
+    fn latest_checkpoint(&self) -> Option<GuardCheckpoint> {
+        self.checkpoints.last().cloned()
     }
 }
 
@@ -149,6 +162,10 @@ impl Guard for Simulated {
     fn cookies(&self) -> CookieFactory {
         self.sim.node_ref::<RemoteGuard>(self.guard).unwrap().cookie_factory().clone()
     }
+
+    fn latest_checkpoint(&self) -> Option<GuardCheckpoint> {
+        self.sim.node_ref::<RemoteGuard>(self.guard).unwrap().latest_checkpoint().cloned()
+    }
 }
 
 /// Which zone the protected ANS serves: under the root a query for
@@ -184,11 +201,16 @@ fn direct_with(config: GuardConfig, classifier: AuthorityClassifier) -> Direct {
         out: Outputs::default(),
         now: SimTime::ZERO,
         next_window: WINDOW,
+        checkpoints: Vec::new(),
     }
 }
 
 fn simulated(mode: SchemeMode, zone: Zone) -> Simulated {
     let (config, classifier) = parts(mode, zone);
+    simulated_with(config, classifier)
+}
+
+fn simulated_with(config: GuardConfig, classifier: AuthorityClassifier) -> Simulated {
     let mut sim = Simulator::new(7);
     sim.set_default_delay(LINK);
     let guard = sim.add_node(PUBLIC, CpuConfig::unbounded(), RemoteGuard::new(config, classifier));
@@ -198,9 +220,14 @@ fn simulated(mode: SchemeMode, zone: Zone) -> Simulated {
     Simulated { sim, guard, tap }
 }
 
+/// The bytes of the newest checkpoint `guard`'s driver kept.
+fn kept(guard: &dyn Guard) -> Option<Vec<u8>> {
+    guard.latest_checkpoint().map(|cp| cp.encode())
+}
+
 /// Plays `scenario` to both guards; the transcript (everything sent, in
-/// order) and the counters must agree. Returns them for the scenario's own
-/// assertions.
+/// order), the counters and the checkpoint kept must agree. Returns the
+/// transcript and counters for the scenario's own assertions.
 fn same_on_both(
     mode: SchemeMode,
     zone: Zone,
@@ -210,6 +237,7 @@ fn same_on_both(
     let (by_core, by_node) = (scenario(&mut core), scenario(&mut node));
     assert_eq!(by_core, by_node, "the two drivers sent different packets");
     assert_eq!(core.stats(), node.stats(), "the two drivers counted differently");
+    assert_eq!(kept(&core), kept(&node), "the two drivers kept different checkpoints");
     let stats = core.stats();
     assert_eq!(stats.disposition_total(), stats.udp_datagrams);
     (by_core, stats)
@@ -428,11 +456,10 @@ fn an_unmatched_upstream_response_does_not_recover_a_down_ans() {
     let (mut config, classifier) = parts(SchemeMode::ModifiedOnly, Zone::Foo);
     config.ans_timeout = SimTime::from_millis(20);
     config.ans_failure_threshold = 2;
-    let mut core = GuardCore::new(config, classifier);
+    let mut guard = direct_with(config, classifier);
     let obs = obs::Obs::new();
     obs.tracer.set_default_level(obs::trace::Level::Info);
-    core.attach_obs(&obs);
-    let mut guard = Direct { core, out: Outputs::default(), now: SimTime::ZERO, next_window: WINDOW };
+    guard.core.attach_obs(&obs);
     let recovered = |obs: &obs::Obs| obs.tracer.drain().0.iter().any(|e| e.kind == "ans_recovered");
 
     // Two verified forwards nothing answers; the next window expires both,
@@ -665,6 +692,68 @@ fn analytics_telemetry_exists_only_once_armed_whichever_side_of_attach_obs() {
         } else {
             assert_eq!((gauges, refreshes, snap.total), (vec![], 0, 0));
             assert_eq!(core.analytics_sketch().total(), 0);
+        }
+    }
+}
+
+/// The extension-cookie guard of `foo.com`, configured by `tweak`, behind
+/// each driver.
+fn both_with(tweak: impl Fn(&mut GuardConfig)) -> (Direct, Simulated) {
+    let (mut config, classifier) = parts(SchemeMode::ModifiedOnly, Zone::Foo);
+    tweak(&mut config);
+    (direct_with(config.clone(), classifier.clone()), simulated_with(config, classifier))
+}
+
+/// A checkpoint is an output. With a cadence of one window the guard emits
+/// one snapshot per window, numbered 1, 2, 3, … and taken at the window's
+/// instant, and counts each; the simulator driver keeps the newest, and it
+/// is the last one the bare core emitted, byte for byte.
+#[test]
+fn a_checkpoint_cadence_emits_snapshots_that_both_drivers_keep() {
+    let (mut core, mut node) = both_with(|c| c.checkpoint_interval = Some(WINDOW));
+    for guard in [&mut core as &mut dyn Guard, &mut node] {
+        // A forward nobody answers, so every snapshot holds a table entry.
+        let mut verified = query(1, "www.foo.com");
+        cookie_ext::attach_cookie(&mut verified, guard.cookies().generate(CLIENT.ip).0, 0);
+        assert_eq!(guard.offer(from(CLIENT, PUBLIC, &verified)).len(), 1, "forwarded");
+        assert!(guard.idle(WINDOW * 4).is_empty(), "a checkpoint is not a packet");
+    }
+    let emitted: Vec<_> = core.checkpoints.iter().map(|cp| (cp.seq, cp.taken_at_nanos)).collect();
+    let windows: Vec<_> = (1..=4).map(|n| (n, n * WINDOW.as_nanos())).collect();
+    assert_eq!(emitted, windows);
+    assert_eq!((core.stats().checkpoints_taken, node.stats().checkpoints_taken), (4, 4));
+    assert_eq!(core.stats(), node.stats());
+    assert_eq!(core.checkpoints[3].fwd.len(), 1, "the unanswered forward is in the snapshot");
+    assert_eq!(kept(&node), Some(core.checkpoints[3].encode()));
+}
+
+/// With no cadence a guard emits no checkpoint and its staleness gauge
+/// stays 0, so `checkpoint_lag` cannot fire; an HA standby that is still
+/// waiting emits none even with a cadence (its state ages off heartbeats).
+#[test]
+fn no_cadence_or_a_waiting_standby_emits_no_checkpoint() {
+    for standby in [false, true] {
+        let (mut core, mut node) = both_with(|c| {
+            if standby {
+                // A warm spare whose replication tick never comes: it waits.
+                let mut ha = HaConfig::standby(PUBLIC, Ipv4Addr::new(10, 50, 0, 1))
+                    .with_interval(SimTime::from_secs(60));
+                ha.takeover = false;
+                c.ha = Some(ha);
+                c.checkpoint_interval = Some(WINDOW);
+            }
+        });
+        let (core_obs, node_obs) = (obs::Obs::new(), obs::Obs::new());
+        core.core.attach_obs(&core_obs);
+        node.sim.node_mut::<RemoteGuard>(node.guard).unwrap().attach_obs(&node_obs);
+        for guard in [&mut core as &mut dyn Guard, &mut node] {
+            assert!(guard.idle(SimTime::from_millis(450)).is_empty());
+            assert_eq!((kept(guard), guard.stats().checkpoints_taken), (None, 0), "standby: {standby}");
+        }
+        for bundle in [core_obs, node_obs] {
+            let age = bundle.registry.snapshot().into_iter().filter(|s| s.name == "checkpoint_age_nanos");
+            let age: Vec<_> = age.map(|s| s.value).collect();
+            assert_eq!(age, [obs::metrics::SampleValue::Gauge(0)], "standby: {standby}");
         }
     }
 }

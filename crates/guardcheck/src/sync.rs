@@ -12,8 +12,8 @@
 //! wrapper — zero overhead, zero behavior change. Under
 //! `RUSTFLAGS="--cfg guardcheck"` they swap to the modeled primitives,
 //! so the *production types themselves* (`Counter`, `Histogram`,
-//! `Tracer`'s ring, `CheckpointStore`, `StopFlag`) run under the
-//! interleaving checker with no test doubles.
+//! `Tracer`'s ring, `StopFlag`) run under the interleaving checker with
+//! no test doubles.
 
 pub use std::sync::atomic::Ordering;
 

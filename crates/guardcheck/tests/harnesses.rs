@@ -3,10 +3,10 @@
 //! Compiled only under `RUSTFLAGS="--cfg guardcheck"` (the ci.sh
 //! `guardcheck` stage): in that configuration `guardcheck::sync`
 //! resolves to the modeled primitives, so the production
-//! Counter/Histogram/Tracer/CheckpointStore/StopFlag
-//! implementations — not test doubles — run under the interleaving
-//! checker. These shared structures are exactly the future
-//! per-core hot-path state of the sharded guard data plane.
+//! Counter/Histogram/Tracer/StopFlag implementations — not test
+//! doubles — run under the interleaving checker. These are the state
+//! that threads share: the obs cells and trace ring a guard writes and
+//! the telemetry server reads, and the runtime's stop flag.
 //!
 //! The aggregate test asserts the whole suite explores ≥ 5 000
 //! distinct schedules with zero counterexamples; the mutation test
@@ -16,7 +16,6 @@
 
 use guardcheck::model::{spawn, Checker, ModelCell};
 use guardcheck::{CexKind, Report, ScheduleTrace};
-use std::sync::Arc;
 
 /// Harness 1: the obs metrics record path. Counter increments and
 /// histogram records are relaxed RMWs; no interleaving may lose one,
@@ -90,59 +89,6 @@ fn run_tracer_ring() -> Report {
     })
 }
 
-/// Harness 4: the HA checkpoint handoff. A writer snapshots twice
-/// while a reader clones `latest`; the reader must see a coherent
-/// checkpoint (never a torn mix) and `taken` must end at exactly 2.
-fn run_checkpoint_handoff() -> Report {
-    Checker::new().preemption_bound(3).check(|| {
-        let store = dnsguard::checkpoint::shared_store();
-        let writer_store = Arc::clone(&store);
-        let writer = spawn(move || {
-            writer_store.lock().put(mini_checkpoint(1));
-            writer_store.lock().put(mini_checkpoint(2));
-        });
-        let observed = store.lock().latest_cloned();
-        if let Some(cp) = &observed {
-            assert!(
-                cp == &mini_checkpoint(cp.seq),
-                "reader saw a torn checkpoint at seq {}",
-                cp.seq
-            );
-            assert!(cp.seq == 1 || cp.seq == 2);
-        }
-        writer.join();
-        let store = store.lock();
-        assert_eq!(store.taken(), 2);
-        assert_eq!(store.latest().map(|c| c.seq), Some(2), "last write wins");
-    })
-}
-
-/// A small but complete checkpoint; `seq` varies the payload so a torn
-/// read would be distinguishable.
-fn mini_checkpoint(seq: u64) -> dnsguard::checkpoint::GuardCheckpoint {
-    use dnsguard::checkpoint::{GuardCheckpoint, KeyState, LimiterState, CHECKPOINT_VERSION};
-    use guardhash::cookie::SecretKey;
-    GuardCheckpoint {
-        version: CHECKPOINT_VERSION,
-        seq,
-        taken_at_nanos: seq * 1_000,
-        key: KeyState {
-            current: SecretKey::from_seed(seq),
-            previous: None,
-            generation: seq,
-            seed: 2006,
-        },
-        rl1: LimiterState::default(),
-        rl2: LimiterState::default(),
-        next_txid: seq as u16,
-        next_qid: seq,
-        active: true,
-        last_rotation_nanos: 0,
-        fwd: Vec::new(),
-        stash: Vec::new(),
-    }
-}
-
 fn show(name: &str, r: &Report) {
     println!(
         "guardcheck harness {name}: schedules={} states={} complete={} result={}",
@@ -156,17 +102,16 @@ fn show(name: &str, r: &Report) {
     );
 }
 
-/// The acceptance gate: all four harnesses race-free, search space
+/// The acceptance gate: all three harnesses race-free, search space
 /// exhausted, and ≥ 5 000 distinct schedules explored in total. The
 /// per-harness counts print so the CI stage can surface them.
 #[test]
-fn four_harnesses_race_free_within_budget() {
+fn three_harnesses_race_free_within_budget() {
     let start = std::time::Instant::now();
-    let runs: [(&str, Report); 4] = [
+    let runs: [(&str, Report); 3] = [
         ("metrics_record_path", run_metrics()),
         ("stop_flag", run_stop_flag()),
         ("tracer_ring", run_tracer_ring()),
-        ("checkpoint_handoff", run_checkpoint_handoff()),
     ];
     let mut total_schedules = 0u64;
     let mut total_states = 0u64;

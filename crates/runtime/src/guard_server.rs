@@ -128,8 +128,9 @@ impl Shared {
                     self.public.send_to(&pkt.payload, to)
                 }
                 Output::ToAns(wire) => self.upstream.send_to(&wire, self.ans),
-                // Only a standby of an HA pair claims addresses.
-                Output::ClaimAddress(_) | Output::ClaimSubnet(..) => continue,
+                // Only a standby of an HA pair claims addresses, and only a
+                // configured cadence checkpoints; this server sets neither.
+                Output::ClaimAddress(_) | Output::ClaimSubnet(..) | Output::Checkpoint(_) => continue,
             };
         }
     }

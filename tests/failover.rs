@@ -6,7 +6,6 @@ mod common;
 
 use bench::worlds::{alert_engine, run_evaluated, ALERT_TICK};
 use common::{WorldBuilder, PRIV, PUB};
-use dnsguard::checkpoint::shared_store;
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
@@ -63,11 +62,6 @@ fn rotation_survives_checkpoint_restore_in_every_scheme() {
             .concurrency(1)
             .tweak(|c| c.checkpoint_interval = Some(SimTime::from_millis(100)))
             .build();
-        let store = shared_store();
-        w.sim
-            .node_mut::<RemoteGuard>(w.guard)
-            .unwrap()
-            .attach_checkpoint_store(store.clone());
 
         // Warm: the client completes and caches its generation-0 cookie.
         w.sim.run_until(SimTime::from_millis(250));
@@ -82,10 +76,8 @@ fn rotation_survives_checkpoint_restore_in_every_scheme() {
             "{scheme}: client must keep completing across the rotation"
         );
         w.sim.crash(w.guard);
-        let cp = store
-            .lock()
-            .latest_cloned()
-            .unwrap_or_else(|| panic!("{scheme}: no checkpoint taken"));
+        let cp = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap().latest_checkpoint().cloned();
+        let cp = cp.unwrap_or_else(|| panic!("{scheme}: no checkpoint taken"));
         assert!(
             cp.key.generation >= 1,
             "{scheme}: checkpoint must capture the post-rotation key state"
@@ -105,10 +97,6 @@ fn rotation_survives_checkpoint_restore_in_every_scheme() {
             restore_at,
         );
         w.sim.restart_with(w.guard, fresh);
-        w.sim
-            .node_mut::<RemoteGuard>(w.guard)
-            .unwrap()
-            .attach_checkpoint_store(store.clone());
         w.sim.run_until(SimTime::from_millis(900));
 
         assert!(
@@ -317,14 +305,10 @@ fn stale_checkpoint_drops_all_forwarding_state() {
     let mut w = WorldBuilder::new(93)
         .tweak(|c| c.checkpoint_interval = Some(SimTime::from_millis(100)))
         .build();
-    let store = shared_store();
-    w.sim
-        .node_mut::<RemoteGuard>(w.guard)
-        .unwrap()
-        .attach_checkpoint_store(store.clone());
     w.sim.run_until(SimTime::from_millis(450));
     w.sim.crash(w.guard);
-    let cp = store.lock().latest_cloned().expect("checkpoint exists");
+    let cp = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap().latest_checkpoint().cloned();
+    let cp = cp.expect("checkpoint exists");
 
     // Restore far past the ANS-timeout deadline (1 s by default).
     let restore_at = SimTime::from_millis(450) + SimTime::from_secs(3);

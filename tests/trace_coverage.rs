@@ -8,7 +8,6 @@
 mod common;
 
 use common::WorldBuilder;
-use dnsguard::checkpoint::shared_store;
 use dnsguard::config::AnsHealthPolicy;
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
@@ -54,8 +53,8 @@ fn failover_emits_peer_down_and_takeover_events() {
     );
 }
 
-/// Checkpoint/restore round-trip: the periodic `checkpoint` event carries
-/// the store write, and applying a snapshot emits `restore`.
+/// Checkpoint/restore round-trip: the periodic `checkpoint` event marks
+/// each snapshot the guard emits, and applying one emits `restore`.
 #[test]
 fn checkpoint_and_restore_emit_paired_events() {
     let mut w = WorldBuilder::new(42)
@@ -63,20 +62,13 @@ fn checkpoint_and_restore_emit_paired_events() {
         .build();
     let obs = Obs::new();
     obs.tracer.set_default_level(Level::Info);
-    let store = shared_store();
-    {
-        let g = w.sim.node_mut::<RemoteGuard>(w.guard).unwrap();
-        g.attach_obs(&obs);
-        g.attach_checkpoint_store(store.clone());
-    }
+    w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().attach_obs(&obs);
     w.sim.run_until(SimTime::from_millis(300));
-    let cp = store.lock().latest_cloned().expect("checkpoint taken");
 
     // Feed the snapshot straight back: same guard, same tracer.
-    w.sim
-        .node_mut::<RemoteGuard>(w.guard)
-        .unwrap()
-        .apply_checkpoint(&cp, SimTime::from_millis(300));
+    let g = w.sim.node_mut::<RemoteGuard>(w.guard).unwrap();
+    let cp = g.latest_checkpoint().cloned().expect("checkpoint taken");
+    g.apply_checkpoint(&cp, SimTime::from_millis(300));
 
     let kinds = drained_kinds(&obs);
     assert!(
