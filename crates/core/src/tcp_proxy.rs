@@ -17,6 +17,7 @@
 //! * per-source token buckets on connection initiation.
 
 use crate::ratelimit::SourceRateLimiter;
+use dnswire::framing::{frame, take_frame};
 use dnswire::message::Message;
 use netsim::packet::Packet;
 use netsim::tcp::{ConnKey, Segment, TcpEvent, TcpHost};
@@ -147,13 +148,8 @@ impl TcpProxy {
                     state.buf.extend_from_slice(&bytes);
                     // Drain every complete frame (pipelined requests are
                     // legal on DNS TCP connections).
-                    while let Some(&[hi, lo]) = state.buf.get(..2) {
-                        let need = u16::from_be_bytes([hi, lo]) as usize;
-                        if state.buf.len() < 2 + need {
-                            break;
-                        }
-                        let frame: Vec<u8> = state.buf.drain(..2 + need).skip(2).collect();
-                        let Ok(query) = Message::decode(&frame) else {
+                    while let Some(wire) = take_frame(&mut state.buf) {
+                        let Ok(query) = Message::decode(&wire) else {
                             continue;
                         };
                         let token = self.next_token;
@@ -180,10 +176,10 @@ impl TcpProxy {
         if !self.conns.contains_key(&key) {
             return None; // reaped or closed meanwhile
         }
-        let mut framed = Vec::with_capacity(response.len() + 2);
-        framed.extend_from_slice(&(response.len() as u16).to_be_bytes());
-        framed.extend_from_slice(&id.to_be_bytes());
-        framed.extend_from_slice(response.get(2..).unwrap_or_default());
+        let mut framed = frame(response)?;
+        if let Some(slot) = framed.get_mut(2..4) {
+            slot.copy_from_slice(&id.to_be_bytes());
+        }
         let pkt = self.tcp.send(key, framed)?;
         self.metrics.responses_returned.inc();
         Some(pkt)
@@ -258,11 +254,7 @@ mod tests {
 
         // Send a framed DNS query.
         let q = Message::iterative_query(3, "www.foo.com".parse().unwrap(), RrType::A);
-        let wire = q.encode();
-        let mut framed = Vec::new();
-        framed.extend_from_slice(&(wire.len() as u16).to_be_bytes());
-        framed.extend_from_slice(&wire);
-        let data = client.send(key, framed).unwrap();
+        let data = client.send(key, frame(&q.encode()).unwrap()).unwrap();
         let actions = proxy.on_segment(SimTime::ZERO, &data);
         let forwarded = actions.iter().find_map(|a| match a {
             ProxyAction::ForwardQuery { token, query } => Some((*token, query.clone())),
@@ -282,9 +274,10 @@ mod tests {
             TcpEvent::Data(_, d) => Some(d.clone()),
             _ => None,
         });
-        let framed = framed.expect("the answer on the connection");
-        assert_eq!(framed[..2], (framed.len() as u16 - 2).to_be_bytes());
-        assert_eq!(Message::decode(&framed[2..]).unwrap(), query.response(), "under the id the client sent");
+        let mut framed = framed.expect("the answer on the connection");
+        let answer = take_frame(&mut framed).expect("one whole frame");
+        assert!(framed.is_empty(), "and nothing after it");
+        assert_eq!(Message::decode(&answer).unwrap(), query.response(), "under the id the client sent");
         assert_eq!(proxy.stats().requests_relayed, 1);
         assert_eq!(proxy.stats().responses_returned, 1);
     }
@@ -335,11 +328,7 @@ mod tests {
         let mut client = TcpHost::new(13);
         let key = handshake(&mut proxy, &mut client, SimTime::ZERO);
         let q = Message::iterative_query(4, "x.y".parse().unwrap(), RrType::A);
-        let wire = q.encode();
-        let mut framed = Vec::new();
-        framed.extend_from_slice(&(wire.len() as u16).to_be_bytes());
-        framed.extend_from_slice(&wire);
-        let data = client.send(key, framed).unwrap();
+        let data = client.send(key, frame(&q.encode()).unwrap()).unwrap();
         let actions = proxy.on_segment(SimTime::ZERO, &data);
         let token = actions
             .iter()

@@ -13,6 +13,7 @@ use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::{GuardCore, GuardStats, Leg, Output, Outputs, RemoteGuard, WINDOW};
 use dnsguard::ha::{encode_repl, repl_secret, FleetConfig, HaConfig, ReplPayload, REPL_PORT};
 use dnswire::cookie_ext;
+use dnswire::framing::{frame, take_frame};
 use dnswire::message::Message;
 use dnswire::name::Name;
 use dnswire::rdata::RData;
@@ -386,9 +387,7 @@ fn tcp_scheme_is_the_same_on_both_drivers() {
         let mut tcp = TcpHost::new(8);
         let (key, syn) = tcp.connect(CLIENT, Endpoint::new(PUBLIC, DNS_PORT));
         let mut to_guard = vec![syn];
-        let mut framed = query(2, "www.foo.com").encode();
-        framed.splice(..0, (framed.len() as u16).to_be_bytes());
-        let mut framed = Some(framed);
+        let mut framed = frame(&query(2, "www.foo.com").encode());
         let mut answer = None;
         while let Some(pkt) = to_guard.pop() {
             for reply in guard.offer(pkt) {
@@ -399,8 +398,8 @@ fn tcp_scheme_is_the_same_on_both_drivers() {
                     continue;
                 }
                 for event in tcp.on_segment(&reply, &mut to_guard) {
-                    if let TcpEvent::Data(_, bytes) = event {
-                        answer = Some(Message::decode(&bytes[2..]).unwrap());
+                    if let TcpEvent::Data(_, mut bytes) = event {
+                        answer = take_frame(&mut bytes).map(|m| Message::decode(&m).unwrap());
                     }
                 }
             }

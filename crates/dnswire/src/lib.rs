@@ -18,7 +18,8 @@
 //!   instead of) materialising a message;
 //! * [`writer`] — a reply written over the query it answers: the received
 //!   question bytes kept, the header patched, records appended through the
-//!   encoder's compressor.
+//!   encoder's compressor;
+//! * [`framing`] — the two-byte length prefix of DNS over TCP.
 //!
 //! # Examples
 //!
@@ -42,6 +43,7 @@
 
 pub mod cookie_ext;
 pub mod error;
+pub mod framing;
 pub mod header;
 pub mod message;
 pub mod name;

@@ -148,6 +148,17 @@ pub const RULES: &[Rule] = &[
         tests: false,
     },
     Rule {
+        id: "tcp-framing",
+        scope: Scope {
+            paths: &["crates/core/src/", "crates/server/src/", "crates/runtime/src/"],
+            except: &[],
+        },
+        check: Check::Tokens(&["as u16).to_be_bytes()"]),
+        message: "is a hand-written DNS-over-TCP length prefix: frame and deframe through \
+                  `dnswire::framing`",
+        tests: false,
+    },
+    Rule {
         id: "netsim-engine",
         scope: Scope { paths: &["crates/netsim/src/engine.rs"], except: &[] },
         check: Check::Tokens(&["HashMap<(NodeId, NodeId)", "NullNode"]),

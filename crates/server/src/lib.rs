@@ -16,7 +16,8 @@
 //!   cost models, answering UDP and TCP queries through the wire entry point;
 //! * [`simclient`] — the paper's closed-loop "LRS simulator" workload
 //!   generator (scheme-aware through standard DNS behaviour only);
-//! * [`tcpclient`] — a one-query-per-connection DNS-over-TCP driver.
+//! * [`tcpclient`] — the one DNS-over-TCP client, a query per connection,
+//!   under the LRS simulator's TC fallback and the resolver's TCP re-queries.
 
 #![forbid(unsafe_code)]
 

@@ -1,13 +1,14 @@
-//! Ready-made simulator nodes: an authoritative server (with configurable
-//! per-request CPU cost, modelling BIND or the paper's ANS simulator) and a
-//! TCP-capable variant.
+//! The authoritative server node: one [`Authority`] over UDP and DNS over
+//! TCP, with a configurable per-request CPU cost modelling BIND or the
+//! paper's ANS simulator.
 
 use crate::authoritative::Authority;
+use dnswire::framing::{frame, take_frame};
 use dnswire::message::MAX_UDP_PAYLOAD;
 use dnswire::view::MessageView;
 use netsim::engine::{Context, Node};
 use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT};
-use netsim::tcp::{TcpEvent, TcpHost};
+use netsim::tcp::{ConnKey, TcpEvent, TcpHost};
 use netsim::time::SimTime;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -60,7 +61,8 @@ pub struct AuthNode {
     authority: Authority,
     costs: ServerCosts,
     tcp: TcpHost,
-    tcp_bufs: HashMap<netsim::tcp::ConnKey, Vec<u8>>,
+    /// Received bytes of a connection's partial frame.
+    tcp_bufs: HashMap<ConnKey, Vec<u8>>,
     /// UDP queries served (detached registry counter; see
     /// [`AuthNode::attach_obs`]).
     udp_queries: obs::metrics::Counter,
@@ -123,6 +125,21 @@ impl AuthNode {
         );
     }
 
+    /// Answers one deframed TCP `query` on connection `key`.
+    fn answer_tcp(&mut self, ctx: &mut Context<'_>, key: ConnKey, query: Vec<u8>) {
+        let Ok(view) = MessageView::parse(&query) else {
+            return;
+        };
+        ctx.charge(self.costs.tcp_request);
+        self.tcp_queries.inc();
+        let start = view.reply_start();
+        let Ok(wire) = self.authority.answer_wire(query, start, usize::MAX) else {
+            return;
+        };
+        if let Some(data) = frame(&wire).and_then(|framed| self.tcp.send(key, framed)) {
+            ctx.send(data);
+        }
+    }
 }
 
 impl Node for AuthNode {
@@ -152,30 +169,15 @@ impl Node for AuthNode {
                 for ev in events {
                     match ev {
                         TcpEvent::Data(key, bytes) => {
-                            let buf = self.tcp_bufs.entry(key).or_default();
+                            let mut buf = self.tcp_bufs.remove(&key).unwrap_or_default();
                             buf.extend_from_slice(&bytes);
-                            if buf.len() < 2 {
-                                continue;
+                            // Pipelined queries (RFC 7766 §6.2.1.1) are
+                            // answered in the order they arrived.
+                            while let Some(query) = take_frame(&mut buf) {
+                                self.answer_tcp(ctx, key, query);
                             }
-                            let need = u16::from_be_bytes([buf[0], buf[1]]) as usize;
-                            if buf.len() < 2 + need {
-                                continue;
-                            }
-                            let frame = buf[2..2 + need].to_vec();
-                            self.tcp_bufs.remove(&key);
-                            let Ok(view) = MessageView::parse(&frame) else {
-                                continue;
-                            };
-                            ctx.charge(self.costs.tcp_request);
-                            self.tcp_queries.inc();
-                            let start = view.reply_start();
-                            if let Ok(wire) = self.authority.answer_wire(frame, start, usize::MAX) {
-                                let mut framed = Vec::with_capacity(wire.len() + 2);
-                                framed.extend_from_slice(&(wire.len() as u16).to_be_bytes());
-                                framed.extend_from_slice(&wire);
-                                if let Some(data) = self.tcp.send(key, framed) {
-                                    ctx.send(data);
-                                }
+                            if !buf.is_empty() {
+                                self.tcp_bufs.insert(key, buf);
                             }
                         }
                         TcpEvent::Closed(key) | TcpEvent::Reset(key) => {
@@ -235,6 +237,76 @@ mod tests {
         sim.run();
         let reply = sim.node_ref::<UdpProbe>(probe).unwrap().reply.clone().unwrap();
         assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
+    }
+
+    /// Opens one connection and writes `queries`, framed, in one segment.
+    struct PipelineProbe {
+        tcp: TcpHost,
+        me: Endpoint,
+        server: Endpoint,
+        queries: Vec<Vec<u8>>,
+        recv: Vec<u8>,
+        replies: Vec<Message>,
+    }
+    impl Node for PipelineProbe {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let (_, syn) = self.tcp.connect(self.me, self.server);
+            ctx.send(syn);
+        }
+        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+            let mut out = Vec::new();
+            for ev in self.tcp.on_segment(&pkt, &mut out) {
+                match ev {
+                    TcpEvent::Connected(key) => {
+                        let wire = self.queries.iter().flat_map(|q| frame(q).unwrap()).collect();
+                        out.extend(self.tcp.send(key, wire));
+                    }
+                    TcpEvent::Data(_, bytes) => {
+                        self.recv.extend_from_slice(&bytes);
+                        while let Some(reply) = take_frame(&mut self.recv) {
+                            self.replies.push(Message::decode(&reply).unwrap());
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            for p in out {
+                ctx.send(p);
+            }
+        }
+    }
+
+    #[test]
+    fn pipelined_tcp_queries_are_each_answered() {
+        let (_, _, foo) = paper_hierarchy();
+        let mut sim = Simulator::new(4);
+        let ans = sim.add_node(
+            FOO_SERVER,
+            CpuConfig::unbounded(),
+            AuthNode::new(FOO_SERVER, Authority::new(vec![foo])),
+        );
+        let probe_ip = Ipv4Addr::new(10, 0, 0, 8);
+        let queries = [(11, "www.foo.com"), (12, "missing.foo.com")]
+            .map(|(id, name)| Message::iterative_query(id, name.parse().unwrap(), RrType::A).encode());
+        let probe = sim.add_node(
+            probe_ip,
+            CpuConfig::unbounded(),
+            PipelineProbe {
+                tcp: TcpHost::new(5),
+                me: Endpoint::new(probe_ip, 40_000),
+                server: Endpoint::new(FOO_SERVER, DNS_PORT),
+                queries: queries.to_vec(),
+                recv: Vec::new(),
+                replies: Vec::new(),
+            },
+        );
+        sim.run();
+        let replies = &sim.node_ref::<PipelineProbe>(probe).unwrap().replies;
+        let ids: Vec<u16> = replies.iter().map(|r| r.header.id).collect();
+        assert_eq!(ids, [11, 12], "both queries answered, in order");
+        assert_eq!(replies[0].answers[0].rdata, RData::A(WWW_ADDR));
+        assert_eq!(replies[1].header.rcode, dnswire::types::Rcode::NxDomain);
+        assert_eq!(sim.node_ref::<AuthNode>(ans).unwrap().tcp_queries(), 2);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::cache::Cache;
 use crate::hardening::{KeyedSeq, PortMode, ResolverHardening};
+use crate::tcpclient::TcpQueryClient;
 use dnswire::message::{Message, MAX_UDP_PAYLOAD};
 use dnswire::name::Name;
 use dnswire::question::Question;
@@ -19,7 +20,6 @@ use dnswire::rdata::RData;
 use dnswire::types::{Rcode, RrType};
 use netsim::engine::{Context, Node};
 use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT};
-use netsim::tcp::{ConnKey, TcpEvent, TcpHost};
 use netsim::time::SimTime;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -178,13 +178,6 @@ pub struct InFlight {
     pub qtype: RrType,
 }
 
-#[derive(Debug)]
-struct TcpPending {
-    op: u64,
-    wire: Vec<u8>,
-    recv_buf: Vec<u8>,
-}
-
 /// The recursive resolver node.
 ///
 /// Latencies of completed client queries are recorded in
@@ -204,8 +197,8 @@ pub struct RecursiveResolver {
     case_seq: KeyedSeq,
     /// Cursor of the `PortMode::Sequential` discipline.
     next_src_port: u16,
-    tcp: TcpHost,
-    tcp_pending: HashMap<ConnKey, TcpPending>,
+    /// TCP re-queries, each token the op it answers.
+    tcp: TcpQueryClient,
     /// Live counters (snapshot through [`RecursiveResolver::stats`]).
     metrics: ResolverMetrics,
     /// Client-query completion latencies.
@@ -216,7 +209,7 @@ impl RecursiveResolver {
     /// Creates a resolver from `config`.
     pub fn new(config: ResolverConfig) -> Self {
         RecursiveResolver {
-            tcp: TcpHost::new(u64::from(u32::from(config.addr))),
+            tcp: TcpQueryClient::new(config.addr, u64::from(u32::from(config.addr))),
             txid_seq: KeyedSeq::new(config.prng_seed, 1),
             port_seq: KeyedSeq::new(config.prng_seed, 2),
             case_seq: KeyedSeq::new(config.prng_seed, 3),
@@ -227,7 +220,6 @@ impl RecursiveResolver {
             txid_to_op: HashMap::new(),
             next_op: 1,
             next_src_port: 0,
-            tcp_pending: HashMap::new(),
             metrics: ResolverMetrics::default(),
             latencies: netsim::metrics::LatencyRecorder::new(),
         }
@@ -902,30 +894,16 @@ impl RecursiveResolver {
         let op = self.next_op;
         self.next_op += 1;
         let query = Message::iterative_query(txid, target.clone(), qtype);
-        // RFC 1035 TCP framing: two-byte length prefix.
-        let dns = query.encode();
-        let mut wire = Vec::with_capacity(dns.len() + 2);
-        wire.extend_from_slice(&(dns.len() as u16).to_be_bytes());
-        wire.extend_from_slice(&dns);
 
         // Keyed ephemeral port from the same pool real stacks use,
         // avoiding ports with a live fallback connection.
-        let in_use: std::collections::HashSet<u16> =
-            self.tcp_pending.keys().map(|k| k.local.port).collect();
-        let mut tcp_port = 0u16;
-        self.port_seq.draw_u16(|v| {
-            let cand = 40_000u16.wrapping_add(v % 20_000);
-            if !in_use.contains(&cand) {
-                tcp_port = cand;
-                true
-            } else {
-                false
-            }
-        });
-        let local = Endpoint::new(self.config.addr, tcp_port);
-        let (key, syn) = self.tcp.connect(local, Endpoint::new(server, DNS_PORT));
-        ctx.charge(self.config.per_packet_cost);
-        ctx.send(syn);
+        let pool = |v: u16| 40_000 + v % 20_000;
+        let tcp = &self.tcp;
+        let tcp_port = pool(self.port_seq.draw_u16(|v| !tcp.port_in_use(pool(v))));
+        if let Some(syn) = self.tcp.start_query(tcp_port, server, &query.encode(), op) {
+            ctx.charge(self.config.per_packet_cost);
+            ctx.send(syn);
+        }
         ctx.set_timer(self.config.timeout * 3, op);
         self.pending.insert(
             op,
@@ -943,69 +921,30 @@ impl RecursiveResolver {
             },
         );
         self.txid_to_op.insert(txid, op);
-        self.tcp_pending.insert(
-            key,
-            TcpPending {
-                op,
-                wire,
-                recv_buf: Vec::new(),
-            },
-        );
     }
 
+    /// Sends what the client has to send (handshake, query, FIN), then
+    /// hands each completed response to its op, if the op is still live.
+    /// An op that timed out keeps its connection; its late answer is
+    /// dropped here.
     fn handle_tcp_segment(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         let mut out = Vec::new();
-        let events = self.tcp.on_segment(&pkt, &mut out);
+        let done = self.tcp.on_segment(&pkt, &mut out);
         for p in out {
             ctx.charge(self.config.per_packet_cost);
             ctx.send(p);
         }
-        for ev in events {
-            match ev {
-                TcpEvent::Connected(key) => {
-                    if let Some(tp) = self.tcp_pending.get(&key) {
-                        let wire = tp.wire.clone();
-                        if let Some(data_pkt) = self.tcp.send(key, wire) {
-                            ctx.charge(self.config.per_packet_cost);
-                            ctx.send(data_pkt);
-                        }
-                    }
-                }
-                TcpEvent::Data(key, bytes) => {
-                    let Some(tp) = self.tcp_pending.get_mut(&key) else {
-                        continue;
-                    };
-                    tp.recv_buf.extend_from_slice(&bytes);
-                    if tp.recv_buf.len() < 2 {
-                        continue;
-                    }
-                    let need = u16::from_be_bytes([tp.recv_buf[0], tp.recv_buf[1]]) as usize;
-                    if tp.recv_buf.len() < 2 + need {
-                        continue;
-                    }
-                    let frame = tp.recv_buf[2..2 + need].to_vec();
-                    let op = tp.op;
-                    if let Some(fin) = self.tcp.close(key) {
-                        ctx.charge(self.config.per_packet_cost);
-                        ctx.send(fin);
-                    }
-                    self.tcp_pending.remove(&key);
-                    if let Ok(msg) = Message::decode(&frame) {
-                        if let Some(p) = self.pending.get(&op) {
-                            if !p.done {
-                                let job_id = p.job;
-                                let zone = p.zone.clone();
-                                self.retire_op(op);
-                                self.process_answer(ctx, job_id, &zone, msg);
-                            }
-                        }
-                    }
-                }
-                TcpEvent::Closed(key) | TcpEvent::Reset(key) => {
-                    self.tcp_pending.remove(&key);
-                }
-                TcpEvent::Accepted(_) => {}
-            }
+        for (op, frame) in done {
+            let Some(p) = self.pending.get(&op).filter(|p| !p.done) else {
+                continue;
+            };
+            let Ok(msg) = Message::decode(&frame) else {
+                continue;
+            };
+            let job_id = p.job;
+            let zone = p.zone.clone();
+            self.retire_op(op);
+            self.process_answer(ctx, job_id, &zone, msg);
         }
     }
 }
@@ -1063,47 +1002,9 @@ impl Node for RecursiveResolver {
 mod tests {
     use super::*;
     use crate::authoritative::Authority;
+    use crate::nodes::AuthNode;
     use crate::zone::{paper_hierarchy, COM_SERVER, FOO_SERVER, ROOT_SERVER, WWW_ADDR};
     use netsim::engine::{CpuConfig, Simulator};
-
-    /// Minimal authoritative node serving an [`Authority`] over UDP.
-    pub struct AuthNode {
-        addr: Ipv4Addr,
-        authority: Authority,
-        pub queries: u64,
-    }
-
-    impl AuthNode {
-        pub fn new(addr: Ipv4Addr, authority: Authority) -> Self {
-            AuthNode {
-                addr,
-                authority,
-                queries: 0,
-            }
-        }
-    }
-
-    impl Node for AuthNode {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-            if pkt.proto != Proto::Udp {
-                return;
-            }
-            let Ok(msg) = Message::decode(&pkt.payload) else {
-                return;
-            };
-            if msg.header.response {
-                return;
-            }
-            self.queries += 1;
-            let (resp, _) = self.authority.answer(&msg);
-            let (wire, _) = resp.encode_with_limit(MAX_UDP_PAYLOAD).expect("fits");
-            ctx.send(Packet::udp(
-                Endpoint::new(self.addr, DNS_PORT),
-                pkt.src,
-                wire,
-            ));
-        }
-    }
 
     /// A stub client that sends one recursive query and remembers the reply.
     struct OneShot {
@@ -1327,9 +1228,8 @@ mod tests {
     const LRS_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
     const STUB_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 
-    /// Builds a world on the *public* (TCP-capable) [`crate::nodes::AuthNode`]
-    /// so gate/fragment fallbacks can actually re-query over TCP. Returns
-    /// `(sim, lrs, stub, [root, com, foo])`.
+    /// Builds the paper hierarchy, a resolver with `hardening` and a stub.
+    /// Returns `(sim, lrs, stub, [root, com, foo])`.
     fn hardened_world(
         seed: u64,
         hardening: crate::hardening::ResolverHardening,
@@ -1344,7 +1244,7 @@ mod tests {
             auth_ids[i] = sim.add_node(
                 ip,
                 CpuConfig::unbounded(),
-                crate::nodes::AuthNode::new(ip, Authority::new(vec![zone])),
+                AuthNode::new(ip, Authority::new(vec![zone])),
             );
         }
         let lrs = sim.add_node(
@@ -1601,6 +1501,60 @@ mod tests {
         assert!(stats.frag_rejected >= 1, "{stats:?}");
         assert!(stats.tcp_fallbacks >= 1);
         assert!(sim.fault_stats().fragmented >= 1);
+    }
+
+    /// A root server that answers every UDP query with TC and never
+    /// completes a TCP handshake, recording the source port of each SYN.
+    #[derive(Default)]
+    struct TcOnly {
+        syn_ports: Vec<u16>,
+    }
+
+    impl Node for TcOnly {
+        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+            match pkt.proto {
+                Proto::Udp => {
+                    let mut tc = Message::decode(&pkt.payload).unwrap().response();
+                    tc.header.truncated = true;
+                    ctx.send(Packet::udp(pkt.dst, pkt.src, tc.encode()));
+                }
+                Proto::Tcp => {
+                    if netsim::tcp::Segment::decode(&pkt.payload).is_some_and(|s| s.flags.syn) {
+                        self.syn_ports.push(pkt.src.port);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_tcp_fallbacks_leave_from_distinct_keyed_ports() {
+        // Two clients' first queries both come back TC; both re-asks are
+        // open at once. Each leaves from the resolver's keyed 40 000..60 000
+        // pool, and the second avoids the first's port.
+        let mut sim = Simulator::new(31);
+        let root = sim.add_node(ROOT_SERVER, CpuConfig::unbounded(), TcOnly::default());
+        sim.add_node(
+            LRS_IP,
+            CpuConfig::unbounded(),
+            RecursiveResolver::new(ResolverConfig::new(LRS_IP, vec![ROOT_SERVER])),
+        );
+        for (host, qname) in [(1, "www.foo.com"), (2, "foo.com")] {
+            let ip = Ipv4Addr::new(10, 0, 0, host);
+            let stub = OneShot {
+                me: Endpoint::new(ip, 5000),
+                lrs: Endpoint::new(LRS_IP, DNS_PORT),
+                qname: qname.parse().unwrap(),
+                reply: None,
+            };
+            sim.add_node(ip, CpuConfig::unbounded(), stub);
+        }
+        // Before the first TCP timeout (3 × 10 ms) retries anything.
+        sim.run_until(SimTime::from_millis(5));
+        let ports = &sim.node_ref::<TcOnly>(root).unwrap().syn_ports;
+        assert_eq!(ports.len(), 2, "{ports:?}");
+        assert_ne!(ports[0], ports[1]);
+        assert!(ports.iter().all(|p| (40_000..60_000).contains(p)), "{ports:?}");
     }
 
     #[test]

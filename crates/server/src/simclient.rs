@@ -232,6 +232,8 @@ pub struct LrsSimulator {
     in_flight: Vec<u64>,
     next_txid: u16,
     tcp: TcpQueryClient,
+    /// Local port of the next TC fallback: 32 768 upward, wrapping there.
+    next_tcp_port: u16,
     /// Consecutive timeouts across all slots; two in a row invalidate the
     /// cookie cache (as a real resolver's record TTLs eventually would),
     /// which is how clients recover from a guard key rotation that outlived
@@ -254,6 +256,7 @@ impl LrsSimulator {
             in_flight: vec![0; 1 << 16],
             next_txid: 1,
             tcp,
+            next_tcp_port: 32_768,
             consecutive_timeouts: 0,
             config,
             stats: LrsSimStats::default(),
@@ -388,10 +391,13 @@ impl LrsSimulator {
         if view.header.truncated {
             // TCP fallback (the TCP-based scheme's redirect).
             self.stats.tcp_fallbacks += 1;
+            let port = self.next_tcp_port;
+            self.next_tcp_port = port.wrapping_add(1).max(32_768);
             let query = self.templates.get(&self.config.qname, self.config.qtype, None);
-            let syn = self.tcp.start_query(from, query, tag);
-            ctx.charge(self.config.per_packet_cost);
-            ctx.send(syn);
+            if let Some(syn) = self.tcp.start_query(port, from, query, tag) {
+                ctx.charge(self.config.per_packet_cost);
+                ctx.send(syn);
+            }
             self.slots[slot].state = SlotState::AwaitTcp;
             return;
         }

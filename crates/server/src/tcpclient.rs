@@ -1,7 +1,11 @@
-//! A small DNS-over-TCP query driver shared by the workload clients:
-//! opens a connection per query (as RFC 1035 clients of the era did),
-//! sends the two-byte-framed request, collects the framed response, closes.
+//! The one DNS-over-TCP client of the workspace: a query per connection
+//! (as RFC 1035 clients of the era did), the request framed by
+//! [`dnswire::framing`], the framed response collected, the connection
+//! closed. The LRS simulator's TC fallback and the recursive resolver's TCP
+//! re-queries both run on it; each picks the local port its query leaves
+//! from.
 
+use dnswire::framing::{frame, take_frame};
 use dnswire::view::MessageView;
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
 use netsim::tcp::{ConnKey, TcpEvent, TcpHost};
@@ -13,7 +17,6 @@ struct PendingTcp {
     token: u64,
     wire: Vec<u8>,
     recv: Vec<u8>,
-    sent: bool,
 }
 
 /// Drives one-query-per-connection DNS over the simulated TCP.
@@ -22,7 +25,6 @@ pub struct TcpQueryClient {
     local_ip: Ipv4Addr,
     tcp: TcpHost,
     pending: HashMap<ConnKey, PendingTcp>,
-    next_port: u16,
 }
 
 impl TcpQueryClient {
@@ -32,7 +34,6 @@ impl TcpQueryClient {
             local_ip,
             tcp: TcpHost::new(seed),
             pending: HashMap::new(),
-            next_port: 32_768,
         }
     }
 
@@ -41,16 +42,18 @@ impl TcpQueryClient {
         self.tcp.conn_count()
     }
 
-    /// Begins a TCP query to `server:53` asking the encoded `query`;
-    /// returns the SYN packet to send. `token` is echoed when the response
-    /// completes.
-    pub fn start_query(&mut self, server: Ipv4Addr, query: &[u8], token: u64) -> Packet {
-        let mut wire = Vec::with_capacity(query.len() + 2);
-        wire.extend_from_slice(&(query.len() as u16).to_be_bytes());
-        wire.extend_from_slice(query);
+    /// Whether a query still awaiting its response left from `port`.
+    pub fn port_in_use(&self, port: u16) -> bool {
+        self.pending.keys().any(|k| k.local.port == port)
+    }
 
-        let local = Endpoint::new(self.local_ip, self.next_port);
-        self.next_port = self.next_port.wrapping_add(1).max(32_768);
+    /// Begins a TCP query from `local_port` to `server:53` asking the
+    /// encoded `query`; returns the SYN packet to send, or `None` when the
+    /// query is too long to frame. `token` is echoed when the response
+    /// completes.
+    pub fn start_query(&mut self, local_port: u16, server: Ipv4Addr, query: &[u8], token: u64) -> Option<Packet> {
+        let wire = frame(query)?;
+        let local = Endpoint::new(self.local_ip, local_port);
         let (key, syn) = self.tcp.connect(local, Endpoint::new(server, DNS_PORT));
         self.pending.insert(
             key,
@@ -58,25 +61,22 @@ impl TcpQueryClient {
                 token,
                 wire,
                 recv: Vec::new(),
-                sent: false,
             },
         );
-        syn
+        Some(syn)
     }
 
     /// Abandons the query identified by `token` (timeout): connection state
     /// is dropped without further packets.
     pub fn abandon(&mut self, token: u64) {
-        let keys: Vec<ConnKey> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.token == token)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in keys {
-            self.pending.remove(&k);
-            self.tcp.abort(&k);
-        }
+        let tcp = &mut self.tcp;
+        self.pending.retain(|key, p| {
+            let keep = p.token != token;
+            if !keep {
+                tcp.abort(key);
+            }
+            keep
+        });
     }
 
     /// Feeds an inbound TCP packet; appends outbound packets to `out` and
@@ -88,13 +88,10 @@ impl TcpQueryClient {
         for ev in events {
             match ev {
                 TcpEvent::Connected(key) => {
+                    // A connection reports `Connected` once: its SYN-ACK.
                     if let Some(p) = self.pending.get_mut(&key) {
-                        if !p.sent {
-                            p.sent = true;
-                            let wire = std::mem::take(&mut p.wire);
-                            if let Some(data) = self.tcp.send(key, wire) {
-                                out.push(data);
-                            }
+                        if let Some(data) = self.tcp.send(key, std::mem::take(&mut p.wire)) {
+                            out.push(data);
                         }
                     }
                 }
@@ -103,14 +100,9 @@ impl TcpQueryClient {
                         continue;
                     };
                     p.recv.extend_from_slice(&bytes);
-                    if p.recv.len() < 2 {
+                    let Some(frame) = take_frame(&mut p.recv) else {
                         continue;
-                    }
-                    let need = u16::from_be_bytes([p.recv[0], p.recv[1]]) as usize;
-                    if p.recv.len() < 2 + need {
-                        continue;
-                    }
-                    let frame = p.recv[2..2 + need].to_vec();
+                    };
                     let token = p.token;
                     self.pending.remove(&key);
                     if let Some(fin) = self.tcp.close(key) {
@@ -150,7 +142,7 @@ mod tests {
     impl Node for TcpProbe {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             let q = Message::iterative_query(8, "www.foo.com".parse().unwrap(), RrType::A).encode();
-            let syn = self.client.start_query(self.server, &q, 1);
+            let syn = self.client.start_query(40_001, self.server, &q, 1).unwrap();
             ctx.send(syn);
         }
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
@@ -198,9 +190,19 @@ mod tests {
     fn abandon_clears_state() {
         let mut c = TcpQueryClient::new(Ipv4Addr::new(10, 0, 0, 5), 1);
         let q = Message::iterative_query(1, "x.y".parse().unwrap(), RrType::A).encode();
-        let _syn = c.start_query(Ipv4Addr::new(1, 1, 1, 1), &q, 42);
+        let _syn = c.start_query(33_000, Ipv4Addr::new(1, 1, 1, 1), &q, 42).unwrap();
         assert_eq!(c.open_connections(), 1);
+        assert!(c.port_in_use(33_000) && !c.port_in_use(33_001));
         c.abandon(42);
         assert_eq!(c.open_connections(), 0);
+        assert!(!c.port_in_use(33_000));
+    }
+
+    #[test]
+    fn an_unframeable_query_opens_nothing() {
+        let mut c = TcpQueryClient::new(Ipv4Addr::new(10, 0, 0, 5), 1);
+        assert!(c.start_query(33_000, Ipv4Addr::new(1, 1, 1, 1), &vec![0; 65_536], 7).is_none());
+        assert_eq!(c.open_connections(), 0);
+        assert!(!c.port_in_use(33_000));
     }
 }

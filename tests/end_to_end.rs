@@ -1,7 +1,7 @@
 //! Cross-crate integration: a *stock* recursive resolver (crate `server`)
 //! resolving through a guarded root server (crate `dnsguard`), end to end —
-//! the transparency claim of the DNS-based scheme: "Neither ANS nor LRS
-//! needs to be modified."
+//! the transparency claim of the DNS-based and TCP-based schemes: "Neither
+//! ANS nor LRS needs to be modified."
 
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
@@ -39,15 +39,18 @@ impl Node for Stub {
     }
 }
 
-/// Builds: guarded root (DNS-based scheme) + real com & foo.com servers +
-/// a stock recursive resolver + one stub.
-fn guarded_hierarchy(seed: u64) -> (Simulator, netsim::NodeId, netsim::NodeId, netsim::NodeId) {
+/// Builds: guarded root (running `mode`) + real com & foo.com servers + a
+/// stock recursive resolver + one stub.
+fn guarded_hierarchy(
+    seed: u64,
+    mode: SchemeMode,
+) -> (Simulator, netsim::NodeId, netsim::NodeId, netsim::NodeId) {
     let (root, com, foo_com) = paper_hierarchy();
     let root_authority = Authority::new(vec![root]);
 
     let mut sim = Simulator::new(seed);
     // The guard owns the advertised root-server address.
-    let config = GuardConfig::new(ROOT_SERVER, ROOT_PRIVATE).with_mode(SchemeMode::DnsBased);
+    let config = GuardConfig::new(ROOT_SERVER, ROOT_PRIVATE).with_mode(mode);
     let guard = sim.add_node(
         ROOT_SERVER,
         CpuConfig::unbounded(),
@@ -92,7 +95,7 @@ fn guarded_hierarchy(seed: u64) -> (Simulator, netsim::NodeId, netsim::NodeId, n
 
 #[test]
 fn stock_resolver_resolves_through_guarded_root() {
-    let (mut sim, guard, lrs, stub) = guarded_hierarchy(1);
+    let (mut sim, guard, lrs, stub) = guarded_hierarchy(1, SchemeMode::DnsBased);
     sim.run();
 
     let reply = sim
@@ -115,8 +118,36 @@ fn stock_resolver_resolves_through_guarded_root() {
 }
 
 #[test]
+fn stock_resolver_resolves_through_tcp_guarded_root() {
+    // The TCP-based scheme: the guard answers the resolver's first UDP
+    // query with TC, the resolver retries over TCP as any resolver does,
+    // and the guard's proxy relays that query to the root ANS.
+    let (mut sim, guard, lrs, stub) = guarded_hierarchy(5, SchemeMode::TcpBased);
+    sim.run();
+
+    let reply = sim
+        .node_ref::<Stub>(stub)
+        .unwrap()
+        .reply
+        .clone()
+        .expect("stub received an answer");
+    assert_eq!(reply.header.rcode, Rcode::NoError);
+    assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR), "correct final answer");
+
+    let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
+    assert!(g.stats().tc_sent >= 1, "guard redirected the resolver to TCP");
+    assert!(g.proxy_stats().requests_relayed >= 1, "the proxy relayed the TCP query");
+    assert_eq!(g.stats().spoofed_dropped(), 0, "no false positives");
+
+    let resolver = sim.node_ref::<RecursiveResolver>(lrs).unwrap();
+    assert!(resolver.stats().tcp_fallbacks >= 1, "resolver retried over TCP");
+    assert_eq!(resolver.stats().servfails, 0);
+    assert_eq!(resolver.stats().timeouts, 0);
+}
+
+#[test]
 fn resolver_cache_skips_guard_on_repeat() {
-    let (mut sim, _guard, lrs, _stub) = guarded_hierarchy(2);
+    let (mut sim, _guard, lrs, _stub) = guarded_hierarchy(2, SchemeMode::DnsBased);
     sim.run();
     let upstream_before = sim.node_ref::<RecursiveResolver>(lrs).unwrap().stats().upstream_sent;
 
@@ -147,7 +178,7 @@ fn resolver_reuses_fabricated_ns_for_sibling_names() {
     // After resolving www.foo.com, the resolver holds the fabricated com NS
     // (long TTL). Resolving another .com name must reuse that cookie name
     // rather than starting from the root again with a plain query.
-    let (mut sim, guard, _lrs, _stub) = guarded_hierarchy(3);
+    let (mut sim, guard, _lrs, _stub) = guarded_hierarchy(3, SchemeMode::DnsBased);
     sim.run();
     let fabricated_before = sim
         .node_ref::<RemoteGuard>(guard)
@@ -178,7 +209,7 @@ fn resolver_reuses_fabricated_ns_for_sibling_names() {
 
 #[test]
 fn spoofed_flood_cannot_reach_root_ans_while_resolver_works() {
-    let (mut sim, guard, _lrs, stub) = guarded_hierarchy(4);
+    let (mut sim, guard, _lrs, stub) = guarded_hierarchy(4, SchemeMode::DnsBased);
     use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
     sim.add_node(
         Ipv4Addr::new(66, 0, 0, 1),
