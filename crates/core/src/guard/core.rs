@@ -26,7 +26,7 @@ use dnswire::view::MessageView;
 use dnswire::writer::{ReplyStart, Section, Writer};
 use guardhash::cookie::CookieFactory;
 use netsim::metrics::TrafficMeter;
-use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT, UDP_HEADER_BYTES};
+use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT};
 use netsim::time::SimTime;
 use obs::trace::Value;
 use std::net::Ipv4Addr;
@@ -155,8 +155,6 @@ pub struct GuardCore {
     pub(super) last_rotation: SimTime,
     /// Live counters (snapshot through [`GuardCore::stats`]).
     pub(super) metrics: GuardMetrics,
-    /// All bytes through the guard.
-    pub traffic: TrafficMeter,
     /// Bytes exchanged with *unverified* sources (requests in, cookie/TC
     /// responses out) — the amplification-relevant meter.
     pub traffic_unverified: TrafficMeter,
@@ -205,7 +203,6 @@ impl GuardCore {
             active: config.activation_threshold == 0.0,
             last_rotation: SimTime::ZERO,
             metrics: GuardMetrics::default(),
-            traffic: TrafficMeter::default(),
             traffic_unverified: TrafficMeter::default(),
             admission: config.admission.then(AdmissionController::new),
             checkpoint_seq: 0,
@@ -352,13 +349,11 @@ impl GuardCore {
 
     pub(super) fn tx(&mut self, out: &mut Outputs, pkt: Packet) {
         out.charge(netsim::cost::packet_cost());
-        self.traffic.tx(pkt.wire_size());
         out.push(Output::Packet(pkt));
     }
 
     fn tx_ans(&mut self, out: &mut Outputs, wire: Vec<u8>) {
         out.charge(netsim::cost::packet_cost());
-        self.traffic.tx(UDP_HEADER_BYTES + wire.len());
         out.push(Output::ToAns(wire));
     }
 
@@ -546,7 +541,6 @@ impl GuardCore {
     #[inline]
     pub fn handle_packet(&mut self, now: SimTime, leg: Leg, pkt: Packet, out: &mut Outputs) {
         out.charge(netsim::cost::packet_cost());
-        self.traffic.rx(pkt.wire_size());
         match pkt.proto {
             // Replication traffic is control-plane, not DNS: it is
             // dispatched before the datagram counter so the pipeline

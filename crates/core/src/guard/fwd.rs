@@ -18,7 +18,7 @@
 //!
 //! An `index` subscript is a `u16` into 65 536 entries, and a `slab`
 //! subscript a slot the index, the list or the free chain holds — by the
-//! invariants above, inside the slab. That is what each `index-ok` means.
+//! invariants above, inside the slab. That is what each `lint: L1` means.
 
 use crate::checkpoint::RewriteState;
 use dnswire::name::Name;
@@ -146,7 +146,7 @@ impl FwdTable {
 
     /// The entry under `txid`.
     pub(super) fn get(&self, txid: u16) -> Option<&Forwarded> {
-        let slot = self.index[txid as usize].checked_sub(1)?; // lint: index-ok — a u16
+        let slot = self.index[txid as usize].checked_sub(1)?; // lint: L1 — a u16
         Some(self.live(slot)?.1)
     }
 
@@ -171,11 +171,11 @@ impl FwdTable {
         self.bytes += entry.approx_bytes();
         let mut prev = self.tail;
         while self.live(prev).is_some_and(|(_, held)| held.created > entry.created) {
-            prev = self.slab[prev as usize].prev; // lint: index-ok — a listed slot
+            prev = self.slab[prev as usize].prev; // lint: L1 — a listed slot
         }
         let next = match prev {
             NIL => self.head,
-            _ => self.slab[prev as usize].next, // lint: index-ok — a listed slot
+            _ => self.slab[prev as usize].next, // lint: L1 — a listed slot
         };
         let filled = Slot {
             entry: Some(entry),
@@ -189,39 +189,39 @@ impl FwdTable {
                 self.slab.len() as u32 - 1
             }
             slot => {
-                self.free = self.slab[slot as usize].next; // lint: index-ok — a free slot
-                self.slab[slot as usize] = filled; // lint: index-ok — a free slot
+                self.free = self.slab[slot as usize].next; // lint: L1 — a free slot
+                self.slab[slot as usize] = filled; // lint: L1 — a free slot
                 slot
             }
         };
         match prev {
             NIL => self.head = slot,
-            _ => self.slab[prev as usize].next = slot, // lint: index-ok — a listed slot
+            _ => self.slab[prev as usize].next = slot, // lint: L1 — a listed slot
         }
         match next {
             NIL => self.tail = slot,
-            _ => self.slab[next as usize].prev = slot, // lint: index-ok — a listed slot
+            _ => self.slab[next as usize].prev = slot, // lint: L1 — a listed slot
         }
-        self.index[txid as usize] = slot + 1; // lint: index-ok — a u16
+        self.index[txid as usize] = slot + 1; // lint: L1 — a u16
         replaced
     }
 
     /// Removes and returns the entry under `txid`.
     pub(super) fn remove(&mut self, txid: u16) -> Option<Forwarded> {
-        let slot = self.index[txid as usize].checked_sub(1)?; // lint: index-ok — a u16
+        let slot = self.index[txid as usize].checked_sub(1)?; // lint: L1 — a u16
         let freed = self.slab.get_mut(slot as usize)?;
         let entry = freed.entry.take()?;
-        self.index[txid as usize] = 0; // lint: index-ok — a u16
+        self.index[txid as usize] = 0; // lint: L1 — a u16
         let (prev, next) = (freed.prev, freed.next);
         freed.next = self.free;
         self.free = slot;
         match prev {
             NIL => self.head = next,
-            _ => self.slab[prev as usize].next = next, // lint: index-ok — a listed slot
+            _ => self.slab[prev as usize].next = next, // lint: L1 — a listed slot
         }
         match next {
             NIL => self.tail = prev,
-            _ => self.slab[next as usize].prev = prev, // lint: index-ok — a listed slot
+            _ => self.slab[next as usize].prev = prev, // lint: L1 — a listed slot
         }
         self.bytes -= entry.approx_bytes();
         Some(entry)

@@ -101,7 +101,7 @@ impl RData {
                 for s in strings {
                     debug_assert!(s.len() <= 255, "character-string too long");
                     buf.push(s.len().min(255) as u8);
-                    // lint: index-ok — encode path over our own data, and the
+                    // lint: L1 — encode path over our own data, and the
                     // range end is clamped to s.len() on the previous line.
                     buf.extend_from_slice(&s[..s.len().min(255)]);
                 }

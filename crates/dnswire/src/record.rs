@@ -43,6 +43,8 @@ impl Record {
     pub fn new(name: Name, ttl: u32, rdata: RData) -> Self {
         let rtype = rdata
             .rtype()
+            // lint: L1 — Record::new is a constructor over caller-built RData, not a wire
+            // decode path; the panic on RData::Unknown is documented API misuse
             .expect("RData::Unknown needs Record::with_type");
         Record {
             name,

@@ -1,38 +1,15 @@
-//! Finding model and output formatting (text and JSON).
+//! Finding model and output formatting.
 
-use std::fmt;
-
-/// Finding severity. `--deny` fails the run on any [`Severity::Error`];
-/// warnings are advisory (unused allowlist entries, unobserved telemetry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory; never fails the gate.
-    Warning,
-    /// Violates a repo invariant; fails the gate under `--deny`.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// One lint finding at a source location.
+/// One lint finding at a source location. Every finding fails the run.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Workspace-relative path, forward slashes.
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Check id: a rule-table row's (`L1`, `L2`, `seam`, …), `L1`, `L3`,
-    /// `L6`, or `ALLOW` for allowlist meta-errors.
-    pub lint: &'static str,
-    /// Severity class.
-    pub severity: Severity,
+    /// Check id: a rule-table row's (`L1`, `L2`, `L3`, `seam`, …) or `L6`;
+    /// for a justification that exempts nothing, the id it names.
+    pub lint: String,
     /// Human-oriented description.
     pub message: String,
 }
@@ -40,10 +17,7 @@ pub struct Finding {
 impl Finding {
     /// Renders the canonical `file:line [lint] message` form.
     pub fn render(&self) -> String {
-        format!(
-            "{}:{} [{}] {}: {}",
-            self.file, self.line, self.lint, self.severity, self.message
-        )
+        format!("{}:{} [{}] {}", self.file, self.line, self.lint, self.message)
     }
 
     /// Renders a GitHub Actions workflow annotation
@@ -51,8 +25,7 @@ impl Finding {
     /// directly on the offending line of the PR diff.
     pub fn render_github(&self) -> String {
         format!(
-            "::{} file={},line={},title=guardlint {}::{}",
-            self.severity,
+            "::error file={},line={},title=guardlint {}::{}",
             gh_property(&self.file),
             self.line,
             self.lint,
@@ -72,50 +45,14 @@ fn gh_property(s: &str) -> String {
     gh_message(s).replace(':', "%3A").replace(',', "%2C")
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as a JSON array (stable field order, sorted input).
-pub fn to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"file\":\"{}\",\"line\":{},\"lint\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}{}\n",
-            json_escape(&f.file),
-            f.line,
-            f.lint,
-            f.severity,
-            json_escape(&f.message),
-            if i + 1 == findings.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Sorts findings into the canonical report order: errors first, then by
-/// file, line and lint id.
+/// Sorts findings into the canonical report order: by file, line and lint
+/// id.
 pub fn sort(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
-        b.severity
-            .cmp(&a.severity)
-            .then_with(|| a.file.cmp(&b.file))
+        a.file
+            .cmp(&b.file)
             .then_with(|| a.line.cmp(&b.line))
-            .then_with(|| a.lint.cmp(b.lint))
+            .then_with(|| a.lint.cmp(&b.lint))
     });
 }
 
@@ -123,61 +60,31 @@ pub fn sort(findings: &mut [Finding]) {
 mod tests {
     use super::*;
 
+    fn at(file: &str, line: usize, lint: &str, message: &str) -> Finding {
+        Finding { file: file.into(), line, lint: lint.into(), message: message.into() }
+    }
+
     #[test]
-    fn render_and_json() {
-        let f = Finding {
-            file: "crates/x/src/lib.rs".into(),
-            line: 7,
-            lint: "L1",
-            severity: Severity::Error,
-            message: "`.unwrap()` on a wire-input path".into(),
-        };
-        assert_eq!(
-            f.render(),
-            "crates/x/src/lib.rs:7 [L1] error: `.unwrap()` on a wire-input path"
-        );
-        let json = to_json(&[f]);
-        assert!(json.contains("\"lint\":\"L1\""));
-        assert!(json.contains("\\u") || json.contains("unwrap"));
+    fn renders_file_line_id_message() {
+        let f = at("crates/x/src/lib.rs", 7, "L1", "`.unwrap()` on a wire-input path");
+        assert_eq!(f.render(), "crates/x/src/lib.rs:7 [L1] `.unwrap()` on a wire-input path");
     }
 
     #[test]
     fn github_annotations_escape_and_point_at_the_line() {
-        let f = Finding {
-            file: "crates/x/src/lib.rs".into(),
-            line: 7,
-            lint: "L6",
-            severity: Severity::Error,
-            message: "captured `x` is mutated, 100% wrong\nsecond line".into(),
-        };
+        let f = at("crates/x/src/lib.rs", 7, "L6", "captured `x` is mutated, 100% wrong\nsecond line");
         assert_eq!(
             f.render_github(),
             "::error file=crates/x/src/lib.rs,line=7,title=guardlint L6::captured `x` \
              is mutated, 100%25 wrong%0Asecond line"
         );
-        let w = Finding { severity: Severity::Warning, ..f };
-        assert!(w.render_github().starts_with("::warning "));
     }
 
     #[test]
-    fn sort_errors_first() {
-        let mut v = vec![
-            Finding {
-                file: "a.rs".into(),
-                line: 1,
-                lint: "L6",
-                severity: Severity::Warning,
-                message: String::new(),
-            },
-            Finding {
-                file: "b.rs".into(),
-                line: 2,
-                lint: "L2",
-                severity: Severity::Error,
-                message: String::new(),
-            },
-        ];
+    fn sort_by_file_then_line() {
+        let mut v = vec![at("b.rs", 1, "L2", ""), at("a.rs", 9, "L6", ""), at("a.rs", 2, "L1", "")];
         sort(&mut v);
-        assert_eq!(v[0].lint, "L2");
+        let order: Vec<(&str, usize)> = v.iter().map(|f| (f.file.as_str(), f.line)).collect();
+        assert_eq!(order, [("a.rs", 2), ("a.rs", 9), ("b.rs", 1)]);
     }
 }

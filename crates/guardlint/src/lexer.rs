@@ -8,7 +8,7 @@
 //!
 //! * per-line **masked code** (string/char contents blanked, comments
 //!   removed) for token scans,
-//! * per-line **comment text** for inline `// lint: ...-ok — ...`
+//! * per-line **comment text** for inline `// lint: <id> — <why>`
 //!   justifications,
 //! * a **flat stream** of the whole file with each string literal replaced
 //!   by an indexed placeholder, for cross-line call-argument extraction,

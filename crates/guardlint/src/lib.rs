@@ -9,55 +9,40 @@
 //!
 //! * [`lints::RULES`], one table: per row a path scope, forbidden tokens
 //!   (or a line cap), a message, and whether test items count — L1's
-//!   panics and L2's clocks and RNGs, and the seam, `core` size, state
-//!   table, ANS wire path, netsim engine, cargo feature and testbed rows;
-//! * **L1** — no unjustified slice/array index on wire input;
-//! * **L3** — `Ordering::Relaxed` outside the obs record path requires an
-//!   inline `// lint: relaxed-ok — <why>` justification;
+//!   panics, L2's clocks and RNGs, L3's relaxed atomics, and the seam,
+//!   `core` size, state table, ANS wire path, netsim engine, cargo feature
+//!   and testbed rows;
+//! * **L1** — no slice/array index on wire input;
 //! * **L6** — shared-state escape: a variable captured by a spawned
 //!   closure and mutated inside it must go through a `guardcheck::sync`
-//!   atomic/lock (so the model checker covers it) or carry an inline
-//!   `// lint: shared-ok — <why>`.
+//!   atomic/lock (so the model checker covers it).
 //!
-//! Findings print as `file:line [id] severity: message`; `Lint.toml`
-//! holds justified exemptions (see [`allowlist`]) — entries that stop
-//! matching become hard errors under `--deny` so the file cannot rot;
-//! `--deny` turns errors into a non-zero exit for CI and `--github`
-//! re-renders findings as Actions annotations. Zero dependencies by
-//! design: the crate carries its own comment/string-aware lexer
-//! ([`lexer`]) instead of a Rust parser, because every invariant here is
-//! token-shaped. guardlint is the static front line of the concurrency
-//! toolchain; the `guardcheck` crate's interleaving model checker is the
-//! dynamic back line.
+//! A finding is exempt only by an inline justification naming its id on
+//! its line or in the comment-only lines directly above it, and a
+//! justification that exempts nothing is itself a finding (see
+//! [`lints`]). Findings print as `file:line [id] message`; any finding
+//! makes the CLI exit 1, and `--github` re-renders them as Actions
+//! annotations. Zero dependencies by design: the crate carries its own
+//! comment/string-aware lexer ([`lexer`]) instead of a Rust parser,
+//! because every invariant here is token-shaped. guardlint is the static
+//! front line of the concurrency toolchain; the `guardcheck` crate's
+//! interleaving model checker is the dynamic back line.
 
-pub mod allowlist;
 pub mod findings;
 pub mod lexer;
 pub mod lints;
 
-use findings::{Finding, Severity};
+use findings::Finding;
 use lints::SourceFile;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Result of one full lint run.
 pub struct RunResult {
-    /// Surviving findings (allowlist applied), canonical order.
+    /// Every finding, canonical order.
     pub findings: Vec<Finding>,
     /// Number of files in the lint set.
     pub files_scanned: usize,
-}
-
-impl RunResult {
-    /// Count of error-severity findings (what `--deny` gates on).
-    pub fn errors(&self) -> usize {
-        self.findings.iter().filter(|f| f.severity == Severity::Error).count()
-    }
-
-    /// Count of warning-severity findings.
-    pub fn warnings(&self) -> usize {
-        self.findings.iter().filter(|f| f.severity == Severity::Warning).count()
-    }
 }
 
 /// Collects `.rs` files and package manifests under `dir` recursively,
@@ -112,21 +97,10 @@ fn lint_set_paths(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Runs the full lint pass over the workspace at `root`, applying the
-/// allowlist at `allowlist_path` (skipped when the file does not exist).
-/// With `deny` set (the CI gate), stale allowlist entries are promoted
-/// from advisory warnings to hard errors.
-pub fn run(root: &Path, allowlist_path: &Path, deny: bool) -> io::Result<RunResult> {
+/// Runs the full lint pass over the workspace at `root`.
+pub fn run(root: &Path) -> io::Result<RunResult> {
     let files = load(root, &lint_set_paths(root)?)?;
     let mut findings: Vec<Finding> = files.iter().flat_map(lints::check).collect();
-
-    let toml_rel = rel_of(root, allowlist_path);
-    if allowlist_path.is_file() {
-        let content = std::fs::read_to_string(allowlist_path)?;
-        let list = allowlist::parse(&content, &toml_rel);
-        findings = list.apply(findings, &toml_rel, deny);
-        findings.extend(list.problems);
-    }
     findings::sort(&mut findings);
     Ok(RunResult { findings, files_scanned: files.len() })
 }

@@ -1,22 +1,30 @@
-//! What guardlint checks: one rule table and three checks that need more
-//! than a token.
+//! What guardlint checks: one rule table, two checks that need more than a
+//! token, and the one way to exempt a finding.
 //!
 //! [`RULES`] is declarative. Each row names a path scope, what is forbidden
 //! there (tokens in code, or a line cap), its message, and whether
-//! `#[cfg(test)]` items count. L1's panic tokens, L2's clocks and RNGs and
-//! the workspace's layering invariants are rows. The other three checks:
+//! `#[cfg(test)]` items count. L1's panic tokens, L2's clocks and RNGs,
+//! L3's relaxed atomics and the workspace's layering invariants are rows.
+//! The other two checks:
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | L1 | no slice/array index on wire input unless justified with `// lint: index-ok — <why>` |
-//! | L3 | `Ordering::Relaxed` outside the obs record path needs `// lint: relaxed-ok — <why>` |
-//! | L6 | a variable captured by a spawned closure and mutated inside it goes through a `guardcheck::sync` atomic or lock, or carries `// lint: shared-ok — <why>` |
+//! | L1 | no slice/array index on wire input |
+//! | L6 | a variable captured by a spawned closure and mutated inside it goes through a `guardcheck::sync` atomic or lock |
+//!
+//! **Exemptions.** A finding is exempt when its line, or the comment-only
+//! lines directly above it, carry `// lint: <id> — <why>`: exactly the id
+//! the finding prints, then at least three characters of reason. A
+//! justification that exempts no finding of its id is itself a finding,
+//! reported at its own line, so none outlives the code it excused. Only a
+//! plain comment that starts with `lint:` is one; a doc comment quoting the
+//! syntax, like this one, is not.
 //!
 //! The ids of retired checks are never reused (DESIGN.md, "Static analysis",
 //! lists them).
 
-use crate::findings::{Finding, Severity};
-use crate::lexer::Scrubbed;
+use crate::findings::Finding;
+use crate::lexer::{Scrubbed, ScrubbedLine};
 use std::collections::BTreeSet;
 
 /// One lexed source file, addressed by workspace-relative path.
@@ -27,14 +35,20 @@ pub struct SourceFile {
     pub scrub: Scrubbed,
 }
 
+impl SourceFile {
+    fn finding(&self, line: usize, lint: &str, message: String) -> Finding {
+        Finding { file: self.rel.clone(), line, lint: lint.to_string(), message }
+    }
+}
+
 // ------------------------------------------------------------ rule table
 
 /// Where a rule applies: workspace-relative paths, each a directory when it
-/// ends in `/` and a file otherwise, less the `except` files.
+/// ends in `/` and a file otherwise, less the `except` paths.
 pub struct Scope {
     /// Directories (trailing `/`) and files in scope.
     pub paths: &'static [&'static str],
-    /// Files left out.
+    /// Directories (trailing `/`) and files left out.
     pub except: &'static [&'static str],
 }
 
@@ -42,7 +56,7 @@ impl Scope {
     /// Whether `rel` is in scope.
     pub fn contains(&self, rel: &str) -> bool {
         let hit = |p: &&str| if p.ends_with('/') { rel.starts_with(p) } else { rel == *p };
-        self.paths.iter().any(hit) && !self.except.contains(&rel)
+        self.paths.iter().any(hit) && !self.except.iter().any(hit)
     }
 }
 
@@ -100,6 +114,20 @@ pub const RULES: &[Rule] = &[
         ]),
         message: "in a sim-domain crate: simulated time is the only clock and a seeded RNG \
                   threaded from the scenario the only randomness",
+        tests: false,
+    },
+    Rule {
+        id: "L3",
+        // obs's metric cells and trace levels are single monotonic cells
+        // with no cross-cell ordering contract, and guardcheck implements
+        // the orderings, so it names every one.
+        scope: Scope {
+            paths: &["crates/", "src/"],
+            except: &["crates/guardcheck/", "crates/obs/src/metrics.rs", "crates/obs/src/trace.rs"],
+        },
+        check: Check::Tokens(&["Ordering::Relaxed"]),
+        message: "orders nothing: a flag's store and load want a Release/Acquire pair, and \
+                  anything else takes `// lint: L3 — <why>`",
         tests: false,
     },
     Rule {
@@ -193,13 +221,7 @@ impl Rule {
         if !self.scope.contains(&file.rel) {
             return Vec::new();
         }
-        let finding = |line: usize, message: String| Finding {
-            file: file.rel.clone(),
-            line,
-            lint: self.id,
-            severity: Severity::Error,
-            message,
-        };
+        let finding = |line: usize, message: String| file.finding(line, self.id, message);
         let mut counted = file.scrub.lines.iter().enumerate().filter(|(_, l)| self.tests || !l.in_test);
         match self.check {
             Check::Tokens(tokens) => counted
@@ -217,20 +239,10 @@ impl Rule {
     }
 }
 
-/// L3 and L6 read the library sources: `crates/*/src/` and the umbrella
+/// L6 reads the library sources: `crates/*/src/` and the umbrella
 /// package's `src/`.
 fn library_source(rel: &str) -> bool {
     rel.starts_with("src/") || rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src")
-}
-
-/// L3 exemption: the lock-free metrics/trace record path is the one place
-/// plain relaxed counters are the design (single monotonic cells, no
-/// cross-cell ordering contract); the guardcheck crate *implements* the
-/// ordering semantics, so it necessarily names every `Ordering` variant.
-fn l3_exempt(rel: &str) -> bool {
-    rel == "crates/obs/src/metrics.rs"
-        || rel == "crates/obs/src/trace.rs"
-        || rel.starts_with("crates/guardcheck/src/")
 }
 
 // ------------------------------------------------------------- utilities
@@ -256,32 +268,6 @@ fn find_token(code: &str, token: &str) -> Option<usize> {
     None
 }
 
-/// Whether the line comment carries `lint: <tag> — <justification>` with a
-/// non-trivial justification.
-fn has_justification(comment: &str, tag: &str) -> bool {
-    let needle = format!("lint: {tag}");
-    let Some(p) = comment.find(&needle) else {
-        return false;
-    };
-    let rest = comment[p + needle.len()..]
-        .trim_start_matches([' ', '—', '–', '-', ':']);
-    rest.trim().len() >= 3
-}
-
-/// Whether line `i` carries a `lint: <tag>` justification, either in its
-/// trailing comment or in the comment-only lines directly above it (a
-/// justification usually wants more room than the end of the line).
-fn justified(lines: &[crate::lexer::ScrubbedLine], i: usize, tag: &str) -> bool {
-    if has_justification(&lines[i].comment, tag) {
-        return true;
-    }
-    lines[..i]
-        .iter()
-        .rev()
-        .take_while(|l| l.code.trim().is_empty() && !l.comment.trim().is_empty())
-        .any(|l| has_justification(&l.comment, tag))
-}
-
 /// Byte positions of index-expression brackets: `[` directly preceded by
 /// an identifier char, `)` or `]` (i.e. `buf[…]`, `f(x)[…]`, `a[0][1]`),
 /// which excludes array literals/types, slice patterns and attributes.
@@ -298,69 +284,23 @@ fn index_brackets(code: &str) -> Vec<usize> {
         .collect()
 }
 
-// ------------------------------------------------------------- L1, L3
+// -------------------------------------------------------------------- L1
 
-/// L1's index check: a slice/array index on wire input needs a
-/// justification (the panic tokens are [`RULES`]' first row).
-pub fn l1(file: &SourceFile) -> Vec<Finding> {
+/// L1's index check: a slice/array index on wire input (the panic tokens
+/// are [`RULES`]' first row).
+fn l1(file: &SourceFile) -> Vec<Finding> {
     if !WIRE.contains(&file.rel) {
         return Vec::new();
     }
     let lines = &file.scrub.lines;
     (0..lines.len())
-        .filter(|&i| {
-            !lines[i].in_test
-                && !index_brackets(&lines[i].code).is_empty()
-                && !justified(lines, i, "index-ok")
-        })
-        .map(|i| Finding {
-            file: file.rel.clone(),
-            line: i + 1,
-            lint: "L1",
-            severity: Severity::Error,
-            message: "slice/array index can panic on wire input; use `get()`-style access with \
-                      a typed error, or justify with `// lint: index-ok — <why>`"
-                .to_string(),
+        .filter(|&i| !lines[i].in_test && !index_brackets(&lines[i].code).is_empty())
+        .map(|i| {
+            let message = "slice/array index can panic on wire input; use `get()`-style access \
+                           with a typed error, or justify with `// lint: L1 — <why>`";
+            file.finding(i + 1, "L1", message.to_string())
         })
         .collect()
-}
-
-/// L3: every `Ordering::Relaxed` outside the obs record path needs an
-/// inline justification; boolean flags published with `Relaxed` get a
-/// pairing-specific message.
-pub fn l3(file: &SourceFile) -> Vec<Finding> {
-    if l3_exempt(&file.rel) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, line) in file.scrub.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if find_token(&line.code, "Ordering::Relaxed").is_none() {
-            continue;
-        }
-        if justified(&file.scrub.lines, i, "relaxed-ok") {
-            continue;
-        }
-        let flag_store = line.code.contains(".store(")
-            && (line.code.contains("true") || line.code.contains("false"));
-        let message = if flag_store {
-            "cross-thread flag stored with `Ordering::Relaxed`; pair Release (store) with \
-             Acquire (load), or justify with `// lint: relaxed-ok — <why>`"
-        } else {
-            "`Ordering::Relaxed` outside the obs record path; justify with \
-             `// lint: relaxed-ok — <why>` or use an Acquire/Release pair"
-        };
-        out.push(Finding {
-            file: file.rel.clone(),
-            line: i + 1,
-            lint: "L3",
-            severity: Severity::Error,
-            message: message.to_string(),
-        });
-    }
-    out
 }
 
 // -------------------------------------------------------------------- L6
@@ -558,10 +498,10 @@ fn collect_bindings(text: &str, into: &mut BTreeSet<String>) {
 /// mutated inside it bypasses the repo's concurrency discipline: every
 /// cross-thread cell must be an atomic or lock from `guardcheck::sync`
 /// (so the model checker can exercise it) or carry an explicit
-/// `// lint: shared-ok — <why>` (e.g. the value is moved, not shared).
+/// `// lint: L6 — <why>` (e.g. the value is moved, not shared).
 /// The lexer cannot see ownership, so moved-and-mutated locals need the
 /// justification too — that note is the audit trail the lint wants.
-pub fn l6(file: &SourceFile) -> Vec<Finding> {
+fn l6(file: &SourceFile) -> Vec<Finding> {
     let flat = &file.scrub.flat;
     let bytes = flat.as_bytes();
     let mut out = Vec::new();
@@ -634,36 +574,85 @@ pub fn l6(file: &SourceFile) -> Vec<Finding> {
                 continue;
             }
             let line = file.scrub.line_of(body_start + lhs_end);
-            if file.scrub.is_test_line(line) || justified(&file.scrub.lines, line - 1, "shared-ok")
-            {
+            if file.scrub.is_test_line(line) {
                 continue;
             }
-            out.push(Finding {
-                file: file.rel.clone(),
-                line,
-                lint: "L6",
-                severity: Severity::Error,
-                message: format!(
-                    "captured `{root}` is mutated inside a spawned closure; share it \
-                     through a guardcheck::sync atomic or lock (so the model checker \
-                     covers it), or justify with `// lint: shared-ok — <why>`"
-                ),
-            });
+            let message = format!(
+                "captured `{root}` is mutated inside a spawned closure; share it through a \
+                 guardcheck::sync atomic or lock (so the model checker covers it), or justify \
+                 with `// lint: L6 — <why>`"
+            );
+            out.push(file.finding(line, "L6", message));
         }
     }
     out
 }
 
-/// Every check over one file: the rule table, L1's index check, and L3 and
-/// L6 over the library sources.
+// ------------------------------------------------------------ exemptions
+
+/// The id a line's comment justifies: `lint: <id> — <why>` at the start of
+/// a plain comment, with at least three characters of reason. A doc
+/// comment's text starts with `!` or `/`, so it never justifies.
+fn justification(comment: &str) -> Option<&str> {
+    let rest = comment.trim_start().strip_prefix("lint:")?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
+        .unwrap_or(rest.len());
+    let (id, why) = rest.split_at(end);
+    let why = why.trim_start_matches([' ', '—', '–', '-', ':']).trim();
+    (!id.is_empty() && why.chars().count() >= 3).then_some(id)
+}
+
+/// The 1-based line a justification on line index `j` covers: its own when
+/// it holds code, else the first line below its block of comment-only lines.
+fn covered_line(lines: &[ScrubbedLine], j: usize) -> usize {
+    let comment_only = |l: &ScrubbedLine| l.code.trim().is_empty() && !l.comment.trim().is_empty();
+    (j..lines.len()).find(|&i| !comment_only(&lines[i])).unwrap_or(lines.len()) + 1
+}
+
+/// Drops each finding that a justification of its id covers, and reports
+/// each justification that covers no finding of its id at its own line.
+fn justify(file: &SourceFile, findings: Vec<Finding>) -> Vec<Finding> {
+    let lines = &file.scrub.lines;
+    let notes: Vec<(usize, &str, usize)> = (0..lines.len())
+        .filter_map(|j| Some((j + 1, justification(&lines[j].comment)?, covered_line(lines, j))))
+        .collect();
+    let mut used = vec![false; notes.len()];
+    let mut out: Vec<Finding> = findings
+        .into_iter()
+        .filter(|f| {
+            let mut exempt = false;
+            for (k, &(_, id, covers)) in notes.iter().enumerate() {
+                if id == f.lint && covers == f.line {
+                    used[k] = true;
+                    exempt = true;
+                }
+            }
+            !exempt
+        })
+        .collect();
+    for (&(at, id, covers), used) in notes.iter().zip(used) {
+        if !used {
+            let message = format!(
+                "`lint: {id}` exempts no {id} finding on line {covers}; remove it, or move it \
+                 to the line it justifies"
+            );
+            out.push(file.finding(at, id, message));
+        }
+    }
+    out
+}
+
+/// Every check over one file — the rule table, L1's index check and, over
+/// the library sources, L6 — less what inline justifications exempt, plus
+/// every justification that exempts nothing.
 pub fn check(file: &SourceFile) -> Vec<Finding> {
     let mut out: Vec<Finding> = RULES.iter().flat_map(|r| r.apply(file)).collect();
     out.extend(l1(file));
     if library_source(&file.rel) {
-        out.extend(l3(file));
         out.extend(l6(file));
     }
-    out
+    justify(file, out)
 }
 
 #[cfg(test)]
@@ -698,12 +687,65 @@ mod tests {
     #[test]
     fn l1_indexing_needs_justification() {
         let f = file("crates/dnswire/src/header.rs", "fn f(b: &[u8]) -> u8 { b[0] }\n");
-        assert_eq!(l1(&f).len(), 1);
+        assert_eq!(found(&f, "L1").len(), 1);
         let ok = file(
             "crates/dnswire/src/header.rs",
-            "fn f(b: &[u8]) -> u8 { b[0] } // lint: index-ok — length checked by caller\n",
+            "fn f(b: &[u8]) -> u8 { b[0] } // lint: L1 — length checked by caller\n",
         );
-        assert!(l1(&ok).is_empty());
+        assert!(check(&ok).is_empty(), "{:?}", check(&ok));
+    }
+
+    /// `(id, line)` of every finding of `check` over `src` at a `core` path,
+    /// by line; on one line, a stale justification follows the finding.
+    fn in_core(src: &str) -> Vec<(String, usize)> {
+        let f = file("crates/core/src/clock.rs", src);
+        let mut v: Vec<(String, usize)> = check(&f).into_iter().map(|x| (x.lint, x.line)).collect();
+        v.sort_by_key(|&(_, line)| line);
+        v
+    }
+
+    #[test]
+    fn a_justification_exempts_only_the_id_it_names() {
+        let clock = "let t = Instant::now();";
+        assert_eq!(in_core(&format!("{clock}\n")), [("L2".into(), 1)]);
+        assert!(in_core(&format!("{clock} // lint: L2 — the one wall-clock read\n")).is_empty());
+        assert!(in_core(&format!("// lint: L2 — the one wall-clock read,\n// kept apart\n{clock}\n")).is_empty());
+        // Another id exempts nothing, so it is stale beside the finding it
+        // did not exempt; so are a prefix of the id and an old-style tag.
+        for other in ["L1", "L", "L22", "index-ok"] {
+            let src = format!("{clock} // lint: {other} — the one wall-clock read\n");
+            assert_eq!(in_core(&src), [("L2".into(), 1), (other.into(), 1)], "{other}");
+        }
+    }
+
+    #[test]
+    fn a_justification_shorter_than_three_characters_does_not_count() {
+        let clock = "let t = Instant::now();";
+        assert_eq!(in_core(&format!("{clock} // lint: L2 — ok\n")), [("L2".into(), 1)]);
+        assert_eq!(in_core(&format!("{clock} // lint: L2\n")), [("L2".into(), 1)]);
+        assert!(in_core(&format!("{clock} // lint: L2 — why\n")).is_empty());
+    }
+
+    #[test]
+    fn a_stale_justification_is_reported_at_its_line() {
+        let trailing = "let a = 1;\nlet b = 2; // lint: L2 — a clock used to be here\n";
+        let stale = found(&file("crates/core/src/clock.rs", trailing), "L2");
+        assert_eq!(stale.iter().map(|x| x.line).collect::<Vec<_>>(), [2]);
+        assert!(stale[0].message.contains("exempts no L2 finding on line 2"), "{}", stale[0].message);
+        // A comment-only block covers the line below it, and no other.
+        let above = "// lint: L2 — a clock used to be\n// on the line below\nlet a = 1;\nlet t = Instant::now();\n";
+        assert_eq!(in_core(above), [("L2".into(), 1), ("L2".into(), 4)]);
+        let blank = "// lint: L2 — a blank line ends the block\n\nlet t = Instant::now();\n";
+        assert_eq!(in_core(blank), [("L2".into(), 1), ("L2".into(), 3)]);
+    }
+
+    #[test]
+    fn syntax_in_a_string_or_a_doc_comment_is_no_justification() {
+        let quoted = "let t = Instant::now(); let s = \"// lint: L2 — quoted, not a comment\";\n";
+        assert_eq!(in_core(quoted), [("L2".into(), 1)]);
+        assert!(in_core("const S: &str = \"lint: L1 — in a string\";\n").is_empty());
+        let docs = "//! Exempt with `// lint: <id> — <why>`.\n/// lint: L2 — a doc comment\nfn f() {}\n";
+        assert!(in_core(docs).is_empty());
     }
 
     #[test]
@@ -726,29 +768,24 @@ mod tests {
         assert!(seam.contains("crates/core/src/guard/health.rs"));
         assert!(!seam.contains("crates/core/src/guard/sim.rs"), "excepted");
         assert!(!seam.contains("crates/core/src/guardian.rs"), "a directory ends in `/`");
+        let l3 = &RULES.iter().find(|r| r.id == "L3").expect("an L3 row").scope;
+        assert!(l3.contains("crates/runtime/src/ans.rs") && l3.contains("src/lib.rs"));
+        assert!(!l3.contains("crates/guardcheck/tests/model.rs"), "an excepted directory");
+        assert!(!l3.contains("crates/obs/src/trace.rs") && l3.contains("crates/obs/src/alert.rs"));
         assert!(library_source("crates/obs/src/vocab.rs") && library_source("src/lib.rs"));
         assert!(!library_source("crates/obs/tests/x.rs") && !library_source("tests/chaos.rs"));
     }
 
     #[test]
     fn l3_requires_justification_outside_record_path() {
-        let bare = file("crates/runtime/src/ans.rs", "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n");
-        assert_eq!(l3(&bare).len(), 1);
-        let just = file(
-            "crates/runtime/src/ans.rs",
-            "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); } // lint: relaxed-ok — monotonic counter\n",
-        );
-        assert!(l3(&just).is_empty());
-        let exempt = file("crates/obs/src/metrics.rs", "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n");
-        assert!(l3(&exempt).is_empty());
-    }
-
-    #[test]
-    fn l3_flag_store_gets_pairing_message() {
-        let f = file("crates/runtime/src/ans.rs", "fn f(s: &AtomicBool) { s.store(true, Ordering::Relaxed); }\n");
-        let findings = l3(&f);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("Release"));
+        let relaxed = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }";
+        let bare = file("crates/runtime/src/ans.rs", &format!("{relaxed}\n"));
+        assert_eq!(found(&bare, "L3").len(), 1);
+        let just = file("crates/runtime/src/ans.rs", &format!("{relaxed} // lint: L3 — monotonic counter\n"));
+        assert!(check(&just).is_empty(), "{:?}", check(&just));
+        for exempt in ["crates/obs/src/metrics.rs", "crates/guardcheck/src/sched.rs"] {
+            assert!(check(&file(exempt, &format!("{relaxed}\n"))).is_empty(), "{exempt}");
+        }
     }
 
     #[test]
@@ -776,9 +813,10 @@ mod tests {
         assert!(l6(&locked).is_empty(), "{:?}", l6(&locked));
         let just = file(
             "crates/runtime/src/worker.rs",
-            "fn f() { std::thread::spawn(move || {\n    total += 1; // lint: shared-ok — moved accumulator, returned via join\n}); }\n",
+            "fn f() { std::thread::spawn(move || {\n    total += 1; // lint: L6 — moved accumulator, returned via join\n}); }\n",
         );
-        assert!(l6(&just).is_empty(), "{:?}", l6(&just));
+        assert_eq!(l6(&just).len(), 1);
+        assert!(check(&just).is_empty(), "{:?}", check(&just));
     }
 
     #[test]

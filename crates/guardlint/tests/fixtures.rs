@@ -2,8 +2,8 @@
 //! with a `.txt` suffix so cargo never compiles them) and inline probes are
 //! lexed and linted with synthetic paths, pinning guardlint's judgements:
 //! unjustified constructs are flagged in scope and nowhere else, justified
-//! ones and test regions are not, and code inside strings or comments is
-//! invisible.
+//! ones and test regions are not, a justification with nothing to exempt is
+//! flagged, and code inside strings or comments is invisible.
 
 use guardlint::lexer;
 use guardlint::lints::{self, SourceFile, RULES};
@@ -31,17 +31,18 @@ fn l1_flags_known_bad_wire_code() {
     let f = fixture("bad_wire.rs.txt", "crates/dnswire/src/bad_wire.rs");
     let mut at = found(&f, "L1");
     at.sort_unstable();
-    // msg[0]; [msg[1], msg[2]]; unwrap; expect; panic!. Line 12 carries
-    // `lint: index-ok` for line 13's msg[3]; the #[cfg(test)] module (lines
-    // 17+) indexes and unwraps freely.
+    // msg[0]; [msg[1], msg[2]]; unwrap; expect; panic!. Line 11 justifies
+    // line 12's msg[3] under L1; the #[cfg(test)] module (lines 17+)
+    // indexes and unwraps freely.
     assert_eq!(at, vec![4, 5, 6, 7, 9], "exactly the five bad lines");
 }
 
 #[test]
 fn l1_is_scoped_to_wire_input_modules() {
-    // The same bad file outside the dnswire/guard-rx scope is L1-clean.
+    // The same bad file outside the dnswire/guard-rx scope flags nothing
+    // but line 11's justification, which has nothing left to exempt.
     let f = fixture("bad_wire.rs.txt", "crates/netsim/src/bad_wire.rs");
-    assert!(found(&f, "L1").is_empty());
+    assert_eq!(found(&f, "L1"), vec![11]);
 }
 
 #[test]
@@ -51,7 +52,7 @@ fn l1_follows_the_guard_into_every_module_but_its_tests() {
         assert_eq!(found(&f, "L1").len(), 5, "guard/{module}.rs is in scope");
     }
     let f = fixture("bad_wire.rs.txt", "crates/core/src/guard/tests.rs");
-    assert!(found(&f, "L1").is_empty());
+    assert_eq!(found(&f, "L1"), vec![11], "only the stale justification");
 }
 
 #[test]
@@ -76,7 +77,7 @@ fn every_row_is_silent_on_strings_and_comments() {
 }
 
 /// `(id, probe, a path in scope, a path out of scope or left out)`: one
-/// case per gate `./ci.sh lint` used to grep for.
+/// case per gate `./ci.sh lint` used to grep for, and L3's exceptions.
 const LAYERING: &[(&str, &str, &str, &str)] = &[
     ("seam", "use netsim::engine::Simulator;", "crates/core/src/guard/health.rs", "crates/core/src/guard/sim.rs"),
     ("seam", "fn f(ctx: &mut netsim::Context) {}", "crates/core/src/guard/core.rs", "crates/core/src/guard/tests.rs"),
@@ -95,6 +96,8 @@ const LAYERING: &[(&str, &str, &str, &str)] = &[
     ("features", "[features]", "crates/obs/Cargo.toml", "perf/Cargo.toml"),
     ("testbed", "let e = AlertEngine::new(config);", "crates/bench/src/fleet.rs", "crates/bench/src/worlds.rs"),
     ("testbed", "let e = AlertEngine::new(config);", "tests/failover.rs", "crates/obs/src/alert.rs"),
+    ("L3", "hits.fetch_add(1, Ordering::Relaxed);", "crates/runtime/src/ans.rs", "crates/obs/src/metrics.rs"),
+    ("L3", "let n = hits.load(Ordering::Relaxed);", "src/lib.rs", "crates/guardcheck/tests/model.rs"),
 ];
 
 #[test]
@@ -139,25 +142,44 @@ fn core_files_are_capped_at_1200_lines_of_code() {
 #[test]
 fn l6_flags_known_bad_escapes() {
     let f = fixture("bad_escape.rs.txt", "crates/runtime/src/bad_escape.rs");
-    let found = lints::l6(&f);
-    let at: Vec<usize> = found.iter().map(|x| x.line).collect();
-    assert!(at.contains(&7), "plain captured mutation must be flagged: {at:?}");
-    assert!(at.contains(&13), "compound captured mutation must be flagged: {at:?}");
-    assert_eq!(found.len(), 2, "locals, lock-guarded, justified and test code are exempt: {found:?}");
+    // Plain and compound captured mutation; locals, lock-guarded,
+    // justified and test code are exempt.
+    assert_eq!(lints::check(&f).iter().map(|x| x.line).collect::<Vec<_>>(), vec![7, 13]);
 }
 
 #[test]
 fn l3_requires_justification_outside_obs_record_path() {
     let f = fixture("bad_ordering.rs.txt", "crates/runtime/src/flags.rs");
-    let found = lints::l3(&f);
-    let at: Vec<usize> = found.iter().map(|x| x.line).collect();
-    assert_eq!(at, vec![4], "only the unjustified flag store: {found:?}");
+    let all = lints::check(&f);
+    let at: Vec<usize> = all.iter().map(|x| x.line).collect();
+    assert_eq!(at, vec![4], "only the unjustified flag store: {all:?}");
     assert!(
-        found[0].message.contains("Release"),
-        "flag stores get the pairing-specific message: {}",
-        found[0].message
+        all[0].message.contains("Release/Acquire pair"),
+        "a flag store reads the pairing advice: {}",
+        all[0].message
     );
-    // The obs record path is exempt wholesale.
-    let f2 = fixture("bad_ordering.rs.txt", "crates/obs/src/metrics.rs");
-    assert!(lints::l3(&f2).is_empty());
+    // The obs record path and guardcheck are out of scope wholesale, so
+    // the justification on line 5 is stale there.
+    for rel in ["crates/obs/src/metrics.rs", "crates/guardcheck/src/flags.rs"] {
+        let f = fixture("bad_ordering.rs.txt", rel);
+        assert_eq!(found(&f, "L3"), vec![5], "{rel}");
+    }
+}
+
+#[test]
+fn every_finding_of_a_check_can_be_justified() {
+    // One justification per id, above the line each finding is on.
+    let cases: &[(&str, &str, &str)] = &[
+        ("L1", "crates/dnswire/src/name.rs", "let b = msg[0];"),
+        ("L2", "crates/netsim/src/clock.rs", "let t = Instant::now();"),
+        ("L3", "crates/runtime/src/ans.rs", "hits.fetch_add(1, Ordering::Relaxed);"),
+        ("state-table", "crates/core/src/ratelimit.rs", "use std::collections::HashMap;"),
+        ("L6", "crates/runtime/src/w.rs", "fn f() { std::thread::spawn(move || { n += 1; }); }"),
+    ];
+    for (id, rel, probe) in cases {
+        assert_eq!(found(&source(rel, &format!("{probe}\n")), id), vec![1], "{id}: {probe}");
+        let src = format!("// lint: {id} — a probe, justified\n{probe}\n");
+        let all = lints::check(&source(rel, &src));
+        assert!(all.is_empty(), "{id}: {all:?}");
+    }
 }

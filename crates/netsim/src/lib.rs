@@ -14,8 +14,8 @@
 //! * [`tokenbucket`] — the rate-limiter primitive used by the guard;
 //! * [`cost`] — the CPU cost constants calibrated once from the paper's own
 //!   Table III (see module docs for the derivation);
-//! * [`metrics`] — rate meters, latency recorders and traffic
-//!   (amplification) accounting;
+//! * [`metrics`] — latency recorders and traffic (amplification)
+//!   accounting;
 //! * [`time`] / [`packet`] — nanosecond simulated time and IPv4/UDP/TCP
 //!   packets whose `src` is whatever the sender claims (spoofing is just
 //!   lying in that field, exactly as on the real Internet).

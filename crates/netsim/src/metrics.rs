@@ -1,59 +1,8 @@
-//! Small measurement helpers shared by the experiments: windowed rate
-//! meters and latency recorders.
+//! Small measurement helpers shared by the experiments: latency recorders
+//! and byte meters.
 
 use crate::time::SimTime;
 use std::cell::RefCell;
-
-/// Counts events and reports a rate over an explicit window.
-///
-/// # Examples
-///
-/// ```
-/// use netsim::metrics::RateMeter;
-/// use netsim::time::SimTime;
-///
-/// let mut m = RateMeter::new();
-/// for _ in 0..500 { m.record(); }
-/// let rate = m.take_rate(SimTime::from_millis(500));
-/// assert!((rate - 1000.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RateMeter {
-    count: u64,
-    total: u64,
-}
-
-impl RateMeter {
-    /// New meter at zero.
-    pub fn new() -> Self {
-        RateMeter::default()
-    }
-
-    /// Records one event.
-    pub fn record(&mut self) {
-        self.count += 1;
-        self.total += 1;
-    }
-
-    /// Events since the last `take_rate`.
-    pub fn window_count(&self) -> u64 {
-        self.count
-    }
-
-    /// Events over the meter's whole lifetime.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Returns events/second over `window` and resets the window counter.
-    pub fn take_rate(&mut self, window: SimTime) -> f64 {
-        let n = std::mem::take(&mut self.count);
-        if window == SimTime::ZERO {
-            return 0.0;
-        }
-        n as f64 / window.as_secs_f64()
-    }
-}
 
 /// Records latency samples and reports summary statistics.
 ///
@@ -163,27 +112,6 @@ impl TrafficMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rate_meter_window_resets() {
-        let mut m = RateMeter::new();
-        for _ in 0..100 {
-            m.record();
-        }
-        assert_eq!(m.window_count(), 100);
-        let r = m.take_rate(SimTime::from_secs(1));
-        assert_eq!(r, 100.0);
-        assert_eq!(m.window_count(), 0);
-        assert_eq!(m.total(), 100);
-        assert_eq!(m.take_rate(SimTime::from_secs(1)), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_zero_window() {
-        let mut m = RateMeter::new();
-        m.record();
-        assert_eq!(m.take_rate(SimTime::ZERO), 0.0);
-    }
 
     #[test]
     fn latency_stats() {

@@ -486,17 +486,6 @@ impl JourneyReport {
             .add(self.rejected_verifies);
     }
 
-    /// Serialises every journey (complete first, then incomplete) as
-    /// JSONL: one object per journey.
-    pub fn journeys_jsonl(&self) -> String {
-        let mut out = String::new();
-        for j in self.complete.iter().chain(&self.incomplete) {
-            push_journey_json(j, &mut out);
-            out.push('\n');
-        }
-        out
-    }
-
     /// Serialises complete journeys in the chrome `trace_event` format:
     /// one `"X"` span per journey (tid = qid) plus one nested `"X"` span
     /// per inter-stage gap, categorised by attribution class. Load the
@@ -559,52 +548,6 @@ impl JourneyReport {
     }
 }
 
-fn push_journey_json(j: &Journey, out: &mut String) {
-    let a = j.attribution();
-    out.push_str(&format!(
-        "{{\"qid\":{},\"src\":\"{}\",\"scheme\":\"{}\",\"complete\":{},\
-         \"t0\":{},\"total_ns\":{},\"handshake_ns\":{},\"guard_ns\":{},\
-         \"ans_ns\":{},\"inter_site_ns\":{},\"extra_rtt\":{},\"nodes\":[",
-        j.qid,
-        j.src,
-        j.scheme(),
-        j.complete,
-        j.start_nanos(),
-        j.total_ns(),
-        a.handshake_ns,
-        a.guard_ns,
-        a.ans_ns,
-        a.inter_site_ns,
-        j.extra_round_trips(),
-    ));
-    for (i, n) in j.nodes().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&n.to_string());
-    }
-    out.push_str("],\"stages\":[");
-    for (i, s) in j.stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        escape_json_str(s.name, out);
-        out.push(',');
-        out.push_str(&s.t_nanos.to_string());
-        if !s.detail.is_empty() || s.node != 0 {
-            out.push(',');
-            escape_json_str(s.detail, out);
-        }
-        if s.node != 0 {
-            out.push(',');
-            out.push_str(&s.node.to_string());
-        }
-        out.push(']');
-    }
-    out.push_str("]}");
-}
-
 /// Renders one journey as a human-readable timeline (the quickstart's
 /// per-query view).
 pub fn render_timeline(j: &Journey) -> String {
@@ -650,7 +593,7 @@ pub fn render_timeline(j: &Journey) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{validate_json, validate_jsonl};
+    use crate::export::validate_json;
     use crate::trace::{Level, Tracer};
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
@@ -876,7 +819,6 @@ mod tests {
         g.event(410, "forward", &[src(), qid(2)]);
         g.event(800, "relay", &[("via", Value::Str("passthrough")), src(), qid(2)]);
         let report = JourneyReport::assemble(&tracer.drain().0);
-        validate_jsonl(&report.journeys_jsonl()).unwrap();
         let chrome = report.chrome_trace_json();
         validate_json(&chrome).unwrap_or_else(|off| panic!("chrome trace invalid at {off}"));
         assert!(chrome.contains("\"traceEvents\""));

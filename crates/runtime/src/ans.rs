@@ -75,7 +75,7 @@ impl ToyAns {
                 };
                 buf.truncate(len);
                 let Ok(query) = MessageView::parse(&buf) else {
-                    // lint: relaxed-ok — monotonic statistic; readers sync
+                    // lint: L3 — monotonic statistic; readers sync
                     // via the shutdown join, not via this counter.
                     t_counters.bad_packets.fetch_add(1, Ordering::Relaxed);
                     continue;
@@ -88,7 +88,7 @@ impl ToyAns {
                 if let Ok(wire) = authority.answer_wire(query, start, MAX_UDP_PAYLOAD) {
                     // Count before sending so observers who already saw the
                     // response also see the counter.
-                    // lint: relaxed-ok — monotonic statistic; exactness only
+                    // lint: L3 — monotonic statistic; exactness only
                     // matters after shutdown(), which joins the thread.
                     t_counters.served.fetch_add(1, Ordering::Relaxed);
                     let _ = sock.send_to(&wire, peer);
@@ -112,7 +112,7 @@ impl ToyAns {
 
     /// Queries served so far.
     pub fn served(&self) -> u64 {
-        // lint: relaxed-ok — statistic read; exact only after shutdown join.
+        // lint: L3 — statistic read; exact only after shutdown join.
         self.counters.served.load(Ordering::Relaxed)
     }
 

@@ -47,7 +47,7 @@ impl StopFlag {
     /// cannot call it.
     #[cfg(guardcheck)]
     pub fn stop_relaxed_for_mutation_test(&self) {
-        // lint: relaxed-ok — the broken ordering IS the point: the model
+        // lint: L3 — the broken ordering IS the point: the model
         // checker must detect this demotion (see the guardcheck harness).
         self.0.store(true, Ordering::Relaxed);
     }
