@@ -13,6 +13,7 @@ use crate::worlds::{
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
+use guardhash::cookie::CookieAlg;
 use netsim::engine::CpuConfig;
 use netsim::tcp::{Flags, Segment, TcpHost};
 use netsim::time::SimTime;
@@ -26,7 +27,8 @@ fn ablate_cookie2_range() -> String {
         let mut p = WorldParams::new(21);
         p.zone = ZoneSel::Foo;
         p.mode = SchemeMode::DnsBased;
-        let mut world = guarded_world(p);
+        // The paper's `COOKIE2` encoding, over the paper's cookie.
+        let mut world = guarded_world_with(p, |c| c.with_cookie_alg(CookieAlg::Md5));
         world
             .sim
             .node_mut::<RemoteGuard>(world.guard)

@@ -234,9 +234,9 @@ pub struct FleetWorld {
 /// catchment), and a [`FaultPlan::catchment_shift`] later moves a subset
 /// of sources to site B. Each site forwards to its own ANS.
 ///
-/// `shared` selects the cookie regime: one SipHash-2-4 secret distributed
-/// by the fleet channel, or the paper's MD5 with an independent secret per
-/// site.
+/// `shared` selects the cookie regime: one secret distributed by the fleet
+/// channel under the default SipHash-2-4, or the paper's MD5 with an
+/// independent secret per site.
 pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
     let (_, _, foo_com) = paper_hierarchy();
     let authority = Authority::new(vec![foo_com]);
@@ -253,17 +253,14 @@ pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
     let interval = SimTime::from_millis(20);
     let (a_cfg, b_cfg) = if shared {
         (
-            base(ANS_A)
-                .with_cookie_alg(CookieAlg::SipHash24)
-                .with_fleet(FleetConfig::master(SITE_A, vec![SITE_B]).with_interval(interval)),
-            base(ANS_B)
-                .with_cookie_alg(CookieAlg::SipHash24)
-                .with_fleet(FleetConfig::member(SITE_B, SITE_A).with_interval(interval)),
+            base(ANS_A).with_fleet(FleetConfig::master(SITE_A, vec![SITE_B]).with_interval(interval)),
+            base(ANS_B).with_fleet(FleetConfig::member(SITE_B, SITE_A).with_interval(interval)),
         )
     } else {
-        let mut b = base(ANS_B);
+        let md5 = |ans| base(ans).with_cookie_alg(CookieAlg::Md5);
+        let mut b = md5(ANS_B);
         b.key_seed = 4242; // Independent vendor secret at each site.
-        (base(ANS_A), b)
+        (md5(ANS_A), b)
     };
 
     let site_a = add_guard(&mut sim, PUB, CPU, a_cfg, &authority);

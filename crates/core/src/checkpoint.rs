@@ -32,7 +32,7 @@ use dnswire::name::Name;
 use dnswire::question::Question;
 use dnswire::record::Record;
 use dnswire::types::RrType;
-use guardhash::cookie::{CookieFactory, SecretKey, KEY_LEN};
+use guardhash::cookie::{CookieAlg, CookieFactory, SecretKey, KEY_LEN};
 use netsim::time::SimTime;
 use netsim::tokenbucket::TokenBucketState;
 use std::fmt;
@@ -84,13 +84,17 @@ impl KeyState {
         }
     }
 
-    /// Rebuilds a factory with identical verification behaviour.
-    pub fn to_factory(&self) -> CookieFactory {
+    /// Rebuilds the factory, hashing with `alg`. The key state does not
+    /// record the hash, so the caller passes the captured factory's (a
+    /// guard's [`cookie_alg`](crate::config::GuardConfig::cookie_alg)); given
+    /// it, the rebuilt factory verifies exactly what the captured one did.
+    pub fn to_factory(&self, alg: CookieAlg) -> CookieFactory {
         CookieFactory::from_parts(
             self.current.clone(),
             self.previous.clone(),
             self.generation,
             self.seed,
+            alg,
         )
     }
 }
@@ -685,14 +689,35 @@ mod tests {
         }
     }
 
+    /// Under either hash, a factory rebuilt from its captured (and encoded)
+    /// key state gives every encoding's verdicts as the live one did, for
+    /// cookies of both live generations and for forgeries.
     #[test]
-    fn key_state_round_trips_through_factory() {
-        let mut f = CookieFactory::from_seed(77);
-        f.rotate();
-        let ip = Ipv4Addr::new(203, 0, 113, 9);
-        let cookie = f.generate(ip);
-        let restored = KeyState::capture(&f).to_factory();
-        assert!(restored.verify(ip, &cookie));
-        assert_eq!(restored.generation(), f.generation());
+    fn key_state_round_trips_through_factory_under_either_hash() {
+        for alg in [CookieAlg::Md5, CookieAlg::SipHash24] {
+            let mut f = CookieFactory::from_seed(77).with_alg(alg);
+            let sources: Vec<Ipv4Addr> = (1..=32).map(|h| Ipv4Addr::new(203, 0, 113, h)).collect();
+            let week0: Vec<_> = sources.iter().map(|&ip| f.generate(ip)).collect();
+            f.rotate();
+            let mut wire = Vec::new();
+            put_key(&mut wire, &KeyState::capture(&f));
+            let restored = get_key(&mut Reader::new(&wire)).expect("decodes").to_factory(alg);
+            assert_eq!(restored.generation(), f.generation());
+            for (&ip, old) in sources.iter().zip(&week0) {
+                let mut forged = f.generate(ip);
+                forged.0[3] ^= 1;
+                for c in [*old, f.generate(ip), forged] {
+                    assert_eq!(restored.verify(ip, &c), f.verify(ip, &c), "{alg:?} {ip}");
+                    let hex = c.ns_label_suffix();
+                    assert_eq!(restored.verify_ns_suffix(ip, &hex), f.verify_ns_suffix(ip, &hex));
+                    let y = c.subnet_offset(254);
+                    assert_eq!(restored.verify_subnet_offset(ip, y, 254), f.verify_subnet_offset(ip, y, 254));
+                }
+                assert!(restored.verify(ip, old) && restored.verify(ip, &f.generate(ip)));
+                assert!(!restored.verify(ip, &forged));
+                assert_eq!(restored.generate(ip), f.generate(ip), "{alg:?}: the rebuilt factory's hash");
+                assert_eq!(restored.generate_subnet_offset(ip, 254), f.generate_subnet_offset(ip, 254));
+            }
+        }
     }
 }

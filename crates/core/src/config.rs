@@ -51,9 +51,12 @@ pub struct GuardConfig {
     pub subnet_range: u32,
     /// Seed for the guard's 76-byte secret key.
     pub key_seed: u64,
-    /// Keyed hash deriving cookies from source addresses: the paper's MD5,
-    /// or `SipHash24(ip ‖ 0) ‖ SipHash24(ip ‖ 1)`. Guard sites sharing the
-    /// key accept either; neither is the RFC 9018 wire layout.
+    /// Keyed hash deriving cookies from source addresses:
+    /// `SipHash24(ip ‖ 0) ‖ SipHash24(ip ‖ 1)` by default
+    /// ([`CookieAlg::default`]), or the paper's MD5 where a world reproduces
+    /// it. Guard sites sharing the key accept either; neither is the RFC
+    /// 9018 wire layout. The simulated CPU charge per cookie operation is
+    /// the paper's `c` (Table III) whichever hash runs.
     pub cookie_alg: CookieAlg,
     /// Scheme used for cookie-less requesters.
     pub mode: SchemeMode,
@@ -136,7 +139,7 @@ impl GuardConfig {
             ),
             subnet_range: 254,
             key_seed: 2006,
-            cookie_alg: CookieAlg::Md5,
+            cookie_alg: CookieAlg::default(),
             mode: SchemeMode::DnsBased,
             fabricated_ns_ttl: 604_800, // one week
             cookie_ttl: 604_800,
@@ -216,6 +219,18 @@ mod tests {
         assert_eq!(c.fabricated_ns_ttl, 604_800, "one week");
         assert_eq!(c.mode, SchemeMode::DnsBased);
         assert_eq!(c.activation_threshold, 0.0);
+    }
+
+    #[test]
+    fn the_config_and_a_bare_factory_default_to_one_hash() {
+        let c = GuardConfig::new(Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(10, 0, 0, 1));
+        assert_eq!(c.cookie_alg, CookieAlg::default());
+        // The hashes' cookies differ, so equal cookies mean one hash.
+        let bare = guardhash::CookieFactory::from_seed(c.key_seed);
+        let configured = bare.clone().with_alg(c.cookie_alg);
+        assert_eq!(bare.generate(c.public_addr), configured.generate(c.public_addr));
+        let md5 = bare.clone().with_alg(CookieAlg::Md5);
+        assert_ne!(bare.generate(c.public_addr), md5.generate(c.public_addr));
     }
 
     #[test]

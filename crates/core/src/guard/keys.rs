@@ -2,7 +2,9 @@
 //!
 //! A legitimate resolver presents the same cookie from the same address for
 //! as long as the key lives, and the paper's guard recomputes
-//! `MD5(source_ip ‖ key)` for it on every request (§III.E). [`Keys`] owns
+//! `MD5(source_ip ‖ key)` for it on every request (§III.E); this guard
+//! recomputes its [`CookieAlg`](guardhash::cookie::CookieAlg), SipHash-2-4
+//! unless configured otherwise. [`Keys`] owns
 //! the [`CookieFactory`] and puts a memo of **positive** verdicts in front of
 //! its three verifications — the extension cookie
 //! ([`CookieFactory::verify`]), the NS-label suffix
@@ -36,7 +38,7 @@
 //!
 //! The simulated CPU charge is not this module's: the guard still charges
 //! one `cookie_cost` per verification, because the cost model is the
-//! paper's per-request MD5 (Table III's `c`).
+//! paper's per-request MD5 (Table III's `c`), whichever hash runs.
 
 use super::schemes::Scheme;
 use guardhash::cookie::{Cookie, CookieFactory, COOKIE_LEN, NS_COOKIE_BYTES};
@@ -209,7 +211,7 @@ impl Keys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guardhash::cookie::SecretKey;
+    use guardhash::cookie::{CookieAlg, SecretKey};
     use proptest::prelude::*;
 
     /// Entries in use.
@@ -318,8 +320,9 @@ mod tests {
                     }
                     Step::Replace(seed) => {
                         let previous = (seed % 2 == 0).then(|| SecretKey::from_seed(seed ^ 1));
+                        let key = SecretKey::from_seed(seed);
                         let other =
-                            CookieFactory::from_parts(SecretKey::from_seed(seed), previous, bare.generation(), seed);
+                            CookieFactory::from_parts(key, previous, bare.generation(), seed, CookieAlg::default());
                         keys.replace(other.clone());
                         bare = other;
                         states.push(bare.clone());

@@ -28,7 +28,8 @@
 //! CPU is accounted with the calibrated constants of [`netsim::cost`]: one
 //! `packet_cost` per packet in or out, one `cookie_cost` per cookie
 //! computation (per verification too, whether or not `keys` answered it
-//! from its memo: the model is the paper's per-request MD5),
+//! from its memo, and whichever [`CookieAlg`](guardhash::cookie::CookieAlg)
+//! the guard hashes with: the model is the paper's per-request MD5),
 //! `tcp_conn_cost` per proxied connection — nothing else. The
 //! throughput and utilisation figures of the paper emerge from these charges
 //! plus the packet counts of each scheme.

@@ -447,7 +447,7 @@ impl GuardCore {
     /// includes the previous key, so cookies minted under the prior epoch
     /// keep verifying here — the fleet-wide grace window.
     fn adopt_fleet_key(&mut self, now: SimTime, epoch: u64, key: &KeyState) {
-        self.cookies.replace(key.to_factory().with_alg(self.config.cookie_alg));
+        self.cookies.replace(key.to_factory(self.config.cookie_alg));
         self.last_rotation = now;
         self.metrics.fleet_keys_applied.inc();
         let fields = [("epoch", Value::U64(epoch)), ("role", Value::Str("member"))];
@@ -457,7 +457,7 @@ impl GuardCore {
     /// Applies one in-sequence replication delta (standby side).
     fn apply_delta(&mut self, now: SimTime, d: ReplDelta) {
         if let Some(k) = &d.key {
-            self.cookies.replace(k.to_factory().with_alg(self.config.cookie_alg));
+            self.cookies.replace(k.to_factory(self.config.cookie_alg));
         }
         for f in &d.fwd_add {
             self.install_fwd_state(f, now);

@@ -90,7 +90,7 @@ impl GuardCore {
     /// deadline. Pre-rotation cookies keep verifying because the key state
     /// restores both generations and the generation bit.
     pub fn apply_checkpoint(&mut self, cp: &GuardCheckpoint, now: SimTime) {
-        self.cookies.replace(cp.key.to_factory().with_alg(self.config.cookie_alg));
+        self.cookies.replace(cp.key.to_factory(self.config.cookie_alg));
         self.rl1.restore_state(&cp.rl1);
         self.rl2.restore_state(&cp.rl2);
         self.next_txid = cp.next_txid.max(1);

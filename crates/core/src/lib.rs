@@ -18,8 +18,9 @@
 //!   DNS-based cookie encodings;
 //! * [`config`] — guard deployment configuration.
 //!
-//! The cookie itself — `MD5(source_ip ‖ 76-byte key)` with NS-name, subnet-IP
-//! and full encodings plus generation-bit rotation — lives in [`guardhash`].
+//! The cookie itself — SipHash-2-4 of the source address by default, or the
+//! paper's `MD5(source_ip ‖ 76-byte key)`, with NS-name, subnet-IP and full
+//! encodings plus generation-bit rotation — lives in [`guardhash`].
 //!
 //! # Quick start
 //!

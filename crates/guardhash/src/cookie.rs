@@ -1,9 +1,11 @@
 //! The DNS Guard cookie construction (paper section III.E).
 //!
 //! A guard holds a 76-byte secret key. For a request whose source address is
-//! `source_ip`, the cookie is `c = MD5(source_ip || key)` — 80 bytes of input
-//! producing a 16-byte cookie. Three encodings of `c` are used by the three
-//! spoof detection schemes:
+//! `source_ip`, the paper's cookie is `c = MD5(source_ip || key)` — 80 bytes
+//! of input producing a 16-byte cookie. A guard derives `c` with the keyed
+//! hash its [`CookieAlg`] names: SipHash-2-4 by default, MD5 where a world
+//! reproduces the paper's construction. Three encodings of `c` are used by
+//! the three spoof detection schemes, whichever hash produced it:
 //!
 //! * **NS-name encoding** — a 2-byte prefix (`PR`) plus the first 4 bytes of
 //!   `c` in hex, yielding a 10-byte DNS label such as `PRa1b2c3d4`
@@ -15,9 +17,9 @@
 //!
 //! Weekly key rotation overwrites the first bit of `c` with a generation
 //! indicator so verifying the full or the NS-name encoding needs exactly one
-//! MD5 (section III.E). The subnet-IP encoding cannot carry the bit, so
-//! during the grace window an offset that does not match under the current
-//! key is tried under the previous one as well: two MD5s.
+//! cookie hash (section III.E). The subnet-IP encoding cannot carry the bit,
+//! so during the grace window an offset that does not match under the
+//! current key is tried under the previous one as well: two hashes.
 
 use crate::md5::{self, to_hex, Digest, BLOCK_LEN};
 use crate::siphash::siphash24;
@@ -28,7 +30,8 @@ use std::net::Ipv4Addr;
 /// that key ‖ IPv4 address is exactly 80 bytes).
 pub const KEY_LEN: usize = 76;
 
-/// Length in bytes of a full cookie (one MD5 digest).
+/// Length in bytes of a full cookie (one MD5 digest, or two SipHash-2-4
+/// outputs).
 pub const COOKIE_LEN: usize = 16;
 
 /// The label prefix that marks a fabricated, cookie-carrying NS name.
@@ -39,19 +42,24 @@ pub const NS_COOKIE_BYTES: usize = 4;
 
 /// The keyed hash a guard derives its cookies with.
 ///
-/// [`CookieAlg::Md5`] is the paper's construction (`MD5(ip || 76-byte
-/// key)`); [`CookieAlg::SipHash24`] is `SipHash24(ip || 0) ||
-/// SipHash24(ip || 1)` keyed by the leading 16 key bytes, cheaper per
-/// cookie. Either way, any guard site holding the same key validates the
-/// same cookies; neither is the RFC 9018 server-cookie layout, so no other
-/// DNS implementation can. Both feed the same three encodings (NS-label,
-/// subnet-IP, full) and the same generation-bit rotation protocol.
+/// [`CookieAlg::SipHash24`], the default, is `SipHash24(ip || 0) ||
+/// SipHash24(ip || 1)` keyed by the leading 16 key bytes (a 128-bit key);
+/// SipHash-2-4 is the PRF RFC 9018 names for DNS server cookies, and it is
+/// cheaper per cookie than MD5. [`CookieAlg::Md5`] is the paper's
+/// construction (`MD5(ip || 76-byte key)`), selected explicitly where a
+/// world reproduces it. Either way, any guard site holding the same key
+/// validates the same cookies; neither is the RFC 9018 server-cookie
+/// layout, so no other DNS implementation can. Both feed the same three
+/// encodings (NS-label, subnet-IP, full), which truncate the cookie the
+/// same way, and the same generation-bit rotation protocol. The simulated
+/// charge per cookie operation is the paper's `c` (Table III) whichever
+/// hash runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CookieAlg {
     /// The paper's `MD5(source_ip || key)` cookie.
-    #[default]
     Md5,
     /// SipHash-2-4 over `source_ip` keyed by the leading 16 key bytes.
+    #[default]
     SipHash24,
 }
 
@@ -257,13 +265,15 @@ impl SecretKey {
     }
 }
 
-/// Cookie generator/verifier with the paper's weekly key-rotation protocol.
+/// Cookie generator/verifier with the paper's weekly key-rotation protocol,
+/// hashing with its [`CookieAlg`] (the default, unless
+/// [`CookieFactory::with_alg`] names another).
 ///
 /// Cookies issued under generation *g* carry `g mod 2` in their first bit.
 /// While generation *g+1* is current, cookies bearing the previous parity are
 /// verified against the previous key, so verifying a full or NS-label cookie
-/// costs exactly one MD5; a subnet offset has no bit to read, and one that
-/// does not match under the current key costs a second
+/// costs exactly one cookie hash; a subnet offset has no bit to read, and one
+/// that does not match under the current key costs a second
 /// ([`CookieFactory::verify_subnet_offset`]). After a further rotation the
 /// old generation expires naturally with the cookie TTL.
 ///
@@ -292,18 +302,20 @@ pub struct CookieFactory {
 }
 
 impl CookieFactory {
-    /// Creates a factory whose generation-0 key derives from `seed`.
+    /// Creates a factory whose generation-0 key derives from `seed`, hashing
+    /// with the default [`CookieAlg`].
     pub fn from_seed(seed: u64) -> Self {
         CookieFactory {
             current: SecretKey::from_seed(seed),
             previous: None,
             generation: 0,
             seed,
-            alg: CookieAlg::Md5,
+            alg: CookieAlg::default(),
         }
     }
 
-    /// Selects the cookie algorithm (builder style; default MD5).
+    /// Selects the cookie algorithm (builder style; default
+    /// [`CookieAlg::default`]).
     pub fn with_alg(mut self, alg: CookieAlg) -> Self {
         self.alg = alg;
         self
@@ -312,19 +324,21 @@ impl CookieFactory {
     /// Rebuilds a factory from checkpointed parts, preserving the rotation
     /// state exactly: the generation counter keeps the generation-bit
     /// dispatch consistent, and the previous key (when present) keeps
-    /// pre-rotation cookies verifying through their grace window.
+    /// pre-rotation cookies verifying through their grace window. The parts
+    /// do not record the hash, so the caller names it.
     pub fn from_parts(
         current: SecretKey,
         previous: Option<SecretKey>,
         generation: u64,
         rotation_seed: u64,
+        alg: CookieAlg,
     ) -> Self {
         CookieFactory {
             current,
             previous,
             generation,
             seed: rotation_seed,
-            alg: CookieAlg::Md5,
+            alg,
         }
     }
 
@@ -596,6 +610,15 @@ mod tests {
     }
 
     #[test]
+    fn the_default_hash_is_siphash_and_the_factory_takes_it() {
+        assert_eq!(CookieAlg::default(), CookieAlg::SipHash24);
+        let f = CookieFactory::from_seed(45);
+        let addr = ip(192, 0, 2, 98);
+        let sip = Cookie::compute_with(CookieAlg::SipHash24, f.current_key(), addr);
+        assert_eq!(f.generate(addr), sip.with_generation_bit(0));
+    }
+
+    #[test]
     fn from_parts_round_trip_preserves_rotation_state() {
         let mut f = CookieFactory::from_seed(44);
         let addr = ip(192, 0, 2, 99);
@@ -608,6 +631,7 @@ mod tests {
             f.previous_key().cloned(),
             f.generation(),
             f.rotation_seed(),
+            CookieAlg::default(),
         );
         assert_eq!(g.generation(), f.generation());
         assert!(g.verify(addr, &week0), "pre-rotation cookie survives restore");
@@ -638,7 +662,7 @@ mod tests {
 
     #[test]
     fn siphash_and_md5_cookies_differ() {
-        let md5 = CookieFactory::from_seed(16);
+        let md5 = CookieFactory::from_seed(16).with_alg(CookieAlg::Md5);
         let sip = CookieFactory::from_seed(16).with_alg(CookieAlg::SipHash24);
         let addr = ip(192, 0, 2, 8);
         assert_ne!(md5.generate(addr).0, sip.generate(addr).0);

@@ -1,11 +1,12 @@
 //! SipHash-2-4 (Aumasson & Bernstein), implemented from scratch so the
 //! reproduction carries no external crypto dependency.
 //!
-//! It keys the guard's alternative to the paper's `MD5(ip || key)` cookie:
-//! `SipHash24(ip || 0) || SipHash24(ip || 1)` under the leading 16 bytes of
-//! the guard secret ([`crate::cookie::CookieAlg::SipHash24`]). Guard sites
-//! holding that key accept each other's cookies; the layout is not RFC
-//! 9018's, so no other DNS implementation validates them.
+//! It keys the guard's default cookie, in place of the paper's
+//! `MD5(ip || key)`: `SipHash24(ip || 0) || SipHash24(ip || 1)` under the
+//! leading 16 bytes of the guard secret
+//! ([`crate::cookie::CookieAlg::SipHash24`]). Guard sites holding that key
+//! accept each other's cookies; the layout is not RFC 9018's, so no other
+//! DNS implementation validates them.
 //!
 //! The implementation is the standard 2 compression / 4 finalization round
 //! variant over 8-byte little-endian blocks, with the message length folded

@@ -187,6 +187,17 @@ pub const RULES: &[Rule] = &[
         tests: false,
     },
     Rule {
+        id: "cookie-alg",
+        scope: Scope {
+            paths: &["crates/core/src/", "crates/server/src/", "crates/runtime/src/", "src/"],
+            except: &[],
+        },
+        check: Check::Tokens(&["CookieAlg::Md5", "CookieAlg::SipHash24"]),
+        message: "picks a cookie hash in product code: the default is `CookieAlg::default()`, \
+                  and a world that means another hash selects it through `GuardConfig::cookie_alg`",
+        tests: false,
+    },
+    Rule {
         id: "netsim-engine",
         scope: Scope { paths: &["crates/netsim/src/engine.rs"], except: &[] },
         check: Check::Tokens(&["HashMap<(NodeId, NodeId)", "NullNode"]),

@@ -89,6 +89,10 @@ const LAYERING: &[(&str, &str, &str, &str)] = &[
     ("tcp-framing", "framed.extend_from_slice(&(wire.len() as u16).to_be_bytes());", "crates/server/src/nodes.rs", "crates/dnswire/src/framing.rs"),
     ("tcp-framing", "let prefix = (msg.len() as u16).to_be_bytes();", "crates/core/src/tcp_proxy.rs", "crates/netsim/src/tcp.rs"),
     ("tcp-framing", "buf.extend_from_slice(&(q.len() as u16).to_be_bytes());", "crates/runtime/src/client.rs", "tests/end_to_end.rs"),
+    ("cookie-alg", "cookie_alg: CookieAlg::Md5,", "crates/core/src/config.rs", "crates/bench/src/worlds.rs"),
+    ("cookie-alg", "let f = CookieFactory::from_seed(1).with_alg(CookieAlg::SipHash24);", "crates/server/src/nodes.rs", "crates/guardhash/src/cookie.rs"),
+    ("cookie-alg", "CookieAlg::Md5 => Cookie::compute(key, ip),", "src/lib.rs", "crates/guardhash/src/cookie.rs"),
+    ("cookie-alg", "let c = config.with_cookie_alg(CookieAlg::SipHash24);", "crates/runtime/src/guard.rs", "crates/bench/src/ablations.rs"),
     ("netsim-engine", "links: HashMap<(NodeId, NodeId), Link>,", "crates/netsim/src/engine.rs", "crates/netsim/src/link.rs"),
     ("netsim-engine", "struct NullNode;", "crates/netsim/src/engine.rs", "crates/core/src/lib.rs"),
     ("features", "#[cfg(feature = \"x\")]", "tests/chaos.rs", "perf/src/main.rs"),

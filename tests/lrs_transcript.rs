@@ -5,7 +5,11 @@
 //! tap that folds it into an FNV-64 and hands it on to the guard. Per cell
 //! the test pins that hash, each client's `LrsSimStats` and every node's
 //! `CpuStats` to the values the client produced when it still decoded every
-//! response into a `Message` and encoded every query from one.
+//! response into a `Message` and encoded every query from one. The pinned
+//! guards hash cookies with the paper's MD5; a second pass under the default
+//! hash must send as many packets, complete as many requests and charge as
+//! much CPU, because the simulated charge per cookie is Table III's `c`
+//! whichever hash runs. Only the bytes of cookie-carrying packets differ.
 //!
 //! Only public API is used, so the file runs unchanged against an older
 //! client. A change that keeps every packet and timer of the clients leaves
@@ -13,8 +17,9 @@
 //! produced. (Table III's clients charge no CPU per packet, so their busy
 //! time reads zero here.)
 
-use bench::worlds::{attach_lrs, guarded_world, LrsParams, WorldParams, ZoneSel};
-use dnsguard::config::SchemeMode;
+use bench::worlds::{attach_lrs, guarded_world_with, LrsParams, WorldParams, ZoneSel};
+use dnsguard::config::{GuardConfig, SchemeMode};
+use guardhash::cookie::CookieAlg;
 use netsim::engine::{Context, CpuConfig, Node, NodeId, Simulator};
 use netsim::packet::{Packet, Proto};
 use netsim::time::SimTime;
@@ -63,13 +68,16 @@ const SCHEMES: [(&str, ZoneSel, SchemeMode, CookieMode); 4] = [
     ("modified", ZoneSel::Foo, SchemeMode::ModifiedOnly, CookieMode::Extension),
 ];
 
+/// Edits a cell's guard configuration before the guard is built.
+type Configure = fn(GuardConfig) -> GuardConfig;
+
 /// One cell, run: its label, the tap's count and hash, the clients'
 /// counters and every node's CPU counters.
-fn cell(label: &str, zone: ZoneSel, mode: SchemeMode, lrs: CookieMode, cache: bool, seed: u64) -> String {
+fn cell(label: &str, zone: ZoneSel, mode: SchemeMode, lrs: CookieMode, cache: bool, seed: u64, configure: Configure) -> String {
     let mut params = WorldParams::new(seed);
     params.zone = zone;
     params.mode = mode;
-    let w = guarded_world(params);
+    let w = guarded_world_with(params, configure);
     let mut sim: Simulator = w.sim;
     let (machines, slots) = if mode == SchemeMode::TcpBased { (2, 50) } else { (3, 64) };
     let clients: Vec<NodeId> = (0..machines)
@@ -116,14 +124,31 @@ fn cell(label: &str, zone: ZoneSel, mode: SchemeMode, lrs: CookieMode, cache: bo
     )
 }
 
-#[test]
-fn every_table3_cell_sends_what_the_decoding_client_sent() {
-    let got: Vec<String> = SCHEMES
+/// The eight cells, in Table III's order, each guard built by `configure`.
+fn cells(configure: Configure) -> Vec<String> {
+    SCHEMES
         .iter()
         .flat_map(|&s| [(s, false), (s, true)])
         .enumerate()
-        .map(|(i, ((label, zone, mode, lrs), cache))| cell(label, zone, mode, lrs, cache, 1 + i as u64))
-        .collect();
+        .map(|(i, ((label, zone, mode, lrs), cache))| cell(label, zone, mode, lrs, cache, 1 + i as u64, configure))
+        .collect()
+}
+
+/// The paper's cookie hash.
+fn md5(c: GuardConfig) -> GuardConfig {
+    c.with_cookie_alg(CookieAlg::Md5)
+}
+
+/// A cell's line split at its `fnv=` field: `(the line without it, the hash)`.
+fn split_fnv(line: &str) -> (String, &str) {
+    let (head, rest) = line.split_once(" fnv=").expect("an fnv field");
+    let (hash, tail) = rest.split_once(' ').expect("fields after fnv");
+    (format!("{head} {tail}"), hash)
+}
+
+#[test]
+fn every_table3_cell_sends_what_the_decoding_client_sent() {
+    let got = cells(md5);
     let want: [&str; 8] = [
         "ns_name/miss: sent=5045 fnv=0xad7aaa3b908bde3a lrs=[LrsSimStats { completed: 832, timeouts: 0, tcp_fallbacks: 0, errors: 0 }, LrsSimStats { completed: 770, timeouts: 0, tcp_fallbacks: 0, errors: 0 }, LrsSimStats { completed: 768, timeouts: 0, tcp_fallbacks: 0, errors: 0 }] cpu=[CpuStats { busy: SimTime(29564108), delivered: 7430, dropped: 0 }, CpuStats { busy: SimTime(22170510), delivered: 2439, dropped: 0 }, CpuStats { busy: SimTime(0), delivered: 1679, dropped: 0 }, CpuStats { busy: SimTime(0), delivered: 1602, dropped: 0 }, CpuStats { busy: SimTime(0), delivered: 1600, dropped: 0 }, CpuStats { busy: SimTime(0), delivered: 5045, dropped: 0 }]",
         "ns_name/hit: sent=3450 fnv=0x03d4848018b00b0a lrs=[LrsSimStats { completed: 1040, timeouts: 0, tcp_fallbacks: 0, errors: 0 }, LrsSimStats { completed: 1024, timeouts: 0, tcp_fallbacks: 0, errors: 0 }, LrsSimStats { completed: 1024, timeouts: 0, tcp_fallbacks: 0, errors: 0 }] cpu=[CpuStats { busy: SimTime(23638414), delivered: 6539, dropped: 0 }, CpuStats { busy: SimTime(29215260), delivered: 3214, dropped: 0 }, CpuStats { busy: SimTime(0), delivered: 1104, dropped: 0 }, CpuStats { busy: SimTime(0), delivered: 1088, dropped: 0 }, CpuStats { busy: SimTime(0), delivered: 1088, dropped: 0 }, CpuStats { busy: SimTime(0), delivered: 3450, dropped: 0 }]",
@@ -140,4 +165,17 @@ fn every_table3_cell_sends_what_the_decoding_client_sent() {
         }
     }
     assert_eq!(got, want);
+}
+
+#[test]
+fn the_default_cookie_hash_moves_no_packet_count_completion_or_cpu_charge() {
+    for (paper, default) in cells(md5).iter().zip(cells(|c| c)) {
+        let ((paper_rest, paper_fnv), (default_rest, default_fnv)) = (split_fnv(paper), split_fnv(&default));
+        assert_eq!(default_rest, paper_rest, "sent=, lrs= and cpu= are the MD5 pass's");
+        // The TCP scheme carries no cookie in a client's packets; the other
+        // six cells echo cookie bytes (an NS label, a `COOKIE2` address, an
+        // extension), which the default hash derives differently.
+        let carries_cookies = !paper.starts_with("tcp/");
+        assert_eq!(default_fnv != paper_fnv, carries_cookies, "{paper}");
+    }
 }
