@@ -5,11 +5,12 @@
 #
 # Usage: ./ci.sh [stage]; no argument runs every stage but `perf`.
 #   build        release build of the workspace
-#   test         the workspace's unit, integration, chaos and property tests
+#   test         the workspace's unit, integration, chaos and property tests,
+#                then the real-socket guard end to end (`live_proxy`)
 #   lint         guardlint: its rule table (wire-path panics, clocks and
-#                RNGs, relaxed atomics, the workspace's layering), L1
-#                indexing and L6; fails on any finding, and a finding is
-#                exempt only by an inline `// lint: <id> — <why>`
+#                RNGs, relaxed atomics, the workspace's layering) and L1
+#                indexing; fails on any finding, and a finding is exempt
+#                only by an inline `// lint: <id> — <why>`
 #   guardcheck   the interleaving model checker's harnesses (300 s cap)
 #   clippy       clippy with warnings denied
 #   experiments  every experiment: bars, export validation, and a `cmp` of
@@ -33,10 +34,16 @@ fi
 if want test; then
   echo "==> cargo test"
   cargo test -q --workspace --offline
+  echo "==> live_proxy (the guard on real loopback sockets)"
+  # Three answers through one cookie exchange, and a forged cookie dropped.
+  live="$(cargo run --release --offline -q --example live_proxy)"
+  echo "$live"
+  grep -q 'forwarded=3 grants=1 spoofed_dropped=1' <<<"$live" ||
+    { echo "live_proxy: no 'forwarded=3 grants=1 spoofed_dropped=1'" >&2; exit 1; }
 fi
 
 if want lint; then
-  echo "==> guardlint (rule table, L1 indexing, L6)"
+  echo "==> guardlint (rule table, L1 indexing)"
   # Inside GitHub Actions, emit ::error annotations so findings land on
   # the PR diff lines; locally, the plain file:line form.
   cargo run -q --offline -p guardlint -- ${GITHUB_ACTIONS:+--github}

@@ -1,13 +1,13 @@
 //! The guard's decisions, with no I/O: [`GuardCore`] is handed the time and
 //! each datagram and appends what must happen to the driver's [`Outputs`].
 
-use super::fwd::{Forwarded, FwdTable, Rewrite};
+use super::fwd::{Forwarded, FwdTable, Rewrite, WireIds};
 use super::health::AnsHealth;
 use super::keys::Keys;
 use super::repl::{FleetRuntime, HaRuntime};
 use super::schemes::{self, FirstContact, Outgoing, Scheme};
 use super::stash::{Stash, StashKey};
-use super::stats::{GuardMetrics, GuardStats};
+use super::stats::{GuardMetrics, GuardStats, StatsHandle};
 use crate::admission::{AdmissionController, PressureTier};
 use crate::analytics::TrafficAnalytics;
 use crate::checkpoint::{GuardCheckpoint, RewriteState, StashState};
@@ -141,6 +141,8 @@ pub struct GuardCore {
     pub(super) rl2: SourceRateLimiter,
     proxy: TcpProxy,
     pub(super) fwd: FwdTable,
+    /// The ids forwards leave with: a keyed permutation of their table keys.
+    wire_ids: WireIds,
     /// Forwards overwritten because their transaction id came round again
     /// (see [`GuardCore::lossy_evictions`]).
     fwd_overwritten: u64,
@@ -194,6 +196,7 @@ impl GuardCore {
                 .keyed(config.key_seed),
             proxy,
             fwd: FwdTable::new(),
+            wire_ids: WireIds::new(config.key_seed),
             fwd_overwritten: 0,
             next_txid: 1,
             next_qid: 1,
@@ -219,6 +222,12 @@ impl GuardCore {
     /// A snapshot of the guard counters.
     pub fn stats(&self) -> GuardStats {
         self.metrics.snapshot()
+    }
+
+    /// A read-only handle on the guard counters, for another thread to
+    /// snapshot while this guard's owner keeps running it.
+    pub fn stats_handle(&self) -> StatsHandle {
+        StatsHandle(self.metrics.clone())
     }
 
     /// Attaches an observability bundle: the guard's counters (plus its
@@ -376,19 +385,27 @@ impl GuardCore {
         self.forward_to_ans(out, query, entry);
     }
 
-    /// Allocates the next upstream transaction id in O(1). If the id is
-    /// still occupied (possible only when >65 K requests are in flight,
-    /// i.e. the ANS is hopelessly behind), the old entry is overwritten —
-    /// its response, if it ever comes, is treated as lost. This mirrors a
-    /// real NAT-style table shedding stale flows under overload.
+    /// Allocates the next forward-table key in O(1): sequential, so the
+    /// table's index is walked in order; the ANS sees its [`WireIds`]
+    /// image. If the key is still occupied (possible only when more than
+    /// 65 K requests are in flight, i.e. the ANS is hopelessly behind), the
+    /// old entry is overwritten — its response, if it ever comes, is treated
+    /// as lost. This mirrors a real NAT-style table shedding stale flows
+    /// under overload.
     fn alloc_txid(&mut self, now: SimTime) -> u16 {
         let id = self.next_txid;
         self.next_txid = self.next_txid.wrapping_add(1).max(1);
         if self.remove_fwd(id, None).is_some() {
             self.fwd_overwritten += 1;
-            self.trace_evict(now, "fwd", ("txid", Value::U64(id as u64)));
+            self.trace_evict(now, "fwd", self.wire_txid(id));
         }
         id
+    }
+
+    /// The trace field naming the forward filed under `txid`: the id it
+    /// left with.
+    fn wire_txid(&self, txid: u16) -> (&'static str, Value) {
+        ("txid", Value::U64(u64::from(self.wire_ids.wire(txid))))
     }
 
     /// The fields of a decision event: the source, and the journey id that
@@ -426,7 +443,7 @@ impl GuardCore {
             };
             self.remove_fwd(oldest, None);
             self.metrics.fwd_evicted.inc();
-            self.trace_evict(now, "fwd", ("txid", Value::U64(oldest as u64)));
+            self.trace_evict(now, "fwd", self.wire_txid(oldest));
         }
     }
 
@@ -474,8 +491,9 @@ impl GuardCore {
         }
     }
 
-    /// Sends `query` to the ANS under a fresh transaction id and files
-    /// `entry`, what its answer will be matched against and relayed by.
+    /// Files `entry`, what the answer will be matched against and relayed
+    /// by, under a fresh table key, and sends `query` to the ANS under that
+    /// key's wire id.
     fn forward_to_ans(&mut self, out: &mut Outputs, query: Outgoing<'_>, entry: Forwarded) {
         let (now, requester, qid) = (entry.created, entry.requester, entry.qid);
         let probe = matches!(entry.rewrite, Rewrite::Probe { .. });
@@ -498,6 +516,7 @@ impl GuardCore {
         let txid = self.alloc_txid(now);
         self.insert_fwd(txid, entry);
         self.metrics.forwarded.inc();
+        let wire_id = self.wire_ids.wire(txid);
         // Info-level with both sides of the txid rewrite: the journey
         // assembler's bridge from client-facing to ANS-facing identity.
         // Probes stay at debug — they are not client transactions.
@@ -505,11 +524,11 @@ impl GuardCore {
         if probe {
             self.metrics.trace.debug(now.as_nanos(), "forward", &[src, qid]);
         } else {
-            let txid = ("txid", Value::U64(txid as u64));
+            let txid = ("txid", Value::U64(u64::from(wire_id)));
             let orig_txid = ("orig_txid", Value::U64(orig_txid as u64));
             self.metrics.trace.event(now.as_nanos(), "forward", &[src, qid, txid, orig_txid]);
         }
-        self.tx_ans(out, query.into_wire(txid));
+        self.tx_ans(out, query.into_wire(wire_id));
     }
 
     /// Writes a first-contact answer over the datagram it answers (`start`
@@ -873,12 +892,15 @@ impl GuardCore {
         out: &mut Outputs,
         view: &MessageView<'_>,
     ) -> Option<Forwarded> {
-        // The response must carry the id and the question of a live forward.
-        let Some(fwd) = self.remove_fwd(view.header.id, Some(view.question_digest())) else {
-            // A late response to an evicted/expired forward, a txid the
-            // guard never issued, or an answer to another question: it may
-            // as well come from a spoofer of the ANS address, so it says
-            // nothing about the ANS.
+        // The response must carry the wire id and the question of a live
+        // forward.
+        let asking = view.question_digest();
+        let fwd = self.wire_ids.key(view.header.id).and_then(|txid| self.remove_fwd(txid, Some(asking)));
+        let Some(fwd) = fwd else {
+            // A late response to an evicted/expired forward, an id the
+            // guard never issued (0 included), or an answer to another
+            // question: it may as well come from a spoofer of the ANS
+            // address, so it says nothing about the ANS.
             self.metrics.resp_unmatched.inc();
             return None;
         };

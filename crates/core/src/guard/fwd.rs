@@ -1,11 +1,12 @@
 //! The forward table: what the guard keeps about each query it has sent to
-//! the ANS, under the 16-bit transaction id it sent it with.
+//! the ANS, under the guard's sequential 16-bit key for it — and
+//! [`WireIds`], the keyed permutation of that key the query leaves with.
 //!
-//! The id *is* the index: a 65 536-entry array maps it to a slot of a slab
+//! The key *is* the index: a 65 536-entry array maps it to a slot of a slab
 //! that holds the live entries, and the slab's slots are threaded oldest
 //! first. Look-up, insertion and removal hash nothing, allocate nothing
 //! once the slab has grown to the most entries ever live at once, and work
-//! for any id allocator — sequential today, keyed tomorrow. Invariants:
+//! for any key allocator. Invariants:
 //!
 //! * `index[id]` is `slot + 1` of the one live entry under `id`, or 0;
 //! * every live slot is on the list exactly once, every other slot is on
@@ -16,14 +17,17 @@
 //!   forward), so the head is both the entry to evict first and the first
 //!   to pass any age.
 //!
-//! An `index` subscript is a `u16` into 65 536 entries, and a `slab`
-//! subscript a slot the index, the list or the free chain holds — by the
-//! invariants above, inside the slab. That is what each `lint: L1` means.
+//! An `index` subscript is a `u16` into 65 536 entries, a `slab` subscript
+//! a slot the index, the list or the free chain holds — by the invariants
+//! above, inside the slab — and a round-table subscript a `u8` into 256
+//! entries. That is what each `lint: L1` means.
 
 use crate::checkpoint::RewriteState;
 use dnswire::name::Name;
 use dnswire::question;
 use dnswire::types::{RrClass, RrType};
+use guardhash::cookie::SecretKey;
+use guardhash::siphash::siphash24;
 use netsim::packet::Endpoint;
 use netsim::time::SimTime;
 
@@ -235,6 +239,82 @@ impl FwdTable {
     }
 }
 
+/// The ids the ANS sees: a keyed permutation `P` of `1..=65535` over the
+/// table's keys. A forward filed under `txid` leaves as `P(txid)` and an
+/// answer under `id` is looked up at `P⁻¹(id)`, so the table keeps its
+/// sequential keys while an off-path forger who has seen one id cannot name
+/// the next.
+///
+/// `P` is a four-round Feistel network over the id's two bytes, whose round
+/// functions are 256-entry tables filled from SipHash-2-4 under a key
+/// derived from the guard's `key_seed`; it permutes all of `0..=65535`, and
+/// applying it again whenever it yields 0 (cycle-walking) keeps 0 off the
+/// wire. An HA pair shares its seed, so a standby that takes over inverts
+/// the primary's in-flight ids.
+#[derive(Debug)]
+pub(super) struct WireIds {
+    rounds: [[u8; 256]; 4],
+}
+
+impl WireIds {
+    /// The permutation of `key_seed`.
+    pub(super) fn new(key_seed: u64) -> WireIds {
+        // Salted, so the key shares no bytes with the cookie, limiter or
+        // replication keys derived from the same seed.
+        let material = SecretKey::from_seed(key_seed ^ 0x7C1D_5EED);
+        let key = material.as_bytes().first_chunk::<16>().copied().unwrap_or_default();
+        let mut rounds = [[0u8; 256]; 4];
+        for (round, table) in (0u8..).zip(&mut rounds) {
+            for (chunk, bytes) in (0u8..).zip(table.chunks_exact_mut(8)) {
+                bytes.copy_from_slice(&siphash24(&key, &[round, chunk]).to_le_bytes());
+            }
+        }
+        WireIds { rounds }
+    }
+
+    /// One pass of the network.
+    fn encrypt(&self, id: u16) -> u16 {
+        let [mut l, mut r] = id.to_be_bytes();
+        for table in &self.rounds {
+            (l, r) = (r, l ^ table[usize::from(r)]); // lint: L1 — a u8 into 256 entries
+        }
+        u16::from_be_bytes([l, r])
+    }
+
+    /// One pass of the network, backwards.
+    fn decrypt(&self, id: u16) -> u16 {
+        let [mut l, mut r] = id.to_be_bytes();
+        for table in self.rounds.iter().rev() {
+            (l, r) = (r ^ table[usize::from(l)], l); // lint: L1 — a u8 into 256 entries
+        }
+        u16::from_be_bytes([l, r])
+    }
+
+    /// `P(txid)`: the id the forward filed under `txid` leaves with.
+    pub(super) fn wire(&self, txid: u16) -> u16 {
+        let mut id = self.encrypt(txid);
+        // From a key other than 0 the walk passes 0 at most once on its way
+        // round the key's cycle; no forward is filed under 0.
+        while id == 0 && txid != 0 {
+            id = self.encrypt(id);
+        }
+        id
+    }
+
+    /// `P⁻¹(id)`: the key an answer under `id` is looked up at; `None` for
+    /// 0, which no forward leaves with.
+    pub(super) fn key(&self, id: u16) -> Option<u16> {
+        if id == 0 {
+            return None;
+        }
+        let mut txid = self.decrypt(id);
+        while txid == 0 {
+            txid = self.decrypt(txid);
+        }
+        Some(txid)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,5 +449,30 @@ mod tests {
             table.clear();
             prop_assert_eq!((table.bytes(), table.iter().count(), table.oldest().is_none()), (0, 0, true));
         }
+    }
+
+    #[test]
+    fn wire_ids_permute_every_key_and_invert() {
+        let ids = WireIds::new(2006);
+        let mut taken = vec![false; 1 << 16];
+        for txid in 1..=u16::MAX {
+            let wire = ids.wire(txid);
+            assert_ne!(wire, 0, "key {txid} left as id 0");
+            assert!(!std::mem::replace(&mut taken[usize::from(wire)], true), "id {wire} twice");
+            assert_eq!(ids.key(wire), Some(txid), "P⁻¹(P({txid}))");
+        }
+        assert_eq!(ids.key(0), None);
+    }
+
+    #[test]
+    fn wire_ids_are_a_function_of_the_seed() {
+        let first = |seed| {
+            let ids = WireIds::new(seed);
+            (1..=64).map(|txid| ids.wire(txid)).collect::<Vec<u16>>()
+        };
+        assert_eq!(first(7), first(7), "deterministic per seed");
+        assert_ne!(first(7), first(8), "keyed by the seed");
+        let successors = first(7).windows(2).filter(|w| w[1] == w[0].wrapping_add(1)).count();
+        assert!(successors <= 1, "sequential keys leave in sequence: {:?}", first(7));
     }
 }

@@ -21,7 +21,8 @@
 //! `runtime::GuardServer` is the other. DESIGN.md, "One guard, two
 //! drivers", states what each must guarantee. `core` is the pipeline above;
 //! `schemes`, `keys` (the cookie factory and a memo of its positive
-//! verdicts), `health`, `stash`, `fwd`, `repl` (HA pair, fleet keys) and
+//! verdicts), `health`, `stash`, `fwd` (the forward table, and the keyed
+//! ids forwards leave with), `repl` (HA pair, fleet keys) and
 //! `restore` (checkpoints) are what it is composed of: state that owns its
 //! fields and returns what the guard must do.
 //!
@@ -49,4 +50,4 @@ mod tests;
 
 pub use self::core::{GuardCore, Leg, Output, Outputs, WINDOW};
 pub use self::sim::RemoteGuard;
-pub use self::stats::GuardStats;
+pub use self::stats::{GuardStats, StatsHandle};

@@ -136,6 +136,19 @@ obs::counters! {
     }
 }
 
+/// A read-only handle on a guard's live counters, for a thread that does
+/// not own the guard: it shares the cells the guard increments, and
+/// reading them is all it can do.
+#[derive(Debug, Clone)]
+pub struct StatsHandle(pub(super) GuardMetrics);
+
+impl StatsHandle {
+    /// The counters as they read now.
+    pub fn snapshot(&self) -> GuardStats {
+        self.0.snapshot()
+    }
+}
+
 impl GuardStats {
     /// Total requests classified as spoofed and dropped.
     pub fn spoofed_dropped(&self) -> u64 {

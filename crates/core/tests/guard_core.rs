@@ -485,6 +485,35 @@ fn an_unmatched_upstream_response_does_not_recover_a_down_ans() {
     assert!(recovered(&obs));
 }
 
+/// An off-path forger of the ANS's answers has seen one forward's id and
+/// knows what the next verified client asks. While that client's forward is
+/// in flight it answers from the ANS address under each of the 256 ids
+/// after the one it saw. Sequential ids would put the forward among them;
+/// the keyed ids do not, so nothing forged is relayed, and the ANS's own
+/// answer still is.
+#[test]
+fn a_forger_racing_the_next_ids_from_the_ans_address_relays_nothing() {
+    let mut guard = direct(SchemeMode::ModifiedOnly, Zone::Foo);
+    let seen = guard.offer(verified_by(&guard, CLIENT));
+    let seen = Message::decode(&seen[0].payload).unwrap().header.id;
+    let victim = Endpoint::new(Ipv4Addr::new(10, 0, 0, 10), 5_353);
+    let forward = guard.offer(verified_by(&guard, victim));
+
+    let unmatched = guard.stats().resp_unmatched;
+    for guess in 1..=256 {
+        let mut forged = query(seen.wrapping_add(guess), "www.foo.com").response();
+        forged.answers.push(Record::a(name("www.foo.com"), Ipv4Addr::new(6, 6, 6, 6), 60));
+        let relayed = guard.offer(from(Endpoint::new(ANS, DNS_PORT), PUBLIC, &forged));
+        assert!(relayed.is_empty(), "the guess {guess} after the seen id was relayed: {relayed:?}");
+    }
+    assert_eq!(guard.stats().resp_unmatched, unmatched + 256);
+
+    let real = Record::a(name("www.foo.com"), Ipv4Addr::new(192, 0, 2, 80), 60);
+    let relayed = guard.offer(ans_answers(&forward[0], std::slice::from_ref(&real)));
+    let answer = Message::decode(&relayed[0].payload).unwrap();
+    assert_eq!((relayed[0].dst, answer.answers), (victim, vec![real]));
+}
+
 /// A verified query from `client` carrying the extension cookie `guard`
 /// issues it now.
 fn verified_by(guard: &Direct, client: Endpoint) -> Packet {
@@ -583,17 +612,23 @@ fn a_forward_overwritten_by_id_reuse_is_traced_and_counted() {
     let pkt = from(CLIENT, PUBLIC, &verified);
 
     let mut out = Outputs::default();
-    let mut overwritten = Vec::new();
+    let (mut wire_ids, mut overwritten) = (Vec::new(), Vec::new());
     for n in 0..=u64::from(u16::MAX) {
         core.handle_packet(SimTime::from_micros(100 * n), Leg::Client, pkt.clone(), &mut out);
-        out.drain();
+        for output in out.drain() {
+            if let Output::ToAns(wire) = output {
+                wire_ids.push(u16::from_be_bytes([wire[0], wire[1]]));
+            }
+        }
         if n % 1_024 == 0 || n == u64::from(u16::MAX) {
             overwritten.extend(evictions(&obs, "fwd", "txid"));
         }
     }
-    // Ids 1 to 65 535 were all in flight when the 65 536th forward took 1.
+    // Every id was in flight when the 65 536th forward took the first one's
+    // again; the event names it as the ANS saw it.
     assert_eq!(core.stats().forwarded, 65_536);
-    assert_eq!(overwritten, [obs::trace::Value::U64(1)]);
+    assert_eq!(wire_ids.first(), wire_ids.last());
+    assert_eq!(overwritten, [obs::trace::Value::U64(u64::from(wire_ids[0]))]);
     assert_eq!(core.lossy_evictions(), (0, 0, 1));
     assert_eq!(core.stats().fwd_evicted, 0, "not the byte bound's doing");
     assert_eq!(core.table_bytes(), 65_535 * 88);

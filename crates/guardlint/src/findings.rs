@@ -7,8 +7,9 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Check id: a rule-table row's (`L1`, `L2`, `L3`, `seam`, …) or `L6`;
-    /// for a justification that exempts nothing, the id it names.
+    /// Check id: a rule-table row's (`L1`, `L2`, `L3`, `seam`, …), which
+    /// L1's index check shares; for a justification that exempts nothing,
+    /// the id it names.
     pub lint: String,
     /// Human-oriented description.
     pub message: String,

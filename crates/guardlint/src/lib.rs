@@ -12,10 +12,7 @@
 //!   panics, L2's clocks and RNGs, L3's relaxed atomics, and the seam,
 //!   `core` size, state table, ANS wire path, netsim engine, cargo feature
 //!   and testbed rows;
-//! * **L1** — no slice/array index on wire input;
-//! * **L6** — shared-state escape: a variable captured by a spawned
-//!   closure and mutated inside it must go through a `guardcheck::sync`
-//!   atomic/lock (so the model checker covers it).
+//! * **L1** — no slice/array index on wire input.
 //!
 //! A finding is exempt only by an inline justification naming its id on
 //! its line or in the comment-only lines directly above it, and a

@@ -1,16 +1,11 @@
-//! What guardlint checks: one rule table, two checks that need more than a
+//! What guardlint checks: one rule table, one check that needs more than a
 //! token, and the one way to exempt a finding.
 //!
 //! [`RULES`] is declarative. Each row names a path scope, what is forbidden
 //! there (tokens in code, or a line cap), its message, and whether
 //! `#[cfg(test)]` items count. L1's panic tokens, L2's clocks and RNGs,
 //! L3's relaxed atomics and the workspace's layering invariants are rows.
-//! The other two checks:
-//!
-//! | id | invariant |
-//! |----|-----------|
-//! | L1 | no slice/array index on wire input |
-//! | L6 | a variable captured by a spawned closure and mutated inside it goes through a `guardcheck::sync` atomic or lock |
+//! The other check is L1's: no slice/array index on wire input.
 //!
 //! **Exemptions.** A finding is exempt when its line, or the comment-only
 //! lines directly above it, carry `// lint: <id> — <why>`: exactly the id
@@ -25,7 +20,6 @@
 
 use crate::findings::Finding;
 use crate::lexer::{Scrubbed, ScrubbedLine};
-use std::collections::BTreeSet;
 
 /// One lexed source file, addressed by workspace-relative path.
 pub struct SourceFile {
@@ -250,12 +244,6 @@ impl Rule {
     }
 }
 
-/// L6 reads the library sources: `crates/*/src/` and the umbrella
-/// package's `src/`.
-fn library_source(rel: &str) -> bool {
-    rel.starts_with("src/") || rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src")
-}
-
 // ------------------------------------------------------------- utilities
 
 /// Finds `token` in `code` at an identifier boundary; returns the byte
@@ -314,291 +302,6 @@ fn l1(file: &SourceFile) -> Vec<Finding> {
         .collect()
 }
 
-// -------------------------------------------------------------------- L6
-
-/// The delimiter closing the `(` or `{` at `open` (byte offsets); `None`
-/// if unbalanced. The flat stream holds no strings or comments, so every
-/// delimiter it sees is real.
-fn matching(bytes: &[u8], open: usize) -> Option<usize> {
-    let (up, down) = if bytes.get(open) == Some(&b'{') { (b'{', b'}') } else { (b'(', b')') };
-    let mut depth = 0i32;
-    for (k, &b) in bytes.iter().enumerate().skip(open) {
-        if b == up {
-            depth += 1;
-        } else if b == down {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
-/// Whether the token ending just before `at` (skipping whitespace) is `kw`.
-fn preceded_by_kw(flat: &str, at: usize, kw: &str) -> bool {
-    let head = flat[..at].trim_end();
-    head.ends_with(kw)
-        && !head[..head.len() - kw.len()]
-            .chars()
-            .next_back()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-/// Byte offsets in `code` where an assignment's left-hand side ends:
-/// plain `=` and every compound `op=`, excluding `==`, `!=`, `<=`, `>=`
-/// and `=>`.
-fn assignment_sites(code: &str) -> Vec<usize> {
-    let b = code.as_bytes();
-    let mut out = Vec::new();
-    for i in 0..b.len() {
-        if b[i] != b'=' {
-            continue;
-        }
-        if matches!(b.get(i + 1), Some(b'=') | Some(b'>')) {
-            continue; // `==` / `=>`
-        }
-        let prev = i.checked_sub(1).map(|k| b[k]);
-        let prev2 = i.checked_sub(2).map(|k| b[k]);
-        match prev {
-            Some(b'=') | Some(b'!') => {} // second `=` of `==`, or `!=`
-            Some(b'<') => {
-                if prev2 == Some(b'<') {
-                    out.push(i - 2); // `<<=`
-                }
-            }
-            Some(b'>') => {
-                if prev2 == Some(b'>') {
-                    out.push(i - 2); // `>>=`
-                }
-            }
-            Some(op) if b"+-*/%&|^".contains(&op) => out.push(i - 1),
-            _ => out.push(i),
-        }
-    }
-    out
-}
-
-/// Walks backwards from `end` over a place expression — identifiers,
-/// `.` / `::` separators and balanced `(…)` / `[…]` groups — returning
-/// `(full path text, root identifier)`. The root is the leftmost plain
-/// identifier (`self.shared.ring` → `shared.ring` path, root `shared`
-/// after the `self.` strip; `*m.lock()` → path `m.lock()`, root `m`).
-fn path_before(flat: &str, end: usize) -> (String, String) {
-    let b = flat.as_bytes();
-    let mut i = end;
-    while i > 0 && b[i - 1].is_ascii_whitespace() {
-        i -= 1;
-    }
-    let stop = i;
-    loop {
-        if i == 0 {
-            break;
-        }
-        let c = b[i - 1];
-        if c == b')' || c == b']' {
-            // Skip the balanced group backwards.
-            let (open, close) = if c == b')' { (b'(', b')') } else { (b'[', b']') };
-            let mut depth = 0i32;
-            let mut k = i;
-            while k > 0 {
-                let cc = b[k - 1];
-                if cc == close {
-                    depth += 1;
-                } else if cc == open {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                k -= 1;
-            }
-            if k == 0 {
-                break;
-            }
-            i = k - 1;
-        } else if is_ident_byte(c) || c == b'.' || c == b':' {
-            i -= 1;
-        } else {
-            break;
-        }
-    }
-    let mut path = flat[i..stop].trim_start_matches(':').to_string();
-    if let Some(rest) = path.strip_prefix("self.") {
-        path = rest.to_string();
-    }
-    let root: String = path
-        .chars()
-        .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
-        .collect();
-    (path, root)
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Parameter identifiers of closures nested in `text`: a `|` opening a
-/// parameter list follows `(`, `,`, `=`, `{`, `;` or the `move` keyword
-/// (a binary `|` always follows an operand). Everything up to the
-/// closing `|` is parsed as patterns.
-fn collect_closure_params(text: &str, into: &mut BTreeSet<String>) {
-    let b = text.as_bytes();
-    for i in 0..b.len() {
-        if b[i] != b'|' {
-            continue;
-        }
-        let head = text[..i].trim_end();
-        let opens = head.is_empty()
-            || head.ends_with(['(', ',', '=', '{', ';'])
-            || preceded_by_kw(text, i, "move");
-        if !opens || b.get(i + 1) == Some(&b'|') {
-            continue; // operand `|`, or `||` (no params)
-        }
-        let Some(close) = text[i + 1..].find('|') else { continue };
-        let params = &text[i + 1..i + 1 + close];
-        if params.contains(';') || params.contains('{') {
-            continue; // ran past a statement boundary: not a param list
-        }
-        for param in params.split(',') {
-            let pat = param.split(':').next().unwrap_or("");
-            for word in pat.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-                if !word.is_empty() && !matches!(word, "mut" | "ref") {
-                    into.insert(word.to_string());
-                }
-            }
-        }
-    }
-}
-
-/// Identifiers bound inside a closure body (or parameter list): `let`
-/// patterns, `for` loop variables, closure parameters. Over-collects
-/// pattern constructor names (`Some`), which is harmless — they are
-/// never assignment roots.
-fn collect_bindings(text: &str, into: &mut BTreeSet<String>) {
-    let b = text.as_bytes();
-    for kw in ["let", "for"] {
-        let mut from = 0usize;
-        while let Some(p) = find_token(&text[from..], kw) {
-            let at = from + p;
-            from = at + kw.len();
-            // Idents up to the terminator: `=` for let, `in` for for.
-            let mut j = from;
-            while j < b.len() && b[j] != b'=' && b[j] != b';' && b[j] != b'{' {
-                if is_ident_byte(b[j]) {
-                    let s = j;
-                    while j < b.len() && is_ident_byte(b[j]) {
-                        j += 1;
-                    }
-                    let ident = &text[s..j];
-                    if kw == "for" && ident == "in" {
-                        break;
-                    }
-                    if !matches!(ident, "mut" | "ref" | "in") {
-                        into.insert(ident.to_string());
-                    }
-                } else {
-                    j += 1;
-                }
-            }
-        }
-    }
-}
-
-/// L6: shared-state escape. A variable captured by a spawned closure and
-/// mutated inside it bypasses the repo's concurrency discipline: every
-/// cross-thread cell must be an atomic or lock from `guardcheck::sync`
-/// (so the model checker can exercise it) or carry an explicit
-/// `// lint: L6 — <why>` (e.g. the value is moved, not shared).
-/// The lexer cannot see ownership, so moved-and-mutated locals need the
-/// justification too — that note is the audit trail the lint wants.
-fn l6(file: &SourceFile) -> Vec<Finding> {
-    let flat = &file.scrub.flat;
-    let bytes = flat.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0usize;
-    while let Some(p) = find_token(&flat[from..], "spawn") {
-        let at = from + p;
-        from = at + "spawn".len();
-        if preceded_by_kw(flat, at, "fn") {
-            continue; // a `fn spawn(…)` definition, not a call
-        }
-        let mut i = from;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if bytes.get(i) != Some(&b'(') {
-            continue;
-        }
-        let Some(call_close) = matching(bytes, i) else { continue };
-        let args = &flat[i + 1..call_close];
-        // The closure literal: `move |params| body` / `|| body`. Calls
-        // without one (`GuardServer::spawn(addr, seed)`) are not spawns
-        // of interest.
-        let Some(bar) = args.find('|') else { continue };
-        let (params, body_rel) = if args[bar + 1..].starts_with('|') {
-            ("", bar + 2)
-        } else {
-            match args[bar + 1..].find('|') {
-                Some(q) => (&args[bar + 1..bar + 1 + q], bar + 2 + q),
-                None => continue,
-            }
-        };
-        // Body extent: a brace block or a bare expression running to the
-        // call's closing paren.
-        let body_abs = i + 1 + body_rel;
-        let mut k = body_abs;
-        while k < call_close && bytes[k].is_ascii_whitespace() {
-            k += 1;
-        }
-        let (body_start, body_end) = if bytes.get(k) == Some(&b'{') {
-            match matching(bytes, k) {
-                Some(c) => (k + 1, c),
-                None => (k + 1, call_close),
-            }
-        } else {
-            (k, call_close)
-        };
-        let body = &flat[body_start..body_end];
-
-        let mut locals: BTreeSet<String> = BTreeSet::new();
-        for param in params.split(',') {
-            // Pattern idents before any `: Type` annotation.
-            let pat = param.split(':').next().unwrap_or("");
-            for word in pat.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-                if !word.is_empty() && !matches!(word, "mut" | "ref") {
-                    locals.insert(word.to_string());
-                }
-            }
-        }
-        collect_bindings(body, &mut locals);
-        collect_closure_params(body, &mut locals);
-
-        for lhs_end in assignment_sites(body) {
-            let (path, root) = path_before(flat, body_start + lhs_end);
-            if root.is_empty()
-                || root == "self"
-                || root.chars().next().is_some_and(|c| c.is_ascii_digit())
-                || locals.contains(&root)
-                || path.contains("lock(")
-            {
-                continue;
-            }
-            let line = file.scrub.line_of(body_start + lhs_end);
-            if file.scrub.is_test_line(line) {
-                continue;
-            }
-            let message = format!(
-                "captured `{root}` is mutated inside a spawned closure; share it through a \
-                 guardcheck::sync atomic or lock (so the model checker covers it), or justify \
-                 with `// lint: L6 — <why>`"
-            );
-            out.push(file.finding(line, "L6", message));
-        }
-    }
-    out
-}
-
 // ------------------------------------------------------------ exemptions
 
 /// The id a line's comment justifies: `lint: <id> — <why>` at the start of
@@ -654,15 +357,12 @@ fn justify(file: &SourceFile, findings: Vec<Finding>) -> Vec<Finding> {
     out
 }
 
-/// Every check over one file — the rule table, L1's index check and, over
-/// the library sources, L6 — less what inline justifications exempt, plus
-/// every justification that exempts nothing.
+/// Every check over one file — the rule table and L1's index check — less
+/// what inline justifications exempt, plus every justification that
+/// exempts nothing.
 pub fn check(file: &SourceFile) -> Vec<Finding> {
     let mut out: Vec<Finding> = RULES.iter().flat_map(|r| r.apply(file)).collect();
     out.extend(l1(file));
-    if library_source(&file.rel) {
-        out.extend(l6(file));
-    }
     justify(file, out)
 }
 
@@ -783,8 +483,6 @@ mod tests {
         assert!(l3.contains("crates/runtime/src/ans.rs") && l3.contains("src/lib.rs"));
         assert!(!l3.contains("crates/guardcheck/tests/model.rs"), "an excepted directory");
         assert!(!l3.contains("crates/obs/src/trace.rs") && l3.contains("crates/obs/src/alert.rs"));
-        assert!(library_source("crates/obs/src/vocab.rs") && library_source("src/lib.rs"));
-        assert!(!library_source("crates/obs/tests/x.rs") && !library_source("tests/chaos.rs"));
     }
 
     #[test]
@@ -797,65 +495,5 @@ mod tests {
         for exempt in ["crates/obs/src/metrics.rs", "crates/guardcheck/src/sched.rs"] {
             assert!(check(&file(exempt, &format!("{relaxed}\n"))).is_empty(), "{exempt}");
         }
-    }
-
-    #[test]
-    fn l6_flags_captured_mutation_in_spawned_closure() {
-        let f = file(
-            "crates/runtime/src/worker.rs",
-            "fn f() { let mut shared = 0u64; std::thread::spawn(move || { shared += 1; }); }\n",
-        );
-        let found = l6(&f);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("`shared`"), "{}", found[0].message);
-    }
-
-    #[test]
-    fn l6_locals_locks_and_justifications_are_clean() {
-        let local = file(
-            "crates/runtime/src/worker.rs",
-            "fn f() { std::thread::spawn(move || { let mut n = 0; n += 1; }); }\n",
-        );
-        assert!(l6(&local).is_empty(), "{:?}", l6(&local));
-        let locked = file(
-            "crates/runtime/src/worker.rs",
-            "fn f() { std::thread::spawn(move || { *snap.lock() = fresh(); }); }\n",
-        );
-        assert!(l6(&locked).is_empty(), "{:?}", l6(&locked));
-        let just = file(
-            "crates/runtime/src/worker.rs",
-            "fn f() { std::thread::spawn(move || {\n    total += 1; // lint: L6 — moved accumulator, returned via join\n}); }\n",
-        );
-        assert_eq!(l6(&just).len(), 1);
-        assert!(check(&just).is_empty(), "{:?}", check(&just));
-    }
-
-    #[test]
-    fn l6_skips_definitions_and_non_closure_spawn_calls() {
-        let f = file(
-            "crates/runtime/src/worker.rs",
-            "pub fn spawn(x: u8) { total = x; }\nfn g() { GuardServer::spawn(addr, seed); }\n",
-        );
-        assert!(l6(&f).is_empty(), "{:?}", l6(&f));
-    }
-
-    #[test]
-    fn l6_closure_params_and_for_bindings_are_local() {
-        let f = file(
-            "crates/runtime/src/worker.rs",
-            "fn f() { pool.spawn(move |mut acc: u64| { for x in 0..3 { acc += x; } acc }); }\n",
-        );
-        assert!(l6(&f).is_empty(), "{:?}", l6(&f));
-    }
-
-    #[test]
-    fn l6_nested_closure_params_are_local() {
-        // `CURRENT.with(|c| *c.borrow_mut() = …)` inside a spawn: `c` is a
-        // nested-closure parameter, not a capture.
-        let f = file(
-            "crates/runtime/src/worker.rs",
-            "fn f() { std::thread::spawn(move || { CURRENT.with(|c| *c.borrow_mut() = Some(1)); }); }\n",
-        );
-        assert!(l6(&f).is_empty(), "{:?}", l6(&f));
     }
 }

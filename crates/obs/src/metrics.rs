@@ -518,7 +518,8 @@ pub type Declared = (&'static str, &'static str, &'static [(&'static str, &'stat
 /// `histograms` and `fields` blocks add cells the snapshot does not copy
 /// (`fields` are not registered either: a tracer handle, say).
 ///
-/// Generated: both structs (the live one `Default`), `snapshot()`,
+/// Generated: both structs (the live one `Default`, and `Clone`: a clone
+/// shares every cell with the original), `snapshot()`,
 /// `adopt_into(&Registry, instance_labels)`, which registers every cell in
 /// declaration order with `instance_labels` appended to its own, and the
 /// snapshot struct's `METRICS`, the table of what that registers.
@@ -554,7 +555,7 @@ macro_rules! counters {
         }
 
         $(#[$cells_meta])*
-        #[derive(Debug, Default)]
+        #[derive(Debug, Default, Clone)]
         $vis struct $Cells {
             $($vis $field: $crate::metrics::Counter,)*
             $($($(#[$gauge_doc])* $vis $gauge: $crate::metrics::Gauge,)*)?

@@ -1,33 +1,33 @@
 //! A real-socket remote DNS guard: [`dnsguard::guard::GuardCore`] driven from
-//! `std::net` UDP sockets on loopback.
+//! one `std::net` UDP socket on loopback.
 //!
-//! This file decides nothing. The guard listens on one UDP port (the
-//! "public" ANS address) and reaches the real ANS from a second, ephemeral
-//! one; a thread per socket hands every datagram to the one core — the same
-//! code the simulator drives — and sends what the core appends to its
-//! out-buffer. Because the core keeps a forward table instead of waiting, a
-//! slow or silent ANS delays nobody but the client that asked it. This is
-//! the userspace equivalent of the paper's iptables module, sufficient for
-//! live demonstrations and latency measurements; the packet-level
-//! performance study runs in [`netsim`] (see the `bench` crate).
+//! This file decides nothing. The guard holds one UDP port, the "public"
+//! ANS address, and reaches the real ANS from it too, as the paper's
+//! firewall module sees both directions of traffic on the ANS's one
+//! address. One thread owns the socket and the core — the same code the
+//! simulator drives — hands the core every datagram and sends what it
+//! appends to its out-buffer. Because the core keeps a forward table
+//! instead of waiting, a slow or silent ANS delays nobody but the client
+//! that asked it. This is the userspace equivalent of the paper's iptables
+//! module, sufficient for live demonstrations and latency measurements; the
+//! packet-level performance study runs in [`netsim`] (see the `bench`
+//! crate).
 
 use crate::ans::ToyAns;
 use crate::stopflag::StopFlag;
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
-use dnsguard::guard::{GuardCore, Leg, Output, Outputs, WINDOW};
-use guardcheck::sync::Mutex;
+use dnsguard::guard::{GuardCore, Leg, Output, Outputs, StatsHandle, WINDOW};
 use netsim::packet::{Endpoint, Packet};
 use netsim::time::SimTime;
 use server::authoritative::Authority;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a socket read blocks before its thread looks at the stop flag
-/// (and, on the client leg, at the housekeeping window) again.
+/// How long a socket read blocks before the thread looks at the stop flag
+/// and the housekeeping window again.
 const POLL: Duration = Duration::from_millis(50);
 
 /// The live guard's one configuration. Only the modified-DNS (cookie
@@ -48,86 +48,73 @@ fn config(key_seed: u64) -> GuardConfig {
     }
 }
 
-/// What the two socket threads share.
-struct Shared {
-    core: Mutex<GuardCore>,
-    /// The guarded address: queries arrive here and every answer leaves
-    /// from here.
-    public: UdpSocket,
-    /// The leg to the ANS. Its own ephemeral port is entropy: a forger of
-    /// ANS answers has to find it.
-    upstream: UdpSocket,
+/// What the serving thread owns: the socket, the core and the core's clock.
+struct Serve {
+    core: GuardCore,
+    /// The guarded address: queries arrive here, forwards and answers leave
+    /// from here, and the ANS answers here.
+    sock: UdpSocket,
     ans: SocketAddr,
+    /// `sock`'s address, as the core sees it.
+    local: Endpoint,
     started: Instant,
     stop: StopFlag,
 }
 
-impl Shared {
-    /// Feeds the core from `leg`'s socket until stopped.
-    fn serve(&self, leg: Leg) -> io::Result<()> {
-        let sock = match leg {
-            Leg::Client => &self.public,
-            Leg::Upstream => &self.upstream,
-        };
-        let local = Endpoint::new(Ipv4Addr::LOCALHOST, sock.local_addr()?.port());
+impl Serve {
+    /// Feeds the core from the socket until stopped.
+    fn run(mut self) -> io::Result<()> {
         let mut buf = [0u8; 2048];
         let mut out = Outputs::default();
         let mut next_window = WINDOW;
         while !self.stop.should_stop() {
-            let pkt = match sock.recv_from(&mut buf) {
-                Ok((len, from)) => buf.get(..len).and_then(|payload| self.packet(leg, from, local, payload)),
+            let received = match self.sock.recv_from(&mut buf) {
+                Ok((len, from)) => buf.get(..len).map(|payload| (from, payload)),
                 Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => None,
                 Err(e) => return Err(e),
             };
-            // The client leg's thread also keeps the housekeeping window.
-            if pkt.is_none() && leg == Leg::Upstream {
-                continue;
+            // The core's clock is nanoseconds since spawn (trace events are
+            // stamped with it); one thread reads it, so it never runs
+            // backwards.
+            let now = SimTime::from_nanos(self.started.elapsed().as_nanos() as u64);
+            if now >= next_window {
+                next_window = now + WINDOW;
+                self.core.on_window(now, &mut out);
             }
-            {
-                let mut core = self.core.lock();
-                // The core's clock is nanoseconds since spawn (trace events are
-                // stamped with it), read under the lock so it never runs
-                // backwards.
-                let now = SimTime::from_nanos(self.started.elapsed().as_nanos() as u64);
-                if leg == Leg::Client && now >= next_window {
-                    next_window = now + WINDOW;
-                    core.on_window(now, &mut out);
-                }
-                if let Some(pkt) = pkt {
-                    core.handle_packet(now, leg, pkt, &mut out);
-                }
+            if let Some((SocketAddr::V4(from), payload)) = received {
+                let src = Endpoint::new(*from.ip(), from.port());
+                let pkt = Packet::udp(src, self.local, payload.to_vec());
+                self.core.handle_packet(now, self.leg(from), pkt, &mut out);
             }
             self.execute(&mut out);
         }
         Ok(())
     }
 
-    /// A received datagram as the core takes it; `None` for what must not
-    /// enter the guard. The leg is this driver's word: on the upstream one
-    /// it lets through only what the ANS's own socket sent, address *and*
-    /// port — the check against forged answers that only the socket's
-    /// owner can make (the core matches id and question).
-    fn packet(&self, leg: Leg, from: SocketAddr, local: Endpoint, payload: &[u8]) -> Option<Packet> {
-        let SocketAddr::V4(v4) = from else {
-            return None;
-        };
-        if leg == Leg::Upstream && from != self.ans {
-            return None;
+    /// The leg a datagram from `from` arrived on, which is this driver's
+    /// word: the upstream leg is what the ANS's own socket sent, address
+    /// *and* port, and everything else is the client leg. The core then
+    /// relays an upstream answer only under the keyed id and the question
+    /// of a live forward.
+    fn leg(&self, from: SocketAddrV4) -> Leg {
+        if SocketAddr::V4(from) == self.ans {
+            Leg::Upstream
+        } else {
+            Leg::Client
         }
-        Some(Packet::udp(Endpoint::new(*v4.ip(), v4.port()), local, payload.to_vec()))
     }
 
-    /// Sends what the core asked for, outside its lock. The charged cost is
-    /// the simulator's business; here the CPU time was really spent.
+    /// Sends what the core asked for. The charged cost is the simulator's
+    /// business; here the CPU time was really spent.
     fn execute(&self, out: &mut Outputs) {
         for output in out.drain() {
             // A failed send is a lost datagram, which DNS tolerates.
             let _ = match output {
                 Output::Packet(pkt) => {
                     let to = SocketAddrV4::new(pkt.dst.ip, pkt.dst.port);
-                    self.public.send_to(&pkt.payload, to)
+                    self.sock.send_to(&pkt.payload, to)
                 }
-                Output::ToAns(wire) => self.upstream.send_to(&wire, self.ans),
+                Output::ToAns(wire) => self.sock.send_to(&wire, self.ans),
                 // Only a standby of an HA pair claims addresses, and only a
                 // configured cadence checkpoints; this server sets neither.
                 Output::ClaimAddress(_) | Output::ClaimSubnet(..) | Output::Checkpoint(_) => continue,
@@ -136,11 +123,13 @@ impl Shared {
     }
 }
 
-/// A live remote guard: two background threads around one [`GuardCore`].
+/// A live remote guard: one background thread that owns a [`GuardCore`],
+/// and a read-only handle on the core's counters.
 pub struct GuardServer {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<io::Result<()>>>,
+    stats: StatsHandle,
+    stop: StopFlag,
+    handle: Option<JoinHandle<io::Result<()>>>,
 }
 
 impl GuardServer {
@@ -158,11 +147,9 @@ impl GuardServer {
     }
 
     fn spawn_inner(ans: SocketAddr, key_seed: u64, obs: Option<&obs::Obs>) -> io::Result<GuardServer> {
-        let (public, upstream) = (UdpSocket::bind("127.0.0.1:0")?, UdpSocket::bind("127.0.0.1:0")?);
-        for sock in [&public, &upstream] {
-            sock.set_read_timeout(Some(POLL))?;
-        }
-        let addr = public.local_addr()?;
+        let sock = UdpSocket::bind("127.0.0.1:0")?;
+        sock.set_read_timeout(Some(POLL))?;
+        let addr = sock.local_addr()?;
         // The loopback guard fabricates no referrals, so its classifier
         // needs no zones.
         let classifier = AuthorityClassifier::new(Authority::new(Vec::new()));
@@ -170,25 +157,22 @@ impl GuardServer {
         if let Some(obs) = obs {
             core.attach_obs(obs);
         }
-        let shared = Arc::new(Shared {
-            core: Mutex::new(core),
-            public,
-            upstream,
+        let stats = core.stats_handle();
+        let stop = StopFlag::new();
+        let serve = Serve {
+            core,
+            sock,
             ans,
+            local: Endpoint::new(Ipv4Addr::LOCALHOST, addr.port()),
             started: Instant::now(),
-            stop: StopFlag::new(),
-        });
-        let handles = [Leg::Client, Leg::Upstream]
-            .into_iter()
-            .map(|leg| {
-                let shared = shared.clone();
-                std::thread::spawn(move || shared.serve(leg))
-            })
-            .collect();
+            stop: stop.clone(),
+        };
+        let handle = std::thread::spawn(move || serve.run());
         Ok(GuardServer {
             addr,
-            shared,
-            handles,
+            stats,
+            stop,
+            handle: Some(handle),
         })
     }
 
@@ -198,9 +182,10 @@ impl GuardServer {
     }
 
     /// Counter snapshot: `(forwarded, grants, dropped_spoofed, dropped_rl1)`,
-    /// read off the core's [`dnsguard::guard::GuardStats`].
+    /// read off the core's [`dnsguard::guard::GuardStats`]. A reply the
+    /// guard sent is already counted here when it arrives.
     pub fn counters(&self) -> (u64, u64, u64, u64) {
-        let stats = self.shared.core.lock().stats();
+        let stats = self.stats.snapshot();
         (
             stats.forwarded,
             stats.grants_sent,
@@ -209,14 +194,14 @@ impl GuardServer {
         )
     }
 
-    /// Stops the guard's threads, as dropping the server does.
+    /// Stops the guard's thread, as dropping the server does.
     pub fn shutdown(self) {}
 }
 
 impl Drop for GuardServer {
     fn drop(&mut self) {
-        self.shared.stop.stop();
-        for handle in self.handles.drain(..) {
+        self.stop.stop();
+        if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
     }
@@ -245,6 +230,14 @@ mod tests {
     use obs::trace::Value;
     use server::zone::{paper_hierarchy, WWW_ADDR};
 
+    /// The conservation invariant, on the socket driver: every datagram
+    /// that entered the core landed in exactly one disposition. Read once
+    /// the test's last datagram has been handled.
+    fn assert_conserved(guard: &GuardServer) {
+        let stats = guard.stats.snapshot();
+        assert_eq!(stats.udp_datagrams, stats.disposition_total(), "{stats:?}");
+    }
+
     #[test]
     fn live_cookie_exchange_and_query() {
         let (_, _, foo) = paper_hierarchy();
@@ -262,9 +255,42 @@ mod tests {
         assert_eq!(forwarded, 2);
         assert_eq!(spoofed, 0);
         assert_eq!(ans.served(), 2);
+        assert_conserved(&guard);
 
         guard.shutdown();
         ans.shutdown();
+    }
+
+    /// The counters are the core's own cells, not a copy the thread
+    /// publishes: read the moment each reply arrives, while the serving
+    /// thread waits on its socket, they count every datagram of the
+    /// exchange that produced it.
+    #[test]
+    fn counters_are_exact_the_moment_a_reply_arrives() {
+        let (_, _, foo) = paper_hierarchy();
+        let (ans, guard) = spawn_guarded(Authority::new(vec![foo]), 47).unwrap();
+        let mut client = CookieClient::connect(guard.addr()).unwrap();
+        for n in 1..=3 {
+            client.query("www.foo.com".parse().unwrap(), RrType::A).unwrap();
+            assert_eq!(guard.counters(), (n, 1, 0, 0), "after query {n}");
+            // The grant request, then a query and its answer per round.
+            let stats = guard.stats.snapshot();
+            assert_eq!((stats.relayed_responses, stats.udp_datagrams), (n, 2 * n + 1));
+            assert_conserved(&guard);
+        }
+        guard.shutdown();
+        ans.shutdown();
+    }
+
+    /// With nothing to serve the one thread sits in `recv_from`; shutdown
+    /// is seen when the read times out, and the thread is joined.
+    #[test]
+    fn shutdown_joins_the_one_thread_within_a_poll() {
+        let (_ans, guard) = guard_before_bare_socket(48, None);
+        let asked = Instant::now();
+        guard.shutdown();
+        let took = asked.elapsed();
+        assert!(took < POLL + Duration::from_millis(100), "shutdown took {took:?}");
     }
 
     /// A `guard` counter or gauge of `obs`'s registry, summed over labels.
@@ -297,6 +323,7 @@ mod tests {
         assert_eq!(metric(&obs, "verify"), 1);
         assert_eq!(metric(&obs, "relayed_responses"), 1);
         assert_eq!(metric(&obs, "udp_datagrams"), 3);
+        assert_conserved(&guard);
         let (events, _) = obs.tracer.drain();
         assert!(events.iter().all(|e| e.component == "guard"));
         assert!(events.iter().any(|e| e.kind == "grant"));
@@ -359,15 +386,17 @@ mod tests {
 
         let (_, took) = obtain_cookie(&second, &guard);
         assert!(took < Duration::from_millis(250), "the grant took {took:?}");
+        assert_conserved(&guard);
         guard.shutdown();
     }
 
-    /// The upstream leg relays only the ANS's answer to a forward that is
-    /// still waiting for it. Two forwards are in flight at once; on the
-    /// second's id arrive, in this order, a forged answer from a socket that
-    /// is not the ANS, an answer from the ANS to a question the guard did not
-    /// ask, and the real answer. The first forward is answered only after it
-    /// has expired.
+    /// The upstream leg is what the ANS's socket sends, and the core relays
+    /// from it only the answer to a forward that is still waiting. Two
+    /// forwards are in flight at once, both sent from the guard's one
+    /// address; on the second's id arrive there, in this order, a forged
+    /// answer from a socket that is not the ANS, an answer from the ANS to a
+    /// question the guard did not ask, and the real answer. The first
+    /// forward is answered only after it has expired.
     #[test]
     fn late_and_foreign_upstream_datagrams_never_reach_the_next_client() {
         let obs = obs::Obs::new();
@@ -380,10 +409,11 @@ mod tests {
         // Both forwards arrive before either is answered.
         let forward = || {
             let mut buf = [0u8; 512];
-            let (n, upstream) = ans.recv_from(&mut buf).expect("a forward");
-            (Message::decode(&buf[..n]).unwrap(), upstream)
+            let (n, from) = ans.recv_from(&mut buf).expect("a forward");
+            assert_eq!(from, guard.addr(), "forwards leave from the guarded address");
+            Message::decode(&buf[..n]).unwrap()
         };
-        let ((fwd1, upstream), (fwd2, _)) = (forward(), forward());
+        let (fwd1, fwd2) = (forward(), forward());
         let (fwd1, fwd2) = match fwd1.questions[0].name == "one.foo.com".parse().unwrap() {
             true => (fwd1, fwd2),
             false => (fwd2, fwd1),
@@ -399,9 +429,9 @@ mod tests {
             Ipv4Addr::new(2, 2, 2, 2),
         );
         let intruder = UdpSocket::bind("127.0.0.1:0").unwrap();
-        intruder.send_to(&answer(&fwd2, "two.foo.com", forged), upstream).unwrap();
-        ans.send_to(&answer(&fwd2, "six.foo.com", forged), upstream).unwrap();
-        ans.send_to(&answer(&fwd2, "two.foo.com", real), upstream).unwrap();
+        intruder.send_to(&answer(&fwd2, "two.foo.com", forged), guard.addr()).unwrap();
+        ans.send_to(&answer(&fwd2, "six.foo.com", forged), guard.addr()).unwrap();
+        ans.send_to(&answer(&fwd2, "two.foo.com", real), guard.addr()).unwrap();
 
         let mut buf = [0u8; 512];
         let (n, _) = second.recv_from(&mut buf).expect("the second query is answered");
@@ -411,6 +441,8 @@ mod tests {
         assert_eq!(resp.answers[0].rdata, RData::A(real));
         second.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
         assert!(second.recv_from(&mut buf).is_err(), "and only once");
+        // The intruder's answer came in on the client leg.
+        assert_eq!((metric(&obs, "resp_foreign"), metric(&obs, "resp_unmatched")), (1, 1));
 
         // The first forward is seen waiting in the table, then expires; what
         // the ANS says after that is late.
@@ -423,11 +455,12 @@ mod tests {
         };
         wait_until("the first forward waiting", &|| metric(&obs, "table_bytes") > 0);
         wait_until("the first forward expire", &|| metric(&obs, "table_bytes") == 0);
-        ans.send_to(&answer(&fwd1, "one.foo.com", late), upstream).unwrap();
+        ans.send_to(&answer(&fwd1, "one.foo.com", late), guard.addr()).unwrap();
         wait_until("the late answer dropped", &|| metric(&obs, "resp_unmatched") == 2);
         first.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
         assert!(first.recv_from(&mut buf).is_err(), "the late answer went nowhere");
         assert_eq!(metric(&obs, "relayed_responses"), 1);
+        assert_conserved(&guard);
 
         guard.shutdown();
     }
@@ -447,6 +480,7 @@ mod tests {
         let (_, _, spoofed, _) = guard.counters();
         assert_eq!(spoofed, 1);
         assert_eq!(ans.served(), 0);
+        assert_conserved(&guard);
 
         guard.shutdown();
         ans.shutdown();

@@ -6,10 +6,11 @@
 //!   [`server::authoritative::Authority`], through the wire entry point the
 //!   simulated ANS uses (the reply written over the query, in the receive
 //!   buffer);
-//! * [`guard_server`] — the remote guard on two UDP sockets, configured for
+//! * [`guard_server`] — the remote guard on one UDP socket, configured for
 //!   the modified-DNS cookie extension (the scheme RFC 7873 later
-//!   standardised). It is a driver and nothing else: every datagram goes to
-//!   a [`dnsguard::guard::GuardCore`], which grants and verifies cookies,
+//!   standardised). It is a driver and nothing else: one thread owns a
+//!   [`dnsguard::guard::GuardCore`] and hands it every datagram, from
+//!   clients and from the ANS alike; the core grants and verifies cookies,
 //!   rate-limits, forwards and matches the ANS's answers;
 //! * [`client`] — a cookie-capable client that transparently performs the
 //!   cookie exchange and stamps cached cookies on queries;
