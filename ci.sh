@@ -11,7 +11,6 @@
 #                RNGs, relaxed atomics, the workspace's layering) and L1
 #                indexing; fails on any finding, and a finding is exempt
 #                only by an inline `// lint: <id> — <why>`
-#   guardcheck   the interleaving model checker's harnesses (300 s cap)
 #   clippy       clippy with warnings denied
 #   experiments  every experiment: bars, export validation, and a `cmp` of
 #                every export and of the paper tables' stdout against the
@@ -47,20 +46,6 @@ if want lint; then
   # Inside GitHub Actions, emit ::error annotations so findings land on
   # the PR diff lines; locally, the plain file:line form.
   cargo run -q --offline -p guardlint -- ${GITHUB_ACTIONS:+--github}
-fi
-
-if want guardcheck; then
-  echo "==> guardcheck (deterministic interleaving model checker)"
-  # The three harnesses run the real Counter/Histogram/Tracer/StopFlag
-  # types under the modeled scheduler
-  # (guardcheck::sync resolves to the model under --cfg guardcheck) and
-  # print per-harness schedule/state counts; the aggregate test enforces
-  # ≥ 5 000 distinct schedules with zero counterexamples, and the
-  # mutation test proves a demoted Release store is caught with a
-  # replayable trace. Wall-clock budget: 300 s (locally ~tens of seconds;
-  # `timeout` makes overrun a hard failure, not a hung job).
-  RUSTFLAGS="--cfg guardcheck" timeout 300 \
-    cargo test -q --offline -p guardcheck --test harnesses -- --nocapture
 fi
 
 if want clippy; then

@@ -21,9 +21,7 @@
 //! makes the CLI exit 1, and `--github` re-renders them as Actions
 //! annotations. Zero dependencies by design: the crate carries its own
 //! comment/string-aware lexer ([`lexer`]) instead of a Rust parser,
-//! because every invariant here is token-shaped. guardlint is the static
-//! front line of the concurrency toolchain; the `guardcheck` crate's
-//! interleaving model checker is the dynamic back line.
+//! because every invariant here is token-shaped.
 
 pub mod findings;
 pub mod lexer;

@@ -101,7 +101,8 @@ const LAYERING: &[(&str, &str, &str, &str)] = &[
     ("testbed", "let e = AlertEngine::new(config);", "crates/bench/src/fleet.rs", "crates/bench/src/worlds.rs"),
     ("testbed", "let e = AlertEngine::new(config);", "tests/failover.rs", "crates/obs/src/alert.rs"),
     ("L3", "hits.fetch_add(1, Ordering::Relaxed);", "crates/runtime/src/ans.rs", "crates/obs/src/metrics.rs"),
-    ("L3", "let n = hits.load(Ordering::Relaxed);", "src/lib.rs", "crates/guardcheck/tests/model.rs"),
+    ("L3", "let n = hits.load(Ordering::Relaxed);", "src/lib.rs", "examples/live_proxy.rs"),
+    ("L3", "self.0.store(true, Ordering::Relaxed);", "crates/runtime/src/stopflag.rs", "crates/obs/src/trace.rs"),
 ];
 
 #[test]
@@ -154,9 +155,9 @@ fn l3_requires_justification_outside_obs_record_path() {
         "a flag store reads the pairing advice: {}",
         all[0].message
     );
-    // The obs record path and guardcheck are out of scope wholesale, so
-    // the justification on line 5 is stale there.
-    for rel in ["crates/obs/src/metrics.rs", "crates/guardcheck/src/flags.rs"] {
+    // The obs record path is out of scope wholesale, so the justification
+    // on line 5 is stale there.
+    for rel in ["crates/obs/src/metrics.rs", "crates/obs/src/trace.rs"] {
         let f = fixture("bad_ordering.rs.txt", rel);
         assert_eq!(found(&f, "L3"), vec![5], "{rel}");
     }

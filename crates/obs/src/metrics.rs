@@ -8,8 +8,15 @@
 //! observer attaches. The record path is a single relaxed atomic operation:
 //! no locks, no allocation, no branch on registration state.
 
-use guardcheck::sync::{AtomicU64, Mutex, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering from poison: a recorder that panicked while
+/// holding the registry or the trace ring must not wedge the telemetry
+/// thread that reads them.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Number of log₂ buckets in a [`Histogram`]: one per power of two, which
 /// covers `u64` exactly.
@@ -48,23 +55,9 @@ impl Counter {
         self.0.store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
-    /// Adds one with release ordering: a subsequent
-    /// [`Counter::get_acquire`] that observes an effect published *after*
-    /// this increment also observes the increment.
-    #[inline]
-    pub fn inc_release(&self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
-
     /// Current value (relaxed).
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Current value with acquire ordering (pairs with
-    /// [`Counter::inc_release`]).
-    pub fn get_acquire(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -353,7 +346,7 @@ impl Registry {
         make: impl FnOnce() -> Cell,
     ) -> Cell {
         let labels = Self::own(labels);
-        let mut rows = self.rows.lock();
+        let mut rows = lock(&self.rows);
         if let Some(i) = Self::position(&rows, component, name, &labels) {
             return rows[i].cell.clone();
         }
@@ -453,7 +446,7 @@ impl Registry {
         cell: Cell,
     ) {
         let labels = Self::own(labels);
-        let mut rows = self.rows.lock();
+        let mut rows = lock(&self.rows);
         match Self::position(&rows, component, name, &labels) {
             Some(i) => rows[i].cell = cell,
             None => rows.push(Row {
@@ -467,18 +460,17 @@ impl Registry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.rows.lock().len()
+        lock(&self.rows).len()
     }
 
     /// Whether no metrics are registered.
     pub fn is_empty(&self) -> bool {
-        self.rows.lock().is_empty()
+        lock(&self.rows).is_empty()
     }
 
     /// Reads every registered metric.
     pub fn snapshot(&self) -> Vec<MetricSample> {
-        self.rows
-            .lock()
+        lock(&self.rows)
             .iter()
             .map(|r| MetricSample {
                 component: r.component,
@@ -500,8 +492,7 @@ impl Registry {
     /// The flat series keys and cell clones of every registered metric, in
     /// registration order (the sampler snapshots this once).
     pub(crate) fn cells(&self) -> Vec<(String, Cell)> {
-        self.rows
-            .lock()
+        lock(&self.rows)
             .iter()
             .map(|r| (r.key(), r.cell.clone()))
             .collect()
@@ -626,6 +617,31 @@ mod tests {
             ("probe", "level", &[]),
         ];
         assert_eq!(ProbeStats::METRICS, declared);
+    }
+
+    #[test]
+    fn metrics_record_path() {
+        // Four threads share one counter and one histogram: every relaxed
+        // `fetch_add` lands, so the totals are exact after the join.
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 100_000;
+        let c = Counter::new();
+        let h = Histogram::new();
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for v in 0..PER_THREAD {
+                        c.inc();
+                        h.record(v);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), THREADS * PER_THREAD, "no increment lost");
+        assert_eq!(h.count(), THREADS * PER_THREAD, "no sample lost");
+        assert_eq!(h.sum(), THREADS * PER_THREAD * (PER_THREAD - 1) / 2);
+        let bucketed: u64 = h.buckets().iter().map(|&(_, n)| n).sum();
+        assert_eq!(bucketed, h.count(), "the buckets hold every sample");
     }
 
     #[test]

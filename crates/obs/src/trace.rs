@@ -11,12 +11,12 @@
 //! and returns immediately when the event's level is not enabled — the
 //! disabled cost is a branch, not an allocation or a lock.
 
-use crate::metrics::{Counter, Gauge, Registry};
-use guardcheck::sync::{AtomicU8, Mutex, Ordering};
+use crate::metrics::{lock, Counter, Gauge, Registry};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Maximum number of fields carried by one [`Event`]; extras are truncated.
 pub const MAX_FIELDS: usize = 6;
@@ -195,9 +195,7 @@ impl Tracer {
     }
 
     fn level_cell(&self, component: &'static str) -> Arc<AtomicU8> {
-        self.shared
-            .components
-            .lock()
+        lock(&self.shared.components)
             .entry(component)
             .or_insert_with(|| Arc::new(AtomicU8::new(INHERIT)))
             .clone()
@@ -216,7 +214,7 @@ impl Tracer {
     /// Takes every buffered event (oldest first) and the count of events
     /// dropped by the ring bound since the last drain.
     pub fn drain(&self) -> (Vec<Event>, u64) {
-        let mut ring = self.shared.ring.lock();
+        let mut ring = lock(&self.shared.ring);
         let events = std::mem::take(&mut ring.buf).into();
         self.shared.occupancy.set(0);
         (events, std::mem::take(&mut ring.dropped))
@@ -226,7 +224,7 @@ impl Tracer {
     /// without consuming them — the live telemetry endpoint's peek, which
     /// must not steal events from a draining exporter.
     pub fn recent(&self, n: usize) -> Vec<Event> {
-        let ring = self.shared.ring.lock();
+        let ring = lock(&self.shared.ring);
         let skip = ring.buf.len().saturating_sub(n);
         ring.buf.iter().skip(skip).cloned().collect()
     }
@@ -246,12 +244,12 @@ impl Tracer {
 
     /// Number of currently buffered events.
     pub fn len(&self) -> usize {
-        self.shared.ring.lock().buf.len()
+        lock(&self.shared.ring).buf.len()
     }
 
     /// Whether no events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.shared.ring.lock().buf.is_empty()
+        lock(&self.shared.ring).buf.is_empty()
     }
 }
 
@@ -327,7 +325,7 @@ impl ComponentTracer {
             fields: buf,
             n_fields: n as u8,
         };
-        let mut ring = self.shared.ring.lock();
+        let mut ring = lock(&self.shared.ring);
         if self.shared.capacity == 0 {
             ring.dropped += 1;
             self.shared.dropped_total.inc();
@@ -428,6 +426,36 @@ mod tests {
         assert_eq!(occupancy.get(), 0, "drain empties the ring");
         assert_eq!(dropped.get(), 3, "lifetime counter is never reset");
         assert_eq!(tracer.dropped_total(), 3);
+    }
+
+    #[test]
+    fn tracer_ring() {
+        // Two recorders overflow a small ring while the main thread drains
+        // it: every event is drained once or counted dropped once.
+        const K: u64 = 20_000;
+        let reg = Registry::new();
+        let tracer = Tracer::new(64);
+        tracer.adopt_into(&reg);
+        tracer.set_default_level(Level::Info);
+        let (mut drained, mut dropped) = (0u64, 0u64);
+        let mut take = || {
+            let (events, lost) = tracer.drain();
+            drained += events.len() as u64;
+            dropped += lost;
+        };
+        std::thread::scope(|s| {
+            let recorders = ["guard", "ans"].map(|name| {
+                let t = tracer.component(name);
+                s.spawn(move || (0..K).for_each(|i| t.event(i, "ans_probe", &[])))
+            });
+            while !recorders.iter().all(|r| r.is_finished()) {
+                take();
+            }
+        });
+        take();
+        assert_eq!(drained + dropped, 2 * K, "drained {drained}, dropped {dropped}");
+        assert_eq!(dropped, tracer.dropped_total());
+        assert_eq!(reg.gauge("trace", "ring_occupancy", &[]).get(), 0);
     }
 
     #[test]

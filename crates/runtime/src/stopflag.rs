@@ -1,16 +1,13 @@
 //! Shared shutdown signal for runtime worker threads.
 //!
-//! Every runtime component (guard server, TCP front, toy ANS,
-//! telemetry endpoint) used to hand-roll the same `Arc<AtomicBool>`
-//! Release/Acquire pair; [`StopFlag`] centralizes it so the ordering
-//! discipline lives in exactly one place — and, because it is built on
-//! `guardcheck::sync`, the pair is model-checked: the guardcheck
-//! `stop_flag` harness proves that work published before [`StopFlag::stop`]
-//! is visible to a worker that observed [`StopFlag::should_stop`], and
-//! the seeded mutation test proves the checker would catch a demotion
-//! of the Release store.
+//! Every runtime thread (guard server, toy ANS, telemetry endpoint)
+//! polls one of these, so the `Arc<AtomicBool>` Release/Acquire
+//! pair is written in exactly one place: work the stopping thread did
+//! before [`StopFlag::stop`] is visible to a worker that observed
+//! [`StopFlag::should_stop`]. guardlint's L3 row fails on a `Relaxed`
+//! store or load here, so the pair cannot be demoted silently.
 
-use guardcheck::sync::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Cloneable one-way shutdown latch. Clones share the flag: the owner
@@ -36,20 +33,6 @@ impl StopFlag {
     /// with the Release store in [`StopFlag::stop`].
     pub fn should_stop(&self) -> bool {
         self.0.load(Ordering::Acquire)
-    }
-
-    /// Seeded mutation for the model checker's own self-test: stores
-    /// the flag with `Relaxed`, severing the happens-before edge that
-    /// [`StopFlag::stop`] provides. The guardcheck harness asserts the
-    /// checker reports this as a data race with a replayable trace —
-    /// proving the checker would catch the same regression in real
-    /// code. Only exists under `cfg(guardcheck)`; production builds
-    /// cannot call it.
-    #[cfg(guardcheck)]
-    pub fn stop_relaxed_for_mutation_test(&self) {
-        // lint: L3 — the broken ordering IS the point: the model
-        // checker must detect this demotion (see the guardcheck harness).
-        self.0.store(true, Ordering::Relaxed);
     }
 }
 

@@ -387,7 +387,7 @@ mod tests {
         let engine = AlertEngine::new(AlertConfig::default());
         // The provider shape a deployment wires: a closure over the guard's
         // shared snapshot handle, serialised fresh per request.
-        let snap = Arc::new(guardcheck::sync::Mutex::new(
+        let snap = Arc::new(std::sync::Mutex::new(
             obs::sketch::AnalyticsSnapshot::default(),
         ));
         {
@@ -395,11 +395,11 @@ mod tests {
             for i in 0..100u32 {
                 sketch.observe_key(0x0a00_0000 | (i % 7));
             }
-            *snap.lock() = sketch.snapshot();
+            *snap.lock().unwrap() = sketch.snapshot();
         }
         let provider: AnalyticsProvider = {
             let snap = snap.clone();
-            Arc::new(move || snap.lock().to_json())
+            Arc::new(move || snap.lock().unwrap().to_json())
         };
         let server = TelemetryServer::spawn_with_analytics(
             &obs,
