@@ -163,9 +163,9 @@ pub const RULES: &[Rule] = &[
             paths: &["crates/server/src/nodes.rs", "crates/runtime/src/ans.rs"],
             except: &[],
         },
-        check: Check::Tokens(&["Message::decode"]),
-        message: "on the ANS wire path: answer from a view over the query's own buffer \
-                  (`Authority::answer_wire`)",
+        check: Check::Tokens(&["Message::decode", "answer_wire"]),
+        message: "on the ANS wire path: answer through the `AnswerCache`, which answers a miss \
+                  from a view over the query's own buffer",
         tests: false,
     },
     Rule {

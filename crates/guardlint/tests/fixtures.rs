@@ -86,6 +86,8 @@ const LAYERING: &[(&str, &str, &str, &str)] = &[
     ("state-table", "let memo: HashMap<u32, bool> = HashMap::new();", "crates/core/src/guard/keys.rs", "crates/core/src/guard/stash.rs"),
     ("ans-wire", "let q = Message::decode(&buf);", "crates/server/src/nodes.rs", "crates/server/src/resolver.rs"),
     ("ans-wire", "let q = Message::decode(&buf);", "crates/runtime/src/ans.rs", "crates/runtime/src/client.rs"),
+    ("ans-wire", "let r = self.authority.answer_wire(q, start, 512);", "crates/server/src/nodes.rs", "crates/server/src/authoritative.rs"),
+    ("ans-wire", "let r = authority.answer_wire(q, start, 512);", "crates/runtime/src/ans.rs", "crates/server/src/authoritative.rs"),
     ("tcp-framing", "framed.extend_from_slice(&(wire.len() as u16).to_be_bytes());", "crates/server/src/nodes.rs", "crates/dnswire/src/framing.rs"),
     ("tcp-framing", "let prefix = (msg.len() as u16).to_be_bytes();", "crates/core/src/tcp_proxy.rs", "crates/netsim/src/tcp.rs"),
     ("tcp-framing", "buf.extend_from_slice(&(q.len() as u16).to_be_bytes());", "crates/runtime/src/client.rs", "tests/end_to_end.rs"),

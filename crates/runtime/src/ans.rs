@@ -1,13 +1,11 @@
 //! A real-socket authoritative name server: answers UDP DNS queries from a
-//! [`server::authoritative::Authority`] on a loopback port, through
-//! [`Authority::answer_wire`] — the answer path of the simulated
-//! `server::nodes::AuthNode`. The serving thread owns the authority and one
-//! buffer, into which a query is received and over which its answer is
-//! written.
+//! [`server::authoritative::Authority`] on a loopback port, through an
+//! [`AnswerCache`] — the answer path of the simulated
+//! `server::nodes::AuthNode`. The serving thread owns the authority, the
+//! cache and one buffer, into which a query is received and over which its
+//! answer is written.
 
-use dnswire::message::MAX_UDP_PAYLOAD;
-use dnswire::view::MessageView;
-use server::authoritative::Authority;
+use server::authoritative::{AnswerCache, Authority, Reply, Transport};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use crate::stopflag::StopFlag;
@@ -60,6 +58,7 @@ impl ToyAns {
         let t_stop = stop.clone();
         let t_counters = counters.clone();
         let handle = std::thread::spawn(move || {
+            let mut cache = AnswerCache::default();
             let mut buf = Vec::new();
             while !t_stop.should_stop() {
                 buf.resize(2048, 0);
@@ -74,25 +73,23 @@ impl ToyAns {
                     Err(_) => break,
                 };
                 buf.truncate(len);
-                let Ok(query) = MessageView::parse(&buf) else {
-                    // lint: L3 — monotonic statistic; readers sync
-                    // via the shutdown join, not via this counter.
-                    t_counters.bad_packets.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                if query.header.response {
-                    continue;
-                }
-                let start = query.reply_start();
                 let query = std::mem::take(&mut buf);
-                if let Ok(wire) = authority.answer_wire(query, start, MAX_UDP_PAYLOAD) {
-                    // Count before sending so observers who already saw the
-                    // response also see the counter.
-                    // lint: L3 — monotonic statistic; exactness only
-                    // matters after shutdown(), which joins the thread.
-                    t_counters.served.fetch_add(1, Ordering::Relaxed);
-                    let _ = sock.send_to(&wire, peer);
-                    buf = wire;
+                match cache.reply(&authority, query, Transport::Udp) {
+                    Reply::Cached(wire) | Reply::Fresh(wire) => {
+                        // Count before sending so observers who already saw
+                        // the response also see the counter.
+                        // lint: L3 — monotonic statistic; exactness only
+                        // matters after shutdown(), which joins the thread.
+                        t_counters.served.fetch_add(1, Ordering::Relaxed);
+                        let _ = sock.send_to(&wire, peer);
+                        buf = wire;
+                    }
+                    Reply::Unparseable => {
+                        // lint: L3 — monotonic statistic; readers sync
+                        // via the shutdown join, not via this counter.
+                        t_counters.bad_packets.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Reply::Response | Reply::Failed => {}
                 }
             }
         });
@@ -151,15 +148,18 @@ mod tests {
         client
             .set_read_timeout(Some(Duration::from_secs(2)))
             .unwrap();
-        let q = Message::query(0xABCD, "www.foo.com".parse().unwrap(), RrType::A);
-        client.send_to(&q.encode(), ans.addr()).unwrap();
+        // The second answer is the held one, under its own id.
+        for id in [0xABCD, 0x1234] {
+            let q = Message::query(id, "www.foo.com".parse().unwrap(), RrType::A);
+            client.send_to(&q.encode(), ans.addr()).unwrap();
 
-        let mut buf = [0u8; 2048];
-        let (len, _) = client.recv_from(&mut buf).unwrap();
-        let resp = Message::decode(&buf[..len]).unwrap();
-        assert_eq!(resp.header.id, 0xABCD);
-        assert_eq!(resp.answers[0].rdata, RData::A(WWW_ADDR));
-        assert_eq!(ans.served(), 1);
+            let mut buf = [0u8; 2048];
+            let (len, _) = client.recv_from(&mut buf).unwrap();
+            let resp = Message::decode(&buf[..len]).unwrap();
+            assert_eq!(resp.header.id, id);
+            assert_eq!(resp.answers[0].rdata, RData::A(WWW_ADDR));
+        }
+        assert_eq!(ans.served(), 2);
         ans.shutdown();
     }
 }

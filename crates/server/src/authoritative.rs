@@ -9,18 +9,23 @@
 //! and the benchmark hold an answer in. [`Authority::answer_wire`] pushes
 //! them into a [`Writer`] over the query's own buffer, so a served datagram
 //! is parsed once as a view, its question name is the only thing built, and
-//! the reply leaves in the bytes the query came in; both the simulated
+//! the reply leaves in the bytes the query came in.
+//!
+//! Servers answer through an [`AnswerCache`] in front of `answer_wire`: a
+//! query whose bytes after its id match a held one is answered by copying
+//! the held reply behind the query's own id. Both the simulated
 //! [`AuthNode`](crate::nodes::AuthNode) (UDP and TCP) and the real-socket
-//! `runtime::ans::ToyAns` answer through it.
+//! `runtime::ans::ToyAns` own one.
 
 use crate::zone::Zone;
 use dnswire::error::WireResult;
-use dnswire::message::Message;
+use dnswire::message::{Message, MAX_UDP_PAYLOAD};
 use dnswire::name::Name;
 use dnswire::question::Question;
 use dnswire::rdata::RData;
 use dnswire::record::Record;
 use dnswire::types::{Rcode, RrType};
+use dnswire::view::MessageView;
 use dnswire::writer::{ReplyStart, Section, Writer};
 
 /// How an authority classified its response — used by tests, the guard
@@ -207,6 +212,170 @@ impl Authority {
             (AnswerKind::NxDomain, Rcode::NxDomain)
         }
     }
+}
+
+/// Entries an [`AnswerCache`] holds: a direct-mapped table of this many
+/// slots, each one query and its reply of at most [`MAX_UDP_PAYLOAD`] bytes.
+pub const SLOTS: usize = 256;
+
+/// The transport a query came over: it sets the reply's size limit and
+/// whether a response-flagged datagram is answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// Replies truncate at [`MAX_UDP_PAYLOAD`]; a response-flagged
+    /// datagram is not answered, so a server cannot be made to reflect.
+    Udp,
+    /// Replies have no limit; every parseable message is answered.
+    Tcp,
+}
+
+impl Transport {
+    fn limit(self) -> usize {
+        match self {
+            Transport::Udp => MAX_UDP_PAYLOAD,
+            Transport::Tcp => usize::MAX,
+        }
+    }
+}
+
+/// What [`AnswerCache::reply`] did with a datagram.
+#[derive(Debug, Clone)]
+pub enum Reply {
+    /// A held reply behind the query's id, without a parse or a zone walk.
+    Cached(Vec<u8>),
+    /// [`Authority::answer_wire`]'s reply.
+    Fresh(Vec<u8>),
+    /// A response-flagged datagram over UDP: not answered.
+    Response,
+    /// Not a DNS message: not answered.
+    Unparseable,
+    /// A query whose answer failed: its question section alone passes the
+    /// transport's limit.
+    Failed,
+}
+
+impl Reply {
+    /// Whether the datagram was a query the server served, answered or
+    /// not: what a server charges and counts.
+    pub fn is_query(&self) -> bool {
+        matches!(self, Reply::Cached(_) | Reply::Fresh(_) | Reply::Failed)
+    }
+
+    /// The reply's bytes, if there is one to send.
+    pub fn into_wire(self) -> Option<Vec<u8>> {
+        match self {
+            Reply::Cached(wire) | Reply::Fresh(wire) => Some(wire),
+            Reply::Response | Reply::Unparseable | Reply::Failed => None,
+        }
+    }
+}
+
+/// One held answer: the query's bytes after its id and the reply's.
+#[derive(Debug)]
+struct Entry {
+    transport: Transport,
+    key: Vec<u8>,
+    reply: Vec<u8>,
+}
+
+/// A packet cache in front of [`Authority::answer_wire`], owned by one
+/// server: the one way a server answers a datagram.
+///
+/// The key is the transport and the query's bytes after its 2-byte id. The
+/// reply's bytes after the id are a function of that key alone — the
+/// `Writer` takes the header from the query's and copies the question as
+/// it lies, and the zone walk reads an immutable [`Authority`] — so a hit is
+/// byte for byte what `answer_wire` returns. The one way a parse reads the
+/// id is a compression pointer to offset 0 or 1; a query holding the bytes
+/// of one anywhere is answered but not held. A hit compares the whole key,
+/// so a colliding or forged query can only miss.
+///
+/// The table is direct-mapped over [`SLOTS`] slots and allocated on the
+/// first store. A query or reply over [`MAX_UDP_PAYLOAD`] bytes is answered
+/// but not held, so a server holds at most `SLOTS` queries and replies of at
+/// most that size.
+///
+/// # Examples
+///
+/// ```
+/// use server::authoritative::{AnswerCache, Authority, Reply, Transport};
+/// use server::zone::paper_hierarchy;
+/// use dnswire::message::Message;
+/// use dnswire::types::RrType;
+///
+/// let (_, _, foo) = paper_hierarchy();
+/// let authority = Authority::new(vec![foo]);
+/// let mut cache = AnswerCache::default();
+/// let ask = |id| Message::query(id, "www.foo.com".parse().unwrap(), RrType::A).encode();
+/// let Reply::Fresh(first) = cache.reply(&authority, ask(1), Transport::Udp) else { panic!() };
+/// let Reply::Cached(second) = cache.reply(&authority, ask(2), Transport::Udp) else { panic!() };
+/// assert_eq!(second[..2], [0, 2], "under the asker's id");
+/// assert_eq!(first[2..], second[2..]);
+/// ```
+#[derive(Debug, Default)]
+pub struct AnswerCache {
+    slots: Vec<Option<Entry>>,
+}
+
+impl AnswerCache {
+    /// Answers the datagram `query` that came over `transport`: from the
+    /// held reply when its bytes after the id match one, else through
+    /// [`Authority::answer_wire`], whose reply is then held.
+    pub fn reply(&mut self, authority: &Authority, mut query: Vec<u8>, transport: Transport) -> Reply {
+        let key = query.get(2..).unwrap_or_default();
+        let slot = slot_of(transport, key);
+        let held = self.slots.get(slot).and_then(Option::as_ref);
+        if let Some(entry) = held.filter(|e| e.transport == transport && e.key == key) {
+            query.truncate(2);
+            query.extend_from_slice(&entry.reply);
+            return Reply::Cached(query);
+        }
+        let Ok(view) = MessageView::parse(&query) else {
+            return Reply::Unparseable;
+        };
+        if view.header.response && transport == Transport::Udp {
+            return Reply::Response;
+        }
+        let start = view.reply_start();
+        let key = (query.len() <= MAX_UDP_PAYLOAD && !reads_id(&query)).then(|| query[2..].to_vec());
+        let Ok(wire) = authority.answer_wire(query, start, transport.limit()) else {
+            return Reply::Failed;
+        };
+        if let Some(key) = key.filter(|_| wire.len() <= MAX_UDP_PAYLOAD) {
+            if self.slots.is_empty() {
+                self.slots.resize_with(SLOTS, || None);
+            }
+            let reply = wire[2..].to_vec();
+            self.slots[slot] = Some(Entry { transport, key, reply });
+        }
+        Reply::Fresh(wire)
+    }
+
+    /// The entries held, as `(key, reply)` byte pairs.
+    #[cfg(test)]
+    fn held(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.slots.iter().flatten().map(|e| (&e.key[..], &e.reply[..]))
+    }
+}
+
+/// The slot of `key` over `transport`: a multiply-rotate over its 8-byte
+/// words. Any spread will do, since a hit compares the whole key.
+fn slot_of(transport: Transport, key: &[u8]) -> usize {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = transport as u64;
+    for chunk in key.chunks(8) {
+        let mut word = [0; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(K).rotate_left(29);
+    }
+    (h.wrapping_mul(K) >> 32) as usize % SLOTS
+}
+
+/// Whether `query` holds, after its id, the bytes of a compression pointer
+/// to offset 0 or 1 — the only way a parse can read the id. A byte pair
+/// that merely looks like one only costs a miss.
+fn reads_id(query: &[u8]) -> bool {
+    query.get(2..).unwrap_or_default().windows(2).any(|w| matches!(w, [0xC0, 0 | 1]))
 }
 
 #[cfg(test)]
@@ -502,5 +671,149 @@ mod tests {
                 prop_assert_eq!(authority.answer_wire(query, start, usize::MAX), Ok(owned.encode()));
             }
         }
+    }
+
+    /// What a server without a cache sends for `datagram` over
+    /// `transport`: `answer_wire` over a fresh buffer, under the
+    /// transport's rules.
+    fn uncached(authority: &Authority, datagram: &[u8], transport: Transport) -> Option<Vec<u8>> {
+        let view = MessageView::parse(datagram).ok()?;
+        if view.header.response && transport == Transport::Udp {
+            return None;
+        }
+        authority.answer_wire(datagram.to_vec(), view.reply_start(), transport.limit()).ok()
+    }
+
+    fn with_id(datagram: &[u8], id: u16) -> Vec<u8> {
+        let mut out = datagram.to_vec();
+        if let Some(head) = out.get_mut(..2) {
+            head.copy_from_slice(&id.to_be_bytes());
+        }
+        out
+    }
+
+    /// A query for a name of its own whose key falls in `datagram`'s slot,
+    /// found by searching names against the hash.
+    fn collider(datagram: &[u8], transport: Transport) -> Vec<u8> {
+        let slot = slot_of(transport, datagram.get(2..).unwrap_or_default());
+        (0u32..)
+            .map(|i| q(&format!("collide{i}.foo.com"), RrType::A).encode())
+            .find(|wire| slot_of(transport, &wire[2..]) == slot)
+            .unwrap()
+    }
+
+    /// A datagram an ANS may receive: a query of [`arb_query`]'s under
+    /// other header flags (the response flag among them) or with its
+    /// question name a pointer into the id, cut short, or garbage.
+    fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            arb_query(),
+            arb_query(),
+            (arb_query(), any::<u16>()).prop_map(|(mut wire, flags)| {
+                wire[2..4].copy_from_slice(&flags.to_be_bytes());
+                wire
+            }),
+            (arb_query(), 0u8..2).prop_map(|(mut wire, at)| {
+                if let Some(root) = wire[12..].iter().position(|&b| b == 0) {
+                    wire.splice(12..=12 + root, [0xC0, at]);
+                }
+                wire
+            }),
+            (arb_query(), 0usize..64).prop_map(|(mut wire, keep)| {
+                wire.truncate(keep);
+                wire
+            }),
+            proptest::collection::vec(any::<u8>(), 0..40),
+        ]
+    }
+
+    proptest! {
+        /// A datagram served cold, warm under another id, and again after
+        /// a colliding question has taken its slot gets `answer_wire`'s
+        /// bytes on a fresh buffer each time; a held reply carries the
+        /// asking query's id; and a response-flagged or unparseable
+        /// datagram never gets a UDP answer.
+        #[test]
+        fn a_cached_answer_is_the_fresh_answer(
+            which in 0usize..5,
+            datagram in arb_datagram(),
+            ids in (any::<u16>(), any::<u16>(), any::<u16>()),
+            tcp in any::<bool>(),
+        ) {
+            let authority = &authorities()[which];
+            let transport = if tcp { Transport::Tcp } else { Transport::Udp };
+            let collider = collider(&datagram, transport);
+            let mut cache = AnswerCache::default();
+            let mut serve = |asked: &[u8]| {
+                let reply = cache.reply(authority, asked.to_vec(), transport);
+                if let Reply::Cached(wire) = &reply {
+                    prop_assert_eq!(&wire[..2], &asked[..2], "a held reply under the asker's id");
+                }
+                let refused = MessageView::parse(asked).map_or(true, |view| view.header.response && !tcp);
+                if refused {
+                    prop_assert!(matches!(reply, Reply::Response | Reply::Unparseable), "{:?}", reply);
+                }
+                prop_assert_eq!(reply.clone().into_wire(), uncached(authority, asked, transport));
+                Ok(reply)
+            };
+            serve(&datagram)?;
+            serve(&with_id(&datagram, ids.0))?;
+            serve(&collider)?;
+            let evicted = serve(&with_id(&datagram, ids.1))?;
+            prop_assert!(!matches!(evicted, Reply::Cached(_)), "the collider took the slot");
+            serve(&with_id(&datagram, ids.2))?;
+        }
+    }
+
+    /// A repeated question is served from the table under each asker's id,
+    /// UDP and TCP entries apart.
+    #[test]
+    fn a_repeated_question_is_held_per_transport() {
+        let (_, _, foo) = paper_hierarchy();
+        let authority = Authority::new(vec![foo]);
+        let mut cache = AnswerCache::default();
+        let ask = |id| with_id(&q("www.foo.com", RrType::A).encode(), id);
+        assert!(matches!(cache.reply(&authority, ask(1), Transport::Udp), Reply::Fresh(_)));
+        assert!(matches!(cache.reply(&authority, ask(2), Transport::Tcp), Reply::Fresh(_)));
+        for id in [3, 4] {
+            let Reply::Cached(wire) = cache.reply(&authority, ask(id), Transport::Udp) else {
+                panic!("a warm question is held");
+            };
+            assert_eq!(Some(wire), uncached(&authority, &ask(id), Transport::Udp));
+        }
+        assert!(matches!(cache.reply(&authority, ask(5), Transport::Tcp), Reply::Cached(_)));
+    }
+
+    /// However many distinct questions pass, the table holds at most
+    /// `SLOTS` entries of at most a UDP payload each, and every answer is
+    /// right; an answer larger than that goes out over TCP but is not held.
+    #[test]
+    fn the_table_is_bounded() {
+        let authority = &authorities()[4];
+        let mut cache = AnswerCache::default();
+        for i in 0..10_000u32 {
+            let name = match i % 3 {
+                0 => format!("n{i}.foo.com"),
+                1 => format!("n{i}.sub.foo.com"),
+                _ => format!("a{}.foo.com", i % 12),
+            };
+            let query = Message::iterative_query(i as u16, n(&name), RrType::A).encode();
+            let expected = uncached(authority, &query, Transport::Udp);
+            assert_eq!(cache.reply(authority, query, Transport::Udp).into_wire(), expected, "{name}");
+        }
+        let held: Vec<_> = cache.held().collect();
+        assert!(held.len() <= SLOTS, "{} entries", held.len());
+        assert!(held.iter().all(|(key, reply)| key.len() <= MAX_UDP_PAYLOAD && reply.len() <= MAX_UDP_PAYLOAD));
+
+        let big = q("big.foo.com", RrType::A).encode();
+        let mut cache = AnswerCache::default();
+        for _ in 0..2 {
+            let Reply::Fresh(wire) = cache.reply(authority, big.clone(), Transport::Tcp) else {
+                panic!("an oversize answer is never held");
+            };
+            assert!(wire.len() > MAX_UDP_PAYLOAD);
+            assert_eq!(Some(wire), uncached(authority, &big, Transport::Tcp));
+        }
+        assert_eq!(cache.held().count(), 0);
     }
 }

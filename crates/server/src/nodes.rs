@@ -1,11 +1,11 @@
 //! The authoritative server node: one [`Authority`] over UDP and DNS over
-//! TCP, with a configurable per-request CPU cost modelling BIND or the
-//! paper's ANS simulator.
+//! TCP, answered through the node's own [`AnswerCache`], with a
+//! configurable per-request CPU cost modelling BIND or the paper's ANS
+//! simulator. A cached answer is charged that cost like a fresh one: the
+//! cost model is the measured server, not this process's wall time.
 
-use crate::authoritative::Authority;
+use crate::authoritative::{AnswerCache, Authority, Transport};
 use dnswire::framing::{frame, take_frame};
-use dnswire::message::MAX_UDP_PAYLOAD;
-use dnswire::view::MessageView;
 use netsim::engine::{Context, Node};
 use netsim::packet::{Endpoint, Packet, Proto, DNS_PORT};
 use netsim::tcp::{ConnKey, TcpEvent, TcpHost};
@@ -50,7 +50,7 @@ impl ServerCosts {
 
 /// An authoritative name server node: answers UDP queries from its
 /// [`Authority`], truncating at 512 bytes, and serves TCP queries with
-/// RFC 1035 two-byte framing.
+/// RFC 1035 two-byte framing, both through one [`AnswerCache`].
 ///
 /// # Examples
 ///
@@ -59,6 +59,7 @@ impl ServerCosts {
 pub struct AuthNode {
     addr: Ipv4Addr,
     authority: Authority,
+    cache: AnswerCache,
     costs: ServerCosts,
     tcp: TcpHost,
     /// Received bytes of a connection's partial frame.
@@ -83,6 +84,7 @@ impl AuthNode {
         AuthNode {
             addr,
             authority,
+            cache: AnswerCache::default(),
             costs,
             tcp,
             tcp_bufs: HashMap::new(),
@@ -127,16 +129,14 @@ impl AuthNode {
 
     /// Answers one deframed TCP `query` on connection `key`.
     fn answer_tcp(&mut self, ctx: &mut Context<'_>, key: ConnKey, query: Vec<u8>) {
-        let Ok(view) = MessageView::parse(&query) else {
+        let reply = self.cache.reply(&self.authority, query, Transport::Tcp);
+        if !reply.is_query() {
             return;
-        };
+        }
         ctx.charge(self.costs.tcp_request);
         self.tcp_queries.inc();
-        let start = view.reply_start();
-        let Ok(wire) = self.authority.answer_wire(query, start, usize::MAX) else {
-            return;
-        };
-        if let Some(data) = frame(&wire).and_then(|framed| self.tcp.send(key, framed)) {
+        let framed = reply.into_wire().and_then(|wire| frame(&wire));
+        if let Some(data) = framed.and_then(|framed| self.tcp.send(key, framed)) {
             ctx.send(data);
         }
     }
@@ -146,17 +146,14 @@ impl Node for AuthNode {
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         match pkt.proto {
             Proto::Udp => {
-                let Ok(view) = MessageView::parse(&pkt.payload) else {
-                    return;
-                };
-                if view.header.response {
+                // The reply is written over the query, in its own buffer.
+                let reply = self.cache.reply(&self.authority, pkt.payload, Transport::Udp);
+                if !reply.is_query() {
                     return;
                 }
                 ctx.charge(self.costs.udp_request);
                 self.udp_queries.inc();
-                // The reply is written over the query, in its own buffer.
-                let start = view.reply_start();
-                if let Ok(wire) = self.authority.answer_wire(pkt.payload, start, MAX_UDP_PAYLOAD) {
+                if let Some(wire) = reply.into_wire() {
                     ctx.send(Packet::udp(Endpoint::new(self.addr, DNS_PORT), pkt.src, wire));
                 }
             }
@@ -307,6 +304,55 @@ mod tests {
         assert_eq!(replies[0].answers[0].rdata, RData::A(WWW_ADDR));
         assert_eq!(replies[1].header.rcode, dnswire::types::Rcode::NxDomain);
         assert_eq!(sim.node_ref::<AuthNode>(ans).unwrap().tcp_queries(), 2);
+    }
+
+    /// Sends each of `queries` to `server` at start.
+    struct Burst {
+        me: Endpoint,
+        server: Endpoint,
+        queries: Vec<Vec<u8>>,
+    }
+    impl Node for Burst {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for q in self.queries.drain(..) {
+                ctx.send(Packet::udp(self.me, self.server, q));
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+    }
+
+    /// A server asked one question N times under N ids counts and charges
+    /// N queries, as one asked N distinct questions does: a held answer
+    /// costs the modelled server what a fresh one does.
+    #[test]
+    fn held_answers_are_counted_and_charged_per_query() {
+        const N: u16 = 50;
+        let (_, _, foo) = paper_hierarchy();
+        let mut sim = Simulator::new(3);
+        let twin = Ipv4Addr::new(10, 0, 0, 53);
+        let ans = [FOO_SERVER, twin].map(|addr| {
+            let node = AuthNode::with_costs(addr, Authority::new(vec![foo.clone()]), ServerCosts::bind9());
+            sim.add_node(addr, CpuConfig::unbounded(), node)
+        });
+        let repeated = (0..N).map(|id| Message::iterative_query(id, "www.foo.com".parse().unwrap(), RrType::A));
+        let distinct =
+            (0..N).map(|id| Message::iterative_query(id, format!("n{id}.foo.com").parse().unwrap(), RrType::A));
+        let asks = [repeated.map(|q| q.encode()).collect(), distinct.map(|q| q.encode()).collect()];
+        for (i, (server, queries)) in [FOO_SERVER, twin].into_iter().zip(asks).enumerate() {
+            let me = Ipv4Addr::new(10, 0, 1, i as u8);
+            let burst = Burst {
+                me: Endpoint::new(me, 999),
+                server: Endpoint::new(server, DNS_PORT),
+                queries,
+            };
+            sim.add_node(me, CpuConfig::unbounded(), burst);
+        }
+        sim.run();
+        let [repeated, distinct] = ans.map(|id| (sim.node_ref::<AuthNode>(id).unwrap().udp_queries(), sim.cpu_stats(id)));
+        assert_eq!(repeated.0, u64::from(N));
+        assert_eq!(distinct.0, u64::from(N));
+        assert_eq!(repeated.1.busy, distinct.1.busy);
+        assert_eq!(repeated.1.busy, ServerCosts::bind9().udp_request * u64::from(N));
     }
 
     #[test]
