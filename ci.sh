@@ -12,9 +12,10 @@
 #                indexing; fails on any finding, and a finding is exempt
 #                only by an inline `// lint: <id> — <why>`
 #   clippy       clippy with warnings denied
-#   experiments  every experiment: bars, export validation, and a `cmp` of
+#   experiments  every experiment: bars, export validation, a `cmp` of
 #                every export and of the paper tables' stdout against the
-#                committed BENCH_* file
+#                committed BENCH_* file, and EXPERIMENTS.md's quoted paper
+#                tables against that stdout
 #   docs         rustdoc with warnings denied
 #   perf         explicit only: the benchmark package's tests, clippy, a smoke
 #                run and the allocation gate; builds into perf/target, over a
@@ -79,6 +80,41 @@ if want experiments; then
         { echo "drift: $f differs from the committed $name" >&2; exit 1; }
     fi
   done
+  # EXPERIMENTS.md quotes the paper tables between `<!-- BENCH_paper.txt -->`
+  # and `<!-- /BENCH_paper.txt -->` (fence lines aside). Each quoted block
+  # must be a contiguous run of the fresh file's lines, compared without
+  # trailing blanks, and every table it prints (a `Table …` or `Figure …`
+  # title line) must open a quoted block.
+  awk '
+    { sub(/[ \t]+$/, "") }
+    FNR == NR { paper[++n] = $0; next }
+    $0 == "<!-- BENCH_paper.txt -->" { start = FNR; m = 0; next }
+    $0 == "<!-- /BENCH_paper.txt -->" {
+      found = 0
+      for (i = 1; m > 0 && i + m - 1 <= n && !found; i++) {
+        for (k = 1; k <= m && paper[i + k - 1] == block[k]; k++) ;
+        found = k > m
+      }
+      if (!start || !found) {
+        printf "EXPERIMENTS.md:%d: not a run of lines of the fresh BENCH_paper.txt\n", start ? start : FNR
+        bad = 1
+      } else {
+        quoted[block[1]] = 1
+      }
+      start = 0
+      next
+    }
+    start && !/^```/ { block[++m] = $0 }
+    END {
+      if (start) { printf "EXPERIMENTS.md:%d: quote never closed\n", start; bad = 1 }
+      for (i = 1; i <= n; i++)
+        if (paper[i] ~ /^(Table|Figure) [^ ]+ — / && !(paper[i] in quoted)) {
+          print "EXPERIMENTS.md does not quote: " paper[i]
+          bad = 1
+        }
+      exit bad
+    }' "$smoke/BENCH_paper.txt" EXPERIMENTS.md ||
+    { echo "drift: EXPERIMENTS.md's paper tables differ from BENCH_paper.txt" >&2; exit 1; }
 fi
 
 if [ "$stage" = perf ]; then

@@ -11,7 +11,7 @@ use crate::worlds::{
     ZoneSel, PUB, SUBNET,
 };
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
-use dnsguard::config::SchemeMode;
+use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
 use guardhash::cookie::CookieAlg;
 use netsim::engine::CpuConfig;
@@ -28,13 +28,10 @@ fn ablate_cookie2_range() -> String {
         p.zone = ZoneSel::Foo;
         p.mode = SchemeMode::DnsBased;
         // The paper's `COOKIE2` encoding, over the paper's cookie.
-        let mut world = guarded_world_with(p, |c| c.with_cookie_alg(CookieAlg::Md5));
-        world
-            .sim
-            .node_mut::<RemoteGuard>(world.guard)
-            .unwrap()
-            .config_mut()
-            .subnet_range = range;
+        let mut world = guarded_world_with(p, |c| GuardConfig {
+            subnet_range: range,
+            ..c.with_cookie_alg(CookieAlg::Md5)
+        });
         // Widen the routed subnet for the bigger ranges.
         world.sim.add_subnet(SUBNET, 16, world.guard);
         world.sim.add_node(

@@ -3,7 +3,7 @@
 //! paper reports. [`crate::paper`] renders them.
 
 use crate::worlds::{
-    attach_flood, attach_lrs, guarded_world, measure_throughput, GuardedWorld, LrsParams,
+    attach_flood, attach_lrs, guarded_world, guarded_world_with, measure_throughput, GuardedWorld, LrsParams,
     WorldParams, ZoneSel,
 };
 use dnsguard::config::SchemeMode;
@@ -41,7 +41,18 @@ impl Scheme {
         }
     }
 
-    fn world_params(self, seed: u64) -> WorldParams {
+    /// The scheme's name in a query journey (matches
+    /// [`obs::journey::Journey::scheme`]).
+    pub fn journey_label(self) -> &'static str {
+        match self {
+            Scheme::NsName => "ns_label",
+            Scheme::Fabricated => "cookie2",
+            Scheme::Tcp => "tcp",
+            Scheme::Modified => "ext",
+        }
+    }
+
+    pub(crate) fn world_params(self, seed: u64) -> WorldParams {
         let mut p = WorldParams::new(seed);
         match self {
             Scheme::NsName => {
@@ -64,7 +75,7 @@ impl Scheme {
         p
     }
 
-    fn lrs_mode(self) -> CookieMode {
+    pub(crate) fn lrs_mode(self) -> CookieMode {
         match self {
             Scheme::Modified => CookieMode::Extension,
             _ => CookieMode::Plain,
@@ -202,7 +213,11 @@ pub fn fig5_bind_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig5Point>
             p.ans_costs = ServerCosts::bind9();
             p.activation_threshold = if protected { 14_000.0 } else { f64::INFINITY };
             p.open_limiters = true;
-            let GuardedWorld { mut sim, guard, ans } = guarded_world(p);
+            let lrs2_ip = Ipv4Addr::new(10, 0, 2, 2);
+            let GuardedWorld { mut sim, ans, .. } = guarded_world_with(p, |mut c| {
+                c.tcp_redirect_sources.push(lrs2_ip);
+                c
+            });
 
             // LRS1: UDP cookies. 10 slots paced at 10 ms ≈ 1 K req/s
             // offered; BIND's 2 s retry timer on losses.
@@ -213,7 +228,6 @@ pub fn fig5_bind_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig5Point>
             );
             // LRS2: TCP-redirected; its TCP stack caps it at ~0.5 K req/s
             // (client-side cost 0.2 ms per packet ≈ 2 ms per TCP request).
-            let lrs2_ip = Ipv4Addr::new(10, 0, 2, 2);
             let lrs2 = attach_lrs(
                 &mut sim,
                 LrsParams {
@@ -221,12 +235,6 @@ pub fn fig5_bind_attack(protected: bool, attack_rates: &[f64]) -> Vec<Fig5Point>
                     ..LrsParams::paced(lrs2_ip, 10, SimTime::from_secs(2), SimTime::from_millis(10)).with_cache(false)
                 },
             );
-            sim.node_mut::<RemoteGuard>(guard)
-                .expect("guard")
-                .config_mut()
-                .tcp_redirect_sources
-                .push(lrs2_ip);
-
             if attack_rate > 0.0 {
                 attach_flood(&mut sim, Ipv4Addr::new(66, 5, 0, 1), attack_rate);
             }

@@ -15,21 +15,21 @@
 //! * `BENCH_journeys_trace.json` — a chrome `trace_event` document of the
 //!   COOKIE2 run's journeys, loadable in Perfetto.
 
+use crate::experiments::Scheme;
 use crate::registry::{Export, Format, Outcome};
 use crate::report::json_strings;
 use crate::worlds::{
-    alert_engine, attach_cookie_guess_flood, attach_lrs, guarded_world, observe, run_evaluated,
+    alert_engine, attach_cookie_guess_flood, attach_lrs, guarded_world, guarded_world_with, observe, run_evaluated,
     stays_silent, LrsParams, Scope, WorldParams, ZoneSel, ALERT_TICK,
 };
-use dnsguard::config::SchemeMode;
-use dnsguard::guard::RemoteGuard;
+use dnsguard::config::GuardConfig;
 use netsim::engine::FaultPlan;
 use netsim::time::SimTime;
 use obs::alert::AlertConfig;
 use obs::export::metrics_json;
 use obs::journey::JourneyReport;
 use server::nodes::AuthNode;
-use server::simclient::{CookieMode, LrsSimulator};
+use server::simclient::LrsSimulator;
 use std::net::Ipv4Addr;
 
 /// The summary document's file name.
@@ -37,11 +37,8 @@ pub const SUMMARY_FILE: &str = "BENCH_journeys.json";
 /// The chrome `trace_event` document's file name.
 pub const CHROME_TRACE_FILE: &str = "BENCH_journeys_trace.json";
 
-/// The four guard schemes, as journey-scheme label → world shape.
-pub const SCHEMES: [&str; 4] = ["ns_label", "cookie2", "tcp", "ext"];
-
 /// Substrings the journey summary must contain, beside one object per
-/// [`SCHEMES`] entry: per-journey attribution fields, histogram quantiles,
+/// [`Scheme::ALL`] entry: per-journey attribution fields, histogram quantiles,
 /// and the alert schema (rule + since in the active set, fired-rule list,
 /// clean-baseline verdict).
 const SUMMARY_KEYS: &[&str] = &[
@@ -126,25 +123,15 @@ impl SchemeJourneys {
 
 /// Builds and runs one scheme's cold-start world: a single client with the
 /// cookie cache off, so every transaction pays the full handshake.
-pub fn run_scheme(scheme: &'static str, seed: u64, duration: SimTime) -> SchemeJourneys {
-    let (zone, mode, lrs_mode) = match scheme {
-        "ns_label" => (ZoneSel::Root, SchemeMode::DnsBased, CookieMode::Plain),
-        "cookie2" => (ZoneSel::Foo, SchemeMode::DnsBased, CookieMode::Plain),
-        "tcp" => (ZoneSel::Foo, SchemeMode::TcpBased, CookieMode::Plain),
-        "ext" => (ZoneSel::Foo, SchemeMode::ModifiedOnly, CookieMode::Extension),
-        other => panic!("unknown scheme {other}"),
-    };
-    let mut p = WorldParams::new(seed);
-    p.zone = zone;
-    p.mode = mode;
-    let mut world = guarded_world(p);
+pub fn run_scheme(scheme: Scheme, seed: u64, duration: SimTime) -> SchemeJourneys {
+    let mut world = guarded_world(scheme.world_params(seed));
 
     let obs = observe(&mut world.sim, Scope::World, &[world.guard]);
 
     let client = attach_lrs(
         &mut world.sim,
         LrsParams::paced(Ipv4Addr::new(10, 0, 1, 1), 4, SimTime::from_millis(50), SimTime::from_millis(1))
-            .with_mode(lrs_mode)
+            .with_mode(scheme.lrs_mode())
             .with_cache(false), // cold start: every transaction handshakes
     );
     world.sim.run_until(duration);
@@ -165,7 +152,7 @@ pub fn run_scheme(scheme: &'static str, seed: u64, duration: SimTime) -> SchemeJ
         .filter(|s| s.component == "journey")
         .collect();
     SchemeJourneys {
-        scheme,
+        scheme: scheme.journey_label(),
         client_completed,
         report,
         metrics_json: metrics_json(&journey_samples),
@@ -206,16 +193,14 @@ pub fn run_chaos(seed: u64, duration: SimTime) -> ChaosJourneys {
     let mut p = WorldParams::new(seed);
     p.zone = ZoneSel::Root;
     p.open_limiters = false;
-    let mut world = guarded_world(p);
-    {
-        let g = world.sim.node_mut::<RemoteGuard>(world.guard).unwrap();
-        let c = g.config_mut();
-        // Fast health detection so the partition produces a down/recovered
-        // cycle inside the run.
-        c.ans_timeout = SimTime::from_millis(20);
-        c.ans_failure_threshold = 2;
-        c.ans_probe_interval = SimTime::from_millis(50);
-    }
+    // Fast health detection so the partition produces a down/recovered
+    // cycle inside the run.
+    let mut world = guarded_world_with(p, |c| GuardConfig {
+        ans_timeout: SimTime::from_millis(20),
+        ans_failure_threshold: 2,
+        ans_probe_interval: SimTime::from_millis(50),
+        ..c
+    });
 
     let obs = observe(&mut world.sim, Scope::World, &[world.guard]);
     world
@@ -280,7 +265,7 @@ pub struct JourneysRun {
     pub summary_json: String,
     /// The chrome trace document (`BENCH_journeys_trace.json`).
     pub chrome_trace_json: String,
-    /// Per-scheme results, in [`SCHEMES`] order.
+    /// Per-scheme results, in [`Scheme::ALL`] order.
     pub schemes: Vec<SchemeJourneys>,
     /// The chaos run.
     pub chaos: ChaosJourneys,
@@ -291,8 +276,8 @@ pub struct JourneysRun {
 /// Runs everything and composes the export documents.
 pub fn run_all(seed: u64) -> JourneysRun {
     let scheme_duration = SimTime::from_millis(400);
-    let schemes: Vec<SchemeJourneys> = SCHEMES
-        .iter()
+    let schemes: Vec<SchemeJourneys> = Scheme::ALL
+        .into_iter()
         .enumerate()
         .map(|(i, s)| run_scheme(s, seed + i as u64, scheme_duration))
         .collect();
@@ -433,7 +418,7 @@ pub fn experiment() -> Outcome {
         failures: failures(&run),
         exports: vec![
             Export::new(SUMMARY_FILE, Format::Json, run.summary_json, SUMMARY_KEYS)
-                .also_require(SCHEMES.iter().map(|scheme| format!("\"{scheme}\":{{"))),
+                .also_require(Scheme::ALL.map(|scheme| format!("\"{}\":{{", scheme.journey_label()))),
             Export::new(CHROME_TRACE_FILE, Format::Json, run.chrome_trace_json, CHROME_KEYS),
         ],
     }
@@ -446,8 +431,9 @@ mod tests {
 
     #[test]
     fn scheme_runs_reconstruct_with_paper_extra_rtt() {
-        for (scheme, expect_rtt) in [("ns_label", 1), ("cookie2", 2), ("tcp", 2), ("ext", 1)] {
+        for (scheme, expect_rtt) in [(Scheme::NsName, 1), (Scheme::Fabricated, 2), (Scheme::Tcp, 2), (Scheme::Modified, 1)] {
             let r = run_scheme(scheme, 31, SimTime::from_millis(400));
+            let scheme = r.scheme;
             assert!(
                 r.client_completed > 20,
                 "{scheme}: only {} completed",

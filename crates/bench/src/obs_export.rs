@@ -13,10 +13,9 @@
 
 use crate::registry::{untraced_kinds, Export, Format, Outcome};
 use crate::worlds::{
-    attach_lrs, guarded_world, observe, run_stepped, LrsParams, Scope, WorldParams, ZoneSel, PUB,
+    attach_lrs, guarded_world_with, observe, run_stepped, LrsParams, Scope, WorldParams, ZoneSel, PUB,
 };
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
-use dnsguard::guard::RemoteGuard;
 use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
 use obs::export::{events_jsonl, metrics_json, Sampler};
@@ -85,10 +84,7 @@ pub fn run_scenario(seed: u64, duration: SimTime) -> ObsRun {
     let mut p = WorldParams::new(seed);
     p.zone = ZoneSel::Root;
     p.open_limiters = false;
-    let mut world = guarded_world(p);
-    {
-        let g = world.sim.node_mut::<RemoteGuard>(world.guard).unwrap();
-        let c = g.config_mut();
+    let mut world = guarded_world_with(p, |mut c| {
         // Tight tables so the closed-loop load forces fwd-table evictions.
         c.fwd_bytes_max = 1_024;
         c.stash_bytes_max = 1_024;
@@ -100,7 +96,8 @@ pub fn run_scenario(seed: u64, duration: SimTime) -> ObsRun {
         c.ans_failure_threshold = 2;
         c.ans_probe_interval = SimTime::from_millis(50);
         c.tcp_redirect_sources.push(tcp_client);
-    }
+        c
+    });
 
     let obs = observe(&mut world.sim, Scope::Untraced, &[world.guard]);
     world

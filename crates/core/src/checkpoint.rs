@@ -242,7 +242,7 @@ impl GuardCheckpoint {
             return Err(DecodeError::UnsupportedVersion(version));
         }
         // Fields are read in the order they are written here: the wire's.
-        Ok(GuardCheckpoint {
+        let cp = GuardCheckpoint {
             version,
             seq: r.u64()?,
             taken_at_nanos: r.u64()?,
@@ -255,7 +255,9 @@ impl GuardCheckpoint {
             last_rotation_nanos: r.u64()?,
             fwd: r.count()?.map(|_| get_fwd(&mut r)).collect::<Result<_, _>>()?,
             stash: r.count()?.map(|_| get_stash(&mut r)).collect::<Result<_, _>>()?,
-        })
+        };
+        r.finish()?;
+        Ok(cp)
     }
 }
 
@@ -473,6 +475,18 @@ impl<'a> Reader<'a> {
         let b = self.bytes(4)?;
         Ok(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
     }
+
+    /// Ends a decode: bytes after the last field are an error, as in
+    /// `Message::decode`. A replication body is authenticated as
+    /// `MD5(secret ‖ body)`, which MD5 length extension lets anyone who saw
+    /// one message extend with padding and a suffix of their choosing.
+    pub(crate) fn finish(self) -> Result<(), DecodeError> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err(DecodeError::Malformed("trailing bytes"))
+        }
+    }
 }
 
 pub(crate) fn get_msg(r: &mut Reader<'_>) -> Result<Message, DecodeError> {
@@ -676,6 +690,13 @@ mod tests {
             GuardCheckpoint::decode(&wire),
             Err(DecodeError::UnsupportedVersion(99))
         ));
+    }
+
+    #[test]
+    fn decode_rejects_a_trailing_byte() {
+        let mut wire = sample_checkpoint().encode();
+        wire.push(0);
+        assert_eq!(GuardCheckpoint::decode(&wire), Err(DecodeError::Malformed("trailing bytes")));
     }
 
     #[test]

@@ -304,14 +304,6 @@ impl GuardCore {
         &self.config
     }
 
-    /// Mutable access to the configuration. Note that the rate limiters and
-    /// TCP proxy are built at construction; changing their rates here does
-    /// not rebuild them — but routing-level fields (`tcp_redirect_sources`,
-    /// `activation_threshold`, TTLs) take effect immediately.
-    pub fn config_mut(&mut self) -> &mut GuardConfig {
-        &mut self.config
-    }
-
     /// Rotates the guard's secret key (section III.E).
     pub fn rotate_key(&mut self) {
         self.cookies.rotate();

@@ -16,8 +16,8 @@
 //!   for: the scheme, the source address, and what was presented — the 16
 //!   cookie bytes, the 8 hex digits as received (case included), or the
 //!   presented offset with the effective range for `COOKIE2`. The offset is
-//!   keyed, not the destination address, so a subnet changed through
-//!   `config_mut` cannot turn an old entry into a verdict.
+//!   keyed, not the destination address, so an entry depends on nothing
+//!   but the factory call's own arguments.
 //! * *Rules.* A hit is byte equality with an earlier verdict of `valid`, and
 //!   means `valid`. A miss goes to the factory, so every `invalid` is still
 //!   the factory's own and a forged cookie costs what it did plus one line

@@ -28,6 +28,17 @@ fn guarded_world(
     which_zone: usize,
     mode: SchemeMode,
 ) -> (Simulator, netsim::NodeId, netsim::NodeId) {
+    guarded_world_with(seed, which_zone, mode, |config| config)
+}
+
+/// [`guarded_world`] whose guard is built from `configure`'s edit of its
+/// configuration.
+fn guarded_world_with(
+    seed: u64,
+    which_zone: usize,
+    mode: SchemeMode,
+    configure: impl FnOnce(GuardConfig) -> GuardConfig,
+) -> (Simulator, netsim::NodeId, netsim::NodeId) {
     let (root, com, foo) = paper_hierarchy();
     let zones = [root, com, foo];
     let zone = zones[which_zone].clone();
@@ -42,7 +53,7 @@ fn guarded_world(
     let guard = sim.add_node(
         ROOT_SERVER,
         CpuConfig::unbounded(),
-        RemoteGuard::new(config, AuthorityClassifier::new(authority.clone())),
+        RemoteGuard::new(configure(config), AuthorityClassifier::new(authority.clone())),
     );
     sim.add_subnet(GUARD_SUBNET, 24, guard);
     let ans = sim.add_node(ANS_PRIVATE, CpuConfig::unbounded(), AuthNode::new(ANS_PRIVATE, authority));
@@ -192,9 +203,8 @@ fn no_amplification_for_tc_and_grants() {
 
 #[test]
 fn activation_threshold_gates_detection() {
-    let (mut sim, guard, _ans) = guarded_world(10, 0, SchemeMode::DnsBased);
-    sim.node_mut::<RemoteGuard>(guard).unwrap().config_mut().activation_threshold = 1_000.0;
-    sim.node_mut::<RemoteGuard>(guard).unwrap().active = false;
+    let (mut sim, guard, _ans) =
+        guarded_world_with(10, 0, SchemeMode::DnsBased, |c| c.with_activation_threshold(1_000.0));
     let lrs = add_lrs(&mut sim, 8, CookieMode::Plain, true);
     sim.run_until(SimTime::from_millis(300));
     // A single closed-loop client (~1 req/RTT ≈ 2.5K/s on LAN · but each
@@ -223,13 +233,12 @@ fn key_rotation_preserves_service() {
 
 #[test]
 fn ans_down_detected_probed_and_recovered() {
-    let (mut sim, guard, ans) = guarded_world(20, 0, SchemeMode::DnsBased);
-    {
-        let cfg = sim.node_mut::<RemoteGuard>(guard).unwrap().config_mut();
-        cfg.ans_timeout = SimTime::from_millis(50);
-        cfg.ans_failure_threshold = 2;
-        cfg.ans_probe_interval = SimTime::from_millis(100);
-    }
+    let (mut sim, guard, ans) = guarded_world_with(20, 0, SchemeMode::DnsBased, |cfg| GuardConfig {
+        ans_timeout: SimTime::from_millis(50),
+        ans_failure_threshold: 2,
+        ans_probe_interval: SimTime::from_millis(100),
+        ..cfg
+    });
     let lrs = add_lrs(&mut sim, 11, CookieMode::Plain, true);
     sim.run_until(SimTime::from_millis(100));
     assert!(!sim.node_ref::<RemoteGuard>(guard).unwrap().ans_is_down());
@@ -258,14 +267,13 @@ fn ans_down_detected_probed_and_recovered() {
 
 #[test]
 fn fail_closed_sheds_load_while_ans_down() {
-    let (mut sim, guard, ans) = guarded_world(21, 0, SchemeMode::DnsBased);
-    {
-        let cfg = sim.node_mut::<RemoteGuard>(guard).unwrap().config_mut();
-        cfg.ans_timeout = SimTime::from_millis(50);
-        cfg.ans_failure_threshold = 2;
-        cfg.ans_probe_interval = SimTime::from_millis(100);
-        cfg.health_policy = crate::config::AnsHealthPolicy::FailClosed;
-    }
+    let (mut sim, guard, ans) = guarded_world_with(21, 0, SchemeMode::DnsBased, |cfg| GuardConfig {
+        ans_timeout: SimTime::from_millis(50),
+        ans_failure_threshold: 2,
+        ans_probe_interval: SimTime::from_millis(100),
+        health_policy: crate::config::AnsHealthPolicy::FailClosed,
+        ..cfg
+    });
     let _lrs = add_lrs(&mut sim, 12, CookieMode::Plain, true);
     sim.run_until(SimTime::from_millis(100));
     sim.crash(ans);

@@ -326,14 +326,14 @@ fn decode_body(body: &[u8]) -> Result<ReplPayload, DecodeError> {
     if version != CHECKPOINT_VERSION {
         return Err(DecodeError::UnsupportedVersion(version));
     }
-    match r.u8()? {
+    let payload = match r.u8()? {
         TAG_FULL => {
             let len = r.u32()? as usize;
             let wire = r.bytes(len)?;
-            Ok(ReplPayload::Full(GuardCheckpoint::decode(wire)?))
+            ReplPayload::Full(GuardCheckpoint::decode(wire)?)
         }
         // Fields are read in the order they are written here: the wire's.
-        TAG_DELTA => Ok(ReplPayload::Delta(ReplDelta {
+        TAG_DELTA => ReplPayload::Delta(ReplDelta {
             seq: r.u64()?,
             key: match r.u8()? {
                 0 => None,
@@ -347,15 +347,17 @@ fn decode_body(body: &[u8]) -> Result<ReplPayload, DecodeError> {
             next_txid: r.u16()?,
             next_qid: r.u64()?,
             active: r.u8()? != 0,
-        })),
-        TAG_RESYNC => Ok(ReplPayload::ResyncReq { have_seq: r.u64()? }),
-        TAG_FLEET => Ok(ReplPayload::FleetKey {
+        }),
+        TAG_RESYNC => ReplPayload::ResyncReq { have_seq: r.u64()? },
+        TAG_FLEET => ReplPayload::FleetKey {
             epoch: r.u64()?,
             key: get_key(&mut r)?,
-        }),
-        TAG_FLEET_REQ => Ok(ReplPayload::FleetKeyReq { have_epoch: r.u64()? }),
-        _ => Err(DecodeError::Malformed("payload kind")),
-    }
+        },
+        TAG_FLEET_REQ => ReplPayload::FleetKeyReq { have_epoch: r.u64()? },
+        _ => return Err(DecodeError::Malformed("payload kind")),
+    };
+    r.finish()?;
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -423,9 +425,8 @@ mod tests {
         assert_eq!(decode_repl(&wire, &secret()), Ok(payload));
     }
 
-    #[test]
-    fn full_snapshot_round_trips() {
-        let cp = GuardCheckpoint {
+    fn sample_checkpoint() -> GuardCheckpoint {
+        GuardCheckpoint {
             version: CHECKPOINT_VERSION,
             seq: 1,
             taken_at_nanos: 10,
@@ -443,15 +444,11 @@ mod tests {
             last_rotation_nanos: 0,
             fwd: Vec::new(),
             stash: Vec::new(),
-        };
-        let payload = ReplPayload::Full(cp);
-        let wire = encode_repl(&payload, &secret());
-        assert_eq!(decode_repl(&wire, &secret()), Ok(payload));
+        }
     }
 
-    #[test]
-    fn fleet_key_round_trips_authenticated() {
-        let payload = ReplPayload::FleetKey {
+    fn sample_fleet_key() -> ReplPayload {
+        ReplPayload::FleetKey {
             epoch: 3,
             key: KeyState {
                 current: SecretKey::from_seed(30),
@@ -459,7 +456,19 @@ mod tests {
                 generation: 3,
                 seed: 2006,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn full_snapshot_round_trips() {
+        let payload = ReplPayload::Full(sample_checkpoint());
+        let wire = encode_repl(&payload, &secret());
+        assert_eq!(decode_repl(&wire, &secret()), Ok(payload));
+    }
+
+    #[test]
+    fn fleet_key_round_trips_authenticated() {
+        let payload = sample_fleet_key();
         let wire = encode_repl(&payload, &secret());
         assert_eq!(decode_repl(&wire, &secret()), Ok(payload));
     }
@@ -489,6 +498,28 @@ mod tests {
             assert!(
                 decode_repl(&tampered, &secret()).is_err(),
                 "flip at byte {i} accepted"
+            );
+        }
+    }
+
+    /// What MD5 length extension forges: a body with bytes after its last
+    /// field under a tag that verifies. Every kind refuses it.
+    #[test]
+    fn an_authenticated_trailing_byte_is_rejected() {
+        for payload in [
+            ReplPayload::Full(sample_checkpoint()),
+            ReplPayload::Delta(sample_delta()),
+            ReplPayload::ResyncReq { have_seq: 17 },
+            sample_fleet_key(),
+            ReplPayload::FleetKeyReq { have_epoch: 4 },
+        ] {
+            let mut body = encode_repl(&payload, &secret()).split_off(DIGEST_LEN);
+            body.push(0);
+            let forged = [auth_tag(&secret(), &body).as_slice(), &body].concat();
+            assert_eq!(
+                decode_repl(&forged, &secret()),
+                Err(ReplError::Decode(DecodeError::Malformed("trailing bytes"))),
+                "{payload:?}"
             );
         }
     }

@@ -126,13 +126,24 @@ fn world(
     answers: Vec<Vec<u8>>,
     outbox: impl FnOnce([u8; 16]) -> Vec<Packet>,
 ) -> World {
+    world_with(mode, answers, outbox, |config| config)
+}
+
+/// [`world`] whose guard is built from `configure`'s edit of its
+/// configuration.
+fn world_with(
+    mode: SchemeMode,
+    answers: Vec<Vec<u8>>,
+    outbox: impl FnOnce([u8; 16]) -> Vec<Packet>,
+    configure: impl FnOnce(GuardConfig) -> GuardConfig,
+) -> World {
     let (root, ..) = paper_hierarchy();
     let config = GuardConfig {
         subnet_base: SUBNET,
         ..GuardConfig::new(PUBLIC, ANS)
     }
     .with_mode(mode);
-    let guard = RemoteGuard::new(config, AuthorityClassifier::new(Authority::new(vec![root])));
+    let guard = RemoteGuard::new(configure(config), AuthorityClassifier::new(Authority::new(vec![root])));
     let cookie = guard.cookie_factory().generate(CLIENT).0;
     let mut sim = Simulator::new(7);
     let guard = sim.add_node(PUBLIC, CpuConfig::unbounded(), guard);
@@ -600,16 +611,20 @@ fn fail_closed_answers_a_bare_cookie_query_with_servfail() {
     // Two queries the silent ANS never answers mark it down (threshold 2,
     // time-out 50 ms); the third arrives while it is down.
     let mut third = None;
-    let mut w = world(SchemeMode::ModifiedOnly, Vec::new(), |cookie| {
-        third = Some(query(0x7003, cookie));
-        vec![query(0x7001, cookie), query(0x7002, cookie)]
-    });
-    {
-        let cfg = w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().config_mut();
-        cfg.ans_timeout = SimTime::from_millis(50);
-        cfg.ans_failure_threshold = 2;
-        cfg.health_policy = AnsHealthPolicy::FailClosed;
-    }
+    let mut w = world_with(
+        SchemeMode::ModifiedOnly,
+        Vec::new(),
+        |cookie| {
+            third = Some(query(0x7003, cookie));
+            vec![query(0x7001, cookie), query(0x7002, cookie)]
+        },
+        |cfg| GuardConfig {
+            ans_timeout: SimTime::from_millis(50),
+            ans_failure_threshold: 2,
+            health_policy: AnsHealthPolicy::FailClosed,
+            ..cfg
+        },
+    );
     w.sim.run_until(SimTime::from_millis(300));
     assert!(w.sim.node_ref::<RemoteGuard>(w.guard).unwrap().ans_is_down());
     w.sim.inject(w.client, third.unwrap());

@@ -29,7 +29,6 @@ pub mod recursive;
 pub mod simclient;
 pub mod tcpclient;
 pub mod zone;
-pub mod zonefile;
 
 pub use authoritative::{AnswerKind, Authority};
 pub use cache::Cache;
@@ -38,4 +37,3 @@ pub use nodes::{AuthNode, ServerCosts};
 pub use recursive::{InFlight, RecursiveResolver, ResolverConfig};
 pub use simclient::{CookieMode, LrsSimConfig, LrsSimulator};
 pub use zone::{Zone, ZoneBuilder};
-pub use zonefile::parse_zone;

@@ -237,7 +237,11 @@ pub struct LrsSimulator {
     /// Consecutive timeouts across all slots; two in a row invalidate the
     /// cookie cache (as a real resolver's record TTLs eventually would),
     /// which is how clients recover from a guard key rotation that outlived
-    /// their cached cookies.
+    /// their cached cookies. A timed-out cookie request does not count: a
+    /// resolver drops a server's cookie when the requests that carry it
+    /// fail, not when its own requests for one are rate-limited, and a
+    /// first burst of cookie requests past Rate-Limiter1's per-source
+    /// budget would otherwise wipe the cookie its admitted ones were given.
     consecutive_timeouts: u32,
     /// Counters.
     pub stats: LrsSimStats,
@@ -571,9 +575,11 @@ impl Node for LrsSimulator {
             return; // stale wait timer from the request that just finished
         }
         self.stats.timeouts += 1;
-        self.consecutive_timeouts += 1;
-        if self.consecutive_timeouts >= 2 {
-            self.cached = Cached::Nothing;
+        if self.slots[slot].state != SlotState::AwaitGrant {
+            self.consecutive_timeouts += 1;
+            if self.consecutive_timeouts >= 2 {
+                self.cached = Cached::Nothing;
+            }
         }
         self.tcp.abandon(tag);
         self.pause_or_start(ctx, slot);

@@ -58,27 +58,6 @@ pub struct Zone {
 }
 
 impl Zone {
-    /// Assembles a zone from pre-classified parts (used by the zone-file
-    /// parser). `delegations` maps child cut apexes to their NS records;
-    /// glue lives in `records`.
-    pub fn from_parts(
-        apex: Name,
-        soa: Record,
-        records: impl IntoIterator<Item = Record>,
-        delegations: BTreeMap<Name, Vec<Record>>,
-    ) -> Self {
-        let mut by_name = HashMap::new();
-        for record in records {
-            file(&mut by_name, record);
-        }
-        Zone {
-            apex,
-            soa,
-            records: by_name,
-            delegations,
-        }
-    }
-
     /// The zone apex name.
     pub fn apex(&self) -> &Name {
         &self.apex

@@ -92,8 +92,9 @@ fn main() {
     //    timeline: where every nanosecond went (handshake vs guard vs ANS).
     println!();
     println!("== Query journeys: one cold-start transaction per scheme ==");
-    for scheme in bench::journeys::SCHEMES {
+    for scheme in bench::experiments::Scheme::ALL {
         let run = bench::journeys::run_scheme(scheme, 7, SimTime::from_millis(120));
+        let scheme = run.scheme;
         let Some(journey) = run.report.complete.first() else {
             println!("\n[{scheme}] no completed journey");
             continue;

@@ -5,6 +5,7 @@
 //! one extra round trip for the NS-label and modified-DNS schemes, two for
 //! the COOKIE2 redirect and the TC→TCP fallback.
 
+use bench::experiments::Scheme;
 use bench::journeys::{
     chaos_failures, clean_baseline_is_silent, reconstruction_failure, run_chaos, run_scheme,
 };
@@ -12,22 +13,22 @@ use netsim::time::SimTime;
 use std::collections::BTreeMap;
 
 /// The canonical cold-start stage sequence per scheme.
-fn expected_stages(scheme: &str) -> &'static [&'static str] {
+fn expected_stages(scheme: Scheme) -> &'static [&'static str] {
     match scheme {
-        "ns_label" => &["fabricated_ns", "verify", "forward", "relay"],
-        "cookie2" => &["fabricated_ns", "verify", "forward", "relay", "verify", "stash_hit"],
-        "tcp" => &["tc_sent", "proxy_accept", "forward", "relay"],
-        "ext" => &["grant", "verify", "forward", "relay"],
-        other => panic!("unknown scheme {other}"),
+        Scheme::NsName => &["fabricated_ns", "verify", "forward", "relay"],
+        Scheme::Fabricated => &["fabricated_ns", "verify", "forward", "relay", "verify", "stash_hit"],
+        Scheme::Tcp => &["tc_sent", "proxy_accept", "forward", "relay"],
+        Scheme::Modified => &["grant", "verify", "forward", "relay"],
     }
 }
 
 #[test]
 fn schemes_produce_expected_stage_sequences() {
-    for (scheme, expect_rtt) in [("ns_label", 1), ("cookie2", 2), ("tcp", 2), ("ext", 1)] {
+    for (scheme, expect_rtt) in [(Scheme::NsName, 1), (Scheme::Fabricated, 2), (Scheme::Tcp, 2), (Scheme::Modified, 1)] {
         let r = run_scheme(scheme, 2_021, SimTime::from_millis(400));
-        assert!(r.client_completed > 20, "{scheme}: only {} tx", r.client_completed);
-        assert_eq!(reconstruction_failure(scheme, r.reconstruction(), &r.report), None);
+        let label = r.scheme;
+        assert!(r.client_completed > 20, "{label}: only {} tx", r.client_completed);
+        assert_eq!(reconstruction_failure(label, r.reconstruction(), &r.report), None);
 
         // Every cold-start transaction follows the scheme's canonical path.
         let mut sequences: BTreeMap<Vec<&'static str>, u64> = BTreeMap::new();
@@ -42,24 +43,25 @@ fn schemes_produce_expected_stage_sequences() {
         assert_eq!(
             dominant,
             expected_stages(scheme),
-            "{scheme}: dominant stage sequence"
+            "{label}: dominant stage sequence"
         );
         assert!(
             n as f64 >= r.report.complete.len() as f64 * 0.9,
-            "{scheme}: canonical sequence covers {n}/{}",
+            "{label}: canonical sequence covers {n}/{}",
             r.report.complete.len()
         );
-        assert_eq!(r.extra_rtt_mode(), expect_rtt, "{scheme}: extra round trips");
+        assert_eq!(r.extra_rtt_mode(), expect_rtt, "{label}: extra round trips");
         for j in &r.report.complete {
-            assert_eq!(j.scheme(), scheme, "scheme inferred from stages");
+            assert_eq!(j.scheme(), label, "scheme inferred from stages");
         }
     }
 }
 
 #[test]
 fn stage_latencies_sum_to_end_to_end() {
-    for scheme in bench::journeys::SCHEMES {
+    for scheme in Scheme::ALL {
         let r = run_scheme(scheme, 2_022, SimTime::from_millis(300));
+        let scheme = r.scheme;
         assert!(!r.report.complete.is_empty(), "{scheme}: no journeys");
         for j in &r.report.complete {
             let gaps: u64 = j.durations().iter().sum();

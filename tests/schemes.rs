@@ -3,11 +3,13 @@
 
 mod common;
 
+use bench::worlds::{attach_lrs, guarded_world, measure_throughput, GuardedWorld, LrsParams, WorldParams, ZoneSel};
 use common::{World, WorldBuilder};
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
 use netsim::time::SimTime;
 use server::simclient::CookieMode;
+use std::net::Ipv4Addr;
 
 fn world(seed: u64, referral: bool, mode: SchemeMode, lrs_mode: CookieMode, cache: bool) -> World {
     WorldBuilder::new(seed)
@@ -134,4 +136,31 @@ fn every_scheme_works_after_key_rotation_with_regrant() {
             "mode {mode:?}: either stale cookies are rejected or service continued"
         );
     }
+}
+
+/// Liveness under Rate-Limiter1: a 256-slot extension client asks for a
+/// cookie on every slot at once, the default per-source burst of 10 admits
+/// ten of those requests, and the other 246 time out. The client must keep
+/// the cookie the ten were granted and saturate the ANS simulator's 110 K
+/// req/s bound, as in Figure 6 at zero attack.
+#[test]
+fn extension_client_keeps_its_cookie_past_the_rl1_burst() {
+    let mut p = WorldParams::new(6);
+    p.zone = ZoneSel::Foo;
+    p.mode = SchemeMode::ModifiedOnly;
+    p.open_limiters = false;
+    let GuardedWorld { mut sim, guard, .. } = guarded_world(p);
+    let lrs = attach_lrs(
+        &mut sim,
+        LrsParams::paced(Ipv4Addr::new(10, 0, 3, 1), 256, SimTime::from_millis(10), SimTime::ZERO)
+            .with_mode(CookieMode::Extension),
+    );
+    let ans_bound = 1.0 / netsim::cost::ans_sim_request_cost().as_secs_f64();
+    let throughput = measure_throughput(&mut sim, &[lrs], SimTime::from_millis(50), SimTime::from_millis(100));
+    let stats = sim.node_ref::<RemoteGuard>(guard).unwrap().stats();
+    assert!(stats.grants_sent <= 10, "the first burst's grants are the only ones: {}", stats.grants_sent);
+    assert!(
+        throughput >= 0.9 * ans_bound,
+        "{throughput:.0} req/s from 50 to 150 ms, under 90 % of the ANS's {ans_bound:.0}"
+    );
 }
