@@ -14,7 +14,8 @@
 #   clippy       clippy with warnings denied
 #   experiments  every experiment: bars, export validation, a `cmp` of
 #                every export and of the paper tables' stdout against the
-#                committed BENCH_* file, and EXPERIMENTS.md's quoted paper
+#                committed BENCH_* file, the two uncommitted traces against
+#                BENCH_digests.txt, and EXPERIMENTS.md's quoted paper
 #                tables against that stdout
 #   docs         rustdoc with warnings denied
 #   perf         explicit only: the benchmark package's tests, clippy, a smoke
@@ -80,6 +81,10 @@ if want experiments; then
         { echo "drift: $f differs from the committed $name" >&2; exit 1; }
     fi
   done
+  # The obs and journeys traces are too large to commit; their SHA-256
+  # digests are, and pin them the same way.
+  (cd "$smoke" && sha256sum --quiet -c ../../BENCH_digests.txt) ||
+    { echo "drift: a trace differs from its digest in BENCH_digests.txt" >&2; exit 1; }
   # EXPERIMENTS.md quotes the paper tables between `<!-- BENCH_paper.txt -->`
   # and `<!-- /BENCH_paper.txt -->` (fence lines aside). Each quoted block
   # must be a contiguous run of the fresh file's lines, compared without

@@ -36,13 +36,13 @@
 //! [`FleetAggregator::merged_sketch`]: obs::fleet::FleetAggregator::merged_sketch
 
 use crate::registry::{traced_kinds, untraced_kinds, Export, Format, Outcome};
-use crate::report::json_strings;
 use crate::worlds::{alert_engine, guarded_world, observe, run_evaluated, Scope, WorldParams, PUB};
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::guard::RemoteGuard;
 use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
 use obs::alert::AlertConfig;
+use obs::export::Json;
 use obs::fleet::{FleetAggregator, FleetAlertConfig};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -176,9 +176,9 @@ pub struct ScenarioOutcome {
     /// Every rule that fired, in first-fire order.
     pub fired_rules: Vec<&'static str>,
     /// The final analytics snapshot document.
-    pub analytics_json: String,
+    pub analytics_json: Json,
     /// The alert engine's transcript document.
-    pub alerts_json: String,
+    pub alerts_json: Json,
     /// The kinds the scenario traced.
     pub traced: BTreeSet<&'static str>,
 }
@@ -239,7 +239,7 @@ pub struct MergeOutcome {
     /// `guaranteed ≤ truth ≤ count`.
     pub top_bounds_ok: bool,
     /// The merged analytics snapshot document.
-    pub merged_json: String,
+    pub merged_json: Json,
 }
 
 /// Runs one site: a guard fed by one crowd, returning the guard's
@@ -328,50 +328,46 @@ pub fn run_merge(seed: u64) -> MergeOutcome {
 /// The full experiment: the scenarios plus the merge leg.
 pub struct AnalyticsRun {
     /// The composed `BENCH_analytics.json` document.
-    pub summary_json: String,
+    pub summary_json: Json,
     /// One outcome per scenario, in table order.
     pub scenarios: Vec<ScenarioOutcome>,
     /// The two-site sketch-merge leg.
     pub merge: MergeOutcome,
 }
 
-fn scenario_json(o: &ScenarioOutcome) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"datagrams\":{},\"distinct\":{:.1},\
-         \"entropy_norm\":{:.4},\"top_share\":{:.4},\
-         \"spoof_flood_fired\":{},\"flash_crowd_fired\":{},\"fired_rules\":{},\
-         \"analytics\":{},\"alerts\":{}}}",
-        o.name,
-        o.datagrams,
-        o.distinct,
-        o.entropy_norm,
-        o.top_share,
-        o.spoof_flood_fired,
-        o.flash_crowd_fired,
-        json_strings(&o.fired_rules),
-        o.analytics_json,
-        o.alerts_json,
-    )
+impl From<&ScenarioOutcome> for Json {
+    fn from(o: &ScenarioOutcome) -> Json {
+        Json::obj([
+            ("name", o.name.into()),
+            ("datagrams", o.datagrams.into()),
+            ("distinct", Json::fixed(o.distinct, 1)),
+            ("entropy_norm", Json::fixed(o.entropy_norm, 4)),
+            ("top_share", Json::fixed(o.top_share, 4)),
+            ("spoof_flood_fired", o.spoof_flood_fired.into()),
+            ("flash_crowd_fired", o.flash_crowd_fired.into()),
+            ("fired_rules", Json::strs(&o.fired_rules)),
+            ("analytics", o.analytics_json.clone()),
+            ("alerts", o.alerts_json.clone()),
+        ])
+    }
 }
 
-fn merge_json(m: &MergeOutcome) -> String {
-    format!(
-        "{{\"sites\":2,\"sent\":{},\"merged_total\":{},\"site_totals\":[{},{}],\
-         \"distinct_truth\":{},\"merged_distinct\":{:.1},\"distinct_err_pct\":{:.2},\
-         \"top_expected\":{},\"top_found\":{},\"top_bounds_ok\":{},\
-         \"merged_analytics\":{}}}",
-        m.sent,
-        m.merged_total,
-        m.site_totals.0,
-        m.site_totals.1,
-        m.distinct_truth,
-        m.merged_distinct,
-        m.distinct_err_pct,
-        m.top_expected,
-        m.top_found,
-        m.top_bounds_ok,
-        m.merged_json,
-    )
+impl From<&MergeOutcome> for Json {
+    fn from(m: &MergeOutcome) -> Json {
+        Json::obj([
+            ("sites", 2u64.into()),
+            ("sent", m.sent.into()),
+            ("merged_total", m.merged_total.into()),
+            ("site_totals", Json::Arr(vec![m.site_totals.0.into(), m.site_totals.1.into()])),
+            ("distinct_truth", m.distinct_truth.into()),
+            ("merged_distinct", Json::fixed(m.merged_distinct, 1)),
+            ("distinct_err_pct", Json::fixed(m.distinct_err_pct, 2)),
+            ("top_expected", m.top_expected.into()),
+            ("top_found", m.top_found.into()),
+            ("top_bounds_ok", m.top_bounds_ok.into()),
+            ("merged_analytics", m.merged_json.clone()),
+        ])
+    }
 }
 
 /// Runs everything and composes the export document.
@@ -380,13 +376,14 @@ pub fn run_all(seed: u64) -> AnalyticsRun {
     let scenarios: Vec<_> = table.iter().zip(seed..).map(|(s, seed)| run_scenario(seed, s)).collect();
     let merge = run_merge(seed + table.len() as u64);
     let discriminator_ok = table.iter().zip(&scenarios).all(|(s, o)| s.judged_right(o));
-    let fields: Vec<_> = scenarios.iter().map(|o| format!("\"{}\":{}", o.name, scenario_json(o))).collect();
-    let summary_json = format!(
-        "{{\"experiment\":\"analytics\",\"seed\":{seed},\
-         \"discriminator_ok\":{discriminator_ok},{},\"fleet_merge\":{}}}",
-        fields.join(","),
-        merge_json(&merge),
-    );
+    let mut members = vec![
+        ("experiment", "analytics".into()),
+        ("seed", seed.into()),
+        ("discriminator_ok", discriminator_ok.into()),
+    ];
+    members.extend(scenarios.iter().map(|o| (o.name, o.into())));
+    members.push(("fleet_merge", (&merge).into()));
+    let summary_json = Json::obj(members);
     AnalyticsRun { summary_json, scenarios, merge }
 }
 
@@ -454,14 +451,13 @@ pub fn experiment() -> Outcome {
     Outcome {
         report,
         failures: failures(&run),
-        exports: vec![Export::new(SUMMARY_FILE, Format::Json, run.summary_json, SUMMARY_KEYS)],
+        exports: vec![Export::new(SUMMARY_FILE, Format::Json, run.summary_json.to_string(), SUMMARY_KEYS)],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::export::validate_json;
 
     #[test]
     fn discriminator_and_merge_meet_the_acceptance_bar() {
@@ -479,9 +475,7 @@ mod tests {
         // bounds where it doesn't.
         assert_eq!(failures(&run), Vec::<String>::new());
 
-        validate_json(&run.summary_json)
-            .unwrap_or_else(|off| panic!("BENCH_analytics.json invalid at byte {off}"));
-        assert!(run.summary_json.contains("\"experiment\":\"analytics\""));
+        assert!(run.summary_json.to_string().contains("\"experiment\":\"analytics\""));
 
         for o in &mut run.scenarios {
             o.traced.remove("analytics_topk");

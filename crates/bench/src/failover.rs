@@ -26,7 +26,6 @@
 //!   ≤ 1.5, asserted at ≤ 1.6).
 
 use crate::registry::{Export, Format, Outcome};
-use crate::report::{json_array, json_strings};
 use crate::worlds::{
     alert_engine, attach_cookie_guess_flood, attach_flood, completions, guarded_world_with, ha_world,
     observe, paced_clients, run_evaluated, stays_silent, unverified_at_ans, verified_clients,
@@ -39,6 +38,7 @@ use dnsguard::PressureTier;
 use netsim::engine::{CpuConfig, Simulator};
 use netsim::time::SimTime;
 use obs::alert::AlertConfig;
+use obs::export::Json;
 use server::authoritative::Authority;
 use server::zone::paper_hierarchy;
 use std::net::Ipv4Addr;
@@ -84,7 +84,7 @@ pub struct CrashFailover {
     /// Rules that fired at least once, in first-fire order.
     pub fired_rules: Vec<&'static str>,
     /// The alert engine's final transcript document.
-    pub alerts_json: String,
+    pub alerts_json: Json,
 }
 
 /// Crash-mid-attack: warm ten verified clients, light up a cookie-guessing
@@ -303,7 +303,7 @@ pub fn ha_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
 /// sweep, clean baseline.
 pub struct FailoverRun {
     /// The composed `BENCH_failover.json` document.
-    pub summary_json: String,
+    pub summary_json: Json,
     /// The crash-mid-attack outcome.
     pub crash: CrashFailover,
     /// The checkpoint-age sweep.
@@ -321,55 +321,47 @@ pub fn run_all(seed: u64) -> FailoverRun {
     let shed = run_shed_sweep(seed + 200);
     let baseline_silent = ha_baseline_is_silent(seed + 300, SimTime::from_millis(600));
 
-    let or_null = |n: Option<u64>| n.map_or("null".to_string(), |n| n.to_string());
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"interval_nanos\":{},\"age_at_restore_nanos\":{},\
-                 \"restores\":{},\"stale_fwd\":{},\"stale_stash\":{},\
-                 \"post_restore_completed\":{}}}",
-                or_null(p.interval_nanos),
-                or_null(p.age_at_restore_nanos),
-                p.restores,
-                p.stale_fwd,
-                p.stale_stash,
-                p.post_restore_completed,
-            )
-        })
-        .collect();
-    let shed_json: Vec<String> = shed
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"attack_rate\":{},\"peak_tier\":\"{}\",\"shed\":{},\
-                 \"verified_completed\":{},\"amplification_milli\":{}}}",
-                p.attack_rate, p.peak_tier, p.shed, p.verified_completed, p.amplification_milli,
-            )
-        })
-        .collect();
-    let out = format!(
-        "{{\"experiment\":\"failover\",\"seed\":{seed},\"crash\":{{\
-         \"clients\":{},\"continued\":{},\"took_over\":{},\
-         \"takeover_after_crash_nanos\":{},\"post_crash_completed\":{},\
-         \"spoofed_to_ans\":{},\"standby_shed\":{},\"fired_rules\":{},\
-         \"alerts\":{}}},\"checkpoint_sweep\":{},\"shed_sweep\":{},\
-         \"baseline_silent\":{baseline_silent}}}",
-        crash.clients,
-        crash.continued,
-        crash.took_over,
-        or_null(crash.takeover_after_crash_nanos),
-        crash.post_crash_completed,
-        crash.spoofed_to_ans,
-        crash.standby_shed,
-        json_strings(&crash.fired_rules),
-        crash.alerts_json,
-        json_array(&sweep_json),
-        json_array(&shed_json),
-    );
+    let sweep_json = sweep.iter().map(|p| {
+        Json::obj([
+            ("interval_nanos", p.interval_nanos.into()),
+            ("age_at_restore_nanos", p.age_at_restore_nanos.into()),
+            ("restores", p.restores.into()),
+            ("stale_fwd", p.stale_fwd.into()),
+            ("stale_stash", p.stale_stash.into()),
+            ("post_restore_completed", p.post_restore_completed.into()),
+        ])
+    });
+    let shed_json = shed.iter().map(|p| {
+        Json::obj([
+            ("attack_rate", Json::float(p.attack_rate)),
+            ("peak_tier", p.peak_tier.into()),
+            ("shed", p.shed.into()),
+            ("verified_completed", p.verified_completed.into()),
+            ("amplification_milli", p.amplification_milli.into()),
+        ])
+    });
+    let crash_json = Json::obj([
+        ("clients", crash.clients.into()),
+        ("continued", crash.continued.into()),
+        ("took_over", crash.took_over.into()),
+        ("takeover_after_crash_nanos", crash.takeover_after_crash_nanos.into()),
+        ("post_crash_completed", crash.post_crash_completed.into()),
+        ("spoofed_to_ans", crash.spoofed_to_ans.into()),
+        ("standby_shed", crash.standby_shed.into()),
+        ("fired_rules", Json::strs(&crash.fired_rules)),
+        ("alerts", crash.alerts_json.clone()),
+    ]);
+    let summary_json = Json::obj([
+        ("experiment", "failover".into()),
+        ("seed", seed.into()),
+        ("crash", crash_json),
+        ("checkpoint_sweep", Json::Arr(sweep_json.collect())),
+        ("shed_sweep", Json::Arr(shed_json.collect())),
+        ("baseline_silent", baseline_silent.into()),
+    ]);
 
     FailoverRun {
-        summary_json: out,
+        summary_json,
         crash,
         sweep,
         shed,
@@ -458,14 +450,13 @@ pub fn experiment() -> Outcome {
     Outcome {
         report,
         failures: failures(&run),
-        exports: vec![Export::new(SUMMARY_FILE, Format::Json, run.summary_json, SUMMARY_KEYS)],
+        exports: vec![Export::new(SUMMARY_FILE, Format::Json, run.summary_json.to_string(), SUMMARY_KEYS)],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::export::validate_json;
 
     #[test]
     fn crash_failover_keeps_verified_clients_alive() {
@@ -484,7 +475,6 @@ mod tests {
             "takeover after {takeover} ns exceeds the heartbeat budget"
         );
         assert!(c.standby_shed > 0, "the standby must shed under flood");
-        validate_json(&c.alerts_json).unwrap();
     }
 
     #[test]
@@ -545,10 +535,9 @@ mod tests {
     #[test]
     fn full_run_exports_valid_json_and_each_missed_bar_is_reported() {
         let mut run = run_all(11);
-        validate_json(&run.summary_json)
-            .unwrap_or_else(|off| panic!("BENCH_failover.json invalid at byte {off}"));
-        assert!(run.summary_json.contains("\"checkpoint_sweep\""));
-        assert!(run.summary_json.contains("\"shed_sweep\""));
+        let summary = run.summary_json.to_string();
+        assert!(summary.contains("\"checkpoint_sweep\""));
+        assert!(summary.contains("\"shed_sweep\""));
         assert_eq!(failures(&run), Vec::<String>::new());
 
         run.crash.took_over = false;

@@ -17,7 +17,6 @@
 
 use crate::experiments::Scheme;
 use crate::registry::{Export, Format, Outcome};
-use crate::report::json_strings;
 use crate::worlds::{
     alert_engine, attach_cookie_guess_flood, attach_lrs, guarded_world, guarded_world_with, observe, run_evaluated,
     stays_silent, LrsParams, Scope, WorldParams, ZoneSel, ALERT_TICK,
@@ -26,7 +25,7 @@ use dnsguard::config::GuardConfig;
 use netsim::engine::FaultPlan;
 use netsim::time::SimTime;
 use obs::alert::AlertConfig;
-use obs::export::metrics_json;
+use obs::export::{metrics_json, Json};
 use obs::journey::JourneyReport;
 use server::nodes::AuthNode;
 use server::simclient::LrsSimulator;
@@ -76,7 +75,7 @@ pub struct SchemeJourneys {
     /// The assembled report.
     pub report: JourneyReport,
     /// The journey-metric snapshot JSON (histograms with quantiles).
-    pub metrics_json: String,
+    pub metrics_json: Json,
 }
 
 impl SchemeJourneys {
@@ -169,7 +168,7 @@ pub struct ChaosJourneys {
     /// Rules that fired at least once, in first-fire order.
     pub fired_rules: Vec<&'static str>,
     /// The engine's `{"active":...,"history":...}` document at the end.
-    pub alerts_json: String,
+    pub alerts_json: Json,
 }
 
 impl ChaosJourneys {
@@ -262,9 +261,9 @@ pub fn clean_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
 /// The full experiment: every scheme plus chaos plus the clean baseline.
 pub struct JourneysRun {
     /// The composed `BENCH_journeys.json` document.
-    pub summary_json: String,
+    pub summary_json: Json,
     /// The chrome trace document (`BENCH_journeys_trace.json`).
-    pub chrome_trace_json: String,
+    pub chrome_trace_json: Json,
     /// Per-scheme results, in [`Scheme::ALL`] order.
     pub schemes: Vec<SchemeJourneys>,
     /// The chaos run.
@@ -284,48 +283,42 @@ pub fn run_all(seed: u64) -> JourneysRun {
     let chaos = run_chaos(seed + 100, SimTime::from_millis(1_000));
     let baseline_silent = clean_baseline_is_silent(seed + 200, SimTime::from_millis(600));
 
-    let scheme_entries: Vec<String> = schemes
-        .iter()
-        .map(|s| {
-            let (total, hs, guard, ans) = s.mean_attribution_ns();
-            format!(
-                "\"{}\":{{\"client_completed\":{},\"assembled\":{},\
-                 \"incomplete\":{},\"orphan_stages\":{},\"rejected_verifies\":{},\
-                 \"reconstruction\":{:.4},\"extra_rtt\":{},\
-                 \"mean_total_ns\":{total},\"mean_handshake_ns\":{hs},\
-                 \"mean_guard_ns\":{guard},\"mean_ans_ns\":{ans},\
-                 \"metrics\":{}}}",
-                s.scheme,
-                s.client_completed,
-                s.report.complete.len(),
-                s.report.incomplete.len(),
-                s.report.orphan_stages,
-                s.report.rejected_verifies,
-                s.reconstruction(),
-                s.extra_rtt_mode(),
-                s.metrics_json,
-            )
-        })
-        .collect();
-    let out = format!(
-        "{{\"experiment\":\"journeys\",\"seed\":{seed},\
-         \"scheme_duration_nanos\":{},\"schemes\":{{{}}},\
-         \"chaos\":{{\"client_completed\":{},\"assembled\":{},\
-         \"incomplete\":{},\"orphan_stages\":{},\"rejected_verifies\":{},\
-         \"reconstruction\":{:.4},\"fired_rules\":{},\
-         \"alerts\":{}}},\"baseline_silent\":{}}}",
-        scheme_duration.as_nanos(),
-        scheme_entries.join(","),
-        chaos.client_completed,
-        chaos.report.complete.len(),
-        chaos.report.incomplete.len(),
-        chaos.report.orphan_stages,
-        chaos.report.rejected_verifies,
-        chaos.reconstruction(),
-        json_strings(&chaos.fired_rules),
-        chaos.alerts_json,
-        baseline_silent,
-    );
+    let scheme_entries = schemes.iter().map(|s| {
+        let (total, hs, guard, ans) = s.mean_attribution_ns();
+        let entry = Json::obj([
+            ("client_completed", s.client_completed.into()),
+            ("assembled", s.report.complete.len().into()),
+            ("incomplete", s.report.incomplete.len().into()),
+            ("orphan_stages", s.report.orphan_stages.into()),
+            ("rejected_verifies", s.report.rejected_verifies.into()),
+            ("reconstruction", Json::fixed(s.reconstruction(), 4)),
+            ("extra_rtt", s.extra_rtt_mode().into()),
+            ("mean_total_ns", total.into()),
+            ("mean_handshake_ns", hs.into()),
+            ("mean_guard_ns", guard.into()),
+            ("mean_ans_ns", ans.into()),
+            ("metrics", s.metrics_json.clone()),
+        ]);
+        (s.scheme, entry)
+    });
+    let chaos_entry = Json::obj([
+        ("client_completed", chaos.client_completed.into()),
+        ("assembled", chaos.report.complete.len().into()),
+        ("incomplete", chaos.report.incomplete.len().into()),
+        ("orphan_stages", chaos.report.orphan_stages.into()),
+        ("rejected_verifies", chaos.report.rejected_verifies.into()),
+        ("reconstruction", Json::fixed(chaos.reconstruction(), 4)),
+        ("fired_rules", Json::strs(&chaos.fired_rules)),
+        ("alerts", chaos.alerts_json.clone()),
+    ]);
+    let summary_json = Json::obj([
+        ("experiment", "journeys".into()),
+        ("seed", seed.into()),
+        ("scheme_duration_nanos", scheme_duration.as_nanos().into()),
+        ("schemes", Json::obj(scheme_entries)),
+        ("chaos", chaos_entry),
+        ("baseline_silent", baseline_silent.into()),
+    ]);
 
     // The COOKIE2 run has the richest stage structure (six stages across
     // three correlation ids) — the representative chrome trace.
@@ -333,10 +326,10 @@ pub fn run_all(seed: u64) -> JourneysRun {
         .iter()
         .find(|s| s.scheme == "cookie2")
         .map(|s| s.report.chrome_trace_json())
-        .unwrap_or_else(|| "{\"traceEvents\":[]}".to_string());
+        .unwrap_or_else(|| Json::obj([("traceEvents", Json::Arr(Vec::new()))]));
 
     JourneysRun {
-        summary_json: out,
+        summary_json,
         chrome_trace_json,
         schemes,
         chaos,
@@ -417,9 +410,9 @@ pub fn experiment() -> Outcome {
         report,
         failures: failures(&run),
         exports: vec![
-            Export::new(SUMMARY_FILE, Format::Json, run.summary_json, SUMMARY_KEYS)
+            Export::new(SUMMARY_FILE, Format::Json, run.summary_json.to_string(), SUMMARY_KEYS)
                 .also_require(Scheme::ALL.map(|scheme| format!("\"{}\":{{", scheme.journey_label()))),
-            Export::new(CHROME_TRACE_FILE, Format::Json, run.chrome_trace_json, CHROME_KEYS),
+            Export::new(CHROME_TRACE_FILE, Format::Json, run.chrome_trace_json.to_string(), CHROME_KEYS),
         ],
     }
 }
@@ -427,7 +420,6 @@ pub fn experiment() -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::export::validate_json;
 
     #[test]
     fn scheme_runs_reconstruct_with_paper_extra_rtt() {
@@ -453,7 +445,7 @@ mod tests {
                 );
             }
             assert!(
-                r.metrics_json.contains("\"p50\""),
+                r.metrics_json.to_string().contains("\"p50\""),
                 "{scheme}: histograms carry quantiles"
             );
         }
@@ -466,7 +458,6 @@ mod tests {
         // Cookie guessing must trip spoof_surge and the partition ans_down,
         // with reconstruction holding through the faults.
         assert_eq!(chaos_failures(&c), Vec::<String>::new());
-        validate_json(&c.alerts_json).unwrap();
     }
 
     #[test]
@@ -477,13 +468,10 @@ mod tests {
     #[test]
     fn exports_are_valid_json() {
         let run = run_all(11);
-        validate_json(&run.summary_json)
-            .unwrap_or_else(|off| panic!("BENCH_journeys.json invalid at byte {off}"));
-        validate_json(&run.chrome_trace_json)
-            .unwrap_or_else(|off| panic!("chrome trace invalid at byte {off}"));
-        assert!(run.chrome_trace_json.contains("\"traceEvents\""));
-        assert!(run.chrome_trace_json.contains("\"ph\":\"X\""));
-        assert!(run.summary_json.contains("\"fired_rules\""));
+        let chrome = run.chrome_trace_json.to_string();
+        assert!(chrome.contains("\"traceEvents\""));
+        assert!(chrome.contains("\"ph\":\"X\""));
+        assert!(run.summary_json.to_string().contains("\"fired_rules\""));
         assert_eq!(failures(&run), Vec::<String>::new());
     }
 }

@@ -39,7 +39,7 @@
 //! * [`poison`] — `poison`: the cache-poisoning success table behind
 //!   `BENCH_poison.json`;
 //! * [`registry`] — the table, the runner and the export validator;
-//! * [`report`] — plain-text table rendering and JSON list joining.
+//! * [`report`] — plain-text table rendering.
 //!
 //! [`FleetAggregator`]: obs::fleet::FleetAggregator
 

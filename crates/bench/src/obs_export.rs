@@ -18,7 +18,7 @@ use crate::worlds::{
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
-use obs::export::{events_jsonl, metrics_json, Sampler};
+use obs::export::{events_jsonl, metrics_json, Json, Sampler};
 use server::nodes::AuthNode;
 use server::simclient::CookieMode;
 use std::collections::BTreeMap;
@@ -48,7 +48,7 @@ const SNAPSHOT_KEYS: &[&str] = &[
 /// The in-memory result of one instrumented run.
 pub struct ObsRun {
     /// The composed `BENCH_obs.json` document.
-    pub snapshot_json: String,
+    pub snapshot_json: Json,
     /// The JSONL event trace.
     pub trace_jsonl: String,
     /// Events drained from the tracer ring.
@@ -139,15 +139,14 @@ pub fn run_scenario(seed: u64, duration: SimTime) -> ObsRun {
         *kind_counts.entry(e.kind).or_default() += 1;
     }
 
-    let snapshot_json = format!(
-        "{{\"experiment\":\"obs_export\",\"seed\":{seed},\"duration_nanos\":{},\
-         \"trace\":{{\"events\":{},\"dropped\":{dropped}}},\
-         \"snapshot\":{},\"timeseries\":{}}}",
-        duration.as_nanos(),
-        events.len(),
-        metrics_json(&obs.registry.snapshot()),
-        sampler.series_json(),
-    );
+    let snapshot_json = Json::obj([
+        ("experiment", "obs_export".into()),
+        ("seed", seed.into()),
+        ("duration_nanos", duration.as_nanos().into()),
+        ("trace", Json::obj([("events", events.len().into()), ("dropped", dropped.into())])),
+        ("snapshot", metrics_json(&obs.registry.snapshot())),
+        ("timeseries", sampler.series_json()),
+    ]);
     ObsRun {
         snapshot_json,
         trace_jsonl: events_jsonl(&events),
@@ -168,7 +167,7 @@ pub fn experiment() -> Outcome {
         report,
         failures: failures(&run),
         exports: vec![
-            Export::new(SNAPSHOT_FILE, Format::Json, run.snapshot_json, SNAPSHOT_KEYS),
+            Export::new(SNAPSHOT_FILE, Format::Json, run.snapshot_json.to_string(), SNAPSHOT_KEYS),
             Export::new(TRACE_FILE, Format::Jsonl, run.trace_jsonl, &[]),
         ],
     }
@@ -178,20 +177,18 @@ pub fn experiment() -> Outcome {
 mod tests {
     use super::*;
     use crate::registry::validate;
-    use obs::export::validate_json;
 
     #[test]
     fn scenario_covers_every_decision_kind_and_exports_valid_json() {
         let mut run = run_scenario(2006, SimTime::from_millis(1_400));
         assert_eq!(failures(&run), Vec::<String>::new(), "kinds seen: {:?}", run.kind_counts);
-        validate_json(&run.snapshot_json)
-            .unwrap_or_else(|off| panic!("BENCH_obs.json invalid at byte {off}"));
         // Every line reads back into an event of the vocabulary and writes
         // out as the same bytes: nothing a collector relays is lost.
         let trace = Export::new(TRACE_FILE, Format::Jsonl, String::new(), &[]);
         assert_eq!(validate(&trace, &run.trace_jsonl), Vec::<String>::new());
+        let snapshot = run.snapshot_json.to_string();
         for key in SNAPSHOT_KEYS {
-            assert!(run.snapshot_json.contains(key), "missing {key}");
+            assert!(snapshot.contains(key), "missing {key}");
         }
         run.kind_counts.remove("evict");
         assert_eq!(failures(&run), ["required event kind \"evict\" was never traced"]);

@@ -292,7 +292,7 @@ pub fn validate(export: &Export, on_disk: &str) -> Vec<String> {
         Format::Jsonl => {
             let bad = on_disk.lines().position(|line| {
                 let event = parse_json(line).ok().and_then(|doc| parse_event(&doc));
-                event.map(|e| event_json(&e)).as_deref() != Some(line)
+                event.map(|e| event_json(&e).to_string()).as_deref() != Some(line)
             });
             if let Some(line) = bad {
                 problems.push(format!("{file} line {line} is not an event of obs::vocab"));
@@ -433,6 +433,29 @@ mod tests {
         ] {
             let problems = validate(&jsonl, &format!("{grant}{bad}"));
             assert_eq!(problems, ["x.jsonl line 1 is not an event of obs::vocab"], "{bad}");
+        }
+    }
+
+    /// Parsed and written again, each committed JSON export is the same
+    /// bytes: the writer adds no whitespace, reorders no member and
+    /// re-formats no number that the drift gate would otherwise only catch
+    /// after a full run.
+    #[test]
+    fn committed_exports_are_the_writers_fixed_points() {
+        let committed = [
+            ("BENCH_obs.json", include_str!("../../../BENCH_obs.json")),
+            ("BENCH_journeys.json", include_str!("../../../BENCH_journeys.json")),
+            ("BENCH_failover.json", include_str!("../../../BENCH_failover.json")),
+            ("BENCH_fleet.json", include_str!("../../../BENCH_fleet.json")),
+            ("BENCH_fleetobs.json", include_str!("../../../BENCH_fleetobs.json")),
+            ("BENCH_analytics.json", include_str!("../../../BENCH_analytics.json")),
+            ("BENCH_poison.json", include_str!("../../../BENCH_poison.json")),
+        ];
+        for (file, doc) in committed {
+            let parsed = parse_json(doc).unwrap_or_else(|off| panic!("{file} invalid at byte {off}"));
+            let written = parsed.to_string();
+            let differs_at = written.bytes().zip(doc.bytes()).position(|(a, b)| a != b);
+            assert!(written == doc, "{file} is written back differently from byte {differs_at:?}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Plain-text table rendering and JSON list joining for experiment output.
+//! Plain-text table rendering for experiment output.
 
 /// Renders an aligned text table: `header` then `rows`, columns padded to
 /// the widest cell.
@@ -51,18 +51,6 @@ pub fn pct(v: f64) -> String {
     format!("{:.0}%", v * 100.0)
 }
 
-/// Joins pre-formatted JSON values into an array: `[a,b,c]`.
-pub fn json_array(items: &[String]) -> String {
-    format!("[{}]", items.join(","))
-}
-
-/// A JSON array of strings: `["a","b"]`. The items are rule names and
-/// labels from this repo's own tables, so nothing needs escaping.
-pub fn json_strings(items: &[&str]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("\"{s}\"")).collect();
-    json_array(&quoted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,12 +76,5 @@ mod tests {
         assert_eq!(kreq(84_200.0), "84.2K");
         assert_eq!(ms(21.04), "21.0");
         assert_eq!(pct(0.256), "26%");
-    }
-
-    #[test]
-    fn json_lists() {
-        assert_eq!(json_array(&[]), "[]");
-        assert_eq!(json_array(&["1".into(), "{\"a\":2}".into()]), "[1,{\"a\":2}]");
-        assert_eq!(json_strings(&["ans_down", "spoof_surge"]), "[\"ans_down\",\"spoof_surge\"]");
     }
 }

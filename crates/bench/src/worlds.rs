@@ -577,7 +577,7 @@ mod tests {
             for &until in phases {
                 run_evaluated(&mut w.sim, &obs, &mut engine, until, ALERT_TICK);
             }
-            engine.alerts_json()
+            engine.alerts_json().to_string()
         };
         let whole = transcript(&[ms(600)]);
         assert!(whole.contains("\"spoof_surge\""), "the flood must fire: {whole}");

@@ -1,8 +1,11 @@
 //! Telemetry export: JSON snapshots, JSONL event traces, a sim-time-cadence
-//! time-series [`Sampler`], and a dependency-free JSON validator for CI.
+//! time-series [`Sampler`], and the workspace's one JSON value, [`Json`],
+//! which both writes and parses every document.
 //!
-//! All serialisation is hand-written (the workspace has no `serde`), so
-//! the formats are deliberately simple:
+//! The workspace has no `serde`: every writer builds a [`Json`] and renders
+//! it once with its compact `Display` (no whitespace outside strings,
+//! members in the order built, a number as the text it was made from), and
+//! [`parse_json`] reads the same grammar back. The formats are simple:
 //!
 //! * **Metrics snapshot** ([`metrics_json`]) — one JSON object with a
 //!   `metrics` array of `{component, name, labels, kind, ...}` objects.
@@ -21,145 +24,112 @@ use crate::fleet::FleetSample;
 use crate::metrics::{quantile_from_buckets, Cell, MetricSample, Registry, SampleValue};
 use crate::trace::{Event, Value};
 use crate::vocab;
+use std::fmt::{self, Write as _};
 use std::net::Ipv4Addr;
 
-/// Appends `s` to `out` as a JSON string literal (quoted, escaped).
-pub fn escape_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string literal (quoted, escaped): `"`, `\`, `\n`,
+/// `\r` and `\t` by their short escapes, every other character below 0x20
+/// as `\u00XX`, everything else as itself.
+fn escape_json_str(s: &str, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        if c >= ' ' && c != '"' && c != '\\' {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match c {
+            '"' => out.write_str("\\\""),
+            '\\' => out.write_str("\\\\"),
+            '\n' => out.write_str("\\n"),
+            '\r' => out.write_str("\\r"),
+            '\t' => out.write_str("\\t"),
+            c => write!(out, "\\u{:04x}", c as u32),
+        }?;
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
-fn push_f64(v: f64, out: &mut String) {
-    // JSON has no Infinity/NaN literals; encode them as strings.
+/// A number from a float's `text`, or — JSON has no Infinity/NaN
+/// literals — the string `{v}` writes (`"inf"`, `"-inf"`, `"NaN"`).
+fn float_or_str(v: f64, text: String) -> Json {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
-        // `{}` on a whole f64 prints no decimal point; keep it a JSON
-        // number either way (integers are valid JSON numbers).
+        Json::Num(text)
     } else {
-        escape_json_str(&format!("{v}"), out);
+        Json::Str(format!("{v}"))
     }
 }
 
-fn push_value(v: &Value, out: &mut String) {
-    match v {
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(f) => push_f64(*f, out),
-        Value::Str(s) => escape_json_str(s, out),
-        Value::Ip(ip) => escape_json_str(&ip.to_string(), out),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-}
-
-/// Appends one metric as an object of the `metrics` array — the one
-/// writer under [`metrics_json`] and the fleet's merged snapshot.
-pub(crate) fn push_sample<K: AsRef<str>>(
+/// One metric as an object of the `metrics` array — the one shape under
+/// [`metrics_json`] and the fleet's merged snapshot.
+pub(crate) fn sample_json<K: AsRef<str>>(
     component: &str,
     name: &str,
     labels: &[(K, String)],
     value: &SampleValue,
-    out: &mut String,
-) {
-    out.push_str("{\"component\":");
-    escape_json_str(component, out);
-    out.push_str(",\"name\":");
-    escape_json_str(name, out);
-    out.push_str(",\"labels\":{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        escape_json_str(k.as_ref(), out);
-        out.push(':');
-        escape_json_str(v, out);
-    }
-    out.push('}');
+) -> Json {
+    let labels = Json::obj(labels.iter().map(|(k, v)| (k.as_ref(), v.as_str().into())));
+    let mut members = vec![("component", component.into()), ("name", name.into()), ("labels", labels)];
     match value {
-        SampleValue::Counter(v) => {
-            out.push_str(&format!(",\"kind\":\"counter\",\"value\":{v}"));
-        }
-        SampleValue::Gauge(v) => {
-            out.push_str(&format!(",\"kind\":\"gauge\",\"value\":{v}"));
-        }
+        SampleValue::Counter(v) => members.extend([("kind", "counter".into()), ("value", (*v).into())]),
+        SampleValue::Gauge(v) => members.extend([("kind", "gauge".into()), ("value", (*v).into())]),
         SampleValue::Histogram { count, sum, buckets } => {
-            let p50 = quantile_from_buckets(buckets, *count, 0.50);
-            let p95 = quantile_from_buckets(buckets, *count, 0.95);
-            let p99 = quantile_from_buckets(buckets, *count, 0.99);
-            out.push_str(&format!(
-                ",\"kind\":\"histogram\",\"count\":{count},\"sum\":{sum},\
-                 \"p50\":{p50},\"p95\":{p95},\"p99\":{p99},\"buckets\":["
-            ));
-            for (i, (bound, n)) in buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{bound},{n}]"));
-            }
-            out.push(']');
+            let quantile = |q| quantile_from_buckets(buckets, *count, q).into();
+            let pairs = buckets.iter().map(|&(bound, n)| Json::Arr(vec![bound.into(), n.into()]));
+            members.extend([
+                ("kind", "histogram".into()),
+                ("count", (*count).into()),
+                ("sum", (*sum).into()),
+                ("p50", quantile(0.50)),
+                ("p95", quantile(0.95)),
+                ("p99", quantile(0.99)),
+                ("buckets", Json::Arr(pairs.collect())),
+            ]);
         }
     }
-    out.push('}');
+    Json::obj(members)
 }
 
-/// Serialises a metrics snapshot as one JSON object:
-/// `{"metrics": [ ... ]}`.
-pub fn metrics_json(samples: &[MetricSample]) -> String {
-    let mut out = String::with_capacity(64 + samples.len() * 96);
-    out.push_str("{\"metrics\":[");
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_sample(s.component, s.name, &s.labels, &s.value, &mut out);
-    }
-    out.push_str("]}");
-    out
+/// A metrics snapshot as one JSON object: `{"metrics": [ ... ]}`.
+pub fn metrics_json(samples: &[MetricSample]) -> Json {
+    let metrics = samples.iter().map(|s| sample_json(s.component, s.name, &s.labels, &s.value));
+    Json::obj([("metrics", Json::Arr(metrics.collect()))])
 }
 
-/// Serialises one event as a single-line JSON object (no trailing newline).
-pub fn event_json(e: &Event) -> String {
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"t\":");
-    out.push_str(&e.t_nanos.to_string());
-    out.push_str(",\"component\":");
-    escape_json_str(e.component, &mut out);
-    out.push_str(",\"kind\":");
-    escape_json_str(e.kind, &mut out);
-    out.push_str(",\"fields\":{");
-    for (i, (k, v)) in e.fields().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        escape_json_str(k, &mut out);
-        out.push(':');
-        push_value(v, &mut out);
-    }
-    out.push_str("}}");
-    out
+/// One event as a JSON object, written on a single line.
+pub fn event_json(e: &Event) -> Json {
+    Json::obj([
+        ("t", e.t_nanos.into()),
+        ("component", e.component.into()),
+        ("kind", e.kind.into()),
+        ("fields", Json::obj(e.fields().iter().map(|(k, v)| (*k, v.into())))),
+    ])
 }
 
-/// Serialises events as JSONL: one object per line, oldest first, trailing
-/// newline after the last line (empty string for no events).
+/// Events as JSONL: one object per line, oldest first, trailing newline
+/// after the last line (empty string for no events).
 pub fn events_jsonl(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 96);
     for e in events {
-        out.push_str(&event_json(e));
-        out.push('\n');
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "{}", event_json(e));
     }
     out
+}
+
+impl From<&Value> for Json {
+    fn from(v: &Value) -> Json {
+        match *v {
+            Value::U64(n) => n.into(),
+            Value::I64(n) => n.into(),
+            Value::F64(f) => Json::float(f),
+            Value::Str(s) => s.into(),
+            Value::Ip(ip) => ip.to_string().into(),
+            Value::Bool(b) => b.into(),
+        }
+    }
 }
 
 /// Collects a scalar time series for every metric registered at
@@ -201,32 +171,24 @@ impl Sampler {
         self.cells.is_empty()
     }
 
-    /// Serialises the collected series as one JSON object:
+    /// The collected series as one JSON object:
     /// `{"series": {"<flat key>": [[t, v], ...], ...}}`.
-    pub fn series_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.cells.len() * 128);
-        out.push_str("{\"series\":{");
-        for (i, (key, _)) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json_str(key, &mut out);
-            out.push_str(":[");
-            for (j, (t, v)) in self.points[i].iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{t},{v}]"));
-            }
-            out.push(']');
-        }
-        out.push_str("}}");
-        out
+    pub fn series_json(&self) -> Json {
+        let series = self.cells.iter().zip(&self.points).map(|((key, _), points)| {
+            let points = points.iter().map(|&(t, v)| Json::Arr(vec![t.into(), v.into()]));
+            (key.as_str(), Json::Arr(points.collect()))
+        });
+        Json::obj([("series", Json::obj(series))])
     }
 }
 
-/// A parsed JSON value. Numbers keep their raw text, so a `u64` counter
-/// survives without a round-trip through `f64`.
+/// A JSON value: what every writer builds and [`parse_json`] returns.
+/// Numbers keep their raw text, so a `u64` counter survives without a
+/// round-trip through `f64` and a float keeps the digits it was made with.
+///
+/// `Display` is the workspace's one JSON writer: compact, members in
+/// order, a number as its raw text. Built from the constructors below, a
+/// value reads back as itself: `parse_json(&v.to_string()) == Ok(v)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// An object's members, in document order (duplicate keys are kept).
@@ -244,6 +206,28 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object of `members`, in the order given.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// An array of strings.
+    pub fn strs(items: &[&str]) -> Json {
+        Json::Arr(items.iter().map(|&s| s.into()).collect())
+    }
+
+    /// A float as `{v}` writes it: the shortest text that reads back as
+    /// `v`, with no exponent and no decimal point when `v` is whole.
+    pub fn float(v: f64) -> Json {
+        float_or_str(v, format!("{v}"))
+    }
+
+    /// A float with `digits` digits after the point, as `{v:.digits$}`
+    /// writes it.
+    pub fn fixed(v: f64, digits: usize) -> Json {
+        float_or_str(v, format!("{v:.digits$}"))
+    }
+
     /// The first member of an object under `key`.
     pub fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
         match self {
@@ -265,6 +249,75 @@ impl Json {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
+        }
+    }
+}
+
+macro_rules! json_from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n.to_string())
+            }
+        }
+    )*};
+}
+json_from_integer!(u32, u64, usize, i64);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Obj(members) => {
+                f.write_char('{')?;
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    escape_json_str(k, f)?;
+                    f.write_char(':')?;
+                    v.fmt(f)?;
+                }
+                f.write_char('}')
+            }
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    v.fmt(f)?;
+                }
+                f.write_char(']')
+            }
+            Json::Str(s) => escape_json_str(s, f),
+            Json::Num(raw) => f.write_str(raw),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Null => f.write_str("null"),
         }
     }
 }
@@ -579,8 +632,7 @@ mod tests {
         let h = reg.histogram("guard", "latency_ns", &[]);
         h.record(100);
         h.record(100_000);
-        let json = metrics_json(&reg.snapshot());
-        validate_json(&json).unwrap_or_else(|off| panic!("invalid at {off}: {json}"));
+        let json = metrics_json(&reg.snapshot()).to_string();
         assert!(json.contains("\"guard\""));
         assert!(json.contains("\"kind\":\"histogram\""));
         assert!(json.contains("\"scheme\":\"dns_based\""));
@@ -617,8 +669,7 @@ mod tests {
         sampler.sample(1_000_000);
         c.add(5);
         sampler.sample(2_000_000);
-        let json = sampler.series_json();
-        validate_json(&json).unwrap();
+        let json = sampler.series_json().to_string();
         assert!(json.contains("\"guard.forwarded\":[[0,0],[1000000,10],[2000000,15]]"));
     }
 
@@ -632,15 +683,96 @@ mod tests {
         assert_eq!(sampler.len(), 1);
     }
 
+    fn byte(bytes: &mut std::slice::Iter<'_, u8>) -> u8 {
+        bytes.next().copied().unwrap_or(0)
+    }
+
+    /// Every character below 0x20, the two the writer escapes by hand, a
+    /// BMP character, an astral one and plain text.
+    fn arb_str(bytes: &mut std::slice::Iter<'_, u8>, max_len: u8) -> String {
+        let special = ['"', '\\', '\u{2192}', '\u{1F600}', 'a', '/', ' '];
+        let len = byte(bytes) % (max_len + 1);
+        (0..len)
+            .map(|_| match usize::from(byte(bytes)) % (32 + special.len()) {
+                i @ 0..32 => char::from(i as u8),
+                i => special[i - 32],
+            })
+            .collect()
+    }
+
+    /// A value drawn from `bytes`, nesting containers at most `depth`
+    /// deep. Short keys make duplicate keys common; once the bytes run
+    /// out, every draw is an empty array.
+    fn arb_json(bytes: &mut std::slice::Iter<'_, u8>, depth: usize) -> Json {
+        let wide = |bytes: &mut std::slice::Iter<'_, u8>| (0..8).fold(0, |n, _| n << 8 | u64::from(byte(bytes)));
+        match byte(bytes) % 10 {
+            0..=2 if depth > 0 => {
+                let items = (0..byte(bytes) % 5).map(|_| arb_json(bytes, depth - 1));
+                Json::Arr(items.collect())
+            }
+            3..=5 if depth > 0 => {
+                let members = (0..byte(bytes) % 5).map(|_| (arb_str(bytes, 2), arb_json(bytes, depth - 1)));
+                Json::Obj(members.collect())
+            }
+            0..=5 => Json::Arr(Vec::new()),
+            6 => arb_str(bytes, 12).into(),
+            7 if byte(bytes) < 128 => wide(bytes).into(),
+            7 => (wide(bytes) as i64).into(),
+            8 => {
+                let v = wide(bytes) as i64 as f64 / f64::from(u32::from(byte(bytes)) + 1);
+                match byte(bytes) % 8 {
+                    7 => Json::float(v),
+                    digits => Json::fixed(v, usize::from(digits)),
+                }
+            }
+            _ => match byte(bytes) % 3 {
+                0 => Json::Null,
+                1 => (byte(bytes) < 128).into(),
+                _ => Json::strs(&["ans_down", "", "\u{1F600}\"\n"]),
+            },
+        }
+    }
+
+    proptest::proptest! {
+        /// The writer's output is what the parser reads back as the same
+        /// value: escapes, raw numbers, member order and duplicate keys.
+        #[test]
+        fn written_values_parse_back_to_themselves(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+        ) {
+            let value = arb_json(&mut bytes.iter(), 8);
+            let text = value.to_string();
+            proptest::prop_assert_eq!(parse_json(&text), Ok(value), "{}", text);
+        }
+    }
+
+    /// The writer's escapes: `\"`, `\\`, `\n`, `\r` and `\t` short, every
+    /// other character below 0x20 as a lower-case `\u00xx`, the rest as
+    /// itself.
+    #[test]
+    fn strings_escape_by_the_writers_rules() {
+        let special = ['"', '\\', '/', '\u{2192}', '\u{1F600}'];
+        let s: String = (0..0x20u8).map(char::from).chain(special).collect();
+        let expected = concat!(
+            r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b\u000c\r\u000e\u000f"#,
+            r#"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f"#,
+            "\\\"\\\\/\u{2192}\u{1F600}\"",
+        );
+        assert_eq!(Json::Str(s).to_string(), expected);
+    }
+
     #[test]
     fn non_finite_floats_encode_as_strings() {
+        for (v, text) in [(f64::INFINITY, "inf"), (f64::NEG_INFINITY, "-inf"), (f64::NAN, "NaN")] {
+            assert_eq!(Json::float(v), Json::Str(text.into()));
+            assert_eq!(Json::fixed(v, 3), Json::Str(text.into()));
+        }
         let tracer = Tracer::new(4);
         tracer.set_default_level(Level::Info);
         let t = tracer.component("alert");
         t.event(0, "alert", &[("value", Value::F64(f64::INFINITY))]);
         let (events, _) = tracer.drain();
-        let line = event_json(&events[0]);
-        validate_json(&line).unwrap();
+        let line = event_json(&events[0]).to_string();
         assert!(line.contains("\"value\":\"inf\""));
         // ... and `"inf"` is no word of the vocabulary: read back, the field is gone.
         let back = parse_event(&parse_json(&line).unwrap()).unwrap();

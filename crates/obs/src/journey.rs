@@ -33,7 +33,7 @@
 //! decomposition), JSONL and chrome-trace (`trace_event`) exporters,
 //! per-stage registry histograms, and a rendered per-query timeline.
 
-use crate::export::escape_json_str;
+use crate::export::Json;
 use crate::metrics::Registry;
 use crate::trace::{Event, Value};
 use std::collections::{HashMap, VecDeque};
@@ -486,65 +486,41 @@ impl JourneyReport {
             .add(self.rejected_verifies);
     }
 
-    /// Serialises complete journeys in the chrome `trace_event` format:
-    /// one `"X"` span per journey (tid = qid) plus one nested `"X"` span
-    /// per inter-stage gap, categorised by attribution class. Load the
-    /// result in `chrome://tracing` / Perfetto.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut span = |out: &mut String,
-                        name: &str,
-                        cat: &str,
-                        ts_nanos: u64,
-                        dur_nanos: u64,
-                        qid: u64,
-                        args: &str| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"name\":");
-            escape_json_str(name, out);
-            out.push_str(",\"cat\":");
-            escape_json_str(cat, out);
-            out.push_str(&format!(
-                ",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{qid}",
-                ts_nanos as f64 / 1_000.0,
-                dur_nanos as f64 / 1_000.0,
-            ));
-            if !args.is_empty() {
-                out.push_str(",\"args\":{");
-                out.push_str(args);
-                out.push('}');
-            }
-            out.push('}');
+    /// Complete journeys in the chrome `trace_event` format: one `"X"`
+    /// span per journey (tid = qid) plus one nested `"X"` span per
+    /// inter-stage gap, categorised by attribution class. Load the rendered
+    /// document in `chrome://tracing` / Perfetto.
+    pub fn chrome_trace_json(&self) -> Json {
+        let span = |name: String, cat: &str, ts_nanos: u64, dur_nanos: u64, qid: u64, args: Option<Json>| {
+            let mut members = vec![
+                ("name", name.into()),
+                ("cat", cat.into()),
+                ("ph", "X".into()),
+                ("ts", Json::fixed(ts_nanos as f64 / 1_000.0, 3)),
+                ("dur", Json::fixed(dur_nanos as f64 / 1_000.0, 3)),
+                ("pid", 1u64.into()),
+                ("tid", qid.into()),
+            ];
+            members.extend(args.map(|args| ("args", args)));
+            Json::obj(members)
         };
+        let mut spans = Vec::new();
         for j in &self.complete {
-            let scheme = j.scheme();
-            span(
-                &mut out,
-                &format!("{scheme} qid={}", j.qid),
-                "journey",
-                j.start_nanos(),
-                j.total_ns(),
-                j.qid,
-                &format!("\"src\":\"{}\",\"extra_rtt\":{}", j.src, j.extra_round_trips()),
-            );
+            let name = format!("{} qid={}", j.scheme(), j.qid);
+            let args = Json::obj([("src", j.src.to_string().into()), ("extra_rtt", j.extra_round_trips().into())]);
+            spans.push(span(name, "journey", j.start_nanos(), j.total_ns(), j.qid, Some(args)));
             for w in j.stages.windows(2) {
-                span(
-                    &mut out,
-                    &format!("{}\u{2192}{}", w[0].name, w[1].name),
+                spans.push(span(
+                    format!("{}\u{2192}{}", w[0].name, w[1].name),
                     gap_class_pair(&w[0], &w[1]),
                     w[0].t_nanos,
                     w[1].t_nanos - w[0].t_nanos,
                     j.qid,
-                    "",
-                );
+                    None,
+                ));
             }
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+        Json::obj([("traceEvents", Json::Arr(spans)), ("displayTimeUnit", "ms".into())])
     }
 }
 
@@ -593,7 +569,6 @@ pub fn render_timeline(j: &Journey) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::validate_json;
     use crate::trace::{Level, Tracer};
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
@@ -819,8 +794,7 @@ mod tests {
         g.event(410, "forward", &[src(), qid(2)]);
         g.event(800, "relay", &[("via", Value::Str("passthrough")), src(), qid(2)]);
         let report = JourneyReport::assemble(&tracer.drain().0);
-        let chrome = report.chrome_trace_json();
-        validate_json(&chrome).unwrap_or_else(|off| panic!("chrome trace invalid at {off}"));
+        let chrome = report.chrome_trace_json().to_string();
         assert!(chrome.contains("\"traceEvents\""));
         assert!(chrome.contains("\"ph\":\"X\""));
         let reg = Registry::new();

@@ -20,10 +20,11 @@
 //! * [`vocab`] — the one table of trace kinds, their fields, field words,
 //!   components and alert rules; emitters are asserted against it in debug
 //!   builds and every reader and contract derives from it.
-//! * [`export`] — JSONL/JSON serialisation for both (snapshot plus a
+//! * [`export`] — the one JSON value, [`export::Json`], that writes and
+//!   parses every document: JSON/JSONL exports of both (snapshot plus a
 //!   sim-time-cadence [`export::Sampler`] time series), the reader of both
-//!   wire formats, and a small JSON validator so CI can check emitted
-//!   telemetry without external tools.
+//!   wire formats, and a validator so CI can check emitted telemetry
+//!   without external tools.
 //! * [`journey`] — query-journey reconstruction: stitches the event ring
 //!   back into per-transaction causal timelines across the guard's txid
 //!   rewrite, the COOKIE2 redirect and the TC→TCP hop, with latency

@@ -41,6 +41,7 @@
 //! Determinism: no clocks, no ambient randomness — the sketch state is a
 //! pure function of the observed source sequence (guardlint L2 safe).
 
+use crate::export::Json;
 use guardhash::siphash::siphash24;
 use std::net::Ipv4Addr;
 
@@ -328,26 +329,23 @@ pub struct AnalyticsSnapshot {
 }
 
 impl AnalyticsSnapshot {
-    /// Hand-rolled JSON object (no serde in the hot-path crates).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"total\":{},\"distinct\":{:.1},\"entropy_bits\":{:.3},\"entropy_norm\":{:.3},\"top_share\":{:.4},\"top_sources\":[",
-            self.total, self.distinct, self.entropy_bits, self.entropy_norm, self.top_share,
-        ));
-        for (i, e) in self.top.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"ip\":\"{}\",\"count\":{},\"err\":{}}}",
-                Ipv4Addr::from(e.ip),
-                e.count,
-                e.err
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The snapshot as one JSON object, the `top_sources` reply.
+    pub fn to_json(&self) -> Json {
+        let top = self.top.iter().map(|e| {
+            Json::obj([
+                ("ip", Ipv4Addr::from(e.ip).to_string().into()),
+                ("count", e.count.into()),
+                ("err", e.err.into()),
+            ])
+        });
+        Json::obj([
+            ("total", self.total.into()),
+            ("distinct", Json::fixed(self.distinct, 1)),
+            ("entropy_bits", Json::fixed(self.entropy_bits, 3)),
+            ("entropy_norm", Json::fixed(self.entropy_norm, 3)),
+            ("top_share", Json::fixed(self.top_share, 4)),
+            ("top_sources", Json::Arr(top.collect())),
+        ])
     }
 }
 
@@ -467,8 +465,7 @@ mod tests {
         for i in 0..1_000u32 {
             s.observe(ip(i % 40));
         }
-        let json = s.snapshot().to_json();
-        crate::export::validate_json(&json).expect("snapshot JSON parses");
+        let json = s.snapshot().to_json().to_string();
         assert!(json.contains("\"top_sources\":["));
         assert!(json.contains("\"distinct\":"));
     }

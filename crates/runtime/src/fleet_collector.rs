@@ -183,7 +183,7 @@ mod tests {
         h.record(0);
         h.record(1_000);
         h.record(1_000_000);
-        let json = metrics_json(&obs.registry.snapshot());
+        let json = metrics_json(&obs.registry.snapshot()).to_string();
         let parsed = parse_snapshot_reply(&json).expect("round trip");
         assert_eq!(parsed.len(), 3);
         let find = |name: &str| parsed.iter().find(|s| s.name == name).unwrap();

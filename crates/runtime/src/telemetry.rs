@@ -20,14 +20,15 @@
 //! collectors racing each other partition the events — every event is
 //! delivered to exactly one of them, never both, never neither.
 //!
-//! Unknown commands get `{"error":"unknown command"}`. The server also
+//! Unknown commands get `{"error":"unknown command"}`, and a client that
+//! sends more than 64 bytes without a newline is hung up on. The server also
 //! owns the alert engine: every `eval_every`, its one thread evaluates the
 //! rules against a fresh registry snapshot, so alerts fire while the
 //! deployment runs rather than at export time, and `alerts` reads the
 //! engine on that same thread.
 
 use obs::alert::AlertEngine;
-use obs::export::{event_json, metrics_json};
+use obs::export::{event_json, metrics_json, Json};
 use obs::Obs;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -39,10 +40,15 @@ use std::time::{Duration, Instant};
 /// How many trace events an `events` reply carries at most.
 const RECENT_EVENTS: usize = 256;
 
-/// Produces the `top_sources` reply body (a JSON document): a closure
-/// serialising `GuardCore::analytics_snapshot()` of a guard armed with
+/// A client with more than this many bytes buffered and no newline among
+/// them is disconnected: well above the longest command (`drain_traces`,
+/// 12 bytes), so only a client that is not speaking the protocol meets it.
+const MAX_LINE: usize = 64;
+
+/// Produces the `top_sources` reply: a closure returning
+/// `GuardCore::analytics_snapshot().to_json()` of a guard armed with
 /// `arm_analytics`; without one the command reports analytics as disabled.
-pub type AnalyticsProvider = Arc<dyn Fn() -> String + Send + Sync>;
+pub type AnalyticsProvider = Arc<dyn Fn() -> Json + Send + Sync>;
 
 /// A live telemetry endpoint on a background thread.
 pub struct TelemetryServer {
@@ -65,7 +71,7 @@ impl TelemetryServer {
     }
 
     /// [`TelemetryServer::spawn`] with a `top_sources` provider (e.g. a
-    /// closure serialising the guard's analytics snapshot).
+    /// closure returning the guard's analytics snapshot as JSON).
     pub fn spawn_with_analytics(
         obs: &Obs,
         mut engine: AlertEngine,
@@ -96,7 +102,7 @@ impl TelemetryServer {
                     Ok((stream, _)) => {
                         // Serve this client to completion; telemetry clients
                         // are short-lived scripts, not long-poll consumers.
-                        let _ = serve_client(stream, &t_obs, &engine, analytics.as_ref());
+                        let _ = serve_client(stream, &t_obs, &engine, analytics.as_ref(), &t_stop);
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(2));
@@ -136,11 +142,16 @@ impl Drop for TelemetryServer {
     }
 }
 
+/// Answers one client's commands until it closes, goes quiet for a read
+/// timeout, sends more than [`MAX_LINE`] bytes without a newline, or the
+/// endpoint is stopped (checked before every read, so a client that
+/// trickles bytes cannot hold shutdown or the alert cadence).
 fn serve_client(
     stream: TcpStream,
     obs: &Obs,
     engine: &AlertEngine,
     analytics: Option<&AnalyticsProvider>,
+    stop: &StopFlag,
 ) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
@@ -152,7 +163,7 @@ fn serve_client(
     // unterminated tail survives in the buffer until its newline arrives.
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 1024];
-    loop {
+    while !stop.should_stop() {
         let n = match reader.read(&mut chunk) {
             Ok(0) => break, // client closed
             Ok(n) => n,
@@ -164,46 +175,30 @@ fn serve_client(
             let line = String::from_utf8_lossy(&line_bytes[..pos]);
             let reply = match line.trim() {
                 "" => continue,
-                "ping" => "{\"ok\":true}".to_string(),
+                "ping" => Json::obj([("ok", true.into())]),
                 "snapshot" => metrics_json(&obs.registry.snapshot()),
-                "events" => {
-                    let events = obs.tracer.recent(RECENT_EVENTS);
-                    let mut out = String::from("[");
-                    for (i, e) in events.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&event_json(e));
-                    }
-                    out.push(']');
-                    out
-                }
+                "events" => Json::Arr(obs.tracer.recent(RECENT_EVENTS).iter().map(event_json).collect()),
                 "drain_traces" => {
                     // One atomic drain per request: the ring is emptied and
                     // the drop count read under a single ring lock, so
                     // concurrent snapshot/events readers can't double-drain
                     // and two drainers split the stream disjointly.
                     let (events, dropped) = obs.tracer.drain();
-                    let mut out = String::from("{\"events\":[");
-                    for (i, e) in events.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&event_json(e));
-                    }
-                    out.push_str(&format!("],\"dropped\":{dropped}}}"));
-                    out
+                    let events = Json::Arr(events.iter().map(event_json).collect());
+                    Json::obj([("events", events), ("dropped", dropped.into())])
                 }
                 "alerts" => engine.alerts_json(),
                 "top_sources" => match analytics {
                     Some(provider) => provider(),
-                    None => "{\"analytics\":\"disabled\"}".to_string(),
+                    None => Json::obj([("analytics", "disabled".into())]),
                 },
-                _ => "{\"error\":\"unknown command\"}".to_string(),
+                _ => Json::obj([("error", "unknown command".into())]),
             };
-            writer.write_all(reply.as_bytes())?;
-            writer.write_all(b"\n")?;
+            writer.write_all(format!("{reply}\n").as_bytes())?;
             writer.flush()?;
+        }
+        if buf.len() > MAX_LINE {
+            break;
         }
     }
     Ok(())
@@ -298,6 +293,51 @@ mod tests {
         assert_eq!(l1.trim(), "{\"ok\":true}");
         assert!(l2.contains("unknown command"));
         server.shutdown();
+    }
+
+    #[test]
+    fn a_line_past_the_cap_is_disconnected_and_the_next_client_served() {
+        let obs = Obs::new();
+        let engine = AlertEngine::new(AlertConfig::default());
+        let server = TelemetryServer::spawn(&obs, engine, Duration::from_millis(50)).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // The endpoint hangs up part-way, so the write may fail.
+        let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+        // Closed, not waiting for the newline: the read ends before the
+        // endpoint's own 500 ms timeout would have closed it.
+        stream.set_read_timeout(Some(Duration::from_millis(250))).unwrap();
+        let read = stream.read(&mut [0u8; 16]);
+        let closed = match &read {
+            Ok(n) => *n == 0,
+            Err(e) => e.kind() == io::ErrorKind::ConnectionReset,
+        };
+        assert!(closed, "still connected after 1 MiB without a newline: {read:?}");
+        assert_eq!(query(server.addr(), &["ping"]), ["{\"ok\":true}"]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_not_held_by_a_trickling_client() {
+        let obs = Obs::new();
+        let engine = AlertEngine::new(AlertConfig::default());
+        let server = TelemetryServer::spawn(&obs, engine, Duration::from_millis(50)).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // A byte every 100 ms, each inside the endpoint's read timeout, for
+        // at most 5 s (the write fails once the endpoint hangs up).
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..50 {
+                if stream.write_all(b"x").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        trickler.join().unwrap();
+        assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
     }
 
     #[test]
