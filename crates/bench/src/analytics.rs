@@ -43,7 +43,7 @@ use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
 use obs::alert::AlertConfig;
 use obs::export::Json;
-use obs::fleet::{FleetAggregator, FleetAlertConfig};
+use obs::fleet::FleetAggregator;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -272,7 +272,7 @@ pub fn run_merge(seed: u64) -> MergeOutcome {
     let (sketch_b, per_b, sent_b) = merge_site(seed + 1, crowd(10_000.0, base_b, 250, 1.0));
 
     let site_totals = (sketch_a.total(), sketch_b.total());
-    let mut agg = FleetAggregator::new(FleetAlertConfig::default());
+    let mut agg = FleetAggregator::default();
     let node_a = agg.register_node(0);
     let node_b = agg.register_node(0);
     agg.observe_sketch(node_a, sketch_a);

@@ -36,7 +36,7 @@ use crate::worlds::{
 use netsim::engine::{FaultPlan, NodeId, Simulator};
 use netsim::time::SimTime;
 use obs::export::{event_json, metrics_json, Json};
-use obs::fleet::{FleetAggregator, FleetAlertConfig};
+use obs::fleet::FleetAggregator;
 use obs::trace::{Event, Value};
 use obs::Obs;
 use std::collections::BTreeSet;
@@ -83,12 +83,6 @@ const POLL_MS: u64 = 10;
 /// Rule-evaluation cadence: a multiple of the poll so rates are computed
 /// over a window wide enough to smooth client pacing bursts.
 const EVAL_MS: u64 = 50;
-
-/// Fleet thresholds for this world: node silence at
-/// 120 ms so the 1400 ms crash is detected well inside the run.
-fn fleetobs_alert_config() -> FleetAlertConfig {
-    FleetAlertConfig { silent_after_nanos: 120_000_000 }
-}
 
 fn joiner_ip(i: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 7, i, 1)
@@ -141,7 +135,7 @@ struct Collector {
 /// its registered correction is −7 ms.
 fn collector(w: &mut FleetWorld) -> Collector {
     let obs = observe(&mut w.sim, Scope::Site, &[]);
-    let mut agg = FleetAggregator::new(fleetobs_alert_config());
+    let mut agg = FleetAggregator::default();
     agg.attach_obs(&obs);
     let sites = [(w.site_a, 0), (w.site_b, SKEW_NANOS)].map(|(guard, skew)| Site {
         guard,
@@ -272,7 +266,7 @@ pub fn run_chaos(seed: u64) -> FleetObsOutcome {
     w.sim.crash(w.site_b);
     c.run(&mut w.sim, ms(1_600));
 
-    let Collector { agg, obs: obs_fleet, sites, challenged } = c;
+    let Collector { mut agg, obs: obs_fleet, sites, challenged } = c;
     let node_b = sites[1].node;
     let report = agg.stitch();
 

@@ -186,12 +186,8 @@ pub fn ha_world(seed: u64) -> HaWorld {
     let mut sim = Simulator::new(seed);
 
     let base = guard_config(PRIV).with_admission();
-    let interval = SimTime::from_millis(20);
-    let primary_cfg = base
-        .clone()
-        .with_ha(HaConfig::primary(REPL_PRIMARY, REPL_STANDBY).with_interval(interval));
-    let standby_cfg =
-        base.with_ha(HaConfig::standby(REPL_STANDBY, REPL_PRIMARY).with_interval(interval));
+    let primary_cfg = base.clone().with_ha(HaConfig::primary(REPL_PRIMARY, REPL_STANDBY));
+    let standby_cfg = base.with_ha(HaConfig::standby(REPL_STANDBY, REPL_PRIMARY));
 
     let primary = add_guard(&mut sim, PUB, CPU, primary_cfg, &authority);
     sim.add_subnet(SUBNET, 24, primary);
@@ -250,11 +246,10 @@ pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
         c.rl1_global_rate = 120.0;
         c
     };
-    let interval = SimTime::from_millis(20);
     let (a_cfg, b_cfg) = if shared {
         (
-            base(ANS_A).with_fleet(FleetConfig::master(SITE_A, vec![SITE_B]).with_interval(interval)),
-            base(ANS_B).with_fleet(FleetConfig::member(SITE_B, SITE_A).with_interval(interval)),
+            base(ANS_A).with_fleet(FleetConfig::master(SITE_A, vec![SITE_B])),
+            base(ANS_B).with_fleet(FleetConfig::member(SITE_B, SITE_A)),
         )
     } else {
         let md5 = |ans| base(ans).with_cookie_alg(CookieAlg::Md5);

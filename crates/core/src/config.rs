@@ -1,9 +1,20 @@
 //! Guard configuration.
+//!
+//! A [`GuardConfig`] field is a value some deployment or experiment sets
+//! differently from another. What every caller would set alike is a
+//! constant instead: the weekly key rotation ([`KEY_ROTATION_INTERVAL`]),
+//! the replication cadence ([`crate::ha::REPL_INTERVAL`]), and keeping
+//! forwarding while the ANS is down (the health monitor only probes).
 
 use crate::ha::{FleetConfig, HaConfig};
 use guardhash::cookie::CookieAlg;
 use netsim::time::SimTime;
 use std::net::Ipv4Addr;
+
+/// Scheduled key rotation period: weekly, as section III.E suggests. The
+/// generation bit gives departing cookies one period of grace. A fleet
+/// member never rotates on its own schedule; it takes the master's epochs.
+pub const KEY_ROTATION_INTERVAL: SimTime = SimTime::from_secs(7 * 24 * 3600);
 
 /// Which cookie-delivery scheme the guard uses for requesters that are not
 /// cookie-extension capable (Figure 4: the modified-DNS extension is always
@@ -19,21 +30,6 @@ pub enum SchemeMode {
     /// Only serve requests carrying a valid cookie extension; cookie-less
     /// requests are answered with a cookie grant exchange. Section III.D.
     ModifiedOnly,
-}
-
-/// What the guard does with queries needing the ANS while its health
-/// monitor judges the ANS dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnsHealthPolicy {
-    /// Keep forwarding. Requests queue behind the outage and clients see
-    /// their own timeouts — service degrades but nothing is refused, and
-    /// forwarded traffic doubles as a liveness signal.
-    FailOpen,
-    /// Answer immediately with `SERVFAIL` (UDP) or drop (TCP relays)
-    /// instead of forwarding, shedding load from the dead ANS and giving
-    /// resolvers a fast signal to try a sibling server. Dedicated probes
-    /// detect recovery.
-    FailClosed,
 }
 
 /// Configuration of a remote DNS guard deployed in front of one ANS.
@@ -86,10 +82,6 @@ pub struct GuardConfig {
     /// (the Figure 5 experiment runs one LRS on UDP cookies and another on
     /// TCP redirection simultaneously).
     pub tcp_redirect_sources: Vec<Ipv4Addr>,
-    /// Automatic key rotation period (section III.E suggests weekly; the
-    /// generation bit gives departing cookies one period of grace).
-    /// `None` disables scheduled rotation.
-    pub key_rotation_interval: Option<SimTime>,
     /// A forwarded request unanswered for this long counts as an ANS
     /// timeout (and its forward-table entry is reclaimed).
     pub ans_timeout: SimTime,
@@ -100,8 +92,6 @@ pub struct GuardConfig {
     /// doubles after each unanswered probe (exponential backoff) up to
     /// 5 s.
     pub ans_probe_interval: SimTime,
-    /// Behaviour while the ANS is down.
-    pub health_policy: AnsHealthPolicy,
     /// Byte bound on the forward (in-flight request) table; the oldest
     /// entries are evicted beyond it.
     pub fwd_bytes_max: usize,
@@ -150,11 +140,9 @@ impl GuardConfig {
             tcp_conn_lifetime: SimTime::from_millis(2),
             tcp_conn_rate: 2_000.0,
             tcp_redirect_sources: Vec::new(),
-            key_rotation_interval: None,
             ans_timeout: SimTime::from_secs(1),
             ans_failure_threshold: 3,
             ans_probe_interval: SimTime::from_millis(200),
-            health_policy: AnsHealthPolicy::FailOpen,
             fwd_bytes_max: 1 << 20,   // 1 MiB of in-flight request state
             stash_bytes_max: 1 << 20, // 1 MiB of stashed one-shot answers
             checkpoint_interval: None,

@@ -12,7 +12,7 @@ use crate::admission::{AdmissionController, PressureTier};
 use crate::analytics::TrafficAnalytics;
 use crate::checkpoint::{GuardCheckpoint, RewriteState, StashState};
 use crate::classify::{AuthorityClassifier, Classification, Classifier};
-use crate::config::{AnsHealthPolicy, GuardConfig, SchemeMode};
+use crate::config::{GuardConfig, SchemeMode, KEY_ROTATION_INTERVAL};
 use crate::ha::REPL_PORT;
 use crate::ratelimit::SourceRateLimiter;
 use crate::tcp_proxy::{ProxyAction, TcpProxy};
@@ -21,7 +21,7 @@ use dnswire::message::{Message, MAX_UDP_PAYLOAD};
 use dnswire::name::Name;
 use dnswire::question::Question;
 use dnswire::record::Record;
-use dnswire::types::{Rcode, RrClass, RrType};
+use dnswire::types::{RrClass, RrType};
 use dnswire::view::MessageView;
 use dnswire::writer::{ReplyStart, Section, Writer};
 use guardhash::cookie::CookieFactory;
@@ -489,21 +489,6 @@ impl GuardCore {
     fn forward_to_ans(&mut self, out: &mut Outputs, query: Outgoing<'_>, entry: Forwarded) {
         let (now, requester, qid) = (entry.created, entry.requester, entry.qid);
         let probe = matches!(entry.rewrite, Rewrite::Probe { .. });
-        if self.health.is_down() && self.config.health_policy == AnsHealthPolicy::FailClosed && !probe {
-            self.metrics.failed_closed.inc();
-            let src = [("src", Value::Ip(requester.ip))];
-            self.metrics.trace.event(now.as_nanos(), "fail_closed", &src);
-            // UDP requesters get an immediate SERVFAIL so resolvers move on
-            // to a sibling server; TCP relays are simply not forwarded (the
-            // proxy connection is reaped by the lifetime cap).
-            if !matches!(entry.rewrite, Rewrite::TcpRelay { .. }) {
-                let mut resp = query.into_message().into_response();
-                resp.header.rcode = Rcode::ServFail;
-                let pkt = Packet::udp(entry.reply_from, requester, resp.encode());
-                self.tx(out, pkt);
-            }
-            return;
-        }
         let orig_txid = entry.orig_txid;
         let txid = self.alloc_txid(now);
         self.insert_fwd(txid, entry);
@@ -1044,8 +1029,8 @@ impl GuardCore {
 
     /// Scheduled key rotation, unless the key is a fleet master's to rotate.
     fn rotate_if_due(&mut self, now: SimTime) {
-        let due = |interval| now.saturating_sub(self.last_rotation) >= interval;
-        if self.config.key_rotation_interval.is_some_and(due) && !self.is_fleet_member() {
+        let due = now.saturating_sub(self.last_rotation) >= KEY_ROTATION_INTERVAL;
+        if due && !self.is_fleet_member() {
             self.last_rotation = now;
             self.cookies.rotate();
         }

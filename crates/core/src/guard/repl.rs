@@ -13,7 +13,7 @@ use crate::checkpoint::{GuardCheckpoint, KeyState};
 use crate::config::GuardConfig;
 use crate::ha::{
     decode_repl, encode_repl, repl_secret, FleetConfig, HaConfig, HaRole, ReplDelta, ReplPayload,
-    REPL_PORT,
+    REPL_INTERVAL, REPL_PORT,
 };
 use guardhash::cookie::{CookieFactory, SecretKey};
 use netsim::packet::{Endpoint, Packet};
@@ -25,8 +25,7 @@ use std::net::Ipv4Addr;
 /// dead.
 const HEARTBEAT_MISSES: u32 = 3;
 
-/// Upper bound on the standby's resync-request and probe backoff once the
-/// peer is suspect (mirrors the ANS-health probe machinery).
+/// Upper bound on the standby's resync-request backoff.
 const PEER_BACKOFF_MAX: SimTime = SimTime::from_secs(1);
 
 /// Upper bound on a fleet member's catch-up request backoff.
@@ -62,28 +61,17 @@ enum FromPeer {
     AskResync(Packet),
 }
 
-/// What a standby's tick found: the last heartbeat is `age` old, whether
-/// that just made the peer dead, and what to do while it is.
+/// What a standby's tick found: the last heartbeat is `age` old, and
+/// whether that made the peer dead and this guard its successor.
 #[derive(Debug)]
 struct Watch {
     age: SimTime,
-    peer_went_down: bool,
-    next: Option<StandbyMove>,
-}
-
-#[derive(Debug)]
-enum StandbyMove {
-    /// This guard has just promoted itself.
-    TakeOver,
-    /// Takeover is disabled: probe the peer with this.
-    Probe(Packet),
+    took_over: bool,
 }
 
 /// Runtime state of the primary–standby pairing. One struct serves both
 /// roles: the primary uses the replication-sequence and pending-change
-/// fields, the standby the heartbeat/peer-health fields (which mirror the
-/// [`AnsHealth`](super::health::AnsHealth) machinery: miss counting, then
-/// probes with exponential backoff).
+/// fields, the standby the heartbeat fields (miss counting, then takeover).
 #[derive(Debug)]
 pub(super) struct HaRuntime {
     cfg: HaConfig,
@@ -113,11 +101,6 @@ pub(super) struct HaRuntime {
     last_heartbeat: SimTime,
     /// Consecutive HA ticks without a fresh heartbeat.
     missed: u32,
-    /// Whether the peer is currently considered dead.
-    peer_down: bool,
-    /// Probe schedule while the peer is down and takeover is disabled;
-    /// started when the peer goes down.
-    probe: Backoff,
     /// Whether this guard has claimed the guarded address.
     took_over: bool,
 }
@@ -133,11 +116,9 @@ impl HaRuntime {
             pending: Pending::default(),
             applied_seq: 0,
             synced: false,
-            resync: Backoff::new(cfg.replication_interval),
+            resync: Backoff::new(REPL_INTERVAL),
             last_heartbeat: SimTime::ZERO,
             missed: 0,
-            peer_down: false,
-            probe: Backoff::default(),
             took_over: false,
             cfg,
         }
@@ -153,8 +134,7 @@ impl HaRuntime {
         message(&self.secret, self.cfg.local_addr, self.cfg.peer_addr, payload)
     }
 
-    /// Standby → primary: "my state ends here, send a full snapshot"; also
-    /// the standby's liveness probe.
+    /// Standby → primary: "my state ends here, send a full snapshot".
     fn resync_req(&self) -> Packet {
         self.to_peer(&ReplPayload::ResyncReq { have_seq: self.applied_seq })
     }
@@ -164,13 +144,12 @@ impl HaRuntime {
     fn heard(&mut self, now: SimTime, payload: &ReplPayload) -> FromPeer {
         self.last_heartbeat = now;
         self.missed = 0;
-        self.peer_down = false;
         match (self.role, payload) {
             (HaRole::Standby, ReplPayload::Full(cp)) => {
                 self.applied_seq = cp.seq;
                 self.synced = true;
                 // A consistent snapshot ends any resync conversation.
-                self.resync = Backoff::new(self.cfg.replication_interval);
+                self.resync = Backoff::new(REPL_INTERVAL);
                 FromPeer::Install
             }
             (HaRole::Standby, ReplPayload::Delta(d)) if self.synced && d.seq == self.applied_seq + 1 => {
@@ -228,30 +207,18 @@ impl HaRuntime {
         self.to_peer(&payload)
     }
 
-    /// The standby's tick: counts silent intervals, declares the peer dead
-    /// past the miss threshold, and then promotes itself — or, takeover
-    /// disabled, keeps probing with exponential backoff (the ANS-probe
-    /// discipline).
+    /// The standby's tick: counts silent intervals and, past the miss
+    /// threshold, declares the peer dead and promotes this guard.
     fn watch(&mut self, now: SimTime) -> Watch {
         let age = now.saturating_sub(self.last_heartbeat);
-        self.missed = if age > self.cfg.replication_interval { self.missed + 1 } else { 0 };
-        let peer_went_down = !self.peer_down && self.missed >= HEARTBEAT_MISSES;
-        if peer_went_down {
-            self.peer_down = true;
-            self.probe = Backoff::new(self.cfg.replication_interval);
-        }
-        let next = if !self.peer_down {
-            None
-        } else if self.cfg.takeover {
+        self.missed = if age > REPL_INTERVAL { self.missed + 1 } else { 0 };
+        let took_over = self.missed >= HEARTBEAT_MISSES;
+        if took_over {
             self.took_over = true;
             self.role = HaRole::Primary;
             self.need_full = true;
-            Some(StandbyMove::TakeOver)
-        } else {
-            let due = self.probe.due(now, PEER_BACKOFF_MAX);
-            due.then(|| StandbyMove::Probe(self.resync_req()))
-        };
-        Watch { age, peer_went_down, next }
+        }
+        Watch { age, took_over }
     }
 }
 
@@ -299,7 +266,7 @@ impl FleetRuntime {
             secret: repl_secret(key_seed),
             synced: false,
             sent_generation: u64::MAX,
-            catch_up: Backoff::new(cfg.sync_interval),
+            catch_up: Backoff::new(REPL_INTERVAL),
             cfg,
         }
     }
@@ -320,7 +287,7 @@ impl FleetRuntime {
         let news = !self.cfg.master && (!self.synced || generation != epoch);
         if news {
             self.synced = true;
-            self.catch_up = Backoff::new(self.cfg.sync_interval);
+            self.catch_up = Backoff::new(REPL_INTERVAL);
         }
         news
     }
@@ -355,13 +322,13 @@ impl GuardCore {
     /// How often a driver must call [`GuardCore::on_ha_tick`]; `None` for
     /// a standalone guard.
     pub fn ha_interval(&self) -> Option<SimTime> {
-        self.ha.as_ref().map(|ha| ha.cfg.replication_interval)
+        self.ha.as_ref().map(|_| REPL_INTERVAL)
     }
 
     /// How often a driver must call [`GuardCore::on_fleet_tick`]; `None`
     /// outside a fleet.
     pub fn fleet_interval(&self) -> Option<SimTime> {
-        self.fleet.as_ref().map(|f| f.cfg.sync_interval)
+        self.fleet.as_ref().map(|_| REPL_INTERVAL)
     }
 
     /// The guard's HA role, if paired.
@@ -516,30 +483,25 @@ impl GuardCore {
             self.metrics.repl_deltas_sent.inc();
             self.tx(out, state);
         }
-        let Some(Watch { age, peer_went_down, next }) = watch else {
+        let Some(Watch { age, took_over }) = watch else {
             return;
         };
         // The standby's recoverable state ages from its last applied
         // replication message — that is what `checkpoint_lag` alerts on.
         self.metrics.checkpoint_age_nanos.set(age.as_nanos());
-        if peer_went_down {
-            self.metrics.peer_down_events.inc();
-            self.metrics.trace.event(now.as_nanos(), "peer_down", &[]);
+        if !took_over {
+            return;
         }
-        match next {
-            None => {}
-            Some(StandbyMove::Probe(probe)) => self.tx(out, probe),
-            Some(StandbyMove::TakeOver) => {
-                for claim in claims(&self.config) {
-                    out.push(claim);
-                }
-                self.last_checkpoint = now;
-                self.metrics.failover_takeovers.inc();
-                self.metrics.checkpoint_age_nanos.set(0);
-                let addr = [("addr", Value::Ip(self.config.public_addr))];
-                self.metrics.trace.event(now.as_nanos(), "takeover", &addr);
-            }
+        self.metrics.peer_down_events.inc();
+        self.metrics.trace.event(now.as_nanos(), "peer_down", &[]);
+        for claim in claims(&self.config) {
+            out.push(claim);
         }
+        self.last_checkpoint = now;
+        self.metrics.failover_takeovers.inc();
+        self.metrics.checkpoint_age_nanos.set(0);
+        let addr = [("addr", Value::Ip(self.config.public_addr))];
+        self.metrics.trace.event(now.as_nanos(), "takeover", &addr);
     }
 }
 
@@ -621,33 +583,21 @@ mod tests {
     }
 
     #[test]
-    fn a_standby_promotes_itself_past_the_miss_threshold_or_probes() {
+    fn a_standby_promotes_itself_past_the_miss_threshold() {
         let tick = |ha: &mut HaRuntime, n: u64| ha.watch(SimTime::from_millis(20 * n));
         let mut standby = HaRuntime::new(HaConfig::standby(STANDBY, PRIMARY), 7);
         standby.heard(SimTime::from_millis(20), &snapshot(1));
         for n in 1..=4 {
-            let Watch { peer_went_down: false, next: None, .. } = tick(&mut standby, n) else {
+            let Watch { took_over: false, .. } = tick(&mut standby, n) else {
                 panic!("tick {n}: the peer is not dead yet");
             };
         }
-        let Watch { age, peer_went_down: true, next: Some(StandbyMove::TakeOver) } = tick(&mut standby, 5)
-        else {
+        let Watch { age, took_over: true } = tick(&mut standby, 5) else {
             panic!("three silent intervals: promoted");
         };
         assert_eq!(age, SimTime::from_millis(80));
         assert!(standby.took_over && standby.role == HaRole::Primary);
         assert!(!standby.feeds_peer(), "a promoted standby feeds no peer");
-
-        let mut spare = HaConfig::standby(STANDBY, PRIMARY);
-        spare.takeover = false;
-        let mut spare = HaRuntime::new(spare, 7);
-        let probed: Vec<u64> = (1..=40)
-            .filter(|&n| matches!(tick(&mut spare, n).next, Some(StandbyMove::Probe(_))))
-            .collect();
-        // Dead at the third silent tick (the first is on time); probes 20,
-        // 40, 80 … ms apart.
-        assert_eq!(probed, [4, 5, 7, 11, 19, 35]);
-        assert!(!spare.took_over);
     }
 
     #[test]

@@ -61,38 +61,25 @@ impl Outgoing<'_> {
         }
     }
 
-    /// The owned query, cookie stripped.
-    pub(super) fn into_message(self) -> Message {
-        match self {
-            Outgoing::Owned(msg) => msg,
-            Outgoing::Received(view) => {
-                let mut msg = view.to_message();
-                cookie_ext::strip_cookie(&mut msg);
-                msg
-            }
-            Outgoing::Restored { id, question } => Message {
-                header: Header::iterative_query(id),
-                questions: vec![question.clone()],
-                ..Message::default()
-            },
-        }
-    }
-
     /// The datagram for the ANS, under transaction id `txid`.
     pub(super) fn into_wire(self, txid: u16) -> Vec<u8> {
-        let in_place = match &self {
-            Outgoing::Owned(_) => None,
-            Outgoing::Received(view) => view.question_only(txid),
+        let mut msg = match self {
+            Outgoing::Owned(msg) => msg,
+            Outgoing::Received(view) => match view.question_only(txid) {
+                Some(wire) => return wire,
+                None => {
+                    let mut msg = view.to_message();
+                    cookie_ext::strip_cookie(&mut msg);
+                    msg
+                }
+            },
             Outgoing::Restored { question, .. } => {
                 let header = Header::iterative_query(txid);
-                Some(Writer::new(header, std::slice::from_ref(question)).finish())
+                return Writer::new(header, std::slice::from_ref(question)).finish();
             }
         };
-        in_place.unwrap_or_else(|| {
-            let mut msg = self.into_message();
-            msg.header.id = txid;
-            msg.encode()
-        })
+        msg.header.id = txid;
+        msg.encode()
     }
 }
 

@@ -52,9 +52,6 @@ obs::counters! {
         ans_probes,
         /// Times the ANS came back after being declared down.
         ans_recoveries,
-        /// Queries refused (SERVFAIL or dropped) by the fail-closed policy
-        /// while the ANS was down.
-        failed_closed,
         /// Forward-table entries evicted by the byte bound (oldest first).
         fwd_evicted = "evicted" { table = "fwd" },
         /// Stash entries evicted by the byte bound (oldest first).
@@ -158,9 +155,9 @@ impl GuardStats {
     /// Sum of the mutually-exclusive terminal disposition buckets: every
     /// UDP datagram entering the pipeline lands in exactly one, so this
     /// always equals [`GuardStats::udp_datagrams`]. (Counters like
-    /// `forwarded`, `rl2_dropped`, `failed_closed`, `stash_hits`,
-    /// `fwd_evicted` describe *later* stages of an already-dispositioned
-    /// datagram and are deliberately excluded.)
+    /// `forwarded`, `rl2_dropped`, `stash_hits`, `fwd_evicted` describe
+    /// *later* stages of an already-dispositioned datagram and are
+    /// deliberately excluded.)
     pub fn disposition_total(&self) -> u64 {
         self.unparseable
             + self.resp_foreign

@@ -266,29 +266,6 @@ fn ans_down_detected_probed_and_recovered() {
 }
 
 #[test]
-fn fail_closed_sheds_load_while_ans_down() {
-    let (mut sim, guard, ans) = guarded_world_with(21, 0, SchemeMode::DnsBased, |cfg| GuardConfig {
-        ans_timeout: SimTime::from_millis(50),
-        ans_failure_threshold: 2,
-        ans_probe_interval: SimTime::from_millis(100),
-        health_policy: crate::config::AnsHealthPolicy::FailClosed,
-        ..cfg
-    });
-    let _lrs = add_lrs(&mut sim, 12, CookieMode::Plain, true);
-    sim.run_until(SimTime::from_millis(100));
-    sim.crash(ans);
-    sim.run_until(SimTime::from_millis(800));
-    let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
-    assert!(g.ans_is_down());
-    assert!(g.stats().failed_closed > 0, "verified queries refused fast");
-    // Probes still go out despite the fail-closed gate.
-    assert!(g.stats().ans_probes >= 2);
-    sim.restart(ans);
-    sim.run_until(SimTime::from_millis(1_500));
-    assert!(!sim.node_ref::<RemoteGuard>(guard).unwrap().ans_is_down());
-}
-
-#[test]
 fn forward_table_stays_within_byte_bound() {
     // A spoofed flood of out-of-bailiwick names all get forwarded
     // (passthrough) to an ANS that never answers; the forward table

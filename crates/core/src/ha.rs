@@ -2,10 +2,12 @@
 //!
 //! A primary guard streams its state to a standby over a sequenced UDP
 //! channel on [`REPL_PORT`]: a [`ReplPayload::Full`] snapshot first, then
-//! periodic [`ReplPayload::Delta`]s carrying only what changed since the
-//! previous tick. An empty delta doubles as a heartbeat. The standby
-//! detects a sequence gap and answers with [`ReplPayload::ResyncReq`],
-//! which makes the primary ship a fresh full snapshot.
+//! a [`ReplPayload::Delta`] every [`REPL_INTERVAL`] carrying only what
+//! changed since the previous tick. An empty delta doubles as a heartbeat.
+//! The standby detects a sequence gap and answers with
+//! [`ReplPayload::ResyncReq`], which makes the primary ship a fresh full
+//! snapshot; once the primary falls silent, the standby takes the guarded
+//! address over.
 //!
 //! The channel rides the same simulated network the attacker floods, so
 //! every message is authenticated: a 16-byte MD5 tag keyed by a secret both
@@ -33,6 +35,11 @@ use std::net::Ipv4Addr;
 /// UDP port the replication channel uses on both guards.
 pub const REPL_PORT: u16 = 8653;
 
+/// Cadence of the replication channel: an HA primary's delta/heartbeat, an
+/// HA standby's heartbeat check, a fleet master's key-sync tick and an
+/// unsynced member's first catch-up interval.
+pub const REPL_INTERVAL: SimTime = SimTime::from_millis(20);
+
 /// Magic prefix of an authenticated replication message body.
 pub const REPL_MAGIC: [u8; 4] = *b"GRPL";
 
@@ -56,11 +63,6 @@ pub struct HaConfig {
     pub local_addr: Ipv4Addr,
     /// The peer's replication address.
     pub peer_addr: Ipv4Addr,
-    /// Primary: delta/heartbeat cadence. Standby: heartbeat-check cadence.
-    pub replication_interval: SimTime,
-    /// Whether the standby claims the guarded address on peer death.
-    /// `false` makes a pure warm spare that only mirrors state.
-    pub takeover: bool,
 }
 
 impl HaConfig {
@@ -70,8 +72,6 @@ impl HaConfig {
             role: HaRole::Primary,
             local_addr: local,
             peer_addr: peer,
-            replication_interval: SimTime::from_millis(20),
-            takeover: true,
         }
     }
 
@@ -81,12 +81,6 @@ impl HaConfig {
             role: HaRole::Standby,
             ..HaConfig::primary(local, peer)
         }
-    }
-
-    /// Overrides the replication cadence.
-    pub fn with_interval(mut self, interval: SimTime) -> Self {
-        self.replication_interval = interval;
-        self
     }
 }
 
@@ -111,9 +105,6 @@ pub struct FleetConfig {
     pub peers: Vec<Ipv4Addr>,
     /// Member: the master's replication address. Master: own address.
     pub master_addr: Ipv4Addr,
-    /// Master: cadence of the key-sync tick. Member: cadence of the
-    /// catch-up check while unsynced.
-    pub sync_interval: SimTime,
 }
 
 impl FleetConfig {
@@ -124,7 +115,6 @@ impl FleetConfig {
             local_addr: local,
             peers: members,
             master_addr: local,
-            sync_interval: SimTime::from_millis(20),
         }
     }
 
@@ -135,14 +125,7 @@ impl FleetConfig {
             local_addr: local,
             peers: Vec::new(),
             master_addr: master,
-            sync_interval: SimTime::from_millis(20),
         }
-    }
-
-    /// Overrides the sync cadence.
-    pub fn with_interval(mut self, interval: SimTime) -> Self {
-        self.sync_interval = interval;
-        self
     }
 }
 

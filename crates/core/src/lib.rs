@@ -67,7 +67,7 @@ pub mod tcp_proxy;
 pub use admission::{AdmissionController, PressureTier};
 pub use checkpoint::GuardCheckpoint;
 pub use classify::{AuthorityClassifier, Classification, Classifier};
-pub use config::{AnsHealthPolicy, GuardConfig, SchemeMode};
+pub use config::{GuardConfig, SchemeMode};
 pub use guard::{GuardCore, GuardStats, RemoteGuard};
 pub use ha::{FleetConfig, HaConfig, HaRole};
 pub use local_guard::LocalGuard;

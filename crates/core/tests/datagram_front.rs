@@ -6,7 +6,7 @@
 //! them, and the drop dispositions count and trace exactly as they did.
 
 use dnsguard::classify::AuthorityClassifier;
-use dnsguard::config::{AnsHealthPolicy, GuardConfig, SchemeMode};
+use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::{GuardStats, RemoteGuard};
 use dnswire::cookie_ext;
 use dnswire::message::{Message, MAX_UDP_PAYLOAD};
@@ -602,8 +602,11 @@ fn each_drop_disposition_counts_and_traces_as_before() {
     }
 }
 
+/// The guard keeps forwarding while its health monitor judges the ANS
+/// down: the monitor only probes, and the requester's own retry bounds the
+/// wait.
 #[test]
-fn fail_closed_answers_a_bare_cookie_query_with_servfail() {
+fn a_verified_query_is_forwarded_while_the_ans_is_down() {
     let query = |id, cookie| {
         let query = Message::query(id, name("wWw.foo.com"), RrType::A);
         to_guard(PUBLIC, with_cookie(query, cookie))
@@ -621,7 +624,6 @@ fn fail_closed_answers_a_bare_cookie_query_with_servfail() {
         |cfg| GuardConfig {
             ans_timeout: SimTime::from_millis(50),
             ans_failure_threshold: 2,
-            health_policy: AnsHealthPolicy::FailClosed,
             ..cfg
         },
     );
@@ -631,20 +633,12 @@ fn fail_closed_answers_a_bare_cookie_query_with_servfail() {
     w.sim.run_until(SimTime::from_millis(310));
 
     let guard = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap();
-    assert_eq!(guard.stats().failed_closed, 1);
     assert_eq!(guard.stats().ext_valid, 3);
     assert_eq!(guard.stats().disposition_total(), guard.stats().udp_datagrams);
     let forwarded = &w.sim.node_ref::<ScriptedAns>(w.ans).unwrap().received;
     let from_clients = forwarded
         .iter()
         .filter(|q| Message::decode(q).unwrap().question().is_some_and(|q| !q.name.is_root()));
-    assert_eq!(from_clients.count(), 2, "the third never left the guard; probes did");
-    let replies = &w.sim.node_ref::<Client>(w.client).unwrap().replies;
-    assert_eq!(replies.len(), 1);
-    let servfail = Message::decode(&replies[0]).unwrap();
-    assert_eq!(servfail.header.id, 0x7003);
-    assert_eq!(servfail.header.rcode, Rcode::ServFail);
-    assert!(servfail.header.response);
-    assert!(servfail.questions[0].name.eq_case_sensitive(&name("wWw.foo.com")));
-    assert!(servfail.additionals.is_empty(), "the cookie is not echoed");
+    assert_eq!(from_clients.count(), 3, "the third was forwarded too");
+    assert!(w.sim.node_ref::<Client>(w.client).unwrap().replies.is_empty(), "nothing answers for the ANS");
 }

@@ -9,9 +9,9 @@
 
 use dnsguard::checkpoint::{GuardCheckpoint, KeyState};
 use dnsguard::classify::AuthorityClassifier;
-use dnsguard::config::{GuardConfig, SchemeMode};
+use dnsguard::config::{GuardConfig, SchemeMode, KEY_ROTATION_INTERVAL};
 use dnsguard::guard::{GuardCore, GuardStats, Leg, Output, Outputs, RemoteGuard, WINDOW};
-use dnsguard::ha::{encode_repl, repl_secret, FleetConfig, HaConfig, ReplPayload, REPL_PORT};
+use dnsguard::ha::{encode_repl, repl_secret, FleetConfig, HaConfig, ReplPayload, REPL_INTERVAL, REPL_PORT};
 use dnswire::cookie_ext;
 use dnswire::framing::{frame, take_frame};
 use dnswire::message::Message;
@@ -74,6 +74,17 @@ impl Direct {
             self.core.on_window(self.next_window, &mut self.out);
             self.next_window += WINDOW;
         }
+    }
+
+    /// Advances the clock by `d` and returns what the guard sent, running
+    /// only the last housekeeping window the leap spans. For a guard offered
+    /// nothing and keeping no checkpoint cadence, the windows skipped would
+    /// do nothing the last one does not: a week of windows is six million.
+    fn leap(&mut self, d: SimTime) -> Vec<Packet> {
+        self.now += d;
+        self.next_window = self.next_window.max(WINDOW * (self.now.as_nanos() / WINDOW.as_nanos()));
+        self.pass(SimTime::ZERO);
+        self.sent()
     }
 
     /// The out-buffer as the packets a driver would send; checkpoints are
@@ -583,6 +594,55 @@ fn a_memoized_cookie_survives_one_rotation_and_not_two() {
     assert_eq!((stats.ext_valid, stats.ext_invalid), (6, 4));
 }
 
+/// Scheduled rotation is weekly (section III.E): none a window before the
+/// week, one at it, and the next a week after that.
+#[test]
+fn the_key_rotates_once_a_week() {
+    let mut guard = direct(SchemeMode::ModifiedOnly, Zone::Foo);
+    let mut generations = Vec::new();
+    for _ in 0..2 {
+        assert!(guard.leap(KEY_ROTATION_INTERVAL - WINDOW).is_empty());
+        generations.push(guard.cookies().generation());
+        assert!(guard.leap(WINDOW).is_empty());
+        generations.push(guard.cookies().generation());
+    }
+    assert_eq!(generations, [0, 1, 1, 2]);
+}
+
+/// A cookie outlives one weekly rotation, in the generation bit's grace
+/// window, and not two.
+#[test]
+fn a_cookie_outlives_one_weekly_rotation_and_not_two() {
+    let mut guard = direct(SchemeMode::ModifiedOnly, Zone::Foo);
+    let pkt = verified_by(&guard, CLIENT);
+    let mut forwarded = Vec::new();
+    for _ in 0..3 {
+        forwarded.push(guard.offer(pkt.clone()).len());
+        assert!(guard.leap(KEY_ROTATION_INTERVAL).is_empty());
+    }
+    assert_eq!(forwarded, [1, 1, 0], "generation 0, 1 (grace), 2");
+    assert_eq!(guard.cookies().generation(), 3);
+    let stats = guard.stats();
+    assert_eq!((stats.ext_valid, stats.ext_invalid), (2, 1));
+}
+
+/// A fleet member never rotates on its own schedule: its keys are the
+/// master's epochs, or the sites' keys would diverge. The master rotates
+/// weekly like a lone guard.
+#[test]
+fn a_fleet_member_skips_the_weekly_rotation() {
+    let (master, member) = (Ipv4Addr::new(10, 60, 0, 1), Ipv4Addr::new(10, 60, 0, 2));
+    let sites = [(FleetConfig::master(master, vec![member]), 2), (FleetConfig::member(member, master), 0)];
+    for (fleet, rotations) in sites {
+        let (config, classifier) = parts(SchemeMode::ModifiedOnly, Zone::Foo);
+        let mut guard = direct_with(config.with_fleet(fleet), classifier);
+        for _ in 0..2 {
+            assert!(guard.leap(KEY_ROTATION_INTERVAL).is_empty());
+        }
+        assert_eq!(guard.cookies().generation(), rotations, "master: {}", rotations > 0);
+    }
+}
+
 /// The `evict` events of `table` traced since the last drain, as the value
 /// of their `field`.
 fn evictions(obs: &obs::Obs, table: &'static str, field: &str) -> Vec<obs::trace::Value> {
@@ -762,32 +822,47 @@ fn a_checkpoint_cadence_emits_snapshots_that_both_drivers_keep() {
 }
 
 /// With no cadence a guard emits no checkpoint and its staleness gauge
-/// stays 0, so `checkpoint_lag` cannot fire; an HA standby that is still
-/// waiting emits none even with a cadence (its state ages off heartbeats).
+/// stays 0, so `checkpoint_lag` cannot fire. An HA standby emits none even
+/// with a cadence while it waits (its state ages off heartbeats); once
+/// promoted it checkpoints like any primary, one cadence after the
+/// takeover.
 #[test]
 fn no_cadence_or_a_waiting_standby_emits_no_checkpoint() {
-    for standby in [false, true] {
-        let (mut core, mut node) = both_with(|c| {
-            if standby {
-                // A warm spare whose replication tick never comes: it waits.
-                let mut ha = HaConfig::standby(PUBLIC, Ipv4Addr::new(10, 50, 0, 1))
-                    .with_interval(SimTime::from_secs(60));
-                ha.takeover = false;
-                c.ha = Some(ha);
-                c.checkpoint_interval = Some(WINDOW);
-            }
-        });
-        let (core_obs, node_obs) = (obs::Obs::new(), obs::Obs::new());
-        core.core.attach_obs(&core_obs);
-        node.sim.node_mut::<RemoteGuard>(node.guard).unwrap().attach_obs(&node_obs);
-        for guard in [&mut core as &mut dyn Guard, &mut node] {
-            assert!(guard.idle(SimTime::from_millis(450)).is_empty());
-            assert_eq!((kept(guard), guard.stats().checkpoints_taken), (None, 0), "standby: {standby}");
-        }
-        for bundle in [core_obs, node_obs] {
-            let age = bundle.registry.snapshot().into_iter().filter(|s| s.name == "checkpoint_age_nanos");
-            let age: Vec<_> = age.map(|s| s.value).collect();
-            assert_eq!(age, [obs::metrics::SampleValue::Gauge(0)], "standby: {standby}");
-        }
+    let (mut core, mut node) = both_with(|_| {});
+    let (core_obs, node_obs) = (obs::Obs::new(), obs::Obs::new());
+    core.core.attach_obs(&core_obs);
+    node.sim.node_mut::<RemoteGuard>(node.guard).unwrap().attach_obs(&node_obs);
+    for guard in [&mut core as &mut dyn Guard, &mut node] {
+        assert!(guard.idle(SimTime::from_millis(450)).is_empty());
+        assert_eq!((kept(guard), guard.stats().checkpoints_taken), (None, 0));
     }
+    let age_gauge = |bundle: &obs::Obs| {
+        let age = bundle.registry.snapshot().into_iter().filter(|s| s.name == "checkpoint_age_nanos");
+        age.map(|s| s.value).collect::<Vec<_>>()
+    };
+    for bundle in [&core_obs, &node_obs] {
+        assert_eq!(age_gauge(bundle), [obs::metrics::SampleValue::Gauge(0)]);
+    }
+
+    // The bare core ticks replication only when told to: until then, this
+    // standby waits.
+    let (mut config, classifier) = parts(SchemeMode::ModifiedOnly, Zone::Foo);
+    config.ha = Some(HaConfig::standby(PUBLIC, Ipv4Addr::new(10, 50, 0, 1)));
+    config.checkpoint_interval = Some(WINDOW);
+    let mut standby = direct_with(config, classifier);
+    let standby_obs = obs::Obs::new();
+    standby.core.attach_obs(&standby_obs);
+    assert!(standby.idle(WINDOW * 4).is_empty());
+    assert_eq!((kept(&standby), standby.stats().checkpoints_taken), (None, 0));
+    assert_eq!(age_gauge(&standby_obs), [obs::metrics::SampleValue::Gauge(0)]);
+    // Three silent replication ticks promote it at 460 ms.
+    for _ in 0..3 {
+        assert!(standby.idle(REPL_INTERVAL).is_empty());
+        standby.core.on_ha_tick(standby.now, &mut standby.out);
+    }
+    let claims: Vec<_> = standby.out.drain().collect();
+    assert!(matches!(claims[..], [Output::ClaimAddress(PUBLIC), Output::ClaimSubnet(SUBNET, 24)]), "{claims:?}");
+    assert!(standby.idle(WINDOW * 2).is_empty());
+    let taken: Vec<_> = standby.checkpoints.iter().map(|cp| cp.taken_at_nanos).collect();
+    assert_eq!(taken, [SimTime::from_millis(600).as_nanos()], "the 500 ms window is too soon after");
 }

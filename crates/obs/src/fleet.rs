@@ -19,14 +19,16 @@
 //!   event streams, corrected by a per-node clock offset and stitched
 //!   into cross-node journeys ([`FleetAggregator::stitch`]) via the
 //!   node-aware [`JourneyAssembler`], attributing the catchment-shift
-//!   hop as `inter_site` time;
+//!   hop as `inter_site` time, each journey counted and traced once
+//!   however often it is stitched;
 //! * **fleet rules** ([`FleetAggregator::evaluate`]) — `fleet_spoof_surge`
 //!   (global invalid-verify rate across every node), `site_rate_skew`
 //!   (one site's datagram rate dwarfing another's — the asymmetric-
 //!   catchment signature the Whac-A-Mole spoofing study detects by
 //!   comparing anycast sites), and `node_silent` (a node stopped
 //!   reporting — crash or partition), all on counter-reset-safe per-cell
-//!   clamped deltas.
+//!   clamped deltas. Every threshold is a constant beside the rule that
+//!   reads it; the aggregator has no settings.
 
 use crate::journey::{JourneyAssembler, JourneyReport};
 use crate::metrics::{flat_key, Counter, Gauge, MetricSample, SampleValue};
@@ -36,22 +38,11 @@ use crate::vocab;
 use crate::Obs;
 use crate::alert::{input, ActiveAlert, AlertState, AlertTransition, Input, Read, Signal, Signals};
 use crate::export::{sample_json, Json};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// What a deployment sets of the fleet rule set; the other thresholds are
-/// constants beside the rule that reads them.
-#[derive(Debug, Clone)]
-pub struct FleetAlertConfig {
-    /// `node_silent` fires when a registered node has not delivered a
-    /// snapshot for this long.
-    pub silent_after_nanos: u64,
-}
-
-impl Default for FleetAlertConfig {
-    fn default() -> Self {
-        FleetAlertConfig { silent_after_nanos: 250_000_000 }
-    }
-}
+/// `node_silent` fires when a registered node has not delivered a snapshot
+/// for this long: more than two 50 ms rule evaluations with no report.
+const SILENT_AFTER_NANOS: u64 = 120_000_000;
 
 /// Fleet-wide invalid-verify rate (events/s, summed across nodes)
 /// above which `fleet_spoof_surge` fires.
@@ -135,13 +126,17 @@ struct NodeState {
 /// Aggregates snapshots and traces from every fleet node; see the module
 /// docs. Deterministic and I/O-free: time arrives as arguments, data
 /// arrives through `observe_*` — the runtime's collector and the netsim
-/// bench feed the same type.
+/// bench feed the same type. A new aggregator ([`Default`]) has no nodes
+/// and is not yet attached to an observer.
+#[derive(Default)]
 pub struct FleetAggregator {
-    config: FleetAlertConfig,
     nodes: Vec<NodeState>,
     /// Offset-corrected node-tagged events, in arrival order; sorted by
     /// corrected time at stitch time.
     events: Vec<(u32, Event)>,
+    /// The cross-node journeys already counted and traced, each by its
+    /// first stage's node and time and its correlation id.
+    stitched: BTreeSet<(u32, u64, u64)>,
     /// The alert state machine; its cells are keyed per (node, cell).
     alerts: AlertState,
     nodes_reporting: Gauge,
@@ -161,21 +156,6 @@ impl std::fmt::Debug for FleetAggregator {
 }
 
 impl FleetAggregator {
-    /// An aggregator with the given thresholds, not yet attached to an
-    /// observer.
-    pub fn new(config: FleetAlertConfig) -> FleetAggregator {
-        FleetAggregator {
-            config,
-            nodes: Vec::new(),
-            events: Vec::new(),
-            alerts: AlertState::default(),
-            nodes_reporting: Gauge::new(),
-            snapshots_ingested: Counter::new(),
-            trace_events_ingested: Counter::new(),
-            stitched_journeys: Counter::new(),
-        }
-    }
-
     /// Wires the aggregator's own telemetry into `obs`: trace component
     /// `fleet`, per-rule `fleet.alert_fired{rule}` counters, and the
     /// ingestion metrics.
@@ -276,11 +256,13 @@ impl FleetAggregator {
 
     /// Stitches every buffered trace event — across nodes — into
     /// journeys. Events are merged into one fleet-clock-ordered stream and
-    /// fed through the node-aware assembler; each completed journey that
-    /// spans nodes emits a `journey_stitch` trace event and bumps
-    /// `fleet.stitched_journeys`. Non-consuming: the event buffer is kept
-    /// so later calls (after more traces arrive) see the full history.
-    pub fn stitch(&self) -> JourneyReport {
+    /// fed through the node-aware assembler. Non-consuming: the event
+    /// buffer is kept so later calls (after more traces arrive) see the
+    /// full history. The first call to complete a journey that spans nodes
+    /// emits its `journey_stitch` trace event and bumps
+    /// `fleet.stitched_journeys`; later calls report it again but count and
+    /// trace it no more.
+    pub fn stitch(&mut self) -> JourneyReport {
         let mut order: Vec<usize> = (0..self.events.len()).collect();
         order.sort_by_key(|&i| (self.events[i].1.t_nanos, self.events[i].0));
         let mut asm = JourneyAssembler::new();
@@ -290,6 +272,10 @@ impl FleetAggregator {
         }
         let report = asm.finish();
         for j in report.complete.iter().filter(|j| j.spans_nodes()) {
+            let first = j.stages.first().map_or((0, 0), |s| (s.node, s.t_nanos));
+            if !self.stitched.insert((first.0, first.1, j.qid)) {
+                continue;
+            }
             self.stitched_journeys.inc();
             let a = j.attribution();
             self.alerts.trace.event(
@@ -369,7 +355,7 @@ impl FleetAggregator {
                 // Never reported: silent once a full window elapsed.
                 None => t_nanos,
             };
-            let now_silent = age > self.config.silent_after_nanos;
+            let now_silent = age > SILENT_AFTER_NANOS;
             if now_silent && !node.silent {
                 self.alerts.trace.event(
                     t_nanos,
@@ -464,12 +450,6 @@ impl FleetAggregator {
     /// the per-node engine's `alerts_json` shape.
     pub fn alerts_json(&self) -> Json {
         self.alerts.alerts_json()
-    }
-}
-
-impl Default for FleetAggregator {
-    fn default() -> Self {
-        FleetAggregator::new(FleetAlertConfig::default())
     }
 }
 
@@ -822,5 +802,45 @@ mod tests {
         assert_eq!(stitch.len(), 1);
         assert_eq!(stitch[0].field("nodes"), Some(Value::U64(2)));
         assert_eq!(stitch[0].field("inter_site_ns"), Some(Value::U64(1_000_000)));
+    }
+
+    /// One cross-node journey: challenged on node `a` at `t`, verified,
+    /// forwarded and answered on node `b` 2 ms later.
+    fn straddle(agg: &mut FleetAggregator, (a, b): (u32, u32), src: Ipv4Addr, qid: u64, t: u64) {
+        let (ta, tb) = (Tracer::new(64), Tracer::new(64));
+        ta.set_default_level(Level::Info);
+        tb.set_default_level(Level::Info);
+        let (ga, gb) = (ta.component("guard"), tb.component("guard"));
+        // Node `b` numbers its queries on its own: the source links them.
+        let src = ("src", Value::Ip(src));
+        let (qid_a, qid_b) = (("qid", Value::U64(qid)), ("qid", Value::U64(qid + 100)));
+        ga.event(t, "fabricated_ns", &[src, qid_a]);
+        let valid = [("scheme", Value::Str("ns_label")), ("verdict", Value::Str("valid"))];
+        gb.event(t + 2_000_000, "verify", &[valid[0], valid[1], src, qid_b]);
+        gb.event(t + 2_100_000, "forward", &[src, qid_b]);
+        gb.event(t + 2_500_000, "relay", &[("via", Value::Str("referral")), src, qid_b]);
+        agg.observe_trace(a, &ta.drain().0);
+        agg.observe_trace(b, &tb.drain().0);
+    }
+
+    #[test]
+    fn a_journey_is_counted_and_traced_once_however_often_stitch_runs() {
+        let obs = Obs::new();
+        obs.tracer.set_default_level(Level::Info);
+        let mut agg = FleetAggregator::default();
+        agg.attach_obs(&obs);
+        let nodes = (agg.register_node(0), agg.register_node(0));
+        let stitched = || obs.registry.counter("fleet", "stitched_journeys", &[]).get();
+        straddle(&mut agg, nodes, Ipv4Addr::new(10, 0, 3, 1), 1, 1_000_000);
+        assert_eq!(agg.stitch().complete.len(), 1);
+        assert_eq!(agg.stitch().complete.len(), 1, "stitching again reports the journey again");
+        assert_eq!(stitched(), 1);
+        straddle(&mut agg, nodes, Ipv4Addr::new(10, 0, 3, 2), 2, 5_000_000);
+        assert_eq!(agg.stitch().complete.len(), 2, "the whole history, the new journey with it");
+        assert_eq!(stitched(), 2);
+        let (events, _) = obs.tracer.drain();
+        let stitches = events.iter().filter(|e| e.kind == "journey_stitch");
+        let qids: Vec<_> = stitches.map(|e| e.field("qid")).collect();
+        assert_eq!(qids, [Some(Value::U64(1)), Some(Value::U64(2))], "one event per journey");
     }
 }

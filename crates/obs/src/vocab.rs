@@ -52,7 +52,6 @@ pub const KINDS: &[Kind] = &[
     k("ans_down", &["timeouts"], OBS),
     k("ans_recovered", &[], OBS),
     k("ans_probe", &[], None),
-    k("fail_closed", &["src"], None),
     k("forward", &["src", "qid", "txid", "orig_txid"], None),
     k("relay", &["src", "qid", "via", "rtt_ns"], None),
     k("passthrough", &["src", "qid"], None),
@@ -92,7 +91,6 @@ pub const KINDS: &[Kind] = &[
     k("frag_rejected", &["server", "job"], POISON),
     k("tcp_fallback", &["server", "job"], None),
     k("servfail", &["job"], None),
-    k("refused", &["src"], None),
     k("timeout", &["job", "op"], None),
     // alert and fleet: the rule engines and the cross-node stitcher
     k("alert", &["rule", "state", "value", "threshold"], None),

@@ -22,7 +22,7 @@
 //! [`TelemetryServer`]: crate::telemetry::TelemetryServer
 
 use obs::export::{parse_event, parse_json, parse_metrics, Json};
-use obs::fleet::{FleetAggregator, FleetAlertConfig};
+use obs::fleet::FleetAggregator;
 use obs::metrics::Counter;
 use obs::trace::Event;
 use obs::Obs;
@@ -49,9 +49,11 @@ pub fn parse_drain_reply(reply: &str) -> Option<(Vec<Event>, u64)> {
 }
 
 /// Polls a fleet of [`TelemetryServer`] endpoints and feeds a
-/// [`FleetAggregator`].
+/// [`FleetAggregator`]. A new collector ([`Default`]) has no nodes; add them
+/// with [`FleetCollector::add_node`].
 ///
 /// [`TelemetryServer`]: crate::telemetry::TelemetryServer
+#[derive(Default)]
 pub struct FleetCollector {
     agg: FleetAggregator,
     endpoints: Vec<SocketAddr>,
@@ -61,17 +63,6 @@ pub struct FleetCollector {
 }
 
 impl FleetCollector {
-    /// A collector with no nodes; add them with [`FleetCollector::add_node`].
-    pub fn new(config: FleetAlertConfig) -> FleetCollector {
-        FleetCollector {
-            agg: FleetAggregator::new(config),
-            endpoints: Vec::new(),
-            polls: Counter::new(),
-            poll_failures: Counter::new(),
-            parse_failures: Counter::new(),
-        }
-    }
-
     /// Adopts the aggregator's and the collector's own metrics/trace into
     /// `obs`.
     pub fn attach_obs(&mut self, obs: &Obs) {
@@ -309,8 +300,7 @@ mod tests {
 
         let fleet_obs = Obs::new();
         fleet_obs.tracer.set_default_level(Level::Info);
-        let mut collector =
-            FleetCollector::new(FleetAlertConfig { silent_after_nanos: 50_000_000 }); // 50 ms
+        let mut collector = FleetCollector::default();
         collector.attach_obs(&fleet_obs);
         collector.add_node(server_a.addr(), 0);
         collector.add_node(server_b.addr(), 0);
@@ -327,7 +317,7 @@ mod tests {
         assert_eq!(collector.aggregator().event_count(), 2);
 
         // The traces were *drained*: a second poll brings no duplicates.
-        assert_eq!(collector.poll_and_evaluate(80_000_000), 2);
+        assert_eq!(collector.poll_and_evaluate(160_000_000), 2);
         assert_eq!(collector.aggregator().event_count(), 2);
 
         // The dead node never reported and the silent window has elapsed.

@@ -39,8 +39,6 @@ fn config(key_seed: u64) -> GuardConfig {
     GuardConfig {
         key_seed,
         mode: SchemeMode::ModifiedOnly,
-        activation_threshold: 0.0,
-        rl1_global_rate: 10_000.0,
         rl1_per_source_rate: 1_000.0,
         rl2_per_source_rate: f64::INFINITY,
         ans_timeout: SimTime::from_millis(500),

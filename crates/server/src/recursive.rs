@@ -9,6 +9,12 @@
 //! `PR<cookie>` names), honours TTLs, and speaks ordinary UDP/TCP DNS. The
 //! DNS-based and TCP-based schemes work against this stock resolver; only
 //! the modified-DNS scheme needs a local guard *in front of* it.
+//!
+//! A [`ResolverConfig`] holds what differs between resolvers: the address,
+//! the root hints, the upstream timeout (the poisoning experiment stretches
+//! it over its race window) and the unilateral hardening that experiment
+//! sweeps. The retry budget and the per-packet CPU charge are constants,
+//! and every client is served.
 
 use crate::cache::Cache;
 use crate::hardening::{KeyedSeq, PortMode, ResolverHardening};
@@ -24,6 +30,12 @@ use netsim::time::SimTime;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+/// Total upstream attempts per question before giving up.
+const MAX_RETRIES: u32 = 3;
+
+/// CPU cost charged per packet handled.
+const PACKET_COST: SimTime = SimTime::from_micros(2);
+
 /// Configuration of a recursive resolver node.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
@@ -35,20 +47,8 @@ pub struct ResolverConfig {
     /// How long to wait for an upstream response before retrying. BIND 9
     /// uses 2 s (Figure 5); the paper's LRS simulator uses 10 ms.
     pub timeout: SimTime,
-    /// Total upstream attempts per question before giving up.
-    pub max_retries: u32,
-    /// When set, only clients inside one of these `(base, prefix)` subnets
-    /// are served; others get REFUSED. (The paper notes most LRSs restrict
-    /// their clientele, which blunts LRS-recruitment attacks.)
-    pub allowed_clients: Option<Vec<(Ipv4Addr, u8)>>,
-    /// CPU cost charged per packet handled.
-    pub per_packet_cost: SimTime,
     /// Unilateral anti-poisoning defenses (default: all off).
     pub hardening: ResolverHardening,
-    /// Seed of the keyed txid/port/case generators. Derived from `addr` by
-    /// default so every resolver draws a distinct deterministic stream;
-    /// override for experiments that need identical streams.
-    pub prng_seed: u64,
 }
 
 impl ResolverConfig {
@@ -59,11 +59,7 @@ impl ResolverConfig {
             addr,
             root_hints,
             timeout: SimTime::from_millis(10),
-            max_retries: 3,
-            allowed_clients: None,
-            per_packet_cost: SimTime::from_micros(2),
             hardening: ResolverHardening::default(),
-            prng_seed: u64::from(u32::from(addr)) ^ 0x9e37_79b9_7f4a_7c15,
         }
     }
 
@@ -85,8 +81,6 @@ obs::counters! {
         client_queries,
         /// Responses returned to clients (any rcode).
         responses_sent,
-        /// Client queries refused by the ACL.
-        refused,
         /// Iterative queries sent upstream (UDP).
         upstream_sent,
         /// Upstream timeouts (each triggers a retry or failure).
@@ -208,11 +202,14 @@ pub struct RecursiveResolver {
 impl RecursiveResolver {
     /// Creates a resolver from `config`.
     pub fn new(config: ResolverConfig) -> Self {
+        // The keyed txid/port/case generators draw from the address, so
+        // every resolver has its own deterministic stream.
+        let seed = u64::from(u32::from(config.addr)) ^ 0x9e37_79b9_7f4a_7c15;
         RecursiveResolver {
             tcp: TcpQueryClient::new(config.addr, u64::from(u32::from(config.addr))),
-            txid_seq: KeyedSeq::new(config.prng_seed, 1),
-            port_seq: KeyedSeq::new(config.prng_seed, 2),
-            case_seq: KeyedSeq::new(config.prng_seed, 3),
+            txid_seq: KeyedSeq::new(seed, 1),
+            port_seq: KeyedSeq::new(seed, 2),
+            case_seq: KeyedSeq::new(seed, 3),
             config,
             cache: Cache::new(),
             jobs: Vec::new(),
@@ -286,16 +283,6 @@ impl RecursiveResolver {
             );
         }
         poisoned
-    }
-
-    fn acl_allows(&self, client: Ipv4Addr) -> bool {
-        match &self.config.allowed_clients {
-            None => true,
-            Some(subnets) => subnets.iter().any(|(base, prefix)| {
-                let mask = if *prefix == 0 { 0 } else { u32::MAX << (32 - prefix) };
-                u32::from(client) & mask == u32::from(*base) & mask
-            }),
-        }
     }
 
     fn my_udp(&self) -> Endpoint {
@@ -512,7 +499,7 @@ impl RecursiveResolver {
             Endpoint::new(server, DNS_PORT),
             query.encode(),
         );
-        ctx.charge(self.config.per_packet_cost);
+        ctx.charge(PACKET_COST);
         ctx.send(pkt);
         ctx.set_timer(self.config.timeout, op);
         self.pending.insert(
@@ -597,7 +584,7 @@ impl RecursiveResolver {
                 let (wire, _) = response
                     .encode_with_limit(MAX_UDP_PAYLOAD)
                     .unwrap_or_else(|_| (response.error_response(Rcode::ServFail).encode(), false));
-                ctx.charge(self.config.per_packet_cost);
+                ctx.charge(PACKET_COST);
                 ctx.send(Packet::udp(self.my_udp(), from, wire));
                 self.metrics.responses_sent.inc();
                 self.latencies.record(ctx.now() - job.started);
@@ -615,17 +602,6 @@ impl RecursiveResolver {
 
     fn handle_client_query(&mut self, ctx: &mut Context<'_>, pkt: Packet, msg: Message) {
         self.metrics.client_queries.inc();
-        if !self.acl_allows(pkt.src.ip) {
-            self.metrics.refused.inc();
-            self.metrics.trace.event(
-                ctx.now().as_nanos(),
-                "refused",
-                &[("src", obs::trace::Value::Ip(pkt.src.ip))],
-            );
-            let refused = msg.error_response(Rcode::Refused);
-            ctx.send(Packet::udp(pkt.dst, pkt.src, refused.encode()));
-            return;
-        }
         let Some(question) = msg.question().cloned() else {
             let formerr = msg.error_response(Rcode::FormErr);
             ctx.send(Packet::udp(pkt.dst, pkt.src, formerr.encode()));
@@ -901,7 +877,7 @@ impl RecursiveResolver {
         let tcp = &self.tcp;
         let tcp_port = pool(self.port_seq.draw_u16(|v| !tcp.port_in_use(pool(v))));
         if let Some(syn) = self.tcp.start_query(tcp_port, server, &query.encode(), op) {
-            ctx.charge(self.config.per_packet_cost);
+            ctx.charge(PACKET_COST);
             ctx.send(syn);
         }
         ctx.set_timer(self.config.timeout * 3, op);
@@ -931,7 +907,7 @@ impl RecursiveResolver {
         let mut out = Vec::new();
         let done = self.tcp.on_segment(&pkt, &mut out);
         for p in out {
-            ctx.charge(self.config.per_packet_cost);
+            ctx.charge(PACKET_COST);
             ctx.send(p);
         }
         for (op, frame) in done {
@@ -951,7 +927,7 @@ impl RecursiveResolver {
 
 impl Node for RecursiveResolver {
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        ctx.charge(self.config.per_packet_cost);
+        ctx.charge(PACKET_COST);
         match pkt.proto {
             Proto::Tcp => self.handle_tcp_segment(ctx, pkt),
             Proto::Udp => {
@@ -987,7 +963,7 @@ impl Node for RecursiveResolver {
             ],
         );
         let give_up = match self.jobs[job_id].as_ref() {
-            Some(job) => job.attempts >= self.config.max_retries,
+            Some(job) => job.attempts >= MAX_RETRIES,
             None => return,
         };
         if give_up {
@@ -1163,35 +1139,6 @@ mod tests {
             upstream,
             "second NXDOMAIN served from the negative cache"
         );
-    }
-
-    #[test]
-    fn acl_refuses_outsiders() {
-        let (root, com, foo) = paper_hierarchy();
-        let mut sim = Simulator::new(4);
-        let lrs_ip = Ipv4Addr::new(10, 0, 0, 53);
-        for (ip, zone) in [(ROOT_SERVER, root), (COM_SERVER, com), (FOO_SERVER, foo)] {
-            sim.add_node(ip, CpuConfig::unbounded(), AuthNode::new(ip, Authority::new(vec![zone])));
-        }
-        let mut config = ResolverConfig::new(lrs_ip, vec![ROOT_SERVER]);
-        config.allowed_clients = Some(vec![(Ipv4Addr::new(10, 0, 0, 0), 24)]);
-        let lrs = sim.add_node(lrs_ip, CpuConfig::unbounded(), RecursiveResolver::new(config));
-
-        let outsider_ip = Ipv4Addr::new(172, 16, 0, 1);
-        let outsider = sim.add_node(
-            outsider_ip,
-            CpuConfig::unbounded(),
-            OneShot {
-                me: Endpoint::new(outsider_ip, 6000),
-                lrs: Endpoint::new(lrs_ip, DNS_PORT),
-                qname: "www.foo.com".parse().unwrap(),
-                reply: None,
-            },
-        );
-        sim.run();
-        let reply = sim.node_ref::<OneShot>(outsider).unwrap().reply.clone().unwrap();
-        assert_eq!(reply.header.rcode, Rcode::Refused);
-        assert_eq!(sim.node_ref::<RecursiveResolver>(lrs).unwrap().stats().refused, 1);
     }
 
     #[test]

@@ -58,10 +58,9 @@ pub struct LrsSimConfig {
     pub addr: Ipv4Addr,
     /// The (guarded) server it hammers.
     pub server: Ipv4Addr,
-    /// The domain name requested, repeatedly.
+    /// The domain name requested, repeatedly, for its address (A) record
+    /// as in the paper.
     pub qname: Name,
-    /// Query type (the paper uses A).
-    pub qtype: RrType,
     /// Logical in-flight requests.
     pub concurrency: u32,
     /// Response wait time before the request is abandoned and restarted
@@ -89,7 +88,6 @@ impl LrsSimConfig {
             addr,
             server,
             qname,
-            qtype: RrType::A,
             concurrency: 1,
             wait: SimTime::from_millis(10),
             cookie_cache: true,
@@ -152,14 +150,13 @@ struct Slot {
 /// the oldest.
 const TEMPLATES: usize = 4;
 
-/// A query as `Message::iterative_query(0, name, qtype)`, with the cookie
+/// A query as `Message::iterative_query(0, name, RrType::A)`, with the cookie
 /// extension attached if `cookie` is set, encodes it. Only bytes 0–1 (the
 /// transaction id) depend on the id, so a copy with the id written in is
 /// that query under any id.
 #[derive(Debug)]
 struct Template {
     name: Name,
-    qtype: RrType,
     cookie: Option<[u8; EXT_COOKIE_LEN]>,
     wire: Vec<u8>,
 }
@@ -173,22 +170,18 @@ struct Templates {
 }
 
 impl Templates {
-    /// The encoded query for `(name, qtype, cookie)` under id 0, built on
+    /// The encoded address query for `(name, cookie)` under id 0, built on
     /// first use. Names are matched case for case: the bytes must be the
     /// ones asked for.
-    fn get(&mut self, name: &Name, qtype: RrType, cookie: Option<[u8; EXT_COOKIE_LEN]>) -> &[u8] {
-        let found = self
-            .entries
-            .iter()
-            .position(|t| t.qtype == qtype && t.cookie == cookie && t.name.eq_case_sensitive(name));
+    fn get(&mut self, name: &Name, cookie: Option<[u8; EXT_COOKIE_LEN]>) -> &[u8] {
+        let found = self.entries.iter().position(|t| t.cookie == cookie && t.name.eq_case_sensitive(name));
         let at = found.unwrap_or_else(|| {
-            let mut query = Message::iterative_query(0, name.clone(), qtype);
+            let mut query = Message::iterative_query(0, name.clone(), RrType::A);
             if let Some(cookie) = cookie {
                 cookie_ext::attach_cookie(&mut query, cookie, 0);
             }
             let template = Template {
                 name: name.clone(),
-                qtype,
                 cookie,
                 wire: query.encode(),
             };
@@ -302,7 +295,7 @@ impl LrsSimulator {
     /// The encoded query asking the configured question, with `cookie`
     /// attached if set, under id 0.
     fn question(&mut self, cookie: Option<[u8; EXT_COOKIE_LEN]>) -> Vec<u8> {
-        self.templates.get(&self.config.qname, self.config.qtype, cookie).to_vec()
+        self.templates.get(&self.config.qname, cookie).to_vec()
     }
 
     /// Sends `query`, a template copy, under the next transaction id.
@@ -351,7 +344,7 @@ impl LrsSimulator {
                 // Cache hit on the NS-name scheme: resolve the fabricated
                 // NS name directly.
                 let ns = ns.clone();
-                let query = self.templates.get(&ns, RrType::A, None).to_vec();
+                let query = self.templates.get(&ns, None).to_vec();
                 self.slots[slot].state = SlotState::AwaitAnswer {
                     sent_name: ns,
                     chasing: None,
@@ -397,7 +390,7 @@ impl LrsSimulator {
             self.stats.tcp_fallbacks += 1;
             let port = self.next_tcp_port;
             self.next_tcp_port = port.wrapping_add(1).max(32_768);
-            let query = self.templates.get(&self.config.qname, self.config.qtype, None);
+            let query = self.templates.get(&self.config.qname, None);
             if let Some(syn) = self.tcp.start_query(port, from, query, tag) {
                 ctx.charge(self.config.per_packet_cost);
                 ctx.send(syn);
@@ -500,7 +493,7 @@ impl LrsSimulator {
                 return;
             }
             // No glue: chase the NS address at the same server.
-            let query = self.templates.get(&ns_name, RrType::A, None).to_vec();
+            let query = self.templates.get(&ns_name, None).to_vec();
             self.slots[slot].state = SlotState::AwaitAnswer {
                 sent_name: ns_name.clone(),
                 chasing: Some(ChaseInfo { ns: ns_name, owner }),
@@ -598,24 +591,24 @@ mod tests {
     fn a_template_is_the_owned_query_under_any_id() {
         let www: Name = "www.foo.com".parse().unwrap();
         let keys = [
-            (www.clone(), RrType::A, None),
-            (www.clone(), RrType::A, Some(ZERO_COOKIE)),
-            (www.clone(), RrType::A, Some([7; EXT_COOKIE_LEN])),
-            ("PRdeadbeef.foo.com".parse().unwrap(), RrType::A, None),
-            ("WWW.foo.com".parse().unwrap(), RrType::A, None),
-            (www, RrType::Aaaa, None),
+            (www.clone(), None),
+            (www.clone(), Some(ZERO_COOKIE)),
+            (www, Some([7; EXT_COOKIE_LEN])),
+            ("PRdeadbeef.foo.com".parse().unwrap(), None),
+            ("WWW.foo.com".parse().unwrap(), None),
+            ("PRfeedface.foo.com".parse().unwrap(), None),
         ];
         let mut templates = Templates::default();
         // Six keys through four entries, twice: every one is rebuilt.
-        for (id, (name, qtype, cookie)) in keys.iter().chain(&keys).enumerate() {
+        for (id, (name, cookie)) in keys.iter().chain(&keys).enumerate() {
             let id = 0x0100 + id as u16;
-            let mut wire = templates.get(name, *qtype, *cookie).to_vec();
+            let mut wire = templates.get(name, *cookie).to_vec();
             wire[..2].copy_from_slice(&id.to_be_bytes());
-            let mut owned = Message::iterative_query(id, name.clone(), *qtype);
+            let mut owned = Message::iterative_query(id, name.clone(), RrType::A);
             if let Some(cookie) = cookie {
                 cookie_ext::attach_cookie(&mut owned, *cookie, 0);
             }
-            assert_eq!(wire, owned.encode(), "{name:?} {qtype:?} {cookie:?}");
+            assert_eq!(wire, owned.encode(), "{name:?} {cookie:?}");
             assert!(templates.entries.len() <= TEMPLATES);
         }
     }

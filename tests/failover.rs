@@ -219,23 +219,17 @@ fn surge_sheds_unverified_before_any_verified_query() {
 /// backoff, and recover promptly once the channel heals.
 #[test]
 fn lossy_replication_channel_backs_off_resync_requests() {
-    // A warm-spare pair (takeover disabled): on a long-degraded channel a
-    // takeover standby would claim the address and stop being a standby,
-    // so the mirror role is the one that exercises the resync pacing.
     let (_, _, foo_com) = paper_hierarchy();
     let authority = Authority::new(vec![foo_com]);
     let mut sim = Simulator::new(97);
     let repl_primary = Ipv4Addr::new(10, 99, 0, 2);
     let repl_standby = Ipv4Addr::new(10, 99, 0, 3);
-    let interval = SimTime::from_millis(20);
-    let mut spare = HaConfig::standby(repl_standby, repl_primary).with_interval(interval);
-    spare.takeover = false;
     let primary_cfg = GuardConfig::new(PUB, PRIV)
         .with_mode(SchemeMode::DnsBased)
-        .with_ha(HaConfig::primary(repl_primary, repl_standby).with_interval(interval));
+        .with_ha(HaConfig::primary(repl_primary, repl_standby));
     let standby_cfg = GuardConfig::new(PUB, PRIV)
         .with_mode(SchemeMode::DnsBased)
-        .with_ha(spare);
+        .with_ha(HaConfig::standby(repl_standby, repl_primary));
     let cpu = CpuConfig {
         max_backlog: SimTime::from_millis(5),
     };
@@ -254,14 +248,25 @@ fn lossy_replication_channel_backs_off_resync_requests() {
     // Warm: the standby syncs over a clean channel.
     sim.run_until(SimTime::from_millis(200));
 
-    // Degrade the primary→standby direction to 90% loss for two seconds.
-    // Deltas still trickle through (each one a sequence gap), and most
-    // snapshot answers are lost too, so a per-miss requester would fire
-    // continuously while a backed-off one stays quiet.
-    sim.fault_link(primary, standby, FaultPlan::new().loss(0.9));
-    sim.run_until(SimTime::from_millis(2_200));
+    // Degrade the primary→standby direction for two seconds: of every three
+    // messages the primary sends (one per 20 ms tick), the first two are
+    // lost. Every delta that gets through is a sequence gap, and the
+    // snapshot that answers a request leaves on the tick after one that got
+    // through, so it is lost too: a per-miss requester would fire at every
+    // surviving delta while a backed-off one stays quiet. The standby never
+    // misses the three heartbeats in a row that would promote it.
+    let lossy = FaultPlan::new().loss(1.0);
+    for burst in 0..33 {
+        let at = SimTime::from_millis(210 + 60 * burst);
+        sim.run_until(at);
+        sim.fault_link(primary, standby, lossy);
+        sim.run_until(at + SimTime::from_millis(40));
+        sim.fault_link(primary, standby, FaultPlan::new());
+        sim.run_until(at + SimTime::from_millis(60));
+    }
 
     let s = sim.node_ref::<RemoteGuard>(standby).unwrap().stats();
+    assert_eq!(s.failover_takeovers, 0, "the primary never fell silent");
     assert!(
         s.repl_resyncs >= 1,
         "the loss must produce at least one sequence gap"
@@ -283,10 +288,9 @@ fn lossy_replication_channel_backs_off_resync_requests() {
         s.repl_resyncs
     );
 
-    // Heal the channel: the next answered request resynchronises the
+    // The channel is healed: the next answered request resynchronises the
     // standby and in-sequence deltas resume.
     let applied_before = s.repl_deltas_applied;
-    sim.fault_link(primary, standby, FaultPlan::new());
     sim.run_until(SimTime::from_millis(4_500));
     let s = sim.node_ref::<RemoteGuard>(standby).unwrap().stats();
     assert!(

@@ -1,25 +1,38 @@
-//! Long-horizon key rotation: the guard rotates its secret on schedule
-//! (section III.E), cached cookies survive exactly one rotation (the
-//! generation-bit grace window), and clients whose cookies expire recover
-//! by re-running the exchange.
+//! Long-horizon key rotation: the guard rotates its secret on a schedule
+//! (section III.E: weekly), cached cookies survive exactly one rotation
+//! (the generation-bit grace window), and clients whose cookies expire
+//! recover by re-running the exchange. The worlds compress the week to
+//! 300 ms of simulated time by rotating at those instants themselves.
 
 mod common;
 
-use common::WorldBuilder;
+use common::{World, WorldBuilder};
 use dnsguard::guard::RemoteGuard;
 use guardhash::cookie::{CookieAlg, CookieFactory};
 use netsim::time::SimTime;
 use std::net::Ipv4Addr;
 
+/// The compressed rotation period.
+const PERIOD: SimTime = SimTime::from_millis(300);
+
+/// Runs `w` until `until`, rotating the guard's key at every multiple of
+/// [`PERIOD`] on the way.
+fn run_rotating(w: &mut World, until: SimTime) {
+    let mut next = PERIOD * (w.sim.now().as_nanos() / PERIOD.as_nanos() + 1);
+    while next <= until {
+        w.sim.run_until(next);
+        w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().rotate_key();
+        next += PERIOD;
+    }
+    w.sim.run_until(until);
+}
+
 #[test]
 fn service_continues_across_scheduled_rotations() {
-    // Rotate every 300 ms of simulated time — several rotations in the run.
-    let mut w = WorldBuilder::new(77)
-        .tweak(|c| c.key_rotation_interval = Some(SimTime::from_millis(300)))
-        .build();
+    let mut w = WorldBuilder::new(77).build();
 
     // Run through ~6 rotation periods.
-    w.sim.run_until(SimTime::from_secs(2));
+    run_rotating(&mut w, SimTime::from_secs(2));
 
     let g = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap();
     assert!(
@@ -37,7 +50,7 @@ fn service_continues_across_scheduled_rotations() {
     );
     // Check the last 500 ms specifically: still alive at the end.
     let before = w.completed();
-    w.sim.run_for(SimTime::from_millis(500));
+    run_rotating(&mut w, SimTime::from_millis(2_500));
     let after = w.completed();
     assert!(after > before + 200, "still completing at the end: {}", after - before);
 }
@@ -139,13 +152,8 @@ fn fleet_sites_sharing_a_key_honour_the_rotation_grace_window() {
 /// throughout.
 #[test]
 fn md5_cookies_rotate_with_the_same_grace_as_siphash() {
-    let mut w = WorldBuilder::new(79)
-        .tweak(|c| {
-            c.cookie_alg = CookieAlg::Md5;
-            c.key_rotation_interval = Some(SimTime::from_millis(300));
-        })
-        .build();
-    w.sim.run_until(SimTime::from_secs(2));
+    let mut w = WorldBuilder::new(79).tweak(|c| c.cookie_alg = CookieAlg::Md5).build();
+    run_rotating(&mut w, SimTime::from_secs(2));
 
     let g = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap();
     assert!(

@@ -8,7 +8,6 @@
 mod common;
 
 use common::WorldBuilder;
-use dnsguard::config::AnsHealthPolicy;
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
 use netsim::engine::CpuConfig;
@@ -81,18 +80,17 @@ fn checkpoint_and_restore_emit_paired_events() {
     );
 }
 
-/// An ANS outage under the fail-closed policy emits `fail_closed` for
-/// each refused verified query and debug-level `ans_probe` for the
-/// backoff probes that eventually detect recovery.
+/// An ANS outage emits `ans_down` when the health monitor declares it and
+/// debug-level `ans_probe` for the backoff probes that eventually detect
+/// recovery.
 #[test]
-fn ans_outage_emits_fail_closed_and_probe_events() {
+fn ans_outage_emits_down_and_probe_events() {
     let mut w = WorldBuilder::new(43)
         .wait(SimTime::from_millis(60))
         .tweak(|c| {
             c.ans_timeout = SimTime::from_millis(50);
             c.ans_failure_threshold = 2;
             c.ans_probe_interval = SimTime::from_millis(100);
-            c.health_policy = AnsHealthPolicy::FailClosed;
         })
         .build();
     let obs = Obs::new();
@@ -105,8 +103,8 @@ fn ans_outage_emits_fail_closed_and_probe_events() {
 
     let kinds = drained_kinds(&obs);
     assert!(
-        kinds.contains("fail_closed"),
-        "refused verified queries must emit fail_closed: {kinds:?}"
+        kinds.contains("ans_down"),
+        "declaring the ANS down must emit ans_down: {kinds:?}"
     );
     assert!(
         kinds.contains("ans_probe"),
