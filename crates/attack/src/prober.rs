@@ -244,121 +244,3 @@ impl Node for FeedbackProber {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dnsguard::classify::AuthorityClassifier;
-    use dnsguard::config::{GuardConfig, SchemeMode};
-    use dnsguard::guard::RemoteGuard;
-    use netsim::engine::{CpuConfig, Simulator};
-    use server::authoritative::Authority;
-    use server::nodes::{AuthNode, ServerCosts};
-    use server::zone::paper_hierarchy;
-
-    const PUB: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
-    const PRIV: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 1);
-    const SUBNET: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 0);
-    const VICTIM: Ipv4Addr = Ipv4Addr::new(44, 1, 1, 1);
-
-    /// Builds the probing scenario; returns (sim, guard, prober, correct_y).
-    fn scenario(seed: u64, rl2_rate: f64) -> (Simulator, netsim::NodeId, netsim::NodeId, u32) {
-        let (_, _, foo) = paper_hierarchy();
-        let authority = Authority::new(vec![foo]);
-        let mut sim = Simulator::new(seed);
-        let mut config = GuardConfig {
-            subnet_base: SUBNET,
-            ..GuardConfig::new(PUB, PRIV)
-        }
-        .with_mode(SchemeMode::DnsBased);
-        config.rl2_per_source_rate = rl2_rate;
-        config.rl1_global_rate = 1e12;
-        config.rl1_per_source_rate = 1e12;
-        let guard_node = RemoteGuard::new(config, AuthorityClassifier::new(authority.clone()));
-        // The correct COOKIE2 offset for the victim (what the attacker is
-        // hunting for). Recover it by asking the factory directly.
-        let correct_addr = {
-            // generate_subnet_offset with the public-address exclusion:
-            // reproduce via the guard's own encode path by probing.
-            let y = guard_node
-                .cookie_factory()
-                .generate_subnet_offset(VICTIM, 253);
-            // public addr offset is 3 (198.41.0.4 = base+1+3): mirror the
-            // guard's skip logic.
-            if y >= 3 {
-                y + 1
-            } else {
-                y
-            }
-        };
-        let guard = sim.add_node(PUB, CpuConfig::default(), guard_node);
-        sim.add_subnet(SUBNET, 24, guard);
-        sim.add_node(
-            PRIV,
-            CpuConfig::default(),
-            AuthNode::with_costs(PRIV, authority, ServerCosts::bind9()),
-        );
-        // Candidates: a few wrong guesses plus the correct one.
-        let candidates = vec![7, 42, correct_addr, 99, 123];
-        let prober_ip = Ipv4Addr::new(66, 0, 0, 7);
-        let prober = sim.add_node(
-            prober_ip,
-            CpuConfig::unbounded(),
-            FeedbackProber::new(ProberConfig {
-                attacker: prober_ip,
-                victim: VICTIM,
-                guard: PUB,
-                subnet_base: SUBNET,
-                candidates,
-                burst_rate: 100_000.0,
-                burst_len: SimTime::from_millis(100),
-                probes_per_candidate: 8,
-            }),
-        );
-        (sim, guard, prober, correct_addr)
-    }
-
-    #[test]
-    fn open_rate_limiter_leaks_the_guess_through_timing() {
-        // With Rate-Limiter2 wide open, the correct guess floods the BIND
-        // ANS and the attacker's probes slow down measurably.
-        let (mut sim, _guard, prober, correct) = scenario(1, 1e12);
-        sim.run_until(SimTime::from_secs(2));
-        let p = sim.node_ref::<FeedbackProber>(prober).unwrap();
-        assert!(p.finished());
-        assert_eq!(
-            p.best_guess(),
-            Some(correct),
-            "timing side channel identifies the correct y: {:?}",
-            p.results
-        );
-    }
-
-    #[test]
-    fn rate_limiter2_hides_the_signal() {
-        // With the nominal per-host rate, even the correct guess cannot
-        // load the ANS, so the probe timing carries no signal strong enough
-        // to stand out: the correct candidate's latency stays within 2x of
-        // the slowest wrong candidate (no reliable oracle).
-        let (mut sim, guard, prober, correct) = scenario(2, 100.0);
-        sim.run_until(SimTime::from_secs(2));
-        let p = sim.node_ref::<FeedbackProber>(prober).unwrap();
-        assert!(p.finished());
-        let correct_row = p.results.iter().find(|r| r.y == correct).unwrap();
-        let worst_wrong = p
-            .results
-            .iter()
-            .filter(|r| r.y != correct)
-            .map(|r| r.mean_probe_latency)
-            .max()
-            .unwrap();
-        assert!(
-            correct_row.mean_probe_latency <= worst_wrong * 2,
-            "RL2 should flatten the timing contrast: correct {} vs wrong max {}",
-            correct_row.mean_probe_latency,
-            worst_wrong
-        );
-        let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
-        assert!(g.stats().rl2_dropped > 1_000, "the correct-y flood was throttled");
-    }
-}

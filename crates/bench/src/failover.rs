@@ -202,6 +202,8 @@ fn run_age_point(seed: u64, interval: Option<SimTime>) -> AgePoint {
             cp,
             restore_at,
         ),
+        // lint: testbed — a cold restart: the crashed guard's replacement
+        // when no checkpoint was taken to restore from.
         None => RemoteGuard::new(config, AuthorityClassifier::new(authority)),
     };
     sim.restart_with(guard_id, fresh);

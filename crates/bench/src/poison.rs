@@ -75,11 +75,15 @@ const SUMMARY_KEYS: &[&str] = &[
     "\"table_ok\":",
 ];
 
-const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
+/// The resolver under attack.
+pub const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
 const ROOT_NS: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
-const VICTIM_NS: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 10);
-const ATTACKER: Ipv4Addr = Ipv4Addr::new(66, 0, 0, 1);
-const EVIL: Ipv4Addr = Ipv4Addr::new(66, 66, 66, 66);
+/// The victim zone's name server.
+pub const VICTIM_NS: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 10);
+/// The attacker's own address (and `attacker.net`'s server).
+pub const ATTACKER: Ipv4Addr = Ipv4Addr::new(66, 0, 0, 1);
+/// The address a forged answer plants.
+pub const EVIL: Ipv4Addr = Ipv4Addr::new(66, 66, 66, 66);
 const WWW: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 80);
 
 /// MTU of the fragmentation leg's victim path.
@@ -213,7 +217,8 @@ impl Defense {
     }
 }
 
-fn victim() -> Name {
+/// The zone under attack, `victim.com`.
+pub fn victim() -> Name {
     "victim.com".parse().expect("static zone name")
 }
 
@@ -247,7 +252,7 @@ fn victim_zone() -> Zone {
 /// Root + victim NS + hardened resolver; the victim link's RTT is the
 /// race window (the legitimate answer arrives exactly when the forged
 /// flood stops).
-fn poison_world(
+pub fn poison_world(
     seed: u64,
     hardening: ResolverHardening,
     window: SimTime,
@@ -448,9 +453,9 @@ pub struct FragOutcome {
 }
 
 /// The exact wire the victim's server emits for the oversized query; the
-/// bytes past [`FRAG_MTU`] are txid-independent, which is what makes the
-/// attack work without guessing.
-fn big_response_wire() -> Vec<u8> {
+/// bytes past the fragmentation leg's MTU are txid-independent, which is
+/// what makes the attack work without guessing.
+pub fn big_response_wire() -> Vec<u8> {
     let q = Message::iterative_query(0, "big.victim.com".parse().expect("static name"), RrType::A);
     let (resp, _) = Authority::new(vec![victim_zone()]).answer(&q);
     resp.encode()

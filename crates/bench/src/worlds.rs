@@ -3,32 +3,37 @@
 //! observes it, alerts on it and steps it through this module:
 //!
 //! * topologies — [`guarded_world`] (one guard, one ANS; the paper's),
-//!   [`ha_world`] (a primary–standby pair) and [`fleet_world`] (two anycast
-//!   sites);
+//!   [`guarded_hierarchy`] (the same guard as the root of a hierarchy a
+//!   stock resolver walks), [`ha_world`] (a primary–standby pair) and
+//!   [`fleet_world`] (two anycast sites);
 //! * clients and attackers — [`attach_lrs`] over [`LrsParams`],
-//!   [`paced_clients`], [`attach_flood`], [`attach_cookie_guess_flood`];
+//!   [`paced_clients`], [`attach_flood`], [`attach_cookie_guess_flood`],
+//!   and [`attach_stub`] for hand-made datagrams;
 //! * observation — [`observe`] (one [`Obs`] over the simulator and its
 //!   guards), [`alert_engine`] (an engine reporting through it),
 //!   [`run_stepped`] / [`run_evaluated`] (a callback, or that engine's
 //!   evaluation, after the events of every boundary), [`stays_silent`]
 //!   (the clean-baseline bar);
-//! * readings — [`measure_throughput`], [`completions`],
-//!   [`unverified_at_ans`].
+//! * readings — [`measure_throughput`], [`completions`], [`guard_stats`],
+//!   [`lrs_stats`], [`unverified_at_ans`].
 
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
-use dnsguard::guard::RemoteGuard;
+use dnsguard::guard::{GuardStats, RemoteGuard};
 use dnsguard::{FleetConfig, HaConfig};
+use dnswire::message::Message;
 use guardhash::cookie::CookieAlg;
-use netsim::engine::{CpuConfig, FaultPlan, NodeId, Simulator};
+use netsim::engine::{Context, CpuConfig, FaultPlan, Node, NodeId, Simulator};
+use netsim::packet::Packet;
 use netsim::time::SimTime;
 use obs::alert::{AlertConfig, AlertEngine};
 use obs::trace::Level;
 use obs::Obs;
 use server::authoritative::Authority;
 use server::nodes::{AuthNode, ServerCosts};
-use server::simclient::{CookieMode, LrsSimConfig, LrsSimulator};
-use server::zone::paper_hierarchy;
+use server::recursive::{RecursiveResolver, ResolverConfig};
+use server::simclient::{CookieMode, LrsSimConfig, LrsSimStats, LrsSimulator};
+use server::zone::{paper_hierarchy, COM_SERVER, FOO_SERVER};
 use std::net::Ipv4Addr;
 
 /// The guarded server's public (advertised) address.
@@ -155,6 +160,36 @@ pub fn guarded_world_with(p: WorldParams, configure: impl FnOnce(GuardConfig) ->
     sim.add_subnet(SUBNET, 24, guard);
     let ans = add_ans(&mut sim, PRIV, p.ans_cpu, authority, p.ans_costs);
     GuardedWorld { sim, guard, ans }
+}
+
+/// The stock resolver's address in [`guarded_hierarchy`].
+pub const RESOLVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
+
+/// Handles into a guarded hierarchy.
+pub struct HierarchyWorld {
+    /// The simulator.
+    pub sim: Simulator,
+    /// The guard in front of the root server.
+    pub guard: NodeId,
+    /// The stock resolver at [`RESOLVER`].
+    pub resolver: NodeId,
+}
+
+/// The paper's three-level hierarchy behind a guarded root:
+/// [`guarded_world_with`] serving the root zone at [`PUB`] (the root
+/// server's address) whatever `p.zone` says, the com and foo.com servers
+/// unguarded at their own addresses on `p`'s ANS CPU and costs, and a stock
+/// [`RecursiveResolver`] at [`RESOLVER`] whose root hint is the guard. Its
+/// clients are [`attach_stub`]s.
+pub fn guarded_hierarchy(p: WorldParams, configure: impl FnOnce(GuardConfig) -> GuardConfig) -> HierarchyWorld {
+    let (cpu, costs) = (p.ans_cpu, p.ans_costs);
+    let GuardedWorld { mut sim, guard, .. } = guarded_world_with(WorldParams { zone: ZoneSel::Root, ..p }, configure);
+    let (_, com, foo_com) = paper_hierarchy();
+    add_ans(&mut sim, COM_SERVER, cpu, Authority::new(vec![com]), costs);
+    add_ans(&mut sim, FOO_SERVER, cpu, Authority::new(vec![foo_com]), costs);
+    let config = ResolverConfig::new(RESOLVER, vec![PUB]);
+    let resolver = sim.add_node(RESOLVER, CpuConfig::unbounded(), RecursiveResolver::new(config));
+    HierarchyWorld { sim, guard, resolver }
 }
 
 /// The primary guard's replication address.
@@ -380,6 +415,64 @@ pub fn attach_cookie_guess_flood(sim: &mut Simulator, rate: f64, duration: SimTi
     )
 }
 
+/// A client of hand-made datagrams: sends each at its offset from the
+/// stub's start (those at zero from `on_start`) and keeps every datagram
+/// delivered to it. A datagram's source is whatever its packet says, so one
+/// stub is a resolver's client, a spoofer or a replay of crafted bytes.
+pub struct Stub {
+    /// What is left to send, the latest offset first.
+    sends: Vec<(SimTime, Packet)>,
+    /// When the stub started.
+    start: SimTime,
+    /// Every datagram delivered to the stub, in arrival order.
+    pub replies: Vec<Packet>,
+}
+
+impl Stub {
+    /// The first reply, decoded.
+    pub fn reply(&self) -> Option<Message> {
+        self.replies.first().and_then(|pkt| Message::decode(&pkt.payload).ok())
+    }
+
+    /// Sends what is due now and arms the timer for the next offset.
+    fn send_due(&mut self, ctx: &mut Context<'_>) {
+        let now = ctx.now() - self.start;
+        while let Some((_, pkt)) = self.sends.pop_if(|(at, _)| *at <= now) {
+            ctx.send(pkt);
+        }
+        if let Some((at, _)) = self.sends.last() {
+            ctx.set_timer(*at - now, 0);
+        }
+    }
+}
+
+impl Node for Stub {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.start = ctx.now();
+        self.send_due(ctx);
+    }
+
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
+        self.replies.push(pkt);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
+        self.send_due(ctx);
+    }
+}
+
+/// Attaches a [`Stub`] at `ip` sending `sends`, each an (offset from now,
+/// datagram) pair.
+pub fn attach_stub(sim: &mut Simulator, ip: Ipv4Addr, sends: impl IntoIterator<Item = (SimTime, Packet)>) -> NodeId {
+    let mut sends: Vec<_> = sends.into_iter().collect();
+    // A stable sort then a reversal: popped from the back, datagrams at one
+    // offset leave in the order given.
+    sends.sort_by_key(|(at, _)| *at);
+    sends.reverse();
+    let stub = Stub { sends, start: SimTime::ZERO, replies: Vec::new() };
+    sim.add_node(ip, CpuConfig::unbounded(), stub)
+}
+
 /// Measures a client's completed-request delta over a window, returning
 /// requests/second.
 pub fn measure_throughput(
@@ -414,20 +507,24 @@ pub fn verified_clients(sim: &mut Simulator, n: u8) -> (Vec<NodeId>, Vec<Ipv4Add
 
 /// Transactions each client has completed so far.
 pub fn completions(sim: &Simulator, clients: &[NodeId]) -> Vec<u64> {
-    clients
-        .iter()
-        .map(|&c| sim.node_ref::<LrsSimulator>(c).expect("lrs node").stats.completed)
-        .collect()
+    clients.iter().map(|&c| lrs_stats(sim, c).completed).collect()
+}
+
+/// A guard's counters.
+pub fn guard_stats(sim: &Simulator, guard: NodeId) -> GuardStats {
+    sim.node_ref::<RemoteGuard>(guard).expect("guard node").stats()
+}
+
+/// An [`LrsSimulator`]'s counters.
+pub fn lrs_stats(sim: &Simulator, lrs: NodeId) -> LrsSimStats {
+    sim.node_ref::<LrsSimulator>(lrs).expect("lrs node").stats
 }
 
 /// Queries that reached an ANS unverified: whatever the `ans` nodes saw
 /// beyond what the `guards` forwarded, plus what the guards forwarded
 /// plain. The bar is zero.
 pub fn unverified_at_ans(sim: &Simulator, guards: &[NodeId], ans: &[NodeId]) -> u64 {
-    let stats: Vec<_> = guards
-        .iter()
-        .map(|&g| sim.node_ref::<RemoteGuard>(g).expect("guard node").stats())
-        .collect();
+    let stats: Vec<_> = guards.iter().map(|&g| guard_stats(sim, g)).collect();
     let seen: u64 = ans
         .iter()
         .map(|&a| sim.node_ref::<AuthNode>(a).expect("ANS node").total_queries())
@@ -579,6 +676,31 @@ mod tests {
         // Each call ends after the events of its last boundary, where the
         // next begins: three phases see what one call sees.
         assert_eq!(transcript(&[ms(200), ms(400), ms(600)]), whole);
+    }
+
+    #[test]
+    fn a_stub_keeps_every_reply_in_arrival_order_across_a_duplicating_link() {
+        use dnswire::rdata::RData;
+        use dnswire::types::{Rcode, RrType};
+        use netsim::packet::{Endpoint, DNS_PORT};
+
+        let mut w = guarded_hierarchy(WorldParams::new(1), |config| config);
+        let me = Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 5353);
+        let query = |id, at| {
+            let wire = Message::query(id, "www.foo.com".parse().expect("static name"), RrType::A).encode();
+            (at, Packet::udp(me, Endpoint::new(RESOLVER, DNS_PORT), wire))
+        };
+        let stub = attach_stub(&mut w.sim, me.ip, [query(8, SimTime::from_millis(50)), query(7, SimTime::ZERO)]);
+        w.sim.fault_link_both(stub, w.resolver, FaultPlan::new().duplicate(1.0));
+        w.sim.run();
+
+        let stub = w.sim.node_ref::<Stub>(stub).expect("stub node");
+        let ids: Vec<u16> = stub.replies.iter().map(|p| Message::decode(&p.payload).expect("reply").header.id).collect();
+        assert!(ids.len() >= 4 && ids.starts_with(&[7, 7]) && ids.ends_with(&[8, 8]), "replies {ids:?}");
+        // A later datagram never displaces the first reply.
+        let first = stub.reply().expect("the first reply decodes");
+        assert_eq!((first.header.id, first.header.rcode), (7, Rcode::NoError));
+        assert_eq!(first.answers[0].rdata, RData::A(server::zone::WWW_ADDR));
     }
 
     #[test]

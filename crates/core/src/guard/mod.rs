@@ -45,8 +45,6 @@ mod schemes;
 mod sim;
 mod stash;
 mod stats;
-#[cfg(test)]
-mod tests;
 
 pub use self::core::{GuardCore, Leg, Output, Outputs, WINDOW};
 pub use self::sim::RemoteGuard;

@@ -201,107 +201,3 @@ impl Node for LocalGuard {
             .retain(|_, h| now.saturating_sub(h.created) < SimTime::from_secs(5));
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::classify::AuthorityClassifier;
-    use crate::config::{GuardConfig, SchemeMode};
-    use crate::guard::RemoteGuard;
-    use dnswire::rdata::RData;
-    use dnswire::types::RrType;
-    use netsim::engine::{CpuConfig, Simulator};
-    use netsim::packet::Endpoint;
-    use server::authoritative::Authority;
-    use server::nodes::AuthNode;
-    use server::zone::{paper_hierarchy, FOO_SERVER, WWW_ADDR};
-
-    const ANS_PRIVATE: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
-    const LRS_ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
-
-    /// A bare client that queries through its (transparent) environment.
-    struct Client {
-        me: Endpoint,
-        server: Endpoint,
-        reply: Option<Message>,
-        send_twice: bool,
-    }
-    impl Node for Client {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let q = Message::iterative_query(31, "www.foo.com".parse().unwrap(), RrType::A);
-            ctx.send(Packet::udp(self.me, self.server, q.encode()));
-        }
-        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-            self.reply = Message::decode(&pkt.payload).ok();
-            if self.send_twice {
-                self.send_twice = false;
-                let q = Message::iterative_query(32, "www.foo.com".parse().unwrap(), RrType::A);
-                ctx.send(Packet::udp(self.me, self.server, q.encode()));
-            }
-        }
-    }
-
-    fn world(seed: u64, remote_guarded: bool) -> (Simulator, netsim::NodeId, netsim::NodeId) {
-        let (_, _, foo) = paper_hierarchy();
-        let authority = Authority::new(vec![foo]);
-        let mut sim = Simulator::new(seed);
-
-        if remote_guarded {
-            let config = GuardConfig::new(FOO_SERVER, ANS_PRIVATE).with_mode(SchemeMode::ModifiedOnly);
-            let g = sim.add_node(
-                FOO_SERVER,
-                CpuConfig::unbounded(),
-                RemoteGuard::new(config, AuthorityClassifier::new(authority.clone())),
-            );
-            sim.add_subnet(Ipv4Addr::new(192, 0, 2, 0), 24, g);
-            sim.add_node(ANS_PRIVATE, CpuConfig::unbounded(), AuthNode::new(ANS_PRIVATE, authority));
-        } else {
-            sim.add_node(FOO_SERVER, CpuConfig::unbounded(), AuthNode::new(FOO_SERVER, authority));
-        }
-
-        // The "LRS" here is a bare client; the local guard taps its egress
-        // and owns its address for ingress.
-        let client = sim.add_node(
-            Ipv4Addr::new(10, 255, 0, 1), // private registration address
-            CpuConfig::unbounded(),
-            Client {
-                me: Endpoint::new(LRS_ADDR, 7777),
-                server: Endpoint::new(FOO_SERVER, DNS_PORT),
-                reply: None,
-                send_twice: true,
-            },
-        );
-        let local = sim.add_node(LRS_ADDR, CpuConfig::unbounded(), LocalGuard::new(client, LRS_ADDR));
-        sim.set_gateway(client, local);
-        (sim, client, local)
-    }
-
-    #[test]
-    fn cookie_exchange_then_stamped_queries() {
-        let (mut sim, client, local) = world(1, true);
-        sim.run_until(SimTime::from_millis(50));
-        let reply = sim.node_ref::<Client>(client).unwrap().reply.clone().unwrap();
-        assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
-        assert!(
-            !dnswire::cookie_ext::has_cookie(&reply),
-            "extension stripped before the LRS sees it"
-        );
-        let guard = sim.node_ref::<LocalGuard>(local).unwrap();
-        assert_eq!(guard.stats.grants_requested, 1);
-        assert_eq!(guard.stats.cookies_cached, 1);
-        assert_eq!(guard.stats.stamped, 2, "held release + second query");
-        assert_eq!(guard.cached_cookies(), 1);
-    }
-
-    #[test]
-    fn incapable_server_pass_through() {
-        let (mut sim, client, local) = world(2, false);
-        sim.run_until(SimTime::from_millis(50));
-        let reply = sim.node_ref::<Client>(client).unwrap().reply.clone().unwrap();
-        assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
-        let guard = sim.node_ref::<LocalGuard>(local).unwrap();
-        assert_eq!(guard.stats.incapable_servers, 1);
-        assert_eq!(guard.cached_cookies(), 0);
-        assert_eq!(guard.stats.grants_requested, 1, "probed once, then remembered");
-    }
-}

@@ -77,10 +77,10 @@ pub struct Rule {
 }
 
 /// L1's scope: the modules that parse adversarial wire input — `dnswire`,
-/// every file of the guard but its simulated-world tests, the TCP proxy.
+/// every file of the guard, the TCP proxy.
 const WIRE: Scope = Scope {
     paths: &["crates/dnswire/src/", "crates/core/src/guard/", "crates/core/src/tcp_proxy.rs"],
-    except: &["crates/core/src/guard/tests.rs"],
+    except: &[],
 };
 
 /// The rule table.
@@ -127,7 +127,7 @@ pub const RULES: &[Rule] = &[
         id: "seam",
         scope: Scope {
             paths: &["crates/core/src/guard/"],
-            except: &["crates/core/src/guard/sim.rs", "crates/core/src/guard/tests.rs"],
+            except: &["crates/core/src/guard/sim.rs"],
         },
         check: Check::Tokens(&[
             "netsim::engine", "netsim::Context", "netsim::Node", "netsim::Simulator",
@@ -212,9 +212,10 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "testbed",
         scope: Scope { paths: &["crates/bench/src/", "tests/"], except: &["crates/bench/src/worlds.rs"] },
-        check: Check::Tokens(&["AlertEngine::new("]),
-        message: "outside `bench::worlds`: a simulated world's alert engine is built there \
-                  (`alert_engine`) and evaluated by `run_evaluated`",
+        check: Check::Tokens(&["AlertEngine::new(", "RemoteGuard::new("]),
+        message: "outside `bench::worlds`: a simulated world's guards are built there \
+                  (`guarded_world_with`, `guarded_hierarchy`, `ha_world`, `fleet_world`), and \
+                  its alert engine (`alert_engine`), evaluated by `run_evaluated`",
         tests: true,
     },
 ];

@@ -14,47 +14,89 @@
 //! * **resource reclamation** — the TCP proxy reaps connections whose FINs
 //!   were lost, and the guard's tables stay within their byte bounds.
 
-mod common;
-
-use common::{World, WorldBuilder};
-use dnsguard::config::SchemeMode;
-use netsim::engine::FaultPlan;
+use bench::worlds::{
+    attach_lrs, attach_stub, guard_stats, guarded_world_with, lrs_stats, GuardedWorld, LrsParams, WorldParams, ZoneSel,
+    PRIV, PUB,
+};
+use dnsguard::config::{GuardConfig, SchemeMode};
+use dnsguard::guard::RemoteGuard;
+use netsim::engine::{CpuConfig, FaultPlan};
 use netsim::time::SimTime;
+use netsim::NodeId;
+use server::nodes::ServerCosts;
 use server::simclient::CookieMode;
+use std::net::Ipv4Addr;
 
-/// The four schemes of the paper, as (seed, referral-zone?, guard mode,
-/// client capability, label).
-const SCHEMES: [(u64, bool, SchemeMode, CookieMode, &str); 4] = [
-    (21, true, SchemeMode::DnsBased, CookieMode::Plain, "ns-name"),
-    (22, false, SchemeMode::DnsBased, CookieMode::Plain, "fabricated"),
-    (23, false, SchemeMode::TcpBased, CookieMode::Plain, "tcp"),
-    (24, false, SchemeMode::ModifiedOnly, CookieMode::Extension, "modified"),
+/// The four schemes of the paper, as (seed, zone, guard mode, client
+/// capability, label).
+const SCHEMES: [(u64, ZoneSel, SchemeMode, CookieMode, &str); 4] = [
+    (21, ZoneSel::Root, SchemeMode::DnsBased, CookieMode::Plain, "ns-name"),
+    (22, ZoneSel::Foo, SchemeMode::DnsBased, CookieMode::Plain, "fabricated"),
+    (23, ZoneSel::Foo, SchemeMode::TcpBased, CookieMode::Plain, "tcp"),
+    (24, ZoneSel::Foo, SchemeMode::ModifiedOnly, CookieMode::Extension, "modified"),
 ];
 
-fn scheme_world(seed: u64, referral: bool, mode: SchemeMode, lrs_mode: CookieMode) -> World {
-    WorldBuilder::new(seed)
-        .referral(referral)
-        .mode(mode)
-        .lrs_mode(lrs_mode)
-        .wait(SimTime::from_millis(5))
-        .build()
+/// A guard on an unbounded CPU (limiters open, `GuardConfig`'s own TCP
+/// connection lifetime, then `configure`'s edit) in front of a free ANS
+/// serving `zone`.
+fn world(seed: u64, zone: ZoneSel, mode: SchemeMode, configure: impl FnOnce(GuardConfig) -> GuardConfig) -> GuardedWorld {
+    let unbounded = CpuConfig::unbounded();
+    let p = WorldParams {
+        zone,
+        mode,
+        guard_cpu: unbounded,
+        ans_cpu: unbounded,
+        ans_costs: ServerCosts::free(),
+        ..WorldParams::new(seed)
+    };
+    guarded_world_with(p, |c| {
+        configure(GuardConfig {
+            tcp_conn_lifetime: GuardConfig::new(PUB, PRIV).tcp_conn_lifetime,
+            ..c
+        })
+    })
+}
+
+/// [`world`] and one closed-loop client (5 ms wait, 2 µs a packet) at
+/// `10.0.0.7`.
+fn scheme_world(
+    seed: u64,
+    zone: ZoneSel,
+    mode: SchemeMode,
+    lrs_mode: CookieMode,
+    configure: impl FnOnce(GuardConfig) -> GuardConfig,
+) -> (GuardedWorld, NodeId) {
+    let mut w = world(seed, zone, mode, configure);
+    let lrs = attach_lrs(
+        &mut w.sim,
+        LrsParams {
+            ip: Ipv4Addr::new(10, 0, 0, 7),
+            mode: lrs_mode,
+            cookie_cache: true,
+            concurrency: 1,
+            wait: SimTime::from_millis(5),
+            pace: SimTime::ZERO,
+            per_packet_cost: SimTime::from_micros(2),
+        },
+    );
+    (w, lrs)
 }
 
 #[test]
 fn schemes_converge_under_duplication() {
-    for (seed, referral, mode, lrs_mode, label) in SCHEMES {
-        let mut w = scheme_world(seed, referral, mode, lrs_mode);
+    for (seed, zone, mode, lrs_mode, label) in SCHEMES {
+        let (mut w, lrs) = scheme_world(seed, zone, mode, lrs_mode, |c| c);
         w.sim
-            .fault_link_both(w.lrs, w.guard, FaultPlan::new().duplicate(0.3));
+            .fault_link_both(lrs, w.guard, FaultPlan::new().duplicate(0.3));
         w.sim.run_until(SimTime::from_secs(1));
         assert!(w.sim.fault_stats().duplicated > 0, "{label}: fault engaged");
         assert!(
-            w.completed() > 100,
+            lrs_stats(&w.sim, lrs).completed > 100,
             "{label}: completed {} under 30% duplication",
-            w.completed()
+            lrs_stats(&w.sim, lrs).completed
         );
         assert_eq!(
-            w.guard_stats().spoofed_dropped(),
+            guard_stats(&w.sim, w.guard).spoofed_dropped(),
             0,
             "{label}: duplicates of honest traffic must not look spoofed"
         );
@@ -63,22 +105,22 @@ fn schemes_converge_under_duplication() {
 
 #[test]
 fn schemes_converge_under_reordering() {
-    for (seed, referral, mode, lrs_mode, label) in SCHEMES {
-        let mut w = scheme_world(seed, referral, mode, lrs_mode);
+    for (seed, zone, mode, lrs_mode, label) in SCHEMES {
+        let (mut w, lrs) = scheme_world(seed, zone, mode, lrs_mode, |c| c);
         w.sim.fault_link_both(
-            w.lrs,
+            lrs,
             w.guard,
             FaultPlan::new().reorder(0.5, SimTime::from_micros(400)),
         );
         w.sim.run_until(SimTime::from_secs(1));
         assert!(w.sim.fault_stats().reordered > 0, "{label}: fault engaged");
         assert!(
-            w.completed() > 100,
+            lrs_stats(&w.sim, lrs).completed > 100,
             "{label}: completed {} under heavy reordering",
-            w.completed()
+            lrs_stats(&w.sim, lrs).completed
         );
         assert_eq!(
-            w.guard_stats().spoofed_dropped(),
+            guard_stats(&w.sim, w.guard).spoofed_dropped(),
             0,
             "{label}: reordered honest traffic must not look spoofed"
         );
@@ -87,49 +129,49 @@ fn schemes_converge_under_reordering() {
 
 #[test]
 fn schemes_converge_under_corruption() {
-    for (seed, referral, mode, lrs_mode, label) in SCHEMES {
-        let mut w = scheme_world(seed, referral, mode, lrs_mode);
+    for (seed, zone, mode, lrs_mode, label) in SCHEMES {
+        let (mut w, lrs) = scheme_world(seed, zone, mode, lrs_mode, |c| c);
         w.sim
-            .fault_link_both(w.lrs, w.guard, FaultPlan::new().corrupt(0.2));
+            .fault_link_both(lrs, w.guard, FaultPlan::new().corrupt(0.2));
         w.sim.run_until(SimTime::from_secs(1));
         // Corrupted bytes may legitimately fail cookie checks, so no
         // false-positive assertion here — the invariants are "no panic
         // anywhere" (implicit) and continued progress via retries.
         assert!(w.sim.fault_stats().corrupted > 0, "{label}: fault engaged");
         assert!(
-            w.completed() > 50,
+            lrs_stats(&w.sim, lrs).completed > 50,
             "{label}: completed {} under 20% corruption",
-            w.completed()
+            lrs_stats(&w.sim, lrs).completed
         );
     }
 }
 
 #[test]
 fn schemes_converge_across_partition() {
-    for (seed, referral, mode, lrs_mode, label) in SCHEMES {
-        let mut w = scheme_world(seed, referral, mode, lrs_mode);
+    for (seed, zone, mode, lrs_mode, label) in SCHEMES {
+        let (mut w, lrs) = scheme_world(seed, zone, mode, lrs_mode, |c| c);
         w.sim.partition(
-            w.lrs,
+            lrs,
             w.guard,
             SimTime::from_millis(200),
             SimTime::from_millis(400),
         );
         w.sim.run_until(SimTime::from_millis(400));
-        let at_heal = w.completed();
-        assert!(w.timeouts() > 0, "{label}: the partition was felt");
+        let at_heal = lrs_stats(&w.sim, lrs).completed;
+        assert!(lrs_stats(&w.sim, lrs).timeouts > 0, "{label}: the partition was felt");
         w.sim.run_until(SimTime::from_secs(1));
         assert!(
             w.sim.fault_stats().partition_dropped > 0,
             "{label}: fault engaged"
         );
         assert!(
-            w.completed() > at_heal + 100,
+            lrs_stats(&w.sim, lrs).completed > at_heal + 100,
             "{label}: service resumed after the partition healed ({} → {})",
             at_heal,
-            w.completed()
+            lrs_stats(&w.sim, lrs).completed
         );
         assert_eq!(
-            w.guard_stats().spoofed_dropped(),
+            guard_stats(&w.sim, w.guard).spoofed_dropped(),
             0,
             "{label}: post-partition retries must not look spoofed"
         );
@@ -138,27 +180,22 @@ fn schemes_converge_across_partition() {
 
 #[test]
 fn schemes_survive_ans_crash_and_restart() {
-    for (seed, referral, mode, lrs_mode, label) in SCHEMES {
-        let mut w = WorldBuilder::new(seed)
-            .referral(referral)
-            .mode(mode)
-            .lrs_mode(lrs_mode)
-            .wait(SimTime::from_millis(5))
-            .tweak(|c| {
-                // Tighten the health monitor so a 300 ms outage is detected
-                // and recovery-probed within the run.
-                c.ans_timeout = SimTime::from_millis(50);
-                c.ans_failure_threshold = 2;
-                c.ans_probe_interval = SimTime::from_millis(100);
-            })
-            .build();
+    for (seed, zone, mode, lrs_mode, label) in SCHEMES {
+        // Tighten the health monitor so a 300 ms outage is detected and
+        // recovery-probed within the run.
+        let (mut w, lrs) = scheme_world(seed, zone, mode, lrs_mode, |c| GuardConfig {
+            ans_timeout: SimTime::from_millis(50),
+            ans_failure_threshold: 2,
+            ans_probe_interval: SimTime::from_millis(100),
+            ..c
+        });
         w.sim.run_until(SimTime::from_millis(200));
-        let before_crash = w.completed();
+        let before_crash = lrs_stats(&w.sim, lrs).completed;
         assert!(before_crash > 0, "{label}: warm-up completed requests");
 
         w.sim.crash(w.ans);
         w.sim.run_until(SimTime::from_millis(500));
-        let during = w.guard_stats();
+        let during = guard_stats(&w.sim, w.guard);
         assert!(
             during.ans_timeouts > 0,
             "{label}: forwarded requests timed out during the outage"
@@ -171,20 +208,20 @@ fn schemes_survive_ans_crash_and_restart() {
 
         w.sim.restart(w.ans);
         w.sim.run_until(SimTime::from_millis(1_200));
-        let after = w.guard_stats();
+        let after = guard_stats(&w.sim, w.guard);
         assert!(
             after.ans_recoveries >= 1,
             "{label}: health monitor saw the ANS come back"
         );
         let at_restart = before_crash;
         assert!(
-            w.completed() > at_restart + 50,
+            lrs_stats(&w.sim, lrs).completed > at_restart + 50,
             "{label}: completions resumed after restart ({} → {})",
             at_restart,
-            w.completed()
+            lrs_stats(&w.sim, lrs).completed
         );
         assert_eq!(
-            w.guard_stats().spoofed_dropped(),
+            guard_stats(&w.sim, w.guard).spoofed_dropped(),
             0,
             "{label}: an ANS outage must not make clients look spoofed"
         );
@@ -196,74 +233,24 @@ fn schemes_survive_ans_crash_and_restart() {
 /// turned into an amplifier by duplication.
 #[test]
 fn amplification_bounded_under_duplicated_spoofed_flood() {
-    use dnsguard::classify::AuthorityClassifier;
-    use dnsguard::guard::RemoteGuard;
     use dnswire::message::Message;
     use dnswire::types::RrType;
-    use netsim::engine::{Context, CpuConfig, Node, Simulator};
     use netsim::packet::{Endpoint, Packet, DNS_PORT};
-    use server::authoritative::Authority;
-    use server::nodes::AuthNode;
-    use server::zone::paper_hierarchy;
-    use std::net::Ipv4Addr;
 
-    /// Sends spoofed plain queries (rotating source addresses) in timed
-    /// bursts — each one solicits a cookie response from the guard.
-    struct Flood {
-        target: Endpoint,
-        sent: u32,
-    }
-    impl Node for Flood {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.set_timer(SimTime::ZERO, 0);
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
-            for _ in 0..10 {
-                let src = Ipv4Addr::from(0x0a00_0000 + self.sent);
-                let q = Message::iterative_query(
-                    (self.sent % u32::from(u16::MAX)) as u16,
-                    "www.foo.com".parse().unwrap(),
-                    RrType::A,
-                );
-                ctx.send(Packet::udp(
-                    Endpoint::new(src, 1234),
-                    self.target,
-                    q.encode(),
-                ));
-                self.sent += 1;
-            }
-            if self.sent < 4_000 {
-                ctx.set_timer(SimTime::from_micros(50), 0);
-            }
-        }
-        fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
-    }
-
-    let (root, _, _) = paper_hierarchy();
-    let authority = Authority::new(vec![root]);
-    let mut sim = Simulator::new(31);
-    let mut config = common::open_config(SchemeMode::DnsBased);
-    config.rl1_global_rate = 1_000.0; // the reflection bound under test
-    config.rl1_per_source_rate = 1_000.0;
-    let guard = sim.add_node(
-        common::PUB,
-        CpuConfig::unbounded(),
-        RemoteGuard::new(config, AuthorityClassifier::new(authority.clone())),
-    );
-    sim.add_subnet(Ipv4Addr::new(198, 41, 0, 0), 24, guard);
-    sim.add_node(
-        common::PRIV,
-        CpuConfig::unbounded(),
-        AuthNode::new(common::PRIV, authority),
-    );
-    let attacker = sim.add_node(
-        Ipv4Addr::new(66, 6, 6, 6),
-        CpuConfig::unbounded(),
-        Flood {
-            target: Endpoint::new(common::PUB, DNS_PORT),
-            sent: 0,
-        },
-    );
+    let GuardedWorld { mut sim, guard, .. } = world(31, ZoneSel::Root, SchemeMode::DnsBased, |c| GuardConfig {
+        rl1_global_rate: 1_000.0, // the reflection bound under test
+        rl1_per_source_rate: 1_000.0,
+        ..c
+    });
+    // Spoofed plain queries (rotating source addresses), ten every 50 µs:
+    // each one solicits a cookie response from the guard.
+    let flood = (0..4_000u32).map(|i| {
+        let q = Message::iterative_query((i % u32::from(u16::MAX)) as u16, "www.foo.com".parse().unwrap(), RrType::A);
+        let src = Endpoint::new(Ipv4Addr::from(0x0a00_0000 + i), 1234);
+        let at = SimTime::from_micros(50 * u64::from(i / 10));
+        (at, Packet::udp(src, Endpoint::new(PUB, DNS_PORT), q.encode()))
+    });
+    let attacker = attach_stub(&mut sim, Ipv4Addr::new(66, 6, 6, 6), flood);
     // The network duplicates every attacker packet: 8 000 queries arrive.
     sim.fault_link(attacker, guard, FaultPlan::new().duplicate(1.0));
     sim.run_until(SimTime::from_millis(200));
@@ -296,27 +283,17 @@ fn amplification_bounded_under_duplicated_spoofed_flood() {
 #[test]
 fn victim_stays_bounded_while_a_source_spray_flushes_the_limiter() {
     use attack::spray::{victim_packets_per_window, FlushSpray};
-    use dnsguard::classify::AuthorityClassifier;
-    use dnsguard::guard::{RemoteGuard, WINDOW};
-    use netsim::engine::{CpuConfig, Simulator};
-    use server::authoritative::Authority;
-    use server::zone::paper_hierarchy;
-    use std::net::Ipv4Addr;
+    use dnsguard::guard::WINDOW;
 
-    let (_, _, foo) = paper_hierarchy();
-    let mut sim = Simulator::new(37);
+    let GuardedWorld { mut sim, guard, .. } = world(37, ZoneSel::Foo, SchemeMode::TcpBased, |c| GuardConfig {
+        rl1_per_source_rate: 100.0, // the bucket under test: burst 10
+        ..c
+    });
     // Short links: a window at the victim is the same window at the guard.
     sim.set_default_delay(SimTime::from_micros(50));
-    let mut config = common::open_config(SchemeMode::TcpBased);
-    config.rl1_per_source_rate = 100.0; // the bucket under test: burst 10
     let bound = (100.0 * WINDOW.as_secs_f64() + 10.0) as u64;
-    let guard = sim.add_node(
-        common::PUB,
-        CpuConfig::unbounded(),
-        RemoteGuard::new(config, AuthorityClassifier::new(Authority::new(vec![foo]))),
-    );
     let attack = FlushSpray {
-        target: common::PUB,
+        target: PUB,
         victim: Ipv4Addr::new(203, 0, 113, 9),
         victim_rate: 1_000.0,
         spray_base: Ipv4Addr::new(32, 0, 0, 0),
@@ -343,24 +320,18 @@ fn victim_stays_bounded_while_a_source_spray_flushes_the_limiter() {
 /// — the proxy's lifetime reaper must reclaim them instead of leaking.
 #[test]
 fn tcp_proxy_reaps_connections_when_fins_are_lost() {
-    use dnsguard::guard::RemoteGuard;
-
-    let mut w = WorldBuilder::new(41)
-        .referral(false)
-        .mode(SchemeMode::TcpBased)
-        .wait(SimTime::from_millis(5))
-        .build();
+    let (mut w, lrs) = scheme_world(41, ZoneSel::Foo, SchemeMode::TcpBased, CookieMode::Plain, |c| c);
     // Lossy client↔guard path: some of every segment type, FINs included,
     // disappears mid-connection.
     w.sim
-        .fault_link_both(w.lrs, w.guard, FaultPlan::new().loss(0.25));
+        .fault_link_both(lrs, w.guard, FaultPlan::new().loss(0.25));
     w.sim.run_until(SimTime::from_secs(1));
 
     assert!(w.sim.fault_stats().injected_loss > 0, "loss engaged");
     assert!(
-        w.completed() > 20,
+        lrs_stats(&w.sim, lrs).completed > 20,
         "client still completes through retries: {}",
-        w.completed()
+        lrs_stats(&w.sim, lrs).completed
     );
     let g = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap();
     let proxy = g.proxy_stats();

@@ -3,107 +3,61 @@
 //! the transparency claim of the DNS-based and TCP-based schemes: "Neither
 //! ANS nor LRS needs to be modified."
 
-use dnsguard::classify::AuthorityClassifier;
+use bench::worlds::{attach_stub, guarded_hierarchy, HierarchyWorld, Stub, WorldParams, PRIV, PUB, RESOLVER};
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
 use dnswire::message::Message;
 use dnswire::rdata::RData;
 use dnswire::types::{Rcode, RrType};
-use netsim::engine::{Context, CpuConfig, Node, Simulator};
+use netsim::engine::{CpuConfig, Simulator};
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
 use netsim::time::SimTime;
-use server::authoritative::Authority;
-use server::nodes::AuthNode;
-use server::recursive::{RecursiveResolver, ResolverConfig};
-use server::zone::{paper_hierarchy, COM_SERVER, FOO_SERVER, ROOT_SERVER, WWW_ADDR};
+use netsim::NodeId;
+use server::nodes::ServerCosts;
+use server::recursive::RecursiveResolver;
+use server::zone::{ROOT_SERVER, WWW_ADDR};
 use std::net::Ipv4Addr;
 
-const ROOT_PRIVATE: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 1);
-const LRS_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
-
-/// One-shot stub client.
-struct Stub {
-    me: Endpoint,
-    lrs: Endpoint,
-    qname: &'static str,
-    reply: Option<Message>,
+/// Attaches a stub at `10.0.0.<host>` asking the resolver for `qname` once.
+fn ask(sim: &mut Simulator, host: u8, port: u16, id: u16, qname: &str) -> NodeId {
+    let me = Endpoint::new(Ipv4Addr::new(10, 0, 0, host), port);
+    let query = Message::query(id, qname.parse().unwrap(), RrType::A).encode();
+    attach_stub(sim, me.ip, [(SimTime::ZERO, Packet::udp(me, Endpoint::new(RESOLVER, DNS_PORT), query))])
 }
 
-impl Node for Stub {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let q = Message::query(99, self.qname.parse().unwrap(), RrType::A);
-        ctx.send(Packet::udp(self.me, self.lrs, q.encode()));
-    }
-    fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-        self.reply = Message::decode(&pkt.payload).ok();
-    }
+/// The stub's first reply.
+fn reply(sim: &Simulator, stub: NodeId) -> Option<Message> {
+    sim.node_ref::<Stub>(stub).unwrap().reply()
 }
 
-/// Builds: guarded root (running `mode`) + real com & foo.com servers + a
-/// stock recursive resolver + one stub.
-fn guarded_hierarchy(
-    seed: u64,
-    mode: SchemeMode,
-) -> (Simulator, netsim::NodeId, netsim::NodeId, netsim::NodeId) {
-    let (root, com, foo_com) = paper_hierarchy();
-    let root_authority = Authority::new(vec![root]);
-
-    let mut sim = Simulator::new(seed);
-    // The guard owns the advertised root-server address.
-    let config = GuardConfig::new(ROOT_SERVER, ROOT_PRIVATE).with_mode(mode);
-    let guard = sim.add_node(
-        ROOT_SERVER,
-        CpuConfig::unbounded(),
-        RemoteGuard::new(config, AuthorityClassifier::new(root_authority.clone())),
-    );
-    sim.add_subnet(Ipv4Addr::new(198, 41, 0, 0), 24, guard);
-    sim.add_node(
-        ROOT_PRIVATE,
-        CpuConfig::unbounded(),
-        AuthNode::new(ROOT_PRIVATE, root_authority),
-    );
-    // Unguarded com and foo.com servers at their real addresses.
-    sim.add_node(
-        COM_SERVER,
-        CpuConfig::unbounded(),
-        AuthNode::new(COM_SERVER, Authority::new(vec![com])),
-    );
-    sim.add_node(
-        FOO_SERVER,
-        CpuConfig::unbounded(),
-        AuthNode::new(FOO_SERVER, Authority::new(vec![foo_com])),
-    );
-    // A stock recursive resolver with the guarded root as its hint.
-    let lrs = sim.add_node(
-        LRS_IP,
-        CpuConfig::unbounded(),
-        RecursiveResolver::new(ResolverConfig::new(LRS_IP, vec![ROOT_SERVER])),
-    );
-    let stub_ip = Ipv4Addr::new(10, 0, 0, 1);
-    let stub = sim.add_node(
-        stub_ip,
-        CpuConfig::unbounded(),
-        Stub {
-            me: Endpoint::new(stub_ip, 5353),
-            lrs: Endpoint::new(LRS_IP, DNS_PORT),
-            qname: "www.foo.com",
-            reply: None,
-        },
-    );
-    (sim, guard, lrs, stub)
+/// Builds: guarded root (running `mode`, the limiters at their defaults, on
+/// unbounded CPUs, free ANS costs and `GuardConfig`'s own TCP connection
+/// lifetime) + real com & foo.com servers + a stock recursive resolver +
+/// one stub.
+fn guarded_root(seed: u64, mode: SchemeMode) -> (Simulator, NodeId, NodeId, NodeId) {
+    let unbounded = CpuConfig::unbounded();
+    let p = WorldParams {
+        mode,
+        guard_cpu: unbounded,
+        ans_cpu: unbounded,
+        ans_costs: ServerCosts::free(),
+        open_limiters: false,
+        ..WorldParams::new(seed)
+    };
+    let HierarchyWorld { mut sim, guard, resolver } = guarded_hierarchy(p, |c| GuardConfig {
+        tcp_conn_lifetime: GuardConfig::new(PUB, PRIV).tcp_conn_lifetime,
+        ..c
+    });
+    let stub = ask(&mut sim, 1, 5353, 99, "www.foo.com");
+    (sim, guard, resolver, stub)
 }
 
 #[test]
 fn stock_resolver_resolves_through_guarded_root() {
-    let (mut sim, guard, lrs, stub) = guarded_hierarchy(1, SchemeMode::DnsBased);
+    let (mut sim, guard, lrs, stub) = guarded_root(1, SchemeMode::DnsBased);
     sim.run();
 
-    let reply = sim
-        .node_ref::<Stub>(stub)
-        .unwrap()
-        .reply
-        .clone()
-        .expect("stub received an answer");
+    let reply = reply(&sim, stub).expect("stub received an answer");
     assert_eq!(reply.header.rcode, Rcode::NoError);
     assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR), "correct final answer");
 
@@ -122,15 +76,10 @@ fn stock_resolver_resolves_through_tcp_guarded_root() {
     // The TCP-based scheme: the guard answers the resolver's first UDP
     // query with TC, the resolver retries over TCP as any resolver does,
     // and the guard's proxy relays that query to the root ANS.
-    let (mut sim, guard, lrs, stub) = guarded_hierarchy(5, SchemeMode::TcpBased);
+    let (mut sim, guard, lrs, stub) = guarded_root(5, SchemeMode::TcpBased);
     sim.run();
 
-    let reply = sim
-        .node_ref::<Stub>(stub)
-        .unwrap()
-        .reply
-        .clone()
-        .expect("stub received an answer");
+    let reply = reply(&sim, stub).expect("stub received an answer");
     assert_eq!(reply.header.rcode, Rcode::NoError);
     assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR), "correct final answer");
 
@@ -147,24 +96,14 @@ fn stock_resolver_resolves_through_tcp_guarded_root() {
 
 #[test]
 fn resolver_cache_skips_guard_on_repeat() {
-    let (mut sim, _guard, lrs, _stub) = guarded_hierarchy(2, SchemeMode::DnsBased);
+    let (mut sim, _guard, lrs, _stub) = guarded_root(2, SchemeMode::DnsBased);
     sim.run();
     let upstream_before = sim.node_ref::<RecursiveResolver>(lrs).unwrap().stats().upstream_sent;
 
     // Second stub asks the same question: answered from the resolver cache.
-    let stub2_ip = Ipv4Addr::new(10, 0, 0, 2);
-    let stub2 = sim.add_node(
-        stub2_ip,
-        CpuConfig::unbounded(),
-        Stub {
-            me: Endpoint::new(stub2_ip, 5454),
-            lrs: Endpoint::new(LRS_IP, DNS_PORT),
-            qname: "www.foo.com",
-            reply: None,
-        },
-    );
+    let stub2 = ask(&mut sim, 2, 5454, 99, "www.foo.com");
     sim.run();
-    let reply = sim.node_ref::<Stub>(stub2).unwrap().reply.clone().unwrap();
+    let reply = reply(&sim, stub2).unwrap();
     assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
     assert_eq!(
         sim.node_ref::<RecursiveResolver>(lrs).unwrap().stats().upstream_sent,
@@ -178,7 +117,7 @@ fn resolver_reuses_fabricated_ns_for_sibling_names() {
     // After resolving www.foo.com, the resolver holds the fabricated com NS
     // (long TTL). Resolving another .com name must reuse that cookie name
     // rather than starting from the root again with a plain query.
-    let (mut sim, guard, _lrs, _stub) = guarded_hierarchy(3, SchemeMode::DnsBased);
+    let (mut sim, guard, _lrs, _stub) = guarded_root(3, SchemeMode::DnsBased);
     sim.run();
     let fabricated_before = sim
         .node_ref::<RemoteGuard>(guard)
@@ -186,19 +125,9 @@ fn resolver_reuses_fabricated_ns_for_sibling_names() {
         .stats()
         .fabricated_ns_sent;
 
-    let stub3_ip = Ipv4Addr::new(10, 0, 0, 3);
-    let stub3 = sim.add_node(
-        stub3_ip,
-        CpuConfig::unbounded(),
-        Stub {
-            me: Endpoint::new(stub3_ip, 5555),
-            lrs: Endpoint::new(LRS_IP, DNS_PORT),
-            qname: "foo.com",
-            reply: None,
-        },
-    );
+    let stub3 = ask(&mut sim, 3, 5555, 99, "foo.com");
     sim.run();
-    let reply = sim.node_ref::<Stub>(stub3).unwrap().reply.clone().unwrap();
+    let reply = reply(&sim, stub3).unwrap();
     assert_eq!(reply.header.rcode, Rcode::NoError, "sibling name resolved");
     let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
     assert_eq!(
@@ -209,7 +138,7 @@ fn resolver_reuses_fabricated_ns_for_sibling_names() {
 
 #[test]
 fn spoofed_flood_cannot_reach_root_ans_while_resolver_works() {
-    let (mut sim, guard, _lrs, stub) = guarded_hierarchy(4, SchemeMode::DnsBased);
+    let (mut sim, guard, _lrs, stub) = guarded_root(4, SchemeMode::DnsBased);
     use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
     sim.add_node(
         Ipv4Addr::new(66, 0, 0, 1),
@@ -226,8 +155,7 @@ fn spoofed_flood_cannot_reach_root_ans_while_resolver_works() {
         }),
     );
     sim.run_until(SimTime::from_millis(200));
-    let reply = sim.node_ref::<Stub>(stub).unwrap().reply.clone();
-    assert!(reply.is_some(), "legitimate resolution completed under attack");
+    assert!(reply(&sim, stub).is_some(), "legitimate resolution completed under attack");
     let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
     assert!(g.stats().ns_cookie_invalid > 3_000, "guesses dropped");
     assert_eq!(g.stats().ns_cookie_valid as i64 - 1, 0, "only the resolver's real cookie passed");

@@ -2,24 +2,67 @@
 //! key rotation across a checkpoint/restore cycle in every scheme mode,
 //! and admission-control shed priority under a synthetic surge.
 
-mod common;
-
-use bench::worlds::{alert_engine, run_evaluated, ALERT_TICK};
-use common::{WorldBuilder, PRIV, PUB};
+use bench::worlds::{
+    alert_engine, attach_flood, attach_lrs, guard_stats, guarded_world_with, lrs_stats, observe, run_evaluated,
+    GuardedWorld, LrsParams, Scope, WorldParams, ZoneSel, ALERT_TICK, PRIV, PUB,
+};
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
 use dnsguard::{GuardConfig, HaConfig};
 use netsim::engine::{CpuConfig, FaultPlan, Simulator};
 use netsim::time::SimTime;
+use netsim::NodeId;
 use obs::alert::AlertConfig;
-use obs::trace::Level;
-use obs::Obs;
 use server::authoritative::Authority;
-use server::nodes::AuthNode;
-use server::simclient::{CookieMode, LrsSimConfig, LrsSimulator};
+use server::nodes::ServerCosts;
+use server::simclient::CookieMode;
 use server::zone::paper_hierarchy;
 use std::net::Ipv4Addr;
+
+/// The limiters open and the guard on an unbounded CPU.
+fn open(seed: u64, zone: ZoneSel, mode: SchemeMode) -> WorldParams {
+    WorldParams {
+        zone,
+        mode,
+        guard_cpu: CpuConfig::unbounded(),
+        ..WorldParams::new(seed)
+    }
+}
+
+/// A client at `10.0.0.7` carrying cookies as `mode` says, with `slots`
+/// requests in flight, each abandoned after `wait` and followed `pace`
+/// later by the next; 2 µs a packet.
+fn client(mode: CookieMode, slots: u32, wait: SimTime, pace: SimTime) -> LrsParams {
+    LrsParams {
+        ip: Ipv4Addr::new(10, 0, 0, 7),
+        mode,
+        cookie_cache: true,
+        concurrency: slots,
+        wait,
+        pace,
+        per_packet_cost: SimTime::from_micros(2),
+    }
+}
+
+/// The guard `p` describes (`GuardConfig`'s own TCP connection lifetime,
+/// then `configure`'s edit) in front of a free ANS on an unbounded CPU,
+/// and `client`.
+fn world(p: WorldParams, configure: impl FnOnce(GuardConfig) -> GuardConfig, client: LrsParams) -> (GuardedWorld, NodeId) {
+    let p = WorldParams {
+        ans_cpu: CpuConfig::unbounded(),
+        ans_costs: ServerCosts::free(),
+        ..p
+    };
+    let mut w = guarded_world_with(p, |c| {
+        configure(GuardConfig {
+            tcp_conn_lifetime: GuardConfig::new(PUB, PRIV).tcp_conn_lifetime,
+            ..c
+        })
+    });
+    let lrs = attach_lrs(&mut w.sim, client);
+    (w, lrs)
+}
 
 /// The acceptance chaos test: the primary guard crashes mid spoof-flood,
 /// the standby takes over within the heartbeat-detection budget, zero
@@ -48,35 +91,33 @@ fn primary_crash_mid_flood_fails_over_cleanly() {
 /// routes the old cookie to the previous key.
 #[test]
 fn rotation_survives_checkpoint_restore_in_every_scheme() {
-    for (scheme, referral, mode, lrs_mode) in [
-        ("ns_label", true, SchemeMode::DnsBased, CookieMode::Plain),
-        ("cookie2", false, SchemeMode::DnsBased, CookieMode::Plain),
-        ("tcp", false, SchemeMode::TcpBased, CookieMode::Plain),
-        ("ext", false, SchemeMode::ModifiedOnly, CookieMode::Extension),
+    for (scheme, zone, mode, lrs_mode) in [
+        ("ns_label", ZoneSel::Root, SchemeMode::DnsBased, CookieMode::Plain),
+        ("cookie2", ZoneSel::Foo, SchemeMode::DnsBased, CookieMode::Plain),
+        ("tcp", ZoneSel::Foo, SchemeMode::TcpBased, CookieMode::Plain),
+        ("ext", ZoneSel::Foo, SchemeMode::ModifiedOnly, CookieMode::Extension),
     ] {
-        let mut w = WorldBuilder::new(91)
-            .referral(referral)
-            .mode(mode)
-            .lrs_mode(lrs_mode)
-            .wait(SimTime::from_millis(100))
-            .concurrency(1)
-            .tweak(|c| c.checkpoint_interval = Some(SimTime::from_millis(100)))
-            .build();
+        let (mut w, lrs) = world(
+            open(91, zone, mode),
+            |c| c.with_checkpoint_interval(SimTime::from_millis(100)),
+            client(lrs_mode, 1, SimTime::from_millis(100), SimTime::ZERO),
+        );
 
         // Warm: the client completes and caches its generation-0 cookie.
         w.sim.run_until(SimTime::from_millis(250));
-        assert!(w.completed() > 0, "{scheme}: no completions before rotation");
+        assert!(lrs_stats(&w.sim, lrs).completed > 0, "{scheme}: no completions before rotation");
         w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().rotate_key();
 
         // Run past at least one post-rotation checkpoint, then crash.
         w.sim.run_until(SimTime::from_millis(460));
-        let completed_mid = w.completed();
+        let completed_mid = lrs_stats(&w.sim, lrs).completed;
         assert!(
             completed_mid > 0,
             "{scheme}: client must keep completing across the rotation"
         );
         w.sim.crash(w.guard);
-        let cp = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap().latest_checkpoint().cloned();
+        let g = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap();
+        let (config, cp) = (g.config().clone(), g.latest_checkpoint().cloned());
         let cp = cp.unwrap_or_else(|| panic!("{scheme}: no checkpoint taken"));
         assert!(
             cp.key.generation >= 1,
@@ -86,10 +127,8 @@ fn rotation_survives_checkpoint_restore_in_every_scheme() {
         // Brief outage, then restore from the snapshot.
         let restore_at = SimTime::from_millis(465);
         w.sim.run_until(restore_at);
-        let mut config = common::open_config(mode);
-        config.checkpoint_interval = Some(SimTime::from_millis(100));
         let (root, _, foo_com) = paper_hierarchy();
-        let zone = if referral { root } else { foo_com };
+        let zone = if zone == ZoneSel::Root { root } else { foo_com };
         let fresh = RemoteGuard::restore_from_checkpoint(
             config,
             AuthorityClassifier::new(Authority::new(vec![zone])),
@@ -100,10 +139,10 @@ fn rotation_survives_checkpoint_restore_in_every_scheme() {
         w.sim.run_until(SimTime::from_millis(900));
 
         assert!(
-            w.completed() > completed_mid + 20,
+            lrs_stats(&w.sim, lrs).completed > completed_mid + 20,
             "{scheme}: client must resume after the restore ({} → {})",
             completed_mid,
-            w.completed()
+            lrs_stats(&w.sim, lrs).completed
         );
         let g = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap();
         assert!(
@@ -134,56 +173,23 @@ fn rotation_survives_checkpoint_restore_in_every_scheme() {
 /// stays inside the paper's bound.
 #[test]
 fn surge_sheds_unverified_before_any_verified_query() {
-    let (root, _, _) = paper_hierarchy();
-    let authority = Authority::new(vec![root]);
-    let mut sim = Simulator::new(67);
-    let config = GuardConfig::new(PUB, PRIV)
-        .with_mode(SchemeMode::DnsBased)
-        .with_admission();
-    let guard = sim.add_node(
-        PUB,
-        CpuConfig {
-            max_backlog: SimTime::from_millis(5),
-        },
-        RemoteGuard::new(config, AuthorityClassifier::new(authority.clone())),
-    );
-    sim.add_subnet(Ipv4Addr::new(198, 41, 0, 0), 24, guard);
-    sim.add_node(PRIV, CpuConfig::unbounded(), AuthNode::new(PRIV, authority));
-
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    obs.tracer.adopt_into(&obs.registry);
-    sim.node_mut::<RemoteGuard>(guard).unwrap().attach_obs(&obs);
+    let p = WorldParams {
+        open_limiters: false,
+        ..WorldParams::new(67)
+    };
+    let verified = client(CookieMode::Plain, 2, SimTime::from_millis(60), SimTime::from_millis(2));
+    let (GuardedWorld { mut sim, guard, .. }, lrs) = world(p, GuardConfig::with_admission, verified);
+    let obs = observe(&mut sim, Scope::Site, &[guard]);
     let mut engine = alert_engine(&obs, AlertConfig::default());
-
-    let lrs_ip = Ipv4Addr::new(10, 0, 0, 7);
-    let mut lrs_config = LrsSimConfig::new(lrs_ip, PUB, "www.foo.com".parse().unwrap());
-    lrs_config.concurrency = 2;
-    lrs_config.wait = SimTime::from_millis(60);
-    lrs_config.pace = SimTime::from_millis(2);
-    let lrs = sim.add_node(lrs_ip, CpuConfig::unbounded(), LrsSimulator::new(lrs_config));
 
     // Warm the verified client, then surge far past RL1 capacity.
     run_evaluated(&mut sim, &obs, &mut engine, SimTime::from_millis(300), ALERT_TICK);
-    let before = sim.node_ref::<LrsSimulator>(lrs).unwrap().stats.completed;
+    let before = lrs_stats(&sim, lrs).completed;
     assert!(before > 0, "client must be verified before the surge");
-    {
-        use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
-        sim.add_node(
-            Ipv4Addr::new(66, 0, 0, 66),
-            CpuConfig::unbounded(),
-            SpoofedFlood::new(FloodConfig {
-                target: PUB,
-                rate: 60_000.0,
-                sources: SourceStrategy::Random,
-                payload: AttackPayload::PlainQuery("www.foo.com".parse().unwrap()),
-                duration: None,
-            }),
-        );
-    }
+    attach_flood(&mut sim, Ipv4Addr::new(66, 0, 0, 66), 60_000.0);
     run_evaluated(&mut sim, &obs, &mut engine, SimTime::from_millis(1_000), ALERT_TICK);
 
-    let after = sim.node_ref::<LrsSimulator>(lrs).unwrap().stats.completed;
+    let after = lrs_stats(&sim, lrs).completed;
     let g = sim.node_ref::<RemoteGuard>(guard).unwrap();
     let s = g.stats();
     assert!(
@@ -224,26 +230,16 @@ fn lossy_replication_channel_backs_off_resync_requests() {
     let mut sim = Simulator::new(97);
     let repl_primary = Ipv4Addr::new(10, 99, 0, 2);
     let repl_standby = Ipv4Addr::new(10, 99, 0, 3);
-    let primary_cfg = GuardConfig::new(PUB, PRIV)
-        .with_mode(SchemeMode::DnsBased)
-        .with_ha(HaConfig::primary(repl_primary, repl_standby));
-    let standby_cfg = GuardConfig::new(PUB, PRIV)
-        .with_mode(SchemeMode::DnsBased)
-        .with_ha(HaConfig::standby(repl_standby, repl_primary));
+    let config = |ha| GuardConfig::new(PUB, PRIV).with_ha(ha);
+    // lint: testbed — `ha_world` turns admission control on and puts an ANS
+    // behind the pair; this replication channel is tested with neither.
+    let guard = |ha| RemoteGuard::new(config(ha), AuthorityClassifier::new(authority.clone()));
     let cpu = CpuConfig {
         max_backlog: SimTime::from_millis(5),
     };
-    let primary = sim.add_node(
-        PUB,
-        cpu,
-        RemoteGuard::new(primary_cfg, AuthorityClassifier::new(authority.clone())),
-    );
+    let primary = sim.add_node(PUB, cpu, guard(HaConfig::primary(repl_primary, repl_standby)));
     sim.add_address(repl_primary, primary);
-    let standby = sim.add_node(
-        repl_standby,
-        cpu,
-        RemoteGuard::new(standby_cfg, AuthorityClassifier::new(authority)),
-    );
+    let standby = sim.add_node(repl_standby, cpu, guard(HaConfig::standby(repl_standby, repl_primary)));
 
     // Warm: the standby syncs over a clean channel.
     sim.run_until(SimTime::from_millis(200));
@@ -306,25 +302,32 @@ fn lossy_replication_channel_backs_off_resync_requests() {
 /// dropped, while the cookie key state still restores.
 #[test]
 fn stale_checkpoint_drops_all_forwarding_state() {
-    let mut w = WorldBuilder::new(93)
-        .tweak(|c| c.checkpoint_interval = Some(SimTime::from_millis(100)))
-        .build();
+    let (mut w, lrs) = world(
+        open(93, ZoneSel::Root, SchemeMode::DnsBased),
+        |c| c.with_checkpoint_interval(SimTime::from_millis(100)),
+        client(CookieMode::Plain, 1, SimTime::from_millis(10), SimTime::ZERO),
+    );
     w.sim.run_until(SimTime::from_millis(450));
     w.sim.crash(w.guard);
-    let cp = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap().latest_checkpoint().cloned();
-    let cp = cp.expect("checkpoint exists");
+    let g = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap();
+    // The restarted guard takes no checkpoints of its own.
+    let config = GuardConfig {
+        checkpoint_interval: None,
+        ..g.config().clone()
+    };
+    let cp = g.latest_checkpoint().cloned().expect("checkpoint exists");
 
     // Restore far past the ANS-timeout deadline (1 s by default).
     let restore_at = SimTime::from_millis(450) + SimTime::from_secs(3);
     w.sim.run_until(restore_at);
     let fresh = RemoteGuard::restore_from_checkpoint(
-        common::open_config(SchemeMode::DnsBased),
+        config,
         AuthorityClassifier::new(Authority::new(vec![paper_hierarchy().0])),
         &cp,
         restore_at,
     );
     w.sim.restart_with(w.guard, fresh);
-    let s = w.guard_stats();
+    let s = guard_stats(&w.sim, w.guard);
     assert_eq!(s.restores, 1);
     assert_eq!(
         s.restore_stale_fwd,
@@ -338,7 +341,7 @@ fn stale_checkpoint_drops_all_forwarding_state() {
     );
     // Service still recovers — cookies live in the key state, not the
     // forwarding tables.
-    let before = w.completed();
+    let before = lrs_stats(&w.sim, lrs).completed;
     w.sim.run_for(SimTime::from_millis(300));
-    assert!(w.completed() > before, "client recovers after a stale restore");
+    assert!(lrs_stats(&w.sim, lrs).completed > before, "client recovers after a stale restore");
 }

@@ -2,50 +2,85 @@
 //! exchanges span multiple round trips, so every scheme must survive losing
 //! any message of the handshake and recover through its retry timers.
 
-mod common;
-
-use common::{World, WorldBuilder, PRIV, PUB};
-use dnsguard::classify::AuthorityClassifier;
+use bench::worlds::{
+    attach_lrs, attach_stub, guard_stats, guarded_hierarchy, guarded_world_with, lrs_stats, GuardedWorld, LrsParams,
+    Stub, WorldParams, ZoneSel, PRIV, PUB, RESOLVER,
+};
 use dnsguard::config::{GuardConfig, SchemeMode};
-use dnsguard::guard::RemoteGuard;
-use netsim::engine::{CpuConfig, LinkParams, Simulator};
+use netsim::engine::{CpuConfig, LinkParams};
 use netsim::time::SimTime;
-use server::authoritative::Authority;
-use server::nodes::AuthNode;
+use netsim::NodeId;
+use server::nodes::ServerCosts;
 use server::simclient::CookieMode;
-use server::zone::paper_hierarchy;
 use std::net::Ipv4Addr;
 
-fn lossy_world(seed: u64, referral: bool, mode: SchemeMode, lrs_mode: CookieMode, loss: f64) -> World {
-    WorldBuilder::new(seed)
-        .referral(referral)
-        .mode(mode)
-        .lrs_mode(lrs_mode)
-        .wait(SimTime::from_millis(5))
-        .lrs_link(LinkParams {
-            delay: SimTime::from_micros(200),
-            loss,
-        })
-        .build()
+/// The requester–guard link: 200 µs each way, losing `loss` of it.
+fn lossy(loss: f64) -> LinkParams {
+    LinkParams {
+        delay: SimTime::from_micros(200),
+        loss,
+    }
+}
+
+/// A guard on an unbounded CPU (`GuardConfig`'s own TCP connection
+/// lifetime) in front of a free ANS.
+fn params(seed: u64, zone: ZoneSel, mode: SchemeMode, open_limiters: bool) -> WorldParams {
+    WorldParams {
+        zone,
+        mode,
+        guard_cpu: CpuConfig::unbounded(),
+        ans_cpu: CpuConfig::unbounded(),
+        ans_costs: ServerCosts::free(),
+        open_limiters,
+        ..WorldParams::new(seed)
+    }
+}
+
+/// `GuardConfig`'s own TCP connection lifetime, not the testbed's.
+fn own_lifetime(c: GuardConfig) -> GuardConfig {
+    GuardConfig {
+        tcp_conn_lifetime: GuardConfig::new(PUB, PRIV).tcp_conn_lifetime,
+        ..c
+    }
+}
+
+/// [`params`]' world with the limiters open and one closed-loop client
+/// (5 ms wait, 2 µs a packet) at `10.0.0.7` on a [`lossy`] link.
+fn lossy_world(seed: u64, zone: ZoneSel, mode: SchemeMode, lrs_mode: CookieMode, loss: f64) -> (GuardedWorld, NodeId) {
+    let mut w = guarded_world_with(params(seed, zone, mode, true), own_lifetime);
+    let lrs = attach_lrs(
+        &mut w.sim,
+        LrsParams {
+            ip: Ipv4Addr::new(10, 0, 0, 7),
+            mode: lrs_mode,
+            cookie_cache: true,
+            concurrency: 1,
+            wait: SimTime::from_millis(5),
+            pace: SimTime::ZERO,
+            per_packet_cost: SimTime::from_micros(2),
+        },
+    );
+    w.sim.connect(lrs, w.guard, lossy(loss));
+    (w, lrs)
 }
 
 #[test]
 fn schemes_recover_from_10_percent_loss() {
-    for (seed, referral, mode, lrs_mode) in [
-        (1u64, true, SchemeMode::DnsBased, CookieMode::Plain),
-        (2, false, SchemeMode::DnsBased, CookieMode::Plain),
-        (3, false, SchemeMode::ModifiedOnly, CookieMode::Extension),
+    for (seed, zone, mode, lrs_mode) in [
+        (1u64, ZoneSel::Root, SchemeMode::DnsBased, CookieMode::Plain),
+        (2, ZoneSel::Foo, SchemeMode::DnsBased, CookieMode::Plain),
+        (3, ZoneSel::Foo, SchemeMode::ModifiedOnly, CookieMode::Extension),
     ] {
-        let mut w = lossy_world(seed, referral, mode, lrs_mode, 0.10);
+        let (mut w, lrs) = lossy_world(seed, zone, mode, lrs_mode, 0.10);
         w.sim.run_until(SimTime::from_secs(1));
         assert!(
-            w.completed() > 200,
+            lrs_stats(&w.sim, lrs).completed > 200,
             "mode {mode:?}: completed {} under 10% loss",
-            w.completed()
+            lrs_stats(&w.sim, lrs).completed
         );
-        assert!(w.timeouts() > 0, "mode {mode:?}: loss actually bit");
+        assert!(lrs_stats(&w.sim, lrs).timeouts > 0, "mode {mode:?}: loss actually bit");
         assert_eq!(
-            w.guard_stats().spoofed_dropped(),
+            guard_stats(&w.sim, w.guard).spoofed_dropped(),
             0,
             "mode {mode:?}: retries must never look like spoofs"
         );
@@ -54,98 +89,36 @@ fn schemes_recover_from_10_percent_loss() {
 
 #[test]
 fn heavy_loss_degrades_but_does_not_wedge() {
-    let mut w = lossy_world(4, true, SchemeMode::DnsBased, CookieMode::Plain, 0.40);
+    let (mut w, lrs) = lossy_world(4, ZoneSel::Root, SchemeMode::DnsBased, CookieMode::Plain, 0.40);
     w.sim.run_until(SimTime::from_secs(1));
     assert!(
-        w.completed() > 20,
+        lrs_stats(&w.sim, lrs).completed > 20,
         "still making progress at 40% loss: {}",
-        w.completed()
+        lrs_stats(&w.sim, lrs).completed
     );
-    assert!(w.timeouts() > 50, "timeouts observed: {}", w.timeouts());
+    assert!(lrs_stats(&w.sim, lrs).timeouts > 50, "timeouts observed: {}", lrs_stats(&w.sim, lrs).timeouts);
 }
 
 #[test]
 fn stock_resolver_survives_lossy_guarded_path() {
     use dnswire::message::Message;
     use dnswire::types::{Rcode, RrType};
-    use netsim::engine::{Context, Node};
     use netsim::packet::{Endpoint, Packet, DNS_PORT};
-    use server::recursive::{RecursiveResolver, ResolverConfig};
-    use server::zone::{COM_SERVER, FOO_SERVER};
 
-    struct Stub {
-        me: Endpoint,
-        lrs: Endpoint,
-        reply: Option<Message>,
-        tries: u32,
-    }
-    impl Node for Stub {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.set_timer(SimTime::ZERO, 0);
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_>, _t: u64) {
-            if self.reply.is_some() || self.tries >= 20 {
-                return;
-            }
-            self.tries += 1;
-            let q = Message::query(7, "www.foo.com".parse().unwrap(), RrType::A);
-            ctx.send(Packet::udp(self.me, self.lrs, q.encode()));
-            ctx.set_timer(SimTime::from_millis(200), 0);
-        }
-        fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-            if self.reply.is_none() {
-                self.reply = Message::decode(&pkt.payload).ok();
-            }
-        }
-    }
-
-    let (root, com, foo_com) = paper_hierarchy();
-    let mut sim = Simulator::new(5);
-    let config = GuardConfig::new(PUB, PRIV).with_mode(SchemeMode::DnsBased);
-    let guard = sim.add_node(
-        PUB,
-        CpuConfig::unbounded(),
-        RemoteGuard::new(
-            config,
-            AuthorityClassifier::new(Authority::new(vec![root.clone()])),
-        ),
-    );
-    sim.add_subnet(Ipv4Addr::new(198, 41, 0, 0), 24, guard);
-    sim.add_node(PRIV, CpuConfig::unbounded(), AuthNode::new(PRIV, Authority::new(vec![root])));
-    sim.add_node(COM_SERVER, CpuConfig::unbounded(), AuthNode::new(COM_SERVER, Authority::new(vec![com])));
-    sim.add_node(FOO_SERVER, CpuConfig::unbounded(), AuthNode::new(FOO_SERVER, Authority::new(vec![foo_com])));
-
-    let lrs_ip = Ipv4Addr::new(10, 0, 0, 53);
-    let lrs = sim.add_node(
-        lrs_ip,
-        CpuConfig::unbounded(),
-        RecursiveResolver::new(ResolverConfig::new(lrs_ip, vec![PUB])),
-    );
-    sim.connect(
-        lrs,
-        guard,
-        LinkParams {
-            delay: SimTime::from_micros(200),
-            loss: 0.25,
-        },
-    );
-    let stub_ip = Ipv4Addr::new(10, 0, 0, 1);
-    let stub = sim.add_node(
-        stub_ip,
-        CpuConfig::unbounded(),
-        Stub {
-            me: Endpoint::new(stub_ip, 9000),
-            lrs: Endpoint::new(lrs_ip, DNS_PORT),
-            reply: None,
-            tries: 0,
-        },
-    );
-    sim.run_until(SimTime::from_secs(5));
-    let reply = sim
+    let mut w = guarded_hierarchy(params(5, ZoneSel::Root, SchemeMode::DnsBased, false), own_lifetime);
+    w.sim.connect(w.resolver, w.guard, lossy(0.25));
+    // The stub's link to the resolver is clean: the loss is the resolver's
+    // to retry through.
+    let me = Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 9000);
+    let query = Message::query(7, "www.foo.com".parse().unwrap(), RrType::A).encode();
+    let ask = Packet::udp(me, Endpoint::new(RESOLVER, DNS_PORT), query);
+    let stub = attach_stub(&mut w.sim, me.ip, [(SimTime::ZERO, ask)]);
+    w.sim.run_until(SimTime::from_secs(5));
+    let reply = w
+        .sim
         .node_ref::<Stub>(stub)
         .unwrap()
-        .reply
-        .clone()
+        .reply()
         .expect("resolution eventually completed despite 25% loss");
     assert_eq!(reply.header.rcode, Rcode::NoError);
 }

@@ -4,20 +4,54 @@
 //! recover by re-running the exchange. The worlds compress the week to
 //! 300 ms of simulated time by rotating at those instants themselves.
 
-mod common;
-
-use common::{World, WorldBuilder};
+use bench::worlds::{attach_lrs, guard_stats, guarded_world_with, lrs_stats, GuardedWorld, LrsParams, WorldParams, PRIV, PUB};
+use dnsguard::config::GuardConfig;
 use dnsguard::guard::RemoteGuard;
 use guardhash::cookie::{CookieAlg, CookieFactory};
+use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
+use netsim::NodeId;
+use server::nodes::ServerCosts;
+use server::simclient::CookieMode;
 use std::net::Ipv4Addr;
 
 /// The compressed rotation period.
 const PERIOD: SimTime = SimTime::from_millis(300);
 
+/// A DNS-based guard on an unbounded CPU (limiters open, `GuardConfig`'s
+/// own TCP connection lifetime, the cookie hash `alg`) in front of a free
+/// ANS serving the root zone, and one closed-loop client (10 ms wait, 2 µs
+/// a packet) at `10.0.0.7`.
+fn world(seed: u64, alg: CookieAlg) -> (GuardedWorld, NodeId) {
+    let unbounded = CpuConfig::unbounded();
+    let p = WorldParams {
+        guard_cpu: unbounded,
+        ans_cpu: unbounded,
+        ans_costs: ServerCosts::free(),
+        ..WorldParams::new(seed)
+    };
+    let mut w = guarded_world_with(p, |c| GuardConfig {
+        tcp_conn_lifetime: GuardConfig::new(PUB, PRIV).tcp_conn_lifetime,
+        ..c.with_cookie_alg(alg)
+    });
+    let lrs = attach_lrs(
+        &mut w.sim,
+        LrsParams {
+            ip: Ipv4Addr::new(10, 0, 0, 7),
+            mode: CookieMode::Plain,
+            cookie_cache: true,
+            concurrency: 1,
+            wait: SimTime::from_millis(10),
+            pace: SimTime::ZERO,
+            per_packet_cost: SimTime::from_micros(2),
+        },
+    );
+    (w, lrs)
+}
+
 /// Runs `w` until `until`, rotating the guard's key at every multiple of
 /// [`PERIOD`] on the way.
-fn run_rotating(w: &mut World, until: SimTime) {
+fn run_rotating(w: &mut GuardedWorld, until: SimTime) {
     let mut next = PERIOD * (w.sim.now().as_nanos() / PERIOD.as_nanos() + 1);
     while next <= until {
         w.sim.run_until(next);
@@ -29,7 +63,7 @@ fn run_rotating(w: &mut World, until: SimTime) {
 
 #[test]
 fn service_continues_across_scheduled_rotations() {
-    let mut w = WorldBuilder::new(77).build();
+    let (mut w, lrs) = world(77, CookieAlg::default());
 
     // Run through ~6 rotation periods.
     run_rotating(&mut w, SimTime::from_secs(2));
@@ -44,22 +78,22 @@ fn service_continues_across_scheduled_rotations() {
     // window, most rotations are invisible. The client may hit a brief
     // outage (cookie straddling two rotations) but recovers by refreshing.
     assert!(
-        w.completed() > 2_000,
+        lrs_stats(&w.sim, lrs).completed > 2_000,
         "sustained service across rotations: {} completed",
-        w.completed()
+        lrs_stats(&w.sim, lrs).completed
     );
     // Check the last 500 ms specifically: still alive at the end.
-    let before = w.completed();
+    let before = lrs_stats(&w.sim, lrs).completed;
     run_rotating(&mut w, SimTime::from_millis(2_500));
-    let after = w.completed();
+    let after = lrs_stats(&w.sim, lrs).completed;
     assert!(after > before + 200, "still completing at the end: {}", after - before);
 }
 
 #[test]
 fn stale_cookie_rejected_then_client_recovers() {
-    let mut w = WorldBuilder::new(78).build();
+    let (mut w, lrs) = world(78, CookieAlg::default());
     w.sim.run_until(SimTime::from_millis(100));
-    let completed_before = w.completed();
+    let completed_before = lrs_stats(&w.sim, lrs).completed;
     assert!(completed_before > 0);
 
     // Two manual rotations: every cookie issued so far is now invalid.
@@ -69,15 +103,15 @@ fn stale_cookie_rejected_then_client_recovers() {
     w.sim.run_until(SimTime::from_millis(400));
 
     assert!(
-        w.guard_stats().ns_cookie_invalid > 0,
+        guard_stats(&w.sim, w.guard).ns_cookie_invalid > 0,
         "the stale cached cookie was rejected at least once"
     );
-    assert!(w.timeouts() >= 2, "client noticed the outage");
+    assert!(lrs_stats(&w.sim, lrs).timeouts >= 2, "client noticed the outage");
     assert!(
-        w.completed() > completed_before + 100,
+        lrs_stats(&w.sim, lrs).completed > completed_before + 100,
         "client re-ran the exchange and resumed: {} → {}",
         completed_before,
-        w.completed()
+        lrs_stats(&w.sim, lrs).completed
     );
 }
 
@@ -152,7 +186,7 @@ fn fleet_sites_sharing_a_key_honour_the_rotation_grace_window() {
 /// throughout.
 #[test]
 fn md5_cookies_rotate_with_the_same_grace_as_siphash() {
-    let mut w = WorldBuilder::new(79).tweak(|c| c.cookie_alg = CookieAlg::Md5).build();
+    let (mut w, lrs) = world(79, CookieAlg::Md5);
     run_rotating(&mut w, SimTime::from_secs(2));
 
     let g = w.sim.node_ref::<RemoteGuard>(w.guard).unwrap();
@@ -162,8 +196,8 @@ fn md5_cookies_rotate_with_the_same_grace_as_siphash() {
         g.cookie_factory().generation()
     );
     assert!(
-        w.completed() > 2_000,
+        lrs_stats(&w.sim, lrs).completed > 2_000,
         "sustained service across MD5 rotations: {} completed",
-        w.completed()
+        lrs_stats(&w.sim, lrs).completed
     );
 }

@@ -3,90 +3,84 @@
 //! talking to an ANS behind a *remote* guard. Both guards are firewall
 //! modules; neither the LRS nor the ANS changes.
 
-use dnsguard::classify::AuthorityClassifier;
+use bench::worlds::{attach_stub, guarded_world_with, GuardedWorld, Stub, WorldParams, ZoneSel, PRIV, PUB};
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
 use dnsguard::local_guard::LocalGuard;
 use dnswire::message::Message;
 use dnswire::rdata::RData;
 use dnswire::types::{Rcode, RrType};
-use netsim::engine::{Context, CpuConfig, Node, Simulator};
+use netsim::engine::{CpuConfig, Simulator};
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
+use netsim::time::SimTime;
+use netsim::NodeId;
 use server::authoritative::Authority;
-use server::nodes::AuthNode;
+use server::nodes::{AuthNode, ServerCosts};
 use server::recursive::{RecursiveResolver, ResolverConfig};
 use server::zone::{paper_hierarchy, FOO_SERVER, WWW_ADDR};
 use std::net::Ipv4Addr;
 
-const ANS_PRIVATE: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 7);
 const LRS_ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 53);
-/// Private registration address for the resolver node (its *public*
-/// address is owned by the local guard, which intercepts inbound traffic).
-const LRS_INTERNAL: Ipv4Addr = Ipv4Addr::new(10, 255, 0, 53);
 
-struct Stub {
-    me: Endpoint,
-    lrs: Endpoint,
-    reply: Option<Message>,
+/// The remote side: a modified-DNS guard (limiters at their defaults,
+/// `GuardConfig`'s own TCP connection lifetime, unbounded CPUs) in front of
+/// a free ANS serving foo.com.
+fn remote(seed: u64) -> GuardedWorld {
+    let unbounded = CpuConfig::unbounded();
+    let p = WorldParams {
+        zone: ZoneSel::Foo,
+        mode: SchemeMode::ModifiedOnly,
+        guard_cpu: unbounded,
+        ans_cpu: unbounded,
+        ans_costs: ServerCosts::free(),
+        open_limiters: false,
+        ..WorldParams::new(seed)
+    };
+    guarded_world_with(p, |c| GuardConfig {
+        tcp_conn_lifetime: GuardConfig::new(PUB, PRIV).tcp_conn_lifetime,
+        ..c
+    })
 }
 
-impl Node for Stub {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let q = Message::query(4, "www.foo.com".parse().unwrap(), RrType::A);
-        ctx.send(Packet::udp(self.me, self.lrs, q.encode()));
-    }
-    fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-        self.reply = Message::decode(&pkt.payload).ok();
-    }
+/// Puts `host` behind a transparent local guard that owns [`LRS_ADDR`] and
+/// taps its egress. Returns the local guard's node.
+fn local_guard(sim: &mut Simulator, host: NodeId) -> NodeId {
+    let local = sim.add_node(LRS_ADDR, CpuConfig::unbounded(), LocalGuard::new(host, LRS_ADDR));
+    sim.set_gateway(host, local);
+    local
+}
+
+/// A stock resolver at [`LRS_ADDR`] (registered at a private address)
+/// behind a [`local_guard`], with `server` as its only hint. Returns the
+/// local guard's node.
+fn resolver_behind_local_guard(sim: &mut Simulator, server: Ipv4Addr) -> NodeId {
+    let resolver = RecursiveResolver::new(ResolverConfig::new(LRS_ADDR, vec![server]));
+    let resolver = sim.add_node(Ipv4Addr::new(10, 255, 0, 53), CpuConfig::unbounded(), resolver);
+    local_guard(sim, resolver)
+}
+
+/// A stub application at `10.0.0.<host>` asking the resolver for `qname`
+/// once. Its queries also pass the local guard (it owns [`LRS_ADDR`]),
+/// which relays them in.
+fn ask(sim: &mut Simulator, host: u8, port: u16, id: u16, qname: &str) -> NodeId {
+    let me = Endpoint::new(Ipv4Addr::new(10, 0, 0, host), port);
+    let query = Message::query(id, qname.parse().unwrap(), RrType::A).encode();
+    attach_stub(sim, me.ip, [(SimTime::ZERO, Packet::udp(me, Endpoint::new(LRS_ADDR, DNS_PORT), query))])
 }
 
 #[test]
 fn unmodified_resolver_through_local_and_remote_guards() {
-    let (_, _, foo_com) = paper_hierarchy();
-    let authority = Authority::new(vec![foo_com]);
-    let mut sim = Simulator::new(42);
-
-    // Remote side: guard + ANS.
-    let config = GuardConfig::new(FOO_SERVER, ANS_PRIVATE).with_mode(SchemeMode::ModifiedOnly);
-    let remote = sim.add_node(
-        FOO_SERVER,
-        CpuConfig::unbounded(),
-        RemoteGuard::new(config, AuthorityClassifier::new(authority.clone())),
-    );
-    sim.add_subnet(Ipv4Addr::new(192, 0, 2, 0), 24, remote);
-    let ans = sim.add_node(ANS_PRIVATE, CpuConfig::unbounded(), AuthNode::new(ANS_PRIVATE, authority));
-
-    // Local side: a stock resolver behind a transparent local guard. The
-    // guard owns the resolver's public address and taps its egress.
-    let lrs = sim.add_node(
-        LRS_INTERNAL,
-        CpuConfig::unbounded(),
-        RecursiveResolver::new(ResolverConfig::new(LRS_ADDR, vec![FOO_SERVER])),
-    );
-    let local = sim.add_node(LRS_ADDR, CpuConfig::unbounded(), LocalGuard::new(lrs, LRS_ADDR));
-    sim.set_gateway(lrs, local);
-
-    // A stub application behind the resolver. Its queries to the resolver
-    // also pass the local guard (it owns LRS_ADDR), which relays them in.
-    let stub_ip = Ipv4Addr::new(10, 0, 0, 2);
-    let stub = sim.add_node(
-        stub_ip,
-        CpuConfig::unbounded(),
-        Stub {
-            me: Endpoint::new(stub_ip, 3333),
-            lrs: Endpoint::new(LRS_ADDR, DNS_PORT),
-            reply: None,
-        },
-    );
+    let GuardedWorld {
+        mut sim,
+        guard: remote,
+        ans,
+    } = remote(42);
+    let local = resolver_behind_local_guard(&mut sim, PUB);
+    let stub = ask(&mut sim, 2, 3333, 4, "www.foo.com");
 
     sim.run();
 
-    let reply = sim
-        .node_ref::<Stub>(stub)
-        .unwrap()
-        .reply
-        .clone()
-        .expect("stub got an answer");
+    let reply = sim.node_ref::<Stub>(stub).unwrap().reply().expect("stub got an answer");
     assert_eq!(reply.header.rcode, Rcode::NoError);
     assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
 
@@ -105,59 +99,69 @@ fn unmodified_resolver_through_local_and_remote_guards() {
 
 #[test]
 fn second_query_reuses_cookie_without_new_grant() {
-    let (_, _, foo_com) = paper_hierarchy();
-    let authority = Authority::new(vec![foo_com]);
-    let mut sim = Simulator::new(43);
-    let config = GuardConfig::new(FOO_SERVER, ANS_PRIVATE).with_mode(SchemeMode::ModifiedOnly);
-    let remote = sim.add_node(
-        FOO_SERVER,
-        CpuConfig::unbounded(),
-        RemoteGuard::new(config, AuthorityClassifier::new(authority.clone())),
-    );
-    sim.add_node(ANS_PRIVATE, CpuConfig::unbounded(), AuthNode::new(ANS_PRIVATE, authority));
-    let lrs = sim.add_node(
-        LRS_INTERNAL,
-        CpuConfig::unbounded(),
-        RecursiveResolver::new(ResolverConfig::new(LRS_ADDR, vec![FOO_SERVER])),
-    );
-    let local = sim.add_node(LRS_ADDR, CpuConfig::unbounded(), LocalGuard::new(lrs, LRS_ADDR));
-    sim.set_gateway(lrs, local);
+    let GuardedWorld {
+        mut sim,
+        guard: remote,
+        ..
+    } = remote(43);
+    let local = resolver_behind_local_guard(&mut sim, PUB);
 
     for (i, qname) in ["www.foo.com", "foo.com"].iter().enumerate() {
-        let stub_ip = Ipv4Addr::new(10, 0, 0, 10 + i as u8);
-        struct OnceStub {
-            me: Endpoint,
-            lrs: Endpoint,
-            qname: String,
-            reply: Option<Message>,
-        }
-        impl Node for OnceStub {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let q = Message::query(9, self.qname.parse().unwrap(), RrType::A);
-                ctx.send(Packet::udp(self.me, self.lrs, q.encode()));
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-                self.reply = Message::decode(&pkt.payload).ok();
-            }
-        }
-        let stub = sim.add_node(
-            stub_ip,
-            CpuConfig::unbounded(),
-            OnceStub {
-                me: Endpoint::new(stub_ip, 4444),
-                lrs: Endpoint::new(LRS_ADDR, DNS_PORT),
-                qname: qname.to_string(),
-                reply: None,
-            },
-        );
+        let stub = ask(&mut sim, 10 + i as u8, 4444, 9, qname);
         sim.run();
-        assert!(
-            sim.node_ref::<OnceStub>(stub).unwrap().reply.is_some(),
-            "query {qname} answered"
-        );
+        assert!(sim.node_ref::<Stub>(stub).unwrap().reply().is_some(), "query {qname} answered");
     }
     let lg = sim.node_ref::<LocalGuard>(local).unwrap();
     assert_eq!(lg.stats.grants_requested, 1, "single cookie exchange across queries");
     let rg = sim.node_ref::<RemoteGuard>(remote).unwrap();
     assert_eq!(rg.stats().grants_sent, 1);
+}
+
+/// A bare client behind a [`local_guard`] querying `server` for `www.foo.com`
+/// twice, the second time 10 ms after the first. Returns the client's node
+/// and the local guard's.
+fn bare_client(sim: &mut Simulator, server: Ipv4Addr) -> (NodeId, NodeId) {
+    let me = Endpoint::new(LRS_ADDR, 7777);
+    let query = |id, at| {
+        let wire = Message::iterative_query(id, "www.foo.com".parse().unwrap(), RrType::A).encode();
+        (at, Packet::udp(me, Endpoint::new(server, DNS_PORT), wire))
+    };
+    let queries = [query(31, SimTime::ZERO), query(32, SimTime::from_millis(10))];
+    let client = attach_stub(sim, Ipv4Addr::new(10, 255, 0, 1), queries);
+    (client, local_guard(sim, client))
+}
+
+#[test]
+fn cookie_exchange_then_stamped_queries() {
+    let mut sim = remote(1).sim;
+    let (client, local) = bare_client(&mut sim, PUB);
+    sim.run_until(SimTime::from_millis(50));
+    let reply = sim.node_ref::<Stub>(client).unwrap().reply().unwrap();
+    assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
+    assert!(
+        !dnswire::cookie_ext::has_cookie(&reply),
+        "extension stripped before the LRS sees it"
+    );
+    let guard = sim.node_ref::<LocalGuard>(local).unwrap();
+    assert_eq!(guard.stats.grants_requested, 1);
+    assert_eq!(guard.stats.cookies_cached, 1);
+    assert_eq!(guard.stats.stamped, 2, "held release + second query");
+    assert_eq!(guard.cached_cookies(), 1);
+}
+
+#[test]
+fn incapable_server_pass_through() {
+    // No remote guard: the bare ANS at its own address ignores the
+    // extension.
+    let mut sim = Simulator::new(2);
+    let (_, _, foo) = paper_hierarchy();
+    sim.add_node(FOO_SERVER, CpuConfig::unbounded(), AuthNode::new(FOO_SERVER, Authority::new(vec![foo])));
+    let (client, local) = bare_client(&mut sim, FOO_SERVER);
+    sim.run_until(SimTime::from_millis(50));
+    let reply = sim.node_ref::<Stub>(client).unwrap().reply().unwrap();
+    assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
+    let guard = sim.node_ref::<LocalGuard>(local).unwrap();
+    assert_eq!(guard.stats.incapable_servers, 1);
+    assert_eq!(guard.cached_cookies(), 0);
+    assert_eq!(guard.stats.grants_requested, 1, "probed once, then remembered");
 }

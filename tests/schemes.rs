@@ -1,38 +1,59 @@
 //! Integration tests for the packet economics of each scheme: the packet
 //! and cookie counts that Table I/III are built on, measured end to end.
 
-mod common;
-
-use bench::worlds::{attach_lrs, guarded_world, measure_throughput, GuardedWorld, LrsParams, WorldParams, ZoneSel};
-use common::{World, WorldBuilder};
+use bench::worlds::{
+    attach_lrs, guard_stats, guarded_world, lrs_stats, measure_throughput, GuardedWorld, LrsParams, WorldParams, ZoneSel,
+};
 use dnsguard::config::SchemeMode;
 use dnsguard::guard::RemoteGuard;
+use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
+use netsim::NodeId;
+use server::nodes::{AuthNode, ServerCosts};
 use server::simclient::CookieMode;
 use std::net::Ipv4Addr;
 
-fn world(seed: u64, referral: bool, mode: SchemeMode, lrs_mode: CookieMode, cache: bool) -> World {
-    WorldBuilder::new(seed)
-        .referral(referral)
-        .mode(mode)
-        .lrs_mode(lrs_mode)
-        .cache(cache)
-        .tweak(|c| c.tcp_conn_lifetime = SimTime::from_secs(10))
-        .build()
+/// A guard on an unbounded CPU in front of a free ANS serving `zone`, and
+/// one closed-loop client (10 ms wait, 2 µs a packet) at `10.0.0.7`.
+fn world(seed: u64, zone: ZoneSel, mode: SchemeMode, lrs_mode: CookieMode, cache: bool) -> (GuardedWorld, NodeId) {
+    let unbounded = CpuConfig::unbounded();
+    let p = WorldParams {
+        zone,
+        mode,
+        guard_cpu: unbounded,
+        ans_cpu: unbounded,
+        ans_costs: ServerCosts::free(),
+        ..WorldParams::new(seed)
+    };
+    let mut w = guarded_world(p);
+    let lrs = attach_lrs(
+        &mut w.sim,
+        LrsParams {
+            ip: Ipv4Addr::new(10, 0, 0, 7),
+            mode: lrs_mode,
+            cookie_cache: cache,
+            concurrency: 1,
+            wait: SimTime::from_millis(10),
+            pace: SimTime::ZERO,
+            per_packet_cost: SimTime::from_micros(2),
+        },
+    );
+    (w, lrs)
 }
 
 /// Counts the delivered packets at the guard per completed request over a
 /// steady-state window.
-fn packets_per_request(w: &mut World, window: SimTime) -> (f64, f64) {
+fn packets_per_request((w, lrs): &mut (GuardedWorld, NodeId), window: SimTime) -> (f64, f64) {
+    let ans_queries = |w: &GuardedWorld| w.sim.node_ref::<AuthNode>(w.ans).unwrap().total_queries();
     // Warm-up (first exchange + caches).
     w.sim.run_until(SimTime::from_millis(20));
     let pkts_before = w.sim.cpu_stats(w.guard).delivered;
-    let completed_before = w.completed();
-    let ans_before = w.ans_queries();
+    let completed_before = lrs_stats(&w.sim, *lrs).completed;
+    let ans_before = ans_queries(w);
     w.sim.run_for(window);
     let pkts = (w.sim.cpu_stats(w.guard).delivered - pkts_before) as f64;
-    let completed = (w.completed() - completed_before) as f64;
-    let ans_queries = (w.ans_queries() - ans_before) as f64;
+    let completed = (lrs_stats(&w.sim, *lrs).completed - completed_before) as f64;
+    let ans_queries = (ans_queries(w) - ans_before) as f64;
     assert!(completed > 10.0, "completed only {completed}");
     (pkts / completed, ans_queries / completed)
 }
@@ -44,7 +65,7 @@ fn packets_per_request(w: &mut World, window: SimTime) -> (f64, f64) {
 fn ns_name_cache_hit_is_2_inbound_packets() {
     // Paper: cache hit = 4 packets through the guard (2 in + 2 out):
     // msg3 (cookie query), msg5 (ANS response) in; msg4, msg6 out.
-    let mut w = world(1, true, SchemeMode::DnsBased, CookieMode::Plain, true);
+    let mut w = world(1, ZoneSel::Root, SchemeMode::DnsBased, CookieMode::Plain, true);
     let (per_req, ans_per_req) = packets_per_request(&mut w, SimTime::from_millis(200));
     assert!((1.9..=2.1).contains(&per_req), "inbound/request {per_req}");
     assert!((0.95..=1.05).contains(&ans_per_req), "ANS sees one query per request");
@@ -53,7 +74,7 @@ fn ns_name_cache_hit_is_2_inbound_packets() {
 #[test]
 fn ns_name_cache_miss_is_3_inbound_packets() {
     // Paper: 6 packets (3 in + 3 out): msg1, msg3, msg5 in.
-    let mut w = world(2, true, SchemeMode::DnsBased, CookieMode::Plain, false);
+    let mut w = world(2, ZoneSel::Root, SchemeMode::DnsBased, CookieMode::Plain, false);
     let (per_req, ans_per_req) = packets_per_request(&mut w, SimTime::from_millis(200));
     assert!((2.9..=3.1).contains(&per_req), "inbound/request {per_req}");
     assert!((0.95..=1.05).contains(&ans_per_req));
@@ -62,7 +83,7 @@ fn ns_name_cache_miss_is_3_inbound_packets() {
 #[test]
 fn fabricated_cache_miss_is_4_inbound_packets() {
     // Paper: 8 packets (4 in + 4 out): msg1, msg3, msg5, msg7 in.
-    let mut w = world(3, false, SchemeMode::DnsBased, CookieMode::Plain, false);
+    let mut w = world(3, ZoneSel::Foo, SchemeMode::DnsBased, CookieMode::Plain, false);
     let (per_req, _) = packets_per_request(&mut w, SimTime::from_millis(200));
     assert!((3.8..=4.2).contains(&per_req), "inbound/request {per_req}");
 }
@@ -70,7 +91,7 @@ fn fabricated_cache_miss_is_4_inbound_packets() {
 #[test]
 fn fabricated_cache_hit_is_2_inbound_packets() {
     // Paper: 4 packets (msg7 in, msg8 out, msg9 in, msg10 out).
-    let mut w = world(4, false, SchemeMode::DnsBased, CookieMode::Plain, true);
+    let mut w = world(4, ZoneSel::Foo, SchemeMode::DnsBased, CookieMode::Plain, true);
     let (per_req, ans_per_req) = packets_per_request(&mut w, SimTime::from_millis(200));
     assert!((1.9..=2.1).contains(&per_req), "inbound/request {per_req}");
     assert!((0.95..=1.05).contains(&ans_per_req), "ANS queried each time (no answer cache)");
@@ -80,7 +101,7 @@ fn fabricated_cache_hit_is_2_inbound_packets() {
 fn modified_cache_hit_is_2_inbound_packets() {
     // Paper: 4 packets (cookie-stamped query in, fwd out, ANS resp in,
     // relay out).
-    let mut w = world(5, false, SchemeMode::ModifiedOnly, CookieMode::Extension, true);
+    let mut w = world(5, ZoneSel::Foo, SchemeMode::ModifiedOnly, CookieMode::Extension, true);
     let (per_req, _) = packets_per_request(&mut w, SimTime::from_millis(200));
     assert!((1.9..=2.1).contains(&per_req), "inbound/request {per_req}");
 }
@@ -89,7 +110,7 @@ fn modified_cache_hit_is_2_inbound_packets() {
 fn modified_cache_miss_is_3_inbound_packets() {
     // Paper: 6 packets: grant request in, grant out, stamped query in,
     // fwd out, ANS resp in, relay out.
-    let mut w = world(6, false, SchemeMode::ModifiedOnly, CookieMode::Extension, false);
+    let mut w = world(6, ZoneSel::Foo, SchemeMode::ModifiedOnly, CookieMode::Extension, false);
     let (per_req, _) = packets_per_request(&mut w, SimTime::from_millis(200));
     assert!((2.9..=3.1).contains(&per_req), "inbound/request {per_req}");
 }
@@ -99,7 +120,7 @@ fn tcp_scheme_packet_count_matches_model() {
     // Our TCP model: 14 packets per exchange at the guard, 8 of them
     // inbound (UDP query, SYN, ACK, DATA, FIN + ANS response...) — assert
     // the band the cost model is calibrated for.
-    let mut w = world(7, false, SchemeMode::TcpBased, CookieMode::Plain, false);
+    let mut w = world(7, ZoneSel::Foo, SchemeMode::TcpBased, CookieMode::Plain, false);
     let (per_req, ans_per_req) = packets_per_request(&mut w, SimTime::from_millis(300));
     assert!((6.0..=8.5).contains(&per_req), "inbound/request {per_req}");
     assert!((0.95..=1.05).contains(&ans_per_req), "one UDP query to the ANS per TCP request");
@@ -109,14 +130,14 @@ fn tcp_scheme_packet_count_matches_model() {
 fn every_scheme_works_after_key_rotation_with_regrant() {
     // Rotate twice (expiring all cookies), then verify each scheme's client
     // recovers by re-running the exchange.
-    for (seed, referral, mode, lrs_mode) in [
-        (10, true, SchemeMode::DnsBased, CookieMode::Plain),
-        (11, false, SchemeMode::DnsBased, CookieMode::Plain),
-        (12, false, SchemeMode::ModifiedOnly, CookieMode::Extension),
+    for (seed, zone, mode, lrs_mode) in [
+        (10, ZoneSel::Root, SchemeMode::DnsBased, CookieMode::Plain),
+        (11, ZoneSel::Foo, SchemeMode::DnsBased, CookieMode::Plain),
+        (12, ZoneSel::Foo, SchemeMode::ModifiedOnly, CookieMode::Extension),
     ] {
-        let mut w = world(seed, referral, mode, lrs_mode, true);
+        let (mut w, lrs) = world(seed, zone, mode, lrs_mode, true);
         w.sim.run_until(SimTime::from_millis(50));
-        let before = w.completed();
+        let before = lrs_stats(&w.sim, lrs).completed;
         assert!(before > 0);
         // Two rotations: cached cookies are now invalid.
         let guard = w.guard;
@@ -132,7 +153,7 @@ fn every_scheme_works_after_key_rotation_with_regrant() {
         // the TTL alignment exists to prevent.
         w.sim.run_until(SimTime::from_millis(200));
         assert!(
-            w.guard_stats().spoofed_dropped() > 0 || w.completed() > before,
+            guard_stats(&w.sim, w.guard).spoofed_dropped() > 0 || lrs_stats(&w.sim, lrs).completed > before,
             "mode {mode:?}: either stale cookies are rejected or service continued"
         );
     }
@@ -157,7 +178,7 @@ fn extension_client_keeps_its_cookie_past_the_rl1_burst() {
     );
     let ans_bound = 1.0 / netsim::cost::ans_sim_request_cost().as_secs_f64();
     let throughput = measure_throughput(&mut sim, &[lrs], SimTime::from_millis(50), SimTime::from_millis(100));
-    let stats = sim.node_ref::<RemoteGuard>(guard).unwrap().stats();
+    let stats = guard_stats(&sim, guard);
     assert!(stats.grants_sent <= 10, "the first burst's grants are the only ones: {}", stats.grants_sent);
     assert!(
         throughput >= 0.9 * ans_bound,

@@ -5,17 +5,60 @@
 //! each emitted kind is *referenced* somewhere; these tests prove the
 //! reference is a real observation, not a dead string.
 
-mod common;
-
-use common::WorldBuilder;
-use dnsguard::config::SchemeMode;
+use bench::worlds::{
+    attach_flood, attach_lrs, guarded_world_with, lrs_stats, observe, GuardedWorld, LrsParams, Scope, WorldParams, PRIV,
+    PUB,
+};
+use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
 use netsim::engine::CpuConfig;
 use netsim::time::SimTime;
+use netsim::NodeId;
 use obs::trace::Level;
 use obs::Obs;
+use server::nodes::ServerCosts;
+use server::simclient::CookieMode;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
+
+/// A guard on an unbounded CPU (limiters open, `GuardConfig`'s own TCP
+/// connection lifetime, then `configure`'s edit) in front of a free ANS
+/// serving the root zone, and one closed-loop client (`wait`, 2 µs a
+/// packet) at `10.0.0.7`.
+fn world(
+    seed: u64,
+    mode: SchemeMode,
+    wait: SimTime,
+    configure: impl FnOnce(GuardConfig) -> GuardConfig,
+) -> (GuardedWorld, NodeId) {
+    let unbounded = CpuConfig::unbounded();
+    let p = WorldParams {
+        mode,
+        guard_cpu: unbounded,
+        ans_cpu: unbounded,
+        ans_costs: ServerCosts::free(),
+        ..WorldParams::new(seed)
+    };
+    let mut w = guarded_world_with(p, |c| {
+        configure(GuardConfig {
+            tcp_conn_lifetime: GuardConfig::new(PUB, PRIV).tcp_conn_lifetime,
+            ..c
+        })
+    });
+    let lrs = attach_lrs(
+        &mut w.sim,
+        LrsParams {
+            ip: Ipv4Addr::new(10, 0, 0, 7),
+            mode: CookieMode::Plain,
+            cookie_cache: true,
+            concurrency: 1,
+            wait,
+            pace: SimTime::ZERO,
+            per_packet_cost: SimTime::from_micros(2),
+        },
+    );
+    (w, lrs)
+}
 
 fn drained_kinds(obs: &Obs) -> BTreeSet<&'static str> {
     let (events, dropped) = obs.tracer.drain();
@@ -29,12 +72,7 @@ fn drained_kinds(obs: &Obs) -> BTreeSet<&'static str> {
 #[test]
 fn failover_emits_peer_down_and_takeover_events() {
     let mut w = bench::worlds::ha_world(41);
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    w.sim
-        .node_mut::<RemoteGuard>(w.standby)
-        .unwrap()
-        .attach_obs(&obs);
+    let obs = observe(&mut w.sim, Scope::Site, &[w.standby]);
 
     // Warm the replication channel, then kill the primary.
     w.sim.run_until(SimTime::from_millis(200));
@@ -56,12 +94,10 @@ fn failover_emits_peer_down_and_takeover_events() {
 /// each snapshot the guard emits, and applying one emits `restore`.
 #[test]
 fn checkpoint_and_restore_emit_paired_events() {
-    let mut w = WorldBuilder::new(42)
-        .tweak(|c| c.checkpoint_interval = Some(SimTime::from_millis(50)))
-        .build();
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().attach_obs(&obs);
+    let (mut w, _) = world(42, SchemeMode::DnsBased, SimTime::from_millis(10), |c| {
+        c.with_checkpoint_interval(SimTime::from_millis(50))
+    });
+    let obs = observe(&mut w.sim, Scope::Site, &[w.guard]);
     w.sim.run_until(SimTime::from_millis(300));
 
     // Feed the snapshot straight back: same guard, same tracer.
@@ -85,17 +121,14 @@ fn checkpoint_and_restore_emit_paired_events() {
 /// recovery.
 #[test]
 fn ans_outage_emits_down_and_probe_events() {
-    let mut w = WorldBuilder::new(43)
-        .wait(SimTime::from_millis(60))
-        .tweak(|c| {
-            c.ans_timeout = SimTime::from_millis(50);
-            c.ans_failure_threshold = 2;
-            c.ans_probe_interval = SimTime::from_millis(100);
-        })
-        .build();
-    let obs = Obs::new();
+    let (mut w, _) = world(43, SchemeMode::DnsBased, SimTime::from_millis(60), |c| GuardConfig {
+        ans_timeout: SimTime::from_millis(50),
+        ans_failure_threshold: 2,
+        ans_probe_interval: SimTime::from_millis(100),
+        ..c
+    });
+    let obs = observe(&mut w.sim, Scope::Site, &[w.guard]);
     obs.tracer.set_default_level(Level::Debug);
-    w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().attach_obs(&obs);
 
     w.sim.run_until(SimTime::from_millis(100));
     w.sim.crash(w.ans);
@@ -116,12 +149,11 @@ fn ans_outage_emits_down_and_probe_events() {
 /// the relay token alongside the info-level accept event.
 #[test]
 fn tcp_scheme_emits_proxy_relay_events() {
-    let mut w = WorldBuilder::new(44).mode(SchemeMode::TcpBased).build();
-    let obs = Obs::new();
+    let (mut w, lrs) = world(44, SchemeMode::TcpBased, SimTime::from_millis(10), |c| c);
+    let obs = observe(&mut w.sim, Scope::Site, &[w.guard]);
     obs.tracer.set_default_level(Level::Debug);
-    w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().attach_obs(&obs);
     w.sim.run_until(SimTime::from_millis(200));
-    assert!(w.completed() > 0, "TCP clients must complete");
+    assert!(lrs_stats(&w.sim, lrs).completed > 0, "TCP clients must complete");
 
     let kinds = drained_kinds(&obs);
     assert!(
@@ -137,12 +169,7 @@ fn tcp_scheme_emits_proxy_relay_events() {
 #[test]
 fn fleet_key_sync_emits_fleet_key_rotate_events() {
     let mut w = bench::worlds::fleet_world(46, true);
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    w.sim
-        .node_mut::<RemoteGuard>(w.site_b)
-        .unwrap()
-        .attach_obs(&obs);
+    let obs = observe(&mut w.sim, Scope::Site, &[w.site_b]);
 
     // A few sync intervals: the master announces epoch 0, the member
     // applies it.
@@ -164,9 +191,7 @@ fn catchment_shift_emits_routing_events() {
     use netsim::engine::FaultPlan;
 
     let mut w = bench::worlds::fleet_world(47, true);
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    w.sim.attach_obs(&obs);
+    let obs = observe(&mut w.sim, Scope::World, &[]);
     let client = attach_lrs(
         &mut w.sim,
         LrsParams {
@@ -196,34 +221,16 @@ fn catchment_shift_emits_routing_events() {
 /// Normal tier, and the transition itself is traced as `tier_change`.
 #[test]
 fn admission_surge_emits_tier_change_event() {
-    let mut w = WorldBuilder::new(45)
-        .tweak(|c| {
-            // The builder opens the limiters wide; restore the deployment
-            // defaults so the flood genuinely saturates RL1 and builds
-            // admission pressure.
-            c.rl1_global_rate = 10_000.0;
-            c.rl1_per_source_rate = 100.0;
-            c.admission = true;
-        })
-        .build();
-    let obs = Obs::new();
-    obs.tracer.set_default_level(Level::Info);
-    w.sim.node_mut::<RemoteGuard>(w.guard).unwrap().attach_obs(&obs);
+    // The limiters stay at the deployment defaults, so the flood genuinely
+    // saturates RL1 and builds admission pressure.
+    let (mut w, _) = world(45, SchemeMode::DnsBased, SimTime::from_millis(10), |c| GuardConfig {
+        rl1_global_rate: 10_000.0,
+        rl1_per_source_rate: 100.0,
+        ..c.with_admission()
+    });
+    let obs = observe(&mut w.sim, Scope::Site, &[w.guard]);
     w.sim.run_until(SimTime::from_millis(200));
-    {
-        use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
-        w.sim.add_node(
-            Ipv4Addr::new(66, 0, 0, 66),
-            CpuConfig::unbounded(),
-            SpoofedFlood::new(FloodConfig {
-                target: common::PUB,
-                rate: 60_000.0,
-                sources: SourceStrategy::Random,
-                payload: AttackPayload::PlainQuery("www.foo.com".parse().unwrap()),
-                duration: None,
-            }),
-        );
-    }
+    attach_flood(&mut w.sim, Ipv4Addr::new(66, 0, 0, 66), 60_000.0);
     w.sim.run_until(SimTime::from_millis(800));
 
     let kinds = drained_kinds(&obs);
