@@ -41,8 +41,8 @@ use std::net::Ipv4Addr;
 /// Leading magic of an encoded checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"GCKP";
 
-/// Current encoding version. Decoders reject anything else — a stale
-/// standby must resync rather than misparse.
+/// Current encoding version. Decoders reject anything else rather than
+/// misparse it.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// How long a stashed one-shot answer stays servable (mirrors the guard's

@@ -6,7 +6,7 @@ use super::health::AnsHealth;
 use super::keys::Keys;
 use super::repl::{FleetRuntime, HaRuntime};
 use super::schemes::{self, FirstContact, Outgoing, Scheme};
-use super::stash::{Stash, StashKey};
+use super::stash::Stash;
 use super::stats::{GuardMetrics, GuardStats, StatsHandle};
 use crate::admission::{AdmissionController, PressureTier};
 use crate::analytics::TrafficAnalytics;
@@ -423,11 +423,6 @@ impl GuardCore {
     /// byte bound.
     pub(super) fn insert_fwd(&mut self, txid: u16, entry: Forwarded) {
         let now = entry.created;
-        if matches!(entry.rewrite, Rewrite::Durable(_)) {
-            if let Some(log) = self.replicated() {
-                log.fwd_add.push(txid);
-            }
-        }
         self.fwd.insert(txid, entry);
         while self.fwd.bytes() > self.config.fwd_bytes_max {
             let Some((oldest, _)) = self.fwd.oldest() else {
@@ -448,38 +443,15 @@ impl GuardCore {
         if asking.is_some_and(|asking| held.question() != asking) {
             return None;
         }
-        let entry = self.fwd.remove(txid)?;
-        if matches!(entry.rewrite, Rewrite::Durable(_)) {
-            if let Some(log) = self.replicated() {
-                log.fwd_del.push(txid);
-            }
-        }
-        Some(entry)
+        self.fwd.remove(txid)
     }
 
     /// Inserts a stash entry, evicting oldest entries past the byte bound.
     pub(super) fn insert_stash(&mut self, entry: StashState) {
         let now = SimTime::from_nanos(entry.created_nanos);
-        if let Some(log) = self.replicated() {
-            log.stash_add.push((entry.src, entry.name.clone()));
-        }
-        for evicted in self.stash.insert(entry, self.config.stash_bytes_max) {
+        for (evicted, _) in self.stash.insert(entry, self.config.stash_bytes_max) {
             self.metrics.stash_evicted.inc();
-            self.trace_evict(now, "stash", ("src", Value::Ip(evicted.0)));
-            self.stash_removed(evicted);
-        }
-    }
-
-    pub(super) fn remove_stash(&mut self, key: &StashKey) -> Option<StashState> {
-        let entry = self.stash.remove(key)?;
-        self.stash_removed(key.clone());
-        Some(entry)
-    }
-
-    /// Records that the stash no longer holds `key`, for the standby.
-    fn stash_removed(&mut self, key: StashKey) {
-        if let Some(log) = self.replicated() {
-            log.stash_del.push(key);
+            self.trace_evict(now, "stash", ("src", Value::Ip(evicted)));
         }
     }
 
@@ -698,7 +670,7 @@ impl GuardCore {
             // needs the question's name, so it is built only while the stash
             // holds something.
             let asked = (!self.stash.is_empty()).then(|| view.question_name()).flatten();
-            if let Some(entry) = asked.and_then(|qname| self.remove_stash(&(src, qname))) {
+            if let Some(entry) = asked.and_then(|qname| self.stash.remove(&(src, qname))) {
                 self.metrics.stash_hits.inc();
                 self.metrics.trace.event(now.as_nanos(), "stash_hit", &Self::src_qid(src, qid));
                 let mut resp = view.to_message().into_response();
@@ -1010,9 +982,7 @@ impl GuardCore {
         self.proxy.reap(now);
         self.expire_forwards(now);
         self.watch_ans(now, out);
-        for key in self.stash.expire(now) {
-            self.stash_removed(key);
-        }
+        self.stash.expire(now);
         self.export_gauges();
         self.checkpoint_if_due(now, out);
         self.sample_admission(now);

@@ -11,7 +11,7 @@ use netsim::time::SimTime;
 const ANS_PROBE_MAX: SimTime = SimTime::from_secs(5);
 
 /// An attempt schedule whose interval doubles per attempt up to a cap: ANS
-/// probes, resync requests and fleet catch-up requests.
+/// probes and fleet catch-up requests.
 #[derive(Debug, Default)]
 pub(super) struct Backoff {
     interval: SimTime,

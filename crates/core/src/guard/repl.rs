@@ -1,19 +1,17 @@
 //! The replication channel ([`crate::ha`]) as the guard runs it: the
 //! primary–standby pair and the anycast fleet's key plane. [`HaRuntime`] and
-//! [`FleetRuntime`] own the protocol state — sequence numbers, sync flags,
-//! heartbeat counting, back-offs — and answer each message and tick with
-//! what the guard must do; the `impl GuardCore` below does it (applies
-//! state, sends, counts, traces).
+//! [`FleetRuntime`] own the protocol state — the time of the snapshot a
+//! standby holds, heartbeat counting, the fleet's sync flag and catch-up
+//! back-off — and answer each message and tick with what the guard must
+//! do; the `impl GuardCore` below does it (installs state, sends, counts,
+//! traces).
 
 use super::core::{GuardCore, Output, Outputs};
 use super::health::Backoff;
-use super::restore::fwd_state_of;
-use super::stash::StashKey;
-use crate::checkpoint::{GuardCheckpoint, KeyState};
+use crate::checkpoint::KeyState;
 use crate::config::GuardConfig;
 use crate::ha::{
-    decode_repl, encode_repl, repl_secret, FleetConfig, HaConfig, HaRole, ReplDelta, ReplPayload,
-    REPL_INTERVAL, REPL_PORT,
+    decode_repl, encode_repl, repl_secret, FleetConfig, HaConfig, HaRole, ReplPayload, REPL_INTERVAL, REPL_PORT,
 };
 use guardhash::cookie::{CookieFactory, SecretKey};
 use netsim::packet::{Endpoint, Packet};
@@ -24,9 +22,6 @@ use std::net::Ipv4Addr;
 /// Consecutive silent HA intervals before the standby declares the primary
 /// dead.
 const HEARTBEAT_MISSES: u32 = 3;
-
-/// Upper bound on the standby's resync-request backoff.
-const PEER_BACKOFF_MAX: SimTime = SimTime::from_secs(1);
 
 /// Upper bound on a fleet member's catch-up request backoff.
 const CATCH_UP_BACKOFF_MAX: SimTime = SimTime::from_secs(1);
@@ -39,28 +34,6 @@ fn message(secret: &SecretKey, from: Ipv4Addr, to: Ipv4Addr, payload: &ReplPaylo
     Packet::udp(Endpoint::new(from, REPL_PORT), Endpoint::new(to, REPL_PORT), wire)
 }
 
-/// Table keys a primary inserted and removed since its last delta.
-#[derive(Debug, Default)]
-pub(super) struct Pending {
-    pub(super) fwd_add: Vec<u16>,
-    pub(super) fwd_del: Vec<u16>,
-    pub(super) stash_add: Vec<StashKey>,
-    pub(super) stash_del: Vec<StashKey>,
-}
-
-/// What a guard must do with an authenticated message from its HA peer.
-#[derive(Debug)]
-enum FromPeer {
-    /// Nothing: not this role's to take, or a resync request held back.
-    Nothing,
-    /// Install the full snapshot it carries.
-    Install,
-    /// Apply the in-sequence delta it carries.
-    Apply,
-    /// Ask for a full snapshot, with this request.
-    AskResync(Packet),
-}
-
 /// What a standby's tick found: the last heartbeat is `age` old, and
 /// whether that made the peer dead and this guard its successor.
 #[derive(Debug)]
@@ -69,34 +42,19 @@ struct Watch {
     took_over: bool,
 }
 
-/// Runtime state of the primary–standby pairing. One struct serves both
-/// roles: the primary uses the replication-sequence and pending-change
-/// fields, the standby the heartbeat fields (miss counting, then takeover).
+/// Runtime state of the primary–standby pairing. The primary keeps none
+/// of its own: each tick it sends its state whole. The standby keeps the
+/// time of the snapshot it holds and counts heartbeats (misses, then
+/// takeover).
 #[derive(Debug)]
 pub(super) struct HaRuntime {
     cfg: HaConfig,
     role: HaRole,
     /// Shared channel-authentication secret (derived from `key_seed`).
     secret: SecretKey,
-    // -- primary side --
-    /// Last sequence number sent on the channel.
-    repl_seq: u64,
-    /// Key generation included in the last shipped state (`u64::MAX`
-    /// until anything is sent), so rotations ride the next delta.
-    sent_generation: u64,
-    /// Ship a full snapshot on the next tick (startup, or peer resync).
-    need_full: bool,
-    /// Table changes since the last delta.
-    pending: Pending,
-    // -- standby side --
-    /// Highest sequence number applied.
-    applied_seq: u64,
-    /// Whether the standby holds a consistent snapshot (false until the
-    /// first `Full` arrives, and again after a sequence gap).
-    synced: bool,
-    /// When the standby may send another `ResyncReq` (doubling per request
-    /// up to `PEER_BACKOFF_MAX`, reset when a full snapshot lands).
-    resync: Backoff,
+    /// When the snapshot the standby installed last was taken (`None`
+    /// before the first).
+    held: Option<u64>,
     /// When the peer last sent an authenticated message.
     last_heartbeat: SimTime,
     /// Consecutive HA ticks without a fresh heartbeat.
@@ -110,13 +68,7 @@ impl HaRuntime {
         HaRuntime {
             role: cfg.role,
             secret: repl_secret(key_seed),
-            repl_seq: 0,
-            sent_generation: u64::MAX,
-            need_full: true,
-            pending: Pending::default(),
-            applied_seq: 0,
-            synced: false,
-            resync: Backoff::new(REPL_INTERVAL),
+            held: None,
             last_heartbeat: SimTime::ZERO,
             missed: 0,
             took_over: false,
@@ -130,81 +82,31 @@ impl HaRuntime {
         self.role == HaRole::Primary && !self.took_over
     }
 
-    fn to_peer(&self, payload: &ReplPayload) -> Packet {
-        message(&self.secret, self.cfg.local_addr, self.cfg.peer_addr, payload)
-    }
-
-    /// Standby → primary: "my state ends here, send a full snapshot".
-    fn resync_req(&self) -> Packet {
-        self.to_peer(&ReplPayload::ResyncReq { have_seq: self.applied_seq })
+    /// The primary's tick: `guard`'s state at `now`, addressed to the
+    /// standby; `None` unless this is a primary that still feeds one.
+    fn ship(&self, now: SimTime, guard: &GuardCore) -> Option<Packet> {
+        if !self.feeds_peer() {
+            return None;
+        }
+        let snapshot = ReplPayload::Full(Box::new(guard.replica(now)));
+        Some(message(&self.secret, self.cfg.local_addr, self.cfg.peer_addr, &snapshot))
     }
 
     /// Takes an authenticated message from the peer at `now`. Whatever it
-    /// carries, it is a heartbeat.
-    fn heard(&mut self, now: SimTime, payload: &ReplPayload) -> FromPeer {
+    /// carries, it is a heartbeat. Returns whether the guard installs it:
+    /// a standby takes a snapshot taken after the one it holds, so a
+    /// reordered channel cannot roll it back.
+    fn heard(&mut self, now: SimTime, payload: &ReplPayload) -> bool {
         self.last_heartbeat = now;
         self.missed = 0;
-        match (self.role, payload) {
-            (HaRole::Standby, ReplPayload::Full(cp)) => {
-                self.applied_seq = cp.seq;
-                self.synced = true;
-                // A consistent snapshot ends any resync conversation.
-                self.resync = Backoff::new(REPL_INTERVAL);
-                FromPeer::Install
-            }
-            (HaRole::Standby, ReplPayload::Delta(d)) if self.synced && d.seq == self.applied_seq + 1 => {
-                self.applied_seq = d.seq;
-                FromPeer::Apply
-            }
-            // Sequence gap (or never synced): ask for a full snapshot rather
-            // than applying a delta out of order — but back the requests
-            // off. On a lossy channel every surviving delta is out of
-            // sequence; answering each made the primary ship one snapshot
-            // per miss, a self-amplifying storm.
-            (HaRole::Standby, ReplPayload::Delta(_)) => {
-                self.synced = false;
-                if self.resync.due(now, PEER_BACKOFF_MAX) {
-                    FromPeer::AskResync(self.resync_req())
-                } else {
-                    FromPeer::Nothing
-                }
-            }
-            (HaRole::Primary, ReplPayload::ResyncReq { .. }) => {
-                self.need_full = true;
-                FromPeer::Nothing
-            }
-            // Authentic, but not this role's to take.
-            _ => FromPeer::Nothing,
-        }
-    }
-
-    /// The primary's tick: a full snapshot of `guard` (whose pairing state
-    /// this is, taken out for the call) when one is owed, else the changes
-    /// since the last message; an empty delta is the heartbeat.
-    fn ship(&mut self, now: SimTime, guard: &GuardCore) -> Packet {
-        let generation = guard.cookies.generation();
-        self.repl_seq += 1;
-        let Pending { mut fwd_add, fwd_del, stash_add, stash_del } = std::mem::take(&mut self.pending);
-        let payload = if std::mem::take(&mut self.need_full) {
-            ReplPayload::Full(GuardCheckpoint { seq: self.repl_seq, ..guard.checkpoint(now) })
-        } else {
-            fwd_add.sort_unstable();
-            fwd_add.dedup();
-            let fwd_of = |&txid| guard.fwd.get(txid).and_then(|f| fwd_state_of(txid, f));
-            ReplPayload::Delta(ReplDelta {
-                seq: self.repl_seq,
-                key: (self.sent_generation != generation).then(|| KeyState::capture(&guard.cookies)),
-                fwd_add: fwd_add.iter().filter_map(fwd_of).collect(),
-                fwd_del,
-                stash_add: stash_add.iter().filter_map(|key| guard.stash.get(key).cloned()).collect(),
-                stash_del,
-                next_txid: guard.next_txid,
-                next_qid: guard.next_qid,
-                active: guard.active,
-            })
+        let ReplPayload::Full(cp) = payload else {
+            return false;
         };
-        self.sent_generation = generation;
-        self.to_peer(&payload)
+        let newer = self.role == HaRole::Standby && self.held.is_none_or(|held| cp.taken_at_nanos > held);
+        if newer {
+            self.held = Some(cp.taken_at_nanos);
+        }
+        newer
     }
 
     /// The standby's tick: counts silent intervals and, past the miss
@@ -216,7 +118,6 @@ impl HaRuntime {
         if took_over {
             self.took_over = true;
             self.role = HaRole::Primary;
-            self.need_full = true;
         }
         Watch { age, took_over }
     }
@@ -294,7 +195,7 @@ impl FleetRuntime {
 
     /// The current key epoch, addressed to the site at `to`.
     fn key_for(&self, to: Ipv4Addr, cookies: &CookieFactory) -> Packet {
-        let (epoch, key) = (cookies.generation(), KeyState::capture(cookies));
+        let (epoch, key) = (cookies.generation(), Box::new(KeyState::capture(cookies)));
         message(&self.secret, self.cfg.local_addr, to, &ReplPayload::FleetKey { epoch, key })
     }
 
@@ -349,12 +250,6 @@ impl GuardCore {
         self.fleet.as_ref().is_some_and(|f| !f.cfg.master)
     }
 
-    /// The change log the next delta is built from, when this guard is a
-    /// primary that still feeds its standby.
-    pub(super) fn replicated(&mut self) -> Option<&mut Pending> {
-        self.ha.as_mut().filter(|ha| ha.feeds_peer()).map(|ha| &mut ha.pending)
-    }
-
     /// Handles an inbound replication-channel datagram — HA pair traffic
     /// and fleet key-sync share the port and the authenticated framing.
     /// Every authenticated message from the HA peer doubles as a
@@ -372,33 +267,26 @@ impl GuardCore {
             self.metrics.repl_rejected.inc();
             return;
         };
-        let peer_says = match &mut self.ha {
+        let install = match &mut self.ha {
             Some(ha) if from_peer => {
                 self.metrics.heartbeats_seen.inc();
                 ha.heard(now, &payload)
             }
-            _ => FromPeer::Nothing,
+            _ => false,
         };
-        match (payload, peer_says) {
-            (ReplPayload::Full(cp), FromPeer::Install) => {
+        match payload {
+            ReplPayload::Full(cp) if install => {
                 self.apply_checkpoint(&cp, now);
                 self.metrics.repl_deltas_applied.inc();
                 self.metrics.checkpoint_age_nanos.set(0);
             }
-            (ReplPayload::Delta(d), FromPeer::Apply) => self.apply_delta(now, d),
-            (_, FromPeer::AskResync(ask)) => {
-                self.metrics.repl_resyncs.inc();
-                self.tx(out, ask);
-            }
-            (ReplPayload::FleetKey { epoch, key }, _) if from_site => {
+            ReplPayload::FleetKey { epoch, key } if from_site => {
                 let generation = self.cookies.generation();
                 if self.fleet.as_mut().is_some_and(|f| f.adopts(epoch, generation)) {
                     self.adopt_fleet_key(now, epoch, &key);
                 }
             }
-            (ReplPayload::FleetKeyReq { have_epoch }, _)
-                if from_site && have_epoch != self.cookies.generation() =>
-            {
+            ReplPayload::FleetKeyReq { have_epoch } if from_site && have_epoch != self.cookies.generation() => {
                 let master = self.fleet.as_ref().filter(|f| f.cfg.master);
                 if let Some(key) = master.map(|f| f.key_for(src, &self.cookies)) {
                     self.metrics.fleet_keys_sent.inc();
@@ -419,32 +307,6 @@ impl GuardCore {
         self.metrics.fleet_keys_applied.inc();
         let fields = [("epoch", Value::U64(epoch)), ("role", Value::Str("member"))];
         self.metrics.trace.event(now.as_nanos(), "fleet_key_rotate", &fields);
-    }
-
-    /// Applies one in-sequence replication delta (standby side).
-    fn apply_delta(&mut self, now: SimTime, d: ReplDelta) {
-        if let Some(k) = &d.key {
-            self.cookies.replace(k.to_factory(self.config.cookie_alg));
-        }
-        for f in &d.fwd_add {
-            self.install_fwd_state(f, now);
-        }
-        for txid in &d.fwd_del {
-            self.remove_fwd(*txid, None);
-        }
-        for s in &d.stash_add {
-            self.install_stash_state(s, now);
-        }
-        for key in &d.stash_del {
-            self.remove_stash(key);
-        }
-        self.next_txid = self.next_txid.max(d.next_txid.max(1));
-        self.next_qid = self.next_qid.max(d.next_qid);
-        if self.config.activation_threshold > 0.0 {
-            self.active = d.active;
-        }
-        self.metrics.repl_deltas_applied.inc();
-        self.metrics.checkpoint_age_nanos.set(0);
     }
 
     /// One fleet-sync tick ([`GuardCore::fleet_interval`] apart).
@@ -473,17 +335,12 @@ impl GuardCore {
     /// the primary ships state, the standby watches heartbeats and takes
     /// over past the miss threshold.
     pub fn on_ha_tick(&mut self, now: SimTime, out: &mut Outputs) {
-        let Some(mut ha) = self.ha.take() else {
-            return;
-        };
-        let shipped = ha.feeds_peer().then(|| ha.ship(now, self));
-        let watch = (ha.role == HaRole::Standby).then(|| ha.watch(now));
-        self.ha = Some(ha);
-        if let Some(state) = shipped {
+        if let Some(snapshot) = self.ha.as_ref().and_then(|ha| ha.ship(now, self)) {
             self.metrics.repl_deltas_sent.inc();
-            self.tx(out, state);
+            self.tx(out, snapshot);
         }
-        let Some(Watch { age, took_over }) = watch else {
+        let standby = self.ha.as_mut().filter(|ha| ha.role == HaRole::Standby);
+        let Some(Watch { age, took_over }) = standby.map(|ha| ha.watch(now)) else {
             return;
         };
         // The standby's recoverable state ages from its last applied
@@ -508,21 +365,17 @@ impl GuardCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ha::decode_repl;
+    use crate::checkpoint::GuardCheckpoint;
 
     const PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 50, 0, 1);
     const STANDBY: Ipv4Addr = Ipv4Addr::new(10, 50, 0, 2);
 
-    fn delta(seq: u64) -> ReplPayload {
-        ReplPayload::Delta(ReplDelta { seq, ..ReplDelta::default() })
-    }
-
-    /// The snapshot of a guard with nothing in its tables.
-    fn snapshot(seq: u64) -> ReplPayload {
-        ReplPayload::Full(GuardCheckpoint {
+    /// The snapshot, taken at `ms`, of a guard with nothing in its tables.
+    fn snapshot(ms: u64) -> ReplPayload {
+        ReplPayload::Full(Box::new(GuardCheckpoint {
             version: crate::checkpoint::CHECKPOINT_VERSION,
-            seq,
-            taken_at_nanos: 0,
+            seq: 1,
+            taken_at_nanos: SimTime::from_millis(ms).as_nanos(),
             key: KeyState::capture(&CookieFactory::from_seed(7)),
             rl1: Default::default(),
             rl2: Default::default(),
@@ -532,61 +385,32 @@ mod tests {
             last_rotation_nanos: 0,
             fwd: Vec::new(),
             stash: Vec::new(),
-        })
+        }))
     }
 
     #[test]
-    fn a_standby_backs_its_resync_requests_off() {
-        let interval = SimTime::from_millis(20);
+    fn a_standby_installs_only_a_later_snapshot_and_a_primary_none() {
+        let at = SimTime::from_millis;
         let mut standby = HaRuntime::new(HaConfig::standby(STANDBY, PRIMARY), 7);
-        assert!(matches!(standby.heard(SimTime::ZERO, &snapshot(1)), FromPeer::Install));
-        assert!(matches!(standby.heard(SimTime::from_millis(1), &delta(2)), FromPeer::Apply));
-        // Deltas 3..=5 are lost; ten that survive arrive inside one interval.
-        let asked: Vec<Packet> = (0..10)
-            .filter_map(|n| match standby.heard(SimTime::from_millis(2) + interval * n / 10, &delta(6 + n)) {
-                FromPeer::AskResync(ask) => Some(ask),
-                FromPeer::Nothing => None,
-                other => panic!("an out-of-sequence delta was taken: {other:?}"),
-            })
-            .collect();
-        let [ask] = asked.as_slice() else {
-            panic!("one request per back-off interval, not {}", asked.len());
-        };
-        assert_eq!((ask.src.ip, ask.dst.ip, ask.dst.port), (STANDBY, PRIMARY, REPL_PORT));
-        let primary = HaRuntime::new(HaConfig::primary(PRIMARY, STANDBY), 7);
-        let have = decode_repl(&ask.payload, &primary.secret);
-        assert_eq!(have, Ok(ReplPayload::ResyncReq { have_seq: 2 }));
-        // The next goes out one interval on, the one after two more: doubling.
-        let at = |ms| SimTime::from_millis(ms);
-        assert!(matches!(standby.heard(at(21), &delta(20)), FromPeer::Nothing));
-        assert!(matches!(standby.heard(at(22), &delta(21)), FromPeer::AskResync(_)));
-        assert!(matches!(standby.heard(at(61), &delta(22)), FromPeer::Nothing));
-        assert!(matches!(standby.heard(at(62), &delta(23)), FromPeer::AskResync(_)));
-        // Even the delta in sequence is refused until a snapshot lands.
-        assert!(matches!(standby.heard(at(63), &delta(3)), FromPeer::Nothing));
-        assert!(matches!(standby.heard(at(64), &snapshot(30)), FromPeer::Install));
-        assert!(matches!(standby.heard(at(65), &delta(31)), FromPeer::Apply));
-        // The snapshot ended the conversation: the next gap asks at once.
-        assert!(matches!(standby.heard(at(66), &delta(40)), FromPeer::AskResync(_)));
-    }
+        assert!(standby.heard(at(1), &snapshot(0)), "the first snapshot, whenever taken");
+        assert!(standby.heard(at(21), &snapshot(20)));
+        // Reordered or repeated: a heartbeat, not state.
+        assert!(!standby.heard(at(41), &snapshot(0)));
+        assert!(!standby.heard(at(42), &snapshot(20)));
+        assert_eq!((standby.last_heartbeat, standby.missed), (at(42), 0));
+        assert!(standby.heard(at(61), &snapshot(60)), "one lost in between costs nothing more");
+        let fleet_key = ReplPayload::FleetKeyReq { have_epoch: 0 };
+        assert!(!standby.heard(at(62), &fleet_key));
 
-    #[test]
-    fn a_primary_takes_only_the_resync_request() {
         let mut primary = HaRuntime::new(HaConfig::primary(PRIMARY, STANDBY), 7);
-        primary.need_full = false;
-        assert!(matches!(primary.heard(SimTime::ZERO, &delta(1)), FromPeer::Nothing));
-        assert!(matches!(primary.heard(SimTime::ZERO, &snapshot(1)), FromPeer::Nothing));
-        assert!(!primary.need_full);
-        let ask = ReplPayload::ResyncReq { have_seq: 0 };
-        assert!(matches!(primary.heard(SimTime::ZERO, &ask), FromPeer::Nothing));
-        assert!(primary.need_full, "the next tick ships a full snapshot");
+        assert!(!primary.heard(at(1), &snapshot(0)), "a primary takes no state");
     }
 
     #[test]
     fn a_standby_promotes_itself_past_the_miss_threshold() {
         let tick = |ha: &mut HaRuntime, n: u64| ha.watch(SimTime::from_millis(20 * n));
         let mut standby = HaRuntime::new(HaConfig::standby(STANDBY, PRIMARY), 7);
-        standby.heard(SimTime::from_millis(20), &snapshot(1));
+        standby.heard(SimTime::from_millis(20), &snapshot(19));
         for n in 1..=4 {
             let Watch { took_over: false, .. } = tick(&mut standby, n) else {
                 panic!("tick {n}: the peer is not dead yet");

@@ -5,7 +5,9 @@
 
 use super::core::{GuardCore, Output, Outputs};
 use super::fwd::{Forwarded, Rewrite};
-use crate::checkpoint::{FwdState, GuardCheckpoint, KeyState, StashState, CHECKPOINT_VERSION, STASH_TTL};
+use crate::checkpoint::{
+    FwdState, GuardCheckpoint, KeyState, LimiterState, StashState, CHECKPOINT_VERSION, STASH_TTL,
+};
 use crate::ha::HaRole;
 use netsim::packet::Endpoint;
 use netsim::time::SimTime;
@@ -32,8 +34,20 @@ impl GuardCore {
     /// Builds a consistent snapshot of restorable guard state. Pure — the
     /// guard is unchanged; probes and TCP relays are excluded by
     /// construction. Entries are emitted in a deterministic order so equal
-    /// states encode to equal bytes.
+    /// states encode to equal bytes: forwards by table key, stash entries
+    /// oldest first.
     pub fn checkpoint(&self, now: SimTime) -> GuardCheckpoint {
+        GuardCheckpoint {
+            rl1: self.rl1.checkpoint(),
+            rl2: self.rl2.checkpoint(),
+            ..self.replica(now)
+        }
+    }
+
+    /// What an HA primary sends its standby every tick: the checkpoint
+    /// without the rate limiters' fills, which a standby rebuilds from
+    /// scratch (briefly more permissive, never less safe).
+    pub(super) fn replica(&self, now: SimTime) -> GuardCheckpoint {
         let mut fwd: Vec<FwdState> = self
             .fwd
             .iter()
@@ -41,14 +55,15 @@ impl GuardCore {
             .collect();
         fwd.sort_by_key(|f| f.txid);
         let mut stash: Vec<StashState> = self.stash.iter().cloned().collect();
-        stash.sort_by_key(|s| (u32::from(s.src), format!("{:?}", s.name)));
+        let order = |s: &StashState| (s.created_nanos, s.src);
+        stash.sort_unstable_by(|a, b| order(a).cmp(&order(b)).then_with(|| a.name.cmp(&b.name)));
         GuardCheckpoint {
             version: CHECKPOINT_VERSION,
             seq: self.checkpoint_seq + 1,
             taken_at_nanos: now.as_nanos(),
             key: KeyState::capture(&self.cookies),
-            rl1: self.rl1.checkpoint(),
-            rl2: self.rl2.checkpoint(),
+            rl1: LimiterState::default(),
+            rl2: LimiterState::default(),
             next_txid: self.next_txid,
             next_qid: self.next_qid,
             active: self.active,
@@ -99,13 +114,16 @@ impl GuardCore {
         self.last_rotation = SimTime::from_nanos(cp.last_rotation_nanos);
         self.fwd.clear();
         self.stash.clear();
-        // Oldest first, so each entry goes straight to the table's tail.
+        // Oldest first, so each entry goes straight to its table's tail and
+        // the byte bounds evict what they would have on the saving guard.
         let mut fwd: Vec<&FwdState> = cp.fwd.iter().collect();
         fwd.sort_by_key(|f| f.created_nanos);
         for f in fwd {
             self.install_fwd_state(f, now);
         }
-        for s in &cp.stash {
+        let mut stash: Vec<&StashState> = cp.stash.iter().collect();
+        stash.sort_by_key(|s| s.created_nanos);
+        for s in stash {
             self.install_stash_state(s, now);
         }
         self.checkpoint_seq = cp.seq;
@@ -143,5 +161,61 @@ impl GuardCore {
             return;
         }
         self.insert_stash(s.clone());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::classify::AuthorityClassifier;
+    use crate::config::GuardConfig;
+    use dnswire::name::Name;
+    use dnswire::record::Record;
+    use server::authoritative::Authority;
+    use std::net::Ipv4Addr;
+
+    fn entry(src: u8, created_ms: u64) -> StashState {
+        let name: Name = "www.foo.com".parse().unwrap();
+        StashState {
+            src: Ipv4Addr::new(10, 0, 0, src),
+            name: name.clone(),
+            answers: vec![Record::a(name, Ipv4Addr::new(192, 0, 2, src), 60)],
+            created_nanos: SimTime::from_millis(created_ms).as_nanos(),
+        }
+    }
+
+    fn sources(stash: &[StashState]) -> Vec<u8> {
+        stash.iter().map(|s| s.src.octets()[3]).collect()
+    }
+
+    fn guard(stash_bytes_max: usize) -> GuardCore {
+        let config = GuardConfig {
+            stash_bytes_max,
+            ..GuardConfig::new(Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(10, 99, 0, 1))
+        };
+        GuardCore::new(config, AuthorityClassifier::new(Authority::new(Vec::new())))
+    }
+
+    /// A checkpoint lists the stash oldest first, and a restore queues it
+    /// oldest first however it is listed: the byte bound then evicts the
+    /// earliest-created entry, not the lowest address.
+    #[test]
+    fn a_restored_stash_evicts_its_oldest_entry_first() {
+        let mut saving = guard(usize::MAX);
+        for (src, created_ms) in [(30, 1), (20, 2), (10, 3)] {
+            saving.insert_stash(entry(src, created_ms));
+        }
+        let cp = saving.checkpoint(SimTime::from_millis(4));
+        assert_eq!(sources(&cp.stash), [30, 20, 10]);
+        let mut by_address = cp.stash.clone();
+        by_address.reverse();
+        for listed in [cp.stash.clone(), by_address] {
+            let mut restored = guard(saving.stash.bytes());
+            let cp = GuardCheckpoint { stash: listed, ..cp.clone() };
+            restored.apply_checkpoint(&cp, SimTime::from_millis(5));
+            restored.insert_stash(entry(40, 5));
+            let now = SimTime::from_millis(6);
+            assert_eq!(sources(&restored.checkpoint(now).stash), [20, 10, 40]);
+        }
     }
 }

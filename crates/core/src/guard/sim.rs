@@ -13,7 +13,7 @@ use std::ops::{Deref, DerefMut};
 /// reaping, forward-table sweeping).
 const TAG_WINDOW: u64 = u64::MAX;
 
-/// Timer tag for the high-availability tick (replication deltas on the
+/// Timer tag for the high-availability tick (a snapshot sent from the
 /// primary, heartbeat watching on the standby).
 const TAG_HA: u64 = u64::MAX - 1;
 

@@ -50,10 +50,6 @@ impl Stash {
         self.bytes
     }
 
-    pub(super) fn get(&self, key: &StashKey) -> Option<&StashState> {
-        self.map.get(key)
-    }
-
     /// The live entries, in no particular order.
     pub(super) fn iter(&self) -> impl Iterator<Item = &StashState> {
         self.map.values()
@@ -91,11 +87,10 @@ impl Stash {
         Some(entry)
     }
 
-    /// Removes the entries that are [`STASH_TTL`] old at `now` and returns
-    /// their keys, oldest insertion first; compacts the queue on the way.
-    pub(super) fn expire(&mut self, now: SimTime) -> Vec<StashKey> {
+    /// Removes the entries that are [`STASH_TTL`] old at `now`; compacts
+    /// the queue on the way.
+    pub(super) fn expire(&mut self, now: SimTime) {
         let Stash { map, order, bytes } = self;
-        let mut expired = Vec::new();
         order.retain(|(key, created)| {
             let Some(held) = map.get(key).filter(|s| s.created_nanos == *created) else {
                 return false;
@@ -104,11 +99,9 @@ impl Stash {
             if !live {
                 *bytes -= entry_bytes(held);
                 map.remove(key);
-                expired.push(key.clone());
             }
             live
         });
-        expired
     }
 
     pub(super) fn clear(&mut self) {
@@ -150,7 +143,7 @@ mod tests {
         assert_eq!(sources(&stash.insert(entry(4, 4), 3 * one)), [1]);
         assert_eq!(sources(&stash.insert(entry(5, 5), 2 * one)), [2, 3]);
         assert_eq!((stash.bytes(), stash.iter().count()), (2 * one, 2));
-        assert!(stash.get(&key(4)).is_some() && stash.get(&key(5)).is_some());
+        assert!(stash.map.contains_key(&key(4)) && stash.map.contains_key(&key(5)));
         // An entry too big for the bound evicts everything, itself included.
         assert_eq!(sources(&stash.insert(entry(6, 6), one - 1)), [4, 5, 6]);
         assert!(stash.is_empty() && stash.bytes() == 0);
@@ -168,12 +161,12 @@ mod tests {
         assert_eq!(stash.bytes(), 2 * one);
         // Over the bound, the stale element is skipped and 2 goes, not 1.
         assert_eq!(sources(&stash.insert(entry(3, 4), 2 * one)), [2]);
-        assert_eq!(stash.get(&key(1)).map(|s| s.created_nanos), Some(3_000_000));
+        assert_eq!(stash.map.get(&key(1)).map(|s| s.created_nanos), Some(3_000_000));
         // Served (removed) and re-inserted: the same, through `remove`.
         assert!(stash.remove(&key(1)).is_some());
         stash.insert(entry(1, 5), 2 * one);
         assert_eq!(sources(&stash.insert(entry(4, 6), 2 * one)), [3]);
-        assert!(stash.get(&key(1)).is_some());
+        assert!(stash.map.contains_key(&key(1)));
     }
 
     #[test]
@@ -187,15 +180,21 @@ mod tests {
         }
         assert_eq!(stash.iter().count(), 3);
         assert!(stash.order.len() > 3, "replaced and removed entries linger in the queue");
+        let held = |stash: &Stash| {
+            let mut held: Vec<u8> = stash.iter().map(|s| s.src.octets()[3]).collect();
+            held.sort_unstable();
+            held
+        };
         // Nothing is old enough yet: the pass only compacts.
-        assert!(stash.expire(SimTime::from_millis(500)).is_empty());
-        assert_eq!(stash.order.len(), 3);
+        stash.expire(SimTime::from_millis(500));
+        assert_eq!((held(&stash), stash.order.len()), (vec![1, 2, 3], 3));
         // A restored entry is older than what was queued before it.
         stash.insert(entry(9, 10), usize::MAX);
         let ttl_ms = STASH_TTL.as_nanos() / 1_000_000;
-        assert_eq!(sources(&stash.expire(SimTime::from_millis(ttl_ms + 10))), [9]);
-        assert_eq!(sources(&stash.expire(SimTime::from_millis(ttl_ms + 402))), [1, 2]);
-        assert_eq!((stash.iter().count(), stash.order.len()), (1, 1));
+        stash.expire(SimTime::from_millis(ttl_ms + 10));
+        assert_eq!(held(&stash), [1, 2, 3]);
+        stash.expire(SimTime::from_millis(ttl_ms + 402));
+        assert_eq!((held(&stash), stash.order.len()), (vec![3], 1));
         assert_eq!(stash.bytes(), entry_bytes(&entry(3, 0)));
         stash.clear();
         assert_eq!((stash.bytes(), stash.order.len(), stash.is_empty()), (0, 0, true));

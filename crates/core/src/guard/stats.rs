@@ -81,13 +81,11 @@ obs::counters! {
         restore_stale_fwd = "restore_stale" { table = "fwd" },
         /// Checkpointed stash entries dropped on restore as expired.
         restore_stale_stash = "restore_stale" { table = "stash" },
-        /// Replication deltas (including heartbeats and full snapshots) sent
-        /// to the standby.
+        /// Replication snapshots sent to the standby, one per tick (exported
+        /// under the metric's long-standing name, `repl_deltas`).
         repl_deltas_sent = "repl_deltas" { dir = "sent" },
-        /// Replication deltas/snapshots applied by the standby.
+        /// Replication snapshots the standby installed.
         repl_deltas_applied = "repl_deltas" { dir = "applied" },
-        /// Sequence gaps that forced a full-resync request.
-        repl_resyncs,
         /// Replication-port packets rejected (wrong peer, failed
         /// authentication, or malformed).
         repl_rejected,

@@ -1,13 +1,13 @@
 //! Primary–standby replication for guard high availability.
 //!
-//! A primary guard streams its state to a standby over a sequenced UDP
-//! channel on [`REPL_PORT`]: a [`ReplPayload::Full`] snapshot first, then
-//! a [`ReplPayload::Delta`] every [`REPL_INTERVAL`] carrying only what
-//! changed since the previous tick. An empty delta doubles as a heartbeat.
-//! The standby detects a sequence gap and answers with
-//! [`ReplPayload::ResyncReq`], which makes the primary ship a fresh full
-//! snapshot; once the primary falls silent, the standby takes the guarded
-//! address over.
+//! A primary guard sends its standby its state over a UDP channel on
+//! [`REPL_PORT`]: one [`ReplPayload::Full`] snapshot every
+//! [`REPL_INTERVAL`], which doubles as the heartbeat. The standby installs
+//! a snapshot taken after the one it holds and drops any other, so a lost
+//! message costs one interval of staleness and a reordered one cannot roll
+//! the standby back; nothing is sequenced and the standby never answers.
+//! Once the primary falls silent, the standby takes the guarded address
+//! over.
 //!
 //! The channel rides the same simulated network the attacker floods, so
 //! every message is authenticated: a 16-byte MD5 tag keyed by a secret both
@@ -16,17 +16,16 @@
 //! attacker who can spoof the primary's address could feed the standby a
 //! poisoned forward table.
 //!
-//! What deltas deliberately **omit**: rate-limiter bucket fills (the
+//! What a snapshot deliberately **omits**: rate-limiter bucket fills (the
 //! standby rebuilds pressure from scratch — briefly more permissive, never
-//! less safe, and not worth the per-source churn on the wire) and TCP relay
-//! / probe forward entries (connections die with the primary).
+//! less safe, and the bulk of the state under a flood) and TCP relay /
+//! probe forward entries (connections die with the primary). A snapshot is
+//! therefore O(live forwards + stash), bounded by `fwd_bytes_max` +
+//! `stash_bytes_max`.
 
 use crate::checkpoint::{
-    get_fwd, get_key, get_name, get_stash, put_fwd, put_key, put_name, put_stash, put_u16, put_u32,
-    put_u64, DecodeError, FwdState, GuardCheckpoint, KeyState, Reader, StashState,
-    CHECKPOINT_VERSION,
+    get_key, put_key, put_u32, put_u64, DecodeError, GuardCheckpoint, KeyState, Reader, CHECKPOINT_VERSION,
 };
-use dnswire::name::Name;
 use guardhash::cookie::SecretKey;
 use guardhash::md5::{Md5, DIGEST_LEN};
 use netsim::time::SimTime;
@@ -35,7 +34,7 @@ use std::net::Ipv4Addr;
 /// UDP port the replication channel uses on both guards.
 pub const REPL_PORT: u16 = 8653;
 
-/// Cadence of the replication channel: an HA primary's delta/heartbeat, an
+/// Cadence of the replication channel: an HA primary's snapshot, an
 /// HA standby's heartbeat check, a fleet master's key-sync tick and an
 /// unsynced member's first catch-up interval.
 pub const REPL_INTERVAL: SimTime = SimTime::from_millis(20);
@@ -49,7 +48,7 @@ pub const REPL_MAGIC: [u8; 4] = *b"GRPL";
 pub enum HaRole {
     /// Serves traffic and streams state to the peer.
     Primary,
-    /// Applies the stream and takes over when the primary goes silent.
+    /// Installs the snapshots and takes over when the primary goes silent.
     Standby,
 }
 
@@ -132,16 +131,9 @@ impl FleetConfig {
 /// One message on the replication channel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplPayload {
-    /// A complete snapshot (sent first, and on resync).
-    Full(GuardCheckpoint),
-    /// Changes since the previous tick. An empty delta is a heartbeat.
-    Delta(ReplDelta),
-    /// Standby→primary: "my state ends at `have_seq`, send a full
-    /// snapshot". Also doubles as the standby's liveness probe.
-    ResyncReq {
-        /// Highest sequence number the standby has applied.
-        have_seq: u64,
-    },
+    /// Primary→standby: the primary's state, every tick, without the
+    /// limiter fills.
+    Full(Box<GuardCheckpoint>),
     /// Master→member: the fleet cookie key at `epoch`. Carries the full
     /// rotation state (current + previous key), so applying it preserves
     /// the one-generation grace window at every site.
@@ -149,7 +141,7 @@ pub enum ReplPayload {
         /// Key epoch — the master's rotation generation.
         epoch: u64,
         /// The shared key state, previous key included.
-        key: KeyState,
+        key: Box<KeyState>,
     },
     /// Member→master: "my key epoch is `have_epoch`, push the current
     /// one". Sent on join and while catching up after a miss.
@@ -157,42 +149,6 @@ pub enum ReplPayload {
         /// The member's applied epoch (`u64::MAX` before the first).
         have_epoch: u64,
     },
-}
-
-/// Incremental state changes, applied in field order: key first, additions
-/// before deletions (an entry added and removed within one tick must end
-/// up absent).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ReplDelta {
-    /// Sequence number; the standby requires exactly `applied + 1`.
-    pub seq: u64,
-    /// New key state, present only when a rotation happened.
-    pub key: Option<KeyState>,
-    /// Forward-table entries created this tick (still live at send time).
-    pub fwd_add: Vec<FwdState>,
-    /// Forward-table keys removed this tick.
-    pub fwd_del: Vec<u16>,
-    /// Stash entries created this tick.
-    pub stash_add: Vec<StashState>,
-    /// Stash keys removed this tick.
-    pub stash_del: Vec<(Ipv4Addr, Name)>,
-    /// Allocator high-water marks, so a takeover never reuses a live id.
-    pub next_txid: u16,
-    /// Journey-id high-water mark.
-    pub next_qid: u64,
-    /// Whether spoof detection is currently engaged.
-    pub active: bool,
-}
-
-impl ReplDelta {
-    /// Whether this delta carries no state change (pure heartbeat).
-    pub fn is_heartbeat(&self) -> bool {
-        self.key.is_none()
-            && self.fwd_add.is_empty()
-            && self.fwd_del.is_empty()
-            && self.stash_add.is_empty()
-            && self.stash_del.is_empty()
-    }
 }
 
 /// Why an inbound replication message was discarded.
@@ -218,9 +174,8 @@ fn auth_tag(secret: &SecretKey, body: &[u8]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
+// 2 and 3 are unassigned: a message of either kind is malformed.
 const TAG_FULL: u8 = 1;
-const TAG_DELTA: u8 = 2;
-const TAG_RESYNC: u8 = 3;
 const TAG_FLEET: u8 = 4;
 const TAG_FLEET_REQ: u8 = 5;
 
@@ -236,41 +191,6 @@ pub fn encode_repl(payload: &ReplPayload, secret: &SecretKey) -> Vec<u8> {
             let wire = cp.encode();
             put_u32(&mut body, wire.len() as u32);
             body.extend_from_slice(&wire);
-        }
-        ReplPayload::Delta(d) => {
-            body.push(TAG_DELTA);
-            put_u64(&mut body, d.seq);
-            match &d.key {
-                Some(k) => {
-                    body.push(1);
-                    put_key(&mut body, k);
-                }
-                None => body.push(0),
-            }
-            put_u32(&mut body, d.fwd_add.len() as u32);
-            for f in &d.fwd_add {
-                put_fwd(&mut body, f);
-            }
-            put_u32(&mut body, d.fwd_del.len() as u32);
-            for txid in &d.fwd_del {
-                put_u16(&mut body, *txid);
-            }
-            put_u32(&mut body, d.stash_add.len() as u32);
-            for s in &d.stash_add {
-                put_stash(&mut body, s);
-            }
-            put_u32(&mut body, d.stash_del.len() as u32);
-            for (ip, name) in &d.stash_del {
-                body.extend_from_slice(&ip.octets());
-                put_name(&mut body, name);
-            }
-            put_u16(&mut body, d.next_txid);
-            put_u64(&mut body, d.next_qid);
-            body.push(d.active as u8);
-        }
-        ReplPayload::ResyncReq { have_seq } => {
-            body.push(TAG_RESYNC);
-            put_u64(&mut body, *have_seq);
         }
         ReplPayload::FleetKey { epoch, key } => {
             body.push(TAG_FLEET);
@@ -313,28 +233,11 @@ fn decode_body(body: &[u8]) -> Result<ReplPayload, DecodeError> {
         TAG_FULL => {
             let len = r.u32()? as usize;
             let wire = r.bytes(len)?;
-            ReplPayload::Full(GuardCheckpoint::decode(wire)?)
+            ReplPayload::Full(Box::new(GuardCheckpoint::decode(wire)?))
         }
-        // Fields are read in the order they are written here: the wire's.
-        TAG_DELTA => ReplPayload::Delta(ReplDelta {
-            seq: r.u64()?,
-            key: match r.u8()? {
-                0 => None,
-                1 => Some(get_key(&mut r)?),
-                _ => return Err(DecodeError::Malformed("delta key flag")),
-            },
-            fwd_add: r.count()?.map(|_| get_fwd(&mut r)).collect::<Result<_, _>>()?,
-            fwd_del: r.count()?.map(|_| r.u16()).collect::<Result<_, _>>()?,
-            stash_add: r.count()?.map(|_| get_stash(&mut r)).collect::<Result<_, _>>()?,
-            stash_del: r.count()?.map(|_| Ok((r.ip()?, get_name(&mut r)?))).collect::<Result<_, _>>()?,
-            next_txid: r.u16()?,
-            next_qid: r.u64()?,
-            active: r.u8()? != 0,
-        }),
-        TAG_RESYNC => ReplPayload::ResyncReq { have_seq: r.u64()? },
         TAG_FLEET => ReplPayload::FleetKey {
             epoch: r.u64()?,
-            key: get_key(&mut r)?,
+            key: Box::new(get_key(&mut r)?),
         },
         TAG_FLEET_REQ => ReplPayload::FleetKeyReq { have_epoch: r.u64()? },
         _ => return Err(DecodeError::Malformed("payload kind")),
@@ -346,7 +249,8 @@ fn decode_body(body: &[u8]) -> Result<ReplPayload, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{LimiterState, RewriteState};
+    use crate::checkpoint::{FwdState, LimiterState, RewriteState, StashState};
+    use dnswire::name::Name;
     use dnswire::question::Question;
     use dnswire::record::Record;
     use dnswire::types::RrType;
@@ -355,17 +259,26 @@ mod tests {
         repl_secret(2006)
     }
 
-    fn sample_delta() -> ReplDelta {
+    /// A snapshot holding one forward and one stash entry, after a rotation.
+    fn sample_checkpoint() -> GuardCheckpoint {
         let name: Name = "www.foo.com".parse().unwrap();
-        ReplDelta {
+        GuardCheckpoint {
+            version: CHECKPOINT_VERSION,
             seq: 41,
-            key: Some(KeyState {
+            taken_at_nanos: 10_000,
+            key: KeyState {
                 current: SecretKey::from_seed(8),
                 previous: Some(SecretKey::from_seed(7)),
                 generation: 2,
                 seed: 2006,
-            }),
-            fwd_add: vec![FwdState {
+            },
+            rl1: LimiterState::default(),
+            rl2: LimiterState::default(),
+            next_txid: 1_000,
+            next_qid: 55,
+            active: true,
+            last_rotation_nanos: 0,
+            fwd: vec![FwdState {
                 txid: 7,
                 requester: (Ipv4Addr::new(10, 0, 0, 7), 1_234),
                 reply_from: (Ipv4Addr::new(198, 41, 0, 4), 53),
@@ -380,71 +293,30 @@ mod tests {
                 created_nanos: 5_000,
                 qid: 3,
             }],
-            fwd_del: vec![3, 5],
-            stash_add: vec![StashState {
+            stash: vec![StashState {
                 src: Ipv4Addr::new(10, 0, 0, 9),
                 name: name.clone(),
-                answers: vec![Record::a(name.clone(), Ipv4Addr::new(192, 0, 2, 8), 30)],
+                answers: vec![Record::a(name, Ipv4Addr::new(192, 0, 2, 8), 30)],
                 created_nanos: 4_500,
             }],
-            stash_del: vec![(Ipv4Addr::new(10, 0, 0, 2), name)],
-            next_txid: 1_000,
-            next_qid: 55,
-            active: true,
-        }
-    }
-
-    #[test]
-    fn delta_round_trips_authenticated() {
-        let payload = ReplPayload::Delta(sample_delta());
-        let wire = encode_repl(&payload, &secret());
-        assert_eq!(decode_repl(&wire, &secret()), Ok(payload));
-    }
-
-    #[test]
-    fn resync_round_trips() {
-        let payload = ReplPayload::ResyncReq { have_seq: 17 };
-        let wire = encode_repl(&payload, &secret());
-        assert_eq!(decode_repl(&wire, &secret()), Ok(payload));
-    }
-
-    fn sample_checkpoint() -> GuardCheckpoint {
-        GuardCheckpoint {
-            version: CHECKPOINT_VERSION,
-            seq: 1,
-            taken_at_nanos: 10,
-            key: KeyState {
-                current: SecretKey::from_seed(1),
-                previous: None,
-                generation: 0,
-                seed: 2006,
-            },
-            rl1: LimiterState::default(),
-            rl2: LimiterState::default(),
-            next_txid: 1,
-            next_qid: 0,
-            active: false,
-            last_rotation_nanos: 0,
-            fwd: Vec::new(),
-            stash: Vec::new(),
         }
     }
 
     fn sample_fleet_key() -> ReplPayload {
         ReplPayload::FleetKey {
             epoch: 3,
-            key: KeyState {
+            key: Box::new(KeyState {
                 current: SecretKey::from_seed(30),
                 previous: Some(SecretKey::from_seed(29)),
                 generation: 3,
                 seed: 2006,
-            },
+            }),
         }
     }
 
     #[test]
     fn full_snapshot_round_trips() {
-        let payload = ReplPayload::Full(sample_checkpoint());
+        let payload = ReplPayload::Full(Box::new(sample_checkpoint()));
         let wire = encode_repl(&payload, &secret());
         assert_eq!(decode_repl(&wire, &secret()), Ok(payload));
     }
@@ -465,7 +337,7 @@ mod tests {
 
     #[test]
     fn wrong_secret_is_rejected() {
-        let wire = encode_repl(&ReplPayload::ResyncReq { have_seq: 1 }, &secret());
+        let wire = encode_repl(&ReplPayload::Full(Box::new(sample_checkpoint())), &secret());
         assert_eq!(
             decode_repl(&wire, &repl_secret(9_999)),
             Err(ReplError::BadAuth)
@@ -474,7 +346,7 @@ mod tests {
 
     #[test]
     fn any_flipped_bit_is_rejected() {
-        let wire = encode_repl(&ReplPayload::Delta(sample_delta()), &secret());
+        let wire = encode_repl(&ReplPayload::Full(Box::new(sample_checkpoint())), &secret());
         for i in (0..wire.len()).step_by(13) {
             let mut tampered = wire.clone();
             tampered[i] ^= 0x40;
@@ -490,9 +362,7 @@ mod tests {
     #[test]
     fn an_authenticated_trailing_byte_is_rejected() {
         for payload in [
-            ReplPayload::Full(sample_checkpoint()),
-            ReplPayload::Delta(sample_delta()),
-            ReplPayload::ResyncReq { have_seq: 17 },
+            ReplPayload::Full(Box::new(sample_checkpoint())),
             sample_fleet_key(),
             ReplPayload::FleetKeyReq { have_epoch: 4 },
         ] {
@@ -505,11 +375,5 @@ mod tests {
                 "{payload:?}"
             );
         }
-    }
-
-    #[test]
-    fn heartbeat_detection() {
-        assert!(ReplDelta::default().is_heartbeat());
-        assert!(!sample_delta().is_heartbeat());
     }
 }

@@ -7,7 +7,7 @@
 //! that owns the default route. What each emits and counts must be equal —
 //! the simulator driver adds nothing and loses nothing.
 
-use dnsguard::checkpoint::{GuardCheckpoint, KeyState};
+use dnsguard::checkpoint::{FwdState, GuardCheckpoint, KeyState, StashState, STASH_TTL};
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode, KEY_ROTATION_INTERVAL};
 use dnsguard::guard::{GuardCore, GuardStats, Leg, Output, Outputs, RemoteGuard, WINDOW};
@@ -554,7 +554,7 @@ fn a_memoized_cookie_dies_with_its_key_at_the_same_generation() {
 
         let other = KeyState::capture(&CookieFactory::from_seed(seed ^ 0xD1FF));
         if fleet {
-            let push = encode_repl(&ReplPayload::FleetKey { epoch: 0, key: other }, &repl_secret(seed));
+            let push = encode_repl(&ReplPayload::FleetKey { epoch: 0, key: Box::new(other) }, &repl_secret(seed));
             let at = |ip| Endpoint::new(ip, REPL_PORT);
             assert!(guard.offer(Packet::udp(at(master), at(PUBLIC), push)).is_empty());
             assert_eq!(guard.stats().fleet_keys_applied, 1);
@@ -865,4 +865,178 @@ fn no_cadence_or_a_waiting_standby_emits_no_checkpoint() {
     assert!(standby.idle(WINDOW * 2).is_empty());
     let taken: Vec<_> = standby.checkpoints.iter().map(|cp| cp.taken_at_nanos).collect();
     assert_eq!(taken, [SimTime::from_millis(600).as_nanos()], "the 500 ms window is too soon after");
+}
+
+const REPL_PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 50, 0, 1);
+const REPL_STANDBY: Ipv4Addr = Ipv4Addr::new(10, 50, 0, 2);
+
+/// An HA pair of bare cores in front of `foo.com` under the DNS-based
+/// scheme. Clients are played to the primary; [`Pair::tick`] runs it to its
+/// next replication tick and hands the standby what it sent.
+struct Pair {
+    primary: Direct,
+    standby: Direct,
+}
+
+impl Pair {
+    fn new() -> Pair {
+        let (config, classifier) = parts(SchemeMode::DnsBased, Zone::Foo);
+        let side = |ha| direct_with(GuardConfig { ha: Some(ha), ..config.clone() }, classifier.clone());
+        Pair {
+            primary: side(HaConfig::primary(REPL_PRIMARY, REPL_STANDBY)),
+            standby: side(HaConfig::standby(REPL_STANDBY, REPL_PRIMARY)),
+        }
+    }
+
+    /// Runs the primary to its next replication tick and delivers every
+    /// replication packet it sends there to the standby one link later;
+    /// returns when that was.
+    fn tick(&mut self) -> SimTime {
+        let interval = REPL_INTERVAL.as_nanos();
+        let due = SimTime::from_nanos((self.primary.now.as_nanos() / interval + 1) * interval);
+        self.primary.idle(due - self.primary.now);
+        self.primary.core.on_ha_tick(due, &mut self.primary.out);
+        let sent = self.primary.sent();
+        assert!(!sent.is_empty() && sent.iter().all(|p| p.dst == Endpoint::new(REPL_STANDBY, REPL_PORT)));
+        let at = due + LINK;
+        self.standby.idle(at - self.standby.now);
+        for pkt in sent {
+            self.standby.core.handle_packet(at, Leg::Client, pkt, &mut self.standby.out);
+        }
+        assert!(self.standby.sent().is_empty(), "a standby sends its primary nothing");
+        at
+    }
+}
+
+/// What a standby must hold to take over: the key state, the forwards, the
+/// stash, the allocators and whether detection is engaged.
+type Held = (KeyState, Vec<FwdState>, Vec<StashState>, u16, u64, bool);
+
+fn held(guard: &Direct) -> Held {
+    let cp = guard.core.checkpoint(guard.now);
+    (cp.key, cp.fwd, cp.stash, cp.next_txid, cp.next_qid, cp.active)
+}
+
+/// `src`'s first contact under `id`: the cookie name it is referred to.
+fn referred(guard: &mut Direct, src: Endpoint, id: u16) -> Name {
+    let referral = guard.offer(from(src, PUBLIC, &query(id, "www.foo.com")));
+    let fabricated = Message::decode(&referral[0].payload).unwrap();
+    let RData::Ns(cookie_name) = &fabricated.authorities[0].rdata else {
+        panic!("no NS in {fabricated}");
+    };
+    cookie_name.clone()
+}
+
+/// `src` resolves `cookie_name` under `id`: verified and forwarded.
+fn verified_forward(guard: &mut Direct, src: Endpoint, cookie_name: &Name, id: u16) -> Vec<Packet> {
+    guard.offer(from(src, PUBLIC, &Message::iterative_query(id, cookie_name.clone(), RrType::A)))
+}
+
+/// The ANS answers `forward`: the guard stashes the real answer and sends
+/// the requester to the `COOKIE2` address this returns.
+fn stashed(guard: &mut Direct, forward: &Packet) -> Ipv4Addr {
+    let real = Record::a(name("www.foo.com"), Ipv4Addr::new(192, 0, 2, 80), 60);
+    let redirect = guard.offer(ans_answers(forward, &[real]));
+    let RData::A(cookie2) = Message::decode(&redirect[0].payload).unwrap().answers[0].rdata else {
+        panic!("no COOKIE2 address");
+    };
+    cookie2
+}
+
+/// A `COOKIE2` stash entry served and issued again inside one replication
+/// interval is on the standby after the tick, as it is on the primary.
+#[test]
+fn a_stash_entry_served_and_reissued_within_a_tick_reaches_the_standby() {
+    let mut pair = Pair::new();
+    pair.tick();
+    let guard = &mut pair.primary;
+    let cookie_name = referred(guard, CLIENT, 1);
+    let forward = verified_forward(guard, CLIENT, &cookie_name, 2);
+    let cookie2 = stashed(guard, &forward[0]);
+    assert_eq!(guard.offer(from(CLIENT, cookie2, &query(3, "www.foo.com"))).len(), 1, "served");
+    let forward = verified_forward(guard, CLIENT, &cookie_name, 4);
+    assert_eq!(stashed(guard, &forward[0]), cookie2, "issued again");
+    pair.tick();
+    assert_eq!(held(&pair.primary).2.len(), 1);
+    assert_eq!(held(&pair.standby), held(&pair.primary));
+}
+
+/// The entries of `state` that the staleness rule keeps at `at`: a standby
+/// installs no forward past `ans_timeout` and no stash entry past
+/// `STASH_TTL`, while the primary holds them until its next housekeeping
+/// window.
+fn live(mut state: Held, at: SimTime, ans_timeout: SimTime) -> Held {
+    let age = |created: u64| at.saturating_sub(SimTime::from_nanos(created));
+    state.1.retain(|f| age(f.created_nanos) < ans_timeout);
+    state.2.retain(|s| age(s.created_nanos) < STASH_TTL);
+    state
+}
+
+/// Where one source is in the `COOKIE2` exchange.
+#[derive(Clone)]
+enum Walk {
+    Fresh,
+    Referred(Name),
+    Forwarded(Name, Packet),
+    Redirected(Name, Ipv4Addr),
+}
+
+/// Takes `src` one step further through the exchange: first contact, the
+/// cookie name's query, the ANS's answer (stashed), the query at `COOKIE2`
+/// (served), then the cookie name's query again. A step the guard does not
+/// take (a limiter drop, a cookie two rotations old) starts it over.
+fn step(guard: &mut Direct, src: Endpoint, walk: Walk, id: u16) -> Walk {
+    match walk {
+        Walk::Fresh => Walk::Referred(referred(guard, src, id)),
+        Walk::Referred(cookie_name) => {
+            let forward = verified_forward(guard, src, &cookie_name, id).into_iter().find(|p| p.dst.ip == ANS);
+            forward.map_or(Walk::Fresh, |forward| Walk::Forwarded(cookie_name, forward))
+        }
+        Walk::Forwarded(cookie_name, forward) => {
+            let real = Record::a(name("www.foo.com"), Ipv4Addr::new(192, 0, 2, 80), 60);
+            let redirect = guard.offer(ans_answers(&forward, &[real]));
+            let redirect = redirect.first().map(|p| Message::decode(&p.payload).unwrap());
+            match redirect.as_ref().and_then(|m| m.answers.first()).map(|r| &r.rdata) {
+                Some(RData::A(cookie2)) => Walk::Redirected(cookie_name, *cookie2),
+                _ => Walk::Referred(cookie_name),
+            }
+        }
+        Walk::Redirected(cookie_name, cookie2) => {
+            guard.offer(from(src, cookie2, &query(id, "www.foo.com")));
+            Walk::Referred(cookie_name)
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+    /// Three sources walk the `COOKIE2` exchange in any interleaving, with
+    /// idle stretches and key rotations between; after every replication
+    /// tick the standby holds what the primary does.
+    #[test]
+    fn a_standby_mirrors_its_primary_after_every_tick(
+        ops in proptest::collection::vec((0u8..11, 0u8..3, 0u64..60), 1..64),
+    ) {
+        let mut pair = Pair::new();
+        let ans_timeout = pair.primary.core.config().ans_timeout;
+        let mut walks = [Walk::Fresh, Walk::Fresh, Walk::Fresh];
+        for (n, (op, s, ms)) in ops.into_iter().chain([(7, 0, 0)]).enumerate() {
+            let guard = &mut pair.primary;
+            let src = Endpoint::new(Ipv4Addr::new(10, 0, 0, 10 + s), 4242);
+            let walk = &mut walks[s as usize];
+            match op {
+                0..=6 => *walk = step(guard, src, walk.clone(), n as u16),
+                7 | 8 => {
+                    let delivered = pair.tick();
+                    let primary = live(held(&pair.primary), delivered, ans_timeout);
+                    proptest::prop_assert_eq!(held(&pair.standby), primary);
+                }
+                9 => {
+                    guard.idle(SimTime::from_millis(ms * 20));
+                }
+                _ => guard.core.rotate_key(),
+            }
+        }
+    }
 }

@@ -4,11 +4,11 @@
 use crate::time::SimTime;
 use std::cell::RefCell;
 
-/// Records latency samples and reports summary statistics.
+/// Records latency samples and reports their quantiles.
 ///
 /// Quantile reads sort lazily: the first [`LatencyRecorder::quantile`]
 /// after a mutation sorts once and caches; further reads are O(1) until
-/// the next [`LatencyRecorder::record`] or [`LatencyRecorder::clear`].
+/// the next [`LatencyRecorder::record`].
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples: Vec<SimTime>,
@@ -37,15 +37,6 @@ impl LatencyRecorder {
         self.samples.is_empty()
     }
 
-    /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<SimTime> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let total: SimTime = self.samples.iter().copied().sum();
-        Some(total / self.samples.len() as u64)
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank, or `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<SimTime> {
         if self.samples.is_empty() {
@@ -59,17 +50,6 @@ impl LatencyRecorder {
         });
         let rank = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
         Some(sorted[rank])
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<SimTime> {
-        self.samples.iter().copied().max()
-    }
-
-    /// Drops all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.sorted.get_mut().take();
     }
 }
 
@@ -116,18 +96,14 @@ mod tests {
     #[test]
     fn latency_stats() {
         let mut r = LatencyRecorder::new();
-        assert!(r.mean().is_none());
+        assert!(r.is_empty());
         assert!(r.quantile(0.5).is_none());
         for ms in [10u64, 20, 30, 40] {
             r.record(SimTime::from_millis(ms));
         }
-        assert_eq!(r.mean(), Some(SimTime::from_millis(25)));
         assert_eq!(r.quantile(0.0), Some(SimTime::from_millis(10)));
         assert_eq!(r.quantile(1.0), Some(SimTime::from_millis(40)));
-        assert_eq!(r.max(), Some(SimTime::from_millis(40)));
         assert_eq!(r.len(), 4);
-        r.clear();
-        assert!(r.is_empty());
     }
 
     #[test]
@@ -156,9 +132,5 @@ mod tests {
         r.record(SimTime::from_millis(5));
         assert_eq!(r.quantile(0.0), Some(SimTime::from_millis(5)));
         assert_eq!(r.quantile(1.0), Some(SimTime::from_millis(10)));
-        r.clear();
-        assert!(r.quantile(0.5).is_none());
-        r.record(SimTime::from_millis(7));
-        assert_eq!(r.quantile(0.5), Some(SimTime::from_millis(7)));
     }
 }

@@ -129,7 +129,6 @@ struct Job {
     answer_prefix: Vec<dnswire::record::Record>,
     /// Set while a child sub-resolution is outstanding.
     waiting: bool,
-    started: SimTime,
     /// Zone of the cut currently being queried — the bailiwick responses
     /// are filtered against.
     zone: Name,
@@ -173,9 +172,6 @@ pub struct InFlight {
 }
 
 /// The recursive resolver node.
-///
-/// Latencies of completed client queries are recorded in
-/// [`RecursiveResolver::latencies`].
 pub struct RecursiveResolver {
     config: ResolverConfig,
     cache: Cache,
@@ -195,8 +191,6 @@ pub struct RecursiveResolver {
     tcp: TcpQueryClient,
     /// Live counters (snapshot through [`RecursiveResolver::stats`]).
     metrics: ResolverMetrics,
-    /// Client-query completion latencies.
-    pub latencies: netsim::metrics::LatencyRecorder,
 }
 
 impl RecursiveResolver {
@@ -218,7 +212,6 @@ impl RecursiveResolver {
             next_op: 1,
             next_src_port: 0,
             metrics: ResolverMetrics::default(),
-            latencies: netsim::metrics::LatencyRecorder::new(),
         }
     }
 
@@ -291,7 +284,7 @@ impl RecursiveResolver {
 
     // ---- job lifecycle -------------------------------------------------
 
-    fn start_job(&mut self, ctx: &mut Context<'_>, question: Question, origin: JobOrigin) -> usize {
+    fn start_job(&mut self, question: Question, origin: JobOrigin) -> usize {
         let job = Job {
             target: question.name.clone(),
             qtype: question.qtype,
@@ -301,7 +294,6 @@ impl RecursiveResolver {
             attempts: 0,
             answer_prefix: Vec::new(),
             waiting: false,
-            started: ctx.now(),
             zone: Name::root(),
         };
         let id = self
@@ -413,7 +405,7 @@ impl RecursiveResolver {
                 job.budget -= 1;
                 job.waiting = true;
                 let sub_q = Question::new(ns, RrType::A);
-                let sub = self.start_job(ctx, sub_q, JobOrigin::Sub { parent: job_id });
+                let sub = self.start_job(sub_q, JobOrigin::Sub { parent: job_id });
                 self.step(ctx, sub);
                 None
             }
@@ -587,7 +579,6 @@ impl RecursiveResolver {
                 ctx.charge(PACKET_COST);
                 ctx.send(Packet::udp(self.my_udp(), from, wire));
                 self.metrics.responses_sent.inc();
-                self.latencies.record(ctx.now() - job.started);
             }
             JobOrigin::Sub { parent } => {
                 if let Some(pjob) = self.jobs.get_mut(parent).and_then(Option::as_mut) {
@@ -608,7 +599,6 @@ impl RecursiveResolver {
             return;
         };
         let job = self.start_job(
-            ctx,
             question,
             JobOrigin::Client {
                 id: msg.header.id,

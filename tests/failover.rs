@@ -217,14 +217,20 @@ fn surge_sheds_unverified_before_any_verified_query() {
     );
 }
 
-/// Regression for the resync-request storm: on a badly lossy replication
-/// channel nearly every delta that survives is out of sequence. Answering
-/// each one with a `ResyncReq` made the primary ship a full snapshot per
-/// miss — a self-amplifying storm on exactly the link that is already
-/// struggling. The standby must instead pace its requests with exponential
-/// backoff, and recover promptly once the channel heals.
+/// What a standby must hold to take over, as `g`'s checkpoint at `now`
+/// lists it: the key state, the forwards, the stash, the allocators and
+/// whether detection is engaged.
+fn held(g: &RemoteGuard, now: SimTime) -> impl PartialEq + std::fmt::Debug {
+    let cp = g.checkpoint(now);
+    (cp.key, cp.fwd, cp.stash, cp.next_txid, cp.next_qid, cp.active)
+}
+
+/// A badly lossy replication channel: the standby installs every snapshot
+/// that gets through and asks for nothing, and the first one after the
+/// heal leaves it holding what the primary holds, a key rotated mid-loss
+/// included.
 #[test]
-fn lossy_replication_channel_backs_off_resync_requests() {
+fn lossy_replication_channel_installs_every_surviving_snapshot() {
     let (_, _, foo_com) = paper_hierarchy();
     let authority = Authority::new(vec![foo_com]);
     let mut sim = Simulator::new(97);
@@ -243,58 +249,44 @@ fn lossy_replication_channel_backs_off_resync_requests() {
 
     // Warm: the standby syncs over a clean channel.
     sim.run_until(SimTime::from_millis(200));
+    let warm = guard_stats(&sim, standby).repl_deltas_applied;
+    assert!(warm >= 9, "one snapshot per 20 ms tick: {warm}");
 
     // Degrade the primary→standby direction for two seconds: of every three
     // messages the primary sends (one per 20 ms tick), the first two are
-    // lost. Every delta that gets through is a sequence gap, and the
-    // snapshot that answers a request leaves on the tick after one that got
-    // through, so it is lost too: a per-miss requester would fire at every
-    // surviving delta while a backed-off one stays quiet. The standby never
-    // misses the three heartbeats in a row that would promote it.
+    // lost. The standby never misses the three heartbeats in a row that
+    // would promote it. The primary rotates its key half way through.
     let lossy = FaultPlan::new().loss(1.0);
     for burst in 0..33 {
         let at = SimTime::from_millis(210 + 60 * burst);
         sim.run_until(at);
         sim.fault_link(primary, standby, lossy);
+        if burst == 16 {
+            sim.node_mut::<RemoteGuard>(primary).unwrap().rotate_key();
+        }
         sim.run_until(at + SimTime::from_millis(40));
         sim.fault_link(primary, standby, FaultPlan::new());
         sim.run_until(at + SimTime::from_millis(60));
     }
 
-    let s = sim.node_ref::<RemoteGuard>(standby).unwrap().stats();
+    let (p, s) = (guard_stats(&sim, primary), guard_stats(&sim, standby));
     assert_eq!(s.failover_takeovers, 0, "the primary never fell silent");
-    assert!(
-        s.repl_resyncs >= 1,
-        "the loss must produce at least one sequence gap"
-    );
-    // Backoff pacing bound: one conversation is paced 20, 40, 80, … ms up
-    // to the 1 s cap, and each snapshot that survives the loss resets it.
-    // Even with every reset the two-second window cannot fit many
-    // requests; without backoff there would be one per surviving delta.
-    assert!(
-        s.repl_resyncs <= 15,
-        "resync requests must be paced by backoff, got {}",
-        s.repl_resyncs
-    );
-    assert!(
-        s.heartbeats_seen > s.repl_resyncs,
-        "plenty of out-of-sequence traffic arrived ({} packets) yet only {} \
-         resyncs were sent",
-        s.heartbeats_seen,
-        s.repl_resyncs
-    );
+    assert_eq!((p.heartbeats_seen, p.repl_rejected), (0, 0), "the standby sent the primary nothing");
+    assert_eq!(s.repl_deltas_applied, s.heartbeats_seen, "every snapshot that got through was installed");
+    // The third tick of each of the 33 bursts, and the warm-up's last
+    // snapshot, still in flight at 200 ms.
+    assert_eq!(s.repl_deltas_applied - warm, 34, "one snapshot in three survives the loss");
 
-    // The channel is healed: the next answered request resynchronises the
-    // standby and in-sequence deltas resume.
-    let applied_before = s.repl_deltas_applied;
-    sim.run_until(SimTime::from_millis(4_500));
-    let s = sim.node_ref::<RemoteGuard>(standby).unwrap().stats();
-    assert!(
-        s.repl_deltas_applied > applied_before + 5,
-        "the standby must resume applying replication after the heal: {} → {}",
-        applied_before,
-        s.repl_deltas_applied
-    );
+    // The channel is healed: the next snapshot brings the standby level.
+    sim.run_until(SimTime::from_millis(2_500));
+    let now = sim.now();
+    let p_guard = sim.node_ref::<RemoteGuard>(primary).unwrap();
+    let s_guard = sim.node_ref::<RemoteGuard>(standby).unwrap();
+    assert_eq!(s_guard.cookie_factory().generation(), 1);
+    assert_eq!(held(s_guard, now), held(p_guard, now));
+    let s = s_guard.stats();
+    assert_eq!(s.repl_deltas_applied, s.heartbeats_seen);
+    assert_eq!(p_guard.stats().heartbeats_seen, 0);
 }
 
 /// Restoring from a checkpoint taken long ago never replays expired
