@@ -1,7 +1,7 @@
 //! The high-availability experiment behind `BENCH_failover.json`: a
 //! primary–standby guard pair crash-tested mid-attack, a checkpoint-age
-//! sweep over crash-restart recovery, and a shed-tier sweep of the
-//! admission controller under increasing flood pressure.
+//! sweep over crash-restart recovery, and a flood-rate sweep of verified
+//! service and amplification under Rate-Limiter1.
 //!
 //! Run via `cargo run --release -p bench --bin all_experiments -- ha`; the
 //! composed document lands in `BENCH_failover.json`.
@@ -14,27 +14,26 @@
 //!   the guarded address, and keep serving the verified clients from the
 //!   replicated cookie/grant state — no fresh cookie round-trip. The
 //!   alert transcript must show `failover_triggered`, `checkpoint_lag`,
-//!   and `admission_shedding`, and no spoofed query may reach the ANS
+//!   and `rl1_saturation`, and no spoofed query may reach the ANS
 //!   across the transition.
 //! * **Checkpoint-age sweep** — a single guard checkpointing on a cadence
 //!   crashes and restarts from its last snapshot; the sweep varies the
 //!   cadence (plus a no-checkpoint cold restart) and reports snapshot age
 //!   at restore, stale entries dropped, and post-restore completions.
-//! * **Shed-tier sweep** — flood rates from zero to far past Rate-Limiter1
-//!   capacity; reports the pressure tier reached, requests shed, verified
-//!   completions, and the unverified amplification ratio (paper bound:
-//!   ≤ 1.5, asserted at ≤ 1.6).
+//! * **Flood sweep** — flood rates from zero to far past Rate-Limiter1
+//!   capacity; reports verified completions, which must stay within 1 % of
+//!   the unattacked row's, and the unverified amplification ratio (paper
+//!   bound: ≤ 1.5, asserted at ≤ 1.6).
 
 use crate::registry::{Export, Format, Outcome};
 use crate::worlds::{
-    alert_engine, attach_cookie_guess_flood, attach_flood, completions, guarded_world_with, ha_world,
+    alert_engine, attach_cookie_guess_flood, attach_flood, completions, guarded_world, guarded_world_with, ha_world,
     observe, paced_clients, run_evaluated, stays_silent, unverified_at_ans, verified_clients,
     GuardedWorld, Scope, WorldParams, ZoneSel, ALERT_TICK, PUB,
 };
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::guard::RemoteGuard;
-use dnsguard::PressureTier;
 use netsim::engine::{CpuConfig, Simulator};
 use netsim::time::SimTime;
 use obs::alert::AlertConfig;
@@ -56,8 +55,7 @@ const SUMMARY_KEYS: &[&str] = &[
     "\"fired_rules\":",
     "\"checkpoint_sweep\":",
     "\"age_at_restore_nanos\":",
-    "\"shed_sweep\":",
-    "\"peak_tier\":",
+    "\"flood_sweep\":",
     "\"amplification_milli\":",
     "\"baseline_silent\":",
 ];
@@ -68,7 +66,7 @@ pub struct CrashFailover {
     pub clients: usize,
     /// Clients that completed at least one transaction between the crash
     /// and the end of the flood — i.e. continued through the takeover on
-    /// their cached cookies while shedding was in force.
+    /// their cached cookies while the flood ran.
     pub continued: usize,
     /// Whether the standby claimed the guarded address.
     pub took_over: bool,
@@ -79,8 +77,6 @@ pub struct CrashFailover {
     /// Queries that reached the ANS without a guard forwarding them, plus
     /// unverified plain-forwards — must be zero.
     pub spoofed_to_ans: u64,
-    /// Unverified requests shed by the standby's admission controller.
-    pub standby_shed: u64,
     /// Rules that fired at least once, in first-fire order.
     pub fired_rules: Vec<&'static str>,
     /// The alert engine's final transcript document.
@@ -89,12 +85,12 @@ pub struct CrashFailover {
 
 /// Crash-mid-attack: warm ten verified clients, light up a cookie-guessing
 /// flood and a plain-query flood, crash the primary at 400 ms, and let the
-/// standby detect, take over, and shed its way through the rest.
+/// standby detect, take over, and serve through the rest.
 pub fn run_crash_failover(seed: u64) -> CrashFailover {
     let mut w = ha_world(seed);
 
     // Observe the *standby*: it owns the interesting half of the story
-    // (heartbeat age, takeover, post-takeover shedding). The primary is
+    // (heartbeat age, takeover, post-takeover saturation). The primary is
     // read via its stats snapshot instead of the registry.
     let obs = observe(&mut w.sim, Scope::World, &[w.standby]);
     let mut engine = alert_engine(&obs, AlertConfig::default());
@@ -105,8 +101,7 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
 
     // The 2⁻³² cookie-label guess flood (invalid verifies) ...
     attach_cookie_guess_flood(&mut w.sim, 4_000.0, SimTime::from_millis(900));
-    // ... plus a plain-query flood far past RL1 capacity, so the admission
-    // controller escalates and sheds.
+    // ... plus a plain-query flood far past RL1 capacity, so RL1 saturates.
     w.sim.add_node(
         Ipv4Addr::new(66, 0, 0, 67),
         CpuConfig::unbounded(),
@@ -129,9 +124,7 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
     run_until(&mut w.sim, SimTime::from_millis(1_500));
     let at_end = completions(&w.sim, &clients);
 
-    let standby = w.sim.node_ref::<RemoteGuard>(w.standby).unwrap();
-    let took_over = standby.has_taken_over();
-    let standby_shed = standby.stats().admission_shed;
+    let took_over = w.sim.node_ref::<RemoteGuard>(w.standby).unwrap().has_taken_over();
 
     let continued = at_flood_end
         .iter()
@@ -153,7 +146,6 @@ pub fn run_crash_failover(seed: u64) -> CrashFailover {
         takeover_after_crash_nanos,
         post_crash_completed,
         spoofed_to_ans: unverified_at_ans(&w.sim, &[w.primary, w.standby], &[w.ans]),
-        standby_shed,
         fired_rules: engine.fired_rules(),
         alerts_json: engine.alerts_json(),
     }
@@ -236,27 +228,21 @@ pub fn run_checkpoint_age_sweep(seed: u64) -> Vec<AgePoint> {
     .collect()
 }
 
-/// One point of the shed-tier sweep.
-pub struct ShedPoint {
+/// One point of the flood sweep.
+pub struct FloodPoint {
     /// Plain-query flood rate (req/s).
     pub attack_rate: f64,
-    /// The highest pressure tier observed during the flood.
-    pub peak_tier: &'static str,
-    /// Unverified requests shed by the admission controller.
-    pub shed: u64,
     /// Verified-client completions during the flood window.
     pub verified_completed: u64,
     /// Unverified amplification ratio × 1000 (paper bound ≤ 1500).
     pub amplification_milli: u64,
 }
 
-fn run_shed_point(seed: u64, rate: f64) -> ShedPoint {
+fn run_flood_point(seed: u64, rate: f64) -> FloodPoint {
     // Root zone: referral answers → the NS-label cookie variant, the world
     // the paper's amplification bound (< 1.5) was measured in.
-    let GuardedWorld { mut sim, guard: guard_id, .. } = guarded_world_with(
-        WorldParams { open_limiters: false, ..WorldParams::new(seed) },
-        |config| config.with_admission(),
-    );
+    let GuardedWorld { mut sim, guard: guard_id, .. } =
+        guarded_world(WorldParams { open_limiters: false, ..WorldParams::new(seed) });
     let (clients, _) = paced_clients(&mut sim, 3, 2, SimTime::from_millis(60), SimTime::from_millis(2));
 
     sim.run_until(SimTime::from_millis(300));
@@ -264,36 +250,27 @@ fn run_shed_point(seed: u64, rate: f64) -> ShedPoint {
     if rate > 0.0 {
         attach_flood(&mut sim, Ipv4Addr::new(66, 0, 0, 66), rate);
     }
-    // Shedding starves RL1 of rejects, so the tier oscillates around the
-    // threshold by design; sample each window and keep the peak.
-    let mut peak = PressureTier::Normal;
-    for step in 1..=7u64 {
-        sim.run_until(SimTime::from_millis(300 + step * 100));
-        peak = peak.max(sim.node_ref::<RemoteGuard>(guard_id).unwrap().admission_tier());
-    }
+    sim.run_until(SimTime::from_millis(1_000));
     let after: u64 = completions(&sim, &clients).iter().sum();
-    let guard = sim.node_ref::<RemoteGuard>(guard_id).unwrap();
-    let amp = guard.traffic_unverified.amplification();
-    ShedPoint {
+    let amp = sim.node_ref::<RemoteGuard>(guard_id).unwrap().traffic_unverified.amplification();
+    FloodPoint {
         attack_rate: rate,
-        peak_tier: peak.name(),
-        shed: guard.stats().admission_shed,
         verified_completed: after.saturating_sub(before),
         amplification_milli: (amp * 1000.0) as u64,
     }
 }
 
-/// Sweeps flood rate across the admission tiers: quiet, below RL1
-/// capacity, just past the Surge threshold, and deep into Shed.
-pub fn run_shed_sweep(seed: u64) -> Vec<ShedPoint> {
+/// Sweeps flood rate from quiet through below Rate-Limiter1 capacity to
+/// just past and far past it.
+pub fn run_flood_sweep(seed: u64) -> Vec<FloodPoint> {
     [0.0, 5_000.0, 13_000.0, 60_000.0]
         .into_iter()
         .enumerate()
-        .map(|(i, rate)| run_shed_point(seed + i as u64, rate))
+        .map(|(i, rate)| run_flood_point(seed + i as u64, rate))
         .collect()
 }
 
-/// Runs the clean HA baseline (pair + admission + clients, no faults) and
+/// Runs the clean HA baseline (pair + clients, no faults) and
 /// returns whether the alert engine stayed silent.
 pub fn ha_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let mut w = ha_world(seed);
@@ -301,8 +278,8 @@ pub fn ha_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     stays_silent(&mut w.sim, &[w.standby], AlertConfig::default(), duration)
 }
 
-/// The full experiment: crash failover, checkpoint-age sweep, shed-tier
-/// sweep, clean baseline.
+/// The full experiment: crash failover, checkpoint-age sweep, flood sweep,
+/// clean baseline.
 pub struct FailoverRun {
     /// The composed `BENCH_failover.json` document.
     pub summary_json: Json,
@@ -310,8 +287,8 @@ pub struct FailoverRun {
     pub crash: CrashFailover,
     /// The checkpoint-age sweep.
     pub sweep: Vec<AgePoint>,
-    /// The shed-tier sweep.
-    pub shed: Vec<ShedPoint>,
+    /// The flood sweep.
+    pub flood: Vec<FloodPoint>,
     /// Whether the clean HA baseline stayed alert-free.
     pub baseline_silent: bool,
 }
@@ -320,7 +297,7 @@ pub struct FailoverRun {
 pub fn run_all(seed: u64) -> FailoverRun {
     let crash = run_crash_failover(seed);
     let sweep = run_checkpoint_age_sweep(seed + 100);
-    let shed = run_shed_sweep(seed + 200);
+    let flood = run_flood_sweep(seed + 200);
     let baseline_silent = ha_baseline_is_silent(seed + 300, SimTime::from_millis(600));
 
     let sweep_json = sweep.iter().map(|p| {
@@ -333,11 +310,9 @@ pub fn run_all(seed: u64) -> FailoverRun {
             ("post_restore_completed", p.post_restore_completed.into()),
         ])
     });
-    let shed_json = shed.iter().map(|p| {
+    let flood_json = flood.iter().map(|p| {
         Json::obj([
             ("attack_rate", Json::float(p.attack_rate)),
-            ("peak_tier", p.peak_tier.into()),
-            ("shed", p.shed.into()),
             ("verified_completed", p.verified_completed.into()),
             ("amplification_milli", p.amplification_milli.into()),
         ])
@@ -349,7 +324,6 @@ pub fn run_all(seed: u64) -> FailoverRun {
         ("takeover_after_crash_nanos", crash.takeover_after_crash_nanos.into()),
         ("post_crash_completed", crash.post_crash_completed.into()),
         ("spoofed_to_ans", crash.spoofed_to_ans.into()),
-        ("standby_shed", crash.standby_shed.into()),
         ("fired_rules", Json::strs(&crash.fired_rules)),
         ("alerts", crash.alerts_json.clone()),
     ]);
@@ -358,7 +332,7 @@ pub fn run_all(seed: u64) -> FailoverRun {
         ("seed", seed.into()),
         ("crash", crash_json),
         ("checkpoint_sweep", Json::Arr(sweep_json.collect())),
-        ("shed_sweep", Json::Arr(shed_json.collect())),
+        ("flood_sweep", Json::Arr(flood_json.collect())),
         ("baseline_silent", baseline_silent.into()),
     ]);
 
@@ -366,7 +340,7 @@ pub fn run_all(seed: u64) -> FailoverRun {
         summary_json,
         crash,
         sweep,
-        shed,
+        flood,
         baseline_silent,
     }
 }
@@ -388,9 +362,34 @@ pub fn crash_failures(crash: &CrashFailover) -> Vec<String> {
     if crash.spoofed_to_ans != 0 {
         failures.push(format!("{} spoofed queries reached the ANS", crash.spoofed_to_ans));
     }
-    for rule in ["failover_triggered", "checkpoint_lag", "admission_shedding"] {
+    for rule in ["failover_triggered", "checkpoint_lag", "rl1_saturation"] {
         if !crash.fired_rules.contains(&rule) {
             failures.push(format!("{rule} never fired"));
+        }
+    }
+    failures
+}
+
+/// The flood sweep's bars: at every rate the verified clients complete
+/// within 1 % of what they complete unattacked, and at every attacked rate
+/// the unverified amplification stays within the paper's bound.
+pub fn flood_failures(flood: &[FloodPoint]) -> Vec<String> {
+    let Some(quiet) = flood.iter().find(|p| p.attack_rate == 0.0) else {
+        return vec!["flood sweep has no unattacked row".to_string()];
+    };
+    let mut failures = Vec::new();
+    for p in flood {
+        if p.verified_completed.abs_diff(quiet.verified_completed) * 100 > quiet.verified_completed {
+            failures.push(format!(
+                "flood {} req/s: {} verified completions, unattacked {}",
+                p.attack_rate, p.verified_completed, quiet.verified_completed
+            ));
+        }
+        if p.attack_rate > 0.0 && p.amplification_milli > 1_600 {
+            failures.push(format!(
+                "flood {} req/s: amplification {} breaks the paper bound",
+                p.attack_rate, p.amplification_milli
+            ));
         }
     }
     failures
@@ -399,6 +398,7 @@ pub fn crash_failures(crash: &CrashFailover) -> Vec<String> {
 /// The acceptance bars of the whole experiment.
 pub fn failures(run: &FailoverRun) -> Vec<String> {
     let mut failures = crash_failures(&run.crash);
+    failures.extend(flood_failures(&run.flood));
     if !run.baseline_silent {
         failures.push("clean HA baseline raised alerts".to_string());
     }
@@ -414,7 +414,7 @@ pub fn experiment() -> Outcome {
     };
     let mut report = format!(
         "   crash: took_over={}, {}/{} clients continued, takeover after {} us, \
-         spoofed_to_ans={}, shed={}, alerts fired: {:?}\n",
+         spoofed_to_ans={}, alerts fired: {:?}\n",
         run.crash.took_over,
         run.crash.continued,
         run.crash.clients,
@@ -422,7 +422,6 @@ pub fn experiment() -> Outcome {
             .takeover_after_crash_nanos
             .map_or("?".to_string(), |n| (n / 1_000).to_string()),
         run.crash.spoofed_to_ans,
-        run.crash.standby_shed,
         run.crash.fired_rules,
     );
     for p in &run.sweep {
@@ -437,13 +436,10 @@ pub fn experiment() -> Outcome {
             p.post_restore_completed,
         ));
     }
-    for p in &run.shed {
+    for p in &run.flood {
         report.push_str(&format!(
-            "   flood {:>7.0} req/s: peak tier {:>6}, shed {:>6}, verified completed {:>4}, \
-             amplification {:.3}\n",
+            "   flood {:>7.0} req/s: verified completed {:>4}, amplification {:.3}\n",
             p.attack_rate,
-            p.peak_tier,
-            p.shed,
             p.verified_completed,
             p.amplification_milli as f64 / 1000.0,
         ));
@@ -476,7 +472,18 @@ mod tests {
             takeover <= SimTime::from_millis(100).as_nanos(),
             "takeover after {takeover} ns exceeds the heartbeat budget"
         );
-        assert!(c.standby_shed > 0, "the standby must shed under flood");
+        // The flood runs steadily from before the crash to 1 100 ms, so
+        // each rule it trips fires once and clears once.
+        let history = match c.alerts_json.get("history") {
+            Some(Json::Arr(rows)) => rows,
+            other => panic!("no alert history: {other:?}"),
+        };
+        let firing = history.iter().filter(|t| t.get("state").and_then(Json::as_str) == Some("firing"));
+        let mut fired: Vec<&str> = firing.filter_map(|t| t.get("rule").and_then(Json::as_str)).collect();
+        fired.sort_unstable();
+        let before = fired.len();
+        fired.dedup();
+        assert_eq!(fired.len(), before, "a rule fired twice: {history:?}");
     }
 
     #[test]
@@ -506,27 +513,10 @@ mod tests {
     }
 
     #[test]
-    fn shed_sweep_escalates_and_keeps_amplification_bounded() {
-        let shed = run_shed_sweep(47);
-        assert_eq!(shed[0].peak_tier, "normal");
-        assert_eq!(shed[0].shed, 0, "no flood, nothing shed");
-        let top = shed.last().unwrap();
-        assert_eq!(top.peak_tier, "shed", "60k req/s must reach Shed");
-        assert!(top.shed > 1_000, "Shed tier must drop the flood");
-        assert!(
-            top.verified_completed > 0,
-            "verified clients complete even at Shed"
-        );
-        // The paper's bound speaks about flood traffic; the rate-0 point's
-        // "unverified" volume is a handful of handshakes, not a flood.
-        for p in shed.iter().filter(|p| p.attack_rate > 0.0) {
-            assert!(
-                p.amplification_milli <= 1_600,
-                "amplification {} at rate {} breaks the paper bound",
-                p.amplification_milli,
-                p.attack_rate
-            );
-        }
+    fn flood_sweep_keeps_verified_service_and_amplification_bounded() {
+        let flood = run_flood_sweep(47);
+        assert_eq!(flood_failures(&flood), Vec::<String>::new());
+        assert!(flood[0].verified_completed > 0, "verified clients complete unattacked");
     }
 
     #[test]
@@ -539,13 +529,20 @@ mod tests {
         let mut run = run_all(11);
         let summary = run.summary_json.to_string();
         assert!(summary.contains("\"checkpoint_sweep\""));
-        assert!(summary.contains("\"shed_sweep\""));
+        assert!(summary.contains("\"flood_sweep\""));
         assert_eq!(failures(&run), Vec::<String>::new());
 
         run.crash.took_over = false;
         run.crash.continued = 9;
         run.crash.spoofed_to_ans = 3;
-        run.crash.fired_rules.retain(|r| *r != "admission_shedding");
+        run.crash.fired_rules.retain(|r| *r != "rl1_saturation");
+        // One struck sweep row: 2 % short of the unattacked completions and
+        // past the amplification bound.
+        let quiet = run.flood[0].verified_completed;
+        let struck = quiet - quiet / 50;
+        let top = run.flood.last_mut().unwrap();
+        top.verified_completed = struck;
+        top.amplification_milli = 1_601;
         run.baseline_silent = false;
         assert_eq!(
             failures(&run),
@@ -553,7 +550,9 @@ mod tests {
                 "standby never took over",
                 "only 9/10 verified clients continued",
                 "3 spoofed queries reached the ANS",
-                "admission_shedding never fired",
+                "rl1_saturation never fired",
+                format!("flood 60000 req/s: {struck} verified completions, unattacked {quiet}").as_str(),
+                "flood 60000 req/s: amplification 1601 breaks the paper bound",
                 "clean HA baseline raised alerts",
             ]
         );

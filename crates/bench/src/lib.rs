@@ -21,7 +21,7 @@
 //!   the chaos alerting run behind `BENCH_journeys.json`;
 //! * [`failover`] — `ha`: the high-availability experiment behind
 //!   `BENCH_failover.json`: primary–standby crash failover, checkpoint-age
-//!   sweep, and admission shed-tier sweep;
+//!   sweep, and flood sweep;
 //! * [`fleet`] — `fleet`: the anycast-fleet experiment behind
 //!   `BENCH_fleet.json`: a mid-flood catchment shift between two guard
 //!   sites, measured with per-site MD5 cookies vs a shared SipHash-2-4

@@ -163,7 +163,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "ha",
-        title: "High availability: failover, checkpoints, admission",
+        title: "High availability: failover, checkpoints, flood sweep",
         paper: false,
         files: &[failover::SUMMARY_FILE],
         run: failover::experiment,

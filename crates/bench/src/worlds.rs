@@ -134,7 +134,7 @@ pub fn guarded_world(p: WorldParams) -> GuardedWorld {
 
 /// [`guarded_world`] whose guard is built from `configure`'s edit of the
 /// configuration `p` describes — for what a guard reads at construction
-/// (limiter budgets, admission control, the checkpoint cadence).
+/// (limiter budgets, the checkpoint cadence).
 pub fn guarded_world_with(p: WorldParams, configure: impl FnOnce(GuardConfig) -> GuardConfig) -> GuardedWorld {
     let (root, _, foo_com) = paper_hierarchy();
     let zone = match p.zone {
@@ -211,8 +211,8 @@ pub struct HaWorld {
 }
 
 /// Builds the HA topology: primary at the public address, standby fed over
-/// the replication channel, both with admission control, the `foo.com`
-/// zone behind them (terminal answers → fabricated-NS + `COOKIE2` path).
+/// the replication channel, the `foo.com` zone behind them (terminal
+/// answers → fabricated-NS + `COOKIE2` path).
 ///
 /// Default rate limiters stay in place so floods genuinely saturate RL1.
 pub fn ha_world(seed: u64) -> HaWorld {
@@ -220,7 +220,7 @@ pub fn ha_world(seed: u64) -> HaWorld {
     let authority = Authority::new(vec![foo_com]);
     let mut sim = Simulator::new(seed);
 
-    let base = guard_config(PRIV).with_admission();
+    let base = guard_config(PRIV);
     let primary_cfg = base.clone().with_ha(HaConfig::primary(REPL_PRIMARY, REPL_STANDBY));
     let standby_cfg = base.with_ha(HaConfig::standby(REPL_STANDBY, REPL_PRIMARY));
 

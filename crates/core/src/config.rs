@@ -102,9 +102,6 @@ pub struct GuardConfig {
     /// and the `checkpoint_age_nanos` gauge of a guard that is not an HA
     /// standby then stays 0.
     pub checkpoint_interval: Option<SimTime>,
-    /// Overload-adaptive admission control. `false` disables shedding
-    /// entirely (every request takes the plain Figure 4 pipeline).
-    pub admission: bool,
     /// Primary–standby pairing. `None` runs the guard standalone.
     pub ha: Option<HaConfig>,
     /// Anycast fleet membership: shared-secret distribution and rotation
@@ -146,7 +143,6 @@ impl GuardConfig {
             fwd_bytes_max: 1 << 20,   // 1 MiB of in-flight request state
             stash_bytes_max: 1 << 20, // 1 MiB of stashed one-shot answers
             checkpoint_interval: None,
-            admission: false,
             ha: None,
             fleet: None,
         }
@@ -179,12 +175,6 @@ impl GuardConfig {
     /// Enables periodic state checkpoints at the given cadence.
     pub fn with_checkpoint_interval(mut self, interval: SimTime) -> Self {
         self.checkpoint_interval = Some(interval);
-        self
-    }
-
-    /// Enables overload-adaptive admission control.
-    pub fn with_admission(mut self) -> Self {
-        self.admission = true;
         self
     }
 

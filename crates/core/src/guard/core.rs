@@ -8,7 +8,6 @@ use super::repl::{FleetRuntime, HaRuntime};
 use super::schemes::{self, FirstContact, Outgoing, Scheme};
 use super::stash::Stash;
 use super::stats::{GuardMetrics, GuardStats, StatsHandle};
-use crate::admission::{AdmissionController, PressureTier};
 use crate::analytics::TrafficAnalytics;
 use crate::checkpoint::{GuardCheckpoint, RewriteState, StashState};
 use crate::classify::{AuthorityClassifier, Classification, Classifier};
@@ -119,7 +118,7 @@ impl Forwarded {
 }
 
 /// The remote DNS guard, sans I/O: every scheme, both rate limiters, the
-/// forward table and stash, ANS health, admission, replication,
+/// forward table and stash, ANS health, replication,
 /// checkpointing and the TCP proxy hand-off, behind entry points that take
 /// the time and append to an [`Outputs`].
 ///
@@ -160,8 +159,6 @@ pub struct GuardCore {
     /// Bytes exchanged with *unverified* sources (requests in, cookie/TC
     /// responses out) — the amplification-relevant meter.
     pub traffic_unverified: TrafficMeter,
-    /// Overload-adaptive admission controller (None ⇒ feature off).
-    admission: Option<AdmissionController>,
     /// Sequence number of the last checkpoint taken or applied.
     pub(super) checkpoint_seq: u64,
     /// When the last checkpoint was taken (drives the cadence and the
@@ -207,7 +204,6 @@ impl GuardCore {
             last_rotation: SimTime::ZERO,
             metrics: GuardMetrics::default(),
             traffic_unverified: TrafficMeter::default(),
-            admission: config.admission.then(AdmissionController::new),
             checkpoint_seq: 0,
             last_checkpoint: SimTime::ZERO,
             ha: config.ha.clone().map(|cfg| HaRuntime::new(cfg, config.key_seed)),
@@ -322,28 +318,6 @@ impl GuardCore {
     /// TCP proxy counters.
     pub fn proxy_stats(&self) -> crate::tcp_proxy::ProxyStats {
         self.proxy.stats()
-    }
-
-    /// Current admission-control tier (`Normal` when the controller is
-    /// disabled).
-    pub fn admission_tier(&self) -> PressureTier {
-        self.admission.as_ref().map_or(PressureTier::Normal, |a| a.tier())
-    }
-
-    /// Sheds the current unverified request if the admission controller
-    /// says so. Must be called at most once per request (the Surge tier
-    /// alternates).
-    fn shed_unverified_now(&mut self, now: SimTime, src: Ipv4Addr) -> bool {
-        let Some(adm) = self.admission.as_mut() else {
-            return false;
-        };
-        let shed = adm.shed_unverified();
-        if shed {
-            self.metrics.admission_shed.inc();
-            let fields = [("src", Value::Ip(src)), ("tier", Value::Str(adm.tier().name()))];
-            self.metrics.trace.event(now.as_nanos(), "admission_shed", &fields);
-        }
-        shed
     }
 
     // ---- helpers ---------------------------------------------------------
@@ -637,10 +611,9 @@ impl GuardCore {
         // 1. Cookie extension (modified-DNS scheme) takes precedence.
         if let Some(ext) = view.cookie() {
             if ext.is_request() {
-                // Unverified work: sheddable under overload, before it can
-                // cost an RL1 decision or a cookie computation. The grant
-                // goes through Rate-Limiter1 (reflection bound).
-                if self.shed_unverified_now(now, src) || !self.admit_unverified(now, src) {
+                // Unverified work: the grant goes through Rate-Limiter1
+                // (reflection bound).
+                if !self.admit_unverified(now, src) {
                     return;
                 }
                 let grant = self.grant(now, out, src);
@@ -770,10 +743,9 @@ impl GuardCore {
             self.metrics.unparseable.inc();
             return None;
         }
-        // Plain queries are unverified by definition: sheddable under
-        // overload before they reach Rate-Limiter1, which every response to
-        // an unverified source passes.
-        if self.shed_unverified_now(now, pkt.src.ip) || !self.admit_unverified(now, pkt.src.ip) {
+        // Plain queries are unverified by definition: every response to an
+        // unverified source passes Rate-Limiter1.
+        if !self.admit_unverified(now, pkt.src.ip) {
             return None;
         }
         self.traffic_unverified.rx(pkt.wire_size());
@@ -985,7 +957,6 @@ impl GuardCore {
         self.stash.expire(now);
         self.export_gauges();
         self.checkpoint_if_due(now, out);
-        self.sample_admission(now);
     }
 
     /// Engages or disengages spoof detection on the window's request rate.
@@ -1045,26 +1016,5 @@ impl GuardCore {
             0
         };
         self.metrics.amplification_milli.set(amp_milli);
-    }
-
-    /// Admission-pressure sample: RL saturation + forward-table fill.
-    fn sample_admission(&mut self, now: SimTime) {
-        let Some(adm) = self.admission.as_mut() else {
-            return;
-        };
-        let before = adm.tier();
-        let fill = self.fwd.bytes() as f64 / self.config.fwd_bytes_max.max(1) as f64;
-        let tier = adm.observe(
-            self.rl1.admitted(),
-            self.rl1.rejected(),
-            self.rl2.admitted(),
-            self.rl2.rejected(),
-            fill,
-        );
-        self.metrics.admission_tier.set(tier.as_gauge());
-        if tier != before {
-            let fields = [("from", Value::Str(before.name())), ("to", Value::Str(tier.name()))];
-            self.metrics.trace.event(now.as_nanos(), "tier_change", &fields);
-        }
     }
 }

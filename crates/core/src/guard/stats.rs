@@ -68,9 +68,6 @@ obs::counters! {
         /// Plain queries forwarded unprotected (out-of-bailiwick names, root
         /// queries, or names too deep to fabricate a cookie label for).
         plain_forwarded,
-        /// Unverified requests shed by the admission controller before any
-        /// rate-limiter decision (Surge/Shed pressure tiers).
-        admission_shed,
         /// State checkpoints emitted to the driver (`Output::Checkpoint`).
         checkpoints_taken,
         /// Times guard state was rebuilt from a checkpoint or replication
@@ -104,9 +101,6 @@ obs::counters! {
         fleet_key_reqs,
     }
     gauges {
-        /// Current pressure tier (0 normal / 1 surge / 2 shed), refreshed each
-        /// housekeeping window.
-        admission_tier,
         /// Staleness of this guard's recoverable state, in nanoseconds: time
         /// since the last checkpoint (acting primary) or since the last
         /// applied replication message (standby). The `checkpoint_lag` alert
@@ -173,6 +167,5 @@ impl GuardStats {
             + self.tc_sent
             + self.fabricated_ns_sent
             + self.plain_forwarded
-            + self.admission_shed
     }
 }

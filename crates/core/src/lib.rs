@@ -53,7 +53,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod admission;
 pub mod analytics;
 pub mod checkpoint;
 pub mod classify;
@@ -64,7 +63,6 @@ pub mod local_guard;
 pub mod ratelimit;
 pub mod tcp_proxy;
 
-pub use admission::{AdmissionController, PressureTier};
 pub use checkpoint::GuardCheckpoint;
 pub use classify::{AuthorityClassifier, Classification, Classifier};
 pub use config::{GuardConfig, SchemeMode};

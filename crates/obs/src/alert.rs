@@ -60,9 +60,6 @@ const FLAP_WINDOW_NANOS: u64 = 2_000_000_000;
 /// gauge (`checkpoint_age_nanos`) exceeds this. Zero age — checkpoints
 /// disabled or just taken — never fires.
 const CHECKPOINT_LAG_MAX_NANOS: u64 = 50_000_000;
-/// `admission_shedding` fires when the admission controller sheds
-/// unverified requests above this rate (events/s).
-const SHED_PER_SEC: f64 = 100.0;
 /// `catchment_shift` fires when the network re-routes packets between
 /// anycast sites above this rate (events/s) — the operator signal that
 /// BGP moved a catchment mid-flood.
@@ -117,7 +114,6 @@ pub(crate) enum Signal {
     AmpMilli,
     CheckpointAge,
     Takeovers,
-    Shed,
     Shifted,
     Handshakes,
     Datagrams,
@@ -193,7 +189,6 @@ pub const INPUTS: &[Input] = &[
     input(None, "amplification_milli", None, Signal::AmpMilli, Read::Max),
     input(None, "checkpoint_age_nanos", None, Signal::CheckpointAge, Read::Max),
     input(None, "failover_takeovers", None, Signal::Takeovers, Read::Delta),
-    input(None, "admission_shed", None, Signal::Shed, Read::Delta),
     input(None, "catchment_shifted", None, Signal::Shifted, Read::Delta),
     input(None, "fabricated_ns_sent", None, Signal::Handshakes, Read::Delta),
     input(None, "grants_sent", None, Signal::Handshakes, Read::Delta),
@@ -507,8 +502,6 @@ impl AlertEngine {
         if d_takeovers > 0 {
             alerts.set_state(t_nanos, "failover_triggered", true, d_takeovers as f64, 1.0);
         }
-        let shed_rate = rate(Signal::Shed);
-        alerts.set_state(t_nanos, "admission_shedding", shed_rate > SHED_PER_SEC, shed_rate, SHED_PER_SEC);
         let shift_rate = rate(Signal::Shifted);
         alerts.set_state(t_nanos, "catchment_shift", shift_rate > SHIFT_PER_SEC, shift_rate, SHIFT_PER_SEC);
         let handshake_rate = rate(Signal::Handshakes);
@@ -720,33 +713,26 @@ mod tests {
     }
 
     #[test]
-    fn ha_rules_fire_on_lag_takeover_and_shedding() {
+    fn ha_rules_fire_on_lag_and_takeover() {
         let reg = Registry::new();
         let age = reg.gauge("guard", "checkpoint_age_nanos", &[]);
         let takeovers = reg.counter("guard", "failover_takeovers", &[]);
-        let shed = reg.counter("guard", "admission_shed", &[]);
         let mut engine = AlertEngine::new(AlertConfig::default());
         engine.evaluate(0, &snapshot_with(&reg));
         assert!(engine.is_silent(), "all-zero HA metrics stay silent");
 
         age.set(80_000_000); // 80 ms > 50 ms default lag budget.
         takeovers.inc();
-        shed.add(1_000); // 1000/s ≫ 100/s.
         engine.evaluate(SEC, &snapshot_with(&reg));
         let rules: Vec<_> = engine.active().iter().map(|a| a.rule).collect();
         assert!(rules.contains(&"checkpoint_lag"));
         assert!(rules.contains(&"failover_triggered"));
-        assert!(rules.contains(&"admission_shedding"));
 
-        age.set(0); // Snapshot landed; shedding stopped.
+        age.set(0); // Snapshot landed.
         engine.evaluate(2 * SEC, &snapshot_with(&reg));
         let rules: Vec<_> = engine.active().iter().map(|a| a.rule).collect();
         assert!(!rules.contains(&"checkpoint_lag"), "fresh snapshot clears lag");
-        assert!(!rules.contains(&"admission_shedding"), "calm rate clears shed");
-        assert_eq!(
-            engine.fired_rules(),
-            vec!["checkpoint_lag", "failover_triggered", "admission_shedding"]
-        );
+        assert_eq!(engine.fired_rules(), vec!["checkpoint_lag", "failover_triggered"]);
     }
 
     #[test]

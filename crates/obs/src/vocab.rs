@@ -58,9 +58,7 @@ pub const KINDS: &[Kind] = &[
     k("stash_hit", &["src", "qid"], None),
     k("proxy_accept", &["src", "qid"], None),
     k("proxy_relay", &["src", "qid", "token"], None),
-    // guard: admission, HA pair, fleet keys, checkpoints, analytics
-    k("admission_shed", &["src", "tier"], None),
-    k("tier_change", &["from", "to"], None),
+    // guard: HA pair, fleet keys, checkpoints, analytics
     k("peer_down", &[], None),
     k("takeover", &["addr"], None),
     k("fleet_key_rotate", &["epoch", "role"], None),
@@ -111,8 +109,6 @@ pub const WORDS: &[&str] = &[
     "rl1", "rl2", "fwd", "stash",
     // via
     "passthrough", "referral", "cookie2_redirect", "tcp",
-    // tier
-    "normal", "surge", "shed",
     // role
     "master", "member",
     // state
@@ -144,7 +140,6 @@ pub const RULES: &[Rule] = &[
     r("trace_drops", false),
     r("checkpoint_lag", false),
     r("failover_triggered", false),
-    r("admission_shedding", false),
     r("catchment_shift", false),
     r("handshake_storm", false),
     r("spoof_flood", false),
@@ -220,7 +215,7 @@ mod tests {
         unique("WORDS", WORDS);
         unique("COMPONENTS", COMPONENTS);
         unique("RULES", RULES.iter().map(|r| &r.name));
-        assert_eq!((rules(false).count(), rules(true).count()), (15, 3));
+        assert_eq!((rules(false).count(), rules(true).count()), (14, 3));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! reference is a real observation, not a dead string.
 
 use bench::worlds::{
-    attach_flood, attach_lrs, guarded_world_with, lrs_stats, observe, GuardedWorld, LrsParams, Scope, WorldParams, PRIV,
-    PUB,
+    attach_lrs, guarded_world_with, lrs_stats, observe, GuardedWorld, LrsParams, Scope, WorldParams, PRIV, PUB,
 };
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
@@ -214,28 +213,5 @@ fn catchment_shift_emits_routing_events() {
     assert!(
         kinds.contains("catchment_shift"),
         "re-routed datagrams must emit catchment_shift: {kinds:?}"
-    );
-}
-
-/// A flood that saturates RL1 moves the admission controller off the
-/// Normal tier, and the transition itself is traced as `tier_change`.
-#[test]
-fn admission_surge_emits_tier_change_event() {
-    // The limiters stay at the deployment defaults, so the flood genuinely
-    // saturates RL1 and builds admission pressure.
-    let (mut w, _) = world(45, SchemeMode::DnsBased, SimTime::from_millis(10), |c| GuardConfig {
-        rl1_global_rate: 10_000.0,
-        rl1_per_source_rate: 100.0,
-        ..c.with_admission()
-    });
-    let obs = observe(&mut w.sim, Scope::Site, &[w.guard]);
-    w.sim.run_until(SimTime::from_millis(200));
-    attach_flood(&mut w.sim, Ipv4Addr::new(66, 0, 0, 66), 60_000.0);
-    w.sim.run_until(SimTime::from_millis(800));
-
-    let kinds = drained_kinds(&obs);
-    assert!(
-        kinds.contains("tier_change"),
-        "the surge must move the admission tier and trace it: {kinds:?}"
     );
 }
