@@ -10,14 +10,16 @@
 //!   previously-verified clients stall — the failure mode that keeps
 //!   single-key vendor cookies out of anycast deployments.
 //! * **Shared SipHash-2-4** — the guard's SipHash cookie, which every site
-//!   holding its key accepts, with one fleet-wide secret distributed over
-//!   the authenticated replication channel. The shifted clients' cookies
-//!   verify at site B on arrival: zero re-handshakes, no RL pressure,
-//!   service continues.
+//!   holding its key accepts, with one `key_seed` at both sites. A
+//!   generation's key is a function of the seed, so the sites hold the same
+//!   key without exchanging a message. The shifted clients' cookies verify
+//!   at site B on arrival: zero re-handshakes, no RL pressure, service
+//!   continues.
 //!
-//! A third scenario rotates the fleet key *during* the shift: the pushed
-//! key state carries the previous epoch, so the grace window is
-//! fleet-wide and no verified client is dropped.
+//! A third scenario rotates the key at both sites *during* the shift, as
+//! RFC 9018 rotates anycast secrets: each site keeps the previous
+//! generation's key, so the grace window is fleet-wide and no verified
+//! client is dropped.
 //!
 //! Run via `cargo run --release -p bench --bin all_experiments -- fleet`;
 //! the document lands in `BENCH_fleet.json`.
@@ -49,7 +51,6 @@ const SUMMARY_KEYS: &[&str] = &[
     "\"rl1_dropped\":",
     "\"amplification_milli\":",
     "\"spoofed_to_ans\":",
-    "\"fleet_keys_applied\":",
     "\"fired_rules\":",
     "\"catchment_shift\"",
     "\"baseline_silent\":",
@@ -90,8 +91,8 @@ pub struct ShiftOutcome {
     pub amplification_milli: u64,
     /// Queries that reached either ANS unverified — must be zero.
     pub spoofed_to_ans: u64,
-    /// Key epochs site B applied from the fleet channel.
-    pub fleet_keys_applied: u64,
+    /// Site A's and site B's key generations at the end of the run.
+    pub generations: [u64; 2],
     /// Rules that fired at least once, in first-fire order.
     pub fired_rules: Vec<&'static str>,
     /// The alert engine's final transcript document.
@@ -100,8 +101,9 @@ pub struct ShiftOutcome {
 
 /// Runs the catchment-shift scenario: warm `CLIENTS` verified clients at
 /// site A, light a cookie-guessing flood, then shift `SHIFT_FRACTION` of
-/// sources to site B mid-flood. When `rotate_mid_shift` is set the master
-/// additionally rotates the fleet key while the shift is in progress.
+/// sources to site B mid-flood. When `rotate_mid_shift` is set the operator
+/// additionally rotates the key at both sites while the shift is in
+/// progress.
 pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcome {
     let mut w = fleet_world(seed, shared);
     // Observe site B: it is where shifted clients land, so it owns the
@@ -135,13 +137,11 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
 
     if rotate_mid_shift {
         // The operator rotates the fleet secret while the catchment is
-        // split; the next sync tick pushes the new epoch (with the old key
-        // riding along as grace) to site B.
+        // split, at every site; each keeps the old key as grace.
         run_until(&mut w.sim, SimTime::from_millis(900));
-        w.sim
-            .node_mut::<RemoteGuard>(w.site_a)
-            .unwrap()
-            .rotate_key();
+        for site in [w.site_a, w.site_b] {
+            w.sim.node_mut::<RemoteGuard>(site).unwrap().rotate_key();
+        }
     }
 
     run_until(&mut w.sim, SimTime::from_millis(1_600));
@@ -157,6 +157,8 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
         .filter(|&&i| at_end[i] > at_shift[i])
         .count();
 
+    let generation = |site| w.sim.node_ref::<RemoteGuard>(site).unwrap().cookie_factory().generation();
+    let generations = [generation(w.site_a), generation(w.site_b)];
     let site_b_ref = w.sim.node_ref::<RemoteGuard>(w.site_b).unwrap();
     let b_stats = site_b_ref.stats();
     let amp = site_b_ref.traffic_unverified.amplification();
@@ -173,14 +175,14 @@ pub fn run_shift(seed: u64, shared: bool, rotate_mid_shift: bool) -> ShiftOutcom
         rl1_dropped: b_stats.rl1_dropped,
         amplification_milli: (amp * 1000.0) as u64,
         spoofed_to_ans: unverified_at_ans(&w.sim, &[w.site_a, w.site_b], &[w.ans_a, w.ans_b]),
-        fleet_keys_applied: b_stats.fleet_keys_applied,
+        generations,
         fired_rules: engine.fired_rules(),
         alerts_json: engine.alerts_json(),
     }
 }
 
-/// Runs the clean fleet baseline (two sites, fleet sync, clients, no shift
-/// and no flood) and returns whether the alert engine stayed silent.
+/// Runs the clean fleet baseline (two sites, clients, no shift and no
+/// flood) and returns whether the alert engine stayed silent.
 pub fn fleet_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let mut w = fleet_world(seed, true);
     verified_clients(&mut w.sim, 5);
@@ -213,7 +215,7 @@ impl From<&ShiftOutcome> for Json {
             ("rl1_dropped", o.rl1_dropped.into()),
             ("amplification_milli", o.amplification_milli.into()),
             ("spoofed_to_ans", o.spoofed_to_ans.into()),
-            ("fleet_keys_applied", o.fleet_keys_applied.into()),
+            ("key_generations", Json::Arr(o.generations.iter().map(|&g| g.into()).collect())),
             ("fired_rules", Json::strs(&o.fired_rules)),
             ("alerts", o.alerts_json.clone()),
         ])
@@ -259,10 +261,15 @@ fn amplification_failure(regime: &str, o: &ShiftOutcome) -> Option<String> {
 }
 
 /// The bars of a shift under interoperable cookies (shared SipHash, with
-/// or without a rotation mid-shift): at least 95 % of the shifted clients
-/// continue at site B, and none of them re-handshakes.
+/// or without a rotation mid-shift): both sites end at one key generation,
+/// at least 95 % of the shifted clients continue at site B, and none of
+/// them re-handshakes.
 pub fn interop_failures(regime: &str, o: &ShiftOutcome) -> Vec<String> {
     let mut failures = Vec::new();
+    let [a, b] = o.generations;
+    if a != b {
+        failures.push(format!("{regime}: site B at key generation {b}, site A at {a}"));
+    }
     if (o.continued as f64) < o.shifted as f64 * 0.95 {
         failures.push(format!(
             "{regime}: only {}/{} shifted clients continued",
@@ -343,7 +350,7 @@ mod tests {
         // Interoperable cookies verify at the new site without a handshake.
         assert_eq!(interop_failures("shared siphash", &o), Vec::<String>::new());
         assert_eq!(o.cookie2_invalid, 0, "no shifted cookie may be rejected");
-        assert!(o.fleet_keys_applied >= 1, "site B must have synced the key");
+        assert_eq!(o.generations, [0, 0]);
         assert!(
             o.fired_rules.contains(&"catchment_shift"),
             "the shift itself must be alertable: {:?}",
@@ -375,11 +382,7 @@ mod tests {
         let o = run_shift(43, true, true);
         // Grace must cover the rotation: no stall, no re-handshake.
         assert_eq!(interop_failures("rotation mid-shift", &o), Vec::<String>::new());
-        assert!(
-            o.fleet_keys_applied >= 2,
-            "site B must apply both the initial and the rotated epoch: {}",
-            o.fleet_keys_applied
-        );
+        assert_eq!(o.generations, [1, 1], "both sites rotated once");
     }
 
     #[test]
@@ -400,6 +403,7 @@ mod tests {
         run.shared_siphash.amplification_milli = 1_601;
         run.md5_per_site.fired_rules.clear();
         run.rotation_mid_shift.continued = 0;
+        run.rotation_mid_shift.generations = [1, 0];
         run.rotation_mid_shift.spoofed_to_ans = 2;
         run.baseline_silent = false;
         assert_eq!(
@@ -408,6 +412,7 @@ mod tests {
                 "shared siphash: 1 re-handshakes despite interoperable cookies".to_string(),
                 "shared siphash: amplification 1601 breaks the paper bound".to_string(),
                 "md5 per site: no handshake storm".to_string(),
+                "rotation mid-shift: site B at key generation 0, site A at 1".to_string(),
                 format!(
                     "rotation mid-shift: only 0/{} shifted clients continued",
                     run.rotation_mid_shift.shifted

@@ -320,8 +320,8 @@ pub fn run_chaos(seed: u64) -> FleetObsOutcome {
     }
 }
 
-/// Runs the clean two-site baseline (warm clients, fleet sync, polls at
-/// the same cadence, no flood, no shift, no crash) and returns whether
+/// Runs the clean two-site baseline (warm clients, polls at the same
+/// cadence, no flood, no shift, no crash) and returns whether
 /// every fleet rule stayed silent.
 pub fn fleetobs_baseline_is_silent(seed: u64, duration: SimTime) -> bool {
     let mut w = fleet_world(seed, true);

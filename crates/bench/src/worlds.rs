@@ -20,7 +20,7 @@
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::{GuardStats, RemoteGuard};
-use dnsguard::{FleetConfig, HaConfig};
+use dnsguard::HaConfig;
 use dnswire::message::Message;
 use guardhash::cookie::CookieAlg;
 use netsim::engine::{Context, CpuConfig, FaultPlan, Node, NodeId, Simulator};
@@ -237,9 +237,7 @@ pub fn ha_world(seed: u64) -> HaWorld {
     }
 }
 
-/// Site A's (the key master's) replication address.
-pub const SITE_A: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 2);
-/// Site B's (the member's) replication address.
+/// Site B's own address (site A answers on [`PUB`]).
 pub const SITE_B: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 3);
 /// Site A's private ANS.
 pub const ANS_A: Ipv4Addr = Ipv4Addr::new(10, 99, 0, 11);
@@ -265,9 +263,13 @@ pub struct FleetWorld {
 /// catchment), and a [`FaultPlan::catchment_shift`] later moves a subset
 /// of sources to site B. Each site forwards to its own ANS.
 ///
-/// `shared` selects the cookie regime: one secret distributed by the fleet
-/// channel under the default SipHash-2-4, or the paper's MD5 with an
-/// independent secret per site.
+/// `shared` selects the cookie regime: one `key_seed` at both sites under
+/// the default SipHash-2-4, or the paper's MD5 with an independent secret
+/// per site. Sites sharing the seed hold the same key at every generation
+/// and rotate on their own weekly schedules, which the shared clock keeps
+/// in step; an operator rotation
+/// ([`rotate_key`](dnsguard::guard::GuardCore::rotate_key)) is applied to
+/// every site, as RFC 9018 rotates anycast secrets.
 pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
     let (_, _, foo_com) = paper_hierarchy();
     let authority = Authority::new(vec![foo_com]);
@@ -282,10 +284,7 @@ pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
         c
     };
     let (a_cfg, b_cfg) = if shared {
-        (
-            base(ANS_A).with_fleet(FleetConfig::master(SITE_A, vec![SITE_B])),
-            base(ANS_B).with_fleet(FleetConfig::member(SITE_B, SITE_A)),
-        )
+        (base(ANS_A), base(ANS_B))
     } else {
         let md5 = |ans| base(ans).with_cookie_alg(CookieAlg::Md5);
         let mut b = md5(ANS_B);
@@ -295,7 +294,6 @@ pub fn fleet_world(seed: u64, shared: bool) -> FleetWorld {
 
     let site_a = add_guard(&mut sim, PUB, CPU, a_cfg, &authority);
     sim.add_subnet(SUBNET, 24, site_a);
-    sim.add_address(SITE_A, site_a);
     let site_b = add_guard(&mut sim, SITE_B, CPU, b_cfg, &authority);
     let ans_a = add_ans(&mut sim, ANS_A, CPU, authority.clone(), ServerCosts::ans_simulator());
     let ans_b = add_ans(&mut sim, ANS_B, CPU, authority, ServerCosts::ans_simulator());

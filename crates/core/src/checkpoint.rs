@@ -5,10 +5,15 @@
 //! cadence, and its driver keeps the latest. A [`GuardCheckpoint`]
 //! captures everything a guard needs to resume spoof-detection service
 //! after a crash without forcing verified sources
-//! through a fresh cookie exchange: the secret-key state (current and
-//! previous key plus the generation counter, so pre-rotation cookies keep
-//! verifying through the generation bit), both rate limiters' token
-//! buckets, and the forward/stash tables.
+//! through a fresh cookie exchange: the key generation, both rate limiters'
+//! token buckets, and the forward/stash tables.
+//!
+//! It holds no key material. A generation's key is a pure function of the
+//! guard's own `key_seed` and the generation
+//! ([`CookieFactory::at_generation`](guardhash::cookie::CookieFactory::at_generation)),
+//! so the restoring guard re-derives the current and previous keys, and
+//! pre-rotation cookies keep verifying through the generation bit. A leaked
+//! checkpoint gives away no key, past or future.
 //!
 //! Restore applies explicit **staleness rules** rather than replaying the
 //! snapshot blindly:
@@ -32,7 +37,6 @@ use dnswire::name::Name;
 use dnswire::question::Question;
 use dnswire::record::Record;
 use dnswire::types::RrType;
-use guardhash::cookie::{CookieAlg, CookieFactory, SecretKey, KEY_LEN};
 use netsim::time::SimTime;
 use netsim::tokenbucket::TokenBucketState;
 use std::fmt;
@@ -43,61 +47,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"GCKP";
 
 /// Current encoding version. Decoders reject anything else rather than
 /// misparse it.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// How long a stashed one-shot answer stays servable (mirrors the guard's
 /// housekeeping sweep).
 pub const STASH_TTL: SimTime = SimTime::from_secs(2);
-
-/// Secret-key state: both live keys and the generation counter, so the
-/// generation-bit dispatch survives a restore exactly.
-#[derive(Clone, PartialEq)]
-pub struct KeyState {
-    /// The current signing key.
-    pub current: SecretKey,
-    /// The previous key, when a rotation grace window is live.
-    pub previous: Option<SecretKey>,
-    /// Rotation generation (its parity is the cookie generation bit).
-    pub generation: u64,
-    /// Seed future rotations derive from.
-    pub seed: u64,
-}
-
-impl fmt::Debug for KeyState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Key material stays out of logs; SecretKey redacts itself too.
-        f.debug_struct("KeyState")
-            .field("generation", &self.generation)
-            .field("has_previous", &self.previous.is_some())
-            .finish()
-    }
-}
-
-impl KeyState {
-    /// Captures the state of a live factory.
-    pub fn capture(f: &CookieFactory) -> Self {
-        KeyState {
-            current: f.current_key().clone(),
-            previous: f.previous_key().cloned(),
-            generation: f.generation(),
-            seed: f.rotation_seed(),
-        }
-    }
-
-    /// Rebuilds the factory, hashing with `alg`. The key state does not
-    /// record the hash, so the caller passes the captured factory's (a
-    /// guard's [`cookie_alg`](crate::config::GuardConfig::cookie_alg)); given
-    /// it, the rebuilt factory verifies exactly what the captured one did.
-    pub fn to_factory(&self, alg: CookieAlg) -> CookieFactory {
-        CookieFactory::from_parts(
-            self.current.clone(),
-            self.previous.clone(),
-            self.generation,
-            self.seed,
-            alg,
-        )
-    }
-}
 
 /// A rate limiter's serializable face: the global bucket (if any) and every
 /// tracked per-source bucket, sorted by source address for a deterministic
@@ -180,8 +134,9 @@ pub struct GuardCheckpoint {
     pub seq: u64,
     /// When the snapshot was taken, sim nanoseconds.
     pub taken_at_nanos: u64,
-    /// Secret-key state.
-    pub key: KeyState,
+    /// Cookie-key rotation generation; the keys are the guard's own
+    /// `key_seed`'s at this generation.
+    pub key_generation: u64,
     /// Rate-Limiter1 bucket state.
     pub rl1: LimiterState,
     /// Rate-Limiter2 bucket state.
@@ -213,7 +168,7 @@ impl GuardCheckpoint {
         put_u32(&mut buf, self.version);
         put_u64(&mut buf, self.seq);
         put_u64(&mut buf, self.taken_at_nanos);
-        put_key(&mut buf, &self.key);
+        put_u64(&mut buf, self.key_generation);
         put_limiter(&mut buf, &self.rl1);
         put_limiter(&mut buf, &self.rl2);
         put_u16(&mut buf, self.next_txid);
@@ -246,7 +201,7 @@ impl GuardCheckpoint {
             version,
             seq: r.u64()?,
             taken_at_nanos: r.u64()?,
-            key: get_key(&mut r)?,
+            key_generation: r.u64()?,
             rl1: get_limiter(&mut r)?,
             rl2: get_limiter(&mut r)?,
             next_txid: r.u16()?,
@@ -341,19 +296,6 @@ pub(crate) fn put_records(buf: &mut Vec<u8>, rs: &[Record]) {
             ..Message::default()
         },
     );
-}
-
-pub(crate) fn put_key(buf: &mut Vec<u8>, k: &KeyState) {
-    buf.extend_from_slice(k.current.as_bytes());
-    match &k.previous {
-        Some(prev) => {
-            buf.push(1);
-            buf.extend_from_slice(prev.as_bytes());
-        }
-        None => buf.push(0),
-    }
-    put_u64(buf, k.generation);
-    put_u64(buf, k.seed);
 }
 
 pub(crate) fn put_bucket(buf: &mut Vec<u8>, b: &TokenBucketState) {
@@ -511,26 +453,6 @@ pub(crate) fn get_records(r: &mut Reader<'_>) -> Result<Vec<Record>, DecodeError
     Ok(get_msg(r)?.answers)
 }
 
-pub(crate) fn get_key(r: &mut Reader<'_>) -> Result<KeyState, DecodeError> {
-    let mut current = [0u8; KEY_LEN];
-    current.copy_from_slice(r.bytes(KEY_LEN)?);
-    let previous = match r.u8()? {
-        0 => None,
-        1 => {
-            let mut prev = [0u8; KEY_LEN];
-            prev.copy_from_slice(r.bytes(KEY_LEN)?);
-            Some(SecretKey::from_bytes(prev))
-        }
-        _ => return Err(DecodeError::Malformed("previous-key flag")),
-    };
-    Ok(KeyState {
-        current: SecretKey::from_bytes(current),
-        previous,
-        generation: r.u64()?,
-        seed: r.u64()?,
-    })
-}
-
 pub(crate) fn get_bucket(r: &mut Reader<'_>) -> Result<TokenBucketState, DecodeError> {
     Ok(TokenBucketState {
         rate_per_sec: r.f64()?,
@@ -593,12 +515,7 @@ mod tests {
             version: CHECKPOINT_VERSION,
             seq: 9,
             taken_at_nanos: 1_234_567,
-            key: KeyState {
-                current: SecretKey::from_seed(5),
-                previous: Some(SecretKey::from_seed(4)),
-                generation: 3,
-                seed: 2006,
-            },
+            key_generation: 3,
             rl1: LimiterState {
                 global: Some(TokenBucketState {
                     rate_per_sec: 10_000.0,
@@ -707,38 +624,6 @@ mod tests {
                 GuardCheckpoint::decode(&wire[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
-        }
-    }
-
-    /// Under either hash, a factory rebuilt from its captured (and encoded)
-    /// key state gives every encoding's verdicts as the live one did, for
-    /// cookies of both live generations and for forgeries.
-    #[test]
-    fn key_state_round_trips_through_factory_under_either_hash() {
-        for alg in [CookieAlg::Md5, CookieAlg::SipHash24] {
-            let mut f = CookieFactory::from_seed(77).with_alg(alg);
-            let sources: Vec<Ipv4Addr> = (1..=32).map(|h| Ipv4Addr::new(203, 0, 113, h)).collect();
-            let week0: Vec<_> = sources.iter().map(|&ip| f.generate(ip)).collect();
-            f.rotate();
-            let mut wire = Vec::new();
-            put_key(&mut wire, &KeyState::capture(&f));
-            let restored = get_key(&mut Reader::new(&wire)).expect("decodes").to_factory(alg);
-            assert_eq!(restored.generation(), f.generation());
-            for (&ip, old) in sources.iter().zip(&week0) {
-                let mut forged = f.generate(ip);
-                forged.0[3] ^= 1;
-                for c in [*old, f.generate(ip), forged] {
-                    assert_eq!(restored.verify(ip, &c), f.verify(ip, &c), "{alg:?} {ip}");
-                    let hex = c.ns_label_suffix();
-                    assert_eq!(restored.verify_ns_suffix(ip, &hex), f.verify_ns_suffix(ip, &hex));
-                    let y = c.subnet_offset(254);
-                    assert_eq!(restored.verify_subnet_offset(ip, y, 254), f.verify_subnet_offset(ip, y, 254));
-                }
-                assert!(restored.verify(ip, old) && restored.verify(ip, &f.generate(ip)));
-                assert!(!restored.verify(ip, &forged));
-                assert_eq!(restored.generate(ip), f.generate(ip), "{alg:?}: the rebuilt factory's hash");
-                assert_eq!(restored.generate_subnet_offset(ip, 254), f.generate_subnet_offset(ip, 254));
-            }
         }
     }
 }

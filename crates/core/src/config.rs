@@ -6,14 +6,15 @@
 //! the replication cadence ([`crate::ha::REPL_INTERVAL`]), and keeping
 //! forwarding while the ANS is down (the health monitor only probes).
 
-use crate::ha::{FleetConfig, HaConfig};
+use crate::ha::HaConfig;
 use guardhash::cookie::CookieAlg;
 use netsim::time::SimTime;
 use std::net::Ipv4Addr;
 
 /// Scheduled key rotation period: weekly, as section III.E suggests. The
-/// generation bit gives departing cookies one period of grace. A fleet
-/// member never rotates on its own schedule; it takes the master's epochs.
+/// generation bit gives departing cookies one period of grace. Guards that
+/// share a `key_seed` and a clock rotate in the same window and hold the
+/// same keys, with no message between them.
 pub const KEY_ROTATION_INTERVAL: SimTime = SimTime::from_secs(7 * 24 * 3600);
 
 /// Which cookie-delivery scheme the guard uses for requesters that are not
@@ -104,10 +105,6 @@ pub struct GuardConfig {
     pub checkpoint_interval: Option<SimTime>,
     /// Primary–standby pairing. `None` runs the guard standalone.
     pub ha: Option<HaConfig>,
-    /// Anycast fleet membership: shared-secret distribution and rotation
-    /// over the authenticated replication channel. `None` keeps this
-    /// guard's key local (the paper's single-site model).
-    pub fleet: Option<FleetConfig>,
 }
 
 impl GuardConfig {
@@ -144,19 +141,12 @@ impl GuardConfig {
             stash_bytes_max: 1 << 20, // 1 MiB of stashed one-shot answers
             checkpoint_interval: None,
             ha: None,
-            fleet: None,
         }
     }
 
     /// Selects the cookie-derivation algorithm.
     pub fn with_cookie_alg(mut self, alg: CookieAlg) -> Self {
         self.cookie_alg = alg;
-        self
-    }
-
-    /// Joins this guard to an anycast fleet sharing one cookie secret.
-    pub fn with_fleet(mut self, fleet: FleetConfig) -> Self {
-        self.fleet = Some(fleet);
         self
     }
 

@@ -4,7 +4,7 @@
 use super::fwd::{Forwarded, FwdTable, Rewrite, WireIds};
 use super::health::AnsHealth;
 use super::keys::Keys;
-use super::repl::{FleetRuntime, HaRuntime};
+use super::repl::HaRuntime;
 use super::schemes::{self, FirstContact, Outgoing, Scheme};
 use super::stash::Stash;
 use super::stats::{GuardMetrics, GuardStats, StatsHandle};
@@ -124,14 +124,14 @@ impl Forwarded {
 ///
 /// A driver owes it three things: [`GuardCore::handle_packet`] for every
 /// packet, with the [`Leg`] told truthfully and a clock that never runs
-/// backwards; [`GuardCore::on_window`] every [`WINDOW`] (and the HA and
-/// fleet ticks at their intervals, when configured); and the execution of
+/// backwards; [`GuardCore::on_window`] every [`WINDOW`] (and the HA
+/// tick at its interval, when configured); and the execution of
 /// every [`Output`], in order. Executing an [`Output::Checkpoint`] means
 /// keeping it, in place of the one before, where a restart can read it; a
 /// driver whose configuration sets no checkpoint cadence never sees one.
 ///
 /// The fields are open to the sibling modules that hold the rest of the
-/// guard's `impl`: `restore` (checkpoints) and `repl` (HA and fleet).
+/// guard's `impl`: `restore` (checkpoints) and `repl` (HA).
 pub struct GuardCore {
     pub(super) config: GuardConfig,
     pub(super) cookies: Keys,
@@ -166,8 +166,6 @@ pub struct GuardCore {
     pub(super) last_checkpoint: SimTime,
     /// Primary–standby pairing state (None ⇒ standalone guard).
     pub(super) ha: Option<HaRuntime>,
-    /// Anycast-fleet key-sync state (None ⇒ single-site key).
-    pub(super) fleet: Option<FleetRuntime>,
     /// Streaming source-population sketches (heavy hitters, cardinality,
     /// entropy); `None` until [`GuardCore::arm_analytics`].
     analytics: Option<Box<TrafficAnalytics>>,
@@ -186,7 +184,7 @@ impl GuardCore {
             config.tcp_conn_lifetime,
         );
         GuardCore {
-            cookies: Keys::new(CookieFactory::from_seed(config.key_seed).with_alg(config.cookie_alg)),
+            cookies: Keys::new(config.key_seed, config.cookie_alg),
             rl1: SourceRateLimiter::new(config.rl1_global_rate, config.rl1_per_source_rate)
                 .keyed(config.key_seed),
             rl2: SourceRateLimiter::per_source_only(config.rl2_per_source_rate)
@@ -207,7 +205,6 @@ impl GuardCore {
             checkpoint_seq: 0,
             last_checkpoint: SimTime::ZERO,
             ha: config.ha.clone().map(|cfg| HaRuntime::new(cfg, config.key_seed)),
-            fleet: config.fleet.clone().map(|cfg| FleetRuntime::new(cfg, config.key_seed)),
             config,
             classifier,
             analytics: None,
@@ -488,11 +485,7 @@ impl GuardCore {
             // dispatched before the datagram counter so the pipeline
             // conservation invariant keeps covering exactly the DNS data
             // path.
-            Proto::Udp
-                if (self.ha.is_some() || self.fleet.is_some()) && pkt.dst.port == REPL_PORT =>
-            {
-                self.handle_repl(now, out, pkt);
-            }
+            Proto::Udp if self.ha.is_some() && pkt.dst.port == REPL_PORT => self.handle_repl(now, pkt),
             Proto::Udp => self.handle_udp(now, leg, out, pkt),
             Proto::Tcp => self.handle_tcp(now, out, pkt),
         }
@@ -968,10 +961,9 @@ impl GuardCore {
         self.window_count = 0;
     }
 
-    /// Scheduled key rotation, unless the key is a fleet master's to rotate.
+    /// Scheduled key rotation.
     fn rotate_if_due(&mut self, now: SimTime) {
-        let due = now.saturating_sub(self.last_rotation) >= KEY_ROTATION_INTERVAL;
-        if due && !self.is_fleet_member() {
+        if now.saturating_sub(self.last_rotation) >= KEY_ROTATION_INTERVAL {
             self.last_rotation = now;
             self.cookies.rotate();
         }

@@ -1,5 +1,5 @@
 //! Liveness of the protected ANS, from the forwards it leaves unanswered,
-//! and the exponential back-off every retry loop of the guard shares.
+//! and the exponential back-off of its probes.
 //! [`AnsHealth`] is told of each ANS response, each expired forward and each
 //! housekeeping window, and answers with what changed: recovered, went
 //! down, probe due. It counts and traces nothing; [`super::GuardCore`] does.
@@ -10,8 +10,8 @@ use netsim::time::SimTime;
 /// Upper bound on the gap between two ANS liveness probes.
 const ANS_PROBE_MAX: SimTime = SimTime::from_secs(5);
 
-/// An attempt schedule whose interval doubles per attempt up to a cap: ANS
-/// probes and fleet catch-up requests.
+/// An attempt schedule whose interval doubles per attempt up to a cap: the
+/// ANS probes.
 #[derive(Debug, Default)]
 pub(super) struct Backoff {
     interval: SimTime,

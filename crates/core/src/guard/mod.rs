@@ -22,7 +22,7 @@
 //! drivers", states what each must guarantee. `core` is the pipeline above;
 //! `schemes`, `keys` (the cookie factory and a memo of its positive
 //! verdicts), `health`, `stash`, `fwd` (the forward table, and the keyed
-//! ids forwards leave with), `repl` (HA pair, fleet keys) and
+//! ids forwards leave with), `repl` (the HA pair) and
 //! `restore` (checkpoints) are what it is composed of: state that owns its
 //! fields and returns what the guard must do.
 //!

@@ -1,38 +1,22 @@
 //! The replication channel ([`crate::ha`]) as the guard runs it: the
-//! primary–standby pair and the anycast fleet's key plane. [`HaRuntime`] and
-//! [`FleetRuntime`] own the protocol state — the time of the snapshot a
-//! standby holds, heartbeat counting, the fleet's sync flag and catch-up
-//! back-off — and answer each message and tick with what the guard must
-//! do; the `impl GuardCore` below does it (installs state, sends, counts,
-//! traces).
+//! primary–standby pair. [`HaRuntime`] owns the protocol state — the time
+//! of the snapshot a standby holds and heartbeat counting — and answers
+//! each message and tick with what the guard must do; the `impl GuardCore`
+//! below does it (installs state, sends, counts, traces).
 
 use super::core::{GuardCore, Output, Outputs};
-use super::health::Backoff;
-use crate::checkpoint::KeyState;
+use crate::checkpoint::GuardCheckpoint;
 use crate::config::GuardConfig;
-use crate::ha::{
-    decode_repl, encode_repl, repl_secret, FleetConfig, HaConfig, HaRole, ReplPayload, REPL_INTERVAL, REPL_PORT,
-};
-use guardhash::cookie::{CookieFactory, SecretKey};
+use crate::ha::{decode_repl, encode_repl, repl_secret, HaConfig, HaRole, REPL_INTERVAL, REPL_PORT};
+use guardhash::cookie::SecretKey;
 use netsim::packet::{Endpoint, Packet};
 use netsim::time::SimTime;
 use obs::trace::Value;
-use std::net::Ipv4Addr;
 
 /// Consecutive silent HA intervals before the standby declares the primary
 /// dead.
 const HEARTBEAT_MISSES: u32 = 3;
 
-/// Upper bound on a fleet member's catch-up request backoff.
-const CATCH_UP_BACKOFF_MAX: SimTime = SimTime::from_secs(1);
-
-/// One authenticated message on the channel. HA and fleet derive the same
-/// secret from the shared key seed, so a site can serve both roles over one
-/// port and either runtime's copy opens any message.
-fn message(secret: &SecretKey, from: Ipv4Addr, to: Ipv4Addr, payload: &ReplPayload) -> Packet {
-    let wire = encode_repl(payload, secret);
-    Packet::udp(Endpoint::new(from, REPL_PORT), Endpoint::new(to, REPL_PORT), wire)
-}
 
 /// What a standby's tick found: the last heartbeat is `age` old, and
 /// whether that made the peer dead and this guard its successor.
@@ -88,20 +72,18 @@ impl HaRuntime {
         if !self.feeds_peer() {
             return None;
         }
-        let snapshot = ReplPayload::Full(Box::new(guard.replica(now)));
-        Some(message(&self.secret, self.cfg.local_addr, self.cfg.peer_addr, &snapshot))
+        let wire = encode_repl(&guard.replica(now), &self.secret);
+        let (from, to) = (self.cfg.local_addr, self.cfg.peer_addr);
+        Some(Packet::udp(Endpoint::new(from, REPL_PORT), Endpoint::new(to, REPL_PORT), wire))
     }
 
-    /// Takes an authenticated message from the peer at `now`. Whatever it
-    /// carries, it is a heartbeat. Returns whether the guard installs it:
+    /// Takes an authenticated snapshot from the peer at `now`. Whenever it
+    /// was taken, it is a heartbeat. Returns whether the guard installs it:
     /// a standby takes a snapshot taken after the one it holds, so a
     /// reordered channel cannot roll it back.
-    fn heard(&mut self, now: SimTime, payload: &ReplPayload) -> bool {
+    fn heard(&mut self, now: SimTime, cp: &GuardCheckpoint) -> bool {
         self.last_heartbeat = now;
         self.missed = 0;
-        let ReplPayload::Full(cp) = payload else {
-            return false;
-        };
         let newer = self.role == HaRole::Standby && self.held.is_none_or(|held| cp.taken_at_nanos > held);
         if newer {
             self.held = Some(cp.taken_at_nanos);
@@ -134,102 +116,11 @@ fn claims(config: &GuardConfig) -> [Output; 2] {
     [Output::ClaimAddress(config.public_addr), Output::ClaimSubnet(config.subnet_base, prefix)]
 }
 
-/// What a fleet tick decided.
-#[derive(Debug)]
-enum FleetTick {
-    Idle,
-    /// Master: the key generation moved; these announce epoch `.0`.
-    Announce(u64, Vec<Packet>),
-    /// Unsynced member: this asks the master for the current epoch.
-    CatchUp(Packet),
-}
-
-/// Runtime state of a fleet site (master or member). The master pushes
-/// [`ReplPayload::FleetKey`] epochs; members apply them and request a
-/// catch-up (with backoff) while unsynced.
-#[derive(Debug)]
-pub(super) struct FleetRuntime {
-    cfg: FleetConfig,
-    secret: SecretKey,
-    /// Member: whether a key epoch has been applied yet.
-    synced: bool,
-    /// Master: the key generation last pushed (`u64::MAX` until the first
-    /// push, so startup always announces epoch 0).
-    sent_generation: u64,
-    /// Member: the catch-up request schedule (doubling per request up to
-    /// `CATCH_UP_BACKOFF_MAX`).
-    catch_up: Backoff,
-}
-
-impl FleetRuntime {
-    pub(super) fn new(cfg: FleetConfig, key_seed: u64) -> Self {
-        FleetRuntime {
-            secret: repl_secret(key_seed),
-            synced: false,
-            sent_generation: u64::MAX,
-            catch_up: Backoff::new(REPL_INTERVAL),
-            cfg,
-        }
-    }
-
-    /// Whether `src` is a site this one exchanges keys with: a member's
-    /// master, the master's members.
-    fn exchanges_with(&self, src: Ipv4Addr) -> bool {
-        if self.cfg.master {
-            self.cfg.peers.contains(&src)
-        } else {
-            src == self.cfg.master_addr
-        }
-    }
-
-    /// Whether a member adopts the pushed `epoch`, its own key being at
-    /// `generation`; it is synced from then on.
-    fn adopts(&mut self, epoch: u64, generation: u64) -> bool {
-        let news = !self.cfg.master && (!self.synced || generation != epoch);
-        if news {
-            self.synced = true;
-            self.catch_up = Backoff::new(REPL_INTERVAL);
-        }
-        news
-    }
-
-    /// The current key epoch, addressed to the site at `to`.
-    fn key_for(&self, to: Ipv4Addr, cookies: &CookieFactory) -> Packet {
-        let (epoch, key) = (cookies.generation(), Box::new(KeyState::capture(cookies)));
-        message(&self.secret, self.cfg.local_addr, to, &ReplPayload::FleetKey { epoch, key })
-    }
-
-    /// One fleet-sync tick: the master announces a new key epoch to every
-    /// member when its generation moved; an unsynced member requests a
-    /// catch-up with exponential backoff.
-    fn tick(&mut self, now: SimTime, cookies: &CookieFactory) -> FleetTick {
-        let generation = cookies.generation();
-        if self.cfg.master && self.sent_generation != generation {
-            self.sent_generation = generation;
-            let to_members = self.cfg.peers.iter().map(|&peer| self.key_for(peer, cookies));
-            FleetTick::Announce(generation, to_members.collect())
-        } else if !self.cfg.master && !self.synced && self.catch_up.due(now, CATCH_UP_BACKOFF_MAX) {
-            // `u64::MAX` = "never applied an epoch", so the master always
-            // answers — even when both sides still sit at generation 0.
-            let ask = ReplPayload::FleetKeyReq { have_epoch: u64::MAX };
-            FleetTick::CatchUp(message(&self.secret, self.cfg.local_addr, self.cfg.master_addr, &ask))
-        } else {
-            FleetTick::Idle
-        }
-    }
-}
-
 impl GuardCore {
     /// How often a driver must call [`GuardCore::on_ha_tick`]; `None` for
     /// a standalone guard.
     pub fn ha_interval(&self) -> Option<SimTime> {
         self.ha.as_ref().map(|_| REPL_INTERVAL)
-    }
-
-    /// How often a driver must call [`GuardCore::on_fleet_tick`]; `None`
-    /// outside a fleet.
-    pub fn fleet_interval(&self) -> Option<SimTime> {
-        self.fleet.as_ref().map(|_| REPL_INTERVAL)
     }
 
     /// The guard's HA role, if paired.
@@ -243,91 +134,21 @@ impl GuardCore {
         self.ha.as_ref().is_some_and(|ha| ha.took_over)
     }
 
-    /// Whether this guard takes its key from a fleet master. Members never
-    /// rotate locally — epochs only originate at the master, or the fleet
-    /// keys diverge.
-    pub(super) fn is_fleet_member(&self) -> bool {
-        self.fleet.as_ref().is_some_and(|f| !f.cfg.master)
-    }
-
-    /// Handles an inbound replication-channel datagram — HA pair traffic
-    /// and fleet key-sync share the port and the authenticated framing.
-    /// Every authenticated message from the HA peer doubles as a
-    /// heartbeat; fleet messages carry no liveness meaning.
-    pub(super) fn handle_repl(&mut self, now: SimTime, out: &mut Outputs, pkt: Packet) {
-        let src = pkt.src.ip;
-        let from_peer = self.ha.as_ref().is_some_and(|ha| src == ha.cfg.peer_addr);
-        let from_site = self.fleet.as_ref().is_some_and(|f| f.exchanges_with(src));
-        let secret = self.ha.as_ref().map(|ha| &ha.secret);
-        let secret = secret.or(self.fleet.as_ref().map(|f| &f.secret));
-        let payload = secret
-            .filter(|_| from_peer || from_site)
-            .and_then(|secret| decode_repl(&pkt.payload, secret).ok());
-        let Some(payload) = payload else {
+    /// Handles an inbound replication-channel datagram. Every authenticated
+    /// snapshot from the HA peer doubles as a heartbeat; a standby installs
+    /// the newer ones.
+    pub(super) fn handle_repl(&mut self, now: SimTime, pkt: Packet) {
+        let peer = self.ha.as_mut().filter(|ha| pkt.src.ip == ha.cfg.peer_addr);
+        let snapshot = peer.and_then(|ha| decode_repl(&pkt.payload, &ha.secret).ok().map(|cp| (ha, cp)));
+        let Some((ha, cp)) = snapshot else {
             self.metrics.repl_rejected.inc();
             return;
         };
-        let install = match &mut self.ha {
-            Some(ha) if from_peer => {
-                self.metrics.heartbeats_seen.inc();
-                ha.heard(now, &payload)
-            }
-            _ => false,
-        };
-        match payload {
-            ReplPayload::Full(cp) if install => {
-                self.apply_checkpoint(&cp, now);
-                self.metrics.repl_deltas_applied.inc();
-                self.metrics.checkpoint_age_nanos.set(0);
-            }
-            ReplPayload::FleetKey { epoch, key } if from_site => {
-                let generation = self.cookies.generation();
-                if self.fleet.as_mut().is_some_and(|f| f.adopts(epoch, generation)) {
-                    self.adopt_fleet_key(now, epoch, &key);
-                }
-            }
-            ReplPayload::FleetKeyReq { have_epoch } if from_site && have_epoch != self.cookies.generation() => {
-                let master = self.fleet.as_ref().filter(|f| f.cfg.master);
-                if let Some(key) = master.map(|f| f.key_for(src, &self.cookies)) {
-                    self.metrics.fleet_keys_sent.inc();
-                    self.tx(out, key);
-                }
-            }
-            // Authentic, but not this sender's to send or this role's to take.
-            _ => {}
-        }
-    }
-
-    /// Installs a pushed fleet key epoch (member side). The carried state
-    /// includes the previous key, so cookies minted under the prior epoch
-    /// keep verifying here — the fleet-wide grace window.
-    fn adopt_fleet_key(&mut self, now: SimTime, epoch: u64, key: &KeyState) {
-        self.cookies.replace(key.to_factory(self.config.cookie_alg));
-        self.last_rotation = now;
-        self.metrics.fleet_keys_applied.inc();
-        let fields = [("epoch", Value::U64(epoch)), ("role", Value::Str("member"))];
-        self.metrics.trace.event(now.as_nanos(), "fleet_key_rotate", &fields);
-    }
-
-    /// One fleet-sync tick ([`GuardCore::fleet_interval`] apart).
-    pub fn on_fleet_tick(&mut self, now: SimTime, out: &mut Outputs) {
-        let Some(fleet) = &mut self.fleet else {
-            return;
-        };
-        match fleet.tick(now, &self.cookies) {
-            FleetTick::Idle => {}
-            FleetTick::Announce(epoch, to_members) => {
-                for key in to_members {
-                    self.metrics.fleet_keys_sent.inc();
-                    self.tx(out, key);
-                }
-                let fields = [("epoch", Value::U64(epoch)), ("role", Value::Str("master"))];
-                self.metrics.trace.event(now.as_nanos(), "fleet_key_rotate", &fields);
-            }
-            FleetTick::CatchUp(ask) => {
-                self.metrics.fleet_key_reqs.inc();
-                self.tx(out, ask);
-            }
+        self.metrics.heartbeats_seen.inc();
+        if ha.heard(now, &cp) {
+            self.apply_checkpoint(&cp, now);
+            self.metrics.repl_deltas_applied.inc();
+            self.metrics.checkpoint_age_nanos.set(0);
         }
     }
 
@@ -365,18 +186,18 @@ impl GuardCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::GuardCheckpoint;
+    use std::net::Ipv4Addr;
 
     const PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 50, 0, 1);
     const STANDBY: Ipv4Addr = Ipv4Addr::new(10, 50, 0, 2);
 
     /// The snapshot, taken at `ms`, of a guard with nothing in its tables.
-    fn snapshot(ms: u64) -> ReplPayload {
-        ReplPayload::Full(Box::new(GuardCheckpoint {
+    fn snapshot(ms: u64) -> GuardCheckpoint {
+        GuardCheckpoint {
             version: crate::checkpoint::CHECKPOINT_VERSION,
             seq: 1,
             taken_at_nanos: SimTime::from_millis(ms).as_nanos(),
-            key: KeyState::capture(&CookieFactory::from_seed(7)),
+            key_generation: 0,
             rl1: Default::default(),
             rl2: Default::default(),
             next_txid: 1,
@@ -385,7 +206,7 @@ mod tests {
             last_rotation_nanos: 0,
             fwd: Vec::new(),
             stash: Vec::new(),
-        }))
+        }
     }
 
     #[test]
@@ -399,8 +220,6 @@ mod tests {
         assert!(!standby.heard(at(42), &snapshot(20)));
         assert_eq!((standby.last_heartbeat, standby.missed), (at(42), 0));
         assert!(standby.heard(at(61), &snapshot(60)), "one lost in between costs nothing more");
-        let fleet_key = ReplPayload::FleetKeyReq { have_epoch: 0 };
-        assert!(!standby.heard(at(62), &fleet_key));
 
         let mut primary = HaRuntime::new(HaConfig::primary(PRIMARY, STANDBY), 7);
         assert!(!primary.heard(at(1), &snapshot(0)), "a primary takes no state");
@@ -443,30 +262,5 @@ mod tests {
             assert!(!covers(prefix + 1), "range {range}: /{} would do", prefix + 1);
             assert_eq!(prefix, expected, "range {range}");
         }
-    }
-
-    #[test]
-    fn fleet_sites_know_their_counterparts_and_members_back_off() {
-        let cookies = CookieFactory::from_seed(7);
-        let members = vec![Ipv4Addr::new(10, 60, 0, 2), Ipv4Addr::new(10, 60, 0, 3)];
-        let mut master = FleetRuntime::new(FleetConfig::master(PRIMARY, members.clone()), 7);
-        assert!(master.exchanges_with(members[1]) && !master.exchanges_with(STANDBY));
-        let FleetTick::Announce(0, pushed) = master.tick(SimTime::ZERO, &cookies) else {
-            panic!("startup announces epoch 0");
-        };
-        assert_eq!(pushed.iter().map(|p| p.dst.ip).collect::<Vec<_>>(), members);
-        assert!(matches!(master.tick(SimTime::from_millis(20), &cookies), FleetTick::Idle));
-        assert!(!master.adopts(1, 0), "a master takes no epoch");
-
-        let mut member = FleetRuntime::new(FleetConfig::member(members[0], PRIMARY), 7);
-        assert!(member.exchanges_with(PRIMARY) && !member.exchanges_with(members[1]));
-        let asked: Vec<u64> = (0..=40)
-            .filter(|&n| matches!(member.tick(SimTime::from_millis(20 * n), &cookies), FleetTick::CatchUp(_)))
-            .collect();
-        assert_eq!(asked, [0, 1, 3, 7, 15, 31]);
-        assert!(member.adopts(0, 0), "the first push syncs, even at the same generation");
-        assert!(!member.adopts(0, 0), "a repeat of the epoch held is not news");
-        assert!(member.adopts(1, 0));
-        assert!(matches!(member.tick(SimTime::from_secs(9), &cookies), FleetTick::Idle));
     }
 }

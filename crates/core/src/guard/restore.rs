@@ -6,7 +6,7 @@
 use super::core::{GuardCore, Output, Outputs};
 use super::fwd::{Forwarded, Rewrite};
 use crate::checkpoint::{
-    FwdState, GuardCheckpoint, KeyState, LimiterState, StashState, CHECKPOINT_VERSION, STASH_TTL,
+    FwdState, GuardCheckpoint, LimiterState, StashState, CHECKPOINT_VERSION, STASH_TTL,
 };
 use crate::ha::HaRole;
 use netsim::packet::Endpoint;
@@ -61,7 +61,7 @@ impl GuardCore {
             version: CHECKPOINT_VERSION,
             seq: self.checkpoint_seq + 1,
             taken_at_nanos: now.as_nanos(),
-            key: KeyState::capture(&self.cookies),
+            key_generation: self.cookies.generation(),
             rl1: LimiterState::default(),
             rl2: LimiterState::default(),
             next_txid: self.next_txid,
@@ -102,10 +102,11 @@ impl GuardCore {
     /// Replaces restorable state with a checkpoint's. Staleness rules:
     /// forwarding entries past the ANS deadline and stash entries past
     /// [`STASH_TTL`] are dropped — a restart never replays an expired
-    /// deadline. Pre-rotation cookies keep verifying because the key state
-    /// restores both generations and the generation bit.
+    /// deadline. The keys are re-derived from this guard's own `key_seed`
+    /// at the checkpoint's generation, so pre-rotation cookies keep
+    /// verifying through the previous key and the generation bit.
     pub fn apply_checkpoint(&mut self, cp: &GuardCheckpoint, now: SimTime) {
-        self.cookies.replace(cp.key.to_factory(self.config.cookie_alg));
+        self.cookies.restore(cp.key_generation);
         self.rl1.restore_state(&cp.rl1);
         self.rl2.restore_state(&cp.rl2);
         self.next_txid = cp.next_txid.max(1);

@@ -212,6 +212,7 @@ pub(super) fn cookie2_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use guardhash::cookie::CookieAlg;
 
     #[test]
     fn cookie_label_round_trips() {
@@ -241,7 +242,7 @@ mod tests {
 
     #[test]
     fn every_source_matches_its_own_cookie2_address() {
-        let mut cookies = Keys::new(CookieFactory::from_seed(11));
+        let mut cookies = Keys::new(11, CookieAlg::default());
         let base = Ipv4Addr::new(198, 41, 0, 0);
         let inside = Ipv4Addr::new(198, 41, 0, 4);
         let outside = Ipv4Addr::new(192, 0, 2, 1);

@@ -17,10 +17,6 @@ const TAG_WINDOW: u64 = u64::MAX;
 /// primary, heartbeat watching on the standby).
 const TAG_HA: u64 = u64::MAX - 1;
 
-/// Timer tag for the fleet key-sync tick (epoch pushes on the master,
-/// catch-up requests on an unsynced member).
-const TAG_FLEET: u64 = u64::MAX - 2;
-
 /// The remote DNS guard node: a [`GuardCore`] (to which it dereferences)
 /// fed from the simulator's clock and packets.
 ///
@@ -78,7 +74,6 @@ impl RemoteGuard {
         let period = match tag {
             TAG_WINDOW => Some(WINDOW),
             TAG_HA => self.core.ha_interval(),
-            TAG_FLEET => self.core.fleet_interval(),
             _ => None,
         };
         period.map(|period| ctx.set_daemon_timer(period, tag)).is_some()
@@ -121,7 +116,7 @@ impl DerefMut for RemoteGuard {
 
 impl Node for RemoteGuard {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        for tag in [TAG_WINDOW, TAG_HA, TAG_FLEET] {
+        for tag in [TAG_WINDOW, TAG_HA] {
             self.arm(ctx, tag);
         }
     }
@@ -148,8 +143,7 @@ impl Node for RemoteGuard {
         let now = ctx.now();
         match tag {
             TAG_WINDOW => self.core.on_window(now, &mut self.out),
-            TAG_HA => self.core.on_ha_tick(now, &mut self.out),
-            _ => self.core.on_fleet_tick(now, &mut self.out),
+            _ => self.core.on_ha_tick(now, &mut self.out),
         }
         self.flush(ctx);
     }

@@ -93,12 +93,6 @@ obs::counters! {
         peer_down_events,
         /// Times this guard took over the guarded address from a dead peer.
         failover_takeovers,
-        /// Fleet key epochs pushed to member sites (master only).
-        fleet_keys_sent = "fleet_keys" { dir = "sent" },
-        /// Fleet key epochs applied from the master (members only).
-        fleet_keys_applied = "fleet_keys" { dir = "applied" },
-        /// Catch-up key requests sent while unsynced (members only).
-        fleet_key_reqs,
     }
     gauges {
         /// Staleness of this guard's recoverable state, in nanoseconds: time

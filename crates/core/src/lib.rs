@@ -67,7 +67,7 @@ pub use checkpoint::GuardCheckpoint;
 pub use classify::{AuthorityClassifier, Classification, Classifier};
 pub use config::{GuardConfig, SchemeMode};
 pub use guard::{GuardCore, GuardStats, RemoteGuard};
-pub use ha::{FleetConfig, HaConfig, HaRole};
+pub use ha::{HaConfig, HaRole};
 pub use local_guard::LocalGuard;
 pub use ratelimit::SourceRateLimiter;
 pub use tcp_proxy::TcpProxy;

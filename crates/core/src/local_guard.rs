@@ -61,7 +61,9 @@ pub struct LocalGuard {
     lrs_addr: Ipv4Addr,
     cookies: HashMap<Ipv4Addr, CachedCookie>,
     incapable: HashMap<Ipv4Addr, SimTime>,
-    held: HashMap<(Ipv4Addr, u16), HeldQuery>,
+    /// Queries awaiting their probe's grant, by server, LRS port and id:
+    /// two LRS ports may use one id with one server at once.
+    held: HashMap<(Ipv4Addr, u16, u16), HeldQuery>,
     /// Counters.
     pub stats: LocalGuardStats,
 }
@@ -104,11 +106,10 @@ impl LocalGuard {
             self.cookies.remove(&server);
         }
         // No cookie: hold the query and probe with the all-zero extension.
-        let txid = msg.header.id;
         let mut probe = msg.clone();
         cookie_ext::attach_cookie(&mut probe, ZERO_COOKIE, 0);
         self.held.insert(
-            (server, txid),
+            (server, pkt.src.port, msg.header.id),
             HeldQuery {
                 original: msg,
                 created: now,
@@ -120,7 +121,7 @@ impl LocalGuard {
 
     fn handle_inbound(&mut self, ctx: &mut Context<'_>, pkt: Packet, mut msg: Message) {
         let server = pkt.src.ip;
-        let key = (server, msg.header.id);
+        let key = (server, pkt.dst.port, msg.header.id);
         let ext = cookie_ext::strip_cookie(&mut msg);
 
         match (self.held.remove(&key), ext) {

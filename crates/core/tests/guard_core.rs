@@ -7,11 +7,11 @@
 //! that owns the default route. What each emits and counts must be equal —
 //! the simulator driver adds nothing and loses nothing.
 
-use dnsguard::checkpoint::{FwdState, GuardCheckpoint, KeyState, StashState, STASH_TTL};
+use dnsguard::checkpoint::{FwdState, GuardCheckpoint, StashState, STASH_TTL};
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::{GuardConfig, SchemeMode, KEY_ROTATION_INTERVAL};
 use dnsguard::guard::{GuardCore, GuardStats, Leg, Output, Outputs, RemoteGuard, WINDOW};
-use dnsguard::ha::{encode_repl, repl_secret, FleetConfig, HaConfig, ReplPayload, REPL_INTERVAL, REPL_PORT};
+use dnsguard::ha::{HaConfig, REPL_INTERVAL, REPL_PORT};
 use dnswire::cookie_ext;
 use dnswire::framing::{frame, take_frame};
 use dnswire::message::Message;
@@ -534,41 +534,21 @@ fn verified_by(guard: &Direct, client: Endpoint) -> Packet {
 }
 
 /// A cookie the guard has verified (and so memoized) stops verifying the
-/// moment the guard holds another key at the same generation: a fleet
-/// member adopting the master's epoch 0, or a guard restoring a checkpoint
-/// of another key. A memo keyed by the generation would still accept it.
+/// moment a checkpoint installs a generation two past the one that issued
+/// it. A memo that outlived the key change would still accept it.
 #[test]
-fn a_memoized_cookie_dies_with_its_key_at_the_same_generation() {
-    let master = Ipv4Addr::new(10, 60, 0, 1);
-    for fleet in [true, false] {
-        let (mut config, classifier) = parts(SchemeMode::ModifiedOnly, Zone::Foo);
-        if fleet {
-            config.fleet = Some(FleetConfig::member(PUBLIC, master));
-        }
-        let seed = config.key_seed;
-        let mut guard = direct_with(config, classifier);
-        let pkt = verified_by(&guard, CLIENT);
-        for _ in 0..2 {
-            assert_eq!(guard.offer(pkt.clone()).len(), 1, "verified and forwarded");
-        }
-
-        let other = KeyState::capture(&CookieFactory::from_seed(seed ^ 0xD1FF));
-        if fleet {
-            let push = encode_repl(&ReplPayload::FleetKey { epoch: 0, key: Box::new(other) }, &repl_secret(seed));
-            let at = |ip| Endpoint::new(ip, REPL_PORT);
-            assert!(guard.offer(Packet::udp(at(master), at(PUBLIC), push)).is_empty());
-            assert_eq!(guard.stats().fleet_keys_applied, 1);
-        } else {
-            let mut checkpoint = guard.core.checkpoint(guard.now);
-            checkpoint.key = other;
-            guard.core.apply_checkpoint(&checkpoint, guard.now);
-        }
-        assert_eq!(guard.cookies().generation(), 0, "the same generation");
-
-        assert!(guard.offer(pkt).is_empty(), "a cookie of the old key was forwarded (fleet: {fleet})");
-        let stats = guard.stats();
-        assert_eq!((stats.ext_valid, stats.ext_invalid, stats.forwarded), (2, 1, 2), "fleet: {fleet}");
+fn a_memoized_cookie_dies_when_a_checkpoint_installs_generation_2() {
+    let mut guard = direct(SchemeMode::ModifiedOnly, Zone::Foo);
+    let pkt = verified_by(&guard, CLIENT);
+    for _ in 0..2 {
+        assert_eq!(guard.offer(pkt.clone()).len(), 1, "verified and forwarded");
     }
+    let checkpoint = GuardCheckpoint { key_generation: 2, ..guard.core.checkpoint(guard.now) };
+    guard.core.apply_checkpoint(&checkpoint, guard.now);
+    assert_eq!(guard.cookies().generation(), 2);
+    assert!(guard.offer(pkt).is_empty(), "a cookie of generation 0 was forwarded");
+    let stats = guard.stats();
+    assert_eq!((stats.ext_valid, stats.ext_invalid, stats.forwarded), (2, 1, 2));
 }
 
 /// A memoized cookie lives exactly as long as the factory's verdict: it is
@@ -626,21 +606,31 @@ fn a_cookie_outlives_one_weekly_rotation_and_not_two() {
     assert_eq!((stats.ext_valid, stats.ext_invalid), (2, 1));
 }
 
-/// A fleet member never rotates on its own schedule: its keys are the
-/// master's epochs, or the sites' keys would diverge. The master rotates
-/// weekly like a lone guard.
+/// Two fleet sites built from one config share its `key_seed` and nothing
+/// else: no datagram passes between them. Each rotates on its own weekly
+/// schedule and on an operator's `rotate_key` applied to both, and each
+/// accepts the cookies the other issues at every step.
 #[test]
-fn a_fleet_member_skips_the_weekly_rotation() {
-    let (master, member) = (Ipv4Addr::new(10, 60, 0, 1), Ipv4Addr::new(10, 60, 0, 2));
-    let sites = [(FleetConfig::master(master, vec![member]), 2), (FleetConfig::member(member, master), 0)];
-    for (fleet, rotations) in sites {
-        let (config, classifier) = parts(SchemeMode::ModifiedOnly, Zone::Foo);
-        let mut guard = direct_with(config.with_fleet(fleet), classifier);
-        for _ in 0..2 {
-            assert!(guard.leap(KEY_ROTATION_INTERVAL).is_empty());
+fn fleet_sites_sharing_a_seed_accept_each_others_cookies_without_a_message() {
+    let mut sites = [direct(SchemeMode::ModifiedOnly, Zone::Foo), direct(SchemeMode::ModifiedOnly, Zone::Foo)];
+    let other = Endpoint::new(Ipv4Addr::new(10, 0, 0, 10), 4242);
+    let mut generations = Vec::new();
+    for step in 0..4 {
+        for site in &mut sites {
+            match step {
+                0 => {}
+                1 | 2 => assert!(site.leap(KEY_ROTATION_INTERVAL).is_empty()),
+                _ => site.core.rotate_key(),
+            }
         }
-        assert_eq!(guard.cookies().generation(), rotations, "master: {}", rotations > 0);
+        let [a, b] = &mut sites;
+        let (to_b, to_a) = (verified_by(a, CLIENT), verified_by(b, other));
+        assert_eq!(b.offer(to_b).len(), 1, "step {step}: site A's cookie at site B");
+        assert_eq!(a.offer(to_a).len(), 1, "step {step}: site B's cookie at site A");
+        generations.push([a.cookies().generation(), b.cookies().generation()]);
     }
+    assert_eq!(generations, [[0, 0], [1, 1], [2, 2], [3, 3]]);
+    assert!(sites.iter().all(|site| site.stats().ext_invalid == 0));
 }
 
 /// The `evict` events of `table` traced since the last drain, as the value
@@ -908,13 +898,13 @@ impl Pair {
     }
 }
 
-/// What a standby must hold to take over: the key state, the forwards, the
+/// What a standby must hold to take over: the key generation, the forwards, the
 /// stash, the allocators and whether detection is engaged.
-type Held = (KeyState, Vec<FwdState>, Vec<StashState>, u16, u64, bool);
+type Held = (u64, Vec<FwdState>, Vec<StashState>, u16, u64, bool);
 
 fn held(guard: &Direct) -> Held {
     let cp = guard.core.checkpoint(guard.now);
-    (cp.key, cp.fwd, cp.stash, cp.next_txid, cp.next_qid, cp.active)
+    (cp.key_generation, cp.fwd, cp.stash, cp.next_txid, cp.next_qid, cp.active)
 }
 
 /// `src`'s first contact under `id`: the cookie name it is referred to.

@@ -259,6 +259,14 @@ impl SecretKey {
         SecretKey::from_bytes(bytes)
     }
 
+    /// The key of rotation generation `generation` under `seed`, generation
+    /// 0's being [`SecretKey::from_seed`]'s. A pure function of its two
+    /// arguments: every holder of `seed` agrees on every generation's key
+    /// without exchanging one.
+    pub fn for_generation(seed: u64, generation: u64) -> Self {
+        SecretKey::from_seed(seed ^ generation.wrapping_mul(0x2545_F491_4F6C_DD1D))
+    }
+
     /// The raw key bytes.
     pub fn as_bytes(&self) -> &[u8; KEY_LEN] {
         &self.bytes
@@ -305,12 +313,22 @@ impl CookieFactory {
     /// Creates a factory whose generation-0 key derives from `seed`, hashing
     /// with the default [`CookieAlg`].
     pub fn from_seed(seed: u64) -> Self {
+        CookieFactory::at_generation(seed, 0, CookieAlg::default())
+    }
+
+    /// The factory of `seed` at rotation generation `generation`, hashing
+    /// with `alg`: the current key is that generation's
+    /// ([`SecretKey::for_generation`]) and, past generation 0, the previous
+    /// one keeps the grace window. Equal to a factory from the same seed
+    /// rotated `generation` times, in O(1), so a generation number is all a
+    /// restore or another site needs.
+    pub fn at_generation(seed: u64, generation: u64, alg: CookieAlg) -> Self {
         CookieFactory {
-            current: SecretKey::from_seed(seed),
-            previous: None,
-            generation: 0,
+            current: SecretKey::for_generation(seed, generation),
+            previous: generation.checked_sub(1).map(|g| SecretKey::for_generation(seed, g)),
+            generation,
             seed,
-            alg: CookieAlg::default(),
+            alg,
         }
     }
 
@@ -321,45 +339,9 @@ impl CookieFactory {
         self
     }
 
-    /// Rebuilds a factory from checkpointed parts, preserving the rotation
-    /// state exactly: the generation counter keeps the generation-bit
-    /// dispatch consistent, and the previous key (when present) keeps
-    /// pre-rotation cookies verifying through their grace window. The parts
-    /// do not record the hash, so the caller names it.
-    pub fn from_parts(
-        current: SecretKey,
-        previous: Option<SecretKey>,
-        generation: u64,
-        rotation_seed: u64,
-        alg: CookieAlg,
-    ) -> Self {
-        CookieFactory {
-            current,
-            previous,
-            generation,
-            seed: rotation_seed,
-            alg,
-        }
-    }
-
     /// Current key generation (increments on [`CookieFactory::rotate`]).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The current secret key (checkpointing only — handle with care).
-    pub fn current_key(&self) -> &SecretKey {
-        &self.current
-    }
-
-    /// The previous secret key, if a rotation grace window is live.
-    pub fn previous_key(&self) -> Option<&SecretKey> {
-        self.previous.as_ref()
-    }
-
-    /// The seed future rotations derive from.
-    pub fn rotation_seed(&self) -> u64 {
-        self.seed
     }
 
     /// Issues the cookie for `ip` under the current key, generation bit set.
@@ -428,13 +410,10 @@ impl CookieFactory {
         Cookie::compute_with(self.alg, &self.current, ip).subnet_offset(range)
     }
 
-    /// Rotates to a fresh key, retaining the previous one for the grace
-    /// window.
+    /// Rotates to the next generation's key, retaining the previous one for
+    /// the grace window. Past `u64::MAX` the count wraps to generation 0.
     pub fn rotate(&mut self) {
-        let next_gen = self.generation + 1;
-        let next = SecretKey::from_seed(self.seed ^ (next_gen.wrapping_mul(0x2545_F491_4F6C_DD1D)));
-        self.previous = Some(std::mem::replace(&mut self.current, next));
-        self.generation = next_gen;
+        *self = CookieFactory::at_generation(self.seed, self.generation.wrapping_add(1), self.alg);
     }
 
     fn key_for_bit(&self, bit: u8) -> Option<(&SecretKey, u64)> {
@@ -614,36 +593,48 @@ mod tests {
         assert_eq!(CookieAlg::default(), CookieAlg::SipHash24);
         let f = CookieFactory::from_seed(45);
         let addr = ip(192, 0, 2, 98);
-        let sip = Cookie::compute_with(CookieAlg::SipHash24, f.current_key(), addr);
+        let sip = Cookie::compute_with(CookieAlg::SipHash24, &SecretKey::from_seed(45), addr);
         assert_eq!(f.generate(addr), sip.with_generation_bit(0));
     }
 
     #[test]
-    fn from_parts_round_trip_preserves_rotation_state() {
+    fn at_generation_equals_the_factory_rotated_as_often() {
         let mut f = CookieFactory::from_seed(44);
         let addr = ip(192, 0, 2, 99);
         let week0 = f.generate(addr);
         f.rotate();
         let week1 = f.generate(addr);
 
-        let g = CookieFactory::from_parts(
-            f.current_key().clone(),
-            f.previous_key().cloned(),
-            f.generation(),
-            f.rotation_seed(),
-            CookieAlg::default(),
-        );
-        assert_eq!(g.generation(), f.generation());
+        let g = CookieFactory::at_generation(44, f.generation(), CookieAlg::default());
+        assert_eq!(g.generation(), 1);
         assert!(g.verify(addr, &week0), "pre-rotation cookie survives restore");
         assert!(g.verify(addr, &week1));
         assert_eq!(g.generate(addr), f.generate(addr));
+        assert_eq!(g.generate_subnet_offset(addr, 254), f.generate_subnet_offset(addr, 254));
 
-        // Future rotations derive identically from the restored seed.
-        let mut f2 = f.clone();
-        let mut g2 = g.clone();
+        // Future rotations derive identically, and so does any generation.
+        let (mut f2, mut g2) = (f.clone(), g.clone());
         f2.rotate();
         g2.rotate();
         assert_eq!(f2.generate(addr), g2.generate(addr));
+        assert!(!g2.verify(addr, &week0), "two rotations expire the cookie");
+        let g5 = CookieFactory::at_generation(44, 5, CookieAlg::default());
+        (2..5).for_each(|_| f2.rotate());
+        assert_eq!(g5.generate(addr), f2.generate(addr));
+        assert!(g5.verify(addr, &f2.generate(addr)));
+    }
+
+    #[test]
+    fn the_last_generation_keeps_its_grace_and_rotates_to_the_first() {
+        let addr = ip(192, 0, 2, 100);
+        let mut f = CookieFactory::at_generation(46, u64::MAX, CookieAlg::default());
+        let before = CookieFactory::at_generation(46, u64::MAX - 1, CookieAlg::default());
+        assert!(f.verify(addr, &f.generate(addr)));
+        assert!(f.verify(addr, &before.generate(addr)), "generation MAX − 1 is in grace");
+        assert!(!f.verify(addr, &CookieFactory::from_seed(46).generate(addr)));
+        f.rotate();
+        assert_eq!(f.generation(), 0);
+        assert_eq!(f.generate(addr), CookieFactory::from_seed(46).generate(addr));
     }
 
     #[test]

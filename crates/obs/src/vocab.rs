@@ -58,10 +58,9 @@ pub const KINDS: &[Kind] = &[
     k("stash_hit", &["src", "qid"], None),
     k("proxy_accept", &["src", "qid"], None),
     k("proxy_relay", &["src", "qid", "token"], None),
-    // guard: HA pair, fleet keys, checkpoints, analytics
+    // guard: HA pair, checkpoints, analytics
     k("peer_down", &[], None),
     k("takeover", &["addr"], None),
-    k("fleet_key_rotate", &["epoch", "role"], None),
     k("checkpoint", &["seq", "bytes"], None),
     k("restore", &["seq", "age_nanos"], None),
     k(
@@ -109,8 +108,6 @@ pub const WORDS: &[&str] = &[
     "rl1", "rl2", "fwd", "stash",
     // via
     "passthrough", "referral", "cookie2_redirect", "tcp",
-    // role
-    "master", "member",
     // state
     "firing", "cleared",
 ];

@@ -1,17 +1,22 @@
 //! High-availability chaos suite: primary–standby failover under attack,
 //! key rotation across a checkpoint/restore cycle in every scheme mode,
-//! verified service under a flood far past Rate-Limiter1's capacity, and
-//! replication over a lossy channel.
+//! verified service under a flood far past Rate-Limiter1's capacity,
+//! replication over a lossy channel, and checkpoints and snapshots that
+//! carry a key generation, never a key.
 
 use bench::worlds::{
     attach_flood, attach_lrs, guard_stats, guarded_world_with, ha_world, lrs_stats, GuardedWorld, HaWorld, LrsParams,
     WorldParams, ZoneSel, PRIV, PUB,
 };
+use dnsguard::checkpoint::GuardCheckpoint;
 use dnsguard::classify::AuthorityClassifier;
 use dnsguard::config::SchemeMode;
-use dnsguard::guard::RemoteGuard;
+use dnsguard::guard::{GuardCore, Leg, Outputs, RemoteGuard};
+use dnsguard::ha::{encode_repl, repl_secret, HaConfig, REPL_PORT};
 use dnsguard::GuardConfig;
+use guardhash::cookie::{CookieAlg, CookieFactory, SecretKey};
 use netsim::engine::{CpuConfig, FaultPlan};
+use netsim::packet::{Endpoint, Packet};
 use netsim::time::SimTime;
 use netsim::NodeId;
 use server::authoritative::Authority;
@@ -120,7 +125,7 @@ fn rotation_survives_checkpoint_restore_in_every_scheme() {
         let (config, cp) = (g.config().clone(), g.latest_checkpoint().cloned());
         let cp = cp.unwrap_or_else(|| panic!("{scheme}: no checkpoint taken"));
         assert!(
-            cp.key.generation >= 1,
+            cp.key_generation >= 1,
             "{scheme}: checkpoint must capture the post-rotation key state"
         );
 
@@ -201,11 +206,11 @@ fn surge_leaves_verified_service_as_it_is_unattacked() {
 }
 
 /// What a standby must hold to take over, as `g`'s checkpoint at `now`
-/// lists it: the key state, the forwards, the stash, the allocators and
-/// whether detection is engaged.
+/// lists it: the key generation, the forwards, the stash, the allocators
+/// and whether detection is engaged.
 fn held(g: &RemoteGuard, now: SimTime) -> impl PartialEq + std::fmt::Debug {
     let cp = g.checkpoint(now);
-    (cp.key, cp.fwd, cp.stash, cp.next_txid, cp.next_qid, cp.active)
+    (cp.key_generation, cp.fwd, cp.stash, cp.next_txid, cp.next_qid, cp.active)
 }
 
 /// A badly lossy replication channel: the standby installs every snapshot
@@ -305,4 +310,62 @@ fn stale_checkpoint_drops_all_forwarding_state() {
     let before = lrs_stats(&w.sim, lrs).completed;
     w.sim.run_for(SimTime::from_millis(300));
     assert!(lrs_stats(&w.sim, lrs).completed > before, "client recovers after a stale restore");
+}
+
+/// A bare guard of the paper's root zone under `config`.
+fn core(config: GuardConfig) -> GuardCore {
+    GuardCore::new(config, AuthorityClassifier::new(Authority::new(vec![paper_hierarchy().0])))
+}
+
+/// A seed whose eight bytes read differently either way round.
+const SEED: u64 = 0x0123_4567_89AB_CDEF;
+
+/// A checkpoint is written to disk and a snapshot crosses the network, so
+/// neither may carry a key: after one rotation, the encoding holds no
+/// eight-byte window of the current or the previous key, and not the seed
+/// every key derives from.
+#[test]
+fn a_checkpoint_holds_no_key_material() {
+    let mut guard = core(GuardConfig { key_seed: SEED, ..GuardConfig::new(PUB, PRIV) });
+    guard.rotate_key();
+    let wire = guard.checkpoint(SimTime::from_secs(1)).encode();
+    let leaks = |secret: &[u8]| secret.windows(8).filter(|w| wire.windows(8).any(|v| v == *w)).count();
+    for generation in [1, 0] {
+        let key = SecretKey::for_generation(SEED, generation);
+        assert_eq!(leaks(key.as_bytes()), 0, "generation {generation}'s key is in the checkpoint");
+    }
+    assert_eq!(leaks(&SEED.to_le_bytes()) + leaks(&SEED.to_be_bytes()), 0, "the seed is in the checkpoint");
+    assert_eq!(GuardCheckpoint::decode(&wire).map(|cp| cp.key_generation), Ok(1));
+}
+
+/// A generation is read off disk or the wire, so the last one there is
+/// must install at once, from a checkpoint and from a snapshot alike: the
+/// restored keys verify their own cookies and the previous generation's,
+/// and reject one minted at generation 0.
+#[test]
+fn a_checkpoint_or_snapshot_at_the_last_generation_restores_at_once() {
+    let config = GuardConfig { key_seed: SEED, ..GuardConfig::new(PUB, PRIV) };
+    let now = SimTime::from_secs(1);
+    let cp = GuardCheckpoint { key_generation: u64::MAX, ..core(config.clone()).checkpoint(now) };
+
+    let mut restored = core(config.clone());
+    restored.apply_checkpoint(&GuardCheckpoint::decode(&cp.encode()).expect("decodes"), now);
+
+    let (primary, standby_addr) = (Ipv4Addr::new(10, 99, 0, 2), Ipv4Addr::new(10, 99, 0, 3));
+    let mut standby = core(GuardConfig { ha: Some(HaConfig::standby(standby_addr, primary)), ..config });
+    let wire = encode_repl(&cp, &repl_secret(SEED));
+    let snapshot = Packet::udp(Endpoint::new(primary, REPL_PORT), Endpoint::new(standby_addr, REPL_PORT), wire);
+    standby.handle_packet(now, Leg::Client, snapshot, &mut Outputs::default());
+    assert_eq!(standby.stats().repl_deltas_applied, 1);
+
+    let ip = Ipv4Addr::new(192, 0, 2, 77);
+    let before = CookieFactory::at_generation(SEED, u64::MAX - 1, CookieAlg::default()).generate(ip);
+    let first = CookieFactory::from_seed(SEED).generate(ip);
+    for (name, guard) in [("checkpoint", &restored), ("snapshot", &standby)] {
+        let keys = guard.cookie_factory();
+        assert_eq!(keys.generation(), u64::MAX, "{name}");
+        assert!(keys.verify(ip, &keys.generate(ip)), "{name}: its own cookie");
+        assert!(keys.verify(ip, &before), "{name}: the previous generation's cookie");
+        assert!(!keys.verify(ip, &first), "{name}: generation 0's cookie");
+    }
 }

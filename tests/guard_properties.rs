@@ -8,6 +8,7 @@ use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
 use dnswire::message::Message;
 use dnswire::types::RrType;
+use guardhash::cookie::CookieFactory;
 use netsim::engine::CpuConfig;
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
 use netsim::time::SimTime;
@@ -292,22 +293,30 @@ proptest! {
             &decoded,
             later,
         );
-        // Key state round-trips exactly: same generation, same current
-        // and previous keys, so every cookie — including one granted
-        // before a rotation — verifies identically.
+        // The generation round-trips and the restored guard re-derives its
+        // keys from its own seed: a cookie of every generation so far — one
+        // granted before a rotation, one two rotations old — and a forgery
+        // of each get the verdicts they got before.
         prop_assert_eq!(
             restored.cookie_factory().generation(),
             g.cookie_factory().generation()
         );
-        prop_assert_eq!(
-            restored.cookie_factory().previous_key().map(|k| *k.as_bytes()),
-            g.cookie_factory().previous_key().map(|k| *k.as_bytes())
-        );
         for oct in [1u8, 77, 201] {
             let ip = Ipv4Addr::new(172, 16, 9, oct);
-            let cookie = g.cookie_factory().generate(ip);
+            for generation in 0..=u64::from(rotations) {
+                let issuer = CookieFactory::at_generation(config.key_seed, generation, config.cookie_alg);
+                let mut cookie = issuer.generate(ip);
+                for forged in [false, true] {
+                    cookie.0[5] ^= u8::from(forged);
+                    prop_assert_eq!(
+                        restored.cookie_factory().verify(ip, &cookie),
+                        g.cookie_factory().verify(ip, &cookie),
+                        "{} at generation {}, forged: {}", ip, generation, forged
+                    );
+                }
+            }
             prop_assert!(
-                restored.cookie_factory().verify(ip, &cookie),
+                restored.cookie_factory().verify(ip, &g.cookie_factory().generate(ip)),
                 "cookie for {} must survive restore",
                 ip
             );

@@ -149,6 +149,35 @@ fn cookie_exchange_then_stamped_queries() {
     assert_eq!(guard.cached_cookies(), 1);
 }
 
+/// Two queries with one id, from two ports of the LRS, to one server the
+/// local guard holds no cookie for: each is held under its own port, and
+/// each port gets its own answer once its probe is granted.
+#[test]
+fn one_id_from_two_ports_is_answered_on_each() {
+    let mut sim = remote(3).sim;
+    let ports = [7777, 7778];
+    let queries = ports.map(|port| {
+        let wire = Message::iterative_query(31, "www.foo.com".parse().unwrap(), RrType::A).encode();
+        (SimTime::ZERO, Packet::udp(Endpoint::new(LRS_ADDR, port), Endpoint::new(PUB, DNS_PORT), wire))
+    });
+    let client = attach_stub(&mut sim, Ipv4Addr::new(10, 255, 0, 1), queries);
+    let local = local_guard(&mut sim, client);
+    sim.run_until(SimTime::from_millis(50));
+
+    let replies = &sim.node_ref::<Stub>(client).unwrap().replies;
+    for port in ports {
+        let answers: Vec<_> = replies
+            .iter()
+            .filter(|pkt| pkt.dst.port == port)
+            .map(|pkt| Message::decode(&pkt.payload).unwrap().answers)
+            .collect();
+        assert_eq!(answers.len(), 1, "port {port}: one reply");
+        assert_eq!(answers[0].first().map(|r| &r.rdata), Some(&RData::A(WWW_ADDR)), "port {port}");
+    }
+    let guard = sim.node_ref::<LocalGuard>(local).unwrap();
+    assert_eq!((guard.stats.grants_requested, guard.stats.stamped), (2, 2), "each query probed and released");
+}
+
 #[test]
 fn incapable_server_pass_through() {
     // No remote guard: the bare ANS at its own address ignores the

@@ -161,26 +161,6 @@ fn tcp_scheme_emits_proxy_relay_events() {
     );
 }
 
-/// A fleet member that applies a key epoch pushed over the replication
-/// channel traces the application as `fleet_key_rotate` — the event an
-/// operator correlates with a catchment shift to confirm the grace window
-/// was live when the routes moved.
-#[test]
-fn fleet_key_sync_emits_fleet_key_rotate_events() {
-    let mut w = bench::worlds::fleet_world(46, true);
-    let obs = observe(&mut w.sim, Scope::Site, &[w.site_b]);
-
-    // A few sync intervals: the master announces epoch 0, the member
-    // applies it.
-    w.sim.run_until(SimTime::from_millis(200));
-
-    let kinds = drained_kinds(&obs);
-    assert!(
-        kinds.contains("fleet_key_rotate"),
-        "applying a pushed fleet key must emit fleet_key_rotate: {kinds:?}"
-    );
-}
-
 /// Re-routing a source to another site mid-simulation traces as
 /// `catchment_shift` on the netsim side, one event per re-routed
 /// datagram.
