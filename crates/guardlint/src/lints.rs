@@ -77,9 +77,13 @@ pub struct Rule {
 }
 
 /// L1's scope: the modules that parse adversarial wire input — `dnswire`,
-/// every file of the guard, the TCP proxy.
+/// every file of the guard, the TCP proxy, and the cookie client's core and
+/// its simulated driver, which read replies anyone may forge.
 const WIRE: Scope = Scope {
-    paths: &["crates/dnswire/src/", "crates/core/src/guard/", "crates/core/src/tcp_proxy.rs"],
+    paths: &[
+        "crates/dnswire/src/", "crates/core/src/guard/", "crates/core/src/tcp_proxy.rs",
+        "crates/core/src/cookie_client.rs", "crates/core/src/local_guard.rs",
+    ],
     except: &[],
 };
 
@@ -126,14 +130,15 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "seam",
         scope: Scope {
-            paths: &["crates/core/src/guard/"],
+            paths: &["crates/core/src/guard/", "crates/core/src/cookie_client.rs"],
             except: &["crates/core/src/guard/sim.rs"],
         },
         check: Check::Tokens(&[
             "netsim::engine", "netsim::Context", "netsim::Node", "netsim::Simulator",
         ]),
-        message: "in the sans-IO guard: netsim's event engine belongs to its simulator driver \
-                  (sim.rs); the guard may use netsim's packet, time and cost types",
+        message: "in a sans-IO core: netsim's event engine belongs to its simulator driver \
+                  (guard/sim.rs, local_guard.rs); a core may use netsim's packet, time and \
+                  cost types",
         tests: true,
     },
     Rule {

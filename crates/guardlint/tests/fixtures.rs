@@ -54,9 +54,21 @@ fn l1_follows_the_guard_into_every_module() {
 }
 
 #[test]
+fn l1_reads_the_cookie_client_and_its_simulated_driver() {
+    for rel in ["crates/core/src/cookie_client.rs", "crates/core/src/local_guard.rs"] {
+        let f = fixture("bad_wire.rs.txt", rel);
+        assert_eq!(found(&f, "L1").len(), 5, "{rel} is in scope");
+    }
+    let f = fixture("bad_wire.rs.txt", "crates/core/src/classify.rs");
+    assert_eq!(found(&f, "L1"), vec![11], "a core module that reads no wire input");
+}
+
+#[test]
 fn l2_flags_clocks_and_ambient_rng_in_sim_crates() {
     let f = fixture("bad_determinism.rs.txt", "crates/core/src/clock.rs");
     assert_eq!(found(&f, "L2"), vec![3, 4, 5], "Instant::now, SystemTime, thread_rng");
+    let core = fixture("bad_determinism.rs.txt", "crates/core/src/cookie_client.rs");
+    assert_eq!(found(&core, "L2"), vec![3, 4, 5], "the cookie client's core reads no clock");
     // The runtime crate is the wall-clock domain: same file, no findings.
     let f2 = fixture("bad_determinism.rs.txt", "crates/runtime/src/clock.rs");
     assert!(found(&f2, "L2").is_empty());
@@ -79,6 +91,7 @@ fn every_row_is_silent_on_strings_and_comments() {
 const LAYERING: &[(&str, &str, &str, &str)] = &[
     ("seam", "use netsim::engine::Simulator;", "crates/core/src/guard/health.rs", "crates/core/src/guard/sim.rs"),
     ("seam", "fn f(ctx: &mut netsim::Context) {}", "crates/core/src/guard/core.rs", "crates/core/tests/guard_core.rs"),
+    ("seam", "use netsim::engine::{Context, Node};", "crates/core/src/cookie_client.rs", "crates/core/src/local_guard.rs"),
     ("state-table", "use std::collections::HashMap;", "crates/core/src/guard/fwd.rs", "crates/core/src/classify.rs"),
     ("state-table", "type T = HashMap<u32, u8>;", "crates/core/src/ratelimit.rs", "crates/netsim/src/engine.rs"),
     ("state-table", "let memo: HashMap<u32, bool> = HashMap::new();", "crates/core/src/guard/keys.rs", "crates/core/src/guard/stash.rs"),

@@ -12,8 +12,10 @@
 //!   [`dnsguard::guard::GuardCore`] and hands it every datagram, from
 //!   clients and from the ANS alike; the core grants and verifies cookies,
 //!   rate-limits, forwards and matches the ANS's answers;
-//! * [`client`] — a cookie-capable client that transparently performs the
-//!   cookie exchange and stamps cached cookies on queries;
+//! * [`client`] — a cookie-capable client, the socket driver of
+//!   [`dnsguard::cookie_client::ClientCore`] (the core the simulated local
+//!   guard drives too): it stamps the cached cookie on queries, or holds the
+//!   query behind a zero-cookie probe and sends it on the grant;
 //! * [`telemetry`] — a live telemetry endpoint (newline-JSON over TCP):
 //!   metrics snapshots, recent trace events, atomic trace drains and
 //!   active alerts on demand, with periodic alert-rule evaluation;
@@ -25,9 +27,9 @@
 //!
 //! The packet-level performance evaluation lives in [`netsim`]-based
 //! experiments (`bench` crate); this crate runs the same protocol logic
-//! against real sockets, literally: `GuardCore` does no I/O and reads no
-//! clock, and the simulator's `RemoteGuard` and [`GuardServer`] alike hand it
-//! the time and each datagram and send what it appends to their out-buffer.
+//! against real sockets, literally: `GuardCore` and `ClientCore` do no I/O
+//! and read no clock, and the simulator's drivers and this crate's alike hand
+//! them the time and each datagram and send what they return.
 
 #![forbid(unsafe_code)]
 

@@ -9,6 +9,7 @@ use dnsguard::guard::RemoteGuard;
 use dnsguard::local_guard::LocalGuard;
 use dnswire::message::Message;
 use dnswire::rdata::RData;
+use dnswire::record::Record;
 use dnswire::types::{Rcode, RrType};
 use netsim::engine::{CpuConfig, Simulator};
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
@@ -85,8 +86,8 @@ fn unmodified_resolver_through_local_and_remote_guards() {
     assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
 
     let lg = sim.node_ref::<LocalGuard>(local).unwrap();
-    assert_eq!(lg.stats.cookies_cached, 1, "one cookie exchange with the remote guard");
-    assert!(lg.stats.stamped >= 1, "queries stamped with the cached cookie");
+    assert_eq!(lg.stats().cookies_cached, 1, "one cookie exchange with the remote guard");
+    assert!(lg.stats().stamped >= 1, "queries stamped with the cached cookie");
 
     let rg = sim.node_ref::<RemoteGuard>(remote).unwrap();
     assert!(rg.stats().ext_valid >= 1, "remote guard verified the cookie");
@@ -112,7 +113,7 @@ fn second_query_reuses_cookie_without_new_grant() {
         assert!(sim.node_ref::<Stub>(stub).unwrap().reply().is_some(), "query {qname} answered");
     }
     let lg = sim.node_ref::<LocalGuard>(local).unwrap();
-    assert_eq!(lg.stats.grants_requested, 1, "single cookie exchange across queries");
+    assert_eq!(lg.stats().grants_requested, 1, "single cookie exchange across queries");
     let rg = sim.node_ref::<RemoteGuard>(remote).unwrap();
     assert_eq!(rg.stats().grants_sent, 1);
 }
@@ -143,10 +144,37 @@ fn cookie_exchange_then_stamped_queries() {
         "extension stripped before the LRS sees it"
     );
     let guard = sim.node_ref::<LocalGuard>(local).unwrap();
-    assert_eq!(guard.stats.grants_requested, 1);
-    assert_eq!(guard.stats.cookies_cached, 1);
-    assert_eq!(guard.stats.stamped, 2, "held release + second query");
+    assert_eq!(guard.stats().grants_requested, 1);
+    assert_eq!(guard.stats().cookies_cached, 1);
+    assert_eq!(guard.stats().stamped, 2, "held release + second query");
     assert_eq!(guard.cached_cookies(), 1);
+}
+
+/// A spoofer who guesses the probe's id wins that one query and nothing
+/// else: the forged answer (no extension) reaches the LRS, the real grant
+/// that follows it matches no held query and is dropped, and the next
+/// query is probed, granted and released stamped.
+#[test]
+fn a_forged_reply_costs_one_query_not_the_zone() {
+    let mut sim = remote(1).sim;
+    let (client, local) = bare_client(&mut sim, PUB);
+    let forged_addr = Ipv4Addr::new(6, 6, 6, 6);
+    let mut forged = Message::iterative_query(31, "www.foo.com".parse().unwrap(), RrType::A).response();
+    forged.answers.push(Record::a("www.foo.com".parse().unwrap(), forged_addr, 60));
+    let spoof = Packet::udp(Endpoint::new(PUB, DNS_PORT), Endpoint::new(LRS_ADDR, 7777), forged.encode());
+    attach_stub(&mut sim, Ipv4Addr::new(66, 6, 6, 6), [(SimTime::from_micros(1), spoof)]);
+    sim.run_until(SimTime::from_millis(50));
+
+    let stub = sim.node_ref::<Stub>(client).unwrap();
+    let replies: Vec<(u16, Vec<RData>)> = stub
+        .replies
+        .iter()
+        .map(|pkt| Message::decode(&pkt.payload).unwrap())
+        .map(|m| (m.header.id, m.answers.into_iter().map(|r| r.rdata).collect()))
+        .collect();
+    assert_eq!(replies, [(31, vec![RData::A(forged_addr)]), (32, vec![RData::A(WWW_ADDR)])]);
+    let stats = sim.node_ref::<LocalGuard>(local).unwrap().stats();
+    assert_eq!((stats.grants_requested, stats.cookies_cached, stats.stamped), (2, 1, 1));
 }
 
 /// Two queries with one id, from two ports of the LRS, to one server the
@@ -175,22 +203,24 @@ fn one_id_from_two_ports_is_answered_on_each() {
         assert_eq!(answers[0].first().map(|r| &r.rdata), Some(&RData::A(WWW_ADDR)), "port {port}");
     }
     let guard = sim.node_ref::<LocalGuard>(local).unwrap();
-    assert_eq!((guard.stats.grants_requested, guard.stats.stamped), (2, 2), "each query probed and released");
+    assert_eq!((guard.stats().grants_requested, guard.stats().stamped), (2, 2), "each query probed and released");
 }
 
 #[test]
 fn incapable_server_pass_through() {
     // No remote guard: the bare ANS at its own address ignores the
-    // extension.
+    // extension, so it answers each probe as it would the query.
     let mut sim = Simulator::new(2);
     let (_, _, foo) = paper_hierarchy();
     sim.add_node(FOO_SERVER, CpuConfig::unbounded(), AuthNode::new(FOO_SERVER, Authority::new(vec![foo])));
     let (client, local) = bare_client(&mut sim, FOO_SERVER);
     sim.run_until(SimTime::from_millis(50));
-    let reply = sim.node_ref::<Stub>(client).unwrap().reply().unwrap();
-    assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
+    let replies = &sim.node_ref::<Stub>(client).unwrap().replies;
+    assert_eq!(replies.len(), 2, "both queries answered");
+    for pkt in replies {
+        assert_eq!(Message::decode(&pkt.payload).unwrap().answers[0].rdata, RData::A(WWW_ADDR));
+    }
     let guard = sim.node_ref::<LocalGuard>(local).unwrap();
-    assert_eq!(guard.stats.incapable_servers, 1);
     assert_eq!(guard.cached_cookies(), 0);
-    assert_eq!(guard.stats.grants_requested, 1, "probed once, then remembered");
+    assert_eq!(guard.stats().grants_requested, 2, "each query probed: no verdict outlives it");
 }
