@@ -702,6 +702,24 @@ mod tests {
     }
 
     #[test]
+    fn a_closed_loop_world_queues_one_wait_deadline_per_slot() {
+        let mut w = guarded_world(WorldParams::new(3));
+        let clients: Vec<_> =
+            (1..=3).map(|i| attach_lrs(&mut w.sim, LrsParams::closed_loop(Ipv4Addr::new(10, 0, 1, i), 64))).collect();
+        // A slot has one wait deadline and, closed loop, one datagram on the
+        // wire at a time; the guard keeps one daemon tick (its rate window).
+        let slots = 3 * 64;
+        let bound = slots + slots + 1;
+        let mut most = 0;
+        run_stepped(&mut w.sim, SimTime::from_millis(100), SimTime::from_millis(1), |sim| {
+            most = most.max(sim.queued_events());
+        });
+        assert!(most <= bound, "{most} events queued, bound {bound}");
+        let done: u64 = completions(&w.sim, &clients).iter().sum();
+        assert!(done > 10_000, "the slots kept busy: {done} requests completed");
+    }
+
+    #[test]
     fn paced_is_the_literal_it_replaces() {
         let ip = Ipv4Addr::new(10, 0, 1, 1);
         let fields = |p: LrsParams| (p.ip, p.mode, p.cookie_cache, p.concurrency, p.wait, p.pace, p.per_packet_cost);

@@ -5,7 +5,9 @@
 //! # Model
 //!
 //! * **Events** are packet arrivals and timers, processed in `(time, seq)`
-//!   order — fully deterministic for a given seed.
+//!   order — fully deterministic for a given seed. A node's re-armable
+//!   timeouts ([`Context::set_timeout`]) fire exactly where a timer set in
+//!   their place would, and a setting they replace never fires.
 //! * **Routing** maps destination IPv4 addresses to nodes: exact addresses
 //!   first, then longest-prefix subnets (the guard owns a whole subnet so it
 //!   can intercept `COOKIE2` addresses).
@@ -39,9 +41,14 @@
 //! event's packet or timer, so a sift moves three words; the slot freed
 //! last is reused first, and the slab stays at the most events ever in
 //! flight. What belongs to one node (its gateway, the fragments planted on
-//! it) is a field of that node. A fault-free routed packet costs two probes
-//! (route, link), one clone, one push and one pop; a catchment shift adds a
-//! probe of the link actually crossed.
+//! it, its **timeouts**) is a field of that node. A timeout keeps its
+//! current `(time, seq, tag)` and the keys of its queued entries: one, or
+//! two after a re-arm to an earlier time. Re-arming to a later time queues
+//! nothing; the entry already queued pops, finds its key stale and is
+//! pushed again under the current one, so a timeout re-armed per request
+//! costs a pop per deadline it outlives, not per setting. A fault-free
+//! routed packet costs two probes (route, link), one clone, one push and
+//! one pop; a catchment shift adds a probe of the link actually crossed.
 
 use crate::packet::{Packet, Proto};
 use crate::time::SimTime;
@@ -70,7 +77,8 @@ pub trait Node: Any {
     /// Called for each packet delivered to one of this node's addresses.
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet);
 
-    /// Called when a timer set via [`Context::set_timer`] fires.
+    /// Called when a timer set via [`Context::set_timer`] or a timeout set
+    /// via [`Context::set_timeout`] fires.
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _tag: u64) {}
 }
 
@@ -331,6 +339,9 @@ enum EventKind {
     Start(NodeId),
     Deliver(NodeId, Packet),
     Timer(NodeId, u64),
+    /// An entry of the node's timeout of this id: it fires only if the
+    /// timeout is still set to the entry's key.
+    Timeout(NodeId, usize),
 }
 
 impl EventKind {
@@ -340,6 +351,7 @@ impl EventKind {
             EventKind::Start(id) => id,
             EventKind::Deliver(id, _) => id,
             EventKind::Timer(id, _) => id,
+            EventKind::Timeout(id, _) => id,
         }
     }
 }
@@ -354,10 +366,14 @@ struct EventKey {
 
 const _: () = assert!(std::mem::size_of::<EventKey>() <= 24);
 
+/// When a queued event is due: its place in the `(time, seq)` order.
+type Due = (SimTime, u64);
+
 /// The rest of a queued event, parked in the slab until its key is popped.
 struct Pending {
     kind: EventKind,
-    /// Daemon events do not keep [`Simulator::run`] alive.
+    /// Daemon events do not keep [`Simulator::run`] alive; nor does a
+    /// timeout's entry, whose setting is counted in its stead.
     daemon: bool,
     /// The target node's crash epoch when the event was scheduled; a
     /// mismatch at pop time means the node crashed in between, so the
@@ -387,7 +403,20 @@ impl EventQueue {
         self.heap.peek().map(|Reverse(key)| key.time)
     }
 
+    /// Reserves the next sequence number.
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
     fn push(&mut self, time: SimTime, pending: Pending) {
+        let seq = self.next_seq();
+        self.insert((time, seq), pending);
+    }
+
+    /// Queues `pending` under a sequence number reserved earlier.
+    fn insert(&mut self, (time, seq): Due, pending: Pending) {
         let held = EventSlot::Held(pending);
         let slot = match self.free {
             NIL => {
@@ -403,20 +432,48 @@ impl EventQueue {
                 slot
             }
         };
-        let seq = self.seq;
-        self.seq += 1;
         self.heap.push(Reverse(EventKey { time, seq, slot }));
     }
 
-    fn pop(&mut self) -> Option<(SimTime, Pending)> {
-        let Reverse(EventKey { time, slot, .. }) = self.heap.pop()?;
+    fn pop(&mut self) -> Option<(Due, Pending)> {
+        let Reverse(EventKey { time, seq, slot }) = self.heap.pop()?;
         let at = &mut self.slab[slot as usize];
         let EventSlot::Held(pending) = std::mem::replace(at, EventSlot::Free(self.free)) else {
             unreachable!("a queued key owns a held slot");
         };
         self.free = slot;
-        Some((time, pending))
+        Some(((time, seq), pending))
     }
+
+    /// Takes every entry that `ours` picks out of the queue, freeing its
+    /// slot. It rebuilds the heap, so it runs only when a timeout would
+    /// otherwise queue a third entry.
+    fn remove(&mut self, ours: impl Fn(&Pending) -> bool) {
+        let EventQueue { heap, slab, free, .. } = self;
+        heap.retain(|Reverse(key)| {
+            let at = &mut slab[key.slot as usize];
+            let EventSlot::Held(pending) = at else {
+                unreachable!("a queued key owns a held slot");
+            };
+            if !ours(pending) {
+                return true;
+            }
+            *at = EventSlot::Free(*free);
+            *free = key.slot;
+            false
+        });
+    }
+}
+
+/// One re-armable timeout of a node ([`Context::set_timeout`]).
+#[derive(Clone, Copy, Default)]
+struct Timeout {
+    /// The setting in force, if any, and the tag it fires with: it fires
+    /// when an entry under exactly its key pops.
+    armed: Option<(Due, u64)>,
+    /// The keys of this timeout's queued entries, earliest first. While
+    /// the timeout is armed the first is at or before its key.
+    queued: [Option<Due>; 2],
 }
 
 /// Hashes the engine's own keys — a route's `u32` address, a link's packed
@@ -476,6 +533,9 @@ struct NodeSlot {
     gateway: Option<NodeId>,
     /// Spoofed second fragments planted in this node's reassembly buffer.
     frag_subs: Vec<FragSub>,
+    /// The node's timeouts, indexed by the id [`Context::set_timeout`]
+    /// names; a crash clears them.
+    timeouts: Vec<Timeout>,
 }
 
 /// Deferred actions a handler produced, applied when it returns.
@@ -483,6 +543,7 @@ enum Action {
     Send(Packet),
     SendDirect(NodeId, Packet),
     Timer(SimTime, u64, /* daemon */ bool),
+    Timeout(usize, SimTime, u64),
     ClaimAddress(Ipv4Addr),
     ClaimSubnet(Ipv4Addr, u8),
 }
@@ -542,6 +603,21 @@ impl Context<'_> {
     /// re-arms itself forever.
     pub fn set_daemon_timer(&mut self, delay: SimTime, tag: u64) {
         self.actions.push(Action::Timer(delay, tag, true));
+    }
+
+    /// Sets this node's timeout `id` to call `on_timer(tag)` after `delay`
+    /// (measured from handler completion), replacing whatever the timeout
+    /// was set to before. It is exactly a cancel of the old setting
+    /// followed by [`Context::set_timer`]`(delay, tag)`: it fires where
+    /// that timer would, in the same `(time, seq)` order, and the setting
+    /// it replaced never fires. A timeout that fired is unset until set
+    /// again; a set timeout keeps [`Simulator::run`] alive like a timer.
+    ///
+    /// Ids index a table of the node's, so keep them small (a request
+    /// slot's number). Use this for a deadline re-armed per request, where
+    /// a timer per setting would leave the superseded ones queued.
+    pub fn set_timeout(&mut self, id: usize, delay: SimTime, tag: u64) {
+        self.actions.push(Action::Timeout(id, delay, tag));
     }
 
     /// Re-binds an exact address to *this* node when the handler completes,
@@ -687,6 +763,7 @@ impl Simulator {
             crashed: false,
             gateway: None,
             frag_subs: Vec::new(),
+            timeouts: Vec::new(),
         });
         self.add_address(addr, id);
         self.push(self.now, EventKind::Start(id));
@@ -801,8 +878,9 @@ impl Simulator {
     }
 
     /// Crashes a node immediately: every queued event targeting it —
-    /// in-flight packets, pending timers, unserved CPU backlog — is
-    /// discarded, and nothing reaches it until [`Simulator::restart`].
+    /// in-flight packets, pending timers and timeouts, unserved CPU
+    /// backlog — is discarded, and nothing reaches it until
+    /// [`Simulator::restart`].
     /// The node object itself is kept; crash a node and swap its state
     /// with [`Simulator::restart_with`] to model volatile-state loss.
     pub fn crash(&mut self, node: NodeId) {
@@ -811,6 +889,10 @@ impl Simulator {
         slot.crashed = true;
         slot.epoch += 1;
         slot.next_free = SimTime::ZERO; // in-flight CPU work is abandoned
+        // The timeouts go with the epoch; their queued entries carry the
+        // old one and are dropped when they pop.
+        let armed = slot.timeouts.drain(..).filter(|t| t.armed.is_some()).count();
+        self.live_events -= armed;
     }
 
     /// Restarts a crashed node: its `on_start` handler runs again (at the
@@ -847,6 +929,12 @@ impl Simulator {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Events in the queue: packets in flight, timers, and the entries of
+    /// set timeouts (live or stale).
+    pub fn queued_events(&self) -> usize {
+        self.queue.heap.len()
     }
 
     /// Count of packets that matched no route.
@@ -933,9 +1021,10 @@ impl Simulator {
     }
 
     fn step(&mut self) -> bool {
-        let Some((time, ev)) = self.queue.pop() else {
+        let Some((due, ev)) = self.queue.pop() else {
             return false;
         };
+        let time = due.0;
         if !ev.daemon {
             self.live_events -= 1;
         }
@@ -958,6 +1047,7 @@ impl Simulator {
             EventKind::Timer(id, tag) => {
                 self.dispatch(id, time, |node, ctx| node.on_timer(ctx, tag))
             }
+            EventKind::Timeout(id, timeout) => self.timeout_due(id, timeout, due),
             EventKind::Deliver(id, pkt) => {
                 let slot = &mut self.nodes[id];
                 let backlog = slot.next_free.saturating_sub(time);
@@ -972,7 +1062,74 @@ impl Simulator {
         true
     }
 
+    /// Sets `node`'s timeout `id` to fire at `time` with `tag`, under the
+    /// next sequence number: where a timer set now would be.
+    fn set_timeout(&mut self, node: NodeId, id: usize, time: SimTime, tag: u64) {
+        let due = (time, self.queue.next_seq());
+        let slot = &mut self.nodes[node];
+        let epoch = slot.epoch;
+        if slot.timeouts.len() <= id {
+            slot.timeouts.resize(id + 1, Timeout::default());
+        }
+        let timeout = &mut slot.timeouts[id];
+        if timeout.armed.replace((due, tag)).is_none() {
+            self.live_events += 1;
+        }
+        match timeout.queued {
+            // An entry at or before the new key wakes the timeout in time
+            // to move it there.
+            [Some(first), _] if first <= due => return,
+            [first, None] => timeout.queued = [Some(due), first],
+            // A third entry: take the two from the queue instead.
+            [_, Some(_)] => {
+                timeout.queued = [Some(due), None];
+                self.queue.remove(|p| {
+                    p.epoch == epoch && matches!(p.kind, EventKind::Timeout(n, i) if (n, i) == (node, id))
+                });
+            }
+        }
+        let kind = EventKind::Timeout(node, id);
+        self.queue.insert(due, Pending { kind, daemon: true, epoch });
+    }
+
+    /// An entry of `node`'s timeout `id` popped under `popped`: fire the
+    /// timeout if it is set to that key, else queue its setting again if
+    /// no other entry waits at or before it.
+    ///
+    /// Out of line, so that [`Simulator::step`] holds only the three
+    /// handler calls it held before timeouts: a timeout's pop is rare
+    /// beside packets.
+    #[inline(never)]
+    fn timeout_due(&mut self, node: NodeId, id: usize, popped: Due) {
+        let slot = &mut self.nodes[node];
+        let epoch = slot.epoch;
+        let timeout = &mut slot.timeouts[id];
+        debug_assert_eq!(timeout.queued[0], Some(popped), "entries pop earliest first");
+        let next = timeout.queued[1];
+        timeout.queued = [next, None];
+        match timeout.armed {
+            Some((due, tag)) if due == popped => {
+                timeout.armed = None;
+                self.live_events -= 1;
+                self.dispatch(node, popped.0, |node, ctx| node.on_timer(ctx, tag));
+            }
+            // Re-armed to a later time since this entry was queued.
+            Some((due, _)) if next.is_none_or(|next| next > due) => {
+                timeout.queued = [Some(due), next];
+                let kind = EventKind::Timeout(node, id);
+                self.queue.insert(due, Pending { kind, daemon: true, epoch });
+            }
+            // Fired already, or the other entry serves the setting.
+            _ => {}
+        }
+    }
+
     /// Runs one handler with CPU serialisation and applies its actions.
+    ///
+    /// Inlined at every call: left to the compiler, the copy that delivers
+    /// a packet went out of [`Simulator::step`] once timeouts made this
+    /// body larger, a call more per packet in every world.
+    #[inline(always)]
     fn dispatch<F>(&mut self, id: NodeId, arrival: SimTime, f: F)
     where
         F: FnOnce(&mut dyn Node, &mut Context<'_>),
@@ -1010,6 +1167,7 @@ impl Simulator {
                 Action::Timer(delay, tag, daemon) => {
                     self.push_with(completion + delay, EventKind::Timer(id, tag), daemon)
                 }
+                Action::Timeout(timeout, delay, tag) => self.set_timeout(id, timeout, completion + delay, tag),
                 Action::ClaimAddress(addr) => self.add_address(addr, id),
                 Action::ClaimSubnet(base, prefix) => self.add_subnet(base, prefix, id),
             }
@@ -1360,6 +1518,168 @@ mod tests {
         assert_eq!(sim.live_events, 0);
         assert_eq!(sim.queue.heap.len(), 2, "the two daemon ticks");
         assert!(sim.queue.slab.len() <= 64, "slab grew to {}", sim.queue.slab.len());
+    }
+
+    /// Sets timeouts as a script says: at each `(offset, id, delay, tag)`
+    /// a pacing timer fires and sets timeout `id`; every `on_timer` call is
+    /// logged as `(now, tag)`.
+    struct Rearmer {
+        script: Vec<(SimTime, usize, SimTime, u64)>,
+        next: usize,
+        starts: u64,
+        fired: Vec<(SimTime, u64)>,
+    }
+
+    /// The tag of the [`Rearmer`]'s pacing timer.
+    const STEP: u64 = u64::MAX;
+
+    impl Rearmer {
+        fn new(script: &[(u64, usize, u64, u64)]) -> Self {
+            let ms = SimTime::from_millis;
+            let script = script.iter().map(|&(at, id, delay, tag)| (ms(at), id, ms(delay), tag)).collect();
+            Rearmer { script, next: 0, starts: 0, fired: Vec::new() }
+        }
+
+        fn arm_due(&mut self, ctx: &mut Context<'_>) {
+            while let Some(&(at, id, delay, tag)) = self.script.get(self.next) {
+                if at > ctx.now() {
+                    ctx.set_timer(at - ctx.now(), STEP);
+                    return;
+                }
+                ctx.set_timeout(id, delay, tag);
+                self.next += 1;
+            }
+        }
+    }
+
+    impl Node for Rearmer {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.starts += 1;
+            self.next = 0;
+            self.arm_due(ctx);
+        }
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+            if tag == STEP {
+                self.arm_due(ctx);
+            } else {
+                self.fired.push((ctx.now(), tag));
+            }
+        }
+    }
+
+    fn rearmer(script: &[(u64, usize, u64, u64)]) -> (Simulator, NodeId) {
+        let mut sim = Simulator::new(21);
+        let node = sim.add_node(Ipv4Addr::new(10, 0, 0, 1), CpuConfig::default(), Rearmer::new(script));
+        (sim, node)
+    }
+
+    fn fired(sim: &Simulator, node: NodeId) -> Vec<(SimTime, u64)> {
+        sim.node_ref::<Rearmer>(node).unwrap().fired.clone()
+    }
+
+    #[test]
+    fn a_timeout_re_armed_to_an_earlier_time_fires_at_the_earlier_time() {
+        let ms = SimTime::from_millis;
+        // Set for 30 ms at 0, moved to 5 + 5 ms at 5: fires at 10 ms with the
+        // second tag, and the first setting never fires.
+        let (mut sim, node) = rearmer(&[(0, 0, 30, 1), (5, 0, 5, 2)]);
+        sim.run_until(ms(60));
+        assert_eq!(fired(&sim, node), [(ms(10), 2)]);
+        // Moved earlier still, twice, while both entries wait: the third
+        // entry takes the first two out of the queue.
+        let (mut sim, node) = rearmer(&[(0, 0, 30, 1), (5, 0, 15, 2), (6, 0, 2, 3), (7, 1, 1, 4)]);
+        sim.run_until(ms(6));
+        assert_eq!(sim.queued_events(), 2, "the 8 ms entry and the 7 ms step; the 20 and 30 ms entries are gone");
+        sim.run_until(ms(60));
+        assert_eq!(fired(&sim, node), [(ms(8), 3), (ms(8), 4)]);
+        assert_eq!(sim.queued_events(), 0);
+    }
+
+    #[test]
+    fn a_crash_discards_a_nodes_timeouts_and_a_restart_sets_them_again() {
+        let ms = SimTime::from_millis;
+        let (mut sim, node) = rearmer(&[(0, 0, 10, 1), (0, 3, 20, 2)]);
+        sim.run_until(ms(5));
+        sim.crash(node);
+        assert_eq!(sim.live_events, 0, "a crashed node's timeouts keep nothing alive");
+        sim.run_until(ms(30));
+        assert_eq!(fired(&sim, node), []);
+        assert_eq!(sim.fault_stats().crash_dropped, 2, "each queued entry is dropped once");
+        // `on_start` runs the script again from the restart.
+        sim.restart(node);
+        sim.run();
+        assert_eq!(fired(&sim, node), [(ms(40), 1), (ms(50), 2)]);
+        assert_eq!(sim.node_ref::<Rearmer>(node).unwrap().starts, 2);
+        assert_eq!(sim.queued_events(), 0);
+    }
+
+    #[test]
+    fn run_stops_at_the_last_live_deadline() {
+        let ms = SimTime::from_millis;
+        // Set for 10 ms at 0, moved to 5 + 20 ms at 5. The one queued entry
+        // pops at 10 ms and finds its key stale; the timeout alone keeps
+        // the run going to 25 ms, as the superseded timer did before.
+        let (mut sim, node) = rearmer(&[(0, 0, 10, 1), (5, 0, 20, 2)]);
+        sim.run();
+        assert_eq!((sim.now(), fired(&sim, node)), (ms(25), vec![(ms(25), 2)]));
+        assert_eq!(sim.queued_events(), 0);
+        // Moved the other way, the 30 ms entry is left behind stale: it
+        // keeps nothing alive, and popping it later fires nothing.
+        let (mut sim, node) = rearmer(&[(0, 0, 30, 1), (5, 0, 5, 2)]);
+        sim.run();
+        assert_eq!((sim.now(), fired(&sim, node)), (ms(10), vec![(ms(10), 2)]));
+        assert_eq!(sim.queued_events(), 1);
+        sim.run_until(ms(40));
+        assert_eq!(fired(&sim, node), [(ms(10), 2)]);
+        assert_eq!(sim.queued_events(), 0);
+    }
+
+    #[test]
+    fn ten_thousand_re_arms_leave_at_most_two_queued_events() {
+        struct Churn {
+            left: u32,
+            fired: Vec<(SimTime, u64)>,
+        }
+        impl Node for Churn {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                // Ever earlier within one handler: each setting is a new
+                // earliest deadline.
+                for left in (1..=5_000u64).rev() {
+                    ctx.set_timeout(0, SimTime::from_micros(left), left);
+                }
+                ctx.set_timer(SimTime::ZERO, 0);
+            }
+            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+                if tag != 0 {
+                    self.fired.push((ctx.now(), tag));
+                } else if self.left > 0 {
+                    // Then once per 1 µs tick, earlier or later at random.
+                    self.left -= 1;
+                    let delay = ctx.rng().gen_range(1..=300);
+                    ctx.set_timeout(0, SimTime::from_micros(delay), 1_000_000 + delay);
+                    ctx.set_timer(SimTime::from_micros(1), 0);
+                }
+            }
+        }
+        let mut sim = Simulator::new(22);
+        let node = sim.add_node(Ipv4Addr::new(10, 0, 0, 1), CpuConfig::unbounded(), Churn { left: 5_000, fired: Vec::new() });
+        let mut most = 0;
+        for us in 0..6_000 {
+            sim.run_until(SimTime::from_micros(us));
+            // The pacing timer, and at most two entries of the timeout.
+            most = most.max(sim.queued_events());
+        }
+        sim.run();
+        assert!(most <= 3, "{most} events queued");
+        let churn = sim.node_ref::<Churn>(node).unwrap();
+        // Only a setting that no tick replaced before it came due fired;
+        // the last, made by the tick at 4 999 µs, among them.
+        assert!(churn.fired.windows(2).all(|w| w[0].0 < w[1].0));
+        let &(at, tag) = churn.fired.last().unwrap();
+        assert_eq!(at, SimTime::from_micros(4_999 + tag - 1_000_000));
+        assert_eq!(sim.queued_events(), 0);
     }
 
     #[test]

@@ -323,7 +323,8 @@ impl LrsSimulator {
         let generation = self.slots[slot].generation + 1;
         self.slots[slot].generation = generation;
         self.slots[slot].started = ctx.now();
-        ctx.set_timer(self.config.wait, Self::timer_tag(slot, generation));
+        // The slot's one wait deadline, replacing the previous request's.
+        ctx.set_timeout(slot, self.config.wait, Self::timer_tag(slot, generation));
 
         let cached = if self.config.cookie_cache {
             &self.cached
@@ -565,7 +566,7 @@ impl Node for LrsSimulator {
             return;
         }
         if self.slots[slot].state == SlotState::Paused {
-            return; // stale wait timer from the request that just finished
+            return; // the wait timeout of the request that just finished
         }
         self.stats.timeouts += 1;
         if self.slots[slot].state != SlotState::AwaitGrant {
