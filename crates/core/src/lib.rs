@@ -9,12 +9,13 @@
 //!   sans-IO [`guard::GuardCore`], with [`guard::RemoteGuard`] driving it
 //!   as a simulated node (the `runtime` crate drives it from sockets);
 //! * [`cookie_client`] — the client side of the modified-DNS scheme
-//!   (Figure 3): one sans-IO [`cookie_client::ClientCore`] that caches each
-//!   server's cookie, stamps queries with it, and otherwise holds the query
-//!   behind a zero-cookie probe until the grant;
+//!   (Figure 3), re-exported from `server`, where the simulated LRS drives
+//!   it: one sans-IO [`cookie_client::ClientCore`] that caches each server's
+//!   cookie, stamps queries with it, and otherwise holds the query behind a
+//!   zero-cookie probe until the grant;
 //! * [`local_guard`] — the **local guard** that makes an unmodified LRS
-//!   cookie-capable: the core's simulated node (the `runtime` crate's
-//!   `CookieClient` drives it from a socket);
+//!   cookie-capable: another simulated driver of the core (the `runtime`
+//!   crate's `CookieClient` drives it from a socket);
 //! * [`tcp_proxy`] — the transparent TCP proxy with SYN cookies,
 //!   connection-lifetime reaping and connection-rate limiting;
 //! * [`ratelimit`] — Rate-Limiter1 (cookie responses; anti-reflection) and
@@ -62,7 +63,6 @@ pub mod analytics;
 pub mod checkpoint;
 pub mod classify;
 pub mod config;
-pub mod cookie_client;
 pub mod guard;
 pub mod ha;
 pub mod local_guard;
@@ -72,7 +72,7 @@ pub mod tcp_proxy;
 pub use checkpoint::GuardCheckpoint;
 pub use classify::{AuthorityClassifier, Classification, Classifier};
 pub use config::{GuardConfig, SchemeMode};
-pub use cookie_client::ClientCore;
+pub use server::cookie_client::{self, ClientCore};
 pub use guard::{GuardCore, GuardStats, RemoteGuard};
 pub use ha::{HaConfig, HaRole};
 pub use local_guard::LocalGuard;

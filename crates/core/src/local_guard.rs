@@ -1,16 +1,17 @@
 //! The local DNS guard (section III.D): a transparent middlebox in front of
 //! an *unmodified* LRS that makes it cookie-capable.
 //!
-//! It is the simulator's driver of [`ClientCore`], which holds the cookies
-//! and the rules, and strips the extension from every reply the LRS gets;
-//! the node itself only routes and sweeps held queries.
+//! It is a simulator driver of [`ClientCore`], which holds the cookies and
+//! the rules, stamps the LRS's queries on the wire and strips the extension
+//! from every reply the LRS gets; the node itself only routes and sweeps
+//! held queries.
 //!
 //! Deploy with [`netsim::Simulator::set_gateway`] (outbound tap) plus
 //! routing the LRS's public address to this node (inbound interception);
 //! see the crate examples.
 
 use crate::cookie_client::{ClientCore, ClientStats, Reply};
-use dnswire::message::Message;
+use dnswire::view::MessageView;
 use netsim::engine::{Context, Node, NodeId};
 use netsim::packet::{Packet, Proto, DNS_PORT};
 use netsim::time::SimTime;
@@ -52,16 +53,16 @@ impl Node for LocalGuard {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         let outbound = pkt.src.ip == self.lrs_addr;
-        let msg = (pkt.proto == Proto::Udp).then(|| Message::decode(&pkt.payload).ok()).flatten();
-        match msg {
+        let view = (pkt.proto == Proto::Udp).then(|| MessageView::parse(&pkt.payload).ok()).flatten();
+        match view {
             Some(query) if outbound && !query.header.response && pkt.dst.port == DNS_PORT => {
-                let wire = self.core.query(ctx.now(), pkt.dst.ip, pkt.src.port, query);
+                let wire = self.core.query(ctx.now(), pkt.dst.ip, pkt.src.port, pkt.payload);
                 ctx.send(Packet::udp(pkt.src, pkt.dst, wire));
             }
             Some(reply) if pkt.dst.ip == self.lrs_addr && reply.header.response => {
-                match self.core.reply(ctx.now(), pkt.src.ip, pkt.dst.port, reply) {
+                match self.core.reply(ctx.now(), pkt.src.ip, pkt.dst.port, &reply) {
                     Reply::Deliver(reply) => {
-                        ctx.send_direct(self.lrs_node, Packet::udp(pkt.src, pkt.dst, reply.encode()))
+                        ctx.send_direct(self.lrs_node, Packet::udp(pkt.src, pkt.dst, reply.into_owned()))
                     }
                     // Message 4: from the LRS's endpoint back to the server.
                     Reply::Release(wire) => ctx.send(Packet::udp(pkt.dst, pkt.src, wire)),

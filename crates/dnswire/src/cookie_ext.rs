@@ -11,6 +11,7 @@ use crate::name::Name;
 use crate::rdata::RData;
 use crate::record::Record;
 use crate::types::{RrClass, RrType};
+use crate::view::{MessageView, RecordView};
 use crate::writer::{Section, Writer};
 
 /// Size of the cookie carried by the extension.
@@ -54,6 +55,43 @@ pub fn write_cookie(out: &mut Writer, cookie: [u8; EXT_COOKIE_LEN], ttl: u32) {
     });
 }
 
+/// Bytes of the extension record as [`attach_cookie`] + `encode` write it:
+/// root owner, TYPE, CLASS, TTL, RDLENGTH and the 17 bytes of RDATA.
+pub const EXT_RECORD_LEN: usize = 1 + 10 + 1 + EXT_COOKIE_LEN;
+
+/// [`attach_cookie`] for a datagram `Message::encode` wrote: appends the
+/// same [`EXT_RECORD_LEN`] bytes and counts the record in ARCOUNT, so the
+/// result is what `attach_cookie` then `encode` would have written.
+pub fn append_cookie(wire: &mut Vec<u8>, cookie: [u8; EXT_COOKIE_LEN], ttl: u32) {
+    add_to_arcount(wire, 1);
+    let [t0, t1, t2, t3] = ttl.to_be_bytes();
+    // Root, TXT, IN, the TTL, RDLENGTH 17, and a 16-byte string.
+    wire.extend_from_slice(&[0, 0, 16, 0, 1, t0, t1, t2, t3, 0, 17, 16]);
+    wire.extend_from_slice(&cookie);
+}
+
+/// `view`'s datagram without the extension [`MessageView::cookie`] reads,
+/// when that is its last record (a later name may point into it): then what
+/// decode → [`strip_cookie`] → encode writes. `None` otherwise.
+pub fn remove_cookie(view: &MessageView<'_>) -> Option<Vec<u8>> {
+    view.cookie()?;
+    let (wire, root) = (view.as_bytes(), Name::root());
+    let is_cookie = |r: &RecordView<'_>| {
+        r.section == Section::Additional && r.rtype == RrType::Txt && r.owner_is(&root) && cookie_in_txt(r.rdata(), r.ttl).is_some()
+    };
+    let record = view.records().find(is_cookie)?;
+    let end = record.rdata_at + record.rdlen;
+    let mut out = wire.get(..record.owner_at).filter(|_| end == wire.len())?.to_vec();
+    add_to_arcount(&mut out, -1);
+    Some(out)
+}
+
+fn add_to_arcount(wire: &mut [u8], delta: i16) {
+    if let Some([hi, lo]) = wire.get_mut(10..12) {
+        [*hi, *lo] = u16::from_be_bytes([*hi, *lo]).wrapping_add_signed(delta).to_be_bytes();
+    }
+}
+
 /// Finds the cookie extension in `msg`, if present and well-formed.
 pub fn find_cookie(msg: &Message) -> Option<CookieExt> {
     msg.additionals.iter().find_map(as_cookie_record)
@@ -68,11 +106,6 @@ pub fn strip_cookie(msg: &mut Message) -> Option<CookieExt> {
         .position(|r| as_cookie_record(r).is_some())?;
     let record = msg.additionals.remove(idx);
     as_cookie_record(&record)
-}
-
-/// True when `msg` carries a cookie extension (valid or request).
-pub fn has_cookie(msg: &Message) -> bool {
-    find_cookie(msg).is_some()
 }
 
 /// [`find_cookie`]'s test on a record still in its datagram: `rdata` is the
@@ -113,7 +146,7 @@ mod tests {
     #[test]
     fn attach_find_strip_round_trip() {
         let mut msg = query();
-        assert!(!has_cookie(&msg));
+        assert!(find_cookie(&msg).is_none());
         let cookie = [7u8; 16];
         attach_cookie(&mut msg, cookie, 604_800);
         let found = find_cookie(&msg).unwrap();
@@ -123,7 +156,7 @@ mod tests {
 
         let stripped = strip_cookie(&mut msg).unwrap();
         assert_eq!(stripped.cookie, cookie);
-        assert!(!has_cookie(&msg));
+        assert!(find_cookie(&msg).is_none());
         assert_eq!(msg, query(), "stripping restores the original message");
     }
 
@@ -160,7 +193,7 @@ mod tests {
             0,
             RData::Txt(vec![vec![1; 16], vec![2; 16]]),
         ));
-        assert!(!has_cookie(&msg));
+        assert!(find_cookie(&msg).is_none());
         assert!(strip_cookie(&mut msg).is_none());
         assert_eq!(msg.additionals.len(), 3);
     }

@@ -65,7 +65,7 @@ pub use types::{Opcode, Rcode, RrClass, RrType};
 
 #[cfg(test)]
 mod proptests {
-    use crate::cookie_ext::{attach_cookie, write_cookie, ZERO_COOKIE};
+    use crate::cookie_ext::{append_cookie, attach_cookie, find_cookie, remove_cookie, strip_cookie, write_cookie, ZERO_COOKIE};
     use crate::message::Message;
     use crate::name::Name;
     use crate::question::Question;
@@ -203,9 +203,10 @@ mod proptests {
     /// A query datagram in every shape the view has to tell apart: `shape`
     /// picks one literal question, none, two, or a question name that is a
     /// pointer into the header (to the root, or to a label); `tail` picks what follows the question — an
-    /// OPT record, a cookie request, arbitrary records, or nothing.
+    /// OPT record, a cookie request, arbitrary records, those records with a
+    /// cookie appended on the wire, or nothing.
     fn arb_query_wire() -> impl Strategy<Value = Vec<u8>> {
-        (arb_message(), arb_qname(), 0u8..6, 0u8..4).prop_map(|(mut msg, qname, shape, tail)| {
+        (arb_message(), arb_qname(), 0u8..6, 0u8..5).prop_map(|(mut msg, qname, shape, tail)| {
             msg.header.response = false;
             msg.questions = vec![Question::new(qname, RrType::Aaaa)];
             match tail {
@@ -247,11 +248,53 @@ mod proptests {
                 }
                 _ => {}
             }
+            if tail == 4 {
+                append_cookie(&mut wire, [0xC5; 16], 0);
+            }
             wire
         })
     }
 
     proptest! {
+        /// A cookie appended on the wire is the one `attach_cookie` +
+        /// `encode` write, and removing it writes what decode →
+        /// `strip_cookie` → encode writes — unless an earlier record is a
+        /// cookie, which is then the one a view reads and is not last.
+        #[test]
+        fn the_cookie_on_the_wire_matches_the_owned_route(msg in arb_message(), cookie in any::<u128>(), ttl in any::<u32>()) {
+            let mut wire = msg.encode();
+            append_cookie(&mut wire, cookie.to_be_bytes(), ttl);
+            let mut owned = msg.clone();
+            attach_cookie(&mut owned, cookie.to_be_bytes(), ttl);
+            prop_assert_eq!(&wire, &owned.encode());
+
+            let mut stripped = Message::decode(&wire).unwrap();
+            strip_cookie(&mut stripped);
+            match remove_cookie(&MessageView::parse(&wire).unwrap()) {
+                Some(bare) => prop_assert_eq!(bare, stripped.encode()),
+                None => prop_assert!(find_cookie(&msg).is_some()),
+            }
+        }
+
+        /// A record after the extension keeps it where it is; on any query
+        /// the removal never panics, and what it writes parses, cookie-less.
+        #[test]
+        fn a_cookie_that_is_not_last_stays(msg in arb_message(), after in arb_record(), wire in arb_query_wire()) {
+            let mut msg = msg;
+            attach_cookie(&mut msg, [7; 16], 0);
+            msg.additionals.push(after);
+            let followed = msg.encode();
+            prop_assert!(remove_cookie(&MessageView::parse(&followed).unwrap()).is_none());
+
+            let view = MessageView::parse(&wire).unwrap();
+            if let Some(bare) = remove_cookie(&view) {
+                let bare_view = MessageView::parse(&bare).unwrap();
+                prop_assert!(bare_view.cookie().is_none());
+                prop_assert_eq!(bare_view.counts.additionals + 1, view.counts.additionals);
+                prop_assert_eq!(&bare[12..], &wire[12..bare.len()]);
+            }
+        }
+
         /// A reply written over the received datagram equals the owned route
         /// — decode, `into_response()`, push, `encode()` — byte for byte,
         /// whichever way the writer came by its question section, and

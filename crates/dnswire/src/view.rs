@@ -198,9 +198,9 @@ impl<'a> MessageView<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct RecordView<'a> {
     wire: &'a [u8],
-    owner_at: usize,
-    rdata_at: usize,
-    rdlen: usize,
+    pub(crate) owner_at: usize,
+    pub(crate) rdata_at: usize,
+    pub(crate) rdlen: usize,
     /// The section it stands in.
     pub section: Section,
     /// TYPE.

@@ -78,11 +78,11 @@ pub struct Rule {
 
 /// L1's scope: the modules that parse adversarial wire input — `dnswire`,
 /// every file of the guard, the TCP proxy, and the cookie client's core and
-/// its simulated driver, which read replies anyone may forge.
+/// its local-guard driver, which read replies anyone may forge.
 const WIRE: Scope = Scope {
     paths: &[
         "crates/dnswire/src/", "crates/core/src/guard/", "crates/core/src/tcp_proxy.rs",
-        "crates/core/src/cookie_client.rs", "crates/core/src/local_guard.rs",
+        "crates/server/src/cookie_client.rs", "crates/core/src/local_guard.rs",
     ],
     except: &[],
 };
@@ -130,14 +130,14 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "seam",
         scope: Scope {
-            paths: &["crates/core/src/guard/", "crates/core/src/cookie_client.rs"],
+            paths: &["crates/core/src/guard/", "crates/server/src/cookie_client.rs"],
             except: &["crates/core/src/guard/sim.rs"],
         },
         check: Check::Tokens(&[
             "netsim::engine", "netsim::Context", "netsim::Node", "netsim::Simulator",
         ]),
-        message: "in a sans-IO core: netsim's event engine belongs to its simulator driver \
-                  (guard/sim.rs, local_guard.rs); a core may use netsim's packet, time and \
+        message: "in a sans-IO core: netsim's event engine belongs to its simulator drivers \
+                  (guard/sim.rs; simclient.rs, local_guard.rs); a core may use netsim's packet, time and \
                   cost types",
         tests: true,
     },
@@ -171,6 +171,17 @@ pub const RULES: &[Rule] = &[
         check: Check::Tokens(&["Message::decode", "answer_wire"]),
         message: "on the ANS wire path: answer through the `AnswerCache`, which answers a miss \
                   from a view over the query's own buffer",
+        tests: false,
+    },
+    Rule {
+        id: "client-wire",
+        scope: Scope {
+            paths: &["crates/server/src/cookie_client.rs", "crates/server/src/simclient.rs", "crates/core/src/local_guard.rs"],
+            except: &[],
+        },
+        check: Check::Tokens(&["Message::decode", ".to_message()"]),
+        message: "on the cookie client's wire path: stamp by appending the extension to the \
+                  query's bytes and read a reply through its `MessageView`",
         tests: false,
     },
     Rule {

@@ -16,8 +16,8 @@ USAGE: guardlint [--root <dir>] [--github]
 
 Exits 1 on any finding. Checks: the rule table (L1 panics, L2 clocks and
 RNGs, L3 relaxed atomics, seam, core-size, state-table, ans-wire,
-tcp-framing, cookie-alg, netsim-engine, features, testbed) and L1
-indexing. A finding is exempt only by `// lint: <id> — <why>` on its line
+client-wire, tcp-framing, cookie-alg, netsim-engine, features, testbed)
+and L1 indexing. A finding is exempt only by `// lint: <id> — <why>` on its line
 or directly above it.";
 
 fn main() {

@@ -13,9 +13,9 @@
 //!   clients and from the ANS alike; the core grants and verifies cookies,
 //!   rate-limits, forwards and matches the ANS's answers;
 //! * [`client`] — a cookie-capable client, the socket driver of
-//!   [`dnsguard::cookie_client::ClientCore`] (the core the simulated local
-//!   guard drives too): it stamps the cached cookie on queries, or holds the
-//!   query behind a zero-cookie probe and sends it on the grant;
+//!   [`dnsguard::cookie_client::ClientCore`] (the core the simulated LRS and
+//!   local guard drive too): it stamps the cached cookie on queries, or holds
+//!   the query behind a zero-cookie probe and sends it on the grant;
 //! * [`telemetry`] — a live telemetry endpoint (newline-JSON over TCP):
 //!   metrics snapshots, recent trace events, atomic trace drains and
 //!   active alerts on demand, with periodic alert-rule evaluation;
@@ -29,7 +29,8 @@
 //! experiments (`bench` crate); this crate runs the same protocol logic
 //! against real sockets, literally: `GuardCore` and `ClientCore` do no I/O
 //! and read no clock, and the simulator's drivers and this crate's alike hand
-//! them the time and each datagram and send what they return.
+//! them the time and each datagram (as bytes, or a `MessageView` of them) and
+//! send what they return.
 
 #![forbid(unsafe_code)]
 

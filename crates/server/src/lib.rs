@@ -8,6 +8,8 @@
 //! * [`authoritative`] — pure answering logic (referral / answer / NODATA /
 //!   NXDOMAIN classification): one zone walk over borrowed records, into an
 //!   owned `Message` or straight into the query's own buffer;
+//! * [`cookie_client`] — the modified-DNS client (Figure 3), one sans-IO
+//!   core on datagrams under the LRS simulator, the local guard and `runtime`;
 //! * [`cache`] — the resolver's TTL cache (TTL 0 disables caching, as the
 //!   Figure 5 experiment requires);
 //! * [`recursive`] — a stock local recursive server: iterative resolution,
@@ -23,6 +25,7 @@
 
 pub mod authoritative;
 pub mod cache;
+pub mod cookie_client;
 pub mod hardening;
 pub mod nodes;
 pub mod recursive;

@@ -3,21 +3,25 @@
 //! talking to an ANS behind a *remote* guard. Both guards are firewall
 //! modules; neither the LRS nor the ANS changes.
 
-use bench::worlds::{attach_stub, guarded_world_with, GuardedWorld, Stub, WorldParams, ZoneSel, PRIV, PUB};
+use bench::worlds::{
+    attach_lrs, attach_stub, guarded_world_with, GuardedWorld, LrsParams, Stub, WorldParams, ZoneSel, PRIV, PUB,
+};
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
 use dnsguard::local_guard::LocalGuard;
+use dnswire::cookie_ext;
 use dnswire::message::Message;
 use dnswire::rdata::RData;
 use dnswire::record::Record;
 use dnswire::types::{Rcode, RrType};
-use netsim::engine::{CpuConfig, Simulator};
+use netsim::engine::{Context, CpuConfig, Node, Simulator};
 use netsim::packet::{Endpoint, Packet, DNS_PORT};
 use netsim::time::SimTime;
 use netsim::NodeId;
 use server::authoritative::Authority;
 use server::nodes::{AuthNode, ServerCosts};
 use server::recursive::{RecursiveResolver, ResolverConfig};
+use server::simclient::CookieMode;
 use server::zone::{paper_hierarchy, FOO_SERVER, WWW_ADDR};
 use std::net::Ipv4Addr;
 
@@ -140,7 +144,7 @@ fn cookie_exchange_then_stamped_queries() {
     let reply = sim.node_ref::<Stub>(client).unwrap().reply().unwrap();
     assert_eq!(reply.answers[0].rdata, RData::A(WWW_ADDR));
     assert!(
-        !dnswire::cookie_ext::has_cookie(&reply),
+        cookie_ext::find_cookie(&reply).is_none(),
         "extension stripped before the LRS sees it"
     );
     let guard = sim.node_ref::<LocalGuard>(local).unwrap();
@@ -223,4 +227,68 @@ fn incapable_server_pass_through() {
     let guard = sim.node_ref::<LocalGuard>(local).unwrap();
     assert_eq!(guard.cached_cookies(), 0);
     assert_eq!(guard.stats().grants_requested, 2, "each query probed: no verdict outlives it");
+}
+
+/// The cookie [`ScriptedGuard`] grants.
+const COOKIE: [u8; 16] = [0x5C; 16];
+
+/// A modified-DNS guard reduced to its script: it grants [`COOKIE`] to a
+/// zero-cookie probe, answers a query stamped with it, and keeps every
+/// datagram it is sent.
+#[derive(Default)]
+struct ScriptedGuard {
+    received: Vec<Vec<u8>>,
+}
+
+impl Node for ScriptedGuard {
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        self.received.push(pkt.payload.clone());
+        let mut query = Message::decode(&pkt.payload).unwrap();
+        let ext = cookie_ext::strip_cookie(&mut query);
+        let mut reply = query.response();
+        match ext {
+            Some(ext) if ext.is_request() => cookie_ext::attach_cookie(&mut reply, COOKIE, 3_600),
+            Some(ext) if ext.cookie == COOKIE => reply.answers.push(Record::a(
+                "www.foo.com".parse().unwrap(),
+                WWW_ADDR,
+                60,
+            )),
+            _ => return,
+        }
+        ctx.send(Packet::udp(pkt.dst, pkt.src, reply.encode()));
+    }
+}
+
+/// The datagrams `guard`, a [`ScriptedGuard`], was sent, their transaction
+/// ids zeroed.
+fn guard_wire(sim: &Simulator, guard: NodeId) -> Vec<Vec<u8>> {
+    let received = &sim.node_ref::<ScriptedGuard>(guard).unwrap().received;
+    received.iter().map(|wire| [&[0, 0], &wire[2..]].concat()).collect()
+}
+
+/// The three drivers of the cookie client speak one protocol: a plain
+/// client behind the local guard and the simulated LRS in extension mode
+/// put the same datagrams on one scripted guard's wire — probe, released
+/// query, and a second query stamped from the cache — but for the
+/// transaction ids each client picks.
+#[test]
+fn the_local_guard_and_the_simulated_lrs_send_the_same_datagrams() {
+    let mut local = Simulator::new(1);
+    let guard = local.add_node(PUB, CpuConfig::unbounded(), ScriptedGuard::default());
+    bare_client(&mut local, PUB);
+    local.run_until(SimTime::from_millis(50));
+    let sent = guard_wire(&local, guard);
+
+    let mut lrs = Simulator::new(1);
+    let lrs_guard = lrs.add_node(PUB, CpuConfig::unbounded(), ScriptedGuard::default());
+    // One slot, 10 ms between requests: the second is stamped at ~10 ms,
+    // and the third, at ~20 ms, is past the end of the run.
+    let ten = SimTime::from_millis(10);
+    attach_lrs(&mut lrs, LrsParams::paced(LRS_ADDR, 1, ten, ten).with_mode(CookieMode::Extension));
+    lrs.run_until(SimTime::from_millis(15));
+
+    let cookie_of = |wire: &Vec<u8>| cookie_ext::find_cookie(&Message::decode(wire).unwrap()).map(|c| c.cookie);
+    let cookies: Vec<_> = sent.iter().map(cookie_of).collect();
+    assert_eq!(cookies, [Some([0; 16]), Some(COOKIE), Some(COOKIE)], "probe, release, stamped");
+    assert_eq!(sent, guard_wire(&lrs, lrs_guard));
 }
