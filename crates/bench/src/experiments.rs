@@ -160,9 +160,12 @@ pub fn table3_throughput() -> Vec<ThroughputRow> {
         let (clients_n, conc) = if scheme == Scheme::Tcp { (2, 50) } else { (3, 64) };
         let clients: Vec<_> = (0..clients_n)
             .map(|i| {
+                // The paper's LRS waits 10 ms (§IV.D), as `LrsSimConfig::new`
+                // does; `closed_loop`'s 20 ms reads the same rows.
+                let lrs = LrsParams::closed_loop(Ipv4Addr::new(10, 0, 1, i as u8 + 1), conc);
                 attach_lrs(
                     &mut sim,
-                    LrsParams::closed_loop(Ipv4Addr::new(10, 0, 1, i as u8 + 1), conc)
+                    LrsParams { wait: SimTime::from_millis(10), ..lrs }
                         .with_mode(scheme.lrs_mode())
                         .with_cache(cache),
                 )
