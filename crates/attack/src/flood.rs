@@ -1,8 +1,8 @@
 //! Open-loop request floods — the attack of Figures 5 and 6, and every
 //! other workload whose sender never waits. One pacing loop serves them all;
-//! a [`SourceStrategy`] is what tells a spoofed flood from a bounded
-//! population of real clients, which is the signal the traffic-analytics
-//! discriminator reads.
+//! a [`SourceStrategy`] shapes the source population. Whatever its shape,
+//! the sender reads no reply, so none of its sources ever returns a cookie:
+//! to the guard's alert engine every one is a spoofed flood.
 
 use dnswire::cookie_ext;
 use dnswire::message::Message;
@@ -36,12 +36,13 @@ pub enum SourceStrategy {
         /// Pool size.
         count: u32,
     },
-    /// `count` real clients from `base` whose volume follows a Zipf
+    /// `count` addresses from `base` whose volume follows a Zipf
     /// popularity curve: member `k` (0-based rank) carries weight
-    /// `(k + 1)^-s`. A flash crowd — a bounded population that re-queries
-    /// heavily, with a few big resolvers dominating.
+    /// `(k + 1)^-s`. The shape of a flash crowd — a bounded population that
+    /// re-queries heavily, a few big resolvers dominating — forged, as a
+    /// spoofer who knows a victim's subnet would send it.
     Zipf {
-        /// Address of the most popular client; rank `k` is `base + k`.
+        /// Address of the most popular member; rank `k` is `base + k`.
         base: Ipv4Addr,
         /// Population size.
         count: u32,

@@ -30,12 +30,10 @@
 //!   `BENCH_fleetobs.json`: both sites polled into a [`FleetAggregator`],
 //!   cross-node journey stitching through a mid-flood catchment shift
 //!   with clock skew, and the fleet alert rules through a site crash;
-//! * [`analytics`] — `analytics`: the spoof-vs-flash-crowd discriminator
-//!   experiment behind `BENCH_analytics.json`: one open-loop flood under
-//!   four source strategies (a quiet baseline crowd, random spoofing, a
-//!   bounded Zipf flash crowd, a low-and-slow botnet pool) driven through
-//!   the streaming sketches of guards armed for it, plus a two-site
-//!   sketch-merge leg checked against exact generator ground truth;
+//! * [`analytics`] — `analytics`: the spoof-or-crowd experiment behind
+//!   `BENCH_analytics.json`: forged floods (uniform, Zipf, a botnet pool),
+//!   a ramp of real newcomers and verified zombies, each judged by whether
+//!   its sources proved their address;
 //! * [`poison`] — `poison`: the cache-poisoning success table behind
 //!   `BENCH_poison.json`;
 //! * [`registry`] — the table, the runner and the export validator;

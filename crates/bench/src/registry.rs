@@ -184,7 +184,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "analytics",
-        title: "Traffic analytics: spoof vs flash crowd, sketch merge",
+        title: "Spoof flood or flash crowd: do the sources prove their address",
         paper: false,
         files: &[analytics::SUMMARY_FILE],
         run: analytics::experiment,
@@ -461,11 +461,11 @@ mod tests {
 
     #[test]
     fn every_shown_by_names_a_tracing_experiment_whose_bar_misses_a_struck_kind() {
-        let tracing = ["obs", "fleetobs", "analytics", "poison"];
+        let tracing = ["obs", "fleetobs", "poison"];
         for k in vocab::KINDS {
             assert!(k.shown_by.is_none_or(|e| tracing.contains(&e)), "{k:?}");
         }
-        for (experiment, n) in tracing.into_iter().zip([8, 2, 1, 6]) {
+        for (experiment, n) in tracing.into_iter().zip([8, 2, 6]) {
             assert!(lookup(experiment).is_ok());
             let shown: Vec<&str> = vocab::KINDS
                 .iter()

@@ -620,18 +620,8 @@ mod tests {
             .filter(|i| !registered.iter().any(|s| i.reads(s.component, s.name, &s.labels)))
             .map(|i| i.name)
             .collect();
-        // What is left is a resolver's and an analytics-armed guard's.
-        assert_eq!(
-            missing,
-            [
-                "poison_attempts",
-                "poison_successes",
-                "analytics_distinct",
-                "analytics_distinct",
-                "analytics_entropy_norm_milli",
-                "analytics_top_share_milli",
-            ]
-        );
+        // What is left is a resolver's.
+        assert_eq!(missing, ["poison_attempts", "poison_successes"]);
         assert!(registered.iter().any(|s| s.component == "alert"), "the engine reports through the bundle");
 
         // The other scopes leave out exactly what they say.

@@ -3,12 +3,11 @@
 
 use super::fwd::{Forwarded, FwdTable, Rewrite, WireIds};
 use super::health::AnsHealth;
-use super::keys::Keys;
+use super::keys::{Keys, Verdict};
 use super::repl::HaRuntime;
 use super::schemes::{self, FirstContact, Outgoing, Scheme};
 use super::stash::Stash;
 use super::stats::{GuardMetrics, GuardStats, StatsHandle};
-use crate::analytics::TrafficAnalytics;
 use crate::checkpoint::{GuardCheckpoint, RewriteState, StashState};
 use crate::classify::{AuthorityClassifier, Classification, Classifier};
 use crate::config::{GuardConfig, SchemeMode, KEY_ROTATION_INTERVAL};
@@ -166,12 +165,6 @@ pub struct GuardCore {
     pub(super) last_checkpoint: SimTime,
     /// Primary–standby pairing state (None ⇒ standalone guard).
     pub(super) ha: Option<HaRuntime>,
-    /// Streaming source-population sketches (heavy hitters, cardinality,
-    /// entropy); `None` until [`GuardCore::arm_analytics`].
-    analytics: Option<Box<TrafficAnalytics>>,
-    /// The bundle given to [`GuardCore::attach_obs`], kept so that arming
-    /// analytics afterwards adopts its gauges into the same registry.
-    obs: Option<obs::Obs>,
 }
 
 impl GuardCore {
@@ -207,8 +200,6 @@ impl GuardCore {
             ha: config.ha.clone().map(|cfg| HaRuntime::new(cfg, config.key_seed)),
             config,
             classifier,
-            analytics: None,
-            obs: None,
         }
     }
 
@@ -232,38 +223,7 @@ impl GuardCore {
         self.rl1.adopt_into(&obs.registry, "guard", "rl1");
         self.rl2.adopt_into(&obs.registry, "guard", "rl2");
         self.proxy.adopt_into(&obs.registry);
-        if let Some(analytics) = &mut self.analytics {
-            analytics.adopt_into(obs);
-        }
         self.metrics.trace = obs.tracer.component("guard");
-        self.obs = Some(obs.clone());
-    }
-
-    /// Arms the traffic-analytics pipeline: from here on every UDP
-    /// datagram's source is folded into the sketch, and the `analytics_*`
-    /// gauges and `analytics_topk` events appear in the attached bundle
-    /// (whether it was attached before or is attached later). Arming an
-    /// armed guard changes nothing.
-    pub fn arm_analytics(&mut self) {
-        if self.analytics.is_none() {
-            let mut analytics = Box::<TrafficAnalytics>::default();
-            if let Some(obs) = &self.obs {
-                analytics.adopt_into(obs);
-            }
-            self.analytics = Some(analytics);
-        }
-    }
-
-    /// A freshly derived source-population snapshot (distinct sources,
-    /// entropy, top talkers); empty on an unarmed guard.
-    pub fn analytics_snapshot(&self) -> obs::sketch::AnalyticsSnapshot {
-        self.analytics.as_ref().map(|a| a.snapshot()).unwrap_or_default()
-    }
-
-    /// A clone of the cumulative traffic sketch for fleet-level merging;
-    /// empty on an unarmed guard.
-    pub fn analytics_sketch(&self) -> obs::sketch::TrafficSketch {
-        self.analytics.as_ref().map(|a| a.sketch()).unwrap_or_default()
     }
 
     /// Whether spoof detection is currently engaged.
@@ -523,26 +483,28 @@ impl GuardCore {
     }
 
     /// The stages every cookie scheme shares once its check has run: count
-    /// and trace the verdict, then pass a valid request through
-    /// Rate-Limiter2. `true` when the request goes on to the ANS.
+    /// and trace the verdict (and a fresh one as a proof of address), then
+    /// pass a valid request through Rate-Limiter2. `true` when the request
+    /// goes on to the ANS.
     fn verified(
         &mut self,
         now: SimTime,
         scheme: Scheme,
-        valid: bool,
+        verdict: Verdict,
         src: Ipv4Addr,
         qid: u64,
     ) -> bool {
         let m = &self.metrics;
-        let (name, cell) = match (scheme, valid) {
-            (Scheme::Ext, true) => ("ext", &m.ext_valid),
-            (Scheme::Ext, false) => ("ext", &m.ext_invalid),
-            (Scheme::Cookie2, true) => ("cookie2", &m.cookie2_valid),
-            (Scheme::Cookie2, false) => ("cookie2", &m.cookie2_invalid),
-            (Scheme::NsLabel, true) => ("ns_label", &m.ns_cookie_valid),
-            (Scheme::NsLabel, false) => ("ns_label", &m.ns_cookie_invalid),
+        let (name, [valid_cell, invalid_cell, proofs]) = match scheme {
+            Scheme::Ext => ("ext", [&m.ext_valid, &m.ext_invalid, &m.ext_proofs]),
+            Scheme::Cookie2 => ("cookie2", [&m.cookie2_valid, &m.cookie2_invalid, &m.cookie2_proofs]),
+            Scheme::NsLabel => ("ns_label", [&m.ns_cookie_valid, &m.ns_cookie_invalid, &m.ns_label_proofs]),
         };
-        cell.inc();
+        let valid = verdict.valid();
+        if valid { valid_cell } else { invalid_cell }.inc();
+        if verdict == Verdict::Fresh {
+            proofs.inc();
+        }
         let verdict = ("verdict", Value::Str(if valid { "valid" } else { "invalid" }));
         let [from, decision] = Self::src_qid(src, qid);
         let fields = [("scheme", Value::Str(name)), verdict, from, decision];
@@ -563,9 +525,6 @@ impl GuardCore {
 
     fn handle_udp(&mut self, now: SimTime, leg: Leg, out: &mut Outputs, pkt: Packet) {
         self.metrics.udp_datagrams.inc();
-        if let Some(analytics) = &mut self.analytics {
-            analytics.observe(now.as_nanos(), pkt.src.ip);
-        }
         // The verdict is taken on a borrowed view of the datagram; an owned
         // `Message` is built only for what the guard answers or rewrites.
         let Ok(view) = MessageView::parse(&pkt.payload) else {
@@ -696,7 +655,7 @@ impl GuardCore {
     ) {
         out.charge(netsim::cost::cookie_cost());
         let qid = self.alloc_qid();
-        let suffix_ok = self.cookies.verify_ns_suffix(pkt.src.ip, hex);
+        let suffix = self.cookies.verify_ns_suffix(pkt.src.ip, hex);
         // Restore the original name BEFORE declaring the query valid: a
         // cookie that verifies but encodes an unrestorable name is still a
         // drop, and must land in exactly one disposition bucket — as does a
@@ -705,11 +664,12 @@ impl GuardCore {
         // verify builds nothing; one that does builds the two questions —
         // the cookie name's, kept for the answer, and the one it stood for —
         // and no message.
-        let restored = suffix_ok.then(|| view.question()).flatten().and_then(|q| {
+        let restored = suffix.valid().then(|| view.question()).flatten().and_then(|q| {
             let original = q.name.with_first_label(original_first).ok()?;
             Some((q, Question::new(original, RrType::A)))
         });
-        let admitted = self.verified(now, Scheme::NsLabel, restored.is_some(), pkt.src.ip, qid);
+        let verdict = if restored.is_some() { suffix } else { Verdict::Invalid };
+        let admitted = self.verified(now, Scheme::NsLabel, verdict, pkt.src.ip, qid);
         let Some((cookie_question, restored)) = restored.filter(|_| admitted) else {
             return;
         };

@@ -23,6 +23,10 @@
 //!   the factory's own and a forged cookie costs what it did plus one line
 //!   lookup. Only a `valid` verdict is inserted: no volume of forgeries can
 //!   fill the memo.
+//! * *Proof.* A [`Verdict`] says which of the two gave a `valid`. A
+//!   [`Verdict::Fresh`] one is a source proving, for the first time since
+//!   the memo last held it, that it receives at the address it sends from;
+//!   the guard counts those as `proofs`. A hit is a proof already counted.
 //! * *Layout.* The limiter table's shape (`ratelimit.rs`): [`SETS`] sets of
 //!   [`WAYS`] entries, one 64-byte line per set, [`MEMO_BYTES`] allocated
 //!   once per guard. A full set replaces its ways round-robin.
@@ -128,6 +132,32 @@ impl Memo {
     }
 }
 
+/// What a verification found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Verdict {
+    /// The factory's `invalid`.
+    Invalid,
+    /// `valid` from the memo: the source proved its address before.
+    Memo,
+    /// `valid` from the factory: the source proves its address now.
+    Fresh,
+}
+
+impl Verdict {
+    pub(super) fn valid(self) -> bool {
+        self != Verdict::Invalid
+    }
+
+    /// A factory verdict the memo had no say in.
+    fn of_factory(valid: bool) -> Verdict {
+        if valid {
+            Verdict::Fresh
+        } else {
+            Verdict::Invalid
+        }
+    }
+}
+
 /// The guard's [`CookieFactory`] and the memo of its positive verdicts.
 /// Reads go to the factory through `Deref`; the three verifications are
 /// this type's own, and it is the only thing that can change the key.
@@ -167,22 +197,22 @@ impl Keys {
     }
 
     /// [`CookieFactory::verify`]'s verdict.
-    pub(super) fn verify(&mut self, ip: Ipv4Addr, presented: &Cookie) -> bool {
+    pub(super) fn verify(&mut self, ip: Ipv4Addr, presented: &Cookie) -> Verdict {
         self.memoized(Scheme::Ext, ip, presented.0, |f| f.verify(ip, presented))
     }
 
     /// [`CookieFactory::verify_ns_suffix`]'s verdict.
-    pub(super) fn verify_ns_suffix(&mut self, ip: Ipv4Addr, hex_suffix: &str) -> bool {
+    pub(super) fn verify_ns_suffix(&mut self, ip: Ipv4Addr, hex_suffix: &str) -> Verdict {
         let Ok(digits) = <[u8; 2 * NS_COOKIE_BYTES]>::try_from(hex_suffix.as_bytes()) else {
             // Not eight digits: the factory says `invalid` whatever the key.
-            return self.factory.verify_ns_suffix(ip, hex_suffix);
+            return Verdict::of_factory(self.factory.verify_ns_suffix(ip, hex_suffix));
         };
         let presented = std::array::from_fn(|i| digits.get(i).copied().unwrap_or(0));
         self.memoized(Scheme::NsLabel, ip, presented, |f| f.verify_ns_suffix(ip, hex_suffix))
     }
 
     /// [`CookieFactory::verify_subnet_offset`]'s verdict.
-    pub(super) fn verify_subnet_offset(&mut self, ip: Ipv4Addr, presented_offset: u32, range: u32) -> bool {
+    pub(super) fn verify_subnet_offset(&mut self, ip: Ipv4Addr, presented_offset: u32, range: u32) -> Verdict {
         let mut presented = [0; COOKIE_LEN];
         let bytes = presented_offset.to_le_bytes().into_iter().chain(range.to_le_bytes());
         for (slot, byte) in presented.iter_mut().zip(bytes) {
@@ -200,16 +230,16 @@ impl Keys {
         ip: Ipv4Addr,
         presented: [u8; COOKIE_LEN],
         check: impl FnOnce(&CookieFactory) -> bool,
-    ) -> bool {
+    ) -> Verdict {
         let (tag, src) = (tag(scheme), u32::from(ip));
         if self.memo.holds(tag, src, &presented) {
-            return true;
+            return Verdict::Memo;
         }
-        let valid = check(&self.factory);
-        if valid {
+        let verdict = Verdict::of_factory(check(&self.factory));
+        if verdict == Verdict::Fresh {
             self.memo.insert(tag, src, presented);
         }
-        valid
+        verdict
     }
 }
 
@@ -233,22 +263,48 @@ mod tests {
             let src = Ipv4Addr::from(0x0B00_0000 + n);
             let mut forged = keys.generate(src);
             forged.0[(n % 4) as usize] ^= 1 << (n % 7);
-            assert!(!keys.verify(src, &forged));
-            assert!(!keys.verify_ns_suffix(src, &forged.ns_label_suffix()));
+            assert_eq!(keys.verify(src, &forged), Verdict::Invalid);
+            assert_eq!(keys.verify_ns_suffix(src, &forged.ns_label_suffix()), Verdict::Invalid);
             let wrong = (keys.generate_subnet_offset(src, 253) + 1 + n % 252) % 253;
-            assert!(!keys.verify_subnet_offset(src, wrong, 253));
+            assert_eq!(keys.verify_subnet_offset(src, wrong, 253), Verdict::Invalid);
         }
         assert_eq!(filled(&keys), 0, "a forgery was memoized");
 
         let src = Ipv4Addr::new(10, 0, 0, 1);
         let cookie = keys.generate(src);
-        assert!(keys.verify(src, &cookie) && keys.verify(src, &cookie));
+        assert!(keys.verify(src, &cookie).valid() && keys.verify(src, &cookie).valid());
         assert_eq!(filled(&keys), 1);
         let mut forged = cookie;
         forged.0[15] ^= 1;
-        assert!(!keys.verify(src, &forged), "a memoized source's forgery passed");
-        assert!(!keys.verify(Ipv4Addr::new(10, 0, 0, 2), &cookie), "another source's cookie passed");
+        assert!(!keys.verify(src, &forged).valid(), "a memoized source's forgery passed");
+        assert!(!keys.verify(Ipv4Addr::new(10, 0, 0, 2), &cookie).valid(), "another source's cookie passed");
         assert_eq!(filled(&keys), 1);
+    }
+
+    /// A source proves its address once per memo entry: the first `valid`
+    /// is fresh, a repeat is the memo's, a forgery is no proof, and a
+    /// restore (which forgets every verdict) makes the next `valid` fresh.
+    #[test]
+    fn only_a_verdict_the_memo_did_not_hold_is_a_proof() {
+        let mut keys = Keys::new(5, CookieAlg::default());
+        let src = Ipv4Addr::new(10, 0, 0, 4);
+        let cookie = keys.generate(src);
+        let hex = cookie.ns_label_suffix();
+        let offset = keys.generate_subnet_offset(src, 253);
+        let mut forged = cookie;
+        forged.0[0] ^= 1;
+        for _ in 0..2 {
+            assert_eq!(keys.verify(src, &forged), Verdict::Invalid);
+            assert_eq!(keys.verify(src, &cookie), Verdict::Fresh);
+            assert_eq!(keys.verify(src, &cookie), Verdict::Memo);
+            assert_eq!(keys.verify_ns_suffix(src, &hex), Verdict::Fresh);
+            assert_eq!(keys.verify_ns_suffix(src, &hex), Verdict::Memo);
+            assert_eq!(keys.verify_ns_suffix(src, &forged.ns_label_suffix()), Verdict::Invalid);
+            assert_eq!(keys.verify_subnet_offset(src, offset, 253), Verdict::Fresh);
+            assert_eq!(keys.verify_subnet_offset(src, offset, 253), Verdict::Memo);
+            assert_eq!(keys.verify_subnet_offset(src, (offset + 1) % 253, 253), Verdict::Invalid);
+            keys.restore(0);
+        }
     }
 
     /// A source whose generation a restore left behind stops verifying at
@@ -258,12 +314,12 @@ mod tests {
         let mut keys = Keys::new(1, CookieAlg::default());
         let src = Ipv4Addr::new(10, 0, 0, 3);
         let cookie = keys.generate(src);
-        assert!(keys.verify(src, &cookie));
+        assert!(keys.verify(src, &cookie).valid());
         keys.restore(0);
-        assert!(keys.verify(src, &cookie));
+        assert!(keys.verify(src, &cookie).valid());
         keys.restore(2);
         assert_eq!(keys.generation(), 2);
-        assert!(!keys.verify(src, &cookie));
+        assert!(!keys.verify(src, &cookie).valid());
     }
 
     /// One step of the differential test.
@@ -338,16 +394,16 @@ mod tests {
                             cookie.0[(seed % 4) as usize] ^= (seed >> 8) as u8 | 1;
                         }
                         let (got, want) = match scheme {
-                            0 => (keys.verify(from, &cookie), bare.verify(from, &cookie)),
+                            0 => (keys.verify(from, &cookie).valid(), bare.verify(from, &cookie)),
                             1 => {
                                 let hex = cookie.ns_label_suffix();
                                 let hex = if upper { hex.to_ascii_uppercase() } else { hex };
-                                (keys.verify_ns_suffix(from, &hex), bare.verify_ns_suffix(from, &hex))
+                                (keys.verify_ns_suffix(from, &hex).valid(), bare.verify_ns_suffix(from, &hex))
                             }
                             _ => {
                                 let y = issuer.generate_subnet_offset(owner, range);
                                 let y = if forged.is_some() { (y + 1) % range } else { y };
-                                (keys.verify_subnet_offset(from, y, range), bare.verify_subnet_offset(from, y, range))
+                                (keys.verify_subnet_offset(from, y, range).valid(), bare.verify_subnet_offset(from, y, range))
                             }
                         };
                         prop_assert_eq!(got, want, "{:?} from {} for {}", scheme, from, owner);

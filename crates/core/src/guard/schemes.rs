@@ -2,7 +2,7 @@
 //! fabricated NS label, the `COOKIE2` address space, the query on its way to
 //! the ANS, and the two answers the guard writes itself.
 
-use super::keys::Keys;
+use super::keys::{Keys, Verdict};
 use crate::config::GuardConfig;
 use dnswire::cookie_ext;
 use dnswire::header::Header;
@@ -191,16 +191,16 @@ pub(super) fn cookie2_matches(
     config: &GuardConfig,
     src: Ipv4Addr,
     dst: Ipv4Addr,
-) -> bool {
+) -> Verdict {
     let (effective, pub_off) = cookie2_space(config);
     let base = u32::from(config.subnet_base);
     let host = u32::from(dst);
     if host <= base {
-        return false;
+        return Verdict::Invalid;
     }
     let h = host - base - 1;
     if Some(h) == pub_off {
-        return false;
+        return Verdict::Invalid;
     }
     let presented = match pub_off {
         Some(p) if h > p => h - 1,
@@ -257,12 +257,12 @@ mod tests {
                     let addr = cookie2_addr(&cookies, &config, src);
                     assert!(hosts.contains(&u32::from(addr)), "{addr} outside range {range}");
                     assert_ne!(addr, public, "never the guard's own address");
-                    assert!(cookie2_matches(&mut cookies, &config, src, addr));
+                    assert!(cookie2_matches(&mut cookies, &config, src, addr).valid());
                 }
                 let src = Ipv4Addr::new(10, 0, 0, 1);
-                assert!(!cookie2_matches(&mut cookies, &config, src, base));
-                assert!(!cookie2_matches(&mut cookies, &config, src, public));
-                let matching = hosts.filter(|&h| cookie2_matches(&mut cookies, &config, src, h.into()));
+                assert!(!cookie2_matches(&mut cookies, &config, src, base).valid());
+                assert!(!cookie2_matches(&mut cookies, &config, src, public).valid());
+                let matching = hosts.filter(|&h| cookie2_matches(&mut cookies, &config, src, h.into()).valid());
                 assert_eq!(matching.count(), 1, "one address per source");
             }
         }

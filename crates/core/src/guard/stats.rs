@@ -33,6 +33,14 @@ obs::counters! {
         cookie2_valid = "verify" { scheme = "cookie2", verdict = "valid" },
         /// `COOKIE2` queries dropped as spoofed.
         cookie2_invalid = "verify" { scheme = "cookie2", verdict = "invalid" },
+        /// Sources that proved their address with an extension cookie: a
+        /// `valid` verdict the verdict memo did not already hold. Not a
+        /// disposition: the datagram is counted under `ext_valid` too.
+        ext_proofs = "proofs" { scheme = "ext" },
+        /// Sources that proved their address with a cookie label.
+        ns_label_proofs = "proofs" { scheme = "ns_label" },
+        /// Sources that proved their address at their `COOKIE2` address.
+        cookie2_proofs = "proofs" { scheme = "cookie2" },
         /// Plain queries dropped by Rate-Limiter1.
         rl1_dropped = "rl_dropped" { limiter = "rl1" },
         /// Verified queries dropped by Rate-Limiter2.

@@ -59,7 +59,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analytics;
 pub mod checkpoint;
 pub mod classify;
 pub mod config;

@@ -717,69 +717,6 @@ fn a_lossy_limiter_eviction_is_traced_and_counted() {
     }
 }
 
-/// Traffic analytics is run-time state. An unarmed guard leaves no trace of
-/// it in its telemetry — which is what keeps every export of a guard that
-/// was never armed as it was — and a guard armed on either side of
-/// `attach_obs` ends with the three gauges adopted and refreshing.
-#[test]
-fn analytics_telemetry_exists_only_once_armed_whichever_side_of_attach_obs() {
-    for (arm_before, arm_after) in [(false, false), (true, false), (false, true)] {
-        let (config, classifier) = parts(SchemeMode::TcpBased, Zone::Foo);
-        let mut core = GuardCore::new(config, classifier);
-        let obs = obs::Obs::new();
-        obs.tracer.set_default_level(obs::trace::Level::Info);
-        if arm_before {
-            core.arm_analytics();
-        }
-        core.attach_obs(&obs);
-        if arm_after {
-            core.arm_analytics();
-        }
-
-        let mut out = Outputs::default();
-        for n in 0..1_024u32 {
-            let src = Endpoint::new(Ipv4Addr::from(0x2D00_0000 + n % 7), 5_353);
-            let now = SimTime::from_micros(50 * u64::from(n));
-            let pkt = from(src, PUBLIC, &query(9, "www.foo.com"));
-            core.handle_packet(now, Leg::Client, pkt, &mut out);
-            out.drain();
-        }
-        assert_eq!(core.stats().udp_datagrams, 1_024);
-
-        let gauges: Vec<_> = obs
-            .registry
-            .snapshot()
-            .into_iter()
-            .filter(|s| s.name.starts_with("analytics_"))
-            .map(|s| (s.component, s.name, s.value))
-            .collect();
-        let (events, _) = obs.tracer.drain();
-        let refreshes = events.iter().filter(|e| e.kind == "analytics_topk").count();
-        let snap = core.analytics_snapshot();
-        if arm_before || arm_after {
-            // The last of the four refreshes fell on the last datagram, so
-            // the gauges read what a fresh snapshot derives.
-            use obs::metrics::SampleValue::Gauge;
-            let milli = |x: f64| Gauge((x * 1e3) as u64);
-            assert_eq!(snap.total, 1_024);
-            assert_eq!(
-                gauges,
-                [
-                    ("guard", "analytics_distinct", Gauge(snap.distinct as u64)),
-                    ("guard", "analytics_entropy_norm_milli", milli(snap.entropy_norm)),
-                    ("guard", "analytics_top_share_milli", milli(snap.top_share)),
-                ]
-            );
-            assert!(snap.distinct >= 1.0 && snap.top_share > 0.1, "seven even sources: {snap:?}");
-            assert_eq!(refreshes, 4);
-            assert_eq!(core.analytics_sketch().total(), 1_024);
-        } else {
-            assert_eq!((gauges, refreshes, snap.total), (vec![], 0, 0));
-            assert_eq!(core.analytics_sketch().total(), 0);
-        }
-    }
-}
-
 /// The extension-cookie guard of `foo.com`, configured by `tweak`, behind
 /// each driver.
 fn both_with(tweak: impl Fn(&mut GuardConfig)) -> (Direct, Simulated) {

@@ -165,12 +165,6 @@ impl<'a> MessageView<'a> {
         }
     }
 
-    /// This query under transaction id `id` and without its cookie, when
-    /// it carries one and [`MessageView::question_only`] can write it.
-    pub fn without_cookie(&self, id: u16) -> Option<Vec<u8>> {
-        self.cookie.and_then(|_| self.question_only(id))
-    }
-
     /// This query under transaction id `id` and without its cookie, if it
     /// has one, when that is the received question bytes behind a fresh
     /// header: a single question whose name is *literal* (spelled out in
@@ -396,9 +390,9 @@ pub(crate) mod tests {
     use crate::cookie_ext::{attach_cookie, find_cookie, strip_cookie};
     use std::net::Ipv4Addr;
 
-    /// The forward the in-place one replaced, kept as its oracle: decode,
-    /// strip the cookie, renumber, encode.
-    pub(crate) fn reference_without_cookie(wire: &[u8], id: u16) -> Vec<u8> {
+    /// The forward [`MessageView::question_only`] replaced, kept as its
+    /// oracle: decode, strip the cookie, renumber, encode.
+    pub(crate) fn reference_question_only(wire: &[u8], id: u16) -> Vec<u8> {
         let mut msg = Message::decode(wire).unwrap();
         strip_cookie(&mut msg);
         msg.header.id = id;
@@ -430,9 +424,8 @@ pub(crate) mod tests {
         assert_eq!(view.question_name(), view.question().map(|q| q.name));
         assert_eq!(view.as_bytes(), wire);
         if let Some(bare) = view.question_only(0xBEEF) {
-            assert_eq!(bare, reference_without_cookie(wire, 0xBEEF));
+            assert_eq!(bare, reference_question_only(wire, 0xBEEF));
         }
-        assert_eq!(view.without_cookie(0xBEEF), view.question_only(0xBEEF).filter(|_| view.cookie().is_some()));
 
         // The record iterator shows the owned sections, in order.
         let sections = [
@@ -481,8 +474,8 @@ pub(crate) mod tests {
     fn bare_cookie_query_is_forwarded_in_place() {
         let wire = cookie_query().encode();
         let view = MessageView::parse(&wire).unwrap();
-        let bare = view.without_cookie(0x1234).expect("one literal question, one cookie");
-        assert_eq!(bare, reference_without_cookie(&wire, 0x1234));
+        let bare = view.question_only(0x1234).expect("one literal question, one cookie");
+        assert_eq!(bare, reference_question_only(&wire, 0x1234));
         assert_agrees(&wire);
     }
 
@@ -491,13 +484,11 @@ pub(crate) mod tests {
         let declines = |msg: &Message| {
             let wire = msg.encode();
             assert_agrees(&wire);
-            MessageView::parse(&wire).unwrap().without_cookie(1).is_none()
+            MessageView::parse(&wire).unwrap().question_only(1).is_none()
         };
-        let plain = Message::query(7, "www.foo.com".parse().unwrap(), RrType::A);
-        assert!(declines(&plain), "no cookie");
-        let wire = plain.encode();
+        let wire = Message::query(7, "www.foo.com".parse().unwrap(), RrType::A).encode();
         let bare = MessageView::parse(&wire).unwrap().question_only(9);
-        assert_eq!(bare, Some(reference_without_cookie(&wire, 9)), "… but still only a question");
+        assert_eq!(bare, Some(reference_question_only(&wire, 9)), "no cookie, still only a question");
 
         let mut two_questions = cookie_query();
         two_questions.questions.push(Question::new("foo.com".parse().unwrap(), RrType::A));
@@ -520,7 +511,7 @@ pub(crate) mod tests {
         assert_eq!(msg.question().unwrap().name, "x".parse().unwrap());
         assert!(find_cookie(&msg).is_some());
         assert_agrees(&compressed);
-        assert!(MessageView::parse(&compressed).unwrap().without_cookie(1).is_none());
+        assert!(MessageView::parse(&compressed).unwrap().question_only(1).is_none());
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! constraint, an **amplification-bound breach** means the guard is
 //! replying with more bytes than unverified sources send (the ≤1.5×
 //! reflector bound of section III.F), and **ANS down/flap** is the outage
-//! the whole guard exists to prevent from spreading. **Trace-ring drops**
-//! round out the set: they mean the observability layer itself is lossy.
+//! the whole guard exists to prevent from spreading. A **handshake storm**
+//! is split by the paper's own test of a source: a spoofer never comes back
+//! with the cookie sent to the address it forged, so a surge of
+//! first-contact answers that few sources prove is a **spoof flood**, and
+//! one they keep pace with is a **flash crowd**. **Trace-ring drops** round
+//! out the set: they mean the observability layer itself is lossy.
 //!
 //! [`AlertEngine::evaluate`] consumes `(t_nanos, snapshot)` pairs from the
 //! one driver that owns the engine — `bench::worlds::run_evaluated` after
@@ -31,9 +35,11 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 #[derive(Debug, Clone)]
 pub struct AlertConfig {
     /// `handshake_storm` fires when the guard fleet hands out first-contact
-    /// cookies (fabricated NS + TC redirects + extension grants) above this
-    /// rate (events/s): previously-verified clients are re-handshaking en
-    /// masse, the failure mode shared cookies exist to prevent.
+    /// answers (fabricated NS + TC redirects + extension grants) above this
+    /// rate (events/s). It is the floor that `spoof_flood` and
+    /// `flash_crowd` split: forged sources, or real ones arriving (or
+    /// re-handshaking en masse, the failure mode shared cookies exist to
+    /// prevent).
     pub handshake_per_sec: f64,
 }
 
@@ -64,37 +70,18 @@ const CHECKPOINT_LAG_MAX_NANOS: u64 = 50_000_000;
 /// anycast sites above this rate (events/s) — the operator signal that
 /// BGP moved a catchment mid-flood.
 const SHIFT_PER_SEC: f64 = 100.0;
-/// Neither analytics rule considers firing below this datagram rate
-/// (datagrams/s): sketch estimates on a trickle are noise.
-const ANALYTICS_MIN_RATE: f64 = 5_000.0;
-/// `spoof_flood` requires the distinct-source estimate
-/// (`analytics_distinct`) above this — spoofed floods burn through
-/// source space; flash crowds are bounded populations.
-const SPOOF_MIN_DISTINCT: f64 = 1_000.0;
-/// `spoof_flood` requires new sources appearing above this rate
-/// (sources/s): random spoofing mints a fresh address almost every
-/// datagram.
-const SPOOF_NEW_SOURCE_PER_SEC: f64 = 1_000.0;
-/// `spoof_flood` requires the per-source repeat rate (datagrams per
-/// new source over the window) at or below this: spoofed sources
-/// barely repeat, real clients retry and re-query.
-const SPOOF_MAX_REPEAT: f64 = 6.0;
-/// `spoof_flood` requires normalized source entropy
-/// (`analytics_entropy_norm_milli` / 1000) at or above this: a
-/// uniform-random source population sits near 1.0.
-const SPOOF_MIN_ENTROPY_NORM: f64 = 0.88;
-/// `flash_crowd` requires the new-source rate at or below this:
-/// a crowd's population is recruited once, then it re-queries.
-const CROWD_MAX_NEW_SOURCE_PER_SEC: f64 = 500.0;
-/// `flash_crowd` requires the distinct-source estimate at or below
-/// this (bounded population).
-const CROWD_MAX_DISTINCT: f64 = 1_000.0;
-/// `flash_crowd` requires Zipf-like skew: normalized entropy at or
-/// below this, …
-const CROWD_MAX_ENTROPY_NORM: f64 = 0.85;
-/// … or the hottest source's guaranteed share
-/// (`analytics_top_share_milli` / 1000) at or above this.
-const CROWD_MIN_TOP_SHARE: f64 = 0.05;
+/// Above the `handshake_storm` floor, `flash_crowd` fires while the sources
+/// that proved their address keep pace with the first-contact answers (at
+/// least this share of them), and `spoof_flood` while they fall short in
+/// two evaluations running: a proof trails its handshake by a round trip,
+/// so one short window may be proofs still in flight, while a high share
+/// is conclusive at once. A real newcomer proves its address at least once
+/// per handshake (extension 1, NS label 1, +1 for `COOKIE2`, TCP 1); a
+/// forged source never does. A proof is a `valid` verdict the guard's
+/// verdict memo did not hold, so a client that re-handshakes while holding
+/// a cookie it has already proven (`cookie_cache = false`) proves nothing
+/// new: a crowd of them reads as spoofing.
+const MIN_PROOF_SHARE: f64 = 0.5;
 /// `cache_poisoning` fires when a resolver registers wrong-response
 /// mismatches for in-flight queries above this rate (events/s) — the
 /// visible footprint of a txid-guessing race — or immediately on any
@@ -116,22 +103,17 @@ pub(crate) enum Signal {
     Takeovers,
     Shifted,
     Handshakes,
+    Proofs,
     Datagrams,
     PoisonAttempts,
     PoisonHits,
-    Distinct,
-    NewSources,
-    EntropyMilli,
-    TopShareMilli,
 }
 
 /// How a cell feeds its signal.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Read {
     /// The cell's clamped growth since the previous evaluation
-    /// ([`AlertState::cell_delta`]), summed: a counter, or — for the
-    /// cumulative `analytics_distinct` — a gauge that only moves forward
-    /// between refreshes, whose reset clamps to zero like any counter's.
+    /// ([`AlertState::cell_delta`]), summed.
     Delta,
     /// The gauge's value, the largest over the cells.
     Max,
@@ -193,18 +175,15 @@ pub const INPUTS: &[Input] = &[
     input(None, "fabricated_ns_sent", None, Signal::Handshakes, Read::Delta),
     input(None, "grants_sent", None, Signal::Handshakes, Read::Delta),
     input(None, "tc_sent", None, Signal::Handshakes, Read::Delta),
-    input(None, "udp_datagrams", None, Signal::Datagrams, Read::Delta),
+    input(None, "proofs", None, Signal::Proofs, Read::Delta),
+    input(Some("proxy"), "accepted", None, Signal::Proofs, Read::Delta),
     input(None, "poison_attempts", None, Signal::PoisonAttempts, Read::Delta),
     input(None, "poison_successes", None, Signal::PoisonHits, Read::Delta),
-    input(None, "analytics_distinct", None, Signal::Distinct, Read::Max),
-    input(None, "analytics_distinct", None, Signal::NewSources, Read::Delta),
-    input(None, "analytics_entropy_norm_milli", None, Signal::EntropyMilli, Read::Max),
-    input(None, "analytics_top_share_milli", None, Signal::TopShareMilli, Read::Max),
 ];
 
 /// The signals of one evaluation.
 #[derive(Default)]
-pub(crate) struct Signals([u64; Signal::TopShareMilli as usize + 1]);
+pub(crate) struct Signals([u64; Signal::PoisonHits as usize + 1]);
 
 impl Signals {
     /// Folds one cell that `input` reads into its signal; `delta` is the
@@ -387,6 +366,8 @@ pub struct AlertEngine {
     config: AlertConfig,
     alerts: AlertState,
     down_times: VecDeque<u64>,
+    /// Whether the previous evaluation saw a storm its sources did not prove.
+    unproven: bool,
 }
 
 impl std::fmt::Debug for AlertEngine {
@@ -406,6 +387,7 @@ impl AlertEngine {
             config,
             alerts: AlertState::default(),
             down_times: VecDeque::new(),
+            unproven: false,
         }
     }
 
@@ -504,46 +486,16 @@ impl AlertEngine {
         }
         let shift_rate = rate(Signal::Shifted);
         alerts.set_state(t_nanos, "catchment_shift", shift_rate > SHIFT_PER_SEC, shift_rate, SHIFT_PER_SEC);
+        // A surge of first-contact answers, split by who came back.
         let handshake_rate = rate(Signal::Handshakes);
-        alerts.set_state(
-            t_nanos,
-            "handshake_storm",
-            handshake_rate > self.config.handshake_per_sec,
-            handshake_rate,
-            self.config.handshake_per_sec,
-        );
-
-        // The spoof-vs-flash-crowd discriminator, over the sketch-derived
-        // population signals (zeros — analytics off — satisfy neither
-        // rule). A spoofed flood mints new sources near the datagram rate
-        // with near-maximal entropy and no repeats; a flash crowd is a
-        // bounded, Zipf-skewed population that re-queries. The absolute
-        // cardinality split (`SPOOF_MIN_DISTINCT` / `CROWD_MAX_DISTINCT`)
-        // keeps a crowd's recruitment burst from reading as spoofing and a
-        // flood's tail from reading as a crowd.
-        let datagram_rate = rate(Signal::Datagrams);
-        let new_source_rate = rate(Signal::NewSources);
-        let (d_datagrams, d_new_sources) = (sig.get(Signal::Datagrams), sig.get(Signal::NewSources));
-        let repeat = if d_new_sources == 0 {
-            f64::INFINITY
-        } else {
-            d_datagrams as f64 / d_new_sources as f64
-        };
-        let distinct = sig.get(Signal::Distinct);
-        let entropy_norm = sig.get(Signal::EntropyMilli) as f64 / 1_000.0;
-        let top_share = sig.get(Signal::TopShareMilli) as f64 / 1_000.0;
-        let spoofing = datagram_rate > ANALYTICS_MIN_RATE
-            && distinct as f64 > SPOOF_MIN_DISTINCT
-            && new_source_rate > SPOOF_NEW_SOURCE_PER_SEC
-            && repeat <= SPOOF_MAX_REPEAT
-            && entropy_norm >= SPOOF_MIN_ENTROPY_NORM;
-        alerts.set_state(t_nanos, "spoof_flood", spoofing, new_source_rate, SPOOF_NEW_SOURCE_PER_SEC);
-        let crowding = datagram_rate > ANALYTICS_MIN_RATE
-            && distinct > 0
-            && (distinct as f64) <= CROWD_MAX_DISTINCT
-            && new_source_rate <= CROWD_MAX_NEW_SOURCE_PER_SEC
-            && (entropy_norm <= CROWD_MAX_ENTROPY_NORM || top_share >= CROWD_MIN_TOP_SHARE);
-        alerts.set_state(t_nanos, "flash_crowd", crowding, datagram_rate, ANALYTICS_MIN_RATE);
+        let storm = handshake_rate > self.config.handshake_per_sec;
+        alerts.set_state(t_nanos, "handshake_storm", storm, handshake_rate, self.config.handshake_per_sec);
+        let proof_share = sig.get(Signal::Proofs) as f64 / sig.get(Signal::Handshakes).max(1) as f64;
+        let proven = proof_share >= MIN_PROOF_SHARE;
+        let unproven = storm && !proven;
+        alerts.set_state(t_nanos, "spoof_flood", unproven && self.unproven, proof_share, MIN_PROOF_SHARE);
+        alerts.set_state(t_nanos, "flash_crowd", storm && proven, proof_share, MIN_PROOF_SHARE);
+        self.unproven = unproven;
 
         // A poisoning race in progress (mismatch burst) or already won
         // (any confirmed poisoned entry fires at once — one success is
@@ -840,96 +792,87 @@ mod tests {
         assert!(engine.is_silent(), "first sight of a cell is a baseline, not a delta");
     }
 
-    /// The analytics cells the discriminator reads.
-    struct AnalyticsCells {
-        datagrams: crate::metrics::Counter,
-        distinct: crate::metrics::Gauge,
-        entropy: crate::metrics::Gauge,
-        top_share: crate::metrics::Gauge,
+    /// Which of `spoof_flood` and `flash_crowd` are firing after two
+    /// seconds, each of `handshakes` (each scheme's first-contact counter in
+    /// turn) and `proofs` (each proof counter in turn).
+    fn split(handshakes: u64, proofs: u64) -> Vec<Vec<&'static str>> {
+        let mut verdicts = Vec::new();
+        for handshake in ["fabricated_ns_sent", "grants_sent", "tc_sent"] {
+            for (component, proof, labels) in [
+                ("guard", "proofs", &[("scheme", "ext")][..]),
+                ("guard", "proofs", &[("scheme", "ns_label")][..]),
+                ("guard", "proofs", &[("scheme", "cookie2")][..]),
+                ("proxy", "accepted", &[][..]),
+            ] {
+                let reg = Registry::new();
+                let (answered, proven) = (reg.counter("guard", handshake, &[]), reg.counter(component, proof, labels));
+                let mut engine = AlertEngine::new(AlertConfig::default());
+                for second in 0..3 {
+                    engine.evaluate(second * SEC, &snapshot_with(&reg));
+                    answered.add(handshakes);
+                    proven.add(proofs);
+                }
+                let rules = engine.active().into_iter().map(|a| a.rule);
+                verdicts.push(rules.filter(|r| ["spoof_flood", "flash_crowd"].contains(r)).collect());
+            }
+        }
+        verdicts
     }
 
-    fn analytics_cells(reg: &Registry) -> AnalyticsCells {
-        AnalyticsCells {
-            datagrams: reg.counter("guard", "udp_datagrams", &[]),
-            distinct: reg.gauge("guard", "analytics_distinct", &[]),
-            entropy: reg.gauge("guard", "analytics_entropy_norm_milli", &[]),
-            top_share: reg.gauge("guard", "analytics_top_share_milli", &[]),
+    #[test]
+    fn spoof_flood_fires_on_handshakes_no_source_proves() {
+        for verdict in split(5_000, 0) {
+            assert_eq!(verdict, ["spoof_flood"]);
+        }
+        for verdict in split(5_000, 2_499) {
+            assert_eq!(verdict, ["spoof_flood"], "fewer than half proved");
         }
     }
 
     #[test]
-    fn spoof_flood_fires_on_cardinality_surge_without_repeats() {
-        let reg = Registry::new();
-        let cells = analytics_cells(&reg);
-        let mut engine = AlertEngine::new(AlertConfig::default());
-        engine.evaluate(0, &snapshot_with(&reg));
-
-        // Random spoofing: 50 K datagrams/s, nearly every one a new
-        // source, near-maximal entropy, nothing repeats enough to own a
-        // guaranteed top-K share.
-        cells.datagrams.add(50_000);
-        cells.distinct.set(48_000);
-        cells.entropy.set(980);
-        cells.top_share.set(0);
-        engine.evaluate(SEC, &snapshot_with(&reg));
-        let rules: Vec<_> = engine.active().iter().map(|a| a.rule).collect();
-        assert!(rules.contains(&"spoof_flood"), "{rules:?}");
-        assert!(!rules.contains(&"flash_crowd"), "huge cardinality is no crowd");
-
-        // Flood stops: both silent again.
-        engine.evaluate(2 * SEC, &snapshot_with(&reg));
-        assert!(!engine.active().iter().any(|a| a.rule == "spoof_flood"));
+    fn flash_crowd_fires_when_proofs_keep_pace() {
+        for verdict in split(5_000, 5_000) {
+            assert_eq!(verdict, ["flash_crowd"]);
+        }
+        for verdict in split(5_000, 10_000) {
+            assert_eq!(verdict, ["flash_crowd"], "COOKIE2 proves twice");
+        }
     }
 
     #[test]
-    fn flash_crowd_fires_on_bounded_zipf_population() {
-        let reg = Registry::new();
-        let cells = analytics_cells(&reg);
-        let mut engine = AlertEngine::new(AlertConfig::default());
-        engine.evaluate(0, &snapshot_with(&reg));
-
-        // Established crowd: 20 K datagrams/s from ~300 sources that were
-        // recruited earlier (no new ones this window), Zipf skew.
-        cells.distinct.set(300);
-        engine.evaluate(SEC, &snapshot_with(&reg));
-        cells.datagrams.add(20_000);
-        cells.entropy.set(760);
-        cells.top_share.set(180);
-        engine.evaluate(2 * SEC, &snapshot_with(&reg));
-        let rules: Vec<_> = engine.active().iter().map(|a| a.rule).collect();
-        assert!(rules.contains(&"flash_crowd"), "{rules:?}");
-        assert!(!rules.contains(&"spoof_flood"), "bounded population is not spoofing");
+    fn neither_fires_below_the_handshake_floor() {
+        for proofs in [0, 1_500] {
+            for verdict in split(1_500, proofs) {
+                assert!(verdict.is_empty(), "{verdict:?}");
+            }
+        }
     }
 
+    /// One window short of proofs is proofs in flight; two running are a
+    /// spoof flood.
     #[test]
-    fn crowd_recruitment_burst_does_not_read_as_spoofing() {
-        // The crowd's onset window: hundreds of genuinely new sources per
-        // second, but the absolute cardinality stays bounded — below
-        // `spoof_min_distinct` — so `spoof_flood` must stay quiet, and the
-        // new-source rate keeps `flash_crowd` quiet until the population
-        // settles.
+    fn spoof_flood_waits_a_window_for_the_proofs_and_flash_crowd_does_not() {
         let reg = Registry::new();
-        let cells = analytics_cells(&reg);
+        let (grants, proofs) = (reg.counter("guard", "grants_sent", &[]), reg.counter("guard", "proofs", &[("scheme", "ext")]));
         let mut engine = AlertEngine::new(AlertConfig::default());
         engine.evaluate(0, &snapshot_with(&reg));
-        cells.datagrams.add(10_000);
-        cells.distinct.set(600); // 600 new sources/s, all of them.
-        cells.entropy.set(950); // Early uniform-ish sampling.
-        engine.evaluate(SEC, &snapshot_with(&reg));
-        assert!(engine.is_silent(), "{:?}", engine.fired_rules());
-    }
-
-    #[test]
-    fn analytics_rules_stay_silent_without_analytics_gauges() {
-        // Feature off: the gauges never appear, so neither rule can fire
-        // no matter the datagram rate.
-        let reg = Registry::new();
-        let datagrams = reg.counter("guard", "udp_datagrams", &[]);
-        let mut engine = AlertEngine::new(AlertConfig::default());
-        engine.evaluate(0, &snapshot_with(&reg));
-        datagrams.add(500_000);
-        engine.evaluate(SEC, &snapshot_with(&reg));
-        assert!(engine.is_silent());
+        for (second, (granted, proven)) in (1..).zip([(3_000, 0), (3_000, 6_000), (3_000, 0), (3_000, 0), (0, 0)]) {
+            grants.add(granted);
+            proofs.add(proven);
+            engine.evaluate(second * SEC, &snapshot_with(&reg));
+        }
+        let transitions: Vec<_> = engine.history().iter().map(|t| (t.rule, t.firing, t.t_nanos / SEC)).collect();
+        assert_eq!(
+            transitions,
+            [
+                ("handshake_storm", true, 1),
+                ("flash_crowd", true, 2),
+                ("flash_crowd", false, 3),
+                ("spoof_flood", true, 4),
+                ("handshake_storm", false, 5),
+                ("spoof_flood", false, 5),
+            ]
+        );
     }
 
     #[test]

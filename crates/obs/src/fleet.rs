@@ -32,7 +32,6 @@
 
 use crate::journey::{JourneyAssembler, JourneyReport};
 use crate::metrics::{flat_key, Counter, Gauge, MetricSample, SampleValue};
-use crate::sketch::TrafficSketch;
 use crate::trace::{Event, Value};
 use crate::vocab;
 use crate::Obs;
@@ -118,9 +117,6 @@ struct NodeState {
     /// the `node_silent` trace event fires once per outage).
     silent: bool,
     last_samples: Vec<FleetSample>,
-    /// Most recent traffic sketch reported by the node (`None` until one
-    /// arrives — e.g. the node's guard is not armed for analytics).
-    sketch: Option<TrafficSketch>,
 }
 
 /// Aggregates snapshots and traces from every fleet node; see the module
@@ -182,7 +178,6 @@ impl FleetAggregator {
             last_seen_nanos: None,
             silent: false,
             last_samples: Vec::new(),
-            sketch: None,
         });
         (self.nodes.len() - 1) as u32
     }
@@ -230,28 +225,6 @@ impl FleetAggregator {
     /// Number of buffered (offset-corrected) trace events.
     pub fn event_count(&self) -> usize {
         self.events.len()
-    }
-
-    /// Ingests `node`'s cumulative traffic sketch, replacing any previous
-    /// one (sketches are cumulative, so the latest subsumes the rest).
-    pub fn observe_sketch(&mut self, node: u32, sketch: TrafficSketch) {
-        if let Some(state) = self.nodes.get_mut(node as usize) {
-            state.sketch = Some(sketch);
-        }
-    }
-
-    /// Merges every node's latest sketch into one fleet-wide sketch.
-    /// Count-min adds element-wise and HLL takes register maxes — exactly
-    /// commutative and associative — so fold order over nodes is
-    /// irrelevant, the same contract as [`FleetAggregator::merged_snapshot`].
-    pub fn merged_sketch(&self) -> TrafficSketch {
-        let mut merged = TrafficSketch::new();
-        for node in &self.nodes {
-            if let Some(sketch) = &node.sketch {
-                merged.merge(sketch);
-            }
-        }
-        merged
     }
 
     /// Stitches every buffered trace event — across nodes — into
@@ -719,33 +692,6 @@ mod tests {
                     quantile_from_buckets(&all.buckets(), count, q),
                     "quantile {} diverged", q
                 );
-            }
-        }
-
-        /// Merging per-node traffic sketches through the aggregator — any
-        /// partition of the stream over 3 nodes — reproduces the exact
-        /// count-min totals and distinct estimate of a single node that
-        /// saw everything, regardless of node registration order.
-        #[test]
-        fn prop_merged_sketch_matches_single_node_recording(
-            stream in proptest::collection::vec((0u32..5_000, 0usize..3), 1..400),
-        ) {
-            let mut all = TrafficSketch::new();
-            let mut shards = [TrafficSketch::new(), TrafficSketch::new(), TrafficSketch::new()];
-            for &(ip, n) in &stream {
-                all.observe_key(ip);
-                shards[n].observe_key(ip);
-            }
-            let mut agg = FleetAggregator::default();
-            for shard in shards {
-                let node = agg.register_node(0);
-                agg.observe_sketch(node, shard);
-            }
-            let merged = agg.merged_sketch();
-            prop_assert_eq!(merged.total(), all.total());
-            prop_assert_eq!(merged.distinct(), all.distinct(), "HLL merge is exact");
-            for &(ip, _) in &stream {
-                prop_assert_eq!(merged.estimate(ip), all.estimate(ip), "CM merge is exact");
             }
         }
     }

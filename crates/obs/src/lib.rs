@@ -30,15 +30,14 @@
 //!   rewrite, the COOKIE2 redirect and the TC→TCP hop, with latency
 //!   attribution (handshake vs guard vs ANS) and chrome-trace export.
 //! * [`alert`] — a rule engine over sampled snapshots: spoof surge, rate-
-//!   limiter saturation, amplification-bound breach, ANS down/flap and
-//!   trace-ring drops, with an active set, transition history and alert
-//!   events/counters.
-//! * [`sketch`] — mergeable streaming sketches over source IPs: count-min
-//!   and space-saving top-K heavy hitters, HyperLogLog-style distinct-source
-//!   cardinality and a source-distribution entropy estimate — the
-//!   constant-memory population signals that discriminate spoofed floods
-//!   (cardinality/entropy surge, no repeats) from flash crowds (bounded
-//!   sources, Zipf repeats). Commutative merges make them fleet-safe.
+//!   limiter saturation, amplification-bound breach, ANS down/flap, a
+//!   handshake storm split into spoof flood or flash crowd by how many
+//!   sources proved their address, and trace-ring drops, with an active
+//!   set, transition history and alert events/counters.
+//! * [`sketch`] — streaming sketches over source IPs (count-min, top-K,
+//!   HyperLogLog, entropy). Nothing in the workspace uses them; the module
+//!   is kept only for the `perf` harness's `obs.sketch_observe_ns`, until
+//!   ROADMAP item 3 drops that metric and this module with it.
 //! * [`fleet`] — the fleet observability plane: merges per-node snapshots
 //!   (counters sum, gauges max, histograms merge bucket-by-bucket),
 //!   stitches per-node traces into cross-node journeys after clock-offset

@@ -37,7 +37,6 @@ const fn k(
 
 const OBS: Option<&str> = Some("obs");
 const FLEETOBS: Option<&str> = Some("fleetobs");
-const ANALYTICS: Option<&str> = Some("analytics");
 const POISON: Option<&str> = Some("poison");
 
 /// Every trace kind, grouped by the component that emits it.
@@ -58,16 +57,11 @@ pub const KINDS: &[Kind] = &[
     k("stash_hit", &["src", "qid"], None),
     k("proxy_accept", &["src", "qid"], None),
     k("proxy_relay", &["src", "qid", "token"], None),
-    // guard: HA pair, checkpoints, analytics
+    // guard: HA pair, checkpoints
     k("peer_down", &[], None),
     k("takeover", &["addr"], None),
     k("checkpoint", &["seq", "bytes"], None),
     k("restore", &["seq", "age_nanos"], None),
-    k(
-        "analytics_topk",
-        &["total", "distinct", "entropy_norm_milli", "top_share_milli", "top_src", "top_count"],
-        ANALYTICS,
-    ),
     // netsim: injected faults and routing
     k("crash_dropped", &["node"], None),
     k("catchment_shift", &["from", "to", "src"], None),

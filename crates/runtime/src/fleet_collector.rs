@@ -238,39 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn analytics_topk_events_round_trip_through_the_vocabulary() {
-        // The traffic-analytics refresh event: every component, kind, and
-        // field name it emits must intern, or fleet dashboards would
-        // silently lose the per-node top-talker feed.
-        let obs = Obs::new();
-        obs.tracer.set_default_level(Level::Info);
-        obs.tracer.component("guard").event(
-            9_000,
-            "analytics_topk",
-            &[
-                ("total", Value::U64(4_096)),
-                ("distinct", Value::U64(310)),
-                ("entropy_norm_milli", Value::U64(512)),
-                ("top_share_milli", Value::U64(220)),
-                ("top_src", Value::Ip(Ipv4Addr::new(120, 0, 0, 1))),
-                ("top_count", Value::U64(901)),
-            ],
-        );
-        let (events, _) = obs.tracer.drain();
-        let reply = format!("{{\"events\":[{}],\"dropped\":0}}", event_json(&events[0]));
-        let (parsed, _) = parse_drain_reply(&reply).expect("round trip");
-        assert_eq!(parsed.len(), 1);
-        let e = &parsed[0];
-        assert_eq!(e.kind, "analytics_topk");
-        assert_eq!(e.field("total"), Some(Value::U64(4_096)));
-        assert_eq!(e.field("distinct"), Some(Value::U64(310)));
-        assert_eq!(e.field("entropy_norm_milli"), Some(Value::U64(512)));
-        assert_eq!(e.field("top_share_milli"), Some(Value::U64(220)));
-        assert_eq!(e.field("top_src"), Some(Value::Ip(Ipv4Addr::new(120, 0, 0, 1))));
-        assert_eq!(e.field("top_count"), Some(Value::U64(901)));
-    }
-
-    #[test]
     fn collector_merges_two_live_nodes_and_ages_a_dead_one_into_silence() {
         // Two live nodes, each with its own Obs and telemetry endpoint.
         let mk_node = |invalids: u64| {

@@ -12,7 +12,6 @@
 //! | `events`   | the most recent trace events (non-consuming peek)         |
 //! | `drain_traces` | `{"events":[...],"dropped":N}` — consumes the ring atomically |
 //! | `alerts`   | the alert engine's active set and transition history      |
-//! | `top_sources` | the guard's traffic-analytics snapshot (top talkers, distinct sources, entropy) — `{"analytics":"disabled"}` unless a provider is wired |
 //!
 //! `events` peeks and can be issued by any number of concurrent dashboard
 //! clients; `drain_traces` is the fleet collector's consuming read. The
@@ -33,7 +32,6 @@ use obs::Obs;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use crate::stopflag::StopFlag;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,11 +42,6 @@ const RECENT_EVENTS: usize = 256;
 /// them is disconnected: well above the longest command (`drain_traces`,
 /// 12 bytes), so only a client that is not speaking the protocol meets it.
 const MAX_LINE: usize = 64;
-
-/// Produces the `top_sources` reply: a closure returning
-/// `GuardCore::analytics_snapshot().to_json()` of a guard armed with
-/// `arm_analytics`; without one the command reports analytics as disabled.
-pub type AnalyticsProvider = Arc<dyn Fn() -> Json + Send + Sync>;
 
 /// A live telemetry endpoint on a background thread.
 pub struct TelemetryServer {
@@ -64,19 +57,8 @@ impl TelemetryServer {
     /// nanoseconds since spawn, matching the live guard's trace clock).
     pub fn spawn(
         obs: &Obs,
-        engine: AlertEngine,
-        eval_every: Duration,
-    ) -> io::Result<TelemetryServer> {
-        TelemetryServer::spawn_with_analytics(obs, engine, eval_every, None)
-    }
-
-    /// [`TelemetryServer::spawn`] with a `top_sources` provider (e.g. a
-    /// closure returning the guard's analytics snapshot as JSON).
-    pub fn spawn_with_analytics(
-        obs: &Obs,
         mut engine: AlertEngine,
         eval_every: Duration,
-        analytics: Option<AnalyticsProvider>,
     ) -> io::Result<TelemetryServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
@@ -102,7 +84,7 @@ impl TelemetryServer {
                     Ok((stream, _)) => {
                         // Serve this client to completion; telemetry clients
                         // are short-lived scripts, not long-poll consumers.
-                        let _ = serve_client(stream, &t_obs, &engine, analytics.as_ref(), &t_stop);
+                        let _ = serve_client(stream, &t_obs, &engine, &t_stop);
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(2));
@@ -150,7 +132,6 @@ fn serve_client(
     stream: TcpStream,
     obs: &Obs,
     engine: &AlertEngine,
-    analytics: Option<&AnalyticsProvider>,
     stop: &StopFlag,
 ) -> io::Result<()> {
     stream.set_nonblocking(false)?;
@@ -188,10 +169,6 @@ fn serve_client(
                     Json::obj([("events", events), ("dropped", dropped.into())])
                 }
                 "alerts" => engine.alerts_json(),
-                "top_sources" => match analytics {
-                    Some(provider) => provider(),
-                    None => Json::obj([("analytics", "disabled".into())]),
-                },
                 _ => Json::obj([("error", "unknown command".into())]),
             };
             writer.write_all(format!("{reply}\n").as_bytes())?;
@@ -407,52 +384,6 @@ mod tests {
         // First drainer took everything; the second saw an empty ring.
         assert_eq!(r1[0].matches("\"kind\":\"grant\"").count(), 20);
         assert!(r2[0].contains("\"events\":[]"), "second client: {}", r2[0]);
-        server.shutdown();
-    }
-
-    #[test]
-    fn top_sources_reports_disabled_without_a_provider() {
-        let obs = Obs::new();
-        let engine = AlertEngine::new(AlertConfig::default());
-        let server =
-            TelemetryServer::spawn(&obs, engine, Duration::from_millis(50)).unwrap();
-        let replies = query(server.addr(), &["top_sources"]);
-        assert_eq!(replies[0], "{\"analytics\":\"disabled\"}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn top_sources_serves_the_provider_snapshot() {
-        let obs = Obs::new();
-        let engine = AlertEngine::new(AlertConfig::default());
-        // The provider shape a deployment wires: a closure over the guard's
-        // shared snapshot handle, serialised fresh per request.
-        let snap = Arc::new(std::sync::Mutex::new(
-            obs::sketch::AnalyticsSnapshot::default(),
-        ));
-        {
-            let mut sketch = obs::sketch::TrafficSketch::new();
-            for i in 0..100u32 {
-                sketch.observe_key(0x0a00_0000 | (i % 7));
-            }
-            *snap.lock().unwrap() = sketch.snapshot();
-        }
-        let provider: AnalyticsProvider = {
-            let snap = snap.clone();
-            Arc::new(move || snap.lock().unwrap().to_json())
-        };
-        let server = TelemetryServer::spawn_with_analytics(
-            &obs,
-            engine,
-            Duration::from_millis(50),
-            Some(provider),
-        )
-        .unwrap();
-        let replies = query(server.addr(), &["top_sources"]);
-        validate_json(&replies[0]).unwrap_or_else(|p| panic!("invalid JSON at {p}: {}", replies[0]));
-        assert!(replies[0].contains("\"total\":100"), "reply: {}", replies[0]);
-        assert!(replies[0].contains("\"top_sources\":["), "reply: {}", replies[0]);
-        assert!(replies[0].contains("10.0.0.0"), "reply: {}", replies[0]);
         server.shutdown();
     }
 

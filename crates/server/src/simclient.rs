@@ -244,15 +244,6 @@ impl LrsSimulator {
         }
     }
 
-    /// Completed requests per second over `elapsed`.
-    pub fn throughput(&self, elapsed: SimTime) -> f64 {
-        if elapsed == SimTime::ZERO {
-            0.0
-        } else {
-            self.stats.completed as f64 / elapsed.as_secs_f64()
-        }
-    }
-
     /// The port every UDP query leaves from.
     const PORT: u16 = 10_053;
 
@@ -433,7 +424,7 @@ impl LrsSimulator {
                     if self.config.cookie_cache {
                         self.cached = Cached::Cookie2(addr);
                     }
-                    self.ask(ctx, slot, addr, false);
+                    self.ask(ctx, slot, addr, self.config.mode == CookieMode::Extension);
                     return;
                 }
                 // True referral: we now hold the next-level ANS name and
@@ -480,7 +471,7 @@ impl LrsSimulator {
                 sent_name: ns_name.clone(),
                 chasing: Some(ChaseInfo { ns: ns_name, owner }),
             };
-            self.send_udp(ctx, slot, from, query, false);
+            self.send_udp(ctx, slot, from, query, self.config.mode == CookieMode::Extension);
             return;
         }
 

@@ -232,9 +232,13 @@ fn incapable_server_pass_through() {
 /// The cookie [`ScriptedGuard`] grants.
 const COOKIE: [u8; 16] = [0x5C; 16];
 
+/// The name server [`ScriptedGuard`] refers `www.foo.com` to, without glue.
+const FOO_NS: &str = "ns1.foo.com";
+
 /// A modified-DNS guard reduced to its script: it grants [`COOKIE`] to a
-/// zero-cookie probe, answers a query stamped with it, and keeps every
-/// datagram it is sent.
+/// zero-cookie probe; to a query stamped with it, it answers `www.foo.com`
+/// with a referral of `foo.com` to [`FOO_NS`] without glue, and any other
+/// name with an address. It keeps every datagram it is sent.
 #[derive(Default)]
 struct ScriptedGuard {
     received: Vec<Vec<u8>>,
@@ -246,13 +250,14 @@ impl Node for ScriptedGuard {
         let mut query = Message::decode(&pkt.payload).unwrap();
         let ext = cookie_ext::strip_cookie(&mut query);
         let mut reply = query.response();
+        let asked = query.question().unwrap().name.clone();
         match ext {
             Some(ext) if ext.is_request() => cookie_ext::attach_cookie(&mut reply, COOKIE, 3_600),
-            Some(ext) if ext.cookie == COOKIE => reply.answers.push(Record::a(
-                "www.foo.com".parse().unwrap(),
-                WWW_ADDR,
-                60,
-            )),
+            Some(ext) if ext.cookie == COOKIE && asked == "www.foo.com".parse().unwrap() => {
+                let ns = Record::ns("foo.com".parse().unwrap(), FOO_NS.parse().unwrap(), 60);
+                reply.authorities.push(ns);
+            }
+            Some(ext) if ext.cookie == COOKIE => reply.answers.push(Record::a(asked, FOO_SERVER, 60)),
             _ => return,
         }
         ctx.send(Packet::udp(pkt.dst, pkt.src, reply.encode()));
@@ -269,26 +274,37 @@ fn guard_wire(sim: &Simulator, guard: NodeId) -> Vec<Vec<u8>> {
 /// The three drivers of the cookie client speak one protocol: a plain
 /// client behind the local guard and the simulated LRS in extension mode
 /// put the same datagrams on one scripted guard's wire — probe, released
-/// query, and a second query stamped from the cache — but for the
-/// transaction ids each client picks.
+/// query, the referral's name server asked stamped, and a second query and
+/// its chase stamped from the cache — but for the transaction ids each
+/// client picks.
 #[test]
 fn the_local_guard_and_the_simulated_lrs_send_the_same_datagrams() {
     let mut local = Simulator::new(1);
     let guard = local.add_node(PUB, CpuConfig::unbounded(), ScriptedGuard::default());
-    bare_client(&mut local, PUB);
+    // What the LRS does, on a fixed schedule: each `www.foo.com` query is
+    // referred, and the referral's name server asked next.
+    let me = Endpoint::new(LRS_ADDR, 7777);
+    let query = |id, name: &str, at| {
+        let wire = Message::iterative_query(id, name.parse().unwrap(), RrType::A).encode();
+        (SimTime::from_millis(at), Packet::udp(me, Endpoint::new(PUB, DNS_PORT), wire))
+    };
+    let queries = [query(31, "www.foo.com", 0), query(32, FOO_NS, 5), query(33, "www.foo.com", 10), query(34, FOO_NS, 12)];
+    let client = attach_stub(&mut local, Ipv4Addr::new(10, 255, 0, 1), queries);
+    local_guard(&mut local, client);
     local.run_until(SimTime::from_millis(50));
     let sent = guard_wire(&local, guard);
 
     let mut lrs = Simulator::new(1);
     let lrs_guard = lrs.add_node(PUB, CpuConfig::unbounded(), ScriptedGuard::default());
-    // One slot, 10 ms between requests: the second is stamped at ~10 ms,
-    // and the third, at ~20 ms, is past the end of the run.
+    // One slot, 10 ms between requests: the second is stamped at ~11 ms,
+    // and the third, at ~22 ms, is past the end of the run.
     let ten = SimTime::from_millis(10);
     attach_lrs(&mut lrs, LrsParams::paced(LRS_ADDR, 1, ten, ten).with_mode(CookieMode::Extension));
     lrs.run_until(SimTime::from_millis(15));
 
     let cookie_of = |wire: &Vec<u8>| cookie_ext::find_cookie(&Message::decode(wire).unwrap()).map(|c| c.cookie);
     let cookies: Vec<_> = sent.iter().map(cookie_of).collect();
-    assert_eq!(cookies, [Some([0; 16]), Some(COOKIE), Some(COOKIE)], "probe, release, stamped");
+    let stamped = Some(COOKIE);
+    assert_eq!(cookies, [Some([0; 16]), stamped, stamped, stamped, stamped], "probe, release, chase, stamped, chase");
     assert_eq!(sent, guard_wire(&lrs, lrs_guard));
 }
