@@ -103,8 +103,8 @@ pub struct SpoofedFlood {
     /// `Zipf`: the members' cumulative fixed-point weights, which a uniform
     /// draw binary-searches. Empty otherwise.
     cumulative: Vec<u64>,
-    /// `Pool` and `Zipf`: exact datagrams sent per member. Empty otherwise.
-    per_source: Vec<u64>,
+    /// `Pool` and `Zipf`: the population size. 0 otherwise.
+    members: u32,
 }
 
 /// Batch period: the flood emits `rate × 100 µs` packets per tick, keeping
@@ -135,20 +135,13 @@ impl SpoofedFlood {
             sent: 0,
             started: SimTime::ZERO,
             cumulative,
-            per_source: vec![0; members as usize],
+            members,
         }
     }
 
     /// Packets sent so far.
     pub fn sent(&self) -> u64 {
         self.sent
-    }
-
-    /// Exact datagrams sent per population member — index `k` is the
-    /// address `base + k` — for `Pool` and `Zipf`; empty for `Random` and
-    /// `Fixed`.
-    pub fn per_source(&self) -> &[u64] {
-        &self.per_source
     }
 
     /// The source of the packet numbered `self.sent`.
@@ -158,7 +151,7 @@ impl SpoofedFlood {
             SourceStrategy::Random => return Endpoint::new(Ipv4Addr::from(ctx.rng().gen::<u32>()), port),
             SourceStrategy::Fixed(ip) => return Endpoint::new(ip, port),
             SourceStrategy::Pool { base, .. } => {
-                (base, ((self.sent - 1) % self.per_source.len() as u64) as usize)
+                (base, ((self.sent - 1) % u64::from(self.members)) as usize)
             }
             SourceStrategy::Zipf { base, .. } => {
                 let total = self.cumulative.last().copied().unwrap_or(1);
@@ -166,7 +159,6 @@ impl SpoofedFlood {
                 (base, self.cumulative.partition_point(|&c| c <= r))
             }
         };
-        self.per_source[member] += 1;
         let ip = Ipv4Addr::from(u32::from(base).wrapping_add(member as u32));
         Endpoint::new(ip, 1024 + (member % 50_000) as u16)
     }
@@ -246,14 +238,15 @@ mod tests {
     use super::*;
     use netsim::engine::{CpuConfig, Simulator};
 
+    /// Datagrams received, in all and per source address.
     struct Sink {
         received: u64,
-        distinct_sources: std::collections::HashSet<Ipv4Addr>,
+        per_source: std::collections::HashMap<Ipv4Addr, u64>,
     }
     impl Node for Sink {
         fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
             self.received += 1;
-            self.distinct_sources.insert(pkt.src.ip);
+            *self.per_source.entry(pkt.src.ip).or_default() += 1;
         }
     }
 
@@ -266,7 +259,7 @@ mod tests {
             CpuConfig::unbounded(),
             Sink {
                 received: 0,
-                distinct_sources: Default::default(),
+                per_source: Default::default(),
             },
         );
         sim.add_node(
@@ -288,7 +281,7 @@ mod tests {
             sink_state.received
         );
         assert!(
-            sink_state.distinct_sources.len() as u64 > sink_state.received / 2,
+            sink_state.per_source.len() as u64 > sink_state.received / 2,
             "sources look random"
         );
     }
@@ -303,7 +296,7 @@ mod tests {
             CpuConfig::unbounded(),
             Sink {
                 received: 0,
-                distinct_sources: Default::default(),
+                per_source: Default::default(),
             },
         );
         sim.add_node(
@@ -320,8 +313,8 @@ mod tests {
         sim.run_until(SimTime::from_millis(20));
         let sink_state = sim.node_ref::<Sink>(sink).unwrap();
         assert!(sink_state.received > 50);
-        assert_eq!(sink_state.distinct_sources.len(), 1);
-        assert!(sink_state.distinct_sources.contains(&victim));
+        assert_eq!(sink_state.per_source.len(), 1);
+        assert!(sink_state.per_source.contains_key(&victim));
     }
 
     #[test]
@@ -374,15 +367,16 @@ mod tests {
         let mut sim = Simulator::new(12);
         let target = Ipv4Addr::new(1, 2, 3, 4);
         let base = Ipv4Addr::new(130, 0, 0, 1);
+        /// Datagrams received per bot, index `k` the address `base + k`.
         struct PortSink {
             base: u32,
-            received: u64,
+            per_bot: Vec<u64>,
         }
         impl Node for PortSink {
             fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
                 let member = u32::from(pkt.src.ip) - self.base;
                 assert_eq!(u32::from(pkt.src.port), 1024 + member % 50_000, "bot {member}'s port");
-                self.received += 1;
+                self.per_bot[member as usize] += 1;
             }
         }
         let sink = sim.add_node(
@@ -390,7 +384,7 @@ mod tests {
             CpuConfig::unbounded(),
             PortSink {
                 base: u32::from(base),
-                received: 0,
+                per_bot: vec![0; 2_000],
             },
         );
         let bots = sim.add_node(
@@ -405,58 +399,54 @@ mod tests {
             }),
         );
         sim.run_until(SimTime::from_secs(1));
-        let b = sim.node_ref::<SpoofedFlood>(bots).unwrap();
+        let sent = sim.node_ref::<SpoofedFlood>(bots).unwrap().sent();
         // Aggregate ≈ 8000/s — a flood —
-        assert!((b.sent() as f64 - 8_000.0).abs() < 300.0, "aggregate {}", b.sent());
-        let received = sim.node_ref::<PortSink>(sink).unwrap().received;
-        assert!(received + 10 >= b.sent(), "delivered {received} of {}", b.sent());
+        assert!((sent as f64 - 8_000.0).abs() < 300.0, "aggregate {sent}");
+        let per_bot = &sim.node_ref::<PortSink>(sink).unwrap().per_bot;
+        let received: u64 = per_bot.iter().sum();
+        assert!(received + 10 >= sent, "delivered {received} of {sent}");
         // — while every bot individually sent ≈ 4 queries.
-        assert!(b.per_source().iter().all(|&c| c <= 5), "low and slow per bot");
-        assert_eq!(b.per_source().iter().sum::<u64>(), b.sent());
+        assert!(per_bot.iter().all(|&c| c <= 5), "low and slow per bot");
     }
 
     #[test]
     fn crowd_is_bounded_zipf_skewed_and_paced() {
         let mut sim = Simulator::new(11);
         let target = Ipv4Addr::new(1, 2, 3, 4);
-        sim.add_node(
+        let sink = sim.add_node(
             target,
             CpuConfig::unbounded(),
             Sink {
                 received: 0,
-                distinct_sources: Default::default(),
+                per_source: Default::default(),
             },
         );
+        let base = Ipv4Addr::new(120, 0, 0, 1);
         let crowd = sim.add_node(
             Ipv4Addr::new(77, 0, 0, 1),
             CpuConfig::unbounded(),
             SpoofedFlood::new(FloodConfig {
                 target,
                 rate: 20_000.0,
-                sources: SourceStrategy::Zipf {
-                    base: Ipv4Addr::new(120, 0, 0, 1),
-                    count: 300,
-                    s: 1.2,
-                },
+                sources: SourceStrategy::Zipf { base, count: 300, s: 1.2 },
                 payload: AttackPayload::PlainQuery("www.foo.com".parse().unwrap()),
                 duration: None,
             }),
         );
         sim.run_until(SimTime::from_secs(1));
-        let c = sim.node_ref::<SpoofedFlood>(crowd).unwrap();
-        assert!((c.sent() as f64 - 20_000.0).abs() < 500.0, "paced: {}", c.sent());
-        assert_eq!(c.per_source().iter().sum::<u64>(), c.sent(), "ground truth conserves");
+        let sent = sim.node_ref::<SpoofedFlood>(crowd).unwrap().sent();
+        assert!((sent as f64 - 20_000.0).abs() < 500.0, "paced: {sent}");
+        let sink = sim.node_ref::<Sink>(sink).unwrap();
+        assert!(sink.received + 10 >= sent, "delivered {} of {sent}", sink.received);
         // Bounded population…
-        let distinct_used = c.per_source().iter().filter(|&&n| n > 0).count();
-        assert!(distinct_used <= 300);
-        assert!(distinct_used > 250, "most of the crowd shows up");
+        let rank = |k: u32| Ipv4Addr::from(u32::from(base) + k);
+        assert!(sink.per_source.keys().all(|ip| (0..300).any(|k| rank(k) == *ip)), "a source outside the crowd");
+        assert!(sink.per_source.len() > 250, "most of the crowd shows up");
         // …with Zipf skew: rank 1 dwarfs the median client.
-        let top = c.per_source()[0];
-        let median = {
-            let mut v = c.per_source().to_vec();
-            v.sort_unstable();
-            v[v.len() / 2]
-        };
+        let mut counts: Vec<u64> = (0..300).map(|k| sink.per_source.get(&rank(k)).copied().unwrap_or(0)).collect();
+        let top = counts[0];
+        counts.sort_unstable();
+        let median = counts[counts.len() / 2];
         assert!(
             top > median * 20,
             "rank-1 client ({top}) should dwarf the median ({median})"

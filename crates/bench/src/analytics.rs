@@ -19,18 +19,25 @@
 //! | `botnet` | a pool of 3 000 addresses that never reads a reply | `spoof_flood` | `flash_crowd` |
 //! | `real_crowd` | a ramp of new simulated LRS clients | `flash_crowd` | `spoof_flood` |
 //! | `rl2_flood` | verified zombies presenting their real cookie | `rl2_saturation` | `spoof_flood`, `flash_crowd` |
+//! | `spoof_case_cycler` | a forged flood beside one verified source that presents its label in eight letter cases in turn | `spoof_flood` | `flash_crowd` |
+//! | `spoof_memo_churn` | a forged flood beside four verified zombies whose addresses share one set of the verdict memo | `spoof_flood` | `flash_crowd` |
 //!
-//! Every forged row is an open-loop [`SpoofedFlood`]: no source ever
+//! Every forged flood is an open-loop [`SpoofedFlood`]: no source ever
 //! returns a cookie, so its first-contact answers are never proven. A real
 //! client proves its address once, and the verdict memo keeps it from
 //! proving it again, so a crowd reads as one only while newcomers arrive.
+//! The last two rows are verified sources trying to prove more than once
+//! while a flood runs: the cycler's case variants are one memo entry, and
+//! the churning zombies, which do evict each other and prove again, are
+//! counted only as fast as Rate-Limiter2 admits them.
 //!
 //! Run via `cargo run --release -p bench --bin all_experiments --
 //! analytics`; the document lands in `BENCH_analytics.json`.
 
 use crate::registry::{Export, Format, Outcome};
 use crate::worlds::{
-    alert_engine, attach_lrs, guarded_world_with, observe, run_stepped, LrsParams, Scope, WorldParams, PUB,
+    alert_engine, attach_lrs, guarded_world_with, observe, run_stepped, GuardedWorld, LrsParams, Scope, WorldParams,
+    PUB,
 };
 use attack::flood::{AttackPayload, FloodConfig, SourceStrategy, SpoofedFlood};
 use dnsguard::config::GuardConfig;
@@ -55,6 +62,8 @@ const SUMMARY_KEYS: &[&str] = &[
     "\"botnet\":",
     "\"real_crowd\":",
     "\"rl2_flood\":",
+    "\"spoof_case_cycler\":",
+    "\"spoof_memo_churn\":",
     "\"handshakes\":",
     "\"proofs\":",
     "\"proof_share\":",
@@ -75,24 +84,29 @@ fn alert_config() -> AlertConfig {
     AlertConfig { handshake_per_sec: 50.0 }
 }
 
-/// What drives a row's guard.
-enum Workload {
+/// One of the generators driving a row's guard.
+#[derive(Clone, Copy)]
+enum Part {
     /// An open-loop plain-query flood from forged sources.
     Forged { rate: f64, sources: SourceStrategy },
     /// One new paced LRS client every [`RAMP_MS`], each at its own address.
     Newcomers,
     /// `count` zombies at their real addresses, each sending `rate`
     /// queries/s that carry its valid cookie label, against a guard whose
-    /// Rate-Limiter2 admits 100/s per source.
-    Zombies { count: u8, rate: f64 },
+    /// Rate-Limiter2 admits 100/s per source; with `one_set`, addresses
+    /// that share one set of the guard's verdict memo.
+    Zombies { count: u8, rate: f64, one_set: bool },
+    /// One verified source sending `rate` queries/s in all, that carry its
+    /// valid cookie label in eight letter cases in turn.
+    CaseCycler { rate: f64 },
 }
 
-/// One row: a workload against a fresh guard, and the rules it must and
+/// One row: generators against a fresh guard, and the rules they must and
 /// must not fire.
 struct Scenario {
     /// The JSON key.
     name: &'static str,
-    workload: Workload,
+    parts: Vec<Part>,
     must_fire: &'static [&'static str],
     must_not_fire: &'static [&'static str],
 }
@@ -100,19 +114,18 @@ struct Scenario {
 /// The two rules every row judges.
 const SPLIT: &[&str] = &["spoof_flood", "flash_crowd"];
 
+/// What a flood beside verified sources forges: a fresh source per query.
+const BESIDE: Part = Part::Forged { rate: 2_000.0, sources: SourceStrategy::Random };
+
 /// The rows, run at seeds `seed`, `seed + 1`, … in this order.
-fn scenarios() -> [Scenario; 6] {
+fn scenarios() -> [Scenario; 8] {
     let zipf = |base, count, s| SourceStrategy::Zipf { base, count, s };
-    let forged = |name, rate, sources| Scenario {
-        name,
-        workload: Workload::Forged { rate, sources },
-        must_fire: &["spoof_flood"],
-        must_not_fire: &["flash_crowd"],
-    };
+    let spoofed = |name, parts| Scenario { name, parts, must_fire: &["spoof_flood"], must_not_fire: &["flash_crowd"] };
+    let forged = |name, rate, sources| spoofed(name, vec![Part::Forged { rate, sources }]);
     [
         Scenario {
             name: "baseline",
-            workload: Workload::Forged { rate: 40.0, sources: zipf(Ipv4Addr::new(110, 0, 0, 1), 120, 1.1) },
+            parts: vec![Part::Forged { rate: 40.0, sources: zipf(Ipv4Addr::new(110, 0, 0, 1), 120, 1.1) }],
             must_fire: &[],
             must_not_fire: SPLIT,
         },
@@ -122,16 +135,20 @@ fn scenarios() -> [Scenario; 6] {
         forged("botnet", 3_000.0 * 4.0, SourceStrategy::Pool { base: Ipv4Addr::new(130, 0, 0, 1), count: 3_000 }),
         Scenario {
             name: "real_crowd",
-            workload: Workload::Newcomers,
+            parts: vec![Part::Newcomers],
             must_fire: &["flash_crowd"],
             must_not_fire: &["spoof_flood"],
         },
         Scenario {
             name: "rl2_flood",
-            workload: Workload::Zombies { count: 4, rate: 5_000.0 },
+            parts: vec![Part::Zombies { count: 4, rate: 5_000.0, one_set: false }],
             must_fire: &["rl2_saturation"],
             must_not_fire: SPLIT,
         },
+        // Each source at more than twice the flood's rate: were either
+        // counted per query, the flood would read as a crowd.
+        spoofed("spoof_case_cycler", vec![BESIDE, Part::CaseCycler { rate: 5_000.0 }]),
+        spoofed("spoof_memo_churn", vec![BESIDE, Part::Zombies { count: 4, rate: 5_000.0, one_set: true }]),
     ]
 }
 
@@ -165,35 +182,82 @@ impl ScenarioOutcome {
     }
 }
 
+/// `hex` with its letters in the cases `variant`'s bits pick, one bit a
+/// letter.
+fn cased(hex: &str, variant: u32) -> String {
+    let mut letters = 0;
+    let mut upper = |c: char| {
+        let letter = letters;
+        letters += u32::from(c.is_ascii_alphabetic());
+        c.is_ascii_alphabetic() && variant >> letter & 1 == 1
+    };
+    hex.chars().map(|c| if upper(c) { c.to_ascii_uppercase() } else { c }).collect()
+}
+
+/// The guard's cookie label for `src`: the name a verified source asks.
+fn cookie_label(guard: &RemoteGuard, src: Ipv4Addr) -> String {
+    guard.cookie_factory().generate(src).ns_label_suffix()
+}
+
+/// Adds `part`'s generators to `w`.
+fn attach(w: &mut GuardedWorld, part: Part) {
+    let unbounded = CpuConfig::unbounded();
+    match part {
+        Part::Forged { rate, sources } => {
+            w.sim.add_node(Ipv4Addr::new(66, 0, 0, 1), unbounded, flood(rate, sources, "www.foo.com"));
+        }
+        Part::Zombies { count, rate, one_set } => {
+            let guard = w.sim.node_ref::<RemoteGuard>(w.guard).expect("guard node");
+            let first = Ipv4Addr::new(44, 0, 0, 1);
+            let set = guard.memo_set(first);
+            let zombies: Vec<_> = (u32::from(first)..)
+                .map(Ipv4Addr::from)
+                .filter(|&ip| !one_set || guard.memo_set(ip) == set)
+                .take(count.into())
+                .map(|ip| (ip, cookie_label(guard, ip)))
+                .collect();
+            for (zombie, hex) in zombies {
+                let label = format!("PR{hex}com");
+                w.sim.add_node(zombie, unbounded, flood(rate, SourceStrategy::Fixed(zombie), &label));
+            }
+        }
+        Part::CaseCycler { rate } => {
+            // The first address whose label has three letters: eight cases.
+            let guard = w.sim.node_ref::<RemoteGuard>(w.guard).expect("guard node");
+            let (cycler, hex) = (u32::from(Ipv4Addr::new(45, 0, 0, 1))..)
+                .map(|ip| (Ipv4Addr::from(ip), cookie_label(guard, Ipv4Addr::from(ip))))
+                .find(|(_, hex)| hex.chars().filter(char::is_ascii_alphabetic).count() >= 3)
+                .expect("a label with three letters");
+            for variant in 0..8 {
+                let label = format!("PR{}com", cased(&hex, variant));
+                let node = Ipv4Addr::new(67, 0, 0, 1 + variant as u8);
+                w.sim.add_node(node, unbounded, flood(rate / 8.0, SourceStrategy::Fixed(cycler), &label));
+            }
+        }
+        Part::Newcomers => {}
+    }
+}
+
 /// Runs one row with telemetry attached.
 fn run_scenario(seed: u64, s: &Scenario) -> ScenarioOutcome {
+    let zombies = s.parts.iter().any(|p| matches!(p, Part::Zombies { .. }));
     let mut w = guarded_world_with(WorldParams { guard_cpu: CpuConfig::unbounded(), ..WorldParams::new(seed) }, |c| {
-        match s.workload {
-            Workload::Zombies { .. } => GuardConfig { rl2_per_source_rate: 100.0, ..c },
-            _ => c,
+        if zombies {
+            GuardConfig { rl2_per_source_rate: 100.0, ..c }
+        } else {
+            c
         }
     });
     let obs = observe(&mut w.sim, Scope::Untraced, &[w.guard]);
     let mut engine = alert_engine(&obs, alert_config());
-    let unbounded = CpuConfig::unbounded();
-    match s.workload {
-        Workload::Forged { rate, sources } => {
-            w.sim.add_node(Ipv4Addr::new(66, 0, 0, 1), unbounded, flood(rate, sources, "www.foo.com"));
-        }
-        Workload::Zombies { count, rate } => {
-            for n in 1..=count {
-                let zombie = Ipv4Addr::new(44, 0, 0, n);
-                let guard = w.sim.node_ref::<RemoteGuard>(w.guard).expect("guard node");
-                let label = format!("PR{}com", guard.cookie_factory().generate(zombie).ns_label_suffix());
-                w.sim.add_node(zombie, unbounded, flood(rate, SourceStrategy::Fixed(zombie), &label));
-            }
-        }
-        Workload::Newcomers => {}
+    for &part in &s.parts {
+        attach(&mut w, part);
     }
+    let newcomers = s.parts.iter().any(|p| matches!(p, Part::Newcomers));
     let (until, every) = (SimTime::from_millis(RUN_MS), SimTime::from_millis(RAMP_MS));
     let mut arrivals = 0u32;
     run_stepped(&mut w.sim, until, every, |sim| {
-        if let Workload::Newcomers = s.workload {
+        if newcomers {
             arrivals += 1;
             let ip = Ipv4Addr::from(u32::from(Ipv4Addr::new(150, 0, 0, 0)) + arrivals);
             let (wait, pace) = (SimTime::from_millis(10), SimTime::from_millis(100));
@@ -273,7 +337,7 @@ pub fn experiment() -> Outcome {
     let mut report = String::new();
     for o in &run.scenarios {
         report.push_str(&format!(
-            "   {:>13}: {:>6} datagrams, {:>6} handshakes, {:>5} proofs (share {}), fired {:?}\n",
+            "   {:>17}: {:>6} datagrams, {:>6} handshakes, {:>5} proofs (share {}), fired {:?}\n",
             o.name,
             o.datagrams,
             o.handshakes,
@@ -298,8 +362,16 @@ mod tests {
         let mut run = run_all(2006);
         assert_eq!(failures(&run), Vec::<String>::new());
         for o in &run.scenarios {
-            let forged = !matches!(o.name, "real_crowd" | "rl2_flood");
-            assert_eq!(forged, o.proofs == 0, "{}: {} proofs", o.name, o.proofs);
+            let proofs = match o.name {
+                "real_crowd" | "rl2_flood" => 1..=u64::MAX,
+                // One address proves itself once, in whatever case.
+                "spoof_case_cycler" => 1..=1,
+                // Evicted zombies prove again, at most as fast as
+                // Rate-Limiter2 admits them.
+                "spoof_memo_churn" => 5..=4 * 100 * RUN_MS / 1_000 + 4 * 100,
+                _ => 0..=0,
+            };
+            assert!(proofs.contains(&o.proofs), "{}: {} proofs", o.name, o.proofs);
         }
         assert!(run.summary_json.to_string().contains("\"verdicts_ok\":true"));
 

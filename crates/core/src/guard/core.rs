@@ -267,6 +267,12 @@ impl GuardCore {
         &self.cookies
     }
 
+    /// The set of the verdict memo that `src` lives in (experiments that
+    /// aim verified sources at one set peek at it).
+    pub fn memo_set(&self, src: Ipv4Addr) -> usize {
+        self.cookies.set_of(src)
+    }
+
     /// Number of live TCP proxy connections.
     pub fn proxy_connections(&self) -> usize {
         self.proxy.open_connections()
@@ -483,9 +489,10 @@ impl GuardCore {
     }
 
     /// The stages every cookie scheme shares once its check has run: count
-    /// and trace the verdict (and a fresh one as a proof of address), then
-    /// pass a valid request through Rate-Limiter2. `true` when the request
-    /// goes on to the ANS.
+    /// and trace the verdict, pass a valid request through Rate-Limiter2,
+    /// and count an admitted fresh one as a proof of address (what the
+    /// limiter drops proves nothing to the alert rules). `true` when the
+    /// request goes on to the ANS.
     fn verified(
         &mut self,
         now: SimTime,
@@ -495,21 +502,28 @@ impl GuardCore {
         qid: u64,
     ) -> bool {
         let m = &self.metrics;
-        let (name, [valid_cell, invalid_cell, proofs]) = match scheme {
-            Scheme::Ext => ("ext", [&m.ext_valid, &m.ext_invalid, &m.ext_proofs]),
-            Scheme::Cookie2 => ("cookie2", [&m.cookie2_valid, &m.cookie2_invalid, &m.cookie2_proofs]),
-            Scheme::NsLabel => ("ns_label", [&m.ns_cookie_valid, &m.ns_cookie_invalid, &m.ns_label_proofs]),
+        let (name, valid_cell, invalid_cell) = match scheme {
+            Scheme::Ext => ("ext", &m.ext_valid, &m.ext_invalid),
+            Scheme::Cookie2 => ("cookie2", &m.cookie2_valid, &m.cookie2_invalid),
+            Scheme::NsLabel => ("ns_label", &m.ns_cookie_valid, &m.ns_cookie_invalid),
         };
         let valid = verdict.valid();
         if valid { valid_cell } else { invalid_cell }.inc();
-        if verdict == Verdict::Fresh {
-            proofs.inc();
-        }
-        let verdict = ("verdict", Value::Str(if valid { "valid" } else { "invalid" }));
+        let verdict_field = ("verdict", Value::Str(if valid { "valid" } else { "invalid" }));
         let [from, decision] = Self::src_qid(src, qid);
-        let fields = [("scheme", Value::Str(name)), verdict, from, decision];
+        let fields = [("scheme", Value::Str(name)), verdict_field, from, decision];
         m.trace.event(now.as_nanos(), "verify", &fields);
-        valid && self.admit_verified(now, src, qid)
+        let admitted = valid && self.admit_verified(now, src, qid);
+        if admitted && verdict == Verdict::Fresh {
+            let m = &self.metrics;
+            match scheme {
+                Scheme::Ext => &m.ext_proofs,
+                Scheme::Cookie2 => &m.cookie2_proofs,
+                Scheme::NsLabel => &m.ns_label_proofs,
+            }
+            .inc();
+        }
+        admitted
     }
 
     /// Counts a cookie grant and returns it: what an unverified source is

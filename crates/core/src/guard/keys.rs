@@ -14,27 +14,41 @@
 //!
 //! * *Key.* Exactly the arguments of the factory call an entry stands in
 //!   for: the scheme, the source address, and what was presented — the 16
-//!   cookie bytes, the 8 hex digits as received (case included), or the
-//!   presented offset with the effective range for `COOKIE2`. The offset is
-//!   keyed, not the destination address, so an entry depends on nothing
-//!   but the factory call's own arguments.
+//!   cookie bytes, the 8 hex digits folded to lower case (the factory reads
+//!   them in either case), or the presented offset with the effective range
+//!   for `COOKIE2`. The offset is keyed, not the destination address, so an
+//!   entry depends on nothing but the factory call's own arguments.
 //! * *Rules.* A hit is byte equality with an earlier verdict of `valid`, and
 //!   means `valid`. A miss goes to the factory, so every `invalid` is still
 //!   the factory's own and a forged cookie costs what it did plus one line
 //!   lookup. Only a `valid` verdict is inserted: no volume of forgeries can
 //!   fill the memo.
-//! * *Proof.* A [`Verdict`] says which of the two gave a `valid`. A
-//!   [`Verdict::Fresh`] one is a source proving, for the first time since
-//!   the memo last held it, that it receives at the address it sends from;
-//!   the guard counts those as `proofs`. A hit is a proof already counted.
+//! * *Proof.* A [`Verdict`] says whether a `valid` one is new evidence.
+//!   [`Verdict::Fresh`] is a `valid` for a source none of whose entries the
+//!   memo holds: a source proving, for the first time since the memo last
+//!   held it, that it receives at the address it sends from; the guard
+//!   counts those that Rate-Limiter2 admits as `proofs`. A source the memo
+//!   holds gets [`Verdict::Proven`] whatever valid cookie it presents —
+//!   its own again, its label in another case, the other generation's
+//!   cookie, another scheme's — so one address proves itself once, however
+//!   many valid cookies it holds. The count has two limits, both of
+//!   sources proving again what they proved before: a rotation or restore
+//!   clears the memo, so every active verified source proves itself once
+//!   more; and a source evicted from its set proves itself again on its
+//!   next request. Eviction takes more than [`WAYS`] active verified
+//!   sources in one set, which the keyed index leaves to chance: a guard
+//!   serving a few hundred verified sources has such sets, one serving more
+//!   than the memo's 3 072 has many. Each re-proof is an admitted request,
+//!   so Rate-Limiter2 bounds how fast one source re-proves.
 //! * *Layout.* The limiter table's shape (`ratelimit.rs`): [`SETS`] sets of
 //!   [`WAYS`] entries, one 64-byte line per set, [`MEMO_BYTES`] allocated
 //!   once per guard. A full set replaces its ways round-robin.
-//! * *Index.* The set is a multiply-shift of the address, unkeyed. Eviction
-//!   loses nothing — a forgotten source pays the factory's hash once, which
-//!   is what every source paid before the memo — so aiming sources at one
-//!   set (which takes cookies for addresses one really holds) buys an
-//!   attacker nothing a keyed index would deny them.
+//! * *Index.* One keyed SipHash-1-3 of the address picks the set, as in the
+//!   limiter table, under a key salted apart from both the limiters' and
+//!   the cookies'. Eviction costs a forgotten source the factory's hash
+//!   once, which is what every source paid before the memo, and a second
+//!   proof (above); a sender who does not know the key cannot aim sources
+//!   at one set to force either.
 //! * *Invalidation.* The factory is a private field and the only mutators
 //!   are [`Keys::rotate`] and [`Keys::restore`], which install another
 //!   generation of the guard's own seed; both clear the memo. Restoring the
@@ -46,7 +60,8 @@
 //! paper's per-request MD5 (Table III's `c`), whichever hash runs.
 
 use super::schemes::Scheme;
-use guardhash::cookie::{Cookie, CookieAlg, CookieFactory, COOKIE_LEN, NS_COOKIE_BYTES};
+use guardhash::cookie::{Cookie, CookieAlg, CookieFactory, SecretKey, COOKIE_LEN, NS_COOKIE_BYTES};
+use guardhash::siphash::siphash13_u32;
 use std::net::Ipv4Addr;
 use std::ops::Deref;
 
@@ -82,10 +97,17 @@ const EMPTY: Set = Set {
     victim: 0,
 };
 
-/// The set `src` lives in: Fibonacci multiply-shift, top bits.
+/// The SipHash key of the memo's index under `seed`: salted, so it shares
+/// no bytes with the cookie or limiter keys derived from the same seed.
+fn index_key(seed: u64) -> [u8; 16] {
+    let material = SecretKey::from_seed(seed ^ 0x3E30_5E75_1DE8);
+    std::array::from_fn(|i| material.as_bytes().get(i).copied().unwrap_or(0))
+}
+
+/// The set `src` lives in under `key`.
 #[inline]
-fn set_of(src: u32) -> usize {
-    (src.wrapping_mul(0x9E37_79B9) >> (u32::BITS - SETS.trailing_zeros())) as usize
+fn set_of(key: &[u8; 16], src: u32) -> usize {
+    siphash13_u32(key, src) as usize & (SETS - 1)
 }
 
 /// A scheme's tag in [`Set::scheme`]; 0 marks an empty way.
@@ -100,23 +122,44 @@ fn tag(scheme: Scheme) -> u8 {
 /// The positive verdicts, as the module docs lay them out.
 struct Memo {
     sets: Vec<Set>,
+    /// The index's SipHash key.
+    key: [u8; 16],
+}
+
+/// What the memo holds of one verification.
+#[derive(PartialEq)]
+enum Held {
+    /// The very entry: the factory said `valid` to it before.
+    Entry,
+    /// Another entry of the same source.
+    Source,
+    Nothing,
 }
 
 impl Memo {
-    fn new() -> Memo {
-        Memo { sets: vec![EMPTY; SETS] }
+    fn new(seed: u64) -> Memo {
+        Memo { sets: vec![EMPTY; SETS], key: index_key(seed) }
     }
 
     #[inline]
-    fn holds(&self, tag: u8, src: u32, presented: &[u8; COOKIE_LEN]) -> bool {
-        self.sets.get(set_of(src)).is_some_and(|set| {
-            let mut ways = set.scheme.iter().zip(&set.src).zip(&set.presented);
-            ways.any(|((&s, &a), p)| s == tag && a == src && p == presented)
-        })
+    fn holds(&self, tag: u8, src: u32, presented: &[u8; COOKIE_LEN]) -> Held {
+        let Some(set) = self.sets.get(set_of(&self.key, src)) else {
+            return Held::Nothing;
+        };
+        let mut held = Held::Nothing;
+        for ((&s, &a), p) in set.scheme.iter().zip(&set.src).zip(&set.presented) {
+            if s != 0 && a == src {
+                if s == tag && p == presented {
+                    return Held::Entry;
+                }
+                held = Held::Source;
+            }
+        }
+        held
     }
 
     fn insert(&mut self, tag: u8, src: u32, presented: [u8; COOKIE_LEN]) {
-        let Some(set) = self.sets.get_mut(set_of(src)) else {
+        let Some(set) = self.sets.get_mut(set_of(&self.key, src)) else {
             return;
         };
         let way = usize::from(set.victim);
@@ -137,24 +180,16 @@ impl Memo {
 pub(super) enum Verdict {
     /// The factory's `invalid`.
     Invalid,
-    /// `valid` from the memo: the source proved its address before.
-    Memo,
-    /// `valid` from the factory: the source proves its address now.
+    /// `valid` for a source the memo holds: it proved its address before.
+    Proven,
+    /// `valid` for a source the memo does not hold: it proves its address
+    /// now.
     Fresh,
 }
 
 impl Verdict {
     pub(super) fn valid(self) -> bool {
         self != Verdict::Invalid
-    }
-
-    /// A factory verdict the memo had no say in.
-    fn of_factory(valid: bool) -> Verdict {
-        if valid {
-            Verdict::Fresh
-        } else {
-            Verdict::Invalid
-        }
     }
 }
 
@@ -180,7 +215,12 @@ impl Deref for Keys {
 impl Keys {
     /// Generation 0 of `seed`, hashing with `alg`.
     pub(super) fn new(seed: u64, alg: CookieAlg) -> Keys {
-        Keys { factory: CookieFactory::at_generation(seed, 0, alg), seed, alg, memo: Memo::new() }
+        Keys { factory: CookieFactory::at_generation(seed, 0, alg), seed, alg, memo: Memo::new(seed) }
+    }
+
+    /// The memo set `ip` lives in.
+    pub(super) fn set_of(&self, ip: Ipv4Addr) -> usize {
+        set_of(&self.memo.key, u32::from(ip))
     }
 
     /// [`CookieFactory::rotate`]; forgets every verdict.
@@ -205,9 +245,11 @@ impl Keys {
     pub(super) fn verify_ns_suffix(&mut self, ip: Ipv4Addr, hex_suffix: &str) -> Verdict {
         let Ok(digits) = <[u8; 2 * NS_COOKIE_BYTES]>::try_from(hex_suffix.as_bytes()) else {
             // Not eight digits: the factory says `invalid` whatever the key.
-            return Verdict::of_factory(self.factory.verify_ns_suffix(ip, hex_suffix));
+            let valid = self.factory.verify_ns_suffix(ip, hex_suffix);
+            debug_assert!(!valid);
+            return Verdict::Invalid;
         };
-        let presented = std::array::from_fn(|i| digits.get(i).copied().unwrap_or(0));
+        let presented = std::array::from_fn(|i| digits.get(i).map_or(0, u8::to_ascii_lowercase));
         self.memoized(Scheme::NsLabel, ip, presented, |f| f.verify_ns_suffix(ip, hex_suffix))
     }
 
@@ -232,14 +274,19 @@ impl Keys {
         check: impl FnOnce(&CookieFactory) -> bool,
     ) -> Verdict {
         let (tag, src) = (tag(scheme), u32::from(ip));
-        if self.memo.holds(tag, src, &presented) {
-            return Verdict::Memo;
+        let held = self.memo.holds(tag, src, &presented);
+        if held == Held::Entry {
+            return Verdict::Proven;
         }
-        let verdict = Verdict::of_factory(check(&self.factory));
-        if verdict == Verdict::Fresh {
-            self.memo.insert(tag, src, presented);
+        if !check(&self.factory) {
+            return Verdict::Invalid;
         }
-        verdict
+        self.memo.insert(tag, src, presented);
+        if held == Held::Source {
+            Verdict::Proven
+        } else {
+            Verdict::Fresh
+        }
     }
 }
 
@@ -281,30 +328,62 @@ mod tests {
         assert_eq!(filled(&keys), 1);
     }
 
-    /// A source proves its address once per memo entry: the first `valid`
-    /// is fresh, a repeat is the memo's, a forgery is no proof, and a
-    /// restore (which forgets every verdict) makes the next `valid` fresh.
+    /// A source proves its address once while the memo holds it, whatever
+    /// valid cookie it presents: its own again, its label in another case,
+    /// the other generation's, another scheme's — more entries than a set
+    /// has ways. A forgery is no proof, and a restore (which forgets every
+    /// verdict) makes the next `valid` fresh.
     #[test]
-    fn only_a_verdict_the_memo_did_not_hold_is_a_proof() {
+    fn a_source_proves_its_address_once_whatever_it_presents() {
         let mut keys = Keys::new(5, CookieAlg::default());
         let src = Ipv4Addr::new(10, 0, 0, 4);
-        let cookie = keys.generate(src);
-        let hex = cookie.ns_label_suffix();
-        let offset = keys.generate_subnet_offset(src, 253);
-        let mut forged = cookie;
+        let minted = |keys: &Keys| (keys.generate(src), keys.generate_subnet_offset(src, 253));
+        let old = minted(&keys);
+        keys.rotate();
+        let new = minted(&keys);
+        let mut forged = new.0;
         forged.0[0] ^= 1;
         for _ in 0..2 {
             assert_eq!(keys.verify(src, &forged), Verdict::Invalid);
-            assert_eq!(keys.verify(src, &cookie), Verdict::Fresh);
-            assert_eq!(keys.verify(src, &cookie), Verdict::Memo);
-            assert_eq!(keys.verify_ns_suffix(src, &hex), Verdict::Fresh);
-            assert_eq!(keys.verify_ns_suffix(src, &hex), Verdict::Memo);
             assert_eq!(keys.verify_ns_suffix(src, &forged.ns_label_suffix()), Verdict::Invalid);
-            assert_eq!(keys.verify_subnet_offset(src, offset, 253), Verdict::Fresh);
-            assert_eq!(keys.verify_subnet_offset(src, offset, 253), Verdict::Memo);
-            assert_eq!(keys.verify_subnet_offset(src, (offset + 1) % 253, 253), Verdict::Invalid);
-            keys.restore(0);
+            assert_eq!(keys.verify_subnet_offset(src, (new.1 + 1) % 253, 253), Verdict::Invalid);
+            let mut fresh = 0;
+            for (cookie, offset) in [new, old, new, old] {
+                let hex = cookie.ns_label_suffix();
+                for verdict in [
+                    keys.verify(src, &cookie),
+                    keys.verify_ns_suffix(src, &hex),
+                    keys.verify_ns_suffix(src, &hex.to_ascii_uppercase()),
+                    keys.verify_subnet_offset(src, offset, 253),
+                ] {
+                    assert!(verdict.valid());
+                    fresh += usize::from(verdict == Verdict::Fresh);
+                }
+            }
+            assert_eq!(fresh, 1);
+            keys.restore(1);
         }
+    }
+
+    /// The factory reads a label's digits in either case, so every case
+    /// variant of a proven suffix is a hit on its one entry.
+    #[test]
+    fn a_case_variant_of_a_proven_label_is_a_memo_hit() {
+        let mut keys = Keys::new(6, CookieAlg::default());
+        let src = Ipv4Addr::new(10, 0, 0, 6);
+        let hex = keys.generate(src).ns_label_suffix();
+        assert_eq!(keys.verify_ns_suffix(src, &hex), Verdict::Fresh);
+        for variant in 1..256u32 {
+            let mut cased = hex.clone().into_bytes();
+            for (i, digit) in cased.iter_mut().enumerate() {
+                if variant >> i & 1 == 1 {
+                    digit.make_ascii_uppercase();
+                }
+            }
+            let cased = String::from_utf8(cased).expect("hex digits");
+            assert_eq!(keys.verify_ns_suffix(src, &cased), Verdict::Proven, "{cased}");
+        }
+        assert_eq!(filled(&keys), 1, "a case variant took an entry of its own");
     }
 
     /// A source whose generation a restore left behind stops verifying at
@@ -366,9 +445,10 @@ mod tests {
         fn the_memo_never_disagrees_with_the_factory(steps in proptest::collection::vec(arb_step(), 1..300)) {
             // Five sources that share a set (more than it has ways), five
             // spread out.
-            let shared = set_of(0x0A00_0000);
+            let key = index_key(11);
+            let shared = set_of(&key, 0x0A00_0000);
             let mut pool: Vec<Ipv4Addr> =
-                (0x0A00_0000u32..).filter(|&a| set_of(a) == shared).take(5).map(Ipv4Addr::from).collect();
+                (0x0A00_0000u32..).filter(|&a| set_of(&key, a) == shared).take(5).map(Ipv4Addr::from).collect();
             pool.extend((0..5).map(|i| Ipv4Addr::from(0xC000_0200 + i * 7919)));
             let range = 253;
             let mut keys = Keys::new(11, CookieAlg::default());

@@ -34,8 +34,9 @@ obs::counters! {
         /// `COOKIE2` queries dropped as spoofed.
         cookie2_invalid = "verify" { scheme = "cookie2", verdict = "invalid" },
         /// Sources that proved their address with an extension cookie: a
-        /// `valid` verdict the verdict memo did not already hold. Not a
-        /// disposition: the datagram is counted under `ext_valid` too.
+        /// `valid` verdict for a source the verdict memo did not hold,
+        /// admitted by Rate-Limiter2. Not a disposition: the datagram is
+        /// counted under `ext_valid` too.
         ext_proofs = "proofs" { scheme = "ext" },
         /// Sources that proved their address with a cookie label.
         ns_label_proofs = "proofs" { scheme = "ns_label" },

@@ -76,11 +76,18 @@ const SHIFT_PER_SEC: f64 = 100.0;
 /// two evaluations running: a proof trails its handshake by a round trip,
 /// so one short window may be proofs still in flight, while a high share
 /// is conclusive at once. A real newcomer proves its address at least once
-/// per handshake (extension 1, NS label 1, +1 for `COOKIE2`, TCP 1); a
-/// forged source never does. A proof is a `valid` verdict the guard's
-/// verdict memo did not hold, so a client that re-handshakes while holding
-/// a cookie it has already proven (`cookie_cache = false`) proves nothing
-/// new: a crowd of them reads as spoofing.
+/// per handshake (extension 1, NS label 1, TCP 1); a forged source never
+/// does. A proof is a `valid` verdict, admitted by Rate-Limiter2, for a
+/// source the guard's verdict memo did not hold: one address proves itself
+/// once however many valid cookies it presents (its `COOKIE2` after its
+/// label included), and a client that re-handshakes while holding a cookie
+/// it has already proven (`cookie_cache = false`) proves nothing new, so a
+/// crowd of them reads as spoofing. Sources proving again what they proved
+/// before can make a concurrent forged flood read as a crowd: every active
+/// verified source once after a key rotation or restore, and sources that
+/// evict each other from a crowded memo set, which a guard serving
+/// thousands of verified sources has (`dnsguard`'s `guard/keys.rs`),
+/// each re-proving as fast as Rate-Limiter2 admits it.
 const MIN_PROOF_SHARE: f64 = 0.5;
 /// `cache_poisoning` fires when a resolver registers wrong-response
 /// mismatches for in-flight queries above this rate (events/s) — the
