@@ -6,7 +6,9 @@
 # Usage: ./ci.sh [stage]; no argument runs every stage but `perf`.
 #   build        release build of the workspace
 #   test         the workspace's unit, integration, chaos and property tests,
-#                then the real-socket guard end to end (`live_proxy`)
+#                then the real-socket guard end to end (`live_proxy`): its
+#                counters, and what its telemetry endpoint serves of them
+#                and of the alert rules
 #   lint         guardlint: its rule table (wire-path panics, clocks and
 #                RNGs, relaxed atomics, the workspace's layering) and L1
 #                indexing; fails on any finding, and a finding is exempt
@@ -35,12 +37,15 @@ fi
 if want test; then
   echo "==> cargo test"
   cargo test -q --workspace --offline
-  echo "==> live_proxy (the guard on real loopback sockets)"
-  # Three answers through one cookie exchange, and a forged cookie dropped.
+  echo "==> live_proxy (the guard and its telemetry endpoint on real loopback sockets)"
+  # Three answers through one cookie exchange, and a forged cookie dropped;
+  # the endpoint's snapshot counts the same three forwards, and no alert
+  # rule is active.
   live="$(cargo run --release --offline -q --example live_proxy)"
   echo "$live"
-  grep -q 'forwarded=3 grants=1 spoofed_dropped=1' <<<"$live" ||
-    { echo "live_proxy: no 'forwarded=3 grants=1 spoofed_dropped=1'" >&2; exit 1; }
+  for want in 'guard counters: forwarded=3 grants=1 spoofed_dropped=1' 'telemetry forwarded=3 active_alerts=0'; do
+    grep -qF "$want" <<<"$live" || { echo "live_proxy: no '$want'" >&2; exit 1; }
+  done
 fi
 
 if want lint; then

@@ -1,8 +1,8 @@
 //! The fleet-observability experiment behind `BENCH_fleetobs.json`: the
 //! two-site anycast world of [`crate::fleet`], observed not per node but
-//! through a [`FleetAggregator`] fed exactly what a production collector
-//! would pull from each site — metric snapshots and drained trace rings —
-//! while three overlapping failures unfold:
+//! through a [`FleetAggregator`] fed, in-process, what each site's own
+//! telemetry holds — metric snapshots and drained trace rings — while
+//! three overlapping failures unfold:
 //!
 //! 1. a cookie-guessing **flood** concentrates on site A (600 ms), driving
 //!    the fleet-wide invalid-verify rate over threshold
@@ -168,7 +168,7 @@ impl Collector {
             }
             let skewed: Vec<Event> = events.iter().map(|e| e.with_offset(site.skew)).collect();
             self.agg.observe_trace(site.node, &skewed);
-            self.agg.observe_metric_snapshot(site.node, t_ns, &site.obs.registry.snapshot());
+            self.agg.observe_snapshot(site.node, t_ns, site.obs.registry.snapshot());
         }
         if (t_ns / 1_000_000).is_multiple_of(EVAL_MS) {
             self.agg.evaluate(t_ns);

@@ -167,12 +167,6 @@ impl Cookie {
         self.head() % range
     }
 
-    /// Builds the `COOKIE2` address inside the guarded subnet: `base + y`.
-    pub fn subnet_ip(&self, base: Ipv4Addr, range: u32) -> Ipv4Addr {
-        let y = self.subnet_offset(range);
-        Ipv4Addr::from(u32::from(base).wrapping_add(y))
-    }
-
     /// Returns a copy with the most significant bit of byte 0 forced to
     /// `generation & 1` — the rotation indicator of section III.E.
     pub fn with_generation_bit(mut self, generation: u64) -> Self {
@@ -476,15 +470,6 @@ mod tests {
             let c = Cookie::compute(&key, ip(172, 16, 0, host));
             assert!(c.subnet_offset(254) < 254);
         }
-    }
-
-    #[test]
-    fn subnet_ip_is_base_plus_offset() {
-        let key = SecretKey::from_seed(6);
-        let c = Cookie::compute(&key, ip(4, 4, 4, 4));
-        let base = ip(1, 2, 3, 0);
-        let got = c.subnet_ip(base, 254);
-        assert_eq!(u32::from(got), u32::from(base) + c.subnet_offset(254));
     }
 
     #[test]

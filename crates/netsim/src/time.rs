@@ -58,16 +58,6 @@ impl SimTime {
         SimTime((s * 1e9).round() as u64)
     }
 
-    /// Constructs from fractional microseconds (rounds to nanoseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics on negative or non-finite input.
-    pub fn from_micros_f64(us: f64) -> Self {
-        assert!(us.is_finite() && us >= 0.0, "invalid duration {us}");
-        SimTime((us * 1e3).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -175,7 +165,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(1), SimTime::from_micros(1000));
         assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1000));
         assert_eq!(SimTime::from_secs_f64(0.5), SimTime::from_millis(500));
-        assert_eq!(SimTime::from_micros_f64(2.413), SimTime::from_nanos(2413));
     }
 
     #[test]

@@ -142,17 +142,10 @@ pub struct Input {
 
 impl Input {
     /// Whether this row reads the cell `component.name{labels}`.
-    pub fn reads<K: AsRef<str>>(
-        &self,
-        component: &str,
-        name: &str,
-        labels: &[(K, String)],
-    ) -> bool {
+    pub fn reads(&self, component: &str, name: &str, labels: &[(&str, String)]) -> bool {
         self.name == name
             && self.component.is_none_or(|c| c == component)
-            && self.label.is_none_or(|(key, value)| {
-                labels.iter().any(|(k, v)| k.as_ref() == key && v == value)
-            })
+            && self.label.is_none_or(|(key, value)| labels.iter().any(|(k, v)| *k == key && v == value))
     }
 }
 

@@ -15,12 +15,10 @@
 //! * **Time series** ([`Sampler::series_json`]) — per flat metric key, the
 //!   `[t_nanos, value]` pairs collected at each [`Sampler::sample`] call.
 //!
-//! The first two are also read back here ([`parse_metrics`],
-//! [`parse_event`]): the fleet collector rebuilds a node's samples and
-//! events from them, and the experiment runner holds every exported trace
-//! line to `event_json(parse_event(line)) == line`.
+//! An event trace is also read back here ([`parse_event`]): the experiment
+//! runner holds every exported trace line to
+//! `event_json(parse_event(line)) == line`.
 
-use crate::fleet::FleetSample;
 use crate::metrics::{quantile_from_buckets, Cell, MetricSample, Registry, SampleValue};
 use crate::trace::{Event, Value};
 use crate::vocab;
@@ -64,15 +62,10 @@ fn float_or_str(v: f64, text: String) -> Json {
 
 /// One metric as an object of the `metrics` array — the one shape under
 /// [`metrics_json`] and the fleet's merged snapshot.
-pub(crate) fn sample_json<K: AsRef<str>>(
-    component: &str,
-    name: &str,
-    labels: &[(K, String)],
-    value: &SampleValue,
-) -> Json {
-    let labels = Json::obj(labels.iter().map(|(k, v)| (k.as_ref(), v.as_str().into())));
-    let mut members = vec![("component", component.into()), ("name", name.into()), ("labels", labels)];
-    match value {
+pub(crate) fn sample_json(s: &MetricSample) -> Json {
+    let labels = Json::obj(s.labels.iter().map(|(k, v)| (*k, v.as_str().into())));
+    let mut members = vec![("component", s.component.into()), ("name", s.name.into()), ("labels", labels)];
+    match &s.value {
         SampleValue::Counter(v) => members.extend([("kind", "counter".into()), ("value", (*v).into())]),
         SampleValue::Gauge(v) => members.extend([("kind", "gauge".into()), ("value", (*v).into())]),
         SampleValue::Histogram { count, sum, buckets } => {
@@ -94,8 +87,7 @@ pub(crate) fn sample_json<K: AsRef<str>>(
 
 /// A metrics snapshot as one JSON object: `{"metrics": [ ... ]}`.
 pub fn metrics_json(samples: &[MetricSample]) -> Json {
-    let metrics = samples.iter().map(|s| sample_json(s.component, s.name, &s.labels, &s.value));
-    Json::obj([("metrics", Json::Arr(metrics.collect()))])
+    Json::obj([("metrics", Json::Arr(samples.iter().map(sample_json).collect()))])
 }
 
 /// One event as a JSON object, written on a single line.
@@ -323,13 +315,13 @@ impl fmt::Display for Json {
 }
 
 /// Arrays and objects nested deeper than this are refused (the parser
-/// recurses, and it reads replies off the network).
+/// recurses, and it reads replies off a socket).
 const MAX_DEPTH: usize = 128;
 
 /// Parses `s` as exactly one JSON value (surrounded by optional whitespace)
 /// — the workspace's one JSON grammar: what the export smoke tests validate
-/// with and what the fleet collector reads telemetry replies with. Returns
-/// the byte offset of the first error.
+/// with and what `examples/live_proxy.rs` reads the telemetry endpoint's
+/// replies with. Returns the byte offset of the first error.
 ///
 /// It accepts everything [RFC 8259](https://www.rfc-editor.org/rfc/rfc8259)
 /// accepts down to 128 levels of nesting, and does not enforce unique object
@@ -353,65 +345,9 @@ pub fn validate_json(s: &str) -> Result<(), usize> {
     parse_json(s).map(drop)
 }
 
-/// Validates JSONL: every non-empty line must be one well-formed JSON
-/// value. Returns `(line_index, byte_offset_in_line)` of the first error.
-pub fn validate_jsonl(s: &str) -> Result<(), (usize, usize)> {
-    for (ln, line) in s.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_json(line).map_err(|off| (ln, off))?;
-    }
-    Ok(())
-}
-
-/// Reads a [`metrics_json`] document back into samples with owned
-/// addressing. `None` if the document is not of that shape; a sample of an
-/// unknown kind is skipped.
-pub fn parse_metrics(doc: &str) -> Option<Vec<FleetSample>> {
-    let doc = parse_json(doc).ok()?;
-    let Json::Arr(metrics) = doc.get("metrics")? else {
-        return None;
-    };
-    let mut out = Vec::with_capacity(metrics.len());
-    for m in metrics {
-        let component = m.get("component")?.as_str()?.to_string();
-        let name = m.get("name")?.as_str()?.to_string();
-        let mut labels = Vec::new();
-        if let Some(Json::Obj(pairs)) = m.get("labels") {
-            for (k, v) in pairs {
-                labels.push((k.clone(), v.as_str()?.to_string()));
-            }
-        }
-        let value = match m.get("kind")?.as_str()? {
-            "counter" => SampleValue::Counter(m.get("value")?.as_u64()?),
-            "gauge" => SampleValue::Gauge(m.get("value")?.as_u64()?),
-            "histogram" => {
-                let Json::Arr(raw) = m.get("buckets")? else {
-                    return None;
-                };
-                let mut buckets = Vec::with_capacity(raw.len());
-                for b in raw {
-                    let Json::Arr(pair) = b else { return None };
-                    let [bound, n] = pair.as_slice() else { return None };
-                    buckets.push((bound.as_u64()?, n.as_u64()?));
-                }
-                SampleValue::Histogram {
-                    count: m.get("count")?.as_u64()?,
-                    sum: m.get("sum")?.as_u64()?,
-                    buckets,
-                }
-            }
-            _ => continue,
-        };
-        out.push(FleetSample { component, name, labels, value });
-    }
-    Some(out)
-}
-
 /// Reads one [`event_json`] object back into an [`Event`] carrying the
 /// vocabulary's own `'static` strings, which is what lets the journey
-/// assembler and the alert rules match on a relayed event. `None` when the
+/// assembler and the alert rules match on an event read back. `None` when the
 /// component or the kind is not in [`vocab`]; a field whose name or string
 /// value is not is dropped alone.
 ///
@@ -648,15 +584,35 @@ mod tests {
         let t = tracer.component("guard");
         t.event(5, "grant", &[("src", Value::Ip(Ipv4Addr::new(10, 0, 0, 2)))]);
         t.event(9, "rl_drop", &[("limiter", Value::Str("rl1")), ("qid", Value::Bool(false))]);
+        t.event(
+            5_000,
+            "verify",
+            &[
+                ("src", Value::Ip(Ipv4Addr::new(10, 0, 3, 1))),
+                ("qid", Value::U64(77)),
+                ("verdict", Value::Str("valid")),
+                ("scheme", Value::Bool(true)),
+            ],
+        );
         let (events, _) = tracer.drain();
         let jsonl = events_jsonl(&events);
-        validate_jsonl(&jsonl).unwrap();
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("{\"t\":5,"));
         assert!(lines[1].contains("\"kind\":\"rl_drop\""));
         assert!(lines[1].contains("\"qid\":false"));
         assert!(lines[0].contains("\"src\":\"10.0.0.2\""));
+        // Each line reads back into the event it was written from: the
+        // vocabulary's addresses, numbers, words and flags alike.
+        for (line, e) in lines.iter().zip(&events) {
+            let back = parse_event(&parse_json(line).unwrap()).unwrap();
+            assert_eq!((back.t_nanos, back.component, back.kind), (e.t_nanos, e.component, e.kind));
+            assert_eq!(back.fields(), e.fields(), "{line}");
+        }
+        // An event from something that is not this guard: an unknown kind is
+        // refused, not read back as a lookalike.
+        let foreign = parse_json("{\"t\":1,\"component\":\"guard\",\"kind\":\"exfiltrate\",\"fields\":{}}").unwrap();
+        assert!(parse_event(&foreign).is_none());
     }
 
     #[test]
@@ -825,7 +781,5 @@ mod tests {
         assert!(validate_json("01").is_err());
         assert!(validate_json("{} {}").is_err());
         assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_jsonl("{\"a\":1}\n\n{\"b\":2}\n").is_ok());
-        assert_eq!(validate_jsonl("{}\nnope\n"), Err((1, 0)));
     }
 }

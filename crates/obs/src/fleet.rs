@@ -10,8 +10,7 @@
 //! per-node observability layer already produces:
 //!
 //! * **snapshots** ([`FleetAggregator::observe_snapshot`]) — per-node
-//!   `Registry::snapshot` outputs (or their parsed-over-the-wire
-//!   equivalent, [`FleetSample`]), merged order-independently: counters
+//!   `Registry::snapshot` outputs, merged order-independently: counters
 //!   sum, gauges take the max, log₂ histograms merge bucket-by-bucket
 //!   ([`merge_histograms`]) so fleet quantiles are computed from exact
 //!   merged buckets, not averaged per-node quantiles;
@@ -31,7 +30,7 @@
 //!   reads it; the aggregator has no settings.
 
 use crate::journey::{JourneyAssembler, JourneyReport};
-use crate::metrics::{flat_key, Counter, Gauge, MetricSample, SampleValue};
+use crate::metrics::{Counter, Gauge, MetricSample, SampleValue};
 use crate::trace::{Event, Value};
 use crate::vocab;
 use crate::Obs;
@@ -60,41 +59,6 @@ pub const INPUTS: &[Input] = &[
     input(Some("guard"), "udp_datagrams", None, Signal::Datagrams, Read::Delta),
 ];
 
-/// One metric sample with owned addressing — the over-the-wire form of
-/// [`MetricSample`], produced when a node's snapshot JSON is parsed back
-/// on the collector side (string interning to `&'static` is neither
-/// possible nor wanted for an open vocabulary).
-#[derive(Debug, Clone)]
-pub struct FleetSample {
-    /// Owning component (e.g. `"guard"`).
-    pub component: String,
-    /// Metric name within the component.
-    pub name: String,
-    /// Label pairs.
-    pub labels: Vec<(String, String)>,
-    /// The value at snapshot time.
-    pub value: SampleValue,
-}
-
-impl FleetSample {
-    /// The flat key `component.name{k=v,...}`, matching
-    /// [`MetricSample::key`].
-    pub fn key(&self) -> String {
-        flat_key(&self.component, &self.name, &self.labels)
-    }
-}
-
-impl From<&MetricSample> for FleetSample {
-    fn from(s: &MetricSample) -> FleetSample {
-        FleetSample {
-            component: s.component.to_string(),
-            name: s.name.to_string(),
-            labels: s.labels.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
-            value: s.value.clone(),
-        }
-    }
-}
-
 /// Merges two `(exclusive_upper_bound, count)` bucket lists (the
 /// [`crate::metrics::Histogram::buckets`] form) by adding counts at equal
 /// bounds. The result is sorted by bound; merging is commutative and
@@ -116,13 +80,13 @@ struct NodeState {
     /// Whether the node is currently considered silent (edge-tracked so
     /// the `node_silent` trace event fires once per outage).
     silent: bool,
-    last_samples: Vec<FleetSample>,
+    last_samples: Vec<MetricSample>,
 }
 
 /// Aggregates snapshots and traces from every fleet node; see the module
 /// docs. Deterministic and I/O-free: time arrives as arguments, data
-/// arrives through `observe_*` — the runtime's collector and the netsim
-/// bench feed the same type. A new aggregator ([`Default`]) has no nodes
+/// arrives through `observe_*` (the netsim fleet of `bench::fleetobs`
+/// feeds it in-process). A new aggregator ([`Default`]) has no nodes
 /// and is not yet attached to an observer.
 #[derive(Default)]
 pub struct FleetAggregator {
@@ -189,23 +153,16 @@ impl FleetAggregator {
         self.nodes.get(node as usize).is_some_and(|n| n.silent)
     }
 
-    /// Ingests one snapshot from `node`, received at fleet time
-    /// `t_nanos`. Partial or failed polls simply never reach this method —
-    /// the node then ages into `node_silent` at the next
-    /// [`FleetAggregator::evaluate`].
-    pub fn observe_snapshot(&mut self, node: u32, t_nanos: u64, samples: Vec<FleetSample>) {
+    /// Ingests one `Registry::snapshot` from `node`, taken at fleet time
+    /// `t_nanos`. A node that delivers none ages into `node_silent` at the
+    /// next [`FleetAggregator::evaluate`].
+    pub fn observe_snapshot(&mut self, node: u32, t_nanos: u64, samples: Vec<MetricSample>) {
         let Some(state) = self.nodes.get_mut(node as usize) else {
             return;
         };
         state.last_seen_nanos = Some(t_nanos);
         state.last_samples = samples;
         self.snapshots_ingested.inc();
-    }
-
-    /// Convenience for in-process nodes: ingests a `Registry::snapshot`
-    /// directly.
-    pub fn observe_metric_snapshot(&mut self, node: u32, t_nanos: u64, samples: &[MetricSample]) {
-        self.observe_snapshot(node, t_nanos, samples.iter().map(FleetSample::from).collect());
     }
 
     /// Ingests drained trace events from `node`, applying the node's
@@ -270,8 +227,8 @@ impl FleetAggregator {
     /// max, histograms merge bucket-by-bucket. The merge folds nodes in
     /// registration order, but [`merge_histograms`] and saturating sums
     /// are order-independent, so any fold order yields the same result.
-    pub fn merged_snapshot(&self) -> Vec<FleetSample> {
-        let mut merged: BTreeMap<String, FleetSample> = BTreeMap::new();
+    pub fn merged_snapshot(&self) -> Vec<MetricSample> {
+        let mut merged: BTreeMap<String, MetricSample> = BTreeMap::new();
         for node in &self.nodes {
             for s in &node.last_samples {
                 let key = s.key();
@@ -307,9 +264,7 @@ impl FleetAggregator {
     /// shape as `export::metrics_json`, including p50/p95/p99 recomputed
     /// from the merged buckets.
     pub fn merged_snapshot_json(&self) -> Json {
-        let merged = self.merged_snapshot();
-        let metrics = merged.iter().map(|s| sample_json(&s.component, &s.name, &s.labels, &s.value));
-        Json::obj([("metrics", Json::Arr(metrics.collect()))])
+        Json::obj([("metrics", Json::Arr(self.merged_snapshot().iter().map(sample_json).collect()))])
     }
 
     /// Evaluates the fleet rules at fleet time `t_nanos` against every
@@ -351,7 +306,7 @@ impl FleetAggregator {
         for (idx, node) in self.nodes.iter().enumerate() {
             let mut sig = Signals::default();
             for s in &node.last_samples {
-                for input in INPUTS.iter().filter(|i| i.reads(&s.component, &s.name, &s.labels)) {
+                for input in INPUTS.iter().filter(|i| i.reads(s.component, s.name, &s.labels)) {
                     let key = || format!("{idx}|{}", s.key());
                     sig.fold(input, &s.value, |now| self.alerts.cell_delta(key(), now));
                 }
@@ -428,10 +383,10 @@ impl FleetAggregator {
 
 /// Registers a fresh registry's worth of samples for merge tests.
 #[cfg(test)]
-fn node_samples(build: impl FnOnce(&crate::metrics::Registry)) -> Vec<FleetSample> {
+fn node_samples(build: impl FnOnce(&crate::metrics::Registry)) -> Vec<MetricSample> {
     let reg = crate::metrics::Registry::new();
     build(&reg);
-    reg.snapshot().iter().map(FleetSample::from).collect()
+    reg.snapshot()
 }
 
 #[cfg(test)]
@@ -496,8 +451,9 @@ mod tests {
         let samples = reg.snapshot();
         let mut agg = FleetAggregator::default();
         let node = agg.register_node(0);
-        agg.observe_metric_snapshot(node, 0, &samples);
-        assert_eq!(agg.merged_snapshot_json().to_string(), crate::export::metrics_json(&samples).to_string());
+        let json = crate::export::metrics_json(&samples).to_string();
+        agg.observe_snapshot(node, 0, samples);
+        assert_eq!(agg.merged_snapshot_json().to_string(), json);
     }
 
     #[test]

@@ -239,11 +239,7 @@ pub(crate) struct Row {
 }
 
 /// The flat series key `component.name{k=v,...}` for one metric address.
-pub(crate) fn flat_key<K: AsRef<str>>(
-    component: &str,
-    name: &str,
-    labels: &[(K, String)],
-) -> String {
+pub(crate) fn flat_key(component: &str, name: &str, labels: &[(&str, String)]) -> String {
     let mut k = format!("{component}.{name}");
     if !labels.is_empty() {
         k.push('{');
@@ -251,7 +247,7 @@ pub(crate) fn flat_key<K: AsRef<str>>(
             if i > 0 {
                 k.push(',');
             }
-            k.push_str(lk.as_ref());
+            k.push_str(lk);
             k.push('=');
             k.push_str(lv);
         }

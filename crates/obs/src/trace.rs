@@ -90,8 +90,8 @@ pub struct Event {
 
 impl Event {
     /// Builds an event directly, outside any tracer — the entry point for
-    /// re-materialising events that crossed a process boundary
-    /// ([`crate::export::parse_event`]) and for test fixtures. Fields beyond [`MAX_FIELDS`] are truncated, matching the
+    /// reading an exported trace back ([`crate::export::parse_event`]) and
+    /// for test fixtures. Fields beyond [`MAX_FIELDS`] are truncated, matching the
     /// recording path.
     pub fn new(
         t_nanos: u64,

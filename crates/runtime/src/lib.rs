@@ -17,13 +17,9 @@
 //!   local guard drive too): it stamps the cached cookie on queries, or holds
 //!   the query behind a zero-cookie probe and sends it on the grant;
 //! * [`telemetry`] — a live telemetry endpoint (newline-JSON over TCP):
-//!   metrics snapshots, recent trace events, atomic trace drains and
-//!   active alerts on demand, with periodic alert-rule evaluation;
-//! * [`fleet_collector`] — the fleet side of that wire: polls every
-//!   node's endpoint, reads the replies back into samples and events
-//!   (`obs::export::parse_*`), and feeds an
-//!   [`obs::fleet::FleetAggregator`] for merged snapshots, cross-node
-//!   journey stitching and fleet alerting.
+//!   metrics snapshots, recent trace events and active alerts on demand,
+//!   with periodic alert-rule evaluation. `examples/live_proxy.rs` serves
+//!   one over the live guard's metrics and trace.
 //!
 //! The packet-level performance evaluation lives in [`netsim`]-based
 //! experiments (`bench` crate); this crate runs the same protocol logic
@@ -36,13 +32,11 @@
 
 pub mod ans;
 pub mod client;
-pub mod fleet_collector;
 pub mod guard_server;
 pub mod stopflag;
 pub mod telemetry;
 
 pub use ans::ToyAns;
 pub use client::{ClientError, CookieClient};
-pub use fleet_collector::FleetCollector;
 pub use guard_server::{spawn_guarded, GuardServer};
 pub use telemetry::TelemetryServer;

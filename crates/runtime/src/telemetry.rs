@@ -10,21 +10,21 @@
 //! | `ping`     | `{"ok":true}`                                             |
 //! | `snapshot` | the full metrics snapshot (same shape as `BENCH_obs.json`'s snapshot array) |
 //! | `events`   | the most recent trace events (non-consuming peek)         |
-//! | `drain_traces` | `{"events":[...],"dropped":N}` — consumes the ring atomically |
 //! | `alerts`   | the alert engine's active set and transition history      |
 //!
-//! `events` peeks and can be issued by any number of concurrent dashboard
-//! clients; `drain_traces` is the fleet collector's consuming read. The
-//! drain happens in one `Tracer::drain` call under the ring lock, so two
-//! collectors racing each other partition the events — every event is
-//! delivered to exactly one of them, never both, never neither.
+//! Every command reads and none consumes, so what one client asks changes
+//! nothing another sees. `examples/live_proxy.rs` serves an endpoint over
+//! the live guard's `Obs`.
 //!
 //! Unknown commands get `{"error":"unknown command"}`, and a client that
 //! sends more than 64 bytes without a newline is hung up on. The server also
 //! owns the alert engine: every `eval_every`, its one thread evaluates the
 //! rules against a fresh registry snapshot, so alerts fire while the
 //! deployment runs rather than at export time, and `alerts` reads the
-//! engine on that same thread.
+//! engine on that same thread. The thread serves one client at a time and
+//! keeps the cadence while it does: no read waits past the next due
+//! evaluation, so a dashboard that holds its connection open and polls sees
+//! the rules move, and the stop flag is seen within one cadence.
 
 use obs::alert::AlertEngine;
 use obs::export::{event_json, metrics_json, Json};
@@ -39,9 +39,13 @@ use std::time::{Duration, Instant};
 const RECENT_EVENTS: usize = 256;
 
 /// A client with more than this many bytes buffered and no newline among
-/// them is disconnected: well above the longest command (`drain_traces`,
-/// 12 bytes), so only a client that is not speaking the protocol meets it.
+/// them is disconnected: well above the longest command (`snapshot`,
+/// 8 bytes), so only a client that is not speaking the protocol meets it.
 const MAX_LINE: usize = 64;
+
+/// A client that sends nothing for this long is hung up on, so the next
+/// one is served.
+const IDLE: Duration = Duration::from_millis(500);
 
 /// A live telemetry endpoint on a background thread.
 pub struct TelemetryServer {
@@ -57,42 +61,23 @@ impl TelemetryServer {
     /// nanoseconds since spawn, matching the live guard's trace clock).
     pub fn spawn(
         obs: &Obs,
-        mut engine: AlertEngine,
+        engine: AlertEngine,
         eval_every: Duration,
     ) -> io::Result<TelemetryServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = StopFlag::new();
-
-        let t_stop = stop.clone();
-        let t_obs = obs.clone();
         let started = Instant::now();
-        let handle = std::thread::spawn(move || {
-            let mut next_eval = started + eval_every;
-            while !t_stop.should_stop() {
-                let now = Instant::now();
-                if now >= next_eval {
-                    engine.evaluate((now - started).as_nanos() as u64, &t_obs.registry.snapshot());
-                    // From now, not from the missed tick: a client served
-                    // past several ticks must not be followed by a burst of
-                    // evaluations whose rate windows are a fraction of the
-                    // cadence (and read a sub-threshold flood as a surge).
-                    next_eval = now + eval_every;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // Serve this client to completion; telemetry clients
-                        // are short-lived scripts, not long-poll consumers.
-                        let _ = serve_client(stream, &t_obs, &engine, &t_stop);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let endpoint = Endpoint {
+            obs: obs.clone(),
+            engine,
+            started,
+            eval_every,
+            next_eval: started + eval_every,
+            stop: stop.clone(),
+        };
+        let handle = std::thread::spawn(move || endpoint.run(listener));
 
         Ok(TelemetryServer {
             addr,
@@ -124,68 +109,107 @@ impl Drop for TelemetryServer {
     }
 }
 
-/// Answers one client's commands until it closes, goes quiet for a read
-/// timeout, sends more than [`MAX_LINE`] bytes without a newline, or the
-/// endpoint is stopped (checked before every read, so a client that
-/// trickles bytes cannot hold shutdown or the alert cadence).
-fn serve_client(
-    stream: TcpStream,
-    obs: &Obs,
-    engine: &AlertEngine,
-    stop: &StopFlag,
-) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = stream;
-    // TCP gives no line framing: a command may arrive one byte per
-    // segment, or several commands per segment. Accumulate bytes across
-    // reads and dispatch only on a complete newline-terminated line; an
-    // unterminated tail survives in the buffer until its newline arrives.
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 1024];
-    while !stop.should_stop() {
-        let n = match reader.read(&mut chunk) {
-            Ok(0) => break, // client closed
-            Ok(n) => n,
-            Err(_) => break, // timeout or disconnect
-        };
-        buf.extend_from_slice(&chunk[..n]);
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..pos]);
-            let reply = match line.trim() {
-                "" => continue,
-                "ping" => Json::obj([("ok", true.into())]),
-                "snapshot" => metrics_json(&obs.registry.snapshot()),
-                "events" => Json::Arr(obs.tracer.recent(RECENT_EVENTS).iter().map(event_json).collect()),
-                "drain_traces" => {
-                    // One atomic drain per request: the ring is emptied and
-                    // the drop count read under a single ring lock, so
-                    // concurrent snapshot/events readers can't double-drain
-                    // and two drainers split the stream disjointly.
-                    let (events, dropped) = obs.tracer.drain();
-                    let events = Json::Arr(events.iter().map(event_json).collect());
-                    Json::obj([("events", events), ("dropped", dropped.into())])
+/// What the endpoint's thread owns.
+struct Endpoint {
+    obs: Obs,
+    engine: AlertEngine,
+    started: Instant,
+    eval_every: Duration,
+    next_eval: Instant,
+    stop: StopFlag,
+}
+
+impl Endpoint {
+    /// Accepts and serves clients, one at a time, until stopped.
+    fn run(mut self, listener: TcpListener) {
+        while !self.stop.should_stop() {
+            self.evaluate_if_due();
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let _ = self.serve(stream);
                 }
-                "alerts" => engine.alerts_json(),
-                _ => Json::obj([("error", "unknown command".into())]),
-            };
-            writer.write_all(format!("{reply}\n").as_bytes())?;
-            writer.flush()?;
-        }
-        if buf.len() > MAX_LINE {
-            break;
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(_) => break,
+            }
         }
     }
-    Ok(())
+
+    /// Evaluates the rules if an evaluation is due; returns when the next
+    /// one is.
+    fn evaluate_if_due(&mut self) -> Instant {
+        let now = Instant::now();
+        if now >= self.next_eval {
+            self.engine.evaluate((now - self.started).as_nanos() as u64, &self.obs.registry.snapshot());
+            // From now, not from the missed tick: should an evaluation ever
+            // come late, it must not be followed by a burst of evaluations
+            // whose rate windows are a fraction of the cadence (and read a
+            // sub-threshold flood as a surge).
+            self.next_eval = now + self.eval_every;
+        }
+        self.next_eval
+    }
+
+    /// Answers one client's commands until it closes, goes quiet for
+    /// [`IDLE`], sends more than [`MAX_LINE`] bytes without a newline, or
+    /// the endpoint is stopped. Each read waits at most until the next due
+    /// evaluation, which runs between reads.
+    fn serve(&mut self, stream: TcpStream) -> io::Result<()> {
+        stream.set_nonblocking(false)?;
+        let mut writer = stream.try_clone()?;
+        let mut reader = stream;
+        // TCP gives no line framing: a command may arrive one byte per
+        // segment, or several commands per segment. Accumulate bytes across
+        // reads and dispatch only on a complete newline-terminated line; an
+        // unterminated tail survives in the buffer until its newline arrives.
+        let mut buf: Vec<u8> = Vec::new();
+        let mut chunk = [0u8; 1024];
+        let mut hang_up = Instant::now() + IDLE;
+        while !self.stop.should_stop() {
+            let next_eval = self.evaluate_if_due();
+            let now = Instant::now();
+            if now >= hang_up {
+                break;
+            }
+            // A zero read timeout is refused, and a zero cadence is allowed.
+            let wait = next_eval.min(hang_up).saturating_duration_since(now);
+            reader.set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
+            let n = match reader.read(&mut chunk) {
+                Ok(0) => break, // client closed
+                Ok(n) => n,
+                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => continue,
+                Err(_) => break, // disconnect
+            };
+            hang_up = Instant::now() + IDLE;
+            buf.extend_from_slice(&chunk[..n]);
+            while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+                let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
+                let line = String::from_utf8_lossy(&line_bytes[..pos]);
+                let reply = match line.trim() {
+                    "" => continue,
+                    "ping" => Json::obj([("ok", true.into())]),
+                    "snapshot" => metrics_json(&self.obs.registry.snapshot()),
+                    "events" => Json::Arr(self.obs.tracer.recent(RECENT_EVENTS).iter().map(event_json).collect()),
+                    "alerts" => self.engine.alerts_json(),
+                    _ => Json::obj([("error", "unknown command".into())]),
+                };
+                writer.write_all(format!("{reply}\n").as_bytes())?;
+                writer.flush()?;
+            }
+            if buf.len() > MAX_LINE {
+                break;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use obs::alert::{AlertConfig, AlertEngine};
-    use obs::export::validate_json;
+    use obs::export::{parse_json, validate_json};
     use obs::trace::{Level, Value};
     use std::io::{BufRead, BufReader};
 
@@ -318,76 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_traces_consumes_ring_even_byte_at_a_time() {
-        let obs = Obs::new();
-        obs.tracer.set_default_level(Level::Info);
-        let engine = AlertEngine::new(AlertConfig::default());
-        let server =
-            TelemetryServer::spawn(&obs, engine, Duration::from_millis(50)).unwrap();
-
-        let t = obs.tracer.component("demo");
-        for i in 0..5u64 {
-            t.event(i * 100, "grant", &[("qid", Value::U64(i))]);
-        }
-
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        // The command arrives one byte per segment; the server must not
-        // dispatch (and drain) until the newline completes the line.
-        for b in b"drain_traces\n" {
-            writer.write_all(&[*b]).unwrap();
-            writer.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let reply = line.trim();
-        validate_json(reply).unwrap_or_else(|p| panic!("invalid JSON at {p}: {reply}"));
-        assert_eq!(reply.matches("\"kind\":\"grant\"").count(), 5, "reply: {reply}");
-        assert!(reply.contains("\"dropped\":0"), "reply: {reply}");
-
-        // The drain consumed the ring: a second drain returns nothing.
-        writer.write_all(b"drain_traces\n").unwrap();
-        writer.flush().unwrap();
-        let mut line2 = String::new();
-        reader.read_line(&mut line2).unwrap();
-        assert!(line2.contains("\"events\":[]"), "second drain: {line2}");
-        assert!(obs.tracer.drain().0.is_empty());
-        server.shutdown();
-    }
-
-    #[test]
-    fn two_clients_drain_disjointly() {
-        let obs = Obs::new();
-        obs.tracer.set_default_level(Level::Info);
-        let engine = AlertEngine::new(AlertConfig::default());
-        let server =
-            TelemetryServer::spawn(&obs, engine, Duration::from_millis(50)).unwrap();
-
-        let t = obs.tracer.component("demo");
-        for i in 0..20u64 {
-            t.event(i, "grant", &[("qid", Value::U64(i))]);
-        }
-
-        // Two clients race drains: the accept loop serialises them, and
-        // each request performs one atomic drain, so the union of the two
-        // replies is exactly the recorded stream with no event twice.
-        let r1 = query(server.addr(), &["drain_traces"]);
-        let r2 = query(server.addr(), &["drain_traces"]);
-        let total: usize = [&r1[0], &r2[0]]
-            .iter()
-            .map(|r| r.matches("\"kind\":\"grant\"").count())
-            .sum();
-        assert_eq!(total, 20, "union must cover all events exactly once: {r1:?} {r2:?}");
-        // First drainer took everything; the second saw an empty ring.
-        assert_eq!(r1[0].matches("\"kind\":\"grant\"").count(), 20);
-        assert!(r2[0].contains("\"events\":[]"), "second client: {}", r2[0]);
-        server.shutdown();
-    }
-
-    #[test]
     fn endpoint_evaluates_alerts_periodically() {
         let obs = Obs::new();
         let engine = AlertEngine::new(AlertConfig::default());
@@ -397,6 +351,40 @@ mod tests {
         let replies = query(server.addr(), &["alerts"]);
         assert!(replies[0].contains("\"active\":[]"), "clean start is silent: {}", replies[0]);
         assert!(replies[0].contains("\"history\":[]"), "clean start never fired: {}", replies[0]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_polling_client_does_not_stop_the_alert_rules() {
+        let obs = Obs::new();
+        let server =
+            TelemetryServer::spawn(&obs, AlertEngine::new(AlertConfig::default()), Duration::from_millis(50)).unwrap();
+        // Invalid verifies at 1 000/s, five times the `spoof_surge` threshold.
+        let invalid = obs.registry.counter("guard", "verify", &[("scheme", "ext"), ("verdict", "invalid")]);
+        let feeder = std::thread::spawn(move || {
+            for _ in 0..400 {
+                invalid.add(5);
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        // One dashboard connection, held open and polled every 100 ms.
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        for _ in 0..15 {
+            std::thread::sleep(Duration::from_millis(100));
+            writer.write_all(b"alerts\n").unwrap();
+            reply.clear();
+            reader.read_line(&mut reply).unwrap();
+        }
+        let doc = parse_json(&reply).unwrap_or_else(|p| panic!("invalid JSON at {p}: {reply}"));
+        let Some(Json::Arr(active)) = doc.get("active") else { panic!("no active set: {reply}") };
+        let rules: Vec<_> = active.iter().filter_map(|a| a.get("rule")?.as_str()).collect();
+        assert_eq!(rules, ["spoof_surge"], "{reply}");
+        drop((writer, reader));
+        feeder.join().unwrap();
         server.shutdown();
     }
 

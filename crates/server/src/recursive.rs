@@ -62,12 +62,6 @@ impl ResolverConfig {
             hardening: ResolverHardening::default(),
         }
     }
-
-    /// Sets the unilateral anti-poisoning defenses.
-    pub fn with_hardening(mut self, hardening: ResolverHardening) -> Self {
-        self.hardening = hardening;
-        self
-    }
 }
 
 obs::counters! {
@@ -1187,9 +1181,7 @@ mod tests {
         let lrs = sim.add_node(
             LRS_IP,
             CpuConfig::unbounded(),
-            RecursiveResolver::new(
-                ResolverConfig::new(LRS_IP, vec![ROOT_SERVER]).with_hardening(hardening),
-            ),
+            RecursiveResolver::new(ResolverConfig { hardening, ..ResolverConfig::new(LRS_IP, vec![ROOT_SERVER]) }),
         );
         let stub = sim.add_node(
             STUB_IP,
