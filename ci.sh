@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The repository's CI gate, runnable locally and from the GitHub Actions
 # workflow (.github/workflows/ci.yml). All dependencies are vendored
-# (vendor/*); --offline makes "never touches a registry" a hard guarantee.
+# (vendor/*); --offline makes "never touches a registry" a hard guarantee,
+# and --locked fails a workspace stage whose manifests no longer match the
+# committed Cargo.lock, where a build would rewrite it.
 #
 # Usage: ./ci.sh [stage]; no argument runs every stage but `perf`.
 #   build        release build of the workspace
@@ -31,17 +33,17 @@ want() { [ "$stage" = all ] || [ "$stage" = "$1" ]; }
 
 if want build; then
   echo "==> cargo build --release"
-  cargo build --release --workspace --offline
+  cargo build --release --workspace --locked --offline
 fi
 
 if want test; then
   echo "==> cargo test"
-  cargo test -q --workspace --offline
+  cargo test -q --workspace --locked --offline
   echo "==> live_proxy (the guard and its telemetry endpoint on real loopback sockets)"
   # Three answers through one cookie exchange, and a forged cookie dropped;
   # the endpoint's snapshot counts the same three forwards, and no alert
   # rule is active.
-  live="$(cargo run --release --offline -q --example live_proxy)"
+  live="$(cargo run --release --locked --offline -q --example live_proxy)"
   echo "$live"
   for want in 'guard counters: forwarded=3 grants=1 spoofed_dropped=1' 'telemetry forwarded=3 active_alerts=0'; do
     grep -qF "$want" <<<"$live" || { echo "live_proxy: no '$want'" >&2; exit 1; }
@@ -52,12 +54,12 @@ if want lint; then
   echo "==> guardlint (rule table, L1 indexing)"
   # Inside GitHub Actions, emit ::error annotations so findings land on
   # the PR diff lines; locally, the plain file:line form.
-  cargo run -q --offline -p guardlint -- ${GITHUB_ACTIONS:+--github}
+  cargo run -q --locked --offline -p guardlint -- ${GITHUB_ACTIONS:+--github}
 fi
 
 if want clippy; then
   echo "==> cargo clippy -D warnings"
-  cargo clippy --workspace --all-targets --offline -- -D warnings
+  cargo clippy --workspace --all-targets --locked --offline -- -D warnings
 fi
 
 if want experiments; then
@@ -70,11 +72,11 @@ if want experiments; then
   smoke=target/experiments-smoke
   rm -rf "$smoke"
   mkdir -p "$smoke"
-  cargo run --release --offline -q -p bench --bin all_experiments -- \
+  cargo run --release --locked --offline -q -p bench --bin all_experiments -- \
     --out "$smoke" ablations >"$smoke/BENCH_ablations.txt"
-  cargo run --release --offline -p bench --bin all_experiments -- \
+  cargo run --release --locked --offline -p bench --bin all_experiments -- \
     --out "$smoke" obs journeys ha fleet fleetobs analytics poison
-  cargo run --release --offline -q -p bench --bin all_experiments -- \
+  cargo run --release --locked --offline -q -p bench --bin all_experiments -- \
     --out "$smoke" table1 table2 table3 fig5 fig6 fig7 >"$smoke/BENCH_paper.txt"
   # The simulator is seeded, so a fresh export must equal the committed
   # file of the same name byte for byte; a difference is a behaviour change
@@ -171,7 +173,7 @@ fi
 
 if want docs; then
   echo "==> cargo doc -D warnings"
-  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked --offline
 fi
 
 echo "==> CI green ($stage)"

@@ -7,20 +7,20 @@
 //! unless the row says otherwise, unbounded guard CPU) with a workload
 //! whose ground truth its generator knows, and evaluates the alert engine
 //! every 100 ms over the registry, as a live deployment's telemetry
-//! loop does. The engine's `handshake_per_sec` floor is the fleet
-//! experiment's 50/s: a guard whose clients are verified answers almost no
-//! first contacts, so a sustained 50/s is already a storm.
+//! loop does. The engine runs at [`AlertConfig::default`], the
+//! `handshake_per_sec` floor of 2 000/s the live guard ships with, so every
+//! row but `baseline` offers more first contacts than that.
 //!
 //! | row | workload (ground truth) | must fire | must not fire |
 //! |---|---|---|---|
-//! | `baseline` | a forged Zipf crowd below the floor | — | `spoof_flood`, `flash_crowd` |
-//! | `spoof_uniform` | forged uniformly random sources | `spoof_flood` | `flash_crowd` |
-//! | `spoof_zipf` | forged Zipf over 300 addresses | `spoof_flood` | `flash_crowd` |
-//! | `botnet` | a pool of 3 000 addresses that never reads a reply | `spoof_flood` | `flash_crowd` |
-//! | `real_crowd` | a ramp of new simulated LRS clients | `flash_crowd` | `spoof_flood` |
-//! | `rl2_flood` | verified zombies presenting their real cookie | `rl2_saturation` | `spoof_flood`, `flash_crowd` |
-//! | `spoof_case_cycler` | a forged flood beside one verified source that presents its label in eight letter cases in turn | `spoof_flood` | `flash_crowd` |
-//! | `spoof_memo_churn` | a forged flood beside four verified zombies whose addresses share one set of the verdict memo | `spoof_flood` | `flash_crowd` |
+//! | `baseline` | a forged Zipf crowd at 40/s, below the floor | — | `spoof_flood`, `flash_crowd` |
+//! | `spoof_uniform` | forged uniformly random sources, 50 000/s | `spoof_flood` | `flash_crowd` |
+//! | `spoof_zipf` | forged Zipf over 300 addresses, 20 000/s | `spoof_flood` | `flash_crowd` |
+//! | `botnet` | a pool of 3 000 addresses that never reads a reply, 12 000/s | `spoof_flood` | `flash_crowd` |
+//! | `real_crowd` | a ramp of new simulated LRS clients, 30 every 10 ms | `flash_crowd` | `spoof_flood` |
+//! | `rl2_flood` | four verified zombies presenting their real cookie, 5 000/s each | `rl2_saturation` | `spoof_flood`, `flash_crowd` |
+//! | `spoof_case_cycler` | a forged flood at 5 000/s beside one verified source that presents its label in eight letter cases in turn, 12 000/s | `spoof_flood` | `flash_crowd` |
+//! | `spoof_memo_churn` | a forged flood at 5 000/s beside four verified zombies, 12 000/s each, whose addresses share one set of the verdict memo | `spoof_flood` | `flash_crowd` |
 //!
 //! Every forged flood is an open-loop [`SpoofedFlood`]: no source ever
 //! returns a cookie, so its first-contact answers are never proven. A real
@@ -76,20 +76,20 @@ const RUN_MS: u64 = 1_000;
 /// Alert-evaluation cadence: wide enough to smooth generator tick bursts.
 const EVAL_MS: u64 = 100;
 
-/// How often the `real_crowd` ramp adds a client.
+/// How often the `real_crowd` ramp adds clients.
 const RAMP_MS: u64 = 10;
 
-/// The experiment's alert thresholds (see the module docs).
-fn alert_config() -> AlertConfig {
-    AlertConfig { handshake_per_sec: 50.0 }
-}
+/// How many clients the `real_crowd` ramp adds every [`RAMP_MS`]: 3 000/s,
+/// each of whose first contacts is a handshake, above the floor.
+const ARRIVALS: u32 = 30;
 
 /// One of the generators driving a row's guard.
 #[derive(Clone, Copy)]
 enum Part {
     /// An open-loop plain-query flood from forged sources.
     Forged { rate: f64, sources: SourceStrategy },
-    /// One new paced LRS client every [`RAMP_MS`], each at its own address.
+    /// [`ARRIVALS`] new paced LRS clients every [`RAMP_MS`], each at its own
+    /// address.
     Newcomers,
     /// `count` zombies at their real addresses, each sending `rate`
     /// queries/s that carry its valid cookie label, against a guard whose
@@ -115,7 +115,7 @@ struct Scenario {
 const SPLIT: &[&str] = &["spoof_flood", "flash_crowd"];
 
 /// What a flood beside verified sources forges: a fresh source per query.
-const BESIDE: Part = Part::Forged { rate: 2_000.0, sources: SourceStrategy::Random };
+const BESIDE: Part = Part::Forged { rate: 5_000.0, sources: SourceStrategy::Random };
 
 /// The rows, run at seeds `seed`, `seed + 1`, … in this order.
 fn scenarios() -> [Scenario; 8] {
@@ -147,8 +147,8 @@ fn scenarios() -> [Scenario; 8] {
         },
         // Each source at more than twice the flood's rate: were either
         // counted per query, the flood would read as a crowd.
-        spoofed("spoof_case_cycler", vec![BESIDE, Part::CaseCycler { rate: 5_000.0 }]),
-        spoofed("spoof_memo_churn", vec![BESIDE, Part::Zombies { count: 4, rate: 5_000.0, one_set: true }]),
+        spoofed("spoof_case_cycler", vec![BESIDE, Part::CaseCycler { rate: 12_000.0 }]),
+        spoofed("spoof_memo_churn", vec![BESIDE, Part::Zombies { count: 4, rate: 12_000.0, one_set: true }]),
     ]
 }
 
@@ -249,18 +249,18 @@ fn run_scenario(seed: u64, s: &Scenario) -> ScenarioOutcome {
         }
     });
     let obs = observe(&mut w.sim, Scope::Untraced, &[w.guard]);
-    let mut engine = alert_engine(&obs, alert_config());
+    let mut engine = alert_engine(&obs, AlertConfig::default());
     for &part in &s.parts {
         attach(&mut w, part);
     }
-    let newcomers = s.parts.iter().any(|p| matches!(p, Part::Newcomers));
+    let arriving = if s.parts.iter().any(|p| matches!(p, Part::Newcomers)) { ARRIVALS } else { 0 };
     let (until, every) = (SimTime::from_millis(RUN_MS), SimTime::from_millis(RAMP_MS));
     let mut arrivals = 0u32;
     run_stepped(&mut w.sim, until, every, |sim| {
-        if newcomers {
+        let (wait, pace) = (SimTime::from_millis(10), SimTime::from_millis(100));
+        for _ in 0..arriving {
             arrivals += 1;
             let ip = Ipv4Addr::from(u32::from(Ipv4Addr::new(150, 0, 0, 0)) + arrivals);
-            let (wait, pace) = (SimTime::from_millis(10), SimTime::from_millis(100));
             attach_lrs(sim, LrsParams::paced(ip, 1, wait, pace));
         }
         if sim.now().as_nanos() % (EVAL_MS * 1_000_000) == 0 {
@@ -318,7 +318,7 @@ pub fn run_all(seed: u64) -> AnalyticsRun {
     let mut members = vec![
         ("experiment", "analytics".into()),
         ("seed", seed.into()),
-        ("handshake_per_sec", Json::fixed(alert_config().handshake_per_sec, 1)),
+        ("handshake_per_sec", Json::fixed(AlertConfig::default().handshake_per_sec, 1)),
         ("verdicts_ok", verdicts_ok.into()),
     ];
     members.extend(scenarios.iter().map(|o| (o.name, o.into())));

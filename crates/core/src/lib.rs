@@ -11,11 +11,12 @@
 //! * [`cookie_client`] — the client side of the modified-DNS scheme
 //!   (Figure 3), re-exported from `server`, where the simulated LRS drives
 //!   it: one sans-IO [`cookie_client::ClientCore`] that caches each server's
-//!   cookie, stamps queries with it, and otherwise holds the query behind a
-//!   zero-cookie probe until the grant;
+//!   cookie, stamps queries with it, and otherwise sends a zero-cookie probe
+//!   and hands the query back to its driver to hold until the grant;
 //! * [`local_guard`] — the **local guard** that makes an unmodified LRS
-//!   cookie-capable: another simulated driver of the core (the `runtime`
-//!   crate's `CookieClient` drives it from a socket);
+//!   cookie-capable: another simulated driver of the core, which holds the
+//!   LRS's probed queries by server, port and id (the `runtime` crate's
+//!   `CookieClient` drives the core from a socket);
 //! * [`tcp_proxy`] — the transparent TCP proxy with SYN cookies,
 //!   connection-lifetime reaping and connection-rate limiting;
 //! * [`ratelimit`] — Rate-Limiter1 (cookie responses; anti-reflection) and

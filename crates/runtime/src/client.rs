@@ -1,6 +1,8 @@
 //! A cookie-capable DNS client for the live guard: the local guard + LRS
 //! pair on a real socket, driving the core the simulated LRS and local
-//! guard drive, [`dnsguard::cookie_client::ClientCore`].
+//! guard drive, [`dnsguard::cookie_client::ClientCore`]. It has one query in
+//! flight at a time, so the query it holds behind a probe is a local of
+//! that query's wait, and ends with it.
 
 use dnsguard::cookie_client::{ClientCore, Reply};
 use dnswire::message::Message;
@@ -63,8 +65,8 @@ impl From<io::Error> for ClientError {
 pub struct CookieClient {
     sock: UdpSocket,
     server: SocketAddr,
-    /// The core's key: the server's address and the socket's port.
-    key: (Ipv4Addr, u16),
+    /// The server's address, whose cookie the core caches.
+    server_ip: Ipv4Addr,
     core: ClientCore,
     /// The core's clock starts here.
     started: Instant,
@@ -83,7 +85,7 @@ impl CookieClient {
         let sock = UdpSocket::bind("127.0.0.1:0")?;
         sock.set_read_timeout(Some(READ_TIMEOUT))?;
         Ok(CookieClient {
-            key: (*v4.ip(), sock.local_addr()?.port()),
+            server_ip: *v4.ip(),
             sock,
             server,
             core: ClientCore::default(),
@@ -102,27 +104,26 @@ impl CookieClient {
     /// time.
     pub fn query(&mut self, name: Name, qtype: RrType) -> Result<Message, ClientError> {
         let id = self.alloc_id();
-        let ((ip, port), now) = (self.key, self.now());
-        self.core.sweep(now);
-        let wire = self.core.query(now, ip, port, Message::query(id, name, qtype).encode());
+        let (wire, held) = self.core.query(self.now(), self.server_ip, Message::query(id, name, qtype).encode());
         self.sock.send_to(&wire, self.server)?;
-        self.recv(id)
+        self.recv(id, held)
     }
 
     /// Forgets the cached cookie (e.g. to test re-granting).
     pub fn forget_cookie(&mut self) {
-        self.core.forget(self.key.0);
+        self.core.forget(self.server_ip);
     }
 
     fn now(&self) -> SimTime {
         SimTime::from_nanos(self.started.elapsed().as_nanos() as u64)
     }
 
-    /// Waits for `server`'s answer to query `want_id`, sending the released
-    /// query on the grant. Anything else that reaches the port — a datagram
+    /// Waits for `server`'s answer to query `want_id`, sending `held`, the
+    /// query behind its probe, released on the grant: the first reply under
+    /// the id takes it. Anything else that reaches the port — a datagram
     /// from another sender, one that does not decode, a stale reply — is
     /// skipped, and the wait ends at the deadline whatever arrives meanwhile.
-    fn recv(&mut self, want_id: u16) -> Result<Message, ClientError> {
+    fn recv(&mut self, want_id: u16, mut held: Option<Vec<u8>>) -> Result<Message, ClientError> {
         let deadline = Instant::now() + READ_TIMEOUT;
         let mut buf = [0u8; 2048];
         let mut shrunk = false;
@@ -133,7 +134,7 @@ impl CookieClient {
             };
             let reply = match buf.get(..len).filter(|_| from == self.server).map(MessageView::parse) {
                 Some(Ok(view)) if view.header.id == want_id && view.header.response => {
-                    self.core.reply(self.now(), self.key.0, self.key.1, &view)
+                    self.core.reply(self.now(), self.server_ip, &view, held.take())
                 }
                 _ => Reply::Drop,
             };

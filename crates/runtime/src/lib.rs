@@ -15,11 +15,13 @@
 //! * [`client`] — a cookie-capable client, the socket driver of
 //!   [`dnsguard::cookie_client::ClientCore`] (the core the simulated LRS and
 //!   local guard drive too): it stamps the cached cookie on queries, or holds
-//!   the query behind a zero-cookie probe and sends it on the grant;
+//!   the query behind a zero-cookie probe for as long as it waits for the
+//!   answer, and sends it on the grant;
 //! * [`telemetry`] — a live telemetry endpoint (newline-JSON over TCP):
-//!   metrics snapshots, recent trace events and active alerts on demand,
-//!   with periodic alert-rule evaluation. `examples/live_proxy.rs` serves
-//!   one over the live guard's metrics and trace.
+//!   metrics snapshots, recent trace events and active alerts on demand to
+//!   every connected client at once, with periodic alert-rule evaluation.
+//!   `examples/live_proxy.rs` serves one over the live guard's metrics and
+//!   trace.
 //!
 //! The packet-level performance evaluation lives in [`netsim`]-based
 //! experiments (`bench` crate); this crate runs the same protocol logic

@@ -17,14 +17,16 @@
 //! the live guard's `Obs`.
 //!
 //! Unknown commands get `{"error":"unknown command"}`, and a client that
-//! sends more than 64 bytes without a newline is hung up on. The server also
-//! owns the alert engine: every `eval_every`, its one thread evaluates the
-//! rules against a fresh registry snapshot, so alerts fire while the
-//! deployment runs rather than at export time, and `alerts` reads the
-//! engine on that same thread. The thread serves one client at a time and
-//! keeps the cadence while it does: no read waits past the next due
-//! evaluation, so a dashboard that holds its connection open and polls sees
-//! the rules move, and the stop flag is seen within one cadence.
+//! sends more than 64 bytes without a newline, or goes quiet for 500 ms, is
+//! hung up on. The server also owns the alert engine: every `eval_every`,
+//! its one thread evaluates the rules against a fresh registry snapshot, so
+//! alerts fire while the deployment runs rather than at export time, and
+//! `alerts` reads the engine on that same thread. The thread serves every
+//! connected client at once, on nonblocking sockets: each pass accepts who
+//! is waiting, reads at most one chunk from each client and answers its
+//! complete lines, and evaluates the rules when due between passes. No
+//! client holds another out, however often it polls, and the stop flag is
+//! seen within a pass.
 
 use obs::alert::AlertEngine;
 use obs::export::{event_json, metrics_json, Json};
@@ -43,9 +45,12 @@ const RECENT_EVENTS: usize = 256;
 /// 8 bytes), so only a client that is not speaking the protocol meets it.
 const MAX_LINE: usize = 64;
 
-/// A client that sends nothing for this long is hung up on, so the next
-/// one is served.
+/// A client that sends nothing and takes none of its replies for this long
+/// is hung up on.
 const IDLE: Duration = Duration::from_millis(500);
+
+/// How long the thread sleeps after a pass in which no client moved.
+const NAP: Duration = Duration::from_millis(2);
 
 /// A live telemetry endpoint on a background thread.
 pub struct TelemetryServer {
@@ -119,26 +124,70 @@ struct Endpoint {
     stop: StopFlag,
 }
 
+/// One connected client: the bytes of its unfinished line, the replies it
+/// has not taken yet, and when it is hung up on unless it moves.
+struct Client {
+    stream: TcpStream,
+    line: Vec<u8>,
+    out: Vec<u8>,
+    hang_up: Instant,
+}
+
+impl Client {
+    /// Writes what the socket takes of the replies owed; true when it took
+    /// any.
+    fn flush(&mut self) -> io::Result<bool> {
+        let mut wrote = false;
+        while !self.out.is_empty() {
+            match self.stream.write(&self.out) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.out.drain(..n);
+                    wrote = true;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(wrote)
+    }
+}
+
 impl Endpoint {
-    /// Accepts and serves clients, one at a time, until stopped.
+    /// Accepts and serves clients, all of them in each pass, until stopped.
     fn run(mut self, listener: TcpListener) {
+        let mut clients: Vec<Client> = Vec::new();
         while !self.stop.should_stop() {
             self.evaluate_if_due();
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = self.serve(stream);
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) if stream.set_nonblocking(true).is_ok() => clients.push(Client {
+                        stream,
+                        line: Vec::new(),
+                        out: Vec::new(),
+                        hang_up: Instant::now() + IDLE,
+                    }),
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(_) => return,
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
+            }
+            let mut moved = false;
+            clients.retain_mut(|client| match self.serve(client) {
+                Ok(m) => {
+                    moved |= m;
+                    true
                 }
-                Err(_) => break,
+                Err(_) => false,
+            });
+            if !moved {
+                std::thread::sleep(NAP);
             }
         }
     }
 
-    /// Evaluates the rules if an evaluation is due; returns when the next
-    /// one is.
-    fn evaluate_if_due(&mut self) -> Instant {
+    /// Evaluates the rules if an evaluation is due.
+    fn evaluate_if_due(&mut self) {
         let now = Instant::now();
         if now >= self.next_eval {
             self.engine.evaluate((now - self.started).as_nanos() as u64, &self.obs.registry.snapshot());
@@ -148,60 +197,61 @@ impl Endpoint {
             // sub-threshold flood as a surge).
             self.next_eval = now + self.eval_every;
         }
-        self.next_eval
     }
 
-    /// Answers one client's commands until it closes, goes quiet for
-    /// [`IDLE`], sends more than [`MAX_LINE`] bytes without a newline, or
-    /// the endpoint is stopped. Each read waits at most until the next due
-    /// evaluation, which runs between reads.
-    fn serve(&mut self, stream: TcpStream) -> io::Result<()> {
-        stream.set_nonblocking(false)?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = stream;
-        // TCP gives no line framing: a command may arrive one byte per
-        // segment, or several commands per segment. Accumulate bytes across
-        // reads and dispatch only on a complete newline-terminated line; an
-        // unterminated tail survives in the buffer until its newline arrives.
-        let mut buf: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 1024];
-        let mut hang_up = Instant::now() + IDLE;
-        while !self.stop.should_stop() {
-            let next_eval = self.evaluate_if_due();
-            let now = Instant::now();
-            if now >= hang_up {
-                break;
-            }
-            // A zero read timeout is refused, and a zero cadence is allowed.
-            let wait = next_eval.min(hang_up).saturating_duration_since(now);
-            reader.set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
-            let n = match reader.read(&mut chunk) {
-                Ok(0) => break, // client closed
-                Ok(n) => n,
-                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => continue,
-                Err(_) => break, // disconnect
-            };
-            hang_up = Instant::now() + IDLE;
-            buf.extend_from_slice(&chunk[..n]);
-            while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-                let line = String::from_utf8_lossy(&line_bytes[..pos]);
-                let reply = match line.trim() {
-                    "" => continue,
-                    "ping" => Json::obj([("ok", true.into())]),
-                    "snapshot" => metrics_json(&self.obs.registry.snapshot()),
-                    "events" => Json::Arr(self.obs.tracer.recent(RECENT_EVENTS).iter().map(event_json).collect()),
-                    "alerts" => self.engine.alerts_json(),
-                    _ => Json::obj([("error", "unknown command".into())]),
-                };
-                writer.write_all(format!("{reply}\n").as_bytes())?;
-                writer.flush()?;
-            }
-            if buf.len() > MAX_LINE {
-                break;
+    /// Moves `client` on without waiting: writes what the socket takes of
+    /// the replies owed and, once none are, reads one chunk and answers the
+    /// complete lines in it. True when bytes moved; an error when the client
+    /// is to be dropped: it closed or failed, went quiet for [`IDLE`], or
+    /// has more than [`MAX_LINE`] bytes buffered without a newline.
+    fn serve(&self, client: &mut Client) -> io::Result<bool> {
+        let mut moved = client.flush()?;
+        if client.out.is_empty() {
+            let mut chunk = [0u8; 1024];
+            match client.stream.read(&mut chunk) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    moved = true;
+                    // TCP gives no line framing: a command may arrive one
+                    // byte per segment, or several commands per segment.
+                    // Only a complete newline-terminated line is answered;
+                    // an unterminated tail waits in the buffer for its
+                    // newline.
+                    client.line.extend_from_slice(&chunk[..n]);
+                    while let Some(pos) = client.line.iter().position(|&b| b == b'\n') {
+                        let line_bytes: Vec<u8> = client.line.drain(..=pos).collect();
+                        if let Some(reply) = self.answer(&String::from_utf8_lossy(&line_bytes[..pos])) {
+                            client.out.extend_from_slice(format!("{reply}\n").as_bytes());
+                        }
+                    }
+                    if client.line.len() > MAX_LINE {
+                        return Err(io::ErrorKind::InvalidData.into());
+                    }
+                    client.flush()?;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
             }
         }
-        Ok(())
+        let now = Instant::now();
+        if moved {
+            client.hang_up = now + IDLE;
+        } else if now >= client.hang_up {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        Ok(moved)
+    }
+
+    /// The reply to one command line; none to a blank one.
+    fn answer(&self, line: &str) -> Option<Json> {
+        Some(match line.trim() {
+            "" => return None,
+            "ping" => Json::obj([("ok", true.into())]),
+            "snapshot" => metrics_json(&self.obs.registry.snapshot()),
+            "events" => Json::Arr(self.obs.tracer.recent(RECENT_EVENTS).iter().map(event_json).collect()),
+            "alerts" => self.engine.alerts_json(),
+            _ => Json::obj([("error", "unknown command".into())]),
+        })
     }
 }
 
@@ -413,6 +463,40 @@ mod tests {
         feeder.join().unwrap();
         validate_json(&replies[0]).unwrap_or_else(|p| panic!("invalid JSON at {p}: {}", replies[0]));
         assert!(!replies[0].contains("spoof_surge"), "a 100/s trickle fired: {}", replies[0]);
+        server.shutdown();
+    }
+
+    /// A dashboard that polls every 100 ms keeps its connection busy; a
+    /// second client connecting meanwhile is answered all the same.
+    #[test]
+    fn a_polling_dashboard_does_not_lock_out_a_second_client() {
+        let obs = Obs::new();
+        let server =
+            TelemetryServer::spawn(&obs, AlertEngine::new(AlertConfig::default()), Duration::from_millis(50)).unwrap();
+        let addr = server.addr();
+        let dashboard = std::thread::spawn(move || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            for _ in 0..15 {
+                writer.write_all(b"ping\n").unwrap();
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                assert_eq!(reply.trim(), "{\"ok\":true}");
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer.write_all(b"ping\n").unwrap();
+        let mut reply = String::new();
+        let read = reader.read_line(&mut reply);
+        assert!(read.is_ok() && reply.trim() == "{\"ok\":true}", "second client: {read:?} {reply:?}");
+        dashboard.join().unwrap();
         server.shutdown();
     }
 }

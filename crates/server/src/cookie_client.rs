@@ -4,13 +4,20 @@
 //! `runtime::CookieClient` on a socket.
 //!
 //! A query to a server with a live cookie leaves stamped; any other leaves
-//! as a zero-cookie probe (message 2 of Figure 3(a)) and is held. A pure
-//! grant (message 3: a cookie, no answer or authority records) that matches
-//! a held query is cached and releases it stamped (message 4); one that
-//! matches none is dropped. Every other reply is delivered, extension
-//! stripped: a server that does not know the extension answers the probe,
-//! and a forged reply costs the one query it matches, nothing beyond it.
-//! A stamp is appended to the query's bytes; a reply is read in place.
+//! as a zero-cookie probe (message 2 of Figure 3(a)), and the query comes
+//! back to the driver to hold. A pure grant (message 3: a cookie, no answer
+//! or authority records) that the driver matches to a held query is cached
+//! and releases it stamped (message 4); one that matches none is dropped.
+//! Every other reply is delivered, extension stripped: a server that does
+//! not know the extension answers the probe, and a forged reply costs the
+//! one query it matches, nothing beyond it. A stamp is appended to the
+//! query's bytes; a reply is read in place.
+//!
+//! The core keeps the rules and the cookie cache, nothing per query: each
+//! driver holds its queries where it already keeps what it has in flight
+//! and decides how long to wait. The LRS holds one in each request slot,
+//! the local guard a map by server, LRS port and id that it sweeps, and the
+//! socket client its one query in a local variable.
 
 use dnswire::cookie_ext::{self, EXT_COOKIE_LEN, EXT_RECORD_LEN, ZERO_COOKIE};
 use dnswire::view::MessageView;
@@ -18,9 +25,6 @@ use netsim::time::SimTime;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-
-/// How long a held query waits for its probe's grant.
-pub const HOLD: SimTime = SimTime::from_secs(5);
 
 /// Counters of the cookie client.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,19 +51,16 @@ pub enum Reply<'a> {
     Drop,
 }
 
-/// The cookie client's state and rules, sans I/O. A driver calls
-/// [`ClientCore::query`] for every query the client sends,
-/// [`ClientCore::reply`] for every reply addressed to it, and
-/// [`ClientCore::sweep`] from time to time (or [`ClientCore::abandon`] for
-/// each query it gives up on), with a clock that never runs backwards; it
-/// sends and delivers what they return.
+/// The cookie client's rules and cookie cache, sans I/O. A driver calls
+/// [`ClientCore::query`] for every query the client sends and holds the
+/// query it gets back with a probe, and calls [`ClientCore::reply`] for
+/// every reply addressed to it with the query it held for that reply, if
+/// any, with a clock that never runs backwards; it sends and delivers what
+/// they return.
 #[derive(Debug, Default)]
 pub struct ClientCore {
     /// Each server's cookie and when the grant's TTL runs out.
     cookies: HashMap<Ipv4Addr, ([u8; EXT_COOKIE_LEN], SimTime)>,
-    /// Queries awaiting their probe's grant, and when they were held, by
-    /// server, client port and id: two client ports may share an id.
-    held: HashMap<(Ipv4Addr, u16, u16), (Vec<u8>, SimTime)>,
     /// Counters.
     pub stats: ClientStats,
 }
@@ -70,32 +71,37 @@ impl ClientCore {
         self.cookies.len()
     }
 
-    /// The datagram to send for `query`, an encoded query from the client's
-    /// `port` to `server`: the query stamped with the server's live cookie,
-    /// or else its zero-cookie probe, the query held until the grant.
-    pub fn query(&mut self, now: SimTime, server: Ipv4Addr, port: u16, query: Vec<u8>) -> Vec<u8> {
+    /// The datagram to send for `query`, an encoded query to `server`, and
+    /// the query to hold until its grant: the query stamped with the
+    /// server's live cookie and nothing to hold, or else its zero-cookie
+    /// probe and the query itself.
+    pub fn query(&mut self, now: SimTime, server: Ipv4Addr, query: Vec<u8>) -> (Vec<u8>, Option<Vec<u8>>) {
         if let Some(&(cookie, expires)) = self.cookies.get(&server) {
             if expires > now {
-                return self.stamp(query, cookie);
+                return (self.stamp(query, cookie), None);
             }
             self.cookies.remove(&server);
         }
         let mut probe = Vec::with_capacity(query.len() + EXT_RECORD_LEN);
         probe.extend_from_slice(&query);
         cookie_ext::append_cookie(&mut probe, ZERO_COOKIE, 0);
-        let id = query.get(..2).and_then(|id| id.try_into().ok()).map_or(0, u16::from_be_bytes);
-        self.held.insert((server, port, id), (query, now));
         self.stats.grants_requested += 1;
-        probe
+        (probe, Some(query))
     }
 
-    /// What to do with `reply`, from `server` to the client's `port`.
-    pub fn reply<'a>(&mut self, now: SimTime, server: Ipv4Addr, port: u16, reply: &MessageView<'a>) -> Reply<'a> {
-        let held = self.held.remove(&(server, port, reply.header.id));
+    /// What to do with `reply`, from `server`, given the query the driver
+    /// held for it: a grant releases `held`, and any reply ends the hold.
+    pub fn reply<'a>(
+        &mut self,
+        now: SimTime,
+        server: Ipv4Addr,
+        reply: &MessageView<'a>,
+        held: Option<Vec<u8>>,
+    ) -> Reply<'a> {
         let pure = reply.counts.answers == 0 && reply.counts.authorities == 0;
         let grant = reply.cookie().filter(|ext| !ext.is_request() && pure);
         match (grant, held) {
-            (Some(grant), Some((query, _))) => {
+            (Some(grant), Some(query)) => {
                 self.cookies.insert(server, (grant.cookie, now + SimTime::from_secs(u64::from(grant.ttl))));
                 self.stats.cookies_cached += 1;
                 Reply::Release(self.stamp(query, grant.cookie))
@@ -106,17 +112,6 @@ impl ClientCore {
                 None => Cow::Borrowed(reply.as_bytes()),
             }),
         }
-    }
-
-    /// Drops the held queries older than [`HOLD`], whose probes went unanswered.
-    pub fn sweep(&mut self, now: SimTime) {
-        self.held.retain(|_, (_, at)| now.saturating_sub(*at) < HOLD);
-    }
-
-    /// Drops the query held for `(server, port, id)`, which a driver with its
-    /// own deadlines gave up on; true when it was a probe awaiting its grant.
-    pub fn abandon(&mut self, server: Ipv4Addr, port: u16, id: u16) -> bool {
-        self.held.remove(&(server, port, id)).is_some()
     }
 
     /// Forgets `server`'s cookie, so that the next query to it probes.
@@ -140,7 +135,6 @@ mod tests {
     use dnswire::types::RrType;
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 53);
-    const PORT: u16 = 7777;
     const T0: SimTime = SimTime::ZERO;
 
     fn message(id: u16) -> Message {
@@ -176,18 +170,20 @@ mod tests {
     #[test]
     fn probe_grant_release_then_stamped_until_the_ttl_runs_out() {
         let mut core = ClientCore::default();
-        let probe = core.query(T0, SERVER, PORT, query(1));
+        let (probe, held) = core.query(T0, SERVER, query(1));
         assert_eq!(cookie_of(&probe).map(|c| c.cookie), Some(ZERO_COOKIE));
-        let Reply::Release(release) = core.reply(T0, SERVER, PORT, &view(&grant(1, [7; 16], 60))) else {
-            panic!("a matching grant releases the held query")
+        assert_eq!(held.as_deref(), Some(&query(1)[..]), "the query comes back to be held");
+        let Reply::Release(release) = core.reply(T0, SERVER, &view(&grant(1, [7; 16], 60)), held) else {
+            panic!("a grant for a held query releases it")
         };
         let release = Message::decode(&release).unwrap();
         assert_eq!((release.header.id, find_cookie(&release).map(|c| c.cookie)), (1, Some([7; 16])));
 
-        let stamped = core.query(SimTime::from_secs(59), SERVER, PORT, query(2));
-        assert_eq!(cookie_of(&stamped).map(|c| c.cookie), Some([7; 16]));
-        let expired = core.query(SimTime::from_secs(60), SERVER, PORT, query(3));
+        let (stamped, held) = core.query(SimTime::from_secs(59), SERVER, query(2));
+        assert_eq!((cookie_of(&stamped).map(|c| c.cookie), held), (Some([7; 16]), None));
+        let (expired, held) = core.query(SimTime::from_secs(60), SERVER, query(3));
         assert_eq!(cookie_of(&expired).map(|c| c.cookie), Some(ZERO_COOKIE));
+        assert!(held.is_some());
         let s = core.stats;
         assert_eq!((s.grants_requested, s.cookies_cached, s.stamped), (2, 1, 2));
     }
@@ -195,57 +191,30 @@ mod tests {
     #[test]
     fn a_grant_matching_no_held_query_is_neither_delivered_nor_cached() {
         let mut core = ClientCore::default();
-        assert!(matches!(core.reply(T0, SERVER, PORT, &view(&grant(1, [7; 16], 60))), Reply::Drop));
-        core.query(T0, SERVER, PORT, query(2));
-        // Another port, another server: not the held query's key.
-        assert!(matches!(core.reply(T0, SERVER, PORT + 1, &view(&grant(2, [7; 16], 60))), Reply::Drop));
-        assert!(matches!(core.reply(T0, Ipv4Addr::new(6, 6, 6, 6), PORT, &view(&grant(2, [7; 16], 60))), Reply::Drop));
+        assert!(matches!(core.reply(T0, SERVER, &view(&grant(1, [7; 16], 60)), None), Reply::Drop));
+        // A probe is outstanding, but the driver matched the grant to none.
+        core.query(T0, SERVER, query(2));
+        assert!(matches!(core.reply(T0, SERVER, &view(&grant(2, [7; 16], 60)), None), Reply::Drop));
         assert_eq!(core.cached_cookies(), 0);
     }
 
     /// Only a pure grant is one: a reply with records, or one that echoes
-    /// the zero cookie, answers the held query and caches nothing.
+    /// the zero cookie, answers the held query, which it takes, and caches
+    /// nothing.
     #[test]
     fn any_other_reply_is_delivered_stripped_and_ends_the_hold() {
         let mut with_records = answer(1);
         cookie_ext::attach_cookie(&mut with_records, [7; 16], 60);
         for reply in [answer(1).encode(), with_records.encode(), grant(1, ZERO_COOKIE, 60)] {
             let mut core = ClientCore::default();
-            core.query(T0, SERVER, PORT, query(1));
-            let Reply::Deliver(delivered) = core.reply(T0, SERVER, PORT, &view(&reply)) else {
+            let (_, held) = core.query(T0, SERVER, query(1));
+            let Reply::Deliver(delivered) = core.reply(T0, SERVER, &view(&reply), held) else {
                 panic!("delivered")
             };
             assert!(cookie_of(&delivered).is_none(), "extension stripped");
-            assert!(matches!(core.reply(T0, SERVER, PORT, &view(&grant(1, [7; 16], 60))), Reply::Drop));
+            assert!(matches!(core.reply(T0, SERVER, &view(&grant(1, [7; 16], 60)), None), Reply::Drop));
             assert_eq!(core.cached_cookies(), 0);
-            assert!(cookie_of(&core.query(T0, SERVER, PORT, query(2))).unwrap().is_request());
+            assert!(cookie_of(&core.query(T0, SERVER, query(2)).0).unwrap().is_request());
         }
-    }
-
-    #[test]
-    fn the_sweep_ends_a_hold_after_its_time() {
-        let mut core = ClientCore::default();
-        core.query(T0, SERVER, PORT, query(1));
-        core.sweep(HOLD - SimTime::from_nanos(1));
-        assert!(matches!(core.reply(T0, SERVER, PORT, &view(&grant(1, [7; 16], 60))), Reply::Release(_)));
-        core.forget(SERVER);
-        core.query(T0, SERVER, PORT, query(2));
-        core.sweep(HOLD);
-        assert!(matches!(core.reply(HOLD, SERVER, PORT, &view(&grant(2, [7; 16], 60))), Reply::Drop));
-        assert_eq!(core.cached_cookies(), 0);
-    }
-
-    /// A driver with its own deadlines ends a hold itself, and learns
-    /// whether the query it gave up on was a probe.
-    #[test]
-    fn abandon_ends_a_hold_and_tells_a_probe_from_a_stamped_query() {
-        let mut core = ClientCore::default();
-        core.query(T0, SERVER, PORT, query(1));
-        assert!(core.abandon(SERVER, PORT, 1));
-        assert!(matches!(core.reply(T0, SERVER, PORT, &view(&grant(1, [7; 16], 60))), Reply::Drop));
-        core.query(T0, SERVER, PORT, query(2));
-        assert!(matches!(core.reply(T0, SERVER, PORT, &view(&grant(2, [7; 16], 60))), Reply::Release(_)));
-        core.query(T0, SERVER, PORT, query(3));
-        assert!(!core.abandon(SERVER, PORT, 3), "a stamped query is not held");
     }
 }

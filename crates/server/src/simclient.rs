@@ -16,7 +16,15 @@
 //! * in [`CookieMode::Extension`] each request's query goes through the
 //!   modified-DNS client, [`ClientCore`] — the one the local guard and the
 //!   socket client drive too: it is stamped with the cached cookie, or held
-//!   behind a zero-cookie probe and released stamped on the grant.
+//!   in its slot behind a zero-cookie probe and released stamped on the
+//!   grant.
+//!
+//! Each slot is the one owner of its request in flight: its UDP queries
+//! leave from a port of its own (10 053 plus the slot's index, as a patched
+//! resolver gives each outstanding query a source port), so a
+//! reply finds its slot by destination port, and the slot takes it once,
+//! when it carries the id the slot sent last. A resolver costs what its
+//! slots cost, whatever the id space.
 //!
 //! With [`LrsSimConfig::cookie_cache`] disabled every request repeats the
 //! whole exchange — the paper's *cache miss* scenario; enabled, requests
@@ -64,7 +72,9 @@ pub struct LrsSimConfig {
     /// The domain name requested, repeatedly, for its address (A) record
     /// as in the paper.
     pub qname: Name,
-    /// Logical in-flight requests.
+    /// Logical in-flight requests, at most 22 715: each slot sends from its
+    /// own UDP port, 10 053 upward, below the TCP fallback's ports (32 768
+    /// upward).
     pub concurrency: u32,
     /// Response wait time before the request is abandoned and restarted
     /// (paper: 10 ms).
@@ -142,8 +152,12 @@ struct Slot {
     state: SlotState,
     generation: u64,
     started: SimTime,
-    /// The server and transaction id of the last UDP query sent.
-    sent: (Ipv4Addr, u16),
+    /// The server and transaction id of the last UDP query sent, until a
+    /// reply to it is taken.
+    awaiting: Option<(Ipv4Addr, u16)>,
+    /// In [`CookieMode::Extension`], the query held behind that query's
+    /// zero-cookie probe, when it was one.
+    held: Option<Vec<u8>>,
 }
 
 /// Templates one client keeps. It asks for the question and the fabricated
@@ -199,11 +213,6 @@ pub struct LrsSimulator {
     /// The modified-DNS client, in [`CookieMode::Extension`].
     core: ClientCore,
     templates: Templates,
-    /// The [`LrsSimulator::timer_tag`] of the request each transaction id
-    /// was last sent for, indexed by the id. 0 names no request: it is slot
-    /// 0 at generation 0, and every slot's generation is at least 1 once
-    /// `on_start` returns.
-    in_flight: Vec<u64>,
     next_txid: u16,
     tcp: TcpQueryClient,
     /// Local port of the next TC fallback: 32 768 upward, wrapping there.
@@ -216,7 +225,8 @@ pub struct LrsSimulator {
     /// fail, not when its own requests for one are rate-limited, and a
     /// first burst of cookie requests past Rate-Limiter1's per-source
     /// budget would otherwise wipe the cookie its admitted ones were given.
-    /// (A probe the cookie client still holds is such a request.)
+    /// (A slot that still holds a query behind its probe timed out on such a
+    /// request.)
     consecutive_timeouts: u32,
     /// Counters.
     pub stats: LrsSimStats,
@@ -226,17 +236,28 @@ pub struct LrsSimulator {
 
 impl LrsSimulator {
     /// Creates the simulator; slots start on `on_start`.
+    ///
+    /// # Panics
+    ///
+    /// If `config.concurrency` is above 22 715, where the slots' ports would
+    /// reach the TCP fallback's.
     pub fn new(config: LrsSimConfig) -> Self {
+        assert!(
+            config.concurrency <= Self::MAX_SLOTS,
+            "an LRS runs at most {} slots, one UDP port each below the TCP fallback's {}: {} asked for",
+            Self::MAX_SLOTS,
+            Self::TCP_PORTS,
+            config.concurrency,
+        );
         let tcp = TcpQueryClient::new(config.addr, u64::from(u32::from(config.addr)) ^ 0x7C9);
         LrsSimulator {
             slots: Vec::new(),
             cached: Cached::Nothing,
             core: ClientCore::default(),
             templates: Templates::default(),
-            in_flight: vec![0; 1 << 16],
             next_txid: 1,
             tcp,
-            next_tcp_port: 32_768,
+            next_tcp_port: Self::TCP_PORTS,
             consecutive_timeouts: 0,
             config,
             stats: LrsSimStats::default(),
@@ -244,11 +265,20 @@ impl LrsSimulator {
         }
     }
 
-    /// The port every UDP query leaves from.
+    /// The port slot 0's UDP queries leave from; slot `i`'s leave from
+    /// `PORT + i`.
     const PORT: u16 = 10_053;
 
-    fn me(&self) -> Endpoint {
-        Endpoint::new(self.config.addr, Self::PORT)
+    /// The first local port of the TCP fallback, which counts up from here
+    /// and wraps back to it.
+    const TCP_PORTS: u16 = 32_768;
+
+    /// The most slots one LRS runs: their ports end below [`Self::TCP_PORTS`].
+    const MAX_SLOTS: u32 = (Self::TCP_PORTS - Self::PORT) as u32;
+
+    /// The endpoint `slot`'s UDP queries leave from.
+    fn me(&self, slot: usize) -> Endpoint {
+        Endpoint::new(self.config.addr, Self::PORT + slot as u16)
     }
 
     /// Bit marking a pacing (restart) timer rather than a wait timeout.
@@ -271,18 +301,22 @@ impl LrsSimulator {
 
     /// Sends `query`, a template copy, under the next transaction id; with
     /// `client` set, what the cookie client makes of it: the query stamped
-    /// with the cached cookie, or its zero-cookie probe.
+    /// with the cached cookie, or its zero-cookie probe, the query held in
+    /// the slot.
     fn send_udp(&mut self, ctx: &mut Context<'_>, slot: usize, server: Ipv4Addr, mut query: Vec<u8>, client: bool) {
         let txid = self.next_txid;
         self.next_txid = self.next_txid.wrapping_add(1).max(1);
         query[..2].copy_from_slice(&txid.to_be_bytes());
-        self.in_flight[usize::from(txid)] = Self::timer_tag(slot, self.slots[slot].generation);
-        self.slots[slot].sent = (server, txid);
+        let mut held = None;
         if client {
-            query = self.core.query(ctx.now(), server, Self::PORT, query);
+            (query, held) = self.core.query(ctx.now(), server, query);
         }
+        let me = self.me(slot);
+        let s = &mut self.slots[slot];
+        s.awaiting = Some((server, txid));
+        s.held = held;
         ctx.charge(self.config.per_packet_cost);
-        ctx.send(Packet::udp(self.me(), Endpoint::new(server, DNS_PORT), query));
+        ctx.send(Packet::udp(me, Endpoint::new(server, DNS_PORT), query));
     }
 
     /// Asks the configured question at `server`, awaiting a direct answer;
@@ -347,14 +381,22 @@ impl LrsSimulator {
         }
     }
 
-    fn handle_udp_response(&mut self, ctx: &mut Context<'_>, from: Ipv4Addr, view: &MessageView<'_>) {
-        let tag = std::mem::take(&mut self.in_flight[usize::from(view.header.id)]);
-        let Some(slot) = self.live(tag) else {
-            return; // unknown id, or a stale response for a restarted slot
+    /// Handles `view`, a response from `from` to local port `port`: the
+    /// reply its slot awaits, or nothing.
+    fn handle_udp_response(&mut self, ctx: &mut Context<'_>, from: Ipv4Addr, port: u16, view: &MessageView<'_>) {
+        let slot = usize::from(port.wrapping_sub(Self::PORT));
+        let Some(s) = self.slots.get_mut(slot) else {
+            return; // not a slot's port
         };
+        let Some((server, _)) = s.awaiting.take_if(|&mut (_, id)| id == view.header.id) else {
+            return; // not the id the slot sent last, or already answered
+        };
+        // Only the server the query went to answers the probe.
+        let held = if from == server { s.held.take() } else { None };
+        let tag = Self::timer_tag(slot, s.generation);
 
         if self.config.mode == CookieMode::Extension {
-            match self.core.reply(ctx.now(), from, Self::PORT, view) {
+            match self.core.reply(ctx.now(), from, view, held) {
                 // Read where it lies: an extension is an additional record,
                 // where only glue is looked for.
                 Reply::Deliver(_) => {}
@@ -374,7 +416,7 @@ impl LrsSimulator {
             // TCP fallback (the TCP-based scheme's redirect).
             self.stats.tcp_fallbacks += 1;
             let port = self.next_tcp_port;
-            self.next_tcp_port = port.wrapping_add(1).max(32_768);
+            self.next_tcp_port = port.wrapping_add(1).max(Self::TCP_PORTS);
             let query = self.templates.get(&self.config.qname);
             if let Some(syn) = self.tcp.start_query(port, from, query, tag) {
                 ctx.charge(self.config.per_packet_cost);
@@ -491,7 +533,8 @@ impl Node for LrsSimulator {
                 },
                 generation: 0,
                 started: ctx.now(),
-                sent: (Ipv4Addr::UNSPECIFIED, 0),
+                awaiting: None,
+                held: None,
             });
         }
         for slot in 0..self.slots.len() {
@@ -507,7 +550,7 @@ impl Node for LrsSimulator {
                     return;
                 };
                 if view.header.response {
-                    self.handle_udp_response(ctx, pkt.src.ip, &view);
+                    self.handle_udp_response(ctx, pkt.src.ip, pkt.dst.port, &view);
                 }
             }
             Proto::Tcp => {
@@ -542,8 +585,7 @@ impl Node for LrsSimulator {
             return; // the wait timeout of the request that just finished
         }
         self.stats.timeouts += 1;
-        let (server, id) = self.slots[slot].sent;
-        if !self.core.abandon(server, Self::PORT, id) {
+        if self.slots[slot].held.take().is_none() {
             self.consecutive_timeouts += 1;
             if self.consecutive_timeouts >= 2 {
                 self.cached = Cached::Nothing;
@@ -561,6 +603,7 @@ mod tests {
     use crate::authoritative::Authority;
     use crate::nodes::AuthNode;
     use crate::zone::{paper_hierarchy, FOO_SERVER};
+    use dnswire::cookie_ext;
     use netsim::engine::{CpuConfig, Simulator};
 
     #[test]
@@ -672,5 +715,122 @@ mod tests {
         let one = run(1);
         let eight = run(8);
         assert!(eight > one * 6, "1→{one}, 8→{eight}");
+    }
+
+    /// A server reduced to a script: each UDP query it is sent, decoded, and
+    /// the packet it came in, go to `answer`, and what it returns is sent.
+    /// It keeps every query.
+    struct Scripted<F> {
+        answer: F,
+        received: Vec<Message>,
+    }
+
+    impl<F: FnMut(&Message, &Packet) -> Vec<Packet> + 'static> Node for Scripted<F> {
+        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+            let query = Message::decode(&pkt.payload).unwrap();
+            for reply in (self.answer)(&query, &pkt) {
+                ctx.send(reply);
+            }
+            self.received.push(query);
+        }
+    }
+
+    const SERVER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 53);
+    const LRS: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 16);
+
+    /// `query`'s reply as `SERVER` sends it, with `rcode`.
+    fn reply(query: &Message, to: Endpoint, rcode: Rcode) -> Packet {
+        let mut reply = query.response();
+        reply.header.rcode = rcode;
+        if rcode == Rcode::NoError {
+            reply.answers.push(Record::a(query.questions[0].name.clone(), Ipv4Addr::new(2, 2, 2, 2), 60));
+        }
+        Packet::udp(Endpoint::new(SERVER, DNS_PORT), to, reply.encode())
+    }
+
+    /// An LRS at `LRS` with `slots` slots asking `SERVER`, which runs
+    /// `answer`, for 25 ms; the LRS's stats and what the server was sent.
+    fn scripted<F: FnMut(&Message, &Packet) -> Vec<Packet> + 'static>(
+        slots: u32,
+        mode: CookieMode,
+        pace: SimTime,
+        answer: F,
+    ) -> (LrsSimStats, Vec<Message>) {
+        let mut sim = Simulator::new(5);
+        let server = sim.add_node(SERVER, CpuConfig::unbounded(), Scripted { answer, received: Vec::new() });
+        let mut config = LrsSimConfig::new(LRS, SERVER, "www.foo.com".parse().unwrap());
+        (config.concurrency, config.mode, config.pace) = (slots, mode, pace);
+        let lrs = sim.add_node(LRS, CpuConfig::unbounded(), LrsSimulator::new(config));
+        sim.run_until(SimTime::from_millis(25));
+        let stats = sim.node_ref::<LrsSimulator>(lrs).unwrap().stats;
+        let server = sim.node_mut::<Scripted<F>>(server).unwrap();
+        (stats, std::mem::take(&mut server.received))
+    }
+
+    /// A reply under an id one slot awaits, sent to the other slot's port,
+    /// is taken by neither: both slots wait out every request.
+    #[test]
+    fn a_reply_on_another_slots_port_is_ignored() {
+        let crossed = |query: &Message, pkt: &Packet| {
+            let other = 2 * LrsSimulator::PORT + 1 - pkt.src.port;
+            vec![reply(query, Endpoint::new(pkt.src.ip, other), Rcode::NoError)]
+        };
+        let (stats, received) = scripted(2, CookieMode::Plain, SimTime::ZERO, crossed);
+        assert_eq!((stats.completed, stats.errors, stats.timeouts), (0, 0, 4));
+        assert_eq!(received.len(), 6, "two slots, three requests each");
+    }
+
+    /// Each query is answered, then answered again with an error: the slot
+    /// takes the first reply, and the second, under the id it already
+    /// answered, counts no error and starts nothing.
+    #[test]
+    fn a_second_reply_to_an_answered_id_is_ignored() {
+        let twice = |query: &Message, pkt: &Packet| {
+            [Rcode::NoError, Rcode::ServFail].map(|rcode| reply(query, pkt.src, rcode)).to_vec()
+        };
+        let (stats, received) = scripted(1, CookieMode::Plain, SimTime::from_millis(10), twice);
+        assert_eq!((stats.completed, stats.errors, stats.timeouts), (3, 0, 0));
+        assert_eq!(received.len(), 3, "one query per paced request");
+    }
+
+    /// A timed-out request whose probe was never granted does not count
+    /// toward the two timeouts that wipe the cookie; a timed-out stamped
+    /// query does. Two slots probe at once; the server grants the first
+    /// probe only and answers no stamped query.
+    #[test]
+    fn a_timed_out_probe_does_not_count_toward_the_cookie_wipe() {
+        let mut granted = false;
+        let grant_first_probe = move |query: &Message, pkt: &Packet| {
+            let probe = cookie_ext::find_cookie(query).is_some_and(|ext| ext.is_request());
+            if !probe || std::mem::replace(&mut granted, true) {
+                return Vec::new();
+            }
+            let mut grant = query.clone();
+            cookie_ext::strip_cookie(&mut grant);
+            let mut grant = grant.response();
+            cookie_ext::attach_cookie(&mut grant, [7; 16], 3_600);
+            vec![Packet::udp(pkt.dst, pkt.src, grant.encode())]
+        };
+        let (stats, received) = scripted(2, CookieMode::Extension, SimTime::ZERO, grant_first_probe);
+        let probes: Vec<bool> =
+            received.iter().map(|m| cookie_ext::find_cookie(m).is_some_and(|ext| ext.is_request())).collect();
+        // At 10 ms slot 0's released query and slot 1's probe time out: one
+        // count, so both slots go on stamped. At 20 ms those two time out:
+        // the cookie is wiped, and both slots probe again.
+        assert_eq!(probes, [true, true, false, false, false, true, true]);
+        assert_eq!(stats.timeouts, 4);
+    }
+
+    /// The slots' ports end below the TCP fallback's; refusing more slots
+    /// than fit allocates nothing, as building the node starts none.
+    #[test]
+    #[should_panic(expected = "an LRS runs at most 22715 slots")]
+    fn more_slots_than_ports_below_the_tcp_fallback_are_refused() {
+        assert_eq!(u32::from(LrsSimulator::PORT) + LrsSimulator::MAX_SLOTS, 32_768);
+        let mut config = LrsSimConfig::new(LRS, SERVER, "www.foo.com".parse().unwrap());
+        config.concurrency = LrsSimulator::MAX_SLOTS;
+        drop(LrsSimulator::new(config.clone()));
+        config.concurrency += 1;
+        LrsSimulator::new(config);
     }
 }

@@ -8,7 +8,7 @@ use bench::worlds::{
 };
 use dnsguard::config::{GuardConfig, SchemeMode};
 use dnsguard::guard::RemoteGuard;
-use dnsguard::local_guard::LocalGuard;
+use dnsguard::local_guard::{LocalGuard, HOLD};
 use dnswire::cookie_ext;
 use dnswire::message::Message;
 use dnswire::rdata::RData;
@@ -208,6 +208,37 @@ fn one_id_from_two_ports_is_answered_on_each() {
     }
     let guard = sim.node_ref::<LocalGuard>(local).unwrap();
     assert_eq!((guard.stats().grants_requested, guard.stats().stamped), (2, 2), "each query probed and released");
+}
+
+/// The local guard holds a query behind its probe for [`HOLD`]: a grant
+/// that comes within it releases the query stamped, and one that comes
+/// after the sweep past it matches nothing and is dropped.
+#[test]
+fn a_held_query_is_released_within_its_hold_and_dropped_after() {
+    let late = HOLD + SimTime::from_secs(1);
+    for (grant_at, released) in [(HOLD - SimTime::from_millis(1), true), (late, false)] {
+        let mut sim = Simulator::new(4);
+        let me = Endpoint::new(LRS_ADDR, 7777);
+        let message = Message::iterative_query(31, "www.foo.com".parse().unwrap(), RrType::A);
+        let query = Packet::udp(me, Endpoint::new(PUB, DNS_PORT), message.encode());
+        let client = attach_stub(&mut sim, Ipv4Addr::new(10, 255, 0, 1), [(SimTime::ZERO, query)]);
+        let local = local_guard(&mut sim, client);
+        // The server: a stub that sends its grant when the script says.
+        let mut grant = message.response();
+        cookie_ext::attach_cookie(&mut grant, COOKIE, 3_600);
+        let grant = Packet::udp(Endpoint::new(PUB, DNS_PORT), me, grant.encode());
+        let server = attach_stub(&mut sim, PUB, [(grant_at, grant)]);
+        sim.run_until(late + SimTime::from_secs(1));
+
+        let cookies: Vec<_> = sim.node_ref::<Stub>(server).unwrap().replies.iter()
+            .map(|pkt| cookie_ext::find_cookie(&Message::decode(&pkt.payload).unwrap()).map(|c| c.cookie))
+            .collect();
+        let expected = if released { vec![Some([0; 16]), Some(COOKIE)] } else { vec![Some([0; 16])] };
+        assert_eq!(cookies, expected, "grant at {grant_at:?}: the probe, then the release if held");
+        assert!(sim.node_ref::<Stub>(client).unwrap().replies.is_empty(), "a grant is never delivered");
+        let stats = sim.node_ref::<LocalGuard>(local).unwrap().stats();
+        assert_eq!(stats.cookies_cached, u64::from(released));
+    }
 }
 
 #[test]
