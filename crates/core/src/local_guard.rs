@@ -12,7 +12,7 @@
 //! routing the LRS's public address to this node (inbound interception);
 //! see the crate examples.
 
-use crate::cookie_client::{ClientCore, ClientStats, Reply};
+use crate::cookie_client::{ClientCore, ClientStats, Held, Reply};
 use dnswire::view::MessageView;
 use netsim::engine::{Context, Node, NodeId};
 use netsim::packet::{Packet, Proto, DNS_PORT};
@@ -34,7 +34,7 @@ pub struct LocalGuard {
     core: ClientCore,
     /// Queries awaiting their probe's grant, and when they were held, by
     /// server, LRS port and id: two LRS ports may share an id.
-    held: HashMap<(Ipv4Addr, u16, u16), (Vec<u8>, SimTime)>,
+    held: HashMap<(Ipv4Addr, u16, u16), (Held, SimTime)>,
 }
 
 impl LocalGuard {
@@ -73,8 +73,8 @@ impl Node for LocalGuard {
                 ctx.send(Packet::udp(pkt.src, pkt.dst, wire));
             }
             Some(reply) if pkt.dst.ip == self.lrs_addr && reply.header.response => {
-                let held = self.held.remove(&(pkt.src.ip, pkt.dst.port, reply.header.id)).map(|(query, _)| query);
-                match self.core.reply(ctx.now(), pkt.src.ip, &reply, held) {
+                let mut held = self.held.remove(&(pkt.src.ip, pkt.dst.port, reply.header.id)).map(|(query, _)| query);
+                match self.core.reply(ctx.now(), pkt.src.ip, &reply, &mut held) {
                     Reply::Deliver(reply) => {
                         ctx.send_direct(self.lrs_node, Packet::udp(pkt.src, pkt.dst, reply.into_owned()))
                     }

@@ -4,7 +4,7 @@
 //! flight at a time, so the query it holds behind a probe is a local of
 //! that query's wait, and ends with it.
 
-use dnsguard::cookie_client::{ClientCore, Reply};
+use dnsguard::cookie_client::{ClientCore, Held, Reply};
 use dnswire::message::Message;
 use dnswire::name::Name;
 use dnswire::types::RrType;
@@ -123,7 +123,7 @@ impl CookieClient {
     /// the id takes it. Anything else that reaches the port — a datagram
     /// from another sender, one that does not decode, a stale reply — is
     /// skipped, and the wait ends at the deadline whatever arrives meanwhile.
-    fn recv(&mut self, want_id: u16, mut held: Option<Vec<u8>>) -> Result<Message, ClientError> {
+    fn recv(&mut self, want_id: u16, mut held: Option<Held>) -> Result<Message, ClientError> {
         let deadline = Instant::now() + READ_TIMEOUT;
         let mut buf = [0u8; 2048];
         let mut shrunk = false;
@@ -134,7 +134,7 @@ impl CookieClient {
             };
             let reply = match buf.get(..len).filter(|_| from == self.server).map(MessageView::parse) {
                 Some(Ok(view)) if view.header.id == want_id && view.header.response => {
-                    self.core.reply(self.now(), self.server_ip, &view, held.take())
+                    self.core.reply(self.now(), self.server_ip, &view, &mut held)
                 }
                 _ => Reply::Drop,
             };

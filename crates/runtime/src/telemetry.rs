@@ -168,8 +168,11 @@ impl Endpoint {
                         hang_up: Instant::now() + IDLE,
                     }),
                     Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => return,
+                    // No client waiting, or an error (an aborted connection,
+                    // or out of descriptors while many clients are
+                    // connected): either ends this pass's accepting only,
+                    // and the next pass tries again.
+                    Err(_) => break,
                 }
             }
             let mut moved = false;
@@ -497,6 +500,24 @@ mod tests {
         let read = reader.read_line(&mut reply);
         assert!(read.is_ok() && reply.trim() == "{\"ok\":true}", "second client: {read:?} {reply:?}");
         dashboard.join().unwrap();
+        server.shutdown();
+    }
+
+    /// Clients that connect and leave at once, some mid-line, each cost
+    /// the endpoint one pass: it still answers the next client.
+    #[test]
+    fn many_short_lived_connections_leave_the_endpoint_answering() {
+        let obs = Obs::new();
+        let server =
+            TelemetryServer::spawn(&obs, AlertEngine::new(AlertConfig::default()), Duration::from_millis(20)).unwrap();
+        for i in 0..200 {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            if i % 2 == 1 {
+                stream.write_all(b"ale").unwrap();
+            }
+        }
+        let replies = query(server.addr(), &["alerts"]);
+        assert!(replies[0].contains("\"active\""), "alerts: {}", replies[0]);
         server.shutdown();
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! A query to a server with a live cookie leaves stamped; any other leaves
 //! as a zero-cookie probe (message 2 of Figure 3(a)), and the query comes
-//! back to the driver to hold. A pure grant (message 3: a cookie, no answer
-//! or authority records) that the driver matches to a held query is cached
-//! and releases it stamped (message 4); one that matches none is dropped.
+//! back to the driver to hold, as a [`Held`] that remembers its server. Only
+//! a reply from that server takes it back: a pure grant (message 3: a
+//! cookie, no answer or authority records) is cached and releases the
+//! query stamped (message 4); a grant that takes no held query is dropped.
 //! Every other reply is delivered, extension stripped: a server that does
 //! not know the extension answers the probe, and a forged reply costs the
 //! one query it matches, nothing beyond it. A stamp is appended to the
@@ -47,16 +48,24 @@ pub enum Reply<'a> {
     /// Send this datagram back to the server: the held query, stamped with
     /// the cookie just granted.
     Release(Vec<u8>),
-    /// Nothing: a grant that matches no held query.
+    /// Nothing: a grant that takes no held query.
     Drop,
+}
+
+/// A query held behind its zero-cookie probe until the server it was sent
+/// to grants a cookie, as [`ClientCore::query`] hands it to the driver.
+#[derive(Debug)]
+pub struct Held {
+    server: Ipv4Addr,
+    query: Vec<u8>,
 }
 
 /// The cookie client's rules and cookie cache, sans I/O. A driver calls
 /// [`ClientCore::query`] for every query the client sends and holds the
-/// query it gets back with a probe, and calls [`ClientCore::reply`] for
-/// every reply addressed to it with the query it held for that reply, if
-/// any, with a clock that never runs backwards; it sends and delivers what
-/// they return.
+/// [`Held`] query it gets back with a probe, and calls [`ClientCore::reply`]
+/// for every reply addressed to it with the place it holds the query that
+/// reply answers, with a clock that never runs backwards; it sends and
+/// delivers what they return.
 #[derive(Debug, Default)]
 pub struct ClientCore {
     /// Each server's cookie and when the grant's TTL runs out.
@@ -75,7 +84,7 @@ impl ClientCore {
     /// the query to hold until its grant: the query stamped with the
     /// server's live cookie and nothing to hold, or else its zero-cookie
     /// probe and the query itself.
-    pub fn query(&mut self, now: SimTime, server: Ipv4Addr, query: Vec<u8>) -> (Vec<u8>, Option<Vec<u8>>) {
+    pub fn query(&mut self, now: SimTime, server: Ipv4Addr, query: Vec<u8>) -> (Vec<u8>, Option<Held>) {
         if let Some(&(cookie, expires)) = self.cookies.get(&server) {
             if expires > now {
                 return (self.stamp(query, cookie), None);
@@ -86,22 +95,24 @@ impl ClientCore {
         probe.extend_from_slice(&query);
         cookie_ext::append_cookie(&mut probe, ZERO_COOKIE, 0);
         self.stats.grants_requested += 1;
-        (probe, Some(query))
+        (probe, Some(Held { server, query }))
     }
 
-    /// What to do with `reply`, from `server`, given the query the driver
-    /// held for it: a grant releases `held`, and any reply ends the hold.
+    /// What to do with `reply`, from `server`, given `held`, where the
+    /// driver holds the query it matched the reply to. A reply from the
+    /// server the held query went to takes it, a grant to release it; one
+    /// from any other address leaves it held.
     pub fn reply<'a>(
         &mut self,
         now: SimTime,
         server: Ipv4Addr,
         reply: &MessageView<'a>,
-        held: Option<Vec<u8>>,
+        held: &mut Option<Held>,
     ) -> Reply<'a> {
         let pure = reply.counts.answers == 0 && reply.counts.authorities == 0;
         let grant = reply.cookie().filter(|ext| !ext.is_request() && pure);
-        match (grant, held) {
-            (Some(grant), Some(query)) => {
+        match (grant, held.take_if(|held| held.server == server)) {
+            (Some(grant), Some(Held { query, .. })) => {
                 self.cookies.insert(server, (grant.cookie, now + SimTime::from_secs(u64::from(grant.ttl))));
                 self.stats.cookies_cached += 1;
                 Reply::Release(self.stamp(query, grant.cookie))
@@ -170,17 +181,19 @@ mod tests {
     #[test]
     fn probe_grant_release_then_stamped_until_the_ttl_runs_out() {
         let mut core = ClientCore::default();
-        let (probe, held) = core.query(T0, SERVER, query(1));
+        let (probe, mut held) = core.query(T0, SERVER, query(1));
         assert_eq!(cookie_of(&probe).map(|c| c.cookie), Some(ZERO_COOKIE));
-        assert_eq!(held.as_deref(), Some(&query(1)[..]), "the query comes back to be held");
-        let Reply::Release(release) = core.reply(T0, SERVER, &view(&grant(1, [7; 16], 60)), held) else {
+        assert_eq!(held.as_ref().map(|held| &held.query[..]), Some(&query(1)[..]), "the query comes back to be held");
+        let Reply::Release(release) = core.reply(T0, SERVER, &view(&grant(1, [7; 16], 60)), &mut held) else {
             panic!("a grant for a held query releases it")
         };
         let release = Message::decode(&release).unwrap();
         assert_eq!((release.header.id, find_cookie(&release).map(|c| c.cookie)), (1, Some([7; 16])));
+        assert!(held.is_none(), "the release takes the held query");
 
         let (stamped, held) = core.query(SimTime::from_secs(59), SERVER, query(2));
-        assert_eq!((cookie_of(&stamped).map(|c| c.cookie), held), (Some([7; 16]), None));
+        assert_eq!(cookie_of(&stamped).map(|c| c.cookie), Some([7; 16]));
+        assert!(held.is_none());
         let (expired, held) = core.query(SimTime::from_secs(60), SERVER, query(3));
         assert_eq!(cookie_of(&expired).map(|c| c.cookie), Some(ZERO_COOKIE));
         assert!(held.is_some());
@@ -191,11 +204,16 @@ mod tests {
     #[test]
     fn a_grant_matching_no_held_query_is_neither_delivered_nor_cached() {
         let mut core = ClientCore::default();
-        assert!(matches!(core.reply(T0, SERVER, &view(&grant(1, [7; 16], 60)), None), Reply::Drop));
+        assert!(matches!(core.reply(T0, SERVER, &view(&grant(1, [7; 16], 60)), &mut None), Reply::Drop));
         // A probe is outstanding, but the driver matched the grant to none.
-        core.query(T0, SERVER, query(2));
-        assert!(matches!(core.reply(T0, SERVER, &view(&grant(2, [7; 16], 60)), None), Reply::Drop));
+        let (_, mut held) = core.query(T0, SERVER, query(2));
+        assert!(matches!(core.reply(T0, SERVER, &view(&grant(2, [7; 16], 60)), &mut None), Reply::Drop));
+        // Another server: not the one the held query went to.
+        let forger = Ipv4Addr::new(6, 6, 6, 6);
+        assert!(matches!(core.reply(T0, forger, &view(&grant(2, [7; 16], 60)), &mut held), Reply::Drop));
+        assert!(held.is_some(), "the query stays held for its server");
         assert_eq!(core.cached_cookies(), 0);
+        assert!(matches!(core.reply(T0, SERVER, &view(&grant(2, [7; 16], 60)), &mut held), Reply::Release(_)));
     }
 
     /// Only a pure grant is one: a reply with records, or one that echoes
@@ -207,12 +225,13 @@ mod tests {
         cookie_ext::attach_cookie(&mut with_records, [7; 16], 60);
         for reply in [answer(1).encode(), with_records.encode(), grant(1, ZERO_COOKIE, 60)] {
             let mut core = ClientCore::default();
-            let (_, held) = core.query(T0, SERVER, query(1));
-            let Reply::Deliver(delivered) = core.reply(T0, SERVER, &view(&reply), held) else {
+            let (_, mut held) = core.query(T0, SERVER, query(1));
+            let Reply::Deliver(delivered) = core.reply(T0, SERVER, &view(&reply), &mut held) else {
                 panic!("delivered")
             };
             assert!(cookie_of(&delivered).is_none(), "extension stripped");
-            assert!(matches!(core.reply(T0, SERVER, &view(&grant(1, [7; 16], 60)), None), Reply::Drop));
+            assert!(held.is_none(), "the reply takes the held query");
+            assert!(matches!(core.reply(T0, SERVER, &view(&grant(1, [7; 16], 60)), &mut held), Reply::Drop));
             assert_eq!(core.cached_cookies(), 0);
             assert!(cookie_of(&core.query(T0, SERVER, query(2)).0).unwrap().is_request());
         }

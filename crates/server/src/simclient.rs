@@ -36,7 +36,7 @@
 //! extension mode, the cookie appended). Only the NS record a referral is
 //! followed by becomes an owned [`Record`].
 
-use crate::cookie_client::{ClientCore, Reply};
+use crate::cookie_client::{ClientCore, Held, Reply};
 use crate::tcpclient::TcpQueryClient;
 use dnswire::cookie_ext::EXT_RECORD_LEN;
 use dnswire::message::Message;
@@ -152,12 +152,12 @@ struct Slot {
     state: SlotState,
     generation: u64,
     started: SimTime,
-    /// The server and transaction id of the last UDP query sent, until a
-    /// reply to it is taken.
-    awaiting: Option<(Ipv4Addr, u16)>,
+    /// The transaction id of the last UDP query sent, until a reply to it
+    /// is taken.
+    awaiting: Option<u16>,
     /// In [`CookieMode::Extension`], the query held behind that query's
-    /// zero-cookie probe, when it was one.
-    held: Option<Vec<u8>>,
+    /// zero-cookie probe, when it was one, until its server replies.
+    held: Option<Held>,
 }
 
 /// Templates one client keeps. It asks for the question and the fabricated
@@ -313,7 +313,7 @@ impl LrsSimulator {
         }
         let me = self.me(slot);
         let s = &mut self.slots[slot];
-        s.awaiting = Some((server, txid));
+        s.awaiting = Some(txid);
         s.held = held;
         ctx.charge(self.config.per_packet_cost);
         ctx.send(Packet::udp(me, Endpoint::new(server, DNS_PORT), query));
@@ -388,15 +388,13 @@ impl LrsSimulator {
         let Some(s) = self.slots.get_mut(slot) else {
             return; // not a slot's port
         };
-        let Some((server, _)) = s.awaiting.take_if(|&mut (_, id)| id == view.header.id) else {
+        if s.awaiting.take_if(|&mut id| id == view.header.id).is_none() {
             return; // not the id the slot sent last, or already answered
-        };
-        // Only the server the query went to answers the probe.
-        let held = if from == server { s.held.take() } else { None };
+        }
         let tag = Self::timer_tag(slot, s.generation);
 
         if self.config.mode == CookieMode::Extension {
-            match self.core.reply(ctx.now(), from, view, held) {
+            match self.core.reply(ctx.now(), from, view, &mut self.slots[slot].held) {
                 // Read where it lies: an extension is an additional record,
                 // where only glue is looked for.
                 Reply::Deliver(_) => {}
@@ -819,6 +817,40 @@ mod tests {
         // the cookie is wiped, and both slots probe again.
         assert_eq!(probes, [true, true, false, false, false, true, true]);
         assert_eq!(stats.timeouts, 4);
+    }
+
+    /// A pure grant from another address, to the slot's port under the id
+    /// it awaits, takes the slot's reply but not its held query: nothing is
+    /// released to the forger and no cookie is cached, and the server's own
+    /// grant, which comes next, finds the id answered. Each request times
+    /// out with its probe's query still held, so the slot probes on.
+    #[test]
+    fn a_grant_from_another_address_releases_nothing() {
+        type Script = fn(&Message, &Packet) -> Vec<Packet>;
+        const FORGER: Ipv4Addr = Ipv4Addr::new(6, 6, 6, 6);
+        let forged_then_real: Script = |query, pkt| {
+            let mut grant = query.clone();
+            cookie_ext::strip_cookie(&mut grant);
+            let mut grant = grant.response();
+            cookie_ext::attach_cookie(&mut grant, [7; 16], 3_600);
+            [FORGER, SERVER].map(|from| Packet::udp(Endpoint::new(from, DNS_PORT), pkt.src, grant.encode())).to_vec()
+        };
+        let mut sim = Simulator::new(5);
+        let silent: Script = |_, _| Vec::new();
+        let [server, forger] = [(SERVER, forged_then_real), (FORGER, silent)]
+            .map(|(ip, answer)| sim.add_node(ip, CpuConfig::unbounded(), Scripted { answer, received: Vec::new() }));
+        let mut config = LrsSimConfig::new(LRS, SERVER, "www.foo.com".parse().unwrap());
+        config.mode = CookieMode::Extension;
+        let lrs = sim.add_node(LRS, CpuConfig::unbounded(), LrsSimulator::new(config));
+        sim.run_until(SimTime::from_millis(25));
+
+        let probes: Vec<bool> = sim.node_ref::<Scripted<Script>>(server).unwrap().received.iter()
+            .map(|m| cookie_ext::find_cookie(m).is_some_and(|ext| ext.is_request()))
+            .collect();
+        assert_eq!(probes, [true, true, true], "a probe per request, no release");
+        assert!(sim.node_ref::<Scripted<Script>>(forger).unwrap().received.is_empty(), "nothing sent to the forger");
+        let lrs = sim.node_ref::<LrsSimulator>(lrs).unwrap();
+        assert_eq!((lrs.core.cached_cookies(), lrs.core.stats.cookies_cached, lrs.stats.timeouts), (0, 0, 2));
     }
 
     /// The slots' ports end below the TCP fallback's; refusing more slots

@@ -241,6 +241,36 @@ fn a_held_query_is_released_within_its_hold_and_dropped_after() {
     }
 }
 
+/// A pure grant from another address, to the held query's LRS port under
+/// its id, releases nothing and leaves the query held: the forger is sent
+/// nothing and the server's own grant, after it, releases the query.
+#[test]
+fn a_grant_from_another_address_leaves_the_query_held() {
+    let mut sim = Simulator::new(5);
+    let me = Endpoint::new(LRS_ADDR, 7777);
+    let message = Message::iterative_query(31, "www.foo.com".parse().unwrap(), RrType::A);
+    let query = Packet::udp(me, Endpoint::new(PUB, DNS_PORT), message.encode());
+    let client = attach_stub(&mut sim, Ipv4Addr::new(10, 255, 0, 1), [(SimTime::ZERO, query)]);
+    let local = local_guard(&mut sim, client);
+    let mut grant = message.response();
+    cookie_ext::attach_cookie(&mut grant, COOKIE, 3_600);
+    let forger = Ipv4Addr::new(6, 6, 6, 6);
+    let [forged, real] = [(forger, 1), (PUB, 2)]
+        .map(|(from, ms)| (SimTime::from_millis(ms), Packet::udp(Endpoint::new(from, DNS_PORT), me, grant.encode())));
+    let forger = attach_stub(&mut sim, forger, [forged]);
+    let server = attach_stub(&mut sim, PUB, [real]);
+    sim.run_until(SimTime::from_millis(10));
+
+    assert!(sim.node_ref::<Stub>(forger).unwrap().replies.is_empty(), "nothing sent to the forger");
+    let cookies: Vec<_> = sim.node_ref::<Stub>(server).unwrap().replies.iter()
+        .map(|pkt| cookie_ext::find_cookie(&Message::decode(&pkt.payload).unwrap()).map(|c| c.cookie))
+        .collect();
+    assert_eq!(cookies, [Some([0; 16]), Some(COOKIE)], "the probe, then the release");
+    assert!(sim.node_ref::<Stub>(client).unwrap().replies.is_empty(), "a grant is never delivered");
+    let stats = sim.node_ref::<LocalGuard>(local).unwrap().stats();
+    assert_eq!((stats.cookies_cached, stats.stamped), (1, 1));
+}
+
 #[test]
 fn incapable_server_pass_through() {
     // No remote guard: the bare ANS at its own address ignores the
