@@ -11,10 +11,9 @@
 //! 2. a **catchment shift** (700 ms) moves a deterministic 55 % of
 //!    sources — plus a cohort of "joiner" clients whose NS-label handshake
 //!    is *in flight* — to site B. Each joiner's challenge was issued by
-//!    site A and answered at site B, so only cross-node stitching with
-//!    clock-offset correction (site B's clock runs 7 ms ahead) can
-//!    reconstruct those journeys and attribute the hop as `inter_site`
-//!    time;
+//!    site A and answered at site B, so only cross-node stitching on the
+//!    simulator's one clock can reconstruct those journeys and attribute
+//!    the hop as `inter_site` time;
 //! 3. site B **crashes** (1400 ms): its poll feed stops, the node ages
 //!    into silence and the `node_silent` rule fires on the edge.
 //!
@@ -37,7 +36,7 @@ use netsim::engine::{FaultPlan, NodeId, Simulator};
 use netsim::time::SimTime;
 use obs::export::{event_json, metrics_json, Json};
 use obs::fleet::FleetAggregator;
-use obs::trace::{Event, Value};
+use obs::trace::Value;
 use obs::Obs;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -75,9 +74,6 @@ const WARM_CLIENTS: u8 = 16;
 const JOINERS: u8 = 8;
 /// Fraction of warm-client and attacker sources the shift moves.
 const SHIFT_FRACTION: f64 = 0.55;
-/// Site B's clock skew: its event timestamps read 7 ms ahead of fleet
-/// time. The aggregator corrects with the registered −7 ms offset.
-const SKEW_NANOS: i64 = 7_000_000;
 /// Collector poll cadence (snapshot + trace drain).
 const POLL_MS: u64 = 10;
 /// Rule-evaluation cadence: a multiple of the poll so rates are computed
@@ -116,8 +112,6 @@ struct Site {
     obs: Obs,
     /// The aggregator's id for the site.
     node: u32,
-    /// How far the site's clock runs ahead of fleet time.
-    skew: i64,
 }
 
 /// The collector and the sites it polls, site A first.
@@ -131,24 +125,21 @@ struct Collector {
     challenged: BTreeSet<Ipv4Addr>,
 }
 
-/// Attaches a collector to both sites. Site B's clock runs 7 ms ahead, so
-/// its registered correction is −7 ms.
+/// Attaches a collector to both sites.
 fn collector(w: &mut FleetWorld) -> Collector {
     let obs = observe(&mut w.sim, Scope::Site, &[]);
     let mut agg = FleetAggregator::default();
     agg.attach_obs(&obs);
-    let sites = [(w.site_a, 0), (w.site_b, SKEW_NANOS)].map(|(guard, skew)| Site {
+    let sites = [w.site_a, w.site_b].map(|guard| Site {
         guard,
         obs: observe(&mut w.sim, Scope::Site, &[guard]),
-        node: agg.register_node(-skew),
-        skew,
+        node: agg.register_node(),
     });
     Collector { agg, obs, sites, challenged: BTreeSet::new() }
 }
 
 impl Collector {
-    /// The poll tick: drain every live site into the aggregator (its events
-    /// skewed as its clock is, corrected by the registered offset) and
+    /// The poll tick: drain every live site into the aggregator and
     /// snapshot its registry; every [`EVAL_MS`], also run the fleet rules
     /// over the window since the last evaluation. A crashed site is simply
     /// never polled — it ages into `node_silent` on its own.
@@ -166,8 +157,7 @@ impl Collector {
                     }
                 }
             }
-            let skewed: Vec<Event> = events.iter().map(|e| e.with_offset(site.skew)).collect();
-            self.agg.observe_trace(site.node, &skewed);
+            self.agg.observe_trace(site.node, &events);
             self.agg.observe_snapshot(site.node, t_ns, site.obs.registry.snapshot());
         }
         if (t_ns / 1_000_000).is_multiple_of(EVAL_MS) {

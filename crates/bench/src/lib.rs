@@ -28,8 +28,8 @@
 //!   secret;
 //! * [`fleetobs`] — `fleetobs`: the fleet-observability experiment behind
 //!   `BENCH_fleetobs.json`: both sites polled into a [`FleetAggregator`],
-//!   cross-node journey stitching through a mid-flood catchment shift
-//!   with clock skew, and the fleet alert rules through a site crash;
+//!   cross-node journey stitching through a mid-flood catchment shift,
+//!   and the fleet alert rules through a site crash;
 //! * [`analytics`] — `analytics`: the spoof-or-crowd experiment behind
 //!   `BENCH_analytics.json`: forged floods (uniform, Zipf, a botnet pool),
 //!   a ramp of real newcomers and verified zombies, each judged by whether

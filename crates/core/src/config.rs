@@ -74,8 +74,11 @@ pub struct GuardConfig {
     /// this many requests/second (Figure 5 uses the ANS capacity, 14 K).
     /// `0.0` keeps detection always on.
     pub activation_threshold: f64,
-    /// TCP proxy: connections living longer than this multiple of the RTT
-    /// estimate are reaped.
+    /// TCP proxy: connections open longer than this are reaped. An absolute
+    /// time, 2 ms by default, not a multiple of an RTT estimate (the paper
+    /// caps a connection at 5× the RTT; the proxy estimates none).
+    /// `bench::worlds` sets 10 s for every world, for its experiments' deep
+    /// TCP pipelines.
     pub tcp_conn_lifetime: SimTime,
     /// TCP proxy: per-source new-connection rate.
     pub tcp_conn_rate: f64,

@@ -12,8 +12,9 @@
 //!
 //! Security hardening from the paper, all implemented:
 //! * SYN cookies (stateless until the handshake completes);
-//! * connection lifetime cap — state is reaped once a connection has lived
-//!   5× the link RTT;
+//! * connection lifetime cap — state is reaped once a connection has been
+//!   open longer than `GuardConfig::tcp_conn_lifetime`, an absolute time
+//!   (2 ms by default; the paper caps it at 5× the link RTT);
 //! * per-source token buckets on connection initiation.
 
 use crate::ratelimit::SourceRateLimiter;
@@ -81,7 +82,7 @@ impl TcpProxy {
     /// Creates a proxy that accepts DNS-over-TCP on port 53.
     ///
     /// `conn_rate` is the per-source new-connection rate; `lifetime` the
-    /// 5×RTT reaping horizon.
+    /// reaping horizon, an absolute time a connection may stay open.
     pub fn new(secret: u64, conn_rate: f64, lifetime: SimTime) -> Self {
         let mut tcp = TcpHost::new(secret);
         tcp.listen(netsim::packet::DNS_PORT);

@@ -185,6 +185,15 @@ pub const RULES: &[Rule] = &[
         tests: false,
     },
     Rule {
+        id: "lrs-deadline",
+        scope: Scope { paths: &["crates/server/src/simclient.rs"], except: &[] },
+        check: Check::Tokens(&["set_timer("]),
+        message: "in the simulated LRS: a slot has one deadline, re-armed with \
+                  `ctx.set_timeout(slot, ..)`, which `on_timer` reads by the slot's state; \
+                  a second timer is a second owner of the slot's time",
+        tests: false,
+    },
+    Rule {
         id: "tcp-framing",
         scope: Scope {
             paths: &["crates/core/src/", "crates/server/src/", "crates/runtime/src/"],

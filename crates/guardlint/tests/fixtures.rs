@@ -102,6 +102,7 @@ const LAYERING: &[(&str, &str, &str, &str)] = &[
     ("client-wire", "let reply = Message::decode(&pkt.payload)?;", "crates/server/src/cookie_client.rs", "crates/runtime/src/client.rs"),
     ("client-wire", "let msg = view.to_message();", "crates/server/src/simclient.rs", "crates/core/src/guard/core.rs"),
     ("client-wire", "let q = Message::decode(&pkt.payload).ok();", "crates/core/src/local_guard.rs", "crates/runtime/src/client.rs"),
+    ("lrs-deadline", "ctx.set_timer(self.config.pace, tag);", "crates/server/src/simclient.rs", "crates/server/src/recursive.rs"),
     ("tcp-framing", "framed.extend_from_slice(&(wire.len() as u16).to_be_bytes());", "crates/server/src/nodes.rs", "crates/dnswire/src/framing.rs"),
     ("tcp-framing", "let prefix = (msg.len() as u16).to_be_bytes();", "crates/core/src/tcp_proxy.rs", "crates/netsim/src/tcp.rs"),
     ("tcp-framing", "buf.extend_from_slice(&(q.len() as u16).to_be_bytes());", "crates/runtime/src/client.rs", "tests/end_to_end.rs"),

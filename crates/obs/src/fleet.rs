@@ -15,7 +15,7 @@
 //!   ([`merge_histograms`]) so fleet quantiles are computed from exact
 //!   merged buckets, not averaged per-node quantiles;
 //! * **drained traces** ([`FleetAggregator::observe_trace`]) — per-node
-//!   event streams, corrected by a per-node clock offset and stitched
+//!   event streams on the fleet's one clock, stitched
 //!   into cross-node journeys ([`FleetAggregator::stitch`]) via the
 //!   node-aware [`JourneyAssembler`], attributing the catchment-shift
 //!   hop as `inter_site` time, each journey counted and traced once
@@ -74,7 +74,6 @@ pub fn merge_histograms(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
 
 #[derive(Debug)]
 struct NodeState {
-    offset_nanos: i64,
     /// Fleet time of the last snapshot received (`None` until the first).
     last_seen_nanos: Option<u64>,
     /// Whether the node is currently considered silent (edge-tracked so
@@ -91,8 +90,8 @@ struct NodeState {
 #[derive(Default)]
 pub struct FleetAggregator {
     nodes: Vec<NodeState>,
-    /// Offset-corrected node-tagged events, in arrival order; sorted by
-    /// corrected time at stitch time.
+    /// Node-tagged events, in arrival order; sorted by time at stitch
+    /// time.
     events: Vec<(u32, Event)>,
     /// The cross-node journeys already counted and traced, each by its
     /// first stage's node and time and its correlation id.
@@ -132,13 +131,10 @@ impl FleetAggregator {
             .adopt_counter("fleet", "stitched_journeys", &[], &self.stitched_journeys);
     }
 
-    /// Registers a node and returns its index. `offset_nanos` is the
-    /// correction *added* to the node's event timestamps to map them onto
-    /// the fleet clock (a node whose clock runs 7 ms ahead registers
-    /// offset −7 ms).
-    pub fn register_node(&mut self, offset_nanos: i64) -> u32 {
+    /// Registers a node and returns its index. Its events and snapshots
+    /// are stamped on the fleet's clock.
+    pub fn register_node(&mut self) -> u32 {
         self.nodes.push(NodeState {
-            offset_nanos,
             last_seen_nanos: None,
             silent: false,
             last_samples: Vec::new(),
@@ -165,21 +161,15 @@ impl FleetAggregator {
         self.snapshots_ingested.inc();
     }
 
-    /// Ingests drained trace events from `node`, applying the node's
-    /// registered clock-offset correction.
+    /// Ingests drained trace events from `node`.
     pub fn observe_trace(&mut self, node: u32, events: &[Event]) {
-        let offset = self
-            .nodes
-            .get(node as usize)
-            .map(|n| n.offset_nanos)
-            .unwrap_or(0);
         for e in events {
-            self.events.push((node, e.with_offset(offset)));
+            self.events.push((node, e.clone()));
             self.trace_events_ingested.inc();
         }
     }
 
-    /// Number of buffered (offset-corrected) trace events.
+    /// Number of buffered trace events.
     pub fn event_count(&self) -> usize {
         self.events.len()
     }
@@ -401,8 +391,8 @@ mod tests {
     #[test]
     fn counters_sum_gauges_max_histograms_merge() {
         let mut agg = FleetAggregator::default();
-        let a = agg.register_node(0);
-        let b = agg.register_node(0);
+        let a = agg.register_node();
+        let b = agg.register_node();
         agg.observe_snapshot(
             a,
             0,
@@ -450,7 +440,7 @@ mod tests {
         reg.counter("guard", "verify", &[("scheme", "ext"), ("verdict", "in\"valid")]).add(7);
         let samples = reg.snapshot();
         let mut agg = FleetAggregator::default();
-        let node = agg.register_node(0);
+        let node = agg.register_node();
         let json = crate::export::metrics_json(&samples).to_string();
         agg.observe_snapshot(node, 0, samples);
         assert_eq!(agg.merged_snapshot_json().to_string(), json);
@@ -486,8 +476,8 @@ mod tests {
         obs.tracer.set_default_level(Level::Info);
         let mut agg = FleetAggregator::default();
         agg.attach_obs(&obs);
-        let a = agg.register_node(0);
-        let b = agg.register_node(0);
+        let a = agg.register_node();
+        let b = agg.register_node();
         let mk = |n: u64| {
             node_samples(|r| {
                 r.counter("guard", "verify", &[("scheme", "ns_label"), ("verdict", "invalid")])
@@ -520,8 +510,8 @@ mod tests {
         // Node A restarts mid-flood (its counter falls back to zero);
         // node B keeps flooding. The fleet rule must stay firing.
         let mut agg = FleetAggregator::default();
-        let a = agg.register_node(0);
-        let b = agg.register_node(0);
+        let a = agg.register_node();
+        let b = agg.register_node();
         let mk = |n: u64| {
             node_samples(|r| {
                 r.counter("guard", "verify", &[("scheme", "ns_label"), ("verdict", "invalid")])
@@ -548,8 +538,8 @@ mod tests {
     #[test]
     fn site_rate_skew_fires_on_asymmetric_catchment_only() {
         let mut agg = FleetAggregator::default();
-        let a = agg.register_node(0);
-        let b = agg.register_node(0);
+        let a = agg.register_node();
+        let b = agg.register_node();
         let mk = |n: u64| {
             node_samples(|r| {
                 r.counter("guard", "udp_datagrams", &[]).add(n);
@@ -570,8 +560,8 @@ mod tests {
         assert!(agg.active().iter().any(|x| x.rule == "site_rate_skew"));
         // Low absolute load never fires, however skewed.
         let mut calm = FleetAggregator::default();
-        let a2 = calm.register_node(0);
-        let b2 = calm.register_node(0);
+        let a2 = calm.register_node();
+        let b2 = calm.register_node();
         calm.observe_snapshot(a2, 0, mk(0));
         calm.observe_snapshot(b2, 0, mk(0));
         calm.evaluate(0);
@@ -587,8 +577,8 @@ mod tests {
         obs.tracer.set_default_level(Level::Info);
         let mut agg = FleetAggregator::default();
         agg.attach_obs(&obs);
-        let a = agg.register_node(0);
-        let b = agg.register_node(0);
+        let a = agg.register_node();
+        let b = agg.register_node();
         let mk = || node_samples(|r| r.counter("guard", "udp_datagrams", &[]).inc());
         agg.observe_snapshot(a, 0, mk());
         agg.observe_snapshot(b, 0, mk());
@@ -653,14 +643,13 @@ mod tests {
     }
 
     #[test]
-    fn stitch_applies_offsets_and_traces_cross_node_journeys() {
+    fn stitch_traces_cross_node_journeys_on_the_fleet_clock() {
         let obs = Obs::new();
         obs.tracer.set_default_level(Level::Info);
         let mut agg = FleetAggregator::default();
         agg.attach_obs(&obs);
-        // Node B's clock runs 7 ms ahead; its registered offset is −7 ms.
-        let a = agg.register_node(0);
-        let b = agg.register_node(-7_000_000);
+        let a = agg.register_node();
+        let b = agg.register_node();
         let src = Ipv4Addr::new(10, 0, 3, 1);
         let ta = Tracer::new(64);
         ta.set_default_level(Level::Info);
@@ -669,9 +658,9 @@ mod tests {
         tb.set_default_level(Level::Info);
         let gb = tb.component("guard");
         ga.event(1_000_000, "fabricated_ns", &[("src", Value::Ip(src)), ("qid", Value::U64(1))]);
-        // On B's skewed clock these land 7 ms later than fleet time.
+        // B verifies the challenge A issued 1 ms earlier.
         gb.event(
-            9_000_000,
+            2_000_000,
             "verify",
             &[
                 ("scheme", Value::Str("ns_label")),
@@ -680,9 +669,9 @@ mod tests {
                 ("qid", Value::U64(1)),
             ],
         );
-        gb.event(9_100_000, "forward", &[("src", Value::Ip(src)), ("qid", Value::U64(1))]);
+        gb.event(2_100_000, "forward", &[("src", Value::Ip(src)), ("qid", Value::U64(1))]);
         gb.event(
-            9_500_000,
+            2_500_000,
             "relay",
             &[("via", Value::Str("referral")), ("src", Value::Ip(src)), ("qid", Value::U64(1))],
         );
@@ -693,7 +682,7 @@ mod tests {
         let j = &report.complete[0];
         assert!(j.spans_nodes());
         let attr = j.attribution();
-        assert_eq!(attr.inter_site_ns, 1_000_000, "offset-corrected: 2 ms − 1 ms hop");
+        assert_eq!(attr.inter_site_ns, 1_000_000, "2 ms − 1 ms hop");
         assert_eq!(attr.total(), j.total_ns());
         assert_eq!(
             obs.registry.counter("fleet", "stitched_journeys", &[]).get(),
@@ -731,7 +720,7 @@ mod tests {
         obs.tracer.set_default_level(Level::Info);
         let mut agg = FleetAggregator::default();
         agg.attach_obs(&obs);
-        let nodes = (agg.register_node(0), agg.register_node(0));
+        let nodes = (agg.register_node(), agg.register_node());
         let stitched = || obs.registry.counter("fleet", "stitched_journeys", &[]).get();
         straddle(&mut agg, nodes, Ipv4Addr::new(10, 0, 3, 1), 1, 1_000_000);
         assert_eq!(agg.stitch().complete.len(), 1);

@@ -293,8 +293,8 @@ impl JourneyAssembler {
     }
 
     /// Processes one trace event observed on fleet node `node`. Traces
-    /// from several nodes must be merged into one time-ordered stream
-    /// (after per-node clock-offset correction) before feeding them here;
+    /// from several nodes must be merged into one time-ordered stream, on
+    /// one clock, before feeding them here;
     /// per-source challenge adoption then stitches a journey across a
     /// catchment shift exactly as it stitches across a destination-IP
     /// change — the pending challenge just lives on another node.

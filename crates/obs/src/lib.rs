@@ -40,8 +40,8 @@
 //!   ROADMAP item 3 drops that metric and this module with it.
 //! * [`fleet`] — the fleet observability plane: merges per-node snapshots
 //!   (counters sum, gauges max, histograms merge bucket-by-bucket),
-//!   stitches per-node traces into cross-node journeys after clock-offset
-//!   correction, and evaluates fleet-level rules (global spoof surge,
+//!   stitches per-node traces, stamped on the fleet's one clock, into
+//!   cross-node journeys, and evaluates fleet-level rules (global spoof surge,
 //!   asymmetric-catchment rate skew, silent nodes) on counter-reset-safe
 //!   deltas.
 //!

@@ -111,19 +111,6 @@ impl Event {
         }
     }
 
-    /// A copy of this event with its timestamp shifted by `offset_nanos`
-    /// (saturating at the u64 bounds) — per-node clock-offset correction
-    /// applied by the fleet aggregator before stitching.
-    pub fn with_offset(&self, offset_nanos: i64) -> Event {
-        let mut e = self.clone();
-        e.t_nanos = if offset_nanos >= 0 {
-            e.t_nanos.saturating_add(offset_nanos as u64)
-        } else {
-            e.t_nanos.saturating_sub(offset_nanos.unsigned_abs())
-        };
-        e
-    }
-
     /// The event's fields.
     pub fn fields(&self) -> &[(&'static str, Value)] {
         &self.fields[..self.n_fields as usize]

@@ -19,11 +19,21 @@
 //!   in its slot behind a zero-cookie probe and released stamped on the
 //!   grant.
 //!
-//! Each slot is the one owner of its request in flight: its UDP queries
-//! leave from a port of its own (10 053 plus the slot's index, as a patched
-//! resolver gives each outstanding query a source port), so a
-//! reply finds its slot by destination port, and the slot takes it once,
-//! when it carries the id the slot sent last. A resolver costs what its
+//! Each slot is the one owner of its request in flight, and its request is
+//! one state: a UDP reply awaited (from which server, under which id, for
+//! which name, and the query held behind a probe), the TCP fallback
+//! awaited, or the pause before the next request. Its UDP queries leave
+//! from a port of its own (10 053 plus the slot's index, as a patched
+//! resolver gives each outstanding query a source port), so a reply finds
+//! its slot by destination port, and the slot takes it once, when it comes
+//! from the server asked under the id sent last, as a resolver accepts a
+//! response only from the server, port and id it asked. A request that
+//! ended (answered, timed out, or gone to TCP) takes no reply. Each slot
+//! has one deadline, re-armed as its state changes: the request's wait,
+//! then the pause; the timer reads its meaning from the state, and the TCP
+//! fallback, whose token is the slot's index, is abandoned at it. A slot
+//! is 80 bytes, and its heap at most the held query and one NS name (the
+//! cached one asked for or the one chased): a resolver costs what its
 //! slots cost, whatever the id space.
 //!
 //! With [`LrsSimConfig::cookie_cache`] disabled every request repeats the
@@ -124,41 +134,59 @@ enum Cached {
     Cookie2(Ipv4Addr),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A slot's request, in the one state it is in.
+#[derive(Debug)]
 enum SlotState {
-    /// Waiting for a UDP answer; `sent_name` is the QNAME in flight and
-    /// `chasing` the NS chase in progress, if any.
-    AwaitAnswer {
-        sent_name: Name,
-        chasing: Option<ChaseInfo>,
+    /// A UDP reply from `server` under `id` is awaited, to the query asking
+    /// for `asked`'s address; in [`CookieMode::Extension`], `held` is the
+    /// query held behind it when it was a zero-cookie probe.
+    Udp {
+        server: Ipv4Addr,
+        id: u16,
+        asked: Asked,
+        held: Option<Held>,
     },
-    /// Waiting for a DNS-over-TCP response.
-    AwaitTcp,
+    /// The TCP fallback's response is awaited; its token is the slot's
+    /// index.
+    Tcp,
     /// Pacing pause between requests.
     Paused,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChaseInfo {
-    /// The NS target being resolved.
-    ns: Name,
-    /// The owner of the NS record; equal to the query name for fabricated
-    /// non-referral delegations, an ancestor for true referrals.
-    owner: Name,
+/// The name a UDP query in flight asks the address of.
+#[derive(Debug)]
+enum Asked {
+    /// The configured question, [`LrsSimConfig::qname`].
+    Question,
+    /// The cached fabricated NS name (an NS-name cache hit).
+    CachedNs(Name),
+    /// `ns`, the target of a glueless referral's NS record; `cookie2` when
+    /// the record's owner is the question itself (a fabricated ANS for a
+    /// non-referral answer, whose address is `COOKIE2`), not an ancestor.
+    Chase { ns: Name, cookie2: bool },
+}
+
+impl Asked {
+    /// The name asked, where `question` is the configured one.
+    fn name<'a>(&'a self, question: &'a Name) -> &'a Name {
+        match self {
+            Asked::Question => question,
+            Asked::CachedNs(ns) | Asked::Chase { ns, .. } => ns,
+        }
+    }
 }
 
 #[derive(Debug)]
 struct Slot {
     state: SlotState,
-    generation: u64,
     started: SimTime,
-    /// The transaction id of the last UDP query sent, until a reply to it
-    /// is taken.
-    awaiting: Option<u16>,
-    /// In [`CookieMode::Extension`], the query held behind that query's
-    /// zero-cookie probe, when it was one, until its server replies.
-    held: Option<Held>,
 }
+
+// A simulated resolver costs what its slots cost, so a slot's bytes are
+// pinned: its state (the UDP variant, with the asked name and the held query,
+// is the largest) and its start time. Its heap is at most the held query and
+// one NS name.
+const _: () = assert!(std::mem::size_of::<Slot>() == 80);
 
 /// Templates one client keeps. It asks for the question and the fabricated
 /// NS name's address, under the key before a rotation and the one after;
@@ -281,85 +309,56 @@ impl LrsSimulator {
         Endpoint::new(self.config.addr, Self::PORT + slot as u16)
     }
 
-    /// Bit marking a pacing (restart) timer rather than a wait timeout.
-    const PAUSE_BIT: u64 = 1 << 63;
-
-    /// The generation bits of a [`LrsSimulator::timer_tag`].
-    const GENERATION: u64 = 0xFF_FFFF_FFFF;
-
-    fn timer_tag(slot: usize, generation: u64) -> u64 {
-        ((slot as u64) << 40) | (generation & Self::GENERATION)
+    /// Sends the query asking for `asked`'s address to `server`; with
+    /// `client` set, through the cookie client.
+    fn ask(&mut self, ctx: &mut Context<'_>, slot: usize, server: Ipv4Addr, asked: Asked, client: bool) {
+        let template = self.templates.get(asked.name(&self.config.qname));
+        let mut query = Vec::with_capacity(template.len() + EXT_RECORD_LEN);
+        query.extend_from_slice(template);
+        self.send_udp(ctx, slot, server, asked, query, client);
     }
 
-    /// The slot `tag` names, while it is still on the request the tag was
-    /// made for.
-    fn live(&self, tag: u64) -> Option<usize> {
-        let slot = (tag >> 40) as usize;
-        let generation = self.slots.get(slot)?.generation;
-        (generation & Self::GENERATION == tag & Self::GENERATION).then_some(slot)
-    }
-
-    /// Sends `query`, a template copy, under the next transaction id; with
-    /// `client` set, what the cookie client makes of it: the query stamped
-    /// with the cached cookie, or its zero-cookie probe, the query held in
-    /// the slot.
-    fn send_udp(&mut self, ctx: &mut Context<'_>, slot: usize, server: Ipv4Addr, mut query: Vec<u8>, client: bool) {
-        let txid = self.next_txid;
+    /// Sends `query`, a template copy asking for `asked`, under the next
+    /// transaction id, and has the slot await its reply; with `client` set,
+    /// what the cookie client makes of it: the query stamped with the
+    /// cached cookie, or its zero-cookie probe, the query held in the slot.
+    fn send_udp(
+        &mut self,
+        ctx: &mut Context<'_>,
+        slot: usize,
+        server: Ipv4Addr,
+        asked: Asked,
+        mut query: Vec<u8>,
+        client: bool,
+    ) {
+        let id = self.next_txid;
         self.next_txid = self.next_txid.wrapping_add(1).max(1);
-        query[..2].copy_from_slice(&txid.to_be_bytes());
+        query[..2].copy_from_slice(&id.to_be_bytes());
         let mut held = None;
         if client {
             (query, held) = self.core.query(ctx.now(), server, query);
         }
-        let me = self.me(slot);
-        let s = &mut self.slots[slot];
-        s.awaiting = Some(txid);
-        s.held = held;
+        self.slots[slot].state = SlotState::Udp { server, id, asked, held };
         ctx.charge(self.config.per_packet_cost);
-        ctx.send(Packet::udp(me, Endpoint::new(server, DNS_PORT), query));
-    }
-
-    /// Asks the configured question at `server`, awaiting a direct answer;
-    /// with `client` set, through the cookie client.
-    fn ask(&mut self, ctx: &mut Context<'_>, slot: usize, server: Ipv4Addr, client: bool) {
-        let template = self.templates.get(&self.config.qname);
-        let mut query = Vec::with_capacity(template.len() + EXT_RECORD_LEN);
-        query.extend_from_slice(template);
-        self.slots[slot].state = SlotState::AwaitAnswer {
-            sent_name: self.config.qname.clone(),
-            chasing: None,
-        };
-        self.send_udp(ctx, slot, server, query, client);
+        ctx.send(Packet::udp(self.me(slot), Endpoint::new(server, DNS_PORT), query));
     }
 
     fn start_slot(&mut self, ctx: &mut Context<'_>, slot: usize) {
-        let generation = self.slots[slot].generation + 1;
-        self.slots[slot].generation = generation;
         self.slots[slot].started = ctx.now();
-        // The slot's one wait deadline, replacing the previous request's.
-        ctx.set_timeout(slot, self.config.wait, Self::timer_tag(slot, generation));
+        // The slot's one deadline, replacing the pause's.
+        ctx.set_timeout(slot, self.config.wait, slot as u64);
 
         // Without the cookie cache nothing is ever cached.
-        match (self.config.mode, &self.cached) {
-            (CookieMode::Extension, _) => self.ask(ctx, slot, self.config.server, true),
-            (CookieMode::Plain, Cached::NsName(ns)) => {
-                // Cache hit on the NS-name scheme: resolve the fabricated
-                // NS name directly.
-                let ns = ns.clone();
-                let query = self.templates.get(&ns).to_vec();
-                self.slots[slot].state = SlotState::AwaitAnswer {
-                    sent_name: ns,
-                    chasing: None,
-                };
-                self.send_udp(ctx, slot, self.config.server, query, false);
-            }
-            (CookieMode::Plain, &Cached::Cookie2(addr)) => {
-                // Cache hit on the fabricated NS/IP scheme: straight to the
-                // fabricated ANS address.
-                self.ask(ctx, slot, addr, false);
-            }
-            (CookieMode::Plain, Cached::Nothing) => self.ask(ctx, slot, self.config.server, false),
-        }
+        let (server, asked) = match (self.config.mode, &self.cached) {
+            (CookieMode::Extension, _) | (CookieMode::Plain, Cached::Nothing) => (self.config.server, Asked::Question),
+            // Cache hit on the NS-name scheme: resolve the fabricated NS
+            // name directly.
+            (CookieMode::Plain, Cached::NsName(ns)) => (self.config.server, Asked::CachedNs(ns.clone())),
+            // Cache hit on the fabricated NS/IP scheme: straight to the
+            // fabricated ANS address.
+            (CookieMode::Plain, &Cached::Cookie2(addr)) => (addr, Asked::Question),
+        };
+        self.ask(ctx, slot, server, asked, self.config.mode == CookieMode::Extension);
     }
 
     fn complete(&mut self, ctx: &mut Context<'_>, slot: usize) {
@@ -375,9 +374,8 @@ impl LrsSimulator {
         if self.config.pace == SimTime::ZERO {
             self.start_slot(ctx, slot);
         } else {
-            let generation = self.slots[slot].generation;
             self.slots[slot].state = SlotState::Paused;
-            ctx.set_timer(self.config.pace, Self::PAUSE_BIT | Self::timer_tag(slot, generation));
+            ctx.set_timeout(slot, self.config.pace, slot as u64);
         }
     }
 
@@ -388,26 +386,37 @@ impl LrsSimulator {
         let Some(s) = self.slots.get_mut(slot) else {
             return; // not a slot's port
         };
-        if s.awaiting.take_if(|&mut id| id == view.header.id).is_none() {
-            return; // not the id the slot sent last, or already answered
+        let SlotState::Udp { server, id, asked, held } = &mut s.state else {
+            return; // the slot awaits no UDP reply
+        };
+        if (*server, *id) != (from, view.header.id) {
+            return; // not from the server asked, or not under the id sent
         }
-        let tag = Self::timer_tag(slot, s.generation);
 
+        let mut release = None;
         if self.config.mode == CookieMode::Extension {
-            match self.core.reply(ctx.now(), from, view, &mut self.slots[slot].held) {
+            match self.core.reply(ctx.now(), from, view, held) {
                 // Read where it lies: an extension is an additional record,
                 // where only glue is looked for.
                 Reply::Deliver(_) => {}
+                // A grant that answers no probe answers nothing: the
+                // query's own reply is still awaited.
                 Reply::Drop => return,
-                // Message 4: the held query, stamped, under the next id.
-                Reply::Release(query) => {
-                    if !self.config.cookie_cache {
-                        self.core.forget(from);
-                    }
-                    self.send_udp(ctx, slot, from, query, false);
-                    return;
-                }
+                Reply::Release(query) => release = Some(query),
             }
+        }
+        // The reply is taken, and the request it answers ends: every path
+        // below gives the slot its next state.
+        let asked = std::mem::replace(asked, Asked::Question);
+        s.state = SlotState::Paused;
+
+        if let Some(query) = release {
+            // Message 4: the held query, stamped, under the next id.
+            if !self.config.cookie_cache {
+                self.core.forget(from);
+            }
+            self.send_udp(ctx, slot, from, asked, query, false);
+            return;
         }
 
         if view.header.truncated {
@@ -416,11 +425,11 @@ impl LrsSimulator {
             let port = self.next_tcp_port;
             self.next_tcp_port = port.wrapping_add(1).max(Self::TCP_PORTS);
             let query = self.templates.get(&self.config.qname);
-            if let Some(syn) = self.tcp.start_query(port, from, query, tag) {
+            if let Some(syn) = self.tcp.start_query(port, from, query, slot as u64) {
                 ctx.charge(self.config.per_packet_cost);
                 ctx.send(syn);
             }
-            self.slots[slot].state = SlotState::AwaitTcp;
+            self.slots[slot].state = SlotState::Tcp;
             return;
         }
 
@@ -429,54 +438,41 @@ impl LrsSimulator {
             self.start_slot(ctx, slot);
             return;
         }
-
-        // Every path below gives the slot its next state.
-        match std::mem::replace(&mut self.slots[slot].state, SlotState::Paused) {
-            SlotState::AwaitAnswer { sent_name, chasing } => {
-                self.process_answer(ctx, slot, from, view, sent_name, chasing);
-            }
-            waiting @ (SlotState::AwaitTcp | SlotState::Paused) => self.slots[slot].state = waiting,
-        }
+        self.process_answer(ctx, slot, from, view, asked);
     }
 
-    fn process_answer(
-        &mut self,
-        ctx: &mut Context<'_>,
-        slot: usize,
-        from: Ipv4Addr,
-        view: &MessageView<'_>,
-        sent_name: Name,
-        chasing: Option<ChaseInfo>,
-    ) {
+    fn process_answer(&mut self, ctx: &mut Context<'_>, slot: usize, from: Ipv4Addr, view: &MessageView<'_>, asked: Asked) {
+        let client = self.config.mode == CookieMode::Extension;
         // A-answer for the in-flight name? (An A record's RDATA is the four
         // bytes of the address: the parse checked its length.)
+        let sent_name = asked.name(&self.config.qname);
         let direct_a = view
             .records()
             .take_while(|r| r.section == Section::Answer)
-            .find(|r| r.rtype == RrType::A && r.owner_is(&sent_name))
+            .find(|r| r.rtype == RrType::A && r.owner_is(sent_name))
             .and_then(|r| <[u8; 4]>::try_from(r.rdata()).ok())
             .map(Ipv4Addr::from);
         if let Some(addr) = direct_a {
-            if let Some(chase) = chasing {
-                if chase.owner == self.config.qname {
-                    // Fabricated ANS for a non-referral answer: the address
-                    // is COOKIE2 — requery the original name there (msg 7).
+            match asked {
+                // Fabricated ANS for a non-referral answer: the address is
+                // COOKIE2 — requery the original name there (msg 7).
+                Asked::Chase { cookie2: true, .. } => {
                     if self.config.cookie_cache {
                         self.cached = Cached::Cookie2(addr);
                     }
-                    self.ask(ctx, slot, addr, self.config.mode == CookieMode::Extension);
-                    return;
+                    self.ask(ctx, slot, addr, Asked::Question, client);
                 }
                 // True referral: we now hold the next-level ANS name and
                 // address — the interaction with *this* server is complete.
-                if self.config.cookie_cache {
-                    self.cached = Cached::NsName(chase.ns);
+                Asked::Chase { ns, cookie2: false } => {
+                    if self.config.cookie_cache {
+                        self.cached = Cached::NsName(ns);
+                    }
+                    self.complete(ctx, slot);
                 }
-                self.complete(ctx, slot);
-                return;
+                // Plain answer (terminal, or cache-hit NS-name resolution).
+                Asked::Question | Asked::CachedNs(_) => self.complete(ctx, slot),
             }
-            // Plain answer (terminal, or cache-hit NS-name resolution).
-            self.complete(ctx, slot);
             return;
         }
 
@@ -489,7 +485,7 @@ impl LrsSimulator {
         if let Some(ns_record) = ns_record {
             let Record {
                 name: owner,
-                rdata: RData::Ns(ns_name),
+                rdata: RData::Ns(ns),
                 ..
             } = ns_record.to_record()
             else {
@@ -500,18 +496,14 @@ impl LrsSimulator {
             // Glue present → referral complete (a real LRS would descend).
             let glued = view
                 .records()
-                .any(|r| r.section == Section::Additional && r.rtype == RrType::A && r.owner_is(&ns_name));
+                .any(|r| r.section == Section::Additional && r.rtype == RrType::A && r.owner_is(&ns));
             if glued {
                 self.complete(ctx, slot);
                 return;
             }
             // No glue: chase the NS address at the same server.
-            let query = self.templates.get(&ns_name).to_vec();
-            self.slots[slot].state = SlotState::AwaitAnswer {
-                sent_name: ns_name.clone(),
-                chasing: Some(ChaseInfo { ns: ns_name, owner }),
-            };
-            self.send_udp(ctx, slot, from, query, self.config.mode == CookieMode::Extension);
+            let cookie2 = owner == self.config.qname;
+            self.ask(ctx, slot, from, Asked::Chase { ns, cookie2 }, client);
             return;
         }
 
@@ -523,18 +515,8 @@ impl LrsSimulator {
 
 impl Node for LrsSimulator {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        for _ in 0..self.config.concurrency {
-            self.slots.push(Slot {
-                state: SlotState::AwaitAnswer {
-                    sent_name: self.config.qname.clone(),
-                    chasing: None,
-                },
-                generation: 0,
-                started: ctx.now(),
-                awaiting: None,
-                held: None,
-            });
-        }
+        let now = ctx.now();
+        self.slots = (0..self.config.concurrency).map(|_| Slot { state: SlotState::Paused, started: now }).collect();
         for slot in 0..self.slots.len() {
             self.start_slot(ctx, slot);
         }
@@ -559,7 +541,8 @@ impl Node for LrsSimulator {
                     ctx.send(p);
                 }
                 for (token, _frame) in done {
-                    if let Some(slot) = self.live(token).filter(|&slot| self.slots[slot].state == SlotState::AwaitTcp) {
+                    let slot = token as usize;
+                    if matches!(self.slots.get(slot), Some(Slot { state: SlotState::Tcp, .. })) {
                         self.complete(ctx, slot);
                     }
                 }
@@ -567,30 +550,25 @@ impl Node for LrsSimulator {
         }
     }
 
+    /// The slot's deadline: the end of its pause, or its request's wait.
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        let pause = tag & Self::PAUSE_BIT != 0;
-        let tag = tag & !Self::PAUSE_BIT;
-        let Some(slot) = self.live(tag) else {
-            return; // restarted meanwhile
-        };
-        if pause {
-            if self.slots[slot].state == SlotState::Paused {
-                self.start_slot(ctx, slot);
+        let slot = tag as usize;
+        let held = match std::mem::replace(&mut self.slots[slot].state, SlotState::Paused) {
+            SlotState::Paused => return self.start_slot(ctx, slot),
+            SlotState::Udp { held, .. } => held,
+            SlotState::Tcp => {
+                self.tcp.abandon(tag);
+                None
             }
-            return;
-        }
-        if self.slots[slot].state == SlotState::Paused {
-            return; // the wait timeout of the request that just finished
-        }
+        };
         self.stats.timeouts += 1;
-        if self.slots[slot].held.take().is_none() {
+        if held.is_none() {
             self.consecutive_timeouts += 1;
             if self.consecutive_timeouts >= 2 {
                 self.cached = Cached::Nothing;
                 self.core.forget(self.config.server);
             }
         }
-        self.tcp.abandon(tag);
         self.pause_or_start(ctx, slot);
     }
 }
@@ -602,7 +580,7 @@ mod tests {
     use crate::nodes::AuthNode;
     use crate::zone::{paper_hierarchy, FOO_SERVER};
     use dnswire::cookie_ext;
-    use netsim::engine::{CpuConfig, Simulator};
+    use netsim::engine::{CpuConfig, NodeId, Simulator};
 
     #[test]
     fn a_template_is_the_owned_query_under_any_id() {
@@ -717,7 +695,7 @@ mod tests {
 
     /// A server reduced to a script: each UDP query it is sent, decoded, and
     /// the packet it came in, go to `answer`, and what it returns is sent.
-    /// It keeps every query.
+    /// It keeps every query, and ignores TCP.
     struct Scripted<F> {
         answer: F,
         received: Vec<Message>,
@@ -725,6 +703,9 @@ mod tests {
 
     impl<F: FnMut(&Message, &Packet) -> Vec<Packet> + 'static> Node for Scripted<F> {
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+            if pkt.proto != Proto::Udp {
+                return;
+            }
             let query = Message::decode(&pkt.payload).unwrap();
             for reply in (self.answer)(&query, &pkt) {
                 ctx.send(reply);
@@ -735,6 +716,10 @@ mod tests {
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 53);
     const LRS: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 16);
+    /// An address the LRS never asks, whose replies are forged.
+    const FORGER: Ipv4Addr = Ipv4Addr::new(6, 6, 6, 6);
+
+    type Silent = fn(&Message, &Packet) -> Vec<Packet>;
 
     /// `query`'s reply as `SERVER` sends it, with `rcode`.
     fn reply(query: &Message, to: Endpoint, rcode: Rcode) -> Packet {
@@ -746,23 +731,74 @@ mod tests {
         Packet::udp(Endpoint::new(SERVER, DNS_PORT), to, reply.encode())
     }
 
+    /// `query`'s pure grant of cookie `[7; 16]`, as `from` sends it to `to`.
+    fn grant(query: &Message, from: Ipv4Addr, to: Endpoint) -> Packet {
+        let mut grant = query.clone();
+        cookie_ext::strip_cookie(&mut grant);
+        let mut grant = grant.response();
+        cookie_ext::attach_cookie(&mut grant, [7; 16], 3_600);
+        Packet::udp(Endpoint::new(from, DNS_PORT), to, grant.encode())
+    }
+
+    /// A world run to its end: an LRS at `LRS` asking `SERVER`, which runs
+    /// a script, and a silent node at `FORGER`.
+    struct ScriptedWorld<F> {
+        sim: Simulator,
+        server: NodeId,
+        forger: NodeId,
+        lrs: NodeId,
+        script: std::marker::PhantomData<F>,
+    }
+
+    impl<F: FnMut(&Message, &Packet) -> Vec<Packet> + 'static> ScriptedWorld<F> {
+        /// Runs the world for `run`, every node `delay` from every other one
+        /// way, the LRS configured by `configure` and `SERVER` running
+        /// `answer`.
+        fn run(delay: SimTime, run: SimTime, configure: impl FnOnce(&mut LrsSimConfig), answer: F) -> Self {
+            let mut sim = Simulator::new(5);
+            sim.set_default_delay(delay);
+            let server = sim.add_node(SERVER, CpuConfig::unbounded(), Scripted { answer, received: Vec::new() });
+            let silent: Silent = |_, _| Vec::new();
+            let forger = sim.add_node(FORGER, CpuConfig::unbounded(), Scripted { answer: silent, received: Vec::new() });
+            let mut config = LrsSimConfig::new(LRS, SERVER, "www.foo.com".parse().unwrap());
+            configure(&mut config);
+            let lrs = sim.add_node(LRS, CpuConfig::unbounded(), LrsSimulator::new(config));
+            sim.run_until(run);
+            ScriptedWorld { sim, server, forger, lrs, script: std::marker::PhantomData }
+        }
+
+        fn lrs(&self) -> &LrsSimulator {
+            self.sim.node_ref::<LrsSimulator>(self.lrs).unwrap()
+        }
+
+        /// The queries `SERVER` was sent.
+        fn received(&self) -> &[Message] {
+            &self.sim.node_ref::<Scripted<F>>(self.server).unwrap().received
+        }
+
+        /// The queries `FORGER` was sent.
+        fn forged(&self) -> &[Message] {
+            &self.sim.node_ref::<Scripted<Silent>>(self.forger).unwrap().received
+        }
+    }
+
     /// An LRS at `LRS` with `slots` slots asking `SERVER`, which runs
-    /// `answer`, for 25 ms; the LRS's stats and what the server was sent.
+    /// `answer`, for 25 ms at the default 0.2 ms delay; the LRS's stats and
+    /// what the server was sent.
     fn scripted<F: FnMut(&Message, &Packet) -> Vec<Packet> + 'static>(
         slots: u32,
         mode: CookieMode,
         pace: SimTime,
         answer: F,
     ) -> (LrsSimStats, Vec<Message>) {
-        let mut sim = Simulator::new(5);
-        let server = sim.add_node(SERVER, CpuConfig::unbounded(), Scripted { answer, received: Vec::new() });
-        let mut config = LrsSimConfig::new(LRS, SERVER, "www.foo.com".parse().unwrap());
-        (config.concurrency, config.mode, config.pace) = (slots, mode, pace);
-        let lrs = sim.add_node(LRS, CpuConfig::unbounded(), LrsSimulator::new(config));
-        sim.run_until(SimTime::from_millis(25));
-        let stats = sim.node_ref::<LrsSimulator>(lrs).unwrap().stats;
-        let server = sim.node_mut::<Scripted<F>>(server).unwrap();
-        (stats, std::mem::take(&mut server.received))
+        let configure = |config: &mut LrsSimConfig| (config.concurrency, config.mode, config.pace) = (slots, mode, pace);
+        let world = ScriptedWorld::run(SimTime::from_micros(200), SimTime::from_millis(25), configure, answer);
+        (world.lrs().stats, world.received().to_vec())
+    }
+
+    /// Whether `query` is a zero-cookie probe.
+    fn is_probe(query: &Message) -> bool {
+        cookie_ext::find_cookie(query).is_some_and(|ext| ext.is_request())
     }
 
     /// A reply under an id one slot awaits, sent to the other slot's port,
@@ -799,19 +835,13 @@ mod tests {
     fn a_timed_out_probe_does_not_count_toward_the_cookie_wipe() {
         let mut granted = false;
         let grant_first_probe = move |query: &Message, pkt: &Packet| {
-            let probe = cookie_ext::find_cookie(query).is_some_and(|ext| ext.is_request());
-            if !probe || std::mem::replace(&mut granted, true) {
+            if !is_probe(query) || std::mem::replace(&mut granted, true) {
                 return Vec::new();
             }
-            let mut grant = query.clone();
-            cookie_ext::strip_cookie(&mut grant);
-            let mut grant = grant.response();
-            cookie_ext::attach_cookie(&mut grant, [7; 16], 3_600);
-            vec![Packet::udp(pkt.dst, pkt.src, grant.encode())]
+            vec![grant(query, SERVER, pkt.src)]
         };
         let (stats, received) = scripted(2, CookieMode::Extension, SimTime::ZERO, grant_first_probe);
-        let probes: Vec<bool> =
-            received.iter().map(|m| cookie_ext::find_cookie(m).is_some_and(|ext| ext.is_request())).collect();
+        let probes: Vec<bool> = received.iter().map(is_probe).collect();
         // At 10 ms slot 0's released query and slot 1's probe time out: one
         // count, so both slots go on stamped. At 20 ms those two time out:
         // the cookie is wiped, and both slots probe again.
@@ -820,37 +850,78 @@ mod tests {
     }
 
     /// A pure grant from another address, to the slot's port under the id
-    /// it awaits, takes the slot's reply but not its held query: nothing is
-    /// released to the forger and no cookie is cached, and the server's own
-    /// grant, which comes next, finds the id answered. Each request times
-    /// out with its probe's query still held, so the slot probes on.
+    /// it awaits, is not the slot's reply: nothing is released to the
+    /// forger and no cookie is cached from it, and the server's own grant,
+    /// which comes next, releases the held query. Every stamped query after
+    /// it is answered.
     #[test]
     fn a_grant_from_another_address_releases_nothing() {
-        type Script = fn(&Message, &Packet) -> Vec<Packet>;
-        const FORGER: Ipv4Addr = Ipv4Addr::new(6, 6, 6, 6);
-        let forged_then_real: Script = |query, pkt| {
-            let mut grant = query.clone();
-            cookie_ext::strip_cookie(&mut grant);
-            let mut grant = grant.response();
-            cookie_ext::attach_cookie(&mut grant, [7; 16], 3_600);
-            [FORGER, SERVER].map(|from| Packet::udp(Endpoint::new(from, DNS_PORT), pkt.src, grant.encode())).to_vec()
+        let forged_then_real = |query: &Message, pkt: &Packet| match is_probe(query) {
+            true => [FORGER, SERVER].map(|from| grant(query, from, pkt.src)).to_vec(),
+            false => vec![reply(query, pkt.src, Rcode::NoError)],
         };
-        let mut sim = Simulator::new(5);
-        let silent: Script = |_, _| Vec::new();
-        let [server, forger] = [(SERVER, forged_then_real), (FORGER, silent)]
-            .map(|(ip, answer)| sim.add_node(ip, CpuConfig::unbounded(), Scripted { answer, received: Vec::new() }));
-        let mut config = LrsSimConfig::new(LRS, SERVER, "www.foo.com".parse().unwrap());
-        config.mode = CookieMode::Extension;
-        let lrs = sim.add_node(LRS, CpuConfig::unbounded(), LrsSimulator::new(config));
-        sim.run_until(SimTime::from_millis(25));
+        let configure = |config: &mut LrsSimConfig| config.mode = CookieMode::Extension;
+        let world = ScriptedWorld::run(SimTime::from_micros(200), SimTime::from_millis(25), configure, forged_then_real);
+        let probes: Vec<bool> = world.received().iter().map(is_probe).collect();
+        assert_eq!(probes[..2], [true, false], "the probe, then its query released to the server");
+        assert!(!probes[2..].contains(&true), "one probe in all");
+        assert!(world.forged().is_empty(), "nothing sent to the forger");
+        let lrs = world.lrs();
+        assert_eq!((lrs.core.cached_cookies(), lrs.core.stats.cookies_cached), (1, 1), "the server's cookie only");
+        // Each stamped query but the one in flight at the end is answered.
+        let stamped = probes.len() as u64 - 1;
+        assert_eq!((lrs.stats.completed, lrs.stats.timeouts), (stamped - 1, 0));
+    }
 
-        let probes: Vec<bool> = sim.node_ref::<Scripted<Script>>(server).unwrap().received.iter()
-            .map(|m| cookie_ext::find_cookie(m).is_some_and(|ext| ext.is_request()))
-            .collect();
-        assert_eq!(probes, [true, true, true], "a probe per request, no release");
-        assert!(sim.node_ref::<Scripted<Script>>(forger).unwrap().received.is_empty(), "nothing sent to the forger");
-        let lrs = sim.node_ref::<LrsSimulator>(lrs).unwrap();
-        assert_eq!((lrs.core.cached_cookies(), lrs.core.stats.cookies_cached, lrs.stats.timeouts), (0, 0, 2));
+    /// A pure grant from the server to a stamped query answers nothing, so
+    /// the slot still awaits that query's reply and takes the answer
+    /// behind it: no request times out.
+    #[test]
+    fn a_grant_to_a_stamped_query_leaves_it_awaited() {
+        let grant_then_answer = |query: &Message, pkt: &Packet| match is_probe(query) {
+            true => vec![grant(query, SERVER, pkt.src)],
+            false => vec![grant(query, SERVER, pkt.src), reply(query, pkt.src, Rcode::NoError)],
+        };
+        let (stats, received) = scripted(1, CookieMode::Extension, SimTime::ZERO, grant_then_answer);
+        assert_eq!(received.iter().filter(|m| is_probe(m)).count(), 1);
+        assert_eq!((stats.completed, stats.timeouts), (received.len() as u64 - 2, 0));
+    }
+
+    /// A glueless referral forged from another address, to the slot's port
+    /// under the id it awaits, arrives before the server's answer: the slot
+    /// takes only the server's, so it chases nothing at the forger and
+    /// completes each request.
+    #[test]
+    fn a_forged_referral_from_another_address_is_ignored() {
+        let forged_then_real = |query: &Message, pkt: &Packet| {
+            let mut referral = query.response();
+            referral.authorities.push(Record::ns("foo.com".parse().unwrap(), "ns.forged.example".parse().unwrap(), 60));
+            let forged = Packet::udp(Endpoint::new(FORGER, DNS_PORT), pkt.src, referral.encode());
+            vec![forged, reply(query, pkt.src, Rcode::NoError)]
+        };
+        let world = ScriptedWorld::run(SimTime::from_micros(200), SimTime::from_millis(25), |_| {}, forged_then_real);
+        assert!(world.forged().is_empty(), "no NS chase sent to the forger");
+        let stats = world.lrs().stats;
+        assert_eq!((stats.completed, stats.timeouts, stats.errors), (61, 0, 0));
+    }
+
+    /// A truncated reply that comes after its request timed out, in the
+    /// pause before the next one, is taken no more: it starts no TCP
+    /// fallback, and the next request starts when the pause ends. One slot
+    /// waits 5 ms and pauses 10 ms; the server, 6 ms away, truncates every
+    /// UDP reply and ignores TCP, so every request times out, 15 ms apart.
+    #[test]
+    fn a_late_truncated_reply_during_a_pause_is_ignored() {
+        let truncated = |query: &Message, pkt: &Packet| {
+            let mut tc = query.response();
+            tc.header.truncated = true;
+            vec![Packet::udp(pkt.dst, pkt.src, tc.encode())]
+        };
+        let configure = |config: &mut LrsSimConfig| (config.wait, config.pace) = (SimTime::from_millis(5), SimTime::from_millis(10));
+        let world = ScriptedWorld::run(SimTime::from_millis(3), SimTime::from_secs(1), configure, truncated);
+        let stats = world.lrs().stats;
+        assert_eq!((stats.completed, stats.timeouts, stats.tcp_fallbacks), (0, 67, 0));
+        assert_eq!(world.received().len(), 67, "one query per request");
     }
 
     /// The slots' ports end below the TCP fallback's; refusing more slots
